@@ -3049,6 +3049,129 @@ mod tests {
         assert!(faulty.faults.regions_reexecuted > 0, "{:?}", faulty.faults);
     }
 
+    // --- golden virtual times ---
+    //
+    // The simulation is deterministic, so these are exact: a moved
+    // number is a changed policy or protocol, never noise. (The Pascal
+    // workload pins live in `paragram-bench`'s `tests/golden_sim.rs`.)
+
+    #[test]
+    fn golden_stealing_schedule_on_the_skewed_huge_tree_stream() {
+        let b = mini_batch(&[(256, 6), (8, 4), (8, 4), (8, 4), (8, 4), (8, 4)]);
+        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+        let r = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
+        assert_eq!(r.makespan, 924_132);
+        assert_eq!(
+            r.finish_times,
+            [739_327, 750_837, 824_984, 838_440, 910_676, 924_132]
+        );
+        assert_eq!(
+            r.sched,
+            SchedCounters {
+                steals: 2,
+                migrated_attrs: 0,
+                local_sends: 12,
+                remote_sends: 42,
+            }
+        );
+    }
+
+    #[test]
+    fn golden_service_finish_times_under_fifo_and_sjf() {
+        let mut shapes = vec![(8usize, 4usize); 10];
+        shapes[2] = (200, 6);
+        let b = mini_batch(&shapes);
+        let req = requests_at(&(0..10).map(|i| (i as Time * 1_000, 0)).collect::<Vec<_>>());
+        let run = |policy, capacity| {
+            run_sim_service(
+                &b.trees,
+                &req,
+                Some(&b.plans),
+                &SimConfig::paper(4),
+                1,
+                RegionGranularity::Machines(4),
+                policy,
+                capacity,
+            )
+        };
+        let fifo = run(DispatchPolicy::Fifo, usize::MAX);
+        let sjf = run(DispatchPolicy::ShortestJobFirst, usize::MAX);
+        let tight = run(DispatchPolicy::Fifo, 3);
+        let times = |r: &ServiceSimReport<Value>| -> Vec<Time> {
+            r.finished.iter().map(|f| f.unwrap_or(0)).collect()
+        };
+        assert_eq!(
+            times(&fifo),
+            [
+                385_764, 455_138, 1_025_429, 1_094_803, 1_164_177, 1_233_551, 1_302_925, 1_372_299,
+                1_441_673, 1_511_047
+            ]
+        );
+        // SJF lets the seven waiting smalls pass the huge request 2.
+        assert_eq!(
+            times(&sjf),
+            [
+                385_764, 455_138, 1_511_047, 524_512, 593_886, 663_260, 732_634, 802_008, 871_382,
+                940_756
+            ]
+        );
+        assert_eq!(fifo.makespan, 1_511_047);
+        assert_eq!(sjf.makespan, 1_511_047);
+        // A three-deep waiting room behind the huge request sheds the
+        // rest of the burst.
+        assert_eq!(
+            tight.shed,
+            [false, false, false, false, true, true, true, true, true, true]
+        );
+        assert_eq!(
+            times(&tight),
+            [385_764, 455_138, 1_025_429, 1_094_803, 0, 0, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn golden_crash_restart_recovery() {
+        let shapes: Vec<(usize, usize)> = (0..24)
+            .map(|i| match i % 3 {
+                0 => (48, 6),
+                1 => (16, 4),
+                _ => (40, 5),
+            })
+            .collect();
+        let b = mini_batch(&shapes);
+        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+        let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
+        let crash_at = clean.parse_time + clean.makespan / 3;
+        let plan = FaultPlan::seeded(11).crash_restart(2, crash_at, 200_000);
+        let faulty = run_sim_batch_with_faults(
+            &b.trees,
+            Some(&b.plans),
+            &cfg,
+            2,
+            RegionGranularity::Machines(cfg.machines),
+            &plan,
+        );
+        assert_eq!(clean.makespan, 3_201_004);
+        assert_eq!(faulty.makespan, 3_202_004);
+        assert_eq!(
+            faulty.faults,
+            FaultCounters {
+                crashes: 1,
+                regions_reexecuted: 1,
+                dup_suppressed: 1,
+                ..FaultCounters::default()
+            }
+        );
+        let sched = SchedCounters {
+            steals: 20,
+            migrated_attrs: 0,
+            local_sends: 31,
+            remote_sends: 185,
+        };
+        assert_eq!(clean.sched, sched);
+        assert_eq!(faulty.sched, sched);
+    }
+
     #[test]
     #[should_panic(expected = "requires SchedulerMode::Stealing")]
     fn crash_injection_without_the_stealing_scheduler_is_rejected() {
