@@ -18,8 +18,9 @@
 //!   [`paragram_driver::RequestTimes`]. Wall numbers are informational
 //!   on a loaded host — the policy *ranking* is not taken from them.
 //! * **sim**: the deterministic 4-machine network simulator
-//!   (`run_sim_service`), same arrival schedule compressed to virtual
-//!   µs so the waiting room actually fills. This is where the policy
+//!   (`run_sim_stream` with `Arrivals`), same arrival schedule
+//!   compressed to virtual µs so the waiting room actually fills. This
+//!   is where the policy
 //!   comparison is reproducible bit-for-bit on a 1-core box — and it
 //!   runs *the same `PolicyQueue` code* the wall service dispatches
 //!   with.
@@ -68,7 +69,7 @@ use paragram_bench::stream::{generate_stream, RequestSpec, SizeClass, StreamConf
 use paragram_core::parallel::policy::DispatchPolicy;
 use paragram_core::parallel::pool::SchedulerMode;
 use paragram_core::parallel::sim::{
-    run_sim_service, run_sim_service_with_faults, ServiceSimReport, SimConfig, SimRequest,
+    run_sim_stream, Arrivals, BatchSimReport, SimConfig, SimRequest,
 };
 use paragram_core::split::RegionGranularity;
 use paragram_core::tree::ParseTree;
@@ -271,16 +272,20 @@ fn run_sim(
             tenant: r.tenant,
         })
         .collect();
-    let report = run_sim_service(
+    let report = run_sim_stream(
         trees,
-        &requests,
         Some(plans),
         &SimConfig::paper(machines).with_scheduler(scheduler),
         depth,
         RegionGranularity::Machines(machines),
-        policy,
-        capacity,
-    );
+        &FaultPlan::default(),
+        Some(Arrivals {
+            requests: &requests,
+            policy,
+            queue_capacity: capacity,
+        }),
+    )
+    .expect("generated streams are sorted, one request per tree");
     let completed = stream.len() - report.shed_count();
     SectionResult {
         latencies: (0..stream.len()).map(|i| report.latency(i)).collect(),
@@ -736,18 +741,21 @@ fn main() {
                 tenant: r.tenant,
             })
             .collect();
-        let run_faulty = |plan: &FaultPlan| -> ServiceSimReport<PVal> {
-            run_sim_service_with_faults(
+        let run_faulty = |plan: &FaultPlan| -> BatchSimReport<PVal> {
+            run_sim_stream(
                 &trees,
-                &requests,
                 Some(plans),
                 &cfg,
                 args.depth,
                 RegionGranularity::Machines(machines),
-                DispatchPolicy::Fifo,
-                stream.len(),
                 plan,
+                Some(Arrivals {
+                    requests: &requests,
+                    policy: DispatchPolicy::Fifo,
+                    queue_capacity: stream.len(),
+                }),
             )
+            .expect("the probe only crashes evaluator machines of a stealing park")
         };
         let clean = run_faulty(&FaultPlan::default());
 
@@ -776,7 +784,7 @@ fn main() {
         // Byte-identical recovery: every request's root attributes,
         // compared content-deep (ropes by bytes) after canonicalizing
         // by attribute id — faults may reorder arrival, never content.
-        let canonical = |rep: &ServiceSimReport<PVal>| -> Vec<Vec<(u32, PVal)>> {
+        let canonical = |rep: &BatchSimReport<PVal>| -> Vec<Vec<(u32, PVal)>> {
             rep.root_values
                 .iter()
                 .map(|roots| {

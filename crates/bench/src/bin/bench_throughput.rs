@@ -74,10 +74,11 @@
 
 use paragram_core::memo::InstallPolicy;
 use paragram_core::parallel::pool::SchedulerMode;
-use paragram_core::parallel::sim::{run_sim_batch, run_sim_batch_with, SimConfig};
+use paragram_core::parallel::sim::{run_sim_batch, run_sim_stream, SimConfig};
 use paragram_core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram_core::tree::ParseTree;
 use paragram_driver::{BatchDriver, CompilationPlan, DriverConfig};
+use paragram_netsim::FaultPlan;
 use paragram_pascal::generator::{generate, GenConfig};
 use paragram_pascal::{Compiler, PVal};
 use std::sync::Arc;
@@ -629,13 +630,16 @@ fn run_single_tree(compiler: &Compiler, args: &Args, out: &mut String) {
     stream.extend(build_trees(compiler, &scales(true)[0].cfg, 4));
     let sim_cfg = SimConfig::paper(machines);
     let whole_ms = run_sim_batch(&stream, Some(plans), &sim_cfg, args.depth).makespan;
-    let adaptive_ms = run_sim_batch_with(
+    let adaptive_ms = run_sim_stream(
         &stream,
         Some(plans),
         &sim_cfg,
         args.depth,
         RegionGranularity::Adaptive { budget },
+        &FaultPlan::default(),
+        None,
     )
+    .expect("a non-empty stream with no faults is acceptable")
     .makespan;
     let sim_ratio = whole_ms as f64 / adaptive_ms as f64;
     println!(

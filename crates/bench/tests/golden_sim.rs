@@ -11,12 +11,17 @@ use paragram_pascal::generator::generate;
 use paragram_pascal::Compiler;
 
 /// Figure 5's end points: the paper program alone on 1 and 5 machines.
+///
+/// `run_sim` is a batch of one, so the parser waits for every region's
+/// `Done` before its final read, not only for the root attributes: on 5
+/// machines the last `Done` lands 1,039 µs (0.009 %) after the last root
+/// attribute; on 1 machine it is already there.
 #[test]
 fn paper_workload_eval_times_are_pinned() {
     let w = Workload::paper();
     let eval = |machines| run_sim(&w.tree, Some(&w.plans), &SimConfig::paper(machines)).eval_time;
     assert_eq!(eval(1), 26_071_643);
-    assert_eq!(eval(5), 11_023_855);
+    assert_eq!(eval(5), 11_024_894);
 }
 
 /// The benchmark's batch shape: 24 alternating proc/unit programs on 4

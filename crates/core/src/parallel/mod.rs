@@ -3,9 +3,14 @@
 //! The structure mirrors the paper's Figure-6 setting: a sequential
 //! parser process, N evaluator machines, and a string-librarian process.
 //!
-//! * [`sim`] — runs the whole parallel compilation on the deterministic
-//!   [`paragram_netsim`] network-multiprocessor simulator, reproducing
-//!   the paper's running-time and activity-trace figures exactly.
+//! * `board` (crate-internal) — the stealing scheduler as an IO-free
+//!   state machine: per-worker deques, the `(ticket, region)`
+//!   job-location table, load accounts, the dead set, per-job input
+//!   logs and the steal/fault counters, with the **one**
+//!   implementation of seed, claim/steal, route-and-log-dedup,
+//!   deliver, retire, crash-reseed and cancel. [`pool`] and [`sim`] are
+//!   its two drivers, so "the simulator runs the deployed policy"
+//!   holds by construction, not by two files kept in step.
 //! * [`pool`] — persistent evaluator worker pool (threads + librarian
 //!   spawned once) scheduling **region jobs** — `(ticket, region)`
 //!   pairs, not whole trees: the batched-compilation runtime, with
@@ -13,15 +18,18 @@
 //!   evaluation, resolution at the parser's final read), a small
 //!   cross-tree pipeline window, and cost-driven adaptive decomposition
 //!   so one huge tree fills the pool like a batch of small ones. Two
-//!   placement schedulers: fixed modular assignment (the paper's
-//!   layout, the default) and a locality-aware work-stealing scheduler
-//!   (`SchedulerMode::Stealing`) — per-worker deques seeded
-//!   largest-job-first with parent/child co-seeding, idle workers
-//!   stealing the largest pending job from the most-loaded victim, a
-//!   shared job-location table routing boundary attributes to wherever
-//!   a job actually ran, and steal/locality telemetry surfaced through
-//!   batch and service reports. The simulator seeds and steals with
-//!   the same policy code, so sim rankings exercise what deploys.
+//!   placements: fixed modular assignment (the paper's layout, the
+//!   default, no shared state) and `SchedulerMode::Stealing`, which
+//!   drives the board from worker threads under one mutex and moves
+//!   values over channels.
+//! * [`sim`] — the same protocol on the deterministic
+//!   [`paragram_netsim`] network-multiprocessor simulator, reproducing
+//!   the paper's running-time and activity-trace figures exactly: one
+//!   parser, one evaluator and one librarian process, and one run
+//!   ([`sim::run_sim_stream`]) that the single-tree and batch entry
+//!   points adapt. Under stealing it drives the board from netsim
+//!   handlers, adding only what virtual time needs (per-machine clocks,
+//!   the claimer's subtree fetch, the steal profitability gate).
 //! * [`threads`] — the same protocol as a one-shot, depth-1 convenience
 //!   wrapper over [`pool`], demonstrating genuine parallel speedup on
 //!   host cores for a single tree.
@@ -35,30 +43,31 @@
 //! Both runtimes tolerate **fail-stop evaluator loss** under
 //! `SchedulerMode::Stealing`: a worker thread dying mid-region (live
 //! pool, [`pool::WorkerPool::kill_worker`]) or a simulated machine
-//! crashing at a scheduled virtual time (sim,
-//! [`sim::run_sim_batch_with_faults`] driven by a
-//! [`paragram_netsim::FaultPlan`]). The parser and librarian are the
-//! reliable tier — they hold per-batch state that regions cannot
-//! reconstruct — so the fault plans that target them are rejected up
-//! front rather than half-recovered.
+//! crashing at a scheduled virtual time (sim, [`sim::run_sim_stream`]
+//! driven by a [`paragram_netsim::FaultPlan`]). The parser and
+//! librarian are the reliable tier — they hold per-batch state that
+//! regions cannot reconstruct — so the fault plans that target them
+//! are rejected up front ([`sim::SimError`]) rather than
+//! half-recovered.
 //!
 //! **What survives a crash.** Everything a region job needs to re-run
 //! lives outside the evaluator that ran it: the immutable `ParseTree`
-//! and decomposition (shared, read-only), the shared job-location
-//! table mapping `(ticket, region) → JobLoc` (which worker holds each
-//! job, queued or active), and the per-job **input log** — every
-//! boundary attribute `(node, attr, value)` is appended to
-//! `logs[(ticket, region)]` at *send* time, under the scheduler lock,
-//! before it ever reaches a worker. The log is the protocol's stable
-//! storage: a message in flight to a dead worker is lost with the
-//! worker, but its logged copy is not. Only evaluator-volatile state
-//! dies: partially evaluated machines and parked mid-visit values.
+//! and decomposition (shared, read-only), and the job's record on the
+//! scheduler board — where it lives (which worker, queued or active)
+//! and its **input log**: every boundary attribute
+//! `(node, attr, value)` is appended to the log at *send* time, on the
+//! board, before it ever reaches a worker. The log is the protocol's
+//! stable storage: a message in flight to a dead worker is lost with
+//! the worker, but its logged copy is not. Only evaluator-volatile
+//! state dies: partially evaluated machines and parked mid-visit
+//! values.
 //!
-//! **Recovery.** When a worker dies, the scheduler (live) or the
-//! parser's crash oracle (sim) marks it dead (`DEAD_LOAD` pins it out
-//! of every least-loaded choice), collects its queued and active
-//! region jobs from the table, rebuilds each as a fresh job whose
-//! `early` buffer is the *full* input log replay, and reseeds them
+//! **Recovery** is one board transition, called by the pool's
+//! `kill_worker` (live) or the parser's crash oracle (sim): the dead
+//! worker is marked dead (its load account pinned out of every
+//! least-loaded choice), its queued and active region jobs are
+//! collected, each becomes a fresh pending job whose early values are
+//! the *full* input log replay, and they are reseeded
 //! least-loaded-first over the survivors in deterministic
 //! `(ticket, region)` order. Re-execution regenerates the same
 //! segment ids, attribute values and root attributes, because region
@@ -78,6 +87,7 @@
 //! run, with `crashes`, `regions_reexecuted` and `dup_suppressed`
 //! accounting for the detour.
 
+mod board;
 pub mod policy;
 pub mod pool;
 pub mod sim;

@@ -76,7 +76,7 @@
 //! inflation) overlaps tree N+1's evaluation. Depth 1 restores the
 //! strict one-epoch-per-tree barrier.
 //!
-//! # Placement: fixed modular vs. work stealing
+//! # Placement: fixed modular vs. the scheduler board
 //!
 //! [`SchedulerMode`] selects how region jobs land on workers:
 //!
@@ -87,27 +87,23 @@
 //!   (the rotation keeps consecutive trees' low regions off one
 //!   worker). Dispatch and attribute routing share the function, so
 //!   they can never drift apart — and no shared mutable state exists.
-//! * [`SchedulerMode::Stealing`] replaces the pure function with
-//!   per-worker **deques** plus a shared **job-location table**.
-//!   `submit` seeds a ticket's jobs LPT-style — largest estimated work
-//!   placed first, each onto the least-loaded worker — except that
-//!   parent/child regions of one tree are co-seeded onto the same
-//!   worker (while its load stays near the fair share), so
-//!   boundary-attribute sends stay worker-local. A worker whose
-//!   machines all starve claims the front of its own deque; an idle
-//!   worker with an empty deque **steals** the largest pending job
-//!   from the most-loaded victim, searching the victim's deque from
-//!   the back. The location table maps each live `(ticket, region)` to
-//!   `Queued(worker)` or `Active(worker)` and replaces [`worker_of`]
-//!   on every routing path: values for a *queued* job attach to its
-//!   deque entry and migrate with it if it is stolen (memo-probing
-//!   jobs therefore survive migration — their probe is built at
-//!   activation, after the migrated values landed); values for an
-//!   *active* job are channel-sent to the worker that claimed it
-//!   (jobs never migrate once active); an *absent* entry means the job
-//!   already finished and the value is dropped. `submit` registers
-//!   every region of a ticket in the table before waking any worker,
-//!   so the absent-means-finished reading is sound.
+//! * [`SchedulerMode::Stealing`] replaces the pure function with the
+//!   scheduler board (`parallel/board.rs`): per-worker deques, a
+//!   job-location table, load accounts and per-job input logs, with
+//!   one implementation of every transition — LPT seeding with
+//!   parent/child co-seeding, claim-own-front-else-steal-the-largest,
+//!   log-at-send routing with duplicate suppression, retirement, and
+//!   crash reseeding. This file is one of the board's two drivers (the
+//!   simulator is the other): it holds the board under one mutex and
+//!   supplies the threads and channels. `submit` seeds a ticket and
+//!   wakes every worker; a worker whose machines all starve claims; a
+//!   boundary value is routed and delivered in one critical section —
+//!   attached to a still-queued job (so a steal migrates it, and
+//!   memo-probing jobs survive migration: their probe is built at
+//!   activation, after the migrated values landed) or channel-sent to
+//!   the worker that claimed it; a worker retires a job on the board
+//!   *before* reporting it done; [`WorkerPool::kill_worker`] is the
+//!   board's crash transition plus a `Die` message.
 //!   [`WorkerPool::sched_counters`] reports steals, migrated values
 //!   and the local/remote split of boundary sends.
 //!
@@ -142,6 +138,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use super::board::{Board, Claimed, Delivery};
 use super::ResultPropagation;
 
 /// Identifies one tree's pass through the pool (monotone, assigned at
@@ -455,15 +452,13 @@ pub struct PoolReport<V: AttrValue> {
     pub regions: usize,
 }
 
-struct JobMsg<V> {
-    ticket: Ticket,
-    tree: Arc<ParseTree<V>>,
-    decomp: Arc<Decomposition>,
-    region: RegionId,
-}
+/// What a worker needs to build a region job's machine: the tree and
+/// its decomposition.
+type JobData<V> = (Arc<ParseTree<V>>, Arc<Decomposition>);
 
 enum WorkerMsg<V> {
-    Job(JobMsg<V>),
+    /// Fixed placement only: a region job pinned to this worker.
+    Job(Claimed<V, JobData<V>>),
     Attr {
         ticket: Ticket,
         /// Destination region — with region-granular scheduling a worker
@@ -559,9 +554,9 @@ pub struct WorkerPool<V: AttrValue> {
     ready: VecDeque<Result<PoolReport<V>, TicketFailure>>,
     max_in_flight: usize,
     max_regions_in_flight: usize,
-    /// Shared fault/recovery telemetry (workers bump the panic and
-    /// duplicate counters; the pool bumps crashes and re-executions).
-    faults: Arc<FaultCell>,
+    /// Semantic-rule panics the workers contained (the other fault
+    /// counters live on the scheduler board).
+    panics_contained: Arc<AtomicU64>,
     /// Cross-tree attribute memo cache (None when
     /// [`PoolConfig::memo_capacity`] is 0). Shared with the workers:
     /// they probe before building a machine, the pool installs at
@@ -570,39 +565,9 @@ pub struct WorkerPool<V: AttrValue> {
     /// Per-symbol memo safety (see [`memo_safety`]); empty when the
     /// cache is off.
     memo_safe: Arc<Vec<bool>>,
-    /// Stealing-scheduler shared state; `None` under
+    /// The stealing scheduler's board; `None` under
     /// [`SchedulerMode::Fixed`].
-    sched: Option<Arc<Sched<V>>>,
-}
-
-/// Atomic fault telemetry shared between the pool and its workers
-/// (the deadline/retry fields of [`FaultCounters`] live in the serving
-/// layer, not here).
-#[derive(Default)]
-struct FaultCell {
-    crashes: AtomicU64,
-    regions_reexecuted: AtomicU64,
-    dup_suppressed: AtomicU64,
-    panics_contained: AtomicU64,
-}
-
-impl FaultCell {
-    fn counters(&self) -> FaultCounters {
-        FaultCounters {
-            crashes: self.crashes.load(Ordering::Relaxed),
-            regions_reexecuted: self.regions_reexecuted.load(Ordering::Relaxed),
-            dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
-            panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            ..FaultCounters::default()
-        }
-    }
-
-    fn reset(&self) {
-        self.crashes.store(0, Ordering::Relaxed);
-        self.regions_reexecuted.store(0, Ordering::Relaxed);
-        self.dup_suppressed.store(0, Ordering::Relaxed);
-        self.panics_contained.store(0, Ordering::Relaxed);
-    }
+    sched: Option<Arc<PoolBoard<V>>>,
 }
 
 /// Everything a worker thread needs; owned by the thread.
@@ -623,12 +588,11 @@ struct WorkerCtx<V: AttrValue> {
     memo: Option<Arc<MemoCache<V>>>,
     /// Per-symbol memo safety, aligned with the grammar's symbol ids.
     memo_safe: Arc<Vec<bool>>,
-    /// Stealing-scheduler shared state; `None` under
+    /// The stealing scheduler's board; `None` under
     /// [`SchedulerMode::Fixed`].
-    sched: Option<Arc<Sched<V>>>,
-    /// Shared fault telemetry (panic containment, duplicate
-    /// suppression).
-    faults: Arc<FaultCell>,
+    sched: Option<Arc<PoolBoard<V>>>,
+    /// Shared count of contained semantic-rule panics.
+    panics_contained: Arc<AtomicU64>,
 }
 
 /// Per-symbol memoization safety: a split symbol is memo-safe iff no
@@ -675,167 +639,10 @@ fn worker_of(config: &PoolConfig, ticket: Ticket, region: RegionId) -> usize {
     (region as usize + offset) % config.workers
 }
 
-/// Where a region job currently lives under the stealing scheduler.
-/// Shared with the simulator's mirror of the protocol.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum JobLoc {
-    /// Waiting in this worker's deque — stealable.
-    Queued(usize),
-    /// Claimed by this worker — never migrates again.
-    Active(usize),
-}
-
-/// Chooses a worker for every region of one tree under the stealing
-/// scheduler's seeding policy, updating `load` (one slot per worker)
-/// in place. LPT: regions are placed largest-estimated-work first, so
-/// big regions spread before small ones fill the gaps. Locality: a
-/// region whose parent region (or an already-placed child) has a home
-/// prefers that relative's worker — keeping boundary-attribute
-/// messages worker-local — unless that worker's load exceeds the
-/// least-loaded worker's by more than one region's worth (capped at a
-/// fair share), which would stack a dependency chain onto one worker
-/// and serialize it. Ties break toward the lowest worker index, so
-/// placement is deterministic.
-///
-/// This is the single implementation of the policy: the live
-/// [`WorkerPool`] seeds its deques with it, and the simulator
-/// ([`crate::parallel::sim`]) calls the same function so simulated
-/// schedule rankings exercise deployed code.
-pub(crate) fn seed_placements(
-    decomp: &Decomposition,
-    work: &[u64],
-    load: &mut [u64],
-) -> Vec<usize> {
-    let workers = load.len();
-    let total: u64 = work.iter().sum();
-    // A little over-filling for locality is tolerable — runtime
-    // stealing corrects residual imbalance — but co-locating a whole
-    // region chain serializes it, so the slack is tight.
-    let bound = (total / workers as u64).max(1);
-    let mut order: Vec<usize> = (0..work.len()).collect();
-    order.sort_by(|&a, &b| work[b].cmp(&work[a]).then(a.cmp(&b)));
-    let mut placements = vec![usize::MAX; work.len()];
-    let mut placed_child: HashMap<RegionId, usize> = HashMap::new();
-    for &r in &order {
-        let rid = r as RegionId;
-        let parent = decomp.regions[r].parent;
-        let pref = parent
-            .and_then(|p| {
-                let w = placements[p as usize];
-                (w != usize::MAX).then_some(w)
-            })
-            .or_else(|| placed_child.get(&rid).copied());
-        let least = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("at least one worker");
-        let w = match pref {
-            Some(p) if load[p] <= load[least] + bound.min(work[r]) => p,
-            _ => least,
-        };
-        placements[r] = w;
-        load[w] += work[r];
-        if let Some(p) = parent {
-            placed_child.entry(p).or_insert(w);
-        }
-    }
-    placements
-}
-
-/// A seeded-but-unclaimed region job. Attribute values that arrive
-/// before activation attach here (not to any worker's local state), so
-/// a steal migrates them with the job.
-struct PendingJob<V: AttrValue> {
-    ticket: Ticket,
-    region: RegionId,
-    tree: Arc<ParseTree<V>>,
-    decomp: Arc<Decomposition>,
-    /// Estimated work (rule-cost units) — the LPT seeding key, and the
-    /// unit of the per-worker load accounting.
-    work: u64,
-    early: Vec<(NodeId, AttrId, V)>,
-}
-
-/// Per-job input log: every boundary value delivered to a live job,
-/// in delivery order, keyed `(ticket, region)`.
-pub(crate) type InputLogs<K, V> = HashMap<(K, RegionId), Vec<(NodeId, AttrId, V)>>;
-
-/// The stealing scheduler's shared state: one deque per worker, the
-/// job-location table, and per-worker outstanding estimated work
-/// (queued + active). One mutex guards all three so seed / claim /
-/// steal / route decisions are atomic.
-struct SchedState<V: AttrValue> {
-    deques: Vec<VecDeque<PendingJob<V>>>,
-    table: HashMap<(Ticket, RegionId), JobLoc>,
-    load: Vec<u64>,
-    /// Workers killed by [`WorkerPool::kill_worker`]: they claim no
-    /// further work, and seeding never places jobs on them.
-    dead: Vec<bool>,
-    /// Per-job input log: every boundary value delivered to a live
-    /// `(ticket, region)` job, in delivery order. This generalizes the
-    /// queued job's `early` attachment — it keeps accumulating after
-    /// activation, so a job lost to a crashed worker can be
-    /// reconstituted and replayed from it. Doubles as the content-keyed
-    /// duplicate filter: a `(node, attr)` already in the destination's
-    /// log is never delivered twice, which is what keeps recovery
-    /// replay byte-identical. Entries are dropped when their job
-    /// retires or its ticket is cancelled.
-    logs: InputLogs<Ticket, V>,
-}
-
-/// Load value pinning a dead worker at the bottom of every
-/// least-loaded choice (large enough to lose all comparisons, small
-/// enough never to overflow when summed with real work).
-pub(crate) const DEAD_LOAD: u64 = u64::MAX / 2;
-
-struct Sched<V: AttrValue> {
-    state: Mutex<SchedState<V>>,
-    steals: AtomicU64,
-    migrated_attrs: AtomicU64,
-    local_sends: AtomicU64,
-    remote_sends: AtomicU64,
-}
-
-impl<V: AttrValue> Sched<V> {
-    fn new(workers: usize) -> Self {
-        Sched {
-            state: Mutex::new(SchedState {
-                deques: (0..workers).map(|_| VecDeque::new()).collect(),
-                table: HashMap::new(),
-                load: vec![0; workers],
-                dead: vec![false; workers],
-                logs: HashMap::new(),
-            }),
-            steals: AtomicU64::new(0),
-            migrated_attrs: AtomicU64::new(0),
-            local_sends: AtomicU64::new(0),
-            remote_sends: AtomicU64::new(0),
-        }
-    }
-
-    fn counters(&self) -> SchedCounters {
-        SchedCounters {
-            steals: self.steals.load(Ordering::Relaxed),
-            migrated_attrs: self.migrated_attrs.load(Ordering::Relaxed),
-            local_sends: self.local_sends.load(Ordering::Relaxed),
-            remote_sends: self.remote_sends.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset_counters(&self) {
-        self.steals.store(0, Ordering::Relaxed);
-        self.migrated_attrs.store(0, Ordering::Relaxed);
-        self.local_sends.store(0, Ordering::Relaxed);
-        self.remote_sends.store(0, Ordering::Relaxed);
-    }
-
-    fn count_send(&self, local: bool) {
-        if local {
-            self.local_sends.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.remote_sends.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
+/// The pool's scheduler board, shared by the pool and its workers
+/// under one mutex so every seed / claim / steal / route / recover
+/// decision is atomic.
+type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
 impl<V: AttrValue> WorkerPool<V> {
     /// Spawns the pool: `config.workers` evaluator threads plus the
@@ -856,9 +663,9 @@ impl<V: AttrValue> WorkerPool<V> {
         } else {
             Vec::new()
         });
-        let sched =
-            (config.scheduler == SchedulerMode::Stealing).then(|| Arc::new(Sched::new(workers)));
-        let faults = Arc::new(FaultCell::default());
+        let sched = (config.scheduler == SchedulerMode::Stealing)
+            .then(|| Arc::new(Mutex::new(Board::new(workers))));
+        let panics_contained = Arc::new(AtomicU64::new(0));
 
         let mut worker_txs = Vec::with_capacity(workers);
         let mut worker_rxs = Vec::with_capacity(workers);
@@ -884,7 +691,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 memo: memo.clone(),
                 memo_safe: Arc::clone(&memo_safe),
                 sched: sched.clone(),
-                faults: Arc::clone(&faults),
+                panics_contained: Arc::clone(&panics_contained),
             };
             handles.push(std::thread::spawn(move || worker_main(ctx)));
         }
@@ -919,7 +726,7 @@ impl<V: AttrValue> WorkerPool<V> {
             ready: VecDeque::new(),
             max_in_flight: 0,
             max_regions_in_flight: 0,
-            faults,
+            panics_contained,
             memo,
             memo_safe,
             sched,
@@ -981,9 +788,26 @@ impl<V: AttrValue> WorkerPool<V> {
         self.max_in_flight = self.in_flight.len();
         self.max_regions_in_flight = self.regions_in_flight();
         if let Some(s) = &self.sched {
-            s.reset_counters();
+            s.lock().expect("scheduler lock").reset_counters();
         }
-        self.faults.reset();
+        self.panics_contained.store(0, Ordering::Relaxed);
+        self.debug_check_quiescent();
+    }
+
+    /// With no ticket in flight every seeded job has retired (a worker
+    /// retires a job on the board before it reports it done), so the
+    /// board must be back to empty: no pending job, no record or input
+    /// log, every live worker's load account at zero. Debug builds
+    /// check that wherever the pool is known to be idle.
+    fn debug_check_quiescent(&self) {
+        if cfg!(debug_assertions) && self.in_flight.is_empty() && !std::thread::panicking() {
+            if let Some(Ok(board)) = self.sched.as_ref().map(|s| s.lock()) {
+                assert!(
+                    board.is_quiescent(),
+                    "scheduler board not quiescent with nothing in flight"
+                );
+            }
+        }
     }
 
     /// Fault/recovery telemetry since construction or the last
@@ -991,7 +815,16 @@ impl<V: AttrValue> WorkerPool<V> {
     /// are always zero here — they belong to the serving layer, which
     /// merges its own counts into the same struct.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.faults.counters()
+        let board = self
+            .sched
+            .as_ref()
+            .map_or_else(FaultCounters::default, |s| {
+                s.lock().expect("scheduler lock").fault_counters()
+            });
+        FaultCounters {
+            panics_contained: self.panics_contained.load(Ordering::Relaxed),
+            ..board
+        }
     }
 
     /// Steal-scheduler telemetry since construction or the last
@@ -1000,8 +833,9 @@ impl<V: AttrValue> WorkerPool<V> {
     pub fn sched_counters(&self) -> SchedCounters {
         self.sched
             .as_ref()
-            .map(|s| s.counters())
-            .unwrap_or_default()
+            .map_or_else(SchedCounters::default, |s| {
+                s.lock().expect("scheduler lock").sched_counters()
+            })
     }
 
     /// The shared plan this pool evaluates against.
@@ -1049,11 +883,10 @@ impl<V: AttrValue> WorkerPool<V> {
             self.seed_stealing(ticket, tree, &decomp);
         } else {
             for r in 0..regions {
-                let job = WorkerMsg::Job(JobMsg {
-                    ticket,
-                    tree: Arc::clone(tree),
-                    decomp: Arc::clone(&decomp),
-                    region: r as RegionId,
+                let job = WorkerMsg::Job(Claimed {
+                    key: (ticket, r as RegionId),
+                    payload: (Arc::clone(tree), Arc::clone(&decomp)),
+                    early: Vec::new(),
                 });
                 // Region r of ticket t is pinned to worker
                 // (r + offset(t)) mod W: a tree with more regions than
@@ -1085,43 +918,21 @@ impl<V: AttrValue> WorkerPool<V> {
         ticket
     }
 
-    /// Seeds one ticket's region jobs into the stealing scheduler:
-    /// largest-estimated-work regions are placed first (LPT), each on
-    /// the least-loaded worker — except that a region whose parent or
-    /// child was already placed prefers that relative's worker (while
-    /// the relative's load stays near the fair share), keeping
-    /// boundary-attribute traffic worker-local. Every region is
-    /// registered in the location table *before* any worker is woken,
-    /// so the routing paths may read an absent entry as "finished".
+    /// Seeds one ticket's region jobs onto the scheduler board
+    /// ([`Board::seed`]: LPT with parent/child co-seeding), then wakes
+    /// every worker — the board records every region before any of
+    /// them can look.
     fn seed_stealing(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, decomp: &Arc<Decomposition>) {
         let sched = self.sched.as_ref().expect("stealing scheduler on");
-        let workers = self.config.workers;
-        let regions = decomp.len();
-        let work: Vec<u64> = (0..regions)
+        let work: Vec<u64> = (0..decomp.len())
             .map(|r| self.plan.region_work(tree, decomp, r as RegionId).max(1))
             .collect();
-        let mut st = sched.state.lock().expect("scheduler lock");
-        debug_assert_eq!(workers, st.load.len());
-        debug_assert!(st.dead.iter().any(|d| !d), "at least one worker survives");
-        // Dead workers sit at DEAD_LOAD, so the least-loaded choice
-        // (and the locality preference's slack test) never picks them.
-        let mut load = std::mem::take(&mut st.load);
-        let placements = seed_placements(decomp, &work, &mut load);
-        st.load = load;
-        for (r, &w) in placements.iter().enumerate() {
-            let rid = r as RegionId;
-            st.table.insert((ticket, rid), JobLoc::Queued(w));
-            st.logs.insert((ticket, rid), Vec::new());
-            st.deques[w].push_back(PendingJob {
-                ticket,
-                region: rid,
-                tree: Arc::clone(tree),
-                decomp: Arc::clone(decomp),
-                work: work[r],
-                early: Vec::new(),
-            });
-        }
-        drop(st);
+        sched.lock().expect("scheduler lock").seed(
+            ticket,
+            &work,
+            |r| decomp.regions[r as usize].parent,
+            |_| (Arc::clone(tree), Arc::clone(decomp)),
+        );
         // Wake everyone: idle workers with empty deques can steal.
         // Killed workers' channels may be gone — that's fine.
         for tx in &self.worker_txs {
@@ -1223,7 +1034,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 // each root attribute is unique per ticket, so presence
                 // is the idempotency key.
                 if entry.raw_roots.iter().any(|(a, _)| *a == attr) {
-                    self.faults.dup_suppressed.fetch_add(1, Ordering::Relaxed);
+                    self.count_duplicate();
                     return;
                 }
                 entry.raw_roots.push((attr, value));
@@ -1241,7 +1052,7 @@ impl<V: AttrValue> WorkerPool<V> {
                     // Belt and braces: table ownership already keeps
                     // zombies from reporting, but a duplicate Done is
                     // harmless either way (results are deterministic).
-                    self.faults.dup_suppressed.fetch_add(1, Ordering::Relaxed);
+                    self.count_duplicate();
                     return;
                 }
                 match result {
@@ -1260,27 +1071,22 @@ impl<V: AttrValue> WorkerPool<V> {
         }
     }
 
-    /// Cancels a failed ticket's remaining region jobs: purges its
-    /// queued jobs, location-table entries and input logs from the
-    /// stealing scheduler, and tells every worker to drop its running
-    /// machines for the ticket. Their Dones will never be awaited.
+    /// Counts a duplicate delivery the parser role suppressed. Only a
+    /// re-executed region can produce one, so without a board (fixed
+    /// placement: nothing is ever re-executed) there is nothing to count.
+    fn count_duplicate(&self) {
+        if let Some(sched) = &self.sched {
+            sched.lock().expect("scheduler lock").count_duplicate();
+        }
+    }
+
+    /// Cancels a failed ticket's remaining region jobs: purges them
+    /// from the scheduler board and tells every worker to drop its
+    /// running machines for the ticket. Their Dones will never be
+    /// awaited.
     fn cancel_ticket(&mut self, ticket: Ticket) {
         if let Some(sched) = &self.sched {
-            let mut st = sched.state.lock().expect("scheduler lock");
-            let SchedState { deques, load, .. } = &mut *st;
-            for (w, deque) in deques.iter_mut().enumerate() {
-                let mut kept = VecDeque::with_capacity(deque.len());
-                for job in deque.drain(..) {
-                    if job.ticket == ticket {
-                        load[w] = load[w].saturating_sub(job.work);
-                    } else {
-                        kept.push_back(job);
-                    }
-                }
-                *deque = kept;
-            }
-            st.table.retain(|&(t, _), _| t != ticket);
-            st.logs.retain(|&(t, _), _| t != ticket);
+            sched.lock().expect("scheduler lock").cancel(ticket);
         }
         for tx in &self.worker_txs {
             let _ = tx.send(WorkerMsg::Cancel { ticket });
@@ -1444,82 +1250,31 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Injects a worker crash (the fault-tolerance test hook and the
     /// live counterpart of the simulator's crash schedule). Only
-    /// meaningful under [`SchedulerMode::Stealing`], whose location
-    /// table and input logs are the recovery substrate; returns `false`
-    /// under fixed placement, for an out-of-range index, for an
-    /// already-dead worker, or when it is the last worker alive.
+    /// meaningful under [`SchedulerMode::Stealing`], whose scheduler
+    /// board is the recovery substrate; returns `false` under fixed
+    /// placement, for an out-of-range index, for an already-dead
+    /// worker, or when it is the last worker alive.
     ///
-    /// Recovery: under the scheduler lock, every region job living on
-    /// the victim — queued in its deque or active on it — is
-    /// reconstituted as a fresh pending job (subtree and decomposition
-    /// from the retained in-flight entry, already-delivered boundary
-    /// values replayed from the job's input log) and reseeded onto the
-    /// least-loaded survivors. The victim is told to die and never
-    /// claims work again. Regions that already reported Done are
-    /// retired work and are not re-executed; duplicate sends from
-    /// half-finished lost regions are suppressed content-keyed at
-    /// delivery, so outputs stay byte-identical.
+    /// Recovery is [`Board::crash`], under the scheduler lock: every
+    /// region job living on the victim — queued in its deque or active
+    /// on it — becomes a fresh pending job replaying its whole input
+    /// log, reseeded onto the least-loaded survivors. The victim is
+    /// told to die and never claims work again. Regions that already
+    /// reported Done are retired work and are not re-executed;
+    /// duplicate sends from half-finished lost regions are suppressed
+    /// content-keyed at the sender, so outputs stay byte-identical.
     pub fn kill_worker(&mut self, victim: usize) -> bool {
-        let Some(sched) = self.sched.clone() else {
+        let Some(sched) = &self.sched else {
             return false;
         };
         if victim >= self.config.workers {
             return false;
         }
         {
-            let mut st = sched.state.lock().expect("scheduler lock");
-            if st.dead[victim] || st.dead.iter().filter(|d| !**d).count() <= 1 {
+            let mut board = sched.lock().expect("scheduler lock");
+            if board.live().filter(|&w| w != victim).count() == 0 || !board.crash(victim) {
                 return false;
             }
-            st.dead[victim] = true;
-            // Everything queued on the victim migrates as-is; every
-            // job *active* on it is lost mid-run and rebuilt from its
-            // input log.
-            let mut lost: Vec<PendingJob<V>> = st.deques[victim].drain(..).collect();
-            let actives: Vec<(Ticket, RegionId)> = st
-                .table
-                .iter()
-                .filter_map(|(&key, loc)| match loc {
-                    JobLoc::Active(w) if *w == victim => Some(key),
-                    _ => None,
-                })
-                .collect();
-            for &(ticket, region) in &actives {
-                let i = self
-                    .entry_index(ticket)
-                    .expect("active jobs belong to in-flight tickets");
-                let entry = &self.in_flight[i];
-                let work = self
-                    .plan
-                    .region_work(&entry.tree, &entry.decomp, region)
-                    .max(1);
-                let early = st.logs.get(&(ticket, region)).cloned().unwrap_or_default();
-                lost.push(PendingJob {
-                    ticket,
-                    region,
-                    tree: Arc::clone(&entry.tree),
-                    decomp: Arc::clone(&entry.decomp),
-                    work,
-                    early,
-                });
-            }
-            st.load[victim] = DEAD_LOAD;
-            // Deterministic reseed order, least-loaded survivor first.
-            lost.sort_by_key(|j| (j.ticket, j.region));
-            let reexecuted = lost.len() as u64;
-            for job in lost {
-                let w = (0..self.config.workers)
-                    .filter(|&w| !st.dead[w])
-                    .min_by_key(|&w| (st.load[w], w))
-                    .expect("a survivor exists");
-                st.load[w] += job.work;
-                st.table.insert((job.ticket, job.region), JobLoc::Queued(w));
-                st.deques[w].push_back(job);
-            }
-            self.faults.crashes.fetch_add(1, Ordering::Relaxed);
-            self.faults
-                .regions_reexecuted
-                .fetch_add(reexecuted, Ordering::Relaxed);
         }
         let _ = self.worker_txs[victim].send(WorkerMsg::Die);
         for (w, tx) in self.worker_txs.iter().enumerate() {
@@ -1543,6 +1298,7 @@ impl<V: AttrValue> Drop for WorkerPool<V> {
         if let Some(h) = self.lib_handle.take() {
             let _ = h.join();
         }
+        self.debug_check_quiescent();
     }
 }
 
@@ -1567,10 +1323,6 @@ struct Running<V: AttrValue> {
     region: RegionId,
     parent: Option<RegionId>,
     next_seg: u32,
-    /// Estimated work — the stealing scheduler's load unit, returned to
-    /// the worker's load account at completion (0 under fixed
-    /// placement, which keeps no load accounts).
-    work: u64,
     state: JobState<V>,
 }
 
@@ -1706,14 +1458,14 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
             match outcome {
                 Drive::Dead => return,
                 Drive::Replayed => {
-                    // Memo hit: the probe already sent the root values
-                    // and Done. The next job shifted into `i`.
-                    let done = running.remove(i);
-                    retire_sched(&ctx, &done);
+                    // Memo hit: the probe already retired the job and
+                    // sent the root values and Done. The next job
+                    // shifted into `i`.
+                    running.remove(i);
                 }
                 Drive::Finished(err) => {
                     let done = running.remove(i);
-                    let owned = retire_sched(&ctx, &done);
+                    let owned = retire_sched(&ctx, done.ticket, done.region);
                     let JobState::Machine(machine) = done.state else {
                         unreachable!("only machines finish");
                     };
@@ -1790,9 +1542,16 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
         if absorbed {
             continue;
         }
-        // Stealing scheduler: pull pending work — own deque first,
-        // then the most-loaded victim — before going idle.
-        if claim_or_steal(&ctx, &mut running, &mut scratches) {
+        // Stealing scheduler: pull pending work before going idle —
+        // own deque front first, else a steal ([`Board::claim`]; every
+        // pending job is eligible, threads have no transfer cost to
+        // weigh).
+        let claimed = ctx.sched.as_ref().and_then(|sched| {
+            let mut board = sched.lock().expect("scheduler lock");
+            board.claim(ctx.me, |_, _| true)
+        });
+        if let Some(job) = claimed {
+            activate(&ctx, job, &mut running, &mut scratches);
             continue;
         }
         // Idle: block for one message.
@@ -1810,87 +1569,22 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
     }
 }
 
-/// Claims work for an idle worker under the stealing scheduler: the
-/// front of its own deque (oldest seeded job), else the **largest**
-/// pending job of the most-loaded victim, searched from the back of
-/// the victim's deque. Returns `false` when no pending job exists
-/// anywhere (or under fixed placement, which has no deques).
-fn claim_or_steal<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    running: &mut Vec<Running<V>>,
-    scratches: &mut Vec<MachineScratch<V>>,
-) -> bool {
-    let Some(sched) = &ctx.sched else {
-        return false;
-    };
-    let claimed = {
-        let mut st = sched.state.lock().expect("scheduler lock");
-        // A worker marked dead is between the crash injection and its
-        // Die message: it must not claim or steal — its jobs were
-        // already reseeded and anything it grabbed would be lost too.
-        if st.dead[ctx.me] {
-            return false;
-        }
-        let job = match st.deques[ctx.me].pop_front() {
-            Some(job) => Some(job),
-            None => {
-                let victim = (0..st.deques.len())
-                    .filter(|&w| !st.deques[w].is_empty())
-                    .max_by_key(|&w| (st.load[w], w));
-                victim.and_then(|v| {
-                    let (mut best, mut best_work) = (None, 0u64);
-                    for (i, j) in st.deques[v].iter().enumerate().rev() {
-                        if j.work > best_work {
-                            (best, best_work) = (Some(i), j.work);
-                        }
-                    }
-                    let job = st.deques[v].remove(best?).expect("index in range");
-                    st.load[v] = st.load[v].saturating_sub(job.work);
-                    st.load[ctx.me] += job.work;
-                    sched.steals.fetch_add(1, Ordering::Relaxed);
-                    sched
-                        .migrated_attrs
-                        .fetch_add(job.early.len() as u64, Ordering::Relaxed);
-                    Some(job)
-                })
-            }
-        };
-        if let Some(j) = &job {
-            // Active jobs never migrate: routing from here on is a
-            // plain channel send to this worker.
-            st.table
-                .insert((j.ticket, j.region), JobLoc::Active(ctx.me));
-        }
-        job
-    };
-    match claimed {
-        Some(job) => {
-            activate(ctx, job, running, scratches);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Activates a claimed pending job on this worker: builds its probe or
-/// machine (exactly as the fixed path does on `Job` arrival), replays
-/// the early-arrival values that traveled with it (which is how memo
+/// Activates a job on this worker — claimed from the board, or pinned
+/// here by fixed placement: builds its probe or machine, replays the
+/// early-arrival values that traveled with it (which is how memo
 /// `Probing` jobs survive migration — the probe forms *after* the
 /// migrated values land), and inserts it into `running` in
 /// `(ticket, region)` order: stolen jobs activate out of order, and
 /// the drive loop's oldest-first preference keys off that order.
 fn activate<V: AttrValue>(
     ctx: &WorkerCtx<V>,
-    job: PendingJob<V>,
+    job: Claimed<V, JobData<V>>,
     running: &mut Vec<Running<V>>,
     scratches: &mut Vec<MachineScratch<V>>,
 ) {
-    let PendingJob {
-        ticket,
-        region,
-        tree,
-        decomp,
-        work,
+    let Claimed {
+        key: (ticket, region),
+        payload: (tree, decomp),
         early,
     } = job;
     let parent = decomp.regions[region as usize].parent;
@@ -1900,7 +1594,6 @@ fn activate<V: AttrValue>(
         region,
         parent,
         next_seg: 0,
-        work,
         state,
     };
     for (node, attr, value) in early {
@@ -1910,29 +1603,21 @@ fn activate<V: AttrValue>(
     running.insert(pos, entry);
 }
 
-/// Clears a finished job out of the stealing scheduler's shared state
-/// and reports whether this worker still *owned* the job. Ownership is
-/// the location table saying `Active(me)`: crash recovery may have
-/// reseeded the job elsewhere while this (about-to-die) worker was
-/// still driving it, and a cancellation may have purged it — in either
-/// case the entry, and the right to send Done, belong to someone else.
-/// The worker's load account is settled regardless, and an owned
-/// retirement also drops the job's input log. Always "owned" under
-/// fixed placement (no scheduler state, no recovery).
-fn retire_sched<V: AttrValue>(ctx: &WorkerCtx<V>, done: &Running<V>) -> bool {
-    let Some(sched) = &ctx.sched else {
-        return true;
-    };
-    let mut st = sched.state.lock().expect("scheduler lock");
-    st.load[ctx.me] = st.load[ctx.me].saturating_sub(done.work);
-    match st.table.get(&(done.ticket, done.region)) {
-        Some(JobLoc::Active(w)) if *w == ctx.me => {
-            st.table.remove(&(done.ticket, done.region));
-            st.logs.remove(&(done.ticket, done.region));
-            true
-        }
-        _ => false,
-    }
+/// Retires a finished job on the scheduler board ([`Board::retire`])
+/// and reports whether this worker still *owned* it — crash recovery
+/// may have reseeded the job elsewhere while this (about-to-die) worker
+/// was still driving it, and a cancellation may have purged it; then
+/// the right to send Done belongs to someone else. Always "owned" under
+/// fixed placement (no board, no recovery). Callers retire *before*
+/// they report Done, so a parser that has seen every Done sees a board
+/// with nothing left on it.
+fn retire_sched<V: AttrValue>(ctx: &WorkerCtx<V>, ticket: Ticket, region: RegionId) -> bool {
+    ctx.sched.as_ref().is_none_or(|sched| {
+        sched
+            .lock()
+            .expect("scheduler lock")
+            .retire(ctx.me, (ticket, region))
+    })
 }
 
 /// What [`absorb`] did with a message.
@@ -1987,16 +1672,10 @@ fn absorb<V: AttrValue>(
         WorkerMsg::Die => Absorbed::Shutdown,
         WorkerMsg::Wake => Absorbed::Other,
         WorkerMsg::Cancel { ticket } => {
+            // The pool already purged the ticket from the scheduler
+            // board; only this worker's own machines are left to drop.
             let before = running.len();
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].ticket == ticket {
-                    let dropped = running.remove(i);
-                    retire_sched(ctx, &dropped);
-                } else {
-                    i += 1;
-                }
-            }
+            running.retain(|r| r.ticket != ticket);
             parked_attrs.retain(|&(t, ..)| t != ticket);
             if running.len() < before {
                 Absorbed::Mutated
@@ -2033,39 +1712,23 @@ fn absorb<V: AttrValue>(
                 }
             }
         }
-        WorkerMsg::Job(job) => {
-            let JobMsg {
-                ticket,
-                tree,
-                decomp,
-                region,
-            } = job;
+        WorkerMsg::Job(mut job) => {
             debug_assert!(
                 running
                     .last()
-                    .is_none_or(|r| (r.ticket, r.region) < (ticket, region)),
+                    .is_none_or(|r| (r.ticket, r.region) < job.key),
                 "jobs arrive in (ticket, region) order"
             );
-            let parent = decomp.regions[region as usize].parent;
-            let state = initial_state(ctx, tree, decomp, region, scratches);
-            let mut entry = Running {
-                ticket,
-                region,
-                parent,
-                next_seg: 0,
-                work: 0,
-                state,
-            };
             // Replay values that raced ahead of this job; prune values
             // for jobs that can no longer have a machine (lexically
             // older than this job, not running — i.e. finished).
             let mut i = 0;
             while i < parked_attrs.len() {
                 let (t, q) = (parked_attrs[i].0, parked_attrs[i].1);
-                if (t, q) == (ticket, region) {
+                if (t, q) == job.key {
                     let (_, _, node, attr, value) = parked_attrs.swap_remove(i);
-                    feed(&mut entry, node, attr, value);
-                } else if (t, q) < (ticket, region)
+                    job.early.push((node, attr, value));
+                } else if (t, q) < job.key
                     && !running.iter().any(|r| r.ticket == t && r.region == q)
                 {
                     parked_attrs.swap_remove(i);
@@ -2073,7 +1736,7 @@ fn absorb<V: AttrValue>(
                     i += 1;
                 }
             }
-            running.push(entry);
+            activate(ctx, job, running, scratches);
             Absorbed::Other
         }
     }
@@ -2184,7 +1847,7 @@ fn resolve_probe<V: AttrValue>(
             // A probe that lost ownership (its job was reseeded by
             // crash recovery or cancelled) must not report — the
             // owning copy will.
-            if !still_owned(ctx, r.ticket, r.region) {
+            if !retire_sched(ctx, r.ticket, r.region) {
                 return ProbeOutcome::Replayed;
             }
             let root_sym = g.prod(root_prod).lhs;
@@ -2268,7 +1931,6 @@ fn drive<V: AttrValue>(
         parent,
         next_seg,
         state,
-        work: _,
     } = r;
     let (ticket, region, parent) = (*ticket, *region, *parent);
     let JobState::Machine(machine) = state else {
@@ -2283,7 +1945,7 @@ fn drive<V: AttrValue>(
         let stepped = match stepped {
             Ok(s) => s,
             Err(payload) => {
-                ctx.faults.panics_contained.fetch_add(1, Ordering::Relaxed);
+                ctx.panics_contained.fetch_add(1, Ordering::Relaxed);
                 return Drive::Finished(Some(EvalError::RulePanic {
                     message: panic_message(payload.as_ref()),
                 }));
@@ -2320,19 +1982,6 @@ fn drive<V: AttrValue>(
         }
     }
     Drive::Yielded
-}
-
-/// Whether this worker still owns the `(ticket, region)` job in the
-/// stealing scheduler's location table (trivially true under fixed
-/// placement). See [`retire_sched`] for why ownership gates reporting.
-fn still_owned<V: AttrValue>(ctx: &WorkerCtx<V>, ticket: Ticket, region: RegionId) -> bool {
-    match &ctx.sched {
-        None => true,
-        Some(sched) => {
-            let st = sched.state.lock().expect("scheduler lock");
-            matches!(st.table.get(&(ticket, region)), Some(JobLoc::Active(w)) if *w == ctx.me)
-        }
-    }
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -2389,14 +2038,13 @@ fn route_send<V: AttrValue>(
 /// Delivers one boundary attribute to region `to` of `ticket`. Fixed
 /// placement computes the destination worker with [`worker_of`] — the
 /// same pinning `submit` used to dispatch the job. The stealing
-/// scheduler looks the job up in the location table instead: a
-/// still-queued job collects the value on its deque entry (so a steal
-/// migrates the value with the job), an active job gets a channel send
-/// to the worker that claimed it, and an absent entry means the job
-/// already finished — the machine completed without the value, so it
-/// is dropped (`submit` registers every region of a ticket before any
-/// of its machines can send, so "absent" can never mean "not yet
-/// seeded"). Returns `false` when the pool is gone.
+/// scheduler asks the board, in one critical section: [`Board::route`]
+/// names the job's current worker (or says nothing must be sent — the
+/// job finished, or a re-executed producer is replaying this value),
+/// and [`Board::deliver`] on that worker's behalf either attaches the
+/// value to the still-queued job (so a steal migrates it) or hands it
+/// back for a channel send to the worker that claimed it. Returns
+/// `false` when the pool is gone.
 fn send_attr<V: AttrValue>(
     ctx: &WorkerCtx<V>,
     ticket: Ticket,
@@ -2405,8 +2053,25 @@ fn send_attr<V: AttrValue>(
     attr: AttrId,
     value: V,
 ) -> bool {
-    let Some(sched) = &ctx.sched else {
-        return ctx.peers[worker_of(&ctx.config, ticket, to)]
+    let dest = match &ctx.sched {
+        None => Some((worker_of(&ctx.config, ticket, to), value)),
+        Some(sched) => {
+            let mut board = sched.lock().expect("scheduler lock");
+            board
+                .route(ctx.me, (ticket, to), node, attr, &value)
+                .and_then(
+                    |w| match board.deliver(w, (ticket, to), node, attr, value) {
+                        Delivery::Mine(value) => Some((w, value)),
+                        Delivery::Stored => None,
+                        Delivery::Forward(..) | Delivery::Dropped => {
+                            unreachable!("routed and delivered under one lock")
+                        }
+                    },
+                )
+        }
+    };
+    dest.is_none_or(|(w, value)| {
+        ctx.peers[w]
             .send(WorkerMsg::Attr {
                 ticket,
                 region: to,
@@ -2414,50 +2079,8 @@ fn send_attr<V: AttrValue>(
                 attr,
                 value,
             })
-            .is_ok();
-    };
-    let mut st = sched.state.lock().expect("scheduler lock");
-    let Some(loc) = st.table.get(&(ticket, to)).copied() else {
-        return true;
-    };
-    // Idempotent delivery: every value delivered to a live job is
-    // appended to its input log first. A `(node, attr)` already in the
-    // log is a duplicate — a re-executed producer replaying its sends —
-    // and is suppressed, so recovery cannot double-feed a machine. Each
-    // boundary instance has exactly one defining rule, so content is
-    // deterministic and the first delivery is as good as any.
-    let log = st.logs.entry((ticket, to)).or_default();
-    if log.iter().any(|&(n, a, _)| n == node && a == attr) {
-        drop(st);
-        ctx.faults.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    log.push((node, attr, value.clone()));
-    match loc {
-        JobLoc::Queued(w) => {
-            let pending = st.deques[w]
-                .iter_mut()
-                .find(|j| j.ticket == ticket && j.region == to)
-                .expect("queued jobs live in their worker's deque");
-            pending.early.push((node, attr, value));
-            drop(st);
-            sched.count_send(w == ctx.me);
-            true
-        }
-        JobLoc::Active(w) => {
-            drop(st);
-            sched.count_send(w == ctx.me);
-            ctx.peers[w]
-                .send(WorkerMsg::Attr {
-                    ticket,
-                    region: to,
-                    node,
-                    attr,
-                    value,
-                })
-                .is_ok()
-        }
-    }
+            .is_ok()
+    })
 }
 
 #[cfg(test)]

@@ -1,36 +1,56 @@
 //! The parallel compiler on the simulated network multiprocessor.
 //!
 //! Reproduces the paper's experimental configuration (§3): one
-//! sequential parser process, N evaluator machines (one region each),
-//! and a string-librarian process, communicating over a shared 10 Mbit
+//! sequential parser process, N evaluator machines, and a
+//! string-librarian process, communicating over a shared 10 Mbit
 //! Ethernet modelled by [`paragram_netsim`]. Virtual CPU consumption is
 //! derived from a [`CostModel`] calibrated to SUN-2-class hardware, so
 //! the reported times are in "1987 seconds" and the *shape* of Figure 5
 //! (speedups, crossovers, the non-monotonic tail) is reproduced
 //! deterministically.
 //!
-//! The protocol is the paper's: the parser ships linearized subtrees;
-//! evaluators evaluate, exchanging attribute values; synthesized
-//! attributes of region roots travel up, inherited attributes of remote
-//! subtree roots travel down; in librarian mode large code text goes to
-//! the librarian once and only small descriptor ropes travel up the
-//! process tree (§4.2). Each simulated evaluator's [`Machine`] holds a
-//! region-local store ([`crate::tree::RegionStore`], O(region) slots),
-//! matching the paper's setting where a machine only ever materializes
-//! the subtree it was shipped — root attributes reach the parser as
-//! messages, so the simulation never assembles a whole-tree store.
+//! The protocol is the paper's, run by one set of processes: the parser
+//! ships linearized region subtrees; evaluators evaluate, exchanging
+//! attribute values — synthesized attributes of region roots travel up,
+//! inherited attributes of remote subtree roots travel down — and
+//! report each region done; in librarian mode large code text streams
+//! to the librarian during evaluation and only small descriptor ropes
+//! travel up the process tree, resolved at the parser's final read of
+//! each tree (§4.2, split-phase). Each simulated evaluator's
+//! [`Machine`] holds a region-local store
+//! ([`crate::tree::RegionStore`], O(region) slots), matching the
+//! paper's setting where a machine only ever materializes the subtree
+//! it was shipped — root attributes reach the parser as messages, so
+//! the simulation never assembles a whole-tree store.
+//!
+//! There is one run, [`run_sim_stream`]: a stream of trees through one
+//! machine park with a window of `pipeline_depth` trees in flight, at a
+//! chosen [`RegionGranularity`], under a [`FaultPlan`], the parser's
+//! next ticket coming either from the pre-parsed batch or — given
+//! [`Arrivals`] — from an open-arrival schedule through bounded
+//! admission and a [`PolicyQueue`]. [`run_sim`] (the paper's single
+//! compilation: a batch of one at depth 1, one region per machine) and
+//! [`run_sim_batch`] are adapters over it.
+//!
+//! Under [`SchedulerMode::Stealing`] the processes drive the same
+//! scheduler [`Board`] the live [`crate::parallel::pool::WorkerPool`]
+//! drives from threads — seeding, claiming and stealing, routing,
+//! retirement and crash recovery are the board's, not re-implemented
+//! here. The simulator adds only what virtual time needs: a per-machine
+//! `busy_until` clock, the subtree fetch a claimer is charged, and the
+//! steal profitability gate, the last two handed to [`Board::claim`] as
+//! its eligibility predicate. [`SchedulerMode::Fixed`] (the paper's
+//! modular placement, the default) bypasses the board: the parser
+//! pushes each subtree to its region's home machine.
 
 use crate::analysis::Plans;
 use crate::eval::{AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch, SendTarget};
 use crate::grammar::{AttrId, AttrKind};
+use crate::parallel::board::{Board, Claimed, Delivery};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use crate::parallel::pool::{
-    seed_placements, FaultCounters, InputLogs, JobLoc, SchedCounters, SchedulerMode, SegmentLedger,
-    DEAD_LOAD,
-};
+use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, SegmentLedger, Ticket};
 use crate::split::{
-    decompose, decompose_granular, Decomposition, RegionGranularity, RegionId, SplitConfig,
-    SplitTable, WorkTable,
+    decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
 use crate::stats::EvalStats;
 use crate::tree::{Child, NodeId, ParseTree};
@@ -38,8 +58,7 @@ use crate::value::AttrValue;
 use paragram_netsim::{secs, Ctx, FaultPlan, NetModel, ProcId, Process, Sim, Time, Trace};
 use paragram_rope::{Rope, SegmentId, SegmentStore};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::{classify, PhaseClassifier, ResultPropagation};
 
@@ -100,12 +119,14 @@ pub struct SimConfig {
     pub min_size_scale: f64,
     /// Attribute-name → phase label mapping for the activity trace.
     pub classifier: PhaseClassifier,
-    /// Region-job placement for the batch/service simulations: the
-    /// paper's fixed modular map ([`SchedulerMode::Fixed`], the
-    /// default) or the same LPT-seeded, locality-aware work-stealing
-    /// policy the live [`crate::parallel::pool::WorkerPool`] runs
-    /// ([`SchedulerMode::Stealing`]). Ignored by [`run_sim`] (one
-    /// region per machine leaves nothing to steal).
+    /// Region-job placement: the paper's fixed modular map
+    /// ([`SchedulerMode::Fixed`], the default) or the LPT-seeded,
+    /// locality-aware work-stealing policy of the shared scheduler
+    /// board ([`SchedulerMode::Stealing`]), exactly as the live
+    /// [`crate::parallel::pool::WorkerPool`] runs it. Every entry point
+    /// honours it; [`run_sim`] passes it through like the rest of the
+    /// configuration (with one region per machine, stealing seeds each
+    /// region onto its own machine and finds little to steal).
     pub scheduler: SchedulerMode,
 }
 
@@ -171,398 +192,24 @@ impl<V> SimReport<V> {
     }
 }
 
-enum SimMsg<V> {
-    Subtree(RegionId),
-    Attr {
-        node: NodeId,
-        attr: AttrId,
-        value: V,
-    },
-    Segment {
-        id: SegmentId,
-        text: Rope,
-    },
-    ResolveRoot,
-    RootResolved,
-}
-
-struct Shared<V: AttrValue> {
-    tree: Arc<ParseTree<V>>,
-    /// Grammar-level artifacts shared by every simulated evaluator
-    /// (one table build per simulation, not per region).
-    plan: Arc<EvalPlan<V>>,
-    decomp: Arc<Decomposition>,
-    cost: CostModel,
-    mode: MachineMode,
-    result: ResultPropagation,
-    classifier: PhaseClassifier,
-    librarian: ProcId,
-    parser: ProcId,
-    eval_start: Mutex<Time>,
-    eval_end: Mutex<Time>,
-    root_values: Mutex<Vec<(AttrId, V)>>,
-    segstore: Mutex<SegmentStore>,
-    per_machine: Mutex<Vec<EvalStats>>,
-    error: Mutex<Option<EvalError>>,
-}
-
-impl<V: AttrValue> Shared<V> {
-    fn proc_of_region(&self, r: RegionId) -> ProcId {
-        ProcId(1 + r as usize)
-    }
-}
-
-/// Approximate linearized wire size of a region's local nodes.
-fn region_wire_size<V: AttrValue>(
-    tree: &ParseTree<V>,
-    decomp: &Decomposition,
-    region: RegionId,
-) -> usize {
-    let mut bytes = 0;
-    let mut stack = vec![decomp.regions[region as usize].root];
-    while let Some(n) = stack.pop() {
-        bytes += 8;
-        for c in &tree.node(n).children {
-            match c {
-                Child::Node(c) if decomp.region(*c) == region => stack.push(*c),
-                Child::Node(_) => bytes += 8, // remote-leaf marker
-                Child::Token(vals) => bytes += vals.iter().map(|v| v.wire_size()).sum::<usize>(),
-            }
-        }
-    }
-    bytes
-}
-
-struct ParserProc<V: AttrValue> {
-    shared: Arc<Shared<V>>,
-    expected_roots: usize,
-}
-
-impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        ctx.phase("parse");
-        ctx.spend(sh.tree.len() as Time * sh.cost.parse_node_us);
-        ctx.phase("ship subtrees");
-        // Linearize and ship each region (region 0 included: its
-        // evaluator is a separate machine from the parser, as in the
-        // paper's Figure 6 where evaluator `a` holds the root subtree).
-        *sh.eval_start.lock().unwrap() = ctx.now();
-        for r in 0..sh.decomp.len() as RegionId {
-            let info = &sh.decomp.regions[r as usize];
-            ctx.spend(info.local_size as Time * sh.cost.ship_node_us);
-            let bytes = region_wire_size(&sh.tree, &sh.decomp, r);
-            ctx.send(sh.proc_of_region(r), SimMsg::Subtree(r), bytes, "subtree");
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        match msg {
-            SimMsg::Attr { attr, value, .. } => {
-                ctx.phase("result propagation");
-                let done = {
-                    let mut roots = sh.root_values.lock().unwrap();
-                    roots.push((attr, value));
-                    roots.len() == self.expected_roots
-                };
-                if done {
-                    match sh.result {
-                        ResultPropagation::Naive => {
-                            *sh.eval_end.lock().unwrap() = ctx.now();
-                            ctx.stop();
-                        }
-                        ResultPropagation::Librarian => {
-                            ctx.send(sh.librarian, SimMsg::ResolveRoot, 64, "resolve");
-                        }
-                    }
-                }
-            }
-            SimMsg::RootResolved => {
-                *sh.eval_end.lock().unwrap() = ctx.now();
-                ctx.stop();
-            }
-            _ => {}
-        }
-    }
-}
-
-struct EvaluatorProc<V: AttrValue> {
-    shared: Arc<Shared<V>>,
-    region: RegionId,
-    machine: Option<Machine<V>>,
-    next_seg: u32,
-}
-
-impl<V: AttrValue> EvaluatorProc<V> {
-    fn pump(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        loop {
-            let Some(machine) = self.machine.as_mut() else {
-                return;
-            };
-            match machine.step() {
-                Err(e) => {
-                    *sh.error.lock().unwrap() = Some(e);
-                    ctx.stop();
-                    return;
-                }
-                Ok(None) => break,
-                Ok(Some(outcome)) => {
-                    let label = classify(sh.tree.grammar(), &sh.classifier, outcome.target);
-                    ctx.phase(label);
-                    ctx.spend(
-                        outcome.cost_units * sh.cost.rule_unit_us
-                            + outcome.dynamic_rules as Time * sh.cost.dynamic_rule_us
-                            + outcome.static_rules as Time * sh.cost.static_rule_us,
-                    );
-                    for send in outcome.sends {
-                        self.transmit(ctx, send);
-                    }
-                }
-            }
-        }
-        let machine = self.machine.as_ref().expect("machine exists");
-        self.shared.per_machine.lock().unwrap()[self.region as usize] = machine.stats();
-    }
-
-    fn transmit(&mut self, ctx: &mut Ctx<SimMsg<V>>, msg: AttrMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        let upward = match msg.to {
-            SendTarget::Parser => true,
-            SendTarget::Region(r) => Some(r) == sh.decomp.regions[self.region as usize].parent,
-        };
-        let mut value = msg.value;
-        if upward && sh.result == ResultPropagation::Librarian {
-            // Ship large code text to the librarian; pass a descriptor
-            // rope up the process tree (§4.2).
-            let region = self.region;
-            let next = &mut self.next_seg;
-            let mut segments: Vec<(SegmentId, Rope)> = Vec::new();
-            let deflated = value.deflate(&mut |text: Rope| {
-                let id = SegmentId::from_parts(region, *next);
-                *next += 1;
-                segments.push((id, text));
-                id
-            });
-            if let Some(d) = deflated {
-                value = d;
-                ctx.phase("result propagation");
-                for (id, text) in segments {
-                    let bytes = text.physical_wire_size();
-                    ctx.send(
-                        sh.librarian,
-                        SimMsg::Segment { id, text },
-                        bytes,
-                        "code-segment",
-                    );
-                }
-            }
-        }
-        let dest = match msg.to {
-            SendTarget::Parser => sh.parser,
-            SendTarget::Region(r) => sh.proc_of_region(r),
-        };
-        let bytes = value.wire_size();
-        ctx.send(
-            dest,
-            SimMsg::Attr {
-                node: msg.node,
-                attr: msg.attr,
-                value,
-            },
-            bytes,
-            "attr",
-        );
-    }
-}
-
-impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
-    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        match msg {
-            SimMsg::Subtree(region) => {
-                debug_assert_eq!(region, self.region);
-                ctx.phase("build");
-                let machine = Machine::from_plan(
-                    &sh.plan,
-                    &sh.tree,
-                    &sh.decomp,
-                    self.region,
-                    sh.mode,
-                    MachineScratch::new(),
-                );
-                let (gn, ge) = machine.graph_size();
-                ctx.spend(
-                    machine.local_nodes() as Time * sh.cost.ship_node_us
-                        + gn as Time * sh.cost.graph_node_us
-                        + ge as Time * sh.cost.graph_edge_us,
-                );
-                self.machine = Some(machine);
-                self.pump(ctx);
-            }
-            SimMsg::Attr { node, attr, value } => {
-                if let Some(m) = self.machine.as_mut() {
-                    m.provide(node, attr, value);
-                }
-                self.pump(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
-struct LibrarianProc<V: AttrValue> {
-    shared: Arc<Shared<V>>,
-}
-
-impl<V: AttrValue> Process<SimMsg<V>> for LibrarianProc<V> {
-    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, from: ProcId, msg: SimMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        match msg {
-            SimMsg::Segment { id, text } => {
-                ctx.phase("receive code");
-                ctx.spend((text.len() as Time).div_ceil(1024) * sh.cost.resolve_kb_us / 10);
-                sh.segstore.lock().unwrap().register(id, text);
-            }
-            SimMsg::ResolveRoot => {
-                ctx.phase("combine code");
-                let total = sh.segstore.lock().unwrap().total_bytes();
-                ctx.spend((total as Time).div_ceil(1024) * sh.cost.resolve_kb_us);
-                ctx.send(from, SimMsg::RootResolved, 64, "resolved");
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Runs one simulated parallel compilation of `tree`.
-///
-/// `plans` must be `Some` for [`MachineMode::Combined`].
-///
-/// # Panics
-///
-/// Panics if evaluation fails (cycle or plan inconsistency) or if the
-/// protocol deadlocks — validate the grammar with the sequential
-/// evaluators first.
-pub fn run_sim<V: AttrValue>(
-    tree: &Arc<ParseTree<V>>,
-    plans: Option<&Arc<Plans>>,
-    config: &SimConfig,
-) -> SimReport<V> {
-    let decomp = Arc::new(decompose(
-        tree,
-        SplitConfig {
-            target_regions: config.machines,
-            min_size_scale: config.min_size_scale,
-        },
-    ));
-    let regions = decomp.len();
-    let g = tree.grammar();
-    let root_sym = g.prod(tree.node(tree.root()).prod).lhs;
-    let expected_roots = g.symbol(root_sym).attrs_of_kind(AttrKind::Syn).count();
-
-    let shared = Arc::new(Shared {
-        tree: Arc::clone(tree),
-        plan: Arc::new(EvalPlan::from_parts(tree.grammar(), plans.cloned(), None)),
-        decomp: Arc::clone(&decomp),
-        cost: config.cost,
-        mode: config.mode,
-        result: config.result,
-        classifier: Arc::clone(&config.classifier),
-        librarian: ProcId(1 + regions),
-        parser: ProcId(0),
-        eval_start: Mutex::new(0),
-        eval_end: Mutex::new(0),
-        root_values: Mutex::new(Vec::new()),
-        segstore: Mutex::new(SegmentStore::new()),
-        per_machine: Mutex::new(vec![EvalStats::default(); regions]),
-        error: Mutex::new(None),
-    });
-
-    let mut sim: Sim<SimMsg<V>> = Sim::new(config.net);
-    sim.add_process(
-        "parser",
-        ParserProc {
-            shared: Arc::clone(&shared),
-            expected_roots,
-        },
-    );
-    for r in 0..regions {
-        let letter = (b'a' + (r % 26) as u8) as char;
-        sim.add_process(
-            format!("evaluator-{letter}"),
-            EvaluatorProc {
-                shared: Arc::clone(&shared),
-                region: r as RegionId,
-                machine: None,
-                next_seg: 0,
-            },
-        );
-    }
-    sim.add_process(
-        "librarian",
-        LibrarianProc {
-            shared: Arc::clone(&shared),
-        },
-    );
-    sim.run();
-
-    if let Some(e) = shared.error.lock().unwrap().take() {
-        panic!("parallel evaluation failed: {e}");
-    }
-    let eval_start = *shared.eval_start.lock().unwrap();
-    let eval_end = *shared.eval_end.lock().unwrap();
-    assert!(
-        eval_end >= eval_start && eval_end > 0,
-        "simulation ended without root attributes (deadlock?)"
-    );
-
-    let per_machine = shared.per_machine.lock().unwrap().clone();
-    let mut stats = EvalStats::default();
-    for s in &per_machine {
-        stats += *s;
-    }
-    let store = shared.segstore.lock().unwrap();
-    let root_values: Vec<(AttrId, V)> = shared
-        .root_values
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(a, v)| (*a, v.inflate(&store)))
-        .collect();
-    drop(store);
-
-    SimReport {
-        eval_time: eval_end - eval_start,
-        parse_time: eval_start,
-        regions,
-        per_machine,
-        stats,
-        trace: sim.trace().clone(),
-        names: sim.names().to_vec(),
-        root_values,
-        decomposition: decomp.render(tree),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batched simulation: a stream of trees through one simulated machine
-// park, with the pool's split-phase / ticket-window schedule.
-// ---------------------------------------------------------------------
-
-/// Result of one simulated *batched* parallel compilation.
+/// Result of one simulated stream of compilations ([`run_sim_stream`]).
+/// Per-tree vectors are in submission order.
 pub struct BatchSimReport<V> {
-    /// Evaluation makespan: from the parser initiating the first tree's
-    /// evaluation until the last tree's root attributes are resolved.
+    /// A batch's evaluation makespan — from the parser initiating the
+    /// first tree's evaluation until the last tree's root attributes
+    /// are resolved; with [`Arrivals`], the final virtual time (last
+    /// completion or shed decision).
     pub makespan: Time,
-    /// Per-tree completion times, measured from the same origin (the
-    /// start of evaluation), in submission order.
+    /// Per-tree completion times, measured from the start of
+    /// evaluation (`parse_time`; virtual time 0 with [`Arrivals`], where
+    /// each request is parsed as it arrives). 0 for a shed request.
     pub finish_times: Vec<Time>,
-    /// Parser time for the whole stream (reported separately, §4.1).
+    /// Parser time for a pre-parsed batch (reported separately, §4.1).
     pub parse_time: Time,
     /// Regions each tree was decomposed into.
     pub regions: Vec<usize>,
+    /// The decompositions themselves.
+    pub decompositions: Vec<Arc<Decomposition>>,
     /// Aggregated statistics over every tree and machine.
     pub stats: EvalStats,
     /// Per-evaluator statistics accumulated across the stream.
@@ -571,7 +218,8 @@ pub struct BatchSimReport<V> {
     pub trace: Trace,
     /// Process names aligned with the trace.
     pub names: Vec<String>,
-    /// Per-tree root attribute values (librarian-resolved).
+    /// Per-tree root attribute values (librarian-resolved; empty for a
+    /// shed request).
     pub root_values: Vec<Vec<(AttrId, V)>>,
     /// Steal-scheduler telemetry for the run (all zeros under
     /// [`SchedulerMode::Fixed`]).
@@ -579,6 +227,15 @@ pub struct BatchSimReport<V> {
     /// Crash/re-execution/duplicate-suppression telemetry (all zeros
     /// when the [`FaultPlan`] is empty).
     pub faults: FaultCounters,
+    /// Absolute arrival time of each tree (0 for a pre-parsed batch).
+    pub arrivals: Vec<Time>,
+    /// When the parser admitted each tree (a batch: when parsing
+    /// ended); `None` for a shed request.
+    pub admitted: Vec<Option<Time>>,
+    /// When each tree's region jobs were shipped.
+    pub dispatched: Vec<Option<Time>>,
+    /// Which requests admission control shed (never, for a batch).
+    pub shed: Vec<bool>,
 }
 
 impl<V> BatchSimReport<V> {
@@ -586,9 +243,102 @@ impl<V> BatchSimReport<V> {
     pub fn makespan_secs(&self) -> f64 {
         secs(self.makespan)
     }
+
+    /// End-to-end latency (arrival → roots resolved) of tree `i`,
+    /// `None` if it was shed.
+    pub fn latency(&self, i: usize) -> Option<Time> {
+        (!self.shed[i]).then(|| self.parse_time + self.finish_times[i] - self.arrivals[i])
+    }
+
+    /// Number of requests shed by admission control.
+    pub fn shed_count(&self) -> usize {
+        self.shed.iter().filter(|&&s| s).count()
+    }
 }
 
-enum BatchMsg<V> {
+/// One request of an open-arrival stream: tree `i` of the accompanying
+/// slice arrives at `arrival_us`, billed to `tenant`.
+#[derive(Debug, Clone, Copy)]
+pub struct SimRequest {
+    /// Absolute virtual arrival time, µs.
+    pub arrival_us: Time,
+    /// Tenant the request bills to (fair queueing only).
+    pub tenant: u32,
+}
+
+/// An open-arrival schedule for [`run_sim_stream`]: the service front
+/// end of the machine park.
+#[derive(Debug, Clone, Copy)]
+pub struct Arrivals<'a> {
+    /// One request per tree, index-aligned, sorted by arrival time
+    /// (ticket order is arrival order).
+    pub requests: &'a [SimRequest],
+    /// Order in which waiting requests enter the pipeline window.
+    pub policy: DispatchPolicy,
+    /// Bounded waiting room: an arrival finding this many requests
+    /// waiting is shed.
+    pub queue_capacity: usize,
+}
+
+/// Why [`run_sim_stream`] refused its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// No tree to evaluate.
+    EmptyStream,
+    /// [`Arrivals::requests`] is not one request per tree.
+    RequestCountMismatch {
+        /// Trees given.
+        trees: usize,
+        /// Requests given.
+        requests: usize,
+    },
+    /// [`Arrivals::requests`] is not sorted by arrival time.
+    UnsortedArrivals,
+    /// The [`FaultPlan`] crashes a process without
+    /// [`SchedulerMode::Stealing`], whose scheduler board is the
+    /// recovery substrate.
+    CrashNeedsStealing,
+    /// The [`FaultPlan`] crashes a process that is not an evaluator
+    /// machine: the parser and the librarian are not replicated.
+    CrashTargetNotEvaluator {
+        /// The process the plan crashes.
+        proc: usize,
+        /// Evaluator machines are processes `1..=machines`.
+        machines: usize,
+    },
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::EmptyStream => write!(f, "a stream must contain at least one tree"),
+            SimError::RequestCountMismatch { trees, requests } => write!(
+                f,
+                "one request per tree, index-aligned: {trees} trees, {requests} requests"
+            ),
+            SimError::UnsortedArrivals => write!(
+                f,
+                "requests must be sorted by arrival time (ticket order is arrival order)"
+            ),
+            SimError::CrashNeedsStealing => write!(
+                f,
+                "crash injection requires SchedulerMode::Stealing — the scheduler board \
+                 is the recovery substrate"
+            ),
+            SimError::CrashTargetNotEvaluator { proc, machines } => write!(
+                f,
+                "fault plan crashes p{proc}, which is not an evaluator machine \
+                 (valid targets: 1..={machines})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+enum SimMsg<V> {
+    /// Fixed placement only: the parser pushes a region's linearized
+    /// subtree to its home machine.
     Subtree {
         ticket: usize,
         region: RegionId,
@@ -622,74 +372,29 @@ enum BatchMsg<V> {
     Resolved {
         ticket: usize,
     },
-    /// Open-arrival service only: a [`Ctx::wake_at`] alarm telling the
-    /// parser that request `ticket` just arrived. Evaluators and the
-    /// librarian never see it.
+    /// Open arrivals only: a [`Ctx::wake_at`] alarm telling the parser
+    /// that request `ticket` just arrived. Evaluators and the librarian
+    /// never see it.
     Arrive {
         ticket: usize,
     },
-    /// Stealing scheduler only: the parser seeded new region jobs —
-    /// every evaluator gets one so idle machines can claim or steal
-    /// (mirrors the live pool's `WorkerMsg::Wake` broadcast).
+    /// Stealing scheduler only: region jobs were seeded (or reseeded) —
+    /// every live evaluator gets one so idle machines can claim or
+    /// steal (mirrors the live pool's `WorkerMsg::Wake` broadcast).
+    /// Also an evaluator's zero-cost self-alarm between claims.
     Wake,
 }
 
-/// A seeded-but-unclaimed region job in the simulated stealing
-/// scheduler — the simulator's `PendingJob`. The subtree data itself
-/// is not stored (the sim reads trees from [`BatchShared`]); `bytes`
-/// remembers the wire size so a claim can charge the transfer.
-struct SimJob<V> {
-    ticket: usize,
-    region: RegionId,
-    /// Estimated work — the LPT seeding key and load-account unit.
-    work: u64,
-    /// Wire size of the linearized region subtree.
-    bytes: usize,
-    /// Attribute values that arrived before the job was claimed; they
-    /// migrate with the job on a steal, exactly like the live pool's
-    /// `PendingJob::early`.
-    early: Vec<(NodeId, AttrId, V)>,
-}
+/// The parser is the first process of every run.
+const PARSER: ProcId = ProcId(0);
 
-/// The simulated stealing scheduler's shared state — the mirror of the
-/// live pool's `SchedState` plus its counters. One mutex guards the
-/// deques, the job-location table, and the per-machine load accounts;
-/// the event simulation is single-threaded, so the mutex is really a
-/// stand-in for "the shared scheduler board every machine can reach".
-struct SimSched<V> {
-    deques: Vec<VecDeque<SimJob<V>>>,
-    table: HashMap<(usize, RegionId), JobLoc>,
-    load: Vec<u64>,
-    /// Each machine's local clock at the end of its last handler. The
-    /// event simulation runs one handler atomically even though its
-    /// CPU spend advances the machine's clock, so without a guard the
-    /// first machine woken would claim *and steal* every seeded job
-    /// before its peers' wakes are even delivered. A thief may steal
-    /// from a victim only when `busy_until[victim] > now`: the victim
-    /// provably cannot reach its own deque before the thief — which is
-    /// exactly the "steal from a busy machine" the live pool's real
-    /// concurrency produces.
-    busy_until: Vec<Time>,
-    counters: SchedCounters,
-    /// Which machines are currently down (crash-injected). A dead
-    /// machine's load account is pinned at [`DEAD_LOAD`] so seeding and
-    /// reseeding never choose it; steal victim selection skips it
-    /// explicitly.
-    dead: Vec<bool>,
-    /// Per-region input logs, keyed `(ticket, region)` — the recovery
-    /// substrate, mirroring the live pool's `SchedState::logs`. Every
-    /// boundary value is appended at *send* time (so values still on
-    /// the wire when their destination dies are not lost), and a
-    /// `(node, attr)` already present marks a re-executed producer
-    /// replaying its sends — the duplicate is suppressed and counted.
-    /// The board lives outside any machine: it is the sim's stable
-    /// storage, exactly like the pool parser's retained state.
-    logs: InputLogs<usize, V>,
-    /// Crash/re-execution/duplicate telemetry for the run.
-    faults: FaultCounters,
-}
-
-struct BatchShared<V: AttrValue> {
+/// What every process of a run can reach: the immutable inputs and
+/// configuration, and one lock around everything mutable. The event
+/// simulation is single-threaded, so the mutex is really a stand-in for
+/// "state outside any one machine" — the scheduler board every machine
+/// can reach (which, like the live pool parser's retained state,
+/// survives an evaluator crash) and the run's outputs.
+struct Shared<V: AttrValue> {
     trees: Vec<Arc<ParseTree<V>>>,
     decomps: Vec<Arc<Decomposition>>,
     plan: Arc<EvalPlan<V>>,
@@ -697,50 +402,127 @@ struct BatchShared<V: AttrValue> {
     mode: MachineMode,
     result: ResultPropagation,
     classifier: PhaseClassifier,
-    librarian: ProcId,
-    parser: ProcId,
     depth: usize,
-    /// Evaluator machine park size; region r lives on machine r mod
-    /// park (identity when every tree has ≤ park regions).
+    /// Evaluator machine park size. Process 0 is the parser, machine
+    /// `w` process `1 + w`, the librarian process `1 + park`. Under
+    /// fixed placement region r lives on machine r mod park (identity
+    /// when every tree has ≤ park regions).
     park: usize,
-    /// Whether placement rotates by ticket (adaptive granularity).
+    /// Whether fixed placement rotates by ticket (adaptive granularity).
     rotate: bool,
-    /// Fixed modular placement vs. the LPT-seeded stealing policy.
     scheduler: SchedulerMode,
-    /// Network model copy, for charging a stolen job's subtree fetch.
+    /// Network model copy, for charging a claimed job's subtree fetch.
     net: NetModel,
-    sched: Mutex<SimSched<V>>,
     expected_roots: Vec<usize>,
-    eval_start: Mutex<Time>,
-    finish: Mutex<Vec<Time>>,
-    root_values: Mutex<Vec<Vec<(AttrId, V)>>>,
-    segstores: Mutex<HashMap<usize, SegmentStore>>,
-    per_machine: Mutex<Vec<EvalStats>>,
-    error: Mutex<Option<EvalError>>,
+    state: Mutex<State<V>>,
 }
 
-impl<V: AttrValue> BatchShared<V> {
-    /// Under adaptive granularity region r of ticket t runs on machine
-    /// (r + t) mod park: decompositions are machine-agnostic, and the
-    /// rotation spreads consecutive trees' low-numbered regions over
-    /// the whole park (without it, machine 0 would host region 0 of
-    /// *every* tree and the tail machines would starve whenever a tree
-    /// has fewer regions than the park). Fixed-count granularity keeps
-    /// the paper's "region k on machine k" placement.
+struct State<V> {
+    /// The stealing scheduler's board; a job's payload is the wire size
+    /// of its linearized subtree, charged to whoever claims it. Unused
+    /// (but for its duplicate counter) under fixed placement.
+    board: Board<V, usize>,
+    /// Each machine's local clock at the end of its last handler. The
+    /// event simulation runs one handler atomically even though its CPU
+    /// spend advances the machine's clock, so without a guard the first
+    /// machine woken would claim *and steal* every seeded job before
+    /// its peers' wakes are even delivered. A thief may steal from a
+    /// victim only when `busy_until[victim] > now`: the victim provably
+    /// cannot reach its own deque before the thief — which is exactly
+    /// the "steal from a busy machine" the live pool's real concurrency
+    /// produces.
+    busy_until: Vec<Time>,
+    eval_start: Time,
+    finish: Vec<Option<Time>>,
+    admitted: Vec<Option<Time>>,
+    dispatched: Vec<Option<Time>>,
+    shed: Vec<bool>,
+    roots: Vec<Vec<(AttrId, V)>>,
+    segstores: HashMap<usize, SegmentStore>,
+    per_machine: Vec<EvalStats>,
+    error: Option<EvalError>,
+}
+
+impl<V: AttrValue> Shared<V> {
+    fn state(&self) -> MutexGuard<'_, State<V>> {
+        self.state.lock().expect("sim state lock")
+    }
+
+    fn librarian(&self) -> ProcId {
+        ProcId(1 + self.park)
+    }
+
+    /// Fixed placement. Under adaptive granularity region r of ticket t
+    /// runs on machine (r + t) mod park: decompositions are
+    /// machine-agnostic, and the rotation spreads consecutive trees'
+    /// low-numbered regions over the whole park (without it, machine 0
+    /// would host region 0 of *every* tree and the tail machines would
+    /// starve whenever a tree has fewer regions than the park).
+    /// Fixed-count granularity keeps the paper's "region k on machine
+    /// k" placement.
     fn proc_of_region(&self, ticket: usize, r: RegionId) -> ProcId {
         let offset = if self.rotate { ticket } else { 0 };
         ProcId(1 + (r as usize + offset) % self.park)
     }
+
+    /// Sends a wake to every live evaluator.
+    fn wake_park(&self, ctx: &mut Ctx<SimMsg<V>>) {
+        let live: Vec<usize> = self.state().board.live().collect();
+        for w in live {
+            ctx.send(ProcId(1 + w), SimMsg::Wake, 16, "wake");
+        }
+    }
 }
 
-struct BatchParserProc<V: AttrValue> {
-    shared: Arc<BatchShared<V>>,
-    /// Next ticket whose subtrees have not been shipped yet.
-    next_ship: usize,
-    /// Next ticket to resolve (strictly in submission order, matching
-    /// the pool's FIFO retirement).
-    next_resolve: usize,
-    /// Whether a Resolve for `next_resolve` is outstanding.
+/// Approximate linearized wire size of a region's local nodes.
+fn region_wire_size<V: AttrValue>(
+    tree: &ParseTree<V>,
+    decomp: &Decomposition,
+    region: RegionId,
+) -> usize {
+    let mut bytes = 0;
+    let mut stack = vec![decomp.regions[region as usize].root];
+    while let Some(n) = stack.pop() {
+        bytes += 8;
+        for c in &tree.node(n).children {
+            match c {
+                Child::Node(c) if decomp.region(*c) == region => stack.push(*c),
+                Child::Node(_) => bytes += 8, // remote-leaf marker
+                Child::Token(vals) => bytes += vals.iter().map(|v| v.wire_size()).sum::<usize>(),
+            }
+        }
+    }
+    bytes
+}
+
+/// The parser role: admits trees, dispatches them into the pipeline
+/// window, collects root attributes and region completions, and
+/// retires tickets strictly in *dispatch* order — the pool retires
+/// tickets FIFO by dispatch, so a policy reorders service by choosing
+/// what enters the window, not by reordering what is already inside.
+struct ParserProc<V: AttrValue> {
+    shared: Arc<Shared<V>>,
+    /// The open-arrival schedule: each request is parsed when its alarm
+    /// fires and admission-checked against the bounded waiting room.
+    /// `None` for a pre-parsed batch — every tree is there at the start
+    /// and admitted, which is the only way the two differ.
+    requests: Option<Vec<SimRequest>>,
+    /// Per-tree work estimates ([`WorkTable::tree_work`]) — known at
+    /// admission, before any evaluation.
+    works: Vec<u64>,
+    /// Waiting-room bound: an arrival finding this many trees waiting
+    /// is shed.
+    capacity: usize,
+    /// Admitted trees waiting for a window slot, in the order the
+    /// dispatch policy prescribes (a batch: submission order).
+    waiting: PolicyQueue,
+    /// Trees that have arrived (a batch: all of them, at the start).
+    seen: usize,
+    /// Trees admitted (seen and not shed).
+    admitted: usize,
+    /// Dispatched, unretired tickets in dispatch order.
+    window: VecDeque<usize>,
+    /// Whether a Resolve for the window's front is outstanding.
     resolving: bool,
     /// Per-ticket count of regions whose machines have reported done
     /// (the pool retires — and frees a window slot — only then).
@@ -748,239 +530,160 @@ struct BatchParserProc<V: AttrValue> {
     finished: usize,
 }
 
-/// Ships one ticket's region subtrees to their evaluator machines (the
-/// parser role's dispatch step, shared by the batch and service
-/// parsers).
-///
-/// Fixed placement sends each region's linearized subtree straight to
-/// its modular home. Under the stealing scheduler the parser instead
-/// *seeds*: it linearizes each region (same per-node cost), registers
-/// the job on its seeded machine's deque — placement chosen by the
-/// deployed [`seed_placements`] policy against the park's live load
-/// accounts — and broadcasts a small wake so idle machines can claim
-/// or steal. The subtree transfer is then charged to whichever machine
-/// claims the job (a point-to-point fetch at bus rate; steals of
-/// seeded-but-unclaimed jobs re-fetch nothing extra since the data
-/// only ever moves once, to the claimer).
-fn ship_regions<V: AttrValue>(sh: &BatchShared<V>, ctx: &mut Ctx<BatchMsg<V>>, ticket: usize) {
-    ctx.phase("ship subtrees");
-    let decomp = &sh.decomps[ticket];
-    if sh.scheduler == SchedulerMode::Stealing {
-        let work: Vec<u64> = (0..decomp.len())
-            .map(|r| {
-                sh.plan
-                    .region_work(&sh.trees[ticket], decomp, r as RegionId)
-                    .max(1)
-            })
-            .collect();
-        let mut st = sh.sched.lock().unwrap();
-        let mut load = std::mem::take(&mut st.load);
-        let placements = seed_placements(decomp, &work, &mut load);
-        st.load = load;
-        for (r, &w) in placements.iter().enumerate() {
-            let rid = r as RegionId;
-            let info = &decomp.regions[r];
-            ctx.spend(info.local_size as Time * sh.cost.ship_node_us);
-            st.table.insert((ticket, rid), JobLoc::Queued(w));
-            st.deques[w].push_back(SimJob {
-                ticket,
-                region: rid,
-                work: work[r],
-                bytes: region_wire_size(&sh.trees[ticket], decomp, rid),
-                early: Vec::new(),
-            });
-        }
-        // Wake every live machine: idle ones with empty deques can
-        // steal. Dead machines get nothing — their reseeded jobs are
-        // already on survivors' deques.
-        let alive: Vec<usize> = (0..sh.park).filter(|&w| !st.dead[w]).collect();
-        drop(st);
-        for w in alive {
-            ctx.send(ProcId(1 + w), BatchMsg::Wake, 16, "wake");
-        }
-        return;
+impl<V: AttrValue> ParserProc<V> {
+    /// Admits a parsed tree into the waiting room.
+    fn admit(&mut self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
+        self.shared.state().admitted[ticket] = Some(ctx.now());
+        self.admitted += 1;
+        self.waiting.push(QueuedJob {
+            seq: ticket as u64,
+            tenant: self.requests.as_ref().map_or(0, |r| r[ticket].tenant),
+            work: self.works[ticket],
+        });
     }
-    for r in 0..decomp.len() as RegionId {
-        let info = &decomp.regions[r as usize];
-        ctx.spend(info.local_size as Time * sh.cost.ship_node_us);
-        let bytes = region_wire_size(&sh.trees[ticket], decomp, r);
-        ctx.send(
-            sh.proc_of_region(ticket, r),
-            BatchMsg::Subtree { ticket, region: r },
-            bytes,
-            "subtree",
-        );
-    }
-}
 
-/// The parser's response to the failure detector's crash oracle — the
-/// sim mirror of [`crate::parallel::pool::WorkerPool::kill_worker`]'s
-/// recovery half, shared by the batch and service parsers.
-///
-/// Every region job living on the dead machine — queued in its deque
-/// or active on it — is reconstituted as a fresh pending job and
-/// reseeded onto the least-loaded survivors, then a wake lets them
-/// claim. Each lost job's early values are replayed from the shared
-/// board's input log, which survives the crash (values still on the
-/// wire at crash time were logged at send, so nothing is lost;
-/// [`Machine::provide`] drops any duplicate the replay re-delivers).
-/// Regions that already reported Done have no table entry and are not
-/// re-executed; duplicate sends from half-finished lost regions are
-/// suppressed content-keyed at transmit time.
-fn recover_regions<V: AttrValue>(sh: &BatchShared<V>, ctx: &mut Ctx<BatchMsg<V>>, peer: ProcId) {
-    if sh.scheduler != SchedulerMode::Stealing {
-        return;
+    /// Fills free window slots from the waiting room, in policy order.
+    fn dispatch(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
+        while self.window.len() < self.shared.depth {
+            let Some(job) = self.waiting.pop() else { break };
+            let ticket = job.seq as usize;
+            self.shared.state().dispatched[ticket] = Some(ctx.now());
+            self.ship(ctx, ticket);
+            self.window.push_back(ticket);
+        }
     }
-    // Only evaluator machines are recoverable; the entry points reject
-    // fault plans that crash the parser or the librarian.
-    let Some(victim) = peer.0.checked_sub(1).filter(|&w| w < sh.park) else {
-        return;
-    };
-    let alive: Vec<usize> = {
-        let mut st = sh.sched.lock().expect("sim scheduler lock");
-        if st.dead[victim] {
+
+    /// Ships one ticket's region subtrees to the evaluator park.
+    ///
+    /// Fixed placement sends each region's linearized subtree straight
+    /// to its modular home. Under the stealing scheduler the parser
+    /// instead *seeds*: it linearizes each region (same per-node cost),
+    /// puts the jobs on the board ([`Board::seed`], against the park's
+    /// live load accounts) and broadcasts a small wake so idle machines
+    /// can claim or steal. The subtree transfer is then charged to
+    /// whichever machine claims the job (a point-to-point fetch at bus
+    /// rate; a steal of a seeded-but-unclaimed job re-fetches nothing
+    /// extra, since the data only ever moves once, to the claimer).
+    fn ship(&self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
+        let sh = &self.shared;
+        ctx.phase("ship subtrees");
+        let (tree, decomp) = (&sh.trees[ticket], &sh.decomps[ticket]);
+        let nodes: usize = decomp.regions.iter().map(|r| r.local_size).sum();
+        if sh.scheduler == SchedulerMode::Stealing {
+            ctx.spend(nodes as Time * sh.cost.ship_node_us);
+            let work: Vec<u64> = (0..decomp.len())
+                .map(|r| sh.plan.region_work(tree, decomp, r as RegionId).max(1))
+                .collect();
+            sh.state().board.seed(
+                ticket as Ticket,
+                &work,
+                |r| decomp.regions[r as usize].parent,
+                |r| region_wire_size(tree, decomp, r),
+            );
+            sh.wake_park(ctx);
             return;
         }
-        st.dead[victim] = true;
-        // Everything queued on the victim migrates; every job *active*
-        // on it is lost mid-run and rebuilt from scratch.
-        let mut lost: Vec<SimJob<V>> = st.deques[victim].drain(..).collect();
-        let actives: Vec<(usize, RegionId)> = st
-            .table
-            .iter()
-            .filter_map(|(&key, loc)| match loc {
-                JobLoc::Active(w) if *w == victim => Some(key),
-                _ => None,
-            })
-            .collect();
-        for &(ticket, region) in &actives {
-            let work = sh
-                .plan
-                .region_work(&sh.trees[ticket], &sh.decomps[ticket], region)
-                .max(1);
-            lost.push(SimJob {
-                ticket,
-                region,
-                work,
-                bytes: region_wire_size(&sh.trees[ticket], &sh.decomps[ticket], region),
-                early: Vec::new(),
-            });
+        for r in 0..decomp.len() as RegionId {
+            ctx.spend(decomp.regions[r as usize].local_size as Time * sh.cost.ship_node_us);
+            ctx.send(
+                sh.proc_of_region(ticket, r),
+                SimMsg::Subtree { ticket, region: r },
+                region_wire_size(tree, decomp, r),
+                "subtree",
+            );
         }
-        st.load[victim] = DEAD_LOAD;
-        // A queued job's accumulated early values may miss deliveries
-        // that were still on the wire; the input log has everything
-        // sent so far, so every lost job replays the full log.
-        for job in &mut lost {
-            job.early = st
-                .logs
-                .get(&(job.ticket, job.region))
-                .cloned()
-                .unwrap_or_default();
-        }
-        // Deterministic reseed order, least-loaded survivor first.
-        lost.sort_by_key(|j| (j.ticket, j.region));
-        st.faults.crashes += 1;
-        st.faults.regions_reexecuted += lost.len() as u64;
-        for job in lost {
-            let w = (0..sh.park)
-                .filter(|&w| !st.dead[w])
-                .min_by_key(|&w| (st.load[w], w))
-                // No survivor: park on the victim's own deque until a
-                // restart rejoins and claims it.
-                .unwrap_or(victim);
-            st.load[w] = st.load[w].saturating_add(job.work);
-            st.table.insert((job.ticket, job.region), JobLoc::Queued(w));
-            st.deques[w].push_back(job);
-        }
-        (0..sh.park).filter(|&w| !st.dead[w]).collect()
-    };
-    for w in alive {
-        ctx.send(ProcId(1 + w), BatchMsg::Wake, 16, "wake");
-    }
-}
-
-impl<V: AttrValue> BatchParserProc<V> {
-    fn ship(&mut self, ctx: &mut Ctx<BatchMsg<V>>, ticket: usize) {
-        let sh = Arc::clone(&self.shared);
-        ship_regions(&sh, ctx, ticket);
     }
 
-    /// Resolves (or directly finishes, in naive mode) every ticket
-    /// whose roots are complete and whose regions have all reported
-    /// done, strictly in order — only then does the pool retire a tree
-    /// and free its window slot — keeping the ship window full as
-    /// tickets finish.
-    fn advance(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
+    /// Resolves (or directly finishes, in naive mode) the window's
+    /// front ticket once its roots are complete and its regions have
+    /// all reported done — only then does the pool retire a tree and
+    /// free its window slot — and keeps going while the next front is
+    /// complete too.
+    fn advance(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         let sh = Arc::clone(&self.shared);
-        while !self.resolving && self.next_resolve < sh.trees.len() {
-            let complete = {
-                let roots = sh.root_values.lock().unwrap();
-                roots[self.next_resolve].len() == sh.expected_roots[self.next_resolve]
-                    && self.region_dones[self.next_resolve] == sh.decomps[self.next_resolve].len()
+        while !self.resolving {
+            let Some(&ticket) = self.window.front() else {
+                return;
             };
+            let complete = sh.state().roots[ticket].len() == sh.expected_roots[ticket]
+                && self.region_dones[ticket] == sh.decomps[ticket].len();
             if !complete {
                 return;
             }
             match sh.result {
                 ResultPropagation::Librarian => {
                     ctx.phase("result propagation");
-                    ctx.send(
-                        sh.librarian,
-                        BatchMsg::Resolve {
-                            ticket: self.next_resolve,
-                        },
-                        64,
-                        "resolve",
-                    );
+                    ctx.send(sh.librarian(), SimMsg::Resolve { ticket }, 64, "resolve");
                     self.resolving = true;
                 }
-                ResultPropagation::Naive => {
-                    let t = self.next_resolve;
-                    self.finish_ticket(ctx, t);
-                }
+                ResultPropagation::Naive => self.finish_ticket(ctx, ticket),
             }
         }
     }
 
-    fn finish_ticket(&mut self, ctx: &mut Ctx<BatchMsg<V>>, ticket: usize) {
-        let sh = Arc::clone(&self.shared);
-        sh.finish.lock().unwrap()[ticket] = ctx.now();
+    fn finish_ticket(&mut self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
+        self.shared.state().finish[ticket] = Some(ctx.now());
         self.finished += 1;
-        self.next_resolve = ticket + 1;
+        debug_assert_eq!(self.window.front(), Some(&ticket));
+        self.window.pop_front();
         self.resolving = false;
-        // Retirement frees a window slot: dispatch the next tree.
-        if self.next_ship < sh.trees.len() {
-            let t = self.next_ship;
-            self.next_ship += 1;
-            self.ship(ctx, t);
-        }
-        if self.finished == sh.trees.len() {
+        // Retirement freed a window slot.
+        self.dispatch(ctx);
+        self.maybe_stop(ctx);
+    }
+
+    fn maybe_stop(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
+        if self.seen == self.shared.trees.len() && self.finished == self.admitted {
             ctx.stop();
         }
     }
 }
 
-impl<V: AttrValue> Process<BatchMsg<V>> for BatchParserProc<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
+impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
+    fn on_start(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         let sh = Arc::clone(&self.shared);
-        ctx.phase("parse");
-        let nodes: usize = sh.trees.iter().map(|t| t.len()).sum();
-        ctx.spend(nodes as Time * sh.cost.parse_node_us);
-        *sh.eval_start.lock().unwrap() = ctx.now();
-        // Fill the pipeline window.
-        while self.next_ship < sh.trees.len().min(sh.depth) {
-            let t = self.next_ship;
-            self.next_ship += 1;
-            self.ship(ctx, t);
+        match &self.requests {
+            None => {
+                ctx.phase("parse");
+                let nodes: usize = sh.trees.iter().map(|t| t.len()).sum();
+                ctx.spend(nodes as Time * sh.cost.parse_node_us);
+                sh.state().eval_start = ctx.now();
+                self.seen = sh.trees.len();
+                for ticket in 0..sh.trees.len() {
+                    self.admit(ctx, ticket);
+                }
+                self.dispatch(ctx);
+                // Degenerate trees with no root attributes complete at once.
+                self.advance(ctx);
+            }
+            // The whole arrival schedule becomes alarms; each request
+            // is parsed (and admission-checked) only when it arrives.
+            Some(requests) => {
+                for (ticket, req) in requests.iter().enumerate() {
+                    ctx.wake_at(req.arrival_us, SimMsg::Arrive { ticket });
+                }
+            }
         }
-        // Degenerate trees with no root attributes complete at once.
-        self.advance(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<BatchMsg<V>>, _from: ProcId, msg: BatchMsg<V>) {
+    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
         let sh = Arc::clone(&self.shared);
         match msg {
-            BatchMsg::Attr {
+            SimMsg::Arrive { ticket } => {
+                self.seen += 1;
+                // Front-end parse of the arriving source.
+                ctx.phase("parse");
+                ctx.spend(sh.trees[ticket].len() as Time * sh.cost.parse_node_us);
+                if self.waiting.len() >= self.capacity {
+                    // Backpressure: bounded waiting room, arrival shed.
+                    sh.state().shed[ticket] = true;
+                } else {
+                    self.admit(ctx, ticket);
+                    self.dispatch(ctx);
+                }
+                self.maybe_stop(ctx);
+            }
+            SimMsg::Attr {
                 ticket,
                 attr,
                 value,
@@ -992,22 +695,20 @@ impl<V: AttrValue> Process<BatchMsg<V>> for BatchParserProc<V> {
                     // each root attribute is unique per ticket, so
                     // presence is the idempotency key (the pool's
                     // exact rule).
-                    let mut roots = sh.root_values.lock().unwrap();
-                    if roots[ticket].iter().any(|(a, _)| *a == attr) {
-                        drop(roots);
-                        sh.sched.lock().unwrap().faults.dup_suppressed += 1;
+                    let mut st = sh.state();
+                    if st.roots[ticket].iter().any(|(a, _)| *a == attr) {
+                        st.board.count_duplicate();
                         return;
                     }
-                    roots[ticket].push((attr, value));
+                    st.roots[ticket].push((attr, value));
                 }
                 self.advance(ctx);
             }
-            BatchMsg::Done { ticket } => {
+            SimMsg::Done { ticket } => {
                 self.region_dones[ticket] += 1;
                 self.advance(ctx);
             }
-            BatchMsg::Resolved { ticket } => {
-                debug_assert_eq!(ticket, self.next_resolve);
+            SimMsg::Resolved { ticket } => {
                 self.finish_ticket(ctx, ticket);
                 self.advance(ctx);
             }
@@ -1015,69 +716,129 @@ impl<V: AttrValue> Process<BatchMsg<V>> for BatchParserProc<V> {
         }
     }
 
-    fn on_peer_crash(&mut self, ctx: &mut Ctx<BatchMsg<V>>, peer: ProcId) {
-        recover_regions(&self.shared, ctx, peer);
+    /// The failure detector's crash oracle — the sim counterpart of
+    /// [`crate::parallel::pool::WorkerPool::kill_worker`]: the board
+    /// reseeds the dead machine's jobs onto the survivors
+    /// ([`Board::crash`]) and a wake lets them claim. Only evaluator
+    /// machines under the stealing scheduler are recoverable;
+    /// [`run_sim_stream`] rejects every other crash up front.
+    fn on_peer_crash(&mut self, ctx: &mut Ctx<SimMsg<V>>, peer: ProcId) {
+        let sh = &self.shared;
+        let victim = peer.0.checked_sub(1).filter(|&w| w < sh.park);
+        if let (SchedulerMode::Stealing, Some(victim)) = (sh.scheduler, victim) {
+            let crashed = sh.state().board.crash(victim);
+            if crashed {
+                sh.wake_park(ctx);
+            }
+        }
     }
 }
 
 /// One active machine on a simulated evaluator (mirrors the pool
 /// worker's `Running` entry). The region is recoverable from the
 /// machine itself ([`Machine::region`]).
-struct BatchRunning<V: AttrValue> {
+struct Running<V: AttrValue> {
     ticket: usize,
     machine: Machine<V>,
     next_seg: u32,
-    /// Estimated work, returned to this machine's load account at
-    /// retirement (stealing scheduler only; 0 under fixed placement).
-    work: u64,
 }
 
-struct BatchEvaluatorProc<V: AttrValue> {
-    shared: Arc<BatchShared<V>>,
-    /// This machine's index in the park; it hosts region r of every
-    /// tree whenever r mod park == evaluator.
+struct EvaluatorProc<V: AttrValue> {
+    shared: Arc<Shared<V>>,
+    /// This machine's index in the park.
     evaluator: usize,
     /// Active machines in (ticket, region) job order, multiplexed
     /// oldest-first exactly like a pool worker: a starved older machine
     /// yields the (virtual) CPU to the next job's machine instead of
     /// idling.
-    running: Vec<BatchRunning<V>>,
-    /// Attribute values that raced ahead of their region's subtree,
-    /// keyed (ticket, region).
+    running: Vec<Running<V>>,
+    /// Fixed placement only: attribute values that raced ahead of their
+    /// region's subtree, keyed (ticket, region).
     parked: Vec<(usize, RegionId, NodeId, AttrId, V)>,
 }
 
-impl<V: AttrValue> BatchEvaluatorProc<V> {
+impl<V: AttrValue> EvaluatorProc<V> {
+    /// The machine of job `(ticket, region)`, if it is running here.
+    fn machine(&mut self, ticket: usize, region: RegionId) -> Option<&mut Machine<V>> {
+        self.running
+            .iter_mut()
+            .find(|r| r.ticket == ticket && r.machine.region() == region)
+            .map(|r| &mut r.machine)
+    }
+
+    /// Builds the machine for one region job — charging the rebuild of
+    /// the shipped subtree and the dependency graph — replays `early`
+    /// values into it, and enters it into `running` in (ticket, region)
+    /// order (stolen jobs activate out of submission order, and the
+    /// pump's oldest-first preference keys off that order).
+    fn activate(
+        &mut self,
+        ctx: &mut Ctx<SimMsg<V>>,
+        ticket: usize,
+        region: RegionId,
+        early: impl IntoIterator<Item = (NodeId, AttrId, V)>,
+    ) {
+        let sh = &self.shared;
+        ctx.phase("build");
+        let mut machine = Machine::from_plan(
+            &sh.plan,
+            &sh.trees[ticket],
+            &sh.decomps[ticket],
+            region,
+            sh.mode,
+            MachineScratch::new(),
+        );
+        let (gn, ge) = machine.graph_size();
+        ctx.spend(
+            machine.local_nodes() as Time * sh.cost.ship_node_us
+                + gn as Time * sh.cost.graph_node_us
+                + ge as Time * sh.cost.graph_edge_us,
+        );
+        for (node, attr, value) in early {
+            machine.provide(node, attr, value);
+        }
+        let pos = self
+            .running
+            .partition_point(|r| (r.ticket, r.machine.region()) < (ticket, region));
+        self.running.insert(
+            pos,
+            Running {
+                ticket,
+                machine,
+                next_seg: 0,
+            },
+        );
+    }
+
     /// Steps machines oldest-first until every one is starved,
     /// retiring finished machines (mirrors the pool worker loop; CPU
     /// consumption is serialized on this process by `ctx.spend`).
-    fn pump(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
+    fn pump(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         let sh = Arc::clone(&self.shared);
         let mut i = 0;
         while i < self.running.len() {
             let ticket = self.running[i].ticket;
             match self.running[i].machine.step() {
                 Err(e) => {
-                    *sh.error.lock().unwrap() = Some(e);
+                    sh.state().error = Some(e);
                     ctx.stop();
                     return;
                 }
                 Ok(None) => {
                     if self.running[i].machine.is_done() {
-                        let stats = self.running[i].machine.stats();
-                        sh.per_machine.lock().unwrap()[self.evaluator] += stats;
-                        if sh.scheduler == SchedulerMode::Stealing {
-                            // Retire from the scheduler board: an
-                            // absent table entry reads as "finished"
-                            // on every routing path.
-                            let region = self.running[i].machine.region();
-                            let work = self.running[i].work;
-                            let mut st = sh.sched.lock().unwrap();
-                            st.table.remove(&(ticket, region));
-                            st.load[self.evaluator] = st.load[self.evaluator].saturating_sub(work);
+                        let done = self.running.remove(i);
+                        let mut st = sh.state();
+                        st.per_machine[self.evaluator] += done.machine.stats();
+                        // Retire from the scheduler board before
+                        // reporting, like a pool worker.
+                        let owned = sh.scheduler == SchedulerMode::Fixed
+                            || st
+                                .board
+                                .retire(self.evaluator, (ticket as Ticket, done.machine.region()));
+                        drop(st);
+                        if owned {
+                            ctx.send(PARSER, SimMsg::Done { ticket }, 16, "done");
                         }
-                        ctx.send(sh.parser, BatchMsg::Done { ticket }, 16, "done");
-                        self.running.remove(i);
                     } else {
                         i += 1; // starved: let the next job's machine run
                     }
@@ -1099,20 +860,20 @@ impl<V: AttrValue> BatchEvaluatorProc<V> {
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx<BatchMsg<V>>, idx: usize, msg: AttrMsg<V>) {
+    fn transmit(&mut self, ctx: &mut Ctx<SimMsg<V>>, idx: usize, msg: AttrMsg<V>) {
         let sh = Arc::clone(&self.shared);
         let ticket = self.running[idx].ticket;
         let region = self.running[idx].machine.region();
-        let decomp = &sh.decomps[ticket];
         let upward = match msg.to {
             SendTarget::Parser => true,
-            SendTarget::Region(r) => Some(r) == decomp.regions[region as usize].parent,
+            SendTarget::Region(r) => Some(r) == sh.decomps[ticket].regions[region as usize].parent,
         };
         let mut value = msg.value;
         if upward && sh.result == ResultPropagation::Librarian {
             // Registration phase of the split-phase protocol: large
             // code text streams to the librarian mid-evaluation, tagged
-            // with this tree's ticket.
+            // with this tree's ticket; a descriptor rope goes up the
+            // process tree in its place (§4.2).
             let next = &mut self.running[idx].next_seg;
             let mut segments: Vec<(SegmentId, Rope)> = Vec::new();
             let deflated = value.deflate(&mut |text: Rope| {
@@ -1127,8 +888,8 @@ impl<V: AttrValue> BatchEvaluatorProc<V> {
                 for (id, text) in segments {
                     let bytes = text.physical_wire_size();
                     ctx.send(
-                        sh.librarian,
-                        BatchMsg::Register { ticket, id, text },
+                        sh.librarian(),
+                        SimMsg::Register { ticket, id, text },
                         bytes,
                         "code-segment",
                     );
@@ -1136,50 +897,30 @@ impl<V: AttrValue> BatchEvaluatorProc<V> {
             }
         }
         let (dest, dest_region) = match msg.to {
-            SendTarget::Parser => (sh.parser, 0),
+            SendTarget::Parser => (PARSER, 0),
             SendTarget::Region(r) if sh.scheduler == SchedulerMode::Stealing => {
-                // Route via the job-location table, not the modular
-                // map: the job may have been seeded elsewhere or
-                // stolen. An absent entry means the region already
-                // finished — the value is no longer needed.
-                let mut st = sh.sched.lock().unwrap();
-                let w = match st.table.get(&(ticket, r)) {
-                    Some(&(JobLoc::Queued(w) | JobLoc::Active(w))) => w,
+                // Route via the board, not the modular map: the job may
+                // have been seeded elsewhere or stolen. The board logs
+                // the value at send time — so a crash cannot lose
+                // values still on the wire — and says when nothing is
+                // to be sent (the job finished; a re-executed producer
+                // replaying its sends).
+                let to = (ticket as Ticket, r);
+                let routed = sh
+                    .state()
+                    .board
+                    .route(self.evaluator, to, msg.node, msg.attr, &value);
+                match routed {
+                    Some(w) => (ProcId(1 + w), r),
                     None => return,
-                };
-                // Idempotent delivery: every value bound for a live
-                // job is appended to its input log at send time, so a
-                // crash cannot lose values still on the wire (recovery
-                // replays the log). A `(node, attr)` already logged is
-                // a re-executed producer replaying its sends — the
-                // duplicate is suppressed, and outputs stay
-                // byte-identical.
-                let dup = {
-                    let log = st.logs.entry((ticket, r)).or_default();
-                    if log.iter().any(|&(n, a, _)| n == msg.node && a == msg.attr) {
-                        true
-                    } else {
-                        log.push((msg.node, msg.attr, value.clone()));
-                        false
-                    }
-                };
-                if dup {
-                    st.faults.dup_suppressed += 1;
-                    return;
                 }
-                if w == self.evaluator {
-                    st.counters.local_sends += 1;
-                } else {
-                    st.counters.remote_sends += 1;
-                }
-                (ProcId(1 + w), r)
             }
             SendTarget::Region(r) => (sh.proc_of_region(ticket, r), r),
         };
         let bytes = value.wire_size();
         ctx.send(
             dest,
-            BatchMsg::Attr {
+            SimMsg::Attr {
                 ticket,
                 region: dest_region,
                 node: msg.node,
@@ -1191,320 +932,206 @@ impl<V: AttrValue> BatchEvaluatorProc<V> {
         );
     }
 
-    /// Stealing-scheduler drive loop, mirroring the live worker's
-    /// drain → claim-or-steal → block cycle: steps every running
-    /// machine until starved, then claims the front of this machine's
-    /// own deque — or steals the largest pending job from the
-    /// most-loaded victim — and activates it, until no work is left
-    /// anywhere.
-    /// Pumps, claims at most ONE pending job, pumps it, and — if a job
-    /// was claimed — chains a zero-cost self-wake to look for the next
-    /// one. The live worker claims one job per loop iteration with a
-    /// channel drain in between; claiming the whole deque inside one
-    /// atomic handler would make every queued job vanish before any
-    /// peer's events interleave, leaving nothing stealable and
-    /// un-modelling exactly the window work stealing exists for.
-    fn claim_and_pump(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
+    /// Stealing-scheduler drive step, mirroring the live worker's
+    /// drain → claim-or-steal → block cycle: pumps, claims at most ONE
+    /// pending job, pumps it, and — if a job was claimed — chains a
+    /// zero-cost self-wake to look for the next one. The live worker
+    /// claims one job per loop iteration with a channel drain in
+    /// between; claiming the whole deque inside one atomic handler
+    /// would make every queued job vanish before any peer's events
+    /// interleave, leaving nothing stealable and un-modelling exactly
+    /// the window work stealing exists for.
+    fn claim_and_pump(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         self.pump(ctx);
         if self.claim_one(ctx) {
             self.pump(ctx);
-            ctx.wake_at(ctx.now(), BatchMsg::Wake);
+            ctx.wake_at(ctx.now(), SimMsg::Wake);
         }
     }
 
-    /// Claims one pending job (own deque front first, else a steal)
-    /// and activates it: charges the subtree fetch and machine build,
-    /// replays early-arrival values, and enters it into `running`.
-    /// Returns `false` when every deque is empty.
-    fn claim_one(&mut self, ctx: &mut Ctx<BatchMsg<V>>) -> bool {
-        let sh = Arc::clone(&self.shared);
+    /// Publishes how far this handler ran our clock (`busy_until`, see
+    /// [`State`]) so that peers processed later in event order can tell
+    /// busy from idle. Wake and restart handlers publish; attribute
+    /// deliveries, which may pump for just as long, never have — which
+    /// machines look busy decides every steal, so publishing there too
+    /// is a policy change for a PR that re-measures the stealing
+    /// schedules, not for one that only moves code.
+    fn publish_clock(&self, ctx: &Ctx<SimMsg<V>>) {
+        let mut st = self.shared.state();
         let me = self.evaluator;
+        st.busy_until[me] = st.busy_until[me].max(ctx.now());
+    }
+
+    /// Claims one pending job from the board and activates it. A steal
+    /// must be worth it in virtual time: the victim must be busy past
+    /// now (`busy_until`, see [`State`]), and past the round trip of
+    /// fetching that job's subtree. Returns `false` when nothing is
+    /// claimable.
+    fn claim_one(&mut self, ctx: &mut Ctx<SimMsg<V>>) -> bool {
+        let sh = Arc::clone(&self.shared);
+        let now = ctx.now();
         let claimed = {
-            let mut st = sh.sched.lock().unwrap();
-            let job = match st.deques[me].pop_front() {
-                Some(job) => Some(job),
-                None => {
-                    let now = ctx.now();
-                    let victim = (0..st.deques.len())
-                        .filter(|&w| {
-                            !st.dead[w] && !st.deques[w].is_empty() && st.busy_until[w] > now
-                        })
-                        .max_by_key(|&w| (st.load[w], w));
-                    victim.and_then(|v| {
-                        let (mut best, mut best_work) = (None, 0u64);
-                        for (i, j) in st.deques[v].iter().enumerate().rev() {
-                            if j.work > best_work
-                                && st.busy_until[v] > now + 2 * sh.net.tx_time(j.bytes)
-                            {
-                                (best, best_work) = (Some(i), j.work);
-                            }
-                        }
-                        let job = st.deques[v].remove(best?).expect("index in range");
-                        st.load[v] = st.load[v].saturating_sub(job.work);
-                        st.load[me] += job.work;
-                        st.counters.steals += 1;
-                        st.counters.migrated_attrs += job.early.len() as u64;
-                        Some(job)
-                    })
-                }
-            };
-            if let Some(j) = &job {
-                st.table.insert((j.ticket, j.region), JobLoc::Active(me));
-            }
-            job
+            let mut st = sh.state();
+            let State {
+                board, busy_until, ..
+            } = &mut *st;
+            board.claim(self.evaluator, |victim, bytes| {
+                busy_until[victim] > now + bytes.map_or(0, |&b| 2 * sh.net.tx_time(b))
+            })
         };
-        let Some(job) = claimed else { return false };
-        let SimJob {
-            ticket,
-            region,
-            work,
-            bytes,
+        let Some(Claimed {
+            key: (ticket, region),
+            payload: bytes,
             early,
-        } = job;
+        }) = claimed
+        else {
+            return false;
+        };
         // Fetch the linearized subtree (point-to-point pull at bus
         // rate — charged to the claimer, wherever the job ended up),
         // then build the machine exactly as fixed placement does on
         // `Subtree` arrival.
         ctx.phase("ship subtrees");
         ctx.spend(sh.net.tx_time(bytes));
-        ctx.phase("build");
-        let mut machine = Machine::from_plan(
-            &sh.plan,
-            &sh.trees[ticket],
-            &sh.decomps[ticket],
-            region,
-            sh.mode,
-            MachineScratch::new(),
-        );
-        let (gn, ge) = machine.graph_size();
-        ctx.spend(
-            machine.local_nodes() as Time * sh.cost.ship_node_us
-                + gn as Time * sh.cost.graph_node_us
-                + ge as Time * sh.cost.graph_edge_us,
-        );
-        for (node, attr, value) in early {
-            machine.provide(node, attr, value);
-        }
-        // Stolen jobs activate out of submission order; keep `running`
-        // sorted so the pump's oldest-first preference holds.
-        let pos = self
-            .running
-            .partition_point(|r| (r.ticket, r.machine.region()) < (ticket, region));
-        self.running.insert(
-            pos,
-            BatchRunning {
-                ticket,
-                machine,
-                next_seg: 0,
-                work,
-            },
-        );
+        self.activate(ctx, ticket as usize, region, early);
         true
-    }
-
-    /// Delivers an attribute value under the stealing scheduler. The
-    /// sender routed it by the location table, but the job may have
-    /// moved (or finished) while the message was on the wire: a value
-    /// for a job still queued *here* attaches to the pending job (so a
-    /// later steal migrates it), a value for a job active here feeds
-    /// the running machine, a value for a job that moved is forwarded
-    /// to its new home, and a value for a finished job is dropped.
-    fn route_attr(
-        &mut self,
-        ctx: &mut Ctx<BatchMsg<V>>,
-        ticket: usize,
-        region: RegionId,
-        node: NodeId,
-        attr: AttrId,
-        value: V,
-    ) {
-        enum Routed<V> {
-            Stored,
-            Mine(V),
-            Forward(usize, V),
-            Dropped,
-        }
-        let sh = Arc::clone(&self.shared);
-        let me = self.evaluator;
-        let routed = {
-            let mut st = sh.sched.lock().unwrap();
-            match st.table.get(&(ticket, region)).copied() {
-                Some(JobLoc::Queued(w)) if w == me => {
-                    let job = st.deques[me]
-                        .iter_mut()
-                        .find(|j| j.ticket == ticket && j.region == region)
-                        .expect("a Queued(me) job is in my deque");
-                    job.early.push((node, attr, value));
-                    Routed::Stored
-                }
-                Some(JobLoc::Active(w)) if w == me => Routed::Mine(value),
-                Some(JobLoc::Queued(w) | JobLoc::Active(w)) => Routed::Forward(w, value),
-                None => Routed::Dropped,
-            }
-        };
-        match routed {
-            Routed::Mine(value) => {
-                if let Some(r) = self
-                    .running
-                    .iter_mut()
-                    .find(|r| r.ticket == ticket && r.machine.region() == region)
-                {
-                    r.machine.provide(node, attr, value);
-                }
-                self.claim_and_pump(ctx);
-            }
-            Routed::Stored => self.claim_and_pump(ctx),
-            Routed::Forward(w, value) => {
-                let bytes = value.wire_size();
-                ctx.send(
-                    ProcId(1 + w),
-                    BatchMsg::Attr {
-                        ticket,
-                        region,
-                        node,
-                        attr,
-                        value,
-                    },
-                    bytes,
-                    "attr",
-                );
-            }
-            Routed::Dropped => {}
-        }
     }
 }
 
-impl<V: AttrValue> Process<BatchMsg<V>> for BatchEvaluatorProc<V> {
-    fn on_message(&mut self, ctx: &mut Ctx<BatchMsg<V>>, _from: ProcId, msg: BatchMsg<V>) {
+impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
+    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
         let sh = Arc::clone(&self.shared);
-        match msg {
-            BatchMsg::Subtree { ticket, region } => {
+        let me = self.evaluator;
+        match (msg, sh.scheduler) {
+            (SimMsg::Subtree { ticket, region }, SchedulerMode::Fixed) => {
                 debug_assert_eq!(
                     sh.proc_of_region(ticket, region),
-                    ProcId(1 + self.evaluator),
+                    ProcId(1 + me),
                     "subtree shipped to the wrong machine"
                 );
-                ctx.phase("build");
-                let mut machine = Machine::from_plan(
-                    &sh.plan,
-                    &sh.trees[ticket],
-                    &sh.decomps[ticket],
-                    region,
-                    sh.mode,
-                    MachineScratch::new(),
-                );
-                let (gn, ge) = machine.graph_size();
-                ctx.spend(
-                    machine.local_nodes() as Time * sh.cost.ship_node_us
-                        + gn as Time * sh.cost.graph_node_us
-                        + ge as Time * sh.cost.graph_edge_us,
-                );
                 // Replay values that arrived before this machine existed.
+                let mut early = Vec::new();
                 let mut i = 0;
                 while i < self.parked.len() {
                     if (self.parked[i].0, self.parked[i].1) == (ticket, region) {
                         let (_, _, node, attr, value) = self.parked.swap_remove(i);
-                        machine.provide(node, attr, value);
+                        early.push((node, attr, value));
                     } else {
                         i += 1;
                     }
                 }
-                self.running.push(BatchRunning {
-                    ticket,
-                    machine,
-                    next_seg: 0,
-                    work: 0,
-                });
+                self.activate(ctx, ticket, region, early);
                 self.pump(ctx);
             }
-            BatchMsg::Attr {
-                ticket,
-                region,
-                node,
-                attr,
-                value,
-            } => {
-                if sh.scheduler == SchedulerMode::Stealing {
-                    self.route_attr(ctx, ticket, region, node, attr, value);
-                    return;
+            (
+                SimMsg::Attr {
+                    ticket,
+                    region,
+                    node,
+                    attr,
+                    value,
+                },
+                SchedulerMode::Fixed,
+            ) => match self.machine(ticket, region) {
+                Some(machine) => {
+                    machine.provide(node, attr, value);
+                    self.pump(ctx);
                 }
-                match self
-                    .running
-                    .iter_mut()
-                    .find(|r| r.ticket == ticket && r.machine.region() == region)
-                {
-                    Some(r) => {
-                        r.machine.provide(node, attr, value);
-                        self.pump(ctx);
+                None => self.parked.push((ticket, region, node, attr, value)),
+            },
+            (
+                SimMsg::Attr {
+                    ticket,
+                    region,
+                    node,
+                    attr,
+                    value,
+                },
+                SchedulerMode::Stealing,
+            ) => {
+                // The sender routed by the board, but the job may have
+                // moved (or finished) while the message was on the wire.
+                let delivery =
+                    sh.state()
+                        .board
+                        .deliver(me, (ticket as Ticket, region), node, attr, value);
+                match delivery {
+                    Delivery::Mine(value) => {
+                        if let Some(machine) = self.machine(ticket, region) {
+                            machine.provide(node, attr, value);
+                        }
+                        self.claim_and_pump(ctx);
                     }
-                    None => self.parked.push((ticket, region, node, attr, value)),
+                    Delivery::Stored => self.claim_and_pump(ctx),
+                    Delivery::Forward(w, value) => {
+                        let bytes = value.wire_size();
+                        ctx.send(
+                            ProcId(1 + w),
+                            SimMsg::Attr {
+                                ticket,
+                                region,
+                                node,
+                                attr,
+                                value,
+                            },
+                            bytes,
+                            "attr",
+                        );
+                    }
+                    Delivery::Dropped => {}
                 }
             }
-            BatchMsg::Wake if sh.scheduler == SchedulerMode::Stealing => {
+            (SimMsg::Wake, SchedulerMode::Stealing) => {
                 self.claim_and_pump(ctx);
+                self.publish_clock(ctx);
             }
             _ => {}
-        }
-        if sh.scheduler == SchedulerMode::Stealing {
-            // Publish how far this handler ran our clock so that peers
-            // processed later in event order can tell busy from idle.
-            let mut st = sh.sched.lock().expect("sim scheduler lock");
-            let me = self.evaluator;
-            st.busy_until[me] = st.busy_until[me].max(ctx.now());
         }
     }
 
     fn on_crash(&mut self) {
         // Volatile state dies with the machine: running region
         // machines and parked early values are lost. The recovery
-        // substrate — location table, input logs, load accounts on the
-        // shared board — survives; it is the sim's stable storage,
-        // mirroring the retained parser-side state of the live pool.
+        // substrate — the scheduler board — survives; it is the sim's
+        // stable storage, mirroring the retained parser-side state of
+        // the live pool.
         self.running.clear();
         self.parked.clear();
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         let sh = Arc::clone(&self.shared);
         if sh.scheduler != SchedulerMode::Stealing {
             return;
         }
-        let me = self.evaluator;
-        {
-            let mut st = sh.sched.lock().expect("sim scheduler lock");
-            st.dead[me] = false;
-            // Rejoin with a load account reflecting whatever recovery
-            // parked on this deque (normally nothing).
-            st.load[me] = st.deques[me].iter().map(|j| j.work).sum();
-        }
+        sh.state().board.restart(self.evaluator);
         // Rejoin the park: claim or steal like any idle machine.
         self.claim_and_pump(ctx);
-        let mut st = sh.sched.lock().expect("sim scheduler lock");
-        st.busy_until[me] = st.busy_until[me].max(ctx.now());
+        self.publish_clock(ctx);
     }
 }
 
-struct BatchLibrarianProc<V: AttrValue> {
-    shared: Arc<BatchShared<V>>,
+struct LibrarianProc<V: AttrValue> {
+    shared: Arc<Shared<V>>,
     ledger: SegmentLedger,
 }
 
-impl<V: AttrValue> Process<BatchMsg<V>> for BatchLibrarianProc<V> {
-    fn on_message(&mut self, ctx: &mut Ctx<BatchMsg<V>>, from: ProcId, msg: BatchMsg<V>) {
-        let sh = Arc::clone(&self.shared);
+impl<V: AttrValue> Process<SimMsg<V>> for LibrarianProc<V> {
+    fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, from: ProcId, msg: SimMsg<V>) {
+        let sh = &self.shared;
         match msg {
-            BatchMsg::Register { ticket, id, text } => {
+            SimMsg::Register { ticket, id, text } => {
                 ctx.phase("receive code");
                 ctx.spend((text.len() as Time).div_ceil(1024) * sh.cost.resolve_kb_us / 10);
                 self.ledger.register(ticket as u64, id, text);
             }
-            BatchMsg::Resolve { ticket } => {
+            SimMsg::Resolve { ticket } => {
                 ctx.phase("combine code");
                 let total = self.ledger.ticket_bytes(ticket as u64);
                 ctx.spend((total as Time).div_ceil(1024) * sh.cost.resolve_kb_us);
                 let store = self.ledger.resolve(ticket as u64);
-                sh.segstores.lock().unwrap().insert(ticket, store);
-                ctx.send(from, BatchMsg::Resolved { ticket }, 64, "resolved");
+                sh.state().segstores.insert(ticket, store);
+                ctx.send(from, SimMsg::Resolved { ticket }, 64, "resolved");
             }
             _ => {}
         }
@@ -1512,126 +1139,162 @@ impl<V: AttrValue> Process<BatchMsg<V>> for BatchLibrarianProc<V> {
 }
 
 /// Rejects fault plans the recovery protocol cannot survive: crashes
-/// are only recoverable for evaluator machines (ProcIds `1..=park`)
-/// and only under the stealing scheduler, whose location table and
-/// input logs are the recovery substrate.
-fn validate_fault_plan(faults: &FaultPlan, scheduler: SchedulerMode, machines: usize) {
+/// are only recoverable for evaluator machines (ProcIds `1..=machines`)
+/// and only under the stealing scheduler, whose board is the recovery
+/// substrate.
+fn validate_fault_plan(
+    faults: &FaultPlan,
+    scheduler: SchedulerMode,
+    machines: usize,
+) -> Result<(), SimError> {
     let mut crashes = faults.crash_procs().peekable();
-    if crashes.peek().is_none() {
-        return;
+    if crashes.peek().is_some() && scheduler != SchedulerMode::Stealing {
+        return Err(SimError::CrashNeedsStealing);
     }
-    assert!(
-        scheduler == SchedulerMode::Stealing,
-        "crash injection requires SchedulerMode::Stealing — the location \
-         table and input logs are the recovery substrate"
-    );
-    for p in crashes {
-        assert!(
-            (1..=machines).contains(&p),
-            "fault plan crashes p{p}, which is not an evaluator machine \
-             (valid targets: 1..={machines})"
-        );
+    match crashes.find(|p| !(1..=machines).contains(p)) {
+        Some(proc) => Err(SimError::CrashTargetNotEvaluator { proc, machines }),
+        None => Ok(()),
     }
 }
 
-/// Runs one simulated *batched* parallel compilation: `trees` stream
-/// through the same evaluator machines with up to `pipeline_depth`
-/// trees in flight, modelling the pool's split-phase/ticket schedule on
-/// the paper's simulated network. Depth 1 reproduces the strict
+/// Runs one simulated parallel compilation of `tree` — the paper's
+/// experiment: a [`run_sim_stream`] of this one tree at depth 1,
+/// decomposed into (at most) `config.machines` regions, one per
+/// evaluator machine. The reported `eval_time` is that stream's
+/// makespan.
+///
+/// `plans` must be `Some` for [`MachineMode::Combined`].
+///
+/// # Panics
+///
+/// Panics if evaluation fails (cycle or plan inconsistency) or if the
+/// protocol deadlocks — validate the grammar with the sequential
+/// evaluators first.
+pub fn run_sim<V: AttrValue>(
+    tree: &Arc<ParseTree<V>>,
+    plans: Option<&Arc<Plans>>,
+    config: &SimConfig,
+) -> SimReport<V> {
+    let mut r = run_sim_batch(std::slice::from_ref(tree), plans, config, 1);
+    SimReport {
+        eval_time: r.makespan,
+        parse_time: r.parse_time,
+        regions: r.regions[0],
+        per_machine: r.per_machine,
+        stats: r.stats,
+        trace: r.trace,
+        names: r.names,
+        root_values: r.root_values.swap_remove(0),
+        decomposition: r.decompositions[0].render(tree),
+    }
+}
+
+/// Runs one simulated *batched* parallel compilation: a
+/// [`run_sim_stream`] of the pre-parsed `trees`, each decomposed into
+/// (at most) `config.machines` regions — the whole-tree-ticketing
+/// schedule — with no faults injected. Depth 1 reproduces the strict
 /// one-tree-at-a-time barrier; depth ≥ 2 lets tree N+1's subtrees ship
 /// (and its machines start) while tree N's stragglers drain.
-///
-/// This entry decomposes each tree into (at most) `config.machines`
-/// regions — the whole-tree-ticketing compatibility schedule. Use
-/// [`run_sim_batch_with`] to model region-granular scheduling, where a
-/// cost-driven decomposition may produce more regions than machines and
-/// region jobs round-robin over the park.
 ///
 /// All trees must share one grammar; `plans` must be `Some` for
 /// [`MachineMode::Combined`].
 ///
 /// # Panics
 ///
-/// Panics if evaluation fails or the protocol deadlocks — validate the
-/// grammar with the sequential evaluators first.
+/// Panics if `trees` is empty, if evaluation fails or if the protocol
+/// deadlocks — validate the grammar with the sequential evaluators
+/// first.
 pub fn run_sim_batch<V: AttrValue>(
     trees: &[Arc<ParseTree<V>>],
     plans: Option<&Arc<Plans>>,
     config: &SimConfig,
     pipeline_depth: usize,
 ) -> BatchSimReport<V> {
-    run_sim_batch_with(
+    run_sim_stream(
         trees,
         plans,
         config,
         pipeline_depth,
         RegionGranularity::Machines(config.machines),
-    )
-}
-
-/// [`run_sim_batch`] with an explicit [`RegionGranularity`].
-///
-/// With [`RegionGranularity::Adaptive`] each tree is carved into
-/// budget-sized regions independent of the machine count; region `r`
-/// runs on machine `r % machines` and each simulated evaluator
-/// multiplexes its region jobs oldest-first, exactly like a pool
-/// worker. A single huge tree therefore spreads over the whole park in
-/// balanced chunks instead of riding one fixed uneven split — the
-/// schedule the region-granular [`crate::parallel::pool::WorkerPool`]
-/// runs on real threads.
-///
-/// # Panics
-///
-/// Panics if evaluation fails or the protocol deadlocks — validate the
-/// grammar with the sequential evaluators first.
-pub fn run_sim_batch_with<V: AttrValue>(
-    trees: &[Arc<ParseTree<V>>],
-    plans: Option<&Arc<Plans>>,
-    config: &SimConfig,
-    pipeline_depth: usize,
-    granularity: RegionGranularity,
-) -> BatchSimReport<V> {
-    run_sim_batch_with_faults(
-        trees,
-        plans,
-        config,
-        pipeline_depth,
-        granularity,
         &FaultPlan::default(),
+        None,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_sim_batch_with`] under a [`FaultPlan`]: evaluator crashes,
-/// restarts, and tagged message drops/delays are injected at their
-/// scheduled virtual times, and the recovery protocol (oracle crash
-/// detection → region re-execution from input logs → idempotent
-/// redelivery) runs inside the simulation — the deterministic mirror
-/// of [`crate::parallel::pool::WorkerPool::kill_worker`]. Outputs are
-/// byte-identical to the fault-free run; the report's
-/// [`BatchSimReport::faults`] counters expose what recovery did.
+/// The simulation: `trees` stream through one park of evaluator
+/// machines with up to `pipeline_depth` trees in flight, modelling the
+/// pool's split-phase/ticket schedule on the paper's simulated network.
+///
+/// * `granularity` — with [`RegionGranularity::Machines`] each tree is
+///   carved into at most that many regions; with
+///   [`RegionGranularity::Adaptive`] into budget-sized regions
+///   independent of the machine count, each simulated evaluator
+///   multiplexing its region jobs oldest-first exactly like a pool
+///   worker, so a single huge tree spreads over the whole park in
+///   balanced chunks instead of riding one fixed uneven split. The park
+///   has one machine per region up to `config.machines`.
+/// * `faults` — evaluator crashes, restarts and tagged message
+///   drops/delays are injected at their scheduled virtual times, and
+///   the recovery protocol (oracle crash detection → region
+///   re-execution from input logs → idempotent redelivery) runs inside
+///   the simulation: the deterministic counterpart of
+///   [`crate::parallel::pool::WorkerPool::kill_worker`]. Outputs are
+///   byte-identical to the fault-free run; [`BatchSimReport::faults`]
+///   exposes what recovery did.
+/// * `arrivals` — `None` parses the whole batch up front and dispatches
+///   it in submission order. `Some` makes the run a *service*:
+///   `trees[i]` arrives at `requests[i].arrival_us`, is parsed and
+///   admission-checked on arrival, and enters the window in the order
+///   the policy prescribes — decided by the same [`PolicyQueue`] the
+///   wall-clock service queue uses, so policy rankings computed here
+///   are exactly reproducible and exercise deployed code. Everything
+///   downstream of dispatch is the same schedule either way.
+///
+/// All trees must share one grammar; `plans` must be `Some` for
+/// [`MachineMode::Combined`]. A `pipeline_depth` or queue capacity of 0
+/// is read as 1.
+///
+/// # Errors
+///
+/// A [`SimError`] for input the run cannot accept: no trees, arrivals
+/// that are not one sorted request per tree, or a fault plan that
+/// crashes anything but an evaluator machine under
+/// [`SchedulerMode::Stealing`].
 ///
 /// # Panics
 ///
-/// Panics if the plan crashes any process that is not an evaluator
-/// machine (the parser and librarian are not replicated), or schedules
-/// crashes without [`SchedulerMode::Stealing`] (the location table and
-/// input logs are the recovery substrate); also if evaluation fails or
-/// the protocol deadlocks, like [`run_sim_batch_with`].
-pub fn run_sim_batch_with_faults<V: AttrValue>(
+/// Panics if the trees do not share one grammar, if evaluation fails
+/// (cycle or plan inconsistency) or if the protocol deadlocks —
+/// validate the grammar with the sequential evaluators first.
+pub fn run_sim_stream<V: AttrValue>(
     trees: &[Arc<ParseTree<V>>],
     plans: Option<&Arc<Plans>>,
     config: &SimConfig,
     pipeline_depth: usize,
     granularity: RegionGranularity,
     faults: &FaultPlan,
-) -> BatchSimReport<V> {
-    assert!(!trees.is_empty(), "batch must contain at least one tree");
-    let g = trees[0].grammar();
+    arrivals: Option<Arrivals<'_>>,
+) -> Result<BatchSimReport<V>, SimError> {
+    let Some(first) = trees.first() else {
+        return Err(SimError::EmptyStream);
+    };
+    if let Some(a) = &arrivals {
+        if a.requests.len() != trees.len() {
+            return Err(SimError::RequestCountMismatch {
+                trees: trees.len(),
+                requests: a.requests.len(),
+            });
+        }
+        if !a.requests.is_sorted_by_key(|r| r.arrival_us) {
+            return Err(SimError::UnsortedArrivals);
+        }
+    }
+    let g = first.grammar();
     assert!(
         trees.iter().all(|t| Arc::ptr_eq(t.grammar(), g)),
-        "all trees in a batch share one grammar"
+        "all trees in a stream share one grammar"
     );
-    let depth = pipeline_depth.max(1);
     let table = SplitTable::new(g.as_ref(), config.min_size_scale);
     let work = WorkTable::new(g.as_ref());
     let decomps: Vec<Arc<Decomposition>> = trees
@@ -1639,65 +1302,65 @@ pub fn run_sim_batch_with_faults<V: AttrValue>(
         .map(|t| Arc::new(decompose_granular(t, &table, &work, granularity)))
         .collect();
     // The machine park: one evaluator process per region up to the
-    // configured machine count; beyond that, regions round-robin.
+    // configured machine count; beyond that, regions share machines.
     let machines = decomps
         .iter()
         .map(|d| d.len())
         .max()
-        .unwrap()
+        .expect("at least one tree")
         .min(config.machines.max(1));
-    validate_fault_plan(faults, config.scheduler, machines);
-    let expected_roots: Vec<usize> = trees
-        .iter()
-        .map(|t| {
-            let root_sym = g.prod(t.node(t.root()).prod).lhs;
-            g.symbol(root_sym).attrs_of_kind(AttrKind::Syn).count()
-        })
-        .collect();
+    validate_fault_plan(faults, config.scheduler, machines)?;
 
-    let shared = Arc::new(BatchShared {
+    let n = trees.len();
+    let shared = Arc::new(Shared {
         trees: trees.to_vec(),
-        decomps,
         plan: Arc::new(EvalPlan::from_parts(g, plans.cloned(), None)),
         cost: config.cost,
         mode: config.mode,
         result: config.result,
         classifier: Arc::clone(&config.classifier),
-        librarian: ProcId(1 + machines),
-        parser: ProcId(0),
-        depth,
+        depth: pipeline_depth.max(1),
         park: machines,
         rotate: matches!(granularity, RegionGranularity::Adaptive { .. }),
         scheduler: config.scheduler,
         net: config.net,
-        sched: Mutex::new(SimSched {
-            deques: (0..machines).map(|_| VecDeque::new()).collect(),
-            table: HashMap::new(),
-            load: vec![0; machines],
+        expected_roots: trees
+            .iter()
+            .map(|t| {
+                let root_sym = g.prod(t.node(t.root()).prod).lhs;
+                g.symbol(root_sym).attrs_of_kind(AttrKind::Syn).count()
+            })
+            .collect(),
+        state: Mutex::new(State {
+            board: Board::new(machines),
             busy_until: vec![0; machines],
-            counters: SchedCounters::default(),
-            dead: vec![false; machines],
-            logs: HashMap::new(),
-            faults: FaultCounters::default(),
+            eval_start: 0,
+            finish: vec![None; n],
+            admitted: vec![None; n],
+            dispatched: vec![None; n],
+            shed: vec![false; n],
+            roots: vec![Vec::new(); n],
+            segstores: HashMap::new(),
+            per_machine: vec![EvalStats::default(); machines],
+            error: None,
         }),
-        expected_roots,
-        eval_start: Mutex::new(0),
-        finish: Mutex::new(vec![0; trees.len()]),
-        root_values: Mutex::new(vec![Vec::new(); trees.len()]),
-        segstores: Mutex::new(HashMap::new()),
-        per_machine: Mutex::new(vec![EvalStats::default(); machines]),
-        error: Mutex::new(None),
+        decomps,
     });
 
-    let mut sim: Sim<BatchMsg<V>> = Sim::new(config.net);
+    let mut sim: Sim<SimMsg<V>> = Sim::new(config.net);
     sim.add_process(
         "parser",
-        BatchParserProc {
+        ParserProc {
             shared: Arc::clone(&shared),
-            next_ship: 0,
-            next_resolve: 0,
+            requests: arrivals.map(|a| a.requests.to_vec()),
+            works: trees.iter().map(|t| work.tree_work(t)).collect(),
+            capacity: arrivals.map_or(usize::MAX, |a| a.queue_capacity.max(1)),
+            waiting: PolicyQueue::new(arrivals.map_or(DispatchPolicy::Fifo, |a| a.policy)),
+            seen: 0,
+            admitted: 0,
+            window: VecDeque::new(),
             resolving: false,
-            region_dones: vec![0; trees.len()],
+            region_dones: vec![0; n],
             finished: 0,
         },
     );
@@ -1705,7 +1368,7 @@ pub fn run_sim_batch_with_faults<V: AttrValue>(
         let letter = (b'a' + (r % 26) as u8) as char;
         sim.add_process(
             format!("evaluator-{letter}"),
-            BatchEvaluatorProc {
+            EvaluatorProc {
                 shared: Arc::clone(&shared),
                 evaluator: r,
                 running: Vec::new(),
@@ -1715,7 +1378,7 @@ pub fn run_sim_batch_with_faults<V: AttrValue>(
     }
     sim.add_process(
         "librarian",
-        BatchLibrarianProc {
+        LibrarianProc {
             shared: Arc::clone(&shared),
             ledger: SegmentLedger::new(),
         },
@@ -1723,538 +1386,66 @@ pub fn run_sim_batch_with_faults<V: AttrValue>(
     sim.set_faults(faults.clone());
     sim.run();
 
-    if let Some(e) = shared.error.lock().unwrap().take() {
-        panic!("batched parallel evaluation failed: {e}");
+    let mut st = shared.state();
+    if let Some(e) = st.error.take() {
+        panic!("simulated parallel evaluation failed: {e}");
     }
-    let eval_start = *shared.eval_start.lock().unwrap();
-    let finish = shared.finish.lock().unwrap().clone();
-    let last = finish.iter().copied().max().unwrap_or(0);
     assert!(
-        last >= eval_start && last > 0,
-        "batch simulation ended without all roots resolved (deadlock?)"
+        st.finish
+            .iter()
+            .zip(&st.shed)
+            .all(|(f, &s)| s || f.is_some()),
+        "simulation ended without all roots resolved (deadlock?)"
     );
-
-    let per_machine = shared.per_machine.lock().unwrap().clone();
+    debug_assert!(
+        st.board.is_quiescent(),
+        "every seeded region job retired by the end of the run"
+    );
+    let eval_start = st.eval_start;
+    let finish_times: Vec<Time> = st
+        .finish
+        .iter()
+        .map(|f| f.map_or(0, |f| f - eval_start))
+        .collect();
+    let per_machine = std::mem::take(&mut st.per_machine);
     let mut stats = EvalStats::default();
     for s in &per_machine {
         stats += *s;
     }
-    let segstores = shared.segstores.lock().unwrap();
-    let root_values: Vec<Vec<(AttrId, V)>> = shared
-        .root_values
-        .lock()
-        .unwrap()
+    let empty = SegmentStore::new();
+    let root_values = st
+        .roots
         .iter()
         .enumerate()
         .map(|(t, roots)| {
-            let empty = SegmentStore::new();
-            let store = segstores.get(&t).unwrap_or(&empty);
+            let store = st.segstores.get(&t).unwrap_or(&empty);
             roots.iter().map(|(a, v)| (*a, v.inflate(store))).collect()
         })
         .collect();
-    drop(segstores);
-
-    let (sched, fault_counters) = {
-        let st = shared.sched.lock().unwrap();
-        (st.counters, st.faults)
-    };
-    BatchSimReport {
-        makespan: last - eval_start,
-        finish_times: finish
-            .iter()
-            .map(|&f| f.saturating_sub(eval_start))
-            .collect(),
+    Ok(BatchSimReport {
+        makespan: match arrivals {
+            Some(_) => sim.now(),
+            None => finish_times.iter().copied().max().unwrap_or(0),
+        },
+        finish_times,
         parse_time: eval_start,
         regions: shared.decomps.iter().map(|d| d.len()).collect(),
+        decompositions: shared.decomps.clone(),
         stats,
         per_machine,
         trace: sim.trace().clone(),
         names: sim.names().to_vec(),
         root_values,
-        sched,
-        faults: fault_counters,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Service simulation: an *open arrival* request stream against the same
-// machine park, with bounded admission and a pluggable dispatch policy.
-// Deterministic — this is how scheduling policies are ranked before a
-// wall-clock run confirms.
-// ---------------------------------------------------------------------
-
-/// One request of an open-arrival service stream: tree `i` of the
-/// accompanying slice arrives at `arrival_us`, billed to `tenant`.
-#[derive(Debug, Clone, Copy)]
-pub struct SimRequest {
-    /// Absolute virtual arrival time, µs.
-    pub arrival_us: Time,
-    /// Tenant the request bills to (fair queueing only).
-    pub tenant: u32,
-}
-
-/// Result of one simulated service run. All per-request vectors are
-/// indexed like the request slice; `None` marks a shed request.
-pub struct ServiceSimReport<V> {
-    /// Final virtual time (last completion or shed decision).
-    pub makespan: Time,
-    /// Arrival times, echoed from the request stream.
-    pub arrivals: Vec<Time>,
-    /// When the parser admitted each request into the waiting queue.
-    pub admitted: Vec<Option<Time>>,
-    /// When each request's first region job was shipped.
-    pub dispatched: Vec<Option<Time>>,
-    /// When each request's root attributes were resolved.
-    pub finished: Vec<Option<Time>>,
-    /// Which requests were shed by admission control.
-    pub shed: Vec<bool>,
-    /// Regions each tree decomposed into.
-    pub regions: Vec<usize>,
-    /// Aggregated statistics over every evaluated request.
-    pub stats: EvalStats,
-    /// Per-evaluator statistics.
-    pub per_machine: Vec<EvalStats>,
-    /// The activity/message trace.
-    pub trace: Trace,
-    /// Process names aligned with the trace.
-    pub names: Vec<String>,
-    /// Per-request root values (empty for shed requests).
-    pub root_values: Vec<Vec<(AttrId, V)>>,
-    /// Steal-scheduler telemetry for the run (all zeros under
-    /// [`SchedulerMode::Fixed`]).
-    pub sched: SchedCounters,
-    /// Crash/re-execution/duplicate-suppression telemetry (all zeros
-    /// when the [`FaultPlan`] is empty).
-    pub faults: FaultCounters,
-}
-
-impl<V> ServiceSimReport<V> {
-    /// End-to-end latency (arrival → roots resolved) of request `i`,
-    /// `None` if it was shed.
-    pub fn latency(&self, i: usize) -> Option<Time> {
-        self.finished[i].map(|f| f - self.arrivals[i])
-    }
-
-    /// All end-to-end latencies, request order.
-    pub fn latencies(&self) -> Vec<Option<Time>> {
-        (0..self.arrivals.len()).map(|i| self.latency(i)).collect()
-    }
-
-    /// Number of requests shed by admission control.
-    pub fn shed_count(&self) -> usize {
-        self.shed.iter().filter(|&&s| s).count()
-    }
-}
-
-/// Per-request service timestamps, filled in by the parser process and
-/// read back by [`run_sim_service`] after the run.
-struct ServiceTimes {
-    admitted: Mutex<Vec<Option<Time>>>,
-    dispatched: Mutex<Vec<Option<Time>>>,
-    shed: Mutex<Vec<bool>>,
-}
-
-/// The parser role of the service: parses each request when it
-/// arrives, applies bounded admission against the waiting queue, and
-/// dispatches waiting requests into the pipeline window in the order
-/// the [`DispatchPolicy`] prescribes. Resolution stays strictly in
-/// *dispatch* order — the pool retires tickets FIFO by dispatch, so a
-/// policy reorders service by choosing what enters the window, not by
-/// reordering what is already inside.
-struct ServiceParserProc<V: AttrValue> {
-    shared: Arc<BatchShared<V>>,
-    times: Arc<ServiceTimes>,
-    requests: Vec<SimRequest>,
-    /// Per-request work estimates ([`EvalPlan::tree_work`]) — known at
-    /// admission, before any evaluation.
-    works: Vec<u64>,
-    /// Bounded waiting-room size: an arrival finding this many waiting
-    /// requests is shed.
-    capacity: usize,
-    queue: PolicyQueue,
-    /// Dispatched, unretired tickets in dispatch order.
-    resolve_order: VecDeque<usize>,
-    resolving: bool,
-    region_dones: Vec<usize>,
-    arrivals_seen: usize,
-    admitted_count: usize,
-    finished: usize,
-}
-
-impl<V: AttrValue> ServiceParserProc<V> {
-    /// Fills free window slots from the waiting queue, in policy order.
-    fn try_dispatch(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        while self.resolve_order.len() < sh.depth {
-            let Some(job) = self.queue.pop() else { break };
-            let ticket = job.seq as usize;
-            self.times.dispatched.lock().unwrap()[ticket] = Some(ctx.now());
-            ship_regions(&sh, ctx, ticket);
-            self.resolve_order.push_back(ticket);
-        }
-    }
-
-    /// Resolves dispatched tickets whose regions have all reported, in
-    /// dispatch order (the pool's FIFO retirement).
-    fn advance(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        while !self.resolving {
-            let Some(&ticket) = self.resolve_order.front() else {
-                return;
-            };
-            let complete = {
-                let roots = sh.root_values.lock().unwrap();
-                roots[ticket].len() == sh.expected_roots[ticket]
-                    && self.region_dones[ticket] == sh.decomps[ticket].len()
-            };
-            if !complete {
-                return;
-            }
-            match sh.result {
-                ResultPropagation::Librarian => {
-                    ctx.phase("result propagation");
-                    ctx.send(sh.librarian, BatchMsg::Resolve { ticket }, 64, "resolve");
-                    self.resolving = true;
-                }
-                ResultPropagation::Naive => self.finish_ticket(ctx, ticket),
-            }
-        }
-    }
-
-    fn finish_ticket(&mut self, ctx: &mut Ctx<BatchMsg<V>>, ticket: usize) {
-        let sh = Arc::clone(&self.shared);
-        sh.finish.lock().unwrap()[ticket] = ctx.now();
-        self.finished += 1;
-        debug_assert_eq!(self.resolve_order.front(), Some(&ticket));
-        self.resolve_order.pop_front();
-        self.resolving = false;
-        // Retirement freed a window slot.
-        self.try_dispatch(ctx);
-        self.maybe_stop(ctx);
-    }
-
-    fn maybe_stop(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
-        if self.arrivals_seen == self.requests.len() && self.finished == self.admitted_count {
-            ctx.stop();
-        }
-    }
-}
-
-impl<V: AttrValue> Process<BatchMsg<V>> for ServiceParserProc<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<BatchMsg<V>>) {
-        // The whole arrival schedule becomes alarms; each request is
-        // parsed (and admission-checked) only when it arrives.
-        for (t, req) in self.requests.iter().enumerate() {
-            ctx.wake_at(req.arrival_us, BatchMsg::Arrive { ticket: t });
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<BatchMsg<V>>, _from: ProcId, msg: BatchMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        match msg {
-            BatchMsg::Arrive { ticket } => {
-                self.arrivals_seen += 1;
-                // Front-end parse of the arriving source.
-                ctx.phase("parse");
-                ctx.spend(sh.trees[ticket].len() as Time * sh.cost.parse_node_us);
-                if self.queue.len() >= self.capacity {
-                    // Backpressure: bounded waiting room, arrival shed.
-                    self.times.shed.lock().unwrap()[ticket] = true;
-                    self.maybe_stop(ctx);
-                    return;
-                }
-                self.times.admitted.lock().unwrap()[ticket] = Some(ctx.now());
-                self.admitted_count += 1;
-                self.queue.push(QueuedJob {
-                    seq: ticket as u64,
-                    tenant: self.requests[ticket].tenant,
-                    work: self.works[ticket],
-                });
-                self.try_dispatch(ctx);
-                self.maybe_stop(ctx);
-            }
-            BatchMsg::Attr {
-                ticket,
-                attr,
-                value,
-                ..
-            } => {
-                ctx.phase("result propagation");
-                {
-                    // A re-executed root region re-sends its roots;
-                    // each root attribute is unique per ticket, so
-                    // presence is the idempotency key (the pool's
-                    // exact rule).
-                    let mut roots = sh.root_values.lock().unwrap();
-                    if roots[ticket].iter().any(|(a, _)| *a == attr) {
-                        drop(roots);
-                        sh.sched.lock().unwrap().faults.dup_suppressed += 1;
-                        return;
-                    }
-                    roots[ticket].push((attr, value));
-                }
-                self.advance(ctx);
-            }
-            BatchMsg::Done { ticket } => {
-                self.region_dones[ticket] += 1;
-                self.advance(ctx);
-            }
-            BatchMsg::Resolved { ticket } => {
-                self.finish_ticket(ctx, ticket);
-                self.advance(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_peer_crash(&mut self, ctx: &mut Ctx<BatchMsg<V>>, peer: ProcId) {
-        recover_regions(&self.shared, ctx, peer);
-    }
-}
-
-/// Runs one simulated compilation *service*: `trees[i]` arrives as an
-/// open-arrival request at `requests[i].arrival_us`, is parsed and
-/// admission-checked on arrival (at most `queue_capacity` requests may
-/// wait; later arrivals are shed), and enters the evaluator park's
-/// pipeline window in the order `policy` prescribes. Everything
-/// downstream of dispatch — region machines, attribute exchange, the
-/// split-phase librarian, FIFO-by-dispatch retirement — is exactly the
-/// batched schedule of [`run_sim_batch_with`].
-///
-/// Fully deterministic, which is the point: policy rankings (FIFO vs
-/// shortest-job-first vs fair queueing) computed here are exactly
-/// reproducible, independent of host load, and the dispatch decisions
-/// are made by the same [`PolicyQueue`] the wall-clock service queue
-/// uses.
-///
-/// # Panics
-///
-/// Panics if evaluation fails or the protocol deadlocks, like
-/// [`run_sim_batch_with`]; also if `requests.len() != trees.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_service<V: AttrValue>(
-    trees: &[Arc<ParseTree<V>>],
-    requests: &[SimRequest],
-    plans: Option<&Arc<Plans>>,
-    config: &SimConfig,
-    pipeline_depth: usize,
-    granularity: RegionGranularity,
-    policy: DispatchPolicy,
-    queue_capacity: usize,
-) -> ServiceSimReport<V> {
-    run_sim_service_with_faults(
-        trees,
-        requests,
-        plans,
-        config,
-        pipeline_depth,
-        granularity,
-        policy,
-        queue_capacity,
-        &FaultPlan::default(),
-    )
-}
-
-/// [`run_sim_service`] under a [`FaultPlan`] — the open-arrival
-/// counterpart of [`run_sim_batch_with_faults`]: evaluator crashes and
-/// tagged message faults are injected mid-stream and the same
-/// region-re-execution recovery runs, so admitted requests complete
-/// with byte-identical results while [`ServiceSimReport::faults`]
-/// exposes the recovery telemetry.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_sim_service`], plus the
-/// fault-plan validity rules of [`run_sim_batch_with_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_service_with_faults<V: AttrValue>(
-    trees: &[Arc<ParseTree<V>>],
-    requests: &[SimRequest],
-    plans: Option<&Arc<Plans>>,
-    config: &SimConfig,
-    pipeline_depth: usize,
-    granularity: RegionGranularity,
-    policy: DispatchPolicy,
-    queue_capacity: usize,
-    faults: &FaultPlan,
-) -> ServiceSimReport<V> {
-    assert!(!trees.is_empty(), "service stream needs at least one tree");
-    assert_eq!(
-        trees.len(),
-        requests.len(),
-        "one request per tree, index-aligned"
-    );
-    assert!(
-        requests
-            .windows(2)
-            .all(|w| w[0].arrival_us <= w[1].arrival_us),
-        "requests must be sorted by arrival time (ticket order is arrival order)"
-    );
-    let g = trees[0].grammar();
-    assert!(
-        trees.iter().all(|t| Arc::ptr_eq(t.grammar(), g)),
-        "all trees in a stream share one grammar"
-    );
-    let depth = pipeline_depth.max(1);
-    let capacity = queue_capacity.max(1);
-    let table = SplitTable::new(g.as_ref(), config.min_size_scale);
-    let work = WorkTable::new(g.as_ref());
-    let decomps: Vec<Arc<Decomposition>> = trees
-        .iter()
-        .map(|t| Arc::new(decompose_granular(t, &table, &work, granularity)))
-        .collect();
-    let machines = decomps
-        .iter()
-        .map(|d| d.len())
-        .max()
-        .unwrap()
-        .min(config.machines.max(1));
-    validate_fault_plan(faults, config.scheduler, machines);
-    let expected_roots: Vec<usize> = trees
-        .iter()
-        .map(|t| {
-            let root_sym = g.prod(t.node(t.root()).prod).lhs;
-            g.symbol(root_sym).attrs_of_kind(AttrKind::Syn).count()
-        })
-        .collect();
-    let works: Vec<u64> = trees.iter().map(|t| work.tree_work(t)).collect();
-
-    let shared = Arc::new(BatchShared {
-        trees: trees.to_vec(),
-        decomps,
-        plan: Arc::new(EvalPlan::from_parts(g, plans.cloned(), None)),
-        cost: config.cost,
-        mode: config.mode,
-        result: config.result,
-        classifier: Arc::clone(&config.classifier),
-        librarian: ProcId(1 + machines),
-        parser: ProcId(0),
-        depth,
-        park: machines,
-        rotate: matches!(granularity, RegionGranularity::Adaptive { .. }),
-        scheduler: config.scheduler,
-        net: config.net,
-        sched: Mutex::new(SimSched {
-            deques: (0..machines).map(|_| VecDeque::new()).collect(),
-            table: HashMap::new(),
-            load: vec![0; machines],
-            busy_until: vec![0; machines],
-            counters: SchedCounters::default(),
-            dead: vec![false; machines],
-            logs: HashMap::new(),
-            faults: FaultCounters::default(),
-        }),
-        expected_roots,
-        eval_start: Mutex::new(0),
-        finish: Mutex::new(vec![0; trees.len()]),
-        root_values: Mutex::new(vec![Vec::new(); trees.len()]),
-        segstores: Mutex::new(HashMap::new()),
-        per_machine: Mutex::new(vec![EvalStats::default(); machines]),
-        error: Mutex::new(None),
-    });
-    let times = Arc::new(ServiceTimes {
-        admitted: Mutex::new(vec![None; trees.len()]),
-        dispatched: Mutex::new(vec![None; trees.len()]),
-        shed: Mutex::new(vec![false; trees.len()]),
-    });
-
-    let mut sim: Sim<BatchMsg<V>> = Sim::new(config.net);
-    sim.add_process(
-        "parser",
-        ServiceParserProc {
-            shared: Arc::clone(&shared),
-            times: Arc::clone(&times),
-            requests: requests.to_vec(),
-            works,
-            capacity,
-            queue: PolicyQueue::new(policy),
-            resolve_order: VecDeque::new(),
-            resolving: false,
-            region_dones: vec![0; trees.len()],
-            arrivals_seen: 0,
-            admitted_count: 0,
-            finished: 0,
+        sched: st.board.sched_counters(),
+        faults: st.board.fault_counters(),
+        arrivals: match arrivals {
+            Some(a) => a.requests.iter().map(|r| r.arrival_us).collect(),
+            None => vec![0; n],
         },
-    );
-    for r in 0..machines {
-        let letter = (b'a' + (r % 26) as u8) as char;
-        sim.add_process(
-            format!("evaluator-{letter}"),
-            BatchEvaluatorProc {
-                shared: Arc::clone(&shared),
-                evaluator: r,
-                running: Vec::new(),
-                parked: Vec::new(),
-            },
-        );
-    }
-    sim.add_process(
-        "librarian",
-        BatchLibrarianProc {
-            shared: Arc::clone(&shared),
-            ledger: SegmentLedger::new(),
-        },
-    );
-    sim.set_faults(faults.clone());
-    sim.run();
-
-    if let Some(e) = shared.error.lock().unwrap().take() {
-        panic!("service simulation evaluation failed: {e}");
-    }
-    let shed = times.shed.lock().unwrap().clone();
-    let finish_raw = shared.finish.lock().unwrap().clone();
-    let finished: Vec<Option<Time>> = finish_raw
-        .iter()
-        .zip(&shed)
-        .map(|(&f, &s)| if s { None } else { Some(f) })
-        .collect();
-    assert!(
-        finished.iter().zip(&shed).all(|(f, &s)| s || f.is_some()),
-        "service simulation ended with unresolved requests (deadlock?)"
-    );
-
-    let per_machine = shared.per_machine.lock().unwrap().clone();
-    let mut stats = EvalStats::default();
-    for s in &per_machine {
-        stats += *s;
-    }
-    let segstores = shared.segstores.lock().unwrap();
-    let root_values: Vec<Vec<(AttrId, V)>> = shared
-        .root_values
-        .lock()
-        .unwrap()
-        .iter()
-        .enumerate()
-        .map(|(t, roots)| {
-            let empty = SegmentStore::new();
-            let store = segstores.get(&t).unwrap_or(&empty);
-            roots.iter().map(|(a, v)| (*a, v.inflate(store))).collect()
-        })
-        .collect();
-    drop(segstores);
-
-    let admitted = times.admitted.lock().unwrap().clone();
-    let dispatched = times.dispatched.lock().unwrap().clone();
-    let (sched, fault_counters) = {
-        let st = shared.sched.lock().unwrap();
-        (st.counters, st.faults)
-    };
-    ServiceSimReport {
-        makespan: sim.now(),
-        arrivals: requests.iter().map(|r| r.arrival_us).collect(),
-        admitted,
-        dispatched,
-        finished,
-        shed,
-        regions: shared.decomps.iter().map(|d| d.len()).collect(),
-        stats,
-        per_machine,
-        trace: sim.trace().clone(),
-        names: sim.names().to_vec(),
-        root_values,
-        sched,
-        faults: fault_counters,
-    }
+        admitted: std::mem::take(&mut st.admitted),
+        dispatched: std::mem::take(&mut st.dispatched),
+        shed: std::mem::take(&mut st.shed),
+    })
 }
 
 #[cfg(test)]
@@ -2380,6 +1571,54 @@ mod tests {
 
     fn mini(n: usize) -> Mini {
         mini_shape(n, 6)
+    }
+
+    /// [`run_sim_stream`] of a pre-parsed batch on input the test knows
+    /// to be acceptable.
+    fn stream(
+        b: &MiniBatch,
+        cfg: &SimConfig,
+        depth: usize,
+        granularity: RegionGranularity,
+        faults: &FaultPlan,
+    ) -> BatchSimReport<Value> {
+        run_sim_stream(
+            &b.trees,
+            Some(&b.plans),
+            cfg,
+            depth,
+            granularity,
+            faults,
+            None,
+        )
+        .expect("acceptable input")
+    }
+
+    /// [`run_sim_stream`] as a service: one region per machine, the
+    /// given arrival schedule.
+    fn service(
+        b: &MiniBatch,
+        requests: &[SimRequest],
+        cfg: &SimConfig,
+        depth: usize,
+        policy: DispatchPolicy,
+        queue_capacity: usize,
+        faults: &FaultPlan,
+    ) -> BatchSimReport<Value> {
+        run_sim_stream(
+            &b.trees,
+            Some(&b.plans),
+            cfg,
+            depth,
+            RegionGranularity::Machines(cfg.machines),
+            faults,
+            Some(Arrivals {
+                requests,
+                policy,
+                queue_capacity,
+            }),
+        )
+        .expect("acceptable input")
     }
 
     fn root_code(report: &SimReport<Value>, attr: AttrId) -> Rope {
@@ -2525,12 +1764,12 @@ mod tests {
         let b = mini_batch(&[(96, 6), (10, 4), (48, 5)]);
         let work = WorkTable::new(b.trees[0].grammar().as_ref());
         let budget = (work.tree_work(&b.trees[0]) / 8).max(1);
-        let report = run_sim_batch_with(
-            &b.trees,
-            Some(&b.plans),
+        let report = stream(
+            &b,
             &SimConfig::paper(4),
             2,
             RegionGranularity::Adaptive { budget },
+            &FaultPlan::default(),
         );
         // The huge tree produced more regions than machines.
         assert!(report.regions[0] > 4, "regions: {:?}", report.regions);
@@ -2560,12 +1799,12 @@ mod tests {
         let budget = (work.tree_work(&b.trees[0]) / 8).max(1);
         let cfg = SimConfig::paper(4);
         let whole = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2).makespan;
-        let granular = run_sim_batch_with(
-            &b.trees,
-            Some(&b.plans),
+        let granular = stream(
+            &b,
             &cfg,
             2,
             RegionGranularity::Adaptive { budget },
+            &FaultPlan::default(),
         )
         .makespan;
         assert!(
@@ -2591,12 +1830,12 @@ mod tests {
         let budget = (biggest / 4).max(1);
         let cfg = SimConfig::paper(4);
         let pipelined = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2).makespan;
-        let granular = run_sim_batch_with(
-            &b.trees,
-            Some(&b.plans),
+        let granular = stream(
+            &b,
             &cfg,
             2,
             RegionGranularity::Adaptive { budget },
+            &FaultPlan::default(),
         )
         .makespan;
         assert!(
@@ -2695,9 +1934,10 @@ mod tests {
         let r2 = run_sim_batch(&b.trees, Some(&b.plans), &SimConfig::paper(3), 2);
         assert_eq!(r1.makespan, r2.makespan);
         assert_eq!(r1.finish_times, r2.finish_times);
-        // Depth-1 single-tree batch reproduces run_sim's code result.
+        // run_sim *is* the depth-1 batch of one: same time, same code.
         let single = run_sim(&b.trees[0], Some(&b.plans), &SimConfig::paper(3));
         let batch1 = run_sim_batch(&b.trees[..1], Some(&b.plans), &SimConfig::paper(3), 1);
+        assert_eq!(single.eval_time, batch1.makespan);
         let a = root_code(&single, b.code);
         let c = batch1.root_values[0]
             .iter()
@@ -2716,7 +1956,7 @@ mod tests {
             .collect()
     }
 
-    fn service_code(report: &ServiceSimReport<Value>, t: usize, attr: AttrId) -> Rope {
+    fn service_code(report: &BatchSimReport<Value>, t: usize, attr: AttrId) -> Rope {
         report.root_values[t]
             .iter()
             .find(|(a, _)| *a == attr)
@@ -2728,15 +1968,14 @@ mod tests {
     fn service_sim_with_simultaneous_arrivals_matches_batch_results() {
         let b = mini_batch(&[(24, 5), (9, 4), (31, 5), (16, 4)]);
         let req = requests_at(&[(0, 0), (0, 0), (0, 0), (0, 0)]);
-        let report = run_sim_service(
-            &b.trees,
+        let report = service(
+            &b,
             &req,
-            Some(&b.plans),
             &SimConfig::paper(3),
             2,
-            RegionGranularity::Machines(3),
             DispatchPolicy::Fifo,
             usize::MAX,
+            &FaultPlan::default(),
         );
         assert_eq!(report.shed_count(), 0);
         for (t, tree) in b.trees.iter().enumerate() {
@@ -2752,26 +1991,25 @@ mod tests {
             // Timestamps are coherent: arrival ≤ admit ≤ dispatch ≤ finish.
             let adm = report.admitted[t].expect("admitted");
             let dsp = report.dispatched[t].expect("dispatched");
-            let fin = report.finished[t].expect("finished");
+            let fin = report.finish_times[t];
             assert!(report.arrivals[t] <= adm && adm <= dsp && dsp <= fin);
         }
         // FIFO over simultaneous arrivals preserves submission order,
         // exactly like the batch schedule's FIFO retirement.
-        for w in report.finished.windows(2) {
-            assert!(w[0].unwrap() <= w[1].unwrap(), "finish order violated");
+        for w in report.finish_times.windows(2) {
+            assert!(w[0] <= w[1], "finish order violated");
         }
         // Deterministic replay.
-        let again = run_sim_service(
-            &b.trees,
+        let again = service(
+            &b,
             &req,
-            Some(&b.plans),
             &SimConfig::paper(3),
             2,
-            RegionGranularity::Machines(3),
             DispatchPolicy::Fifo,
             usize::MAX,
+            &FaultPlan::default(),
         );
-        assert_eq!(report.finished, again.finished);
+        assert_eq!(report.finish_times, again.finish_times);
         assert_eq!(report.makespan, again.makespan);
     }
 
@@ -2787,22 +2025,21 @@ mod tests {
         let b = mini_batch(&shapes);
         let req = requests_at(&(0..10).map(|i| (i as Time * 1_000, 0)).collect::<Vec<_>>());
         let run = |policy| {
-            run_sim_service(
-                &b.trees,
+            service(
+                &b,
                 &req,
-                Some(&b.plans),
                 &SimConfig::paper(4),
                 1,
-                RegionGranularity::Machines(4),
                 policy,
                 usize::MAX,
+                &FaultPlan::default(),
             )
         };
         let fifo = run(DispatchPolicy::Fifo);
         let sjf = run(DispatchPolicy::ShortestJobFirst);
         assert_eq!(fifo.shed_count(), 0);
         assert_eq!(sjf.shed_count(), 0);
-        let worst_small = |r: &ServiceSimReport<Value>| {
+        let worst_small = |r: &BatchSimReport<Value>| {
             (0..10)
                 .filter(|&i| i != 2)
                 .map(|i| r.latency(i).unwrap())
@@ -2839,15 +2076,14 @@ mod tests {
         let work = WorkTable::new(b.trees[0].grammar().as_ref());
         let quantum = work.tree_work(&b.trees[0]);
         let run = |policy| {
-            run_sim_service(
-                &b.trees,
+            service(
+                &b,
                 &req,
-                Some(&b.plans),
                 &SimConfig::paper(4),
                 1,
-                RegionGranularity::Machines(4),
                 policy,
                 usize::MAX,
+                &FaultPlan::default(),
             )
         };
         let fifo = run(DispatchPolicy::Fifo);
@@ -2868,15 +2104,14 @@ mod tests {
         let b = mini_batch(&[(16, 5); 6]);
         let req = requests_at(&(0..6).map(|i| (i as Time * 10, 0)).collect::<Vec<_>>());
         let run = || {
-            run_sim_service(
-                &b.trees,
+            service(
+                &b,
                 &req,
-                Some(&b.plans),
                 &SimConfig::paper(3),
                 1,
-                RegionGranularity::Machines(3),
                 DispatchPolicy::Fifo,
                 2,
+                &FaultPlan::default(),
             )
         };
         let report = run();
@@ -2891,26 +2126,25 @@ mod tests {
             if report.shed[t] {
                 assert_eq!(report.admitted[t], None);
                 assert_eq!(report.dispatched[t], None);
-                assert_eq!(report.finished[t], None);
+                assert_eq!(report.latency(t), None);
                 assert!(report.root_values[t].is_empty());
             } else {
-                assert!(report.finished[t].is_some());
+                assert!(report.finish_times[t] > 0);
                 assert!(service_code(&report, t, b.code).content_eq(&want));
             }
         }
         let again = run();
         assert_eq!(report.shed, again.shed);
-        assert_eq!(report.finished, again.finished);
+        assert_eq!(report.finish_times, again.finish_times);
         // A large enough waiting room sheds nothing from the same burst.
-        let roomy = run_sim_service(
-            &b.trees,
+        let roomy = service(
+            &b,
             &req,
-            Some(&b.plans),
             &SimConfig::paper(3),
             1,
-            RegionGranularity::Machines(3),
             DispatchPolicy::Fifo,
             6,
+            &FaultPlan::default(),
         );
         assert_eq!(roomy.shed_count(), 0);
     }
@@ -2963,9 +2197,8 @@ mod tests {
         let crash_at = clean.parse_time + clean.makespan / 3;
         let plan = FaultPlan::seeded(11).crash_restart(2, crash_at, 200_000);
         let run = || {
-            run_sim_batch_with_faults(
-                &b.trees,
-                Some(&b.plans),
+            stream(
+                &b,
                 &cfg,
                 2,
                 RegionGranularity::Machines(cfg.machines),
@@ -2999,9 +2232,8 @@ mod tests {
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         // Machine d dies for good; three survivors absorb its work.
         let plan = FaultPlan::seeded(3).crash(4, clean.parse_time + clean.makespan / 4);
-        let faulty = run_sim_batch_with_faults(
-            &b.trees,
-            Some(&b.plans),
+        let faulty = stream(
+            &b,
             &cfg,
             2,
             RegionGranularity::Machines(cfg.machines),
@@ -3020,19 +2252,8 @@ mod tests {
         let b = mini_batch(&[(24, 5), (16, 4), (31, 5), (20, 4), (28, 5), (12, 4)]);
         let req = requests_at(&(0..6).map(|i| (i as Time * 2_000, 0)).collect::<Vec<_>>());
         let cfg = SimConfig::paper(3).with_scheduler(SchedulerMode::Stealing);
-        let run = |plan: &FaultPlan| {
-            run_sim_service_with_faults(
-                &b.trees,
-                &req,
-                Some(&b.plans),
-                &cfg,
-                2,
-                RegionGranularity::Machines(3),
-                DispatchPolicy::Fifo,
-                usize::MAX,
-                plan,
-            )
-        };
+        let run =
+            |plan: &FaultPlan| service(&b, &req, &cfg, 2, DispatchPolicy::Fifo, usize::MAX, plan);
         let clean = run(&FaultPlan::default());
         assert_eq!(clean.shed_count(), 0);
         // Crash right after request 2's regions land on the deques:
@@ -3083,25 +2304,21 @@ mod tests {
         let b = mini_batch(&shapes);
         let req = requests_at(&(0..10).map(|i| (i as Time * 1_000, 0)).collect::<Vec<_>>());
         let run = |policy, capacity| {
-            run_sim_service(
-                &b.trees,
+            service(
+                &b,
                 &req,
-                Some(&b.plans),
                 &SimConfig::paper(4),
                 1,
-                RegionGranularity::Machines(4),
                 policy,
                 capacity,
+                &FaultPlan::default(),
             )
         };
         let fifo = run(DispatchPolicy::Fifo, usize::MAX);
         let sjf = run(DispatchPolicy::ShortestJobFirst, usize::MAX);
         let tight = run(DispatchPolicy::Fifo, 3);
-        let times = |r: &ServiceSimReport<Value>| -> Vec<Time> {
-            r.finished.iter().map(|f| f.unwrap_or(0)).collect()
-        };
         assert_eq!(
-            times(&fifo),
+            fifo.finish_times,
             [
                 385_764, 455_138, 1_025_429, 1_094_803, 1_164_177, 1_233_551, 1_302_925, 1_372_299,
                 1_441_673, 1_511_047
@@ -3109,7 +2326,7 @@ mod tests {
         );
         // SJF lets the seven waiting smalls pass the huge request 2.
         assert_eq!(
-            times(&sjf),
+            sjf.finish_times,
             [
                 385_764, 455_138, 1_511_047, 524_512, 593_886, 663_260, 732_634, 802_008, 871_382,
                 940_756
@@ -3124,7 +2341,7 @@ mod tests {
             [false, false, false, false, true, true, true, true, true, true]
         );
         assert_eq!(
-            times(&tight),
+            tight.finish_times,
             [385_764, 455_138, 1_025_429, 1_094_803, 0, 0, 0, 0, 0, 0]
         );
     }
@@ -3143,9 +2360,8 @@ mod tests {
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         let crash_at = clean.parse_time + clean.makespan / 3;
         let plan = FaultPlan::seeded(11).crash_restart(2, crash_at, 200_000);
-        let faulty = run_sim_batch_with_faults(
-            &b.trees,
-            Some(&b.plans),
+        let faulty = stream(
+            &b,
             &cfg,
             2,
             RegionGranularity::Machines(cfg.machines),
@@ -3172,34 +2388,81 @@ mod tests {
         assert_eq!(faulty.sched, sched);
     }
 
-    #[test]
-    #[should_panic(expected = "requires SchedulerMode::Stealing")]
-    fn crash_injection_without_the_stealing_scheduler_is_rejected() {
+    /// The error [`run_sim_stream`] returns for a one-tree stream on two
+    /// machines.
+    fn rejection(
+        cfg: &SimConfig,
+        faults: &FaultPlan,
+        arrivals: Option<Arrivals<'_>>,
+    ) -> Option<SimError> {
         let b = mini_batch(&[(16, 4)]);
-        let plan = FaultPlan::seeded(1).crash(1, 1_000);
-        run_sim_batch_with_faults(
+        let granularity = RegionGranularity::Machines(2);
+        run_sim_stream(
             &b.trees,
             Some(&b.plans),
-            &SimConfig::paper(2),
+            cfg,
             1,
-            RegionGranularity::Machines(2),
-            &plan,
+            granularity,
+            faults,
+            arrivals,
+        )
+        .err()
+    }
+
+    #[test]
+    fn crash_injection_without_the_stealing_scheduler_is_rejected() {
+        let plan = FaultPlan::seeded(1).crash(1, 1_000);
+        assert_eq!(
+            rejection(&SimConfig::paper(2), &plan, None),
+            Some(SimError::CrashNeedsStealing)
         );
     }
 
     #[test]
-    #[should_panic(expected = "not an evaluator machine")]
     fn crashing_the_parser_is_rejected() {
-        let b = mini_batch(&[(16, 4)]);
-        let plan = FaultPlan::seeded(1).crash(0, 1_000);
         let cfg = SimConfig::paper(2).with_scheduler(SchedulerMode::Stealing);
-        run_sim_batch_with_faults(
-            &b.trees,
-            Some(&b.plans),
-            &cfg,
-            1,
-            RegionGranularity::Machines(2),
-            &plan,
+        // Process 0 is the parser, 3 the librarian of a 2-machine park.
+        for proc in [0, 3] {
+            let plan = FaultPlan::seeded(1).crash(1, 500).crash(proc, 1_000);
+            assert_eq!(
+                rejection(&cfg, &plan, None),
+                Some(SimError::CrashTargetNotEvaluator { proc, machines: 2 })
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_streams_are_rejected() {
+        let cfg = SimConfig::paper(2);
+        let none = FaultPlan::default();
+        let arrivals = |requests| {
+            Some(Arrivals {
+                requests,
+                policy: DispatchPolicy::Fifo,
+                queue_capacity: 4,
+            })
+        };
+        assert_eq!(
+            rejection(&cfg, &none, arrivals(&[])),
+            Some(SimError::RequestCountMismatch {
+                trees: 1,
+                requests: 0
+            })
+        );
+        let b = mini_batch(&[(16, 4), (16, 4)]);
+        let run = |trees: &[Arc<ParseTree<Value>>], requests| {
+            let granularity = RegionGranularity::Machines(2);
+            run_sim_stream(trees, Some(&b.plans), &cfg, 1, granularity, &none, requests).err()
+        };
+        assert_eq!(run(&[], None), Some(SimError::EmptyStream));
+        let backwards = requests_at(&[(2_000, 0), (1_000, 0)]);
+        assert_eq!(
+            run(&b.trees, arrivals(&backwards)),
+            Some(SimError::UnsortedArrivals)
+        );
+        assert_eq!(
+            run(&b.trees, arrivals(&requests_at(&[(5, 0), (5, 0)]))),
+            None
         );
     }
 
@@ -3211,9 +2474,8 @@ mod tests {
         // A third of all attribute messages arrive 20 virtual ms late:
         // delivery reorders but the protocol is insensitive to it.
         let plan = FaultPlan::seeded(9).delay_tagged("attr", 333, 20_000);
-        let faulty = run_sim_batch_with_faults(
-            &b.trees,
-            Some(&b.plans),
+        let faulty = stream(
+            &b,
             &cfg,
             2,
             RegionGranularity::Machines(cfg.machines),

@@ -68,9 +68,9 @@
 //! or per-tenant deficit fair queueing — and per-request timestamps
 //! (enqueue → admit → first region dispatched → assembled). Policy
 //! rankings are reproducible on one core:
-//! `paragram_core::parallel::sim::run_sim_service` replays the same
-//! policies (literally the same `PolicyQueue` code) on the simulated
-//! machine park.
+//! `paragram_core::parallel::sim::run_sim_stream`, given an arrival
+//! schedule, replays the same policies (literally the same
+//! `PolicyQueue` code) on the simulated machine park.
 //!
 //! # Example
 //!

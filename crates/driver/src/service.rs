@@ -18,8 +18,8 @@
 //!   deficit fair queueing. The pool retires trees FIFO in *dispatch*
 //!   order, so the policy's entire lever is choosing what enters the
 //!   pipeline window next — exactly the lever the simulated service
-//!   (`paragram_core::parallel::sim::run_sim_service`) models with the
-//!   same `PolicyQueue` code.
+//!   (`paragram_core::parallel::sim::run_sim_stream` with `Arrivals`)
+//!   models with the same `PolicyQueue` code.
 //! * **Non-blocking progress.** [`ServiceQueue::offer`] never blocks
 //!   and performs no pool work; [`ServiceQueue::pump`] drains worker
 //!   completions ([`WorkerPool::poll`]), tops up the pipeline window,

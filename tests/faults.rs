@@ -2,8 +2,8 @@
 //! batch must still compile to exactly the fault-free bytes.
 //!
 //! Two layers are exercised. The simulated network multiprocessor
-//! (`run_sim_batch_with_faults`) takes seeded chaos schedules — a
-//! crash/restart of a random evaluator at a random point of the run,
+//! (`run_sim_stream` under a `FaultPlan`) takes seeded chaos schedules —
+//! a crash/restart of a random evaluator at a random point of the run,
 //! optionally with a slice of attribute messages arbitrarily delayed —
 //! and every tree's root attributes must come back byte-identical to
 //! the fault-free run, with the recovery visible in `FaultCounters`.
@@ -13,9 +13,7 @@
 
 use paragram::core::grammar::AttrId;
 use paragram::core::parallel::pool::{FaultCounters, SchedulerMode};
-use paragram::core::parallel::sim::{
-    run_sim_batch, run_sim_batch_with_faults, BatchSimReport, SimConfig,
-};
+use paragram::core::parallel::sim::{run_sim_batch, run_sim_stream, BatchSimReport, SimConfig};
 use paragram::core::split::RegionGranularity;
 use paragram::core::tree::ParseTree;
 use paragram::netsim::FaultPlan;
@@ -106,14 +104,16 @@ mod chaos {
                 plan = plan.delay_tagged("attr", permille, delay);
             }
 
-            let faulty = run_sim_batch_with_faults(
+            let faulty = run_sim_stream(
                 &trees,
                 Some(plans),
                 &cfg,
                 depth,
                 RegionGranularity::Machines(machines),
                 &plan,
-            );
+                None,
+            )
+            .unwrap();
             prop_assert_eq!(faulty.faults.crashes, 1, "seed {}: {:?}", seed, faulty.faults);
             prop_assert_eq!(
                 canonical_roots(&clean),
@@ -125,14 +125,16 @@ mod chaos {
 
             // And the chaos itself is deterministic: the same plan
             // replays to the same virtual history.
-            let again = run_sim_batch_with_faults(
+            let again = run_sim_stream(
                 &trees,
                 Some(plans),
                 &cfg,
                 depth,
                 RegionGranularity::Machines(machines),
                 &plan,
-            );
+                None,
+            )
+            .unwrap();
             prop_assert_eq!(faulty.makespan, again.makespan, "seed {}", seed);
             prop_assert_eq!(faulty.faults, again.faults, "seed {}", seed);
         }
@@ -155,14 +157,16 @@ fn crash_recovery_makespan_stays_bounded() {
         clean.parse_time + clean.makespan / 3,
         clean.makespan / 10,
     );
-    let faulty = run_sim_batch_with_faults(
+    let faulty = run_sim_stream(
         &trees,
         Some(plans),
         &cfg,
         2,
         RegionGranularity::Machines(4),
         &plan,
-    );
+        None,
+    )
+    .unwrap();
     assert_eq!(canonical_roots(&clean), canonical_roots(&faulty));
     assert!(faulty.faults.regions_reexecuted > 0, "{:?}", faulty.faults);
     assert!(
