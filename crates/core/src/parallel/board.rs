@@ -558,27 +558,23 @@ mod tests {
     #[test]
     fn routed_values_attach_to_queued_jobs_and_migrate_with_a_steal() {
         let mut b = TestBoard::new(2);
+        // A parent/child pair is co-seeded: both jobs queue on w0.
         seed(&mut b, 0, &[4, 4], ());
-        let to = (0, 1);
-        let w = b.jobs[&to].loc.worker();
-        assert_eq!(b.route(1 - w, to, NodeId(9), AttrId(0), &77), Some(w));
+        let (to, w, thief) = ((0, 1), 0, 1);
+        assert_eq!(b.jobs[&to].loc, JobLoc::Queued(w));
+        assert_eq!(b.route(thief, to, NodeId(9), AttrId(0), &77), Some(w));
         assert!(matches!(
             b.deliver(w, to, NodeId(9), AttrId(0), 77),
             Delivery::Stored
         ));
         // The same instance again is a replayed send.
-        assert_eq!(b.route(1 - w, to, NodeId(9), AttrId(0), &77), None);
+        assert_eq!(b.route(thief, to, NodeId(9), AttrId(0), &77), None);
         assert_eq!(b.fault_counters().dup_suppressed, 1);
         assert_eq!(b.sched_counters().remote_sends, 1);
-        // Drain w's own front so the other worker's claim is a steal.
-        let thief = 1 - w;
-        while b.deques[thief].pop_front().is_some() {}
-        let first = b.claim(thief, |_, _| true).unwrap();
-        let got = if first.key == to {
-            first
-        } else {
-            b.claim(thief, |_, _| true).unwrap()
-        };
+        // w1's deque is empty, so its claim steals — from the back.
+        let got = b.claim(thief, |_, _| true).unwrap();
+        assert_eq!(got.key, to);
+        assert_eq!(b.sched_counters().migrated_attrs, 1);
         assert_eq!(got.early, vec![(NodeId(9), AttrId(0), 77)]);
         // A straggler delivered to the old home is forwarded.
         assert!(matches!(

@@ -1353,7 +1353,11 @@ pub fn run_sim_stream<V: AttrValue>(
         ParserProc {
             shared: Arc::clone(&shared),
             requests: arrivals.map(|a| a.requests.to_vec()),
-            works: trees.iter().map(|t| work.tree_work(t)).collect(),
+            // A batch waits in submission order: no estimate needed.
+            works: match arrivals {
+                Some(_) => trees.iter().map(|t| work.tree_work(t)).collect(),
+                None => vec![0; n],
+            },
             capacity: arrivals.map_or(usize::MAX, |a| a.queue_capacity.max(1)),
             waiting: PolicyQueue::new(arrivals.map_or(DispatchPolicy::Fifo, |a| a.policy)),
             seen: 0,
