@@ -40,8 +40,13 @@
 //! comparison on a stream led by the huge tree, plus a
 //! store-construction axis (total/peak machine-store slots per
 //! decomposition vs the tree's instance count — the O(region) win of
-//! region-local stores). Emits a `single_tree` section in the JSON. In
-//! `--smoke` mode the paper-sized tree stands in for the huge one.
+//! region-local stores), plus the huge tree's *retire share* —
+//! `assemble / (elapsed + assemble)` of
+//! [`paragram_driver::TreeOutput`], the part of a tree's pool time
+//! spent after its last region reported — printed and gated. Emits a
+//! `single_tree` section in the JSON. In `--smoke` mode the
+//! paper-sized tree stands in for the huge one everywhere but the
+//! retire share.
 //!
 //! Writes `BENCH_throughput.json` (override with `--out`). `--smoke`
 //! runs a seconds-scale subset and writes nothing unless `--out` is
@@ -82,7 +87,7 @@ use paragram_netsim::FaultPlan;
 use paragram_pascal::generator::{generate, GenConfig};
 use paragram_pascal::{Compiler, PVal};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Args {
     smoke: bool,
@@ -542,6 +547,11 @@ fn run_memo(compiler: &Compiler, args: &Args, out: &mut String) {
     out.push_str("  },\n");
 }
 
+/// Upper bound on the huge tree's retire share (see
+/// [`run_single_tree`]): this box reads 0.24–0.28 now, and read
+/// 0.6–0.7 while retirement re-walked every code rope.
+const RETIRE_SHARE_GATE: f64 = 0.40;
+
 /// The `--single-tree` axis: one bigger-than-paper tree compiled
 /// whole-tree (fixed-count regions ≤ workers) vs adaptive-region
 /// (cost-driven budget, regions ≫ workers), reps interleaved so the
@@ -597,6 +607,43 @@ fn run_single_tree(compiler: &Compiler, args: &Args, out: &mut String) {
     let wall_ratio = wm as f64 / am as f64;
     println!(
         "  whole-tree: median {wm} ns ({whole_regions} regions); adaptive-region: median {am} ns ({adaptive_regions} regions) — adaptive is {wall_ratio:.2}x whole-tree wall clock"
+    );
+
+    // Retire share: of dispatch → finished output, the part the
+    // retiring thread spends after the last region reported (librarian
+    // reply, memo install, store assembly, inflation). Always on the
+    // huge tree, where a retirement that re-walks code text shows: it
+    // was 0.6–0.7 there before retirement became O(boundary). What is
+    // left is sizing the whole-tree store and moving the region stores
+    // into it. Each duration is the fastest of five runs — a box that
+    // stalls can only add to either — and their ratio is gated.
+    let huge_tree = if args.smoke {
+        compiler
+            .tree_from_source(&generate(&GenConfig::huge()))
+            .expect("generated workload parses")
+    } else {
+        Arc::clone(&tree)
+    };
+    let (mut retire_elapsed, mut retire_assemble) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        let cp = CompilationPlan::from_plan(plan, whole_cfg);
+        let output = BatchDriver::new(&cp)
+            .compile_tree(&huge_tree)
+            .expect("evaluation succeeds");
+        retire_elapsed = retire_elapsed.min(output.elapsed);
+        retire_assemble = retire_assemble.min(output.assemble);
+    }
+    let retire_share =
+        retire_assemble.as_secs_f64() / (retire_elapsed + retire_assemble).as_secs_f64();
+    println!(
+        "  retire share (huge, {} nodes, fastest of 5): assemble {:.1} ms / (elapsed {:.1} ms + assemble) = {retire_share:.2}",
+        huge_tree.len(),
+        retire_assemble.as_secs_f64() * 1e3,
+        retire_elapsed.as_secs_f64() * 1e3,
+    );
+    assert!(
+        retire_share <= RETIRE_SHARE_GATE,
+        "retiring the huge tree took {retire_share:.2} of its pool time (gate {RETIRE_SHARE_GATE}): is retirement walking code text again?"
     );
 
     // Store-construction axis: how many attribute slots the region
@@ -659,6 +706,12 @@ fn run_single_tree(compiler: &Compiler, args: &Args, out: &mut String) {
     ));
     out.push_str(&format!(
         "    \"adaptive_vs_whole_tree_wall\": {wall_ratio:.2},\n"
+    ));
+    out.push_str(&format!(
+        "    \"retire\": {{ \"tree_nodes\": {}, \"elapsed_ns\": {}, \"assemble_ns\": {}, \"share\": {retire_share:.3} }},\n",
+        huge_tree.len(),
+        retire_elapsed.as_nanos(),
+        retire_assemble.as_nanos()
     ));
     out.push_str("    \"store_slots\": {\n");
     out.push_str(&format!("      \"tree_instances\": {tree_instances},\n"));

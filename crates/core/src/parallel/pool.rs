@@ -76,6 +76,39 @@
 //! inflation) overlaps tree N+1's evaluation. Depth 1 restores the
 //! strict one-epoch-per-tree barrier.
 //!
+//! # What retirement costs
+//!
+//! Retiring a ticket ([`PoolReport::assemble`]) runs on whichever
+//! thread collects it — the batch driver's caller, or the service
+//! queue's pump — after the tree's last rule has fired, so none of it
+//! overlaps that tree's evaluation. It is, in order: the wait for the
+//! librarian's reply; inflating the root values; the memo install scan
+//! (memo on only: one `is_fingerprintable` + `wire_size` per value of
+//! each cacheable region not yet cached); sizing the whole-tree store
+//! ([`AttrStore::new`], O(instances), mostly first-touch page faults);
+//! moving every region's owned span into it
+//! ([`AttrStore::absorb_region`], O(instances), one move per value);
+//! and [`AttrStore::inflate_all`], one look at every instance and a
+//! rewrite of those that hold segment references.
+//!
+//! Nothing in that list reads code text. A node's code rope contains
+//! its whole subtree's, so any per-instance step that walks its rope
+//! costs Σ subtree sizes — several times a sequential evaluation on a
+//! large tree. The rope answers "does this hold a segment reference"
+//! and "how many bytes would this put on the wire" from cached fields,
+//! resolution descends only towards the references and shares the
+//! rest, and a value without references is neither cloned nor dropped
+//! ([`AttrValue::inflate`] returns `None`). What remains is
+//! proportional to the number of attribute instances (allocate + move:
+//! ≈ 35 ms of a 264 k-node tree's ≈ 40 ms retirement) plus what
+//! crossed region boundaries. The same holds on the sending side:
+//! [`AttrValue::deflate`] hands text to the librarian as shared
+//! sub-ropes, so a boundary send does not copy the region's code.
+//!
+//! A segment reference the librarian cannot resolve fails the ticket
+//! with [`EvalError::UnknownSegment`] — never a store with text
+//! missing.
+//!
 //! # Placement: fixed modular vs. the scheduler board
 //!
 //! [`SchedulerMode`] selects how region jobs land on workers:
@@ -445,9 +478,20 @@ pub struct PoolReport<V: AttrValue> {
     pub segments: SegmentStore,
     /// Aggregated statistics.
     pub stats: EvalStats,
-    /// Wall-clock time from job dispatch to retirement. Under a
-    /// pipelined window this overlaps with neighbouring trees' times.
+    /// Wall-clock time from job dispatch until the retiring thread had
+    /// every region's `Done` in hand — it stops *before* the librarian
+    /// is asked to resolve, so it covers decomposition-to-last-rule and
+    /// nothing of retirement. Read on the retiring thread when it gets
+    /// to this ticket, so it also counts any time the finished regions
+    /// sat unread; under a pipelined window it overlaps with
+    /// neighbouring trees' times.
     pub elapsed: Duration,
+    /// Wall-clock time of retirement, on the retiring thread, starting
+    /// where `elapsed` stops: the wait for the librarian's reply, root
+    /// inflation, memo installation, whole-tree store allocation,
+    /// region absorption and [`AttrStore::inflate_all`]. `elapsed +
+    /// assemble` is dispatch to finished report.
+    pub assemble: Duration,
     /// Number of regions actually used.
     pub regions: usize,
 }
@@ -1111,53 +1155,53 @@ impl<V: AttrValue> WorkerPool<V> {
             let msg = self.parser_rx.recv().expect("workers alive");
             self.route(msg);
         }
-        if self.in_flight.front().expect("checked").failed.is_some() {
-            let fl = self.in_flight.pop_front().expect("checked");
-            // Keep the librarian protocol in lockstep: resolve the
-            // failed ticket's registrations and discard them.
-            self.lib_tx
-                .send(LibMsg::Resolve { ticket: fl.ticket })
-                .expect("librarian alive");
-            let _ = self.lib_reply_rx.recv().expect("librarian replies");
-            return Err(TicketFailure {
-                ticket: fl.ticket,
-                error: fl.failed.expect("checked"),
-            });
-        }
-        Ok(self.assemble_front())
-    }
-
-    /// Retires the (complete) oldest in-flight tree: librarian
-    /// resolution, root inflation, sparse store assembly.
-    fn assemble_front(&mut self) -> PoolReport<V> {
-        let fl = self.in_flight.pop_front().expect("checked non-empty");
-        debug_assert_eq!(
-            fl.raw_roots.len(),
-            fl.expected_roots,
-            "root attrs precede Done"
-        );
+        let mut fl = self.in_flight.pop_front().expect("checked non-empty");
+        let retiring = Instant::now();
 
         // The librarian's deferred resolution for this ticket: all of
         // its registrations were enqueued before the Dones we just
         // drained, while later tickets' registrations keep streaming.
+        // A failed ticket resolves too — and discards the reply — to
+        // keep the protocol in lockstep.
         self.lib_tx
             .send(LibMsg::Resolve { ticket: fl.ticket })
             .expect("librarian alive");
         let (ticket, segments) = self.lib_reply_rx.recv().expect("librarian replies");
         debug_assert_eq!(ticket, fl.ticket, "resolutions are issued in order");
-        let root_values: Vec<(AttrId, V)> = fl
-            .raw_roots
-            .iter()
-            .map(|(a, v)| (*a, v.inflate(&segments)))
-            .collect();
-        let elapsed = fl.start.elapsed();
 
-        // Sparse assembly: size the whole-tree store once, then map each
-        // region's O(region) owned span into it through the
-        // decomposition's slot layout (region order — deterministic,
-        // though the spans are disjoint anyway), and finally resolve
-        // segment references so the result is independent of the
-        // decomposition.
+        match fl.failed.take() {
+            Some(error) => Err(error),
+            None => self.assemble(fl, segments, retiring),
+        }
+        .map_err(|error| TicketFailure { ticket, error })
+    }
+
+    /// Builds the report of a ticket whose regions all reported: root
+    /// inflation, memo installation, sparse store assembly, inflation
+    /// of the store. `retiring` is when retirement began (the end of
+    /// [`PoolReport::elapsed`], the start of [`PoolReport::assemble`]).
+    ///
+    /// A segment reference `segments` cannot resolve fails the ticket
+    /// ([`EvalError::UnknownSegment`]): handing out a store whose code
+    /// text silently lacks a lost registration's share is worse than
+    /// handing out none.
+    fn assemble(
+        &self,
+        fl: InFlight<V>,
+        segments: SegmentStore,
+        retiring: Instant,
+    ) -> Result<PoolReport<V>, EvalError> {
+        debug_assert_eq!(
+            fl.raw_roots.len(),
+            fl.expected_roots,
+            "root attrs precede Done"
+        );
+        let root_values = fl
+            .raw_roots
+            .into_iter()
+            .map(|(a, v)| Ok((a, v.inflate(&segments)?.unwrap_or(v))))
+            .collect::<Result<Vec<(AttrId, V)>, EvalError>>()?;
+
         // Retire-time memo installation: every cacheable region of a
         // successfully evaluated tree deposits its owned span under its
         // input signature, so later structurally identical requests can
@@ -1228,6 +1272,12 @@ impl<V: AttrValue> WorkerPool<V> {
             }
         }
 
+        // Sparse assembly: size the whole-tree store once, then map each
+        // region's O(region) owned span into it through the
+        // decomposition's slot layout (region order — deterministic,
+        // though the spans are disjoint anyway), and finally resolve
+        // segment references so the result is independent of the
+        // decomposition.
         let mut stats = EvalStats::default();
         let mut store = AttrStore::new(&fl.tree);
         for r in fl.region_results.into_iter() {
@@ -1235,17 +1285,18 @@ impl<V: AttrValue> WorkerPool<V> {
             stats += s;
             store.absorb_region(&fl.tree, region_store);
         }
-        store.inflate_all(&segments);
+        store.inflate_all(&segments)?;
 
-        PoolReport {
+        Ok(PoolReport {
             ticket: fl.ticket,
             root_values,
             store,
             segments,
             stats,
-            elapsed,
+            elapsed: retiring.duration_since(fl.start),
+            assemble: retiring.elapsed(),
             regions: fl.regions,
-        }
+        })
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
@@ -2905,5 +2956,153 @@ mod tests {
         let s1 = ledger.resolve(1);
         assert_eq!(s1.get(id).unwrap().to_string(), "tree one");
         assert!(ledger.resolve(7).is_empty());
+    }
+
+    /// [`memo_fixture`]'s memo-safe chain with *rope* code, long enough
+    /// that every region's code clears the deflation threshold — so
+    /// values really cross region boundaries as segment references.
+    fn rope_memo_fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
+        use crate::tree::token;
+        let mut g = GrammarBuilder::<Value>::new();
+        let s = g.nonterminal("S");
+        let l = g.nonterminal("stmts");
+        let num = g.terminal("num");
+        let val = g.synthesized(num, "val");
+        let out = g.synthesized(s, "out");
+        let env = g.inherited(l, "env");
+        let code = g.synthesized(l, "code");
+        g.mark_split(l, 4);
+        let top = g.production("top", s, [num, l]);
+        g.rule(top, (2, env), [(1, val)], |a| a[0].clone());
+        g.rule(top, (0, out), [(2, code)], |a| a[0].clone());
+        let cons = g.production("cons", l, [num, l]);
+        g.rule(cons, (2, env), [(0, env)], |a| a[0].clone());
+        g.rule(cons, (0, code), [(1, val), (0, env), (2, code)], |a| {
+            let line = format!(
+                "movl ${}, r{}\n",
+                a[0].as_int().unwrap(),
+                a[1].as_int().unwrap()
+            );
+            Value::Rope(Rope::from(line).concat(a[2].as_rope().unwrap()))
+        });
+        let nil = g.production("nil", l, []);
+        g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
+        let grammar = Arc::new(g.build(s).unwrap());
+        let plan = Arc::new(EvalPlan::analyze(&grammar));
+        let mut tb = TreeBuilder::new(&grammar);
+        let mut tail = tb.leaf(nil);
+        for v in (0..n as i64).rev() {
+            tail = tb.node_full(cons, vec![token(vec![Value::Int(v)]), tail.into()]);
+        }
+        let root = tb.node_full(top, vec![token(vec![Value::Int(7)]), tail.into()]);
+        (Arc::new(tb.finish(root).unwrap()), plan, out)
+    }
+
+    #[test]
+    fn retired_store_needs_no_inflating_and_matches_static_eval() {
+        let (t1, plan, out) = rope_memo_fixture(600);
+        // Built independently: distinct arena, identical subtree hashes
+        // (what the memo replays across).
+        let (t2, _, _) = rope_memo_fixture(600);
+        let (want, _) = crate::eval::static_eval(&t1, plan.plans().unwrap()).unwrap();
+        let want_root = want.get(t1.root(), out).unwrap();
+        let budget = (plan.tree_work(&t1) / 12).max(1);
+        for granularity in [
+            RegionGranularity::Machines(2),
+            RegionGranularity::Machines(8),
+            RegionGranularity::Adaptive { budget },
+        ] {
+            for (depth, memo) in [(1, 0), (1, 1 << 28), (2, 0), (2, 1 << 28)] {
+                let what = format!("{granularity:?} depth {depth} memo {memo}");
+                let config = PoolConfig::combined(2)
+                    .with_granularity(granularity)
+                    .with_pipeline_depth(depth)
+                    .with_memo_capacity(memo);
+                let mut pool = WorkerPool::new(&plan, config);
+                if matches!(granularity, RegionGranularity::Adaptive { .. }) {
+                    let d = decompose_granular(&t1, &pool.split, plan.work_table(), granularity);
+                    let nesting = |mut r: RegionId| {
+                        let mut levels = 1;
+                        while let Some(p) = d.regions[r as usize].parent {
+                            (r, levels) = (p, levels + 1);
+                        }
+                        levels
+                    };
+                    let deepest = (0..d.len() as RegionId).map(nesting).max().unwrap();
+                    assert!(deepest >= 3, "{what}: regions nest {deepest} deep");
+                }
+                // The third submission finds the first retired (its
+                // spans installed) at either window depth.
+                for tree in [&t1, &t2, &t1] {
+                    pool.submit(tree);
+                }
+                let mut retired = 0;
+                while let Some(report) = pool.collect() {
+                    let report = report.expect("evaluation succeeds");
+                    retired += 1;
+                    assert!(report.regions > 1, "{what}: tree was split");
+                    assert!(
+                        !report.segments.is_empty(),
+                        "{what}: code crossed region boundaries as segments"
+                    );
+                    assert_eq!(report.store.filled(), report.store.len(), "{what}");
+                    for i in 0..report.store.len() {
+                        let got = report.store.get_by_index(i).unwrap();
+                        assert_eq!(
+                            got.inflate(&report.segments),
+                            Ok(None),
+                            "{what}: instance {i} still holds a segment reference"
+                        );
+                        assert_eq!(Some(got), want.get_by_index(i), "{what}: instance {i}");
+                    }
+                    let root = &report
+                        .root_values
+                        .iter()
+                        .find(|(a, _)| *a == out)
+                        .unwrap()
+                        .1;
+                    assert_eq!(root.inflate(&report.segments), Ok(None), "{what}");
+                    assert_eq!(root.to_string(), want_root.to_string(), "{what}: root code");
+                }
+                assert_eq!(retired, 3, "{what}");
+                if memo > 0 {
+                    let hits = pool.memo_counters().unwrap().hits;
+                    assert!(hits >= 1, "{what}: a later tree replays from the memo");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lost_registration_fails_its_ticket_with_a_named_error() {
+        let (tree, plan, out) = fixture(600);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(3));
+        pool.submit(&tree);
+        while !pool.front_complete() {
+            let msg = pool.parser_rx.recv().expect("workers alive");
+            pool.route(msg);
+        }
+        // Lose the ticket's registrations: resolve them away behind the
+        // pool's back, so its own resolution finds an empty store.
+        pool.lib_tx.send(LibMsg::Resolve { ticket: 0 }).unwrap();
+        let (_, lost) = pool.lib_reply_rx.recv().unwrap();
+        assert!(!lost.is_empty(), "the tree registered code segments");
+
+        let Some(Err(failure)) = pool.collect() else {
+            panic!("the ticket must fail");
+        };
+        assert_eq!(failure.ticket, 0);
+        let EvalError::UnknownSegment { id } = failure.error else {
+            panic!("expected UnknownSegment, got {}", failure.error);
+        };
+        assert!(lost.get(id).is_some(), "names a segment that was lost");
+        assert!(failure.to_string().contains("never registered"));
+
+        // Ticket-scoped: the pool keeps serving.
+        let report = pool.eval(&tree).unwrap();
+        let (dstore, _) = dynamic_eval(&tree).unwrap();
+        let want = dstore.get(tree.root(), out).unwrap().as_rope().unwrap();
+        assert!(root_rope(&report, out).content_eq(want));
+        assert!(report.assemble > Duration::ZERO);
     }
 }

@@ -1265,7 +1265,8 @@ pub fn run_sim_batch<V: AttrValue>(
 /// # Panics
 ///
 /// Panics if the trees do not share one grammar, if evaluation fails
-/// (cycle or plan inconsistency) or if the protocol deadlocks —
+/// (cycle, plan inconsistency, or a root value naming a code segment
+/// the librarian never received) or if the protocol deadlocks —
 /// validate the grammar with the sequential evaluators first.
 pub fn run_sim_stream<V: AttrValue>(
     trees: &[Arc<ParseTree<V>>],
@@ -1417,13 +1418,21 @@ pub fn run_sim_stream<V: AttrValue>(
         stats += *s;
     }
     let empty = SegmentStore::new();
-    let root_values = st
-        .roots
-        .iter()
+    let root_values = std::mem::take(&mut st.roots)
+        .into_iter()
         .enumerate()
         .map(|(t, roots)| {
             let store = st.segstores.get(&t).unwrap_or(&empty);
-            roots.iter().map(|(a, v)| (*a, v.inflate(store))).collect()
+            roots
+                .into_iter()
+                .map(|(a, v)| match v.inflate(store) {
+                    Ok(resolved) => (a, resolved.unwrap_or(v)),
+                    Err(e) => panic!(
+                        "simulated parallel evaluation failed: {}",
+                        EvalError::from(e)
+                    ),
+                })
+                .collect()
         })
         .collect();
     Ok(BatchSimReport {

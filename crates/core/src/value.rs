@@ -7,7 +7,7 @@
 //! crate and the examples; the Pascal compiler defines its own richer
 //! domain.
 
-use paragram_rope::Rope;
+use paragram_rope::{Rope, SegmentId, SegmentStore, UnknownSegment};
 use paragram_symtab::SymTab;
 use std::fmt;
 use std::sync::Arc;
@@ -33,17 +33,34 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
     /// text with the librarian). Returns `None` when the value carries
     /// no deflatable text — the default for non-string domains.
     ///
+    /// Called on the evaluator's thread for every value sent towards
+    /// the root, so it should not cost time in proportion to the text:
+    /// [`Rope::deflate`] hands text over as shared sub-ropes.
+    ///
     /// Only the *string data type implementation* changes for the
     /// librarian optimization; grammars and evaluators are untouched,
     /// exactly as the paper claims.
-    fn deflate(&self, _alloc: &mut dyn FnMut(Rope) -> paragram_rope::SegmentId) -> Option<Self> {
+    fn deflate(&self, _alloc: &mut dyn FnMut(Rope) -> SegmentId) -> Option<Self> {
         None
     }
 
-    /// Inverse hook: resolve any segment references against the
-    /// librarian's store. Default: identity.
-    fn inflate(&self, _store: &paragram_rope::SegmentStore) -> Self {
-        self.clone()
+    /// Inverse hook: the value with every segment reference resolved
+    /// against the librarian's store, or `Ok(None)` when it holds none
+    /// and is already its own resolution — the default, and the answer
+    /// for all but the few values that crossed a region boundary.
+    ///
+    /// [`crate::tree::AttrStore::inflate_all`] asks this of every
+    /// instance a parallel evaluation retires and rewrites only the
+    /// `Some`s, so the `None` answer must be O(1) and allocate nothing
+    /// ([`Rope::has_segments`] is a field read).
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownSegment`] when a reference names a segment the store
+    /// does not hold. The value must not be used as if it were text:
+    /// text-reading rope methods skip unresolved references.
+    fn inflate(&self, _store: &SegmentStore) -> Result<Option<Self>, UnknownSegment> {
+        Ok(None)
     }
 
     /// Content fingerprint for memoization (subtree hashing and region
@@ -237,7 +254,7 @@ impl AttrValue for Value {
         }
     }
 
-    fn deflate(&self, alloc: &mut dyn FnMut(Rope) -> paragram_rope::SegmentId) -> Option<Self> {
+    fn deflate(&self, alloc: &mut dyn FnMut(Rope) -> SegmentId) -> Option<Self> {
         match self {
             Value::Rope(r) => {
                 let (deflated, created) = r.deflate(DEFLATE_THRESHOLD, alloc);
@@ -247,13 +264,10 @@ impl AttrValue for Value {
         }
     }
 
-    fn inflate(&self, store: &paragram_rope::SegmentStore) -> Self {
+    fn inflate(&self, store: &SegmentStore) -> Result<Option<Self>, UnknownSegment> {
         match self {
-            Value::Rope(r) if r.has_segments() => match r.resolve(store) {
-                Ok(resolved) => Value::Rope(resolved),
-                Err(_) => self.clone(),
-            },
-            _ => self.clone(),
+            Value::Rope(r) if r.has_segments() => Ok(Some(Value::Rope(r.resolve(store)?))),
+            _ => Ok(None),
         }
     }
 

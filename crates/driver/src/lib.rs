@@ -316,8 +316,17 @@ pub struct TreeOutput<V: AttrValue> {
     pub store: AttrStore<V>,
     /// Evaluation statistics aggregated over all regions.
     pub stats: EvalStats,
-    /// Wall-clock evaluation time for this tree.
+    /// Wall-clock evaluation time for this tree: region-job dispatch
+    /// until every region had reported to the retiring thread. It stops
+    /// *before* retirement — the librarian's resolution, memo
+    /// installation, store assembly and inflation are `assemble`
+    /// ([`PoolReport::elapsed`] has the details).
     pub elapsed: Duration,
+    /// Wall-clock retirement time for this tree, on the thread that
+    /// retired it, starting where `elapsed` stops
+    /// ([`PoolReport::assemble`]); `elapsed + assemble` is dispatch to
+    /// finished output.
+    pub assemble: Duration,
     /// Regions (machines) this tree was decomposed into.
     pub regions: usize,
 }
@@ -337,6 +346,7 @@ impl<V: AttrValue> TreeOutput<V> {
             store: report.store,
             stats: report.stats,
             elapsed: report.elapsed,
+            assemble: report.assemble,
             regions: report.regions,
         }
     }

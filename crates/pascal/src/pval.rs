@@ -152,13 +152,13 @@ impl AttrValue for PVal {
         }
     }
 
-    fn inflate(&self, store: &paragram_rope::SegmentStore) -> Self {
+    fn inflate(
+        &self,
+        store: &paragram_rope::SegmentStore,
+    ) -> Result<Option<Self>, paragram_rope::UnknownSegment> {
         match self {
-            PVal::Code(c) if c.has_segments() => match c.resolve(store) {
-                Ok(r) => PVal::Code(r),
-                Err(_) => self.clone(),
-            },
-            _ => self.clone(),
+            PVal::Code(c) if c.has_segments() => Ok(Some(PVal::Code(c.resolve(store)?))),
+            _ => Ok(None),
         }
     }
 
@@ -345,7 +345,10 @@ mod tests {
             })
             .expect("big code deflates");
         assert!(d.wire_size() < v.wire_size());
-        let back = d.inflate(&store);
+        let back = d.inflate(&store).unwrap().expect("references to resolve");
         assert_eq!(back.code().to_string(), text);
+        assert!(back.inflate(&store).unwrap().is_none());
+        let lost = d.inflate(&paragram_rope::SegmentStore::new());
+        assert_eq!(lost.unwrap_err().0, SegmentId::from_parts(0, 0));
     }
 }

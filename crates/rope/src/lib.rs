@@ -20,6 +20,30 @@
 //! assert_eq!(code.len(), a.len() + b.len());
 //! assert_eq!(code.to_string(), "movl r1, r2\naddl2 $4, r2\n");
 //! ```
+//!
+//! # Cost of each operation
+//!
+//! With *n* the number of nodes (leaves + concatenations), *d* the
+//! depth and *s* the number of segment references reachable — counting,
+//! for `resolve`, those inside the segments it splices in:
+//!
+//! | O(1) | O(d) | O(s · d) | O(n) |
+//! |---|---|---|---|
+//! | `new`, `leaf`¹, `seg`, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `physical_wire_size`, `has_segments`, `ptr_eq`, `clone` | `byte_at` | `deflate`, `resolve` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `pieces`, `seg_ids`, `from_iter` |
+//!
+//! ¹ plus copying the text handed in. Nothing else copies text except
+//! `to_string`, `lines`, `pieces` and `rebalance`.
+//!
+//! Every concatenation node caches its length, depth, whether a
+//! segment reference lies below it and the bytes it physically carries,
+//! all fixed at construction. That is what keeps the librarian's
+//! bookkeeping — asked of every attribute value a parallel evaluation
+//! retires — from re-walking code text: `physical_wire_size` reads a
+//! field of the root, `has_segments` one of the handle itself, and
+//! `deflate`/`resolve` descend only towards segment references and
+//! share every other sub-rope.
+//! Dropping the last handle to a rope frees it node by node, O(n) and
+//! recursive in *d*.
 
 mod descriptor;
 mod seg;
@@ -37,13 +61,24 @@ pub(crate) enum RNode {
     Leaf(Arc<str>),
     /// Reference to librarian-stored text with its logical length.
     Seg(SegmentId, usize),
+    /// `has_seg` and `phys` are fixed at construction (nodes are
+    /// immutable), which is what makes [`Rope::has_segments`] and
+    /// [`Rope::physical_wire_size`] field reads.
     Concat {
         left: Arc<RNode>,
         right: Arc<RNode>,
         len: usize,
         depth: u32,
+        /// Some node below is a `Seg`.
+        has_seg: bool,
+        /// Bytes physically carried below: literal text plus
+        /// [`SEG_REF_BYTES`] per `Seg`.
+        phys: usize,
     },
 }
+
+/// Bytes a segment reference occupies on the wire (tag + 64-bit id).
+const SEG_REF_BYTES: usize = 9;
 
 impl RNode {
     fn len(&self) -> usize {
@@ -58,6 +93,22 @@ impl RNode {
         match self {
             RNode::Leaf(_) | RNode::Seg(..) => 0,
             RNode::Concat { depth, .. } => *depth,
+        }
+    }
+
+    fn has_seg(&self) -> bool {
+        match self {
+            RNode::Leaf(_) => false,
+            RNode::Seg(..) => true,
+            RNode::Concat { has_seg, .. } => *has_seg,
+        }
+    }
+
+    fn phys(&self) -> usize {
+        match self {
+            RNode::Leaf(s) => s.len(),
+            RNode::Seg(..) => SEG_REF_BYTES,
+            RNode::Concat { phys, .. } => *phys,
         }
     }
 }
@@ -77,6 +128,11 @@ impl RNode {
 #[derive(Clone, Default)]
 pub struct Rope {
     pub(crate) root: Option<Arc<RNode>>,
+    /// The root's [`RNode::has_seg`], copied into the handle so that
+    /// [`Rope::has_segments`] — asked once per attribute instance when a
+    /// parallel evaluation retires — does not follow the pointer. Fits
+    /// the padding of the value enums that hold a rope.
+    pub(crate) has_seg: bool,
 }
 
 impl Rope {
@@ -87,7 +143,7 @@ impl Rope {
     /// assert!(r.is_empty());
     /// ```
     pub fn new() -> Self {
-        Rope { root: None }
+        Rope::default()
     }
 
     /// Creates a rope holding a single leaf with `text`.
@@ -98,6 +154,7 @@ impl Rope {
         } else {
             Rope {
                 root: Some(Arc::new(RNode::Leaf(text))),
+                has_seg: false,
             }
         }
     }
@@ -133,14 +190,20 @@ impl Rope {
         match (&self.root, &other.root) {
             (None, _) => other.clone(),
             (_, None) => self.clone(),
-            (Some(l), Some(r)) => Rope {
-                root: Some(Arc::new(RNode::Concat {
-                    len: l.len() + r.len(),
-                    depth: l.depth().max(r.depth()) + 1,
-                    left: Arc::clone(l),
-                    right: Arc::clone(r),
-                })),
-            },
+            (Some(l), Some(r)) => {
+                let has_seg = self.has_seg || other.has_seg;
+                Rope {
+                    root: Some(Arc::new(RNode::Concat {
+                        len: l.len() + r.len(),
+                        depth: l.depth().max(r.depth()) + 1,
+                        has_seg,
+                        phys: l.phys() + r.phys(),
+                        left: Arc::clone(l),
+                        right: Arc::clone(r),
+                    })),
+                    has_seg,
+                }
+            }
         }
     }
 
@@ -235,6 +298,16 @@ impl Rope {
     /// over the network in flattened form (text plus a length header).
     pub fn wire_size(&self) -> usize {
         self.len() + 8
+    }
+
+    /// `true` if both ropes are the same allocation (or both empty) —
+    /// a clone, not merely equal text. O(1).
+    pub fn ptr_eq(&self, other: &Rope) -> bool {
+        match (&self.root, &other.root) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// `true` if both ropes have identical text content.

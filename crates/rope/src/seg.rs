@@ -30,19 +30,14 @@ impl Rope {
         }
         Rope {
             root: Some(Arc::new(RNode::Seg(id, len))),
+            has_seg: true,
         }
     }
 
-    /// `true` if the rope contains unresolved segment references.
+    /// `true` if the rope contains unresolved segment references. O(1):
+    /// the flag is cached in every concatenation node and in the handle.
     pub fn has_segments(&self) -> bool {
-        fn go(n: &RNode) -> bool {
-            match n {
-                RNode::Leaf(_) => false,
-                RNode::Seg(..) => true,
-                RNode::Concat { left, right, .. } => go(left) || go(right),
-            }
-        }
-        self.root.as_deref().is_some_and(go)
+        self.has_seg
     }
 
     /// Segment ids referenced, left to right.
@@ -83,6 +78,14 @@ impl Rope {
     /// segments allocated through `alloc` (which must register the text
     /// with the librarian). Segment references already present are kept.
     ///
+    /// A *run* is a maximal stretch of text between segment references
+    /// (or the rope's ends). No text is copied: the walk descends only
+    /// into sub-ropes that hold a segment reference and takes every
+    /// other sub-rope whole, so a run is handed to `alloc` — or left in
+    /// the result — as a concatenation of shared sub-ropes.
+    /// O(references × depth), independent of the amount of text; a
+    /// reference-free rope is one run and costs O(1).
+    ///
     /// Returns the deflated rope and how many new segments were created.
     pub fn deflate(
         &self,
@@ -91,59 +94,109 @@ impl Rope {
     ) -> (Rope, usize) {
         let mut created = 0;
         let mut result = Rope::new();
-        for piece in self.pieces() {
-            match piece {
-                Piece::Text(t) if t.len() >= threshold => {
-                    let len = t.len();
-                    let id = alloc(Rope::leaf(t));
-                    result.push_rope(&Rope::seg(id, len));
-                    created += 1;
+        let mut run = Rope::new();
+        let mut close_run = |run: &mut Rope, result: &mut Rope| {
+            let text = std::mem::take(run);
+            if text.len() >= threshold && !text.is_empty() {
+                let len = text.len();
+                result.push_rope(&Rope::seg(alloc(text), len));
+                created += 1;
+            } else {
+                result.push_rope(&text);
+            }
+        };
+        let mut stack: Vec<&Arc<RNode>> = self.root.iter().collect();
+        while let Some(n) = stack.pop() {
+            match n.as_ref() {
+                RNode::Concat {
+                    left,
+                    right,
+                    has_seg: true,
+                    ..
+                } => {
+                    stack.push(right);
+                    stack.push(left);
                 }
-                Piece::Text(t) => result.push_str(&t),
-                Piece::Seg(id, len) => result.push_rope(&Rope::seg(id, len)),
+                RNode::Seg(..) => {
+                    close_run(&mut run, &mut result);
+                    result.push_rope(&Rope::share(n));
+                }
+                RNode::Leaf(_) | RNode::Concat { .. } => run.push_rope(&Rope::share(n)),
             }
         }
+        close_run(&mut run, &mut result);
         (result, created)
     }
 
     /// Resolves every segment reference against `store`, producing a
     /// pure-text rope.
     ///
+    /// Structural: the walk descends only into sub-ropes that hold a
+    /// segment reference, splices the stored segment rope in (resolving
+    /// it the same way when it references segments itself — an inner
+    /// evaluator's descriptors) and shares every other sub-rope, so no
+    /// text is copied and a reference-free rope comes back as itself.
+    /// O(references × depth), counting the references inside spliced
+    /// segments.
+    ///
     /// # Errors
     ///
     /// [`UnknownSegment`] if a referenced segment was never registered.
     pub fn resolve(&self, store: &SegmentStore) -> Result<Rope, UnknownSegment> {
-        if !self.has_segments() {
-            return Ok(self.clone());
+        /// Post-order rebuild on explicit stacks: ropes are as deep as
+        /// the statement lists that produced them.
+        enum Step<'a> {
+            Visit(&'a Arc<RNode>),
+            Join,
         }
-        let mut result = Rope::new();
-        for piece in self.pieces() {
-            match piece {
-                Piece::Text(t) => result.push_str(&t),
-                Piece::Seg(id, _) => {
-                    let r = store.get(id).ok_or(UnknownSegment(id))?;
-                    // Stored text may itself contain segments (an inner
-                    // evaluator's descriptors); resolve recursively.
-                    result.push_rope(&r.resolve(store)?);
+        let mut steps: Vec<Step<'_>> = self.root.iter().map(Step::Visit).collect();
+        let mut built: Vec<Rope> = Vec::new();
+        while let Some(step) = steps.pop() {
+            match step {
+                Step::Visit(n) => match n.as_ref() {
+                    RNode::Concat {
+                        left,
+                        right,
+                        has_seg: true,
+                        ..
+                    } => {
+                        steps.push(Step::Join);
+                        steps.push(Step::Visit(right));
+                        steps.push(Step::Visit(left));
+                    }
+                    RNode::Seg(id, _) => {
+                        let stored = store.get(*id).ok_or(UnknownSegment(*id))?;
+                        match &stored.root {
+                            Some(root) => steps.push(Step::Visit(root)),
+                            None => built.push(Rope::new()),
+                        }
+                    }
+                    RNode::Leaf(_) | RNode::Concat { .. } => built.push(Rope::share(n)),
+                },
+                Step::Join => {
+                    let right = built.pop().expect("right operand built");
+                    let left = built.pop().expect("left operand built");
+                    built.push(left.concat(&right));
                 }
             }
         }
-        Ok(result)
+        Ok(built.pop().unwrap_or_default())
     }
 
     /// Bytes physically carried by this rope on the wire: literal text
     /// plus 9 bytes per segment reference plus a header. This is what
     /// the librarian optimization shrinks — the logical [`Rope::len`] is
-    /// unchanged.
+    /// unchanged. O(1): the sum is cached in every concatenation node.
     pub fn physical_wire_size(&self) -> usize {
-        fn go(n: &RNode) -> usize {
-            match n {
-                RNode::Leaf(s) => s.len(),
-                RNode::Seg(..) => 9,
-                RNode::Concat { left, right, .. } => go(left) + go(right),
-            }
+        8 + self.root.as_deref().map_or(0, RNode::phys)
+    }
+
+    /// A rope over an existing node (shares it).
+    fn share(node: &Arc<RNode>) -> Rope {
+        Rope {
+            has_seg: node.has_seg(),
+            root: Some(Arc::clone(node)),
         }
-        8 + self.root.as_deref().map_or(0, go)
     }
 }
 
@@ -276,6 +329,38 @@ mod tests {
         assert_eq!(
             deflated.resolve(&store).unwrap().to_string(),
             format!("{local}CHILD")
+        );
+    }
+
+    #[test]
+    fn deflate_hands_text_over_without_copying_it() {
+        let one = Rope::from("x".repeat(300));
+        let child = SegmentId::from_parts(1, 0);
+        let mut handed: Vec<Rope> = Vec::new();
+        let mut alloc = |text: Rope| {
+            handed.push(text);
+            SegmentId::from_parts(2, handed.len() as u32)
+        };
+        // A reference-free rope is one run: handed over as it is.
+        let (_, created) = one.deflate(256, &mut alloc);
+        assert_eq!(created, 1);
+        let many = one
+            .concat(&Rope::from("yy"))
+            .concat(&Rope::seg(child, 4))
+            .concat(&Rope::from("z"));
+        let (deflated, created) = many.deflate(256, &mut alloc);
+        assert_eq!(created, 1);
+        assert!(handed[0].ptr_eq(&one));
+        assert_eq!(handed[1].to_string(), format!("{}yy", "x".repeat(300)));
+        let x = one.chunks().next().unwrap().as_ptr();
+        assert_eq!(handed[1].chunks().next().unwrap().as_ptr(), x);
+        assert_eq!(
+            deflated.pieces(),
+            vec![
+                Piece::Seg(SegmentId::from_parts(2, 2), 302),
+                Piece::Seg(child, 4),
+                Piece::Text("z".into())
+            ]
         );
     }
 
