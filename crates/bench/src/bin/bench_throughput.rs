@@ -30,6 +30,11 @@
 //! procedure-sized program, and `unit`, a compilation-unit-sized one.
 //! Trees are parsed up front (the paper's parser is a separate
 //! sequential pipeline stage); distinct seeds make the trees distinct.
+//! Each scale also prints how many regions the default decomposition
+//! cuts its trees into (`regions_per_tree` in the JSON): both scales
+//! are far below the pool's hand-off floor, so the answer is 1, and a
+//! `--smoke` run fails if the `proc` scale says otherwise — a count,
+//! so it holds on a noisy runner.
 //!
 //! A third axis, **`--single-tree`**, measures region-granular
 //! scheduling on one bigger-than-paper tree ([`GenConfig::huge`], ≥10×
@@ -278,6 +283,16 @@ fn run_batch(
     let report = driver.compile_batch(stream).expect("evaluation succeeds");
     std::hint::black_box(report.outputs.len());
     t.elapsed().as_nanos()
+}
+
+/// The most regions any of `trees` is cut into by the driver's default
+/// decomposition on `workers` workers.
+fn regions_per_tree(compiler: &Compiler, trees: &[Arc<ParseTree<PVal>>], workers: usize) -> usize {
+    let plan = CompilationPlan::analyze(&compiler.pg.grammar, DriverConfig::workers(workers));
+    let report = BatchDriver::new(&plan)
+        .compile_batch(trees.iter().cloned())
+        .expect("evaluation succeeds");
+    report.outputs.iter().map(|o| o.regions).max().unwrap_or(0)
 }
 
 fn median(mut xs: Vec<u128>) -> u128 {
@@ -920,6 +935,13 @@ fn main() {
 
         out.push_str(&format!("  \"{}\": {{\n", scale.name));
         out.push_str(&format!("    \"tree_nodes_avg\": {nodes_avg},\n"));
+        let regions = regions_per_tree(&compiler, &trees, args.workers);
+        println!("  {}: regions per tree {regions}", scale.name);
+        out.push_str(&format!("    \"regions_per_tree\": {regions},\n"));
+        assert!(
+            !(args.smoke && scale.name == "proc") || regions == 1,
+            "a procedure-sized tree was cut into {regions} regions: trees below the pool's hand-off floor must stay whole"
+        );
         // Per mode: (batch, trees/sec) series.
         let mut per_mode: Vec<Vec<(usize, f64)>> = vec![Vec::new(); args.modes.len()];
         for &batch in batch_sizes {

@@ -11,13 +11,16 @@
 //!   deliver, retire, crash-reseed and cancel. [`pool`] and [`sim`] are
 //!   its two drivers, so "the simulator runs the deployed policy"
 //!   holds by construction, not by two files kept in step.
-//! * [`pool`] — persistent evaluator worker pool (threads + librarian
-//!   spawned once) scheduling **region jobs** — `(ticket, region)`
-//!   pairs, not whole trees: the batched-compilation runtime, with
-//!   split-phase code combining (registration streams during
-//!   evaluation, resolution at the parser's final read), a small
-//!   cross-tree pipeline window, and cost-driven adaptive decomposition
-//!   so one huge tree fills the pool like a batch of small ones. Two
+//! * [`pool`] — persistent evaluator worker pool (threads spawned
+//!   once; the librarian is a segment ledger they share under a mutex,
+//!   not a thread of its own) scheduling **region jobs** —
+//!   `(ticket, region)` pairs, not whole trees: the batched-compilation
+//!   runtime, with split-phase code combining (registration streams
+//!   during evaluation, resolution at the parser's final read), a
+//!   small cross-tree pipeline window, no split below the measured
+//!   cost of a hand-off between threads, and cost-driven
+//!   adaptive decomposition so one huge tree fills the pool like a
+//!   batch of small ones. Two
 //!   placements: fixed modular assignment (the paper's layout, the
 //!   default, no shared state) and `SchedulerMode::Stealing`, which
 //!   drives the board from worker threads under one mutex and moves

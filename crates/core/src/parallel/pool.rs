@@ -6,10 +6,10 @@
 //! batched driver compiling a stream of trees, that per-compilation
 //! spin-up (thread creation, channel setup, librarian start) is pure
 //! overhead repeated per tree. [`WorkerPool`] hoists it: evaluator
-//! threads and the string librarian are spawned **once** and fed
-//! per-tree region jobs over their channels; each worker keeps a
-//! [`MachineScratch`] alive so construction/evaluation buffer capacity
-//! also carries over from tree to tree.
+//! threads are spawned **once** and fed per-tree region jobs over their
+//! channels; each worker keeps a [`MachineScratch`] alive so
+//! construction/evaluation buffer capacity also carries over from tree
+//! to tree. The pool runs exactly [`PoolConfig::workers`] threads.
 //!
 //! # Tickets and the split-phase librarian
 //!
@@ -17,14 +17,33 @@
 //! [`Ticket`]. The librarian protocol is *split-phase*, exactly as the
 //! paper's §4.2 code-combining protocol allows:
 //!
-//! * **Registration** streams: workers ship code segments to the
+//! * **Registration** streams: workers hand code segments to the
 //!   librarian *while evaluation is still running*, tagged with their
 //!   tree's ticket ([`SegmentLedger`] keeps one segment store per
 //!   in-flight ticket, so consecutive trees' segments never collide).
 //! * **Resolution** is deferred to the parser's final read of that
-//!   tree: only when the pool retires a ticket does it ask the
-//!   librarian to resolve — and by then the *next* tree's registrations
-//!   are already streaming in.
+//!   tree: only when the pool retires a ticket does it take the
+//!   ticket's segment store — and by then the *next* tree's
+//!   registrations are already streaming in.
+//!
+//! The paper's librarian is a process because its machines share
+//! nothing. Threads share memory, so here the librarian is the ledger
+//! itself, not a thread that owns one: workers register straight into a
+//! [`SegmentLedger`] shared under a mutex, and retirement takes the
+//! ticket's store out of it. The protocol is the same — a worker
+//! registers a value's segments *before* it sends the message carrying
+//! the value, and every region's registrations happen-before the `Done`
+//! it sends afterwards, so by the time the retiring thread has every
+//! `Done` in hand the ticket's entry is complete. What is gone is a
+//! third thread on a box that already runs the workers and the caller,
+//! and a blocking rendezvous with it at every retirement (measured
+//! 75–160 µs per small tree, up to 25 ms on a huge one when the
+//! librarian had to wait for a CPU). The lock is held for one
+//! registration or one take at a time, never across a semantic-rule
+//! call. An entry lives from `submit` to retirement: a registration
+//! for a ticket no longer in flight (a region of a failed ticket that
+//! has not seen its `Cancel` yet) is dropped, so an idle pool's ledger
+//! is empty — debug builds assert it.
 //!
 //! # Region-granular scheduling
 //!
@@ -43,10 +62,10 @@
 //!            └─ job (t,r) ─▶ worker w(t,r)    (ticket, region) first
 //!                  │
 //!                  │  Attr { t, region, .. }   between (t,q) machines
-//!                  │  Register { t, .. }       streams to librarian
+//!                  │  register_open(t, ..)     into the shared ledger
 //!                  ▼
 //! Done(t, q) per region ─▶ parser assembles InFlight(t)
-//!                        ─▶ Resolve(t) at retirement ─▶ PoolReport
+//!                        ─▶ resolve(t) at retirement ─▶ PoolReport
 //! ```
 //!
 //! Because regions — not trees — are the work items, a single huge tree
@@ -58,15 +77,32 @@
 //! blocking behind a big tree's longest region, because every worker
 //! holds several of the big tree's regions and any younger tree's
 //! regions besides. [`RegionGranularity::Machines`] (the default,
-//! regions ≤ workers) reproduces the paper's fixed one-region-per-
-//! machine decomposition and the pre-region-granular pool schedule.
+//! regions ≤ workers) is the paper's fixed one-region-per-machine
+//! decomposition *with the paper's granularity argument applied to
+//! threads*: §3 gives every `%split` nonterminal a minimum size so a
+//! subtree too small to repay shipping is never split off, and the pool
+//! asks for `min(n, tree_work / MIN_REGION_WORK)` regions (at least
+//! one), so a tree below twice the hand-off cost stays whole and is one
+//! job. The floor is a private constant of this file whose doc comment
+//! carries the measured crossover; a paper-sized tree (≥ 25 k nodes) is
+//! far above it and decomposes exactly as before. An explicit
+//! [`RegionGranularity::Adaptive`] budget is not floored, and neither
+//! is the simulator, whose hand-off cost is the modelled network and
+//! whose minima are the grammar's.
 //!
 //! # Cross-tree pipelining
 //!
 //! Because registration and resolution are decoupled per ticket, the
 //! pool needs no barrier between trees. A small in-flight window
 //! ([`PoolConfig::pipeline_depth`], default 2) lets tree N+1's region
-//! jobs dispatch while tree N's regions drain; workers multiplex their
+//! jobs dispatch while tree N's regions drain — with small trees one
+//! job each and placement rotating by ticket, that is one tree per
+//! worker on two workers. (A window of two trees *per worker*, so that
+//! a worker's next tree is already in its channel when it finishes the
+//! current one, was measured on the 2-core box and did not pay: the
+//! numbers are in ROADMAP's Status notes. A pool of more workers fed
+//! small trees wants `with_pipeline_depth(workers)` or more — a whole
+//! tree occupies one worker.) Workers multiplex their
 //! machines **oldest job first**: whenever an older machine starves
 //! (blocked on an attribute from a straggling peer — e.g. downstream of
 //! the symbol-table pipeline), the worker steps the next job's machine
@@ -81,8 +117,10 @@
 //! Retiring a ticket ([`PoolReport::assemble`]) runs on whichever
 //! thread collects it — the batch driver's caller, or the service
 //! queue's pump — after the tree's last rule has fired, so none of it
-//! overlaps that tree's evaluation. It is, in order: the wait for the
-//! librarian's reply; inflating the root values; the memo install scan
+//! overlaps that tree's evaluation. It waits on no other thread — the
+//! ticket's segment store is taken out of the shared ledger under a
+//! lock no one holds for longer than one registration. It is, in
+//! order: inflating the root values; the memo install scan
 //! (memo on only: one `is_fingerprintable` + `wire_size` per value of
 //! each cacheable region not yet cached); sizing the whole-tree store
 //! ([`AttrStore::new`], O(instances), mostly first-touch page faults);
@@ -105,7 +143,7 @@
 //! [`AttrValue::deflate`] hands text to the librarian as shared
 //! sub-ropes, so a boundary send does not copy the region's code.
 //!
-//! A segment reference the librarian cannot resolve fails the ticket
+//! A segment reference the ticket's store cannot resolve fails the ticket
 //! with [`EvalError::UnknownSegment`] — never a store with text
 //! missing.
 //!
@@ -114,12 +152,14 @@
 //! [`SchedulerMode`] selects how region jobs land on workers:
 //!
 //! * [`SchedulerMode::Fixed`] (the default) pins every job by a pure
-//!   function of its `(ticket, region)` pair — `region mod W` under
-//!   fixed-count granularity (the paper's region-k-on-machine-k
-//!   placement), `(region + ticket) mod W` under adaptive granularity
-//!   (the rotation keeps consecutive trees' low regions off one
-//!   worker). Dispatch and attribute routing share the function, so
-//!   they can never drift apart — and no shared mutable state exists.
+//!   function of its `(ticket, region)` pair, `(region + ticket) mod W`
+//!   at either granularity: a ticket's regions go round-robin over the
+//!   workers (with no more regions than workers, the paper's
+//!   one-region-per-machine placement) from a start that rotates with
+//!   the ticket, which keeps consecutive trees' region 0 — a small
+//!   tree's only region — off one worker. Dispatch and attribute
+//!   routing share the function, so they can never drift apart — and
+//!   no shared scheduler state exists.
 //! * [`SchedulerMode::Stealing`] replaces the pure function with the
 //!   scheduler board (`parallel/board.rs`): per-worker deques, a
 //!   job-location table, load accounts and per-job input logs, with
@@ -301,10 +341,12 @@ impl std::error::Error for TicketFailure {}
 /// Configuration for a [`WorkerPool`].
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Number of persistent evaluator threads. Under the default
-    /// fixed-count granularity this is also the per-tree region target;
-    /// under adaptive granularity a tree may decompose into more
-    /// regions than workers, which then round-robin over the pool.
+    /// Number of persistent evaluator threads — all the threads the
+    /// pool runs. Under the default fixed-count granularity this is
+    /// also the most regions a tree is cut into (a tree whose work does
+    /// not repay shipping that many is cut into fewer, a small one not
+    /// at all); under adaptive granularity a tree may decompose into
+    /// more regions than workers, which then round-robin over the pool.
     pub workers: usize,
     /// Combined or purely dynamic machines.
     pub mode: MachineMode,
@@ -315,11 +357,13 @@ pub struct PoolConfig {
     /// Maximum number of trees in flight at once. Depth 1 is the strict
     /// per-tree barrier; depth 2 (the default) lets the next tree's
     /// region jobs fill workers idling behind the current tree's
-    /// stragglers.
+    /// stragglers — and, since a small tree is one job, is what puts
+    /// two small trees on two workers at once.
     pub pipeline_depth: usize,
     /// How trees are carved into region jobs:
-    /// [`RegionGranularity::Machines`] (one region per worker, the
-    /// paper's decomposition and the constructors' default) or
+    /// [`RegionGranularity::Machines`] (at most one region per worker
+    /// and none below the hand-off cost — the paper's decomposition and
+    /// the constructors' default) or
     /// [`RegionGranularity::Adaptive`] (one region per work budget, so
     /// a huge tree yields many jobs that round-robin over the workers).
     pub granularity: RegionGranularity,
@@ -432,6 +476,21 @@ impl PoolConfig {
 /// resolution removes and returns exactly one ticket's store, leaving
 /// other tickets' registrations untouched — which is what lets trees
 /// overlap in the pool without their segments colliding.
+///
+/// One ledger, two drivers. The simulator's librarian *process* owns
+/// one and is fed by messages ([`SegmentLedger::register`] opens a
+/// ticket's entry on first sight — its machines share nothing, so the
+/// librarian cannot know a ticket before a segment names it). The pool
+/// shares one between its workers and the retiring thread under a
+/// mutex, and keeps the entries closed by construction: `submit`
+/// [opens](SegmentLedger::open) a ticket's entry, workers register
+/// [only into an open one](SegmentLedger::register_open), retirement
+/// [takes](SegmentLedger::resolve) it — so a straggler region of a
+/// ticket that already failed and retired cannot re-create an entry
+/// nothing would ever remove. The pool's lock is held for one
+/// `register_open`, one `open` or one `resolve` at a time: a hash
+/// lookup and at most one map insertion, never across a semantic-rule
+/// call, a channel operation or another lock.
 #[derive(Debug, Default)]
 pub struct SegmentLedger {
     tickets: HashMap<Ticket, SegmentStore>,
@@ -443,9 +502,27 @@ impl SegmentLedger {
         Self::default()
     }
 
-    /// Streams one segment registration for `ticket`.
+    /// Opens `ticket`'s (empty) entry, so that
+    /// [`SegmentLedger::register_open`] accepts registrations for it
+    /// until it is [resolved](SegmentLedger::resolve).
+    pub fn open(&mut self, ticket: Ticket) {
+        self.tickets.entry(ticket).or_default();
+    }
+
+    /// Streams one segment registration for `ticket`, opening its entry
+    /// if this is the first the ledger hears of it.
     pub fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
         self.tickets.entry(ticket).or_default().register(id, text);
+    }
+
+    /// Streams one segment registration for `ticket` if its entry is
+    /// open, and drops it otherwise (the ticket was resolved, or never
+    /// opened). Returns whether the segment was kept.
+    pub fn register_open(&mut self, ticket: Ticket, id: SegmentId, text: Rope) -> bool {
+        self.tickets
+            .get_mut(&ticket)
+            .map(|store| store.register(id, text))
+            .is_some()
     }
 
     /// Resolves `ticket`: removes and returns its segment store (empty
@@ -479,15 +556,15 @@ pub struct PoolReport<V: AttrValue> {
     /// Aggregated statistics.
     pub stats: EvalStats,
     /// Wall-clock time from job dispatch until the retiring thread had
-    /// every region's `Done` in hand — it stops *before* the librarian
-    /// is asked to resolve, so it covers decomposition-to-last-rule and
-    /// nothing of retirement. Read on the retiring thread when it gets
+    /// every region's `Done` in hand — it stops *before* the ticket's
+    /// segment store is taken from the ledger, so it covers
+    /// decomposition-to-last-rule and nothing of retirement. Read on the retiring thread when it gets
     /// to this ticket, so it also counts any time the finished regions
     /// sat unread; under a pipelined window it overlaps with
     /// neighbouring trees' times.
     pub elapsed: Duration,
     /// Wall-clock time of retirement, on the retiring thread, starting
-    /// where `elapsed` stops: the wait for the librarian's reply, root
+    /// where `elapsed` stops: taking the ticket's segment store, root
     /// inflation, memo installation, whole-tree store allocation,
     /// region absorption and [`AttrStore::inflate_all`]. `elapsed +
     /// assemble` is dispatch to finished report.
@@ -544,22 +621,6 @@ enum ParserMsg<V> {
     },
 }
 
-enum LibMsg {
-    /// Streaming registration, accepted for any in-flight ticket while
-    /// evaluation is still running.
-    Register {
-        ticket: Ticket,
-        id: SegmentId,
-        text: Rope,
-    },
-    /// The parser's final read for one ticket; replies with that
-    /// ticket's store without disturbing the others.
-    Resolve {
-        ticket: Ticket,
-    },
-    Shutdown,
-}
-
 /// Per-ticket assembly state: what the parser role has collected for
 /// one in-flight tree so far.
 struct InFlight<V: AttrValue> {
@@ -581,18 +642,18 @@ struct InFlight<V: AttrValue> {
     failed: Option<EvalError>,
 }
 
-/// Persistent evaluator threads + librarian, reusable across a stream
-/// of trees compiled against one shared [`EvalPlan`].
+/// Persistent evaluator threads + the librarian's ledger, reusable
+/// across a stream of trees compiled against one shared [`EvalPlan`].
 pub struct WorkerPool<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
     config: PoolConfig,
     split: SplitTable,
     worker_txs: Vec<Sender<WorkerMsg<V>>>,
     parser_rx: Receiver<ParserMsg<V>>,
-    lib_tx: Sender<LibMsg>,
-    lib_reply_rx: Receiver<(Ticket, SegmentStore)>,
+    /// The librarian: one segment store per in-flight ticket, opened at
+    /// `submit`, filled by the workers, taken at retirement.
+    ledger: Arc<Mutex<SegmentLedger>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    lib_handle: Option<std::thread::JoinHandle<()>>,
     next_ticket: Ticket,
     in_flight: VecDeque<InFlight<V>>,
     ready: VecDeque<Result<PoolReport<V>, TicketFailure>>,
@@ -623,7 +684,8 @@ struct WorkerCtx<V: AttrValue> {
     rx: Receiver<WorkerMsg<V>>,
     peers: Vec<Sender<WorkerMsg<V>>>,
     parser_tx: Sender<ParserMsg<V>>,
-    lib_tx: Sender<LibMsg>,
+    /// The librarian's ledger (registration side).
+    ledger: Arc<Mutex<SegmentLedger>>,
     /// The pool configuration — under fixed placement, workers route
     /// attribute messages with the same [`worker_of`] function the
     /// dispatch side uses, so the two can never drift apart.
@@ -673,14 +735,43 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
         .collect()
 }
 
-/// The region→worker placement: a pure function of `(ticket, region)`
-/// shared by job dispatch and attribute routing.
-fn worker_of(config: &PoolConfig, ticket: Ticket, region: RegionId) -> usize {
-    let offset = match config.granularity {
-        RegionGranularity::Adaptive { .. } => ticket as usize,
-        RegionGranularity::Machines(_) => 0,
-    };
-    (region as usize + offset) % config.workers
+/// The fixed region→worker placement: a pure function of
+/// `(ticket, region)` shared by job dispatch and attribute routing.
+/// Region `r` of ticket `t` runs on worker `(r + t) mod W`: a ticket's
+/// regions spread round-robin from a start that rotates with the
+/// ticket, so consecutive trees' region 0 — for a tree below
+/// [`MIN_REGION_WORK`], the whole tree — land on different workers.
+fn worker_of(workers: usize, ticket: Ticket, region: RegionId) -> usize {
+    (region as usize + ticket as usize) % workers
+}
+
+/// The least estimated work (rule-cost units, [`EvalPlan::tree_work`])
+/// a region must carry before it repays shipping it to another worker:
+/// a channel hop per boundary value, a machine of its own, a segment
+/// registration per code value and a region store to absorb. Under
+/// [`RegionGranularity::Machines`] a tree is cut into no more regions
+/// than it has multiples of this, so a tree below twice the floor stays
+/// whole. The grammar's `%split` minima (25–40 nodes for Pascal) are
+/// the paper's, sized for its network; this is the same argument (§3)
+/// for threads, measured — lone-tree latency through a 2-worker pool,
+/// two regions ÷ one, generated Pascal programs, 2-core box:
+///
+/// | nodes | 223 | 393 | 1.1 k | 1.7 k | 3.0 k | 6.8 k | 25.8 k |
+/// |---|---|---|---|---|---|---|---|
+/// | split ÷ whole | 1.37 | 1.42 | 1.19 | 1.02 | 1.00 | 0.82 | 0.85 |
+///
+/// The crossover sits near 3 k nodes ≈ 19 k work units, i.e. ≈ 10 k
+/// units (≈ 1.5 k nodes, ≈ 0.8 ms of sequential evaluation) per region.
+/// Explicit [`RegionGranularity::Adaptive`] budgets are the caller's
+/// own statement of region size and are not floored.
+const MIN_REGION_WORK: u64 = 10_000;
+
+/// How many regions a `Machines(n)` pool asks the decomposition for on
+/// a tree of `tree_work` units: at most `n`, and no more than the tree
+/// has multiples of [`MIN_REGION_WORK`].
+fn regions_worth_shipping(n: usize, tree_work: u64) -> usize {
+    let by_work = usize::try_from(tree_work / MIN_REGION_WORK).unwrap_or(usize::MAX);
+    n.min(by_work).max(1)
 }
 
 /// The pool's scheduler board, shared by the pool and its workers
@@ -689,8 +780,8 @@ fn worker_of(config: &PoolConfig, ticket: Ticket, region: RegionId) -> usize {
 type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
 impl<V: AttrValue> WorkerPool<V> {
-    /// Spawns the pool: `config.workers` evaluator threads plus the
-    /// librarian, all persistent until the pool is dropped.
+    /// Spawns the pool: `config.workers` evaluator threads, persistent
+    /// until the pool is dropped, sharing the librarian's ledger.
     pub fn new(plan: &Arc<EvalPlan<V>>, config: PoolConfig) -> Self {
         let config = config.normalized();
         let workers = config.workers;
@@ -719,8 +810,7 @@ impl<V: AttrValue> WorkerPool<V> {
             worker_rxs.push(Some(rx));
         }
         let (parser_tx, parser_rx) = channel();
-        let (lib_tx, lib_rx) = channel::<LibMsg>();
-        let (lib_reply_tx, lib_reply_rx) = channel::<(Ticket, SegmentStore)>();
+        let ledger = Arc::new(Mutex::new(SegmentLedger::new()));
 
         let mut handles = Vec::with_capacity(workers);
         for (me, rx) in worker_rxs.iter_mut().enumerate() {
@@ -730,7 +820,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 rx: rx.take().expect("receiver unclaimed"),
                 peers: worker_txs.clone(),
                 parser_tx: parser_tx.clone(),
-                lib_tx: lib_tx.clone(),
+                ledger: Arc::clone(&ledger),
                 config,
                 memo: memo.clone(),
                 memo_safe: Arc::clone(&memo_safe),
@@ -740,31 +830,14 @@ impl<V: AttrValue> WorkerPool<V> {
             handles.push(std::thread::spawn(move || worker_main(ctx)));
         }
 
-        let lib_handle = std::thread::spawn(move || {
-            let mut ledger = SegmentLedger::new();
-            while let Ok(msg) = lib_rx.recv() {
-                match msg {
-                    LibMsg::Register { ticket, id, text } => ledger.register(ticket, id, text),
-                    LibMsg::Resolve { ticket } => {
-                        if lib_reply_tx.send((ticket, ledger.resolve(ticket))).is_err() {
-                            return;
-                        }
-                    }
-                    LibMsg::Shutdown => return,
-                }
-            }
-        });
-
         WorkerPool {
             plan: Arc::clone(plan),
             config,
             split,
             worker_txs,
             parser_rx,
-            lib_tx,
-            lib_reply_rx,
+            ledger,
             handles,
-            lib_handle: Some(lib_handle),
             next_ticket: 0,
             in_flight: VecDeque::with_capacity(depth),
             ready: VecDeque::new(),
@@ -841,14 +914,23 @@ impl<V: AttrValue> WorkerPool<V> {
     /// With no ticket in flight every seeded job has retired (a worker
     /// retires a job on the board before it reports it done), so the
     /// board must be back to empty: no pending job, no record or input
-    /// log, every live worker's load account at zero. Debug builds
-    /// check that wherever the pool is known to be idle.
+    /// log, every live worker's load account at zero — and every
+    /// ticket's ledger entry was taken at its retirement, so the ledger
+    /// holds none. Debug builds check both wherever the pool is known
+    /// to be idle.
     fn debug_check_quiescent(&self) {
         if cfg!(debug_assertions) && self.in_flight.is_empty() && !std::thread::panicking() {
             if let Some(Ok(board)) = self.sched.as_ref().map(|s| s.lock()) {
                 assert!(
                     board.is_quiescent(),
                     "scheduler board not quiescent with nothing in flight"
+                );
+            }
+            if let Ok(ledger) = self.ledger.lock() {
+                assert_eq!(
+                    ledger.open_tickets(),
+                    0,
+                    "segment ledger holds entries with nothing in flight"
                 );
             }
         }
@@ -895,11 +977,14 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Submits one tree into the pipeline window: decomposes it (at the
-    /// configured granularity), assigns the next ticket (returned, so
-    /// serving layers can correlate retries) and dispatches one region
-    /// job per region. If the window is full, the oldest in-flight tree
-    /// is retired first (its report — or failure — is buffered for
-    /// [`WorkerPool::collect`] / [`WorkerPool::take_ready`]).
+    /// configured granularity — under [`RegionGranularity::Machines`]
+    /// into no more regions than the tree's work repays shipping, so a
+    /// small tree stays whole), assigns the next ticket (returned, so
+    /// serving layers can correlate retries), opens the ticket's ledger
+    /// entry and dispatches one region job per region. If the window is
+    /// full, the oldest in-flight tree is retired first (its report —
+    /// or failure — is buffered for [`WorkerPool::collect`] /
+    /// [`WorkerPool::take_ready`]).
     ///
     /// A ticket whose evaluation fails (cycle, plan inconsistency,
     /// contained rule panic) surfaces as a [`TicketFailure`] in
@@ -912,13 +997,22 @@ impl<V: AttrValue> WorkerPool<V> {
 
         let ticket = self.next_ticket;
         self.next_ticket += 1;
+        let granularity = match self.config.granularity {
+            RegionGranularity::Machines(n) => {
+                RegionGranularity::Machines(regions_worth_shipping(n, self.plan.tree_work(tree)))
+            }
+            adaptive @ RegionGranularity::Adaptive { .. } => adaptive,
+        };
         let decomp = Arc::new(decompose_granular(
             tree,
             &self.split,
             self.plan.work_table(),
-            self.config.granularity,
+            granularity,
         ));
         let regions = decomp.len();
+        // Before any job of the ticket exists: a worker registers only
+        // into an open entry.
+        self.ledger.lock().expect("ledger lock").open(ticket);
         let root_sym = self.plan.grammar().prod(tree.node(tree.root()).prod).lhs;
         let expected_roots = self.plan.syn_attrs(root_sym).len();
 
@@ -932,15 +1026,13 @@ impl<V: AttrValue> WorkerPool<V> {
                     payload: (Arc::clone(tree), Arc::clone(&decomp)),
                     early: Vec::new(),
                 });
-                // Region r of ticket t is pinned to worker
-                // (r + offset(t)) mod W: a tree with more regions than
-                // workers (adaptive granularity on a huge tree) spreads
-                // evenly, the ticket rotation keeps consecutive small
-                // trees' region 0 off one overloaded worker, and every
-                // message route stays a pure function of
-                // (ticket, region). Fixed-count granularity keeps the
-                // paper's region-k-on-worker-k placement (offset 0).
-                self.worker_txs[worker_of(&self.config, ticket, r as RegionId)]
+                // Region r of ticket t is pinned to worker (r + t) mod W:
+                // a tree with more regions than workers (adaptive
+                // granularity on a huge tree) spreads evenly, the
+                // ticket rotation keeps consecutive small trees'
+                // region 0 off one overloaded worker, and every message
+                // route stays a pure function of (ticket, region).
+                self.worker_txs[worker_of(self.config.workers, ticket, r as RegionId)]
                     .send(job)
                     .expect("worker alive");
             }
@@ -998,19 +1090,23 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Pops a report or failure that already retired (as submit-time
-    /// backpressure or by [`WorkerPool::poll`]) without blocking on
+    /// backpressure or by [`WorkerPool::poll`]) without waiting for
     /// in-flight trees.
     pub fn take_ready(&mut self) -> Option<Result<PoolReport<V>, TicketFailure>> {
         self.ready.pop_front()
     }
 
-    /// Drains worker completions without blocking: routes every queued
-    /// message, retires every in-flight tree whose regions have all
-    /// reported — or whose evaluation failed — (front-first, preserving
-    /// submission order) into the ready buffer, and returns how many
-    /// results became ready. A service loop calls this between arrivals
-    /// to harvest finished requests while keeping the window topped up
-    /// via [`WorkerPool::submit`].
+    /// Drains worker completions without waiting on any other thread:
+    /// routes every queued message, retires every in-flight tree whose
+    /// regions have all reported — or whose evaluation failed —
+    /// (front-first, preserving submission order) into the ready
+    /// buffer, and returns how many results became ready. What it still
+    /// does on the caller's thread is the assembly of each tree it
+    /// retires ([`PoolReport::assemble`]: O(attribute instances) — tens
+    /// of microseconds for a procedure-sized tree, tens of milliseconds
+    /// for a 264 k-node one). A service loop calls this between
+    /// arrivals to harvest finished requests while keeping the window
+    /// topped up via [`WorkerPool::submit`].
     pub fn poll(&mut self) -> usize {
         while let Ok(msg) = self.parser_rx.try_recv() {
             self.route(msg);
@@ -1147,9 +1243,10 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Parser role for the oldest in-flight tree: drain worker messages
-    /// until its regions all report (or its ticket fails), then perform
-    /// the librarian's deferred resolution and assemble the report or
-    /// failure.
+    /// until its regions all report (or its ticket fails) — the only
+    /// wait, and none at all when [`WorkerPool::front_complete`] already
+    /// holds — then perform the librarian's deferred resolution and
+    /// assemble the report or failure on this thread.
     fn retire_front(&mut self) -> Result<PoolReport<V>, TicketFailure> {
         while !self.front_complete() {
             let msg = self.parser_rx.recv().expect("workers alive");
@@ -1157,17 +1254,15 @@ impl<V: AttrValue> WorkerPool<V> {
         }
         let mut fl = self.in_flight.pop_front().expect("checked non-empty");
         let retiring = Instant::now();
+        let ticket = fl.ticket;
 
-        // The librarian's deferred resolution for this ticket: all of
-        // its registrations were enqueued before the Dones we just
-        // drained, while later tickets' registrations keep streaming.
-        // A failed ticket resolves too — and discards the reply — to
-        // keep the protocol in lockstep.
-        self.lib_tx
-            .send(LibMsg::Resolve { ticket: fl.ticket })
-            .expect("librarian alive");
-        let (ticket, segments) = self.lib_reply_rx.recv().expect("librarian replies");
-        debug_assert_eq!(ticket, fl.ticket, "resolutions are issued in order");
+        // The librarian's deferred resolution for this ticket: each of
+        // its regions registered its segments before it sent the Done
+        // we just drained, so the entry is complete, while later
+        // tickets' registrations keep streaming into theirs. A failed
+        // ticket's entry is taken too (and dropped): that closes it to
+        // whatever a not-yet-cancelled straggler region still sends.
+        let segments = self.ledger.lock().expect("ledger lock").resolve(ticket);
 
         match fl.failed.take() {
             Some(error) => Err(error),
@@ -1342,11 +1437,7 @@ impl<V: AttrValue> Drop for WorkerPool<V> {
         for tx in &self.worker_txs {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
-        let _ = self.lib_tx.send(LibMsg::Shutdown);
         for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.lib_handle.take() {
             let _ = h.join();
         }
         self.debug_check_quiescent();
@@ -2066,7 +2157,12 @@ fn route_send<V: AttrValue>(
         let deflated = value.deflate(&mut |text: Rope| {
             let id = SegmentId::from_parts(region, *next_seg);
             *next_seg += 1;
-            let _ = ctx.lib_tx.send(LibMsg::Register { ticket, id, text });
+            // Dropped when the ticket already retired (it failed, and
+            // this region has not seen its Cancel yet).
+            ctx.ledger
+                .lock()
+                .expect("ledger lock")
+                .register_open(ticket, id, text);
             id
         });
         if let Some(d) = deflated {
@@ -2105,7 +2201,7 @@ fn send_attr<V: AttrValue>(
     value: V,
 ) -> bool {
     let dest = match &ctx.sched {
-        None => Some((worker_of(&ctx.config, ticket, to), value)),
+        None => Some((worker_of(ctx.config.workers, ticket, to), value)),
         Some(sched) => {
             let mut board = sched.lock().expect("scheduler lock");
             board
@@ -2148,6 +2244,10 @@ mod tests {
     }
 
     /// One splittable grammar, many chain trees of the given lengths.
+    /// Each `cons` is costed at one region's worth of work
+    /// ([`MIN_REGION_WORK`]), so a `Machines(n)` pool cuts a chain of
+    /// `n` or more into `n` regions however short it is — these tests
+    /// are about regions, not about the floor.
     #[allow(clippy::type_complexity)]
     fn fixture_trees(
         sizes: &[usize],
@@ -2168,10 +2268,16 @@ mod tests {
             Value::Int(a[0].as_int().unwrap() + 1)
         });
         g.rule(cons, (1, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, code), (0, env)], |a| {
-            let line = format!("op {}\n", a[1].as_int().unwrap());
-            Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
-        });
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, code), (0, env)],
+            |a| {
+                let line = format!("op {}\n", a[1].as_int().unwrap());
+                Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
+            },
+            MIN_REGION_WORK,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, decls), [], |_| Value::Int(0));
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
@@ -2468,8 +2574,11 @@ mod tests {
         (good, mk(knot), plan, out)
     }
 
-    #[test]
-    fn failed_ticket_surfaces_in_order_and_pool_stays_usable() {
+    /// A cyclic tree fails its own ticket, in submission order, and the
+    /// pool keeps serving — and ends with an empty ledger: the failed
+    /// ticket's entry is taken at its retirement like any other.
+    fn failed_ticket_case(workers: usize, scheduler: SchedulerMode) {
+        let what = format!("{workers} workers, {scheduler:?}");
         let (good, bad, plan, out) = cyclic_fixture();
         // The cyclic grammar is not statically ordered; the pool runs
         // it in dynamic mode.
@@ -2477,7 +2586,9 @@ mod tests {
         let config = PoolConfig {
             mode: MachineMode::Dynamic,
             result: ResultPropagation::Naive,
-            ..PoolConfig::combined(2).with_pipeline_depth(1)
+            ..PoolConfig::combined(workers)
+                .with_pipeline_depth(1)
+                .with_scheduler(scheduler)
         };
         let mut pool = WorkerPool::new(&plan, config);
         for tree in &good {
@@ -2485,42 +2596,130 @@ mod tests {
         }
         let bad_ticket = pool.submit(&bad);
         // Submitting past the failure works: the cyclic tree fails only
-        // its own ticket, it does not poison the pool.
+        // its own ticket (under stealing its jobs are cancelled across
+        // every deque), it does not poison the pool.
         let extra_ticket = pool.submit(&good[0]);
         // Results surface in submission order: the successes, then the
         // failure, then the post-failure success.
         for (i, _) in good.iter().enumerate() {
             let r = pool.collect().expect("pending").expect("good tree");
-            assert_eq!(r.ticket, i as Ticket);
-            assert_eq!(r.root_values, vec![(out, 101i64)]);
+            assert_eq!(r.ticket, i as Ticket, "{what}");
+            assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
         }
         let failure = pool
             .collect()
             .expect("pending")
             .err()
             .expect("cyclic tree fails its own ticket");
-        assert_eq!(failure.ticket, bad_ticket);
+        assert_eq!(failure.ticket, bad_ticket, "{what}");
         assert!(
             matches!(failure.error, EvalError::Cycle { .. }),
-            "got {failure:?}"
+            "{what}: got {failure:?}"
         );
         let r = pool
             .collect()
             .expect("pending")
             .expect("post-failure submit evaluates normally");
-        assert_eq!(r.ticket, extra_ticket);
-        assert_eq!(r.root_values, vec![(out, 101i64)]);
-        assert!(pool.collect().is_none(), "drained");
+        assert_eq!(r.ticket, extra_ticket, "{what}");
+        assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
+        assert!(pool.collect().is_none(), "{what}: drained");
         // And one-shot evals keep working afterwards.
         let r = pool.eval(&good[1]).unwrap();
-        assert_eq!(r.root_values, vec![(out, 101i64)]);
+        assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
+        assert_eq!(
+            pool.ledger.lock().unwrap().open_tickets(),
+            0,
+            "{what}: every ticket's ledger entry was taken at retirement"
+        );
+    }
+
+    #[test]
+    fn failed_ticket_surfaces_in_order_and_pool_stays_usable() {
+        for workers in [1, 2, 8] {
+            failed_ticket_case(workers, SchedulerMode::Fixed);
+        }
+    }
+
+    /// The leak [`SegmentLedger::register_open`] closes: a region of a
+    /// ticket that already failed *and retired* is still evaluating on
+    /// another worker (the oldest machine runs unbudgeted and sees its
+    /// `Cancel` only when it starves) and registers its code when it
+    /// finishes. That must not re-create the ticket's ledger entry —
+    /// nothing would ever remove it.
+    #[test]
+    fn straggler_of_a_failed_ticket_cannot_reopen_its_ledger_entry() {
+        // S → L, code purely synthesized: the child region needs
+        // nothing from the root region and runs to completion whatever
+        // happens there. `boom` panics in the root region at once; the
+        // child region's first rule (`nil`) holds it at a gate until
+        // the test has seen the ticket fail and retire.
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let mut g = GrammarBuilder::<Value>::new();
+        let s = g.nonterminal("S");
+        let l = g.nonterminal("stmts");
+        let out = g.synthesized(s, "code");
+        let code = g.synthesized(l, "code");
+        g.mark_split(l, 4);
+        let ok = g.production("ok", s, [l]);
+        g.rule(ok, (0, out), [(1, code)], |a| a[0].clone());
+        let boom = g.production("boom", s, [l]);
+        g.rule(boom, (0, out), [], |_| panic!("root rule exploded"));
+        let cons = g.production("cons", l, [l]);
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, code)],
+            |a| Value::Rope(Rope::from("op\n").concat(a[0].as_rope().unwrap())),
+            MIN_REGION_WORK,
+        );
+        let nil = g.production("nil", l, []);
+        let held = Arc::clone(&gate);
+        g.rule(nil, (0, code), [], move |_| {
+            let (open, opened) = &*held;
+            let _open = opened
+                .wait_while(open.lock().unwrap(), |open| !*open)
+                .unwrap();
+            Value::Rope(Rope::new())
+        });
+        let grammar = Arc::new(g.build(s).unwrap());
+        let plan = Arc::new(EvalPlan::analyze(&grammar));
+        let mk = |top| {
+            let mut tb = TreeBuilder::new(&grammar);
+            let mut tail = tb.leaf(nil);
+            for _ in 0..600 {
+                tail = tb.node(cons, [tail]);
+            }
+            let root = tb.node(top, [tail]);
+            Arc::new(tb.finish(root).unwrap())
+        };
+        let config = PoolConfig {
+            mode: MachineMode::Dynamic,
+            ..PoolConfig::combined(2)
+        };
+        let mut pool = WorkerPool::new(&plan, config);
+        let bad_ticket = pool.submit(&mk(boom));
+        let failure = pool.collect().expect("pending").err().expect("root panics");
+        assert_eq!(failure.ticket, bad_ticket);
+        assert!(matches!(failure.error, EvalError::RulePanic { .. }));
+        // Ticket 0 is gone; let its child region run — it is inside a
+        // rule, so it runs to its end and registers its code.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        // The next tree puts a job behind the straggler on its worker
+        // (jobs run oldest first), so once it has retired the straggler
+        // has finished.
+        let report = pool.eval(&mk(ok)).unwrap();
+        assert_eq!(report.regions, 2, "the straggler is a region of its own");
+        assert!(!report.segments.is_empty(), "child regions register code");
+        assert_eq!(pool.ledger.lock().unwrap().open_tickets(), 0);
     }
 
     /// Memo-safe splittable grammar: the chain's inherited `env` comes
     /// from a root token, never from a synthesized attribute of the
     /// same occurrence, so leaf regions can hold their outputs back
     /// until every input arrives. Values are scalar so every span is
-    /// cache-plain under either propagation mode.
+    /// cache-plain under either propagation mode. As in
+    /// [`fixture_trees`], each `cons` carries a region's worth of work.
     #[allow(clippy::type_complexity)]
     fn memo_fixture(
         seed: i64,
@@ -2541,9 +2740,15 @@ mod tests {
         g.rule(top, (0, out), [(2, code)], |a| a[0].clone());
         let cons = g.production("cons", l, [num, l]);
         g.rule(cons, (2, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, val), (0, env), (2, code)], |a| {
-            Value::Int(a[0].as_int().unwrap() * a[1].as_int().unwrap() + a[2].as_int().unwrap())
-        });
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, val), (0, env), (2, code)],
+            |a| {
+                Value::Int(a[0].as_int().unwrap() * a[1].as_int().unwrap() + a[2].as_int().unwrap())
+            },
+            MIN_REGION_WORK,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, code), [], |_| Value::Int(0));
         let grammar = Arc::new(g.build(s).unwrap());
@@ -2631,6 +2836,9 @@ mod tests {
         // The base fixture's `top` computes the child's `env` from the
         // child's own `decls` — holding `decls` back until `env` arrives
         // would deadlock, so those regions must never probe or install.
+        // (Whole, the tree would be one leaf region rooted at the tree
+        // root, which awaits nothing and is cacheable: the regions have
+        // to be real ones.)
         let (tree, plan, out) = fixture(32);
         let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_memo_capacity(1 << 20));
         let (dstore, _) = dynamic_eval(&tree).unwrap();
@@ -2640,6 +2848,7 @@ mod tests {
             .unwrap();
         for round in 0..2 {
             let report = pool.eval(&tree).unwrap();
+            assert!(report.regions > 1, "round {round}: tree was split");
             assert!(root_rope(&report, out).content_eq(&want), "round {round}");
         }
         let c = pool.memo_counters().unwrap();
@@ -2710,7 +2919,12 @@ mod tests {
             pool.submit(tree);
         }
         while let Some(r) = pool.collect() {
-            r.expect("evaluation succeeds");
+            let report = r.expect("evaluation succeeds");
+            assert!(
+                report.regions > 1,
+                "ticket {}: tree was split",
+                report.ticket
+            );
         }
         let c = pool.sched_counters();
         assert!(
@@ -2763,47 +2977,9 @@ mod tests {
 
     #[test]
     fn stealing_failed_ticket_surfaces_in_order_and_pool_stays_usable() {
-        let (good, bad, plan, out) = cyclic_fixture();
-        assert!(plan.plans().is_none());
-        let config = PoolConfig {
-            mode: MachineMode::Dynamic,
-            result: ResultPropagation::Naive,
-            ..PoolConfig::combined(2)
-                .with_pipeline_depth(1)
-                .with_scheduler(SchedulerMode::Stealing)
-        };
-        let mut pool = WorkerPool::new(&plan, config);
-        for tree in &good {
-            pool.submit(tree);
+        for workers in [1, 2, 8] {
+            failed_ticket_case(workers, SchedulerMode::Stealing);
         }
-        let bad_ticket = pool.submit(&bad);
-        // Under stealing the failed ticket's jobs are cancelled across
-        // every deque; earlier and later tickets are untouched.
-        let extra_ticket = pool.submit(&good[0]);
-        for (i, _) in good.iter().enumerate() {
-            let r = pool.collect().expect("pending").expect("good tree");
-            assert_eq!(r.ticket, i as Ticket);
-            assert_eq!(r.root_values, vec![(out, 101i64)]);
-        }
-        let failure = pool
-            .collect()
-            .expect("pending")
-            .err()
-            .expect("cyclic tree fails its own ticket");
-        assert_eq!(failure.ticket, bad_ticket);
-        assert!(
-            matches!(failure.error, EvalError::Cycle { .. }),
-            "got {failure:?}"
-        );
-        let r = pool
-            .collect()
-            .expect("pending")
-            .expect("post-failure submit evaluates normally");
-        assert_eq!(r.ticket, extra_ticket);
-        assert_eq!(r.root_values, vec![(out, 101i64)]);
-        assert!(pool.collect().is_none(), "drained");
-        let r = pool.eval(&good[1]).unwrap();
-        assert_eq!(r.root_values, vec![(out, 101i64)]);
     }
 
     #[test]
@@ -2958,9 +3134,52 @@ mod tests {
         assert!(ledger.resolve(7).is_empty());
     }
 
+    #[test]
+    fn segment_ledger_registers_only_into_open_tickets() {
+        let mut ledger = SegmentLedger::new();
+        let id = SegmentId::from_parts(0, 0);
+        assert!(!ledger.register_open(3, id, Rope::from("too early")));
+        ledger.open(3);
+        assert_eq!(ledger.open_tickets(), 1);
+        assert!(ledger.register_open(3, id, Rope::from("in flight")));
+        assert_eq!(ledger.resolve(3).get(id).unwrap().to_string(), "in flight");
+        // Resolved means closed: a late registration is dropped instead
+        // of re-creating an entry nothing would remove.
+        assert!(!ledger.register_open(3, id, Rope::from("too late")));
+        assert_eq!(ledger.open_tickets(), 0);
+    }
+
+    #[test]
+    fn fixed_placement_rotates_by_ticket_and_spreads_by_region() {
+        for workers in [1usize, 2, 3, 8] {
+            // Region 0 of consecutive tickets — a whole tree's only
+            // job — visits every worker in turn.
+            let mut seen: Vec<usize> = (0..workers as Ticket)
+                .map(|t| worker_of(workers, t, 0))
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..workers).collect::<Vec<_>>(), "{workers} workers");
+            // A ticket's first `workers` regions land on distinct
+            // workers, and the pattern continues past a full turn.
+            for ticket in [0 as Ticket, 1, 7] {
+                let mut seen: Vec<usize> = (0..workers as RegionId)
+                    .map(|r| worker_of(workers, ticket, r))
+                    .collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..workers).collect::<Vec<_>>(), "ticket {ticket}");
+                assert_eq!(
+                    worker_of(workers, ticket, workers as RegionId),
+                    worker_of(workers, ticket, 0)
+                );
+            }
+        }
+    }
+
     /// [`memo_fixture`]'s memo-safe chain with *rope* code, long enough
     /// that every region's code clears the deflation threshold — so
-    /// values really cross region boundaries as segment references.
+    /// values really cross region boundaries as segment references. As
+    /// in [`fixture_trees`], each `cons` carries a region's worth of
+    /// work.
     fn rope_memo_fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
         use crate::tree::token;
         let mut g = GrammarBuilder::<Value>::new();
@@ -2977,14 +3196,20 @@ mod tests {
         g.rule(top, (0, out), [(2, code)], |a| a[0].clone());
         let cons = g.production("cons", l, [num, l]);
         g.rule(cons, (2, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, val), (0, env), (2, code)], |a| {
-            let line = format!(
-                "movl ${}, r{}\n",
-                a[0].as_int().unwrap(),
-                a[1].as_int().unwrap()
-            );
-            Value::Rope(Rope::from(line).concat(a[2].as_rope().unwrap()))
-        });
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, val), (0, env), (2, code)],
+            |a| {
+                let line = format!(
+                    "movl ${}, r{}\n",
+                    a[0].as_int().unwrap(),
+                    a[1].as_int().unwrap()
+                );
+                Value::Rope(Rope::from(line).concat(a[2].as_rope().unwrap()))
+            },
+            MIN_REGION_WORK,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
         let grammar = Arc::new(g.build(s).unwrap());
@@ -3040,7 +3265,14 @@ mod tests {
                 while let Some(report) = pool.collect() {
                     let report = report.expect("evaluation succeeds");
                     retired += 1;
-                    assert!(report.regions > 1, "{what}: tree was split");
+                    match granularity {
+                        RegionGranularity::Machines(n) => {
+                            assert_eq!(report.regions, n, "{what}: one region per machine")
+                        }
+                        RegionGranularity::Adaptive { .. } => {
+                            assert!(report.regions > 1, "{what}: tree was split")
+                        }
+                    }
                     assert!(
                         !report.segments.is_empty(),
                         "{what}: code crossed region boundaries as segments"
@@ -3082,10 +3314,10 @@ mod tests {
             let msg = pool.parser_rx.recv().expect("workers alive");
             pool.route(msg);
         }
-        // Lose the ticket's registrations: resolve them away behind the
-        // pool's back, so its own resolution finds an empty store.
-        pool.lib_tx.send(LibMsg::Resolve { ticket: 0 }).unwrap();
-        let (_, lost) = pool.lib_reply_rx.recv().unwrap();
+        // Lose the ticket's registrations: take them out of the shared
+        // ledger behind the pool's back, so its own resolution finds an
+        // empty store.
+        let lost = pool.ledger.lock().unwrap().resolve(0);
         assert!(!lost.is_empty(), "the tree registered code segments");
 
         let Some(Err(failure)) = pool.collect() else {
@@ -3100,6 +3332,7 @@ mod tests {
 
         // Ticket-scoped: the pool keeps serving.
         let report = pool.eval(&tree).unwrap();
+        assert!(report.regions > 1, "the tree was split");
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         let want = dstore.get(tree.root(), out).unwrap().as_rope().unwrap();
         assert!(root_rope(&report, out).content_eq(want));

@@ -40,7 +40,11 @@ use super::ResultPropagation;
 /// Configuration for [`run_threads`].
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadConfig {
-    /// Number of evaluator threads (split target).
+    /// Number of evaluator threads, and the most regions the tree is
+    /// cut into: like every `Machines(n)` pool, this one leaves a tree
+    /// whole whose estimated work does not repay a hand-off between
+    /// threads (see [`crate::parallel::pool`], "Region-granular
+    /// scheduling").
     pub machines: usize,
     /// Combined or purely dynamic machines.
     pub mode: MachineMode,
@@ -83,8 +87,9 @@ pub fn run_threads<V: AttrValue>(
             mode: config.mode,
             result: config.result,
             min_size_scale: config.min_size_scale,
-            // One tree, one ticket, one region per machine: the paper's
-            // single-compilation barrier (fixed-count granularity).
+            // One tree, one ticket, at most one region per machine: the
+            // paper's single-compilation barrier (fixed-count
+            // granularity).
             ..PoolConfig::barrier(config.machines)
         },
     );
@@ -118,10 +123,19 @@ mod tests {
             Value::Int(a[0].as_int().unwrap() + 1)
         });
         g.rule(cons, (1, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, code), (0, env)], |a| {
-            let line = format!("op {}\n", a[1].as_int().unwrap());
-            Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
-        });
+        // A region's worth of work per `cons` (the pool's hand-off
+        // floor, `pool.rs`'s private `MIN_REGION_WORK`), so `n` threads
+        // still get `n` regions of these short chains.
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, code), (0, env)],
+            |a| {
+                let line = format!("op {}\n", a[1].as_int().unwrap());
+                Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
+            },
+            10_000,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, decls), [], |_| Value::Int(0));
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
@@ -153,6 +167,7 @@ mod tests {
                 .and_then(|(_, v)| v.as_rope().cloned())
                 .unwrap();
             assert!(got.content_eq(&want), "n={n}");
+            assert_eq!(report.regions, n, "one region per thread");
             assert!(report.stats.total_applied() > 0);
         }
     }

@@ -147,9 +147,16 @@ mod tests {
         let shared: Vec<i64> = (1..=16).collect();
         let a = mk(&[101, 102], &shared);
         let b = mk(&[201, 202], &shared);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_memo_capacity(1 << 20));
+        // (An explicit budget: a `Machines(2)` pool leaves a tree this
+        // small whole, and a whole tree has no shared leaf region.)
+        let budget = plan.tree_work(&a) / 2;
+        let mut pool = WorkerPool::new(
+            &plan,
+            PoolConfig::adaptive(2, budget).with_memo_capacity(1 << 20),
+        );
         let ra = pool.eval(&a).unwrap();
         let rb = pool.eval(&b).unwrap();
+        assert!(ra.regions > 1 && rb.regions > 1, "both trees were split");
         let c = pool.memo_counters().unwrap();
         assert!(
             c.hits >= 1,

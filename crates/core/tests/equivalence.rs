@@ -39,6 +39,13 @@ struct Fixture {
     unit: ProdId,
 }
 
+/// One spine node's estimated work: a region's worth under the thread
+/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
+/// pool of `n` workers still cuts these small trees into up to `n`
+/// regions instead of leaving them whole. Rule costs feed work
+/// estimates (and simulated time), never values.
+const REGION_WORTH: u64 = 10_000;
+
 fn fixture() -> Fixture {
     let mut g = GrammarBuilder::<i64>::new();
     let s = g.nonterminal("S");
@@ -62,9 +69,13 @@ fn fixture() -> Fixture {
     g.rule_direct(cons, (0, decls), [(2, decls)], |a| a[0] + 1);
     g.rule(cons, (2, env), [(0, env)], |a| a[0].wrapping_add(3));
     g.rule_direct(cons, (1, benv), [(0, env)], |a| a[0] ^ 0x55);
-    g.rule(cons, (0, code), [(1, bcode), (2, code)], |a| {
-        a[0].wrapping_mul(1_000_003).wrapping_add(a[1])
-    });
+    g.rule_with_cost(
+        cons,
+        (0, code),
+        [(1, bcode), (2, code)],
+        |a| a[0].wrapping_mul(1_000_003).wrapping_add(a[1]),
+        REGION_WORTH,
+    );
     let nil = g.production("nil", l, []);
     g.rule_direct(nil, (0, decls), [], |_| 0);
     g.rule(nil, (0, code), [(0, env)], |a| a[0]);

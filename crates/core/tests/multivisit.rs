@@ -29,6 +29,13 @@ struct Lang {
     fin: AttrId,
 }
 
+/// One spine node's estimated work: a region's worth under the thread
+/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
+/// pool of `n` workers still cuts these small trees into up to `n`
+/// regions instead of leaving them whole. Rule costs feed work
+/// estimates (and simulated time), never values.
+const REGION_WORTH: u64 = 10_000;
+
 fn lang() -> Lang {
     let mut g = GrammarBuilder::<i64>::new();
     let s = g.nonterminal("S");
@@ -53,9 +60,13 @@ fn lang() -> Lang {
         a[0].wrapping_add(a[1])
     });
     g.rule(cons, (1, bcast2), [(0, bcast2)], |a| a[0]);
-    g.rule(cons, (0, fin), [(1, fin), (0, bcast2)], |a| {
-        a[0].wrapping_mul(3) ^ a[1]
-    });
+    g.rule_with_cost(
+        cons,
+        (0, fin),
+        [(1, fin), (0, bcast2)],
+        |a| a[0].wrapping_mul(3) ^ a[1],
+        REGION_WORTH,
+    );
 
     let nil = g.production("nil", l, []);
     g.rule(nil, (0, count), [], |_| 0);
@@ -140,6 +151,7 @@ fn parallel_machines_handle_three_visit_boundaries() {
             },
         )
         .unwrap();
+        assert_eq!(report.regions, machines, "three-visit boundaries exist");
         assert_eq!(
             report.store.get(tree.root(), lg.out),
             d.get(tree.root(), lg.out),

@@ -11,7 +11,7 @@
 //!   visit sequences — Kastens' fixpoint, §2.3),
 //! * **plan-derived lookup tables** (per-rule priority flags, per-symbol
 //!   attribute sets, split-candidate minimum sizes),
-//! * **worker spin-up** (OS threads, channels, the librarian process),
+//! * **worker spin-up** (OS threads, channels, the librarian's ledger),
 //! * **buffer growth** (dependency-CSR pair lists, argument gather
 //!   scratch).
 //!
@@ -23,7 +23,8 @@
 //!   wraps [`paragram_core::eval::EvalPlan`] (grammar + analysis +
 //!   tables) plus the driver configuration.
 //! * [`BatchDriver`] — the **instance half**: a persistent
-//!   [`WorkerPool`] (evaluator threads + librarian spawned once) plus
+//!   [`WorkerPool`] (evaluator threads spawned once, sharing the
+//!   librarian's segment ledger) plus
 //!   per-tree state created and recycled as trees flow through
 //!   ([`paragram_core::eval::MachineScratch`] buffers survive from tree
 //!   to tree inside each worker).
@@ -39,14 +40,17 @@
 //! decoupled, [`BatchDriver::compile_batch`] keeps a small window of
 //! trees in flight ([`DriverConfig::pipeline_depth`], default 2):
 //! tree N+1's region jobs fill workers idling behind tree N's
-//! stragglers, and tree N's result assembly overlaps tree N+1's
+//! stragglers — a small tree is one job, so two of them occupy two
+//! workers — and tree N's result assembly overlaps tree N+1's
 //! evaluation. Depth 1 restores the strict one-tree-per-epoch barrier.
 //!
 //! # Region-granular scheduling
 //!
 //! The pool's unit of work is the *region job* — a `(ticket, region)`
 //! pair — not the tree. By default each tree is carved into at most
-//! `workers` regions (the paper's decomposition);
+//! `workers` regions (the paper's decomposition), and into fewer — a
+//! procedure-sized tree into one — when its estimated work does not
+//! repay shipping that many between threads;
 //! [`DriverConfig::with_adaptive_budget`] switches to cost-driven
 //! decomposition where regions are sized by a work budget, so one huge
 //! tree becomes many region jobs that fill the pipeline exactly like a
@@ -144,14 +148,18 @@ pub struct DriverConfig {
     /// Trees kept in flight on the pool at once (see
     /// [`paragram_core::parallel::pool::PoolConfig::pipeline_depth`]).
     /// Depth 1 is the strict per-tree barrier; the default of 2
-    /// pipelines each tree behind its predecessor's stragglers.
+    /// pipelines each tree behind its predecessor's stragglers. A small
+    /// tree is one job on one worker, so a stream of them keeps at most
+    /// this many workers busy: give a pool of more than two workers
+    /// `with_pipeline_depth(workers)` or more for such a stream.
     pub pipeline_depth: usize,
     /// Region granularity override; `None` (the default) carves each
     /// tree into at most `workers` regions (whole-tree ticketing, the
-    /// paper's decomposition). [`RegionGranularity::Adaptive`] sizes
-    /// regions by a work budget instead, so a huge tree becomes many
-    /// region jobs that pipeline through the pool like many small
-    /// trees.
+    /// paper's decomposition) and leaves a tree whole when its work is
+    /// below what a hand-off between threads costs.
+    /// [`RegionGranularity::Adaptive`] sizes regions by a work budget
+    /// instead, so a huge tree becomes many region jobs that pipeline
+    /// through the pool like many small trees.
     pub granularity: Option<RegionGranularity>,
     /// Cross-request attribute memo cache budget in bytes; 0 (the
     /// default) disables memoization entirely, reproducing the paper's
@@ -318,7 +326,7 @@ pub struct TreeOutput<V: AttrValue> {
     pub stats: EvalStats,
     /// Wall-clock evaluation time for this tree: region-job dispatch
     /// until every region had reported to the retiring thread. It stops
-    /// *before* retirement — the librarian's resolution, memo
+    /// *before* retirement — taking the ticket's segment store, memo
     /// installation, store assembly and inflation are `assemble`
     /// ([`PoolReport::elapsed`] has the details).
     pub elapsed: Duration,
@@ -451,7 +459,7 @@ pub struct BatchDriver<V: AttrValue> {
 }
 
 impl<V: AttrValue> BatchDriver<V> {
-    /// Spawns the worker pool (threads + librarian) for `plan`.
+    /// Spawns the worker pool (`workers` threads) for `plan`.
     pub fn new(plan: &CompilationPlan<V>) -> Self {
         let cfg = plan.config();
         let pool = WorkerPool::new(
@@ -645,10 +653,19 @@ mod tests {
             Value::Int(a[0].as_int().unwrap() + 1)
         });
         g.rule(cons, (1, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, code), (0, env)], |a| {
-            let line = format!("op {}\n", a[1].as_int().unwrap());
-            Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
-        });
+        // A region's worth of work per `cons` (the pool's hand-off
+        // floor, `pool.rs`'s private `MIN_REGION_WORK`), so `n` workers
+        // still cut these short chains into up to `n` regions.
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, code), (0, env)],
+            |a| {
+                let line = format!("op {}\n", a[1].as_int().unwrap());
+                Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
+            },
+            10_000,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, decls), [], |_| Value::Int(0));
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));

@@ -23,8 +23,10 @@
 //! * **Non-blocking progress.** [`ServiceQueue::offer`] never blocks
 //!   and performs no pool work; [`ServiceQueue::pump`] drains worker
 //!   completions ([`WorkerPool::poll`]), tops up the pipeline window,
-//!   and harvests finished requests. A serving loop interleaves the two
-//!   however its arrival source dictates.
+//!   and harvests finished requests — waiting on no other thread, but
+//!   decomposing each dispatched tree and assembling each retiring one
+//!   on the caller's. A serving loop interleaves the two however its
+//!   arrival source dictates.
 //!
 //! Every request carries [`RequestTimes`]: enqueue → admit → first
 //! region dispatched → assembled, the measurement points
@@ -287,8 +289,8 @@ struct ParkedRetry {
 }
 
 impl<V: AttrValue> ServiceQueue<V> {
-    /// Spawns the worker pool (threads + librarian) and an empty
-    /// waiting room.
+    /// Spawns the worker pool (`workers` threads) and an empty waiting
+    /// room.
     pub fn new(plan: &CompilationPlan<V>, service: ServiceConfig) -> Self {
         let cfg = plan.config();
         let pool = WorkerPool::new(
@@ -437,13 +439,20 @@ impl<V: AttrValue> ServiceQueue<V> {
         Admission::Admitted { id }
     }
 
-    /// Makes all currently possible progress without blocking: drains
-    /// worker completions, re-dispatches retries whose backoff has
-    /// elapsed, tops up the pipeline window from the waiting room in
-    /// policy order (expiring requests whose deadline already passed),
-    /// and moves finished requests to
+    /// Makes all currently possible progress without waiting on any
+    /// other thread: drains worker completions, re-dispatches retries
+    /// whose backoff has elapsed, tops up the pipeline window from the
+    /// waiting room in policy order (expiring requests whose deadline
+    /// already passed), and moves finished requests to
     /// [`ServiceQueue::take_completed`]. Returns how many requests
     /// completed during this call.
+    ///
+    /// What it does do on the caller's thread: decompose each tree it
+    /// dispatches, and assemble each tree that retires
+    /// ([`WorkerPool::poll`]) — both O(tree size), so a call that
+    /// retires a 25 k-node tree holds its caller for a few
+    /// milliseconds and one that retires only procedure-sized trees
+    /// for tens of microseconds each.
     pub fn pump(&mut self) -> usize {
         self.pool.poll();
         let mut done = self.harvest();

@@ -33,17 +33,26 @@ fn sources() -> Vec<String> {
         "program b;\nfunction fib(n: integer): integer;\nbegin if n < 2 then fib := n else fib := fib(n - 1) + fib(n - 2) end;\nbegin write(fib(10)) end.".to_string(),
         "program c; var i, s: integer; var a: array [0..9] of integer;\nbegin i := 0; s := 0;\nwhile i < 10 do begin a[i] := i * i; i := i + 1 end;\ni := 0; while i < 10 do begin s := s + a[i]; i := i + 1 end;\nwrite(s) end.".to_string(),
     ];
-    // A generated multi-cluster program big enough to actually split.
+    // A generated multi-cluster program big enough to actually split:
+    // ≈ 6 k nodes, ≈ 3.8 × the pool's hand-off floor, so three regions
+    // on eight workers and two on two (the three programs above stay
+    // whole at any worker count).
     srcs.push(generate(&GenConfig {
-        clusters: 2,
-        procs_per_cluster: 3,
-        stmts_per_proc: 5,
+        clusters: 4,
+        procs_per_cluster: 6,
+        stmts_per_proc: 8,
         nesting: 2,
         seed: 99,
         template_clusters: 0,
     }));
     srcs
 }
+
+/// `pool.rs`'s private `MIN_REGION_WORK`, mirrored: the estimated work
+/// (`EvalPlan::tree_work` units) a region must carry before a
+/// `Machines(n)` pool ships it to another worker. The tests below pin
+/// region counts against it, so moving the floor fails them on purpose.
+const HANDOFF_FLOOR: u64 = 10_000;
 
 fn store_snapshot(tree: &ParseTree<PVal>, store: &AttrStore<PVal>) -> Vec<Option<PVal>> {
     let g = tree.grammar();
@@ -55,6 +64,24 @@ fn store_snapshot(tree: &ParseTree<PVal>, store: &AttrStore<PVal>) -> Vec<Option
         }
     }
     snap
+}
+
+/// The oracle: per-tree (asm text, full store snapshot) from the
+/// sequential static evaluator.
+fn sequential_reference(
+    compiler: &Compiler,
+    trees: &[Arc<ParseTree<PVal>>],
+) -> Vec<(String, Vec<Option<PVal>>)> {
+    let plans = compiler.evals.plans().unwrap();
+    trees
+        .iter()
+        .map(|tree| {
+            let (store, stats) = static_eval(tree, plans).unwrap();
+            let out = compiler.output_from_store(tree, &store, stats);
+            assert!(out.errors.is_empty(), "{:?}", out.errors);
+            (out.asm, store_snapshot(tree, &store))
+        })
+        .collect()
 }
 
 /// One batch run: per-tree (asm text, full store snapshot).
@@ -100,16 +127,7 @@ fn batch_output_is_identical_across_worker_counts_and_runs() {
     // Reference: the actual sequential static evaluator (not a
     // 1-worker pool), so a systematic pool-vs-sequential divergence
     // cannot slip through.
-    let plans = compiler.evals.plans().unwrap();
-    let reference: Vec<(String, Vec<Option<PVal>>)> = trees
-        .iter()
-        .map(|tree| {
-            let (store, stats) = static_eval(tree, plans).unwrap();
-            let out = compiler.output_from_store(tree, &store, stats);
-            assert!(out.errors.is_empty(), "{:?}", out.errors);
-            (out.asm, store_snapshot(tree, &store))
-        })
-        .collect();
+    let reference = sequential_reference(&compiler, &trees);
 
     for workers in [1usize, 2, 8] {
         // Repeated runs: both fresh pools and a reused pool must agree.
@@ -281,16 +299,7 @@ fn pipelined_batch_is_byte_identical_across_window_depths() {
         .iter()
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
-    let plans = compiler.evals.plans().unwrap();
-    let reference: Vec<(String, Vec<Option<PVal>>)> = trees
-        .iter()
-        .map(|tree| {
-            let (store, stats) = static_eval(tree, plans).unwrap();
-            let out = compiler.output_from_store(tree, &store, stats);
-            assert!(out.errors.is_empty(), "{:?}", out.errors);
-            (out.asm, store_snapshot(tree, &store))
-        })
-        .collect();
+    let reference = sequential_reference(&compiler, &trees);
 
     for depth in [1usize, 2, 4] {
         for workers in [1usize, 2, 8] {
@@ -324,16 +333,7 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
         .iter()
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
-    let plans = compiler.evals.plans().unwrap();
-    let reference: Vec<(String, Vec<Option<PVal>>)> = trees
-        .iter()
-        .map(|tree| {
-            let (store, stats) = static_eval(tree, plans).unwrap();
-            let out = compiler.output_from_store(tree, &store, stats);
-            assert!(out.errors.is_empty(), "{:?}", out.errors);
-            (out.asm, store_snapshot(tree, &store))
-        })
-        .collect();
+    let reference = sequential_reference(&compiler, &trees);
 
     for depth in [1usize, 2, 4] {
         for workers in [1usize, 2, 8] {
@@ -347,6 +347,8 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
                 // Multi-region trees route boundary attributes through
                 // the shared job-location table; the telemetry must see
                 // them.
+                let split = report.outputs.last().unwrap().regions;
+                assert!(split > 1, "workers={workers}: generated program split");
                 assert!(
                     report.sched.local_sends + report.sched.remote_sends > 0,
                     "depth={depth} workers={workers}: no table-routed sends"
@@ -365,6 +367,77 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
                     &store_snapshot(tree, &out.store),
                     "tree {i}: store differs at depth={depth} workers={workers}"
                 );
+            }
+        }
+    }
+}
+
+/// The hand-off floor: under the default `Machines(n)` granularity a
+/// tree is cut into `min(n, work / floor)` regions — one below twice
+/// the floor — and whichever side of the floor a program falls on, at
+/// every worker count, window depth and scheduler the stores and the
+/// assembly text are byte-identical to the sequential static evaluator.
+#[test]
+fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
+    let compiler = Compiler::new();
+    let program = |clusters, procs_per_cluster, stmts_per_proc| {
+        let src = generate(&GenConfig {
+            clusters,
+            procs_per_cluster,
+            stmts_per_proc,
+            nesting: 2,
+            seed: 5,
+            template_clusters: 0,
+        });
+        compiler.tree_from_source(&src).unwrap()
+    };
+    // Just below two regions' worth, just above, and eight regions'
+    // worth or more.
+    let trees = [program(3, 4, 6), program(3, 5, 8), program(9, 6, 8)];
+    let work: Vec<u64> = trees
+        .iter()
+        .map(|t| compiler.evals.plan().tree_work(t))
+        .collect();
+    assert!(
+        work[0] > HANDOFF_FLOOR && work[0] < 2 * HANDOFF_FLOOR,
+        "{work:?}"
+    );
+    assert!(
+        work[1] >= 2 * HANDOFF_FLOOR && work[1] < 3 * HANDOFF_FLOOR,
+        "{work:?}"
+    );
+    assert!(work[2] >= 8 * HANDOFF_FLOOR, "{work:?}");
+
+    let reference = sequential_reference(&compiler, &trees);
+
+    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+        for workers in [1usize, 2, 8] {
+            for depth in [1usize, 2, 4] {
+                let what = format!("{scheduler:?} workers={workers} depth={depth}");
+                let config = DriverConfig::workers(workers)
+                    .with_pipeline_depth(depth)
+                    .with_scheduler(scheduler);
+                let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+                let mut driver = BatchDriver::new(&plan);
+                let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+                for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+                    let by_work = (work[i] / HANDOFF_FLOOR).max(1) as usize;
+                    assert_eq!(
+                        out.regions,
+                        workers.min(by_work),
+                        "{what}: tree {i} of {} work units",
+                        work[i]
+                    );
+                    let output = compiler.output_from_store(tree, &out.store, out.stats);
+                    assert!(output.errors.is_empty(), "{:?}", output.errors);
+                    let (want_asm, want_store) = &reference[i];
+                    assert_eq!(want_asm, &output.asm, "{what}: tree {i} asm differs");
+                    assert_eq!(
+                        want_store,
+                        &store_snapshot(tree, &out.store),
+                        "{what}: tree {i} store differs"
+                    );
+                }
             }
         }
     }
@@ -390,16 +463,7 @@ fn region_granular_huge_single_tree_matches_sequential_at_every_depth_and_worker
         .unwrap();
     let trees = [Arc::clone(&huge), Arc::clone(&small), Arc::clone(&huge)];
 
-    let plans = compiler.evals.plans().unwrap();
-    let reference: Vec<(String, Vec<Option<PVal>>)> = trees
-        .iter()
-        .map(|tree| {
-            let (store, stats) = static_eval(tree, plans).unwrap();
-            let out = compiler.output_from_store(tree, &store, stats);
-            assert!(out.errors.is_empty(), "{:?}", out.errors);
-            (out.asm, store_snapshot(tree, &store))
-        })
-        .collect();
+    let reference = sequential_reference(&compiler, &trees);
 
     // Budget ≈ 1/16 of the huge tree: many more regions than any
     // tested worker count, identical decomposition at every count.

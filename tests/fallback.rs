@@ -24,6 +24,13 @@ struct Fallback {
     lnil: ProdId,
 }
 
+/// One spine node's estimated work: a region's worth under the thread
+/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
+/// pool of `n` workers still cuts these small trees into up to `n`
+/// regions instead of leaving them whole. Rule costs feed work
+/// estimates (and simulated time), never values.
+const REGION_WORTH: u64 = 10_000;
+
 fn fallback() -> Fallback {
     let mut g = GrammarBuilder::<i64>::new();
     let s = g.nonterminal("S");
@@ -51,7 +58,7 @@ fn fallback() -> Fallback {
     g.rule(body, (0, s2), [(0, i2)], |a| a[0] * 5);
     // Splittable list to exercise multi-region dynamic machines.
     let list = g.production("cons", l, [l]);
-    g.rule(list, (0, lacc), [(1, lacc)], |a| a[0] + 7);
+    g.rule_with_cost(list, (0, lacc), [(1, lacc)], |a| a[0] + 7, REGION_WORTH);
     let lnil = g.production("nil", l, []);
     g.rule(lnil, (0, lacc), [], |_| 0);
 
@@ -140,6 +147,7 @@ fn parallel_dynamic_without_plans_matches_sequential() {
         },
     )
     .unwrap();
+    assert!(r.regions > 1, "multi-region dynamic machines on threads");
     assert_eq!(
         r.store.get(tree.root(), paragram::core::grammar::AttrId(0)),
         want.get(tree.root(), paragram::core::grammar::AttrId(0))
