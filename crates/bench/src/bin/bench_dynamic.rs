@@ -19,6 +19,17 @@
 //! than the segment walker by more than 10% on any non-small workload —
 //! CI runs this in `--smoke` mode as a dispatch-regression gate.
 //!
+//! Every measurement times its closure *and* dropping what it returned,
+//! so `static_eval` is evaluation plus tearing the attribute store down.
+//! `store_drop_ms` beside it says how much of that is the teardown (the
+//! median time to drop a store evaluated outside the clock), and a
+//! counting allocator — this binary's only — says what the two cost in
+//! heap traffic per tree node: `eval_allocs_per_node` (allocations made
+//! by one `static_eval`, a `realloc` counting once) and
+//! `store_frees_per_node` (frees made by dropping its store). The counts
+//! repeat exactly, so `--smoke` fails when the paper workload's exceed
+//! the ceilings `crates/pascal/tests/alloc_budget.rs` pins.
+//!
 //! Writes `BENCH_dynamic.json` (override with `--out`). With
 //! `--baseline FILE` (a previous run's output), the new file embeds the
 //! baseline numbers and the relative improvement so the repo can track
@@ -30,17 +41,64 @@
 
 use paragram_bench::Workload;
 use paragram_core::eval::{
-    dynamic_eval, static_eval_segments, static_eval_with_programs, EvalPlan, Machine, MachineMode,
-    MachineScratch,
+    dynamic_eval, static_eval, static_eval_segments, static_eval_with_programs, EvalPlan, Machine,
+    MachineMode, MachineScratch,
 };
 use paragram_core::split::Decomposition;
 use paragram_pascal::generator::GenConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Regression gate: programs must not trail the segment walker by more
 /// than this factor on non-small workloads.
 const GATE_RATIO: f64 = 1.10;
+
+/// Allocation gate on the paper workload, per tree node: the ceilings of
+/// `crates/pascal/tests/alloc_budget.rs` for the same two counts.
+const EVAL_ALLOCS_CEILING: f64 = 3.05;
+const STORE_FREES_CEILING: f64 = 3.00;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts this thread's allocations and frees; everything else is
+/// `System`'s.
+struct Counting;
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are plain thread-local cells that neither allocate nor unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(&FREES);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 struct Args {
     iters: usize,
@@ -145,6 +203,37 @@ struct WorkloadResults {
     /// Relative advantage of programs over segments (positive =
     /// programs faster), from the interleaved comparison.
     programs_vs_segments_pct: Option<f64>,
+    teardown: Teardown,
+}
+
+/// What tearing down the store of one `static_eval` costs.
+struct Teardown {
+    store_drop_ms: f64,
+    eval_allocs_per_node: f64,
+    store_frees_per_node: f64,
+}
+
+fn measure_teardown(w: &Workload, iters: usize) -> Teardown {
+    let mut drops: Vec<u128> = (0..iters)
+        .map(|_| {
+            let evaluated = static_eval(&w.tree, &w.plans).unwrap();
+            let t = Instant::now();
+            drop(evaluated);
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    drops.sort_unstable();
+    let per_node = |n: u64| n as f64 / w.tree.len() as f64;
+    let allocs = ALLOCS.get();
+    let evaluated = static_eval(&w.tree, &w.plans).unwrap();
+    let eval_allocs = ALLOCS.get() - allocs;
+    let frees = FREES.get();
+    drop(evaluated);
+    Teardown {
+        store_drop_ms: drops[drops.len() / 2] as f64 / 1e6,
+        eval_allocs_per_node: per_node(eval_allocs),
+        store_frees_per_node: per_node(FREES.get() - frees),
+    }
 }
 
 fn measure(w: &Workload, iters: usize, compare_segments: bool) -> WorkloadResults {
@@ -217,6 +306,7 @@ fn measure(w: &Workload, iters: usize, compare_segments: bool) -> WorkloadResult
     WorkloadResults {
         measurements,
         programs_vs_segments_pct: pct,
+        teardown: measure_teardown(w, iters),
     }
 }
 
@@ -280,6 +370,30 @@ fn main() {
                 ));
             }
         }
+        let Teardown {
+            store_drop_ms,
+            eval_allocs_per_node,
+            store_frees_per_node,
+        } = results.teardown;
+        out.push_str(&format!("    \"store_drop_ms\": {store_drop_ms:.3},\n"));
+        out.push_str(&format!(
+            "    \"eval_allocs_per_node\": {eval_allocs_per_node:.3},\n"
+        ));
+        out.push_str(&format!(
+            "    \"store_frees_per_node\": {store_frees_per_node:.3},\n"
+        ));
+        println!(
+            "  {wname}/store_drop: {store_drop_ms:.3} ms ({eval_allocs_per_node:.3} allocations per node to evaluate, {store_frees_per_node:.3} frees per node to drop)"
+        );
+        if args.smoke
+            && *wname == "paper"
+            && (eval_allocs_per_node > EVAL_ALLOCS_CEILING
+                || store_frees_per_node > STORE_FREES_CEILING)
+        {
+            gate_failures.push(format!(
+                "{wname}: {eval_allocs_per_node:.3} allocations per node to evaluate (ceiling {EVAL_ALLOCS_CEILING}), {store_frees_per_node:.3} frees per node to drop the store (ceiling {STORE_FREES_CEILING})"
+            ));
+        }
         let ms = &results.measurements;
         for (i, m) in ms.iter().enumerate() {
             let base = baseline
@@ -313,7 +427,7 @@ fn main() {
     println!("wrote {}", args.out);
     if !gate_failures.is_empty() {
         for f in &gate_failures {
-            eprintln!("DISPATCH REGRESSION: {f}");
+            eprintln!("REGRESSION: {f}");
         }
         std::process::exit(1);
     }

@@ -87,7 +87,13 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
 
 /// FNV-1a over a byte slice — the workhorse for `content_hash` impls.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_bytes(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Extends an FNV-1a state with a byte slice. Feeding a text piece by
+/// piece gives the state of feeding it whole, so a rope hashed chunk by
+/// chunk fingerprints its text, not where its leaves happen to end.
+pub fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -293,7 +299,7 @@ impl AttrValue for Value {
                     return None;
                 }
                 for chunk in r.chunks() {
-                    h = fnv1a_u64(h, fnv1a(chunk.as_bytes()));
+                    h = fnv1a_bytes(h, chunk.as_bytes());
                 }
             }
             Value::Tab(t) => {
@@ -435,6 +441,33 @@ mod tests {
         let a = Value::Rope(Rope::from("ab").concat(&Rope::from("c")));
         let b = Value::Rope(Rope::from("abc"));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rope_hash_is_of_the_text_not_of_the_leaves() {
+        use paragram_rope::RopeBuilder;
+        let text = "addl2 r1, r0\npushl r0\n";
+        let (head, tail) = text.split_at(7);
+        let mut b = RopeBuilder::new();
+        b.text(head);
+        b.rope(&Rope::from("x".repeat(40)));
+        b.text(tail);
+        let built = b.finish();
+        let mut store = SegmentStore::new();
+        store.register(SegmentId(1), Rope::from(tail));
+        let spliced = Rope::from(head).concat(&Rope::seg(SegmentId(1), tail.len()));
+        let hash = |r: Rope| Value::Rope(r).content_hash();
+        assert_eq!(hash(spliced.clone()), None, "unresolved text");
+        let whole = hash(Rope::from(text));
+        assert!(whole.is_some());
+        assert_eq!(hash(Rope::from(head).concat(&Rope::from(tail))), whole);
+        assert_eq!(hash(text.split_inclusive(' ').collect()), whole);
+        assert_eq!(hash(spliced.resolve(&store).unwrap()), whole);
+        assert_eq!(
+            hash(built),
+            hash(Rope::from(format!("{head}{}{tail}", "x".repeat(40))))
+        );
+        assert_ne!(hash(Rope::from(text.replace("r1", "r2"))), whole);
     }
 
     #[test]

@@ -39,66 +39,62 @@ pub fn build_tree(pg: &PascalGrammar, ast: &Program) -> Result<Arc<ParseTree<PVa
     c.tb.finish(root).map(Arc::new)
 }
 
+// A token's values go straight from an array into the tree's `Arc<[V]>`:
+// a `Vec` in between is one more allocation per token, freed at once.
+
 fn id_tok(name: &str) -> ChildSpec<PVal> {
-    token(vec![PVal::Str(Arc::from(name))])
+    token([PVal::Str(Arc::from(name))])
 }
 
 fn num_tok(v: i64) -> ChildSpec<PVal> {
-    token(vec![PVal::Int(v)])
+    token([PVal::Int(v)])
 }
 
 fn str_tok(s: &str) -> ChildSpec<PVal> {
-    token(vec![PVal::Str(Arc::from(s))])
+    token([PVal::Str(Arc::from(s))])
 }
 
 impl<'g> Conv<'g> {
     fn uid(&mut self) -> ChildSpec<PVal> {
         let id = self.next_uid;
         self.next_uid += 1;
-        token(vec![PVal::Int(id)])
+        num_tok(id)
     }
 
+    /// The list is built right to left, so unique ids are handed out
+    /// last declaration first.
     fn decls(&mut self, ds: &[Decl]) -> BuiltNode {
-        // Flatten multi-name var declarations into one node per name
-        // and build the list right-to-left.
-        let mut flat: Vec<&Decl> = Vec::new();
-        let mut singles: Vec<Decl> = Vec::new();
-        for d in ds {
-            if let Decl::Var { names, ty } = d {
-                for n in names {
-                    singles.push(Decl::Var {
-                        names: vec![n.clone()],
-                        ty: ty.clone(),
-                    });
-                }
-            } else {
-                singles.push(d.clone());
-            }
-        }
-        flat.extend(singles.iter());
         let mut tail = self.tb.leaf(self.pg.p_decls_nil);
-        for d in flat.into_iter().rev() {
-            let node = self.decl(d);
-            tail = self.tb.node(self.pg.p_decls_cons, [node, tail]);
+        for d in ds.iter().rev() {
+            tail = self.decl(d, tail);
         }
         tail
     }
 
-    fn decl(&mut self, d: &Decl) -> BuiltNode {
-        match d {
+    /// Prepends `d` to the declaration list `tail`: one node per
+    /// declared name, so a multi-name `var` is expanded where it stands.
+    fn decl(&mut self, d: &Decl, mut tail: BuiltNode) -> BuiltNode {
+        let node = match d {
             Decl::Const { name, value } => self
                 .tb
                 .node_full(self.pg.p_const, vec![id_tok(name), num_tok(*value)]),
             Decl::Var { names, ty } => {
-                let name = &names[0];
-                match ty {
-                    TypeExpr::Integer => self.tb.node_full(self.pg.p_var_int, vec![id_tok(name)]),
-                    TypeExpr::Boolean => self.tb.node_full(self.pg.p_var_bool, vec![id_tok(name)]),
-                    TypeExpr::Array { lo, hi } => self.tb.node_full(
-                        self.pg.p_var_arr,
-                        vec![id_tok(name), num_tok(*lo), num_tok(*hi)],
-                    ),
+                for name in names.iter().rev() {
+                    let node = match ty {
+                        TypeExpr::Integer => {
+                            self.tb.node_full(self.pg.p_var_int, vec![id_tok(name)])
+                        }
+                        TypeExpr::Boolean => {
+                            self.tb.node_full(self.pg.p_var_bool, vec![id_tok(name)])
+                        }
+                        TypeExpr::Array { lo, hi } => self.tb.node_full(
+                            self.pg.p_var_arr,
+                            vec![id_tok(name), num_tok(*lo), num_tok(*hi)],
+                        ),
+                    };
+                    tail = self.tb.node(self.pg.p_decls_cons, [node, tail]);
                 }
+                return tail;
             }
             Decl::Proc {
                 name,
@@ -128,7 +124,8 @@ impl<'g> Conv<'g> {
                     }
                 }
             }
-        }
+        };
+        self.tb.node(self.pg.p_decls_cons, [node, tail])
     }
 
     fn params(&mut self, ps: &[Param]) -> BuiltNode {

@@ -1,6 +1,15 @@
 //! Pure code-generation helpers shared by the attribute grammar's
 //! semantic rules and the direct baseline compiler.
 //!
+//! Every helper *emits into* the [`RopeBuilder`] it is handed and
+//! returns nothing (bar [`chase`], which names the base register it
+//! left): a rule opens one builder, calls helpers and links its
+//! children's code in order, and gets a rope in which each stretch of
+//! instruction text between two children is one leaf, whatever number
+//! of helpers and operands it was put together from. There is no other
+//! way to make code — the two compilers' byte-identical output depends
+//! on sharing this one.
+//!
 //! Conventions (see `paragram-vax` docs for the frame layout):
 //!
 //! * expressions are compiled to **stack code**: each expression's code
@@ -15,165 +24,159 @@
 //!   runtime routines (so they need no compiler-generated labels).
 
 use crate::env::{Entry, ParamSig, Ty};
-use paragram_rope::Rope;
+use paragram_rope::{Rope, RopeBuilder};
 use std::sync::Arc;
 
 /// Pops the top of stack into register `rN`.
-pub fn pop_to(reg: &str) -> Rope {
-    Rope::from(format!("\tmovl (sp), {reg}\n\taddl2 $4, sp\n"))
+pub fn pop_to(b: &mut RopeBuilder, reg: &str) {
+    write!(b, "\tmovl (sp), {reg}\n\taddl2 $4, sp\n");
 }
 
 /// Pushes a literal.
-pub fn push_imm(v: i64) -> Rope {
-    Rope::from(format!("\tpushl ${v}\n"))
+pub fn push_imm(b: &mut RopeBuilder, v: i64) {
+    write!(b, "\tpushl ${v}\n");
 }
 
 /// Emits static-link chasing: leaves the frame pointer of the frame
 /// `diff` levels out in `r10` (for `diff >= 1`). Returns the base
 /// register name to use (`"fp"` when `diff == 0`).
-pub fn chase(diff: u32) -> (Rope, &'static str) {
+pub fn chase(b: &mut RopeBuilder, diff: u32) -> &'static str {
     if diff == 0 {
-        return (Rope::new(), "fp");
+        return "fp";
     }
-    let mut code = Rope::from("\tmovl -4(fp), r10\n");
+    b.text("\tmovl -4(fp), r10\n");
     for _ in 1..diff {
-        code.push_str("\tmovl -4(r10), r10\n");
+        b.text("\tmovl -4(r10), r10\n");
     }
-    (code, "r10")
+    "r10"
 }
 
 /// Code leaving the *address* of a scalar variable in `r2`.
 /// `cur_level` is the static level of the code being generated.
-pub fn var_addr_to_r2(level: u32, offset: i32, by_ref: bool, cur_level: u32) -> Rope {
-    let (mut code, base) = chase(cur_level - level);
+pub fn var_addr_to_r2(b: &mut RopeBuilder, level: u32, offset: i32, by_ref: bool, cur_level: u32) {
+    let base = chase(b, cur_level - level);
     if by_ref {
-        code.push_str(&format!("\tmovl {offset}({base}), r2\n"));
+        write!(b, "\tmovl {offset}({base}), r2\n");
     } else {
-        code.push_str(&format!("\taddl3 ${offset}, {base}, r2\n"));
+        write!(b, "\taddl3 ${offset}, {base}, r2\n");
     }
-    code
 }
 
 /// Code leaving the address of array element `lo` in `r2`.
-pub fn arr_base_to_r2(level: u32, offset: i32, cur_level: u32) -> Rope {
-    let (mut code, base) = chase(cur_level - level);
-    code.push_str(&format!("\taddl3 ${offset}, {base}, r2\n"));
-    code
+pub fn arr_base_to_r2(b: &mut RopeBuilder, level: u32, offset: i32, cur_level: u32) {
+    let base = chase(b, cur_level - level);
+    write!(b, "\taddl3 ${offset}, {base}, r2\n");
 }
 
 /// Given index code already emitted (index value on top of stack) and
 /// the array base in `r2`, finish computing the element address in
 /// `r2`.
-pub fn index_fixup(lo: i64) -> Rope {
-    let mut code = pop_to("r1");
+pub fn index_fixup(b: &mut RopeBuilder, lo: i64) {
+    pop_to(b, "r1");
     if lo != 0 {
-        code.push_str(&format!("\tsubl2 ${lo}, r1\n"));
+        write!(b, "\tsubl2 ${lo}, r1\n");
     }
-    code.push_str("\tmull2 $4, r1\n\taddl2 r1, r2\n");
-    code
+    b.text("\tmull2 $4, r1\n\taddl2 r1, r2\n");
 }
 
 /// Pushes the value of a scalar variable.
-pub fn push_var(level: u32, offset: i32, by_ref: bool, cur_level: u32) -> Rope {
-    let (mut code, base) = chase(cur_level - level);
+pub fn push_var(b: &mut RopeBuilder, level: u32, offset: i32, by_ref: bool, cur_level: u32) {
+    let base = chase(b, cur_level - level);
     if by_ref {
-        code.push_str(&format!("\tmovl {offset}({base}), r2\n\tpushl (r2)\n"));
+        write!(b, "\tmovl {offset}({base}), r2\n\tpushl (r2)\n");
     } else {
-        code.push_str(&format!("\tpushl {offset}({base})\n"));
+        write!(b, "\tpushl {offset}({base})\n");
     }
-    code
 }
 
 /// Sets up the static link in `r11` for calling a routine whose frame
 /// level is `callee_level`, from code at `cur_level`.
-pub fn static_link_setup(callee_level: u32, cur_level: u32) -> Rope {
+pub fn static_link_setup(b: &mut RopeBuilder, callee_level: u32, cur_level: u32) {
     let diff = cur_level + 1 - callee_level; // levels to the defining scope
-    let (mut code, base) = chase(diff);
-    code.push_str(&format!("\tmovl {base}, r11\n"));
-    code
+    let base = chase(b, diff);
+    write!(b, "\tmovl {base}, r11\n");
 }
 
-/// Emits a call: `args_code` must already push the arguments.
+/// Emits a call: `args_code` must push the arguments.
 pub fn call(
+    b: &mut RopeBuilder,
     args_code: &Rope,
     nargs: usize,
     label: &str,
     callee_level: u32,
     cur_level: u32,
     push_result: bool,
-) -> Rope {
-    let mut code = args_code.clone();
-    code.push_rope(&static_link_setup(callee_level, cur_level));
-    code.push_str(&format!("\tcalls ${nargs}, {label}\n"));
+) {
+    b.rope(args_code);
+    static_link_setup(b, callee_level, cur_level);
+    write!(b, "\tcalls ${nargs}, {label}\n");
     if push_result {
-        code.push_str("\tpushl r0\n");
+        b.text("\tpushl r0\n");
     }
-    code
 }
 
 /// Binary arithmetic on the two top stack values (lhs pushed first);
 /// result pushed.
-pub fn arith(op: &str) -> Rope {
+pub fn arith(b: &mut RopeBuilder, op: &str) {
     // Top = rhs -> r1, then lhs -> r0.
-    let mut code = pop_to("r1");
-    code.push_rope(&pop_to("r0"));
-    code.push_str(&format!("\t{op} r1, r0\n\tpushl r0\n"));
-    code
+    pop_to(b, "r1");
+    pop_to(b, "r0");
+    write!(b, "\t{op} r1, r0\n\tpushl r0\n");
 }
 
 /// Calls a two-argument runtime routine on the two top stack values;
 /// result pushed.
-pub fn runtime2(name: &str) -> Rope {
-    Rope::from(format!("\tcalls $2, {name}\n\tpushl r0\n"))
+pub fn runtime2(b: &mut RopeBuilder, name: &str) {
+    write!(b, "\tcalls $2, {name}\n\tpushl r0\n");
 }
 
 /// Calls a one-argument runtime routine on the top stack value; result
 /// pushed.
-pub fn runtime1(name: &str) -> Rope {
-    Rope::from(format!("\tcalls $1, {name}\n\tpushl r0\n"))
+pub fn runtime1(b: &mut RopeBuilder, name: &str) {
+    write!(b, "\tcalls $1, {name}\n\tpushl r0\n");
 }
 
 /// Negates the top of stack in place.
-pub fn negate() -> Rope {
-    let mut code = pop_to("r0");
-    code.push_str("\tmnegl r0, r0\n\tpushl r0\n");
-    code
+pub fn negate(b: &mut RopeBuilder) {
+    pop_to(b, "r0");
+    b.text("\tmnegl r0, r0\n\tpushl r0\n");
 }
 
 /// `write` of the (integer/boolean) value on top of the stack.
-pub fn write_top() -> Rope {
-    let mut code = pop_to("r0");
-    code.push_str("\twriteint r0\n");
-    code
+pub fn write_top(b: &mut RopeBuilder) {
+    pop_to(b, "r0");
+    b.text("\twriteint r0\n");
 }
 
 /// `write('...')`.
-pub fn write_str(s: &str) -> Rope {
-    let escaped = s.replace('\\', "\\\\").replace('"', "\\\"");
-    Rope::from(format!("\twritestr \"{escaped}\"\n"))
+pub fn write_str(b: &mut RopeBuilder, s: &str) {
+    b.text("\twritestr \"");
+    for c in s.chars() {
+        if matches!(c, '\\' | '"') {
+            b.text("\\");
+        }
+        b.text(c.encode_utf8(&mut [0; 4]));
+    }
+    b.text("\"\n");
 }
 
 /// Procedure/function prologue: `label:` then frame allocation, static
 /// link store, and result-slot clearing for functions. `off_out` is the
 /// declaration pass's next-free offset (negative).
-pub fn prologue(label: &str, off_out: i32, is_func: bool) -> Rope {
+pub fn prologue(b: &mut RopeBuilder, label: &str, off_out: i32, is_func: bool) {
     let size = (-off_out - 4).max(4);
-    let mut code = Rope::from(format!(
-        "{label}:\n\tsubl2 ${size}, sp\n\tmovl r11, -4(fp)\n"
-    ));
+    write!(b, "{label}:\n\tsubl2 ${size}, sp\n\tmovl r11, -4(fp)\n");
     if is_func {
-        code.push_str("\tclrl -8(fp)\n");
+        b.text("\tclrl -8(fp)\n");
     }
-    code
 }
 
 /// Function/procedure epilogue.
-pub fn epilogue(is_func: bool) -> Rope {
+pub fn epilogue(b: &mut RopeBuilder, is_func: bool) {
     if is_func {
-        Rope::from("\tmovl -8(fp), r0\n\tret\n")
-    } else {
-        Rope::from("\tret\n")
+        b.text("\tmovl -8(fp), r0\n");
     }
+    b.text("\tret\n");
 }
 
 /// Frame-relative offset of parameter `i` of `n` (pushed
@@ -205,15 +208,14 @@ pub fn param_entries(params: &[ParamSig], callee_level: u32) -> Vec<(Arc<str>, E
 
 /// The whole-program wrapper: `start`, the runtime library, `__main`
 /// with the program body, then all procedure bodies.
-pub fn program_code(main_off_out: i32, main_body: &Rope, proc_bodies: &Rope) -> Rope {
+pub fn program_code(b: &mut RopeBuilder, main_off_out: i32, main_body: &Rope, proc_bodies: &Rope) {
     let size = (-main_off_out - 4).max(4);
-    let mut code = Rope::from(format!(
-        "start:\n\tclrl r11\n\tcalls $0, __main\n\thalt\n{RUNTIME_LIB}__main:\n\tsubl2 ${size}, sp\n\tmovl r11, -4(fp)\n"
-    ));
-    code.push_rope(main_body);
-    code.push_str("\tret\n");
-    code.push_rope(proc_bodies);
-    code
+    b.text("start:\n\tclrl r11\n\tcalls $0, __main\n\thalt\n");
+    b.text(RUNTIME_LIB);
+    write!(b, "__main:\n\tsubl2 ${size}, sp\n\tmovl r11, -4(fp)\n");
+    b.rope(main_body);
+    b.text("\tret\n");
+    b.rope(proc_bodies);
 }
 
 /// The runtime support library: comparison, logical and `mod` routines
@@ -311,24 +313,51 @@ mod tests {
         assert_eq!(param_offset(0, 1), 12);
     }
 
+    fn emitted(emit: impl FnOnce(&mut RopeBuilder)) -> String {
+        let mut b = RopeBuilder::new();
+        emit(&mut b);
+        b.finish().to_string()
+    }
+
     #[test]
     fn chase_levels() {
-        assert_eq!(chase(0).1, "fp");
-        let (code, base) = chase(2);
+        let mut base = "";
+        assert_eq!(emitted(|b| base = chase(b, 0)), "");
+        assert_eq!(base, "fp");
+        let code = emitted(|b| base = chase(b, 2));
         assert_eq!(base, "r10");
-        assert_eq!(code.newline_count(), 2);
+        assert_eq!(code, "\tmovl -4(fp), r10\n\tmovl -4(r10), r10\n");
     }
 
     #[test]
     fn prologue_sizes() {
         // off_out = -8 (no locals beyond the static link) → 4 bytes.
-        let p = prologue("P1_f", -8, false).to_string();
+        let p = emitted(|b| prologue(b, "P1_f", -8, false));
         assert!(p.contains("subl2 $4, sp"));
         // One local at -8 → off_out = -12 → 8 bytes.
-        let p = prologue("P1_f", -12, false).to_string();
+        let p = emitted(|b| prologue(b, "P1_f", -12, false));
         assert!(p.contains("subl2 $8, sp"));
         // Function result slot cleared.
-        let p = prologue("F", -12, true).to_string();
+        let p = emitted(|b| prologue(b, "F", -12, true));
         assert!(p.contains("clrl -8(fp)"));
+    }
+
+    #[test]
+    fn helpers_emit_into_the_run_they_are_given() {
+        // A fixed instruction sequence is text, not structure: however
+        // many helpers and pieces it is made of, it is one leaf.
+        let mut b = RopeBuilder::new();
+        arith(&mut b, "addl2");
+        negate(&mut b);
+        write_str(&mut b, "a\\b\"c");
+        let code = b.finish();
+        assert_eq!(code.leaf_count(), 1);
+        assert_eq!(
+            code.to_string(),
+            "\tmovl (sp), r1\n\taddl2 $4, sp\n\tmovl (sp), r0\n\taddl2 $4, sp\n\
+             \taddl2 r1, r0\n\tpushl r0\n\
+             \tmovl (sp), r0\n\taddl2 $4, sp\n\tmnegl r0, r0\n\tpushl r0\n\
+             \twritestr \"a\\\\b\\\"c\"\n"
+        );
     }
 }

@@ -11,7 +11,7 @@
 use crate::ast::*;
 use crate::codegen as cg;
 use crate::env::{scalar_ty, Entry, Env, ParamSig, Ty};
-use paragram_rope::Rope;
+use paragram_rope::{Rope, RopeBuilder};
 use std::sync::Arc;
 
 /// Output of the direct compiler.
@@ -32,9 +32,10 @@ pub fn compile_direct(ast: &Program) -> DirectOutput {
     let env = Env::new();
     let (env, off_out, proc_code) = d.decls(&ast.decls, env, 0, -8);
     let body = d.stmts(&ast.body, &env, 0);
-    let asm = cg::program_code(off_out, &body, &proc_code).to_string();
+    let mut b = RopeBuilder::new();
+    cg::program_code(&mut b, off_out, &body, &proc_code);
     DirectOutput {
-        asm,
+        asm: b.finish().to_string(),
         errors: d.errors,
     }
 }
@@ -148,7 +149,7 @@ impl Direct {
         }
 
         // Pass 2: bodies against the complete scope.
-        let mut code = Rope::new();
+        let mut b = RopeBuilder::new();
         for p in pending {
             let mut inner = env.clone();
             for (pname, pentry) in cg::param_entries(&p.sig, level + 1) {
@@ -158,24 +159,24 @@ impl Direct {
             let (inner_env, inner_off_out, nested) =
                 self.decls(p.decls, inner, level + 1, inner_off);
             let body_code = self.stmts(p.body, &inner_env, level + 1);
-            let mut proc = cg::prologue(&p.label, inner_off_out, p.is_func);
-            proc.push_rope(&body_code);
-            proc.push_rope(&cg::epilogue(p.is_func));
-            proc.push_rope(&nested);
-            code.push_rope(&proc);
+            cg::prologue(&mut b, &p.label, inner_off_out, p.is_func);
+            b.rope(&body_code);
+            cg::epilogue(&mut b, p.is_func);
+            b.rope(&nested);
         }
-        (env, off, code)
+        (env, off, b.finish())
     }
 
     fn stmts(&mut self, ss: &[Stmt], env: &Env, level: u32) -> Rope {
-        let mut code = Rope::new();
+        let mut b = RopeBuilder::new();
         for s in ss {
-            code.push_rope(&self.stmt(s, env, level));
+            b.rope(&self.stmt(s, env, level));
         }
-        code
+        b.finish()
     }
 
     fn stmt(&mut self, s: &Stmt, env: &Env, level: u32) -> Rope {
+        let mut b = RopeBuilder::new();
         match s {
             Stmt::Assign { target, value } => {
                 let (vcode, vty) = self.expr(value, env, level);
@@ -207,11 +208,10 @@ impl Direct {
                             self.errors
                                 .push(format!("cannot assign {vty} to {name:?} of type {ty}"));
                         }
-                        let mut code = vcode;
-                        code.push_rope(&cg::var_addr_to_r2(l, off, by_ref, level));
-                        code.push_rope(&cg::pop_to("r0"));
-                        code.push_str("\tmovl r0, (r2)\n");
-                        code
+                        b.rope(&vcode);
+                        cg::var_addr_to_r2(&mut b, l, off, by_ref, level);
+                        cg::pop_to(&mut b, "r0");
+                        b.text("\tmovl r0, (r2)\n");
                     }
                     LValue::Index { name, index } => {
                         let (icode, ity) = self.expr(index, env, level);
@@ -227,13 +227,12 @@ impl Direct {
                             self.errors.push(format!("undeclared array {name:?}"));
                             return Rope::new();
                         };
-                        let mut code = vcode;
-                        code.push_rope(&icode);
-                        code.push_rope(&cg::arr_base_to_r2(*l, *offset, level));
-                        code.push_rope(&cg::index_fixup(*lo));
-                        code.push_rope(&cg::pop_to("r0"));
-                        code.push_str("\tmovl r0, (r2)\n");
-                        code
+                        b.rope(&vcode);
+                        b.rope(&icode);
+                        cg::arr_base_to_r2(&mut b, *l, *offset, level);
+                        cg::index_fixup(&mut b, *lo);
+                        cg::pop_to(&mut b, "r0");
+                        b.text("\tmovl r0, (r2)\n");
                     }
                 }
             }
@@ -244,22 +243,19 @@ impl Direct {
                     params,
                 }) => {
                     let acode = self.args(args, &params, name, env, level);
-                    cg::call(&acode, args.len(), &label, plevel, level, false)
+                    cg::call(&mut b, &acode, args.len(), &label, plevel, level, false);
                 }
                 Some(Entry::Func { .. }) => {
                     self.errors
                         .push(format!("function {name:?} used as a procedure"));
-                    Rope::new()
                 }
                 Some(e) => {
                     self.errors
                         .push(format!("{name:?} is {}, not a procedure", e.describe()));
-                    Rope::new()
                 }
                 None => {
                     self.errors
                         .push(format!("call to undeclared procedure {name:?}"));
-                    Rope::new()
                 }
             },
             Stmt::If { cond, then, els } => {
@@ -267,59 +263,55 @@ impl Direct {
                 let (ccode, cty) = self.expr(cond, env, level);
                 cg::expect_bool("if condition", cty, &mut self.errors);
                 let tcode = self.stmts(then, env, level);
-                let mut code = ccode;
-                code.push_rope(&cg::pop_to("r0"));
+                b.rope(&ccode);
+                cg::pop_to(&mut b, "r0");
                 if els.is_empty() {
-                    code.push_str(&format!("\ttstl r0\n\tbeql L{uid}x\n"));
-                    code.push_rope(&tcode);
-                    code.push_str(&format!("L{uid}x:\n"));
+                    write!(b, "\ttstl r0\n\tbeql L{uid}x\n");
+                    b.rope(&tcode);
+                    write!(b, "L{uid}x:\n");
                 } else {
                     let ecode = self.stmts(els, env, level);
-                    code.push_str(&format!("\ttstl r0\n\tbeql L{uid}e\n"));
-                    code.push_rope(&tcode);
-                    code.push_str(&format!("\tbrb L{uid}x\nL{uid}e:\n"));
-                    code.push_rope(&ecode);
-                    code.push_str(&format!("L{uid}x:\n"));
+                    write!(b, "\ttstl r0\n\tbeql L{uid}e\n");
+                    b.rope(&tcode);
+                    write!(b, "\tbrb L{uid}x\nL{uid}e:\n");
+                    b.rope(&ecode);
+                    write!(b, "L{uid}x:\n");
                 }
-                code
             }
             Stmt::While { cond, body } => {
                 let uid = self.uid();
                 let (ccode, cty) = self.expr(cond, env, level);
                 cg::expect_bool("while condition", cty, &mut self.errors);
                 let bcode = self.stmts(body, env, level);
-                let mut code = Rope::from(format!("L{uid}t:\n"));
-                code.push_rope(&ccode);
-                code.push_rope(&cg::pop_to("r0"));
-                code.push_str(&format!("\ttstl r0\n\tbeql L{uid}x\n"));
-                code.push_rope(&bcode);
-                code.push_str(&format!("\tbrb L{uid}t\nL{uid}x:\n"));
-                code
+                write!(b, "L{uid}t:\n");
+                b.rope(&ccode);
+                cg::pop_to(&mut b, "r0");
+                write!(b, "\ttstl r0\n\tbeql L{uid}x\n");
+                b.rope(&bcode);
+                write!(b, "\tbrb L{uid}t\nL{uid}x:\n");
             }
-            Stmt::Write { args } => self.write_args(args, env, level),
+            Stmt::Write { args } => self.write_args(&mut b, args, env, level),
             Stmt::Writeln { args } => {
-                let mut code = self.write_args(args, env, level);
-                code.push_str("\twriteln\n");
-                code
+                self.write_args(&mut b, args, env, level);
+                b.text("\twriteln\n");
             }
-            Stmt::Compound(body) => self.stmts(body, env, level),
-            Stmt::Empty => Rope::new(),
+            Stmt::Compound(body) => return self.stmts(body, env, level),
+            Stmt::Empty => {}
         }
+        b.finish()
     }
 
-    fn write_args(&mut self, args: &[WriteArg], env: &Env, level: u32) -> Rope {
-        let mut code = Rope::new();
+    fn write_args(&mut self, b: &mut RopeBuilder, args: &[WriteArg], env: &Env, level: u32) {
         for a in args {
             match a {
                 WriteArg::Expr(e) => {
                     let (ecode, _) = self.expr(e, env, level);
-                    code.push_rope(&ecode);
-                    code.push_rope(&cg::write_top());
+                    b.rope(&ecode);
+                    cg::write_top(b);
                 }
-                WriteArg::Str(s) => code.push_rope(&cg::write_str(s)),
+                WriteArg::Str(s) => cg::write_str(b, s),
             }
         }
-        code
     }
 
     fn args(
@@ -337,19 +329,19 @@ impl Direct {
                 actuals.len()
             ));
         }
-        let mut code = Rope::new();
+        let mut b = RopeBuilder::new();
         for (i, a) in actuals.iter().enumerate() {
             let formal = formals.get(i);
             if formal.is_some_and(|f| f.by_ref) {
                 match self.addr_expr(a, env, level) {
-                    Some(acode) => code.push_rope(&acode),
+                    Some(acode) => b.rope(&acode),
                     None => {
                         self.errors.push(format!(
                             "var argument {:?} must be a variable",
                             formal.expect("checked").name
                         ));
                         let (vcode, _) = self.expr(a, env, level);
-                        code.push_rope(&vcode);
+                        b.rope(&vcode);
                     }
                 }
             } else {
@@ -362,15 +354,16 @@ impl Direct {
                         ));
                     }
                 }
-                code.push_rope(&vcode);
+                b.rope(&vcode);
             }
         }
-        code
+        b.finish()
     }
 
     /// Address-push code for `var` arguments, when the expression is
     /// addressable.
     fn addr_expr(&mut self, e: &Expr, env: &Env, level: u32) -> Option<Rope> {
+        let mut b = RopeBuilder::new();
         match e {
             Expr::Name(name) => match env.lookup(name) {
                 Some(Entry::Var {
@@ -378,12 +371,8 @@ impl Direct {
                     offset,
                     by_ref,
                     ..
-                }) => {
-                    let mut code = cg::var_addr_to_r2(*l, *offset, *by_ref, level);
-                    code.push_str("\tpushl r2\n");
-                    Some(code)
-                }
-                _ => None,
+                }) => cg::var_addr_to_r2(&mut b, *l, *offset, *by_ref, level),
+                _ => return None,
             },
             Expr::Index { name, index } => match env.lookup(name).cloned() {
                 Some(Entry::Arr {
@@ -394,55 +383,70 @@ impl Direct {
                 }) => {
                     let (icode, ity) = self.expr(index, env, level);
                     cg::expect_int("array index", ity, &mut self.errors);
-                    let mut code = icode;
-                    code.push_rope(&cg::arr_base_to_r2(l, offset, level));
-                    code.push_rope(&cg::index_fixup(lo));
-                    code.push_str("\tpushl r2\n");
-                    Some(code)
+                    b.rope(&icode);
+                    cg::arr_base_to_r2(&mut b, l, offset, level);
+                    cg::index_fixup(&mut b, lo);
                 }
-                _ => None,
+                _ => return None,
             },
-            _ => None,
+            _ => return None,
         }
+        b.text("\tpushl r2\n");
+        Some(b.finish())
     }
 
     fn expr(&mut self, e: &Expr, env: &Env, level: u32) -> (Rope, Ty) {
-        match e {
-            Expr::Num(n) => (cg::push_imm(*n), Ty::Int),
-            Expr::Bool(b) => (cg::push_imm(i64::from(*b)), Ty::Bool),
+        let mut b = RopeBuilder::new();
+        // An erroneous expression is compiled to no code.
+        let ty = match e {
+            Expr::Num(n) => {
+                cg::push_imm(&mut b, *n);
+                Ty::Int
+            }
+            Expr::Bool(v) => {
+                cg::push_imm(&mut b, i64::from(*v));
+                Ty::Bool
+            }
             Expr::Name(name) => match env.lookup(name).cloned() {
-                Some(Entry::Const(v)) => (cg::push_imm(v), Ty::Int),
+                Some(Entry::Const(v)) => {
+                    cg::push_imm(&mut b, v);
+                    Ty::Int
+                }
                 Some(Entry::Var {
                     level: l,
                     offset,
                     by_ref,
                     ty,
-                }) => (cg::push_var(l, offset, by_ref, level), ty),
+                }) => {
+                    cg::push_var(&mut b, l, offset, by_ref, level);
+                    ty
+                }
                 Some(Entry::Func {
                     label,
                     level: flevel,
                     params,
                     ret,
                 }) if params.is_empty() => {
-                    (cg::call(&Rope::new(), 0, &label, flevel, level, true), ret)
+                    cg::call(&mut b, &Rope::new(), 0, &label, flevel, level, true);
+                    ret
                 }
                 Some(Entry::Func { .. }) => {
                     self.errors
                         .push(format!("function {name:?} needs arguments"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
                 Some(Entry::Arr { .. }) => {
                     self.errors.push(format!("array {name:?} used as a value"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
                 Some(Entry::Proc { .. }) => {
                     self.errors
                         .push(format!("procedure {name:?} used as a value"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
                 None => {
                     self.errors.push(format!("undeclared name {name:?}"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
             },
             Expr::Index { name, index } => {
@@ -455,20 +459,20 @@ impl Direct {
                         lo,
                         ..
                     }) => {
-                        let mut code = icode;
-                        code.push_rope(&cg::arr_base_to_r2(*l, *offset, level));
-                        code.push_rope(&cg::index_fixup(*lo));
-                        code.push_str("\tpushl (r2)\n");
-                        (code, Ty::Int)
+                        b.rope(&icode);
+                        cg::arr_base_to_r2(&mut b, *l, *offset, level);
+                        cg::index_fixup(&mut b, *lo);
+                        b.text("\tpushl (r2)\n");
+                        Ty::Int
                     }
                     Some(e) => {
                         self.errors
                             .push(format!("{name:?} is {}, not an array", e.describe()));
-                        (Rope::new(), Ty::Error)
+                        Ty::Error
                     }
                     None => {
                         self.errors.push(format!("undeclared array {name:?}"));
-                        (Rope::new(), Ty::Error)
+                        Ty::Error
                     }
                 }
             }
@@ -487,47 +491,30 @@ impl Direct {
                         ));
                     }
                     let acode = self.args(args, &params, name, env, level);
-                    (
-                        cg::call(&acode, args.len(), &label, flevel, level, true),
-                        ret,
-                    )
+                    cg::call(&mut b, &acode, args.len(), &label, flevel, level, true);
+                    ret
                 }
                 Some(Entry::Proc { .. }) => {
                     self.errors
                         .push(format!("procedure {name:?} used in an expression"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
                 Some(e) => {
                     self.errors
                         .push(format!("{name:?} is {}, not a function", e.describe()));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
                 None => {
                     self.errors
                         .push(format!("call to undeclared function {name:?}"));
-                    (Rope::new(), Ty::Error)
+                    Ty::Error
                 }
             },
             Expr::Bin { op, lhs, rhs } => {
                 let (lcode, lty) = self.expr(lhs, env, level);
                 let (rcode, rty) = self.expr(rhs, env, level);
-                let mut code = lcode;
-                code.push_rope(&rcode);
-                let (tail, result) = match op {
-                    BinOp::Add => (cg::arith("addl2"), Ty::Int),
-                    BinOp::Sub => (cg::arith("subl2"), Ty::Int),
-                    BinOp::Mul => (cg::arith("mull2"), Ty::Int),
-                    BinOp::Div => (cg::arith("divl2"), Ty::Int),
-                    BinOp::Mod => (cg::runtime2("__mod"), Ty::Int),
-                    BinOp::And => (cg::runtime2("__and"), Ty::Bool),
-                    BinOp::Or => (cg::runtime2("__or"), Ty::Bool),
-                    BinOp::Eq => (cg::runtime2("__eql"), Ty::Bool),
-                    BinOp::Ne => (cg::runtime2("__neq"), Ty::Bool),
-                    BinOp::Lt => (cg::runtime2("__lss"), Ty::Bool),
-                    BinOp::Le => (cg::runtime2("__leq"), Ty::Bool),
-                    BinOp::Gt => (cg::runtime2("__gtr"), Ty::Bool),
-                    BinOp::Ge => (cg::runtime2("__geq"), Ty::Bool),
-                };
+                b.rope(&lcode);
+                b.rope(&rcode);
                 match op {
                     BinOp::Eq | BinOp::Ne => {
                         if !lty.compatible(rty) {
@@ -543,24 +530,40 @@ impl Direct {
                         cg::expect_int("right operand", rty, &mut self.errors);
                     }
                 }
-                code.push_rope(&tail);
-                (code, result)
+                let (tail, arg, result): (fn(&mut RopeBuilder, &str), _, _) = match op {
+                    BinOp::Add => (cg::arith, "addl2", Ty::Int),
+                    BinOp::Sub => (cg::arith, "subl2", Ty::Int),
+                    BinOp::Mul => (cg::arith, "mull2", Ty::Int),
+                    BinOp::Div => (cg::arith, "divl2", Ty::Int),
+                    BinOp::Mod => (cg::runtime2, "__mod", Ty::Int),
+                    BinOp::And => (cg::runtime2, "__and", Ty::Bool),
+                    BinOp::Or => (cg::runtime2, "__or", Ty::Bool),
+                    BinOp::Eq => (cg::runtime2, "__eql", Ty::Bool),
+                    BinOp::Ne => (cg::runtime2, "__neq", Ty::Bool),
+                    BinOp::Lt => (cg::runtime2, "__lss", Ty::Bool),
+                    BinOp::Le => (cg::runtime2, "__leq", Ty::Bool),
+                    BinOp::Gt => (cg::runtime2, "__gtr", Ty::Bool),
+                    BinOp::Ge => (cg::runtime2, "__geq", Ty::Bool),
+                };
+                tail(&mut b, arg);
+                result
             }
             Expr::Neg(x) => {
                 let (xcode, xty) = self.expr(x, env, level);
                 cg::expect_int("negation operand", xty, &mut self.errors);
-                let mut code = xcode;
-                code.push_rope(&cg::negate());
-                (code, Ty::Int)
+                b.rope(&xcode);
+                cg::negate(&mut b);
+                Ty::Int
             }
             Expr::Not(x) => {
                 let (xcode, xty) = self.expr(x, env, level);
                 cg::expect_bool("not operand", xty, &mut self.errors);
-                let mut code = xcode;
-                code.push_rope(&cg::runtime1("__not"));
-                (code, Ty::Bool)
+                b.rope(&xcode);
+                cg::runtime1(&mut b, "__not");
+                Ty::Bool
             }
-        }
+        };
+        (b.finish(), ty)
     }
 }
 

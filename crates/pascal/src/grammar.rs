@@ -22,7 +22,7 @@ use crate::codegen as cg;
 use crate::env::{Entry, Env, ParamSig, Ty};
 use crate::pval::PVal;
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId, SymbolId};
-use paragram_rope::Rope;
+use paragram_rope::{Rope, RopeBuilder};
 use std::sync::Arc;
 
 /// Attribute ids of declaration-like symbols (`decls`, `decl`).
@@ -213,6 +213,21 @@ fn label_for(uid: i64, name: &str) -> Arc<str> {
     Arc::from(format!("P{uid}_{name}").as_str())
 }
 
+/// A code attribute holding what `emit` writes: every code rule builds
+/// its value this way, so the literal text between two children's code
+/// is one leaf.
+fn code(emit: impl FnOnce(&mut RopeBuilder)) -> PVal {
+    let mut b = RopeBuilder::new();
+    emit(&mut b);
+    PVal::Code(b.finish())
+}
+
+/// The empty code attribute (declarations without code, and whatever an
+/// erroneous construct is compiled to).
+fn no_code() -> PVal {
+    PVal::Code(Rope::new())
+}
+
 /// Builds the Pascal attribute grammar (with priority attributes, the
 /// default configuration).
 ///
@@ -335,13 +350,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         p_prog,
         (0, s_code),
         [(2, a_decls.off_out), (3, a_stmts.code), (2, a_decls.code)],
-        |a| {
-            PVal::Code(cg::program_code(
-                a[0].int() as i32,
-                a[1].code(),
-                a[2].code(),
-            ))
-        },
+        |a| code(|b| cg::program_code(b, a[0].int() as i32, a[1].code(), a[2].code())),
         4,
     );
     g.rule_direct(
@@ -369,7 +378,12 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         p_decls_cons,
         (0, a_decls.code),
         [(1, a_decl.code), (2, a_decls.code)],
-        |a| PVal::Code(a[0].code().concat(a[1].code())),
+        |a| {
+            code(|b| {
+                b.rope(a[0].code());
+                b.rope(a[1].code());
+            })
+        },
         2,
     );
     g.rule_direct(
@@ -382,9 +396,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
     let p_decls_nil = g.production("decls_nil", decls, []);
     g.copy_rule(p_decls_nil, (0, a_decls.env_out), (0, a_decls.env_in));
     g.copy_rule(p_decls_nil, (0, a_decls.off_out), (0, a_decls.off_in));
-    g.rule_direct(p_decls_nil, (0, a_decls.code), [], |_| {
-        PVal::Code(Rope::new())
-    });
+    g.rule_direct(p_decls_nil, (0, a_decls.code), [], |_| no_code());
     g.rule_direct(p_decls_nil, (0, a_decls.errs), [], |_| PVal::no_errs());
 
     // ---------------------------------------------------------------
@@ -405,7 +417,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         3,
     );
     g.copy_rule(p_const, (0, a_decl.off_out), (0, a_decl.off_in));
-    g.rule_direct(p_const, (0, a_decl.code), [], |_| PVal::Code(Rope::new()));
+    g.rule_direct(p_const, (0, a_decl.code), [], |_| no_code());
     g.rule_direct(p_const, (0, a_decl.errs), [], |_| PVal::no_errs());
 
     // var ID : integer|boolean
@@ -438,7 +450,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         g.rule_direct(p, (0, a_decl.off_out), [(0, a_decl.off_in)], |a| {
             PVal::Int(a[0].int() - 4)
         });
-        g.rule_direct(p, (0, a_decl.code), [], |_| PVal::Code(Rope::new()));
+        g.rule_direct(p, (0, a_decl.code), [], |_| no_code());
         g.rule_direct(p, (0, a_decl.errs), [], |_| PVal::no_errs());
     }
     let p_var_int = ProdId(p_const.0 + 1);
@@ -482,7 +494,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             PVal::Int(a[2].int() - 4 * n)
         },
     );
-    g.rule_direct(p_var_arr, (0, a_decl.code), [], |_| PVal::Code(Rope::new()));
+    g.rule_direct(p_var_arr, (0, a_decl.code), [], |_| no_code());
     g.rule_direct(p_var_arr, (0, a_decl.errs), [], |_| PVal::no_errs());
 
     // procedure ID (uid) (params) ; decls begin stmts end
@@ -611,12 +623,13 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 (o_decls, a_decls.code),
             ],
             move |a| {
-                let label = label_for(a[1].int(), a[0].str());
-                let mut code = cg::prologue(&label, a[2].int() as i32, is_func);
-                code.push_rope(a[3].code());
-                code.push_rope(&cg::epilogue(is_func));
-                code.push_rope(a[4].code());
-                PVal::Code(code)
+                code(|b| {
+                    let label = label_for(a[1].int(), a[0].str());
+                    cg::prologue(b, &label, a[2].int() as i32, is_func);
+                    b.rope(a[3].code());
+                    cg::epilogue(b, is_func);
+                    b.rope(a[4].code());
+                })
             },
             4,
         );
@@ -674,7 +687,12 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         p_stmts_cons,
         (0, a_stmts.code),
         [(1, a_stmt.code), (2, a_stmts.code)],
-        |a| PVal::Code(a[0].code().concat(a[1].code())),
+        |a| {
+            code(|b| {
+                b.rope(a[0].code());
+                b.rope(a[1].code());
+            })
+        },
         2,
     );
     g.rule_direct(
@@ -684,9 +702,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         |a| PVal::errs_concat(&[&a[0], &a[1]]),
     );
     let p_stmts_nil = g.production("stmts_nil", stmts, []);
-    g.rule_direct(p_stmts_nil, (0, a_stmts.code), [], |_| {
-        PVal::Code(Rope::new())
-    });
+    g.rule_direct(p_stmts_nil, (0, a_stmts.code), [], |_| no_code());
     g.rule_direct(p_stmts_nil, (0, a_stmts.errs), [], |_| PVal::no_errs());
 
     // ---------------------------------------------------------------
@@ -707,14 +723,14 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         ],
         |a| {
             let Some((lvl, off, by_ref, _)) = assign_slot(a[0].env(), a[2].str()) else {
-                return PVal::Code(Rope::new());
+                return no_code();
             };
-            let cur = a[1].int() as u32;
-            let mut code = a[3].code().clone();
-            code.push_rope(&cg::var_addr_to_r2(lvl, off, by_ref, cur));
-            code.push_rope(&cg::pop_to("r0"));
-            code.push_str("\tmovl r0, (r2)\n");
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[3].code());
+                cg::var_addr_to_r2(b, lvl, off, by_ref, a[1].int() as u32);
+                cg::pop_to(b, "r0");
+                b.text("\tmovl r0, (r2)\n");
+            })
         },
         3,
     );
@@ -744,7 +760,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                     None => errs.push(format!("cannot assign to {name:?} ({})", e.describe())),
                 },
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -769,17 +785,17 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 level, offset, lo, ..
             }) = a[0].env().lookup(a[2].str())
             else {
-                return PVal::Code(Rope::new());
+                return no_code();
             };
-            let cur = a[1].int() as u32;
-            // Value first, then index, so the index is on top.
-            let mut code = a[4].code().clone();
-            code.push_rope(a[3].code());
-            code.push_rope(&cg::arr_base_to_r2(*level, *offset, cur));
-            code.push_rope(&cg::index_fixup(*lo));
-            code.push_rope(&cg::pop_to("r0"));
-            code.push_str("\tmovl r0, (r2)\n");
-            PVal::Code(code)
+            code(|b| {
+                // Value first, then index, so the index is on top.
+                b.rope(a[4].code());
+                b.rope(a[3].code());
+                cg::arr_base_to_r2(b, *level, *offset, a[1].int() as u32);
+                cg::index_fixup(b, *lo);
+                cg::pop_to(b, "r0");
+                b.text("\tmovl r0, (r2)\n");
+            })
         },
         4,
     );
@@ -805,7 +821,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             }
             cg::expect_int("array index", a[2].ty(), &mut errs);
             cg::expect_int("array element value", a[3].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -835,15 +851,18 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             (2, a_args.count),
         ],
         |a| match a[0].env().lookup(a[2].str()) {
-            Some(Entry::Proc { label, level, .. }) => PVal::Code(cg::call(
-                a[3].code(),
-                a[4].int() as usize,
-                label,
-                *level,
-                a[1].int() as u32,
-                false,
-            )),
-            _ => PVal::Code(Rope::new()),
+            Some(Entry::Proc { label, level, .. }) => code(|b| {
+                cg::call(
+                    b,
+                    a[3].code(),
+                    a[4].int() as usize,
+                    label,
+                    *level,
+                    a[1].int() as u32,
+                    false,
+                )
+            }),
+            _ => no_code(),
         },
         3,
     );
@@ -875,7 +894,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 Some(e) => errs.push(format!("{name:?} is {}, not a procedure", e.describe())),
                 None => errs.push(format!("call to undeclared procedure {name:?}")),
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -896,13 +915,14 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_stmt.code),
         [(1, AttrId(0)), (2, a_expr.code), (3, a_stmts.code)],
         |a| {
-            let uid = a[0].int();
-            let mut code = a[1].code().clone();
-            code.push_rope(&cg::pop_to("r0"));
-            code.push_str(&format!("\ttstl r0\n\tbeql L{uid}x\n"));
-            code.push_rope(a[2].code());
-            code.push_str(&format!("L{uid}x:\n"));
-            PVal::Code(code)
+            code(|b| {
+                let uid = a[0].int();
+                b.rope(a[1].code());
+                cg::pop_to(b, "r0");
+                write!(b, "\ttstl r0\n\tbeql L{uid}x\n");
+                b.rope(a[2].code());
+                write!(b, "L{uid}x:\n");
+            })
         },
         3,
     );
@@ -916,15 +936,16 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             (4, a_stmts.code),
         ],
         |a| {
-            let uid = a[0].int();
-            let mut code = a[1].code().clone();
-            code.push_rope(&cg::pop_to("r0"));
-            code.push_str(&format!("\ttstl r0\n\tbeql L{uid}e\n"));
-            code.push_rope(a[2].code());
-            code.push_str(&format!("\tbrb L{uid}x\nL{uid}e:\n"));
-            code.push_rope(a[3].code());
-            code.push_str(&format!("L{uid}x:\n"));
-            PVal::Code(code)
+            code(|b| {
+                let uid = a[0].int();
+                b.rope(a[1].code());
+                cg::pop_to(b, "r0");
+                write!(b, "\ttstl r0\n\tbeql L{uid}e\n");
+                b.rope(a[2].code());
+                write!(b, "\tbrb L{uid}x\nL{uid}e:\n");
+                b.rope(a[3].code());
+                write!(b, "L{uid}x:\n");
+            })
         },
         3,
     );
@@ -933,14 +954,15 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_stmt.code),
         [(1, AttrId(0)), (2, a_expr.code), (3, a_stmts.code)],
         |a| {
-            let uid = a[0].int();
-            let mut code = Rope::from(format!("L{uid}t:\n"));
-            code.push_rope(a[1].code());
-            code.push_rope(&cg::pop_to("r0"));
-            code.push_str(&format!("\ttstl r0\n\tbeql L{uid}x\n"));
-            code.push_rope(a[2].code());
-            code.push_str(&format!("\tbrb L{uid}t\nL{uid}x:\n"));
-            PVal::Code(code)
+            code(|b| {
+                let uid = a[0].int();
+                write!(b, "L{uid}t:\n");
+                b.rope(a[1].code());
+                cg::pop_to(b, "r0");
+                write!(b, "\ttstl r0\n\tbeql L{uid}x\n");
+                b.rope(a[2].code());
+                write!(b, "\tbrb L{uid}t\nL{uid}x:\n");
+            })
         },
         3,
     );
@@ -952,7 +974,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("if condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_direct(
@@ -969,7 +991,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             cg::expect_bool("if condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
             errs.extend(a[3].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_direct(
@@ -980,7 +1002,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("while condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -998,9 +1020,10 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_stmt.code),
         [(1, a_wargs.code)],
         |a| {
-            let mut code = a[0].code().clone();
-            code.push_str("\twriteln\n");
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[0].code());
+                b.text("\twriteln\n");
+            })
         },
         2,
     );
@@ -1014,7 +1037,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
 
     // empty
     let p_empty = g.production("empty", stmt, []);
-    g.rule_direct(p_empty, (0, a_stmt.code), [], |_| PVal::Code(Rope::new()));
+    g.rule_direct(p_empty, (0, a_stmt.code), [], |_| no_code());
     g.rule_direct(p_empty, (0, a_stmt.errs), [], |_| PVal::no_errs());
 
     // write-argument lists
@@ -1028,10 +1051,11 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_wargs.code),
         [(1, a_expr.code), (2, a_wargs.code)],
         |a| {
-            let mut code = a[0].code().clone();
-            code.push_rope(&cg::write_top());
-            code.push_rope(a[1].code());
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[0].code());
+                cg::write_top(b);
+                b.rope(a[1].code());
+            })
         },
         2,
     );
@@ -1049,17 +1073,16 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_wargs.code),
         [(1, AttrId(0)), (2, a_wargs.code)],
         |a| {
-            let mut code = cg::write_str(a[0].str());
-            code.push_rope(a[1].code());
-            PVal::Code(code)
+            code(|b| {
+                cg::write_str(b, a[0].str());
+                b.rope(a[1].code());
+            })
         },
         2,
     );
     g.copy_rule(p_wargs_str, (0, a_wargs.errs), (2, a_wargs.errs));
     let p_wargs_nil = g.production("wargs_nil", wargs, []);
-    g.rule_direct(p_wargs_nil, (0, a_wargs.code), [], |_| {
-        PVal::Code(Rope::new())
-    });
+    g.rule_direct(p_wargs_nil, (0, a_wargs.code), [], |_| no_code());
     g.rule_direct(p_wargs_nil, (0, a_wargs.errs), [], |_| PVal::no_errs());
 
     // actual-argument lists
@@ -1091,16 +1114,14 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         ],
         |a| {
             let by_ref = a[0].sig().first().is_some_and(|p| p.by_ref);
-            let mut code = if by_ref {
-                match &a[2] {
-                    PVal::Code(c) => c.clone(),
-                    _ => a[1].code().clone(), // error reported separately
-                }
-            } else {
-                a[1].code().clone()
+            let arg = match &a[2] {
+                PVal::Code(addr) if by_ref => addr,
+                _ => a[1].code(), // a by-ref non-variable is reported separately
             };
-            code.push_rope(a[3].code());
-            PVal::Code(code)
+            code(|b| {
+                b.rope(arg);
+                b.rope(a[3].code());
+            })
         },
         2,
     );
@@ -1130,17 +1151,12 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 }
             }
             errs.extend(a[4].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     let p_args_nil = g.production("args_nil", args, []);
     g.rule_direct(p_args_nil, (0, a_args.count), [], |_| PVal::Int(0));
-    g.rule_direct(
-        p_args_nil,
-        (0, a_args.code),
-        [],
-        |_| PVal::Code(Rope::new()),
-    );
+    g.rule_direct(p_args_nil, (0, a_args.code), [], |_| no_code());
     g.rule_direct(p_args_nil, (0, a_args.errs), [], |_| PVal::no_errs());
 
     // ---------------------------------------------------------------
@@ -1152,7 +1168,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
 
     let p_num = g.production("num", expr, [t_num]);
     g.rule_direct(p_num, (0, a_expr.code), [(1, AttrId(0))], |a| {
-        PVal::Code(cg::push_imm(a[0].int()))
+        code(|b| cg::push_imm(b, a[0].int()))
     });
     no_addr(&mut g, p_num, &a_expr);
     g.rule_direct(p_num, (0, a_expr.ty), [], |_| PVal::Ty(Ty::Int));
@@ -1162,7 +1178,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
     let p_false = g.production("false", expr, []);
     for (p, v) in [(p_true, 1), (p_false, 0)] {
         g.rule(p, (0, a_expr.code), [], move |_| {
-            PVal::Code(cg::push_imm(v))
+            code(|b| cg::push_imm(b, v))
         });
         no_addr(&mut g, p, &a_expr);
         g.rule_direct(p, (0, a_expr.ty), [], |_| PVal::Ty(Ty::Bool));
@@ -1176,21 +1192,21 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         [(0, a_expr.env), (0, a_expr.level), (1, AttrId(0))],
         |a| {
             let cur = a[1].int() as u32;
-            PVal::Code(match a[0].env().lookup(a[2].str()) {
-                Some(Entry::Const(v)) => cg::push_imm(*v),
+            code(|b| match a[0].env().lookup(a[2].str()) {
+                Some(Entry::Const(v)) => cg::push_imm(b, *v),
                 Some(Entry::Var {
                     level,
                     offset,
                     by_ref,
                     ..
-                }) => cg::push_var(*level, *offset, *by_ref, cur),
+                }) => cg::push_var(b, *level, *offset, *by_ref, cur),
                 Some(Entry::Func {
                     label,
                     level,
                     params,
                     ..
-                }) if params.is_empty() => cg::call(&Rope::new(), 0, label, *level, cur, true),
-                _ => Rope::new(),
+                }) if params.is_empty() => cg::call(b, &Rope::new(), 0, label, *level, cur, true),
+                _ => {}
             })
         },
         2,
@@ -1205,11 +1221,10 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 offset,
                 by_ref,
                 ..
-            }) => {
-                let mut code = cg::var_addr_to_r2(*level, *offset, *by_ref, a[1].int() as u32);
-                code.push_str("\tpushl r2\n");
-                PVal::Code(code)
-            }
+            }) => code(|b| {
+                cg::var_addr_to_r2(b, *level, *offset, *by_ref, a[1].int() as u32);
+                b.text("\tpushl r2\n");
+            }),
             _ => PVal::Unit,
         },
     );
@@ -1264,13 +1279,14 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 level, offset, lo, ..
             }) = a[0].env().lookup(a[2].str())
             else {
-                return PVal::Code(Rope::new());
+                return no_code();
             };
-            let mut code = a[3].code().clone();
-            code.push_rope(&cg::arr_base_to_r2(*level, *offset, a[1].int() as u32));
-            code.push_rope(&cg::index_fixup(*lo));
-            code.push_str("\tpushl (r2)\n");
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[3].code());
+                cg::arr_base_to_r2(b, *level, *offset, a[1].int() as u32);
+                cg::index_fixup(b, *lo);
+                b.text("\tpushl (r2)\n");
+            })
         },
         3,
     );
@@ -1290,11 +1306,12 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             else {
                 return PVal::Unit;
             };
-            let mut code = a[3].code().clone();
-            code.push_rope(&cg::arr_base_to_r2(*level, *offset, a[1].int() as u32));
-            code.push_rope(&cg::index_fixup(*lo));
-            code.push_str("\tpushl r2\n");
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[3].code());
+                cg::arr_base_to_r2(b, *level, *offset, a[1].int() as u32);
+                cg::index_fixup(b, *lo);
+                b.text("\tpushl r2\n");
+            })
         },
     );
     g.rule_direct(
@@ -1326,7 +1343,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 None => errs.push(format!("undeclared array {name:?}")),
             }
             cg::expect_int("array index", a[2].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -1356,15 +1373,18 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             (2, a_args.count),
         ],
         |a| match a[0].env().lookup(a[2].str()) {
-            Some(Entry::Func { label, level, .. }) => PVal::Code(cg::call(
-                a[3].code(),
-                a[4].int() as usize,
-                label,
-                *level,
-                a[1].int() as u32,
-                true,
-            )),
-            _ => PVal::Code(Rope::new()),
+            Some(Entry::Func { label, level, .. }) => code(|b| {
+                cg::call(
+                    b,
+                    a[3].code(),
+                    a[4].int() as usize,
+                    label,
+                    *level,
+                    a[1].int() as u32,
+                    true,
+                )
+            }),
+            _ => no_code(),
         },
         3,
     );
@@ -1408,12 +1428,13 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 Some(e) => errs.push(format!("{name:?} is {}, not a function", e.describe())),
                 None => errs.push(format!("call to undeclared function {name:?}")),
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
     // Binary operators. Each gets its own production (as a real AG
     // would); code and typing rules are generated from a table.
+    #[derive(Clone, Copy)]
     enum Kind {
         Arith(&'static str),
         Runtime2(&'static str),
@@ -1444,11 +1465,10 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         g.copy_rule(p, (2, a_expr.env), (0, a_expr.env));
         g.copy_rule(p, (2, a_expr.level), (0, a_expr.level));
         no_addr(&mut g, p, &a_expr);
-        let (tail, result_ty, operand): (Rope, Ty, Ty) = match kind {
-            Kind::Arith(op) => (cg::arith(op), Ty::Int, Ty::Int),
-            Kind::Runtime2(rt) => (cg::runtime2(rt), Ty::Int, Ty::Int),
-            Kind::Rel(rt) => (cg::runtime2(rt), Ty::Bool, Ty::Int),
-            Kind::Logic(rt) => (cg::runtime2(rt), Ty::Bool, Ty::Bool),
+        let (result_ty, operand) = match kind {
+            Kind::Arith(_) | Kind::Runtime2(_) => (Ty::Int, Ty::Int),
+            Kind::Rel(_) => (Ty::Bool, Ty::Int),
+            Kind::Logic(_) => (Ty::Bool, Ty::Bool),
         };
         let is_eq = matches!(name, "eq" | "ne");
         g.rule_with_cost(
@@ -1456,10 +1476,14 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             (0, a_expr.code),
             [(1, a_expr.code), (2, a_expr.code)],
             move |a| {
-                let mut code = a[0].code().clone();
-                code.push_rope(a[1].code());
-                code.push_rope(&tail);
-                PVal::Code(code)
+                code(|b| {
+                    b.rope(a[0].code());
+                    b.rope(a[1].code());
+                    match kind {
+                        Kind::Arith(op) => cg::arith(b, op),
+                        Kind::Runtime2(rt) | Kind::Rel(rt) | Kind::Logic(rt) => cg::runtime2(b, rt),
+                    }
+                })
             },
             2,
         );
@@ -1489,7 +1513,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                         errs.push(format!("right operand must be {operand}, found {rt}"));
                     }
                 }
-                PVal::Errs(Arc::new(errs))
+                PVal::errs(errs)
             },
         );
     }
@@ -1520,9 +1544,10 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_expr.code),
         [(1, a_expr.code)],
         |a| {
-            let mut code = a[0].code().clone();
-            code.push_rope(&cg::negate());
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[0].code());
+                cg::negate(b);
+            })
         },
         2,
     );
@@ -1534,7 +1559,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         |a| {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_int("negation operand", a[0].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_with_cost_direct(
@@ -1542,9 +1567,10 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         (0, a_expr.code),
         [(1, a_expr.code)],
         |a| {
-            let mut code = a[0].code().clone();
-            code.push_rope(&cg::runtime1("__not"));
-            PVal::Code(code)
+            code(|b| {
+                b.rope(a[0].code());
+                cg::runtime1(b, "__not");
+            })
         },
         2,
     );
@@ -1556,7 +1582,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         |a| {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("not operand", a[0].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 

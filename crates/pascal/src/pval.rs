@@ -1,10 +1,49 @@
 //! The Pascal compiler's attribute-value domain.
+//!
+//! A value costs the heap objects it carries and no more: the store of
+//! a compiled tree holds one `PVal` per attribute instance, and freeing
+//! them one `free` at a time is most of what tearing a tree down costs.
+//! `Unit`, `Int`, `Ty` and the empty [`ErrList`] — the value of every
+//! error attribute of a correct program — own nothing; the others are
+//! one reference-counted handle, so a copy rule shares instead of
+//! copying. `PVal` is 24 bytes (asserted below); a variant that needs
+//! more grows every slot of every store.
 
 use crate::env::{Entry, Env, ParamSig, Ty};
-use paragram_core::value::{fnv1a, fnv1a_u64, AttrValue};
+use paragram_core::value::{fnv1a, fnv1a_bytes, fnv1a_u64, AttrValue};
 use paragram_rope::Rope;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// A list of semantic-error messages, shared by handle. The empty list
+/// is a value, not an allocation: it owns nothing and copying it counts
+/// nothing.
+#[derive(Clone, PartialEq, Default)]
+pub struct ErrList(
+    /// `Some` is never empty.
+    Option<Arc<[String]>>,
+);
+
+impl From<Vec<String>> for ErrList {
+    fn from(msgs: Vec<String>) -> Self {
+        ErrList((!msgs.is_empty()).then(|| msgs.into()))
+    }
+}
+
+impl Deref for ErrList {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
+impl fmt::Debug for ErrList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Attribute values of the Pascal attribute grammar.
 #[derive(Clone, PartialEq, Default)]
@@ -23,7 +62,7 @@ pub enum PVal {
     /// Generated code.
     Code(Rope),
     /// Semantic-error messages.
-    Errs(Arc<Vec<String>>),
+    Errs(ErrList),
     /// Parameter signatures (synthesized by formal-parameter lists).
     Sig(Arc<Vec<ParamSig>>),
 }
@@ -31,21 +70,29 @@ pub enum PVal {
 impl PVal {
     /// Empty error list.
     pub fn no_errs() -> PVal {
-        PVal::Errs(Arc::new(Vec::new()))
+        PVal::Errs(ErrList::default())
     }
 
     /// Single-message error list.
     pub fn err(msg: impl Into<String>) -> PVal {
-        PVal::Errs(Arc::new(vec![msg.into()]))
+        PVal::errs(vec![msg.into()])
     }
 
-    /// Concatenates any number of error lists.
+    /// An error list with these messages.
+    pub fn errs(msgs: Vec<String>) -> PVal {
+        PVal::Errs(msgs.into())
+    }
+
+    /// Concatenates any number of error lists. When at most one of them
+    /// has messages the result is that list's handle (or the empty
+    /// list): nothing is copied and nothing allocated.
     pub fn errs_concat(parts: &[&PVal]) -> PVal {
-        let mut out: Vec<String> = Vec::new();
-        for p in parts {
-            out.extend(p.as_errs().iter().cloned());
+        let mut with_msgs = parts.iter().filter(|p| !p.as_errs().is_empty());
+        match (with_msgs.next(), with_msgs.next()) {
+            (None, _) => PVal::no_errs(),
+            (Some(&only), None) => only.clone(),
+            _ => PVal::errs(parts.iter().flat_map(|p| p.as_errs()).cloned().collect()),
         }
-        PVal::Errs(Arc::new(out))
     }
 
     /// The integer inside (panics on other variants — semantic rules
@@ -196,7 +243,7 @@ impl AttrValue for PVal {
                     return None;
                 }
                 for chunk in c.chunks() {
-                    h = fnv1a_u64(h, fnv1a(chunk.as_bytes()));
+                    h = fnv1a_bytes(h, chunk.as_bytes());
                 }
             }
             PVal::Errs(e) => {
@@ -306,6 +353,87 @@ mod tests {
         let c = PVal::err("two");
         let all = PVal::errs_concat(&[&a, &b, &c]);
         assert_eq!(all.as_errs(), &["one".to_string(), "two".to_string()]);
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<PVal>(), 24);
+    }
+
+    #[test]
+    fn empty_error_list_owns_nothing() {
+        for empty in [PVal::no_errs(), PVal::errs(Vec::new())] {
+            let PVal::Errs(list) = &empty else {
+                unreachable!()
+            };
+            assert!(list.0.is_none(), "no handle: nothing allocated or counted");
+            // What the simulator, the memo and the logs see is what an
+            // empty `Arc<Vec<String>>` showed them.
+            assert_eq!(empty.wire_size(), 5);
+            assert_eq!(empty.content_hash(), Some(fnv1a_u64(fnv1a(&[6]), 0)));
+            assert_eq!(format!("{empty:?}"), "errs(0)");
+            assert_eq!(empty, PVal::no_errs());
+            assert_ne!(empty, PVal::err("x"));
+            assert_ne!(empty, PVal::Unit);
+        }
+        let one = PVal::err("ab");
+        assert_eq!(one.wire_size(), 1 + 4 + (2 + 4));
+        assert_eq!(format!("{one:?}"), "errs(1)");
+        assert_eq!(
+            one.content_hash(),
+            Some(fnv1a_u64(fnv1a_u64(fnv1a(&[6]), fnv1a(b"ab")), 1))
+        );
+    }
+
+    #[test]
+    fn errs_concat_of_one_nonempty_list_is_its_handle() {
+        let x = PVal::err("x");
+        let PVal::Errs(ErrList(Some(handle))) = &x else {
+            unreachable!()
+        };
+        for parts in [[&PVal::no_errs(), &x], [&x, &PVal::Unit]] {
+            let PVal::Errs(ErrList(Some(got))) = PVal::errs_concat(&parts) else {
+                panic!("one message expected");
+            };
+            assert!(Arc::ptr_eq(&got, handle));
+        }
+        let PVal::Errs(none) = PVal::errs_concat(&[&PVal::no_errs(), &PVal::Unit]) else {
+            unreachable!()
+        };
+        assert!(none.0.is_none());
+    }
+
+    #[test]
+    fn code_hash_is_of_the_text_not_of_the_leaves() {
+        use paragram_rope::{RopeBuilder, SegmentId, SegmentStore};
+        let text = "\tpushl $1\n\tpushl -8(fp)\n\tcalls $2, __lss\n";
+        let (head, tail) = text.split_at(11);
+        let mut b = RopeBuilder::new();
+        b.text(&text[..5]);
+        b.rope(&Rope::from(&text[5..40]));
+        b.text(&text[40..]);
+        let mut store = SegmentStore::new();
+        let id = SegmentId::from_parts(0, 0);
+        store.register(id, Rope::from(tail));
+        let resolved = Rope::from(head)
+            .concat(&Rope::seg(id, tail.len()))
+            .resolve(&store)
+            .unwrap();
+        let shapes = [
+            Rope::from(text),
+            Rope::from(head).concat(&Rope::from(tail)),
+            text.split_inclusive('\n').collect(),
+            b.finish(),
+            resolved,
+        ];
+        assert!(shapes.iter().any(|r| r.leaf_count() > 2));
+        let hash = |r: &Rope| PVal::Code(r.clone()).content_hash().expect("no segments");
+        for r in &shapes {
+            assert_eq!(r.to_string(), text);
+            assert_eq!(hash(r), hash(&shapes[0]), "{} leaves", r.leaf_count());
+        }
+        let other = Rope::from(head).concat(&Rope::from(tail.replace("__lss", "__lsr")));
+        assert_ne!(hash(&other), hash(&shapes[0]));
     }
 
     #[test]

@@ -29,10 +29,17 @@
 //!
 //! | O(1) | O(d) | O(s · d) | O(n) |
 //! |---|---|---|---|
-//! | `new`, `leaf`¹, `seg`, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `physical_wire_size`, `has_segments`, `ptr_eq`, `clone` | `byte_at` | `deflate`, `resolve` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `pieces`, `seg_ids`, `from_iter` |
+//! | `new`, `leaf`¹, `seg`, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `physical_wire_size`, `has_segments`, `ptr_eq`, `clone`, `RopeBuilder::text`¹, `RopeBuilder::rope`² | `byte_at` | `deflate`, `resolve` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `pieces`, `seg_ids`, `from_iter`, `drop` of the last handle |
 //!
-//! ¹ plus copying the text handed in. Nothing else copies text except
-//! `to_string`, `lines`, `pieces` and `rebalance`.
+//! ¹ plus copying the text handed in. ² plus copying the builder's
+//! pending run into its leaf — each byte of literal text once — and,
+//! when the rope linked is itself one leaf of a few bytes, that leaf's
+//! text (see [`RopeBuilder`]). Nothing else copies text except
+//! `to_string`, `lines`, `pieces` and `rebalance`; in particular
+//! `concat`, `push_str` and `push_rope` never merge leaves — `resolve`
+//! and `deflate` promise to share every chunk by pointer — so the way
+//! to get one leaf out of adjacent literal text is to emit it through a
+//! [`RopeBuilder`].
 //!
 //! Every concatenation node caches its length, depth, whether a
 //! segment reference lies below it and the bytes it physically carries,
@@ -42,12 +49,16 @@
 //! field of the root, `has_segments` one of the handle itself, and
 //! `deflate`/`resolve` descend only towards segment references and
 //! share every other sub-rope.
-//! Dropping the last handle to a rope frees it node by node, O(n) and
-//! recursive in *d*.
+//! Dropping the last handle to a rope frees it node by node, O(n), on
+//! an explicit stack: a statement list's code is a list-shaped rope as
+//! deep as the list is long, and freeing it must not need a machine
+//! stack to match.
 
+mod builder;
 mod descriptor;
 mod seg;
 
+pub use builder::RopeBuilder;
 pub use descriptor::{Descriptor, SegmentId, SegmentStore, UnknownSegment};
 pub use seg::Piece;
 
@@ -341,6 +352,29 @@ impl Rope {
             }
             ca = &ca[n..];
             cb = &cb[n..];
+        }
+    }
+}
+
+/// Frees the nodes only this handle still owns, iteratively. Nodes have
+/// no `Drop` of their own, so the one way a node is freed is through
+/// the handle (or the parent node) that held the last reference to it —
+/// here.
+impl Drop for Rope {
+    fn drop(&mut self) {
+        let mut next = self.root.take();
+        // Right-hand concatenations waiting their turn; a leaf or a
+        // segment reference is freed on the spot, so a list-shaped rope
+        // never pushes and a rope shared with another handle (the usual
+        // case: `into_inner` is `None`) never allocates.
+        let mut pending: Vec<Arc<RNode>> = Vec::new();
+        while let Some(node) = next.take().or_else(|| pending.pop()) {
+            if let Some(RNode::Concat { left, right, .. }) = Arc::into_inner(node) {
+                next = Some(left);
+                if matches!(*right, RNode::Concat { .. }) {
+                    pending.push(right);
+                }
+            }
         }
     }
 }
