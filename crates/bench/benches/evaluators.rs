@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paragram_bench::Workload;
-use paragram_core::eval::{dynamic_eval, static_eval};
+use paragram_core::eval::dynamic_eval;
 use paragram_pascal::generator::GenConfig;
 
 fn bench_evaluators(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_evaluators(c: &mut Criterion) {
     for (label, cfg) in [("small", GenConfig::small()), ("paper", GenConfig::paper())] {
         let w = Workload::from_config(&cfg);
         group.bench_with_input(BenchmarkId::new("static", label), &w, |b, w| {
-            b.iter(|| static_eval(&w.tree, &w.plans).unwrap())
+            b.iter(|| w.compiler.evals.eval_sequential(&w.tree).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("dynamic", label), &w, |b, w| {
             b.iter(|| dynamic_eval(&w.tree).unwrap())

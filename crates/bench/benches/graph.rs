@@ -5,17 +5,10 @@
 //! `stats.graph_edges` measure its size, this bench measures its time.
 //! Constructing a [`Machine`] in dynamic mode builds exactly the
 //! region's dependency graph without evaluating anything.
-//!
-//! It also measures the ready-queue service order in isolation
-//! (`eval/fifo` vs `eval/prod-batched`): the ROADMAP's "measure first"
-//! item for replacing the scheduler's global FIFO with per-production
-//! batches that improve rule i-cache locality.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paragram_bench::Workload;
-use paragram_core::eval::{
-    dynamic_eval, dynamic_eval_with, EvalPlan, Machine, MachineMode, MachineScratch, ReadyPolicy,
-};
+use paragram_core::eval::{dynamic_eval, EvalPlan, Machine, MachineMode, MachineScratch};
 use paragram_core::split::Decomposition;
 use paragram_pascal::generator::GenConfig;
 use std::sync::Arc;
@@ -78,14 +71,6 @@ fn bench_graph(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("construct+eval", label), &w, |b, w| {
             b.iter(|| dynamic_eval(&w.tree).unwrap())
-        });
-        // Ready-lane comparison: identical graphs and results (asserted
-        // in core's tests), different service order of the ready set.
-        group.bench_with_input(BenchmarkId::new("eval/fifo", label), &w, |b, w| {
-            b.iter(|| dynamic_eval_with(&w.tree, ReadyPolicy::Fifo).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("eval/prod-batched", label), &w, |b, w| {
-            b.iter(|| dynamic_eval_with(&w.tree, ReadyPolicy::ProductionBatched).unwrap())
         });
     }
     group.finish();

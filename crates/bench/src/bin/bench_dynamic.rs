@@ -41,8 +41,8 @@
 
 use paragram_bench::Workload;
 use paragram_core::eval::{
-    dynamic_eval, static_eval, static_eval_segments, static_eval_with_programs, EvalPlan, Machine,
-    MachineMode, MachineScratch,
+    dynamic_eval, static_eval_segments, static_eval_with_programs, EvalPlan, Machine, MachineMode,
+    MachineScratch,
 };
 use paragram_core::split::Decomposition;
 use paragram_pascal::generator::GenConfig;
@@ -216,7 +216,7 @@ struct Teardown {
 fn measure_teardown(w: &Workload, iters: usize) -> Teardown {
     let mut drops: Vec<u128> = (0..iters)
         .map(|_| {
-            let evaluated = static_eval(&w.tree, &w.plans).unwrap();
+            let evaluated = w.compiler.evals.eval_sequential(&w.tree).unwrap();
             let t = Instant::now();
             drop(evaluated);
             t.elapsed().as_nanos()
@@ -225,7 +225,7 @@ fn measure_teardown(w: &Workload, iters: usize) -> Teardown {
     drops.sort_unstable();
     let per_node = |n: u64| n as f64 / w.tree.len() as f64;
     let allocs = ALLOCS.get();
-    let evaluated = static_eval(&w.tree, &w.plans).unwrap();
+    let evaluated = w.compiler.evals.eval_sequential(&w.tree).unwrap();
     let eval_allocs = ALLOCS.get() - allocs;
     let frees = FREES.get();
     drop(evaluated);

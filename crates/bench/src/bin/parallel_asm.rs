@@ -260,7 +260,7 @@ fn build_asm_tree(lang: &AsmLang, sections: &[(String, Vec<Item>)]) -> Arc<Parse
 fn main() {
     // Compile the paper workload, then assemble its output in parallel.
     let w = Workload::paper();
-    let (store, stats) = static_eval(&w.tree, &w.plans).unwrap();
+    let (store, stats) = w.compiler.evals.eval_sequential(&w.tree).unwrap();
     let compiled = w.compiler.output_from_store(&w.tree, &store, stats);
     assert!(compiled.errors.is_empty());
 

@@ -9,7 +9,7 @@
 //! numbers) and real host wall-clock times.
 
 use paragram_bench::{fmt_secs, simulate, Workload};
-use paragram_core::eval::{dynamic_eval, static_eval, MachineMode};
+use paragram_core::eval::{dynamic_eval, MachineMode};
 use paragram_pascal::direct::compile_direct;
 use paragram_pascal::parser::parse;
 use paragram_pascal::run_asm;
@@ -52,7 +52,7 @@ fn main() {
     println!("  attributed-tree construction    {tree_t:>10.2?}");
 
     let t = Instant::now();
-    let (store_s, stats_s) = static_eval(&tree, &w.plans).unwrap();
+    let (store_s, stats_s) = w.compiler.evals.eval_sequential(&tree).unwrap();
     let static_t = t.elapsed();
     println!(
         "  AG static evaluation            {static_t:>10.2?}  ({} rules)",

@@ -7,13 +7,9 @@
 //! (§4.3) are served from a separate ready lane so globally needed
 //! values (the symbol table) are never starved by local work.
 //!
-//! The normal lane's service order is configurable via [`ReadyPolicy`]:
-//! the classic global FIFO, or per-production batches that run all
-//! ready applications of one production's rules back-to-back for rule
-//! i-cache locality ([`dynamic_eval_with`]; the `graph` bench compares
-//! the two). Any service order is confluent — each attribute instance
-//! has exactly one defining rule, so every topological order computes
-//! the same store.
+//! Any service order of the ready set is confluent — each attribute
+//! instance has exactly one defining rule, so every topological order
+//! computes the same store; both lanes are FIFO.
 
 use crate::csr::CsrCounter;
 use crate::grammar::{ArgScratch, OccRef};
@@ -24,96 +20,7 @@ use std::collections::VecDeque;
 
 use super::EvalError;
 
-/// Service order of the dynamic scheduler's normal ready lane (the
-/// priority lane of §4.3 is always FIFO and always served first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadyPolicy {
-    /// One global FIFO worklist — the classic order.
-    #[default]
-    Fifo,
-    /// Ready tasks are bucketed by production and drained one
-    /// production at a time, so a production's semantic rules run
-    /// back-to-back (better rule i-cache/branch locality on wide
-    /// trees). The evaluation *order* changes; the result cannot —
-    /// every topological order fills the same store.
-    ProductionBatched,
-}
-
-/// The normal ready lane behind [`ReadyPolicy`].
-enum ReadyLane {
-    Fifo(VecDeque<u32>),
-    ProductionBatched {
-        /// Ready tasks per production.
-        buckets: Vec<Vec<u32>>,
-        /// Productions with queued work, in first-ready order.
-        order: VecDeque<u32>,
-        /// Whether a production is already in `order` (or being
-        /// drained), so it is queued at most once.
-        queued: Vec<bool>,
-        /// The production currently being drained.
-        current: Option<usize>,
-    },
-}
-
-impl ReadyLane {
-    fn new(policy: ReadyPolicy, prods: usize) -> Self {
-        match policy {
-            ReadyPolicy::Fifo => ReadyLane::Fifo(VecDeque::new()),
-            ReadyPolicy::ProductionBatched => ReadyLane::ProductionBatched {
-                buckets: vec![Vec::new(); prods],
-                order: VecDeque::new(),
-                queued: vec![false; prods],
-                current: None,
-            },
-        }
-    }
-
-    /// `prod` is resolved lazily so the default FIFO lane never pays
-    /// the per-task production lookup the batched probe needs.
-    fn push(&mut self, tid: u32, prod: impl FnOnce() -> usize) {
-        match self {
-            ReadyLane::Fifo(q) => q.push_back(tid),
-            ReadyLane::ProductionBatched {
-                buckets,
-                order,
-                queued,
-                current,
-            } => {
-                let prod = prod();
-                buckets[prod].push(tid);
-                if !queued[prod] && *current != Some(prod) {
-                    queued[prod] = true;
-                    order.push_back(prod as u32);
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<u32> {
-        match self {
-            ReadyLane::Fifo(q) => q.pop_front(),
-            ReadyLane::ProductionBatched {
-                buckets,
-                order,
-                queued,
-                current,
-            } => loop {
-                if let Some(p) = *current {
-                    if let Some(t) = buckets[p].pop() {
-                        return Some(t);
-                    }
-                    *current = None;
-                }
-                let p = order.pop_front()? as usize;
-                queued[p] = false;
-                *current = Some(p);
-            },
-        }
-    }
-}
-
-/// Evaluates every attribute instance of `tree` dynamically with the
-/// default FIFO ready lane.
+/// Evaluates every attribute instance of `tree` dynamically.
 ///
 /// Returns the filled attribute store and evaluation statistics
 /// (instances evaluated, graph size — the costs Figure 1's pipeline
@@ -125,19 +32,6 @@ impl ReadyLane {
 /// grammar was circular for this tree).
 pub fn dynamic_eval<V: AttrValue>(
     tree: &ParseTree<V>,
-) -> Result<(AttrStore<V>, EvalStats), EvalError> {
-    dynamic_eval_with(tree, ReadyPolicy::Fifo)
-}
-
-/// [`dynamic_eval`] with an explicit ready-lane service order.
-///
-/// # Errors
-///
-/// [`EvalError::Cycle`] if the tree's instance graph is cyclic (the
-/// grammar was circular for this tree).
-pub fn dynamic_eval_with<V: AttrValue>(
-    tree: &ParseTree<V>,
-    policy: ReadyPolicy,
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
     let g = tree.grammar();
     let mut store = AttrStore::new(tree);
@@ -189,22 +83,21 @@ pub fn dynamic_eval_with<V: AttrValue>(
     }
     let waiters = filler.finish();
 
-    let task_prod = |tid: u32| tree.node(tasks[tid as usize].0).prod.0 as usize;
-    let mut ready = ReadyLane::new(policy, g.prods().len());
+    let mut ready: VecDeque<u32> = VecDeque::new();
     let mut ready_priority: VecDeque<u32> = VecDeque::new();
     for (tid, &m) in missing.iter().enumerate() {
         if m == 0 {
             if is_priority[tid] {
                 ready_priority.push_back(tid as u32);
             } else {
-                ready.push(tid as u32, || task_prod(tid as u32));
+                ready.push_back(tid as u32);
             }
         }
     }
 
     let mut executed = 0usize;
     let mut scratch = ArgScratch::new();
-    while let Some(tid) = ready_priority.pop_front().or_else(|| ready.pop()) {
+    while let Some(tid) = ready_priority.pop_front().or_else(|| ready.pop_front()) {
         let (node, ri) = tasks[tid as usize];
         let rule = &g.prod(tree.node(node).prod).rules[ri];
         let value = scratch.apply(rule, |a| {
@@ -222,7 +115,7 @@ pub fn dynamic_eval_with<V: AttrValue>(
                 if is_priority[w as usize] {
                     ready_priority.push_back(w);
                 } else {
-                    ready.push(w, || task_prod(w));
+                    ready.push_back(w);
                 }
             }
         }
@@ -381,60 +274,6 @@ mod tests {
         match dynamic_eval(&tree) {
             Err(EvalError::Cycle { stuck }) => assert_eq!(stuck, 3),
             other => panic!("expected cycle, got {other:?}"),
-        }
-    }
-
-    /// The per-production lane computes the same store as the FIFO lane
-    /// (confluence), on a grammar mixing inherited chains, synthesized
-    /// folds and token values.
-    #[test]
-    fn production_batched_lane_matches_fifo() {
-        let mut g = GrammarBuilder::<i64>::new();
-        let s = g.nonterminal("S");
-        let t = g.nonterminal("T");
-        let num = g.terminal("num");
-        let val = g.synthesized(num, "val");
-        let out = g.synthesized(s, "out");
-        let depth = g.inherited(t, "depth");
-        let sum = g.synthesized(t, "sum");
-        let top = g.production("top", s, [t, t]);
-        g.rule(top, (1, depth), [], |_| 1);
-        g.rule(top, (2, depth), [], |_| 10);
-        g.rule(top, (0, out), [(1, sum), (2, sum)], |a| a[0] * a[1]);
-        let fork = g.production("fork", t, [t, t]);
-        g.rule(fork, (1, depth), [(0, depth)], |a| a[0] + 1);
-        g.rule(fork, (2, depth), [(0, depth)], |a| a[0] + 2);
-        g.rule(fork, (0, sum), [(1, sum), (2, sum)], |a| a[0] + a[1]);
-        let leaf = g.production("leaf", t, [num]);
-        g.rule(leaf, (0, sum), [(0, depth), (1, val)], |a| a[0] * a[1]);
-        let gr = Arc::new(g.build(s).unwrap());
-        let mut tb = TreeBuilder::new(&gr);
-        let mut build = |k: i64| {
-            let mut n = tb.node_full(leaf, vec![token(vec![k])]);
-            for i in 0..4 {
-                let m = tb.node_full(leaf, vec![token(vec![k + i])]);
-                n = tb.node(fork, [n, m]);
-            }
-            n
-        };
-        let (a, b) = (build(3), build(7));
-        let root = tb.node(top, [a, b]);
-        let tree = tb.finish(root).unwrap();
-
-        let (fifo, fs) = dynamic_eval_with(&tree, ReadyPolicy::Fifo).unwrap();
-        let (prod, ps) = dynamic_eval_with(&tree, ReadyPolicy::ProductionBatched).unwrap();
-        assert_eq!(fs.dynamic_applied, ps.dynamic_applied);
-        assert_eq!(fs.graph_edges, ps.graph_edges);
-        for node in tree.node_ids() {
-            let sym = tree.grammar().prod(tree.node(node).prod).lhs;
-            for a in 0..tree.grammar().attr_count(sym) {
-                let attr = crate::grammar::AttrId(a as u32);
-                assert_eq!(
-                    fifo.get(node, attr),
-                    prod.get(node, attr),
-                    "node={node:?} attr={attr:?}"
-                );
-            }
         }
     }
 

@@ -53,14 +53,14 @@ mod plan;
 mod program;
 mod static_eval;
 
-pub use dynamic::{dynamic_eval, dynamic_eval_with, ReadyPolicy};
+pub use dynamic::dynamic_eval;
 pub use incremental::{Incremental, UpdateError};
 pub use machine::{AttrMsg, Machine, MachineMode, SendTarget, StepOutcome};
 pub use plan::{EvalPlan, MachineScratch};
 pub use program::{Op, VisitPrograms};
 pub use static_eval::{
     run_program_segment, run_static_segment, static_eval, static_eval_segments,
-    static_eval_with_programs, EvalScratch,
+    static_eval_with_programs, static_eval_with_scratch, EvalScratch,
 };
 
 use crate::analysis::{OagError, Plans};

@@ -252,6 +252,13 @@ impl<V> MachineScratch<V> {
         Self::default()
     }
 
+    /// The evaluation half of the scratch, for a caller that runs the
+    /// visit programs without building a machine (the pool's whole-tree
+    /// jobs): the same buffers either way.
+    pub fn eval_scratch(&mut self) -> &mut EvalScratch<V> {
+        &mut self.eval
+    }
+
     /// Clears contents, keeping capacity.
     pub(super) fn reset(&mut self) {
         self.edges.clear();

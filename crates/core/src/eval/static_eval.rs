@@ -103,9 +103,24 @@ pub fn static_eval_with_programs<V: AttrValue>(
     plans: &Plans,
     programs: &VisitPrograms<V>,
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
+    static_eval_with_scratch(tree, plans, programs, &mut EvalScratch::new())
+}
+
+/// [`static_eval_with_programs`] with the caller's [`EvalScratch`], so a
+/// caller that evaluates tree after tree (a pool worker running
+/// whole-tree jobs) grows the interpreter's buffers once.
+///
+/// # Errors
+///
+/// As for [`static_eval`].
+pub fn static_eval_with_scratch<V: AttrValue>(
+    tree: &ParseTree<V>,
+    plans: &Plans,
+    programs: &VisitPrograms<V>,
+    scratch: &mut EvalScratch<V>,
+) -> Result<(AttrStore<V>, EvalStats), EvalError> {
     let mut store = AttrStore::new(tree);
     let mut stats = EvalStats::default();
-    let mut scratch = EvalScratch::new();
     let root_sym = tree.grammar().prod(tree.node(tree.root()).prod).lhs;
     for visit in 1..=plans.phases.visit_count(root_sym) {
         run_program_segment(
@@ -115,7 +130,7 @@ pub fn static_eval_with_programs<V: AttrValue>(
             tree.root(),
             visit,
             &mut stats,
-            &mut scratch,
+            scratch,
         )?;
     }
     Ok((store, stats))

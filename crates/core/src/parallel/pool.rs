@@ -43,7 +43,8 @@
 //! call. An entry lives from `submit` to retirement: a registration
 //! for a ticket no longer in flight (a region of a failed ticket that
 //! has not seen its `Cancel` yet) is dropped, so an idle pool's ledger
-//! is empty — debug builds assert it.
+//! is empty — debug builds assert it. A ticket that is not cut into
+//! regions (below) registers nothing and has no entry at all.
 //!
 //! # Region-granular scheduling
 //!
@@ -53,7 +54,7 @@
 //!
 //! ```text
 //! submit(tree)
-//!   │ decompose                     fixed-count (Machines) or
+//!   │ carve                         fixed-count (Machines) or
 //!   │                               cost-driven (Adaptive budget)
 //!   ▼
 //! ticket t ──┬─ job (t,0) ─▶ worker w(t,0)    one Machine per job;
@@ -65,8 +66,39 @@
 //!                  │  register_open(t, ..)     into the shared ledger
 //!                  ▼
 //! Done(t, q) per region ─▶ parser assembles InFlight(t)
-//!                        ─▶ resolve(t) at retirement ─▶ PoolReport
+//!   (root values aboard   ─▶ resolve(t) at retirement ─▶ PoolReport
+//!    the root region's)
+//!
+//! ticket t, not cut ── whole-tree job (t,0) ─▶ worker w(t,0)
+//!                        static evaluation into an AttrStore:
+//!                        no decomposition, machine or ledger entry
+//!                  ▼
+//! Done(t, 0) with the store ─▶ retirement adopts it ─▶ PoolReport
 //! ```
+//!
+//! A finished job is **one message**: its `Done` carries what it
+//! computed — a region's local store (and, from the root region, the
+//! tree's root values), or a whole tree's store.
+//!
+//! A ticket that stays whole — one region — is not a degenerate case of
+//! the machinery above but a different job: nothing crosses a boundary,
+//! so there is nothing to decompose, no dependency to schedule, no
+//! segment to register and no region store to map back. The worker runs
+//! the plan's compiled visit programs over the tree exactly as the
+//! sequential static evaluator does (§2.4: static evaluation wherever
+//! no remote dependency exists) and retirement adopts the store it
+//! filled. Such a job runs to completion when its worker takes it up,
+//! rather than taking turns with that worker's machines; it is short by
+//! construction (below twice the hand-off floor under `Machines`, about
+//! 1.6 ms of evaluation; under an `Adaptive` budget, a tree with one
+//! budget's work or nowhere to split), which bounds how long an older
+//! machine on that worker waits for its next step. Under either
+//! scheduler it is the ticket's one job — pinned by the same placement
+//! function, or one board job that a crash re-executes from nothing —
+//! and with the memo on it keeps the root region's contract: probe,
+//! replay or evaluate, install at retirement. A pool running
+//! [`MachineMode::Dynamic`] (its grammar may not be l-ordered, so there
+//! may be no visit program to run) keeps the one-region machine.
 //!
 //! Because regions — not trees — are the work items, a single huge tree
 //! decomposed into many budget-sized regions
@@ -83,9 +115,9 @@
 //! subtree too small to repay shipping is never split off, and the pool
 //! asks for `min(n, tree_work / MIN_REGION_WORK)` regions (at least
 //! one), so a tree below twice the hand-off cost stays whole and is one
-//! job. The floor is a private constant of this file whose doc comment
-//! carries the measured crossover; a paper-sized tree (≥ 25 k nodes) is
-//! far above it and decomposes exactly as before. An explicit
+//! whole-tree job. The floor is a private constant of this file whose
+//! doc comment carries the measured crossover; a paper-sized tree
+//! (≥ 25 k nodes) is far above it and decomposes exactly as before. An explicit
 //! [`RegionGranularity::Adaptive`] budget is not floored, and neither
 //! is the simulator, whose hand-off cost is the modelled network and
 //! whose minima are the grammar's.
@@ -94,15 +126,19 @@
 //!
 //! Because registration and resolution are decoupled per ticket, the
 //! pool needs no barrier between trees. A small in-flight window
-//! ([`PoolConfig::pipeline_depth`], default 2) lets tree N+1's region
-//! jobs dispatch while tree N's regions drain — with small trees one
-//! job each and placement rotating by ticket, that is one tree per
-//! worker on two workers. (A window of two trees *per worker*, so that
-//! a worker's next tree is already in its channel when it finishes the
-//! current one, was measured on the 2-core box and did not pay: the
-//! numbers are in ROADMAP's Status notes. A pool of more workers fed
-//! small trees wants `with_pipeline_depth(workers)` or more — a whole
-//! tree occupies one worker.) Workers multiplex their
+//! ([`PoolConfig::pipeline_depth`]) lets tree N+1's region jobs
+//! dispatch while tree N's regions drain. The default window is two
+//! trees **per worker**. It is per worker because a small tree is one
+//! job on one worker, placement rotating by ticket: a window of
+//! `workers` trees puts one on each, and then a worker that finishes
+//! has nothing to do until the caller's thread has been woken, has
+//! retired the tree, prepared the next and sent it — a round trip
+//! between two threads, 20–200 µs on the 2-core box against the
+//! ≈ 65 µs the tree takes to evaluate. With two per worker the next
+//! tree is already in the worker's channel. (Measured on `small_iid`:
+//! `lines_per_s` ×1.14–1.27 for the window alone; four per worker read
+//! no better than two. ROADMAP's Status notes have the tables.)
+//! Workers multiplex their
 //! machines **oldest job first**: whenever an older machine starves
 //! (blocked on an attribute from a straggling peer — e.g. downstream of
 //! the symbol-table pipeline), the worker steps the next job's machine
@@ -117,10 +153,14 @@
 //! Retiring a ticket ([`PoolReport::assemble`]) runs on whichever
 //! thread collects it — the batch driver's caller, or the service
 //! queue's pump — after the tree's last rule has fired, so none of it
-//! overlaps that tree's evaluation. It waits on no other thread — the
-//! ticket's segment store is taken out of the shared ledger under a
-//! lock no one holds for longer than one registration. It is, in
-//! order: inflating the root values; the memo install scan
+//! overlaps that tree's evaluation. A ticket that was one whole-tree
+//! job costs none of what follows: its store arrives finished, and
+//! retirement reads the root values out of it (and, memo on, runs the
+//! install scan over it) — no ledger lock, no allocation, no move, no
+//! inflation. For a ticket of regions, retirement waits on no other
+//! thread — the ticket's segment store is taken out of the shared
+//! ledger under a lock no one holds for longer than one registration.
+//! It is, in order: inflating the root values; the memo install scan
 //! (memo on only: one `is_fingerprintable` + `wire_size` per value of
 //! each cacheable region not yet cached); sizing the whole-tree store
 //! ([`AttrStore::new`], O(instances), mostly first-touch page faults);
@@ -197,12 +237,15 @@
 //! window full (what `paragram-driver`'s batch driver does), or the
 //! one-shot [`WorkerPool::eval`] when compiling a single tree.
 
-use crate::eval::{AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch, SendTarget};
+use crate::eval::{
+    static_eval_with_scratch, AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch,
+    SendTarget,
+};
 use crate::grammar::{AttrId, AttrKind};
 use crate::memo::{inherited_fingerprint, MemoCache, MemoCounters, MemoEntry, MemoKey};
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
-use crate::tree::{AttrStore, NodeId, ParseTree, RegionStore};
+use crate::tree::{AttrSlots, AttrStore, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
 use paragram_rope::{Rope, SegmentId, SegmentStore};
 use std::collections::{HashMap, VecDeque};
@@ -355,10 +398,12 @@ pub struct PoolConfig {
     /// Split-granularity scale.
     pub min_size_scale: f64,
     /// Maximum number of trees in flight at once. Depth 1 is the strict
-    /// per-tree barrier; depth 2 (the default) lets the next tree's
+    /// per-tree barrier. The constructors' default is two per worker:
+    /// a small tree is one job on one worker, so that is what keeps
+    /// every worker's next tree in its channel while it runs the
+    /// current one; for trees that are cut it lets the next tree's
     /// region jobs fill workers idling behind the current tree's
-    /// stragglers — and, since a small tree is one job, is what puts
-    /// two small trees on two workers at once.
+    /// stragglers.
     pub pipeline_depth: usize,
     /// How trees are carved into region jobs:
     /// [`RegionGranularity::Machines`] (at most one region per worker
@@ -384,14 +429,14 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// Combined evaluation on `n` workers with librarian propagation
-    /// and the default pipeline window.
+    /// and the default pipeline window of two trees per worker.
     pub fn combined(n: usize) -> Self {
         PoolConfig {
             workers: n,
             mode: MachineMode::Combined,
             result: ResultPropagation::Librarian,
             min_size_scale: 1.0,
-            pipeline_depth: 2,
+            pipeline_depth: 2 * n.max(1),
             granularity: RegionGranularity::Machines(n),
             memo_capacity: 0,
             memo_install: crate::memo::InstallPolicy::Always,
@@ -551,34 +596,46 @@ pub struct PoolReport<V: AttrValue> {
     /// Merged attribute store, librarian-resolved (independent of the
     /// decomposition that produced it).
     pub store: AttrStore<V>,
-    /// The librarian's segment store for this tree's ticket.
+    /// The librarian's segment store for this tree's ticket: what its
+    /// regions registered. Empty for a ticket that was one whole-tree
+    /// job (`regions == 1` on a combined-mode pool) — nothing crossed a
+    /// boundary, so nothing was registered.
     pub segments: SegmentStore,
     /// Aggregated statistics.
     pub stats: EvalStats,
     /// Wall-clock time from job dispatch until the retiring thread had
-    /// every region's `Done` in hand — it stops *before* the ticket's
+    /// every job's `Done` in hand — it stops *before* the ticket's
     /// segment store is taken from the ledger, so it covers
-    /// decomposition-to-last-rule and nothing of retirement. Read on the retiring thread when it gets
-    /// to this ticket, so it also counts any time the finished regions
-    /// sat unread; under a pipelined window it overlaps with
-    /// neighbouring trees' times.
+    /// dispatch-to-last-rule and nothing of retirement. Read on the
+    /// retiring thread when it gets to this ticket, so it also counts
+    /// any time the finished jobs sat unread — with the default window
+    /// of two trees per worker a small tree's `elapsed` includes its
+    /// wait in the worker's channel behind the tree ahead of it — and
+    /// under a pipelined window it overlaps with neighbouring trees'
+    /// times.
     pub elapsed: Duration,
     /// Wall-clock time of retirement, on the retiring thread, starting
-    /// where `elapsed` stops: taking the ticket's segment store, root
-    /// inflation, memo installation, whole-tree store allocation,
-    /// region absorption and [`AttrStore::inflate_all`]. `elapsed +
+    /// where `elapsed` stops. For a ticket of regions: taking the
+    /// ticket's segment store, root inflation, memo installation,
+    /// whole-tree store allocation, region absorption and
+    /// [`AttrStore::inflate_all`]. For a ticket that was one whole-tree
+    /// job: reading the root values out of the store the worker filled
+    /// (and the memo install, memo on) — next to nothing. `elapsed +
     /// assemble` is dispatch to finished report.
     pub assemble: Duration,
-    /// Number of regions actually used.
+    /// Number of regions actually used; 1 is a tree that stayed whole.
     pub regions: usize,
 }
 
-/// What a worker needs to build a region job's machine: the tree and
-/// its decomposition.
-type JobData<V> = (Arc<ParseTree<V>>, Arc<Decomposition>);
+/// What a worker needs to run a job: the tree and, for a region job,
+/// the decomposition its machine is built over. `None` is the
+/// **whole-tree job** of a ticket that was not cut: nothing crosses a
+/// boundary, so there is no decomposition, slot layout or machine to
+/// build — the worker runs the visit programs over the tree.
+type JobData<V> = (Arc<ParseTree<V>>, Option<Arc<Decomposition>>);
 
 enum WorkerMsg<V> {
-    /// Fixed placement only: a region job pinned to this worker.
+    /// Fixed placement only: a job pinned to this worker.
     Job(Claimed<V, JobData<V>>),
     Attr {
         ticket: Ticket,
@@ -606,20 +663,33 @@ enum WorkerMsg<V> {
     Shutdown,
 }
 
-enum ParserMsg<V> {
-    Root {
-        ticket: Ticket,
-        attr: AttrId,
-        value: V,
-    },
-    Done {
-        ticket: Ticket,
-        region: RegionId,
-        /// A finished region ships its O(region) local store back; the
-        /// parser role maps it into the whole-tree store at assembly.
-        result: Result<(EvalStats, RegionStore<V>), EvalError>,
-    },
+/// The one message a worker sends the parser role: a job finished, or
+/// failed.
+struct Done<V> {
+    ticket: Ticket,
+    region: RegionId,
+    result: Result<JobResult<V>, EvalError>,
 }
+
+/// What a finished job ships back.
+enum Finished<V> {
+    /// A region job: its O(region) local store, which the parser role
+    /// maps into the whole-tree store at assembly, and — from the root
+    /// region only — the tree's root attribute values as the machine
+    /// sent them (deflated under librarian propagation).
+    Region {
+        store: RegionStore<V>,
+        roots: Vec<(AttrId, V)>,
+    },
+    /// A whole-tree job: the tree's store, which retirement adopts.
+    Tree(AttrStore<V>),
+}
+
+/// A successful job's statistics and what it ships back.
+type JobResult<V> = (EvalStats, Finished<V>);
+
+/// A retired ticket's root values, whole-tree store and statistics.
+type Retired<V> = (Vec<(AttrId, V)>, AttrStore<V>, EvalStats);
 
 /// Per-ticket assembly state: what the parser role has collected for
 /// one in-flight tree so far.
@@ -629,12 +699,11 @@ struct InFlight<V: AttrValue> {
     /// and resolves the region stores' slot spans against it.
     tree: Arc<ParseTree<V>>,
     /// The decomposition — retire-time memo installation needs region
-    /// roots and parents.
-    decomp: Arc<Decomposition>,
+    /// roots and parents. `None` for a ticket that is one whole-tree
+    /// job.
+    decomp: Option<Arc<Decomposition>>,
     regions: usize,
-    expected_roots: usize,
-    raw_roots: Vec<(AttrId, V)>,
-    region_results: Vec<Option<(EvalStats, RegionStore<V>)>>,
+    region_results: Vec<Option<JobResult<V>>>,
     done: usize,
     start: Instant,
     /// First error any region machine raised; a failed entry's
@@ -649,9 +718,10 @@ pub struct WorkerPool<V: AttrValue> {
     config: PoolConfig,
     split: SplitTable,
     worker_txs: Vec<Sender<WorkerMsg<V>>>,
-    parser_rx: Receiver<ParserMsg<V>>,
-    /// The librarian: one segment store per in-flight ticket, opened at
-    /// `submit`, filled by the workers, taken at retirement.
+    parser_rx: Receiver<Done<V>>,
+    /// The librarian: one segment store per in-flight ticket that was
+    /// cut into regions, opened at `submit`, filled by the workers,
+    /// taken at retirement.
     ledger: Arc<Mutex<SegmentLedger>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_ticket: Ticket,
@@ -683,7 +753,7 @@ struct WorkerCtx<V: AttrValue> {
     me: usize,
     rx: Receiver<WorkerMsg<V>>,
     peers: Vec<Sender<WorkerMsg<V>>>,
-    parser_tx: Sender<ParserMsg<V>>,
+    parser_tx: Sender<Done<V>>,
     /// The librarian's ledger (registration side).
     ledger: Arc<Mutex<SegmentLedger>>,
     /// The pool configuration — under fixed placement, workers route
@@ -976,14 +1046,42 @@ impl<V: AttrValue> WorkerPool<V> {
         self.memo.as_ref().map(|m| m.counters())
     }
 
-    /// Submits one tree into the pipeline window: decomposes it (at the
-    /// configured granularity — under [`RegionGranularity::Machines`]
-    /// into no more regions than the tree's work repays shipping, so a
-    /// small tree stays whole), assigns the next ticket (returned, so
-    /// serving layers can correlate retries), opens the ticket's ledger
-    /// entry and dispatches one region job per region. If the window is
-    /// full, the oldest in-flight tree is retired first (its report —
-    /// or failure — is buffered for [`WorkerPool::collect`] /
+    /// Cuts `tree` into regions at the configured granularity — under
+    /// [`RegionGranularity::Machines`] into no more than the tree's
+    /// work repays shipping — or returns `None` for a tree that stays
+    /// whole and needs no decomposition at all: under `Machines`
+    /// decided from the work estimate alone, under
+    /// [`RegionGranularity::Adaptive`] by a decomposition that comes
+    /// back unsplit. A [`MachineMode::Dynamic`] pool (its grammar may
+    /// have no visit programs to run) keeps the one-region machine.
+    fn carve(&self, tree: &Arc<ParseTree<V>>) -> Option<Arc<Decomposition>> {
+        let whole_trees = self.config.mode == MachineMode::Combined;
+        let granularity = match self.config.granularity {
+            RegionGranularity::Machines(n) => {
+                let regions = regions_worth_shipping(n, self.plan.tree_work(tree));
+                if regions == 1 && whole_trees {
+                    return None;
+                }
+                RegionGranularity::Machines(regions)
+            }
+            adaptive @ RegionGranularity::Adaptive { .. } => adaptive,
+        };
+        let decomp = decompose_granular(tree, &self.split, self.plan.work_table(), granularity);
+        if whole_trees && decomp.is_unsplit() {
+            None
+        } else {
+            Some(Arc::new(decomp))
+        }
+    }
+
+    /// Submits one tree into the pipeline window: [cuts](Self::carve)
+    /// it into regions or leaves it whole, assigns the next ticket
+    /// (returned, so serving layers can correlate retries) and
+    /// dispatches its jobs — one per region, after opening the ticket's
+    /// ledger entry, or the one whole-tree job, which crosses no
+    /// boundary and so has no entry to open. If the window is full, the
+    /// oldest in-flight tree is retired first (its report — or failure
+    /// — is buffered for [`WorkerPool::collect`] /
     /// [`WorkerPool::take_ready`]).
     ///
     /// A ticket whose evaluation fails (cycle, plan inconsistency,
@@ -997,33 +1095,22 @@ impl<V: AttrValue> WorkerPool<V> {
 
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let granularity = match self.config.granularity {
-            RegionGranularity::Machines(n) => {
-                RegionGranularity::Machines(regions_worth_shipping(n, self.plan.tree_work(tree)))
-            }
-            adaptive @ RegionGranularity::Adaptive { .. } => adaptive,
-        };
-        let decomp = Arc::new(decompose_granular(
-            tree,
-            &self.split,
-            self.plan.work_table(),
-            granularity,
-        ));
-        let regions = decomp.len();
-        // Before any job of the ticket exists: a worker registers only
-        // into an open entry.
-        self.ledger.lock().expect("ledger lock").open(ticket);
-        let root_sym = self.plan.grammar().prod(tree.node(tree.root()).prod).lhs;
-        let expected_roots = self.plan.syn_attrs(root_sym).len();
+        let decomp = self.carve(tree);
+        let regions = decomp.as_ref().map_or(1, |d| d.len());
+        if decomp.is_some() {
+            // Before any job of the ticket exists: a worker registers
+            // only into an open entry.
+            self.ledger.lock().expect("ledger lock").open(ticket);
+        }
 
         let start = Instant::now();
         if self.sched.is_some() {
-            self.seed_stealing(ticket, tree, &decomp);
+            self.seed_stealing(ticket, tree, decomp.as_ref());
         } else {
             for r in 0..regions {
                 let job = WorkerMsg::Job(Claimed {
                     key: (ticket, r as RegionId),
-                    payload: (Arc::clone(tree), Arc::clone(&decomp)),
+                    payload: (Arc::clone(tree), decomp.clone()),
                     early: Vec::new(),
                 });
                 // Region r of ticket t is pinned to worker (r + t) mod W:
@@ -1042,8 +1129,6 @@ impl<V: AttrValue> WorkerPool<V> {
             tree: Arc::clone(tree),
             decomp,
             regions,
-            expected_roots,
-            raw_roots: Vec::with_capacity(expected_roots),
             region_results: (0..regions).map(|_| None).collect(),
             done: 0,
             start,
@@ -1054,20 +1139,28 @@ impl<V: AttrValue> WorkerPool<V> {
         ticket
     }
 
-    /// Seeds one ticket's region jobs onto the scheduler board
-    /// ([`Board::seed`]: LPT with parent/child co-seeding), then wakes
-    /// every worker — the board records every region before any of
-    /// them can look.
-    fn seed_stealing(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, decomp: &Arc<Decomposition>) {
+    /// Seeds one ticket's jobs — its regions', or its one whole-tree
+    /// job — onto the scheduler board ([`Board::seed`]: LPT with
+    /// parent/child co-seeding), then wakes every worker — the board
+    /// records every job before any of them can look.
+    fn seed_stealing(
+        &self,
+        ticket: Ticket,
+        tree: &Arc<ParseTree<V>>,
+        decomp: Option<&Arc<Decomposition>>,
+    ) {
         let sched = self.sched.as_ref().expect("stealing scheduler on");
-        let work: Vec<u64> = (0..decomp.len())
-            .map(|r| self.plan.region_work(tree, decomp, r as RegionId).max(1))
-            .collect();
+        let work: Vec<u64> = match decomp {
+            Some(d) => (0..d.len())
+                .map(|r| self.plan.region_work(tree, d, r as RegionId).max(1))
+                .collect(),
+            None => vec![self.plan.tree_work(tree).max(1)],
+        };
         sched.lock().expect("scheduler lock").seed(
             ticket,
             &work,
-            |r| decomp.regions[r as usize].parent,
-            |_| (Arc::clone(tree), Arc::clone(decomp)),
+            |r| decomp.and_then(|d| d.regions[r as usize].parent),
+            |_| (Arc::clone(tree), decomp.cloned()),
         );
         // Wake everyone: idle workers with empty deques can steal.
         // Killed workers' channels may be gone — that's fine.
@@ -1101,10 +1194,11 @@ impl<V: AttrValue> WorkerPool<V> {
     /// regions have all reported — or whose evaluation failed —
     /// (front-first, preserving submission order) into the ready
     /// buffer, and returns how many results became ready. What it still
-    /// does on the caller's thread is the assembly of each tree it
-    /// retires ([`PoolReport::assemble`]: O(attribute instances) — tens
-    /// of microseconds for a procedure-sized tree, tens of milliseconds
-    /// for a 264 k-node one). A service loop calls this between
+    /// does on the caller's thread is the assembly of each tree of
+    /// regions it retires ([`PoolReport::assemble`]: O(attribute
+    /// instances) — a few milliseconds for a 25 k-node tree, tens for a
+    /// 264 k-node one; a tree that stayed whole arrives assembled). A
+    /// service loop calls this between
     /// arrivals to harvest finished requests while keeping the window
     /// topped up via [`WorkerPool::submit`].
     pub fn poll(&mut self) -> usize {
@@ -1154,58 +1248,39 @@ impl<V: AttrValue> WorkerPool<V> {
         (i < self.in_flight.len()).then_some(i)
     }
 
-    /// Routes one worker message to whichever in-flight ticket it
+    /// Routes one finished job to whichever in-flight ticket it
     /// belongs to. Stale messages (retired tickets) and duplicate
-    /// deliveries from recovery replay are suppressed; a region failure
+    /// deliveries from recovery replay are suppressed; a job failure
     /// fails its ticket only — the ticket's remaining jobs are
     /// cancelled and the pool keeps serving every other ticket.
-    fn route(&mut self, msg: ParserMsg<V>) {
-        match msg {
-            ParserMsg::Root {
-                ticket,
-                attr,
-                value,
-            } => {
-                let Some(i) = self.entry_index(ticket) else {
-                    return;
-                };
-                let entry = &mut self.in_flight[i];
-                // A re-executed root region re-sends its root values;
-                // each root attribute is unique per ticket, so presence
-                // is the idempotency key.
-                if entry.raw_roots.iter().any(|(a, _)| *a == attr) {
-                    self.count_duplicate();
-                    return;
-                }
-                entry.raw_roots.push((attr, value));
+    fn route(&mut self, msg: Done<V>) {
+        let Done {
+            ticket,
+            region,
+            result,
+        } = msg;
+        let Some(i) = self.entry_index(ticket) else {
+            return;
+        };
+        let entry = &mut self.in_flight[i];
+        if entry.region_results[region as usize].is_some() {
+            // Belt and braces: table ownership already keeps zombies
+            // from reporting, but a duplicate Done (a re-executed root
+            // region's has the root values aboard a second time) is
+            // harmless either way: results are deterministic, and the
+            // first report stands.
+            self.count_duplicate();
+            return;
+        }
+        match result {
+            Ok(r) => {
+                entry.region_results[region as usize] = Some(r);
+                entry.done += 1;
             }
-            ParserMsg::Done {
-                ticket,
-                region,
-                result,
-            } => {
-                let Some(i) = self.entry_index(ticket) else {
-                    return;
-                };
-                let entry = &mut self.in_flight[i];
-                if entry.region_results[region as usize].is_some() {
-                    // Belt and braces: table ownership already keeps
-                    // zombies from reporting, but a duplicate Done is
-                    // harmless either way (results are deterministic).
-                    self.count_duplicate();
-                    return;
-                }
-                match result {
-                    Ok(r) => {
-                        entry.region_results[region as usize] = Some(r);
-                        entry.done += 1;
-                    }
-                    Err(e) => {
-                        if entry.failed.is_none() {
-                            entry.failed = Some(e);
-                            self.cancel_ticket(ticket);
-                        }
-                    }
+            Err(e) => {
+                if entry.failed.is_none() {
+                    entry.failed = Some(e);
+                    self.cancel_ticket(ticket);
                 }
             }
         }
@@ -1243,16 +1318,18 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Parser role for the oldest in-flight tree: drain worker messages
-    /// until its regions all report (or its ticket fails) — the only
+    /// until its jobs all report (or its ticket fails) — the only
     /// wait, and none at all when [`WorkerPool::front_complete`] already
-    /// holds — then perform the librarian's deferred resolution and
-    /// assemble the report or failure on this thread.
+    /// holds — then retire it on this thread: a ticket of regions gets
+    /// the librarian's deferred resolution and is
+    /// [assembled](Self::assemble); a ticket that was one whole-tree
+    /// job has its store [adopted](Self::adopt).
     fn retire_front(&mut self) -> Result<PoolReport<V>, TicketFailure> {
         while !self.front_complete() {
             let msg = self.parser_rx.recv().expect("workers alive");
             self.route(msg);
         }
-        let mut fl = self.in_flight.pop_front().expect("checked non-empty");
+        let fl = self.in_flight.pop_front().expect("checked non-empty");
         let retiring = Instant::now();
         let ticket = fl.ticket;
 
@@ -1261,20 +1338,58 @@ impl<V: AttrValue> WorkerPool<V> {
         // we just drained, so the entry is complete, while later
         // tickets' registrations keep streaming into theirs. A failed
         // ticket's entry is taken too (and dropped): that closes it to
-        // whatever a not-yet-cancelled straggler region still sends.
-        let segments = self.ledger.lock().expect("ledger lock").resolve(ticket);
-
-        match fl.failed.take() {
-            Some(error) => Err(error),
-            None => self.assemble(fl, segments, retiring),
+        // whatever a not-yet-cancelled straggler region still sends. A
+        // whole-tree job registers nothing and never had an entry.
+        let segments = match &fl.decomp {
+            Some(_) => self.ledger.lock().expect("ledger lock").resolve(ticket),
+            None => SegmentStore::default(),
+        };
+        let retired = match (fl.failed, &fl.decomp) {
+            (Some(error), _) => Err(error),
+            (None, Some(decomp)) => self.assemble(&fl.tree, decomp, fl.region_results, &segments),
+            (None, None) => Ok(self.adopt(&fl.tree, fl.region_results)),
+        };
+        match retired {
+            Ok((root_values, store, stats)) => Ok(PoolReport {
+                ticket,
+                root_values,
+                store,
+                segments,
+                stats,
+                elapsed: retiring.duration_since(fl.start),
+                assemble: retiring.elapsed(),
+                regions: fl.regions,
+            }),
+            Err(error) => Err(TicketFailure { ticket, error }),
         }
-        .map_err(|error| TicketFailure { ticket, error })
     }
 
-    /// Builds the report of a ticket whose regions all reported: root
-    /// inflation, memo installation, sparse store assembly, inflation
-    /// of the store. `retiring` is when retirement began (the end of
-    /// [`PoolReport::elapsed`], the start of [`PoolReport::assemble`]).
+    /// Retires a ticket that was one whole-tree job: the store the
+    /// worker evaluated into *is* the tree's store, so there is nothing
+    /// to size, absorb or inflate. What is left is the memo install
+    /// (memo on only — the root region's contract, under the key the
+    /// worker probed with) and reading the root values out.
+    fn adopt(&self, tree: &ParseTree<V>, results: Vec<Option<JobResult<V>>>) -> Retired<V> {
+        let Some(Some((stats, Finished::Tree(store)))) = results.into_iter().next() else {
+            unreachable!("a whole-tree ticket's one job reports the tree's store");
+        };
+        let root = tree.root();
+        if let (Some(memo), Some(key)) = (&self.memo, whole_tree_key(tree)) {
+            install_span(memo, tree, root, key, |n, a| store.get(n, a));
+        }
+        let root_sym = tree.grammar().prod(tree.node(root).prod).lhs;
+        let root_values = self
+            .plan
+            .syn_attrs(root_sym)
+            .iter()
+            .filter_map(|&a| Some((a, store.get(root, a)?.clone())))
+            .collect();
+        (root_values, store, stats)
+    }
+
+    /// Retires a ticket of regions that all reported: root inflation,
+    /// memo installation, sparse store assembly, inflation of the
+    /// store.
     ///
     /// A segment reference `segments` cannot resolve fails the ticket
     /// ([`EvalError::UnknownSegment`]): handing out a store whose code
@@ -1282,38 +1397,34 @@ impl<V: AttrValue> WorkerPool<V> {
     /// handing out none.
     fn assemble(
         &self,
-        fl: InFlight<V>,
-        segments: SegmentStore,
-        retiring: Instant,
-    ) -> Result<PoolReport<V>, EvalError> {
-        debug_assert_eq!(
-            fl.raw_roots.len(),
-            fl.expected_roots,
-            "root attrs precede Done"
-        );
-        let root_values = fl
-            .raw_roots
-            .into_iter()
-            .map(|(a, v)| Ok((a, v.inflate(&segments)?.unwrap_or(v))))
-            .collect::<Result<Vec<(AttrId, V)>, EvalError>>()?;
+        tree: &ParseTree<V>,
+        decomp: &Decomposition,
+        results: Vec<Option<JobResult<V>>>,
+        segments: &SegmentStore,
+    ) -> Result<Retired<V>, EvalError> {
+        let mut stats = EvalStats::default();
+        let mut root_values = Vec::new();
+        let mut stores = Vec::with_capacity(results.len());
+        for r in results {
+            let Some((s, Finished::Region { store, roots })) = r else {
+                unreachable!("every region of a decomposed ticket reports its region store");
+            };
+            stats += s;
+            for (a, v) in roots {
+                root_values.push((a, v.inflate(segments)?.unwrap_or(v)));
+            }
+            stores.push(store);
+        }
 
         // Retire-time memo installation: every cacheable region of a
         // successfully evaluated tree deposits its owned span under its
         // input signature, so later structurally identical requests can
-        // skip the machine entirely. Spans are extracted in *preorder*
-        // of the subtree — arena ids are builder-dependent, preorder is
-        // not.
+        // skip the machine entirely.
         if let Some(memo) = &self.memo {
-            let g = fl.tree.grammar();
-            for (ri, res) in fl.region_results.iter().enumerate() {
-                let Some((_, rstore)) = res else { continue };
-                let Some((root, subtree, inh)) = region_cacheable(
-                    &self.plan,
-                    &self.memo_safe,
-                    &fl.tree,
-                    &fl.decomp,
-                    ri as RegionId,
-                ) else {
+            for (ri, rstore) in stores.iter().enumerate() {
+                let Some((root, subtree, inh)) =
+                    region_cacheable(&self.plan, &self.memo_safe, tree, decomp, ri as RegionId)
+                else {
                     continue;
                 };
                 let Some(vals) = inh
@@ -1327,43 +1438,7 @@ impl<V: AttrValue> WorkerPool<V> {
                     continue;
                 };
                 let key = MemoKey { subtree, inherited };
-                if memo.contains(key) {
-                    continue;
-                }
-                let mut span = Vec::new();
-                let mut bytes = 0usize;
-                let mut plain = true;
-                'span: for n in fl.tree.subtree(root) {
-                    let sym = g.prod(fl.tree.node(n).prod).lhs;
-                    for a in 0..g.attr_count(sym) {
-                        let v = rstore.get(n, AttrId(a as u32)).cloned();
-                        if let Some(v) = &v {
-                            // A value that is not fingerprintable may
-                            // hold a ticket-local segment reference;
-                            // replaying it under another ticket would
-                            // resolve against the wrong segment store.
-                            // Skip the whole span.
-                            if !v.is_fingerprintable() {
-                                plain = false;
-                                break 'span;
-                            }
-                            bytes += v.wire_size();
-                        }
-                        span.push(v);
-                    }
-                }
-                if !plain {
-                    continue;
-                }
-                memo.insert(
-                    key,
-                    MemoEntry {
-                        span,
-                        nodes: fl.tree.subtree_size(root) as u32,
-                        root_prod: fl.tree.node(root).prod,
-                        bytes,
-                    },
-                );
+                install_span(memo, tree, root, key, |n, a| rstore.get(n, a));
             }
         }
 
@@ -1373,25 +1448,12 @@ impl<V: AttrValue> WorkerPool<V> {
         // though the spans are disjoint anyway), and finally resolve
         // segment references so the result is independent of the
         // decomposition.
-        let mut stats = EvalStats::default();
-        let mut store = AttrStore::new(&fl.tree);
-        for r in fl.region_results.into_iter() {
-            let (s, region_store) = r.expect("every region reported");
-            stats += s;
-            store.absorb_region(&fl.tree, region_store);
+        let mut store = AttrStore::new(tree);
+        for region_store in stores {
+            store.absorb_region(tree, region_store);
         }
-        store.inflate_all(&segments)?;
-
-        Ok(PoolReport {
-            ticket: fl.ticket,
-            root_values,
-            store,
-            segments,
-            stats,
-            elapsed: retiring.duration_since(fl.start),
-            assemble: retiring.elapsed(),
-            regions: fl.regions,
-        })
+        store.inflate_all(segments)?;
+        Ok((root_values, store, stats))
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
@@ -1465,6 +1527,9 @@ struct Running<V: AttrValue> {
     region: RegionId,
     parent: Option<RegionId>,
     next_seg: u32,
+    /// The tree's root attribute values this job has produced so far
+    /// (the root region only): they ride in its `Done`.
+    roots: Vec<(AttrId, V)>,
     state: JobState<V>,
 }
 
@@ -1557,6 +1622,91 @@ fn region_cacheable<V: AttrValue>(
     Some((root, subtree, inh))
 }
 
+/// The memo key of a tree that is one whole-tree job — what
+/// [`region_cacheable`] and the probe give the lone region of an
+/// unsplit decomposition: the root's subtree hash (`None` when it is
+/// inexact: uncacheable) under the fingerprint of no inherited values,
+/// the tree root awaiting none.
+fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
+    Some(MemoKey {
+        subtree: tree.subtree_hash(tree.root())?,
+        inherited: inherited_fingerprint(std::iter::empty::<&V>())?,
+    })
+}
+
+/// Deposits the evaluated span of the subtree at `root` (read through
+/// `get`) under `key`, unless the cache holds it already. Spans are
+/// extracted in *preorder* of the subtree — arena ids are
+/// builder-dependent, preorder is not.
+fn install_span<'s, V: AttrValue + 's>(
+    memo: &MemoCache<V>,
+    tree: &ParseTree<V>,
+    root: NodeId,
+    key: MemoKey,
+    get: impl Fn(NodeId, AttrId) -> Option<&'s V>,
+) {
+    if memo.contains(key) {
+        return;
+    }
+    let g = tree.grammar();
+    let mut span = Vec::new();
+    let mut bytes = 0usize;
+    for n in tree.subtree(root) {
+        let sym = g.prod(tree.node(n).prod).lhs;
+        for a in 0..g.attr_count(sym) {
+            let v = get(n, AttrId(a as u32)).cloned();
+            if let Some(v) = &v {
+                // A value that is not fingerprintable may hold a
+                // ticket-local segment reference; replaying it under
+                // another ticket would resolve against the wrong
+                // segment store. Skip the whole span.
+                if !v.is_fingerprintable() {
+                    return;
+                }
+                bytes += v.wire_size();
+            }
+            span.push(v);
+        }
+    }
+    memo.insert(
+        key,
+        MemoEntry {
+            span,
+            nodes: tree.subtree_size(root) as u32,
+            root_prod: tree.node(root).prod,
+            bytes,
+        },
+    );
+}
+
+/// Fills `store` from a cached preorder span over the subtree at
+/// `root`. The walk is over *this* tree's subtree — structurally
+/// identical to the cached one, but arena ids may differ. `false` when
+/// the span's shape disagrees with the subtree (a hash collision the
+/// probe's sanity fields missed): the store is then partly filled and
+/// must be dropped.
+fn replay_span<V: AttrValue, S: AttrSlots<V>>(
+    tree: &ParseTree<V>,
+    root: NodeId,
+    span: Vec<Option<V>>,
+    store: &mut S,
+) -> bool {
+    let g = tree.grammar();
+    let mut vals = span.into_iter();
+    for n in tree.subtree(root) {
+        let sym = g.prod(tree.node(n).prod).lhs;
+        for a in 0..g.attr_count(sym) {
+            let Some(v) = vals.next() else {
+                return false;
+            };
+            if let Some(v) = v {
+                store.set(n, AttrId(a as u32), v);
+            }
+        }
+    }
+    vals.next().is_none()
+}
+
 /// How many scheduler steps a *non-oldest* machine may run before the
 /// worker polls the channel for values that unblock an older job.
 /// The oldest machine runs unbudgeted — nothing can preempt it.
@@ -1601,8 +1751,7 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
                 Drive::Dead => return,
                 Drive::Replayed => {
                     // Memo hit: the probe already retired the job and
-                    // sent the root values and Done. The next job
-                    // shifted into `i`.
+                    // sent its Done. The next job shifted into `i`.
                     running.remove(i);
                 }
                 Drive::Finished(err) => {
@@ -1620,11 +1769,17 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
                     if owned {
                         let result = match err {
                             Some(e) => Err(e),
-                            None => Ok((stats, store)),
+                            None => Ok((
+                                stats,
+                                Finished::Region {
+                                    store,
+                                    roots: done.roots,
+                                },
+                            )),
                         };
                         if ctx
                             .parser_tx
-                            .send(ParserMsg::Done {
+                            .send(Done {
                                 ticket: done.ticket,
                                 region: done.region,
                                 result,
@@ -1712,12 +1867,14 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
 }
 
 /// Activates a job on this worker — claimed from the board, or pinned
-/// here by fixed placement: builds its probe or machine, replays the
-/// early-arrival values that traveled with it (which is how memo
-/// `Probing` jobs survive migration — the probe forms *after* the
-/// migrated values land), and inserts it into `running` in
-/// `(ticket, region)` order: stolen jobs activate out of order, and
-/// the drive loop's oldest-first preference keys off that order.
+/// here by fixed placement. A whole-tree job [runs to
+/// completion](run_whole) here and now. A region job gets its probe or
+/// machine built, the early-arrival values that traveled with it
+/// replayed (which is how memo `Probing` jobs survive migration — the
+/// probe forms *after* the migrated values land), and is inserted into
+/// `running` in `(ticket, region)` order: stolen jobs activate out of
+/// order, and the drive loop's oldest-first preference keys off that
+/// order.
 fn activate<V: AttrValue>(
     ctx: &WorkerCtx<V>,
     job: Claimed<V, JobData<V>>,
@@ -1729,6 +1886,14 @@ fn activate<V: AttrValue>(
         payload: (tree, decomp),
         early,
     } = job;
+    let Some(decomp) = decomp else {
+        debug_assert!(
+            region == 0 && early.is_empty(),
+            "a whole-tree job is its ticket's only job and awaits nothing"
+        );
+        run_whole(ctx, ticket, &tree, scratches);
+        return;
+    };
     let parent = decomp.regions[region as usize].parent;
     let state = initial_state(ctx, tree, decomp, region, scratches);
     let mut entry = Running {
@@ -1736,6 +1901,7 @@ fn activate<V: AttrValue>(
         region,
         parent,
         next_seg: 0,
+        roots: Vec::new(),
         state,
     };
     for (node, attr, value) in early {
@@ -1743,6 +1909,73 @@ fn activate<V: AttrValue>(
     }
     let pos = running.partition_point(|r| (r.ticket, r.region) < (ticket, region));
     running.insert(pos, entry);
+}
+
+/// Runs a whole-tree job from start to finish and reports it (the
+/// module docs say why it may run to completion): the sequential static
+/// evaluation into the store retirement will adopt, with the root
+/// region's memo contract in front of it — probe, then replay or
+/// evaluate; retirement installs.
+fn run_whole<V: AttrValue>(
+    ctx: &WorkerCtx<V>,
+    ticket: Ticket,
+    tree: &ParseTree<V>,
+    scratches: &mut Vec<MachineScratch<V>>,
+) {
+    let replayed = ctx.memo.as_ref().and_then(|memo| {
+        let key = whole_tree_key(tree)?;
+        if !memo.has_subtree(key.subtree) {
+            return None;
+        }
+        let root = tree.root();
+        let nodes = tree.subtree_size(root) as u32;
+        let entry = memo.probe(key, nodes, tree.node(root).prod)?;
+        let mut store = AttrStore::new(tree);
+        replay_span(tree, root, entry.span, &mut store).then_some(store)
+    });
+    let result = match replayed {
+        Some(store) => Ok((EvalStats::default(), Finished::Tree(store))),
+        None => {
+            let mut scratch = scratches.pop().unwrap_or_default();
+            let evaluated = contained(ctx, || {
+                let (Some(plans), Some(programs)) = (ctx.plan.plans(), ctx.plan.programs()) else {
+                    return Err(EvalError::PlanInconsistency {
+                        node: tree.root(),
+                        step: "combined mode requires static plans".to_string(),
+                    });
+                };
+                static_eval_with_scratch(tree, plans, programs, scratch.eval_scratch())
+            });
+            scratches.push(scratch);
+            evaluated.map(|(store, stats)| (stats, Finished::Tree(store)))
+        }
+    };
+    // A job this worker lost to crash recovery or cancellation must
+    // not report (see `retire_sched`). A failed send means the pool is
+    // gone, which the worker's next receive finds out.
+    if retire_sched(ctx, ticket, 0) {
+        let _ = ctx.parser_tx.send(Done {
+            ticket,
+            region: 0,
+            result,
+        });
+    }
+}
+
+/// Runs `f` — a call into semantic rules — containing a panic: a buggy
+/// rule fails its own ticket (`EvalError::RulePanic`, through the
+/// normal Done path) instead of unwinding the worker thread and
+/// wedging the whole pool.
+fn contained<V: AttrValue, T>(
+    ctx: &WorkerCtx<V>,
+    f: impl FnOnce() -> Result<T, EvalError>,
+) -> Result<T, EvalError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        ctx.panics_contained.fetch_add(1, Ordering::Relaxed);
+        Err(EvalError::RulePanic {
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 /// Retires a finished job on the scheduler board ([`Board::retire`])
@@ -1927,7 +2160,7 @@ fn initial_state<V: AttrValue>(
 
 /// What [`resolve_probe`] decided.
 enum ProbeOutcome {
-    /// Cache hit: span replayed, root values and Done sent.
+    /// Cache hit: span replayed, Done sent.
     Replayed,
     /// Cache miss: the job's state is now a machine fed with the
     /// collected inherited values — drive it.
@@ -1966,56 +2199,34 @@ fn resolve_probe<V: AttrValue>(
     });
 
     if let Some(entry) = hit.take() {
-        // Replay: fill a fresh region store from the cached preorder
-        // span. The walk is over *this* tree's subtree — structurally
-        // identical to the cached one, but arena ids may differ.
-        let g = p.tree.grammar();
+        // Replay: fill a fresh region store from the cached span.
         let mut store = RegionStore::new(p.decomp.slot_map(), r.region);
-        let mut vals = entry.span.into_iter();
-        let mut complete = true;
-        'fill: for n in p.tree.subtree(p.root) {
-            let sym = g.prod(p.tree.node(n).prod).lhs;
-            for a in 0..g.attr_count(sym) {
-                let Some(v) = vals.next() else {
-                    complete = false;
-                    break 'fill;
-                };
-                if let Some(v) = v {
-                    store.set(n, AttrId(a as u32), v);
-                }
-            }
-        }
-        if complete && vals.next().is_none() {
+        if replay_span(&p.tree, p.root, entry.span, &mut store) {
             // A probe that lost ownership (its job was reseeded by
             // crash recovery or cancelled) must not report — the
             // owning copy will.
             if !retire_sched(ctx, r.ticket, r.region) {
                 return ProbeOutcome::Replayed;
             }
-            let root_sym = g.prod(root_prod).lhs;
+            let root_sym = p.tree.grammar().prod(root_prod).lhs;
+            let mut roots = Vec::new();
             for &a in ctx.plan.syn_attrs(root_sym) {
                 let Some(v) = store.get(p.root, a).cloned() else {
                     continue;
                 };
-                let sent = match r.parent {
-                    None => ctx
-                        .parser_tx
-                        .send(ParserMsg::Root {
-                            ticket: r.ticket,
-                            attr: a,
-                            value: v,
-                        })
-                        .is_ok(),
-                    Some(q) => send_attr(ctx, r.ticket, q, p.root, a, v),
-                };
-                if !sent {
-                    return ProbeOutcome::Dead;
+                match r.parent {
+                    None => roots.push((a, v)),
+                    Some(q) => {
+                        if !send_attr(ctx, r.ticket, q, p.root, a, v) {
+                            return ProbeOutcome::Dead;
+                        }
+                    }
                 }
             }
-            let done = ctx.parser_tx.send(ParserMsg::Done {
+            let done = ctx.parser_tx.send(Done {
                 ticket: r.ticket,
                 region: r.region,
-                result: Ok((EvalStats::default(), store)),
+                result: Ok((EvalStats::default(), Finished::Region { store, roots })),
             });
             return if done.is_ok() {
                 ProbeOutcome::Replayed
@@ -2072,28 +2283,15 @@ fn drive<V: AttrValue>(
         region,
         parent,
         next_seg,
+        roots,
         state,
     } = r;
-    let (ticket, region, parent) = (*ticket, *region, *parent);
+    let (key, parent) = ((*ticket, *region), *parent);
     let JobState::Machine(machine) = state else {
         unreachable!("probes resolved above");
     };
     for _ in 0..budget {
-        // Contain semantic-rule panics: a buggy rule fails its own
-        // ticket (surfaced as `EvalError::RulePanic` through the normal
-        // Done path) instead of unwinding the worker thread and
-        // wedging the whole pool.
-        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.step()));
-        let stepped = match stepped {
-            Ok(s) => s,
-            Err(payload) => {
-                ctx.panics_contained.fetch_add(1, Ordering::Relaxed);
-                return Drive::Finished(Some(EvalError::RulePanic {
-                    message: panic_message(payload.as_ref()),
-                }));
-            }
-        };
-        match stepped {
+        match contained(ctx, || machine.step()) {
             Err(e) => return Drive::Finished(Some(e)),
             Ok(None) => {
                 if machine.is_done() {
@@ -2116,7 +2314,7 @@ fn drive<V: AttrValue>(
             }
             Ok(Some(outcome)) => {
                 for send in outcome.sends {
-                    if !route_send(ctx, ticket, region, parent, next_seg, send) {
+                    if !route_send(ctx, key, parent, next_seg, roots, send) {
                         return Drive::Dead;
                     }
                 }
@@ -2137,15 +2335,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Forwards one attribute send, deflating librarian-bound string values
-/// into streaming ticket-tagged segment registrations (§4.2's
-/// registration phase). Returns `false` when the pool is gone.
+/// Forwards one attribute send of job `(ticket, region)`, deflating
+/// librarian-bound string values into streaming ticket-tagged segment
+/// registrations (§4.2's registration phase). A value bound for the
+/// parser is kept in `roots`, to ride in the job's `Done`. Returns
+/// `false` when the pool is gone.
 fn route_send<V: AttrValue>(
     ctx: &WorkerCtx<V>,
-    ticket: Ticket,
-    region: RegionId,
+    (ticket, region): (Ticket, RegionId),
     parent: Option<RegionId>,
     next_seg: &mut u32,
+    roots: &mut Vec<(AttrId, V)>,
     send: AttrMsg<V>,
 ) -> bool {
     let upward = match send.to {
@@ -2170,14 +2370,10 @@ fn route_send<V: AttrValue>(
         }
     }
     match send.to {
-        SendTarget::Parser => ctx
-            .parser_tx
-            .send(ParserMsg::Root {
-                ticket,
-                attr: send.attr,
-                value,
-            })
-            .is_ok(),
+        SendTarget::Parser => {
+            roots.push((send.attr, value));
+            true
+        }
         SendTarget::Region(q) => send_attr(ctx, ticket, q, send.node, send.attr, value),
     }
 }
@@ -2247,10 +2443,31 @@ mod tests {
     /// Each `cons` is costed at one region's worth of work
     /// ([`MIN_REGION_WORK`]), so a `Machines(n)` pool cuts a chain of
     /// `n` or more into `n` regions however short it is — these tests
-    /// are about regions, not about the floor.
+    /// are about regions, not about the floor. (A chain of one or none
+    /// is below twice the floor: a whole-tree job.)
     #[allow(clippy::type_complexity)]
     fn fixture_trees(
         sizes: &[usize],
+    ) -> (Vec<Arc<ParseTree<Value>>>, Arc<EvalPlan<Value>>, AttrId) {
+        fixture_trees_with(sizes, MIN_REGION_WORK, || {})
+    }
+
+    /// The same chains with every rule at unit cost, so that a chain of
+    /// any length here stays below the floor: one region, a whole-tree
+    /// job.
+    #[allow(clippy::type_complexity)]
+    fn light_trees(sizes: &[usize]) -> (Vec<Arc<ParseTree<Value>>>, Arc<EvalPlan<Value>>, AttrId) {
+        fixture_trees_with(sizes, 1, || {})
+    }
+
+    /// [`fixture_trees`] with `cons` costed at `cons_cost` and `at_nil`
+    /// called from the chain-end rule — the first rule of every
+    /// evaluation, where a test can hold a job on its worker.
+    #[allow(clippy::type_complexity)]
+    fn fixture_trees_with(
+        sizes: &[usize],
+        cons_cost: u64,
+        at_nil: impl Fn() + Send + Sync + 'static,
     ) -> (Vec<Arc<ParseTree<Value>>>, Arc<EvalPlan<Value>>, AttrId) {
         let mut g = GrammarBuilder::<Value>::new();
         let s = g.nonterminal("S");
@@ -2276,10 +2493,13 @@ mod tests {
                 let line = format!("op {}\n", a[1].as_int().unwrap());
                 Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
             },
-            MIN_REGION_WORK,
+            cons_cost,
         );
         let nil = g.production("nil", l, []);
-        g.rule(nil, (0, decls), [], |_| Value::Int(0));
+        g.rule(nil, (0, decls), [], move |_| {
+            at_nil();
+            Value::Int(0)
+        });
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
         let grammar = Arc::new(g.build(s).unwrap());
         let plan = Arc::new(EvalPlan::analyze(&grammar));
@@ -3013,37 +3233,47 @@ mod tests {
             let root = tb.node(prod, [b]);
             Arc::new(tb.finish(root).unwrap())
         };
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2));
-        let good = mk(ok);
-        pool.submit(&good);
-        let bad_ticket = pool.submit(&mk(boom));
-        pool.submit(&good);
-        let mut outcomes = Vec::new();
-        while let Some(r) = pool.collect() {
-            outcomes.push(r);
+        // These two-node trees are whole-tree jobs: the containment
+        // under test is the one around the static evaluation.
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            for workers in [1, 2, 8] {
+                let what = format!("{workers} workers, {scheduler:?}");
+                let mut pool = WorkerPool::new(
+                    &plan,
+                    PoolConfig::combined(workers).with_scheduler(scheduler),
+                );
+                let good = mk(ok);
+                pool.submit(&good);
+                let bad_ticket = pool.submit(&mk(boom));
+                pool.submit(&good);
+                let mut outcomes = Vec::new();
+                while let Some(r) = pool.collect() {
+                    outcomes.push(r);
+                }
+                assert_eq!(outcomes.len(), 3, "{what}");
+                let first = outcomes[0].as_ref().unwrap();
+                assert_eq!(first.root_values, vec![(out, 101i64)], "{what}");
+                assert_eq!(first.regions, 1, "{what}: a whole-tree job");
+                let failure = outcomes[1].as_ref().err().expect("marker tree panics");
+                assert_eq!(failure.ticket, bad_ticket, "{what}");
+                let EvalError::RulePanic { message } = &failure.error else {
+                    panic!("{what}: expected RulePanic, got {failure:?}");
+                };
+                assert!(
+                    message.contains("rule exploded"),
+                    "{what}: panic message survives: {message}"
+                );
+                assert_eq!(
+                    outcomes[2].as_ref().unwrap().root_values,
+                    vec![(out, 101i64)],
+                    "{what}"
+                );
+                assert_eq!(pool.fault_counters().panics_contained, 1, "{what}");
+                // The pool is still healthy for later one-shot work.
+                let r = pool.eval(&good).unwrap();
+                assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
+            }
         }
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(
-            outcomes[0].as_ref().unwrap().root_values,
-            vec![(out, 101i64)]
-        );
-        let failure = outcomes[1].as_ref().err().expect("marker tree panics");
-        assert_eq!(failure.ticket, bad_ticket);
-        let EvalError::RulePanic { message } = &failure.error else {
-            panic!("expected RulePanic, got {failure:?}");
-        };
-        assert!(
-            message.contains("rule exploded"),
-            "panic message survives: {message}"
-        );
-        assert_eq!(
-            outcomes[2].as_ref().unwrap().root_values,
-            vec![(out, 101i64)]
-        );
-        assert_eq!(pool.fault_counters().panics_contained, 1);
-        // The pool is still healthy for later one-shot work.
-        let r = pool.eval(&good).unwrap();
-        assert_eq!(r.root_values, vec![(out, 101i64)]);
     }
 
     #[test]
@@ -3337,5 +3567,312 @@ mod tests {
         let want = dstore.get(tree.root(), out).unwrap().as_rope().unwrap();
         assert!(root_rope(&report, out).content_eq(want));
         assert!(report.assemble > Duration::ZERO);
+    }
+
+    fn assert_stores_equal(
+        tree: &ParseTree<Value>,
+        got: &AttrStore<Value>,
+        want: &AttrStore<Value>,
+        what: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        assert_eq!(got.filled(), want.filled(), "{what}");
+        for node in tree.node_ids() {
+            let sym = tree.grammar().prod(tree.node(node).prod).lhs;
+            for a in 0..tree.grammar().attr_count(sym) {
+                let attr = AttrId(a as u32);
+                assert_eq!(
+                    got.get(node, attr),
+                    want.get(node, attr),
+                    "{what}: node={node:?} attr={attr:?}"
+                );
+            }
+        }
+    }
+
+    fn assert_idle_and_quiescent(pool: &WorkerPool<Value>, what: &str) {
+        assert_eq!(pool.in_flight(), 0, "{what}");
+        assert_eq!(pool.ledger.lock().unwrap().open_tickets(), 0, "{what}");
+        if let Some(sched) = &pool.sched {
+            assert!(sched.lock().unwrap().is_quiescent(), "{what}: board");
+        }
+    }
+
+    /// A tree below the hand-off floor is one whole-tree job: no ledger
+    /// entry at any point, no segments, one region — and the store and
+    /// root values of the sequential static evaluator, at every worker
+    /// count, window depth, scheduler and memo setting.
+    #[test]
+    fn one_region_tickets_are_whole_tree_jobs_identical_to_static_eval() {
+        let sizes = [40usize, 1, 0, 25, 7, 40, 12, 25, 3, 40];
+        let (trees, plan, out) = light_trees(&sizes);
+        let plans = plan.plans().unwrap();
+        let want: Vec<_> = trees
+            .iter()
+            .map(|t| crate::eval::static_eval(t, plans).unwrap())
+            .collect();
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            for workers in [1usize, 2, 8] {
+                for depth in [1usize, 2, 4, 8] {
+                    for memo in [0usize, 1 << 20] {
+                        let what =
+                            format!("{scheduler:?} workers={workers} depth={depth} memo={memo}");
+                        let mut pool = WorkerPool::new(
+                            &plan,
+                            PoolConfig::combined(workers)
+                                .with_pipeline_depth(depth)
+                                .with_scheduler(scheduler)
+                                .with_memo_capacity(memo),
+                        );
+                        let mut reports = Vec::new();
+                        for tree in &trees {
+                            pool.submit(tree);
+                            assert_eq!(
+                                pool.ledger.lock().unwrap().open_tickets(),
+                                0,
+                                "{what}: a whole-tree ticket opens no ledger entry"
+                            );
+                            reports.extend(std::iter::from_fn(|| pool.take_ready()));
+                        }
+                        reports.extend(std::iter::from_fn(|| pool.collect()));
+                        assert_eq!(reports.len(), trees.len(), "{what}");
+                        for (i, report) in reports.into_iter().enumerate() {
+                            let what = format!("{what} tree {i}");
+                            let report = report.expect("evaluation succeeds");
+                            let (want_store, want_stats) = &want[i];
+                            assert_eq!(report.ticket, i as Ticket, "{what}");
+                            assert_eq!(report.regions, 1, "{what}");
+                            assert!(report.segments.is_empty(), "{what}");
+                            assert_stores_equal(&trees[i], &report.store, want_store, &what);
+                            let root = want_store.get(trees[i].root(), out).unwrap();
+                            assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
+                            // A replayed tree applies no rule; an
+                            // evaluated one applies the sequential
+                            // evaluator's.
+                            assert!(
+                                report.stats == *want_stats
+                                    || (memo > 0 && report.stats == EvalStats::default()),
+                                "{what}: {:?}",
+                                report.stats
+                            );
+                        }
+                        assert_idle_and_quiescent(&pool, &what);
+                        if memo > 0 {
+                            // 40, 25 and 40 again: the repeats can hit
+                            // (whether they do depends on whether the
+                            // first has retired), everything else
+                            // misses once.
+                            let c = pool.memo_counters().unwrap();
+                            assert_eq!(c.hits + c.misses, sizes.len() as u64, "{what}: {c:?}");
+                            assert_eq!(c.inserts, 7, "{what}: one per distinct tree {c:?}");
+                            assert!(c.hits <= 3, "{what}: {c:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The root region's memo contract on a tree that stays whole:
+    /// never seen → one miss, evaluated, installed at retirement; seen →
+    /// probed, hit, replayed, not installed again.
+    #[test]
+    fn repeated_one_region_trees_hit_the_memo_like_a_root_region() {
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            // Built independently: distinct arenas, equal hashes.
+            let (t1, plan, out) = memo_fixture(7, &[5]);
+            let (t2, _, _) = memo_fixture(7, &[5]);
+            let (other, _, _) = memo_fixture(7, &[6]);
+            let mut pool = WorkerPool::new(
+                &plan,
+                PoolConfig::combined(2)
+                    .with_memo_capacity(1 << 20)
+                    .with_scheduler(scheduler),
+            );
+            let counts = |pool: &WorkerPool<Value>| {
+                let c = pool.memo_counters().unwrap();
+                (c.hits, c.misses, c.inserts)
+            };
+            let r1 = pool.eval(&t1).unwrap();
+            assert_eq!(r1.regions, 1);
+            assert_eq!(counts(&pool), (0, 1, 1), "{scheduler:?}: cold");
+            let r2 = pool.eval(&t2).unwrap();
+            assert_eq!(counts(&pool), (1, 1, 1), "{scheduler:?}: replayed");
+            let r3 = pool.eval(&t1).unwrap();
+            assert_eq!(counts(&pool), (2, 1, 1), "{scheduler:?}: replayed again");
+            pool.eval(&other).unwrap();
+            assert_eq!(counts(&pool), (2, 2, 2), "{scheduler:?}: another tree");
+            let (want, _) = crate::eval::static_eval(&t1, plan.plans().unwrap()).unwrap();
+            assert_eq!(r1.root_values, vec![(out, Value::Int(35))]);
+            for (tree, r) in [(&t1, &r1), (&t2, &r2), (&t1, &r3)] {
+                assert_eq!(r.root_values, r1.root_values, "{scheduler:?}");
+                // Same shape, so the same dense indices in either arena.
+                assert_eq!(r.store.len(), want.len());
+                for i in 0..want.len() {
+                    assert_eq!(
+                        r.store.get_by_index(i),
+                        want.get_by_index(i),
+                        "{scheduler:?}"
+                    );
+                }
+                assert_eq!(r.store.filled(), r.store.len(), "{scheduler:?}");
+                assert_eq!(tree.len(), 3);
+            }
+            assert_eq!(r2.stats, EvalStats::default(), "a replay applies no rule");
+        }
+    }
+
+    /// One-region and multi-region tickets interleaved in one window
+    /// retire in submission order with the right job kind each.
+    #[test]
+    fn a_stream_straddling_the_floor_retires_in_submission_order() {
+        let sizes = [1usize, 48, 0, 1, 33, 1, 64, 0, 17, 1];
+        let (trees, plan, out) = fixture_trees(&sizes);
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            for depth in [1usize, 3, 8] {
+                let what = format!("{scheduler:?} depth={depth}");
+                let mut pool = WorkerPool::new(
+                    &plan,
+                    PoolConfig::combined(3)
+                        .with_pipeline_depth(depth)
+                        .with_scheduler(scheduler),
+                );
+                for tree in &trees {
+                    pool.submit(tree);
+                }
+                for (i, tree) in trees.iter().enumerate() {
+                    let report = pool.collect().expect("pending").expect("evaluates");
+                    assert_eq!(report.ticket, i as Ticket, "{what}: submission order");
+                    if sizes[i] <= 1 {
+                        assert_eq!(report.regions, 1, "{what} tree {i}");
+                        assert!(report.segments.is_empty(), "{what} tree {i}");
+                    } else {
+                        assert_eq!(report.regions, 3, "{what} tree {i}");
+                    }
+                    let (want, _) = dynamic_eval(tree).unwrap();
+                    assert_stores_equal(tree, &report.store, &want, &format!("{what} tree {i}"));
+                    let root = want.get(tree.root(), out).unwrap().as_rope().unwrap();
+                    assert!(root_rope(&report, out).content_eq(root), "{what} tree {i}");
+                }
+                assert!(pool.collect().is_none(), "{what}");
+                assert_idle_and_quiescent(&pool, &what);
+            }
+        }
+    }
+
+    /// A worker killed while whole-tree jobs sit on it: the board hands
+    /// them to the survivors, which run them from nothing, and every
+    /// tree still comes back once, in order, identical to sequential
+    /// evaluation.
+    #[test]
+    fn killed_worker_reexecutes_whole_tree_jobs_from_nothing() {
+        // Every evaluation stops in its first rule until the gate
+        // opens, so at the kill each worker holds the jobs it was
+        // seeded with — at most one of them claimed.
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let held = Arc::clone(&gate);
+        let sizes = [9usize; 12];
+        let (trees, plan, out) = fixture_trees_with(&sizes, 1, move || {
+            let (open, opened) = &*held;
+            let _open = opened
+                .wait_while(open.lock().unwrap(), |open| !*open)
+                .unwrap();
+        });
+        let mut pool = WorkerPool::new(
+            &plan,
+            PoolConfig::combined(3)
+                .with_pipeline_depth(sizes.len())
+                .with_scheduler(SchedulerMode::Stealing),
+        );
+        for tree in &trees {
+            pool.submit(tree);
+        }
+        assert!(pool.kill_worker(1));
+        let f = pool.fault_counters();
+        assert_eq!(
+            f.regions_reexecuted, 4,
+            "equal jobs seed round-robin: four lived on the victim {f:?}"
+        );
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let (want, _) = crate::eval::static_eval(&trees[0], plan.plans().unwrap()).unwrap();
+        for (i, tree) in trees.iter().enumerate() {
+            let report = pool
+                .collect()
+                .expect("pending")
+                .expect("recovery completes");
+            assert_eq!(report.ticket, i as Ticket, "submission order survives");
+            assert_eq!(report.regions, 1);
+            assert_stores_equal(tree, &report.store, &want, &format!("tree {i}"));
+            let root = want.get(tree.root(), out).unwrap();
+            assert_eq!(report.root_values, vec![(out, root.clone())], "tree {i}");
+        }
+        assert!(pool.collect().is_none());
+        assert_idle_and_quiescent(&pool, "after the kill");
+        // The two survivors keep serving.
+        let report = pool.eval(&trees[0]).unwrap();
+        assert_stores_equal(&trees[0], &report.store, &want, "after the kill");
+    }
+
+    /// Two small trees per worker by default, one under the barrier: a
+    /// small tree is one job, so the window is what keeps a worker's
+    /// next tree in its channel.
+    #[test]
+    fn default_window_holds_two_one_region_tickets_per_worker() {
+        let (trees, plan, _) = light_trees(&[6; 10]);
+        for workers in [1usize, 2, 3] {
+            for (config, want) in [
+                (PoolConfig::combined(workers), 2 * workers),
+                (PoolConfig::adaptive(workers, 1 << 40), 2 * workers),
+                (PoolConfig::barrier(workers), 1),
+            ] {
+                let mut pool = WorkerPool::new(&plan, config);
+                assert_eq!(pool.pipeline_depth(), want, "{config:?}");
+                for tree in &trees {
+                    pool.submit(tree);
+                }
+                while let Some(r) = pool.collect() {
+                    assert_eq!(r.expect("evaluates").regions, 1, "{config:?}");
+                }
+                assert_eq!(pool.max_in_flight(), want, "{config:?}");
+                assert_eq!(pool.max_regions_in_flight(), want, "{config:?}");
+            }
+        }
+    }
+
+    /// A region that reports twice (crash recovery re-executed it after
+    /// its first `Done` was already on the wire) is suppressed whole —
+    /// root values aboard or not — and counted once.
+    #[test]
+    fn a_second_done_of_the_root_region_is_suppressed_and_counted_once() {
+        let (tree, plan, out) = fixture(24);
+        let mut pool = WorkerPool::new(
+            &plan,
+            PoolConfig::combined(2).with_scheduler(SchedulerMode::Stealing),
+        );
+        pool.submit(&tree);
+        while !pool.front_complete() {
+            let msg = pool.parser_rx.recv().expect("workers alive");
+            pool.route(msg);
+        }
+        let decomp = pool.in_flight[0].decomp.clone().expect("the tree was cut");
+        pool.route(Done {
+            ticket: 0,
+            region: 0,
+            result: Ok((
+                EvalStats::default(),
+                Finished::Region {
+                    store: RegionStore::new(decomp.slot_map(), 0),
+                    roots: vec![(out, Value::Int(-1))],
+                },
+            )),
+        });
+        assert_eq!(pool.fault_counters().dup_suppressed, 1);
+        let report = pool.collect().expect("pending").expect("evaluates");
+        assert_eq!(report.regions, 2);
+        assert_eq!(report.root_values.len(), 1, "the first report's roots only");
+        let (want, _) = dynamic_eval(&tree).unwrap();
+        assert_stores_equal(&tree, &report.store, &want, "duplicate Done");
+        assert_eq!(pool.fault_counters().dup_suppressed, 1);
     }
 }

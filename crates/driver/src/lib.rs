@@ -38,19 +38,24 @@
 //! evaluation runs (even the next tree's), and resolution happens once
 //! per ticket at the parser's final read. Because the two phases are
 //! decoupled, [`BatchDriver::compile_batch`] keeps a small window of
-//! trees in flight ([`DriverConfig::pipeline_depth`], default 2):
-//! tree N+1's region jobs fill workers idling behind tree N's
-//! stragglers — a small tree is one job, so two of them occupy two
-//! workers — and tree N's result assembly overlaps tree N+1's
+//! trees in flight ([`DriverConfig::pipeline_depth`], by default two
+//! per worker): tree N+1's region jobs fill workers idling behind tree
+//! N's stragglers, and tree N's result assembly overlaps tree N+1's
 //! evaluation. Depth 1 restores the strict one-tree-per-epoch barrier.
 //!
 //! # Region-granular scheduling
 //!
 //! The pool's unit of work is the *region job* — a `(ticket, region)`
 //! pair — not the tree. By default each tree is carved into at most
-//! `workers` regions (the paper's decomposition), and into fewer — a
-//! procedure-sized tree into one — when its estimated work does not
-//! repay shipping that many between threads;
+//! `workers` regions (the paper's decomposition), and into fewer when
+//! its estimated work does not repay shipping that many between
+//! threads. A procedure-sized tree is not carved at all: it is one
+//! *whole-tree job* — the sequential static evaluation, run on a
+//! worker — which costs one message each way, no decomposition, no
+//! machine and no assembly ([`TreeOutput::regions`] is 1,
+//! [`TreeOutput::assemble`] next to nothing), and the window of two
+//! trees per worker is what keeps a worker's next such tree waiting in
+//! its channel when it finishes the current one.
 //! [`DriverConfig::with_adaptive_budget`] switches to cost-driven
 //! decomposition where regions are sized by a work budget, so one huge
 //! tree becomes many region jobs that fill the pipeline exactly like a
@@ -147,11 +152,14 @@ pub struct DriverConfig {
     pub min_size_scale: f64,
     /// Trees kept in flight on the pool at once (see
     /// [`paragram_core::parallel::pool::PoolConfig::pipeline_depth`]).
-    /// Depth 1 is the strict per-tree barrier; the default of 2
-    /// pipelines each tree behind its predecessor's stragglers. A small
-    /// tree is one job on one worker, so a stream of them keeps at most
-    /// this many workers busy: give a pool of more than two workers
-    /// `with_pipeline_depth(workers)` or more for such a stream.
+    /// Depth 1 is the strict per-tree barrier; the default is two per
+    /// worker. A small tree is one job on one worker, so a stream of
+    /// them keeps every worker busy only when each has its next tree
+    /// waiting in its channel as it finishes the current one — a worker
+    /// that must wait for the caller to wake, retire and submit sleeps
+    /// for a thread round trip per tree. A tree that is cut into
+    /// regions pipelines behind its predecessor's stragglers at any
+    /// depth above 1.
     pub pipeline_depth: usize,
     /// Region granularity override; `None` (the default) carves each
     /// tree into at most `workers` regions (whole-tree ticketing, the
@@ -178,15 +186,16 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// Librarian propagation, best available mode, `n` workers, default
-    /// pipeline window.
+    /// Librarian propagation, best available mode, `n` workers, the
+    /// default pipeline window of two trees per worker.
     pub fn workers(n: usize) -> Self {
+        let workers = n.max(1);
         DriverConfig {
-            workers: n.max(1),
+            workers,
             mode: None,
             result: ResultPropagation::Librarian,
             min_size_scale: 1.0,
-            pipeline_depth: 2,
+            pipeline_depth: 2 * workers,
             granularity: None,
             memo_capacity: 0,
             memo_install: InstallPolicy::Always,
@@ -319,14 +328,17 @@ impl<V: AttrValue> fmt::Debug for CompilationPlan<V> {
 pub struct TreeOutput<V: AttrValue> {
     /// Root attribute values, librarian-resolved.
     pub root_values: Vec<(AttrId, V)>,
-    /// The merged, librarian-resolved attribute store (independent of
-    /// how the tree was decomposed).
+    /// The tree's attribute store, librarian-resolved and independent
+    /// of how the tree was decomposed: merged from the regions' stores,
+    /// or — for a tree that stayed whole — the very store a worker
+    /// evaluated into.
     pub store: AttrStore<V>,
     /// Evaluation statistics aggregated over all regions.
     pub stats: EvalStats,
-    /// Wall-clock evaluation time for this tree: region-job dispatch
-    /// until every region had reported to the retiring thread. It stops
-    /// *before* retirement — taking the ticket's segment store, memo
+    /// Wall-clock evaluation time for this tree: job dispatch until
+    /// every job had reported to the retiring thread, time spent queued
+    /// behind the worker's current tree included. It stops *before*
+    /// retirement — taking the ticket's segment store, memo
     /// installation, store assembly and inflation are `assemble`
     /// ([`PoolReport::elapsed`] has the details).
     pub elapsed: Duration,

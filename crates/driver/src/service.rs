@@ -448,11 +448,13 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// completed during this call.
     ///
     /// What it does do on the caller's thread: decompose each tree it
-    /// dispatches, and assemble each tree that retires
-    /// ([`WorkerPool::poll`]) — both O(tree size), so a call that
-    /// retires a 25 k-node tree holds its caller for a few
-    /// milliseconds and one that retires only procedure-sized trees
-    /// for tens of microseconds each.
+    /// dispatches that is big enough to cut, and assemble each such
+    /// tree that retires ([`WorkerPool::poll`]) — both O(tree size), so
+    /// a call that retires a 25 k-node tree holds its caller for a few
+    /// milliseconds. A procedure-sized tree is a whole-tree job: a work
+    /// estimate and a channel send going in, a finished store coming
+    /// out. The window it tops up is the pool's — by default two trees
+    /// per worker.
     pub fn pump(&mut self) -> usize {
         self.pool.poll();
         let mut done = self.harvest();

@@ -45,7 +45,7 @@ pub mod pval;
 pub use grammar::PascalGrammar;
 pub use pval::PVal;
 
-use paragram_core::eval::{dynamic_eval, static_eval, EvalError, Evaluators};
+use paragram_core::eval::{dynamic_eval, EvalError, Evaluators};
 use paragram_core::stats::EvalStats;
 use paragram_core::tree::{AttrStore, ParseTree, TreeError};
 use paragram_core::value::AttrValue as _;
@@ -174,8 +174,10 @@ impl Compiler {
     /// [`CompileError`] on syntax errors or internal failures.
     pub fn compile(&self, src: &str) -> Result<CompileOutput, CompileError> {
         let tree = self.tree_from_source(src)?;
-        let plans = self.evals.plans().expect("checked in new()");
-        let (store, stats) = static_eval(&tree, plans)?;
+        // Through the factory: it runs the visit programs compiled when
+        // the plan was built (`new` checked the grammar is l-ordered, so
+        // this is static evaluation).
+        let (store, stats) = self.evals.eval_sequential(&tree)?;
         Ok(self.output_from_store(&tree, &store, stats))
     }
 

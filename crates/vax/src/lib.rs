@@ -4,12 +4,13 @@
 //!
 //! The paper's compiler produces VAX assembly language; its authors
 //! could run the output on real VAX hardware. We cannot, so this crate
-//! is the substitute substrate (see `DESIGN.md`): a faithful subset of
-//! the VAX-11 instruction style — `movl`/`addl2`/`addl3` three-operand
-//! arithmetic, `cmpl` + condition branches, a `calls`-style frame
-//! convention — plus `write*` pseudo-instructions in place of Pascal
-//! run-time I/O, so that compiled programs can be *executed* in tests
-//! and their output checked end-to-end.
+//! is the substitute substrate: a faithful subset of the VAX-11
+//! instruction style — `movl`/`addl2`/`addl3` three-operand arithmetic,
+//! `cmpl` + condition branches, a `calls`-style frame convention — plus
+//! `write*` pseudo-instructions in place of Pascal run-time I/O, so
+//! that compiled programs can be *executed* in tests and their output
+//! checked end-to-end. (The workspace's other stand-ins are listed in
+//! the status notes of `ROADMAP.md` at the repository root.)
 //!
 //! # Examples
 //!

@@ -24,8 +24,10 @@
 //!   grammar, with a direct (non-AG) baseline compiler and a workload
 //!   generator.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured results.
+//! Each member's crate docs are its tour (start at [`core`] for the
+//! evaluators and [`driver`] for the batched pipeline); `ROADMAP.md` at
+//! the repository root holds the system's current state, the measured
+//! numbers against the paper's, and what is open.
 //!
 //! # Examples
 //!

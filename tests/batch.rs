@@ -443,6 +443,88 @@ fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
     }
 }
 
+/// Below the floor a program is one whole-tree job — the sequential
+/// static evaluation on a worker, its store adopted at retirement — and
+/// at every worker count, window depth, scheduler and memo setting the
+/// stores and the assembly text are byte-identical to the sequential
+/// static evaluator. With the memo on, a second pass over the same pool
+/// replays every program (the root region's contract: installed at the
+/// first retirement, hit from then on).
+#[test]
+fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
+    let compiler = Compiler::new();
+    let mut srcs = sources();
+    srcs.truncate(3);
+    for seed in [3, 4] {
+        srcs.push(generate(&GenConfig {
+            clusters: 1,
+            procs_per_cluster: 3,
+            stmts_per_proc: 6,
+            nesting: 2,
+            seed,
+            template_clusters: 0,
+        }));
+    }
+    let trees: Vec<Arc<ParseTree<PVal>>> = srcs
+        .iter()
+        .map(|s| compiler.tree_from_source(s).unwrap())
+        .collect();
+    for tree in &trees {
+        let work = compiler.evals.plan().tree_work(tree);
+        assert!(work < 2 * HANDOFF_FLOOR, "{work} units: one region");
+    }
+    let reference = sequential_reference(&compiler, &trees);
+
+    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+        for workers in [1usize, 2, 8] {
+            for depth in [1usize, 2, 4, 8] {
+                for memo in [0usize, 1 << 26] {
+                    let what = format!("{scheduler:?} workers={workers} depth={depth} memo={memo}");
+                    let config = DriverConfig::workers(workers)
+                        .with_pipeline_depth(depth)
+                        .with_scheduler(scheduler)
+                        .with_memo_capacity(memo);
+                    let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+                    let mut driver = BatchDriver::new(&plan);
+                    for pass in 0..2 {
+                        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+                        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+                            assert_eq!(out.regions, 1, "{what} pass {pass}: tree {i}");
+                            let output = compiler.output_from_store(tree, &out.store, out.stats);
+                            assert!(output.errors.is_empty(), "{:?}", output.errors);
+                            let (want_asm, want_store) = &reference[i];
+                            assert_eq!(
+                                want_asm, &output.asm,
+                                "{what} pass {pass}: tree {i} asm differs"
+                            );
+                            assert_eq!(
+                                want_store,
+                                &store_snapshot(tree, &out.store),
+                                "{what} pass {pass}: tree {i} store differs"
+                            );
+                        }
+                        assert_eq!(report.max_regions_in_flight, report.max_in_flight);
+                        let n = trees.len() as u64;
+                        match (report.memo, pass) {
+                            (None, _) => assert_eq!(memo, 0, "{what}"),
+                            (Some(m), 0) => assert_eq!(
+                                (m.hits, m.misses, m.inserts),
+                                (0, n, n),
+                                "{what}: a cold pass of distinct programs"
+                            ),
+                            (Some(m), _) => assert_eq!(
+                                (m.hits, m.misses, m.inserts),
+                                (n, 0, 0),
+                                "{what}: a warm pass replays"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The region-granular acceptance bar: a single `GenConfig::huge()`
 /// tree (≥10× the paper workload) run through the adaptive
 /// region-granular pool must produce output byte-identical to the
@@ -637,6 +719,19 @@ fn batch_report_exposes_in_flight_depth() {
     let mut driver1 = BatchDriver::new(&plan1);
     let report1 = driver1.compile_batch(trees.iter().cloned()).unwrap();
     assert_eq!(report1.max_in_flight, 1);
+    // The default window is two trees per worker: a stream of small
+    // programs, one job each, keeps a second one waiting at every
+    // worker.
+    let small: Vec<_> = trees[..3].iter().cycle().take(9).cloned().collect();
+    for workers in [1usize, 2, 3] {
+        let plan =
+            CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::workers(workers));
+        let mut driver = BatchDriver::new(&plan);
+        assert_eq!(driver.pipeline_depth(), 2 * workers);
+        let report = driver.compile_batch(small.iter().cloned()).unwrap();
+        assert!(report.outputs.iter().all(|out| out.regions == 1));
+        assert_eq!(report.max_in_flight, 2 * workers, "{workers} workers");
+    }
 }
 
 /// Live-pool fault tolerance: kill one worker of a stealing pool and
