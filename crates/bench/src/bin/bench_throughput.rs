@@ -64,7 +64,7 @@
 //! cache off vs on ([`DriverConfig::with_memo_capacity`]), interleaved
 //! rep by rep, cold (first pass of a fresh pool) and warm (second pass
 //! of the same pool) measured separately. Hit rates come from
-//! [`BatchReport::memo`]. Two properties are asserted, not just
+//! [`BatchReport::memo`](paragram_driver::BatchReport::memo). Two properties are asserted, not just
 //! reported: memo-on outputs are value-identical to memo-off on every
 //! tree, and the warm duplicated pass actually hits. The memo-on side
 //! additionally runs under `InstallPolicy::SecondTouch` (2Q

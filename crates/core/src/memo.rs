@@ -15,7 +15,8 @@
 //!    differ in any token value hash differently and miss.
 //! 2. **The inherited attribute values at the region root**, exactly as
 //!    delivered by the parent machine, fingerprinted via
-//!    [`AttrValue::content_hash`] in ascending [`AttrId`] order.
+//!    [`AttrValue::content_hash`] in ascending
+//!    [`AttrId`](crate::grammar::AttrId) order.
 //!
 //! Nothing else is an input. In particular these are *not* part of a
 //! region's inputs and must never influence a cached result: the

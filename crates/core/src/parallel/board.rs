@@ -1,17 +1,21 @@
-//! The scheduler board: the stealing scheduler's whole state machine,
-//! free of threads, channels and clocks.
+//! The scheduler board: the whole scheduler state machine — both
+//! placements — free of threads, channels and clocks.
 //!
-//! [`Board`] owns everything [`SchedulerMode::Stealing`] shares between
-//! evaluators — one deque of pending region jobs per worker, the
-//! `(ticket, region) →` [`JobLoc`] location table, the per-worker load
-//! accounts, the dead set, every live job's input log, and the
-//! steal/locality and crash/re-execution/duplicate counters — and has
-//! the one implementation of each transition over them:
+//! [`Board`] owns everything the evaluators share — one deque of
+//! pending region jobs per worker, the `(ticket, region) →` [`JobLoc`]
+//! location table, the per-worker load accounts, the dead set, every
+//! live job's input log, and the steal/locality and
+//! crash/re-execution/duplicate counters — and has the one
+//! implementation of each transition over them. The two
+//! [`SchedulerMode`]s differ only in how a ticket is seeded and whether
+//! a worker with an empty deque may steal:
 //!
 //! | transition | what it decides |
 //! |---|---|
-//! | [`Board::seed`] | LPT + parent/child co-seeding of a ticket's regions onto the deques ([`seed_placements`]) |
-//! | [`Board::claim`] | own deque front, else the largest eligible job of the most-loaded live victim |
+//! | [`Board::seed`], `Fixed` | modular seeding: region `r` onto worker `(r + rotation) mod W` ([`modular_placements`]) |
+//! | [`Board::seed`], `Stealing` | LPT + parent/child co-seeding of a ticket's regions onto the deques ([`seed_placements`]) |
+//! | [`Board::claim`] | own deque front; under `Stealing` only, else the largest eligible job of the most-loaded live victim |
+//! | [`Board::take`] | a keyed take of one job off the taker's own deque (the sim's parser push) |
 //! | [`Board::route`] | a boundary value's destination worker: table lookup, log-at-send, content-keyed duplicate suppression, local/remote count |
 //! | [`Board::deliver`] | what the receiving worker does with it: attach to the queued job, feed the active one, forward, or drop |
 //! | [`Board::retire`] | ownership check, load settle, record (and input log) freed |
@@ -24,15 +28,14 @@
 //! only what virtual time needs (a per-machine `busy_until` clock and a
 //! transfer-cost gate, both passed to [`Board::claim`] as its
 //! eligibility predicate). Neither re-implements a transition, so "the
-//! sim runs the deployed policy" holds by construction.
+//! sim runs the deployed policy" holds by construction, and crash
+//! recovery covers both placements.
 //!
 //! A job's record lives in one map from seeding to retirement, so an
 //! absent record means exactly *retired or cancelled* on every path,
 //! and retiring a job frees its input log in the same step.
-//!
-//! [`SchedulerMode::Stealing`]: super::pool::SchedulerMode::Stealing
 
-use super::pool::{FaultCounters, SchedCounters, Ticket};
+use super::pool::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 use crate::grammar::AttrId;
 use crate::split::RegionId;
 use crate::tree::NodeId;
@@ -119,6 +122,24 @@ fn seed_placements(
     placements
 }
 
+/// [`SchedulerMode::Fixed`]'s placement of a ticket's `regions`: region
+/// `r` on worker `(r + rotation) mod W` — with `rotation` 0 the paper's
+/// region *k* on machine *k* (§3) — or, if that worker is dead, the next
+/// live one after it (the home itself when none is: the job waits for a
+/// restart).
+fn modular_placements(regions: usize, rotation: usize, dead: &[bool]) -> Vec<usize> {
+    let workers = dead.len();
+    (0..regions)
+        .map(|r| {
+            let home = (r + rotation) % workers;
+            (0..workers)
+                .map(|k| (home + k) % workers)
+                .find(|&w| !dead[w])
+                .unwrap_or(home)
+        })
+        .collect()
+}
+
 /// A live job's record, from seeding to retirement.
 struct JobRec<V, P> {
     loc: JobLoc,
@@ -161,9 +182,11 @@ pub(crate) enum Delivery<V> {
     Dropped,
 }
 
-/// The stealing scheduler's shared state machine (see the module docs).
-/// `V` is the attribute value type, `P` the driver's per-job payload.
+/// The scheduler's shared state machine (see the module docs). `V` is
+/// the attribute value type, `P` the driver's per-job payload.
 pub(crate) struct Board<V, P> {
+    /// The seeding policy, and whether an idle worker may steal.
+    mode: SchedulerMode,
     /// Pending jobs per worker, seeding order.
     deques: Vec<VecDeque<JobKey>>,
     jobs: HashMap<JobKey, JobRec<V, P>>,
@@ -178,8 +201,9 @@ pub(crate) struct Board<V, P> {
 }
 
 impl<V: Clone, P: Clone> Board<V, P> {
-    pub fn new(workers: usize) -> Self {
+    pub fn new(workers: usize, mode: SchedulerMode) -> Self {
         Board {
+            mode,
             deques: (0..workers).map(|_| VecDeque::new()).collect(),
             jobs: HashMap::new(),
             load: vec![0; workers],
@@ -208,7 +232,8 @@ impl<V: Clone, P: Clone> Board<V, P> {
     }
 
     /// Counts a duplicate the driver suppressed itself (a re-executed
-    /// root region re-sending a root attribute to the parser).
+    /// region reporting to the parser a second time: the sim's root
+    /// attribute, the pool's `Done`).
     pub fn count_duplicate(&mut self) {
         self.faults.dup_suppressed += 1;
     }
@@ -223,18 +248,29 @@ impl<V: Clone, P: Clone> Board<V, P> {
 
     /// Seeds one ticket's region jobs (`work[r]` estimated for region
     /// `r`, `parent_of(r)` its parent region in the decomposition) onto
-    /// the deques by [`seed_placements`]. Every region is
-    /// recorded before this returns — so before the driver wakes any
-    /// worker — which is what lets every other path read an absent
-    /// record as "finished".
+    /// the deques — by [`modular_placements`] from `rotation` under
+    /// `Fixed`, by [`seed_placements`] under `Stealing` — and returns
+    /// each region's home worker. Every region is recorded before this
+    /// returns — so before the driver wakes any worker — which is what
+    /// lets every other path read an absent record as "finished".
     pub fn seed(
         &mut self,
         ticket: Ticket,
+        rotation: usize,
         work: &[u64],
         parent_of: impl Fn(RegionId) -> Option<RegionId>,
         mut payload: impl FnMut(RegionId) -> P,
-    ) {
-        let placements = seed_placements(work, parent_of, &mut self.load);
+    ) -> Vec<usize> {
+        let placements = match self.mode {
+            SchedulerMode::Fixed => {
+                let homes = modular_placements(work.len(), rotation, &self.dead);
+                for (&w, &units) in homes.iter().zip(work) {
+                    self.load[w] = self.load[w].saturating_add(units);
+                }
+                homes
+            }
+            SchedulerMode::Stealing => seed_placements(work, parent_of, &mut self.load),
+        };
         for (r, &w) in placements.iter().enumerate() {
             let key = (ticket, r as RegionId);
             self.jobs.insert(
@@ -249,17 +285,35 @@ impl<V: Clone, P: Clone> Board<V, P> {
             );
             self.deques[w].push_back(key);
         }
+        placements
+    }
+
+    /// Who must hear of jobs just seeded onto `homes`: under `Stealing`
+    /// every live worker (an idle one may steal them), under `Fixed`
+    /// only the homes themselves, once each (no one else may claim
+    /// them).
+    pub fn wake_set(&self, homes: &[usize]) -> Vec<usize> {
+        match self.mode {
+            SchedulerMode::Stealing => self.live().collect(),
+            SchedulerMode::Fixed => {
+                let mut homes = homes.to_vec();
+                homes.sort_unstable();
+                homes.dedup();
+                homes
+            }
+        }
     }
 
     /// Claims work for worker `me`: the front of its own deque (oldest
-    /// seeded job), else a **steal** — the largest pending job of the
-    /// most-loaded live victim, searched from the back of the victim's
-    /// deque. `eligible(victim, None)` admits a victim at all and
-    /// `eligible(victim, Some(payload))` one of its jobs; a driver with
-    /// no notion of time passes `|_, _| true`. The job becomes
-    /// `Active(me)` and never migrates again. `None` when nothing is
-    /// claimable (or `me` is dead: a worker between its crash and its
-    /// exit must not grab work that would be lost with it).
+    /// seeded job), else — under `Stealing` only — a **steal**: the
+    /// largest pending job of the most-loaded live victim, searched
+    /// from the back of the victim's deque. `eligible(victim, None)`
+    /// admits a victim at all and `eligible(victim, Some(payload))` one
+    /// of its jobs; a driver with no notion of time passes
+    /// `|_, _| true`. The job becomes `Active(me)` and never migrates
+    /// again. `None` when nothing is claimable (or `me` is dead: a
+    /// worker between its crash and its exit must not grab work that
+    /// would be lost with it).
     pub fn claim(
         &mut self,
         me: usize,
@@ -270,6 +324,7 @@ impl<V: Clone, P: Clone> Board<V, P> {
         }
         let key = match self.deques[me].pop_front() {
             Some(key) => key,
+            None if self.mode == SchedulerMode::Fixed => return None,
             None => {
                 let victim = (0..self.deques.len())
                     .filter(|&w| !self.dead[w] && !self.deques[w].is_empty() && eligible(w, None))
@@ -289,16 +344,40 @@ impl<V: Clone, P: Clone> Board<V, P> {
                 key
             }
         };
+        Some(self.activate(me, key))
+    }
+
+    /// Worker `me` takes job `key` off its own deque: the job whose
+    /// subtree was pushed to it, activated by that arrival rather than
+    /// by a claim (the sim's fixed placement, where the parser ships
+    /// each region to its home). `None` unless the job is queued here —
+    /// a crash reseeded it elsewhere, or a claim already took it.
+    pub fn take(&mut self, me: usize, key: JobKey) -> Option<Claimed<V, P>> {
+        if self.dead[me] || self.jobs.get(&key)?.loc != JobLoc::Queued(me) {
+            return None;
+        }
+        let deque = &mut self.deques[me];
+        let i = deque
+            .iter()
+            .position(|&k| k == key)
+            .expect("a Queued(me) job is in my deque");
+        deque.remove(i);
+        Some(self.activate(me, key))
+    }
+
+    /// Marks `key`, just taken off a deque, `Active(me)` and hands its
+    /// payload and early values over.
+    fn activate(&mut self, me: usize, key: JobKey) -> Claimed<V, P> {
         let job = self
             .jobs
             .get_mut(&key)
             .expect("a queued job has a board record");
         job.loc = JobLoc::Active(me);
-        Some(Claimed {
+        Claimed {
             key,
             payload: job.payload.clone(),
             early: std::mem::take(&mut job.early),
-        })
+        }
     }
 
     /// Sender side of a boundary value from worker `from` to job `to`:
@@ -460,9 +539,21 @@ mod tests {
         r.checked_sub(1)
     }
 
-    /// Seeds one ticket with the given per-region work.
-    fn seed<P: Clone>(b: &mut Board<u32, P>, ticket: Ticket, work: &[u64], payload: P) {
-        b.seed(ticket, work, chain, |_| payload.clone());
+    impl<V: Clone, P: Clone> Board<V, P> {
+        fn stealing(workers: usize) -> Self {
+            Board::new(workers, SchedulerMode::Stealing)
+        }
+    }
+
+    /// Seeds one ticket with the given per-region work, rotated by the
+    /// ticket under `Fixed` (the pool's rule); returns the homes.
+    fn seed<P: Clone>(
+        b: &mut Board<u32, P>,
+        ticket: Ticket,
+        work: &[u64],
+        payload: P,
+    ) -> Vec<usize> {
+        b.seed(ticket, ticket as usize, work, chain, |_| payload.clone())
     }
 
     /// The invariants both drivers rely on.
@@ -503,7 +594,7 @@ mod tests {
 
     #[test]
     fn seeding_spreads_by_work_and_records_every_region() {
-        let mut b = TestBoard::new(3);
+        let mut b = TestBoard::stealing(3);
         seed(&mut b, 0, &[10, 1, 9, 8], ());
         check(&b);
         assert_eq!(b.jobs.len(), 4);
@@ -518,7 +609,7 @@ mod tests {
 
     #[test]
     fn claim_prefers_own_front_then_steals_the_largest_from_the_most_loaded() {
-        let mut b = TestBoard::new(2);
+        let mut b = TestBoard::stealing(2);
         seed(&mut b, 0, &[5], ());
         seed(&mut b, 1, &[7], ());
         seed(&mut b, 2, &[3], ());
@@ -536,7 +627,7 @@ mod tests {
 
     #[test]
     fn the_eligibility_predicate_gates_victims_and_jobs() {
-        let mut b = Board::<u32, u64>::new(2);
+        let mut b = Board::<u32, u64>::stealing(2);
         seed(&mut b, 0, &[5], 50);
         seed(&mut b, 1, &[7], 70);
         seed(&mut b, 2, &[3], 30);
@@ -557,7 +648,7 @@ mod tests {
 
     #[test]
     fn routed_values_attach_to_queued_jobs_and_migrate_with_a_steal() {
-        let mut b = TestBoard::new(2);
+        let mut b = TestBoard::stealing(2);
         // A parent/child pair is co-seeded: both jobs queue on w0.
         seed(&mut b, 0, &[4, 4], ());
         let (to, w, thief) = ((0, 1), 0, 1);
@@ -589,7 +680,7 @@ mod tests {
 
     #[test]
     fn retirement_frees_the_record_and_only_the_owner_may_retire() {
-        let mut b = TestBoard::new(2);
+        let mut b = TestBoard::stealing(2);
         seed(&mut b, 0, &[6], ());
         let job = b.claim(0, |_, _| true).unwrap();
         b.route(1, job.key, NodeId(1), AttrId(0), &1);
@@ -606,7 +697,7 @@ mod tests {
 
     #[test]
     fn crash_reseeds_queued_and_active_jobs_with_full_log_replay() {
-        let mut b = TestBoard::new(2);
+        let mut b = TestBoard::stealing(2);
         seed(&mut b, 0, &[5], ());
         seed(&mut b, 1, &[4], ());
         seed(&mut b, 2, &[3], ());
@@ -637,7 +728,7 @@ mod tests {
 
     #[test]
     fn a_crash_with_no_survivor_parks_jobs_until_the_restart() {
-        let mut b = TestBoard::new(1);
+        let mut b = TestBoard::stealing(1);
         seed(&mut b, 0, &[3, 2], ());
         b.claim(0, |_, _| true).unwrap();
         assert!(b.crash(0));
@@ -650,7 +741,7 @@ mod tests {
 
     #[test]
     fn cancel_purges_a_ticket_and_settles_load() {
-        let mut b = TestBoard::new(2);
+        let mut b = TestBoard::stealing(2);
         seed(&mut b, 0, &[4, 4], ());
         seed(&mut b, 1, &[2], ());
         let job = b.claim(0, |_, _| true).unwrap();
@@ -663,138 +754,197 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any interleaving of the transitions keeps the invariants the
-        /// drivers rely on, and a record is absent exactly when its job
-        /// retired or was cancelled.
+        /// Any interleaving of the transitions, under either seeding
+        /// policy, keeps the invariants the drivers rely on, and a
+        /// record is absent exactly when its job retired or was
+        /// cancelled. Under modular seeding no job ever leaves its home
+        /// worker but through a crash, and nothing is stolen.
         #[test]
         fn random_transition_sequences_keep_the_board_consistent(rng_seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(rng_seed);
-            let workers = 1 + rng.gen_range(0..4) as usize;
-            let mut b = TestBoard::new(workers);
-            let mut next_ticket: Ticket = 0;
-            // Every key ever seeded, and whether it should still exist.
-            let mut alive: HashMap<JobKey, bool> = HashMap::new();
-            let pick = |rng: &mut SmallRng, alive: &HashMap<JobKey, bool>| {
-                let mut keys: Vec<JobKey> = alive.keys().copied().collect();
-                keys.sort_unstable();
-                (!keys.is_empty()).then(|| keys[rng.gen_range(0..keys.len() as u64) as usize])
-            };
-            for _ in 0..120 {
-                let w = rng.gen_range(0..workers as u64) as usize;
-                match rng.gen_range(0..9) {
-                    0 | 1 => {
-                        let regions = 1 + rng.gen_range(0..4) as usize;
-                        let work: Vec<u64> = (0..regions).map(|_| 1 + rng.gen_range(0..20)).collect();
-                        seed(&mut b, next_ticket, &work, ());
-                        for r in 0..regions {
-                            alive.insert((next_ticket, r as RegionId), true);
+            random_transitions(rng_seed, SchedulerMode::Fixed)?;
+            random_transitions(rng_seed, SchedulerMode::Stealing)?;
+        }
+    }
+
+    /// One random transition sequence of
+    /// [`random_transition_sequences_keep_the_board_consistent`].
+    fn random_transitions(rng_seed: u64, mode: SchedulerMode) -> Result<(), TestCaseError> {
+        let modular = mode == SchedulerMode::Fixed;
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let workers = 1 + rng.gen_range(0..4) as usize;
+        let mut b = TestBoard::new(workers, mode);
+        let mut next_ticket: Ticket = 0;
+        // Every key ever seeded, and whether it should still exist.
+        let mut alive: HashMap<JobKey, bool> = HashMap::new();
+        // Where each job was seeded, or reseeded by a crash.
+        let mut homes: HashMap<JobKey, usize> = HashMap::new();
+        let pick = |rng: &mut SmallRng, alive: &HashMap<JobKey, bool>| {
+            let mut keys: Vec<JobKey> = alive.keys().copied().collect();
+            keys.sort_unstable();
+            (!keys.is_empty()).then(|| keys[rng.gen_range(0..keys.len() as u64) as usize])
+        };
+        for _ in 0..120 {
+            let w = rng.gen_range(0..workers as u64) as usize;
+            match rng.gen_range(0..10) {
+                0 | 1 => {
+                    let regions = 1 + rng.gen_range(0..4) as usize;
+                    let work: Vec<u64> = (0..regions).map(|_| 1 + rng.gen_range(0..20)).collect();
+                    let all_live = b.live().count() == workers;
+                    let placed = seed(&mut b, next_ticket, &work, ());
+                    for (r, &h) in placed.iter().enumerate() {
+                        if modular && all_live {
+                            prop_assert_eq!(h, (r + next_ticket as usize) % workers);
                         }
-                        next_ticket += 1;
+                        alive.insert((next_ticket, r as RegionId), true);
+                        homes.insert((next_ticket, r as RegionId), h);
                     }
-                    2 | 3 => {
-                        let before: Vec<JobKey> = b.deques[w].iter().copied().collect();
-                        if let Some(job) = b.claim(w, |_, _| true) {
-                            prop_assert!(!b.dead[w]);
-                            prop_assert_eq!(b.jobs[&job.key].loc, JobLoc::Active(w));
-                            if let Some(&front) = before.first() {
-                                prop_assert_eq!(job.key, front, "own front first");
-                            }
-                        }
+                    next_ticket += 1;
+                }
+                2 | 3 => {
+                    let before: Vec<JobKey> = b.deques[w].iter().copied().collect();
+                    let claimed = b.claim(w, |_, _| true);
+                    if modular {
+                        prop_assert_eq!(claimed.is_some(), !b.dead[w] && !before.is_empty());
                     }
-                    4 => {
-                        if let Some(to) = pick(&mut rng, &alive) {
-                            let (node, attr) = (NodeId(rng.gen_range(0..3) as u32), AttrId(rng.gen_range(0..2) as u32));
-                            let sent = b.route(w, to, node, attr, &7);
-                            prop_assert!(alive[&to] || sent.is_none(), "finished jobs take nothing");
-                            if let Some(dest) = sent {
-                                // Deliver at the routed worker, or a
-                                // stale one: never lost, never panics.
-                                let at = if rng.gen_range(0..4) == 0 { w } else { dest };
-                                match b.deliver(at, to, node, attr, 7) {
-                                    Delivery::Forward(next, v) => {
-                                        prop_assert_eq!(next, b.jobs[&to].loc.worker());
-                                        prop_assert!(!matches!(
-                                            b.deliver(next, to, node, attr, v),
-                                            Delivery::Forward(..) | Delivery::Dropped
-                                        ));
-                                    }
-                                    Delivery::Dropped => prop_assert!(false, "live job dropped a value"),
-                                    Delivery::Stored | Delivery::Mine(_) => {}
-                                }
-                            }
+                    if let Some(job) = claimed {
+                        prop_assert!(!b.dead[w]);
+                        prop_assert_eq!(b.jobs[&job.key].loc, JobLoc::Active(w));
+                        if let Some(&front) = before.first() {
+                            prop_assert_eq!(job.key, front, "own front first");
                         }
                     }
-                    5 => {
-                        if let Some(key) = pick(&mut rng, &alive) {
-                            let owned = b.jobs.get(&key).is_some_and(|j| j.loc == JobLoc::Active(w));
-                            prop_assert_eq!(b.retire(w, key), owned);
-                            if owned {
-                                alive.insert(key, false);
-                            }
-                        }
-                    }
-                    6 => {
-                        let was_dead = b.dead[w];
-                        let before = b.fault_counters().regions_reexecuted;
-                        let mut lost: Vec<JobKey> = b.jobs.iter()
-                            .filter(|(_, j)| j.loc.worker() == w)
-                            .map(|(&k, _)| k)
-                            .collect();
-                        lost.sort_unstable();
-                        prop_assert_eq!(b.crash(w), !was_dead);
-                        if !was_dead {
+                }
+                9 => {
+                    if let Some(key) = pick(&mut rng, &alive) {
+                        let queued_here = !b.dead[w]
+                            && b.jobs.get(&key).is_some_and(|j| j.loc == JobLoc::Queued(w));
+                        let early = b.jobs.get(&key).map(|j| j.early.clone());
+                        let taken = b.take(w, key);
+                        prop_assert_eq!(taken.is_some(), queued_here);
+                        if let Some(job) = taken {
+                            prop_assert_eq!(job.key, key);
                             prop_assert_eq!(
-                                b.fault_counters().regions_reexecuted,
-                                before + lost.len() as u64
+                                Some(job.early),
+                                early,
+                                "early values in arrival order"
                             );
-                            let any_live = b.live().next().is_some();
-                            let mut tails: Vec<usize> = vec![0; workers];
-                            for key in lost.iter().rev() {
-                                // Reseeded in key order: walking the
-                                // lost keys backwards meets each deque's
-                                // tail in reverse.
-                                let JobLoc::Queued(home) = b.jobs[key].loc else {
-                                    prop_assert!(false, "a lost job is pending again");
-                                    unreachable!();
-                                };
-                                prop_assert!(!any_live || !b.dead[home], "reseeded onto the dead");
-                                let deque = &b.deques[home];
-                                tails[home] += 1;
-                                prop_assert_eq!(deque[deque.len() - tails[home]], *key);
-                                prop_assert_eq!(&b.jobs[key].early, &b.jobs[key].log);
-                            }
+                            prop_assert_eq!(b.jobs[&key].loc, JobLoc::Active(w));
                         }
                     }
-                    7 => {
-                        if b.dead[w] {
-                            b.restart(w);
-                        }
-                    }
-                    _ => {
-                        if next_ticket > 0 {
-                            let t = rng.gen_range(0..next_ticket);
-                            b.cancel(t);
-                            for (key, live) in alive.iter_mut() {
-                                if key.0 == t {
-                                    *live = false;
+                }
+                4 => {
+                    if let Some(to) = pick(&mut rng, &alive) {
+                        let (node, attr) = (
+                            NodeId(rng.gen_range(0..3) as u32),
+                            AttrId(rng.gen_range(0..2) as u32),
+                        );
+                        let sent = b.route(w, to, node, attr, &7);
+                        prop_assert!(alive[&to] || sent.is_none(), "finished jobs take nothing");
+                        if let Some(dest) = sent {
+                            // Deliver at the routed worker, or a
+                            // stale one: never lost, never panics.
+                            let at = if rng.gen_range(0..4) == 0 { w } else { dest };
+                            match b.deliver(at, to, node, attr, 7) {
+                                Delivery::Forward(next, v) => {
+                                    prop_assert_eq!(next, b.jobs[&to].loc.worker());
+                                    prop_assert!(!matches!(
+                                        b.deliver(next, to, node, attr, v),
+                                        Delivery::Forward(..) | Delivery::Dropped
+                                    ));
                                 }
+                                Delivery::Dropped => {
+                                    prop_assert!(false, "live job dropped a value")
+                                }
+                                Delivery::Stored | Delivery::Mine(_) => {}
                             }
                         }
                     }
                 }
-                check(&b);
-                for (key, live) in &alive {
-                    prop_assert_eq!(b.jobs.contains_key(key), *live, "record of {:?}", key);
+                5 => {
+                    if let Some(key) = pick(&mut rng, &alive) {
+                        let owned = b.jobs.get(&key).is_some_and(|j| j.loc == JobLoc::Active(w));
+                        prop_assert_eq!(b.retire(w, key), owned);
+                        if owned {
+                            alive.insert(key, false);
+                        }
+                    }
+                }
+                6 => {
+                    let was_dead = b.dead[w];
+                    let before = b.fault_counters().regions_reexecuted;
+                    let mut lost: Vec<JobKey> = b
+                        .jobs
+                        .iter()
+                        .filter(|(_, j)| j.loc.worker() == w)
+                        .map(|(&k, _)| k)
+                        .collect();
+                    lost.sort_unstable();
+                    prop_assert_eq!(b.crash(w), !was_dead);
+                    if !was_dead {
+                        prop_assert_eq!(
+                            b.fault_counters().regions_reexecuted,
+                            before + lost.len() as u64
+                        );
+                        let any_live = b.live().next().is_some();
+                        let mut tails: Vec<usize> = vec![0; workers];
+                        for key in lost.iter().rev() {
+                            // Reseeded in key order: walking the
+                            // lost keys backwards meets each deque's
+                            // tail in reverse.
+                            let JobLoc::Queued(home) = b.jobs[key].loc else {
+                                prop_assert!(false, "a lost job is pending again");
+                                unreachable!();
+                            };
+                            prop_assert!(!any_live || !b.dead[home], "reseeded onto the dead");
+                            let deque = &b.deques[home];
+                            tails[home] += 1;
+                            prop_assert_eq!(deque[deque.len() - tails[home]], *key);
+                            prop_assert_eq!(&b.jobs[key].early, &b.jobs[key].log);
+                        }
+                        for key in &lost {
+                            homes.insert(*key, b.jobs[key].loc.worker());
+                        }
+                    }
+                }
+                7 => {
+                    if b.dead[w] {
+                        b.restart(w);
+                    }
+                }
+                _ => {
+                    if next_ticket > 0 {
+                        let t = rng.gen_range(0..next_ticket);
+                        b.cancel(t);
+                        for (key, live) in alive.iter_mut() {
+                            if key.0 == t {
+                                *live = false;
+                            }
+                        }
+                    }
+                }
+            }
+            check(&b);
+            for (key, live) in &alive {
+                prop_assert_eq!(b.jobs.contains_key(key), *live, "record of {:?}", key);
+            }
+            if modular {
+                for (key, job) in &b.jobs {
+                    prop_assert_eq!(job.loc.worker(), homes[key], "{:?} left its home", key);
                 }
             }
         }
+        if modular {
+            prop_assert_eq!(b.sched_counters().steals, 0);
+            prop_assert_eq!(b.sched_counters().migrated_attrs, 0);
+        }
+        Ok(())
     }
 
     /// Reseeding order is `(ticket, region)`, least-loaded survivor
     /// first — the property that makes recovery schedules replayable.
     #[test]
     fn crash_reseeds_in_key_order_onto_the_least_loaded_survivors() {
-        let mut b = TestBoard::new(3);
+        let mut b = TestBoard::stealing(3);
         for t in 0..6 {
             seed(&mut b, t, &[1], ());
         }
@@ -804,5 +954,72 @@ mod tests {
         // Equal loads break toward the lowest index: 0 → w1, 3 → w2.
         assert_eq!(b.deques[1].back(), Some(&(0, 0)));
         assert_eq!(b.deques[2].back(), Some(&(3, 0)));
+    }
+
+    /// Modular seeding under both of its drivers' rotation rules: the
+    /// pool's (and the sim's adaptive granularity's) rotation by ticket,
+    /// and the sim's fixed-count granularity's 0 — region k on machine k.
+    #[test]
+    fn fixed_placement_rotates_by_ticket_and_spreads_by_region() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut b = TestBoard::new(workers, SchedulerMode::Fixed);
+            let all: Vec<usize> = (0..workers).collect();
+            // Region 0 of consecutive tickets — a whole tree's only
+            // job — visits every worker in turn.
+            let mut seen: Vec<usize> = (0..workers as Ticket)
+                .map(|t| seed(&mut b, t, &[1], ())[0])
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, all, "{workers} workers");
+            // A ticket's first `workers` regions land on distinct
+            // workers, and the pattern continues past a full turn.
+            for (ticket, rotation) in [(10, 10), (11, 11), (17, 17), (12, 0), (13, 0)] {
+                let work = vec![1; workers + 1];
+                let homes = b.seed(ticket, rotation, &work, chain, |_| ());
+                let want: Vec<usize> = (0..=workers).map(|r| (r + rotation) % workers).collect();
+                assert_eq!(homes, want, "{workers} workers, ticket {ticket}");
+                assert_eq!(homes[workers], homes[0]);
+            }
+            check(&b);
+        }
+    }
+
+    /// Under `Fixed` a worker only ever runs what was seeded onto it:
+    /// it claims its own front or nothing, wakes go to the homes alone,
+    /// a keyed take hands over the early values in arrival order, and
+    /// seeding passes over a dead home.
+    #[test]
+    fn modular_seeding_never_steals_and_passes_over_the_dead() {
+        let mut b = TestBoard::new(3, SchedulerMode::Fixed);
+        let homes = seed(&mut b, 0, &[5, 5], ());
+        assert_eq!(homes, [0, 1]);
+        assert_eq!(b.wake_set(&[1, 0, 1]), [0, 1]);
+        assert!(
+            b.claim(2, |_, _| true).is_none(),
+            "an idle worker steals nothing"
+        );
+        assert!(b.take(0, (0, 1)).is_none(), "not queued here");
+        for (attr, v) in [(0, 7), (1, 3)] {
+            assert_eq!(b.route(0, (0, 1), NodeId(1), AttrId(attr), &v), Some(1));
+            assert!(matches!(
+                b.deliver(1, (0, 1), NodeId(1), AttrId(attr), v),
+                Delivery::Stored
+            ));
+        }
+        let taken = b.take(1, (0, 1)).unwrap();
+        assert_eq!(
+            taken.early,
+            [(NodeId(1), AttrId(0), 7), (NodeId(1), AttrId(1), 3)]
+        );
+        assert!(b.take(1, (0, 1)).is_none(), "taken once");
+        assert_eq!(b.claim(0, |_, _| true).unwrap().key, (0, 0));
+        assert_eq!(b.sched_counters().steals, 0);
+        check(&b);
+        // Worker 1 dies holding (0, 1): recovery reseeds it, and new
+        // tickets whose home is dead go to the next live worker.
+        assert!(b.crash(1));
+        assert_eq!(b.fault_counters().regions_reexecuted, 1);
+        assert_eq!(seed(&mut b, 1, &[1, 1, 1], ()), [2, 2, 0]);
+        check(&b);
     }
 }

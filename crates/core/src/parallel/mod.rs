@@ -3,14 +3,15 @@
 //! The structure mirrors the paper's Figure-6 setting: a sequential
 //! parser process, N evaluator machines, and a string-librarian process.
 //!
-//! * `board` (crate-internal) — the stealing scheduler as an IO-free
-//!   state machine: per-worker deques, the `(ticket, region)`
-//!   job-location table, load accounts, the dead set, per-job input
-//!   logs and the steal/fault counters, with the **one**
-//!   implementation of seed, claim/steal, route-and-log-dedup,
-//!   deliver, retire, crash-reseed and cancel. [`pool`] and [`sim`] are
-//!   its two drivers, so "the simulator runs the deployed policy"
-//!   holds by construction, not by two files kept in step.
+//! * `board` (crate-internal) — the scheduler as an IO-free state
+//!   machine: per-worker deques, the `(ticket, region)` job-location
+//!   table, load accounts, the dead set, per-job input logs and the
+//!   steal/locality/fault counters, with the **one** implementation of
+//!   seed (modular or LPT), claim/steal, keyed take,
+//!   route-and-log-dedup, deliver, retire, crash-reseed and cancel.
+//!   [`pool`] and [`sim`] are its two drivers under both placements, so
+//!   "the simulator runs the deployed policy" holds by construction,
+//!   not by two files kept in step.
 //! * [`pool`] — persistent evaluator worker pool (threads spawned
 //!   once; the librarian is a segment ledger they share under a mutex,
 //!   not a thread of its own) scheduling **region jobs** —
@@ -20,19 +21,20 @@
 //!   small cross-tree pipeline window, no split below the measured
 //!   cost of a hand-off between threads, and cost-driven
 //!   adaptive decomposition so one huge tree fills the pool like a
-//!   batch of small ones. Two
-//!   placements: fixed modular assignment (the paper's layout, the
-//!   default, no shared state) and `SchedulerMode::Stealing`, which
-//!   drives the board from worker threads under one mutex and moves
-//!   values over channels.
+//!   batch of small ones. It drives the board from worker threads
+//!   under one mutex and moves values over channels; the two
+//!   placements are two seeding policies on it — fixed modular
+//!   assignment (the paper's layout, the default, never stealing) and
+//!   `SchedulerMode::Stealing`.
 //! * [`sim`] — the same protocol on the deterministic
 //!   [`paragram_netsim`] network-multiprocessor simulator, reproducing
 //!   the paper's running-time and activity-trace figures exactly: one
 //!   parser, one evaluator and one librarian process, and one run
 //!   ([`sim::run_sim_stream`]) that the single-tree and batch entry
-//!   points adapt. Under stealing it drives the board from netsim
-//!   handlers, adding only what virtual time needs (per-machine clocks,
-//!   the claimer's subtree fetch, the steal profitability gate).
+//!   points adapt. It drives the board from netsim handlers, adding
+//!   only what virtual time needs (per-machine clocks, the parser's
+//!   subtree push under fixed placement, the claimer's subtree fetch
+//!   and the steal profitability gate under stealing).
 //! * [`threads`] — the same protocol as a one-shot, depth-1 convenience
 //!   wrapper over [`pool`], demonstrating genuine parallel speedup on
 //!   host cores for a single tree.
@@ -43,8 +45,8 @@
 //!
 //! # Failure model and recovery protocol
 //!
-//! Both runtimes tolerate **fail-stop evaluator loss** under
-//! `SchedulerMode::Stealing`: a worker thread dying mid-region (live
+//! Both runtimes tolerate **fail-stop evaluator loss** under either
+//! `SchedulerMode`: a worker thread dying mid-region (live
 //! pool, [`pool::WorkerPool::kill_worker`]) or a simulated machine
 //! crashing at a scheduled virtual time (sim, [`sim::run_sim_stream`]
 //! driven by a [`paragram_netsim::FaultPlan`]). The parser and
@@ -62,8 +64,7 @@
 //! board, before it ever reaches a worker. The log is the protocol's
 //! stable storage: a message in flight to a dead worker is lost with
 //! the worker, but its logged copy is not. Only evaluator-volatile
-//! state dies: partially evaluated machines and parked mid-visit
-//! values.
+//! state dies: partially evaluated machines.
 //!
 //! **Recovery** is one board transition, called by the pool's
 //! `kill_worker` (live) or the parser's crash oracle (sim): the dead
@@ -72,7 +73,8 @@
 //! collected, each becomes a fresh pending job whose early values are
 //! the *full* input log replay, and they are reseeded
 //! least-loaded-first over the survivors in deterministic
-//! `(ticket, region)` order. Re-execution regenerates the same
+//! `(ticket, region)` order, under either seeding policy (modular
+//! seeding then passes over the dead worker). Re-execution regenerates the same
 //! segment ids, attribute values and root attributes, because region
 //! evaluation is a pure function of tree + replayed inputs.
 //!
@@ -83,7 +85,7 @@
 //! against the input log (a `(node, attr)` already logged for a region
 //! is suppressed at the sender), machines drop deliveries for
 //! instances they are no longer awaiting, the parser ignores a root
-//! attribute it already holds, and segment re-registration replaces
+//! attribute (sim) or a region result (pool) it already holds, and segment re-registration replaces
 //! byte-identical text. The acceptance bar — pinned by unit,
 //! integration and chaos property tests — is that a crashed-and-
 //! recovered run produces output **byte-identical** to the fault-free

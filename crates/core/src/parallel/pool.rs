@@ -6,8 +6,8 @@
 //! batched driver compiling a stream of trees, that per-compilation
 //! spin-up (thread creation, channel setup, librarian start) is pure
 //! overhead repeated per tree. [`WorkerPool`] hoists it: evaluator
-//! threads are spawned **once** and fed per-tree region jobs over their
-//! channels; each worker keeps a [`MachineScratch`] alive so
+//! threads are spawned **once** and claim per-tree region jobs from a
+//! shared scheduler board; each worker keeps a [`MachineScratch`] alive so
 //! construction/evaluation buffer capacity also carries over from tree
 //! to tree. The pool runs exactly [`PoolConfig::workers`] threads.
 //!
@@ -93,10 +93,9 @@
 //! 1.6 ms of evaluation; under an `Adaptive` budget, a tree with one
 //! budget's work or nowhere to split), which bounds how long an older
 //! machine on that worker waits for its next step. Under either
-//! scheduler it is the ticket's one job — pinned by the same placement
-//! function, or one board job that a crash re-executes from nothing —
-//! and with the memo on it keeps the root region's contract: probe,
-//! replay or evaluate, install at retirement. A pool running
+//! scheduler it is the ticket's one board job, which a crash
+//! re-executes from nothing, and with the memo on it keeps the root
+//! region's contract: probe, replay or evaluate, install at retirement. A pool running
 //! [`MachineMode::Dynamic`] (its grammar may not be l-ordered, so there
 //! may be no visit program to run) keeps the one-region machine.
 //!
@@ -135,7 +134,7 @@
 //! retired the tree, prepared the next and sent it — a round trip
 //! between two threads, 20–200 µs on the 2-core box against the
 //! ≈ 65 µs the tree takes to evaluate. With two per worker the next
-//! tree is already in the worker's channel. (Measured on `small_iid`:
+//! tree is already on the worker's deque. (Measured on `small_iid`:
 //! `lines_per_s` ×1.14–1.27 for the window alone; four per worker read
 //! no better than two. ROADMAP's Status notes have the tables.)
 //! Workers multiplex their
@@ -187,38 +186,39 @@
 //! with [`EvalError::UnknownSegment`] — never a store with text
 //! missing.
 //!
-//! # Placement: fixed modular vs. the scheduler board
+//! # Placement: one scheduler board, two seeding policies
 //!
-//! [`SchedulerMode`] selects how region jobs land on workers:
+//! Every region job lives on the scheduler board (`parallel/board.rs`):
+//! per-worker deques, a job-location table, load accounts and per-job
+//! input logs, with one implementation of every transition. This file
+//! is one of the board's two drivers (the simulator is the other): it
+//! holds the board under one mutex and supplies the threads and
+//! channels. [`SchedulerMode`] selects only how a ticket is seeded and
+//! whether an idle worker may steal:
 //!
-//! * [`SchedulerMode::Fixed`] (the default) pins every job by a pure
-//!   function of its `(ticket, region)` pair, `(region + ticket) mod W`
-//!   at either granularity: a ticket's regions go round-robin over the
-//!   workers (with no more regions than workers, the paper's
-//!   one-region-per-machine placement) from a start that rotates with
-//!   the ticket, which keeps consecutive trees' region 0 — a small
-//!   tree's only region — off one worker. Dispatch and attribute
-//!   routing share the function, so they can never drift apart — and
-//!   no shared scheduler state exists.
-//! * [`SchedulerMode::Stealing`] replaces the pure function with the
-//!   scheduler board (`parallel/board.rs`): per-worker deques, a
-//!   job-location table, load accounts and per-job input logs, with
-//!   one implementation of every transition — LPT seeding with
-//!   parent/child co-seeding, claim-own-front-else-steal-the-largest,
-//!   log-at-send routing with duplicate suppression, retirement, and
-//!   crash reseeding. This file is one of the board's two drivers (the
-//!   simulator is the other): it holds the board under one mutex and
-//!   supplies the threads and channels. `submit` seeds a ticket and
-//!   wakes every worker; a worker whose machines all starve claims; a
-//!   boundary value is routed and delivered in one critical section —
-//!   attached to a still-queued job (so a steal migrates it, and
-//!   memo-probing jobs survive migration: their probe is built at
-//!   activation, after the migrated values landed) or channel-sent to
-//!   the worker that claimed it; a worker retires a job on the board
-//!   *before* reporting it done; [`WorkerPool::kill_worker`] is the
-//!   board's crash transition plus a `Die` message.
-//!   [`WorkerPool::sched_counters`] reports steals, migrated values
-//!   and the local/remote split of boundary sends.
+//! * [`SchedulerMode::Fixed`] (the default) seeds region `r` of ticket
+//!   `t` onto worker `(r + t) mod W` and never steals: a ticket's
+//!   regions go round-robin over the workers (with no more regions than
+//!   workers, the paper's one-region-per-machine placement) from a
+//!   start that rotates with the ticket, which keeps consecutive trees'
+//!   region 0 — a small tree's only region — off one worker.
+//! * [`SchedulerMode::Stealing`] seeds LPT with parent/child
+//!   co-seeding, and a worker whose own deque is empty steals the
+//!   largest job of the most-loaded one.
+//!
+//! Everything else is one path. `submit` seeds a ticket and wakes the
+//! workers that may claim its jobs (under `Fixed` their homes, under
+//! `Stealing` everyone); a worker whose machines all starve claims; a
+//! boundary value is routed — logged at send — and delivered in one
+//! critical section, attached to a still-queued job (so a steal
+//! migrates it, and memo-probing jobs survive migration: their probe is
+//! built at activation, after the migrated values landed) or
+//! channel-sent to the worker that claimed it; a worker retires a job
+//! on the board *before* reporting it done; [`WorkerPool::kill_worker`]
+//! is the board's crash transition plus a `Die` message, under either
+//! policy. [`WorkerPool::sched_counters`] reports the local/remote
+//! split of boundary sends, and under `Stealing` steals and migrated
+//! values.
 //!
 //! Either way the protocol stays deterministic in *results* at every
 //! depth and granularity: attribute messages carry their
@@ -227,11 +227,12 @@
 //! scheduling affect timing only, never values (each attribute
 //! instance has exactly one defining rule). Dependencies between
 //! machines exist only *within* a ticket and no machine ever waits for
-//! CPU behind a *later* job on the same worker (stolen jobs insert in
+//! CPU behind a *later* job on the same worker (claimed jobs insert in
 //! `(ticket, region)` order and the oldest machine runs unbudgeted),
 //! so the schedule cannot deadlock: a starved worker always drains its
-//! channel, then claims or steals pending work, and blocks only when
-//! no queued job exists anywhere.
+//! channel, then claims pending work, and blocks only when it can
+//! claim nothing — its own deque is empty (and, under stealing, every
+//! other).
 //!
 //! Use [`WorkerPool::submit`] / [`WorkerPool::collect`] to keep the
 //! window full (what `paragram-driver`'s batch driver does), or the
@@ -251,7 +252,7 @@ use paragram_rope::{Rope, SegmentId, SegmentStore};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery};
@@ -263,25 +264,25 @@ use super::ResultPropagation;
 /// never interfere.
 pub type Ticket = u64;
 
-/// How region jobs are placed on workers (see the module docs).
+/// How the scheduler board seeds region jobs onto workers, and whether
+/// an idle worker may steal (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// The paper's fixed modular placement: region `r` of ticket `t`
-    /// runs on worker `(r + offset(t)) mod W`, a pure function shared
-    /// by dispatch and attribute routing. No migration, no shared
-    /// scheduler state.
+    /// The paper's fixed modular placement: region `r` of ticket `t` is
+    /// seeded onto worker `(r + offset(t)) mod W` and runs there —
+    /// nothing is stolen (a crash reseeds it, like any job).
     #[default]
     Fixed,
     /// Per-worker deques with LPT seeding, parent/child co-seeding and
-    /// steal-from-the-back work stealing; attribute routing goes
-    /// through a shared job-location table.
+    /// steal-from-the-back work stealing.
     Stealing,
 }
 
-/// Steal-scheduler telemetry, cumulative since pool construction or
-/// the last [`WorkerPool::reset_high_water`]. All zeros under
-/// [`SchedulerMode::Fixed`] (nothing is ever stolen and no boundary
-/// send consults the location table).
+/// Scheduler telemetry, cumulative since pool construction or the last
+/// [`WorkerPool::reset_high_water`]. Boundary sends are counted local
+/// or remote under either [`SchedulerMode`]; `steals` and
+/// `migrated_attrs` stay zero under [`SchedulerMode::Fixed`], which
+/// never steals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Jobs an idle worker took from another worker's deque.
@@ -400,7 +401,7 @@ pub struct PoolConfig {
     /// Maximum number of trees in flight at once. Depth 1 is the strict
     /// per-tree barrier. The constructors' default is two per worker:
     /// a small tree is one job on one worker, so that is what keeps
-    /// every worker's next tree in its channel while it runs the
+    /// every worker's next tree on its deque while it runs the
     /// current one; for trees that are cut it lets the next tree's
     /// region jobs fill workers idling behind the current tree's
     /// stragglers.
@@ -421,9 +422,10 @@ pub struct PoolConfig {
     /// `memo_capacity`): install every cacheable span at retirement, or
     /// defer to the second touch of a subtree (scan resistance).
     pub memo_install: crate::memo::InstallPolicy,
-    /// Region-job placement: the paper's fixed modular function (the
+    /// Region-job placement: the paper's fixed modular seeding (the
     /// default everywhere, keeping Fig-7 schedules bit-for-bit) or the
-    /// locality-aware work-stealing scheduler.
+    /// locality-aware work-stealing scheduler. Crash recovery
+    /// ([`WorkerPool::kill_worker`]) works under either.
     pub scheduler: SchedulerMode,
 }
 
@@ -610,7 +612,7 @@ pub struct PoolReport<V: AttrValue> {
     /// retiring thread when it gets to this ticket, so it also counts
     /// any time the finished jobs sat unread — with the default window
     /// of two trees per worker a small tree's `elapsed` includes its
-    /// wait in the worker's channel behind the tree ahead of it — and
+    /// wait on the worker's deque behind the tree ahead of it — and
     /// under a pipelined window it overlaps with neighbouring trees'
     /// times.
     pub elapsed: Duration,
@@ -635,8 +637,6 @@ pub struct PoolReport<V: AttrValue> {
 type JobData<V> = (Arc<ParseTree<V>>, Option<Arc<Decomposition>>);
 
 enum WorkerMsg<V> {
-    /// Fixed placement only: a job pinned to this worker.
-    Job(Claimed<V, JobData<V>>),
     Attr {
         ticket: Ticket,
         /// Destination region — with region-granular scheduling a worker
@@ -647,12 +647,12 @@ enum WorkerMsg<V> {
         attr: AttrId,
         value: V,
     },
-    /// Stealing scheduler only: new jobs were seeded — drain the
-    /// channel, then claim or steal. Carries nothing; the work lives in
-    /// the shared deques.
+    /// New jobs were seeded that this worker may claim — drain the
+    /// channel, then claim. Carries nothing; the work lives on the
+    /// board.
     Wake,
-    /// A ticket failed: drop every running job and parked value that
-    /// belongs to it (its Done will never be awaited).
+    /// A ticket failed: drop every running job that belongs to it (its
+    /// Done will never be awaited).
     Cancel {
         ticket: Ticket,
     },
@@ -740,33 +740,29 @@ pub struct WorkerPool<V: AttrValue> {
     /// Per-symbol memo safety (see [`memo_safety`]); empty when the
     /// cache is off.
     memo_safe: Arc<Vec<bool>>,
-    /// The stealing scheduler's board; `None` under
-    /// [`SchedulerMode::Fixed`].
-    sched: Option<Arc<PoolBoard<V>>>,
+    /// The scheduler board, shared with the workers.
+    board: Arc<PoolBoard<V>>,
 }
 
 /// Everything a worker thread needs; owned by the thread.
 struct WorkerCtx<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
-    /// This worker's index — the stealing scheduler's claim/steal and
-    /// locality accounting key.
+    /// This worker's index — the board's claim and locality accounting
+    /// key.
     me: usize,
     rx: Receiver<WorkerMsg<V>>,
     peers: Vec<Sender<WorkerMsg<V>>>,
     parser_tx: Sender<Done<V>>,
     /// The librarian's ledger (registration side).
     ledger: Arc<Mutex<SegmentLedger>>,
-    /// The pool configuration — under fixed placement, workers route
-    /// attribute messages with the same [`worker_of`] function the
-    /// dispatch side uses, so the two can never drift apart.
+    /// The pool configuration.
     config: PoolConfig,
     /// Shared memo cache (probe side); None when memoization is off.
     memo: Option<Arc<MemoCache<V>>>,
     /// Per-symbol memo safety, aligned with the grammar's symbol ids.
     memo_safe: Arc<Vec<bool>>,
-    /// The stealing scheduler's board; `None` under
-    /// [`SchedulerMode::Fixed`].
-    sched: Option<Arc<PoolBoard<V>>>,
+    /// The scheduler board.
+    board: Arc<PoolBoard<V>>,
     /// Shared count of contained semantic-rule panics.
     panics_contained: Arc<AtomicU64>,
 }
@@ -805,16 +801,6 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
         .collect()
 }
 
-/// The fixed region→worker placement: a pure function of
-/// `(ticket, region)` shared by job dispatch and attribute routing.
-/// Region `r` of ticket `t` runs on worker `(r + t) mod W`: a ticket's
-/// regions spread round-robin from a start that rotates with the
-/// ticket, so consecutive trees' region 0 — for a tree below
-/// [`MIN_REGION_WORK`], the whole tree — land on different workers.
-fn worker_of(workers: usize, ticket: Ticket, region: RegionId) -> usize {
-    (region as usize + ticket as usize) % workers
-}
-
 /// The least estimated work (rule-cost units, [`EvalPlan::tree_work`])
 /// a region must carry before it repays shipping it to another worker:
 /// a channel hop per boundary value, a machine of its own, a segment
@@ -849,6 +835,18 @@ fn regions_worth_shipping(n: usize, tree_work: u64) -> usize {
 /// decision is atomic.
 type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
+/// Locks one of the pool's two shared mutexes — the scheduler board or
+/// the segment ledger, named by `what`. Neither is ever held across a
+/// semantic-rule call (rule panics are caught by [`contained`], outside
+/// both), so a poisoned lock means a pool thread panicked inside a
+/// board transition or a ledger update: a broken invariant, which fails
+/// here by name instead of running on half-updated state.
+fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|_| panic!("{what} lock poisoned: a pool thread panicked holding it"))
+}
+
 impl<V: AttrValue> WorkerPool<V> {
     /// Spawns the pool: `config.workers` evaluator threads, persistent
     /// until the pool is dropped, sharing the librarian's ledger.
@@ -868,8 +866,7 @@ impl<V: AttrValue> WorkerPool<V> {
         } else {
             Vec::new()
         });
-        let sched = (config.scheduler == SchedulerMode::Stealing)
-            .then(|| Arc::new(Mutex::new(Board::new(workers))));
+        let board = Arc::new(Mutex::new(Board::new(workers, config.scheduler)));
         let panics_contained = Arc::new(AtomicU64::new(0));
 
         let mut worker_txs = Vec::with_capacity(workers);
@@ -894,7 +891,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 config,
                 memo: memo.clone(),
                 memo_safe: Arc::clone(&memo_safe),
-                sched: sched.clone(),
+                board: Arc::clone(&board),
                 panics_contained: Arc::clone(&panics_contained),
             };
             handles.push(std::thread::spawn(move || worker_main(ctx)));
@@ -916,7 +913,7 @@ impl<V: AttrValue> WorkerPool<V> {
             panics_contained,
             memo,
             memo_safe,
-            sched,
+            board,
         }
     }
 
@@ -968,15 +965,13 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Restarts high-water tracking from the current occupancy, so a
     /// driver can report per-batch maxima from a long-lived pool
-    /// instead of all-time ones. Also zeroes the steal-scheduler and
-    /// fault counters, so [`WorkerPool::sched_counters`] and
+    /// instead of all-time ones. Also zeroes the scheduler and fault
+    /// counters, so [`WorkerPool::sched_counters`] and
     /// [`WorkerPool::fault_counters`] read per-batch.
     pub fn reset_high_water(&mut self) {
         self.max_in_flight = self.in_flight.len();
         self.max_regions_in_flight = self.regions_in_flight();
-        if let Some(s) = &self.sched {
-            s.lock().expect("scheduler lock").reset_counters();
-        }
+        lock(&self.board, "scheduler board").reset_counters();
         self.panics_contained.store(0, Ordering::Relaxed);
         self.debug_check_quiescent();
     }
@@ -987,22 +982,18 @@ impl<V: AttrValue> WorkerPool<V> {
     /// log, every live worker's load account at zero — and every
     /// ticket's ledger entry was taken at its retirement, so the ledger
     /// holds none. Debug builds check both wherever the pool is known
-    /// to be idle.
+    /// to be idle, and fail by name on a poisoned lock.
     fn debug_check_quiescent(&self) {
         if cfg!(debug_assertions) && self.in_flight.is_empty() && !std::thread::panicking() {
-            if let Some(Ok(board)) = self.sched.as_ref().map(|s| s.lock()) {
-                assert!(
-                    board.is_quiescent(),
-                    "scheduler board not quiescent with nothing in flight"
-                );
-            }
-            if let Ok(ledger) = self.ledger.lock() {
-                assert_eq!(
-                    ledger.open_tickets(),
-                    0,
-                    "segment ledger holds entries with nothing in flight"
-                );
-            }
+            assert!(
+                lock(&self.board, "scheduler board").is_quiescent(),
+                "scheduler board not quiescent with nothing in flight"
+            );
+            assert_eq!(
+                lock(&self.ledger, "segment ledger").open_tickets(),
+                0,
+                "segment ledger holds entries with nothing in flight"
+            );
         }
     }
 
@@ -1011,27 +1002,19 @@ impl<V: AttrValue> WorkerPool<V> {
     /// are always zero here — they belong to the serving layer, which
     /// merges its own counts into the same struct.
     pub fn fault_counters(&self) -> FaultCounters {
-        let board = self
-            .sched
-            .as_ref()
-            .map_or_else(FaultCounters::default, |s| {
-                s.lock().expect("scheduler lock").fault_counters()
-            });
         FaultCounters {
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            ..board
+            ..lock(&self.board, "scheduler board").fault_counters()
         }
     }
 
-    /// Steal-scheduler telemetry since construction or the last
-    /// [`WorkerPool::reset_high_water`]; all zeros under
+    /// Scheduler telemetry since construction or the last
+    /// [`WorkerPool::reset_high_water`]: the local/remote split of
+    /// boundary sends under either [`SchedulerMode`], and steals and
+    /// migrated values, which stay zero under
     /// [`SchedulerMode::Fixed`].
     pub fn sched_counters(&self) -> SchedCounters {
-        self.sched
-            .as_ref()
-            .map_or_else(SchedCounters::default, |s| {
-                s.lock().expect("scheduler lock").sched_counters()
-            })
+        lock(&self.board, "scheduler board").sched_counters()
     }
 
     /// The shared plan this pool evaluates against.
@@ -1074,10 +1057,10 @@ impl<V: AttrValue> WorkerPool<V> {
         }
     }
 
-    /// Submits one tree into the pipeline window: [cuts](Self::carve)
-    /// it into regions or leaves it whole, assigns the next ticket
-    /// (returned, so serving layers can correlate retries) and
-    /// dispatches its jobs — one per region, after opening the ticket's
+    /// Submits one tree into the pipeline window: cuts it into regions
+    /// or leaves it whole, assigns the next ticket (returned, so
+    /// serving layers can correlate retries) and seeds its jobs on the
+    /// scheduler board — one per region, after opening the ticket's
     /// ledger entry, or the one whole-tree job, which crosses no
     /// boundary and so has no entry to open. If the window is full, the
     /// oldest in-flight tree is retired first (its report — or failure
@@ -1100,30 +1083,11 @@ impl<V: AttrValue> WorkerPool<V> {
         if decomp.is_some() {
             // Before any job of the ticket exists: a worker registers
             // only into an open entry.
-            self.ledger.lock().expect("ledger lock").open(ticket);
+            lock(&self.ledger, "segment ledger").open(ticket);
         }
 
         let start = Instant::now();
-        if self.sched.is_some() {
-            self.seed_stealing(ticket, tree, decomp.as_ref());
-        } else {
-            for r in 0..regions {
-                let job = WorkerMsg::Job(Claimed {
-                    key: (ticket, r as RegionId),
-                    payload: (Arc::clone(tree), decomp.clone()),
-                    early: Vec::new(),
-                });
-                // Region r of ticket t is pinned to worker (r + t) mod W:
-                // a tree with more regions than workers (adaptive
-                // granularity on a huge tree) spreads evenly, the
-                // ticket rotation keeps consecutive small trees'
-                // region 0 off one overloaded worker, and every message
-                // route stays a pure function of (ticket, region).
-                self.worker_txs[worker_of(self.config.workers, ticket, r as RegionId)]
-                    .send(job)
-                    .expect("worker alive");
-            }
-        }
+        self.seed(ticket, tree, decomp.as_ref());
         self.in_flight.push_back(InFlight {
             ticket,
             tree: Arc::clone(tree),
@@ -1140,32 +1104,31 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Seeds one ticket's jobs — its regions', or its one whole-tree
-    /// job — onto the scheduler board ([`Board::seed`]: LPT with
-    /// parent/child co-seeding), then wakes every worker — the board
-    /// records every job before any of them can look.
-    fn seed_stealing(
-        &self,
-        ticket: Ticket,
-        tree: &Arc<ParseTree<V>>,
-        decomp: Option<&Arc<Decomposition>>,
-    ) {
-        let sched = self.sched.as_ref().expect("stealing scheduler on");
+    /// job — onto the scheduler board (modular from the ticket under
+    /// `Fixed`, LPT with parent/child co-seeding under `Stealing`),
+    /// then wakes the workers that may claim them — the board records
+    /// every job before any of them can look.
+    fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, decomp: Option<&Arc<Decomposition>>) {
         let work: Vec<u64> = match decomp {
             Some(d) => (0..d.len())
                 .map(|r| self.plan.region_work(tree, d, r as RegionId).max(1))
                 .collect(),
             None => vec![self.plan.tree_work(tree).max(1)],
         };
-        sched.lock().expect("scheduler lock").seed(
-            ticket,
-            &work,
-            |r| decomp.and_then(|d| d.regions[r as usize].parent),
-            |_| (Arc::clone(tree), decomp.cloned()),
-        );
-        // Wake everyone: idle workers with empty deques can steal.
+        let wake = {
+            let mut board = lock(&self.board, "scheduler board");
+            let homes = board.seed(
+                ticket,
+                ticket as usize,
+                &work,
+                |r| decomp.and_then(|d| d.regions[r as usize].parent),
+                |_| (Arc::clone(tree), decomp.cloned()),
+            );
+            board.wake_set(&homes)
+        };
         // Killed workers' channels may be gone — that's fine.
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Wake);
+        for w in wake {
+            let _ = self.worker_txs[w].send(WorkerMsg::Wake);
         }
     }
 
@@ -1269,7 +1232,7 @@ impl<V: AttrValue> WorkerPool<V> {
             // region's has the root values aboard a second time) is
             // harmless either way: results are deterministic, and the
             // first report stands.
-            self.count_duplicate();
+            lock(&self.board, "scheduler board").count_duplicate();
             return;
         }
         match result {
@@ -1286,23 +1249,12 @@ impl<V: AttrValue> WorkerPool<V> {
         }
     }
 
-    /// Counts a duplicate delivery the parser role suppressed. Only a
-    /// re-executed region can produce one, so without a board (fixed
-    /// placement: nothing is ever re-executed) there is nothing to count.
-    fn count_duplicate(&self) {
-        if let Some(sched) = &self.sched {
-            sched.lock().expect("scheduler lock").count_duplicate();
-        }
-    }
-
     /// Cancels a failed ticket's remaining region jobs: purges them
     /// from the scheduler board and tells every worker to drop its
     /// running machines for the ticket. Their Dones will never be
     /// awaited.
     fn cancel_ticket(&mut self, ticket: Ticket) {
-        if let Some(sched) = &self.sched {
-            sched.lock().expect("scheduler lock").cancel(ticket);
-        }
+        lock(&self.board, "scheduler board").cancel(ticket);
         for tx in &self.worker_txs {
             let _ = tx.send(WorkerMsg::Cancel { ticket });
         }
@@ -1341,7 +1293,7 @@ impl<V: AttrValue> WorkerPool<V> {
         // whatever a not-yet-cancelled straggler region still sends. A
         // whole-tree job registers nothing and never had an entry.
         let segments = match &fl.decomp {
-            Some(_) => self.ledger.lock().expect("ledger lock").resolve(ticket),
+            Some(_) => lock(&self.ledger, "segment ledger").resolve(ticket),
             None => SegmentStore::default(),
         };
         let retired = match (fl.failed, &fl.decomp) {
@@ -1457,29 +1409,26 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
-    /// live counterpart of the simulator's crash schedule). Only
-    /// meaningful under [`SchedulerMode::Stealing`], whose scheduler
-    /// board is the recovery substrate; returns `false` under fixed
-    /// placement, for an out-of-range index, for an already-dead
-    /// worker, or when it is the last worker alive.
+    /// live counterpart of the simulator's crash schedule), under
+    /// either [`SchedulerMode`]: the scheduler board is the recovery
+    /// substrate of both. Returns `false` for an out-of-range index,
+    /// for an already-dead worker, or when it is the last worker alive.
     ///
-    /// Recovery is [`Board::crash`], under the scheduler lock: every
-    /// region job living on the victim — queued in its deque or active
-    /// on it — becomes a fresh pending job replaying its whole input
-    /// log, reseeded onto the least-loaded survivors. The victim is
-    /// told to die and never claims work again. Regions that already
+    /// Recovery is the board's crash transition, under the scheduler
+    /// lock: every region job living on the victim — queued in its
+    /// deque or active on it — becomes a fresh pending job replaying
+    /// its whole input log, reseeded onto the least-loaded survivors.
+    /// The victim is told to die and never claims work again; modular
+    /// seeding passes over it from then on. Regions that already
     /// reported Done are retired work and are not re-executed;
     /// duplicate sends from half-finished lost regions are suppressed
     /// content-keyed at the sender, so outputs stay byte-identical.
     pub fn kill_worker(&mut self, victim: usize) -> bool {
-        let Some(sched) = &self.sched else {
-            return false;
-        };
         if victim >= self.config.workers {
             return false;
         }
         {
-            let mut board = sched.lock().expect("scheduler lock");
+            let mut board = lock(&self.board, "scheduler board");
             if board.live().filter(|&w| w != victim).count() == 0 || !board.crash(victim) {
                 return false;
             }
@@ -1712,10 +1661,10 @@ fn replay_span<V: AttrValue, S: AttrSlots<V>>(
 /// The oldest machine runs unbudgeted — nothing can preempt it.
 const YIELD_STEPS: usize = 64;
 
-/// The persistent worker loop. Machines for every region job assigned
-/// to this worker run **multiplexed**: jobs activate the moment they
-/// arrive, and whenever the oldest job's machine starves (blocked on
-/// attribute messages from a straggling peer region), the worker steps
+/// The persistent worker loop. Machines for every region job this
+/// worker claims run **multiplexed**: whenever the oldest job's machine
+/// starves (blocked on attribute messages from a straggling peer
+/// region), the worker steps
 /// the next job's machine instead of idling — this is where region-
 /// granular scheduling recovers both the blocked-straggler time an
 /// epoch barrier wasted *and* the head-of-line time a huge tree's
@@ -1730,11 +1679,7 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
     // running machine (bounded by the window depth × regions per
     // ticket on this worker).
     let mut scratches: Vec<MachineScratch<V>> = Vec::new();
-    // Attribute values whose (ticket, region) has no running machine
-    // yet.
-    let mut parked_attrs: Vec<(Ticket, RegionId, NodeId, AttrId, V)> = Vec::new();
-    // Active machines in job order (jobs arrive in (ticket, region)
-    // order).
+    // Active machines in (ticket, region) order.
     let mut running: Vec<Running<V>> = Vec::new();
     loop {
         // Step machines oldest-first. (Co-located machines may feed
@@ -1799,13 +1744,7 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
                     loop {
                         match ctx.rx.try_recv() {
                             Err(_) => break,
-                            Ok(m) => match absorb(
-                                &ctx,
-                                m,
-                                &mut running,
-                                &mut parked_attrs,
-                                &mut scratches,
-                            ) {
+                            Ok(m) => match absorb(m, &mut running) {
                                 Absorbed::Shutdown => return,
                                 Absorbed::Fed(idx) => fed = fed.min(idx),
                                 // A cancellation shifted `running`
@@ -1828,10 +1767,10 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
         }
         // Everything starved (or no machines). Drain the channel
         // without blocking first: a queued message may feed a starved
-        // machine or (fixed placement) activate a job.
+        // machine.
         let mut absorbed = false;
         while let Ok(m) = ctx.rx.try_recv() {
-            match absorb(&ctx, m, &mut running, &mut parked_attrs, &mut scratches) {
+            match absorb(m, &mut running) {
                 Absorbed::Shutdown => return,
                 _ => absorbed = true,
             }
@@ -1839,14 +1778,10 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
         if absorbed {
             continue;
         }
-        // Stealing scheduler: pull pending work before going idle —
-        // own deque front first, else a steal ([`Board::claim`]; every
-        // pending job is eligible, threads have no transfer cost to
-        // weigh).
-        let claimed = ctx.sched.as_ref().and_then(|sched| {
-            let mut board = sched.lock().expect("scheduler lock");
-            board.claim(ctx.me, |_, _| true)
-        });
+        // Pull pending work before going idle: own deque front first,
+        // else (stealing only) a steal. Every pending job is eligible —
+        // threads have no transfer cost to weigh.
+        let claimed = lock(&ctx.board, "scheduler board").claim(ctx.me, |_, _| true);
         if let Some(job) = claimed {
             activate(&ctx, job, &mut running, &mut scratches);
             continue;
@@ -1855,10 +1790,7 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
         match ctx.rx.recv() {
             Err(_) => return, // pool dropped
             Ok(m) => {
-                if matches!(
-                    absorb(&ctx, m, &mut running, &mut parked_attrs, &mut scratches),
-                    Absorbed::Shutdown
-                ) {
+                if matches!(absorb(m, &mut running), Absorbed::Shutdown) {
                     return;
                 }
             }
@@ -1866,10 +1798,10 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
     }
 }
 
-/// Activates a job on this worker — claimed from the board, or pinned
-/// here by fixed placement. A whole-tree job [runs to
-/// completion](run_whole) here and now. A region job gets its probe or
-/// machine built, the early-arrival values that traveled with it
+/// Activates a job this worker claimed from the board. A whole-tree
+/// job [runs to completion](run_whole) here and now. A region job gets
+/// its probe or machine built, the early-arrival values that traveled
+/// with it
 /// replayed (which is how memo `Probing` jobs survive migration — the
 /// probe forms *after* the migrated values land), and is inserted into
 /// `running` in `(ticket, region)` order: stolen jobs activate out of
@@ -1978,21 +1910,15 @@ fn contained<V: AttrValue, T>(
     })
 }
 
-/// Retires a finished job on the scheduler board ([`Board::retire`])
-/// and reports whether this worker still *owned* it — crash recovery
-/// may have reseeded the job elsewhere while this (about-to-die) worker
-/// was still driving it, and a cancellation may have purged it; then
-/// the right to send Done belongs to someone else. Always "owned" under
-/// fixed placement (no board, no recovery). Callers retire *before*
-/// they report Done, so a parser that has seen every Done sees a board
-/// with nothing left on it.
+/// Retires a finished job on the scheduler board and reports whether
+/// this worker still *owned* it — crash recovery may have reseeded the
+/// job elsewhere while this (about-to-die) worker was still driving it,
+/// and a cancellation may have purged it; then the right to send Done
+/// belongs to someone else. Callers retire *before* they report Done,
+/// so a parser that has seen every Done sees a board with nothing left
+/// on it.
 fn retire_sched<V: AttrValue>(ctx: &WorkerCtx<V>, ticket: Ticket, region: RegionId) -> bool {
-    ctx.sched.as_ref().is_none_or(|sched| {
-        sched
-            .lock()
-            .expect("scheduler lock")
-            .retire(ctx.me, (ticket, region))
-    })
+    lock(&ctx.board, "scheduler board").retire(ctx.me, (ticket, region))
 }
 
 /// What [`absorb`] did with a message.
@@ -2005,7 +1931,7 @@ enum Absorbed {
     /// Running jobs were removed (a ticket cancellation): indices
     /// shifted, so the caller must restart its drive pass.
     Mutated,
-    /// Job activated, value parked or dropped.
+    /// A wake, or a value dropped.
     Other,
 }
 
@@ -2030,16 +1956,10 @@ fn feed<V: AttrValue>(r: &mut Running<V>, node: NodeId, attr: AttrId, value: V) 
     }
 }
 
-/// Routes one incoming message: activates jobs, feeds attribute values
-/// to their `(ticket, region)` machine (parking values whose machine
-/// does not exist yet, dropping values for already-finished jobs).
-fn absorb<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    msg: WorkerMsg<V>,
-    running: &mut Vec<Running<V>>,
-    parked_attrs: &mut Vec<(Ticket, RegionId, NodeId, AttrId, V)>,
-    scratches: &mut Vec<MachineScratch<V>>,
-) -> Absorbed {
+/// Routes one incoming message: feeds attribute values to their
+/// `(ticket, region)` machine, dropping values for already-finished
+/// jobs.
+fn absorb<V: AttrValue>(msg: WorkerMsg<V>, running: &mut Vec<Running<V>>) -> Absorbed {
     match msg {
         WorkerMsg::Shutdown => Absorbed::Shutdown,
         // An injected crash: abandon every machine without reporting —
@@ -2051,7 +1971,6 @@ fn absorb<V: AttrValue>(
             // board; only this worker's own machines are left to drop.
             let before = running.len();
             running.retain(|r| r.ticket != ticket);
-            parked_attrs.retain(|&(t, ..)| t != ticket);
             if running.len() < before {
                 Absorbed::Mutated
             } else {
@@ -2073,46 +1992,12 @@ fn absorb<V: AttrValue>(
                     feed(&mut running[idx], node, attr, value);
                     Absorbed::Fed(idx)
                 }
-                None => {
-                    // Under stealing, a channel-sent value was routed
-                    // while the job was Active here — not in `running`
-                    // means it finished; the value is stale. Under
-                    // fixed placement the job may simply not have
-                    // arrived yet (replayed at activation; pruned when
-                    // a later job proves it finished).
-                    if ctx.sched.is_none() {
-                        parked_attrs.push((ticket, region, node, attr, value));
-                    }
-                    Absorbed::Other
-                }
+                // A channel-sent value was routed while the job was
+                // Active here (a queued job gets its values on the
+                // board): not in `running` means it finished, so the
+                // value is stale.
+                None => Absorbed::Other,
             }
-        }
-        WorkerMsg::Job(mut job) => {
-            debug_assert!(
-                running
-                    .last()
-                    .is_none_or(|r| (r.ticket, r.region) < job.key),
-                "jobs arrive in (ticket, region) order"
-            );
-            // Replay values that raced ahead of this job; prune values
-            // for jobs that can no longer have a machine (lexically
-            // older than this job, not running — i.e. finished).
-            let mut i = 0;
-            while i < parked_attrs.len() {
-                let (t, q) = (parked_attrs[i].0, parked_attrs[i].1);
-                if (t, q) == job.key {
-                    let (_, _, node, attr, value) = parked_attrs.swap_remove(i);
-                    job.early.push((node, attr, value));
-                } else if (t, q) < job.key
-                    && !running.iter().any(|r| r.ticket == t && r.region == q)
-                {
-                    parked_attrs.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            activate(ctx, job, running, scratches);
-            Absorbed::Other
         }
     }
 }
@@ -2359,10 +2244,7 @@ fn route_send<V: AttrValue>(
             *next_seg += 1;
             // Dropped when the ticket already retired (it failed, and
             // this region has not seen its Cancel yet).
-            ctx.ledger
-                .lock()
-                .expect("ledger lock")
-                .register_open(ticket, id, text);
+            lock(&ctx.ledger, "segment ledger").register_open(ticket, id, text);
             id
         });
         if let Some(d) = deflated {
@@ -2378,16 +2260,14 @@ fn route_send<V: AttrValue>(
     }
 }
 
-/// Delivers one boundary attribute to region `to` of `ticket`. Fixed
-/// placement computes the destination worker with [`worker_of`] — the
-/// same pinning `submit` used to dispatch the job. The stealing
-/// scheduler asks the board, in one critical section: [`Board::route`]
-/// names the job's current worker (or says nothing must be sent — the
-/// job finished, or a re-executed producer is replaying this value),
-/// and [`Board::deliver`] on that worker's behalf either attaches the
-/// value to the still-queued job (so a steal migrates it) or hands it
-/// back for a channel send to the worker that claimed it. Returns
-/// `false` when the pool is gone.
+/// Delivers one boundary attribute to region `to` of `ticket`, asking
+/// the board in one critical section: [`Board::route`] logs the value
+/// and names the job's current worker (or says nothing must be sent —
+/// the job finished, or a re-executed producer is replaying this
+/// value), and [`Board::deliver`] on that worker's behalf either
+/// attaches the value to the still-queued job (so a claim — or a steal
+/// — takes it along) or hands it back for a channel send to the worker
+/// that claimed it. Returns `false` when the pool is gone.
 fn send_attr<V: AttrValue>(
     ctx: &WorkerCtx<V>,
     ticket: Ticket,
@@ -2396,22 +2276,19 @@ fn send_attr<V: AttrValue>(
     attr: AttrId,
     value: V,
 ) -> bool {
-    let dest = match &ctx.sched {
-        None => Some((worker_of(ctx.config.workers, ticket, to), value)),
-        Some(sched) => {
-            let mut board = sched.lock().expect("scheduler lock");
-            board
-                .route(ctx.me, (ticket, to), node, attr, &value)
-                .and_then(
-                    |w| match board.deliver(w, (ticket, to), node, attr, value) {
-                        Delivery::Mine(value) => Some((w, value)),
-                        Delivery::Stored => None,
-                        Delivery::Forward(..) | Delivery::Dropped => {
-                            unreachable!("routed and delivered under one lock")
-                        }
-                    },
-                )
-        }
+    let dest = {
+        let mut board = lock(&ctx.board, "scheduler board");
+        board
+            .route(ctx.me, (ticket, to), node, attr, &value)
+            .and_then(
+                |w| match board.deliver(w, (ticket, to), node, attr, value) {
+                    Delivery::Mine(value) => Some((w, value)),
+                    Delivery::Stored => None,
+                    Delivery::Forward(..) | Delivery::Dropped => {
+                        unreachable!("routed and delivered under one lock")
+                    }
+                },
+            )
     };
     dest.is_none_or(|(w, value)| {
         ctx.peers[w]
@@ -3124,37 +3001,34 @@ mod tests {
     fn stealing_counters_are_reported_and_reset() {
         let sizes = [64usize, 48, 33, 21, 96, 17];
         let (trees, plan, _) = fixture_trees(&sizes);
-        // Fixed placement never touches the steal scheduler: all zeros.
-        let mut fixed = WorkerPool::new(&plan, PoolConfig::combined(2));
-        fixed.submit(&trees[0]);
-        while let Some(r) = fixed.collect() {
-            r.expect("evaluation succeeds");
-        }
-        assert_eq!(fixed.sched_counters(), SchedCounters::default());
-        let mut pool = WorkerPool::new(
-            &plan,
-            PoolConfig::combined(2).with_scheduler(SchedulerMode::Stealing),
-        );
-        for tree in &trees {
-            pool.submit(tree);
-        }
-        while let Some(r) = pool.collect() {
-            let report = r.expect("evaluation succeeds");
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            let mut pool =
+                WorkerPool::new(&plan, PoolConfig::combined(2).with_scheduler(scheduler));
+            for tree in &trees {
+                pool.submit(tree);
+            }
+            while let Some(r) = pool.collect() {
+                let report = r.expect("evaluation succeeds");
+                assert!(
+                    report.regions > 1,
+                    "{scheduler:?} ticket {}: tree was split",
+                    report.ticket
+                );
+            }
+            let c = pool.sched_counters();
             assert!(
-                report.regions > 1,
-                "ticket {}: tree was split",
-                report.ticket
+                c.local_sends + c.remote_sends > 0,
+                "{scheduler:?}: boundary sends were classified ({c:?})"
             );
+            assert!(c.locality_rate() >= 0.0 && c.locality_rate() <= 1.0);
+            if scheduler == SchedulerMode::Fixed {
+                // Modular seeding never steals, so nothing migrates.
+                assert_eq!((c.steals, c.migrated_attrs), (0, 0), "{c:?}");
+            }
+            // `reset_high_water` covers the scheduler telemetry too.
+            pool.reset_high_water();
+            assert_eq!(pool.sched_counters(), SchedCounters::default());
         }
-        let c = pool.sched_counters();
-        assert!(
-            c.local_sends + c.remote_sends > 0,
-            "boundary sends were classified ({c:?})"
-        );
-        assert!(c.locality_rate() >= 0.0 && c.locality_rate() <= 1.0);
-        // `reset_high_water` covers the steal telemetry too.
-        pool.reset_high_water();
-        assert_eq!(pool.sched_counters(), SchedCounters::default());
     }
 
     #[test]
@@ -3272,48 +3146,63 @@ mod tests {
                 // The pool is still healthy for later one-shot work.
                 let r = pool.eval(&good).unwrap();
                 assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
+                // The panic was contained outside both shared locks.
+                assert!(!pool.board.is_poisoned(), "{what}: board lock");
+                assert!(!pool.ledger.is_poisoned(), "{what}: ledger lock");
             }
         }
     }
 
     #[test]
-    fn kill_worker_requires_the_stealing_scheduler() {
+    fn kill_worker_recovers_under_either_scheduler() {
         let (tree, plan, _) = fixture(16);
-        let mut fixed = WorkerPool::new(&plan, PoolConfig::combined(2));
-        assert!(!fixed.kill_worker(0), "fixed placement has no recovery");
-        fixed.eval(&tree).unwrap();
-
-        let mut pool = WorkerPool::new(
-            &plan,
-            PoolConfig::combined(2).with_scheduler(SchedulerMode::Stealing),
-        );
-        assert!(!pool.kill_worker(7), "out of range");
-        assert!(pool.kill_worker(1));
-        assert!(!pool.kill_worker(1), "already dead");
-        assert!(!pool.kill_worker(0), "the last survivor is spared");
-        // One survivor still evaluates correctly.
-        let r = pool.eval(&tree).unwrap();
-        assert_eq!(r.store.filled(), r.store.len());
-        assert_eq!(pool.fault_counters().crashes, 1);
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            let mut pool =
+                WorkerPool::new(&plan, PoolConfig::combined(2).with_scheduler(scheduler));
+            assert!(!pool.kill_worker(7), "{scheduler:?}: out of range");
+            assert!(pool.kill_worker(1), "{scheduler:?}");
+            assert!(!pool.kill_worker(1), "{scheduler:?}: already dead");
+            assert!(
+                !pool.kill_worker(0),
+                "{scheduler:?}: the last survivor is spared"
+            );
+            // One survivor still evaluates correctly — under `Fixed`,
+            // every region whose home is dead is seeded onto it.
+            let r = pool.eval(&tree).unwrap();
+            assert_eq!(r.regions, 2, "{scheduler:?}");
+            assert_eq!(r.store.filled(), r.store.len(), "{scheduler:?}");
+            assert_eq!(pool.fault_counters().crashes, 1, "{scheduler:?}");
+        }
     }
 
     #[test]
     fn killed_worker_recovers_regions_and_outputs_stay_identical() {
         let sizes = [96usize, 64, 80, 72, 88, 56, 100, 48];
         let (trees, plan, out) = fixture_trees(&sizes);
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            killed_worker_case(&trees, &plan, out, scheduler);
+        }
+    }
+
+    fn killed_worker_case(
+        trees: &[Arc<ParseTree<Value>>],
+        plan: &Arc<EvalPlan<Value>>,
+        out: AttrId,
+        scheduler: SchedulerMode,
+    ) {
         let mut pool = WorkerPool::new(
-            &plan,
+            plan,
             PoolConfig::combined(3)
-                .with_pipeline_depth(sizes.len())
-                .with_scheduler(SchedulerMode::Stealing),
+                .with_pipeline_depth(trees.len())
+                .with_scheduler(scheduler),
         );
-        for tree in &trees {
+        for tree in trees {
             pool.submit(tree);
         }
         // Crash one worker while the whole stream is in flight: its
         // queued jobs migrate, its active jobs re-execute from their
         // input logs on the survivors.
-        assert!(pool.kill_worker(1));
+        assert!(pool.kill_worker(1), "{scheduler:?}");
         let mut reports = Vec::new();
         while let Some(r) = pool.collect() {
             reports.push(r.expect("recovery completes every tree"));
@@ -3328,13 +3217,16 @@ mod tests {
                 .unwrap();
             assert!(
                 root_rope(report, out).content_eq(&want),
-                "tree {i}: output identical to fault-free evaluation"
+                "{scheduler:?} tree {i}: output identical to fault-free evaluation"
             );
             assert_eq!(report.store.filled(), report.store.len());
         }
         let f = pool.fault_counters();
         assert_eq!(f.crashes, 1);
-        assert!(f.regions_reexecuted > 0, "lost regions were reseeded {f:?}");
+        assert!(
+            f.regions_reexecuted > 0,
+            "{scheduler:?}: lost regions were reseeded {f:?}"
+        );
         // The two survivors keep serving new work.
         let r = pool.eval(&trees[0]).unwrap();
         let (dstore, _) = dynamic_eval(&trees[0]).unwrap();
@@ -3377,32 +3269,6 @@ mod tests {
         // of re-creating an entry nothing would remove.
         assert!(!ledger.register_open(3, id, Rope::from("too late")));
         assert_eq!(ledger.open_tickets(), 0);
-    }
-
-    #[test]
-    fn fixed_placement_rotates_by_ticket_and_spreads_by_region() {
-        for workers in [1usize, 2, 3, 8] {
-            // Region 0 of consecutive tickets — a whole tree's only
-            // job — visits every worker in turn.
-            let mut seen: Vec<usize> = (0..workers as Ticket)
-                .map(|t| worker_of(workers, t, 0))
-                .collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..workers).collect::<Vec<_>>(), "{workers} workers");
-            // A ticket's first `workers` regions land on distinct
-            // workers, and the pattern continues past a full turn.
-            for ticket in [0 as Ticket, 1, 7] {
-                let mut seen: Vec<usize> = (0..workers as RegionId)
-                    .map(|r| worker_of(workers, ticket, r))
-                    .collect();
-                seen.sort_unstable();
-                assert_eq!(seen, (0..workers).collect::<Vec<_>>(), "ticket {ticket}");
-                assert_eq!(
-                    worker_of(workers, ticket, workers as RegionId),
-                    worker_of(workers, ticket, 0)
-                );
-            }
-        }
     }
 
     /// [`memo_fixture`]'s memo-safe chain with *rope* code, long enough
@@ -3593,9 +3459,7 @@ mod tests {
     fn assert_idle_and_quiescent(pool: &WorkerPool<Value>, what: &str) {
         assert_eq!(pool.in_flight(), 0, "{what}");
         assert_eq!(pool.ledger.lock().unwrap().open_tickets(), 0, "{what}");
-        if let Some(sched) = &pool.sched {
-            assert!(sched.lock().unwrap().is_quiescent(), "{what}: board");
-        }
+        assert!(pool.board.lock().unwrap().is_quiescent(), "{what}: board");
     }
 
     /// A tree below the hand-off floor is one whole-tree job: no ledger
@@ -3778,45 +3642,52 @@ mod tests {
                 .wait_while(open.lock().unwrap(), |open| !*open)
                 .unwrap();
         });
-        let mut pool = WorkerPool::new(
-            &plan,
-            PoolConfig::combined(3)
-                .with_pipeline_depth(sizes.len())
-                .with_scheduler(SchedulerMode::Stealing),
-        );
-        for tree in &trees {
-            pool.submit(tree);
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            *gate.0.lock().unwrap() = false;
+            let mut pool = WorkerPool::new(
+                &plan,
+                PoolConfig::combined(3)
+                    .with_pipeline_depth(sizes.len())
+                    .with_scheduler(scheduler),
+            );
+            for tree in &trees {
+                pool.submit(tree);
+            }
+            assert!(pool.kill_worker(1), "{scheduler:?}");
+            let f = pool.fault_counters();
+            assert_eq!(
+                f.regions_reexecuted, 4,
+                "{scheduler:?}: equal jobs seed round-robin: four lived on the victim {f:?}"
+            );
+            *gate.0.lock().unwrap() = true;
+            gate.1.notify_all();
+            let (want, _) = crate::eval::static_eval(&trees[0], plan.plans().unwrap()).unwrap();
+            for (i, tree) in trees.iter().enumerate() {
+                let what = format!("{scheduler:?} tree {i}");
+                let report = pool
+                    .collect()
+                    .expect("pending")
+                    .expect("recovery completes");
+                assert_eq!(
+                    report.ticket, i as Ticket,
+                    "{what}: submission order survives"
+                );
+                assert_eq!(report.regions, 1, "{what}");
+                assert_stores_equal(tree, &report.store, &want, &what);
+                let root = want.get(tree.root(), out).unwrap();
+                assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
+            }
+            assert!(pool.collect().is_none());
+            assert_idle_and_quiescent(&pool, "after the kill");
+            // The two survivors keep serving.
+            let report = pool.eval(&trees[0]).unwrap();
+            assert_stores_equal(&trees[0], &report.store, &want, "after the kill");
         }
-        assert!(pool.kill_worker(1));
-        let f = pool.fault_counters();
-        assert_eq!(
-            f.regions_reexecuted, 4,
-            "equal jobs seed round-robin: four lived on the victim {f:?}"
-        );
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
-        let (want, _) = crate::eval::static_eval(&trees[0], plan.plans().unwrap()).unwrap();
-        for (i, tree) in trees.iter().enumerate() {
-            let report = pool
-                .collect()
-                .expect("pending")
-                .expect("recovery completes");
-            assert_eq!(report.ticket, i as Ticket, "submission order survives");
-            assert_eq!(report.regions, 1);
-            assert_stores_equal(tree, &report.store, &want, &format!("tree {i}"));
-            let root = want.get(tree.root(), out).unwrap();
-            assert_eq!(report.root_values, vec![(out, root.clone())], "tree {i}");
-        }
-        assert!(pool.collect().is_none());
-        assert_idle_and_quiescent(&pool, "after the kill");
-        // The two survivors keep serving.
-        let report = pool.eval(&trees[0]).unwrap();
-        assert_stores_equal(&trees[0], &report.store, &want, "after the kill");
     }
 
     /// Two small trees per worker by default, one under the barrier: a
     /// small tree is one job, so the window is what keeps a worker's
-    /// next tree in its channel.
+    /// next tree on its deque.
     #[test]
     fn default_window_holds_two_one_region_tickets_per_worker() {
         let (trees, plan, _) = light_trees(&[6; 10]);

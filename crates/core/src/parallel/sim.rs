@@ -32,16 +32,20 @@
 //! compilation: a batch of one at depth 1, one region per machine) and
 //! [`run_sim_batch`] are adapters over it.
 //!
-//! Under [`SchedulerMode::Stealing`] the processes drive the same
-//! scheduler [`Board`] the live [`crate::parallel::pool::WorkerPool`]
+//! Under either [`SchedulerMode`] the processes drive the same
+//! scheduler board the live [`crate::parallel::pool::WorkerPool`]
 //! drives from threads — seeding, claiming and stealing, routing,
 //! retirement and crash recovery are the board's, not re-implemented
 //! here. The simulator adds only what virtual time needs: a per-machine
 //! `busy_until` clock, the subtree fetch a claimer is charged, and the
-//! steal profitability gate, the last two handed to [`Board::claim`] as
-//! its eligibility predicate. [`SchedulerMode::Fixed`] (the paper's
-//! modular placement, the default) bypasses the board: the parser
-//! pushes each subtree to its region's home machine.
+//! steal profitability gate, the last two handed to the board's claim
+//! as its eligibility predicate. The two modes differ in how a job
+//! reaches its machine. Under [`SchedulerMode::Stealing`] the parser
+//! seeds and wakes the park, and machines claim. Under
+//! [`SchedulerMode::Fixed`] (the paper's modular placement, the
+//! default) the parser pushes each region's subtree to the home the
+//! board seeded it on, and its arrival takes that job off the home's
+//! deque — so a fault-free run sends no wake, and only recovery claims.
 
 use crate::analysis::Plans;
 use crate::eval::{AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch, SendTarget};
@@ -119,14 +123,15 @@ pub struct SimConfig {
     pub min_size_scale: f64,
     /// Attribute-name → phase label mapping for the activity trace.
     pub classifier: PhaseClassifier,
-    /// Region-job placement: the paper's fixed modular map
-    /// ([`SchedulerMode::Fixed`], the default) or the LPT-seeded,
-    /// locality-aware work-stealing policy of the shared scheduler
-    /// board ([`SchedulerMode::Stealing`]), exactly as the live
-    /// [`crate::parallel::pool::WorkerPool`] runs it. Every entry point
-    /// honours it; [`run_sim`] passes it through like the rest of the
-    /// configuration (with one region per machine, stealing seeds each
-    /// region onto its own machine and finds little to steal).
+    /// Region-job placement on the shared scheduler board, exactly as
+    /// the live [`crate::parallel::pool::WorkerPool`] runs it: the
+    /// paper's fixed modular seeding ([`SchedulerMode::Fixed`], the
+    /// default) or the LPT-seeded, locality-aware work-stealing policy
+    /// ([`SchedulerMode::Stealing`]). Crash recovery works under
+    /// either. Every entry point honours it; [`run_sim`] passes it
+    /// through like the rest of the configuration (with one region per
+    /// machine, stealing seeds each region onto its own machine and
+    /// finds little to steal).
     pub scheduler: SchedulerMode,
 }
 
@@ -221,8 +226,8 @@ pub struct BatchSimReport<V> {
     /// Per-tree root attribute values (librarian-resolved; empty for a
     /// shed request).
     pub root_values: Vec<Vec<(AttrId, V)>>,
-    /// Steal-scheduler telemetry for the run (all zeros under
-    /// [`SchedulerMode::Fixed`]).
+    /// Scheduler telemetry for the run (steals and migrated values stay
+    /// zero under [`SchedulerMode::Fixed`]).
     pub sched: SchedCounters,
     /// Crash/re-execution/duplicate-suppression telemetry (all zeros
     /// when the [`FaultPlan`] is empty).
@@ -294,10 +299,6 @@ pub enum SimError {
     },
     /// [`Arrivals::requests`] is not sorted by arrival time.
     UnsortedArrivals,
-    /// The [`FaultPlan`] crashes a process without
-    /// [`SchedulerMode::Stealing`], whose scheduler board is the
-    /// recovery substrate.
-    CrashNeedsStealing,
     /// The [`FaultPlan`] crashes a process that is not an evaluator
     /// machine: the parser and the librarian are not replicated.
     CrashTargetNotEvaluator {
@@ -319,11 +320,6 @@ impl std::fmt::Display for SimError {
             SimError::UnsortedArrivals => write!(
                 f,
                 "requests must be sorted by arrival time (ticket order is arrival order)"
-            ),
-            SimError::CrashNeedsStealing => write!(
-                f,
-                "crash injection requires SchedulerMode::Stealing — the scheduler board \
-                 is the recovery substrate"
             ),
             SimError::CrashTargetNotEvaluator { proc, machines } => write!(
                 f,
@@ -378,10 +374,10 @@ enum SimMsg<V> {
     Arrive {
         ticket: usize,
     },
-    /// Stealing scheduler only: region jobs were seeded (or reseeded) —
-    /// every live evaluator gets one so idle machines can claim or
-    /// steal (mirrors the live pool's `WorkerMsg::Wake` broadcast).
-    /// Also an evaluator's zero-cost self-alarm between claims.
+    /// Region jobs were seeded (stealing) or reseeded by crash recovery
+    /// (either mode) — every live evaluator gets one so idle machines
+    /// can claim (mirrors the live pool's `WorkerMsg::Wake`). Also an
+    /// evaluator's zero-cost self-alarm between claims.
     Wake,
 }
 
@@ -404,11 +400,13 @@ struct Shared<V: AttrValue> {
     classifier: PhaseClassifier,
     depth: usize,
     /// Evaluator machine park size. Process 0 is the parser, machine
-    /// `w` process `1 + w`, the librarian process `1 + park`. Under
-    /// fixed placement region r lives on machine r mod park (identity
-    /// when every tree has ≤ park regions).
+    /// `w` process `1 + w`, the librarian process `1 + park`.
     park: usize,
-    /// Whether fixed placement rotates by ticket (adaptive granularity).
+    /// Whether fixed placement rotates by ticket (adaptive granularity:
+    /// decompositions are machine-agnostic, and the rotation spreads
+    /// consecutive trees' low-numbered regions over the whole park),
+    /// or keeps the paper's region k on machine k (fixed-count
+    /// granularity).
     rotate: bool,
     scheduler: SchedulerMode,
     /// Network model copy, for charging a claimed job's subtree fetch.
@@ -418,9 +416,9 @@ struct Shared<V: AttrValue> {
 }
 
 struct State<V> {
-    /// The stealing scheduler's board; a job's payload is the wire size
-    /// of its linearized subtree, charged to whoever claims it. Unused
-    /// (but for its duplicate counter) under fixed placement.
+    /// The scheduler board; a job's payload is the wire size of its
+    /// linearized subtree, charged to whoever claims it (a pushed
+    /// subtree was paid for on the wire).
     board: Board<V, usize>,
     /// Each machine's local clock at the end of its last handler. The
     /// event simulation runs one handler atomically even though its CPU
@@ -450,19 +448,6 @@ impl<V: AttrValue> Shared<V> {
 
     fn librarian(&self) -> ProcId {
         ProcId(1 + self.park)
-    }
-
-    /// Fixed placement. Under adaptive granularity region r of ticket t
-    /// runs on machine (r + t) mod park: decompositions are
-    /// machine-agnostic, and the rotation spreads consecutive trees'
-    /// low-numbered regions over the whole park (without it, machine 0
-    /// would host region 0 of *every* tree and the tail machines would
-    /// starve whenever a tree has fewer regions than the park).
-    /// Fixed-count granularity keeps the paper's "region k on machine
-    /// k" placement.
-    fn proc_of_region(&self, ticket: usize, r: RegionId) -> ProcId {
-        let offset = if self.rotate { ticket } else { 0 };
-        ProcId(1 + (r as usize + offset) % self.park)
     }
 
     /// Sends a wake to every live evaluator.
@@ -553,42 +538,49 @@ impl<V: AttrValue> ParserProc<V> {
         }
     }
 
-    /// Ships one ticket's region subtrees to the evaluator park.
+    /// Ships one ticket's region subtrees to the evaluator park: seeds
+    /// its jobs on the board (against the park's live load accounts),
+    /// then gets them to their machines.
     ///
     /// Fixed placement sends each region's linearized subtree straight
-    /// to its modular home. Under the stealing scheduler the parser
-    /// instead *seeds*: it linearizes each region (same per-node cost),
-    /// puts the jobs on the board ([`Board::seed`], against the park's
-    /// live load accounts) and broadcasts a small wake so idle machines
-    /// can claim or steal. The subtree transfer is then charged to
-    /// whichever machine claims the job (a point-to-point fetch at bus
-    /// rate; a steal of a seeded-but-unclaimed job re-fetches nothing
-    /// extra, since the data only ever moves once, to the claimer).
+    /// to the home the board seeded it on, whose arrival takes the job.
+    /// Under the stealing scheduler the parser linearizes each region
+    /// (same per-node cost) and broadcasts a small wake so idle
+    /// machines can claim or steal. The subtree transfer is then
+    /// charged to whichever machine claims the job (a point-to-point
+    /// fetch at bus rate; a steal of a seeded-but-unclaimed job
+    /// re-fetches nothing extra, since the data only ever moves once,
+    /// to the claimer).
     fn ship(&self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
         let sh = &self.shared;
         ctx.phase("ship subtrees");
         let (tree, decomp) = (&sh.trees[ticket], &sh.decomps[ticket]);
-        let nodes: usize = decomp.regions.iter().map(|r| r.local_size).sum();
+        let work: Vec<u64> = (0..decomp.len())
+            .map(|r| sh.plan.region_work(tree, decomp, r as RegionId).max(1))
+            .collect();
+        let bytes: Vec<usize> = (0..decomp.len() as RegionId)
+            .map(|r| region_wire_size(tree, decomp, r))
+            .collect();
+        let homes = sh.state().board.seed(
+            ticket as Ticket,
+            if sh.rotate { ticket } else { 0 },
+            &work,
+            |r| decomp.regions[r as usize].parent,
+            |r| bytes[r as usize],
+        );
         if sh.scheduler == SchedulerMode::Stealing {
+            let nodes: usize = decomp.regions.iter().map(|r| r.local_size).sum();
             ctx.spend(nodes as Time * sh.cost.ship_node_us);
-            let work: Vec<u64> = (0..decomp.len())
-                .map(|r| sh.plan.region_work(tree, decomp, r as RegionId).max(1))
-                .collect();
-            sh.state().board.seed(
-                ticket as Ticket,
-                &work,
-                |r| decomp.regions[r as usize].parent,
-                |r| region_wire_size(tree, decomp, r),
-            );
             sh.wake_park(ctx);
             return;
         }
-        for r in 0..decomp.len() as RegionId {
-            ctx.spend(decomp.regions[r as usize].local_size as Time * sh.cost.ship_node_us);
+        for (r, &home) in homes.iter().enumerate() {
+            ctx.spend(decomp.regions[r].local_size as Time * sh.cost.ship_node_us);
+            let region = r as RegionId;
             ctx.send(
-                sh.proc_of_region(ticket, r),
-                SimMsg::Subtree { ticket, region: r },
-                region_wire_size(tree, decomp, r),
+                ProcId(1 + home),
+                SimMsg::Subtree { ticket, region },
+                bytes[r],
                 "subtree",
             );
         }
@@ -720,16 +712,13 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
     /// [`crate::parallel::pool::WorkerPool::kill_worker`]: the board
     /// reseeds the dead machine's jobs onto the survivors
     /// ([`Board::crash`]) and a wake lets them claim. Only evaluator
-    /// machines under the stealing scheduler are recoverable;
-    /// [`run_sim_stream`] rejects every other crash up front.
+    /// machines are recoverable; [`run_sim_stream`] rejects every other
+    /// crash up front.
     fn on_peer_crash(&mut self, ctx: &mut Ctx<SimMsg<V>>, peer: ProcId) {
         let sh = &self.shared;
         let victim = peer.0.checked_sub(1).filter(|&w| w < sh.park);
-        if let (SchedulerMode::Stealing, Some(victim)) = (sh.scheduler, victim) {
-            let crashed = sh.state().board.crash(victim);
-            if crashed {
-                sh.wake_park(ctx);
-            }
+        if victim.is_some_and(|v| sh.state().board.crash(v)) {
+            sh.wake_park(ctx);
         }
     }
 }
@@ -752,9 +741,6 @@ struct EvaluatorProc<V: AttrValue> {
     /// yields the (virtual) CPU to the next job's machine instead of
     /// idling.
     running: Vec<Running<V>>,
-    /// Fixed placement only: attribute values that raced ahead of their
-    /// region's subtree, keyed (ticket, region).
-    parked: Vec<(usize, RegionId, NodeId, AttrId, V)>,
 }
 
 impl<V: AttrValue> EvaluatorProc<V> {
@@ -831,10 +817,9 @@ impl<V: AttrValue> EvaluatorProc<V> {
                         st.per_machine[self.evaluator] += done.machine.stats();
                         // Retire from the scheduler board before
                         // reporting, like a pool worker.
-                        let owned = sh.scheduler == SchedulerMode::Fixed
-                            || st
-                                .board
-                                .retire(self.evaluator, (ticket as Ticket, done.machine.region()));
+                        let owned = st
+                            .board
+                            .retire(self.evaluator, (ticket as Ticket, done.machine.region()));
                         drop(st);
                         if owned {
                             ctx.send(PARSER, SimMsg::Done { ticket }, 16, "done");
@@ -898,13 +883,13 @@ impl<V: AttrValue> EvaluatorProc<V> {
         }
         let (dest, dest_region) = match msg.to {
             SendTarget::Parser => (PARSER, 0),
-            SendTarget::Region(r) if sh.scheduler == SchedulerMode::Stealing => {
-                // Route via the board, not the modular map: the job may
-                // have been seeded elsewhere or stolen. The board logs
-                // the value at send time — so a crash cannot lose
-                // values still on the wire — and says when nothing is
-                // to be sent (the job finished; a re-executed producer
-                // replaying its sends).
+            SendTarget::Region(r) => {
+                // Route via the board: the job may have been stolen or
+                // reseeded by a crash. The board logs the value at send
+                // time — so a crash cannot lose values still on the
+                // wire — and says when nothing is to be sent (the job
+                // finished; a re-executed producer replaying its
+                // sends).
                 let to = (ticket as Ticket, r);
                 let routed = sh
                     .state()
@@ -915,7 +900,6 @@ impl<V: AttrValue> EvaluatorProc<V> {
                     None => return,
                 }
             }
-            SendTarget::Region(r) => (sh.proc_of_region(ticket, r), r),
         };
         let bytes = value.wire_size();
         ctx.send(
@@ -989,8 +973,7 @@ impl<V: AttrValue> EvaluatorProc<V> {
         };
         // Fetch the linearized subtree (point-to-point pull at bus
         // rate — charged to the claimer, wherever the job ended up),
-        // then build the machine exactly as fixed placement does on
-        // `Subtree` arrival.
+        // then build the machine exactly as a `Subtree` arrival does.
         ctx.phase("ship subtrees");
         ctx.spend(sh.net.tx_time(bytes));
         self.activate(ctx, ticket as usize, region, early);
@@ -1002,53 +985,25 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
     fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
         let sh = Arc::clone(&self.shared);
         let me = self.evaluator;
-        match (msg, sh.scheduler) {
-            (SimMsg::Subtree { ticket, region }, SchedulerMode::Fixed) => {
-                debug_assert_eq!(
-                    sh.proc_of_region(ticket, region),
-                    ProcId(1 + me),
-                    "subtree shipped to the wrong machine"
-                );
-                // Replay values that arrived before this machine existed.
-                let mut early = Vec::new();
-                let mut i = 0;
-                while i < self.parked.len() {
-                    if (self.parked[i].0, self.parked[i].1) == (ticket, region) {
-                        let (_, _, node, attr, value) = self.parked.swap_remove(i);
-                        early.push((node, attr, value));
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.activate(ctx, ticket, region, early);
-                self.pump(ctx);
-            }
-            (
-                SimMsg::Attr {
-                    ticket,
-                    region,
-                    node,
-                    attr,
-                    value,
-                },
-                SchedulerMode::Fixed,
-            ) => match self.machine(ticket, region) {
-                Some(machine) => {
-                    machine.provide(node, attr, value);
+        match msg {
+            SimMsg::Subtree { ticket, region } => {
+                // The parser pushed this region here (fixed placement):
+                // take exactly that job, with the values the board
+                // attached while the subtree was on the wire — unless
+                // crash recovery moved it, or a claim already took it.
+                let taken = sh.state().board.take(me, (ticket as Ticket, region));
+                if let Some(job) = taken {
+                    self.activate(ctx, ticket, region, job.early);
                     self.pump(ctx);
                 }
-                None => self.parked.push((ticket, region, node, attr, value)),
-            },
-            (
-                SimMsg::Attr {
-                    ticket,
-                    region,
-                    node,
-                    attr,
-                    value,
-                },
-                SchedulerMode::Stealing,
-            ) => {
+            }
+            SimMsg::Attr {
+                ticket,
+                region,
+                node,
+                attr,
+                value,
+            } => {
                 // The sender routed by the board, but the job may have
                 // moved (or finished) while the message was on the wire.
                 let delivery =
@@ -1060,9 +1015,8 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                         if let Some(machine) = self.machine(ticket, region) {
                             machine.provide(node, attr, value);
                         }
-                        self.claim_and_pump(ctx);
                     }
-                    Delivery::Stored => self.claim_and_pump(ctx),
+                    Delivery::Stored => {}
                     Delivery::Forward(w, value) => {
                         let bytes = value.wire_size();
                         ctx.send(
@@ -1077,11 +1031,19 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                             bytes,
                             "attr",
                         );
+                        return;
                     }
-                    Delivery::Dropped => {}
+                    Delivery::Dropped => return,
+                }
+                // Under fixed placement a job queued here waits for its
+                // pushed subtree, not for a claim: only a crash's wake
+                // makes the fixed park claim.
+                match sh.scheduler {
+                    SchedulerMode::Stealing => self.claim_and_pump(ctx),
+                    SchedulerMode::Fixed => self.pump(ctx),
                 }
             }
-            (SimMsg::Wake, SchedulerMode::Stealing) => {
+            SimMsg::Wake => {
                 self.claim_and_pump(ctx);
                 self.publish_clock(ctx);
             }
@@ -1090,22 +1052,17 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
     }
 
     fn on_crash(&mut self) {
-        // Volatile state dies with the machine: running region
-        // machines and parked early values are lost. The recovery
-        // substrate — the scheduler board — survives; it is the sim's
+        // Volatile state dies with the machine: its running region
+        // machines are lost. The recovery substrate — the scheduler
+        // board, early values included — survives; it is the sim's
         // stable storage, mirroring the retained parser-side state of
         // the live pool.
         self.running.clear();
-        self.parked.clear();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        if sh.scheduler != SchedulerMode::Stealing {
-            return;
-        }
-        sh.state().board.restart(self.evaluator);
-        // Rejoin the park: claim or steal like any idle machine.
+        self.shared.state().board.restart(self.evaluator);
+        // Rejoin the park: claim like any idle machine.
         self.claim_and_pump(ctx);
         self.publish_clock(ctx);
     }
@@ -1135,25 +1092,6 @@ impl<V: AttrValue> Process<SimMsg<V>> for LibrarianProc<V> {
             }
             _ => {}
         }
-    }
-}
-
-/// Rejects fault plans the recovery protocol cannot survive: crashes
-/// are only recoverable for evaluator machines (ProcIds `1..=machines`)
-/// and only under the stealing scheduler, whose board is the recovery
-/// substrate.
-fn validate_fault_plan(
-    faults: &FaultPlan,
-    scheduler: SchedulerMode,
-    machines: usize,
-) -> Result<(), SimError> {
-    let mut crashes = faults.crash_procs().peekable();
-    if crashes.peek().is_some() && scheduler != SchedulerMode::Stealing {
-        return Err(SimError::CrashNeedsStealing);
-    }
-    match crashes.find(|p| !(1..=machines).contains(p)) {
-        Some(proc) => Err(SimError::CrashTargetNotEvaluator { proc, machines }),
-        None => Ok(()),
     }
 }
 
@@ -1259,8 +1197,8 @@ pub fn run_sim_batch<V: AttrValue>(
 ///
 /// A [`SimError`] for input the run cannot accept: no trees, arrivals
 /// that are not one sorted request per tree, or a fault plan that
-/// crashes anything but an evaluator machine under
-/// [`SchedulerMode::Stealing`].
+/// crashes anything but an evaluator machine (under either
+/// [`SchedulerMode`]).
 ///
 /// # Panics
 ///
@@ -1310,7 +1248,10 @@ pub fn run_sim_stream<V: AttrValue>(
         .max()
         .expect("at least one tree")
         .min(config.machines.max(1));
-    validate_fault_plan(faults, config.scheduler, machines)?;
+    // Only evaluator machines (ProcIds `1..=machines`) are recoverable.
+    if let Some(proc) = faults.crash_procs().find(|p| !(1..=machines).contains(p)) {
+        return Err(SimError::CrashTargetNotEvaluator { proc, machines });
+    }
 
     let n = trees.len();
     let shared = Arc::new(Shared {
@@ -1333,7 +1274,7 @@ pub fn run_sim_stream<V: AttrValue>(
             })
             .collect(),
         state: Mutex::new(State {
-            board: Board::new(machines),
+            board: Board::new(machines, config.scheduler),
             busy_until: vec![0; machines],
             eval_start: 0,
             finish: vec![None; n],
@@ -1377,7 +1318,6 @@ pub fn run_sim_stream<V: AttrValue>(
                 shared: Arc::clone(&shared),
                 evaluator: r,
                 running: Vec::new(),
-                parked: Vec::new(),
             },
         );
     }
@@ -2422,13 +2362,52 @@ mod tests {
         .err()
     }
 
+    /// Fixed placement recovers on the same board: the pushed subtrees
+    /// and the values of a dead machine's jobs are reseeded onto the
+    /// survivors, and the output is the fault-free run's. A fault-free
+    /// fixed run sends no wake at all — the parser's push activates
+    /// every job.
     #[test]
-    fn crash_injection_without_the_stealing_scheduler_is_rejected() {
-        let plan = FaultPlan::seeded(1).crash(1, 1_000);
-        assert_eq!(
-            rejection(&SimConfig::paper(2), &plan, None),
-            Some(SimError::CrashNeedsStealing)
+    fn fixed_placement_recovers_from_a_crash_and_restart() {
+        let shapes: Vec<(usize, usize)> = (0..24)
+            .map(|i| match i % 3 {
+                0 => (48, 6),
+                1 => (16, 4),
+                _ => (40, 5),
+            })
+            .collect();
+        let b = mini_batch(&shapes);
+        let cfg = SimConfig::paper(4);
+        let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
+        assert_eq!(clean.faults, FaultCounters::default());
+        assert_eq!(clean.sched.steals, 0);
+        assert!(clean.trace.messages.iter().all(|m| m.tag != "wake"));
+        // Crash evaluator-a (ProcId 1) a third of the way through: it
+        // is region 0's home, and a root region is live for its whole
+        // tree, so the crash always finds a job to re-execute.
+        let crash_at = clean.parse_time + clean.makespan / 3;
+        let plan = FaultPlan::seeded(11).crash_restart(1, crash_at, 200_000);
+        let run = || {
+            stream(
+                &b,
+                &cfg,
+                2,
+                RegionGranularity::Machines(cfg.machines),
+                &plan,
+            )
+        };
+        let faulty = run();
+        assert_roots_identical(&clean.root_values, &faulty.root_values);
+        assert_eq!(faulty.faults.crashes, 1, "{:?}", faulty.faults);
+        assert!(
+            faulty.faults.regions_reexecuted > 0,
+            "lost regions were reseeded: {:?}",
+            faulty.faults
         );
+        assert_eq!(faulty.sched.steals, 0, "fixed placement never steals");
+        let again = run();
+        assert_eq!(faulty.makespan, again.makespan);
+        assert_eq!(faulty.faults, again.faults);
     }
 
     #[test]

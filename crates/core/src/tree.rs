@@ -613,7 +613,7 @@ pub trait AttrSlots<V: AttrValue> {
 /// One slot per (node, attribute-of-node's-LHS-symbol) pair; slots are
 /// write-once (enforced in debug builds — semantic rules are pure and an
 /// instance has exactly one defining rule). Storage is a dense value
-/// array plus a presence bitset ([`PackedSlots`]), so each slot costs
+/// array plus a presence bitset (`PackedSlots`), so each slot costs
 /// exactly one `V`.
 pub struct AttrStore<V> {
     base: Vec<u32>,

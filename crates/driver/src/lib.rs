@@ -178,10 +178,11 @@ pub struct DriverConfig {
     /// `memo_capacity`): [`InstallPolicy::Always`] (the default) or the
     /// scan-resistant [`InstallPolicy::SecondTouch`].
     pub memo_install: InstallPolicy,
-    /// Region-job placement: the paper's fixed modular function
-    /// ([`SchedulerMode::Fixed`], the default — Fig-7 schedules and all
-    /// prior benches unchanged) or the locality-aware work-stealing
-    /// scheduler ([`SchedulerMode::Stealing`]).
+    /// How the pool's scheduler board seeds region jobs: the paper's
+    /// fixed modular placement ([`SchedulerMode::Fixed`], the default —
+    /// Fig-7 schedules and all prior benches unchanged, nothing stolen)
+    /// or LPT seeding plus work stealing ([`SchedulerMode::Stealing`]).
+    /// [`BatchDriver::kill_worker`] recovers under either.
     pub scheduler: SchedulerMode,
 }
 
@@ -438,9 +439,11 @@ pub struct BatchReport<V: AttrValue> {
     /// counters are cumulative; this is the delta over the batch).
     /// `None` when [`DriverConfig::memo_capacity`] is 0.
     pub memo: Option<MemoCounters>,
-    /// Steal-scheduler telemetry for this batch
+    /// Scheduler telemetry for this batch
     /// ([`WorkerPool::reset_high_water`] zeroes the counters at batch
-    /// start); all zeros under [`SchedulerMode::Fixed`].
+    /// start): local and remote boundary sends under either scheduler;
+    /// steals and migrated values stay zero under
+    /// [`SchedulerMode::Fixed`].
     pub sched: SchedCounters,
     /// Fault and recovery telemetry for this batch (zeroed at batch
     /// start alongside the scheduler counters): worker crashes
@@ -530,9 +533,9 @@ impl<V: AttrValue> BatchDriver<V> {
 
     /// Injects a worker crash into the pool: the victim's region jobs
     /// are re-executed from their input logs on the surviving workers
-    /// (see [`WorkerPool::kill_worker`]). Requires
-    /// [`SchedulerMode::Stealing`]; returns `false` when the scheduler
-    /// cannot recover (fixed placement, last survivor, already dead).
+    /// (see [`WorkerPool::kill_worker`]), under either
+    /// [`SchedulerMode`]. Returns `false` for an out-of-range index, an
+    /// already-dead worker or the last survivor.
     pub fn kill_worker(&mut self, victim: usize) -> bool {
         self.pool.kill_worker(victim)
     }

@@ -229,8 +229,10 @@ pub struct ServiceStats {
     /// [`DriverConfig::memo_capacity`](crate::DriverConfig::memo_capacity)
     /// is 0 — the cache is off and nothing ever probes it).
     pub memo: MemoCounters,
-    /// Cumulative steal-scheduler telemetry (all zeros under
-    /// [`SchedulerMode::Fixed`](paragram_core::parallel::pool::SchedulerMode::Fixed)).
+    /// Cumulative scheduler telemetry: local and remote boundary sends
+    /// under either scheduler; steals and migrated values stay zero
+    /// under
+    /// [`SchedulerMode::Fixed`](paragram_core::parallel::pool::SchedulerMode::Fixed).
     pub sched: SchedCounters,
     /// Fault and recovery telemetry: the pool's counters (crashes,
     /// regions re-executed, duplicates suppressed, panics contained)

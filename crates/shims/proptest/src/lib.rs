@@ -307,7 +307,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

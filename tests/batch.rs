@@ -734,10 +734,11 @@ fn batch_report_exposes_in_flight_depth() {
     }
 }
 
-/// Live-pool fault tolerance: kill one worker of a stealing pool and
-/// the survivors must keep compiling the same stream to byte-identical
-/// assembly. (Mid-evaluation kills with region re-execution are pinned
-/// by the pool's own unit tests; this is the driver-level contract.)
+/// Live-pool fault tolerance: kill one worker of a pool, under either
+/// scheduler, and the survivors must keep compiling the same stream to
+/// byte-identical assembly. (Mid-evaluation kills with region
+/// re-execution are pinned by the pool's own unit tests; this is the
+/// driver-level contract.)
 #[test]
 fn killed_worker_leaves_batch_output_byte_identical() {
     let compiler = Compiler::new();
@@ -745,43 +746,39 @@ fn killed_worker_leaves_batch_output_byte_identical() {
         .iter()
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
-    let config = DriverConfig::workers(4).with_scheduler(SchedulerMode::Stealing);
-    let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-    let mut driver = BatchDriver::new(&plan);
-    let before: Vec<String> = {
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-        trees
-            .iter()
-            .zip(&report.outputs)
-            .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
-            .collect()
-    };
+    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+        let config = DriverConfig::workers(4).with_scheduler(scheduler);
+        let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+        let mut driver = BatchDriver::new(&plan);
+        let before: Vec<String> = {
+            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+            trees
+                .iter()
+                .zip(&report.outputs)
+                .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
+                .collect()
+        };
 
-    assert!(driver.kill_worker(1), "stealing pool absorbs a worker kill");
-    assert!(!driver.kill_worker(1), "a dead worker cannot die twice");
-    let f = driver.fault_counters();
-    assert_eq!(f.crashes, 1, "{f:?}");
+        assert!(
+            driver.kill_worker(1),
+            "{scheduler:?} pool absorbs a worker kill"
+        );
+        assert!(!driver.kill_worker(1), "a dead worker cannot die twice");
+        let f = driver.fault_counters();
+        assert_eq!(f.crashes, 1, "{scheduler:?}: {f:?}");
 
-    for round in 0..2 {
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-            let output = compiler.output_from_store(tree, &out.store, out.stats);
-            assert!(output.errors.is_empty(), "{:?}", output.errors);
-            assert_eq!(
-                before[i], output.asm,
-                "tree {i} round {round}: asm diverged after the kill"
-            );
+        for round in 0..2 {
+            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+            for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+                let output = compiler.output_from_store(tree, &out.store, out.stats);
+                assert!(output.errors.is_empty(), "{:?}", output.errors);
+                assert_eq!(
+                    before[i], output.asm,
+                    "{scheduler:?} tree {i} round {round}: asm diverged after the kill"
+                );
+            }
         }
     }
-
-    // Fixed placement has no location table to recover from: the kill
-    // is refused and the pool keeps working untouched.
-    let fixed = CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::workers(4));
-    let mut fixed_driver = BatchDriver::new(&fixed);
-    assert!(!fixed_driver.kill_worker(1));
-    assert_eq!(fixed_driver.fault_counters().crashes, 0);
-    let report = fixed_driver.compile_batch(trees.iter().cloned()).unwrap();
-    assert_eq!(report.outputs.len(), trees.len());
 }
 
 #[test]

@@ -4,12 +4,13 @@
 //! Two layers are exercised. The simulated network multiprocessor
 //! (`run_sim_stream` under a `FaultPlan`) takes seeded chaos schedules —
 //! a crash/restart of a random evaluator at a random point of the run,
-//! optionally with a slice of attribute messages arbitrarily delayed —
-//! and every tree's root attributes must come back byte-identical to
-//! the fault-free run, with the recovery visible in `FaultCounters`.
-//! The live thread pool (`BatchDriver::kill_worker`) gets the
-//! integration-level version: a worker is killed between batches and
-//! the survivors must keep producing byte-identical assembly.
+//! optionally with a slice of attribute messages arbitrarily delayed,
+//! under either scheduler — and every tree's root attributes must come
+//! back byte-identical to the fault-free run, with the recovery visible
+//! in `FaultCounters`. The live thread pool (`BatchDriver::kill_worker`)
+//! gets the integration-level version in `tests/batch.rs`: a worker is
+//! killed between batches and the survivors must keep producing
+//! byte-identical assembly.
 
 use paragram::core::grammar::AttrId;
 use paragram::core::parallel::pool::{FaultCounters, SchedulerMode};
@@ -68,76 +69,100 @@ mod chaos {
 
         /// For ANY seeded chaos schedule — which evaluator dies, when
         /// it dies, how long it stays down, whether a random slice of
-        /// attribute messages is delayed on the wire — the batch
-        /// compiles to the fault-free bytes and the recovery is
-        /// accounted for.
+        /// attribute messages is delayed on the wire — under either
+        /// scheduler, the batch compiles to the fault-free bytes and
+        /// the recovery is accounted for.
         #[test]
         fn seeded_crash_schedules_never_change_output(seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(seed);
             let compiler = Compiler::new();
             let trees = chaos_trees(&compiler);
-            let plans = compiler.evals.plans().unwrap();
-
-            let machines = 3 + (rng.next_u64() % 2) as usize;
-            let depth = 1 + (rng.next_u64() % 2) as usize;
-            let cfg = SimConfig::paper(machines).with_scheduler(SchedulerMode::Stealing);
-            let clean = run_sim_batch(&trees, Some(plans), &cfg, depth);
-            prop_assert_eq!(clean.faults, FaultCounters::default());
-
-            // Crash a random evaluator somewhere inside the evaluation
-            // window; restart it after a random downtime (or never).
-            let victim = 1 + rng.gen_range(0..machines);
-            let crash_at =
-                clean.parse_time + clean.makespan * (1 + rng.gen_range(0..3) as u64) / 4;
-            let downtime = 50_000 + rng.gen_range(0..250_000) as u64;
-            let mut plan = FaultPlan::seeded(seed);
-            plan = if rng.gen_range(0..4) == 0 {
-                plan.crash(victim, crash_at)
-            } else {
-                plan.crash_restart(victim, crash_at, downtime)
-            };
-            if rng.gen_range(0..2) == 0 {
-                // Delay (never drop — attribute messages are
-                // load-bearing) a random slice of the attr traffic.
-                let permille = 100 + rng.gen_range(0..400) as u32;
-                let delay = 5_000 + rng.gen_range(0..45_000) as u64;
-                plan = plan.delay_tagged("attr", permille, delay);
+            for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+                chaos_case(&compiler, &trees, seed, scheduler)?;
             }
-
-            let faulty = run_sim_stream(
-                &trees,
-                Some(plans),
-                &cfg,
-                depth,
-                RegionGranularity::Machines(machines),
-                &plan,
-                None,
-            )
-            .unwrap();
-            prop_assert_eq!(faulty.faults.crashes, 1, "seed {}: {:?}", seed, faulty.faults);
-            prop_assert_eq!(
-                canonical_roots(&clean),
-                canonical_roots(&faulty),
-                "seed {}: output diverged under {:?}",
-                seed,
-                faulty.faults
-            );
-
-            // And the chaos itself is deterministic: the same plan
-            // replays to the same virtual history.
-            let again = run_sim_stream(
-                &trees,
-                Some(plans),
-                &cfg,
-                depth,
-                RegionGranularity::Machines(machines),
-                &plan,
-                None,
-            )
-            .unwrap();
-            prop_assert_eq!(faulty.makespan, again.makespan, "seed {}", seed);
-            prop_assert_eq!(faulty.faults, again.faults, "seed {}", seed);
         }
+    }
+
+    /// One schedule of [`seeded_crash_schedules_never_change_output`]
+    /// under one scheduler.
+    fn chaos_case(
+        compiler: &Compiler,
+        trees: &[Arc<ParseTree<PVal>>],
+        seed: u64,
+        scheduler: SchedulerMode,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let plans = compiler.evals.plans().unwrap();
+
+        let machines = 3 + (rng.next_u64() % 2) as usize;
+        let depth = 1 + (rng.next_u64() % 2) as usize;
+        let cfg = SimConfig::paper(machines).with_scheduler(scheduler);
+        let clean = run_sim_batch(trees, Some(plans), &cfg, depth);
+        prop_assert_eq!(clean.faults, FaultCounters::default());
+
+        // Crash a random evaluator somewhere inside the evaluation
+        // window; restart it after a random downtime (or never).
+        let victim = 1 + rng.gen_range(0..machines);
+        let crash_at = clean.parse_time + clean.makespan * (1 + rng.gen_range(0..3) as u64) / 4;
+        let downtime = 50_000 + rng.gen_range(0..250_000) as u64;
+        let mut plan = FaultPlan::seeded(seed);
+        plan = if rng.gen_range(0..4) == 0 {
+            plan.crash(victim, crash_at)
+        } else {
+            plan.crash_restart(victim, crash_at, downtime)
+        };
+        if rng.gen_range(0..2) == 0 {
+            // Delay (never drop — attribute messages are
+            // load-bearing) a random slice of the attr traffic.
+            let permille = 100 + rng.gen_range(0..400) as u32;
+            let delay = 5_000 + rng.gen_range(0..45_000) as u64;
+            plan = plan.delay_tagged("attr", permille, delay);
+        }
+
+        let run = || {
+            run_sim_stream(
+                trees,
+                Some(plans),
+                &cfg,
+                depth,
+                RegionGranularity::Machines(machines),
+                &plan,
+                None,
+            )
+            .unwrap()
+        };
+        let faulty = run();
+        prop_assert_eq!(
+            faulty.faults.crashes,
+            1,
+            "seed {} {:?}: {:?}",
+            seed,
+            scheduler,
+            faulty.faults
+        );
+        prop_assert_eq!(
+            canonical_roots(&clean),
+            canonical_roots(&faulty),
+            "seed {} {:?}: output diverged under {:?}",
+            seed,
+            scheduler,
+            faulty.faults
+        );
+        if scheduler == SchedulerMode::Fixed {
+            prop_assert_eq!(faulty.sched.steals, 0, "seed {}: fixed never steals", seed);
+        }
+
+        // And the chaos itself is deterministic: the same plan
+        // replays to the same virtual history.
+        let again = run();
+        prop_assert_eq!(
+            faulty.makespan,
+            again.makespan,
+            "seed {} {:?}",
+            seed,
+            scheduler
+        );
+        prop_assert_eq!(faulty.faults, again.faults, "seed {} {:?}", seed, scheduler);
+        Ok(())
     }
 }
 
