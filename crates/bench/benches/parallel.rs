@@ -2,10 +2,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paragram_bench::Workload;
-use paragram_core::parallel::threads::{run_threads, ThreadConfig};
+use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
 
 fn bench_parallel(c: &mut Criterion) {
     let w = Workload::paper();
+    let plan = w.compiler.evals.plan();
     let mut group = c.benchmark_group("threaded-combined");
     group.sample_size(10);
     for machines in [1usize, 2, 4] {
@@ -14,7 +15,8 @@ fn bench_parallel(c: &mut Criterion) {
             &machines,
             |b, &machines| {
                 b.iter(|| {
-                    run_threads(&w.tree, Some(&w.plans), ThreadConfig::combined(machines)).unwrap()
+                    let mut pool = WorkerPool::new(plan, PoolConfig::barrier(machines));
+                    pool.eval(&w.tree).unwrap()
                 })
             },
         );

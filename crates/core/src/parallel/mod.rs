@@ -12,6 +12,16 @@
 //!   [`pool`] and [`sim`] are its two drivers under both placements, so
 //!   "the simulator runs the deployed policy" holds by construction,
 //!   not by two files kept in step.
+//! * `worker` (crate-internal) — the worker core: one evaluator
+//!   machine's jobs as IO-free state, with the **one** implementation of
+//!   activation (a whole-tree job, a memo probe or a region machine,
+//!   early values replayed), feed, cancel, probe resolution, the
+//!   oldest-first drive pass, rule-panic containment, local cycle
+//!   detection, deflation into segment registrations and
+//!   retire-before-report. It asks its driver for effects (charge a
+//!   build or a step, register a segment, send a boundary value, report
+//!   a root value, report `Done`); [`pool`]'s threads and [`sim`]'s
+//!   evaluator processes are its two drivers.
 //! * [`pool`] — persistent evaluator worker pool (threads spawned
 //!   once; the librarian is a segment ledger they share under a mutex,
 //!   not a thread of its own) scheduling **region jobs** —
@@ -21,23 +31,22 @@
 //!   small cross-tree pipeline window, no split below the measured
 //!   cost of a hand-off between threads, and cost-driven
 //!   adaptive decomposition so one huge tree fills the pool like a
-//!   batch of small ones. It drives the board from worker threads
-//!   under one mutex and moves values over channels; the two
+//!   batch of small ones. Each thread drives a worker core; the pool
+//!   drives the board from them under one mutex and moves values over
+//!   channels; the two
 //!   placements are two seeding policies on it — fixed modular
 //!   assignment (the paper's layout, the default, never stealing) and
 //!   `SchedulerMode::Stealing`.
 //! * [`sim`] — the same protocol on the deterministic
 //!   [`paragram_netsim`] network-multiprocessor simulator, reproducing
 //!   the paper's running-time and activity-trace figures exactly: one
-//!   parser, one evaluator and one librarian process, and one run
-//!   ([`sim::run_sim_stream`]) that the single-tree and batch entry
-//!   points adapt. It drives the board from netsim handlers, adding
-//!   only what virtual time needs (per-machine clocks, the parser's
-//!   subtree push under fixed placement, the claimer's subtree fetch
-//!   and the steal profitability gate under stealing).
-//! * [`threads`] — the same protocol as a one-shot, depth-1 convenience
-//!   wrapper over [`pool`], demonstrating genuine parallel speedup on
-//!   host cores for a single tree.
+//!   parser process, N evaluator processes each driving a worker core,
+//!   one librarian process, and one run ([`sim::run_sim_stream`]) that
+//!   the single-tree and batch entry points adapt. It drives the board
+//!   and the cores from netsim handlers, adding only what virtual time
+//!   needs (per-machine clocks, CPU charged from a cost model, the
+//!   parser's subtree push under fixed placement, the claimer's subtree
+//!   fetch and the steal profitability gate under stealing).
 //! * [`policy`] — dispatch policies (FIFO / shortest-job-first /
 //!   deficit fair queueing) for service front ends over [`pool`],
 //!   shared with the simulator so sim policy rankings are computed by
@@ -96,7 +105,7 @@ mod board;
 pub mod policy;
 pub mod pool;
 pub mod sim;
-pub mod threads;
+mod worker;
 
 use crate::grammar::{AttrId, SymbolId};
 use crate::value::AttrValue;

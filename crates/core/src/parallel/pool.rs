@@ -1,15 +1,18 @@
 //! A persistent evaluator worker pool with split-phase code combining
-//! and cross-tree pipelining.
+//! and cross-tree pipelining: the paper's parallel compiler on real OS
+//! threads, measured in wall-clock time.
 //!
-//! [`super::threads`] reproduces the paper's Figure-6 setting for *one*
-//! compilation: spawn one OS thread per region, evaluate, join. Under a
-//! batched driver compiling a stream of trees, that per-compilation
-//! spin-up (thread creation, channel setup, librarian start) is pure
-//! overhead repeated per tree. [`WorkerPool`] hoists it: evaluator
-//! threads are spawned **once** and claim per-tree region jobs from a
-//! shared scheduler board; each worker keeps a [`MachineScratch`] alive so
-//! construction/evaluation buffer capacity also carries over from tree
-//! to tree. The pool runs exactly [`PoolConfig::workers`] threads.
+//! Evaluator threads are spawned **once** and claim per-tree region
+//! jobs from a shared scheduler board, so a stream of trees pays no
+//! per-compilation spin-up (thread creation, channel setup). Each
+//! thread drives one worker core (`parallel/worker.rs`, the same job
+//! code the simulator's evaluators run): the thread supplies the
+//! transport — its channel, polled between bursts of machine steps,
+//! the board and ledger locks — and the core builds, feeds, steps and
+//! finishes the jobs, recycling its machines' scratch buffers from tree
+//! to tree. The pool runs exactly [`PoolConfig::workers`] threads; for
+//! one tree at a time, [`WorkerPool::eval`] on a
+//! [`PoolConfig::barrier`] pool is the one-shot call.
 //!
 //! # Tickets and the split-phase librarian
 //!
@@ -137,7 +140,7 @@
 //! tree is already on the worker's deque. (Measured on `small_iid`:
 //! `lines_per_s` ×1.14–1.27 for the window alone; four per worker read
 //! no better than two. ROADMAP's Status notes have the tables.)
-//! Workers multiplex their
+//! Worker cores multiplex their
 //! machines **oldest job first**: whenever an older machine starves
 //! (blocked on an attribute from a straggling peer — e.g. downstream of
 //! the symbol-table pipeline), the worker steps the next job's machine
@@ -238,15 +241,12 @@
 //! window full (what `paragram-driver`'s batch driver does), or the
 //! one-shot [`WorkerPool::eval`] when compiling a single tree.
 
-use crate::eval::{
-    static_eval_with_scratch, AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch,
-    SendTarget,
-};
+use crate::eval::{EvalError, EvalPlan, MachineMode};
 use crate::grammar::{AttrId, AttrKind};
 use crate::memo::{inherited_fingerprint, MemoCache, MemoCounters, MemoEntry, MemoKey};
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
-use crate::tree::{AttrSlots, AttrStore, NodeId, ParseTree, RegionStore};
+use crate::tree::{AttrStore, NodeId, ParseTree};
 use crate::value::AttrValue;
 use paragram_rope::{Rope, SegmentId, SegmentStore};
 use std::collections::{HashMap, VecDeque};
@@ -255,7 +255,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use super::board::{Board, Claimed, Delivery};
+use super::board::{Board, Claimed, Delivery, JobKey};
+use super::worker::{Driver, Finished, JobResult, WorkerCore};
 use super::ResultPropagation;
 
 /// Identifies one tree's pass through the pool (monotone, assigned at
@@ -653,13 +654,10 @@ enum WorkerMsg<V> {
     Wake,
     /// A ticket failed: drop every running job that belongs to it (its
     /// Done will never be awaited).
-    Cancel {
-        ticket: Ticket,
-    },
-    /// Injected crash ([`WorkerPool::kill_worker`]): the worker thread
-    /// exits immediately, abandoning its machines without sending any
-    /// Done — the pool has already reseeded its jobs onto survivors.
-    Die,
+    Cancel { ticket: Ticket },
+    /// Exit now, abandoning every job without reporting: the pool is
+    /// dropped, or [`WorkerPool::kill_worker`] injected a crash (the
+    /// board already reseeded the victim's jobs onto survivors).
     Shutdown,
 }
 
@@ -670,23 +668,6 @@ struct Done<V> {
     region: RegionId,
     result: Result<JobResult<V>, EvalError>,
 }
-
-/// What a finished job ships back.
-enum Finished<V> {
-    /// A region job: its O(region) local store, which the parser role
-    /// maps into the whole-tree store at assembly, and — from the root
-    /// region only — the tree's root attribute values as the machine
-    /// sent them (deflated under librarian propagation).
-    Region {
-        store: RegionStore<V>,
-        roots: Vec<(AttrId, V)>,
-    },
-    /// A whole-tree job: the tree's store, which retirement adopts.
-    Tree(AttrStore<V>),
-}
-
-/// A successful job's statistics and what it ships back.
-type JobResult<V> = (EvalStats, Finished<V>);
 
 /// A retired ticket's root values, whole-tree store and statistics.
 type Retired<V> = (Vec<(AttrId, V)>, AttrStore<V>, EvalStats);
@@ -744,9 +725,9 @@ pub struct WorkerPool<V: AttrValue> {
     board: Arc<PoolBoard<V>>,
 }
 
-/// Everything a worker thread needs; owned by the thread.
+/// A worker thread's transport — the driver of its [`WorkerCore`]
+/// (see `worker_main`); owned by the thread.
 struct WorkerCtx<V: AttrValue> {
-    plan: Arc<EvalPlan<V>>,
     /// This worker's index — the board's claim and locality accounting
     /// key.
     me: usize,
@@ -755,12 +736,6 @@ struct WorkerCtx<V: AttrValue> {
     parser_tx: Sender<Done<V>>,
     /// The librarian's ledger (registration side).
     ledger: Arc<Mutex<SegmentLedger>>,
-    /// The pool configuration.
-    config: PoolConfig,
-    /// Shared memo cache (probe side); None when memoization is off.
-    memo: Option<Arc<MemoCache<V>>>,
-    /// Per-symbol memo safety, aligned with the grammar's symbol ids.
-    memo_safe: Arc<Vec<bool>>,
     /// The scheduler board.
     board: Arc<PoolBoard<V>>,
     /// Shared count of contained semantic-rule panics.
@@ -837,7 +812,7 @@ type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
 /// Locks one of the pool's two shared mutexes — the scheduler board or
 /// the segment ledger, named by `what`. Neither is ever held across a
-/// semantic-rule call (rule panics are caught by [`contained`], outside
+/// semantic-rule call (the worker core catches rule panics outside
 /// both), so a poisoned lock means a pool thread panicked inside a
 /// board transition or a ledger update: a broken invariant, which fails
 /// here by name instead of running on half-updated state.
@@ -869,32 +844,29 @@ impl<V: AttrValue> WorkerPool<V> {
         let board = Arc::new(Mutex::new(Board::new(workers, config.scheduler)));
         let panics_contained = Arc::new(AtomicU64::new(0));
 
-        let mut worker_txs = Vec::with_capacity(workers);
-        let mut worker_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            worker_txs.push(tx);
-            worker_rxs.push(Some(rx));
-        }
+        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
         let (parser_tx, parser_rx) = channel();
         let ledger = Arc::new(Mutex::new(SegmentLedger::new()));
 
         let mut handles = Vec::with_capacity(workers);
-        for (me, rx) in worker_rxs.iter_mut().enumerate() {
+        for (me, rx) in worker_rxs.into_iter().enumerate() {
             let ctx = WorkerCtx {
-                plan: Arc::clone(plan),
                 me,
-                rx: rx.take().expect("receiver unclaimed"),
+                rx,
                 peers: worker_txs.clone(),
                 parser_tx: parser_tx.clone(),
                 ledger: Arc::clone(&ledger),
-                config,
-                memo: memo.clone(),
-                memo_safe: Arc::clone(&memo_safe),
                 board: Arc::clone(&board),
                 panics_contained: Arc::clone(&panics_contained),
             };
-            handles.push(std::thread::spawn(move || worker_main(ctx)));
+            let core = WorkerCore::new(
+                Arc::clone(plan),
+                config.mode,
+                config.result,
+                memo.clone(),
+                Arc::clone(&memo_safe),
+            );
+            handles.push(std::thread::spawn(move || worker_main(ctx, core)));
         }
 
         WorkerPool {
@@ -1178,8 +1150,8 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Evaluates one tree on the pool, start to finish (the one-shot
-    /// path; [`super::threads::run_threads`] and single-tree drivers
-    /// use this).
+    /// path single-tree drivers use; on a [`PoolConfig::barrier`] pool
+    /// it is the paper's single compilation).
     ///
     /// # Panics
     ///
@@ -1433,7 +1405,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 return false;
             }
         }
-        let _ = self.worker_txs[victim].send(WorkerMsg::Die);
+        let _ = self.worker_txs[victim].send(WorkerMsg::Shutdown);
         for (w, tx) in self.worker_txs.iter().enumerate() {
             if w != victim {
                 let _ = tx.send(WorkerMsg::Wake);
@@ -1468,74 +1440,6 @@ impl<V: AttrValue> std::fmt::Debug for WorkerPool<V> {
     }
 }
 
-/// One region job a worker is currently running (one per region
-/// job assigned to this worker — possibly several per in-flight
-/// ticket under adaptive granularity).
-struct Running<V: AttrValue> {
-    ticket: Ticket,
-    region: RegionId,
-    parent: Option<RegionId>,
-    next_seg: u32,
-    /// The tree's root attribute values this job has produced so far
-    /// (the root region only): they ride in its `Done`.
-    roots: Vec<(AttrId, V)>,
-    state: JobState<V>,
-}
-
-/// A running job's evaluation state.
-///
-/// `Machine` dwarfs the other variants, but it is also the common
-/// case: boxing it would buy nothing (jobs sit in per-worker maps and
-/// are rarely moved) while costing a pointer chase on every `drive`.
-#[allow(clippy::large_enum_variant)]
-enum JobState<V: AttrValue> {
-    /// A memo-eligible leaf region collecting its root inherited values
-    /// before probing the cache; machine construction is deferred until
-    /// the probe resolves (hit: replay the cached span, miss: build the
-    /// machine and feed it the collected values).
-    Probing(Probe<V>),
-    /// An ordinary region machine.
-    Machine(Machine<V>),
-    /// Transient placeholder while a probe resolves; never observed
-    /// outside [`resolve_probe`].
-    Resolving,
-}
-
-/// A pre-machine probe: a leaf region's only external inputs are the
-/// inherited attributes of its root, so the probe parks the job until
-/// they have all arrived (every inherited instance has exactly one
-/// defining rule in the parent, so each *will* arrive), then forms the
-/// region input signature and consults the cache.
-struct Probe<V: AttrValue> {
-    tree: Arc<ParseTree<V>>,
-    decomp: Arc<Decomposition>,
-    /// The region root node.
-    root: NodeId,
-    /// Exact subtree hash at the root.
-    subtree: u64,
-    /// Root inherited attributes, ascending `AttrId` order.
-    needed: Vec<AttrId>,
-    /// Collected values, aligned with `needed`.
-    got: Vec<Option<V>>,
-    filled: usize,
-}
-
-/// What [`drive`] left the job in.
-enum Drive {
-    /// Out of ready work, waiting on attribute messages.
-    Starved,
-    /// Step budget exhausted with ready work left (a younger ticket's
-    /// machine yielding so the worker can poll for older work).
-    Yielded,
-    /// Ran to completion (`None`) or failed (`Some(error)`).
-    Finished(Option<EvalError>),
-    /// A memo hit replayed the region; Done is already sent, the entry
-    /// just needs dropping.
-    Replayed,
-    /// A send failed: the pool is gone, terminate the worker.
-    Dead,
-}
-
 /// Decides whether `region` of `tree` is memoizable, and under what
 /// signature inputs. Cacheable regions are **leaf** regions (no
 /// boundary children — their owned span is their whole subtree and
@@ -1545,7 +1449,7 @@ enum Drive {
 /// Returns the region root, its subtree hash, and the root inherited
 /// attributes in ascending `AttrId` order (the fingerprint order both
 /// the probe and the retire-time install use).
-fn region_cacheable<V: AttrValue>(
+pub(super) fn region_cacheable<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
     tree: &ParseTree<V>,
@@ -1576,7 +1480,7 @@ fn region_cacheable<V: AttrValue>(
 /// unsplit decomposition: the root's subtree hash (`None` when it is
 /// inexact: uncacheable) under the fingerprint of no inherited values,
 /// the tree root awaiting none.
-fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
+pub(super) fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
     Some(MemoKey {
         subtree: tree.subtree_hash(tree.root())?,
         inherited: inherited_fingerprint(std::iter::empty::<&V>())?,
@@ -1587,7 +1491,7 @@ fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
 /// `get`) under `key`, unless the cache holds it already. Spans are
 /// extracted in *preorder* of the subtree — arena ids are
 /// builder-dependent, preorder is not.
-fn install_span<'s, V: AttrValue + 's>(
+pub(super) fn install_span<'s, V: AttrValue + 's>(
     memo: &MemoCache<V>,
     tree: &ParseTree<V>,
     root: NodeId,
@@ -1628,169 +1532,39 @@ fn install_span<'s, V: AttrValue + 's>(
     );
 }
 
-/// Fills `store` from a cached preorder span over the subtree at
-/// `root`. The walk is over *this* tree's subtree — structurally
-/// identical to the cached one, but arena ids may differ. `false` when
-/// the span's shape disagrees with the subtree (a hash collision the
-/// probe's sanity fields missed): the store is then partly filled and
-/// must be dropped.
-fn replay_span<V: AttrValue, S: AttrSlots<V>>(
-    tree: &ParseTree<V>,
-    root: NodeId,
-    span: Vec<Option<V>>,
-    store: &mut S,
-) -> bool {
-    let g = tree.grammar();
-    let mut vals = span.into_iter();
-    for n in tree.subtree(root) {
-        let sym = g.prod(tree.node(n).prod).lhs;
-        for a in 0..g.attr_count(sym) {
-            let Some(v) = vals.next() else {
-                return false;
-            };
-            if let Some(v) = v {
-                store.set(n, AttrId(a as u32), v);
-            }
-        }
-    }
-    vals.next().is_none()
-}
-
-/// How many scheduler steps a *non-oldest* machine may run before the
-/// worker polls the channel for values that unblock an older job.
-/// The oldest machine runs unbudgeted — nothing can preempt it.
-const YIELD_STEPS: usize = 64;
-
-/// The persistent worker loop. Machines for every region job this
-/// worker claims run **multiplexed**: whenever the oldest job's machine
-/// starves (blocked on attribute messages from a straggling peer
-/// region), the worker steps
-/// the next job's machine instead of idling — this is where region-
-/// granular scheduling recovers both the blocked-straggler time an
-/// epoch barrier wasted *and* the head-of-line time a huge tree's
-/// longest region would otherwise impose. Older jobs are always
-/// preferred: younger machines run on a small step budget and the
-/// channel is polled between bursts, so a value that unblocks an older
-/// machine preempts younger work within [`YIELD_STEPS`] scheduler
-/// steps and pipelining never materially delays the tree the parser
-/// will read next.
-fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
-    // Recycled construction/evaluation buffers, one per concurrently
-    // running machine (bounded by the window depth × regions per
-    // ticket on this worker).
-    let mut scratches: Vec<MachineScratch<V>> = Vec::new();
-    // Active machines in (ticket, region) order.
-    let mut running: Vec<Running<V>> = Vec::new();
+/// The persistent worker loop: a thread driving its [`WorkerCore`].
+/// Whenever the oldest job's machine starves (blocked on values from a
+/// straggling peer region), the core steps the next job's machine
+/// instead of idling — this is where region-granular scheduling
+/// recovers both the blocked-straggler time an epoch barrier wasted
+/// *and* the head-of-line time a huge tree's longest region would
+/// otherwise impose. Younger machines run on a budget of
+/// [`Driver::YIELD_STEPS`] and the channel is polled between bursts, so
+/// a value that unblocks an older machine preempts younger work
+/// promptly and pipelining never materially delays the tree the parser
+/// will read next. (Co-located machines may feed each other — under
+/// adaptive granularity one worker can host parent and child regions of
+/// one ticket — but every send goes through a channel, self-sends
+/// included, so the poll delivers them.) With every machine starved
+/// the worker claims pending work — its own deque's front, else under
+/// stealing a steal; threads have no transfer cost to weigh, so every
+/// pending job is eligible — and blocks only when there is none.
+fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
     loop {
-        // Step machines oldest-first. (Co-located machines may feed
-        // each other — under adaptive granularity one worker can host
-        // parent and child regions of the same ticket — but every send
-        // goes through a channel, self-sends included, so the drain
-        // between bursts delivers them and the pass jumps back whenever
-        // a machine at or before the cursor is fed.)
-        let mut i = 0;
-        while i < running.len() {
-            let budget = if i == 0 { usize::MAX } else { YIELD_STEPS };
-            let outcome = drive(&ctx, &mut running[i], budget, &mut scratches);
-            match outcome {
-                Drive::Dead => return,
-                Drive::Replayed => {
-                    // Memo hit: the probe already retired the job and
-                    // sent its Done. The next job shifted into `i`.
-                    running.remove(i);
-                }
-                Drive::Finished(err) => {
-                    let done = running.remove(i);
-                    let owned = retire_sched(&ctx, done.ticket, done.region);
-                    let JobState::Machine(machine) = done.state else {
-                        unreachable!("only machines finish");
-                    };
-                    let (store, stats, sc) = machine.recycle();
-                    scratches.push(sc);
-                    // A job this worker lost to crash recovery (it was
-                    // reseeded elsewhere while we were still driving
-                    // it) must not report: the reseeded copy owns the
-                    // Done now.
-                    if owned {
-                        let result = match err {
-                            Some(e) => Err(e),
-                            None => Ok((
-                                stats,
-                                Finished::Region {
-                                    store,
-                                    roots: done.roots,
-                                },
-                            )),
-                        };
-                        if ctx
-                            .parser_tx
-                            .send(Done {
-                                ticket: done.ticket,
-                                region: done.region,
-                                result,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    // The next machine shifted into `i`; re-drive it.
-                }
-                Drive::Starved | Drive::Yielded => {
-                    // Poll before sinking more time into this or a
-                    // younger machine: a queued value for an older
-                    // machine must run first.
-                    let mut fed = usize::MAX;
-                    loop {
-                        match ctx.rx.try_recv() {
-                            Err(_) => break,
-                            Ok(m) => match absorb(m, &mut running) {
-                                Absorbed::Shutdown => return,
-                                Absorbed::Fed(idx) => fed = fed.min(idx),
-                                // A cancellation shifted `running`
-                                // under the cursor: restart the pass so
-                                // no machine is skipped.
-                                Absorbed::Mutated => fed = 0,
-                                Absorbed::Other => {}
-                            },
-                        }
-                    }
-                    if fed <= i {
-                        i = fed; // that machine (possibly this one) can run again
-                    } else if matches!(outcome, Drive::Starved) {
-                        i += 1;
-                    }
-                    // Yielded and nothing at-or-before the cursor fed:
-                    // keep driving the same machine.
-                }
-            }
+        if !core.drive(&mut ctx) {
+            return;
         }
-        // Everything starved (or no machines). Drain the channel
-        // without blocking first: a queued message may feed a starved
-        // machine.
-        let mut absorbed = false;
-        while let Ok(m) = ctx.rx.try_recv() {
-            match absorb(m, &mut running) {
-                Absorbed::Shutdown => return,
-                _ => absorbed = true,
-            }
-        }
-        if absorbed {
-            continue;
-        }
-        // Pull pending work before going idle: own deque front first,
-        // else (stealing only) a steal. Every pending job is eligible —
-        // threads have no transfer cost to weigh.
         let claimed = lock(&ctx.board, "scheduler board").claim(ctx.me, |_, _| true);
-        if let Some(job) = claimed {
-            activate(&ctx, job, &mut running, &mut scratches);
-            continue;
-        }
-        // Idle: block for one message.
-        match ctx.rx.recv() {
-            Err(_) => return, // pool dropped
-            Ok(m) => {
-                if matches!(absorb(m, &mut running), Absorbed::Shutdown) {
+        match claimed {
+            Some(Claimed {
+                key,
+                payload: (tree, decomp),
+                early,
+            }) => core.activate(&mut ctx, key, tree, decomp, early),
+            None => {
+                // Idle: block for one message (`Err`: the pool is gone).
+                let Ok(msg) = ctx.rx.recv() else { return };
+                if !ctx.absorb(msg, &mut core) {
                     return;
                 }
             }
@@ -1798,517 +1572,111 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
     }
 }
 
-/// Activates a job this worker claimed from the board. A whole-tree
-/// job [runs to completion](run_whole) here and now. A region job gets
-/// its probe or machine built, the early-arrival values that traveled
-/// with it
-/// replayed (which is how memo `Probing` jobs survive migration — the
-/// probe forms *after* the migrated values land), and is inserted into
-/// `running` in `(ticket, region)` order: stolen jobs activate out of
-/// order, and the drive loop's oldest-first preference keys off that
-/// order.
-fn activate<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    job: Claimed<V, JobData<V>>,
-    running: &mut Vec<Running<V>>,
-    scratches: &mut Vec<MachineScratch<V>>,
-) {
-    let Claimed {
-        key: (ticket, region),
-        payload: (tree, decomp),
-        early,
-    } = job;
-    let Some(decomp) = decomp else {
-        debug_assert!(
-            region == 0 && early.is_empty(),
-            "a whole-tree job is its ticket's only job and awaits nothing"
-        );
-        run_whole(ctx, ticket, &tree, scratches);
-        return;
-    };
-    let parent = decomp.regions[region as usize].parent;
-    let state = initial_state(ctx, tree, decomp, region, scratches);
-    let mut entry = Running {
-        ticket,
-        region,
-        parent,
-        next_seg: 0,
-        roots: Vec::new(),
-        state,
-    };
-    for (node, attr, value) in early {
-        feed(&mut entry, node, attr, value);
-    }
-    let pos = running.partition_point(|r| (r.ticket, r.region) < (ticket, region));
-    running.insert(pos, entry);
-}
-
-/// Runs a whole-tree job from start to finish and reports it (the
-/// module docs say why it may run to completion): the sequential static
-/// evaluation into the store retirement will adopt, with the root
-/// region's memo contract in front of it — probe, then replay or
-/// evaluate; retirement installs.
-fn run_whole<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    ticket: Ticket,
-    tree: &ParseTree<V>,
-    scratches: &mut Vec<MachineScratch<V>>,
-) {
-    let replayed = ctx.memo.as_ref().and_then(|memo| {
-        let key = whole_tree_key(tree)?;
-        if !memo.has_subtree(key.subtree) {
-            return None;
-        }
-        let root = tree.root();
-        let nodes = tree.subtree_size(root) as u32;
-        let entry = memo.probe(key, nodes, tree.node(root).prod)?;
-        let mut store = AttrStore::new(tree);
-        replay_span(tree, root, entry.span, &mut store).then_some(store)
-    });
-    let result = match replayed {
-        Some(store) => Ok((EvalStats::default(), Finished::Tree(store))),
-        None => {
-            let mut scratch = scratches.pop().unwrap_or_default();
-            let evaluated = contained(ctx, || {
-                let (Some(plans), Some(programs)) = (ctx.plan.plans(), ctx.plan.programs()) else {
-                    return Err(EvalError::PlanInconsistency {
-                        node: tree.root(),
-                        step: "combined mode requires static plans".to_string(),
-                    });
-                };
-                static_eval_with_scratch(tree, plans, programs, scratch.eval_scratch())
-            });
-            scratches.push(scratch);
-            evaluated.map(|(store, stats)| (stats, Finished::Tree(store)))
-        }
-    };
-    // A job this worker lost to crash recovery or cancellation must
-    // not report (see `retire_sched`). A failed send means the pool is
-    // gone, which the worker's next receive finds out.
-    if retire_sched(ctx, ticket, 0) {
-        let _ = ctx.parser_tx.send(Done {
-            ticket,
-            region: 0,
-            result,
-        });
-    }
-}
-
-/// Runs `f` — a call into semantic rules — containing a panic: a buggy
-/// rule fails its own ticket (`EvalError::RulePanic`, through the
-/// normal Done path) instead of unwinding the worker thread and
-/// wedging the whole pool.
-fn contained<V: AttrValue, T>(
-    ctx: &WorkerCtx<V>,
-    f: impl FnOnce() -> Result<T, EvalError>,
-) -> Result<T, EvalError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        ctx.panics_contained.fetch_add(1, Ordering::Relaxed);
-        Err(EvalError::RulePanic {
-            message: panic_message(payload.as_ref()),
-        })
-    })
-}
-
-/// Retires a finished job on the scheduler board and reports whether
-/// this worker still *owned* it — crash recovery may have reseeded the
-/// job elsewhere while this (about-to-die) worker was still driving it,
-/// and a cancellation may have purged it; then the right to send Done
-/// belongs to someone else. Callers retire *before* they report Done,
-/// so a parser that has seen every Done sees a board with nothing left
-/// on it.
-fn retire_sched<V: AttrValue>(ctx: &WorkerCtx<V>, ticket: Ticket, region: RegionId) -> bool {
-    lock(&ctx.board, "scheduler board").retire(ctx.me, (ticket, region))
-}
-
-/// What [`absorb`] did with a message.
-enum Absorbed {
-    /// Shutdown (or an injected Die) received: terminate the worker.
-    Shutdown,
-    /// An attribute value was provided to the running machine at this
-    /// index (the caller jumps back if it is older than its cursor).
-    Fed(usize),
-    /// Running jobs were removed (a ticket cancellation): indices
-    /// shifted, so the caller must restart its drive pass.
-    Mutated,
-    /// A wake, or a value dropped.
-    Other,
-}
-
-/// Feeds one attribute value to a running job: machines get a
-/// `provide`, probes collect their root inherited values.
-fn feed<V: AttrValue>(r: &mut Running<V>, node: NodeId, attr: AttrId, value: V) {
-    match &mut r.state {
-        JobState::Machine(m) => m.provide(node, attr, value),
-        JobState::Probing(p) => {
-            debug_assert_eq!(
-                node, p.root,
-                "a leaf region only receives its root's inherited values"
-            );
-            if let Some(i) = p.needed.iter().position(|&a| a == attr) {
-                if p.got[i].is_none() {
-                    p.got[i] = Some(value);
-                    p.filled += 1;
-                }
-            }
-        }
-        JobState::Resolving => unreachable!("transient state"),
-    }
-}
-
-/// Routes one incoming message: feeds attribute values to their
-/// `(ticket, region)` machine, dropping values for already-finished
-/// jobs.
-fn absorb<V: AttrValue>(msg: WorkerMsg<V>, running: &mut Vec<Running<V>>) -> Absorbed {
-    match msg {
-        WorkerMsg::Shutdown => Absorbed::Shutdown,
-        // An injected crash: abandon every machine without reporting —
-        // the pool already reseeded this worker's jobs onto survivors.
-        WorkerMsg::Die => Absorbed::Shutdown,
-        WorkerMsg::Wake => Absorbed::Other,
-        WorkerMsg::Cancel { ticket } => {
-            // The pool already purged the ticket from the scheduler
-            // board; only this worker's own machines are left to drop.
-            let before = running.len();
-            running.retain(|r| r.ticket != ticket);
-            if running.len() < before {
-                Absorbed::Mutated
-            } else {
-                Absorbed::Other
-            }
-        }
-        WorkerMsg::Attr {
-            ticket,
-            region,
-            node,
-            attr,
-            value,
-        } => {
-            match running
-                .iter_mut()
-                .position(|r| r.ticket == ticket && r.region == region)
-            {
-                Some(idx) => {
-                    feed(&mut running[idx], node, attr, value);
-                    Absorbed::Fed(idx)
-                }
-                // A channel-sent value was routed while the job was
-                // Active here (a queued job gets its values on the
-                // board): not in `running` means it finished, so the
-                // value is stale.
-                None => Absorbed::Other,
-            }
-        }
-    }
-}
-
-/// Builds the initial evaluation state for one region job: a probe for
-/// memo-eligible leaf regions whose subtree the cache has seen, a
-/// machine otherwise. Holding a region for its root inherited values
-/// costs parallelism, so the hold is only taken when the cache has
-/// seen this subtree at all — a never-seen subtree (counted as a miss)
-/// evaluates normally and the retire path installs it for next time.
-fn initial_state<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    tree: Arc<ParseTree<V>>,
-    decomp: Arc<Decomposition>,
-    region: RegionId,
-    scratches: &mut Vec<MachineScratch<V>>,
-) -> JobState<V> {
-    let cacheable = ctx.memo.as_ref().and_then(|m| {
-        let c = region_cacheable(&ctx.plan, &ctx.memo_safe, &tree, &decomp, region)?;
-        m.has_subtree(c.1).then_some(c)
-    });
-    match cacheable {
-        Some((root, subtree, needed)) => JobState::Probing(Probe {
-            got: vec![None; needed.len()],
-            filled: 0,
-            tree,
-            decomp,
-            root,
-            subtree,
-            needed,
-        }),
-        None => {
-            let scratch = scratches.pop().unwrap_or_default();
-            JobState::Machine(Machine::from_plan(
-                &ctx.plan,
-                &tree,
-                &decomp,
+impl<V: AttrValue> WorkerCtx<V> {
+    /// Hands one message to the core; `false` when the worker must
+    /// exit.
+    fn absorb(&mut self, msg: WorkerMsg<V>, core: &mut WorkerCore<V>) -> bool {
+        match msg {
+            WorkerMsg::Shutdown => return false,
+            WorkerMsg::Wake => {}
+            // The pool already purged the ticket from the board; only
+            // this worker's own jobs are left to drop.
+            WorkerMsg::Cancel { ticket } => core.cancel(ticket),
+            WorkerMsg::Attr {
+                ticket,
                 region,
-                ctx.config.mode,
-                scratch,
-            ))
+                node,
+                attr,
+                value,
+            } => core.feed(self, (ticket, region), node, attr, value),
         }
+        true
     }
 }
 
-/// What [`resolve_probe`] decided.
-enum ProbeOutcome {
-    /// Cache hit: span replayed, Done sent.
-    Replayed,
-    /// Cache miss: the job's state is now a machine fed with the
-    /// collected inherited values — drive it.
-    Miss,
-    /// A send failed: the pool is gone.
-    Dead,
-}
+/// The pool's effects: the wall clock charges itself, segments go into
+/// the shared ledger, values over channels, and root values ride in the
+/// root region's `Done`. A failed channel send means the pool is gone,
+/// which the worker's next receive finds out.
+impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
+    /// How many scheduler steps a *non-oldest* machine may run before
+    /// the worker polls the channel for values that unblock an older
+    /// job.
+    const YIELD_STEPS: usize = 64;
 
-/// Resolves a completed probe: forms the region input signature,
-/// consults the cache, and either replays the cached span (sending the
-/// root's synthesized values upward exactly as a machine would on fill,
-/// then Done) or falls back to building the machine and feeding it the
-/// collected inherited values.
-fn resolve_probe<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    r: &mut Running<V>,
-    scratches: &mut Vec<MachineScratch<V>>,
-) -> ProbeOutcome {
-    let JobState::Probing(p) = std::mem::replace(&mut r.state, JobState::Resolving) else {
-        unreachable!("caller checked Probing");
-    };
-    let memo = ctx.memo.as_ref().expect("probing implies a cache");
-    let nodes = p.tree.subtree_size(p.root) as u32;
-    let root_prod = p.tree.node(p.root).prod;
-    let fingerprint =
-        inherited_fingerprint(p.got.iter().map(|v| v.as_ref().expect("probe complete")));
-    let mut hit = fingerprint.and_then(|inherited| {
-        memo.probe(
-            MemoKey {
-                subtree: p.subtree,
-                inherited,
-            },
-            nodes,
-            root_prod,
-        )
-    });
-
-    if let Some(entry) = hit.take() {
-        // Replay: fill a fresh region store from the cached span.
-        let mut store = RegionStore::new(p.decomp.slot_map(), r.region);
-        if replay_span(&p.tree, p.root, entry.span, &mut store) {
-            // A probe that lost ownership (its job was reseeded by
-            // crash recovery or cancelled) must not report — the
-            // owning copy will.
-            if !retire_sched(ctx, r.ticket, r.region) {
-                return ProbeOutcome::Replayed;
-            }
-            let root_sym = p.tree.grammar().prod(root_prod).lhs;
-            let mut roots = Vec::new();
-            for &a in ctx.plan.syn_attrs(root_sym) {
-                let Some(v) = store.get(p.root, a).cloned() else {
-                    continue;
-                };
-                match r.parent {
-                    None => roots.push((a, v)),
-                    Some(q) => {
-                        if !send_attr(ctx, r.ticket, q, p.root, a, v) {
-                            return ProbeOutcome::Dead;
-                        }
-                    }
-                }
-            }
-            let done = ctx.parser_tx.send(Done {
-                ticket: r.ticket,
-                region: r.region,
-                result: Ok((EvalStats::default(), Finished::Region { store, roots })),
-            });
-            return if done.is_ok() {
-                ProbeOutcome::Replayed
-            } else {
-                ProbeOutcome::Dead
-            };
-        }
-        // Span shape disagreed with this subtree (a hash collision the
-        // sanity fields missed): evaluate fresh.
+    fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
+        // Dropped when the ticket already retired (it failed, and this
+        // region has not seen its Cancel yet).
+        lock(&self.ledger, "segment ledger").register_open(ticket, id, text);
     }
 
-    let scratch = scratches.pop().unwrap_or_default();
-    let mut machine = Machine::from_plan(
-        &ctx.plan,
-        &p.tree,
-        &p.decomp,
-        r.region,
-        ctx.config.mode,
-        scratch,
-    );
-    for (&attr, v) in p.needed.iter().zip(p.got) {
-        if let Some(v) = v {
-            machine.provide(p.root, attr, v);
-        }
-    }
-    r.state = JobState::Machine(machine);
-    ProbeOutcome::Miss
-}
-
-/// Steps one job until it starves, finishes, fails, or exhausts
-/// `budget` scheduler steps ([`Drive::Yielded`], so the worker can poll
-/// for older-ticket work), forwarding its sends immediately (peers
-/// block on these values; see `super::threads` for why batching would
-/// serialize the pipeline). Probing jobs resolve here the moment their
-/// last inherited value has arrived.
-fn drive<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    r: &mut Running<V>,
-    budget: usize,
-    scratches: &mut Vec<MachineScratch<V>>,
-) -> Drive {
-    if let JobState::Probing(p) = &r.state {
-        if p.filled < p.needed.len() {
-            return Drive::Starved;
-        }
-        match resolve_probe(ctx, r, scratches) {
-            ProbeOutcome::Replayed => return Drive::Replayed,
-            ProbeOutcome::Dead => return Drive::Dead,
-            ProbeOutcome::Miss => {}
-        }
-    }
-    let Running {
-        ticket,
-        region,
-        parent,
-        next_seg,
-        roots,
-        state,
-    } = r;
-    let (key, parent) = ((*ticket, *region), *parent);
-    let JobState::Machine(machine) = state else {
-        unreachable!("probes resolved above");
-    };
-    for _ in 0..budget {
-        match contained(ctx, || machine.step()) {
-            Err(e) => return Drive::Finished(Some(e)),
-            Ok(None) => {
-                if machine.is_done() {
-                    return Drive::Finished(None);
-                }
-                // A machine with no ready task, unexecuted tasks left
-                // and *no awaited external instance* can never be fed
-                // again — only `provide` enqueues new ready work, and
-                // the awaited set is fixed at construction. That is a
-                // dependency cycle local to this region; surface it
-                // instead of starving the pool forever. (A cycle spread
-                // across regions still deadlocks: every machine then
-                // awaits a peer and no local check can see the loop.)
-                if machine.awaiting() == 0 {
-                    return Drive::Finished(Some(EvalError::Cycle {
-                        stuck: machine.pending(),
-                    }));
-                }
-                return Drive::Starved;
-            }
-            Ok(Some(outcome)) => {
-                for send in outcome.sends {
-                    if !route_send(ctx, key, parent, next_seg, roots, send) {
-                        return Drive::Dead;
-                    }
-                }
-            }
-        }
-    }
-    Drive::Yielded
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Forwards one attribute send of job `(ticket, region)`, deflating
-/// librarian-bound string values into streaming ticket-tagged segment
-/// registrations (§4.2's registration phase). A value bound for the
-/// parser is kept in `roots`, to ride in the job's `Done`. Returns
-/// `false` when the pool is gone.
-fn route_send<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    (ticket, region): (Ticket, RegionId),
-    parent: Option<RegionId>,
-    next_seg: &mut u32,
-    roots: &mut Vec<(AttrId, V)>,
-    send: AttrMsg<V>,
-) -> bool {
-    let upward = match send.to {
-        SendTarget::Parser => true,
-        SendTarget::Region(q) => Some(q) == parent,
-    };
-    let mut value = send.value;
-    if upward && ctx.config.result == ResultPropagation::Librarian {
-        let deflated = value.deflate(&mut |text: Rope| {
-            let id = SegmentId::from_parts(region, *next_seg);
-            *next_seg += 1;
-            // Dropped when the ticket already retired (it failed, and
-            // this region has not seen its Cancel yet).
-            lock(&ctx.ledger, "segment ledger").register_open(ticket, id, text);
-            id
-        });
-        if let Some(d) = deflated {
-            value = d;
-        }
-    }
-    match send.to {
-        SendTarget::Parser => {
-            roots.push((send.attr, value));
-            true
-        }
-        SendTarget::Region(q) => send_attr(ctx, ticket, q, send.node, send.attr, value),
-    }
-}
-
-/// Delivers one boundary attribute to region `to` of `ticket`, asking
-/// the board in one critical section: [`Board::route`] logs the value
-/// and names the job's current worker (or says nothing must be sent —
-/// the job finished, or a re-executed producer is replaying this
-/// value), and [`Board::deliver`] on that worker's behalf either
-/// attaches the value to the still-queued job (so a claim — or a steal
-/// — takes it along) or hands it back for a channel send to the worker
-/// that claimed it. Returns `false` when the pool is gone.
-fn send_attr<V: AttrValue>(
-    ctx: &WorkerCtx<V>,
-    ticket: Ticket,
-    to: RegionId,
-    node: NodeId,
-    attr: AttrId,
-    value: V,
-) -> bool {
-    let dest = {
-        let mut board = lock(&ctx.board, "scheduler board");
-        board
-            .route(ctx.me, (ticket, to), node, attr, &value)
-            .and_then(
-                |w| match board.deliver(w, (ticket, to), node, attr, value) {
+    /// Asks the board in one critical section: [`Board::route`] logs
+    /// the value and names the job's current worker (or says nothing
+    /// must be sent — the job finished, or a re-executed producer is
+    /// replaying this value), and [`Board::deliver`] on that worker's
+    /// behalf either attaches the value to the still-queued job (so a
+    /// claim — or a steal — takes it along) or hands it back for a
+    /// channel send to the worker that claimed it.
+    fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V) {
+        let dest = {
+            let mut board = lock(&self.board, "scheduler board");
+            board.route(self.me, to, node, attr, &value).and_then(|w| {
+                match board.deliver(w, to, node, attr, value) {
                     Delivery::Mine(value) => Some((w, value)),
                     Delivery::Stored => None,
                     Delivery::Forward(..) | Delivery::Dropped => {
                         unreachable!("routed and delivered under one lock")
                     }
-                },
-            )
-    };
-    dest.is_none_or(|(w, value)| {
-        ctx.peers[w]
-            .send(WorkerMsg::Attr {
+                }
+            })
+        };
+        if let Some((w, value)) = dest {
+            let (ticket, region) = to;
+            let _ = self.peers[w].send(WorkerMsg::Attr {
                 ticket,
-                region: to,
+                region,
                 node,
                 attr,
                 value,
-            })
-            .is_ok()
-    })
+            });
+        }
+    }
+
+    fn root(&mut self, _ticket: Ticket, _attr: AttrId, value: V) -> Option<V> {
+        Some(value)
+    }
+
+    fn retire(&mut self, key: JobKey) -> bool {
+        lock(&self.board, "scheduler board").retire(self.me, key)
+    }
+
+    fn done(&mut self, (ticket, region): JobKey, result: Result<JobResult<V>, EvalError>) {
+        if matches!(result, Err(EvalError::RulePanic { .. })) {
+            self.panics_contained.fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = self.parser_tx.send(Done {
+            ticket,
+            region,
+            result,
+        });
+    }
+
+    fn poll(&mut self, core: &mut WorkerCore<V>) -> bool {
+        while let Ok(msg) = self.rx.try_recv() {
+            if !self.absorb(msg, core) {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::eval::dynamic_eval;
     use crate::grammar::{AttrId, GrammarBuilder};
-    use crate::tree::TreeBuilder;
+    use crate::tree::{RegionStore, TreeBuilder};
     use crate::value::Value;
 
     fn fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
@@ -2639,7 +2007,7 @@ mod tests {
     /// constant, `knot` feeds it its own output — an instance cycle
     /// local to the (single-region) tree.
     #[allow(clippy::type_complexity)]
-    fn cyclic_fixture() -> (
+    pub(in crate::parallel) fn cyclic_fixture() -> (
         Vec<Arc<ParseTree<i64>>>,
         Arc<ParseTree<i64>>,
         Arc<EvalPlan<i64>>,

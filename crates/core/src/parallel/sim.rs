@@ -32,6 +32,20 @@
 //! compilation: a batch of one at depth 1, one region per machine) and
 //! [`run_sim_batch`] are adapters over it.
 //!
+//! Each evaluator process drives the worker core
+//! (`parallel/worker.rs`) that the live pool's threads drive, instead
+//! of mirroring it: activation, probes, the oldest-first pass, rule
+//! panic containment, local cycle detection, deflation into segment
+//! registrations and retire-before-report are that code's. The process
+//! carries out the core's effects in virtual time — it charges a
+//! machine's build and every step from the [`CostModel`] under its
+//! activity-trace phase, registers segments with the librarian by
+//! message, and sends each root value to the parser as its own message
+//! the moment it is computed, then a 16-byte `Done` — and drives each
+//! machine until it starves, with no yield budget. The parser still
+//! ships a decomposition for every ticket, a one-region one included:
+//! the sim does not run whole-tree jobs.
+//!
 //! Under either [`SchedulerMode`] the processes drive the same
 //! scheduler board the live [`crate::parallel::pool::WorkerPool`]
 //! drives from threads — seeding, claiming and stealing, routing,
@@ -48,11 +62,12 @@
 //! deque — so a fault-free run sends no wake, and only recovery claims.
 
 use crate::analysis::Plans;
-use crate::eval::{AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch, SendTarget};
+use crate::eval::{EvalError, EvalPlan, Machine, MachineMode, StepOutcome};
 use crate::grammar::{AttrId, AttrKind};
-use crate::parallel::board::{Board, Claimed, Delivery};
+use crate::parallel::board::{Board, Claimed, Delivery, JobKey};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
 use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, SegmentLedger, Ticket};
+use crate::parallel::worker::{Driver, JobResult, WorkerCore};
 use crate::split::{
     decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
@@ -285,7 +300,8 @@ pub struct Arrivals<'a> {
     pub queue_capacity: usize,
 }
 
-/// Why [`run_sim_stream`] refused its input.
+/// Why [`run_sim_stream`] refused its input, or why its evaluation
+/// failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// No tree to evaluate.
@@ -307,6 +323,10 @@ pub enum SimError {
         /// Evaluator machines are processes `1..=machines`.
         machines: usize,
     },
+    /// A tree's evaluation failed: a dependency cycle local to a
+    /// region, a panicking semantic rule, a plan inconsistency, or a
+    /// root value naming a code segment the librarian never received.
+    Eval(EvalError),
 }
 
 impl std::fmt::Display for SimError {
@@ -326,6 +346,7 @@ impl std::fmt::Display for SimError {
                 "fault plan crashes p{proc}, which is not an evaluator machine \
                  (valid targets: 1..={machines})"
             ),
+            SimError::Eval(e) => write!(f, "simulated parallel evaluation failed: {e}"),
         }
     }
 }
@@ -339,13 +360,17 @@ enum SimMsg<V> {
         ticket: usize,
         region: RegionId,
     },
+    /// A boundary value for job `key` (an evaluator machine hosts
+    /// several regions under region-granular scheduling).
     Attr {
-        ticket: usize,
-        /// Destination region (an evaluator machine hosts several
-        /// regions under region-granular scheduling). Ignored for
-        /// parser-bound root attributes.
-        region: RegionId,
+        key: JobKey,
         node: NodeId,
+        attr: AttrId,
+        value: V,
+    },
+    /// A root attribute value, sent to the parser as it is computed.
+    Root {
+        ticket: usize,
         attr: AttrId,
         value: V,
     },
@@ -355,11 +380,13 @@ enum SimMsg<V> {
         id: SegmentId,
         text: Rope,
     },
-    /// A region's machine ran to completion (the pool's `Done`); the
-    /// parser retires a ticket — freeing its window slot — only after
-    /// every region reports.
+    /// A region job finished (the pool's `Done`); the parser retires a
+    /// ticket — freeing its window slot — only after every region
+    /// reports. A job that failed carries its error, which fails the
+    /// run.
     Done {
         ticket: usize,
+        failed: Option<EvalError>,
     },
     /// The parser's final read for one ticket.
     Resolve {
@@ -395,7 +422,6 @@ struct Shared<V: AttrValue> {
     decomps: Vec<Arc<Decomposition>>,
     plan: Arc<EvalPlan<V>>,
     cost: CostModel,
-    mode: MachineMode,
     result: ResultPropagation,
     classifier: PhaseClassifier,
     depth: usize,
@@ -431,14 +457,14 @@ struct State<V> {
     /// produces.
     busy_until: Vec<Time>,
     eval_start: Time,
-    finish: Vec<Option<Time>>,
+    /// How each ticket ended: retired at a time, or failed.
+    finish: Vec<Option<Result<Time, EvalError>>>,
     admitted: Vec<Option<Time>>,
     dispatched: Vec<Option<Time>>,
     shed: Vec<bool>,
     roots: Vec<Vec<(AttrId, V)>>,
     segstores: HashMap<usize, SegmentStore>,
     per_machine: Vec<EvalStats>,
-    error: Option<EvalError>,
 }
 
 impl<V: AttrValue> Shared<V> {
@@ -614,7 +640,7 @@ impl<V: AttrValue> ParserProc<V> {
     }
 
     fn finish_ticket(&mut self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
-        self.shared.state().finish[ticket] = Some(ctx.now());
+        self.shared.state().finish[ticket] = Some(Ok(ctx.now()));
         self.finished += 1;
         debug_assert_eq!(self.window.front(), Some(&ticket));
         self.window.pop_front();
@@ -675,11 +701,10 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
                 }
                 self.maybe_stop(ctx);
             }
-            SimMsg::Attr {
+            SimMsg::Root {
                 ticket,
                 attr,
                 value,
-                ..
             } => {
                 ctx.phase("result propagation");
                 {
@@ -696,9 +721,19 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
                 }
                 self.advance(ctx);
             }
-            SimMsg::Done { ticket } => {
+            SimMsg::Done {
+                ticket,
+                failed: None,
+            } => {
                 self.region_dones[ticket] += 1;
                 self.advance(ctx);
+            }
+            SimMsg::Done {
+                ticket,
+                failed: Some(e),
+            } => {
+                sh.state().finish[ticket] = Some(Err(e));
+                ctx.stop();
             }
             SimMsg::Resolved { ticket } => {
                 self.finish_ticket(ctx, ticket);
@@ -723,261 +758,186 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
     }
 }
 
-/// One active machine on a simulated evaluator (mirrors the pool
-/// worker's `Running` entry). The region is recoverable from the
-/// machine itself ([`Machine::region`]).
-struct Running<V: AttrValue> {
-    ticket: usize,
-    machine: Machine<V>,
-    next_seg: u32,
-}
-
+/// A simulated evaluator machine: the worker core the live pool's
+/// threads run, driven from netsim handlers.
 struct EvaluatorProc<V: AttrValue> {
     shared: Arc<Shared<V>>,
     /// This machine's index in the park.
     evaluator: usize,
-    /// Active machines in (ticket, region) job order, multiplexed
-    /// oldest-first exactly like a pool worker: a starved older machine
-    /// yields the (virtual) CPU to the next job's machine instead of
-    /// idling.
-    running: Vec<Running<V>>,
+    /// Its region jobs, multiplexed oldest-first exactly like a pool
+    /// worker's: a starved older machine yields the (virtual) CPU to
+    /// the next job's machine instead of idling.
+    core: WorkerCore<V>,
 }
 
-impl<V: AttrValue> EvaluatorProc<V> {
-    /// The machine of job `(ticket, region)`, if it is running here.
-    fn machine(&mut self, ticket: usize, region: RegionId) -> Option<&mut Machine<V>> {
-        self.running
-            .iter_mut()
-            .find(|r| r.ticket == ticket && r.machine.region() == region)
-            .map(|r| &mut r.machine)
+/// What the worker core asks of a simulated evaluator, carried out in
+/// virtual time: CPU charged from the cost model under its
+/// activity-trace phase (and serialized on this process by
+/// `ctx.spend`), and every value a wire message.
+struct SimDriver<'a, 'c, V: AttrValue> {
+    ctx: &'a mut Ctx<'c, SimMsg<V>>,
+    sh: &'a Shared<V>,
+    me: usize,
+}
+
+impl<V: AttrValue> SimDriver<'_, '_, V> {
+    /// Activates a job this machine took or claimed: the parser shipped
+    /// its region of the tree, so its decomposition comes along.
+    fn start(&mut self, core: &mut WorkerCore<V>, job: Claimed<V, usize>) {
+        let t = job.key.0 as usize;
+        let tree = Arc::clone(&self.sh.trees[t]);
+        let decomp = Some(Arc::clone(&self.sh.decomps[t]));
+        core.activate(self, job.key, tree, decomp, job.early);
     }
 
-    /// Builds the machine for one region job — charging the rebuild of
-    /// the shipped subtree and the dependency graph — replays `early`
-    /// values into it, and enters it into `running` in (ticket, region)
-    /// order (stolen jobs activate out of submission order, and the
-    /// pump's oldest-first preference keys off that order).
-    fn activate(
-        &mut self,
-        ctx: &mut Ctx<SimMsg<V>>,
-        ticket: usize,
-        region: RegionId,
-        early: impl IntoIterator<Item = (NodeId, AttrId, V)>,
-    ) {
-        let sh = &self.shared;
-        ctx.phase("build");
-        let mut machine = Machine::from_plan(
-            &sh.plan,
-            &sh.trees[ticket],
-            &sh.decomps[ticket],
-            region,
-            sh.mode,
-            MachineScratch::new(),
-        );
-        let (gn, ge) = machine.graph_size();
-        ctx.spend(
-            machine.local_nodes() as Time * sh.cost.ship_node_us
-                + gn as Time * sh.cost.graph_node_us
-                + ge as Time * sh.cost.graph_edge_us,
-        );
-        for (node, attr, value) in early {
-            machine.provide(node, attr, value);
-        }
-        let pos = self
-            .running
-            .partition_point(|r| (r.ticket, r.machine.region()) < (ticket, region));
-        self.running.insert(
-            pos,
-            Running {
-                ticket,
-                machine,
-                next_seg: 0,
-            },
-        );
-    }
-
-    /// Steps machines oldest-first until every one is starved,
-    /// retiring finished machines (mirrors the pool worker loop; CPU
-    /// consumption is serialized on this process by `ctx.spend`).
-    fn pump(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        let sh = Arc::clone(&self.shared);
-        let mut i = 0;
-        while i < self.running.len() {
-            let ticket = self.running[i].ticket;
-            match self.running[i].machine.step() {
-                Err(e) => {
-                    sh.state().error = Some(e);
-                    ctx.stop();
-                    return;
-                }
-                Ok(None) => {
-                    if self.running[i].machine.is_done() {
-                        let done = self.running.remove(i);
-                        let mut st = sh.state();
-                        st.per_machine[self.evaluator] += done.machine.stats();
-                        // Retire from the scheduler board before
-                        // reporting, like a pool worker.
-                        let owned = st
-                            .board
-                            .retire(self.evaluator, (ticket as Ticket, done.machine.region()));
-                        drop(st);
-                        if owned {
-                            ctx.send(PARSER, SimMsg::Done { ticket }, 16, "done");
-                        }
-                    } else {
-                        i += 1; // starved: let the next job's machine run
-                    }
-                }
-                Ok(Some(outcome)) => {
-                    let label =
-                        classify(sh.trees[ticket].grammar(), &sh.classifier, outcome.target);
-                    ctx.phase(label);
-                    ctx.spend(
-                        outcome.cost_units * sh.cost.rule_unit_us
-                            + outcome.dynamic_rules as Time * sh.cost.dynamic_rule_us
-                            + outcome.static_rules as Time * sh.cost.static_rule_us,
-                    );
-                    for send in outcome.sends {
-                        self.transmit(ctx, i, send);
-                    }
-                }
-            }
-        }
-    }
-
-    fn transmit(&mut self, ctx: &mut Ctx<SimMsg<V>>, idx: usize, msg: AttrMsg<V>) {
-        let sh = Arc::clone(&self.shared);
-        let ticket = self.running[idx].ticket;
-        let region = self.running[idx].machine.region();
-        let upward = match msg.to {
-            SendTarget::Parser => true,
-            SendTarget::Region(r) => Some(r) == sh.decomps[ticket].regions[region as usize].parent,
-        };
-        let mut value = msg.value;
-        if upward && sh.result == ResultPropagation::Librarian {
-            // Registration phase of the split-phase protocol: large
-            // code text streams to the librarian mid-evaluation, tagged
-            // with this tree's ticket; a descriptor rope goes up the
-            // process tree in its place (§4.2).
-            let next = &mut self.running[idx].next_seg;
-            let mut segments: Vec<(SegmentId, Rope)> = Vec::new();
-            let deflated = value.deflate(&mut |text: Rope| {
-                let id = SegmentId::from_parts(region, *next);
-                *next += 1;
-                segments.push((id, text));
-                id
-            });
-            if let Some(d) = deflated {
-                value = d;
-                ctx.phase("result propagation");
-                for (id, text) in segments {
-                    let bytes = text.physical_wire_size();
-                    ctx.send(
-                        sh.librarian(),
-                        SimMsg::Register { ticket, id, text },
-                        bytes,
-                        "code-segment",
-                    );
-                }
-            }
-        }
-        let (dest, dest_region) = match msg.to {
-            SendTarget::Parser => (PARSER, 0),
-            SendTarget::Region(r) => {
-                // Route via the board: the job may have been stolen or
-                // reseeded by a crash. The board logs the value at send
-                // time — so a crash cannot lose values still on the
-                // wire — and says when nothing is to be sent (the job
-                // finished; a re-executed producer replaying its
-                // sends).
-                let to = (ticket as Ticket, r);
-                let routed = sh
-                    .state()
-                    .board
-                    .route(self.evaluator, to, msg.node, msg.attr, &value);
-                match routed {
-                    Some(w) => (ProcId(1 + w), r),
-                    None => return,
-                }
-            }
-        };
+    /// Puts boundary value `value` for job `key` on the wire to machine
+    /// `w`.
+    fn ship(&mut self, w: usize, key: JobKey, node: NodeId, attr: AttrId, value: V) {
         let bytes = value.wire_size();
-        ctx.send(
-            dest,
-            SimMsg::Attr {
-                ticket,
-                region: dest_region,
-                node: msg.node,
-                attr: msg.attr,
-                value,
-            },
-            bytes,
-            "attr",
-        );
+        let msg = SimMsg::Attr {
+            key,
+            node,
+            attr,
+            value,
+        };
+        self.ctx.send(ProcId(1 + w), msg, bytes, "attr");
     }
 
     /// Stealing-scheduler drive step, mirroring the live worker's
-    /// drain → claim-or-steal → block cycle: pumps, claims at most ONE
-    /// pending job, pumps it, and — if a job was claimed — chains a
+    /// drain → claim-or-steal → block cycle: drives, claims at most ONE
+    /// pending job, drives it, and — if a job was claimed — chains a
     /// zero-cost self-wake to look for the next one. The live worker
     /// claims one job per loop iteration with a channel drain in
     /// between; claiming the whole deque inside one atomic handler
     /// would make every queued job vanish before any peer's events
     /// interleave, leaving nothing stealable and un-modelling exactly
     /// the window work stealing exists for.
-    fn claim_and_pump(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        self.pump(ctx);
-        if self.claim_one(ctx) {
-            self.pump(ctx);
-            ctx.wake_at(ctx.now(), SimMsg::Wake);
+    fn claim_and_drive(&mut self, core: &mut WorkerCore<V>) {
+        core.drive(self);
+        if let Some(job) = self.claim() {
+            self.start(core, job);
+            core.drive(self);
+            let now = self.ctx.now();
+            self.ctx.wake_at(now, SimMsg::Wake);
         }
+    }
+
+    /// Claims one pending job from the board and charges the fetch of
+    /// its linearized subtree (a point-to-point pull at bus rate,
+    /// charged to the claimer wherever the job ended up). A steal must
+    /// be worth it in virtual time: the victim must be busy past now
+    /// (`busy_until`, see [`State`]), and past the round trip of
+    /// fetching that job's subtree.
+    fn claim(&mut self) -> Option<Claimed<V, usize>> {
+        let now = self.ctx.now();
+        let net = self.sh.net;
+        let claimed = {
+            let mut st = self.sh.state();
+            let State {
+                board, busy_until, ..
+            } = &mut *st;
+            board.claim(self.me, |victim, bytes| {
+                busy_until[victim] > now + bytes.map_or(0, |&b| 2 * net.tx_time(b))
+            })
+        }?;
+        self.ctx.phase("ship subtrees");
+        self.ctx.spend(net.tx_time(claimed.payload));
+        Some(claimed)
     }
 
     /// Publishes how far this handler ran our clock (`busy_until`, see
     /// [`State`]) so that peers processed later in event order can tell
     /// busy from idle. Wake and restart handlers publish; attribute
-    /// deliveries, which may pump for just as long, never have — which
+    /// deliveries, which may drive for just as long, never have — which
     /// machines look busy decides every steal, so publishing there too
     /// is a policy change for a PR that re-measures the stealing
     /// schedules, not for one that only moves code.
-    fn publish_clock(&self, ctx: &Ctx<SimMsg<V>>) {
-        let mut st = self.shared.state();
-        let me = self.evaluator;
-        st.busy_until[me] = st.busy_until[me].max(ctx.now());
+    fn publish_clock(&self) {
+        let mut st = self.sh.state();
+        st.busy_until[self.me] = st.busy_until[self.me].max(self.ctx.now());
+    }
+}
+
+impl<V: AttrValue> Driver<V> for SimDriver<'_, '_, V> {
+    /// Handlers are atomic: nothing can arrive mid-pass to preempt.
+    const YIELD_STEPS: usize = usize::MAX;
+
+    /// The rebuild of the shipped subtree and the dependency graph.
+    fn charge_build(&mut self, machine: &Machine<V>) {
+        let cost = &self.sh.cost;
+        let (gn, ge) = machine.graph_size();
+        self.ctx.phase("build");
+        self.ctx.spend(
+            machine.local_nodes() as Time * cost.ship_node_us
+                + gn as Time * cost.graph_node_us
+                + ge as Time * cost.graph_edge_us,
+        );
     }
 
-    /// Claims one pending job from the board and activates it. A steal
-    /// must be worth it in virtual time: the victim must be busy past
-    /// now (`busy_until`, see [`State`]), and past the round trip of
-    /// fetching that job's subtree. Returns `false` when nothing is
-    /// claimable.
-    fn claim_one(&mut self, ctx: &mut Ctx<SimMsg<V>>) -> bool {
-        let sh = Arc::clone(&self.shared);
-        let now = ctx.now();
-        let claimed = {
-            let mut st = sh.state();
-            let State {
-                board, busy_until, ..
-            } = &mut *st;
-            board.claim(self.evaluator, |victim, bytes| {
-                busy_until[victim] > now + bytes.map_or(0, |&b| 2 * sh.net.tx_time(b))
-            })
+    fn charge_step(&mut self, outcome: &StepOutcome<V>) {
+        let (sh, cost) = (self.sh, &self.sh.cost);
+        let label = classify(sh.plan.grammar(), &sh.classifier, outcome.target);
+        self.ctx.phase(label);
+        self.ctx.spend(
+            outcome.cost_units * cost.rule_unit_us
+                + outcome.dynamic_rules as Time * cost.dynamic_rule_us
+                + outcome.static_rules as Time * cost.static_rule_us,
+        );
+    }
+
+    /// Registration phase of the split-phase protocol: large code text
+    /// streams to the librarian mid-evaluation, tagged with this tree's
+    /// ticket (§4.2).
+    fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
+        self.ctx.phase("result propagation");
+        let bytes = text.physical_wire_size();
+        let msg = SimMsg::Register {
+            ticket: ticket as usize,
+            id,
+            text,
         };
-        let Some(Claimed {
-            key: (ticket, region),
-            payload: bytes,
-            early,
-        }) = claimed
-        else {
-            return false;
+        self.ctx
+            .send(self.sh.librarian(), msg, bytes, "code-segment");
+    }
+
+    /// Routes via the board: the job may have been stolen or reseeded
+    /// by a crash. The board logs the value at send time — so a crash
+    /// cannot lose values still on the wire — and says when nothing is
+    /// to be sent (the job finished; a re-executed producer replaying
+    /// its sends).
+    fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V) {
+        let routed = self.sh.state().board.route(self.me, to, node, attr, &value);
+        if let Some(w) = routed {
+            self.ship(w, to, node, attr, value);
+        }
+    }
+
+    fn root(&mut self, ticket: Ticket, attr: AttrId, value: V) -> Option<V> {
+        let bytes = value.wire_size();
+        let msg = SimMsg::Root {
+            ticket: ticket as usize,
+            attr,
+            value,
         };
-        // Fetch the linearized subtree (point-to-point pull at bus
-        // rate — charged to the claimer, wherever the job ended up),
-        // then build the machine exactly as a `Subtree` arrival does.
-        ctx.phase("ship subtrees");
-        ctx.spend(sh.net.tx_time(bytes));
-        self.activate(ctx, ticket as usize, region, early);
-        true
+        self.ctx.send(PARSER, msg, bytes, "attr");
+        None
+    }
+
+    fn retire(&mut self, key: JobKey) -> bool {
+        self.sh.state().board.retire(self.me, key)
+    }
+
+    fn done(&mut self, (ticket, _): JobKey, result: Result<JobResult<V>, EvalError>) {
+        let failed = match result {
+            Ok((stats, _)) => {
+                self.sh.state().per_machine[self.me] += stats;
+                None
+            }
+            Err(e) => Some(e),
+        };
+        let ticket = ticket as usize;
+        self.ctx
+            .send(PARSER, SimMsg::Done { ticket, failed }, 16, "done");
     }
 }
 
@@ -985,6 +945,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
     fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, _from: ProcId, msg: SimMsg<V>) {
         let sh = Arc::clone(&self.shared);
         let me = self.evaluator;
+        let mut d = SimDriver { ctx, sh: &sh, me };
         match msg {
             SimMsg::Subtree { ticket, region } => {
                 // The parser pushed this region here (fixed placement):
@@ -993,59 +954,38 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                 // crash recovery moved it, or a claim already took it.
                 let taken = sh.state().board.take(me, (ticket as Ticket, region));
                 if let Some(job) = taken {
-                    self.activate(ctx, ticket, region, job.early);
-                    self.pump(ctx);
+                    d.start(&mut self.core, job);
+                    self.core.drive(&mut d);
                 }
             }
             SimMsg::Attr {
-                ticket,
-                region,
+                key,
                 node,
                 attr,
                 value,
             } => {
                 // The sender routed by the board, but the job may have
                 // moved (or finished) while the message was on the wire.
-                let delivery =
-                    sh.state()
-                        .board
-                        .deliver(me, (ticket as Ticket, region), node, attr, value);
+                let delivery = sh.state().board.deliver(me, key, node, attr, value);
                 match delivery {
-                    Delivery::Mine(value) => {
-                        if let Some(machine) = self.machine(ticket, region) {
-                            machine.provide(node, attr, value);
-                        }
-                    }
+                    Delivery::Mine(value) => self.core.feed(&mut d, key, node, attr, value),
                     Delivery::Stored => {}
-                    Delivery::Forward(w, value) => {
-                        let bytes = value.wire_size();
-                        ctx.send(
-                            ProcId(1 + w),
-                            SimMsg::Attr {
-                                ticket,
-                                region,
-                                node,
-                                attr,
-                                value,
-                            },
-                            bytes,
-                            "attr",
-                        );
-                        return;
-                    }
+                    Delivery::Forward(w, value) => return d.ship(w, key, node, attr, value),
                     Delivery::Dropped => return,
                 }
                 // Under fixed placement a job queued here waits for its
                 // pushed subtree, not for a claim: only a crash's wake
                 // makes the fixed park claim.
                 match sh.scheduler {
-                    SchedulerMode::Stealing => self.claim_and_pump(ctx),
-                    SchedulerMode::Fixed => self.pump(ctx),
+                    SchedulerMode::Stealing => d.claim_and_drive(&mut self.core),
+                    SchedulerMode::Fixed => {
+                        self.core.drive(&mut d);
+                    }
                 }
             }
             SimMsg::Wake => {
-                self.claim_and_pump(ctx);
-                self.publish_clock(ctx);
+                d.claim_and_drive(&mut self.core);
+                d.publish_clock();
             }
             _ => {}
         }
@@ -1057,14 +997,20 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
         // board, early values included — survives; it is the sim's
         // stable storage, mirroring the retained parser-side state of
         // the live pool.
-        self.running.clear();
+        self.core.clear();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
-        self.shared.state().board.restart(self.evaluator);
+        let sh = Arc::clone(&self.shared);
+        sh.state().board.restart(self.evaluator);
         // Rejoin the park: claim like any idle machine.
-        self.claim_and_pump(ctx);
-        self.publish_clock(ctx);
+        let mut d = SimDriver {
+            ctx,
+            sh: &sh,
+            me: self.evaluator,
+        };
+        d.claim_and_drive(&mut self.core);
+        d.publish_clock();
     }
 }
 
@@ -1198,14 +1144,16 @@ pub fn run_sim_batch<V: AttrValue>(
 /// A [`SimError`] for input the run cannot accept: no trees, arrivals
 /// that are not one sorted request per tree, or a fault plan that
 /// crashes anything but an evaluator machine (under either
-/// [`SchedulerMode`]).
+/// [`SchedulerMode`]). [`SimError::Eval`] when evaluation fails: a
+/// cycle local to a region, a panicking rule, a plan inconsistency, or
+/// a root value naming a code segment the librarian never received —
+/// the first job to fail ends the run.
 ///
 /// # Panics
 ///
-/// Panics if the trees do not share one grammar, if evaluation fails
-/// (cycle, plan inconsistency, or a root value naming a code segment
-/// the librarian never received) or if the protocol deadlocks —
-/// validate the grammar with the sequential evaluators first.
+/// Panics if the trees do not share one grammar, or if the protocol
+/// deadlocks (a dependency cycle spread over regions does) — validate
+/// the grammar with the sequential evaluators first.
 pub fn run_sim_stream<V: AttrValue>(
     trees: &[Arc<ParseTree<V>>],
     plans: Option<&Arc<Plans>>,
@@ -1258,7 +1206,6 @@ pub fn run_sim_stream<V: AttrValue>(
         trees: trees.to_vec(),
         plan: Arc::new(EvalPlan::from_parts(g, plans.cloned(), None)),
         cost: config.cost,
-        mode: config.mode,
         result: config.result,
         classifier: Arc::clone(&config.classifier),
         depth: pipeline_depth.max(1),
@@ -1284,7 +1231,6 @@ pub fn run_sim_stream<V: AttrValue>(
             roots: vec![Vec::new(); n],
             segstores: HashMap::new(),
             per_machine: vec![EvalStats::default(); machines],
-            error: None,
         }),
         decomps,
     });
@@ -1317,7 +1263,13 @@ pub fn run_sim_stream<V: AttrValue>(
             EvaluatorProc {
                 shared: Arc::clone(&shared),
                 evaluator: r,
-                running: Vec::new(),
+                core: WorkerCore::new(
+                    Arc::clone(&shared.plan),
+                    config.mode,
+                    config.result,
+                    None,
+                    Arc::default(),
+                ),
             },
         );
     }
@@ -1332,8 +1284,8 @@ pub fn run_sim_stream<V: AttrValue>(
     sim.run();
 
     let mut st = shared.state();
-    if let Some(e) = st.error.take() {
-        panic!("simulated parallel evaluation failed: {e}");
+    if let Some(Err(e)) = st.finish.iter().flatten().find(|f| f.is_err()) {
+        return Err(SimError::Eval(e.clone()));
     }
     assert!(
         st.finish
@@ -1350,7 +1302,10 @@ pub fn run_sim_stream<V: AttrValue>(
     let finish_times: Vec<Time> = st
         .finish
         .iter()
-        .map(|f| f.map_or(0, |f| f - eval_start))
+        .map(|f| match f {
+            Some(Ok(t)) => t - eval_start,
+            _ => 0,
+        })
         .collect();
     let per_machine = std::mem::take(&mut st.per_machine);
     let mut stats = EvalStats::default();
@@ -1365,16 +1320,11 @@ pub fn run_sim_stream<V: AttrValue>(
             let store = st.segstores.get(&t).unwrap_or(&empty);
             roots
                 .into_iter()
-                .map(|(a, v)| match v.inflate(store) {
-                    Ok(resolved) => (a, resolved.unwrap_or(v)),
-                    Err(e) => panic!(
-                        "simulated parallel evaluation failed: {}",
-                        EvalError::from(e)
-                    ),
-                })
+                .map(|(a, v)| Ok((a, v.inflate(store)?.unwrap_or(v))))
                 .collect()
         })
-        .collect();
+        .collect::<Result<_, paragram_rope::UnknownSegment>>()
+        .map_err(|e| SimError::Eval(e.into()))?;
     Ok(BatchSimReport {
         makespan: match arrivals {
             Some(_) => sim.now(),
@@ -2455,6 +2405,60 @@ mod tests {
         assert_eq!(
             run(&b.trees, arrivals(&requests_at(&[(5, 0), (5, 0)]))),
             None
+        );
+    }
+
+    /// What fails a job on the worker core fails the run with the
+    /// evaluator's error — no panic unwinding through the simulator, no
+    /// end-of-run deadlock assertion.
+    #[test]
+    fn evaluation_failures_end_the_run_as_errors() {
+        let dynamic = SimConfig {
+            mode: MachineMode::Dynamic,
+            ..SimConfig::paper(2)
+        };
+        let run = |trees: &[Arc<ParseTree<i64>>], plans: Option<&Arc<Plans>>, cfg: &SimConfig| {
+            let granularity = RegionGranularity::Machines(2);
+            let none = FaultPlan::default();
+            run_sim_stream(trees, plans, cfg, 1, granularity, &none, None).err()
+        };
+        // A dependency cycle local to the (only) region.
+        let (good, knot, _, _) = crate::parallel::pool::tests::cyclic_fixture();
+        let failed = run(&[Arc::clone(&good[0]), knot], None, &dynamic);
+        assert!(
+            matches!(failed, Some(SimError::Eval(EvalError::Cycle { .. }))),
+            "{failed:?}"
+        );
+        // A panicking rule: the default hook prints its message to test
+        // stderr once — expected noise.
+        let mut g = GrammarBuilder::<i64>::new();
+        let s = g.nonterminal("S");
+        let out = g.synthesized(s, "out");
+        let boom = g.production("boom", s, []);
+        g.rule(boom, (0, out), [], |_| panic!("rule exploded"));
+        let grammar = Arc::new(g.build(s).unwrap());
+        let plans = Arc::new(compute_plans(&grammar).unwrap());
+        let mut tb = TreeBuilder::new(&grammar);
+        let root = tb.leaf(boom);
+        let tree = Arc::new(tb.finish(root).unwrap());
+        let failed = run(&[tree], Some(&plans), &SimConfig::paper(2));
+        let Some(SimError::Eval(EvalError::RulePanic { message })) = failed else {
+            panic!("expected RulePanic, got {failed:?}");
+        };
+        assert_eq!(message, "rule exploded");
+        // A root value naming a segment the librarian never received.
+        let b = mini_batch(&[(48, 6)]);
+        let lost = FaultPlan::seeded(1).drop_tagged("code-segment", 1000);
+        let granularity = RegionGranularity::Machines(3);
+        let cfg = SimConfig::paper(3);
+        let failed = run_sim_stream(&b.trees, Some(&b.plans), &cfg, 1, granularity, &lost, None);
+        assert!(
+            matches!(
+                failed,
+                Err(SimError::Eval(EvalError::UnknownSegment { .. }))
+            ),
+            "{:?}",
+            failed.err()
         );
     }
 

@@ -17,7 +17,6 @@ use paragram_core::eval::{
 };
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId};
 use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
-use paragram_core::parallel::threads::{run_threads, ThreadConfig};
 use paragram_core::parallel::ResultPropagation;
 use paragram_core::split::{decompose, Decomposition, RegionId, SplitConfig};
 use paragram_core::tree::{AttrStore, ParseTree, TreeBuilder};
@@ -215,13 +214,14 @@ proptest! {
         let dynamic_m = pump_machines(&tree, &plans, &decomp, MachineMode::Dynamic);
         assert_stores_equal(&fx.grammar, &tree, &reference, &dynamic_m, "dynamic machines")?;
 
-        let report = run_threads(&tree, Some(&plans), ThreadConfig {
-            machines,
-            mode: MachineMode::Combined,
+        let plan = Arc::new(EvalPlan::from_parts(&fx.grammar, Some(plans), None));
+        let config = PoolConfig {
             result: ResultPropagation::Naive,
             min_size_scale: scale,
-        }).unwrap();
-        assert_stores_equal(&fx.grammar, &tree, &reference, &report.store, "run_threads")?;
+            ..PoolConfig::barrier(machines)
+        };
+        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
+        assert_stores_equal(&fx.grammar, &tree, &reference, &report.store, "pool")?;
     }
 
     /// Subtree hashing is structural: within and across generated

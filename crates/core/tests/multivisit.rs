@@ -4,9 +4,9 @@
 //! exercise.
 
 use paragram_core::analysis::compute_plans;
-use paragram_core::eval::{dynamic_eval, static_eval, MachineMode};
+use paragram_core::eval::{dynamic_eval, static_eval, EvalPlan};
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram_core::parallel::threads::{run_threads, ThreadConfig};
+use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram_core::parallel::ResultPropagation;
 use paragram_core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
@@ -137,20 +137,15 @@ fn static_matches_dynamic_across_three_visits() {
 fn parallel_machines_handle_three_visit_boundaries() {
     let lg = lang();
     let plans = Arc::new(compute_plans(lg.grammar.as_ref()).unwrap());
+    let plan = Arc::new(EvalPlan::from_parts(&lg.grammar, Some(plans), None));
     let tree = chain(&lg, 30);
     let (d, _) = dynamic_eval(&tree).unwrap();
     for machines in [2usize, 3, 5] {
-        let report = run_threads(
-            &tree,
-            Some(&plans),
-            ThreadConfig {
-                machines,
-                mode: MachineMode::Combined,
-                result: ResultPropagation::Naive,
-                min_size_scale: 1.0,
-            },
-        )
-        .unwrap();
+        let config = PoolConfig {
+            result: ResultPropagation::Naive,
+            ..PoolConfig::barrier(machines)
+        };
+        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
         assert_eq!(report.regions, machines, "three-visit boundaries exist");
         assert_eq!(
             report.store.get(tree.root(), lg.out),

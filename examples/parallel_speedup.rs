@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example parallel_speedup`
 
 use paragram::core::eval::MachineMode;
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::Compiler;
 use std::sync::Arc;
@@ -50,7 +50,8 @@ fn main() {
     }
     let mut base = std::time::Duration::ZERO;
     for machines in [1, 2, 4] {
-        let r = run_threads(&tree, Some(&plans), ThreadConfig::combined(machines))
+        let r = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(machines))
+            .eval(&tree)
             .expect("parallel evaluation succeeds");
         if machines == 1 {
             base = r.elapsed;

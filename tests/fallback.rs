@@ -2,10 +2,10 @@
 //! cannot order still evaluate — sequentially and in parallel — through
 //! the purely dynamic path, with no plans at all.
 
-use paragram::core::eval::{dynamic_eval, Evaluators, MachineMode, Strategy};
+use paragram::core::eval::{dynamic_eval, EvalPlan, Evaluators, MachineMode, Strategy};
 use paragram::core::grammar::{Grammar, GrammarBuilder, ProdId};
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
 use paragram::core::parallel::ResultPropagation;
 use paragram::core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
@@ -136,17 +136,13 @@ fn parallel_dynamic_without_plans_matches_sequential() {
     );
 
     // Threads, no plans.
-    let r = run_threads(
-        &tree,
-        None,
-        ThreadConfig {
-            machines: 3,
-            mode: MachineMode::Dynamic,
-            result: ResultPropagation::Naive,
-            min_size_scale: 1.0,
-        },
-    )
-    .unwrap();
+    let plan = Arc::new(EvalPlan::from_parts(tree.grammar(), None, None));
+    let config = PoolConfig {
+        mode: MachineMode::Dynamic,
+        result: ResultPropagation::Naive,
+        ..PoolConfig::barrier(3)
+    };
+    let r = WorkerPool::new(&plan, config).eval(&tree).unwrap();
     assert!(r.regions > 1, "multi-region dynamic machines on threads");
     assert_eq!(
         r.store.get(tree.root(), paragram::core::grammar::AttrId(0)),

@@ -5,8 +5,8 @@
 //! compiler everywhere.
 
 use paragram::core::eval::{dynamic_eval, static_eval, MachineMode};
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
 use paragram::core::parallel::ResultPropagation;
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{direct, parser, run_asm, Compiler, PVal};
@@ -78,13 +78,13 @@ fn threaded_parallel_compilation_produces_identical_program() {
 
     for machines in [2, 4] {
         for result in [ResultPropagation::Librarian, ResultPropagation::Naive] {
-            let cfg = ThreadConfig {
-                machines,
-                mode: MachineMode::Combined,
+            let config = PoolConfig {
                 result,
-                min_size_scale: 1.0,
+                ..PoolConfig::barrier(machines)
             };
-            let report = run_threads(&tree, Some(&plans), cfg).unwrap();
+            let report = WorkerPool::new(compiler.evals.plan(), config)
+                .eval(&tree)
+                .unwrap();
             let code = report
                 .root_values
                 .iter()
@@ -102,17 +102,13 @@ fn parallel_store_matches_sequential_store_instance_by_instance() {
     let tree = compiler.tree_from_source(&src).unwrap();
     let plans = Arc::clone(compiler.evals.plans().unwrap());
     let (seq, _) = static_eval(&tree, &plans).unwrap();
-    let report = run_threads(
-        &tree,
-        Some(&plans),
-        ThreadConfig {
-            machines: 3,
-            mode: MachineMode::Combined,
-            result: ResultPropagation::Naive, // no segment indirection
-            min_size_scale: 1.0,
-        },
-    )
-    .unwrap();
+    let config = PoolConfig {
+        result: ResultPropagation::Naive, // no segment indirection
+        ..PoolConfig::barrier(3)
+    };
+    let report = WorkerPool::new(compiler.evals.plan(), config)
+        .eval(&tree)
+        .unwrap();
     assert_eq!(report.store.filled(), seq.filled());
     let g = tree.grammar();
     for node in tree.node_ids() {

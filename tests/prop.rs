@@ -3,9 +3,9 @@
 //! the same attribute values on the same tree.
 
 use paragram::core::analysis::compute_plans;
-use paragram::core::eval::{dynamic_eval, static_eval, MachineMode};
+use paragram::core::eval::{dynamic_eval, static_eval, EvalPlan};
 use paragram::core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram::core::parallel::ResultPropagation;
 use paragram::core::split::{decompose, SplitConfig};
 use paragram::core::tree::{ParseTree, TreeBuilder};
@@ -135,17 +135,14 @@ proptest! {
         let g = fixture();
         let tree = build_tree(&g, &shape);
         let plans = Arc::new(compute_plans(g.grammar.as_ref()).unwrap());
+        let plan = Arc::new(EvalPlan::from_parts(&g.grammar, Some(plans), None));
         let (d, _) = dynamic_eval(&tree).unwrap();
-        let report = run_threads(
-            &tree,
-            Some(&plans),
-            ThreadConfig {
-                machines,
-                mode: MachineMode::Combined,
-                result: ResultPropagation::Naive,
-                min_size_scale: scale,
-            },
-        ).unwrap();
+        let config = PoolConfig {
+            result: ResultPropagation::Naive,
+            min_size_scale: scale,
+            ..PoolConfig::barrier(machines)
+        };
+        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
         all_attrs_equal(&g.grammar, &tree, &d, &report.store)?;
     }
 
