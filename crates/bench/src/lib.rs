@@ -104,18 +104,6 @@ pub fn simulate(w: &Workload, machines: usize, mode: MachineMode) -> SimReport<P
     run_sim(&w.tree, Some(&w.plans), &cfg)
 }
 
-/// Nearest-rank percentile (`p` in 1..=100) of an unsorted sample.
-/// Returns 0 for an empty sample.
-pub fn percentile(samples: &[u64], p: usize) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (p * sorted.len()).div_ceil(100).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Formats a µs time as seconds with 2 decimals.
 pub fn fmt_secs(us: u64) -> String {
     format!("{:6.2}s", us as f64 / 1e6)

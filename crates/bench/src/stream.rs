@@ -1,12 +1,11 @@
-//! Seeded open-arrival request streams for the service benchmarks.
+//! Seeded open-arrival request streams for the service measurements.
 //!
-//! `bench_latency` measures a *service*, so its input is not a batch
-//! but a **request stream**: who arrives when, with what size of
-//! compilation unit, billed to which tenant. This module generates
-//! those streams deterministically — same seed, same stream — so the
-//! wall-clock service and the simulated service replay identical
-//! arrival schedules, and a regenerated `BENCH_latency.json` is
-//! comparable run to run.
+//! A *service* is measured on a **request stream**, not a batch: who
+//! arrives when, with what size of compilation unit, billed to which
+//! tenant. This module generates those streams deterministically —
+//! same seed, same stream — so the benchmark's wall-clock service and
+//! the simulated service (the dispatch-policy and crash-recovery pins
+//! in `tests/golden_sim.rs`) replay identical arrival schedules.
 //!
 //! Interarrival gaps are exponential (Poisson arrivals, the standard
 //! open-arrival model), sampled from the integer-only [`rand`] shim by
@@ -37,16 +36,6 @@ pub enum SizeClass {
 }
 
 impl SizeClass {
-    /// Short stable name (JSON keys, report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SizeClass::Proc => "proc",
-            SizeClass::Unit => "unit",
-            SizeClass::Paper => "paper",
-            SizeClass::Huge => "huge",
-        }
-    }
-
     /// The generator shape for this class, with `seed` varying the
     /// program (distinct seeds give distinct sources of the same
     /// shape).
@@ -131,16 +120,9 @@ impl StreamConfig {
         }
     }
 
-    /// Returns the stream with the given duplicated-traffic fraction
-    /// (clamped to 0.0–1.0); the arrival schedule is unchanged.
-    pub fn with_template_fraction(mut self, fraction: f64) -> Self {
-        self.template_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// The same stream shape with every class at or above `cap`
-    /// replaced by `cap` (smoke runs substitute `Paper` for `Huge` to
-    /// stay seconds-scale while keeping the skew).
+    /// replaced by `cap` (the simulator pins substitute `Paper` for
+    /// `Huge` to stay seconds-scale while keeping the skew).
     pub fn capped(mut self, cap: SizeClass) -> Self {
         let rank = |c: SizeClass| match c {
             SizeClass::Proc => 0,
@@ -298,7 +280,10 @@ mod tests {
     fn template_fraction_duplicates_seeds_without_touching_the_schedule() {
         let base = StreamConfig::skewed(400, 11);
         let plain = generate_stream(&base);
-        let templated = generate_stream(&base.clone().with_template_fraction(0.5));
+        let templated = generate_stream(&StreamConfig {
+            template_fraction: 0.5,
+            ..base.clone()
+        });
         // Identical schedule, tenants and classes at any fraction.
         for (a, b) in plain.iter().zip(&templated) {
             assert_eq!(a.arrival, b.arrival);
@@ -315,7 +300,10 @@ mod tests {
             "≈50% of 400 requests should duplicate, got {dups}"
         );
         // Fraction 0 is byte-identical to the unfractioned stream.
-        let zero = generate_stream(&base.clone().with_template_fraction(0.0));
+        let zero = generate_stream(&StreamConfig {
+            template_fraction: 0.0,
+            ..base
+        });
         for (a, b) in plain.iter().zip(&zero) {
             assert_eq!(a.seed, b.seed);
         }

@@ -43,8 +43,8 @@
 //! [`run_program_segment`] is the interpreter (generic over
 //! [`crate::tree::AttrSlots`], so region machines execute the same
 //! programs over their `RegionStore`s); [`run_static_segment`] remains
-//! as the reference segment walker for equivalence tests and the
-//! `bench_dynamic --programs-vs-segments` comparison axis.
+//! as the reference segment walker the equivalence tests compare
+//! against.
 
 mod dynamic;
 mod incremental;

@@ -13,9 +13,7 @@
 //!   format) whose inner loop is a match on opcodes with pre-resolved
 //!   operands and devirtualized rule dispatch.
 //! * [`run_static_segment`] — the reference segment walker over the raw
-//!   analysis artifact, kept for equivalence testing and as the
-//!   benchmark comparison baseline (`bench_dynamic
-//!   --programs-vs-segments`).
+//!   analysis artifact, kept as the equivalence tests' oracle.
 //!
 //! Both are iterative (explicit frame stack, reused across calls via
 //! [`EvalScratch`]) so deep parse trees — statement lists are a linear

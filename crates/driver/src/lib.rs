@@ -123,13 +123,12 @@ pub use service::{
     ServiceQueue, ServiceStats,
 };
 
-use paragram_core::eval::{EvalError, EvalPlan, MachineMode};
+use paragram_core::eval::{EvalError, EvalPlan};
 use paragram_core::grammar::{AttrId, Grammar};
 use paragram_core::memo::{InstallPolicy, MemoCounters};
 use paragram_core::parallel::pool::{
     FaultCounters, PoolConfig, PoolReport, SchedCounters, SchedulerMode, WorkerPool,
 };
-use paragram_core::parallel::ResultPropagation;
 use paragram_core::split::RegionGranularity;
 use paragram_core::stats::EvalStats;
 use paragram_core::tree::{AttrStore, ParseTree};
@@ -138,18 +137,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Driver configuration: pool shape and evaluation strategy.
+/// Driver configuration: pool shape and evaluation strategy. The pool
+/// always runs the best machine mode the plan supports (combined when
+/// the grammar is l-ordered, dynamic otherwise) with librarian result
+/// propagation.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Number of persistent evaluator threads.
     pub workers: usize,
-    /// Machine mode override; `None` picks the best the plan supports
-    /// (combined when the grammar is l-ordered, dynamic otherwise).
-    pub mode: Option<MachineMode>,
-    /// Result propagation strategy.
-    pub result: ResultPropagation,
-    /// Split-granularity scale (the paper's runtime argument).
-    pub min_size_scale: f64,
     /// Trees kept in flight on the pool at once (see
     /// [`paragram_core::parallel::pool::PoolConfig::pipeline_depth`]).
     /// Depth 1 is the strict per-tree barrier; the default is two per
@@ -187,15 +182,12 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// Librarian propagation, best available mode, `n` workers, the
-    /// default pipeline window of two trees per worker.
+    /// `n` workers and the default pipeline window of two trees per
+    /// worker.
     pub fn workers(n: usize) -> Self {
         let workers = n.max(1);
         DriverConfig {
             workers,
-            mode: None,
-            result: ResultPropagation::Librarian,
-            min_size_scale: 1.0,
             pipeline_depth: 2 * workers,
             granularity: None,
             memo_capacity: 0,
@@ -254,13 +246,6 @@ impl DriverConfig {
     pub fn with_scheduler(self, scheduler: SchedulerMode) -> Self {
         DriverConfig { scheduler, ..self }
     }
-
-    /// The effective granularity: the override, or one region per
-    /// worker.
-    pub fn effective_granularity(&self) -> RegionGranularity {
-        self.granularity
-            .unwrap_or(RegionGranularity::Machines(self.workers))
-    }
 }
 
 impl Default for DriverConfig {
@@ -308,10 +293,23 @@ impl<V: AttrValue> CompilationPlan<V> {
         self.config
     }
 
-    /// The machine mode the driver will run: the configured override,
-    /// or the best the plan supports.
-    pub fn mode(&self) -> MachineMode {
-        self.config.mode.unwrap_or_else(|| self.plan.best_mode())
+    /// The configuration of the pool a [`BatchDriver`] or
+    /// [`ServiceQueue`] spawns for this plan: the best machine mode the
+    /// plan supports, and at most one region per worker unless a
+    /// granularity is configured.
+    pub(crate) fn pool_config(&self) -> PoolConfig {
+        let cfg = self.config;
+        PoolConfig {
+            mode: self.plan.best_mode(),
+            pipeline_depth: cfg.pipeline_depth,
+            granularity: cfg
+                .granularity
+                .unwrap_or(RegionGranularity::Machines(cfg.workers)),
+            memo_capacity: cfg.memo_capacity,
+            memo_install: cfg.memo_install,
+            scheduler: cfg.scheduler,
+            ..PoolConfig::combined(cfg.workers)
+        }
     }
 }
 
@@ -476,23 +474,8 @@ pub struct BatchDriver<V: AttrValue> {
 impl<V: AttrValue> BatchDriver<V> {
     /// Spawns the worker pool (`workers` threads) for `plan`.
     pub fn new(plan: &CompilationPlan<V>) -> Self {
-        let cfg = plan.config();
-        let pool = WorkerPool::new(
-            plan.eval_plan(),
-            PoolConfig {
-                workers: cfg.workers,
-                mode: plan.mode(),
-                result: cfg.result,
-                min_size_scale: cfg.min_size_scale,
-                pipeline_depth: cfg.pipeline_depth,
-                granularity: cfg.effective_granularity(),
-                memo_capacity: cfg.memo_capacity,
-                memo_install: cfg.memo_install,
-                scheduler: cfg.scheduler,
-            },
-        );
         BatchDriver {
-            pool,
+            pool: WorkerPool::new(plan.eval_plan(), plan.pool_config()),
             trees_compiled: 0,
         }
     }
@@ -633,7 +616,7 @@ impl<V: AttrValue> fmt::Debug for BatchDriver<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragram_core::eval::dynamic_eval;
+    use paragram_core::eval::{dynamic_eval, MachineMode};
     use paragram_core::grammar::GrammarBuilder;
     use paragram_core::tree::TreeBuilder;
     use paragram_core::value::Value;
@@ -733,7 +716,7 @@ mod tests {
     fn driver_uses_best_mode_and_reports_regions() {
         let (gr, top, cons, nil, _) = grammar();
         let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(4));
-        assert_eq!(plan.mode(), MachineMode::Combined);
+        assert_eq!(plan.eval_plan().best_mode(), MachineMode::Combined);
         let mut driver = BatchDriver::new(&plan);
         let output = driver
             .compile_tree(&chain(&gr, top, cons, nil, 64))
@@ -798,7 +781,11 @@ mod tests {
             Arc::new(tb.finish(root).unwrap())
         };
         let plan = CompilationPlan::analyze(&gr, DriverConfig::barrier(2));
-        assert_eq!(plan.mode(), MachineMode::Dynamic, "cyclic grammar");
+        assert_eq!(
+            plan.eval_plan().best_mode(),
+            MachineMode::Dynamic,
+            "cyclic grammar"
+        );
         let mut driver = BatchDriver::new(&plan);
         let batch = [mk(ok), mk(ok), mk(ok), mk(knot), mk(ok)];
         let err = driver.compile_batch(batch).map(|_| ()).unwrap_err();
@@ -817,21 +804,5 @@ mod tests {
             report.faults,
             paragram_core::parallel::pool::FaultCounters::default()
         );
-    }
-
-    #[test]
-    fn dynamic_mode_override_is_respected() {
-        let (gr, top, cons, nil, out) = grammar();
-        let config = DriverConfig {
-            mode: Some(MachineMode::Dynamic),
-            ..DriverConfig::workers(2)
-        };
-        let plan = CompilationPlan::analyze(&gr, config);
-        let mut driver = BatchDriver::new(&plan);
-        let tree = chain(&gr, top, cons, nil, 20);
-        let output = driver.compile_tree(&tree).unwrap();
-        assert_eq!(output.stats.static_applied, 0);
-        let (dstore, _) = dynamic_eval(&tree).unwrap();
-        assert_eq!(output.root_value(out), dstore.get(tree.root(), out));
     }
 }

@@ -29,14 +29,15 @@
 //!   arrival source dictates.
 //!
 //! Every request carries [`RequestTimes`]: enqueue → admit → first
-//! region dispatched → assembled, the measurement points
-//! `bench_latency` turns into per-size-class percentiles.
+//! region dispatched → assembled, the measurement points the
+//! benchmark's `service_open` workload turns into queueing and service
+//! percentiles.
 
 use crate::{CompilationPlan, TreeOutput};
 use paragram_core::eval::EvalError;
 use paragram_core::memo::MemoCounters;
 use paragram_core::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use paragram_core::parallel::pool::{FaultCounters, PoolConfig, SchedCounters, WorkerPool};
+use paragram_core::parallel::pool::{FaultCounters, SchedCounters, WorkerPool};
 use paragram_core::tree::ParseTree;
 use paragram_core::value::AttrValue;
 use std::collections::{HashMap, VecDeque};
@@ -294,23 +295,8 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// Spawns the worker pool (`workers` threads) and an empty waiting
     /// room.
     pub fn new(plan: &CompilationPlan<V>, service: ServiceConfig) -> Self {
-        let cfg = plan.config();
-        let pool = WorkerPool::new(
-            plan.eval_plan(),
-            PoolConfig {
-                workers: cfg.workers,
-                mode: plan.mode(),
-                result: cfg.result,
-                min_size_scale: cfg.min_size_scale,
-                pipeline_depth: cfg.pipeline_depth,
-                granularity: cfg.effective_granularity(),
-                memo_capacity: cfg.memo_capacity,
-                memo_install: cfg.memo_install,
-                scheduler: cfg.scheduler,
-            },
-        );
         ServiceQueue {
-            pool,
+            pool: WorkerPool::new(plan.eval_plan(), plan.pool_config()),
             queue: PolicyQueue::new(service.policy),
             trees: HashMap::new(),
             tenants: HashMap::new(),

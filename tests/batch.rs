@@ -6,18 +6,21 @@
 //! overlap in flight), and regardless of how often it is repeated on
 //! the same pool.
 //!
-//! Three `#[ignore]`d tests extend the matrix on CI (`cargo test --
+//! Four `#[ignore]`d tests extend the matrix on CI (`cargo test --
 //! --ignored` runs them): the split-phase librarian property test
 //! (randomized out-of-order `Register`/`Resolve` interleavings), the
 //! region-granular determinism matrix, which pushes a
 //! `GenConfig::huge()` single tree through the adaptive pool at depths
-//! 1/2/4 × workers 1/2/8, and the region-local store slot audit, which
+//! 1/2/4 × workers 1/2/8, the region-local store slot audit, which
 //! pins (via the debug-build allocated-slot counter) that huge-tree
-//! region machines allocate O(region), not O(tree), slots. A
-//! seconds-scale region-granular smoke stays in the default set.
+//! region machines allocate O(region), not O(tree), slots, and the
+//! huge tree's wall-clock retire share (CI also runs that one in a
+//! release build). A seconds-scale region-granular smoke stays in the
+//! default set.
 
 use paragram::core::eval::{static_eval, Machine, MachineScratch};
 use paragram::core::grammar::AttrId;
+use paragram::core::memo::InstallPolicy;
 use paragram::core::parallel::pool::{SchedulerMode, SegmentLedger};
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
@@ -26,6 +29,7 @@ use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{Compiler, PVal};
 use paragram::rope::{Rope, SegmentId, SegmentStore};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn sources() -> Vec<String> {
     let mut srcs = vec![
@@ -779,6 +783,115 @@ fn killed_worker_leaves_batch_output_byte_identical() {
             }
         }
     }
+}
+
+/// The cross-request memo cache on three streams of separately parsed
+/// trees: duplicated (8 trees from 2 sources), sharing a two-cluster
+/// template prefix, and i.i.d. Each runs memo off, memo on and memo on
+/// with second-touch installs, a cold pass then a warm pass of the same
+/// pool. Every arm matches memo off tree by tree. On the duplicated
+/// stream the warm pass hits, deferring first-touch installs keeps the
+/// warm hit rate, and the cold pass defers.
+#[test]
+fn memo_on_matches_memo_off_and_second_touch_keeps_the_warm_hit_rate() {
+    let compiler = Compiler::new();
+    let plan = compiler.evals.plan();
+    let stream = |distinct: u64, template_clusters| -> Vec<Arc<ParseTree<PVal>>> {
+        (0..8)
+            .map(|i| {
+                let src = generate(&GenConfig {
+                    clusters: 3,
+                    procs_per_cluster: 2,
+                    stmts_per_proc: 4,
+                    nesting: 1,
+                    seed: 9_000 + i % distinct,
+                    template_clusters,
+                });
+                compiler.tree_from_source(&src).unwrap()
+            })
+            .collect()
+    };
+    for (name, trees) in [
+        ("duplicated", stream(2, 0)),
+        ("shared_prefix", stream(8, 2)),
+        ("iid", stream(8, 0)),
+    ] {
+        // The memo caches leaf regions, and only cost-driven carving
+        // roots them at memo-safe procedure bodies.
+        let budget = (plan.tree_work(&trees[0]) / 16).max(1);
+        let off = DriverConfig::workers(4)
+            .with_pipeline_depth(2)
+            .with_adaptive_budget(budget);
+        let cold_and_warm = |config| {
+            let mut driver = BatchDriver::new(&CompilationPlan::from_plan(plan, config));
+            [0, 1].map(|_| driver.compile_batch(trees.iter().cloned()).unwrap())
+        };
+        let [off_cold, off_warm] = cold_and_warm(off);
+        let on = off.with_memo_capacity(64 << 20);
+        let [on_cold, on_warm] = cold_and_warm(on);
+        let [tq_cold, tq_warm] = cold_and_warm(on.with_memo_install(InstallPolicy::SecondTouch));
+        for (arm, got, want) in [
+            ("cold", &on_cold, &off_cold),
+            ("warm", &on_warm, &off_warm),
+            ("second-touch cold", &tq_cold, &off_cold),
+            ("second-touch warm", &tq_warm, &off_warm),
+        ] {
+            for (i, tree) in trees.iter().enumerate() {
+                let (got, want) = (&got.outputs[i], &want.outputs[i]);
+                assert_eq!(
+                    store_snapshot(tree, &got.store),
+                    store_snapshot(tree, &want.store),
+                    "{name} {arm}: tree {i} store differs with the memo on"
+                );
+                assert_eq!(
+                    got.root_values, want.root_values,
+                    "{name} {arm}: tree {i} roots differ with the memo on"
+                );
+            }
+        }
+        if name == "duplicated" {
+            let warm = on_warm.memo.unwrap();
+            let tq_warm = tq_warm.memo.unwrap();
+            let tq_cold = tq_cold.memo.unwrap();
+            assert!(warm.hits > 0, "{warm:?}");
+            assert!(
+                tq_warm.hit_rate() >= warm.hit_rate() - 0.01,
+                "second-touch warm hit rate {:.3} against {:.3}",
+                tq_warm.hit_rate(),
+                warm.hit_rate()
+            );
+            assert!(tq_cold.deferred > 0, "{tq_cold:?}");
+        }
+    }
+}
+
+/// Retiring a tree — taking its segments from the ledger, sizing the
+/// whole-tree store and absorbing the region stores into it — is a
+/// bounded share of its pool time: on the huge tree, `assemble /
+/// (elapsed + assemble)`, each the fastest of five runs, stays ≤ 0.40.
+/// It read 0.6–0.7 while retirement re-walked every code rope. A wall
+/// clock gate, so it is ignored by default.
+#[test]
+#[ignore = "wall-clock huge-tree gate; run with cargo test -- --ignored (CI does, in debug and in release)"]
+fn huge_tree_retire_share_stays_under_0_40() {
+    let compiler = Compiler::new();
+    let huge = compiler
+        .tree_from_source(&generate(&GenConfig::huge()))
+        .unwrap();
+    let config = DriverConfig::workers(4).with_pipeline_depth(2);
+    let (mut elapsed, mut assemble) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+        let output = BatchDriver::new(&plan).compile_tree(&huge).unwrap();
+        elapsed = elapsed.min(output.elapsed);
+        assemble = assemble.min(output.assemble);
+    }
+    let share = assemble.as_secs_f64() / (elapsed + assemble).as_secs_f64();
+    assert!(
+        share <= 0.40,
+        "retiring the huge tree took {share:.2} of its pool time \
+         ({assemble:?} after {elapsed:?}): is retirement walking code text again?"
+    );
 }
 
 #[test]

@@ -166,10 +166,11 @@ mod chaos {
     }
 }
 
-/// The recovery bound the bench smoke also enforces: losing one of
-/// four machines for a bounded downtime cannot blow the makespan past
-/// 2x fault-free (the re-executed regions fit in the survivors' slack;
-/// the CI smoke pins the tighter 1.25x bound on the service stream).
+/// A recovery bound: losing one of four machines for a bounded downtime
+/// cannot blow the makespan past 2x fault-free (the re-executed regions
+/// fit in the survivors' slack; `crash_recovery_on_the_service_stream_is_pinned`
+/// in `crates/bench/tests/golden_sim.rs` holds the tighter 1.25x bound
+/// on the service stream).
 #[test]
 fn crash_recovery_makespan_stays_bounded() {
     let compiler = Compiler::new();
