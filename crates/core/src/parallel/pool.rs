@@ -57,8 +57,8 @@
 //!
 //! ```text
 //! submit(tree)
-//!   │ carve                         fixed-count (Machines) or
-//!   │                               cost-driven (Adaptive budget)
+//!   │ carve                         ≤ workers regions (the default)
+//!   │                               or cost-driven (adaptive budget)
 //!   ▼
 //! ticket t ──┬─ job (t,0) ─▶ worker w(t,0)    one Machine per job;
 //!            ├─ job (t,1) ─▶ worker w(t,1)    workers multiplex their
@@ -92,37 +92,42 @@
 //! no remote dependency exists) and retirement adopts the store it
 //! filled. Such a job runs to completion when its worker takes it up,
 //! rather than taking turns with that worker's machines; it is short by
-//! construction (below twice the hand-off floor under `Machines`, about
-//! 1.6 ms of evaluation; under an `Adaptive` budget, a tree with one
+//! construction (by default below twice the hand-off floor, about
+//! 1.6 ms of evaluation; under an adaptive budget, a tree with one
 //! budget's work or nowhere to split), which bounds how long an older
 //! machine on that worker waits for its next step. Under either
 //! scheduler it is the ticket's one board job, which a crash
 //! re-executes from nothing, and with the memo on it keeps the root
-//! region's contract: probe, replay or evaluate, install at retirement. A pool running
-//! [`MachineMode::Dynamic`] (its grammar may not be l-ordered, so there
-//! may be no visit program to run) keeps the one-region machine.
+//! region's contract: probe, replay or evaluate, install at retirement.
+//!
+//! The pool reads its machine mode off the plan
+//! ([`EvalPlan::best_mode`]) and always propagates results through the
+//! librarian; naive propagation (§4.2's ablation) is the simulator's. A
+//! pool whose plan has no visit programs (its grammar is not l-ordered,
+//! §4.1) runs [`crate::eval::MachineMode::Dynamic`] machines and has no
+//! whole-tree job to run: a tree that stays whole is a one-region
+//! machine.
 //!
 //! Because regions — not trees — are the work items, a single huge tree
 //! decomposed into many budget-sized regions
 //! ([`crate::split::decompose_adaptive`], selected with
-//! [`RegionGranularity::Adaptive`]) fills the worker park exactly like
-//! a batch of small trees does, and mixed streams of huge and tiny
+//! [`PoolConfig::with_adaptive_budget`]) fills the worker park exactly
+//! like a batch of small trees does, and mixed streams of huge and tiny
 //! trees interleave at region granularity: there is no head-of-line
 //! blocking behind a big tree's longest region, because every worker
 //! holds several of the big tree's regions and any younger tree's
-//! regions besides. [`RegionGranularity::Machines`] (the default,
-//! regions ≤ workers) is the paper's fixed one-region-per-machine
-//! decomposition *with the paper's granularity argument applied to
-//! threads*: §3 gives every `%split` nonterminal a minimum size so a
-//! subtree too small to repay shipping is never split off, and the pool
-//! asks for `min(n, tree_work / MIN_REGION_WORK)` regions (at least
-//! one), so a tree below twice the hand-off cost stays whole and is one
-//! whole-tree job. The floor is a private constant of this file whose
-//! doc comment carries the measured crossover; a paper-sized tree
-//! (≥ 25 k nodes) is far above it and decomposes exactly as before. An explicit
-//! [`RegionGranularity::Adaptive`] budget is not floored, and neither
-//! is the simulator, whose hand-off cost is the modelled network and
-//! whose minima are the grammar's.
+//! regions besides. The default cut (regions ≤ workers) is the paper's
+//! fixed one-region-per-machine decomposition *with the paper's
+//! granularity argument applied to threads*: §3 gives every `%split`
+//! nonterminal a minimum size so a subtree too small to repay shipping
+//! is never split off, and the pool asks for
+//! `min(workers, tree_work / MIN_REGION_WORK)` regions (at least one),
+//! so a tree below twice the hand-off cost stays whole and is one
+//! whole-tree job. The floor is [`MIN_REGION_WORK`], whose doc comment
+//! carries the measured crossover; a paper-sized tree (≥ 25 k nodes) is
+//! far above it and decomposes exactly as before. An explicit adaptive
+//! budget is not floored, and neither is the simulator, whose hand-off
+//! cost is the modelled network and whose minima are the grammar's.
 //!
 //! # Cross-tree pipelining
 //!
@@ -241,9 +246,12 @@
 //! window full (what `paragram-driver`'s batch driver does), or the
 //! one-shot [`WorkerPool::eval`] when compiling a single tree.
 
-use crate::eval::{EvalError, EvalPlan, MachineMode};
+use crate::analysis::Plans;
+use crate::eval::{EvalError, EvalPlan, VisitPrograms};
 use crate::grammar::{AttrId, AttrKind};
-use crate::memo::{inherited_fingerprint, MemoCache, MemoCounters, MemoEntry, MemoKey};
+use crate::memo::{
+    inherited_fingerprint, InstallPolicy, MemoCache, MemoCounters, MemoEntry, MemoKey,
+};
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
 use crate::tree::{AttrStore, NodeId, ParseTree};
@@ -256,7 +264,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery, JobKey};
-use super::worker::{Driver, Finished, JobResult, WorkerCore};
+use super::worker::{Cut, Driver, Finished, JobResult, WorkerCore};
 use super::ResultPropagation;
 
 /// Identifies one tree's pass through the pool (monotone, assigned at
@@ -383,22 +391,21 @@ impl std::fmt::Display for TicketFailure {
 
 impl std::error::Error for TicketFailure {}
 
-/// Configuration for a [`WorkerPool`].
+/// Configuration for a [`WorkerPool`] — and, re-exported as
+/// `paragram_driver::DriverConfig`, for the batch driver and the
+/// service queue that own one. It holds only what a deployment
+/// chooses: the pool reads its machine mode off the plan
+/// ([`EvalPlan::best_mode`]), always propagates results through the
+/// librarian, and splits at the grammar's own `%split` minima.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of persistent evaluator threads — all the threads the
-    /// pool runs. Under the default fixed-count granularity this is
-    /// also the most regions a tree is cut into (a tree whose work does
-    /// not repay shipping that many is cut into fewer, a small one not
-    /// at all); under adaptive granularity a tree may decompose into
-    /// more regions than workers, which then round-robin over the pool.
+    /// pool runs. Without an adaptive budget this is also the most
+    /// regions a tree is cut into (a tree whose work does not repay
+    /// shipping that many is cut into fewer, a small one not at all);
+    /// under one a tree may decompose into more regions than workers,
+    /// which then round-robin over the pool.
     pub workers: usize,
-    /// Combined or purely dynamic machines.
-    pub mode: MachineMode,
-    /// Result propagation strategy.
-    pub result: ResultPropagation,
-    /// Split-granularity scale.
-    pub min_size_scale: f64,
     /// Maximum number of trees in flight at once. Depth 1 is the strict
     /// per-tree barrier. The constructors' default is two per worker:
     /// a small tree is one job on one worker, so that is what keeps
@@ -407,22 +414,23 @@ pub struct PoolConfig {
     /// region jobs fill workers idling behind the current tree's
     /// stragglers.
     pub pipeline_depth: usize,
-    /// How trees are carved into region jobs:
-    /// [`RegionGranularity::Machines`] (at most one region per worker
-    /// and none below the hand-off cost — the paper's decomposition and
-    /// the constructors' default) or
-    /// [`RegionGranularity::Adaptive`] (one region per work budget, so
-    /// a huge tree yields many jobs that round-robin over the workers).
-    pub granularity: RegionGranularity,
+    /// Cost-driven decomposition: `Some(budget)` carves every tree into
+    /// regions of ≈`budget` work units (rule-cost units; see
+    /// [`crate::split::decompose_adaptive`]), independent of the worker
+    /// count, so a huge tree yields many jobs that round-robin over the
+    /// workers. `None` (the default) cuts at most `workers` regions and
+    /// none below [`MIN_REGION_WORK`] — the paper's decomposition.
+    pub adaptive_budget: Option<u64>,
     /// Byte budget for the cross-tree attribute memo cache
     /// ([`crate::memo::MemoCache`]); 0 (the default everywhere)
     /// disables memoization entirely, keeping the paper's Fig-7
     /// behaviour bit-for-bit.
     pub memo_capacity: usize,
     /// Memo install policy (only meaningful with a non-zero
-    /// `memo_capacity`): install every cacheable span at retirement, or
-    /// defer to the second touch of a subtree (scan resistance).
-    pub memo_install: crate::memo::InstallPolicy,
+    /// `memo_capacity`): install every cacheable span at retirement
+    /// (the default), or defer to the second touch of a subtree (scan
+    /// resistance).
+    pub memo_install: InstallPolicy,
     /// Region-job placement: the paper's fixed modular seeding (the
     /// default everywhere, keeping Fig-7 schedules bit-for-bit) or the
     /// locality-aware work-stealing scheduler. Crash recovery
@@ -431,38 +439,26 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Combined evaluation on `n` workers with librarian propagation
-    /// and the default pipeline window of two trees per worker.
-    pub fn combined(n: usize) -> Self {
+    /// `n` workers (at least one) and the default pipeline window of
+    /// two trees per worker.
+    pub fn workers(n: usize) -> Self {
+        let workers = n.max(1);
         PoolConfig {
-            workers: n,
-            mode: MachineMode::Combined,
-            result: ResultPropagation::Librarian,
-            min_size_scale: 1.0,
-            pipeline_depth: 2 * n.max(1),
-            granularity: RegionGranularity::Machines(n),
+            workers,
+            pipeline_depth: 2 * workers,
+            adaptive_budget: None,
             memo_capacity: 0,
-            memo_install: crate::memo::InstallPolicy::Always,
+            memo_install: InstallPolicy::Always,
             scheduler: SchedulerMode::Fixed,
         }
     }
 
-    /// Same as [`PoolConfig::combined`] but with the strict one-tree
-    /// barrier (pipeline depth 1).
+    /// Same as [`PoolConfig::workers`] with the strict one-tree barrier
+    /// (pipeline depth 1).
     pub fn barrier(n: usize) -> Self {
         PoolConfig {
             pipeline_depth: 1,
-            ..PoolConfig::combined(n)
-        }
-    }
-
-    /// Same as [`PoolConfig::combined`] but with cost-driven
-    /// region-granular decomposition: every tree is carved into regions
-    /// of ≈`budget` work units, independent of the worker count.
-    pub fn adaptive(n: usize, budget: u64) -> Self {
-        PoolConfig {
-            granularity: RegionGranularity::Adaptive { budget },
-            ..PoolConfig::combined(n)
+            ..PoolConfig::workers(n)
         }
     }
 
@@ -474,10 +470,12 @@ impl PoolConfig {
         }
     }
 
-    /// Returns the configuration with the given region granularity.
-    pub fn with_granularity(self, granularity: RegionGranularity) -> Self {
+    /// Returns the configuration with cost-driven decomposition into
+    /// regions of ≈`budget` work units (see
+    /// [`PoolConfig::adaptive_budget`]).
+    pub fn with_adaptive_budget(self, budget: u64) -> Self {
         PoolConfig {
-            granularity,
+            adaptive_budget: Some(budget),
             ..self
         }
     }
@@ -492,7 +490,7 @@ impl PoolConfig {
     }
 
     /// Returns the configuration with the given memo install policy.
-    pub fn with_memo_install(self, policy: crate::memo::InstallPolicy) -> Self {
+    pub fn with_memo_install(self, policy: InstallPolicy) -> Self {
         PoolConfig {
             memo_install: policy,
             ..self
@@ -516,6 +514,12 @@ impl PoolConfig {
             pipeline_depth: self.pipeline_depth.max(1),
             ..self
         }
+    }
+}
+
+impl Default for PoolConfig {
+    fn default() -> Self {
+        PoolConfig::workers(4)
     }
 }
 
@@ -574,7 +578,9 @@ impl SegmentLedger {
     }
 
     /// Resolves `ticket`: removes and returns its segment store (empty
-    /// if the ticket registered nothing, e.g. naive propagation).
+    /// if the ticket registered nothing: its values stayed below the
+    /// deflation threshold, or — in the simulator — it ran under naive
+    /// propagation).
     pub fn resolve(&mut self, ticket: Ticket) -> SegmentStore {
         self.tickets.remove(&ticket).unwrap_or_default()
     }
@@ -601,8 +607,8 @@ pub struct PoolReport<V: AttrValue> {
     pub store: AttrStore<V>,
     /// The librarian's segment store for this tree's ticket: what its
     /// regions registered. Empty for a ticket that was one whole-tree
-    /// job (`regions == 1` on a combined-mode pool) — nothing crossed a
-    /// boundary, so nothing was registered.
+    /// job (`regions == 1` on a pool whose plan has visit programs) —
+    /// nothing crossed a boundary, so nothing was registered.
     pub segments: SegmentStore,
     /// Aggregated statistics.
     pub stats: EvalStats,
@@ -630,12 +636,12 @@ pub struct PoolReport<V: AttrValue> {
     pub regions: usize,
 }
 
-/// What a worker needs to run a job: the tree and, for a region job,
-/// the decomposition its machine is built over. `None` is the
-/// **whole-tree job** of a ticket that was not cut: nothing crosses a
-/// boundary, so there is no decomposition, slot layout or machine to
-/// build — the worker runs the visit programs over the tree.
-type JobData<V> = (Arc<ParseTree<V>>, Option<Arc<Decomposition>>);
+/// What a worker needs to run a job: the tree and how its ticket was
+/// cut — into regions (a machine per job over the decomposition), or
+/// not at all (the **whole-tree job**: nothing crosses a boundary, so
+/// there is no decomposition, slot layout or machine to build — the
+/// worker runs the visit programs over the tree).
+type JobData<V> = (Arc<ParseTree<V>>, Cut<V>);
 
 enum WorkerMsg<V> {
     Attr {
@@ -776,16 +782,17 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
         .collect()
 }
 
-/// The least estimated work (rule-cost units, [`EvalPlan::tree_work`])
-/// a region must carry before it repays shipping it to another worker:
-/// a channel hop per boundary value, a machine of its own, a segment
-/// registration per code value and a region store to absorb. Under
-/// [`RegionGranularity::Machines`] a tree is cut into no more regions
-/// than it has multiples of this, so a tree below twice the floor stays
-/// whole. The grammar's `%split` minima (25–40 nodes for Pascal) are
-/// the paper's, sized for its network; this is the same argument (§3)
-/// for threads, measured — lone-tree latency through a 2-worker pool,
-/// two regions ÷ one, generated Pascal programs, 2-core box:
+/// The pool's hand-off floor: the least estimated work (rule-cost
+/// units, [`EvalPlan::tree_work`]) a region must carry before it repays
+/// shipping it to another worker — a channel hop per boundary value, a
+/// machine of its own, a segment registration per code value and a
+/// region store to absorb. Without an adaptive budget a tree is cut
+/// into no more regions than it has multiples of this, so a tree below
+/// twice the floor stays whole. The grammar's `%split` minima (25–40
+/// nodes for Pascal) are the paper's, sized for its network; this is
+/// the same argument (§3) for threads, measured — lone-tree latency
+/// through a 2-worker pool, two regions ÷ one, generated Pascal
+/// programs, 2-core box:
 ///
 /// | nodes | 223 | 393 | 1.1 k | 1.7 k | 3.0 k | 6.8 k | 25.8 k |
 /// |---|---|---|---|---|---|---|---|
@@ -793,13 +800,14 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
 ///
 /// The crossover sits near 3 k nodes ≈ 19 k work units, i.e. ≈ 10 k
 /// units (≈ 1.5 k nodes, ≈ 0.8 ms of sequential evaluation) per region.
-/// Explicit [`RegionGranularity::Adaptive`] budgets are the caller's
-/// own statement of region size and are not floored.
-const MIN_REGION_WORK: u64 = 10_000;
+/// An explicit [`PoolConfig::adaptive_budget`] is the caller's own
+/// statement of region size and is not floored. Test fixtures that
+/// want a tree cut into regions cost their rules in multiples of this.
+pub const MIN_REGION_WORK: u64 = 10_000;
 
-/// How many regions a `Machines(n)` pool asks the decomposition for on
-/// a tree of `tree_work` units: at most `n`, and no more than the tree
-/// has multiples of [`MIN_REGION_WORK`].
+/// How many regions the default cut asks the decomposition for on a
+/// tree of `tree_work` units over `n` workers: at most `n`, and no more
+/// than the tree has multiples of [`MIN_REGION_WORK`].
 fn regions_worth_shipping(n: usize, tree_work: u64) -> usize {
     let by_work = usize::try_from(tree_work / MIN_REGION_WORK).unwrap_or(usize::MAX);
     n.min(by_work).max(1)
@@ -824,12 +832,15 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
 
 impl<V: AttrValue> WorkerPool<V> {
     /// Spawns the pool: `config.workers` evaluator threads, persistent
-    /// until the pool is dropped, sharing the librarian's ledger.
+    /// until the pool is dropped, sharing the librarian's ledger. Their
+    /// machines run the best mode `plan` supports
+    /// ([`EvalPlan::best_mode`]: combined when the grammar is
+    /// l-ordered, dynamic otherwise) with librarian propagation.
     pub fn new(plan: &Arc<EvalPlan<V>>, config: PoolConfig) -> Self {
         let config = config.normalized();
         let workers = config.workers;
         let depth = config.pipeline_depth;
-        let split = SplitTable::new(plan.grammar().as_ref(), config.min_size_scale);
+        let split = SplitTable::new(plan.grammar().as_ref(), 1.0);
         let memo = (config.memo_capacity > 0).then(|| {
             Arc::new(MemoCache::with_install_policy(
                 config.memo_capacity,
@@ -861,8 +872,8 @@ impl<V: AttrValue> WorkerPool<V> {
             };
             let core = WorkerCore::new(
                 Arc::clone(plan),
-                config.mode,
-                config.result,
+                plan.best_mode(),
+                ResultPropagation::Librarian,
                 memo.clone(),
                 Arc::clone(&memo_safe),
             );
@@ -1001,31 +1012,35 @@ impl<V: AttrValue> WorkerPool<V> {
         self.memo.as_ref().map(|m| m.counters())
     }
 
-    /// Cuts `tree` into regions at the configured granularity — under
-    /// [`RegionGranularity::Machines`] into no more than the tree's
-    /// work repays shipping — or returns `None` for a tree that stays
-    /// whole and needs no decomposition at all: under `Machines`
-    /// decided from the work estimate alone, under
-    /// [`RegionGranularity::Adaptive`] by a decomposition that comes
-    /// back unsplit. A [`MachineMode::Dynamic`] pool (its grammar may
-    /// have no visit programs to run) keeps the one-region machine.
-    fn carve(&self, tree: &Arc<ParseTree<V>>) -> Option<Arc<Decomposition>> {
-        let whole_trees = self.config.mode == MachineMode::Combined;
-        let granularity = match self.config.granularity {
-            RegionGranularity::Machines(n) => {
-                let regions = regions_worth_shipping(n, self.plan.tree_work(tree));
-                if regions == 1 && whole_trees {
-                    return None;
+    /// Cuts `tree` into regions — by default into at most `workers`
+    /// and no more than its work repays shipping, under an adaptive
+    /// budget into budget-sized ones — or leaves it whole, one
+    /// whole-tree job that needs no decomposition at all: by default
+    /// decided from the work estimate alone, under a budget by a
+    /// decomposition that comes back unsplit. Only a plan with visit
+    /// programs has a whole-tree job to run; without them (the grammar
+    /// is not l-ordered) a tree that stays whole is a one-region
+    /// machine.
+    fn carve(&self, tree: &Arc<ParseTree<V>>) -> Cut<V> {
+        let statics = self.plan.plans().zip(self.plan.programs());
+        let whole = |(plans, programs): (&Arc<Plans>, &Arc<VisitPrograms<V>>)| {
+            Cut::Whole(Arc::clone(plans), Arc::clone(programs))
+        };
+        let granularity = match self.config.adaptive_budget {
+            Some(budget) => RegionGranularity::Adaptive { budget },
+            None => {
+                let regions =
+                    regions_worth_shipping(self.config.workers, self.plan.tree_work(tree));
+                if let (1, Some(statics)) = (regions, statics) {
+                    return whole(statics);
                 }
                 RegionGranularity::Machines(regions)
             }
-            adaptive @ RegionGranularity::Adaptive { .. } => adaptive,
         };
         let decomp = decompose_granular(tree, &self.split, self.plan.work_table(), granularity);
-        if whole_trees && decomp.is_unsplit() {
-            None
-        } else {
-            Some(Arc::new(decomp))
+        match statics {
+            Some(statics) if decomp.is_unsplit() => whole(statics),
+            _ => Cut::Regions(Arc::new(decomp)),
         }
     }
 
@@ -1050,7 +1065,8 @@ impl<V: AttrValue> WorkerPool<V> {
 
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let decomp = self.carve(tree);
+        let cut = self.carve(tree);
+        let decomp = cut.regions().cloned();
         let regions = decomp.as_ref().map_or(1, |d| d.len());
         if decomp.is_some() {
             // Before any job of the ticket exists: a worker registers
@@ -1059,7 +1075,7 @@ impl<V: AttrValue> WorkerPool<V> {
         }
 
         let start = Instant::now();
-        self.seed(ticket, tree, decomp.as_ref());
+        self.seed(ticket, tree, &cut);
         self.in_flight.push_back(InFlight {
             ticket,
             tree: Arc::clone(tree),
@@ -1080,7 +1096,8 @@ impl<V: AttrValue> WorkerPool<V> {
     /// `Fixed`, LPT with parent/child co-seeding under `Stealing`),
     /// then wakes the workers that may claim them — the board records
     /// every job before any of them can look.
-    fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, decomp: Option<&Arc<Decomposition>>) {
+    fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, cut: &Cut<V>) {
+        let decomp = cut.regions();
         let work: Vec<u64> = match decomp {
             Some(d) => (0..d.len())
                 .map(|r| self.plan.region_work(tree, d, r as RegionId).max(1))
@@ -1094,7 +1111,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 ticket as usize,
                 &work,
                 |r| decomp.and_then(|d| d.regions[r as usize].parent),
-                |_| (Arc::clone(tree), decomp.cloned()),
+                |_| (Arc::clone(tree), cut.clone()),
             );
             board.wake_set(&homes)
         };
@@ -1558,9 +1575,9 @@ fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
         match claimed {
             Some(Claimed {
                 key,
-                payload: (tree, decomp),
+                payload: (tree, cut),
                 early,
-            }) => core.activate(&mut ctx, key, tree, decomp, early),
+            }) => core.activate(&mut ctx, key, tree, cut, early),
             None => {
                 // Idle: block for one message (`Err`: the pool is gone).
                 let Ok(msg) = ctx.rx.recv() else { return };
@@ -1686,7 +1703,7 @@ pub(super) mod tests {
 
     /// One splittable grammar, many chain trees of the given lengths.
     /// Each `cons` is costed at one region's worth of work
-    /// ([`MIN_REGION_WORK`]), so a `Machines(n)` pool cuts a chain of
+    /// ([`MIN_REGION_WORK`]), so a pool of `n` workers cuts a chain of
     /// `n` or more into `n` regions however short it is — these tests
     /// are about regions, not about the floor. (A chain of one or none
     /// is below twice the floor: a whole-tree job.)
@@ -1780,7 +1797,7 @@ pub(super) mod tests {
             .get(tree.root(), out)
             .and_then(|v| v.as_rope().cloned())
             .unwrap();
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(3));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
         // Same pool, several trees in a row (the batched path).
         for round in 0..4 {
             let report = pool.eval(&tree).unwrap();
@@ -1797,7 +1814,7 @@ pub(super) mod tests {
         let (tree, plan, _) = fixture(48);
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         for workers in [1, 2, 4] {
-            let mut pool = WorkerPool::new(&plan, PoolConfig::combined(workers));
+            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(workers));
             let report = pool.eval(&tree).unwrap();
             for node in tree.node_ids() {
                 let sym = tree.grammar().prod(tree.node(node).prod).lhs;
@@ -1813,15 +1830,17 @@ pub(super) mod tests {
         }
     }
 
+    /// `plan` without its visit programs: the plan of a grammar that is
+    /// not l-ordered, on which the pool runs dynamic machines.
+    fn without_programs<V: AttrValue>(plan: &EvalPlan<V>) -> Arc<EvalPlan<V>> {
+        Arc::new(EvalPlan::from_parts(plan.grammar(), None, None))
+    }
+
     #[test]
-    fn pool_works_in_dynamic_mode_with_naive_propagation() {
+    fn pool_derives_dynamic_mode_from_a_plan_without_programs() {
         let (tree, plan, out) = fixture(32);
-        let config = PoolConfig {
-            mode: MachineMode::Dynamic,
-            result: ResultPropagation::Naive,
-            ..PoolConfig::combined(3)
-        };
-        let mut pool = WorkerPool::new(&plan, config);
+        let plan = without_programs(&plan);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
         let report = pool.eval(&tree).unwrap();
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         let want = dstore.get(tree.root(), out).unwrap();
@@ -1832,6 +1851,7 @@ pub(super) mod tests {
             .unwrap()
             .1;
         assert_eq!(got, want);
+        assert_eq!(report.regions, 3);
         assert_eq!(report.stats.static_applied, 0);
     }
 
@@ -1841,7 +1861,7 @@ pub(super) mod tests {
         let (trees, plan, out) = fixture_trees(&sizes);
         for depth in [1usize, 2, 4] {
             let mut pool =
-                WorkerPool::new(&plan, PoolConfig::combined(3).with_pipeline_depth(depth));
+                WorkerPool::new(&plan, PoolConfig::workers(3).with_pipeline_depth(depth));
             let mut reports = Vec::new();
             for tree in &trees {
                 pool.submit(tree);
@@ -1880,7 +1900,8 @@ pub(super) mod tests {
             .unwrap();
         let budget = (plan.tree_work(&tree) / 8).max(1);
         for workers in [1usize, 2, 3] {
-            let mut pool = WorkerPool::new(&plan, PoolConfig::adaptive(workers, budget));
+            let config = PoolConfig::workers(workers).with_adaptive_budget(budget);
+            let mut pool = WorkerPool::new(&plan, config);
             let report = pool.eval(&tree).unwrap();
             assert!(
                 report.regions > workers,
@@ -1903,7 +1924,9 @@ pub(super) mod tests {
         for depth in [1usize, 2, 4] {
             let mut pool = WorkerPool::new(
                 &plan,
-                PoolConfig::adaptive(2, budget).with_pipeline_depth(depth),
+                PoolConfig::workers(2)
+                    .with_adaptive_budget(budget)
+                    .with_pipeline_depth(depth),
             );
             for tree in &trees {
                 pool.submit(tree);
@@ -1941,7 +1964,7 @@ pub(super) mod tests {
         let config = PoolConfig {
             workers: 0,
             pipeline_depth: 0,
-            ..PoolConfig::combined(2)
+            ..PoolConfig::workers(2)
         };
         let mut pool = WorkerPool::new(&plan, config);
         assert_eq!(pool.workers(), 1);
@@ -1958,7 +1981,7 @@ pub(super) mod tests {
     #[test]
     fn high_water_marks_reset_between_batches() {
         let (trees, plan, _) = fixture_trees(&[24, 24, 24]);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_pipeline_depth(2));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_pipeline_depth(2));
         for tree in &trees {
             pool.submit(tree);
         }
@@ -1977,7 +2000,7 @@ pub(super) mod tests {
     fn poll_drains_completions_without_blocking() {
         let sizes = [40usize, 9, 24];
         let (trees, plan, out) = fixture_trees(&sizes);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_pipeline_depth(4));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_pipeline_depth(4));
         for tree in &trees {
             pool.submit(tree);
         }
@@ -2048,13 +2071,9 @@ pub(super) mod tests {
         // The cyclic grammar is not statically ordered; the pool runs
         // it in dynamic mode.
         assert!(plan.plans().is_none());
-        let config = PoolConfig {
-            mode: MachineMode::Dynamic,
-            result: ResultPropagation::Naive,
-            ..PoolConfig::combined(workers)
-                .with_pipeline_depth(1)
-                .with_scheduler(scheduler)
-        };
+        let config = PoolConfig::workers(workers)
+            .with_pipeline_depth(1)
+            .with_scheduler(scheduler);
         let mut pool = WorkerPool::new(&plan, config);
         for tree in &good {
             pool.submit(tree);
@@ -2157,11 +2176,7 @@ pub(super) mod tests {
             let root = tb.node(top, [tail]);
             Arc::new(tb.finish(root).unwrap())
         };
-        let config = PoolConfig {
-            mode: MachineMode::Dynamic,
-            ..PoolConfig::combined(2)
-        };
-        let mut pool = WorkerPool::new(&plan, config);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
         let bad_ticket = pool.submit(&mk(boom));
         let failure = pool.collect().expect("pending").err().expect("root panics");
         assert_eq!(failure.ticket, bad_ticket);
@@ -2230,15 +2245,18 @@ pub(super) mod tests {
     #[test]
     fn memo_replays_repeated_trees_and_matches_memo_off() {
         let items: Vec<i64> = (0..24).map(|i| i * 3 + 1).collect();
-        for mode in [MachineMode::Combined, MachineMode::Dynamic] {
+        for dynamic in [false, true] {
             // Two structurally identical trees built independently —
             // distinct arenas, identical subtree hashes.
             let (t1, plan, out) = memo_fixture(7, &items);
             let (t2, _, _) = memo_fixture(7, &items);
-            let config = PoolConfig {
-                mode,
-                ..PoolConfig::combined(2).with_memo_capacity(1 << 20)
+            let plan = if dynamic {
+                without_programs(&plan)
+            } else {
+                plan
             };
+            let mode = plan.best_mode();
+            let config = PoolConfig::workers(2).with_memo_capacity(1 << 20);
             let mut pool = WorkerPool::new(&plan, config);
             let r1 = pool.eval(&t1).unwrap();
             let after_first = pool.memo_counters().unwrap();
@@ -2283,7 +2301,7 @@ pub(super) mod tests {
         // identical but its inherited `env` differs, so the cached span
         // must NOT be reused.
         let (t2, _, _) = memo_fixture(5, &items);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_memo_capacity(1 << 20));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_memo_capacity(1 << 20));
         pool.eval(&t1).unwrap();
         let r2 = pool.eval(&t2).unwrap();
         let c = pool.memo_counters().unwrap();
@@ -2305,7 +2323,7 @@ pub(super) mod tests {
         // root, which awaits nothing and is cacheable: the regions have
         // to be real ones.)
         let (tree, plan, out) = fixture(32);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_memo_capacity(1 << 20));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_memo_capacity(1 << 20));
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         let want = dstore
             .get(tree.root(), out)
@@ -2323,7 +2341,7 @@ pub(super) mod tests {
     #[test]
     fn memo_off_reports_no_counters() {
         let (tree, plan, _) = fixture(8);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
         pool.eval(&tree).unwrap();
         assert!(pool.memo_counters().is_none());
     }
@@ -2336,7 +2354,7 @@ pub(super) mod tests {
             for depth in [1usize, 2, 4] {
                 let mut pool = WorkerPool::new(
                     &plan,
-                    PoolConfig::combined(workers)
+                    PoolConfig::workers(workers)
                         .with_pipeline_depth(depth)
                         .with_scheduler(SchedulerMode::Stealing),
                 );
@@ -2370,8 +2388,7 @@ pub(super) mod tests {
         let sizes = [64usize, 48, 33, 21, 96, 17];
         let (trees, plan, _) = fixture_trees(&sizes);
         for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            let mut pool =
-                WorkerPool::new(&plan, PoolConfig::combined(2).with_scheduler(scheduler));
+            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
             for tree in &trees {
                 pool.submit(tree);
             }
@@ -2410,7 +2427,7 @@ pub(super) mod tests {
         let (t2, _, _) = memo_fixture(7, &items);
         let mut pool = WorkerPool::new(
             &plan,
-            PoolConfig::combined(2)
+            PoolConfig::workers(2)
                 .with_memo_capacity(1 << 20)
                 .with_scheduler(SchedulerMode::Stealing),
         );
@@ -2482,7 +2499,7 @@ pub(super) mod tests {
                 let what = format!("{workers} workers, {scheduler:?}");
                 let mut pool = WorkerPool::new(
                     &plan,
-                    PoolConfig::combined(workers).with_scheduler(scheduler),
+                    PoolConfig::workers(workers).with_scheduler(scheduler),
                 );
                 let good = mk(ok);
                 pool.submit(&good);
@@ -2525,8 +2542,7 @@ pub(super) mod tests {
     fn kill_worker_recovers_under_either_scheduler() {
         let (tree, plan, _) = fixture(16);
         for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            let mut pool =
-                WorkerPool::new(&plan, PoolConfig::combined(2).with_scheduler(scheduler));
+            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
             assert!(!pool.kill_worker(7), "{scheduler:?}: out of range");
             assert!(pool.kill_worker(1), "{scheduler:?}");
             assert!(!pool.kill_worker(1), "{scheduler:?}: already dead");
@@ -2560,7 +2576,7 @@ pub(super) mod tests {
     ) {
         let mut pool = WorkerPool::new(
             plan,
-            PoolConfig::combined(3)
+            PoolConfig::workers(3)
                 .with_pipeline_depth(trees.len())
                 .with_scheduler(scheduler),
         );
@@ -2696,19 +2712,20 @@ pub(super) mod tests {
         let (want, _) = crate::eval::static_eval(&t1, plan.plans().unwrap()).unwrap();
         let want_root = want.get(t1.root(), out).unwrap();
         let budget = (plan.tree_work(&t1) / 12).max(1);
-        for granularity in [
-            RegionGranularity::Machines(2),
-            RegionGranularity::Machines(8),
-            RegionGranularity::Adaptive { budget },
-        ] {
+        for (workers, adaptive_budget) in [(2, None), (8, None), (2, Some(budget))] {
             for (depth, memo) in [(1, 0), (1, 1 << 28), (2, 0), (2, 1 << 28)] {
-                let what = format!("{granularity:?} depth {depth} memo {memo}");
-                let config = PoolConfig::combined(2)
-                    .with_granularity(granularity)
-                    .with_pipeline_depth(depth)
-                    .with_memo_capacity(memo);
+                let what = format!(
+                    "{workers} workers, budget {adaptive_budget:?} depth {depth} memo {memo}"
+                );
+                let config = PoolConfig {
+                    adaptive_budget,
+                    ..PoolConfig::workers(workers)
+                        .with_pipeline_depth(depth)
+                        .with_memo_capacity(memo)
+                };
                 let mut pool = WorkerPool::new(&plan, config);
-                if matches!(granularity, RegionGranularity::Adaptive { .. }) {
+                if let Some(budget) = adaptive_budget {
+                    let granularity = RegionGranularity::Adaptive { budget };
                     let d = decompose_granular(&t1, &pool.split, plan.work_table(), granularity);
                     let nesting = |mut r: RegionId| {
                         let mut levels = 1;
@@ -2729,13 +2746,10 @@ pub(super) mod tests {
                 while let Some(report) = pool.collect() {
                     let report = report.expect("evaluation succeeds");
                     retired += 1;
-                    match granularity {
-                        RegionGranularity::Machines(n) => {
-                            assert_eq!(report.regions, n, "{what}: one region per machine")
-                        }
-                        RegionGranularity::Adaptive { .. } => {
-                            assert!(report.regions > 1, "{what}: tree was split")
-                        }
+                    if adaptive_budget.is_none() {
+                        assert_eq!(report.regions, workers, "{what}: one region per machine")
+                    } else {
+                        assert!(report.regions > 1, "{what}: tree was split")
                     }
                     assert!(
                         !report.segments.is_empty(),
@@ -2772,7 +2786,7 @@ pub(super) mod tests {
     #[test]
     fn lost_registration_fails_its_ticket_with_a_named_error() {
         let (tree, plan, out) = fixture(600);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(3));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
         pool.submit(&tree);
         while !pool.front_complete() {
             let msg = pool.parser_rx.recv().expect("workers alive");
@@ -2851,7 +2865,7 @@ pub(super) mod tests {
                             format!("{scheduler:?} workers={workers} depth={depth} memo={memo}");
                         let mut pool = WorkerPool::new(
                             &plan,
-                            PoolConfig::combined(workers)
+                            PoolConfig::workers(workers)
                                 .with_pipeline_depth(depth)
                                 .with_scheduler(scheduler)
                                 .with_memo_capacity(memo),
@@ -2917,7 +2931,7 @@ pub(super) mod tests {
             let (other, _, _) = memo_fixture(7, &[6]);
             let mut pool = WorkerPool::new(
                 &plan,
-                PoolConfig::combined(2)
+                PoolConfig::workers(2)
                     .with_memo_capacity(1 << 20)
                     .with_scheduler(scheduler),
             );
@@ -2965,7 +2979,7 @@ pub(super) mod tests {
                 let what = format!("{scheduler:?} depth={depth}");
                 let mut pool = WorkerPool::new(
                     &plan,
-                    PoolConfig::combined(3)
+                    PoolConfig::workers(3)
                         .with_pipeline_depth(depth)
                         .with_scheduler(scheduler),
                 );
@@ -3014,7 +3028,7 @@ pub(super) mod tests {
             *gate.0.lock().unwrap() = false;
             let mut pool = WorkerPool::new(
                 &plan,
-                PoolConfig::combined(3)
+                PoolConfig::workers(3)
                     .with_pipeline_depth(sizes.len())
                     .with_scheduler(scheduler),
             );
@@ -3061,8 +3075,11 @@ pub(super) mod tests {
         let (trees, plan, _) = light_trees(&[6; 10]);
         for workers in [1usize, 2, 3] {
             for (config, want) in [
-                (PoolConfig::combined(workers), 2 * workers),
-                (PoolConfig::adaptive(workers, 1 << 40), 2 * workers),
+                (PoolConfig::workers(workers), 2 * workers),
+                (
+                    PoolConfig::workers(workers).with_adaptive_budget(1 << 40),
+                    2 * workers,
+                ),
                 (PoolConfig::barrier(workers), 1),
             ] {
                 let mut pool = WorkerPool::new(&plan, config);
@@ -3087,7 +3104,7 @@ pub(super) mod tests {
         let (tree, plan, out) = fixture(24);
         let mut pool = WorkerPool::new(
             &plan,
-            PoolConfig::combined(2).with_scheduler(SchedulerMode::Stealing),
+            PoolConfig::workers(2).with_scheduler(SchedulerMode::Stealing),
         );
         pool.submit(&tree);
         while !pool.front_complete() {

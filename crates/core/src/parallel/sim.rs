@@ -67,7 +67,7 @@ use crate::grammar::{AttrId, AttrKind};
 use crate::parallel::board::{Board, Claimed, Delivery, JobKey};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
 use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, SegmentLedger, Ticket};
-use crate::parallel::worker::{Driver, JobResult, WorkerCore};
+use crate::parallel::worker::{Cut, Driver, JobResult, WorkerCore};
 use crate::split::{
     decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
@@ -786,8 +786,8 @@ impl<V: AttrValue> SimDriver<'_, '_, V> {
     fn start(&mut self, core: &mut WorkerCore<V>, job: Claimed<V, usize>) {
         let t = job.key.0 as usize;
         let tree = Arc::clone(&self.sh.trees[t]);
-        let decomp = Some(Arc::clone(&self.sh.decomps[t]));
-        core.activate(self, job.key, tree, decomp, job.early);
+        let cut = Cut::Regions(Arc::clone(&self.sh.decomps[t]));
+        core.activate(self, job.key, tree, cut, job.early);
     }
 
     /// Puts boundary value `value` for job `key` on the wire to machine

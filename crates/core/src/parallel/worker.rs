@@ -61,9 +61,10 @@
 //! The pool drives with a yield budget; the simulator drives each
 //! machine until it starves, as its handlers are atomic anyway.
 
+use crate::analysis::Plans;
 use crate::eval::{
     static_eval_with_scratch, AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch,
-    SendTarget, StepOutcome,
+    SendTarget, StepOutcome, VisitPrograms,
 };
 use crate::grammar::AttrId;
 use crate::memo::{inherited_fingerprint, MemoCache, MemoKey};
@@ -77,6 +78,27 @@ use std::sync::Arc;
 use super::board::{Input, JobKey};
 use super::pool::{region_cacheable, whole_tree_key, Ticket};
 use super::ResultPropagation;
+
+/// How a job's ticket was cut, which decides what the job runs.
+#[derive(Clone)]
+pub(crate) enum Cut<V: AttrValue> {
+    /// Into the regions of this decomposition: the job is one of them.
+    Regions(Arc<Decomposition>),
+    /// Not at all: the job is the whole tree, evaluated by the plan's
+    /// compiled visit programs. Only a plan that has them is carved
+    /// into whole-tree jobs, so the job carries them.
+    Whole(Arc<Plans>, Arc<VisitPrograms<V>>),
+}
+
+impl<V: AttrValue> Cut<V> {
+    /// The decomposition of a ticket cut into regions.
+    pub fn regions(&self) -> Option<&Arc<Decomposition>> {
+        match self {
+            Cut::Regions(decomp) => Some(decomp),
+            Cut::Whole(..) => None,
+        }
+    }
+}
 
 /// What a finished job ships back.
 pub(crate) enum Finished<V> {
@@ -283,25 +305,28 @@ impl<V: AttrValue> WorkerCore<V> {
     }
 
     /// Takes up job `key`, claimed off the board with the values that
-    /// reached it first. `decomp` is `None` for a whole-tree job, which
-    /// runs to completion here: it is short by construction, which
-    /// bounds how long an older machine waits for its next step.
+    /// reached it first. A whole-tree job runs to completion here: it
+    /// is short by construction, which bounds how long an older machine
+    /// waits for its next step.
     pub fn activate<D: Driver<V>>(
         &mut self,
         d: &mut D,
         key: JobKey,
         tree: Arc<ParseTree<V>>,
-        decomp: Option<Arc<Decomposition>>,
+        cut: Cut<V>,
         early: Vec<Input<V>>,
     ) {
-        let Some(decomp) = decomp else {
-            debug_assert!(
-                key.1 == 0 && early.is_empty(),
-                "a whole-tree job is its ticket's only job and awaits nothing"
-            );
-            let result = self.run_whole(&tree);
-            report(d, key, result);
-            return;
+        let decomp = match cut {
+            Cut::Regions(decomp) => decomp,
+            Cut::Whole(plans, programs) => {
+                debug_assert!(
+                    key.1 == 0 && early.is_empty(),
+                    "a whole-tree job is its ticket's only job and awaits nothing"
+                );
+                let result = self.run_whole(&tree, &plans, &programs);
+                report(d, key, result);
+                return;
+            }
         };
         let parent = decomp.regions[key.1 as usize].parent;
         let Some(mut probe) = self.probe(key, parent, &tree, &decomp) else {
@@ -560,7 +585,12 @@ impl<V: AttrValue> WorkerCore<V> {
     /// evaluation into the store retirement adopts, behind the root
     /// region's memo contract — probe, then replay or evaluate;
     /// retirement installs.
-    fn run_whole(&mut self, tree: &ParseTree<V>) -> Result<JobResult<V>, EvalError> {
+    fn run_whole(
+        &mut self,
+        tree: &ParseTree<V>,
+        plans: &Plans,
+        programs: &VisitPrograms<V>,
+    ) -> Result<JobResult<V>, EvalError> {
         let replayed = self.memo.as_ref().and_then(|memo| {
             let key = whole_tree_key(tree)?;
             if !memo.has_subtree(key.subtree) {
@@ -576,15 +606,8 @@ impl<V: AttrValue> WorkerCore<V> {
             return Ok((EvalStats::default(), Finished::Tree(store)));
         }
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let evaluated = contained(|| {
-            let (Some(plans), Some(programs)) = (self.plan.plans(), self.plan.programs()) else {
-                return Err(EvalError::PlanInconsistency {
-                    node: tree.root(),
-                    step: "combined mode requires static plans".to_string(),
-                });
-            };
-            static_eval_with_scratch(tree, plans, programs, scratch.eval_scratch())
-        });
+        let evaluated =
+            contained(|| static_eval_with_scratch(tree, plans, programs, scratch.eval_scratch()));
         self.scratches.push(scratch);
         evaluated.map(|(store, stats)| (stats, Finished::Tree(store)))
     }
@@ -826,8 +849,8 @@ mod tests {
     ) {
         let decomp = halves(c, tree);
         for region in [1, 0] {
-            let decomp = Some(Arc::clone(&decomp));
-            core.activate(d, (t, region), Arc::clone(tree), decomp, Vec::new());
+            let cut = Cut::Regions(Arc::clone(&decomp));
+            core.activate(d, (t, region), Arc::clone(tree), cut, Vec::new());
         }
     }
 
@@ -951,8 +974,10 @@ mod tests {
         let memo = Arc::new(MemoCache::new(1 << 20));
         let mut core = core(&a, Some(Arc::clone(&memo)));
         let mut d = Recorder::default();
+        let programs = Arc::clone(a.plan.programs().unwrap());
         let whole = |core: &mut WorkerCore<Value>, d: &mut Recorder, t, tree| {
-            core.activate(d, (t, 0), Arc::clone(tree), None, Vec::new());
+            let cut = Cut::Whole(Arc::clone(&a.plans), Arc::clone(&programs));
+            core.activate(d, (t, 0), Arc::clone(tree), cut, Vec::new());
             let (key, result) = d.results.pop().unwrap();
             assert_eq!(key, (t, 0));
             let Ok((stats, Finished::Tree(store))) = result else {
@@ -995,7 +1020,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let mut pool = WorkerPool::new(&c.plan, PoolConfig::adaptive(2, budget));
+        let config = PoolConfig::workers(2).with_adaptive_budget(budget);
+        let mut pool = WorkerPool::new(&c.plan, config);
         let mut stats = EvalStats::default();
         for (i, tree) in c.trees.iter().enumerate() {
             let report = pool.eval(tree).unwrap();

@@ -27,8 +27,10 @@
 //!   workers exist, which removes the fixed-count split's sensitivity
 //!   to uneven partitions.
 //!
-//! [`RegionGranularity`] names the two modes for schedulers
-//! (`core::parallel::pool`, `core::parallel::sim`) that accept either.
+//! [`RegionGranularity`] names the two modes: the simulator
+//! (`core::parallel::sim`) takes either, and the pool
+//! (`core::parallel::pool`) derives one from its configuration — its
+//! worker count, or its adaptive budget.
 //!
 //! Both engines finish by growing a per-region [`SlotMap`] — the slot
 //! layout of the region-local attribute stores

@@ -147,12 +147,14 @@ mod tests {
         let shared: Vec<i64> = (1..=16).collect();
         let a = mk(&[101, 102], &shared);
         let b = mk(&[201, 202], &shared);
-        // (An explicit budget: a `Machines(2)` pool leaves a tree this
-        // small whole, and a whole tree has no shared leaf region.)
+        // (An explicit budget: the default cut leaves a tree this small
+        // whole, and a whole tree has no shared leaf region.)
         let budget = plan.tree_work(&a) / 2;
         let mut pool = WorkerPool::new(
             &plan,
-            PoolConfig::adaptive(2, budget).with_memo_capacity(1 << 20),
+            PoolConfig::workers(2)
+                .with_adaptive_budget(budget)
+                .with_memo_capacity(1 << 20),
         );
         let ra = pool.eval(&a).unwrap();
         let rb = pool.eval(&b).unwrap();

@@ -16,8 +16,7 @@ use paragram_core::eval::{
     Machine, MachineMode, SendTarget,
 };
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId};
-use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
-use paragram_core::parallel::ResultPropagation;
+use paragram_core::parallel::pool::{PoolConfig, WorkerPool, MIN_REGION_WORK};
 use paragram_core::split::{decompose, Decomposition, RegionId, SplitConfig};
 use paragram_core::tree::{AttrStore, ParseTree, TreeBuilder};
 use proptest::prelude::*;
@@ -37,13 +36,6 @@ struct Fixture {
     wrap: ProdId,
     unit: ProdId,
 }
-
-/// One spine node's estimated work: a region's worth under the thread
-/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
-/// pool of `n` workers still cuts these small trees into up to `n`
-/// regions instead of leaving them whole. Rule costs feed work
-/// estimates (and simulated time), never values.
-const REGION_WORTH: u64 = 10_000;
 
 fn fixture() -> Fixture {
     let mut g = GrammarBuilder::<i64>::new();
@@ -68,12 +60,16 @@ fn fixture() -> Fixture {
     g.rule_direct(cons, (0, decls), [(2, decls)], |a| a[0] + 1);
     g.rule(cons, (2, env), [(0, env)], |a| a[0].wrapping_add(3));
     g.rule_direct(cons, (1, benv), [(0, env)], |a| a[0] ^ 0x55);
+    // One spine node carries a region's worth of work under the thread
+    // pool's hand-off floor, so a pool of `n` workers still cuts these
+    // small trees into up to `n` regions instead of leaving them whole.
+    // Rule costs feed work estimates (and simulated time), never values.
     g.rule_with_cost(
         cons,
         (0, code),
         [(1, bcode), (2, code)],
         |a| a[0].wrapping_mul(1_000_003).wrapping_add(a[1]),
-        REGION_WORTH,
+        MIN_REGION_WORK,
     );
     let nil = g.production("nil", l, []);
     g.rule_direct(nil, (0, decls), [], |_| 0);
@@ -215,12 +211,9 @@ proptest! {
         assert_stores_equal(&fx.grammar, &tree, &reference, &dynamic_m, "dynamic machines")?;
 
         let plan = Arc::new(EvalPlan::from_parts(&fx.grammar, Some(plans), None));
-        let config = PoolConfig {
-            result: ResultPropagation::Naive,
-            min_size_scale: scale,
-            ..PoolConfig::barrier(machines)
-        };
-        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
+        let report = WorkerPool::new(&plan, PoolConfig::barrier(machines))
+            .eval(&tree)
+            .unwrap();
         assert_stores_equal(&fx.grammar, &tree, &reference, &report.store, "pool")?;
     }
 
@@ -268,9 +261,10 @@ proptest! {
     /// The memo cache is invisible in the values: a pool with the cache
     /// on — cold pass, then a warm pass replaying cached spans — fills
     /// the store identically to the dynamic reference and to a memo-off
-    /// pool, in both machine modes, for arbitrary shapes and machine
-    /// counts (each (shape, machines) draw exercises a different
-    /// region/schedule interleaving).
+    /// pool, in both machine modes (the plan's own, and dynamic on the
+    /// same grammar's plan without visit programs), for arbitrary
+    /// shapes and machine counts (each (shape, machines) draw exercises
+    /// a different region/schedule interleaving).
     #[test]
     fn memo_on_equals_memo_off_across_modes_and_schedules(
         shape in prop::collection::vec(0u8..6, 1..16),
@@ -278,14 +272,15 @@ proptest! {
     ) {
         let fx = fixture();
         let tree = build_tree(&fx, &shape);
-        let plan = Arc::new(EvalPlan::analyze(&fx.grammar));
         let (reference, _) = dynamic_eval(&tree).unwrap();
-        for mode in [MachineMode::Combined, MachineMode::Dynamic] {
-            let off = PoolConfig { mode, ..PoolConfig::combined(machines) };
-            let on = PoolConfig {
-                mode,
-                ..PoolConfig::combined(machines).with_memo_capacity(1 << 20)
-            };
+        for plan in [
+            EvalPlan::analyze(&fx.grammar),
+            EvalPlan::from_parts(&fx.grammar, None, None),
+        ] {
+            let plan = Arc::new(plan);
+            let mode = plan.best_mode();
+            let off = PoolConfig::workers(machines);
+            let on = PoolConfig::workers(machines).with_memo_capacity(1 << 20);
             let mut off_pool = WorkerPool::new(&plan, off);
             let off_report = off_pool.eval(&tree).unwrap();
             assert_stores_equal(

@@ -6,8 +6,7 @@
 use paragram_core::analysis::compute_plans;
 use paragram_core::eval::{dynamic_eval, static_eval, EvalPlan};
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
-use paragram_core::parallel::ResultPropagation;
+use paragram_core::parallel::pool::{PoolConfig, WorkerPool, MIN_REGION_WORK};
 use paragram_core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
 
@@ -28,13 +27,6 @@ struct Lang {
     bcast2: AttrId,
     fin: AttrId,
 }
-
-/// One spine node's estimated work: a region's worth under the thread
-/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
-/// pool of `n` workers still cuts these small trees into up to `n`
-/// regions instead of leaving them whole. Rule costs feed work
-/// estimates (and simulated time), never values.
-const REGION_WORTH: u64 = 10_000;
 
 fn lang() -> Lang {
     let mut g = GrammarBuilder::<i64>::new();
@@ -60,12 +52,16 @@ fn lang() -> Lang {
         a[0].wrapping_add(a[1])
     });
     g.rule(cons, (1, bcast2), [(0, bcast2)], |a| a[0]);
+    // One spine node carries a region's worth of work under the thread
+    // pool's hand-off floor, so a pool of `n` workers still cuts these
+    // small trees into up to `n` regions instead of leaving them whole.
+    // Rule costs feed work estimates (and simulated time), never values.
     g.rule_with_cost(
         cons,
         (0, fin),
         [(1, fin), (0, bcast2)],
         |a| a[0].wrapping_mul(3) ^ a[1],
-        REGION_WORTH,
+        MIN_REGION_WORK,
     );
 
     let nil = g.production("nil", l, []);
@@ -141,11 +137,9 @@ fn parallel_machines_handle_three_visit_boundaries() {
     let tree = chain(&lg, 30);
     let (d, _) = dynamic_eval(&tree).unwrap();
     for machines in [2usize, 3, 5] {
-        let config = PoolConfig {
-            result: ResultPropagation::Naive,
-            ..PoolConfig::barrier(machines)
-        };
-        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
+        let report = WorkerPool::new(&plan, PoolConfig::barrier(machines))
+            .eval(&tree)
+            .unwrap();
         assert_eq!(report.regions, machines, "three-visit boundaries exist");
         assert_eq!(
             report.store.get(tree.root(), lg.out),

@@ -46,7 +46,7 @@ fn a_one_region_ticket_allocates_the_trees_instances_once() {
     let instances = 1 + 2 * 51;
 
     for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-        let mut pool = WorkerPool::new(&plan, PoolConfig::combined(2).with_scheduler(scheduler));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
         for round in 0..3 {
             let before = debug_allocated_slots();
             let report = pool.eval(&tree).unwrap();

@@ -21,7 +21,9 @@
 //! * [`CompilationPlan`] — the **plan half**: immutable, computed once
 //!   per grammar, shared (`Arc`) by every tree, thread and driver. It
 //!   wraps [`paragram_core::eval::EvalPlan`] (grammar + analysis +
-//!   tables) plus the driver configuration.
+//!   tables) plus the pool configuration ([`DriverConfig`], the pool's
+//!   own [`PoolConfig`](paragram_core::parallel::pool::PoolConfig)
+//!   under the driver's name).
 //! * [`BatchDriver`] — the **instance half**: a persistent
 //!   [`WorkerPool`] (evaluator threads spawned once, sharing the
 //!   librarian's segment ledger) plus
@@ -48,14 +50,18 @@
 //! The pool's unit of work is the *region job* — a `(ticket, region)`
 //! pair — not the tree. By default each tree is carved into at most
 //! `workers` regions (the paper's decomposition), and into fewer when
-//! its estimated work does not repay shipping that many between
-//! threads. A procedure-sized tree is not carved at all: it is one
-//! *whole-tree job* — the sequential static evaluation, run on a
-//! worker — which costs one message each way, no decomposition, no
-//! machine and no assembly ([`TreeOutput::regions`] is 1,
-//! [`TreeOutput::assemble`] next to nothing), and the window of two
-//! trees per worker is what keeps a worker's next such tree waiting in
-//! its channel when it finishes the current one.
+//! its estimated work does not repay shipping that many between threads
+//! ([`paragram_core::parallel::pool::MIN_REGION_WORK`] per region). A
+//! procedure-sized tree is not carved at all: it is one *whole-tree
+//! job* — the sequential static evaluation, run on a worker — which
+//! costs one message each way, no decomposition, no machine and no
+//! assembly ([`TreeOutput::regions`] is 1, [`TreeOutput::assemble`]
+//! next to nothing), and the window of two trees per worker is what
+//! keeps a worker's next such tree waiting in its channel when it
+//! finishes the current one. A grammar that is not l-ordered has no
+//! static evaluation to run: there every region, and every tree that
+//! stays whole, is a dynamic machine. The plan decides that, not the
+//! configuration.
 //! [`DriverConfig::with_adaptive_budget`] switches to cost-driven
 //! decomposition where regions are sized by a work budget, so one huge
 //! tree becomes many region jobs that fill the pipeline exactly like a
@@ -125,11 +131,8 @@ pub use service::{
 
 use paragram_core::eval::{EvalError, EvalPlan};
 use paragram_core::grammar::{AttrId, Grammar};
-use paragram_core::memo::{InstallPolicy, MemoCounters};
-use paragram_core::parallel::pool::{
-    FaultCounters, PoolConfig, PoolReport, SchedCounters, SchedulerMode, WorkerPool,
-};
-use paragram_core::split::RegionGranularity;
+use paragram_core::memo::MemoCounters;
+use paragram_core::parallel::pool::{FaultCounters, PoolReport, SchedCounters, WorkerPool};
 use paragram_core::stats::EvalStats;
 use paragram_core::tree::{AttrStore, ParseTree};
 use paragram_core::value::AttrValue;
@@ -137,122 +140,11 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Driver configuration: pool shape and evaluation strategy. The pool
-/// always runs the best machine mode the plan supports (combined when
-/// the grammar is l-ordered, dynamic otherwise) with librarian result
-/// propagation.
-#[derive(Debug, Clone, Copy)]
-pub struct DriverConfig {
-    /// Number of persistent evaluator threads.
-    pub workers: usize,
-    /// Trees kept in flight on the pool at once (see
-    /// [`paragram_core::parallel::pool::PoolConfig::pipeline_depth`]).
-    /// Depth 1 is the strict per-tree barrier; the default is two per
-    /// worker. A small tree is one job on one worker, so a stream of
-    /// them keeps every worker busy only when each has its next tree
-    /// waiting in its channel as it finishes the current one — a worker
-    /// that must wait for the caller to wake, retire and submit sleeps
-    /// for a thread round trip per tree. A tree that is cut into
-    /// regions pipelines behind its predecessor's stragglers at any
-    /// depth above 1.
-    pub pipeline_depth: usize,
-    /// Region granularity override; `None` (the default) carves each
-    /// tree into at most `workers` regions (whole-tree ticketing, the
-    /// paper's decomposition) and leaves a tree whole when its work is
-    /// below what a hand-off between threads costs.
-    /// [`RegionGranularity::Adaptive`] sizes regions by a work budget
-    /// instead, so a huge tree becomes many region jobs that pipeline
-    /// through the pool like many small trees.
-    pub granularity: Option<RegionGranularity>,
-    /// Cross-request attribute memo cache budget in bytes; 0 (the
-    /// default) disables memoization entirely, reproducing the paper's
-    /// Figure-7 behaviour where every region is evaluated from scratch.
-    /// See [`paragram_core::memo`] for the signature contract.
-    pub memo_capacity: usize,
-    /// Memo install policy (only meaningful with a non-zero
-    /// `memo_capacity`): [`InstallPolicy::Always`] (the default) or the
-    /// scan-resistant [`InstallPolicy::SecondTouch`].
-    pub memo_install: InstallPolicy,
-    /// How the pool's scheduler board seeds region jobs: the paper's
-    /// fixed modular placement ([`SchedulerMode::Fixed`], the default —
-    /// Fig-7 schedules and all prior benches unchanged, nothing stolen)
-    /// or LPT seeding plus work stealing ([`SchedulerMode::Stealing`]).
-    /// [`BatchDriver::kill_worker`] recovers under either.
-    pub scheduler: SchedulerMode,
-}
-
-impl DriverConfig {
-    /// `n` workers and the default pipeline window of two trees per
-    /// worker.
-    pub fn workers(n: usize) -> Self {
-        let workers = n.max(1);
-        DriverConfig {
-            workers,
-            pipeline_depth: 2 * workers,
-            granularity: None,
-            memo_capacity: 0,
-            memo_install: InstallPolicy::Always,
-            scheduler: SchedulerMode::Fixed,
-        }
-    }
-
-    /// Same as [`DriverConfig::workers`] with the strict one-tree
-    /// barrier (no cross-tree pipelining).
-    pub fn barrier(n: usize) -> Self {
-        DriverConfig {
-            pipeline_depth: 1,
-            ..DriverConfig::workers(n)
-        }
-    }
-
-    /// Returns the configuration with the given in-flight window depth.
-    pub fn with_pipeline_depth(self, depth: usize) -> Self {
-        DriverConfig {
-            pipeline_depth: depth.max(1),
-            ..self
-        }
-    }
-
-    /// Returns the configuration with cost-driven region-granular
-    /// scheduling: trees are carved into regions of ≈`budget` work
-    /// units (rule-cost units; see
-    /// [`paragram_core::split::decompose_adaptive`]), independent of
-    /// the worker count.
-    pub fn with_adaptive_budget(self, budget: u64) -> Self {
-        DriverConfig {
-            granularity: Some(RegionGranularity::Adaptive { budget }),
-            ..self
-        }
-    }
-
-    /// Returns the configuration with a cross-request memo cache of the
-    /// given byte budget (0 turns memoization back off).
-    pub fn with_memo_capacity(self, bytes: usize) -> Self {
-        DriverConfig {
-            memo_capacity: bytes,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the given memo install policy.
-    pub fn with_memo_install(self, policy: InstallPolicy) -> Self {
-        DriverConfig {
-            memo_install: policy,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the given region-job scheduler.
-    pub fn with_scheduler(self, scheduler: SchedulerMode) -> Self {
-        DriverConfig { scheduler, ..self }
-    }
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig::workers(4)
-    }
-}
+/// Driver configuration: the configuration of the pool a
+/// [`BatchDriver`] or [`ServiceQueue`] spawns, passed through as is —
+/// one type, so a driver and a bare [`WorkerPool`] are configured
+/// alike.
+pub use paragram_core::parallel::pool::PoolConfig as DriverConfig;
 
 /// The shared, immutable plan half of a batched compilation: grammar
 /// analysis artifacts plus driver configuration. Compute once, share
@@ -288,28 +180,10 @@ impl<V: AttrValue> CompilationPlan<V> {
         &self.plan
     }
 
-    /// The driver configuration.
+    /// The configuration of the pool a [`BatchDriver`] or
+    /// [`ServiceQueue`] spawns for this plan.
     pub fn config(&self) -> DriverConfig {
         self.config
-    }
-
-    /// The configuration of the pool a [`BatchDriver`] or
-    /// [`ServiceQueue`] spawns for this plan: the best machine mode the
-    /// plan supports, and at most one region per worker unless a
-    /// granularity is configured.
-    pub(crate) fn pool_config(&self) -> PoolConfig {
-        let cfg = self.config;
-        PoolConfig {
-            mode: self.plan.best_mode(),
-            pipeline_depth: cfg.pipeline_depth,
-            granularity: cfg
-                .granularity
-                .unwrap_or(RegionGranularity::Machines(cfg.workers)),
-            memo_capacity: cfg.memo_capacity,
-            memo_install: cfg.memo_install,
-            scheduler: cfg.scheduler,
-            ..PoolConfig::combined(cfg.workers)
-        }
     }
 }
 
@@ -441,7 +315,7 @@ pub struct BatchReport<V: AttrValue> {
     /// ([`WorkerPool::reset_high_water`] zeroes the counters at batch
     /// start): local and remote boundary sends under either scheduler;
     /// steals and migrated values stay zero under
-    /// [`SchedulerMode::Fixed`].
+    /// [`SchedulerMode::Fixed`](paragram_core::parallel::pool::SchedulerMode::Fixed).
     pub sched: SchedCounters,
     /// Fault and recovery telemetry for this batch (zeroed at batch
     /// start alongside the scheduler counters): worker crashes
@@ -475,7 +349,7 @@ impl<V: AttrValue> BatchDriver<V> {
     /// Spawns the worker pool (`workers` threads) for `plan`.
     pub fn new(plan: &CompilationPlan<V>) -> Self {
         BatchDriver {
-            pool: WorkerPool::new(plan.eval_plan(), plan.pool_config()),
+            pool: WorkerPool::new(plan.eval_plan(), plan.config()),
             trees_compiled: 0,
         }
     }
@@ -517,8 +391,8 @@ impl<V: AttrValue> BatchDriver<V> {
     /// Injects a worker crash into the pool: the victim's region jobs
     /// are re-executed from their input logs on the surviving workers
     /// (see [`WorkerPool::kill_worker`]), under either
-    /// [`SchedulerMode`]. Returns `false` for an out-of-range index, an
-    /// already-dead worker or the last survivor.
+    /// [`DriverConfig::scheduler`]. Returns `false` for an out-of-range
+    /// index, an already-dead worker or the last survivor.
     pub fn kill_worker(&mut self, victim: usize) -> bool {
         self.pool.kill_worker(victim)
     }
@@ -618,6 +492,7 @@ mod tests {
     use super::*;
     use paragram_core::eval::{dynamic_eval, MachineMode};
     use paragram_core::grammar::GrammarBuilder;
+    use paragram_core::parallel::pool::MIN_REGION_WORK;
     use paragram_core::tree::TreeBuilder;
     use paragram_core::value::Value;
     use paragram_rope::Rope;
@@ -652,8 +527,8 @@ mod tests {
         });
         g.rule(cons, (1, env), [(0, env)], |a| a[0].clone());
         // A region's worth of work per `cons` (the pool's hand-off
-        // floor, `pool.rs`'s private `MIN_REGION_WORK`), so `n` workers
-        // still cut these short chains into up to `n` regions.
+        // floor), so `n` workers still cut these short chains into up
+        // to `n` regions.
         g.rule_with_cost(
             cons,
             (0, code),
@@ -662,7 +537,7 @@ mod tests {
                 let line = format!("op {}\n", a[1].as_int().unwrap());
                 Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
             },
-            10_000,
+            MIN_REGION_WORK,
         );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, decls), [], |_| Value::Int(0));

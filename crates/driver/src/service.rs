@@ -296,7 +296,7 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// room.
     pub fn new(plan: &CompilationPlan<V>, service: ServiceConfig) -> Self {
         ServiceQueue {
-            pool: WorkerPool::new(plan.eval_plan(), plan.pool_config()),
+            pool: WorkerPool::new(plan.eval_plan(), plan.config()),
             queue: PolicyQueue::new(service.policy),
             trees: HashMap::new(),
             tenants: HashMap::new(),

@@ -21,7 +21,7 @@
 use paragram::core::eval::{static_eval, Machine, MachineScratch};
 use paragram::core::grammar::AttrId;
 use paragram::core::memo::InstallPolicy;
-use paragram::core::parallel::pool::{SchedulerMode, SegmentLedger};
+use paragram::core::parallel::pool::{SchedulerMode, SegmentLedger, MIN_REGION_WORK};
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
 use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig};
@@ -51,12 +51,6 @@ fn sources() -> Vec<String> {
     }));
     srcs
 }
-
-/// `pool.rs`'s private `MIN_REGION_WORK`, mirrored: the estimated work
-/// (`EvalPlan::tree_work` units) a region must carry before a
-/// `Machines(n)` pool ships it to another worker. The tests below pin
-/// region counts against it, so moving the floor fails them on purpose.
-const HANDOFF_FLOOR: u64 = 10_000;
 
 fn store_snapshot(tree: &ParseTree<PVal>, store: &AttrStore<PVal>) -> Vec<Option<PVal>> {
     let g = tree.grammar();
@@ -403,14 +397,14 @@ fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
         .map(|t| compiler.evals.plan().tree_work(t))
         .collect();
     assert!(
-        work[0] > HANDOFF_FLOOR && work[0] < 2 * HANDOFF_FLOOR,
+        work[0] > MIN_REGION_WORK && work[0] < 2 * MIN_REGION_WORK,
         "{work:?}"
     );
     assert!(
-        work[1] >= 2 * HANDOFF_FLOOR && work[1] < 3 * HANDOFF_FLOOR,
+        work[1] >= 2 * MIN_REGION_WORK && work[1] < 3 * MIN_REGION_WORK,
         "{work:?}"
     );
-    assert!(work[2] >= 8 * HANDOFF_FLOOR, "{work:?}");
+    assert!(work[2] >= 8 * MIN_REGION_WORK, "{work:?}");
 
     let reference = sequential_reference(&compiler, &trees);
 
@@ -425,7 +419,7 @@ fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
                 let mut driver = BatchDriver::new(&plan);
                 let report = driver.compile_batch(trees.iter().cloned()).unwrap();
                 for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                    let by_work = (work[i] / HANDOFF_FLOOR).max(1) as usize;
+                    let by_work = (work[i] / MIN_REGION_WORK).max(1) as usize;
                     assert_eq!(
                         out.regions,
                         workers.min(by_work),
@@ -475,7 +469,7 @@ fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
         .collect();
     for tree in &trees {
         let work = compiler.evals.plan().tree_work(tree);
-        assert!(work < 2 * HANDOFF_FLOOR, "{work} units: one region");
+        assert!(work < 2 * MIN_REGION_WORK, "{work} units: one region");
     }
     let reference = sequential_reference(&compiler, &trees);
 

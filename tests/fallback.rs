@@ -3,10 +3,9 @@
 //! the purely dynamic path, with no plans at all.
 
 use paragram::core::eval::{dynamic_eval, EvalPlan, Evaluators, MachineMode, Strategy};
-use paragram::core::grammar::{Grammar, GrammarBuilder, ProdId};
-use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
+use paragram::core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId};
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool, MIN_REGION_WORK};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::ResultPropagation;
 use paragram::core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
 
@@ -23,13 +22,6 @@ struct Fallback {
     list: ProdId,
     lnil: ProdId,
 }
-
-/// One spine node's estimated work: a region's worth under the thread
-/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
-/// pool of `n` workers still cuts these small trees into up to `n`
-/// regions instead of leaving them whole. Rule costs feed work
-/// estimates (and simulated time), never values.
-const REGION_WORTH: u64 = 10_000;
 
 fn fallback() -> Fallback {
     let mut g = GrammarBuilder::<i64>::new();
@@ -56,9 +48,13 @@ fn fallback() -> Fallback {
     let body = g.production("body", t, []);
     g.rule(body, (0, s1), [(0, i1)], |a| a[0] * 3);
     g.rule(body, (0, s2), [(0, i2)], |a| a[0] * 5);
-    // Splittable list to exercise multi-region dynamic machines.
+    // Splittable list to exercise multi-region dynamic machines. Each
+    // spine node carries a region's worth of work under the thread
+    // pool's hand-off floor, so a pool of `n` workers cuts a list of `n`
+    // or more into `n` regions instead of leaving it whole. Rule costs
+    // feed work estimates (and simulated time), never values.
     let list = g.production("cons", l, [l]);
-    g.rule_with_cost(list, (0, lacc), [(1, lacc)], |a| a[0] + 7, REGION_WORTH);
+    g.rule_with_cost(list, (0, lacc), [(1, lacc)], |a| a[0] + 7, MIN_REGION_WORK);
     let lnil = g.production("nil", l, []);
     g.rule(lnil, (0, lacc), [], |_| 0);
 
@@ -135,17 +131,22 @@ fn parallel_dynamic_without_plans_matches_sequential() {
         want.get(tree.root(), paragram::core::grammar::AttrId(0))
     );
 
-    // Threads, no plans.
-    let plan = Arc::new(EvalPlan::from_parts(tree.grammar(), None, None));
-    let config = PoolConfig {
-        mode: MachineMode::Dynamic,
-        result: ResultPropagation::Naive,
-        ..PoolConfig::barrier(3)
-    };
-    let r = WorkerPool::new(&plan, config).eval(&tree).unwrap();
-    assert!(r.regions > 1, "multi-region dynamic machines on threads");
-    assert_eq!(
-        r.store.get(tree.root(), paragram::core::grammar::AttrId(0)),
-        want.get(tree.root(), paragram::core::grammar::AttrId(0))
-    );
+    // Threads, no plans: the pool reads dynamic machines off the plan,
+    // whether a tree is cut into as many regions as workers, stays
+    // whole, or is cut into fewer regions than workers.
+    let plan = Arc::new(EvalPlan::analyze(&f.grammar));
+    assert!(plan.programs().is_none());
+    let mut pool = WorkerPool::new(&plan, PoolConfig::barrier(4));
+    for (n, regions) in [(16, 4), (1, 1), (2, 2)] {
+        let tree = tree_with(&f, f.top1, n);
+        let (want, _) = dynamic_eval(&tree).unwrap();
+        let r = pool.eval(&tree).unwrap();
+        assert_eq!(r.regions, regions, "a list of {n}");
+        assert_eq!(r.stats.static_applied, 0, "a list of {n}");
+        assert_eq!(
+            r.store.get(tree.root(), AttrId(0)),
+            want.get(tree.root(), AttrId(0)),
+            "a list of {n}"
+        );
+    }
 }

@@ -7,7 +7,6 @@
 use paragram::core::eval::{dynamic_eval, static_eval, MachineMode};
 use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::ResultPropagation;
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{direct, parser, run_asm, Compiler, PVal};
 use std::sync::Arc;
@@ -77,22 +76,16 @@ fn threaded_parallel_compilation_produces_identical_program() {
     let want = run_asm(&sequential.asm).unwrap();
 
     for machines in [2, 4] {
-        for result in [ResultPropagation::Librarian, ResultPropagation::Naive] {
-            let config = PoolConfig {
-                result,
-                ..PoolConfig::barrier(machines)
-            };
-            let report = WorkerPool::new(compiler.evals.plan(), config)
-                .eval(&tree)
-                .unwrap();
-            let code = report
-                .root_values
-                .iter()
-                .find(|(a, _)| *a == compiler.pg.s_code)
-                .map(|(_, v)| v.code().to_string())
-                .expect("code attribute");
-            assert_eq!(run_asm(&code).unwrap(), want, "machines={machines}");
-        }
+        let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(machines))
+            .eval(&tree)
+            .unwrap();
+        let code = report
+            .root_values
+            .iter()
+            .find(|(a, _)| *a == compiler.pg.s_code)
+            .map(|(_, v)| v.code().to_string())
+            .expect("code attribute");
+        assert_eq!(run_asm(&code).unwrap(), want, "machines={machines}");
     }
 }
 
@@ -102,11 +95,7 @@ fn parallel_store_matches_sequential_store_instance_by_instance() {
     let tree = compiler.tree_from_source(&src).unwrap();
     let plans = Arc::clone(compiler.evals.plans().unwrap());
     let (seq, _) = static_eval(&tree, &plans).unwrap();
-    let config = PoolConfig {
-        result: ResultPropagation::Naive, // no segment indirection
-        ..PoolConfig::barrier(3)
-    };
-    let report = WorkerPool::new(compiler.evals.plan(), config)
+    let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(3))
         .eval(&tree)
         .unwrap();
     assert_eq!(report.store.filled(), seq.filled());

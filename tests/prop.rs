@@ -5,8 +5,7 @@
 use paragram::core::analysis::compute_plans;
 use paragram::core::eval::{dynamic_eval, static_eval, EvalPlan};
 use paragram::core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram::core::parallel::pool::{PoolConfig, WorkerPool};
-use paragram::core::parallel::ResultPropagation;
+use paragram::core::parallel::pool::{PoolConfig, WorkerPool, MIN_REGION_WORK};
 use paragram::core::split::{decompose, SplitConfig};
 use paragram::core::tree::{ParseTree, TreeBuilder};
 use proptest::prelude::*;
@@ -22,13 +21,6 @@ struct G {
     unit: paragram::core::grammar::ProdId,
     top: paragram::core::grammar::ProdId,
 }
-
-/// One spine node's estimated work: a region's worth under the thread
-/// pool's hand-off floor (`pool.rs`'s private `MIN_REGION_WORK`), so a
-/// pool of `n` workers still cuts these small trees into up to `n`
-/// regions instead of leaving them whole. Rule costs feed work
-/// estimates (and simulated time), never values.
-const REGION_WORTH: u64 = 10_000;
 
 fn fixture() -> G {
     let mut g = GrammarBuilder::<i64>::new();
@@ -51,12 +43,16 @@ fn fixture() -> G {
     g.rule(cons, (0, decls), [(2, decls)], |a| a[0] + 1);
     g.rule(cons, (2, env), [(0, env)], |a| a[0].wrapping_add(3));
     g.rule(cons, (1, benv), [(0, env)], |a| a[0]);
+    // One spine node carries a region's worth of work under the thread
+    // pool's hand-off floor, so a pool of `n` workers still cuts these
+    // small trees into up to `n` regions instead of leaving them whole.
+    // Rule costs feed work estimates (and simulated time), never values.
     g.rule_with_cost(
         cons,
         (0, code),
         [(1, bcode), (2, code)],
         |a| a[0].wrapping_mul(31).wrapping_add(a[1]),
-        REGION_WORTH,
+        MIN_REGION_WORK,
     );
     let nil = g.production("nil", l, []);
     g.rule(nil, (0, decls), [], |_| 0);
@@ -125,12 +121,17 @@ proptest! {
     }
 
     /// Threaded combined evaluation with arbitrary machine counts and
-    /// granularity scales matches the dynamic reference everywhere.
+    /// granularities — the default cut, or regions of an adaptive
+    /// budget — matches the dynamic reference everywhere.
     #[test]
     fn parallel_equals_dynamic(
         shape in prop::collection::vec(0u8..8, 2..24),
         machines in 1usize..6,
-        scale in prop::sample::select(vec![0.5f64, 1.0, 4.0]),
+        adaptive_budget in prop::sample::select(vec![
+            None,
+            Some(MIN_REGION_WORK),
+            Some(4 * MIN_REGION_WORK),
+        ]),
     ) {
         let g = fixture();
         let tree = build_tree(&g, &shape);
@@ -138,8 +139,7 @@ proptest! {
         let plan = Arc::new(EvalPlan::from_parts(&g.grammar, Some(plans), None));
         let (d, _) = dynamic_eval(&tree).unwrap();
         let config = PoolConfig {
-            result: ResultPropagation::Naive,
-            min_size_scale: scale,
+            adaptive_budget,
             ..PoolConfig::barrier(machines)
         };
         let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
