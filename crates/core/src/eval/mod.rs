@@ -103,7 +103,8 @@ pub enum EvalError {
     },
     /// A retired value references a code segment the string librarian
     /// does not hold for this tree (a registration was lost), so the
-    /// text it stands for cannot be reassembled.
+    /// text it stands for cannot be reassembled. Only the simulator runs
+    /// a librarian, so only it raises this.
     UnknownSegment {
         /// The segment that was never registered.
         id: paragram_rope::SegmentId,

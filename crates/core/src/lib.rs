@@ -20,9 +20,9 @@
 //! * [`split`] — decomposition of the parse tree into subtrees for
 //!   separate evaluation (§2.1, Figure 7);
 //! * [`parallel`] — the parallel compiler runtimes: a deterministic
-//!   simulated network multiprocessor (reproducing Figures 5 and 6) and a
-//!   real-thread executor, both with string-librarian result propagation
-//!   (§4.2);
+//!   simulated network multiprocessor (reproducing Figures 5 and 6),
+//!   with string-librarian result propagation (§4.2), and a real-thread
+//!   executor, whose threads share memory and so pass code as ropes;
 //! * [`stats`] — instrumentation backing every measurement in §4;
 //! * [`uniq`] — per-evaluator unique-identifier bases (§4.3).
 //!

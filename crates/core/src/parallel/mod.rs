@@ -23,13 +23,11 @@
 //!   a root value, report `Done`); [`pool`]'s threads and [`sim`]'s
 //!   evaluator processes are its two drivers.
 //! * [`pool`] — persistent evaluator worker pool (threads spawned
-//!   once; the librarian is a segment ledger they share under a mutex,
-//!   not a thread of its own) scheduling **region jobs** —
+//!   once, sharing memory, so a code value crosses a region boundary as
+//!   the rope it is and no librarian runs) scheduling **region jobs** —
 //!   `(ticket, region)` pairs, not whole trees: the batched-compilation
-//!   runtime, with split-phase code combining (registration streams
-//!   during evaluation, resolution at the parser's final read), a
-//!   small cross-tree pipeline window, no split below the measured
-//!   cost of a hand-off between threads, and cost-driven
+//!   runtime, with a small cross-tree pipeline window, no split below
+//!   the measured cost of a hand-off between threads, and cost-driven
 //!   adaptive decomposition so one huge tree fills the pool like a
 //!   batch of small ones. Each thread drives a worker core; the pool
 //!   drives the board from them under one mutex and moves values over
@@ -111,11 +109,14 @@ use crate::grammar::{AttrId, SymbolId};
 use crate::value::AttrValue;
 
 /// How evaluators propagate large result attributes back to the parser.
+/// The simulator defaults to the librarian; the pool's threads share
+/// memory and always run naive propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResultPropagation {
     /// Each evaluator ships its full result value to its ancestor; the
     /// ancestor concatenates and re-transmits — the paper's "naive
-    /// implementation" whose cost grows with process-tree depth.
+    /// implementation" whose cost grows with process-tree depth. Between
+    /// threads, shipping a rope costs a reference-count increment.
     Naive,
     /// String-librarian protocol (§4.2): text goes to the librarian
     /// once, only small descriptors travel up the process tree.

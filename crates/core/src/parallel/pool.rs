@@ -8,46 +8,28 @@
 //! thread drives one worker core (`parallel/worker.rs`, the same job
 //! code the simulator's evaluators run): the thread supplies the
 //! transport — its channel, polled between bursts of machine steps,
-//! the board and ledger locks — and the core builds, feeds, steps and
-//! finishes the jobs, recycling its machines' scratch buffers from tree
-//! to tree. The pool runs exactly [`PoolConfig::workers`] threads; for
-//! one tree at a time, [`WorkerPool::eval`] on a
-//! [`PoolConfig::barrier`] pool is the one-shot call.
+//! and the board lock — and the core builds, feeds, steps and finishes
+//! the jobs, recycling its machines' scratch buffers from tree to tree.
+//! The pool runs exactly [`PoolConfig::workers`] threads; for one tree
+//! at a time, [`WorkerPool::eval`] on a [`PoolConfig::barrier`] pool is
+//! the one-shot call.
 //!
-//! # Tickets and the split-phase librarian
+//! # Tickets, and why threads need no librarian
 //!
 //! Every tree submitted to the pool gets a monotonically increasing
-//! [`Ticket`]. The librarian protocol is *split-phase*, exactly as the
-//! paper's §4.2 code-combining protocol allows:
+//! [`Ticket`], and every message about its jobs carries it, so trees in
+//! flight together never interfere.
 //!
-//! * **Registration** streams: workers hand code segments to the
-//!   librarian *while evaluation is still running*, tagged with their
-//!   tree's ticket ([`SegmentLedger`] keeps one segment store per
-//!   in-flight ticket, so consecutive trees' segments never collide).
-//! * **Resolution** is deferred to the parser's final read of that
-//!   tree: only when the pool retires a ticket does it take the
-//!   ticket's segment store — and by then the *next* tree's
-//!   registrations are already streaming in.
-//!
-//! The paper's librarian is a process because its machines share
-//! nothing. Threads share memory, so here the librarian is the ledger
-//! itself, not a thread that owns one: workers register straight into a
-//! [`SegmentLedger`] shared under a mutex, and retirement takes the
-//! ticket's store out of it. The protocol is the same — a worker
-//! registers a value's segments *before* it sends the message carrying
-//! the value, and every region's registrations happen-before the `Done`
-//! it sends afterwards, so by the time the retiring thread has every
-//! `Done` in hand the ticket's entry is complete. What is gone is a
-//! third thread on a box that already runs the workers and the caller,
-//! and a blocking rendezvous with it at every retirement (measured
-//! 75–160 µs per small tree, up to 25 ms on a huge one when the
-//! librarian had to wait for a CPU). The lock is held for one
-//! registration or one take at a time, never across a semantic-rule
-//! call. An entry lives from `submit` to retirement: a registration
-//! for a ticket no longer in flight (a region of a failed ticket that
-//! has not seen its `Cancel` yet) is dropped, so an idle pool's ledger
-//! is empty — debug builds assert it. A ticket that is not cut into
-//! regions (below) registers nothing and has no entry at all.
+//! The paper's string librarian (§4.2) exists because its evaluator
+//! machines share nothing: without it, every ancestor region re-ships
+//! its descendants' ever-growing code text over the network. The
+//! simulator keeps that protocol, and `ablation_librarian` measures
+//! what it saves there. Threads share memory, so here a code value
+//! crosses a region boundary as the rope it is — a reference-counted
+//! handle, whatever the length of its text — and the pool's worker
+//! cores run [`ResultPropagation::Naive`]: nothing registers a segment,
+//! nothing is left to resolve, and a retired store holds exactly the
+//! values a sequential evaluation computes.
 //!
 //! # Region-granular scheduling
 //!
@@ -66,15 +48,14 @@
 //!            └─ job (t,r) ─▶ worker w(t,r)    (ticket, region) first
 //!                  │
 //!                  │  Attr { t, region, .. }   between (t,q) machines
-//!                  │  register_open(t, ..)     into the shared ledger
 //!                  ▼
 //! Done(t, q) per region ─▶ parser assembles InFlight(t)
-//!   (root values aboard   ─▶ resolve(t) at retirement ─▶ PoolReport
+//!   (root values aboard   ─▶ retirement ─▶ PoolReport
 //!    the root region's)
 //!
 //! ticket t, not cut ── whole-tree job (t,0) ─▶ worker w(t,0)
 //!                        static evaluation into an AttrStore:
-//!                        no decomposition, machine or ledger entry
+//!                        no decomposition or machine
 //!                  ▼
 //! Done(t, 0) with the store ─▶ retirement adopts it ─▶ PoolReport
 //! ```
@@ -85,8 +66,8 @@
 //!
 //! A ticket that stays whole — one region — is not a degenerate case of
 //! the machinery above but a different job: nothing crosses a boundary,
-//! so there is nothing to decompose, no dependency to schedule, no
-//! segment to register and no region store to map back. The worker runs
+//! so there is nothing to decompose, no dependency to schedule and no
+//! region store to map back. The worker runs
 //! the plan's compiled visit programs over the tree exactly as the
 //! sequential static evaluator does (§2.4: static evaluation wherever
 //! no remote dependency exists) and retirement adopts the store it
@@ -101,12 +82,11 @@
 //! region's contract: probe, replay or evaluate, install at retirement.
 //!
 //! The pool reads its machine mode off the plan
-//! ([`EvalPlan::best_mode`]) and always propagates results through the
-//! librarian; naive propagation (§4.2's ablation) is the simulator's. A
-//! pool whose plan has no visit programs (its grammar is not l-ordered,
-//! §4.1) runs [`crate::eval::MachineMode::Dynamic`] machines and has no
-//! whole-tree job to run: a tree that stays whole is a one-region
-//! machine.
+//! ([`EvalPlan::best_mode`]) and always propagates results naively
+//! (above); the librarian is the simulator's. A pool whose plan has no
+//! visit programs (its grammar is not l-ordered, §4.1) runs
+//! [`crate::eval::MachineMode::Dynamic`] machines and has no whole-tree
+//! job to run: a tree that stays whole is a one-region machine.
 //!
 //! Because regions — not trees — are the work items, a single huge tree
 //! decomposed into many budget-sized regions
@@ -131,8 +111,8 @@
 //!
 //! # Cross-tree pipelining
 //!
-//! Because registration and resolution are decoupled per ticket, the
-//! pool needs no barrier between trees. A small in-flight window
+//! Because every message carries its ticket, the pool needs no barrier
+//! between trees. A small in-flight window
 //! ([`PoolConfig::pipeline_depth`]) lets tree N+1's region jobs
 //! dispatch while tree N's regions drain. The default window is two
 //! trees **per worker**. It is per worker because a small tree is one
@@ -151,8 +131,8 @@
 //! the symbol-table pipeline), the worker steps the next job's machine
 //! instead of idling. Both the early-finisher idle time *and* the
 //! blocked-on-messages time an epoch barrier would waste become useful
-//! work, and the parser-side assembly of tree N (store merge + segment
-//! inflation) overlaps tree N+1's evaluation. Depth 1 restores the
+//! work, and the parser-side assembly of tree N (the store merge)
+//! overlaps tree N+1's evaluation. Depth 1 restores the
 //! strict one-epoch-per-tree barrier.
 //!
 //! # What retirement costs
@@ -163,36 +143,23 @@
 //! overlaps that tree's evaluation. A ticket that was one whole-tree
 //! job costs none of what follows: its store arrives finished, and
 //! retirement reads the root values out of it (and, memo on, runs the
-//! install scan over it) — no ledger lock, no allocation, no move, no
-//! inflation. For a ticket of regions, retirement waits on no other
-//! thread — the ticket's segment store is taken out of the shared
-//! ledger under a lock no one holds for longer than one registration.
-//! It is, in order: inflating the root values; the memo install scan
-//! (memo on only: one `is_fingerprintable` + `wire_size` per value of
-//! each cacheable region not yet cached); sizing the whole-tree store
-//! ([`AttrStore::new`], O(instances), mostly first-touch page faults);
-//! moving every region's owned span into it
-//! ([`AttrStore::absorb_region`], O(instances), one move per value);
-//! and [`AttrStore::inflate_all`], one look at every instance and a
-//! rewrite of those that hold segment references.
+//! install scan over it) — no allocation, no move. For a ticket of
+//! regions, retirement waits on no other thread. It is, in order: the
+//! memo install scan (memo on only: one `is_fingerprintable` +
+//! `wire_size` per value of each cacheable region not yet cached);
+//! sizing the whole-tree store ([`AttrStore::new`], O(instances),
+//! mostly first-touch page faults); and moving every region's owned
+//! span into it ([`AttrStore::absorb_region`], O(instances), one move
+//! per value).
 //!
 //! Nothing in that list reads code text. A node's code rope contains
 //! its whole subtree's, so any per-instance step that walks its rope
 //! costs Σ subtree sizes — several times a sequential evaluation on a
-//! large tree. The rope answers "does this hold a segment reference"
-//! and "how many bytes would this put on the wire" from cached fields,
-//! resolution descends only towards the references and shares the
-//! rest, and a value without references is neither cloned nor dropped
-//! ([`AttrValue::inflate`] returns `None`). What remains is
-//! proportional to the number of attribute instances (allocate + move:
-//! ≈ 35 ms of a 264 k-node tree's ≈ 40 ms retirement) plus what
-//! crossed region boundaries. The same holds on the sending side:
-//! [`AttrValue::deflate`] hands text to the librarian as shared
-//! sub-ropes, so a boundary send does not copy the region's code.
-//!
-//! A segment reference the ticket's store cannot resolve fails the ticket
-//! with [`EvalError::UnknownSegment`] — never a store with text
-//! missing.
+//! large tree. A value is moved, never cloned, and a rope answers "how
+//! many bytes would this put on the wire" from a cached field, so
+//! retirement is proportional to the number of attribute instances.
+//! The same holds on the sending side: a boundary send clones a rope's
+//! handle, not its text.
 //!
 //! # Placement: one scheduler board, two seeding policies
 //!
@@ -256,8 +223,7 @@ use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionI
 use crate::stats::EvalStats;
 use crate::tree::{AttrStore, NodeId, ParseTree};
 use crate::value::AttrValue;
-use paragram_rope::{Rope, SegmentId, SegmentStore};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -268,9 +234,8 @@ use super::worker::{Cut, Driver, Finished, JobResult, WorkerCore};
 use super::ResultPropagation;
 
 /// Identifies one tree's pass through the pool (monotone, assigned at
-/// [`WorkerPool::submit`] time). Messages carry their ticket so
-/// registration, attribute exchange and resolution of overlapping trees
-/// never interfere.
+/// [`WorkerPool::submit`] time). Messages carry their ticket so the
+/// attribute exchanges of overlapping trees never interfere.
 pub type Ticket = u64;
 
 /// How the scheduler board seeds region jobs onto workers, and whether
@@ -321,9 +286,9 @@ impl SchedCounters {
 /// Fault-injection and recovery telemetry, cumulative since pool
 /// construction or the last [`WorkerPool::reset_high_water`]. The pool
 /// fills the crash/re-execution/duplicate/panic fields; the deadline
-/// and retry fields belong to the serving layer (`paragram-driver`'s
-/// service queue), which merges its own counts in. The simulator's
-/// recovery mirror reports the same struct.
+/// fields belong to the serving layer (`paragram-driver`'s service
+/// queue), which merges its own counts in. The simulator's recovery
+/// mirror reports the same struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Worker/machine crashes observed (injected or real).
@@ -340,9 +305,6 @@ pub struct FaultCounters {
     /// Admitted requests whose deadline expired while queued (serving
     /// layer, enforced at dispatch time).
     pub deadline_expired: u64,
-    /// Failed tickets re-dispatched by the serving layer's bounded
-    /// retry policy.
-    pub retries: u64,
     /// Semantic-rule panics converted into per-ticket failures by
     /// [`std::panic::catch_unwind`] containment.
     pub panics_contained: u64,
@@ -362,7 +324,6 @@ impl FaultCounters {
             deadline_expired: self
                 .deadline_expired
                 .saturating_sub(earlier.deadline_expired),
-            retries: self.retries.saturating_sub(earlier.retries),
             panics_contained: self
                 .panics_contained
                 .saturating_sub(earlier.panics_contained),
@@ -395,8 +356,9 @@ impl std::error::Error for TicketFailure {}
 /// `paragram_driver::DriverConfig`, for the batch driver and the
 /// service queue that own one. It holds only what a deployment
 /// chooses: the pool reads its machine mode off the plan
-/// ([`EvalPlan::best_mode`]), always propagates results through the
-/// librarian, and splits at the grammar's own `%split` minima.
+/// ([`EvalPlan::best_mode`]), always propagates results naively (its
+/// threads share memory; see the module docs), and splits at the
+/// grammar's own `%split` minima.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of persistent evaluator threads — all the threads the
@@ -523,117 +485,49 @@ impl Default for PoolConfig {
     }
 }
 
-/// The librarian's split-phase bookkeeping: one [`SegmentStore`] per
-/// in-flight ticket. Registration is streaming (any ticket, any order);
-/// resolution removes and returns exactly one ticket's store, leaving
-/// other tickets' registrations untouched — which is what lets trees
-/// overlap in the pool without their segments colliding.
-///
-/// One ledger, two drivers. The simulator's librarian *process* owns
-/// one and is fed by messages ([`SegmentLedger::register`] opens a
-/// ticket's entry on first sight — its machines share nothing, so the
-/// librarian cannot know a ticket before a segment names it). The pool
-/// shares one between its workers and the retiring thread under a
-/// mutex, and keeps the entries closed by construction: `submit`
-/// [opens](SegmentLedger::open) a ticket's entry, workers register
-/// [only into an open one](SegmentLedger::register_open), retirement
-/// [takes](SegmentLedger::resolve) it — so a straggler region of a
-/// ticket that already failed and retired cannot re-create an entry
-/// nothing would ever remove. The pool's lock is held for one
-/// `register_open`, one `open` or one `resolve` at a time: a hash
-/// lookup and at most one map insertion, never across a semantic-rule
-/// call, a channel operation or another lock.
-#[derive(Debug, Default)]
-pub struct SegmentLedger {
-    tickets: HashMap<Ticket, SegmentStore>,
-}
-
-impl SegmentLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens `ticket`'s (empty) entry, so that
-    /// [`SegmentLedger::register_open`] accepts registrations for it
-    /// until it is [resolved](SegmentLedger::resolve).
-    pub fn open(&mut self, ticket: Ticket) {
-        self.tickets.entry(ticket).or_default();
-    }
-
-    /// Streams one segment registration for `ticket`, opening its entry
-    /// if this is the first the ledger hears of it.
-    pub fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
-        self.tickets.entry(ticket).or_default().register(id, text);
-    }
-
-    /// Streams one segment registration for `ticket` if its entry is
-    /// open, and drops it otherwise (the ticket was resolved, or never
-    /// opened). Returns whether the segment was kept.
-    pub fn register_open(&mut self, ticket: Ticket, id: SegmentId, text: Rope) -> bool {
-        self.tickets
-            .get_mut(&ticket)
-            .map(|store| store.register(id, text))
-            .is_some()
-    }
-
-    /// Resolves `ticket`: removes and returns its segment store (empty
-    /// if the ticket registered nothing: its values stayed below the
-    /// deflation threshold, or — in the simulator — it ran under naive
-    /// propagation).
-    pub fn resolve(&mut self, ticket: Ticket) -> SegmentStore {
-        self.tickets.remove(&ticket).unwrap_or_default()
-    }
-
-    /// Number of tickets with unresolved registrations.
-    pub fn open_tickets(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Total text bytes registered for `ticket` so far.
-    pub fn ticket_bytes(&self, ticket: Ticket) -> usize {
-        self.tickets.get(&ticket).map_or(0, |s| s.total_bytes())
-    }
-}
-
-/// Result of one pooled parallel evaluation.
+/// Result of one pooled parallel evaluation — re-exported as
+/// `paragram_driver::TreeOutput`, what the batch driver and the service
+/// queue hand back per tree.
 pub struct PoolReport<V: AttrValue> {
     /// The ticket this tree was evaluated under.
     pub ticket: Ticket,
-    /// Root attribute values, librarian-resolved.
+    /// Root attribute values.
     pub root_values: Vec<(AttrId, V)>,
-    /// Merged attribute store, librarian-resolved (independent of the
-    /// decomposition that produced it).
+    /// The tree's attribute store, independent of how the tree was
+    /// decomposed: merged from the regions' stores, or — for a tree
+    /// that stayed whole — the very store a worker evaluated into.
     pub store: AttrStore<V>,
-    /// The librarian's segment store for this tree's ticket: what its
-    /// regions registered. Empty for a ticket that was one whole-tree
-    /// job (`regions == 1` on a pool whose plan has visit programs) —
-    /// nothing crossed a boundary, so nothing was registered.
-    pub segments: SegmentStore,
-    /// Aggregated statistics.
+    /// Statistics aggregated over all the tree's jobs.
     pub stats: EvalStats,
     /// Wall-clock time from job dispatch until the retiring thread had
-    /// every job's `Done` in hand — it stops *before* the ticket's
-    /// segment store is taken from the ledger, so it covers
-    /// dispatch-to-last-rule and nothing of retirement. Read on the
-    /// retiring thread when it gets to this ticket, so it also counts
-    /// any time the finished jobs sat unread — with the default window
-    /// of two trees per worker a small tree's `elapsed` includes its
-    /// wait on the worker's deque behind the tree ahead of it — and
-    /// under a pipelined window it overlaps with neighbouring trees'
-    /// times.
+    /// every job's `Done` in hand — it stops where retirement starts,
+    /// so it covers dispatch-to-last-rule. Read on the retiring thread
+    /// when it gets to this ticket, so it also counts any time the
+    /// finished jobs sat unread — with the default window of two trees
+    /// per worker a small tree's `elapsed` includes its wait on the
+    /// worker's deque behind the tree ahead of it — and under a
+    /// pipelined window it overlaps with neighbouring trees' times.
     pub elapsed: Duration,
     /// Wall-clock time of retirement, on the retiring thread, starting
-    /// where `elapsed` stops. For a ticket of regions: taking the
-    /// ticket's segment store, root inflation, memo installation,
-    /// whole-tree store allocation, region absorption and
-    /// [`AttrStore::inflate_all`]. For a ticket that was one whole-tree
-    /// job: reading the root values out of the store the worker filled
-    /// (and the memo install, memo on) — next to nothing. `elapsed +
-    /// assemble` is dispatch to finished report.
+    /// where `elapsed` stops. For a ticket of regions: memo
+    /// installation, whole-tree store allocation and region absorption.
+    /// For a ticket that was one whole-tree job: reading the root values
+    /// out of the store the worker filled (and the memo install, memo
+    /// on) — next to nothing. `elapsed + assemble` is dispatch to
+    /// finished report.
     pub assemble: Duration,
     /// Number of regions actually used; 1 is a tree that stayed whole.
     pub regions: usize,
+}
+
+impl<V: AttrValue> PoolReport<V> {
+    /// The root value of an attribute, if it was produced.
+    pub fn root_value(&self, attr: AttrId) -> Option<&V> {
+        self.root_values
+            .iter()
+            .find(|(a, _)| *a == attr)
+            .map(|(_, v)| v)
+    }
 }
 
 /// What a worker needs to run a job: the tree and how its ticket was
@@ -698,18 +592,15 @@ struct InFlight<V: AttrValue> {
     failed: Option<EvalError>,
 }
 
-/// Persistent evaluator threads + the librarian's ledger, reusable
-/// across a stream of trees compiled against one shared [`EvalPlan`].
+/// Persistent evaluator threads and the scheduler board they share,
+/// reusable across a stream of trees compiled against one shared
+/// [`EvalPlan`].
 pub struct WorkerPool<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
     config: PoolConfig,
     split: SplitTable,
     worker_txs: Vec<Sender<WorkerMsg<V>>>,
     parser_rx: Receiver<Done<V>>,
-    /// The librarian: one segment store per in-flight ticket that was
-    /// cut into regions, opened at `submit`, filled by the workers,
-    /// taken at retirement.
-    ledger: Arc<Mutex<SegmentLedger>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_ticket: Ticket,
     in_flight: VecDeque<InFlight<V>>,
@@ -740,8 +631,6 @@ struct WorkerCtx<V: AttrValue> {
     rx: Receiver<WorkerMsg<V>>,
     peers: Vec<Sender<WorkerMsg<V>>>,
     parser_tx: Sender<Done<V>>,
-    /// The librarian's ledger (registration side).
-    ledger: Arc<Mutex<SegmentLedger>>,
     /// The scheduler board.
     board: Arc<PoolBoard<V>>,
     /// Shared count of contained semantic-rule panics.
@@ -785,10 +674,9 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
 /// The pool's hand-off floor: the least estimated work (rule-cost
 /// units, [`EvalPlan::tree_work`]) a region must carry before it repays
 /// shipping it to another worker — a channel hop per boundary value, a
-/// machine of its own, a segment registration per code value and a
-/// region store to absorb. Without an adaptive budget a tree is cut
-/// into no more regions than it has multiples of this, so a tree below
-/// twice the floor stays whole. The grammar's `%split` minima (25–40
+/// machine of its own and a region store to absorb. Without an adaptive
+/// budget a tree is cut into no more regions than it has multiples of
+/// this, so a tree below twice the floor stays whole. The grammar's `%split` minima (25–40
 /// nodes for Pascal) are the paper's, sized for its network; this is
 /// the same argument (§3) for threads, measured — lone-tree latency
 /// through a 2-worker pool, two regions ÷ one, generated Pascal
@@ -818,24 +706,24 @@ fn regions_worth_shipping(n: usize, tree_work: u64) -> usize {
 /// decision is atomic.
 type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
-/// Locks one of the pool's two shared mutexes — the scheduler board or
-/// the segment ledger, named by `what`. Neither is ever held across a
-/// semantic-rule call (the worker core catches rule panics outside
-/// both), so a poisoned lock means a pool thread panicked inside a
-/// board transition or a ledger update: a broken invariant, which fails
-/// here by name instead of running on half-updated state.
-fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|_| panic!("{what} lock poisoned: a pool thread panicked holding it"))
+/// Locks the scheduler board, the pool's one shared mutex. It is never
+/// held across a semantic-rule call (the worker core catches rule
+/// panics outside it), so a poisoned lock means a pool thread panicked
+/// inside a board transition: a broken invariant, which fails here by
+/// name instead of running on half-updated state.
+fn lock<V: AttrValue>(board: &PoolBoard<V>) -> MutexGuard<'_, Board<V, JobData<V>>> {
+    board.lock().unwrap_or_else(|_| {
+        panic!("scheduler board lock poisoned: a pool thread panicked holding it")
+    })
 }
 
 impl<V: AttrValue> WorkerPool<V> {
     /// Spawns the pool: `config.workers` evaluator threads, persistent
-    /// until the pool is dropped, sharing the librarian's ledger. Their
+    /// until the pool is dropped, sharing the scheduler board. Their
     /// machines run the best mode `plan` supports
     /// ([`EvalPlan::best_mode`]: combined when the grammar is
-    /// l-ordered, dynamic otherwise) with librarian propagation.
+    /// l-ordered, dynamic otherwise) with naive propagation: a value
+    /// crosses a region boundary as it is.
     pub fn new(plan: &Arc<EvalPlan<V>>, config: PoolConfig) -> Self {
         let config = config.normalized();
         let workers = config.workers;
@@ -857,7 +745,6 @@ impl<V: AttrValue> WorkerPool<V> {
 
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
         let (parser_tx, parser_rx) = channel();
-        let ledger = Arc::new(Mutex::new(SegmentLedger::new()));
 
         let mut handles = Vec::with_capacity(workers);
         for (me, rx) in worker_rxs.into_iter().enumerate() {
@@ -866,14 +753,13 @@ impl<V: AttrValue> WorkerPool<V> {
                 rx,
                 peers: worker_txs.clone(),
                 parser_tx: parser_tx.clone(),
-                ledger: Arc::clone(&ledger),
                 board: Arc::clone(&board),
                 panics_contained: Arc::clone(&panics_contained),
             };
             let core = WorkerCore::new(
                 Arc::clone(plan),
                 plan.best_mode(),
-                ResultPropagation::Librarian,
+                ResultPropagation::Naive,
                 memo.clone(),
                 Arc::clone(&memo_safe),
             );
@@ -886,7 +772,6 @@ impl<V: AttrValue> WorkerPool<V> {
             split,
             worker_txs,
             parser_rx,
-            ledger,
             handles,
             next_ticket: 0,
             in_flight: VecDeque::with_capacity(depth),
@@ -954,7 +839,7 @@ impl<V: AttrValue> WorkerPool<V> {
     pub fn reset_high_water(&mut self) {
         self.max_in_flight = self.in_flight.len();
         self.max_regions_in_flight = self.regions_in_flight();
-        lock(&self.board, "scheduler board").reset_counters();
+        lock(&self.board).reset_counters();
         self.panics_contained.store(0, Ordering::Relaxed);
         self.debug_check_quiescent();
     }
@@ -962,32 +847,26 @@ impl<V: AttrValue> WorkerPool<V> {
     /// With no ticket in flight every seeded job has retired (a worker
     /// retires a job on the board before it reports it done), so the
     /// board must be back to empty: no pending job, no record or input
-    /// log, every live worker's load account at zero — and every
-    /// ticket's ledger entry was taken at its retirement, so the ledger
-    /// holds none. Debug builds check both wherever the pool is known
-    /// to be idle, and fail by name on a poisoned lock.
+    /// log, every live worker's load account at zero. Debug builds
+    /// check it wherever the pool is known to be idle, and fail by name
+    /// on a poisoned lock.
     fn debug_check_quiescent(&self) {
         if cfg!(debug_assertions) && self.in_flight.is_empty() && !std::thread::panicking() {
             assert!(
-                lock(&self.board, "scheduler board").is_quiescent(),
+                lock(&self.board).is_quiescent(),
                 "scheduler board not quiescent with nothing in flight"
-            );
-            assert_eq!(
-                lock(&self.ledger, "segment ledger").open_tickets(),
-                0,
-                "segment ledger holds entries with nothing in flight"
             );
         }
     }
 
     /// Fault/recovery telemetry since construction or the last
-    /// [`WorkerPool::reset_high_water`]. The deadline and retry fields
-    /// are always zero here — they belong to the serving layer, which
-    /// merges its own counts into the same struct.
+    /// [`WorkerPool::reset_high_water`]. The deadline fields are always
+    /// zero here — they belong to the serving layer, which merges its
+    /// own counts into the same struct.
     pub fn fault_counters(&self) -> FaultCounters {
         FaultCounters {
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            ..lock(&self.board, "scheduler board").fault_counters()
+            ..lock(&self.board).fault_counters()
         }
     }
 
@@ -997,7 +876,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// migrated values, which stay zero under
     /// [`SchedulerMode::Fixed`].
     pub fn sched_counters(&self) -> SchedCounters {
-        lock(&self.board, "scheduler board").sched_counters()
+        lock(&self.board).sched_counters()
     }
 
     /// The shared plan this pool evaluates against.
@@ -1046,13 +925,11 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Submits one tree into the pipeline window: cuts it into regions
     /// or leaves it whole, assigns the next ticket (returned, so
-    /// serving layers can correlate retries) and seeds its jobs on the
-    /// scheduler board — one per region, after opening the ticket's
-    /// ledger entry, or the one whole-tree job, which crosses no
-    /// boundary and so has no entry to open. If the window is full, the
-    /// oldest in-flight tree is retired first (its report — or failure
-    /// — is buffered for [`WorkerPool::collect`] /
-    /// [`WorkerPool::take_ready`]).
+    /// serving layers can correlate results) and seeds its jobs on the
+    /// scheduler board — one per region, or the one whole-tree job. If
+    /// the window is full, the oldest in-flight tree is retired first
+    /// (its report — or failure — is buffered for
+    /// [`WorkerPool::collect`] / [`WorkerPool::take_ready`]).
     ///
     /// A ticket whose evaluation fails (cycle, plan inconsistency,
     /// contained rule panic) surfaces as a [`TicketFailure`] in
@@ -1068,11 +945,6 @@ impl<V: AttrValue> WorkerPool<V> {
         let cut = self.carve(tree);
         let decomp = cut.regions().cloned();
         let regions = decomp.as_ref().map_or(1, |d| d.len());
-        if decomp.is_some() {
-            // Before any job of the ticket exists: a worker registers
-            // only into an open entry.
-            lock(&self.ledger, "segment ledger").open(ticket);
-        }
 
         let start = Instant::now();
         self.seed(ticket, tree, &cut);
@@ -1105,7 +977,7 @@ impl<V: AttrValue> WorkerPool<V> {
             None => vec![self.plan.tree_work(tree).max(1)],
         };
         let wake = {
-            let mut board = lock(&self.board, "scheduler board");
+            let mut board = lock(&self.board);
             let homes = board.seed(
                 ticket,
                 ticket as usize,
@@ -1221,7 +1093,7 @@ impl<V: AttrValue> WorkerPool<V> {
             // region's has the root values aboard a second time) is
             // harmless either way: results are deterministic, and the
             // first report stands.
-            lock(&self.board, "scheduler board").count_duplicate();
+            lock(&self.board).count_duplicate();
             return;
         }
         match result {
@@ -1243,7 +1115,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// running machines for the ticket. Their Dones will never be
     /// awaited.
     fn cancel_ticket(&mut self, ticket: Ticket) {
-        lock(&self.board, "scheduler board").cancel(ticket);
+        lock(&self.board).cancel(ticket);
         for tx in &self.worker_txs {
             let _ = tx.send(WorkerMsg::Cancel { ticket });
         }
@@ -1261,8 +1133,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// Parser role for the oldest in-flight tree: drain worker messages
     /// until its jobs all report (or its ticket fails) — the only
     /// wait, and none at all when [`WorkerPool::front_complete`] already
-    /// holds — then retire it on this thread: a ticket of regions gets
-    /// the librarian's deferred resolution and is
+    /// holds — then retire it on this thread: a ticket of regions is
     /// [assembled](Self::assemble); a ticket that was one whole-tree
     /// job has its store [adopted](Self::adopt).
     fn retire_front(&mut self) -> Result<PoolReport<V>, TicketFailure> {
@@ -1273,21 +1144,9 @@ impl<V: AttrValue> WorkerPool<V> {
         let fl = self.in_flight.pop_front().expect("checked non-empty");
         let retiring = Instant::now();
         let ticket = fl.ticket;
-
-        // The librarian's deferred resolution for this ticket: each of
-        // its regions registered its segments before it sent the Done
-        // we just drained, so the entry is complete, while later
-        // tickets' registrations keep streaming into theirs. A failed
-        // ticket's entry is taken too (and dropped): that closes it to
-        // whatever a not-yet-cancelled straggler region still sends. A
-        // whole-tree job registers nothing and never had an entry.
-        let segments = match &fl.decomp {
-            Some(_) => lock(&self.ledger, "segment ledger").resolve(ticket),
-            None => SegmentStore::default(),
-        };
         let retired = match (fl.failed, &fl.decomp) {
             (Some(error), _) => Err(error),
-            (None, Some(decomp)) => self.assemble(&fl.tree, decomp, fl.region_results, &segments),
+            (None, Some(decomp)) => Ok(self.assemble(&fl.tree, decomp, fl.region_results)),
             (None, None) => Ok(self.adopt(&fl.tree, fl.region_results)),
         };
         match retired {
@@ -1295,7 +1154,6 @@ impl<V: AttrValue> WorkerPool<V> {
                 ticket,
                 root_values,
                 store,
-                segments,
                 stats,
                 elapsed: retiring.duration_since(fl.start),
                 assemble: retiring.elapsed(),
@@ -1307,9 +1165,9 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Retires a ticket that was one whole-tree job: the store the
     /// worker evaluated into *is* the tree's store, so there is nothing
-    /// to size, absorb or inflate. What is left is the memo install
-    /// (memo on only — the root region's contract, under the key the
-    /// worker probed with) and reading the root values out.
+    /// to size or absorb. What is left is the memo install (memo on
+    /// only — the root region's contract, under the key the worker
+    /// probed with) and reading the root values out.
     fn adopt(&self, tree: &ParseTree<V>, results: Vec<Option<JobResult<V>>>) -> Retired<V> {
         let Some(Some((stats, Finished::Tree(store)))) = results.into_iter().next() else {
             unreachable!("a whole-tree ticket's one job reports the tree's store");
@@ -1328,21 +1186,14 @@ impl<V: AttrValue> WorkerPool<V> {
         (root_values, store, stats)
     }
 
-    /// Retires a ticket of regions that all reported: root inflation,
-    /// memo installation, sparse store assembly, inflation of the
-    /// store.
-    ///
-    /// A segment reference `segments` cannot resolve fails the ticket
-    /// ([`EvalError::UnknownSegment`]): handing out a store whose code
-    /// text silently lacks a lost registration's share is worse than
-    /// handing out none.
+    /// Retires a ticket of regions that all reported: memo installation
+    /// and sparse store assembly.
     fn assemble(
         &self,
         tree: &ParseTree<V>,
         decomp: &Decomposition,
         results: Vec<Option<JobResult<V>>>,
-        segments: &SegmentStore,
-    ) -> Result<Retired<V>, EvalError> {
+    ) -> Retired<V> {
         let mut stats = EvalStats::default();
         let mut root_values = Vec::new();
         let mut stores = Vec::with_capacity(results.len());
@@ -1351,9 +1202,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 unreachable!("every region of a decomposed ticket reports its region store");
             };
             stats += s;
-            for (a, v) in roots {
-                root_values.push((a, v.inflate(segments)?.unwrap_or(v)));
-            }
+            root_values.extend(roots);
             stores.push(store);
         }
 
@@ -1386,15 +1235,12 @@ impl<V: AttrValue> WorkerPool<V> {
         // Sparse assembly: size the whole-tree store once, then map each
         // region's O(region) owned span into it through the
         // decomposition's slot layout (region order — deterministic,
-        // though the spans are disjoint anyway), and finally resolve
-        // segment references so the result is independent of the
-        // decomposition.
+        // though the spans are disjoint anyway).
         let mut store = AttrStore::new(tree);
         for region_store in stores {
             store.absorb_region(tree, region_store);
         }
-        store.inflate_all(segments)?;
-        Ok((root_values, store, stats))
+        (root_values, store, stats)
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
@@ -1417,7 +1263,7 @@ impl<V: AttrValue> WorkerPool<V> {
             return false;
         }
         {
-            let mut board = lock(&self.board, "scheduler board");
+            let mut board = lock(&self.board);
             if board.live().filter(|&w| w != victim).count() == 0 || !board.crash(victim) {
                 return false;
             }
@@ -1526,10 +1372,9 @@ pub(super) fn install_span<'s, V: AttrValue + 's>(
         for a in 0..g.attr_count(sym) {
             let v = get(n, AttrId(a as u32)).cloned();
             if let Some(v) = &v {
-                // A value that is not fingerprintable may hold a
-                // ticket-local segment reference; replaying it under
-                // another ticket would resolve against the wrong
-                // segment store. Skip the whole span.
+                // A value that is not fingerprintable — its type has
+                // no content hash — is one the memo cannot vouch for
+                // under another ticket. Skip the whole span.
                 if !v.is_fingerprintable() {
                     return;
                 }
@@ -1571,7 +1416,7 @@ fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
         if !core.drive(&mut ctx) {
             return;
         }
-        let claimed = lock(&ctx.board, "scheduler board").claim(ctx.me, |_, _| true);
+        let claimed = lock(&ctx.board).claim(ctx.me, |_, _| true);
         match claimed {
             Some(Claimed {
                 key,
@@ -1611,21 +1456,15 @@ impl<V: AttrValue> WorkerCtx<V> {
     }
 }
 
-/// The pool's effects: the wall clock charges itself, segments go into
-/// the shared ledger, values over channels, and root values ride in the
-/// root region's `Done`. A failed channel send means the pool is gone,
-/// which the worker's next receive finds out.
+/// The pool's effects: the wall clock charges itself, values go over
+/// channels, and root values ride in the root region's `Done`. A failed
+/// channel send means the pool is gone, which the worker's next receive
+/// finds out.
 impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
     /// How many scheduler steps a *non-oldest* machine may run before
     /// the worker polls the channel for values that unblock an older
     /// job.
     const YIELD_STEPS: usize = 64;
-
-    fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
-        // Dropped when the ticket already retired (it failed, and this
-        // region has not seen its Cancel yet).
-        lock(&self.ledger, "segment ledger").register_open(ticket, id, text);
-    }
 
     /// Asks the board in one critical section: [`Board::route`] logs
     /// the value and names the job's current worker (or says nothing
@@ -1636,7 +1475,7 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
     /// channel send to the worker that claimed it.
     fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V) {
         let dest = {
-            let mut board = lock(&self.board, "scheduler board");
+            let mut board = lock(&self.board);
             board.route(self.me, to, node, attr, &value).and_then(|w| {
                 match board.deliver(w, to, node, attr, value) {
                     Delivery::Mine(value) => Some((w, value)),
@@ -1664,7 +1503,7 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
     }
 
     fn retire(&mut self, key: JobKey) -> bool {
-        lock(&self.board, "scheduler board").retire(self.me, key)
+        lock(&self.board).retire(self.me, key)
     }
 
     fn done(&mut self, (ticket, region): JobKey, result: Result<JobResult<V>, EvalError>) {
@@ -1695,6 +1534,7 @@ pub(super) mod tests {
     use crate::grammar::{AttrId, GrammarBuilder};
     use crate::tree::{RegionStore, TreeBuilder};
     use crate::value::Value;
+    use paragram_rope::Rope;
 
     fn fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
         let (trees, plan, out) = fixture_trees(&[n]);
@@ -2063,8 +1903,7 @@ pub(super) mod tests {
     }
 
     /// A cyclic tree fails its own ticket, in submission order, and the
-    /// pool keeps serving — and ends with an empty ledger: the failed
-    /// ticket's entry is taken at its retirement like any other.
+    /// pool keeps serving.
     fn failed_ticket_case(workers: usize, scheduler: SchedulerMode) {
         let what = format!("{workers} workers, {scheduler:?}");
         let (good, bad, plan, out) = cyclic_fixture();
@@ -2110,11 +1949,6 @@ pub(super) mod tests {
         // And one-shot evals keep working afterwards.
         let r = pool.eval(&good[1]).unwrap();
         assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
-        assert_eq!(
-            pool.ledger.lock().unwrap().open_tickets(),
-            0,
-            "{what}: every ticket's ledger entry was taken at retirement"
-        );
     }
 
     #[test]
@@ -2122,76 +1956,6 @@ pub(super) mod tests {
         for workers in [1, 2, 8] {
             failed_ticket_case(workers, SchedulerMode::Fixed);
         }
-    }
-
-    /// The leak [`SegmentLedger::register_open`] closes: a region of a
-    /// ticket that already failed *and retired* is still evaluating on
-    /// another worker (the oldest machine runs unbudgeted and sees its
-    /// `Cancel` only when it starves) and registers its code when it
-    /// finishes. That must not re-create the ticket's ledger entry —
-    /// nothing would ever remove it.
-    #[test]
-    fn straggler_of_a_failed_ticket_cannot_reopen_its_ledger_entry() {
-        // S → L, code purely synthesized: the child region needs
-        // nothing from the root region and runs to completion whatever
-        // happens there. `boom` panics in the root region at once; the
-        // child region's first rule (`nil`) holds it at a gate until
-        // the test has seen the ticket fail and retire.
-        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
-        let mut g = GrammarBuilder::<Value>::new();
-        let s = g.nonterminal("S");
-        let l = g.nonterminal("stmts");
-        let out = g.synthesized(s, "code");
-        let code = g.synthesized(l, "code");
-        g.mark_split(l, 4);
-        let ok = g.production("ok", s, [l]);
-        g.rule(ok, (0, out), [(1, code)], |a| a[0].clone());
-        let boom = g.production("boom", s, [l]);
-        g.rule(boom, (0, out), [], |_| panic!("root rule exploded"));
-        let cons = g.production("cons", l, [l]);
-        g.rule_with_cost(
-            cons,
-            (0, code),
-            [(1, code)],
-            |a| Value::Rope(Rope::from("op\n").concat(a[0].as_rope().unwrap())),
-            MIN_REGION_WORK,
-        );
-        let nil = g.production("nil", l, []);
-        let held = Arc::clone(&gate);
-        g.rule(nil, (0, code), [], move |_| {
-            let (open, opened) = &*held;
-            let _open = opened
-                .wait_while(open.lock().unwrap(), |open| !*open)
-                .unwrap();
-            Value::Rope(Rope::new())
-        });
-        let grammar = Arc::new(g.build(s).unwrap());
-        let plan = Arc::new(EvalPlan::analyze(&grammar));
-        let mk = |top| {
-            let mut tb = TreeBuilder::new(&grammar);
-            let mut tail = tb.leaf(nil);
-            for _ in 0..600 {
-                tail = tb.node(cons, [tail]);
-            }
-            let root = tb.node(top, [tail]);
-            Arc::new(tb.finish(root).unwrap())
-        };
-        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
-        let bad_ticket = pool.submit(&mk(boom));
-        let failure = pool.collect().expect("pending").err().expect("root panics");
-        assert_eq!(failure.ticket, bad_ticket);
-        assert!(matches!(failure.error, EvalError::RulePanic { .. }));
-        // Ticket 0 is gone; let its child region run — it is inside a
-        // rule, so it runs to its end and registers its code.
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
-        // The next tree puts a job behind the straggler on its worker
-        // (jobs run oldest first), so once it has retired the straggler
-        // has finished.
-        let report = pool.eval(&mk(ok)).unwrap();
-        assert_eq!(report.regions, 2, "the straggler is a region of its own");
-        assert!(!report.segments.is_empty(), "child regions register code");
-        assert_eq!(pool.ledger.lock().unwrap().open_tickets(), 0);
     }
 
     /// Memo-safe splittable grammar: the chain's inherited `env` comes
@@ -2531,9 +2295,8 @@ pub(super) mod tests {
                 // The pool is still healthy for later one-shot work.
                 let r = pool.eval(&good).unwrap();
                 assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
-                // The panic was contained outside both shared locks.
+                // The panic was contained outside the shared lock.
                 assert!(!pool.board.is_poisoned(), "{what}: board lock");
-                assert!(!pool.ledger.is_poisoned(), "{what}: ledger lock");
             }
         }
     }
@@ -2624,42 +2387,11 @@ pub(super) mod tests {
         assert_eq!(pool.fault_counters(), FaultCounters::default());
     }
 
-    #[test]
-    fn segment_ledger_isolates_tickets() {
-        let mut ledger = SegmentLedger::new();
-        let id = SegmentId::from_parts(0, 0);
-        ledger.register(0, id, Rope::from("tree zero"));
-        ledger.register(1, id, Rope::from("tree one"));
-        assert_eq!(ledger.open_tickets(), 2);
-        assert_eq!(ledger.ticket_bytes(0), 9);
-        let s0 = ledger.resolve(0);
-        assert_eq!(s0.get(id).unwrap().to_string(), "tree zero");
-        assert_eq!(ledger.open_tickets(), 1);
-        let s1 = ledger.resolve(1);
-        assert_eq!(s1.get(id).unwrap().to_string(), "tree one");
-        assert!(ledger.resolve(7).is_empty());
-    }
-
-    #[test]
-    fn segment_ledger_registers_only_into_open_tickets() {
-        let mut ledger = SegmentLedger::new();
-        let id = SegmentId::from_parts(0, 0);
-        assert!(!ledger.register_open(3, id, Rope::from("too early")));
-        ledger.open(3);
-        assert_eq!(ledger.open_tickets(), 1);
-        assert!(ledger.register_open(3, id, Rope::from("in flight")));
-        assert_eq!(ledger.resolve(3).get(id).unwrap().to_string(), "in flight");
-        // Resolved means closed: a late registration is dropped instead
-        // of re-creating an entry nothing would remove.
-        assert!(!ledger.register_open(3, id, Rope::from("too late")));
-        assert_eq!(ledger.open_tickets(), 0);
-    }
-
     /// [`memo_fixture`]'s memo-safe chain with *rope* code, long enough
-    /// that every region's code clears the deflation threshold — so
-    /// values really cross region boundaries as segment references. As
-    /// in [`fixture_trees`], each `cons` carries a region's worth of
-    /// work.
+    /// that every region's code would clear the simulator's deflation
+    /// threshold — so a value crossing a region boundary carries a whole
+    /// subtree's code. As in [`fixture_trees`], each `cons` carries a
+    /// region's worth of work.
     fn rope_memo_fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
         use crate::tree::token;
         let mut g = GrammarBuilder::<Value>::new();
@@ -2751,27 +2483,18 @@ pub(super) mod tests {
                     } else {
                         assert!(report.regions > 1, "{what}: tree was split")
                     }
-                    assert!(
-                        !report.segments.is_empty(),
-                        "{what}: code crossed region boundaries as segments"
-                    );
+                    let referenced = |v: &Value| v.as_rope().is_some_and(Rope::has_segments);
                     assert_eq!(report.store.filled(), report.store.len(), "{what}");
                     for i in 0..report.store.len() {
                         let got = report.store.get_by_index(i).unwrap();
-                        assert_eq!(
-                            got.inflate(&report.segments),
-                            Ok(None),
-                            "{what}: instance {i} still holds a segment reference"
+                        assert!(
+                            !referenced(got),
+                            "{what}: instance {i} holds a segment reference"
                         );
                         assert_eq!(Some(got), want.get_by_index(i), "{what}: instance {i}");
                     }
-                    let root = &report
-                        .root_values
-                        .iter()
-                        .find(|(a, _)| *a == out)
-                        .unwrap()
-                        .1;
-                    assert_eq!(root.inflate(&report.segments), Ok(None), "{what}");
+                    let root = report.root_value(out).unwrap();
+                    assert!(!referenced(root), "{what}: root code");
                     assert_eq!(root.to_string(), want_root.to_string(), "{what}: root code");
                 }
                 assert_eq!(retired, 3, "{what}");
@@ -2781,40 +2504,6 @@ pub(super) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lost_registration_fails_its_ticket_with_a_named_error() {
-        let (tree, plan, out) = fixture(600);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
-        pool.submit(&tree);
-        while !pool.front_complete() {
-            let msg = pool.parser_rx.recv().expect("workers alive");
-            pool.route(msg);
-        }
-        // Lose the ticket's registrations: take them out of the shared
-        // ledger behind the pool's back, so its own resolution finds an
-        // empty store.
-        let lost = pool.ledger.lock().unwrap().resolve(0);
-        assert!(!lost.is_empty(), "the tree registered code segments");
-
-        let Some(Err(failure)) = pool.collect() else {
-            panic!("the ticket must fail");
-        };
-        assert_eq!(failure.ticket, 0);
-        let EvalError::UnknownSegment { id } = failure.error else {
-            panic!("expected UnknownSegment, got {}", failure.error);
-        };
-        assert!(lost.get(id).is_some(), "names a segment that was lost");
-        assert!(failure.to_string().contains("never registered"));
-
-        // Ticket-scoped: the pool keeps serving.
-        let report = pool.eval(&tree).unwrap();
-        assert!(report.regions > 1, "the tree was split");
-        let (dstore, _) = dynamic_eval(&tree).unwrap();
-        let want = dstore.get(tree.root(), out).unwrap().as_rope().unwrap();
-        assert!(root_rope(&report, out).content_eq(want));
-        assert!(report.assemble > Duration::ZERO);
     }
 
     fn assert_stores_equal(
@@ -2840,14 +2529,13 @@ pub(super) mod tests {
 
     fn assert_idle_and_quiescent(pool: &WorkerPool<Value>, what: &str) {
         assert_eq!(pool.in_flight(), 0, "{what}");
-        assert_eq!(pool.ledger.lock().unwrap().open_tickets(), 0, "{what}");
         assert!(pool.board.lock().unwrap().is_quiescent(), "{what}: board");
     }
 
-    /// A tree below the hand-off floor is one whole-tree job: no ledger
-    /// entry at any point, no segments, one region — and the store and
-    /// root values of the sequential static evaluator, at every worker
-    /// count, window depth, scheduler and memo setting.
+    /// A tree below the hand-off floor is one whole-tree job: one region
+    /// — and the store and root values of the sequential static
+    /// evaluator, at every worker count, window depth, scheduler and
+    /// memo setting.
     #[test]
     fn one_region_tickets_are_whole_tree_jobs_identical_to_static_eval() {
         let sizes = [40usize, 1, 0, 25, 7, 40, 12, 25, 3, 40];
@@ -2873,11 +2561,6 @@ pub(super) mod tests {
                         let mut reports = Vec::new();
                         for tree in &trees {
                             pool.submit(tree);
-                            assert_eq!(
-                                pool.ledger.lock().unwrap().open_tickets(),
-                                0,
-                                "{what}: a whole-tree ticket opens no ledger entry"
-                            );
                             reports.extend(std::iter::from_fn(|| pool.take_ready()));
                         }
                         reports.extend(std::iter::from_fn(|| pool.collect()));
@@ -2888,7 +2571,6 @@ pub(super) mod tests {
                             let (want_store, want_stats) = &want[i];
                             assert_eq!(report.ticket, i as Ticket, "{what}");
                             assert_eq!(report.regions, 1, "{what}");
-                            assert!(report.segments.is_empty(), "{what}");
                             assert_stores_equal(&trees[i], &report.store, want_store, &what);
                             let root = want_store.get(trees[i].root(), out).unwrap();
                             assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
@@ -2991,7 +2673,6 @@ pub(super) mod tests {
                     assert_eq!(report.ticket, i as Ticket, "{what}: submission order");
                     if sizes[i] <= 1 {
                         assert_eq!(report.regions, 1, "{what} tree {i}");
-                        assert!(report.segments.is_empty(), "{what} tree {i}");
                     } else {
                         assert_eq!(report.regions, 3, "{what} tree {i}");
                     }

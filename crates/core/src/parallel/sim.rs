@@ -66,7 +66,7 @@ use crate::eval::{EvalError, EvalPlan, Machine, MachineMode, StepOutcome};
 use crate::grammar::{AttrId, AttrKind};
 use crate::parallel::board::{Board, Claimed, Delivery, JobKey};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, SegmentLedger, Ticket};
+use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 use crate::parallel::worker::{Cut, Driver, JobResult, WorkerCore};
 use crate::split::{
     decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
@@ -1014,6 +1014,39 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
     }
 }
 
+/// The librarian's split-phase bookkeeping: one [`SegmentStore`] per
+/// ticket in flight. Registration streams in from every evaluator, any
+/// ticket in any order; resolution, at the parser's final read of a
+/// tree, removes and returns exactly that ticket's store, leaving other
+/// tickets' registrations untouched — which is what lets trees overlap
+/// without their segments colliding. Its machines share nothing, so
+/// the librarian cannot know a ticket before a segment names it:
+/// registering opens a ticket's entry.
+#[derive(Debug, Default)]
+pub struct SegmentLedger {
+    tickets: HashMap<Ticket, SegmentStore>,
+}
+
+impl SegmentLedger {
+    /// Streams one segment registration for `ticket`, opening its entry
+    /// if this is the first the ledger hears of it.
+    pub fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
+        self.tickets.entry(ticket).or_default().register(id, text);
+    }
+
+    /// Total text bytes registered for `ticket` so far.
+    pub fn ticket_bytes(&self, ticket: Ticket) -> usize {
+        self.tickets.get(&ticket).map_or(0, |s| s.total_bytes())
+    }
+
+    /// Resolves `ticket`: removes and returns its segment store (empty
+    /// if the ticket registered nothing: its values stayed below the
+    /// deflation threshold, or it ran under naive propagation).
+    pub fn resolve(&mut self, ticket: Ticket) -> SegmentStore {
+        self.tickets.remove(&ticket).unwrap_or_default()
+    }
+}
+
 struct LibrarianProc<V: AttrValue> {
     shared: Arc<Shared<V>>,
     ledger: SegmentLedger,
@@ -1277,7 +1310,7 @@ pub fn run_sim_stream<V: AttrValue>(
         "librarian",
         LibrarianProc {
             shared: Arc::clone(&shared),
-            ledger: SegmentLedger::new(),
+            ledger: SegmentLedger::default(),
         },
     );
     sim.set_faults(faults.clone());
@@ -2479,5 +2512,21 @@ mod tests {
         );
         assert_roots_identical(&clean.root_values, &faulty.root_values);
         assert_eq!(faulty.faults.crashes, 0);
+    }
+
+    #[test]
+    fn segment_ledger_isolates_tickets() {
+        let mut ledger = SegmentLedger::default();
+        let id = SegmentId::from_parts(0, 0);
+        ledger.register(0, id, Rope::from("tree zero"));
+        ledger.register(1, id, Rope::from("tree one"));
+        assert_eq!(ledger.ticket_bytes(0), 9);
+        let s0 = ledger.resolve(0);
+        assert_eq!(s0.get(id).unwrap().to_string(), "tree zero");
+        assert_eq!(ledger.ticket_bytes(0), 0, "resolving removes the entry");
+        assert_eq!(ledger.ticket_bytes(1), 8);
+        let s1 = ledger.resolve(1);
+        assert_eq!(s1.get(id).unwrap().to_string(), "tree one");
+        assert!(ledger.resolve(7).is_empty());
     }
 }

@@ -29,9 +29,11 @@
 //!   panicking rule fails its job, and a machine that starves with
 //!   nothing left to await is a dependency cycle local to its region,
 //!   which fails the job too;
-//! * a value bound towards the tree root is deflated (§4.2): its large
-//!   code text becomes segment registrations, each made before the send
-//!   that carries its id;
+//! * under librarian propagation (the simulator's) a value bound
+//!   towards the tree root is deflated (§4.2): its large code text
+//!   becomes segment registrations, each made before the send that
+//!   carries its id. Under naive propagation (the pool's threads, which
+//!   share memory) it is sent as it is;
 //! * a finished job is retired on the scheduler board *before* it is
 //!   reported, and reported only if the board says this worker still
 //!   owns it (crash recovery may have reseeded it, a cancellation
@@ -51,7 +53,7 @@
 //! | effect | pool worker thread (`super::pool`) | simulated evaluator (`super::sim`) |
 //! |---|---|---|
 //! | charge a build / a step | nothing: the wall clock runs anyway | virtual CPU from the cost model, under its activity-trace phase |
-//! | register a segment | into the shared ledger, if the ticket is open | a `Register` message to the librarian process |
+//! | register a segment | never asked: it runs naive propagation | a `Register` message to the librarian process |
 //! | send a boundary value | board route + deliver under one lock, then a channel send | board route, then a wire message |
 //! | report a root value | kept: it rides in the root region's `Done` | a `Root` message to the parser, at once |
 //! | retire | on the board, under its lock | on the board |
@@ -131,8 +133,9 @@ pub(crate) trait Driver<V: AttrValue> {
     /// A machine step ran; its sends follow.
     fn charge_step(&mut self, _outcome: &StepOutcome<V>) {}
 
-    /// Registers code segment `id` of `ticket` with the librarian.
-    fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope);
+    /// Registers code segment `id` of `ticket` with the librarian
+    /// (librarian propagation only).
+    fn register(&mut self, _ticket: Ticket, _id: SegmentId, _text: Rope) {}
 
     /// Sends a boundary value to job `to`.
     fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V);
@@ -1003,43 +1006,56 @@ mod tests {
     }
 
     /// The two drivers of one core agree: for the same trees cut the
-    /// same way, the simulator and the pool produce byte-identical root
-    /// values and the same summed statistics.
+    /// same way, the pool produces the root values of the simulator
+    /// under either propagation mode — propagation changes wire bytes,
+    /// never values — and the summed statistics of the simulator under
+    /// naive propagation, which is what the pool runs.
     #[test]
     fn the_sim_and_the_pool_agree_on_values_and_statistics() {
         let c = chain(&[200, 90, 150, 64]);
         let budget = c.trees.iter().map(|t| c.plan.tree_work(t)).min().unwrap() / 3;
         let granularity = RegionGranularity::Adaptive { budget };
-        let sim = run_sim_stream(
-            &c.trees,
-            Some(&c.plans),
-            &SimConfig::paper(3),
-            2,
-            granularity,
-            &FaultPlan::default(),
-            None,
-        )
-        .unwrap();
+        let sim = |result| {
+            let config = SimConfig {
+                result,
+                ..SimConfig::paper(3)
+            };
+            let none = FaultPlan::default();
+            run_sim_stream(
+                &c.trees,
+                Some(&c.plans),
+                &config,
+                2,
+                granularity,
+                &none,
+                None,
+            )
+            .unwrap()
+        };
+        let naive = sim(ResultPropagation::Naive);
+        let librarian = sim(ResultPropagation::Librarian);
         let config = PoolConfig::workers(2).with_adaptive_budget(budget);
         let mut pool = WorkerPool::new(&c.plan, config);
         let mut stats = EvalStats::default();
+        let sorted = |mut v: Vec<(AttrId, Value)>| {
+            v.sort_by_key(|(a, _)| *a);
+            v.into_iter()
+                .map(|(a, v)| (a, v.to_string()))
+                .collect::<Vec<_>>()
+        };
         for (i, tree) in c.trees.iter().enumerate() {
             let report = pool.eval(tree).unwrap();
-            assert_eq!(report.regions, sim.regions[i], "tree {i}: same cut");
+            assert_eq!(report.regions, naive.regions[i], "tree {i}: same cut");
             assert!(
                 report.regions > 1,
                 "tree {i}: region jobs, not a whole tree"
             );
-            let sorted = |mut v: Vec<(AttrId, Value)>| {
-                v.sort_by_key(|(a, _)| *a);
-                v.into_iter()
-                    .map(|(a, v)| (a, v.to_string()))
-                    .collect::<Vec<_>>()
-            };
-            let want = sorted(sim.root_values[i].clone());
-            assert_eq!(sorted(report.root_values), want, "tree {i}");
+            let got = sorted(report.root_values);
+            for sim in [&naive, &librarian] {
+                assert_eq!(got, sorted(sim.root_values[i].clone()), "tree {i}");
+            }
             stats += report.stats;
         }
-        assert_eq!(stats, sim.stats);
+        assert_eq!(stats, naive.stats);
     }
 }

@@ -572,21 +572,6 @@ impl<V: Default> PackedSlots<V> {
     pub(crate) fn filled(&self) -> usize {
         self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// Mutable iteration over the filled slots only.
-    pub(crate) fn iter_set_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        let present = &self.present;
-        self.values
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(i, v)| {
-                if (present[i / 64] >> (i % 64)) & 1 == 1 {
-                    Some(v)
-                } else {
-                    None
-                }
-            })
-    }
 }
 
 /// Slot-addressed attribute storage: the discipline shared by the
@@ -693,30 +678,6 @@ impl<V: AttrValue> AttrStore<V> {
     /// Number of instances currently filled.
     pub fn filled(&self) -> usize {
         self.slots.filled()
-    }
-
-    /// Resolves the store against a librarian segment store: values
-    /// that crossed a machine boundary may hold segment references, and
-    /// exactly those are rewritten in place ([`AttrValue::inflate`]);
-    /// every other value is looked at and left alone — not cloned, not
-    /// dropped. After this the store's contents are independent of how
-    /// the tree was decomposed.
-    ///
-    /// # Errors
-    ///
-    /// [`paragram_rope::UnknownSegment`] on the first reference
-    /// `segments` cannot resolve; the store is then only partly
-    /// resolved and must not be read as text.
-    pub fn inflate_all(
-        &mut self,
-        segments: &paragram_rope::SegmentStore,
-    ) -> Result<(), paragram_rope::UnknownSegment> {
-        for v in self.slots.iter_set_mut() {
-            if let Some(resolved) = v.inflate(segments)? {
-                *v = resolved;
-            }
-        }
-        Ok(())
     }
 
     /// Merges a region machine's local store into this whole-tree store
@@ -1096,48 +1057,5 @@ mod tests {
         assert_eq!(whole.get(tree.root(), size), Some(&1));
         assert_eq!(whole.get(NodeId(0), size), Some(&2));
         assert_eq!(whole.filled(), 2);
-    }
-
-    #[test]
-    fn inflate_all_rewrites_only_values_that_hold_references() {
-        use crate::value::Value;
-        use paragram_rope::{Rope, SegmentId, SegmentStore};
-
-        let mut g = GrammarBuilder::<Value>::new();
-        let t = g.nonterminal("T");
-        let code = g.synthesized(t, "code");
-        let leaf = g.production("leaf", t, []);
-        g.rule(leaf, (0, code), [], |_| Value::Rope(Rope::new()));
-        let fork = g.production("fork", t, [t, t]);
-        g.rule(fork, (0, code), [(1, code), (2, code)], |a| a[0].clone());
-        let g = Arc::new(g.build(t).unwrap());
-        let mut tb = TreeBuilder::new(&g);
-        let (l1, l2) = (tb.leaf(leaf), tb.leaf(leaf));
-        let root = tb.node(fork, [l1, l2]);
-        let tree = tb.finish(root).unwrap();
-
-        let (kept, lost) = (SegmentId::from_parts(1, 0), SegmentId::from_parts(2, 0));
-        let mut segments = SegmentStore::new();
-        segments.register(kept, Rope::from("KEPT"));
-        let plain = Rope::from("local ").concat(&Rope::from("text"));
-        let crossed = Rope::from("<").concat(&Rope::seg(kept, 4));
-
-        let mut store = AttrStore::new(&tree);
-        store.set(NodeId(0), code, Value::Rope(plain.clone()));
-        store.set(NodeId(1), code, Value::Rope(crossed));
-        store.inflate_all(&segments).unwrap();
-        // The reference-free value is the allocation that was put in.
-        let after = store.get(NodeId(0), code).unwrap().as_rope().unwrap();
-        assert!(after.ptr_eq(&plain));
-        let resolved = store.get(NodeId(1), code).unwrap().as_rope().unwrap();
-        assert!(!resolved.has_segments());
-        assert_eq!(resolved.to_string(), "<KEPT");
-        assert_eq!(store.filled(), 2, "unwritten slots stay unwritten");
-
-        // A reference the librarian cannot resolve is an error, not a
-        // shorter text.
-        let dangling = Rope::from("<").concat(&Rope::seg(lost, 9));
-        store.set(tree.root(), code, Value::Rope(dangling));
-        assert_eq!(store.inflate_all(&segments).unwrap_err().0, lost);
     }
 }

@@ -49,10 +49,10 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
     /// and is already its own resolution — the default, and the answer
     /// for all but the few values that crossed a region boundary.
     ///
-    /// [`crate::tree::AttrStore::inflate_all`] asks this of every
-    /// instance a parallel evaluation retires and rewrites only the
-    /// `Some`s, so the `None` answer must be O(1) and allocate nothing
-    /// ([`Rope::has_segments`] is a field read).
+    /// The simulator asks this of every root value a tree under
+    /// librarian propagation retires, so the `None` answer should be
+    /// O(1) and allocate nothing ([`Rope::has_segments`] is a field
+    /// read).
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure-6 experiment compiles *one* tree: the parser
 //! decomposes it, ships regions to evaluator machines, and the string
-//! librarian assembles the result. A production compilation service
+//! librarian assembles the code. A production compilation service
 //! faces a different shape of load — a **stream** of trees (many
 //! compilation units, many requests) — where the dominant overheads are
 //! things the single-tree pipeline re-pays per compilation:
@@ -11,7 +11,7 @@
 //!   visit sequences — Kastens' fixpoint, §2.3),
 //! * **plan-derived lookup tables** (per-rule priority flags, per-symbol
 //!   attribute sets, split-candidate minimum sizes),
-//! * **worker spin-up** (OS threads, channels, the librarian's ledger),
+//! * **worker spin-up** (OS threads, channels, the scheduler board),
 //! * **buffer growth** (dependency-CSR pair lists, argument gather
 //!   scratch).
 //!
@@ -25,21 +25,20 @@
 //!   own [`PoolConfig`](paragram_core::parallel::pool::PoolConfig)
 //!   under the driver's name).
 //! * [`BatchDriver`] — the **instance half**: a persistent
-//!   [`WorkerPool`] (evaluator threads spawned once, sharing the
-//!   librarian's segment ledger) plus
-//!   per-tree state created and recycled as trees flow through
-//!   ([`paragram_core::eval::MachineScratch`] buffers survive from tree
-//!   to tree inside each worker).
+//!   [`WorkerPool`] (evaluator threads spawned once, sharing one
+//!   scheduler board) plus per-tree state created and recycled as trees
+//!   flow through ([`paragram_core::eval::MachineScratch`] buffers
+//!   survive from tree to tree inside each worker).
 //!
 //! # Relation to the paper's §4.2 pipelining
 //!
-//! The librarian protocol separates *registration* (segments stream to
+//! The paper's librarian separates *registration* (code text streams to
 //! the librarian while evaluation runs) from *resolution* (the parser's
-//! final read). The pool implements that split per **ticket**: every
-//! tree's registrations are tagged with its ticket and stream in while
-//! evaluation runs (even the next tree's), and resolution happens once
-//! per ticket at the parser's final read. Because the two phases are
-//! decoupled, [`BatchDriver::compile_batch`] keeps a small window of
+//! final read), so one tree's evaluation need not wait for the last
+//! one's code to be combined. The pool's threads share memory and need
+//! no librarian — a code value crosses a region boundary as the rope it
+//! is — but keep the overlap: every message carries its tree's
+//! **ticket**, so [`BatchDriver::compile_batch`] keeps a small window of
 //! trees in flight ([`DriverConfig::pipeline_depth`], by default two
 //! per worker): tree N+1's region jobs fill workers idling behind tree
 //! N's stragglers, and tree N's result assembly overlaps tree N+1's
@@ -130,11 +129,10 @@ pub use service::{
 };
 
 use paragram_core::eval::{EvalError, EvalPlan};
-use paragram_core::grammar::{AttrId, Grammar};
+use paragram_core::grammar::Grammar;
 use paragram_core::memo::MemoCounters;
-use paragram_core::parallel::pool::{FaultCounters, PoolReport, SchedCounters, WorkerPool};
-use paragram_core::stats::EvalStats;
-use paragram_core::tree::{AttrStore, ParseTree};
+use paragram_core::parallel::pool::{FaultCounters, SchedCounters, WorkerPool};
+use paragram_core::tree::ParseTree;
 use paragram_core::value::AttrValue;
 use std::fmt;
 use std::sync::Arc;
@@ -197,53 +195,9 @@ impl<V: AttrValue> fmt::Debug for CompilationPlan<V> {
     }
 }
 
-/// Result of compiling one tree through the driver.
-pub struct TreeOutput<V: AttrValue> {
-    /// Root attribute values, librarian-resolved.
-    pub root_values: Vec<(AttrId, V)>,
-    /// The tree's attribute store, librarian-resolved and independent
-    /// of how the tree was decomposed: merged from the regions' stores,
-    /// or — for a tree that stayed whole — the very store a worker
-    /// evaluated into.
-    pub store: AttrStore<V>,
-    /// Evaluation statistics aggregated over all regions.
-    pub stats: EvalStats,
-    /// Wall-clock evaluation time for this tree: job dispatch until
-    /// every job had reported to the retiring thread, time spent queued
-    /// behind the worker's current tree included. It stops *before*
-    /// retirement — taking the ticket's segment store, memo
-    /// installation, store assembly and inflation are `assemble`
-    /// ([`PoolReport::elapsed`] has the details).
-    pub elapsed: Duration,
-    /// Wall-clock retirement time for this tree, on the thread that
-    /// retired it, starting where `elapsed` stops
-    /// ([`PoolReport::assemble`]); `elapsed + assemble` is dispatch to
-    /// finished output.
-    pub assemble: Duration,
-    /// Regions (machines) this tree was decomposed into.
-    pub regions: usize,
-}
-
-impl<V: AttrValue> TreeOutput<V> {
-    /// The root value of an attribute, if it was produced.
-    pub fn root_value(&self, attr: AttrId) -> Option<&V> {
-        self.root_values
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, v)| v)
-    }
-
-    pub(crate) fn from_report(report: PoolReport<V>) -> Self {
-        TreeOutput {
-            root_values: report.root_values,
-            store: report.store,
-            stats: report.stats,
-            elapsed: report.elapsed,
-            assemble: report.assemble,
-            regions: report.regions,
-        }
-    }
-}
+/// Result of compiling one tree through the driver: the pool's own
+/// report of the tree, passed through as is.
+pub use paragram_core::parallel::pool::PoolReport as TreeOutput;
 
 /// A batch failure that does not discard finished work: the first
 /// [`EvalError`] any tree raised, together with every tree that was
@@ -383,9 +337,9 @@ impl<V: AttrValue> BatchDriver<V> {
     ///
     /// Propagates the first [`EvalError`] raised by any machine.
     pub fn compile_tree(&mut self, tree: &Arc<ParseTree<V>>) -> Result<TreeOutput<V>, EvalError> {
-        let report = self.pool.eval(tree)?;
+        let output = self.pool.eval(tree)?;
         self.trees_compiled += 1;
-        Ok(TreeOutput::from_report(report))
+        Ok(output)
     }
 
     /// Injects a worker crash into the pool: the victim's region jobs
@@ -434,7 +388,7 @@ impl<V: AttrValue> BatchDriver<V> {
                 match result {
                     Ok(report) => {
                         self.trees_compiled += 1;
-                        outputs.push(TreeOutput::from_report(report));
+                        outputs.push(report);
                     }
                     Err(f) => {
                         failed.get_or_insert(f.error);
@@ -446,7 +400,7 @@ impl<V: AttrValue> BatchDriver<V> {
             match result {
                 Ok(report) => {
                     self.trees_compiled += 1;
-                    outputs.push(TreeOutput::from_report(report));
+                    outputs.push(report);
                 }
                 Err(f) => {
                     failed.get_or_insert(f.error);
@@ -491,14 +445,14 @@ impl<V: AttrValue> fmt::Debug for BatchDriver<V> {
 mod tests {
     use super::*;
     use paragram_core::eval::{dynamic_eval, MachineMode};
-    use paragram_core::grammar::GrammarBuilder;
+    use paragram_core::grammar::{AttrId, GrammarBuilder};
     use paragram_core::parallel::pool::MIN_REGION_WORK;
     use paragram_core::tree::TreeBuilder;
     use paragram_core::value::Value;
     use paragram_rope::Rope;
 
     /// Splittable code-generating grammar over `Value` (ropes cross
-    /// region boundaries, exercising the librarian epochs). Mirrors the
+    /// region boundaries, exercising the ticket window). Mirrors the
     /// fixture in `paragram_core::parallel::pool`'s tests — crate
     /// boundaries keep `#[cfg(test)]` fixtures from being shared, and
     /// the two test suites pin independent layers, so they need not

@@ -37,7 +37,7 @@ use crate::{CompilationPlan, TreeOutput};
 use paragram_core::eval::EvalError;
 use paragram_core::memo::MemoCounters;
 use paragram_core::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use paragram_core::parallel::pool::{FaultCounters, SchedCounters, WorkerPool};
+use paragram_core::parallel::pool::{FaultCounters, SchedCounters, TicketFailure, WorkerPool};
 use paragram_core::tree::ParseTree;
 use paragram_core::value::AttrValue;
 use std::collections::{HashMap, VecDeque};
@@ -46,7 +46,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service shape: how many requests may wait, in what order they leave
-/// the waiting room, and how deadlines and failures are handled.
+/// the waiting room, and how deadlines are handled.
+///
+/// A failed ticket is surfaced at once, never retried: a ticket fails
+/// only with an [`EvalError`] its tree and plan determine (a cycle, a
+/// plan inconsistency, missing inputs, a rule panic), so a retry would
+/// re-run the same evaluation to the same error, only later. Worker
+/// crashes never reach the service: the pool re-executes the lost jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Dispatch policy for the waiting room.
@@ -69,27 +75,17 @@ pub struct ServiceConfig {
     /// slot it cannot use. 0 disables prediction; expiry then happens
     /// lazily at dispatch time.
     pub work_unit_us: f64,
-    /// How many times a request whose ticket failed is re-dispatched
-    /// before the failure is surfaced via
-    /// [`ServiceQueue::take_failed`]. 0 (the default) fails fast.
-    pub max_retries: u32,
-    /// Base backoff before the first retry; attempt *n* waits
-    /// `retry_backoff * 2^(n-1)`. Retries park outside the policy
-    /// queue and re-dispatch directly once their backoff elapses.
-    pub retry_backoff: Duration,
 }
 
 impl ServiceConfig {
-    /// FIFO dispatch with the given waiting-room bound; no deadlines,
-    /// no retries.
+    /// FIFO dispatch with the given waiting-room bound and no
+    /// deadlines.
     pub fn fifo(capacity: usize) -> Self {
         ServiceConfig {
             policy: DispatchPolicy::Fifo,
             capacity,
             deadline: None,
             work_unit_us: 0.0,
-            max_retries: 0,
-            retry_backoff: Duration::ZERO,
         }
     }
 
@@ -111,16 +107,6 @@ impl ServiceConfig {
     pub fn with_work_unit_us(self, work_unit_us: f64) -> Self {
         ServiceConfig {
             work_unit_us,
-            ..self
-        }
-    }
-
-    /// The configuration with bounded retry-with-backoff for failed
-    /// tickets.
-    pub fn with_retries(self, max_retries: u32, retry_backoff: Duration) -> Self {
-        ServiceConfig {
-            max_retries,
-            retry_backoff,
             ..self
         }
     }
@@ -186,8 +172,7 @@ pub struct ServiceOutput<V: AttrValue> {
 /// Why a request could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureReason {
-    /// Its ticket failed this many times (the configured retry budget
-    /// plus the first attempt) with this error last.
+    /// Its ticket failed with this error.
     Eval(EvalError),
     /// Its deadline passed while it waited for dispatch; the work was
     /// never started. Counted in [`FaultCounters::deadline_expired`].
@@ -202,8 +187,6 @@ pub struct FailedRequest {
     pub id: u64,
     /// The tenant it was billed to.
     pub tenant: u32,
-    /// Re-dispatch attempts consumed before giving up.
-    pub retries: u32,
     /// Why it failed.
     pub reason: FailureReason,
 }
@@ -220,8 +203,8 @@ pub struct ServiceStats {
     pub shed: usize,
     /// Requests fully compiled and assembled.
     pub completed: usize,
-    /// Requests the service gave up on (retries exhausted or deadline
-    /// expired before dispatch); claimable via
+    /// Requests the service gave up on (their ticket failed, or their
+    /// deadline expired before dispatch); claimable via
     /// [`ServiceQueue::take_failed`].
     pub failed: usize,
     /// Largest number of requests ever waiting at once.
@@ -237,8 +220,8 @@ pub struct ServiceStats {
     pub sched: SchedCounters,
     /// Fault and recovery telemetry: the pool's counters (crashes,
     /// regions re-executed, duplicates suppressed, panics contained)
-    /// merged with the service's own deadline-shed, deadline-expiry
-    /// and retry counts.
+    /// merged with the service's own deadline-shed and deadline-expiry
+    /// counts.
     pub faults: FaultCounters,
 }
 
@@ -248,27 +231,24 @@ pub struct ServiceStats {
 pub struct ServiceQueue<V: AttrValue> {
     pool: WorkerPool<V>,
     queue: PolicyQueue,
-    /// Trees of live (admitted, not yet finished/failed) requests, by
-    /// request id. Kept through dispatch so a failed ticket can be
-    /// re-dispatched.
+    /// Trees of requests waiting for dispatch, by request id.
     trees: HashMap<u64, Arc<ParseTree<V>>>,
-    /// Tenants of admitted requests, by request id.
+    /// Tenants of live (admitted, not yet finished or failed) requests,
+    /// by request id.
     tenants: HashMap<u64, u32>,
     /// Plan work estimates of live requests, by request id.
     work: HashMap<u64, u64>,
     /// Absolute completion deadlines, by request id.
     deadlines: HashMap<u64, Instant>,
-    /// Re-dispatch attempts consumed, by request id (absent = 0).
-    retries: HashMap<u64, u32>,
-    /// Failed tickets waiting out their retry backoff; re-dispatched
-    /// directly (bypassing the policy queue) once `not_before` passes.
-    parked_retries: Vec<ParkedRetry>,
     /// Dispatched, uncompleted request ids in dispatch order — the pool
     /// retires FIFO in dispatch order, so results match this front to
     /// back.
     dispatched: VecDeque<u64>,
     completed: VecDeque<ServiceOutput<V>>,
     failed: VecDeque<FailedRequest>,
+    /// Milestones of every request ever admitted, by request id — the
+    /// one per-request map that outlives its request, because callers
+    /// read [`ServiceQueue::times`] after harvesting the output.
     times: HashMap<u64, RequestTimes>,
     capacity: usize,
     next_id: u64,
@@ -278,17 +258,9 @@ pub struct ServiceQueue<V: AttrValue> {
     in_service_work: u64,
     deadline: Option<Duration>,
     work_unit_us: f64,
-    max_retries: u32,
-    retry_backoff: Duration,
     deadline_sheds: u64,
     deadline_expired: u64,
-    retry_count: u64,
     stats: ServiceStats,
-}
-
-struct ParkedRetry {
-    id: u64,
-    not_before: Instant,
 }
 
 impl<V: AttrValue> ServiceQueue<V> {
@@ -302,8 +274,6 @@ impl<V: AttrValue> ServiceQueue<V> {
             tenants: HashMap::new(),
             work: HashMap::new(),
             deadlines: HashMap::new(),
-            retries: HashMap::new(),
-            parked_retries: Vec::new(),
             dispatched: VecDeque::new(),
             completed: VecDeque::new(),
             failed: VecDeque::new(),
@@ -314,11 +284,8 @@ impl<V: AttrValue> ServiceQueue<V> {
             in_service_work: 0,
             deadline: service.deadline,
             work_unit_us: service.work_unit_us,
-            max_retries: service.max_retries,
-            retry_backoff: service.retry_backoff,
             deadline_sheds: 0,
             deadline_expired: 0,
-            retry_count: 0,
             stats: ServiceStats::default(),
         }
     }
@@ -330,13 +297,11 @@ impl<V: AttrValue> ServiceQueue<V> {
 
     /// Admission / completion accounting so far, including the pool's
     /// cumulative memo cache, scheduler and fault counters (the
-    /// service's own deadline and retry counts are merged into
-    /// `faults`).
+    /// service's own deadline counts are merged into `faults`).
     pub fn stats(&self) -> ServiceStats {
         let mut faults = self.pool.fault_counters();
         faults.deadline_sheds = self.deadline_sheds;
         faults.deadline_expired = self.deadline_expired;
-        faults.retries = self.retry_count;
         ServiceStats {
             memo: self.pool.memo_counters().unwrap_or_default(),
             sched: self.pool.sched_counters(),
@@ -355,7 +320,10 @@ impl<V: AttrValue> ServiceQueue<V> {
         self.dispatched.len()
     }
 
-    /// Milestones of request `id` (admitted requests only).
+    /// Milestones of request `id` (admitted requests only). They are
+    /// kept after the request completes or fails, so a caller can read
+    /// them after harvesting its output: a long-running service grows
+    /// by one entry per admitted request.
     pub fn times(&self, id: u64) -> Option<&RequestTimes> {
         self.times.get(&id)
     }
@@ -428,11 +396,11 @@ impl<V: AttrValue> ServiceQueue<V> {
     }
 
     /// Makes all currently possible progress without waiting on any
-    /// other thread: drains worker completions, re-dispatches retries
-    /// whose backoff has elapsed, tops up the pipeline window from the
-    /// waiting room in policy order (expiring requests whose deadline
-    /// already passed), and moves finished requests to
-    /// [`ServiceQueue::take_completed`]. Returns how many requests
+    /// other thread: drains worker completions, tops up the pipeline
+    /// window from the waiting room in policy order (expiring requests
+    /// whose deadline already passed), and moves finished requests to
+    /// [`ServiceQueue::take_completed`] (failed ones to
+    /// [`ServiceQueue::take_failed`]). Returns how many requests
     /// completed during this call.
     ///
     /// What it does do on the caller's thread: decompose each tree it
@@ -447,28 +415,18 @@ impl<V: AttrValue> ServiceQueue<V> {
         self.pool.poll();
         let mut done = self.harvest();
         while self.pool.in_flight() < self.pool.pipeline_depth() {
-            let now = Instant::now();
-            // Parked retries first: they already held a window slot
-            // once and bypass the policy queue on re-dispatch.
-            if let Some(pos) = self.parked_retries.iter().position(|p| p.not_before <= now) {
-                let ParkedRetry { id, .. } = self.parked_retries.swap_remove(pos);
-                let tree = Arc::clone(self.trees.get(&id).expect("retried tree kept"));
-                self.pool.submit(&tree);
-                self.in_service_work += self.work.get(&id).copied().unwrap_or(0);
-                self.dispatched.push_back(id);
-                continue;
-            }
             let Some(job) = self.queue.pop() else { break };
             self.queued_work = self.queued_work.saturating_sub(job.work);
             // Lazy expiry: a request whose deadline passed while it
             // waited is dropped at the door of the pool — its output
             // could only be thrown away.
+            let now = Instant::now();
             if self.deadlines.get(&job.seq).is_some_and(|dl| now > *dl) {
                 self.deadline_expired += 1;
                 self.give_up(job.seq, FailureReason::DeadlineExpired);
                 continue;
             }
-            let tree = Arc::clone(self.trees.get(&job.seq).expect("queued tree kept"));
+            let tree = self.trees.remove(&job.seq).expect("queued tree kept");
             // The window has room, so submit dispatches without
             // blocking on retirement.
             self.pool.submit(&tree);
@@ -482,32 +440,16 @@ impl<V: AttrValue> ServiceQueue<V> {
     }
 
     /// Runs the service to completion: blocks until every admitted
-    /// request has been compiled and assembled, failed its retry
-    /// budget, or expired (use between arrival bursts, or at
-    /// shutdown).
+    /// request has been compiled and assembled, has failed, or has
+    /// expired (use between arrival bursts, or at shutdown).
     pub fn drain(&mut self) {
         loop {
             self.pump();
-            if self.queue.is_empty() && self.dispatched.is_empty() && self.parked_retries.is_empty()
-            {
+            if self.queue.is_empty() && self.dispatched.is_empty() {
                 return;
             }
-            match self.pool.collect() {
-                Some(Ok(report)) => self.finish(crate::TreeOutput::from_report(report)),
-                Some(Err(failure)) => self.handle_failure(failure.error),
-                // Nothing in flight: parked retries are waiting out
-                // their backoff.
-                None => {
-                    let now = Instant::now();
-                    if let Some(wait) = self
-                        .parked_retries
-                        .iter()
-                        .map(|p| p.not_before.saturating_duration_since(now))
-                        .min()
-                    {
-                        std::thread::sleep(wait);
-                    }
-                }
+            if let Some(result) = self.pool.collect() {
+                self.retire(result);
             }
         }
     }
@@ -517,8 +459,8 @@ impl<V: AttrValue> ServiceQueue<V> {
         self.completed.pop_front()
     }
 
-    /// Pops the oldest given-up request (failure order): retry budget
-    /// exhausted or deadline expired before dispatch.
+    /// Pops the oldest given-up request (failure order): its ticket
+    /// failed, or its deadline expired before dispatch.
     pub fn take_failed(&mut self) -> Option<FailedRequest> {
         self.failed.pop_front()
     }
@@ -526,38 +468,16 @@ impl<V: AttrValue> ServiceQueue<V> {
     fn harvest(&mut self) -> usize {
         let mut n = 0;
         while let Some(result) = self.pool.take_ready() {
-            match result {
-                Ok(report) => {
-                    self.finish(crate::TreeOutput::from_report(report));
-                    n += 1;
-                }
-                Err(failure) => self.handle_failure(failure.error),
-            }
+            n += usize::from(result.is_ok());
+            self.retire(result);
         }
         n
     }
 
-    fn finish(&mut self, output: TreeOutput<V>) {
-        let id = self
-            .dispatched
-            .pop_front()
-            .expect("results match dispatched requests FIFO");
-        self.times.get_mut(&id).expect("admitted").assembled = Some(Instant::now());
-        let tenant = self.tenants[&id];
-        self.in_service_work = self
-            .in_service_work
-            .saturating_sub(self.work.get(&id).copied().unwrap_or(0));
-        self.forget(id);
-        self.stats.completed += 1;
-        self.completed
-            .push_back(ServiceOutput { id, tenant, output });
-    }
-
-    /// A dispatched ticket failed: park it for a backed-off retry, or
-    /// surface the failure once the budget is exhausted. Ticket
-    /// failures arrive in dispatch order exactly like successes, so
-    /// the FIFO id mapping holds.
-    fn handle_failure(&mut self, error: EvalError) {
+    /// Hands the oldest dispatched request its result: its output, or
+    /// the error its ticket failed with. Failures arrive in dispatch
+    /// order exactly like successes, so the FIFO id mapping holds.
+    fn retire(&mut self, result: Result<TreeOutput<V>, TicketFailure>) {
         let id = self
             .dispatched
             .pop_front()
@@ -565,41 +485,33 @@ impl<V: AttrValue> ServiceQueue<V> {
         self.in_service_work = self
             .in_service_work
             .saturating_sub(self.work.get(&id).copied().unwrap_or(0));
-        let attempts = self.retries.entry(id).or_insert(0);
-        if *attempts < self.max_retries {
-            *attempts += 1;
-            self.retry_count += 1;
-            let backoff = self.retry_backoff * 2u32.saturating_pow(*attempts - 1);
-            self.parked_retries.push(ParkedRetry {
-                id,
-                not_before: Instant::now() + backoff,
-            });
-        } else {
-            self.give_up(id, FailureReason::Eval(error));
+        match result {
+            Ok(output) => {
+                self.times.get_mut(&id).expect("admitted").assembled = Some(Instant::now());
+                let tenant = self.forget(id);
+                self.stats.completed += 1;
+                self.completed
+                    .push_back(ServiceOutput { id, tenant, output });
+            }
+            Err(failure) => self.give_up(id, FailureReason::Eval(failure.error)),
         }
     }
 
     /// Drops a live request and records it as failed.
     fn give_up(&mut self, id: u64, reason: FailureReason) {
-        let tenant = self.tenants[&id];
-        let retries = self.retries.get(&id).copied().unwrap_or(0);
-        self.forget(id);
+        let tenant = self.forget(id);
         self.stats.failed += 1;
-        self.failed.push_back(FailedRequest {
-            id,
-            tenant,
-            retries,
-            reason,
-        });
+        self.failed.push_back(FailedRequest { id, tenant, reason });
     }
 
-    /// Releases per-request bookkeeping (timestamps are kept for the
-    /// caller).
-    fn forget(&mut self, id: u64) {
+    /// Releases a finished request's bookkeeping — everything but its
+    /// timestamps, which are kept for the caller — and returns its
+    /// tenant.
+    fn forget(&mut self, id: u64) -> u32 {
         self.trees.remove(&id);
         self.work.remove(&id);
         self.deadlines.remove(&id);
-        self.retries.remove(&id);
+        self.tenants.remove(&id).expect("admitted")
     }
 }
 
@@ -841,11 +753,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_tickets_retry_with_backoff_then_surface() {
-        // A self-dependent production fails deterministically on every
-        // attempt: the retry budget is consumed, then the failure
-        // surfaces with the final error. Healthy requests sharing the
-        // service are unaffected.
+    fn failed_tickets_surface_at_once_beside_healthy_requests() {
+        // A self-dependent production fails, and would on every attempt:
+        // the failure surfaces at once with its error. Healthy requests
+        // sharing the service are unaffected.
         let mut g = GrammarBuilder::<i64>::new();
         let s = g.nonterminal("S");
         let b = g.nonterminal("B");
@@ -867,10 +778,7 @@ mod tests {
             Arc::new(tb.finish(root).unwrap())
         };
         let plan = CompilationPlan::analyze(&gr, DriverConfig::barrier(2));
-        let mut q = ServiceQueue::new(
-            &plan,
-            ServiceConfig::fifo(16).with_retries(2, Duration::from_micros(50)),
-        );
+        let mut q = ServiceQueue::new(&plan, ServiceConfig::fifo(16));
         let good = mk(ok);
         let Admission::Admitted { id: good_a } = q.offer(&good, 0) else {
             panic!("admitted")
@@ -885,11 +793,9 @@ mod tests {
         let stats = q.stats();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 1);
-        assert_eq!(stats.faults.retries, 2, "retry budget consumed");
-        let f = q.take_failed().expect("exhausted request surfaces");
+        let f = q.take_failed().expect("failed request surfaces");
         assert_eq!(f.id, bad);
         assert_eq!(f.tenant, 1);
-        assert_eq!(f.retries, 2);
         assert!(
             matches!(f.reason, FailureReason::Eval(EvalError::Cycle { .. })),
             "{f:?}"
@@ -903,5 +809,32 @@ mod tests {
             })
             .collect();
         assert_eq!(done, vec![good_a, good_b]);
+    }
+
+    /// Completed, failed and expired requests all leave the service's
+    /// per-request maps; only their timestamps stay, for the caller.
+    #[test]
+    fn finished_requests_leave_no_bookkeeping_but_their_times() {
+        let (gr, top, cons, nil, _) = grammar();
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2));
+        let mut q = ServiceQueue::new(&plan, ServiceConfig::fifo(64));
+        let mut admitted = 0;
+        for (i, n) in [5usize, 40, 12, 64, 1, 23].into_iter().enumerate() {
+            let deadline = (i == 2).then_some(Duration::ZERO);
+            let tree = chain(&gr, top, cons, nil, n);
+            if let Admission::Admitted { .. } = q.offer_with_deadline(&tree, i as u32, deadline) {
+                admitted += 1;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        q.drain();
+        let stats = q.stats();
+        assert_eq!((stats.completed, stats.failed), (admitted - 1, 1));
+        assert!(q.trees.is_empty(), "trees");
+        assert!(q.tenants.is_empty(), "tenants");
+        assert!(q.work.is_empty(), "work");
+        assert!(q.deadlines.is_empty(), "deadlines");
+        assert!(q.dispatched.is_empty(), "dispatched");
+        assert_eq!(q.times.len(), admitted, "times are kept");
     }
 }

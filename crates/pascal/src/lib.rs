@@ -203,10 +203,10 @@ impl Compiler {
     }
 
     /// Compiles a batch of programs through the parallel batch driver
-    /// (shared plan, persistent worker pool, split-phase librarian with
-    /// one ticket per program). Up to [`DriverConfig::pipeline_depth`]
-    /// programs are kept in flight so each program's region jobs fill
-    /// workers idling behind its predecessor's stragglers. Outputs are
+    /// (shared plan, persistent worker pool, one ticket per program). Up
+    /// to [`DriverConfig::pipeline_depth`] programs are kept in flight
+    /// so each program's region jobs fill workers idling behind its
+    /// predecessor's stragglers. Outputs are
     /// returned in input order and are identical to what
     /// [`Compiler::compile`] produces for each source.
     ///

@@ -1,18 +1,18 @@
-//! String-librarian descriptors (paper §4.2).
+//! The string librarian's segment store (paper §4.2).
 //!
-//! When an evaluator finishes its final code attribute it sends the *text*
-//! to the string librarian process once, and passes only a small
-//! [`Descriptor`] to its ancestor in the process tree. Ancestors combine
-//! descriptors (cheap), and the root forwards the combined descriptor to the
-//! librarian, which resolves it against its [`SegmentStore`] to produce the
-//! final code rope. This turns result propagation from a sequential chain of
-//! ever-growing string transmissions into one parallel transmission per
-//! evaluator plus O(#evaluators) descriptor bytes.
+//! When an evaluator finishes a large code attribute it sends the *text*
+//! to the string librarian process once, and passes up the process tree
+//! only a *descriptor*: a rope that refers to the text by [`SegmentId`]
+//! ([`Rope::seg`], [`Rope::deflate`]). Ancestors concatenate such ropes
+//! like any other,
+//! and the librarian [resolves](Rope::resolve) the final one against its
+//! [`SegmentStore`]. This turns result propagation from a sequential
+//! chain of ever-growing string transmissions into one parallel
+//! transmission per evaluator plus a few bytes per reference.
 
 use crate::Rope;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a text segment registered with the librarian.
 ///
@@ -40,87 +40,20 @@ impl fmt::Display for SegmentId {
     }
 }
 
-/// A compact, shareable description of a string built from registered
-/// segments and small literal snippets.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Descriptor {
-    /// The empty string.
-    #[default]
-    Empty,
-    /// A segment stored at the librarian.
-    Seg(SegmentId),
-    /// A short literal carried inline (used for glue text between
-    /// separately generated code blocks).
-    Lit(Arc<str>),
-    /// Concatenation of two descriptors.
-    Concat(Arc<Descriptor>, Arc<Descriptor>),
-}
-
-impl Descriptor {
-    /// Descriptor for a literal snippet. Empty literals collapse to
-    /// [`Descriptor::Empty`].
-    pub fn lit(text: impl Into<Arc<str>>) -> Self {
-        let text: Arc<str> = text.into();
-        if text.is_empty() {
-            Descriptor::Empty
-        } else {
-            Descriptor::Lit(text)
-        }
-    }
-
-    /// Combines two descriptors (O(1)).
-    pub fn concat(&self, other: &Descriptor) -> Descriptor {
-        match (self, other) {
-            (Descriptor::Empty, d) | (d, Descriptor::Empty) => d.clone(),
-            (a, b) => Descriptor::Concat(Arc::new(a.clone()), Arc::new(b.clone())),
-        }
-    }
-
-    /// All segment ids referenced by this descriptor, left to right.
-    pub fn segments(&self) -> Vec<SegmentId> {
-        let mut out = Vec::new();
-        self.collect_segments(&mut out);
-        out
-    }
-
-    fn collect_segments(&self, out: &mut Vec<SegmentId>) {
-        match self {
-            Descriptor::Empty | Descriptor::Lit(_) => {}
-            Descriptor::Seg(id) => out.push(*id),
-            Descriptor::Concat(a, b) => {
-                a.collect_segments(out);
-                b.collect_segments(out);
-            }
-        }
-    }
-
-    /// Number of bytes needed to transmit this descriptor over the
-    /// network: a tag byte per node plus 8 bytes per segment id plus
-    /// literal text.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Descriptor::Empty => 1,
-            Descriptor::Seg(_) => 9,
-            Descriptor::Lit(s) => 1 + 4 + s.len(),
-            Descriptor::Concat(a, b) => 1 + a.wire_size() + b.wire_size(),
-        }
-    }
-}
-
 /// The librarian's storage: segment id → text.
 ///
 /// # Examples
 ///
 /// ```
-/// use paragram_rope::{Descriptor, Rope, SegmentId, SegmentStore};
+/// use paragram_rope::{Rope, SegmentId, SegmentStore};
 ///
 /// let mut store = SegmentStore::new();
 /// let a = SegmentId::from_parts(1, 0);
 /// let b = SegmentId::from_parts(2, 0);
 /// store.register(a, Rope::from("hello "));
 /// store.register(b, Rope::from("world"));
-/// let d = Descriptor::Seg(a).concat(&Descriptor::Seg(b));
-/// assert_eq!(store.resolve(&d).unwrap().to_string(), "hello world");
+/// let refs = Rope::seg(a, 6).concat(&Rope::seg(b, 5));
+/// assert_eq!(refs.resolve(&store).unwrap().to_string(), "hello world");
 /// ```
 #[derive(Debug, Default)]
 pub struct SegmentStore {
@@ -128,8 +61,8 @@ pub struct SegmentStore {
     bytes: usize,
 }
 
-/// Error returned by [`SegmentStore::resolve`] when a descriptor names a
-/// segment that was never registered.
+/// Error returned by [`Rope::resolve`] when a rope refers to a segment
+/// that was never registered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownSegment(pub SegmentId);
 
@@ -174,22 +107,6 @@ impl SegmentStore {
     pub fn total_bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Resolves a descriptor into the final rope.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownSegment`] if the descriptor references a segment id
-    /// that has not been registered (e.g. an evaluator crashed before
-    /// shipping its code text).
-    pub fn resolve(&self, d: &Descriptor) -> Result<Rope, UnknownSegment> {
-        match d {
-            Descriptor::Empty => Ok(Rope::new()),
-            Descriptor::Seg(id) => self.segments.get(id).cloned().ok_or(UnknownSegment(*id)),
-            Descriptor::Lit(s) => Ok(Rope::leaf(Arc::clone(s))),
-            Descriptor::Concat(a, b) => Ok(self.resolve(a)?.concat(&self.resolve(b)?)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,15 +124,18 @@ mod tests {
     #[test]
     fn empty_descriptor_resolves_empty() {
         let store = SegmentStore::new();
-        assert!(store.resolve(&Descriptor::Empty).unwrap().is_empty());
+        let resolved = Rope::new().resolve(&store).unwrap();
+        assert!(resolved.is_empty() && !resolved.has_segments());
     }
 
     #[test]
     fn concat_collapses_empty() {
-        let d = Descriptor::Empty.concat(&Descriptor::lit("x"));
-        assert_eq!(d, Descriptor::lit("x"));
-        let d2 = Descriptor::lit("").concat(&Descriptor::Empty);
-        assert_eq!(d2, Descriptor::Empty);
+        let id = SegmentId::from_parts(0, 0);
+        let d = Rope::seg(id, 0).concat(&Rope::from("x"));
+        assert_eq!(d.to_string(), "x");
+        assert!(!d.has_segments());
+        let d2 = Rope::from("").concat(&Rope::seg(id, 0));
+        assert!(d2.is_empty() && !d2.has_segments());
     }
 
     #[test]
@@ -225,18 +145,18 @@ mod tests {
         let b = SegmentId::from_parts(1, 1);
         store.register(a, Rope::from("AAA"));
         store.register(b, Rope::from("BBB"));
-        let d = Descriptor::Seg(a)
-            .concat(&Descriptor::lit("--"))
-            .concat(&Descriptor::Seg(b));
-        assert_eq!(store.resolve(&d).unwrap().to_string(), "AAA--BBB");
-        assert_eq!(d.segments(), vec![a, b]);
+        let d = Rope::seg(a, 3)
+            .concat(&Rope::from("--"))
+            .concat(&Rope::seg(b, 3));
+        assert_eq!(d.resolve(&store).unwrap().to_string(), "AAA--BBB");
+        assert_eq!(d.seg_ids(), vec![a, b]);
     }
 
     #[test]
     fn unknown_segment_is_an_error() {
         let store = SegmentStore::new();
-        let d = Descriptor::Seg(SegmentId::from_parts(9, 9));
-        let err = store.resolve(&d).unwrap_err();
+        let d = Rope::seg(SegmentId::from_parts(9, 9), 4);
+        let err = d.resolve(&store).unwrap_err();
         assert_eq!(err.0, SegmentId::from_parts(9, 9));
         assert!(err.to_string().contains("seg9.9"));
     }
@@ -255,8 +175,9 @@ mod tests {
 
     #[test]
     fn wire_size_is_small_for_descriptors() {
-        let d = Descriptor::Seg(SegmentId(1)).concat(&Descriptor::Seg(SegmentId(2)));
-        // Far smaller than any realistic code attribute.
-        assert!(d.wire_size() < 32);
+        let d = Rope::seg(SegmentId(1), 10_000).concat(&Rope::seg(SegmentId(2), 10_000));
+        // Far smaller than the text the references stand for.
+        assert_eq!(d.len(), 20_000);
+        assert!(d.physical_wire_size() < 32);
     }
 }

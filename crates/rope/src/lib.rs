@@ -4,10 +4,11 @@
 //! the generated-code attribute — as *binary trees with the actual text
 //! residing in the leaves*, so that string concatenation is a constant-time
 //! operation and all values are immutable (applicative). This crate is that
-//! data structure, plus the *descriptor* machinery used by the string
-//! librarian process (§4.2): an evaluator ships its code text to the
-//! librarian once, and passes only a small [`Descriptor`] up the process
-//! tree; the librarian reassembles the final code from descriptors.
+//! data structure, plus what the string librarian process (§4.2) needs: an
+//! evaluator ships its code text to the librarian once, and passes up the
+//! process tree only a rope of [segment references](Rope::seg) to it; the
+//! librarian [resolves](Rope::resolve) the final code against its
+//! [`SegmentStore`].
 //!
 //! # Examples
 //!
@@ -43,10 +44,10 @@
 //!
 //! Every concatenation node caches its length, depth, whether a
 //! segment reference lies below it and the bytes it physically carries,
-//! all fixed at construction. That is what keeps the librarian's
-//! bookkeeping — asked of every attribute value a parallel evaluation
-//! retires — from re-walking code text: `physical_wire_size` reads a
-//! field of the root, `has_segments` one of the handle itself, and
+//! all fixed at construction. That is what keeps per-value bookkeeping
+//! — a memo install scan asks it of every value it looks at — from
+//! re-walking code text: `physical_wire_size` reads a field of the
+//! root, `has_segments` one of the handle itself, and
 //! `deflate`/`resolve` descend only towards segment references and
 //! share every other sub-rope.
 //! Dropping the last handle to a rope frees it node by node, O(n), on
@@ -59,7 +60,7 @@ mod descriptor;
 mod seg;
 
 pub use builder::RopeBuilder;
-pub use descriptor::{Descriptor, SegmentId, SegmentStore, UnknownSegment};
+pub use descriptor::{SegmentId, SegmentStore, UnknownSegment};
 pub use seg::Piece;
 
 use std::fmt;
@@ -140,8 +141,8 @@ impl RNode {
 pub struct Rope {
     pub(crate) root: Option<Arc<RNode>>,
     /// The root's [`RNode::has_seg`], copied into the handle so that
-    /// [`Rope::has_segments`] — asked once per attribute instance when a
-    /// parallel evaluation retires — does not follow the pointer. Fits
+    /// [`Rope::has_segments`] — asked once per value a memo install
+    /// scan looks at — does not follow the pointer. Fits
     /// the padding of the value enums that hold a rope.
     pub(crate) has_seg: bool,
 }

@@ -12,7 +12,7 @@
 //! * [`driver`] — batched compilation: shared immutable compilation
 //!   plans and a persistent worker pool over streams of parse trees.
 //! * [`rope`] — persistent rope strings with O(1) concatenation and the
-//!   string-librarian descriptor protocol.
+//!   string librarian's segment references.
 //! * [`symtab`] — applicative binary-search-tree symbol tables.
 //! * [`netsim`] — the deterministic discrete-event "network of
 //!   workstations" simulator.

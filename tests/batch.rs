@@ -1,14 +1,15 @@
 //! Batched-compilation determinism: compiling the same stream of trees
 //! through the driver must yield byte-identical output code and
 //! identical attribute stores regardless of how many pool workers (and
-//! therefore regions, message interleavings and librarian tickets) were
+//! therefore regions, message interleavings and tickets) were
 //! involved, regardless of the pipeline window depth (how many trees
 //! overlap in flight), and regardless of how often it is repeated on
 //! the same pool.
 //!
 //! Four `#[ignore]`d tests extend the matrix on CI (`cargo test --
-//! --ignored` runs them): the split-phase librarian property test
-//! (randomized out-of-order `Register`/`Resolve` interleavings), the
+//! --ignored` runs them): the simulator librarian's split-phase
+//! property test (randomized out-of-order `Register`/`Resolve`
+//! interleavings), the
 //! region-granular determinism matrix, which pushes a
 //! `GenConfig::huge()` single tree through the adaptive pool at depths
 //! 1/2/4 × workers 1/2/8, the region-local store slot audit, which
@@ -21,7 +22,8 @@
 use paragram::core::eval::{static_eval, Machine, MachineScratch};
 use paragram::core::grammar::AttrId;
 use paragram::core::memo::InstallPolicy;
-use paragram::core::parallel::pool::{SchedulerMode, SegmentLedger, MIN_REGION_WORK};
+use paragram::core::parallel::pool::{SchedulerMode, MIN_REGION_WORK};
+use paragram::core::parallel::sim::SegmentLedger;
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
 use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig};
@@ -221,7 +223,7 @@ mod interleaving {
                 events.swap(i, j);
             }
 
-            let mut ledger = SegmentLedger::new();
+            let mut ledger = SegmentLedger::default();
             let mut remaining: Vec<usize> = nsegs.clone();
             let mut resolved: Vec<Option<SegmentStore>> =
                 (0..tickets.len()).map(|_| None).collect();
@@ -244,7 +246,9 @@ mod interleaving {
                     *slot = Some(ledger.resolve(rt as u64));
                 }
             }
-            prop_assert_eq!(ledger.open_tickets(), 0);
+            for t in 0..tickets.len() {
+                prop_assert_eq!(ledger.ticket_bytes(t as u64), 0, "ticket {} left behind", t);
+            }
 
             for (t, segs) in tickets.iter().enumerate() {
                 let want = expected_store(segs);
@@ -859,8 +863,8 @@ fn memo_on_matches_memo_off_and_second_touch_keeps_the_warm_hit_rate() {
     }
 }
 
-/// Retiring a tree — taking its segments from the ledger, sizing the
-/// whole-tree store and absorbing the region stores into it — is a
+/// Retiring a tree — sizing the whole-tree store and absorbing the
+/// region stores into it — is a
 /// bounded share of its pool time: on the huge tree, `assemble /
 /// (elapsed + assemble)`, each the fastest of five runs, stays ≤ 0.40.
 /// It read 0.6–0.7 while retirement re-walked every code rope. A wall
