@@ -16,7 +16,7 @@ use paragram_core::parallel::sim::{
 };
 use paragram_core::split::RegionGranularity;
 use paragram_core::tree::ParseTree;
-use paragram_netsim::FaultPlan;
+use paragram_netsim::{FaultPlan, Trace};
 use paragram_pascal::generator::{generate, GenConfig};
 use paragram_pascal::{Compiler, PVal};
 use std::collections::HashMap;
@@ -270,4 +270,67 @@ fn crash_recovery_on_the_service_stream_is_pinned() {
         clean.makespan
     );
     assert_eq!(faulty.shed_count(), clean.shed_count());
+}
+
+/// Message count and byte total for each tag the string librarian's
+/// traffic rides on, and the trace's total.
+type Traffic = ([(&'static str, usize, usize); 4], usize);
+
+fn traffic(trace: &Trace) -> Traffic {
+    let per_tag = ["code-segment", "attr", "resolve", "subtree"].map(|tag| {
+        let msgs = trace.messages.iter().filter(|m| m.tag == tag);
+        let (count, bytes) = msgs.fold((0, 0), |(n, b), m| (n + 1, b + m.bytes));
+        (tag, count, bytes)
+    });
+    (per_tag, trace.network_bytes())
+}
+
+/// The librarian's wire traffic, summed per tag: the text evaluators
+/// register with it, the boundary and root values that carry
+/// references to that text instead of the text itself, and the
+/// parser's final reads. The virtual-time pins see a miscounted byte
+/// only through the time it moves; this sees it directly. Two runs:
+/// the paper program on 5 machines, and a 24-tree stream of proc, unit
+/// and paper programs cut into budget-sized regions on a stealing park
+/// of 4 that loses evaluator 2 a third of the way in.
+#[test]
+fn librarian_wire_traffic_is_pinned() {
+    let w = Workload::paper();
+    let paper = run_sim(&w.tree, Some(&w.plans), &SimConfig::paper(5));
+    let want = [
+        ("code-segment", 6, 714_269),
+        ("attr", 34, 8_982),
+        ("resolve", 1, 64),
+        ("subtree", 5, 314_109),
+    ];
+    assert_eq!(traffic(&paper.trace), (want, 1_037_568));
+
+    let compiler = Compiler::new();
+    let plans = compiler.evals.plans().expect("pascal grammar is ordered");
+    let trees: Vec<_> = (0..24u64)
+        .map(|i| {
+            let class = [SizeClass::Proc, SizeClass::Unit, SizeClass::Paper][i as usize % 3];
+            parse(&compiler, &class.gen_config(300 + i))
+        })
+        .collect();
+    let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+    let crash = FaultPlan::seeded(34).crash_restart(2, 31_142_407, 1_000_000);
+    let stream = run_sim_stream(
+        &trees,
+        Some(plans),
+        &cfg,
+        2,
+        RegionGranularity::Adaptive { budget: 4000 },
+        &crash,
+        None,
+    )
+    .expect("a batch of 24 trees");
+    assert_eq!(stream.faults.regions_reexecuted, 1);
+    let want = [
+        ("code-segment", 434, 5_926_228),
+        ("attr", 2_984, 1_142_952),
+        ("resolve", 24, 1_536),
+        ("subtree", 0, 0),
+    ];
+    assert_eq!(traffic(&stream.trace), (want, 7_080_092));
 }

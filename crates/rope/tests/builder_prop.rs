@@ -99,7 +99,6 @@ proptest! {
         prop_assert_eq!(built.is_empty(), reference.is_empty());
         prop_assert_eq!(built.physical_wire_size(), reference.physical_wire_size());
         prop_assert_eq!(built.has_segments(), reference.has_segments());
-        prop_assert_eq!(built.pieces(), reference.pieces());
         // One leaf per run, none for an empty one.
         prop_assert_eq!(built.chunks().collect::<Vec<_>>(), chunks);
         // A linked sub-rope is in the result by pointer.
