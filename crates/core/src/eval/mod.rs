@@ -101,20 +101,6 @@ pub enum EvalError {
         /// The panic payload's message, when it carried one.
         message: String,
     },
-    /// A retired value references a code segment the string librarian
-    /// does not hold for this tree (a registration was lost), so the
-    /// text it stands for cannot be reassembled. Only the simulator runs
-    /// a librarian, so only it raises this.
-    UnknownSegment {
-        /// The segment that was never registered.
-        id: paragram_rope::SegmentId,
-    },
-}
-
-impl From<paragram_rope::UnknownSegment> for EvalError {
-    fn from(e: paragram_rope::UnknownSegment) -> Self {
-        EvalError::UnknownSegment { id: e.0 }
-    }
 }
 
 impl fmt::Display for EvalError {
@@ -134,12 +120,6 @@ impl fmt::Display for EvalError {
             }
             EvalError::RulePanic { message } => {
                 write!(f, "semantic rule panicked: {message}")
-            }
-            EvalError::UnknownSegment { id } => {
-                write!(
-                    f,
-                    "code segment {id} was never registered with the librarian"
-                )
             }
         }
     }

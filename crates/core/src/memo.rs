@@ -31,10 +31,7 @@
 //! and are not covered by the signature. A leaf region's owned span is
 //! its entire subtree, and its outputs are (a) that span and (b) the
 //! synthesized attributes at its root, which is all a
-//! [`MemoEntry`] stores. Values held by a leaf region are always plain
-//! (librarian deflation applies only to the outgoing copies of upward
-//! sends, never to the store's copies), so replay needs no segment
-//! resolution.
+//! [`MemoEntry`] stores.
 //!
 //! A signature is only formed when every covered value is
 //! fingerprintable: an inexact subtree hash or a `None` from

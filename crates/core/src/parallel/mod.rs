@@ -17,11 +17,10 @@
 //!   activation (a whole-tree job, a memo probe or a region machine,
 //!   early values replayed), feed, cancel, probe resolution, the
 //!   oldest-first drive pass, rule-panic containment, local cycle
-//!   detection, deflation into segment registrations and
-//!   retire-before-report. It asks its driver for effects (charge a
-//!   build or a step, register a segment, send a boundary value, report
-//!   a root value, report `Done`); [`pool`]'s threads and [`sim`]'s
-//!   evaluator processes are its two drivers.
+//!   detection and retire-before-report. It asks its driver for effects
+//!   (charge a build or a step, send a boundary value, report a root
+//!   value, report `Done`); [`pool`]'s threads and [`sim`]'s evaluator
+//!   processes are its two drivers.
 //! * [`pool`] — persistent evaluator worker pool (threads spawned
 //!   once, sharing memory, so a code value crosses a region boundary as
 //!   the rope it is and no librarian runs) scheduling **region jobs** —
@@ -92,8 +91,9 @@
 //! against the input log (a `(node, attr)` already logged for a region
 //! is suppressed at the sender), machines drop deliveries for
 //! instances they are no longer awaiting, the parser ignores a root
-//! attribute (sim) or a region result (pool) it already holds, and segment re-registration replaces
-//! byte-identical text. The acceptance bar — pinned by unit,
+//! attribute (sim) or a region result (pool) it already holds, and a
+//! re-executed job's librarian registration replaces its earlier self
+//! under the same run id (sim). The acceptance bar — pinned by unit,
 //! integration and chaos property tests — is that a crashed-and-
 //! recovered run produces output **byte-identical** to the fault-free
 //! run, with `crashes`, `regions_reexecuted` and `dup_suppressed`
@@ -108,9 +108,10 @@ mod worker;
 use crate::grammar::{AttrId, SymbolId};
 use crate::value::AttrValue;
 
-/// How evaluators propagate large result attributes back to the parser.
-/// The simulator defaults to the librarian; the pool's threads share
-/// memory and always run naive propagation.
+/// How the simulator's evaluators propagate large result attributes
+/// back to the parser ([`sim::SimConfig::result`]), by default through
+/// the librarian. The pool's threads share memory: a value crosses as
+/// the rope it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResultPropagation {
     /// Each evaluator ships its full result value to its ancestor; the
@@ -119,7 +120,8 @@ pub enum ResultPropagation {
     /// threads, shipping a rope costs a reference-count increment.
     Naive,
     /// String-librarian protocol (§4.2): text goes to the librarian
-    /// once, only small descriptors travel up the process tree.
+    /// once, only small references to it travel up the process tree —
+    /// the simulator's accounting of what each value costs on the wire.
     Librarian,
 }
 

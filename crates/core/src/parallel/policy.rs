@@ -4,7 +4,7 @@
 //! dispatch trees in submission order. A *service* front end serving an
 //! open arrival stream gets to choose which waiting request enters the
 //! pipeline window next, and the right choice is a policy question:
-//! FIFO is fair in arrival order but lets one huge tree inflate every
+//! FIFO is fair in arrival order but lets one huge tree lengthen every
 //! later request's latency; shortest-job-first exploits the work
 //! estimates the region machinery already computes
 //! ([`crate::eval::EvalPlan::tree_work`], the same table

@@ -26,10 +26,9 @@
 //! simulator keeps that protocol, and `ablation_librarian` measures
 //! what it saves there. Threads share memory, so here a code value
 //! crosses a region boundary as the rope it is — a reference-counted
-//! handle, whatever the length of its text — and the pool's worker
-//! cores run [`ResultPropagation::Naive`]: nothing registers a segment,
-//! nothing is left to resolve, and a retired store holds exactly the
-//! values a sequential evaluation computes.
+//! handle, whatever the length of its text: nothing registers with a
+//! librarian, nothing is left to resolve, and a retired store holds
+//! exactly the values a sequential evaluation computes.
 //!
 //! # Region-granular scheduling
 //!
@@ -231,7 +230,6 @@ use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery, JobKey};
 use super::worker::{Cut, Driver, Finished, JobResult, WorkerCore};
-use super::ResultPropagation;
 
 /// Identifies one tree's pass through the pool (monotone, assigned at
 /// [`WorkerPool::submit`] time). Messages carry their ticket so the
@@ -759,7 +757,6 @@ impl<V: AttrValue> WorkerPool<V> {
             let core = WorkerCore::new(
                 Arc::clone(plan),
                 plan.best_mode(),
-                ResultPropagation::Naive,
                 memo.clone(),
                 Arc::clone(&memo_safe),
             );
@@ -1473,7 +1470,7 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
     /// behalf either attaches the value to the still-queued job (so a
     /// claim — or a steal — takes it along) or hands it back for a
     /// channel send to the worker that claimed it.
-    fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V) {
+    fn send(&mut self, _from: JobKey, to: JobKey, node: NodeId, attr: AttrId, value: V) {
         let dest = {
             let mut board = lock(&self.board);
             board.route(self.me, to, node, attr, &value).and_then(|w| {
@@ -1498,7 +1495,7 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
         }
     }
 
-    fn root(&mut self, _ticket: Ticket, _attr: AttrId, value: V) -> Option<V> {
+    fn root(&mut self, _from: JobKey, _attr: AttrId, value: V) -> Option<V> {
         Some(value)
     }
 
@@ -2388,7 +2385,7 @@ pub(super) mod tests {
     }
 
     /// [`memo_fixture`]'s memo-safe chain with *rope* code, long enough
-    /// that every region's code would clear the simulator's deflation
+    /// that every region's code would clear the simulator's librarian
     /// threshold — so a value crossing a region boundary carries a whole
     /// subtree's code. As in [`fixture_trees`], each `cons` carries a
     /// region's worth of work.
@@ -2483,18 +2480,12 @@ pub(super) mod tests {
                     } else {
                         assert!(report.regions > 1, "{what}: tree was split")
                     }
-                    let referenced = |v: &Value| v.as_rope().is_some_and(Rope::has_segments);
                     assert_eq!(report.store.filled(), report.store.len(), "{what}");
                     for i in 0..report.store.len() {
                         let got = report.store.get_by_index(i).unwrap();
-                        assert!(
-                            !referenced(got),
-                            "{what}: instance {i} holds a segment reference"
-                        );
                         assert_eq!(Some(got), want.get_by_index(i), "{what}: instance {i}");
                     }
                     let root = report.root_value(out).unwrap();
-                    assert!(!referenced(root), "{what}: root code");
                     assert_eq!(root.to_string(), want_root.to_string(), "{what}: root code");
                 }
                 assert_eq!(retired, 3, "{what}");

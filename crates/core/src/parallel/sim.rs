@@ -14,8 +14,8 @@
 //! attribute values — synthesized attributes of region roots travel up,
 //! inherited attributes of remote subtree roots travel down — and
 //! report each region done; in librarian mode large code text streams
-//! to the librarian during evaluation and only small descriptor ropes
-//! travel up the process tree, resolved at the parser's final read of
+//! to the librarian during evaluation and only small references to it
+//! travel up the process tree, combined at the parser's final read of
 //! each tree (§4.2, split-phase). Each simulated evaluator's
 //! [`Machine`] holds a region-local store
 //! ([`crate::tree::RegionStore`], O(region) slots), matching the
@@ -35,13 +35,13 @@
 //! Each evaluator process drives the worker core
 //! (`parallel/worker.rs`) that the live pool's threads drive, instead
 //! of mirroring it: activation, probes, the oldest-first pass, rule
-//! panic containment, local cycle detection, deflation into segment
-//! registrations and retire-before-report are that code's. The process
-//! carries out the core's effects in virtual time — it charges a
-//! machine's build and every step from the [`CostModel`] under its
-//! activity-trace phase, registers segments with the librarian by
-//! message, and sends each root value to the parser as its own message
-//! the moment it is computed, then a 16-byte `Done` — and drives each
+//! panic containment, local cycle detection and retire-before-report
+//! are that code's. The process carries out the core's effects in
+//! virtual time — it charges a machine's build and every step from the
+//! [`CostModel`] under its activity-trace phase, registers code text
+//! with the librarian by message, and sends each root value to the
+//! parser as its own message the moment it is computed, then a 16-byte
+//! `Done` — and drives each
 //! machine until it starves, with no yield budget. The parser still
 //! ships a decomposition for every ticket, a one-region one included:
 //! the sim does not run whole-tree jobs.
@@ -60,6 +60,39 @@
 //! default) the parser pushes each region's subtree to the home the
 //! board seeded it on, and its arrival takes that job off the home's
 //! deque — so a fault-free run sends no wake, and only recovery claims.
+//!
+//! # The string librarian as accounting
+//!
+//! The paper's librarian (§4.2) changes only the string type: an
+//! evaluator sends its large code text to the librarian once and
+//! passes up the process tree a rope of references to it. Here every
+//! evaluator sends the value it computed, and the simulator works out
+//! what that rope of references would have cost. Per ticket it keeps a
+//! table of *runs* — the text a job registered, as the ordered rope
+//! nodes it was made of — and prices each value job K sends from it:
+//!
+//! * a run another job registered, met as its members in order, costs
+//!   one 9-byte reference; the rest is text, at its length. A job never
+//!   sent a reference has none to see, so its whole value is one
+//!   stretch of text, priced in O(1); otherwise the walk descends only
+//!   into rope nodes that hold a registered node (cached per node) and
+//!   takes every other node whole. A value the simulator forwards (its
+//!   job moved while it was on the wire) keeps the size it was sent at;
+//! * a value bound towards the tree root (its region's parent, or the
+//!   parser) registers each maximal text stretch of at least 256 bytes
+//!   as a new run owned by K — a `Register` message of `8 + len` bytes
+//!   to the librarian, sent before the value — and carries a reference
+//!   in its place. A run's id is K's region and how many registrations
+//!   K had made since its activation, so a re-executed job re-registers
+//!   under the same ids;
+//! * at the parser's final read, the librarian charges the combination
+//!   of the ticket's distinct runs and checks that every run the root
+//!   values reference arrived ([`SimError::LostCodeSegment`] if not),
+//!   and the ticket's table is dropped.
+//!
+//! Two modelling assumptions, each a debug assertion: a run's members
+//! are met contiguously and in order — rules only concatenate, and a
+//! run's text travels up the tree — and no node is registered twice.
 
 use crate::analysis::Plans;
 use crate::eval::{EvalError, EvalPlan, Machine, MachineMode, StepOutcome};
@@ -75,8 +108,8 @@ use crate::stats::EvalStats;
 use crate::tree::{Child, NodeId, ParseTree};
 use crate::value::AttrValue;
 use paragram_netsim::{secs, Ctx, FaultPlan, NetModel, ProcId, Process, Sim, Time, Trace};
-use paragram_rope::{Rope, SegmentId, SegmentStore};
-use std::collections::{HashMap, VecDeque};
+use paragram_rope::Rope;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::{classify, PhaseClassifier, ResultPropagation};
@@ -194,7 +227,7 @@ pub struct SimReport<V> {
     pub trace: Trace,
     /// Process names aligned with the trace.
     pub names: Vec<String>,
-    /// Root attribute values (librarian-resolved).
+    /// Root attribute values.
     pub root_values: Vec<(AttrId, V)>,
     /// The decomposition rendered in Figure-7 style.
     pub decomposition: String,
@@ -238,8 +271,7 @@ pub struct BatchSimReport<V> {
     pub trace: Trace,
     /// Process names aligned with the trace.
     pub names: Vec<String>,
-    /// Per-tree root attribute values (librarian-resolved; empty for a
-    /// shed request).
+    /// Per-tree root attribute values (empty for a shed request).
     pub root_values: Vec<Vec<(AttrId, V)>>,
     /// Scheduler telemetry for the run (steals and migrated values stay
     /// zero under [`SchedulerMode::Fixed`]).
@@ -324,9 +356,20 @@ pub enum SimError {
         machines: usize,
     },
     /// A tree's evaluation failed: a dependency cycle local to a
-    /// region, a panicking semantic rule, a plan inconsistency, or a
-    /// root value naming a code segment the librarian never received.
+    /// region, a panicking semantic rule or a plan inconsistency.
     Eval(EvalError),
+    /// At the parser's final read of tree `ticket`, its root values
+    /// reference a run of code text the librarian never received (a
+    /// `code-segment` message was lost), so the code cannot be
+    /// reassembled.
+    LostCodeSegment {
+        /// The tree.
+        ticket: usize,
+        /// The region whose job registered the run.
+        region: RegionId,
+        /// Which of that job's registrations it was.
+        index: u32,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -347,6 +390,15 @@ impl std::fmt::Display for SimError {
                  (valid targets: 1..={machines})"
             ),
             SimError::Eval(e) => write!(f, "simulated parallel evaluation failed: {e}"),
+            SimError::LostCodeSegment {
+                ticket,
+                region,
+                index,
+            } => write!(
+                f,
+                "tree {ticket}'s code references registration {index} of region {region}, \
+                 which never reached the librarian"
+            ),
         }
     }
 }
@@ -361,24 +413,29 @@ enum SimMsg<V> {
         region: RegionId,
     },
     /// A boundary value for job `key` (an evaluator machine hosts
-    /// several regions under region-granular scheduling).
+    /// several regions under region-granular scheduling), and its
+    /// accounted wire size, which a forward keeps.
     Attr {
         key: JobKey,
         node: NodeId,
         attr: AttrId,
         value: V,
+        bytes: usize,
     },
-    /// A root attribute value, sent to the parser as it is computed.
+    /// A root attribute value, sent to the parser as it is computed,
+    /// with the librarian runs it references.
     Root {
         ticket: usize,
         attr: AttrId,
         value: V,
+        refs: Vec<RunId>,
     },
-    /// Split-phase registration: streams in during evaluation.
+    /// Split-phase registration of a run of code text: streams in
+    /// during evaluation.
     Register {
         ticket: usize,
-        id: SegmentId,
-        text: Rope,
+        id: RunId,
+        len: usize,
     },
     /// A region job finished (the pool's `Done`); the parser retires a
     /// ticket — freeing its window slot — only after every region
@@ -388,9 +445,11 @@ enum SimMsg<V> {
         ticket: usize,
         failed: Option<EvalError>,
     },
-    /// The parser's final read for one ticket.
+    /// The parser's final read for one ticket, naming the runs its
+    /// root values reference.
     Resolve {
         ticket: usize,
+        refs: Vec<RunId>,
     },
     Resolved {
         ticket: usize,
@@ -458,12 +517,16 @@ struct State<V> {
     busy_until: Vec<Time>,
     eval_start: Time,
     /// How each ticket ended: retired at a time, or failed.
-    finish: Vec<Option<Result<Time, EvalError>>>,
+    finish: Vec<Option<Result<Time, SimError>>>,
     admitted: Vec<Option<Time>>,
     dispatched: Vec<Option<Time>>,
     shed: Vec<bool>,
     roots: Vec<Vec<(AttrId, V)>>,
-    segstores: HashMap<usize, SegmentStore>,
+    /// The librarian runs each ticket's accepted root values reference.
+    root_refs: Vec<Vec<RunId>>,
+    /// Librarian propagation only: each ticket's registered runs, from
+    /// its first registration until its final read.
+    registries: HashMap<usize, Registry>,
     per_machine: Vec<EvalStats>,
 }
 
@@ -631,7 +694,9 @@ impl<V: AttrValue> ParserProc<V> {
             match sh.result {
                 ResultPropagation::Librarian => {
                     ctx.phase("result propagation");
-                    ctx.send(sh.librarian(), SimMsg::Resolve { ticket }, 64, "resolve");
+                    let refs = std::mem::take(&mut sh.state().root_refs[ticket]);
+                    let msg = SimMsg::Resolve { ticket, refs };
+                    ctx.send(sh.librarian(), msg, 64, "resolve");
                     self.resolving = true;
                 }
                 ResultPropagation::Naive => self.finish_ticket(ctx, ticket),
@@ -705,6 +770,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
                 ticket,
                 attr,
                 value,
+                refs,
             } => {
                 ctx.phase("result propagation");
                 {
@@ -718,6 +784,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
                         return;
                     }
                     st.roots[ticket].push((attr, value));
+                    st.root_refs[ticket].extend(refs);
                 }
                 self.advance(ctx);
             }
@@ -732,7 +799,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
                 ticket,
                 failed: Some(e),
             } => {
-                sh.state().finish[ticket] = Some(Err(e));
+                sh.state().finish[ticket] = Some(Err(SimError::Eval(e)));
                 ctx.stop();
             }
             SimMsg::Resolved { ticket } => {
@@ -785,22 +852,61 @@ impl<V: AttrValue> SimDriver<'_, '_, V> {
     /// its region of the tree, so its decomposition comes along.
     fn start(&mut self, core: &mut WorkerCore<V>, job: Claimed<V, usize>) {
         let t = job.key.0 as usize;
+        if self.sh.result == ResultPropagation::Librarian {
+            // Run ids count registrations from the job's activation.
+            let mut st = self.sh.state();
+            st.registries.entry(t).or_default().next.remove(&job.key.1);
+        }
         let tree = Arc::clone(&self.sh.trees[t]);
         let cut = Cut::Regions(Arc::clone(&self.sh.decomps[t]));
         core.activate(self, job.key, tree, cut, job.early);
     }
 
-    /// Puts boundary value `value` for job `key` on the wire to machine
-    /// `w`.
-    fn ship(&mut self, w: usize, key: JobKey, node: NodeId, attr: AttrId, value: V) {
-        let bytes = value.wire_size();
+    /// Puts boundary value `value` for job `key`, `bytes` on the wire,
+    /// to machine `w`.
+    fn ship(&mut self, w: usize, key: JobKey, node: NodeId, attr: AttrId, value: V, bytes: usize) {
         let msg = SimMsg::Attr {
             key,
             node,
             attr,
             value,
+            bytes,
         };
         self.ctx.send(ProcId(1 + w), msg, bytes, "attr");
+    }
+
+    /// Prices `value`, sent by job `from` towards region `to` (`None`:
+    /// the parser), as the string librarian puts it on the wire, and
+    /// sends the registrations that go ahead of it (see the module
+    /// docs). Naive propagation ships every value whole.
+    fn account(&mut self, from: JobKey, to: Option<RegionId>, value: &V) -> Priced {
+        if self.sh.result == ResultPropagation::Naive {
+            return Priced {
+                bytes: value.wire_size(),
+                refs: Vec::new(),
+            };
+        }
+        let ticket = from.0 as usize;
+        let upward = match to {
+            None => true,
+            Some(q) => self.sh.decomps[ticket].regions[from.1 as usize].parent == Some(q),
+        };
+        let (priced, registered) = {
+            let mut st = self.sh.state();
+            let registry = st.registries.entry(ticket).or_default();
+            let (priced, registered) = registry.price(from.1, value, upward);
+            if let Some(q) = to.filter(|_| !priced.refs.is_empty()) {
+                registry.referenced.insert(q);
+            }
+            (priced, registered)
+        };
+        for (id, len) in registered {
+            self.ctx.phase("result propagation");
+            let msg = SimMsg::Register { ticket, id, len };
+            self.ctx
+                .send(self.sh.librarian(), msg, 8 + len, "code-segment");
+        }
+        priced
     }
 
     /// Stealing-scheduler drive step, mirroring the live worker's
@@ -885,39 +991,27 @@ impl<V: AttrValue> Driver<V> for SimDriver<'_, '_, V> {
         );
     }
 
-    /// Registration phase of the split-phase protocol: large code text
-    /// streams to the librarian mid-evaluation, tagged with this tree's
-    /// ticket (§4.2).
-    fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
-        self.ctx.phase("result propagation");
-        let bytes = text.physical_wire_size();
-        let msg = SimMsg::Register {
-            ticket: ticket as usize,
-            id,
-            text,
-        };
-        self.ctx
-            .send(self.sh.librarian(), msg, bytes, "code-segment");
-    }
-
-    /// Routes via the board: the job may have been stolen or reseeded
+    /// Registers with the librarian what the value makes it hold, then
+    /// routes via the board: the job may have been stolen or reseeded
     /// by a crash. The board logs the value at send time — so a crash
     /// cannot lose values still on the wire — and says when nothing is
     /// to be sent (the job finished; a re-executed producer replaying
     /// its sends).
-    fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V) {
+    fn send(&mut self, from: JobKey, to: JobKey, node: NodeId, attr: AttrId, value: V) {
+        let bytes = self.account(from, Some(to.1), &value).bytes;
         let routed = self.sh.state().board.route(self.me, to, node, attr, &value);
         if let Some(w) = routed {
-            self.ship(w, to, node, attr, value);
+            self.ship(w, to, node, attr, value, bytes);
         }
     }
 
-    fn root(&mut self, ticket: Ticket, attr: AttrId, value: V) -> Option<V> {
-        let bytes = value.wire_size();
+    fn root(&mut self, from: JobKey, attr: AttrId, value: V) -> Option<V> {
+        let Priced { bytes, refs } = self.account(from, None, &value);
         let msg = SimMsg::Root {
-            ticket: ticket as usize,
+            ticket: from.0 as usize,
             attr,
             value,
+            refs,
         };
         self.ctx.send(PARSER, msg, bytes, "attr");
         None
@@ -963,6 +1057,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                 node,
                 attr,
                 value,
+                bytes,
             } => {
                 // The sender routed by the board, but the job may have
                 // moved (or finished) while the message was on the wire.
@@ -970,7 +1065,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                 match delivery {
                     Delivery::Mine(value) => self.core.feed(&mut d, key, node, attr, value),
                     Delivery::Stored => {}
-                    Delivery::Forward(w, value) => return d.ship(w, key, node, attr, value),
+                    Delivery::Forward(w, value) => return d.ship(w, key, node, attr, value, bytes),
                     Delivery::Dropped => return,
                 }
                 // Under fixed placement a job queued here waits for its
@@ -1014,59 +1109,232 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
     }
 }
 
-/// The librarian's split-phase bookkeeping: one [`SegmentStore`] per
-/// ticket in flight. Registration streams in from every evaluator, any
-/// ticket in any order; resolution, at the parser's final read of a
-/// tree, removes and returns exactly that ticket's store, leaving other
-/// tickets' registrations untouched — which is what lets trees overlap
-/// without their segments colliding. Its machines share nothing, so
-/// the librarian cannot know a ticket before a segment names it:
-/// registering opens a ticket's entry.
-#[derive(Debug, Default)]
-pub struct SegmentLedger {
-    tickets: HashMap<Ticket, SegmentStore>,
+/// Text stretches shorter than this ride inline in the value that
+/// carries them; cheaper to carry than to indirect.
+const LIBRARIAN_THRESHOLD: usize = 256;
+
+/// Bytes a reference to librarian-held text takes on the wire: a tag
+/// and a 64-bit id.
+const REF_BYTES: usize = 9;
+
+/// A run's id: the region whose job registered it, and how many
+/// registrations that job had made since its activation — so a
+/// re-executed job re-registers under the same ids.
+type RunId = (RegionId, u32);
+
+/// A value's accounted wire size, and the runs it references.
+struct Priced {
+    bytes: usize,
+    refs: Vec<RunId>,
 }
 
-impl SegmentLedger {
-    /// Streams one segment registration for `ticket`, opening its entry
-    /// if this is the first the ledger hears of it.
-    pub fn register(&mut self, ticket: Ticket, id: SegmentId, text: Rope) {
-        self.tickets.entry(ticket).or_default().register(id, text);
+/// A run of code text a job registered with the librarian: the rope
+/// nodes it was made of, in order. Holding them keeps their addresses
+/// from being reused while the ticket lives.
+struct Run {
+    id: RunId,
+    members: Vec<Rope>,
+}
+
+/// A stretch of a priced value: text, as the nodes that make it up, or
+/// one foreign run met as all its members in order.
+enum Stretch {
+    Text(Vec<Rope>, usize),
+    Ref(usize),
+}
+
+/// One ticket's librarian accounting (see the module docs).
+#[derive(Default)]
+struct Registry {
+    runs: Vec<Run>,
+    /// Node identity → its run (an index into `runs`) and its position
+    /// among the run's members.
+    registered: HashMap<usize, (usize, usize)>,
+    /// Concatenation node identity → whether a registered node lies at
+    /// or below it, beside the node it describes.
+    holds: HashMap<usize, (Rope, bool)>,
+    /// Regions whose jobs have been sent a reference: only they can
+    /// meet a run they did not register.
+    referenced: HashSet<RegionId>,
+    /// Registrations each region's job has made since its activation.
+    next: HashMap<RegionId, u32>,
+}
+
+impl Registry {
+    /// Prices `value`, sent by `region`'s job — towards the tree root
+    /// if `upward` — and registers the runs it makes: a foreign run
+    /// costs a reference, and so does, upward, each text stretch of
+    /// [`LIBRARIAN_THRESHOLD`] bytes or more, which becomes a new run
+    /// owned by `region`. Returns the price and the new runs' ids and
+    /// lengths, in order.
+    fn price<V: AttrValue>(
+        &mut self,
+        region: RegionId,
+        value: &V,
+        upward: bool,
+    ) -> (Priced, Vec<(RunId, usize)>) {
+        let mut priced = Priced {
+            bytes: value.wire_size(),
+            refs: Vec::new(),
+        };
+        let mut registered = Vec::new();
+        let Some(rope) = value.librarian_text().filter(|r| !r.is_empty()) else {
+            return (priced, registered);
+        };
+        priced.bytes -= rope.len();
+        // A job never sent a reference has none to see: its whole value
+        // is one stretch of text.
+        let stretches = if self.referenced.contains(&region) {
+            self.stretches(region, rope)
+        } else {
+            vec![Stretch::Text(vec![rope.clone()], rope.len())]
+        };
+        for stretch in stretches {
+            match stretch {
+                Stretch::Ref(run) => priced.refs.push(self.runs[run].id),
+                Stretch::Text(_, len) if !upward || len < LIBRARIAN_THRESHOLD => {
+                    priced.bytes += len;
+                    continue;
+                }
+                Stretch::Text(members, len) => {
+                    let next = self.next.entry(region).or_default();
+                    let id = (region, *next);
+                    *next += 1;
+                    let run = self.runs.len();
+                    for (pos, member) in members.iter().enumerate() {
+                        let before = self.registered.insert(member.node_id(), (run, pos));
+                        debug_assert!(before.is_none(), "no node is registered twice");
+                    }
+                    self.runs.push(Run { id, members });
+                    priced.refs.push(id);
+                    registered.push((id, len));
+                }
+            }
+            priced.bytes += REF_BYTES;
+        }
+        (priced, registered)
     }
 
-    /// Total text bytes registered for `ticket` so far.
-    pub fn ticket_bytes(&self, ticket: Ticket) -> usize {
-        self.tickets.get(&ticket).map_or(0, |s| s.total_bytes())
+    /// `rope` as `region`'s job sees it: text, and runs other jobs
+    /// registered. The walk descends only into nodes that hold a
+    /// registered node and takes every other node whole.
+    fn stretches(&mut self, region: RegionId, rope: &Rope) -> Vec<Stretch> {
+        let mut out: Vec<Stretch> = Vec::new();
+        // The foreign run being met, and its next member.
+        let mut meeting: Option<(usize, usize)> = None;
+        let mut stack = vec![rope.clone()];
+        while let Some(node) = stack.pop() {
+            if let Some(&(run, pos)) = self.registered.get(&node.node_id()) {
+                let members = self.runs[run].members.len();
+                if self.runs[run].id.0 != region {
+                    // Rules only concatenate: a run's members are met
+                    // contiguously and in order.
+                    if pos == 0 {
+                        debug_assert!(meeting.is_none(), "a run is met whole");
+                        out.push(Stretch::Ref(run));
+                    } else {
+                        debug_assert_eq!(meeting, Some((run, pos)), "a run is met in order");
+                    }
+                    meeting = (pos + 1 < members).then_some((run, pos + 1));
+                    continue;
+                }
+            } else if let Some((left, right)) = self.holds(&node).then(|| node.halves()).flatten() {
+                stack.push(right);
+                stack.push(left);
+                continue;
+            }
+            debug_assert!(meeting.is_none(), "a run is met whole");
+            match out.last_mut() {
+                Some(Stretch::Text(members, len)) => {
+                    *len += node.len();
+                    members.push(node);
+                }
+                _ => {
+                    let len = node.len();
+                    out.push(Stretch::Text(vec![node], len));
+                }
+            }
+        }
+        debug_assert!(meeting.is_none(), "a run is met whole");
+        out
     }
 
-    /// Resolves `ticket`: removes and returns its segment store (empty
-    /// if the ticket registered nothing: its values stayed below the
-    /// deflation threshold, or it ran under naive propagation).
-    pub fn resolve(&mut self, ticket: Ticket) -> SegmentStore {
-        self.tickets.remove(&ticket).unwrap_or_default()
+    /// Whether a registered node lies at or below `node`, cached per
+    /// concatenation node (post-order, on explicit stacks: ropes are as
+    /// deep as the statement lists that built them).
+    fn holds(&mut self, node: &Rope) -> bool {
+        let mut todo = vec![(node.clone(), false)];
+        // One answer per subtree finished, a left half's below its right's.
+        let mut done: Vec<bool> = Vec::new();
+        while let Some((n, expanded)) = todo.pop() {
+            if expanded {
+                let (right, left) = (done.pop(), done.pop());
+                let below = left == Some(true) || right == Some(true);
+                self.holds.insert(n.node_id(), (n, below));
+                done.push(below);
+            } else if let Some(known) = self.known(&n) {
+                done.push(known);
+            } else if let Some((left, right)) = n.halves() {
+                todo.push((n, true));
+                todo.push((right, false));
+                todo.push((left, false));
+            }
+        }
+        done.pop() == Some(true)
+    }
+
+    /// What is known of whether a registered node lies at or below `n`.
+    fn known(&self, n: &Rope) -> Option<bool> {
+        let id = n.node_id();
+        if self.registered.contains_key(&id) {
+            Some(true)
+        } else if n.depth() == 0 {
+            // A leaf (or the empty rope).
+            Some(false)
+        } else {
+            self.holds.get(&id).map(|&(_, below)| below)
+        }
     }
 }
 
+/// The string librarian process: registrations stream in from every
+/// evaluator, any ticket in any order; the parser's final read of a
+/// tree charges the combination of that ticket's text and checks that
+/// every run its root values reference arrived. Its machines share
+/// nothing, so the librarian cannot know a ticket before a
+/// registration names it.
 struct LibrarianProc<V: AttrValue> {
     shared: Arc<Shared<V>>,
-    ledger: SegmentLedger,
+    /// Per ticket, each run received and its length; a re-executed
+    /// job's registration replaces its earlier self.
+    received: HashMap<usize, HashMap<RunId, usize>>,
 }
 
 impl<V: AttrValue> Process<SimMsg<V>> for LibrarianProc<V> {
     fn on_message(&mut self, ctx: &mut Ctx<SimMsg<V>>, from: ProcId, msg: SimMsg<V>) {
         let sh = &self.shared;
         match msg {
-            SimMsg::Register { ticket, id, text } => {
+            SimMsg::Register { ticket, id, len } => {
                 ctx.phase("receive code");
-                ctx.spend((text.len() as Time).div_ceil(1024) * sh.cost.resolve_kb_us / 10);
-                self.ledger.register(ticket as u64, id, text);
+                ctx.spend((len as Time).div_ceil(1024) * sh.cost.resolve_kb_us / 10);
+                self.received.entry(ticket).or_default().insert(id, len);
             }
-            SimMsg::Resolve { ticket } => {
+            SimMsg::Resolve { ticket, refs } => {
                 ctx.phase("combine code");
-                let total = self.ledger.ticket_bytes(ticket as u64);
+                let runs = self.received.remove(&ticket).unwrap_or_default();
+                let total: usize = runs.values().sum();
                 ctx.spend((total as Time).div_ceil(1024) * sh.cost.resolve_kb_us);
-                let store = self.ledger.resolve(ticket as u64);
-                sh.state().segstores.insert(ticket, store);
+                let mut st = sh.state();
+                st.registries.remove(&ticket);
+                if let Some(&(region, index)) = refs.iter().find(|id| !runs.contains_key(id)) {
+                    st.finish[ticket] = Some(Err(SimError::LostCodeSegment {
+                        ticket,
+                        region,
+                        index,
+                    }));
+                    return ctx.stop();
+                }
+                drop(st);
                 ctx.send(from, SimMsg::Resolved { ticket }, 64, "resolved");
             }
             _ => {}
@@ -1178,9 +1446,11 @@ pub fn run_sim_batch<V: AttrValue>(
 /// that are not one sorted request per tree, or a fault plan that
 /// crashes anything but an evaluator machine (under either
 /// [`SchedulerMode`]). [`SimError::Eval`] when evaluation fails: a
-/// cycle local to a region, a panicking rule, a plan inconsistency, or
-/// a root value naming a code segment the librarian never received —
-/// the first job to fail ends the run.
+/// cycle local to a region, a panicking rule or a plan inconsistency —
+/// the first job to fail ends the run. [`SimError::LostCodeSegment`]
+/// when a tree's root values reference code text whose registration
+/// the fault plan dropped: the librarian finds it missing at that
+/// tree's final read, which ends the run.
 ///
 /// # Panics
 ///
@@ -1262,7 +1532,8 @@ pub fn run_sim_stream<V: AttrValue>(
             dispatched: vec![None; n],
             shed: vec![false; n],
             roots: vec![Vec::new(); n],
-            segstores: HashMap::new(),
+            root_refs: vec![Vec::new(); n],
+            registries: HashMap::new(),
             per_machine: vec![EvalStats::default(); machines],
         }),
         decomps,
@@ -1296,13 +1567,7 @@ pub fn run_sim_stream<V: AttrValue>(
             EvaluatorProc {
                 shared: Arc::clone(&shared),
                 evaluator: r,
-                core: WorkerCore::new(
-                    Arc::clone(&shared.plan),
-                    config.mode,
-                    config.result,
-                    None,
-                    Arc::default(),
-                ),
+                core: WorkerCore::new(Arc::clone(&shared.plan), config.mode, None, Arc::default()),
             },
         );
     }
@@ -1310,7 +1575,7 @@ pub fn run_sim_stream<V: AttrValue>(
         "librarian",
         LibrarianProc {
             shared: Arc::clone(&shared),
-            ledger: SegmentLedger::default(),
+            received: HashMap::new(),
         },
     );
     sim.set_faults(faults.clone());
@@ -1318,7 +1583,7 @@ pub fn run_sim_stream<V: AttrValue>(
 
     let mut st = shared.state();
     if let Some(Err(e)) = st.finish.iter().flatten().find(|f| f.is_err()) {
-        return Err(SimError::Eval(e.clone()));
+        return Err(e.clone());
     }
     assert!(
         st.finish
@@ -1345,19 +1610,6 @@ pub fn run_sim_stream<V: AttrValue>(
     for s in &per_machine {
         stats += *s;
     }
-    let empty = SegmentStore::new();
-    let root_values = std::mem::take(&mut st.roots)
-        .into_iter()
-        .enumerate()
-        .map(|(t, roots)| {
-            let store = st.segstores.get(&t).unwrap_or(&empty);
-            roots
-                .into_iter()
-                .map(|(a, v)| Ok((a, v.inflate(store)?.unwrap_or(v))))
-                .collect()
-        })
-        .collect::<Result<_, paragram_rope::UnknownSegment>>()
-        .map_err(|e| SimError::Eval(e.into()))?;
     Ok(BatchSimReport {
         makespan: match arrivals {
             Some(_) => sim.now(),
@@ -1371,7 +1623,7 @@ pub fn run_sim_stream<V: AttrValue>(
         per_machine,
         trace: sim.trace().clone(),
         names: sim.names().to_vec(),
-        root_values,
+        root_values: std::mem::take(&mut st.roots),
         sched: st.board.sched_counters(),
         faults: st.board.fault_counters(),
         arrivals: match arrivals {
@@ -1392,6 +1644,8 @@ mod tests {
     use crate::grammar::{Grammar, GrammarBuilder};
     use crate::tree::TreeBuilder;
     use crate::value::Value;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// A mini "compiler" grammar over [`Value`]: decls flow up, env
     /// flows down (symbol table), code (rope) flows up — with splittable
@@ -2479,17 +2733,14 @@ mod tests {
             panic!("expected RulePanic, got {failed:?}");
         };
         assert_eq!(message, "rule exploded");
-        // A root value naming a segment the librarian never received.
+        // Root values referencing code text whose registration was lost.
         let b = mini_batch(&[(48, 6)]);
         let lost = FaultPlan::seeded(1).drop_tagged("code-segment", 1000);
         let granularity = RegionGranularity::Machines(3);
         let cfg = SimConfig::paper(3);
         let failed = run_sim_stream(&b.trees, Some(&b.plans), &cfg, 1, granularity, &lost, None);
         assert!(
-            matches!(
-                failed,
-                Err(SimError::Eval(EvalError::UnknownSegment { .. }))
-            ),
+            matches!(failed, Err(SimError::LostCodeSegment { ticket: 0, .. })),
             "{:?}",
             failed.err()
         );
@@ -2514,19 +2765,124 @@ mod tests {
         assert_eq!(faulty.faults.crashes, 0);
     }
 
-    #[test]
-    fn segment_ledger_isolates_tickets() {
-        let mut ledger = SegmentLedger::default();
-        let id = SegmentId::from_parts(0, 0);
-        ledger.register(0, id, Rope::from("tree zero"));
-        ledger.register(1, id, Rope::from("tree one"));
-        assert_eq!(ledger.ticket_bytes(0), 9);
-        let s0 = ledger.resolve(0);
-        assert_eq!(s0.get(id).unwrap().to_string(), "tree zero");
-        assert_eq!(ledger.ticket_bytes(0), 0, "resolving removes the entry");
-        assert_eq!(ledger.ticket_bytes(1), 8);
-        let s1 = ledger.resolve(1);
-        assert_eq!(s1.get(id).unwrap().to_string(), "tree one");
-        assert!(ledger.resolve(7).is_empty());
+    /// What a receiving job sees of a value, at string level: text, and
+    /// runs the librarian holds.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Piece {
+        Text(String),
+        Ref(RunId),
+    }
+
+    /// The librarian as string operations: flatten into text and
+    /// references, merge adjacent text, and — upward — register every
+    /// stretch of at least the threshold. Returns the price, the new
+    /// runs and what the receiver sees.
+    fn flattened(
+        region: RegionId,
+        pieces: &[Piece],
+        upward: bool,
+        next: &mut u32,
+    ) -> (Priced, Vec<(RunId, usize)>, Vec<Piece>) {
+        let mut merged: Vec<Piece> = Vec::new();
+        for piece in pieces {
+            match (merged.last_mut(), piece) {
+                (_, Piece::Text(t)) if t.is_empty() => {}
+                (Some(Piece::Text(acc)), Piece::Text(t)) => acc.push_str(t),
+                _ => merged.push(piece.clone()),
+            }
+        }
+        // A rope value's tag and length header.
+        let mut bytes = 1 + 8;
+        let (mut registered, mut refs, mut seen) = (Vec::new(), Vec::new(), Vec::new());
+        for piece in merged {
+            match piece {
+                Piece::Text(t) if upward && t.len() >= LIBRARIAN_THRESHOLD => {
+                    let id = (region, *next);
+                    *next += 1;
+                    registered.push((id, t.len()));
+                    refs.push(id);
+                    seen.push(Piece::Ref(id));
+                    bytes += REF_BYTES;
+                }
+                Piece::Text(t) => {
+                    bytes += t.len();
+                    seen.push(Piece::Text(t));
+                }
+                Piece::Ref(id) => {
+                    refs.push(id);
+                    seen.push(Piece::Ref(id));
+                    bytes += REF_BYTES;
+                }
+            }
+        }
+        (Priced { bytes, refs }, registered, seen)
+    }
+
+    /// Concatenates `parts` in a random tree shape, as rules do.
+    fn join(parts: &[Rope], rng: &mut SmallRng) -> Rope {
+        match parts.len() {
+            0 => Rope::new(),
+            1 => parts[0].clone(),
+            n => {
+                let (left, right) = parts.split_at(rng.gen_range(1..n));
+                join(left, rng).concat(&join(right, rng))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The librarian accounting walks rope structure; the reference
+        /// flattens strings. Three jobs of one ticket — region 2 at the
+        /// leaves, region 1 above it, region 0 at the top — each build
+        /// values from fresh text and from values sent to them by the
+        /// jobs below, in random concatenation shapes, and send them
+        /// upward or not. For every value, the accounted bytes, the new
+        /// runs and the references equal the reference's.
+        #[test]
+        fn librarian_accounting_matches_a_flattening_reference(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut registry = Registry::default();
+            // Values sent and not yet used, with what their receiver sees.
+            let mut sent: Vec<(Rope, Vec<Piece>)> = Vec::new();
+            for region in [2, 1, 0] {
+                let mut next = 0;
+                let mut mine = Vec::new();
+                for _ in 0..rng.gen_range(1..5) {
+                    let (mut parts, mut pieces) = (Vec::new(), Vec::new());
+                    for _ in 0..rng.gen_range(0..7) {
+                        if !sent.is_empty() && rng.gen_range(0..5) < 2 {
+                            let (rope, seen) = sent.swap_remove(rng.gen_range(0..sent.len()));
+                            parts.push(rope);
+                            pieces.extend(seen);
+                        } else {
+                            let len = rng.gen_range(0..200);
+                            let t: String = (0..len)
+                                .map(|_| (b'a' + rng.gen_range(0..26) as u8) as char)
+                                .collect();
+                            parts.push(Rope::from(t.as_str()));
+                            pieces.push(Piece::Text(t));
+                        }
+                    }
+                    let rope = join(&parts, &mut rng);
+                    // The sim marks a job that is sent a reference.
+                    if pieces.iter().any(|p| matches!(p, Piece::Ref(_))) {
+                        registry.referenced.insert(region);
+                    }
+                    let upward = rng.gen_range(0..4) > 0;
+                    let (want, registered, seen) = flattened(region, &pieces, upward, &mut next);
+                    let value = Value::Rope(rope.clone());
+                    let (priced, got) = registry.price(region, &value, upward);
+                    prop_assert_eq!(priced.bytes, want.bytes);
+                    prop_assert_eq!(got, registered);
+                    prop_assert_eq!(priced.refs, want.refs);
+                    if !rope.is_empty() {
+                        mine.push((rope, seen));
+                    }
+                }
+                sent.extend(mine);
+            }
+        }
     }
 }

@@ -2,10 +2,9 @@
 //! channels and clocks.
 //!
 //! In the paper every evaluator machine runs one combined evaluator: it
-//! evaluates statically wherever no remote dependency exists (§2.4) and
-//! registers code with the librarian as it goes (§4.2). [`WorkerCore`]
-//! is that evaluator, written once. It is the only code under
-//! `parallel/` that builds, feeds, steps or finishes a job:
+//! evaluates statically wherever no remote dependency exists (§2.4).
+//! [`WorkerCore`] is that evaluator, written once. It is the only code
+//! under `parallel/` that builds, feeds, steps or finishes a job:
 //!
 //! * it holds the worker's running region machines in `(ticket,
 //!   region)` order, its memo probes, and the [`MachineScratch`]es its
@@ -29,11 +28,10 @@
 //!   panicking rule fails its job, and a machine that starves with
 //!   nothing left to await is a dependency cycle local to its region,
 //!   which fails the job too;
-//! * under librarian propagation (the simulator's) a value bound
-//!   towards the tree root is deflated (§4.2): its large code text
-//!   becomes segment registrations, each made before the send that
-//!   carries its id. Under naive propagation (the pool's threads, which
-//!   share memory) it is sent as it is;
+//! * every value goes to its driver as the machine computed it, tagged
+//!   with the job that sends it; what the string librarian (§4.2)
+//!   would make of it on the wire is the simulator's accounting, not
+//!   the core's;
 //! * a finished job is retired on the scheduler board *before* it is
 //!   reported, and reported only if the board says this worker still
 //!   owns it (crash recovery may have reseeded it, a cancellation
@@ -53,9 +51,8 @@
 //! | effect | pool worker thread (`super::pool`) | simulated evaluator (`super::sim`) |
 //! |---|---|---|
 //! | charge a build / a step | nothing: the wall clock runs anyway | virtual CPU from the cost model, under its activity-trace phase |
-//! | register a segment | never asked: it runs naive propagation | a `Register` message to the librarian process |
-//! | send a boundary value | board route + deliver under one lock, then a channel send | board route, then a wire message |
-//! | report a root value | kept: it rides in the root region's `Done` | a `Root` message to the parser, at once |
+//! | send a boundary value | board route + deliver under one lock, then a channel send | the librarian's `Register` messages and the value's accounted size, board route, then a wire message |
+//! | report a root value | kept: it rides in the root region's `Done` | the librarian's `Register` messages, then a `Root` message to the parser, at once |
 //! | retire | on the board, under its lock | on the board |
 //! | report `Done` | the job's store and statistics over a channel | a 16-byte message to the parser |
 //! | poll between bursts | drains its channel into the core | nothing: messages arrive between handlers |
@@ -74,12 +71,10 @@ use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
 use crate::tree::{AttrSlots, AttrStore, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
-use paragram_rope::{Rope, SegmentId};
 use std::sync::Arc;
 
 use super::board::{Input, JobKey};
 use super::pool::{region_cacheable, whole_tree_key, Ticket};
-use super::ResultPropagation;
 
 /// How a job's ticket was cut, which decides what the job runs.
 #[derive(Clone)]
@@ -106,8 +101,7 @@ impl<V: AttrValue> Cut<V> {
 pub(crate) enum Finished<V> {
     /// A region job: its O(region) local store, which the pool maps
     /// into the whole-tree store at assembly, and — from the root region
-    /// of a driver that keeps them — the tree's root values as sent
-    /// (deflated under librarian propagation).
+    /// of a driver that keeps them — the tree's root values.
     Region {
         store: RegionStore<V>,
         roots: Vec<(AttrId, V)>,
@@ -133,16 +127,13 @@ pub(crate) trait Driver<V: AttrValue> {
     /// A machine step ran; its sends follow.
     fn charge_step(&mut self, _outcome: &StepOutcome<V>) {}
 
-    /// Registers code segment `id` of `ticket` with the librarian
-    /// (librarian propagation only).
-    fn register(&mut self, _ticket: Ticket, _id: SegmentId, _text: Rope) {}
+    /// Job `from` sends a boundary value to job `to`.
+    fn send(&mut self, from: JobKey, to: JobKey, node: NodeId, attr: AttrId, value: V);
 
-    /// Sends a boundary value to job `to`.
-    fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: V);
-
-    /// Reports a root value of `ticket`'s tree. A driver that ships
-    /// root values aboard the root region's `Done` hands it back.
-    fn root(&mut self, ticket: Ticket, attr: AttrId, value: V) -> Option<V>;
+    /// Job `from`, its tree's root region, reports a root value. A
+    /// driver that ships root values aboard the root region's `Done`
+    /// hands it back.
+    fn root(&mut self, from: JobKey, attr: AttrId, value: V) -> Option<V>;
 
     /// Retires finished job `key` on the scheduler board: whether this
     /// worker still owned it.
@@ -162,10 +153,9 @@ pub(crate) trait Driver<V: AttrValue> {
 /// Where a job's outgoing values go.
 struct Outbox<V> {
     key: JobKey,
-    /// The job's parent region (`None` for the root region): values
-    /// bound there, or to the parser, travel towards the tree root.
+    /// The job's parent region (`None` for the root region), where a
+    /// memo hit sends the region root's synthesized values.
     parent: Option<RegionId>,
-    next_seg: u32,
     /// Root values the driver handed back, for the job's `Done`.
     roots: Vec<(AttrId, V)>,
 }
@@ -175,39 +165,22 @@ impl<V: AttrValue> Outbox<V> {
         Outbox {
             key,
             parent,
-            next_seg: 0,
             roots: Vec::new(),
         }
     }
 
-    /// Forwards one send, deflating a value bound towards the tree root
-    /// into segment registrations first under librarian propagation.
-    fn emit<D: Driver<V>>(&mut self, d: &mut D, result: ResultPropagation, send: AttrMsg<V>) {
-        let (ticket, region) = self.key;
-        let upward = match send.to {
-            SendTarget::Parser => true,
-            SendTarget::Region(q) => Some(q) == self.parent,
-        };
-        let mut value = send.value;
-        if upward && result == ResultPropagation::Librarian {
-            let next_seg = &mut self.next_seg;
-            let deflated = value.deflate(&mut |text: Rope| {
-                let id = SegmentId::from_parts(region, *next_seg);
-                *next_seg += 1;
-                d.register(ticket, id, text);
-                id
-            });
-            if let Some(deflated) = deflated {
-                value = deflated;
-            }
-        }
+    /// Forwards one send.
+    fn emit<D: Driver<V>>(&mut self, d: &mut D, send: AttrMsg<V>) {
         match send.to {
             SendTarget::Parser => {
-                if let Some(value) = d.root(ticket, send.attr, value) {
+                if let Some(value) = d.root(self.key, send.attr, send.value) {
                     self.roots.push((send.attr, value));
                 }
             }
-            SendTarget::Region(q) => d.send((ticket, q), send.node, send.attr, value),
+            SendTarget::Region(q) => {
+                let to = (self.key.0, q);
+                d.send(self.key, to, send.node, send.attr, send.value)
+            }
         }
     }
 }
@@ -268,7 +241,6 @@ enum Ran {
 pub(crate) struct WorkerCore<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
     mode: MachineMode,
-    result: ResultPropagation,
     /// The cross-tree memo cache, and per-symbol memo safety beside it.
     memo: Option<Arc<MemoCache<V>>>,
     memo_safe: Arc<Vec<bool>>,
@@ -290,14 +262,12 @@ impl<V: AttrValue> WorkerCore<V> {
     pub fn new(
         plan: Arc<EvalPlan<V>>,
         mode: MachineMode,
-        result: ResultPropagation,
         memo: Option<Arc<MemoCache<V>>>,
         memo_safe: Arc<Vec<bool>>,
     ) -> Self {
         WorkerCore {
             plan,
             mode,
-            result,
             memo,
             memo_safe,
             jobs: Vec::new(),
@@ -443,7 +413,6 @@ impl<V: AttrValue> WorkerCore<V> {
     /// Steps machine `i` for up to `budget` steps, forwarding its sends
     /// after every step.
     fn run<D: Driver<V>>(&mut self, d: &mut D, i: usize, budget: usize) -> Ran {
-        let result = self.result;
         let Job { out, machine } = &mut self.jobs[i];
         for _ in 0..budget {
             match contained(|| machine.step()) {
@@ -464,7 +433,7 @@ impl<V: AttrValue> WorkerCore<V> {
                 Ok(Some(outcome)) => {
                     d.charge_step(&outcome);
                     for send in outcome.sends {
-                        out.emit(d, result, send);
+                        out.emit(d, send);
                     }
                 }
             }
@@ -557,16 +526,13 @@ impl<V: AttrValue> WorkerCore<V> {
                 for &attr in self.plan.syn_attrs(root_sym) {
                     if let Some(value) = store.get(root, attr) {
                         let value = value.clone();
-                        out.emit(
-                            d,
-                            self.result,
-                            AttrMsg {
-                                node: root,
-                                attr,
-                                value,
-                                to,
-                            },
-                        );
+                        let send = AttrMsg {
+                            node: root,
+                            attr,
+                            value,
+                            to,
+                        };
+                        out.emit(d, send);
                     }
                 }
                 let roots = out.roots;
@@ -686,15 +652,17 @@ mod tests {
     use crate::grammar::GrammarBuilder;
     use crate::parallel::pool::{install_span, PoolConfig, WorkerPool};
     use crate::parallel::sim::{run_sim_stream, SimConfig};
+    use crate::parallel::ResultPropagation;
     use crate::split::{decompose_granular, RegionGranularity, SplitTable};
     use crate::tree::TreeBuilder;
     use crate::value::Value;
     use paragram_netsim::FaultPlan;
+    use paragram_rope::Rope;
     use std::collections::VecDeque;
 
     /// A chain of `cons` under `top`: `decls` up, `env` down, and code
-    /// up as a rope of one line per `cons`, long enough that a region's
-    /// code deflates into librarian segments.
+    /// up as a rope of one line per `cons`, long enough that the
+    /// simulator's librarian registers a region's code.
     struct Chain {
         trees: Vec<Arc<ParseTree<Value>>>,
         plans: Arc<Plans>,
@@ -762,15 +730,14 @@ mod tests {
     }
 
     fn core(c: &Chain, memo: Option<Arc<MemoCache<Value>>>) -> WorkerCore<Value> {
-        let (mode, result) = (MachineMode::Combined, ResultPropagation::Librarian);
-        WorkerCore::new(Arc::clone(&c.plan), mode, result, memo, Arc::default())
+        let mode = MachineMode::Combined;
+        WorkerCore::new(Arc::clone(&c.plan), mode, memo, Arc::default())
     }
 
     #[derive(Debug)]
     enum Effect {
         Build(RegionId),
-        Register(SegmentId),
-        Send(JobKey, Value),
+        Send(JobKey),
         Root(AttrId, Value),
         Done(JobKey),
     }
@@ -796,16 +763,12 @@ mod tests {
             self.effects.push(Effect::Build(machine.region()));
         }
 
-        fn register(&mut self, _: Ticket, id: SegmentId, _: Rope) {
-            self.effects.push(Effect::Register(id));
-        }
-
-        fn send(&mut self, to: JobKey, node: NodeId, attr: AttrId, value: Value) {
-            self.effects.push(Effect::Send(to, value.clone()));
+        fn send(&mut self, _: JobKey, to: JobKey, node: NodeId, attr: AttrId, value: Value) {
+            self.effects.push(Effect::Send(to));
             self.wire.push_back((to, node, attr, value));
         }
 
-        fn root(&mut self, _: Ticket, attr: AttrId, value: Value) -> Option<Value> {
+        fn root(&mut self, _: JobKey, attr: AttrId, value: Value) -> Option<Value> {
             self.effects.push(Effect::Root(attr, value.clone()));
             self.roots_in_done.then_some(value)
         }
@@ -858,38 +821,25 @@ mod tests {
     }
 
     #[test]
-    fn registrations_precede_the_send_that_carries_them_and_done_comes_last() {
+    fn each_jobs_done_comes_last() {
         let c = chain(&[200]);
         let (mut core, mut d) = (core(&c, None), Recorder::default());
         activate_halves(&c, &mut core, &mut d, 0, &c.trees[0]);
         d.settle(&mut core);
         assert_eq!(d.dones(), [(0, 0), (0, 1)]);
-        let mut carried = 0;
-        for (i, effect) in d.effects.iter().enumerate() {
-            let Effect::Send(_, Value::Rope(rope)) = effect else {
-                continue;
-            };
-            for id in rope.seg_ids() {
-                carried += 1;
-                let registered = d.effects[..i]
-                    .iter()
-                    .any(|e| matches!(e, Effect::Register(r) if *r == id));
-                assert!(registered, "segment {id:?} sent before it was registered");
-            }
-        }
-        assert!(carried > 0, "the child region's code crossed as segments");
-        // Each job's `Done` is its last effect: the child sends to the
-        // root region and registers under its own region number.
+        // Each job's `Done` is its last effect: the child's sends — to
+        // the root region — all precede it.
         let child_done = d
             .effects
             .iter()
             .position(|e| matches!(e, Effect::Done((0, 1))))
             .unwrap();
-        assert!(d.effects[child_done..].iter().all(|e| match e {
-            Effect::Send(to, _) => *to != (0, 0),
-            Effect::Register(id) => id.evaluator() != 1,
-            _ => true,
-        }));
+        assert!(d.effects[..child_done]
+            .iter()
+            .any(|e| matches!(e, Effect::Send((0, 0)))));
+        assert!(d.effects[child_done..]
+            .iter()
+            .all(|e| !matches!(e, Effect::Send((0, 0)))));
         assert!(matches!(d.effects.last(), Some(Effect::Done((0, 0)))));
         assert!(matches!(d.effects[0], Effect::Build(1)));
     }
@@ -930,11 +880,9 @@ mod tests {
             } else {
                 assert!(aboard.is_empty());
             }
-            // The root region's code embeds its child's as a reference.
-            let Value::Rope(rope) = reported[0] else {
-                panic!("root code is a rope");
-            };
-            assert_eq!(rope.len(), want.as_rope().unwrap().len());
+            // The root region's code is the whole text, its child's
+            // included.
+            assert_eq!(reported[0], want);
         }
     }
 
@@ -1006,10 +954,10 @@ mod tests {
     }
 
     /// The two drivers of one core agree: for the same trees cut the
-    /// same way, the pool produces the root values of the simulator
-    /// under either propagation mode — propagation changes wire bytes,
-    /// never values — and the summed statistics of the simulator under
-    /// naive propagation, which is what the pool runs.
+    /// same way, the pool produces the root values and the summed
+    /// statistics of the simulator under either propagation mode —
+    /// propagation changes what the simulator puts on the wire, never
+    /// what a machine computes or emits.
     #[test]
     fn the_sim_and_the_pool_agree_on_values_and_statistics() {
         let c = chain(&[200, 90, 150, 64]);
@@ -1057,5 +1005,6 @@ mod tests {
             stats += report.stats;
         }
         assert_eq!(stats, naive.stats);
+        assert_eq!(stats, librarian.stats);
     }
 }

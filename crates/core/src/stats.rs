@@ -25,7 +25,11 @@ pub struct EvalStats {
     pub attrs_received: usize,
     /// Attribute values sent to other machines.
     pub attrs_sent: usize,
-    /// Bytes of attribute values sent.
+    /// Logical bytes of the attribute values the machines emitted —
+    /// each value's [`crate::value::AttrValue::wire_size`], the same
+    /// under every result propagation. What crossed the simulated wire,
+    /// librarian references and registrations included, is the
+    /// simulator trace's ([`Trace::network_bytes`](paragram_netsim::Trace::network_bytes)).
     pub bytes_sent: usize,
 }
 

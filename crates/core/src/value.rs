@@ -7,7 +7,7 @@
 //! crate and the examples; the Pascal compiler defines its own richer
 //! domain.
 
-use paragram_rope::{Rope, SegmentId, SegmentStore, UnknownSegment};
+use paragram_rope::Rope;
 use paragram_symtab::SymTab;
 use std::fmt;
 use std::sync::Arc;
@@ -28,39 +28,18 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
         16
     }
 
-    /// String-librarian hook (§4.2): replace large embedded text with
-    /// segment references allocated through `alloc` (which registers the
-    /// text with the librarian). Returns `None` when the value carries
-    /// no deflatable text — the default for non-string domains.
+    /// The rope of code text this value carries, if any — the text the
+    /// string librarian (§4.2) would hold in its place. `wire_size`
+    /// must count that rope's [`Rope::wire_size`] once: the simulator's
+    /// librarian accounting prices the value as `wire_size` less the
+    /// text it finds the librarian holds, plus a reference for each
+    /// run of it. `None` (the default) for values that carry none.
     ///
-    /// Called on the evaluator's thread for every value sent towards
-    /// the root, so it should not cost time in proportion to the text:
-    /// [`Rope::deflate`] hands text over as shared sub-ropes.
-    ///
-    /// Only the *string data type implementation* changes for the
-    /// librarian optimization; grammars and evaluators are untouched,
-    /// exactly as the paper claims.
-    fn deflate(&self, _alloc: &mut dyn FnMut(Rope) -> SegmentId) -> Option<Self> {
+    /// Only the *string data type* is involved in the librarian
+    /// optimization; grammars and evaluators are untouched, exactly as
+    /// the paper claims.
+    fn librarian_text(&self) -> Option<&Rope> {
         None
-    }
-
-    /// Inverse hook: the value with every segment reference resolved
-    /// against the librarian's store, or `Ok(None)` when it holds none
-    /// and is already its own resolution — the default, and the answer
-    /// for all but the few values that crossed a region boundary.
-    ///
-    /// The simulator asks this of every root value a tree under
-    /// librarian propagation retires, so the `None` answer should be
-    /// O(1) and allocate nothing ([`Rope::has_segments`] is a field
-    /// read).
-    ///
-    /// # Errors
-    ///
-    /// [`UnknownSegment`] when a reference names a segment the store
-    /// does not hold. The value must not be used as if it were text:
-    /// text-reading rope methods skip unresolved references.
-    fn inflate(&self, _store: &SegmentStore) -> Result<Option<Self>, UnknownSegment> {
-        Ok(None)
     }
 
     /// Content fingerprint for memoization (subtree hashing and region
@@ -74,12 +53,12 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
     }
 
     /// `true` iff [`AttrValue::content_hash`] would return `Some` —
-    /// i.e. the value carries no ticket-local state (such as unresolved
-    /// segment references) that would make it unsafe to replay under
-    /// another ticket. The retire-time memo installer calls this on
-    /// every value of a candidate span, so implementations should
-    /// answer with a cheap structural check rather than the default,
-    /// which computes (and discards) the full content hash.
+    /// i.e. the value carries no ticket-local state that would make it
+    /// unsafe to replay under another ticket. The retire-time memo
+    /// installer calls this on every value of a candidate span, so
+    /// implementations should answer with a cheap structural check
+    /// rather than the default, which computes (and discards) the full
+    /// content hash.
     fn is_fingerprintable(&self) -> bool {
         self.content_hash().is_some()
     }
@@ -243,10 +222,6 @@ impl Value {
     }
 }
 
-/// Minimum rope size worth shipping to the librarian; smaller text is
-/// cheaper to carry inline than to indirect.
-pub const DEFLATE_THRESHOLD: usize = 256;
-
 impl AttrValue for Value {
     fn wire_size(&self) -> usize {
         1 + match self {
@@ -254,27 +229,14 @@ impl AttrValue for Value {
             Value::Int(_) => 8,
             Value::Bool(_) => 1,
             Value::Str(s) => s.len() + 4,
-            Value::Rope(r) => r.physical_wire_size(),
+            Value::Rope(r) => r.wire_size(),
             Value::Tab(t) => t.wire_size(AttrValue::wire_size),
             Value::List(l) => 4 + l.iter().map(AttrValue::wire_size).sum::<usize>(),
         }
     }
 
-    fn deflate(&self, alloc: &mut dyn FnMut(Rope) -> SegmentId) -> Option<Self> {
-        match self {
-            Value::Rope(r) => {
-                let (deflated, created) = r.deflate(DEFLATE_THRESHOLD, alloc);
-                (created > 0).then_some(Value::Rope(deflated))
-            }
-            _ => None,
-        }
-    }
-
-    fn inflate(&self, store: &SegmentStore) -> Result<Option<Self>, UnknownSegment> {
-        match self {
-            Value::Rope(r) if r.has_segments() => Ok(Some(Value::Rope(r.resolve(store)?))),
-            _ => Ok(None),
-        }
+    fn librarian_text(&self) -> Option<&Rope> {
+        self.as_rope()
     }
 
     fn content_hash(&self) -> Option<u64> {
@@ -293,11 +255,6 @@ impl AttrValue for Value {
             Value::Bool(b) => h = fnv1a_u64(h, *b as u64),
             Value::Str(s) => h = fnv1a_u64(h, fnv1a(s.as_bytes())),
             Value::Rope(r) => {
-                // Unresolved segment references are placeholders whose
-                // text lives elsewhere — not fingerprintable.
-                if r.has_segments() {
-                    return None;
-                }
                 for chunk in r.chunks() {
                     h = fnv1a_bytes(h, chunk.as_bytes());
                 }
@@ -325,12 +282,7 @@ impl AttrValue for Value {
     }
 
     fn is_fingerprintable(&self) -> bool {
-        match self {
-            Value::Rope(r) => !r.has_segments(),
-            Value::Tab(t) => t.iter().all(|(_, v)| v.is_fingerprintable()),
-            Value::List(l) => l.iter().all(|v| v.is_fingerprintable()),
-            _ => true,
-        }
+        true
     }
 }
 
@@ -453,16 +405,11 @@ mod tests {
         b.rope(&Rope::from("x".repeat(40)));
         b.text(tail);
         let built = b.finish();
-        let mut store = SegmentStore::new();
-        store.register(SegmentId(1), Rope::from(tail));
-        let spliced = Rope::from(head).concat(&Rope::seg(SegmentId(1), tail.len()));
         let hash = |r: Rope| Value::Rope(r).content_hash();
-        assert_eq!(hash(spliced.clone()), None, "unresolved text");
         let whole = hash(Rope::from(text));
         assert!(whole.is_some());
         assert_eq!(hash(Rope::from(head).concat(&Rope::from(tail))), whole);
         assert_eq!(hash(text.split_inclusive(' ').collect()), whole);
-        assert_eq!(hash(spliced.resolve(&store).unwrap()), whole);
         assert_eq!(
             hash(built),
             hash(Rope::from(format!("{head}{}{tail}", "x".repeat(40))))

@@ -183,29 +183,16 @@ impl AttrValue for PVal {
                 }
                 _ => 16,
             }),
-            PVal::Code(c) => c.physical_wire_size(),
+            PVal::Code(c) => c.wire_size(),
             PVal::Errs(e) => 4 + e.iter().map(|m| m.len() + 4).sum::<usize>(),
             PVal::Sig(s) => 4 + s.len() * 12,
         }
     }
 
-    fn deflate(&self, alloc: &mut dyn FnMut(Rope) -> paragram_rope::SegmentId) -> Option<Self> {
+    fn librarian_text(&self) -> Option<&Rope> {
         match self {
-            PVal::Code(c) => {
-                let (deflated, created) = c.deflate(256, alloc);
-                (created > 0).then_some(PVal::Code(deflated))
-            }
+            PVal::Code(c) => Some(c),
             _ => None,
-        }
-    }
-
-    fn inflate(
-        &self,
-        store: &paragram_rope::SegmentStore,
-    ) -> Result<Option<Self>, paragram_rope::UnknownSegment> {
-        match self {
-            PVal::Code(c) if c.has_segments() => Ok(Some(PVal::Code(c.resolve(store)?))),
-            _ => Ok(None),
         }
     }
 
@@ -237,11 +224,6 @@ impl AttrValue for PVal {
                 h = fnv1a_u64(h, e.len() as u64);
             }
             PVal::Code(c) => {
-                // Unresolved segment references are ticket-local
-                // placeholders — not fingerprintable.
-                if c.has_segments() {
-                    return None;
-                }
                 for chunk in c.chunks() {
                     h = fnv1a_bytes(h, chunk.as_bytes());
                 }
@@ -263,10 +245,7 @@ impl AttrValue for PVal {
     }
 
     fn is_fingerprintable(&self) -> bool {
-        match self {
-            PVal::Code(c) => !c.has_segments(),
-            _ => true,
-        }
+        true
     }
 }
 
@@ -358,6 +337,9 @@ mod tests {
     #[test]
     fn a_value_is_three_words() {
         assert_eq!(std::mem::size_of::<PVal>(), 24);
+        // A rope handle is one pointer: `PVal::Code` holds it inline
+        // beside the tag, with room to spare.
+        assert_eq!(std::mem::size_of::<Rope>(), 8);
     }
 
     #[test]
@@ -405,29 +387,21 @@ mod tests {
 
     #[test]
     fn code_hash_is_of_the_text_not_of_the_leaves() {
-        use paragram_rope::{RopeBuilder, SegmentId, SegmentStore};
+        use paragram_rope::RopeBuilder;
         let text = "\tpushl $1\n\tpushl -8(fp)\n\tcalls $2, __lss\n";
         let (head, tail) = text.split_at(11);
         let mut b = RopeBuilder::new();
         b.text(&text[..5]);
         b.rope(&Rope::from(&text[5..40]));
         b.text(&text[40..]);
-        let mut store = SegmentStore::new();
-        let id = SegmentId::from_parts(0, 0);
-        store.register(id, Rope::from(tail));
-        let resolved = Rope::from(head)
-            .concat(&Rope::seg(id, tail.len()))
-            .resolve(&store)
-            .unwrap();
         let shapes = [
             Rope::from(text),
             Rope::from(head).concat(&Rope::from(tail)),
             text.split_inclusive('\n').collect(),
             b.finish(),
-            resolved,
         ];
         assert!(shapes.iter().any(|r| r.leaf_count() > 2));
-        let hash = |r: &Rope| PVal::Code(r.clone()).content_hash().expect("no segments");
+        let hash = |r: &Rope| PVal::Code(r.clone()).content_hash().expect("code hashes");
         for r in &shapes {
             assert_eq!(r.to_string(), text);
             assert_eq!(hash(r), hash(&shapes[0]), "{} leaves", r.leaf_count());
@@ -455,28 +429,5 @@ mod tests {
         let small = PVal::Env(Env::new()).wire_size();
         let big = PVal::Env(e).wire_size();
         assert!(big > small);
-    }
-
-    #[test]
-    fn code_deflates_and_inflates() {
-        use paragram_rope::{SegmentId, SegmentStore};
-        let mut store = SegmentStore::new();
-        let text = "instr\n".repeat(100);
-        let v = PVal::Code(Rope::from(text.as_str()));
-        let mut n = 0;
-        let d = v
-            .deflate(&mut |r| {
-                let id = SegmentId::from_parts(0, n);
-                n += 1;
-                store.register(id, r);
-                id
-            })
-            .expect("big code deflates");
-        assert!(d.wire_size() < v.wire_size());
-        let back = d.inflate(&store).unwrap().expect("references to resolve");
-        assert_eq!(back.code().to_string(), text);
-        assert!(back.inflate(&store).unwrap().is_none());
-        let lost = d.inflate(&paragram_rope::SegmentStore::new());
-        assert_eq!(lost.unwrap_err().0, SegmentId::from_parts(0, 0));
     }
 }

@@ -4,11 +4,9 @@
 //! the generated-code attribute — as *binary trees with the actual text
 //! residing in the leaves*, so that string concatenation is a constant-time
 //! operation and all values are immutable (applicative). This crate is that
-//! data structure, plus what the string librarian process (§4.2) needs: an
-//! evaluator ships its code text to the librarian once, and passes up the
-//! process tree only a rope of [segment references](Rope::seg) to it; the
-//! librarian [resolves](Rope::resolve) the final code against its
-//! [`SegmentStore`].
+//! data structure and nothing more: a rope carries text. The string
+//! librarian (§4.2) is the simulator's cost accounting, which walks a
+//! rope's structure through [`Rope::halves`] and [`Rope::node_id`].
 //!
 //! # Examples
 //!
@@ -24,103 +22,61 @@
 //!
 //! # Cost of each operation
 //!
-//! With *n* the number of nodes (leaves + concatenations), *d* the
-//! depth and *s* the number of segment references reachable — counting,
-//! for `resolve`, those inside the segments it splices in:
+//! With *n* the number of nodes (leaves + concatenations) and *d* the
+//! depth:
 //!
-//! | O(1) | O(d) | O(s · d) | O(n) |
-//! |---|---|---|---|
-//! | `new`, `leaf`¹, `seg`, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `physical_wire_size`, `has_segments`, `ptr_eq`, `clone`, `RopeBuilder::text`¹, `RopeBuilder::rope`² | `byte_at` | `deflate`, `resolve` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `pieces`, `seg_ids`, `from_iter`, `drop` of the last handle |
+//! | O(1) | O(d) | O(n) |
+//! |---|---|---|
+//! | `new`, `leaf`¹, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `halves`, `node_id`, `ptr_eq`, `clone`, `RopeBuilder::text`¹, `RopeBuilder::rope`² | `byte_at` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `from_iter`, `drop` of the last handle |
 //!
 //! ¹ plus copying the text handed in. ² plus copying the builder's
 //! pending run into its leaf — each byte of literal text once — and,
 //! when the rope linked is itself one leaf of a few bytes, that leaf's
 //! text (see [`RopeBuilder`]). Nothing else copies text except
-//! `to_string`, `lines`, `pieces` and `rebalance`; in particular
-//! `concat`, `push_str` and `push_rope` never merge leaves — `resolve`
-//! and `deflate` promise to share every chunk by pointer — so the way
+//! `to_string`, `lines` and `rebalance`; in particular `concat`,
+//! `push_str` and `push_rope` never merge leaves — a concatenation's
+//! [halves](Rope::halves) are exactly the ropes it joined — so the way
 //! to get one leaf out of adjacent literal text is to emit it through a
 //! [`RopeBuilder`].
 //!
-//! Every concatenation node caches its length, depth, whether a
-//! segment reference lies below it and the bytes it physically carries,
-//! all fixed at construction. That is what keeps per-value bookkeeping
-//! — a memo install scan asks it of every value it looks at — from
-//! re-walking code text: `physical_wire_size` reads a field of the
-//! root, `has_segments` one of the handle itself, and
-//! `deflate`/`resolve` descend only towards segment references and
-//! share every other sub-rope.
+//! Every concatenation node caches its length and depth, fixed at
+//! construction, so neither is ever walked for.
 //! Dropping the last handle to a rope frees it node by node, O(n), on
 //! an explicit stack: a statement list's code is a list-shaped rope as
 //! deep as the list is long, and freeing it must not need a machine
 //! stack to match.
 
 mod builder;
-mod descriptor;
-mod seg;
 
 pub use builder::RopeBuilder;
-pub use descriptor::{SegmentId, SegmentStore, UnknownSegment};
-pub use seg::Piece;
 
 use std::fmt;
 use std::sync::Arc;
 
-/// Internal rope node: a text leaf, a segment reference (librarian
-/// protocol, see [`crate::seg`]), or an inner concatenation node.
+/// Internal rope node: a text leaf or an inner concatenation node.
 #[derive(Debug)]
 pub(crate) enum RNode {
     Leaf(Arc<str>),
-    /// Reference to librarian-stored text with its logical length.
-    Seg(SegmentId, usize),
-    /// `has_seg` and `phys` are fixed at construction (nodes are
-    /// immutable), which is what makes [`Rope::has_segments`] and
-    /// [`Rope::physical_wire_size`] field reads.
     Concat {
         left: Arc<RNode>,
         right: Arc<RNode>,
         len: usize,
         depth: u32,
-        /// Some node below is a `Seg`.
-        has_seg: bool,
-        /// Bytes physically carried below: literal text plus
-        /// [`SEG_REF_BYTES`] per `Seg`.
-        phys: usize,
     },
 }
-
-/// Bytes a segment reference occupies on the wire (tag + 64-bit id).
-const SEG_REF_BYTES: usize = 9;
 
 impl RNode {
     fn len(&self) -> usize {
         match self {
             RNode::Leaf(s) => s.len(),
-            RNode::Seg(_, len) => *len,
             RNode::Concat { len, .. } => *len,
         }
     }
 
     fn depth(&self) -> u32 {
         match self {
-            RNode::Leaf(_) | RNode::Seg(..) => 0,
+            RNode::Leaf(_) => 0,
             RNode::Concat { depth, .. } => *depth,
-        }
-    }
-
-    fn has_seg(&self) -> bool {
-        match self {
-            RNode::Leaf(_) => false,
-            RNode::Seg(..) => true,
-            RNode::Concat { has_seg, .. } => *has_seg,
-        }
-    }
-
-    fn phys(&self) -> usize {
-        match self {
-            RNode::Leaf(s) => s.len(),
-            RNode::Seg(..) => SEG_REF_BYTES,
-            RNode::Concat { phys, .. } => *phys,
         }
     }
 }
@@ -130,21 +86,10 @@ impl RNode {
 /// Cloning and concatenating are cheap (reference-counted structure
 /// sharing); extracting the flat text is O(n). All compiler "string"
 /// attributes in this repository are `Rope`s, exactly as in the paper.
-///
-/// A rope may contain *segment references* to text held by the string
-/// librarian ([`Rope::seg`], §4.2 of the paper). Text-reading methods
-/// (`to_string`, [`Rope::chunks`], [`Rope::byte_at`], equality)
-/// see only the locally carried text; call [`Rope::resolve`] against a
-/// [`SegmentStore`] first when segments may be present
-/// ([`Rope::has_segments`]).
+/// The handle is one pointer wide.
 #[derive(Clone, Default)]
 pub struct Rope {
     pub(crate) root: Option<Arc<RNode>>,
-    /// The root's [`RNode::has_seg`], copied into the handle so that
-    /// [`Rope::has_segments`] — asked once per value a memo install
-    /// scan looks at — does not follow the pointer. Fits
-    /// the padding of the value enums that hold a rope.
-    pub(crate) has_seg: bool,
 }
 
 impl Rope {
@@ -166,7 +111,6 @@ impl Rope {
         } else {
             Rope {
                 root: Some(Arc::new(RNode::Leaf(text))),
-                has_seg: false,
             }
         }
     }
@@ -202,20 +146,14 @@ impl Rope {
         match (&self.root, &other.root) {
             (None, _) => other.clone(),
             (_, None) => self.clone(),
-            (Some(l), Some(r)) => {
-                let has_seg = self.has_seg || other.has_seg;
-                Rope {
-                    root: Some(Arc::new(RNode::Concat {
-                        len: l.len() + r.len(),
-                        depth: l.depth().max(r.depth()) + 1,
-                        has_seg,
-                        phys: l.phys() + r.phys(),
-                        left: Arc::clone(l),
-                        right: Arc::clone(r),
-                    })),
-                    has_seg,
-                }
-            }
+            (Some(l), Some(r)) => Rope {
+                root: Some(Arc::new(RNode::Concat {
+                    len: l.len() + r.len(),
+                    depth: l.depth().max(r.depth()) + 1,
+                    left: Arc::clone(l),
+                    right: Arc::clone(r),
+                })),
+            },
         }
     }
 
@@ -267,7 +205,6 @@ impl Rope {
         loop {
             match node {
                 RNode::Leaf(s) => return s.as_bytes().get(i).copied(),
-                RNode::Seg(..) => return None, // unresolved text
                 RNode::Concat { left, right, .. } => {
                     if i < left.len() {
                         node = left;
@@ -285,7 +222,7 @@ impl Rope {
     /// Long evaluation pipelines produce deep, list-like ropes; the
     /// librarian flattens before final output. The text is copied once.
     pub fn rebalance(&self) -> Rope {
-        if self.len() <= 1 || self.has_segments() {
+        if self.len() <= 1 {
             return self.clone();
         }
         const CHUNK: usize = 4096;
@@ -310,6 +247,38 @@ impl Rope {
     /// over the network in flattened form (text plus a length header).
     pub fn wire_size(&self) -> usize {
         self.len() + 8
+    }
+
+    /// The two ropes this one [concatenates](Rope::concat), sharing
+    /// their nodes; `None` for a leaf or the empty rope. O(1).
+    ///
+    /// ```
+    /// use paragram_rope::Rope;
+    /// let (a, b) = (Rope::from("ab"), Rope::from("cd"));
+    /// let (left, right) = a.concat(&b).halves().unwrap();
+    /// assert!(left.ptr_eq(&a) && right.ptr_eq(&b));
+    /// assert!(a.halves().is_none());
+    /// ```
+    pub fn halves(&self) -> Option<(Rope, Rope)> {
+        match self.root.as_deref()? {
+            RNode::Leaf(_) => None,
+            RNode::Concat { left, right, .. } => Some((
+                Rope {
+                    root: Some(Arc::clone(left)),
+                },
+                Rope {
+                    root: Some(Arc::clone(right)),
+                },
+            )),
+        }
+    }
+
+    /// The identity of this rope's root node: equal for two ropes
+    /// exactly when they [share](Rope::ptr_eq) it, and never reused by
+    /// another node while a handle to this one lives. 0 for the empty
+    /// rope. O(1).
+    pub fn node_id(&self) -> usize {
+        self.root.as_ref().map_or(0, |n| Arc::as_ptr(n) as usize)
     }
 
     /// `true` if both ropes are the same allocation (or both empty) —
@@ -364,8 +333,8 @@ impl Rope {
 impl Drop for Rope {
     fn drop(&mut self) {
         let mut next = self.root.take();
-        // Right-hand concatenations waiting their turn; a leaf or a
-        // segment reference is freed on the spot, so a list-shaped rope
+        // Right-hand concatenations waiting their turn; a leaf is freed
+        // on the spot, so a list-shaped rope
         // never pushes and a rope shared with another handle (the usual
         // case: `into_inner` is `None`) never allocates.
         let mut pending: Vec<Arc<RNode>> = Vec::new();
@@ -405,7 +374,6 @@ impl<'a> Iterator for Chunks<'a> {
         while let Some(node) = self.stack.pop() {
             match node {
                 RNode::Leaf(s) => return Some(s),
-                RNode::Seg(..) => continue, // unresolved text is not visible
                 RNode::Concat { left, right, .. } => {
                     self.stack.push(right);
                     self.stack.push(left);
@@ -656,5 +624,20 @@ mod tests {
     fn wire_size_tracks_len() {
         let r = Rope::from("12345");
         assert_eq!(r.wire_size(), 5 + 8);
+    }
+
+    #[test]
+    fn a_node_is_four_words() {
+        assert_eq!(std::mem::size_of::<RNode>(), 32);
+    }
+
+    #[test]
+    fn node_ids_follow_sharing_not_content() {
+        let a = Rope::from("ab");
+        assert_eq!(a.node_id(), a.clone().node_id());
+        assert_ne!(a.node_id(), Rope::from("ab").node_id());
+        assert_eq!(Rope::new().node_id(), 0);
+        let (left, _) = a.concat(&a).halves().unwrap();
+        assert_eq!(left.node_id(), a.node_id());
     }
 }

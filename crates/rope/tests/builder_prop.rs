@@ -3,7 +3,7 @@
 //! it exists — the literal text between two linked sub-ropes as exactly
 //! one leaf, however many calls delivered it.
 
-use paragram_rope::{Rope, RopeBuilder, SegmentId};
+use paragram_rope::{Rope, RopeBuilder};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -18,8 +18,6 @@ enum Op {
     ShortLeaf(String),
     /// `rope(…)` of several leaves.
     Leaves(Vec<String>),
-    /// `rope(…)` of a segment reference.
-    Seg(usize),
     /// `rope(…)` of the empty rope.
     Empty,
 }
@@ -32,7 +30,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             "[A-Z]{100,300}".prop_map(Op::LongLeaf),
             "[0-9]{1,8}".prop_map(Op::ShortLeaf),
             prop::collection::vec("[A-Z]{1,50}", 2..5).prop_map(Op::Leaves),
-            (1usize..500).prop_map(Op::Seg),
             (0usize..1).prop_map(|_| Op::Empty),
         ],
         0..24,
@@ -53,7 +50,7 @@ proptest! {
         let mut chunks: Vec<String> = Vec::new();
         let mut run = String::new();
         let mut linked: Vec<Rope> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
+        for op in &ops {
             let sub = match op {
                 Op::Text(t) => {
                     b.text(t);
@@ -79,7 +76,6 @@ proptest! {
                     ts.iter().for_each(|t| r.push_str(t));
                     r
                 }
-                Op::Seg(len) => Rope::seg(SegmentId::from_parts(7, i as u32), *len),
                 Op::Empty => Rope::new(),
             };
             b.rope(&sub);
@@ -97,8 +93,7 @@ proptest! {
         prop_assert_eq!(&built, &reference);
         prop_assert_eq!(built.len(), reference.len());
         prop_assert_eq!(built.is_empty(), reference.is_empty());
-        prop_assert_eq!(built.physical_wire_size(), reference.physical_wire_size());
-        prop_assert_eq!(built.has_segments(), reference.has_segments());
+        prop_assert_eq!(built.wire_size(), reference.wire_size());
         // One leaf per run, none for an empty one.
         prop_assert_eq!(built.chunks().collect::<Vec<_>>(), chunks);
         // A linked sub-rope is in the result by pointer.

@@ -8,8 +8,8 @@
 use paragram_rope::Rope;
 use proptest::prelude::*;
 
-/// One step of a random rope-building session. Indices pick an earlier
-/// rope of the session (modulo how many there are).
+/// One step of a random rope-building sequence. Indices pick an earlier
+/// rope of the sequence (modulo how many there are).
 #[derive(Debug, Clone)]
 enum Op {
     Leaf(String),

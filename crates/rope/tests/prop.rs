@@ -1,6 +1,6 @@
 //! Property-based tests for the rope invariants the evaluators rely on.
 
-use paragram_rope::{Rope, SegmentId, SegmentStore};
+use paragram_rope::Rope;
 use proptest::prelude::*;
 
 fn rope_strategy() -> impl Strategy<Value = (Rope, String)> {
@@ -56,24 +56,5 @@ proptest! {
         let got: Vec<String> = rope.lines().collect();
         let want: Vec<String> = s.lines().map(str::to_owned).collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn librarian_round_trip(texts in prop::collection::vec("[a-z]{0,16}", 1..8)) {
-        // Registering each piece as a segment and resolving the rope of
-        // references to them must equal direct concatenation — the
-        // librarian optimization may not change the final code attribute.
-        let mut store = SegmentStore::new();
-        let mut refs = Rope::new();
-        let mut direct = Rope::new();
-        for (i, t) in texts.iter().enumerate() {
-            let id = SegmentId::from_parts(i as u32, 0);
-            store.register(id, Rope::from(t.as_str()));
-            refs.push_rope(&Rope::seg(id, t.len()));
-            direct.push_str(t);
-        }
-        let resolved = refs.resolve(&store).unwrap();
-        prop_assert!(!resolved.has_segments());
-        prop_assert_eq!(resolved, direct);
     }
 }

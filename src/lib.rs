@@ -11,8 +11,9 @@
 //!   threads).
 //! * [`driver`] — batched compilation: shared immutable compilation
 //!   plans and a persistent worker pool over streams of parse trees.
-//! * [`rope`] — persistent rope strings with O(1) concatenation and the
-//!   string librarian's segment references.
+//! * [`rope`] — persistent rope strings with O(1) concatenation: a rope
+//!   carries text, and the string librarian is the simulator's
+//!   accounting of it.
 //! * [`symtab`] — applicative binary-search-tree symbol tables.
 //! * [`netsim`] — the deterministic discrete-event "network of
 //!   workstations" simulator.

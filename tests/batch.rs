@@ -6,11 +6,9 @@
 //! overlap in flight), and regardless of how often it is repeated on
 //! the same pool.
 //!
-//! Four `#[ignore]`d tests extend the matrix on CI (`cargo test --
-//! --ignored` runs them): the simulator librarian's split-phase
-//! property test (randomized out-of-order `Register`/`Resolve`
-//! interleavings), the
-//! region-granular determinism matrix, which pushes a
+//! Three `#[ignore]`d tests extend the matrix on CI (`cargo test --
+//! --ignored` runs them): the region-granular determinism matrix,
+//! which pushes a
 //! `GenConfig::huge()` single tree through the adaptive pool at depths
 //! 1/2/4 × workers 1/2/8, the region-local store slot audit, which
 //! pins (via the debug-build allocated-slot counter) that huge-tree
@@ -23,13 +21,11 @@ use paragram::core::eval::{static_eval, Machine, MachineScratch};
 use paragram::core::grammar::AttrId;
 use paragram::core::memo::InstallPolicy;
 use paragram::core::parallel::pool::{SchedulerMode, MIN_REGION_WORK};
-use paragram::core::parallel::sim::SegmentLedger;
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
 use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig};
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{Compiler, PVal};
-use paragram::rope::{Rope, SegmentId, SegmentStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -151,115 +147,6 @@ fn batch_output_is_identical_across_worker_counts_and_runs() {
                         "tree {i} instance {j}: value differs at workers={workers} run={run}"
                     );
                 }
-            }
-        }
-    }
-}
-
-mod interleaving {
-    use super::*;
-    use proptest::prelude::*;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-    /// One ticket's ground truth: its segments registered alone.
-    fn expected_store(segs: &[(SegmentId, String)]) -> SegmentStore {
-        let mut store = SegmentStore::new();
-        for (id, text) in segs {
-            store.register(*id, Rope::from(text.clone()));
-        }
-        store
-    }
-
-    fn stores_equal(a: &SegmentStore, b: &SegmentStore, ids: &[SegmentId]) -> bool {
-        a.len() == b.len()
-            && a.total_bytes() == b.total_bytes()
-            && ids.iter().all(|id| match (a.get(*id), b.get(*id)) {
-                (Some(x), Some(y)) => x.content_eq(y),
-                (None, None) => true,
-                _ => false,
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Split-phase soundness: for ANY interleaving of ticket-tagged
-        /// `Register` messages and per-ticket `Resolve` reads — tickets
-        /// registering concurrently, resolutions happening while later
-        /// tickets still stream in — each ticket resolves to exactly
-        /// the store it would have produced registering alone.
-        #[test]
-        #[ignore = "interleaving sweep; run with cargo test -- --ignored (CI does)"]
-        fn out_of_order_register_resolve_interleavings_resolve_identically(
-            nsegs in prop::collection::vec(0usize..8, 1..6),
-            seed in any::<u64>(),
-        ) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            // Per-ticket segment sets. Region/local parts overlap across
-            // tickets on purpose: identical SegmentIds in different
-            // tickets must not collide in the ledger.
-            let tickets: Vec<Vec<(SegmentId, String)>> = nsegs
-                .iter()
-                .enumerate()
-                .map(|(t, &n)| {
-                    (0..n)
-                        .map(|i| {
-                            let id = SegmentId::from_parts((i % 3) as u32, (i / 3) as u32);
-                            let text = format!("t{t}.s{i}.{:x}\n", rng.next_u64());
-                            (id, text)
-                        })
-                        .collect()
-                })
-                .collect();
-
-            // Shuffle all register events globally (Fisher-Yates).
-            let mut events: Vec<(usize, usize)> = tickets
-                .iter()
-                .enumerate()
-                .flat_map(|(t, segs)| (0..segs.len()).map(move |i| (t, i)))
-                .collect();
-            for i in (1..events.len()).rev() {
-                let j = rng.gen_range(0..i + 1);
-                events.swap(i, j);
-            }
-
-            let mut ledger = SegmentLedger::default();
-            let mut remaining: Vec<usize> = nsegs.clone();
-            let mut resolved: Vec<Option<SegmentStore>> =
-                (0..tickets.len()).map(|_| None).collect();
-            for (t, i) in events {
-                let (id, text) = &tickets[t][i];
-                ledger.register(t as u64, *id, Rope::from(text.clone()));
-                remaining[t] -= 1;
-                // Randomly resolve any fully-registered ticket mid-stream
-                // (out of ticket order, while other registrations are
-                // still arriving).
-                for rt in 0..tickets.len() {
-                    if remaining[rt] == 0 && resolved[rt].is_none() && rng.gen_range(0usize..2) == 0
-                    {
-                        resolved[rt] = Some(ledger.resolve(rt as u64));
-                    }
-                }
-            }
-            for (rt, slot) in resolved.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = Some(ledger.resolve(rt as u64));
-                }
-            }
-            for t in 0..tickets.len() {
-                prop_assert_eq!(ledger.ticket_bytes(t as u64), 0, "ticket {} left behind", t);
-            }
-
-            for (t, segs) in tickets.iter().enumerate() {
-                let want = expected_store(segs);
-                let got = resolved[t].as_ref().unwrap();
-                let ids: Vec<SegmentId> = segs.iter().map(|(id, _)| *id).collect();
-                prop_assert!(
-                    stores_equal(&want, got, &ids),
-                    "ticket {} resolved to a different store (seed {})",
-                    t,
-                    seed
-                );
             }
         }
     }
