@@ -15,7 +15,7 @@ fn bench_parallel(c: &mut Criterion) {
             &machines,
             |b, &machines| {
                 b.iter(|| {
-                    let mut pool = WorkerPool::new(plan, PoolConfig::barrier(machines));
+                    let mut pool = WorkerPool::new(plan, PoolConfig::workers(machines));
                     pool.eval(&w.tree).unwrap()
                 })
             },

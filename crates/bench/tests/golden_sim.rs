@@ -10,10 +10,10 @@ use paragram_bench::stream::{generate_stream, RequestSpec, SizeClass, StreamConf
 use paragram_bench::Workload;
 use paragram_core::grammar::AttrId;
 use paragram_core::parallel::policy::DispatchPolicy;
-use paragram_core::parallel::pool::SchedulerMode;
 use paragram_core::parallel::sim::{
     run_sim, run_sim_batch, run_sim_stream, Arrivals, BatchSimReport, SimConfig, SimRequest,
 };
+use paragram_core::parallel::SchedulerMode;
 use paragram_core::split::RegionGranularity;
 use paragram_core::tree::ParseTree;
 use paragram_netsim::{FaultPlan, Trace};

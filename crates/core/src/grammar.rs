@@ -119,14 +119,6 @@ impl Symbol {
             .filter(move |(_, a)| a.kind == kind)
             .map(|(i, _)| AttrId(i as u32))
     }
-
-    /// Looks up an attribute by name.
-    pub fn attr_named(&self, name: &str) -> Option<AttrId> {
-        self.attrs
-            .iter()
-            .position(|a| a.name == name)
-            .map(|i| AttrId(i as u32))
-    }
 }
 
 /// Reference to an attribute occurrence within a production: occurrence 0
@@ -450,11 +442,6 @@ impl<V> Production<V> {
     /// Number of occurrences including the LHS.
     pub fn occ_count(&self) -> usize {
         self.rhs.len() + 1
-    }
-
-    /// The rule defining `target`, if any.
-    pub fn rule_for(&self, target: OccRef) -> Option<&Rule<V>> {
-        self.rules.iter().find(|r| r.target == target)
     }
 }
 

@@ -7,16 +7,14 @@
 //!
 //! 1. **The region's subtree content** — productions and token values
 //!    of every node the region owns, fingerprinted by
-//!    [`ParseTree::subtree_hash`](crate::tree::ParseTree::subtree_hash)
-//!    at the region root. Token values *include* any per-tree unique
+//!    [`ParseTree::subtree_hash`] at the region root. Token values *include* any per-tree unique
 //!    tokens (e.g. pascal's `uid` labels), so a hit guarantees the
 //!    replayed values — labels included — are byte-identical to what a
 //!    fresh evaluation would produce. Trees that merely share shape but
 //!    differ in any token value hash differently and miss.
 //! 2. **The inherited attribute values at the region root**, exactly as
 //!    delivered by the parent machine, fingerprinted via
-//!    [`AttrValue::content_hash`] in ascending
-//!    [`AttrId`](crate::grammar::AttrId) order.
+//!    [`AttrValue::content_hash`] in ascending [`AttrId`] order.
 //!
 //! Nothing else is an input. In particular these are *not* part of a
 //! region's inputs and must never influence a cached result: the
@@ -43,12 +41,22 @@
 //! subtrees built by different builders need not occupy the same
 //! relative arena positions.
 //!
+//! The contract is written once, here, for both sides of the cache:
+//! which symbols may hold their outputs back for a probe
+//! (`memo_safety`), which regions are cacheable and under which inputs
+//! (`region_cacheable`, and `whole_tree_key` for a tree that stays
+//! whole), and the preorder span format itself — `install_span` writes
+//! it at retirement, `replay_span` reads it back at a hit.
+//!
 //! The cache itself is sharded (`std::sync::Mutex` per shard, keyed by
 //! signature hash) and bounded by an approximate byte budget with LRU
 //! eviction per shard; hit/miss/insert/evict counters are process-wide
 //! atomics surfaced through `BatchReport`/`ServiceStats`.
 
-use crate::grammar::ProdId;
+use crate::eval::EvalPlan;
+use crate::grammar::{AttrId, AttrKind, ProdId};
+use crate::split::{Decomposition, RegionId};
+use crate::tree::{AttrSlots, NodeId, ParseTree};
 use crate::value::{fnv1a_u64, AttrValue};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -414,9 +422,167 @@ pub fn inherited_fingerprint<'a, V: AttrValue + 'a>(
     Some(fnv1a_u64(h, n))
 }
 
+/// Per-symbol memoization safety: a split symbol is memo-safe iff no
+/// inherited attribute of the symbol may (transitively) depend on a
+/// synthesized attribute of the *same* occurrence. A probe holds a leaf
+/// region's synthesized outputs back until every inherited input has
+/// arrived; if the parent needed one of those outputs to compute a
+/// later inherited input, probe and parent would deadlock. The induced
+/// dependency relation is exactly the may-depend closure, so its
+/// absence makes the hold-back safe in both machine modes. Grammars the
+/// fixpoint rejects (cyclic — dynamic-mode only) get no safe symbols.
+pub(crate) fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
+    let g = plan.grammar();
+    let Ok(deps) = crate::analysis::induced_deps(g.as_ref()) else {
+        return vec![false; g.symbols().len()];
+    };
+    g.symbols()
+        .iter()
+        .enumerate()
+        .map(|(si, sym)| {
+            let rel = &deps.ids[si];
+            for (a, aa) in sym.attrs.iter().enumerate() {
+                if aa.kind != AttrKind::Syn {
+                    continue;
+                }
+                for (b, ba) in sym.attrs.iter().enumerate() {
+                    if ba.kind == AttrKind::Inh && rel.has(a, b) {
+                        return false;
+                    }
+                }
+            }
+            true
+        })
+        .collect()
+}
+
+/// Decides whether `region` of `tree` is memoizable, and under what
+/// signature inputs. Cacheable regions are **leaf** regions (no
+/// boundary children — their owned span is their whole subtree and
+/// their only external inputs are the root's inherited values) whose
+/// root symbol is memo-safe (see [`memo_safety`]; the tree root is
+/// trivially safe, it awaits nothing) and whose subtree hash is exact.
+/// Returns the region root, its subtree hash, and the root inherited
+/// attributes in ascending `AttrId` order (the fingerprint order both
+/// the probe and the retire-time install use).
+pub(crate) fn region_cacheable<V: AttrValue>(
+    plan: &EvalPlan<V>,
+    memo_safe: &[bool],
+    tree: &ParseTree<V>,
+    decomp: &Decomposition,
+    region: RegionId,
+) -> Option<(NodeId, u64, Vec<AttrId>)> {
+    let map = decomp.slot_map();
+    if map.total_slots(region) != map.owned_slots(region) {
+        return None; // boundary children: an interior region
+    }
+    let root = decomp.regions[region as usize].root;
+    let root_sym = plan.grammar().prod(tree.node(root).prod).lhs;
+    if root != tree.root() && !memo_safe.get(root_sym.0 as usize).copied().unwrap_or(false) {
+        return None;
+    }
+    let subtree = tree.subtree_hash(root)?;
+    let mut inh: Vec<AttrId> = if root == tree.root() {
+        Vec::new() // machines await no inherited values at the tree root
+    } else {
+        plan.inh_attrs(root_sym).to_vec()
+    };
+    inh.sort_unstable_by_key(|a| a.0);
+    Some((root, subtree, inh))
+}
+
+/// The memo key of a tree that is one whole-tree job — what
+/// [`region_cacheable`] and the probe give the lone region of an
+/// unsplit decomposition: the root's subtree hash (`None` when it is
+/// inexact: uncacheable) under the fingerprint of no inherited values,
+/// the tree root awaiting none.
+pub(crate) fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
+    Some(MemoKey {
+        subtree: tree.subtree_hash(tree.root())?,
+        inherited: inherited_fingerprint(std::iter::empty::<&V>())?,
+    })
+}
+
+/// Deposits the evaluated span of the subtree at `root` (read through
+/// `get`) under `key`, unless the cache holds it already. Spans are
+/// extracted in *preorder* of the subtree — arena ids are
+/// builder-dependent, preorder is not — one entry per attribute of each
+/// node's symbol, in attribute order: the format [`replay_span`] reads.
+pub(crate) fn install_span<'s, V: AttrValue + 's>(
+    memo: &MemoCache<V>,
+    tree: &ParseTree<V>,
+    root: NodeId,
+    key: MemoKey,
+    get: impl Fn(NodeId, AttrId) -> Option<&'s V>,
+) {
+    if memo.contains(key) {
+        return;
+    }
+    let g = tree.grammar();
+    let mut span = Vec::new();
+    let mut bytes = 0usize;
+    for n in tree.subtree(root) {
+        let sym = g.prod(tree.node(n).prod).lhs;
+        for a in 0..g.attr_count(sym) {
+            let v = get(n, AttrId(a as u32)).cloned();
+            if let Some(v) = &v {
+                // A value that is not fingerprintable — its type has
+                // no content hash — is one the memo cannot vouch for
+                // under another ticket. Skip the whole span.
+                if !v.is_fingerprintable() {
+                    return;
+                }
+                bytes += v.wire_size();
+            }
+            span.push(v);
+        }
+    }
+    memo.insert(
+        key,
+        MemoEntry {
+            span,
+            nodes: tree.subtree_size(root) as u32,
+            root_prod: tree.node(root).prod,
+            bytes,
+        },
+    );
+}
+
+/// Fills `store` from a cached preorder span over the subtree at
+/// `root` — the format [`install_span`] writes. The walk is over *this*
+/// tree's subtree — structurally identical to the cached one, but arena
+/// ids may differ. `false` when the span's shape disagrees with the
+/// subtree (a hash collision the probe's sanity fields missed): the
+/// store is then partly filled and must be dropped.
+pub(crate) fn replay_span<V: AttrValue, S: AttrSlots<V>>(
+    tree: &ParseTree<V>,
+    root: NodeId,
+    span: Vec<Option<V>>,
+    store: &mut S,
+) -> bool {
+    let g = tree.grammar();
+    let mut vals = span.into_iter();
+    for n in tree.subtree(root) {
+        let sym = g.prod(tree.node(n).prod).lhs;
+        for a in 0..g.attr_count(sym) {
+            let Some(v) = vals.next() else {
+                return false;
+            };
+            if let Some(v) = v {
+                store.set(n, AttrId(a as u32), v);
+            }
+        }
+    }
+    vals.next().is_none()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::static_eval;
+    use crate::grammar::GrammarBuilder;
+    use crate::tree::{AttrStore, Child, TreeBuilder};
+    use std::sync::Arc;
 
     fn entry(bytes: usize) -> MemoEntry<i64> {
         MemoEntry {
@@ -589,5 +755,112 @@ mod tests {
         assert_eq!(a, c);
         assert_ne!(a, b);
         assert_ne!(a, inherited_fingerprint([&1i64]).unwrap());
+    }
+
+    /// A chain `S → L`, `L → L | ε` of `n` list nodes over `i64`, with an
+    /// inherited depth and a synthesized sum at every list node, and its
+    /// plan and statically evaluated store.
+    fn chain(n: usize) -> (Arc<ParseTree<i64>>, EvalPlan<i64>, AttrStore<i64>) {
+        let mut g = GrammarBuilder::<i64>::new();
+        let s = g.nonterminal("S");
+        let l = g.nonterminal("L");
+        let out = g.synthesized(s, "out");
+        let depth = g.inherited(l, "depth");
+        let sum = g.synthesized(l, "sum");
+        g.mark_split(l, 2);
+        let top = g.production("top", s, [l]);
+        g.rule(top, (1, depth), [], |_| 0);
+        g.rule(top, (0, out), [(1, sum)], |a| a[0]);
+        let cons = g.production("cons", l, [l]);
+        g.rule(cons, (1, depth), [(0, depth)], |a| a[0] + 1);
+        g.rule(cons, (0, sum), [(1, sum), (0, depth)], |a| a[0] + a[1]);
+        let nil = g.production("nil", l, []);
+        g.rule(nil, (0, sum), [(0, depth)], |a| a[0]);
+        let grammar = Arc::new(g.build(s).unwrap());
+        let plan = EvalPlan::analyze(&grammar);
+        let mut tb = TreeBuilder::new(&grammar);
+        let mut tail = tb.leaf(nil);
+        for _ in 0..n {
+            tail = tb.node(cons, [tail]);
+        }
+        let root = tb.node(top, [tail]);
+        let tree = Arc::new(tb.finish(root).unwrap());
+        let (store, _) = static_eval(&tree, plan.plans().unwrap()).unwrap();
+        (tree, plan, store)
+    }
+
+    /// The whole-tree job's key is the one the region path gives the
+    /// lone region of an unsplit decomposition: the root's subtree hash
+    /// under the fingerprint of no inherited values.
+    #[test]
+    fn whole_tree_key_is_the_lone_regions_key() {
+        let (tree, plan, _) = chain(6);
+        let decomp = Decomposition::whole(&tree);
+        assert!(decomp.is_unsplit());
+        let memo_safe = memo_safety(&plan);
+        let (root, subtree, inh) = region_cacheable(&plan, &memo_safe, &tree, &decomp, 0)
+            .expect("the lone region is a leaf rooted at the tree root");
+        assert_eq!(root, tree.root());
+        assert!(inh.is_empty(), "the tree root awaits no inherited value");
+        let inherited = inherited_fingerprint(std::iter::empty::<&i64>()).unwrap();
+        assert_eq!(
+            whole_tree_key(tree.as_ref()),
+            Some(MemoKey { subtree, inherited })
+        );
+    }
+
+    /// What `install_span` writes, `replay_span` reads back: the whole
+    /// tree's span, and an inner subtree's into the same slots.
+    #[test]
+    fn an_installed_span_replays_into_an_identical_store() {
+        let (tree, _, store) = chain(6);
+        let memo = MemoCache::new(1 << 20);
+        let Child::Node(child) = tree.node(tree.root()).children[0] else {
+            panic!("the root's child is the list");
+        };
+        for (root, inherited) in [(tree.root(), 1), (child, 2)] {
+            let key = MemoKey {
+                subtree: tree.subtree_hash(root).unwrap(),
+                inherited,
+            };
+            install_span(&memo, &tree, root, key, |n, a| store.get(n, a));
+            let nodes = tree.subtree_size(root) as u32;
+            let entry = memo.probe(key, nodes, tree.node(root).prod).unwrap();
+            let mut replayed = AttrStore::new(&tree);
+            assert!(replay_span(&tree, root, entry.span, &mut replayed));
+            for n in tree.subtree(root) {
+                let sym = tree.grammar().prod(tree.node(n).prod).lhs;
+                for a in 0..tree.grammar().attr_count(sym) {
+                    let attr = AttrId(a as u32);
+                    assert_eq!(replayed.get(n, attr), store.get(n, attr), "{n:?} {attr:?}");
+                }
+            }
+        }
+        assert_eq!(memo.counters().inserts, 2);
+    }
+
+    /// A span whose length disagrees with the subtree's instances — one
+    /// value short, or one too many — is refused.
+    #[test]
+    fn a_span_one_value_short_or_long_is_refused() {
+        let (tree, _, store) = chain(4);
+        let memo = MemoCache::new(1 << 20);
+        let key = whole_tree_key(tree.as_ref()).unwrap();
+        install_span(&memo, &tree, tree.root(), key, |n, a| store.get(n, a));
+        let nodes = tree.subtree_size(tree.root()) as u32;
+        let span = memo
+            .probe(key, nodes, tree.node(tree.root()).prod)
+            .unwrap()
+            .span;
+        let replay = |span: Vec<Option<i64>>| {
+            replay_span(&tree, tree.root(), span, &mut AttrStore::new(&tree))
+        };
+        assert!(replay(span.clone()));
+        let mut short = span.clone();
+        short.pop();
+        assert!(!replay(short), "one value short");
+        let mut long = span;
+        long.push(None);
+        assert!(!replay(long), "one value long");
     }
 }

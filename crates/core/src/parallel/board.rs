@@ -22,20 +22,21 @@
 //! | [`Board::crash`] / [`Board::restart`] | the victim's queued + active jobs rebuilt with full-log replay and reseeded least-loaded-first in `(ticket, region)` order; rejoin |
 //! | [`Board::cancel`] | a failed ticket's jobs purged |
 //!
-//! Two drivers run it. The live [`super::pool::WorkerPool`] calls it
-//! from worker threads under one mutex and moves values over channels;
-//! the simulator ([`super::sim`]) calls it from netsim handlers and adds
-//! only what virtual time needs (a per-machine `busy_until` clock and a
-//! transfer-cost gate, both passed to [`Board::claim`] as its
-//! eligibility predicate). Neither re-implements a transition, so "the
-//! sim runs the deployed policy" holds by construction, and crash
-//! recovery covers both placements.
+//! Two drivers run it. The live pool ([`super::pool`]) calls it from
+//! worker threads under one mutex, always under `Fixed`, and moves
+//! values over channels; the simulator ([`super::sim`]) calls it from
+//! netsim handlers under either mode and adds only what virtual time
+//! needs (a per-machine `busy_until` clock and a transfer-cost gate,
+//! both passed to [`Board::claim`] as its eligibility predicate).
+//! Neither re-implements a transition, so "the sim runs the deployed
+//! policy" holds by construction, and crash recovery covers both
+//! placements.
 //!
 //! A job's record lives in one map from seeding to retirement, so an
 //! absent record means exactly *retired or cancelled* on every path,
 //! and retiring a job frees its input log in the same step.
 
-use super::pool::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
+use super::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 use crate::grammar::AttrId;
 use crate::split::RegionId;
 use crate::tree::NodeId;
@@ -286,22 +287,6 @@ impl<V: Clone, P: Clone> Board<V, P> {
             self.deques[w].push_back(key);
         }
         placements
-    }
-
-    /// Who must hear of jobs just seeded onto `homes`: under `Stealing`
-    /// every live worker (an idle one may steal them), under `Fixed`
-    /// only the homes themselves, once each (no one else may claim
-    /// them).
-    pub fn wake_set(&self, homes: &[usize]) -> Vec<usize> {
-        match self.mode {
-            SchedulerMode::Stealing => self.live().collect(),
-            SchedulerMode::Fixed => {
-                let mut homes = homes.to_vec();
-                homes.sort_unstable();
-                homes.dedup();
-                homes
-            }
-        }
     }
 
     /// Claims work for worker `me`: the front of its own deque (oldest
@@ -985,15 +970,14 @@ mod tests {
     }
 
     /// Under `Fixed` a worker only ever runs what was seeded onto it:
-    /// it claims its own front or nothing, wakes go to the homes alone,
-    /// a keyed take hands over the early values in arrival order, and
-    /// seeding passes over a dead home.
+    /// it claims its own front or nothing, a keyed take hands over the
+    /// early values in arrival order, and seeding passes over a dead
+    /// home.
     #[test]
     fn modular_seeding_never_steals_and_passes_over_the_dead() {
         let mut b = TestBoard::new(3, SchedulerMode::Fixed);
         let homes = seed(&mut b, 0, &[5, 5], ());
         assert_eq!(homes, [0, 1]);
-        assert_eq!(b.wake_set(&[1, 0, 1]), [0, 1]);
         assert!(
             b.claim(2, |_, _| true).is_none(),
             "an idle worker steals nothing"

@@ -19,13 +19,13 @@
 //! the real queue runs.
 //!
 //! Dispatch order composes with, and is independent of, *placement*
-//! ([`super::pool::SchedulerMode`]): the policy decides **which** tree
+//! ([`super::SchedulerMode`]): the policy decides **which** tree
 //! enters the pipeline window next; the scheduler decides **where**
-//! that tree's region jobs run (fixed modular assignment, or LPT-seeded
-//! deques rebalanced by work stealing). A policy that releases a huge
-//! tree still benefits from stealing spreading its regions; stealing
-//! never reorders dispatch, so policy-level fairness guarantees hold
-//! under either scheduler.
+//! that tree's region jobs run (fixed modular assignment — the live
+//! pool's — or, in the simulator, LPT-seeded deques rebalanced by work
+//! stealing). A policy that releases a huge tree still benefits from
+//! stealing spreading its regions; stealing never reorders dispatch,
+//! so policy-level fairness guarantees hold under either scheduler.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -10,9 +10,14 @@
 //! transport — its channel, polled between bursts of machine steps,
 //! and the board lock — and the core builds, feeds, steps and finishes
 //! the jobs, recycling its machines' scratch buffers from tree to tree.
-//! The pool runs exactly [`PoolConfig::workers`] threads; for one tree
-//! at a time, [`WorkerPool::eval`] on a [`PoolConfig::barrier`] pool is
-//! the one-shot call.
+//! The pool runs exactly [`PoolConfig::workers`] threads, places every
+//! job the paper's way (fixed modular placement) and keeps two trees
+//! per worker in flight; [`WorkerPool::eval`] is the one-shot call for
+//! one tree. That is all this file is — a thread driver. What it shares
+//! with the simulator is not its own: the scheduler board
+//! (`parallel/board.rs`), the worker core (`parallel/worker.rs`), the
+//! shared vocabulary ([`Ticket`], [`SchedCounters`], [`FaultCounters`]
+//! in [`crate::parallel`]) and the memo contract ([`crate::memo`]).
 //!
 //! # Tickets, and why threads need no librarian
 //!
@@ -75,10 +80,10 @@
 //! construction (by default below twice the hand-off floor, about
 //! 1.6 ms of evaluation; under an adaptive budget, a tree with one
 //! budget's work or nowhere to split), which bounds how long an older
-//! machine on that worker waits for its next step. Under either
-//! scheduler it is the ticket's one board job, which a crash
-//! re-executes from nothing, and with the memo on it keeps the root
-//! region's contract: probe, replay or evaluate, install at retirement.
+//! machine on that worker waits for its next step. It is the ticket's
+//! one board job, which a crash re-executes from nothing, and with the
+//! memo on it keeps the root region's contract: probe, replay or
+//! evaluate, install at retirement.
 //!
 //! The pool reads its machine mode off the plan
 //! ([`EvalPlan::best_mode`]) and always propagates results naively
@@ -112,18 +117,21 @@
 //!
 //! Because every message carries its ticket, the pool needs no barrier
 //! between trees. A small in-flight window
-//! ([`PoolConfig::pipeline_depth`]) lets tree N+1's region jobs
-//! dispatch while tree N's regions drain. The default window is two
-//! trees **per worker**. It is per worker because a small tree is one
-//! job on one worker, placement rotating by ticket: a window of
-//! `workers` trees puts one on each, and then a worker that finishes
-//! has nothing to do until the caller's thread has been woken, has
-//! retired the tree, prepared the next and sent it — a round trip
-//! between two threads, 20–200 µs on the 2-core box against the
-//! ≈ 65 µs the tree takes to evaluate. With two per worker the next
-//! tree is already on the worker's deque. (Measured on `small_iid`:
-//! `lines_per_s` ×1.14–1.27 for the window alone; four per worker read
-//! no better than two. ROADMAP's Status notes have the tables.)
+//! ([`WorkerPool::pipeline_depth`]) lets tree N+1's region jobs
+//! dispatch while tree N's regions drain. The window is one constant,
+//! `TREES_PER_WORKER` = two trees **per worker**, not a setting. It
+//! is per worker because a small tree is one job on one worker,
+//! placement rotating by ticket: a window of `workers` trees puts one
+//! on each, and then a worker that finishes has nothing to do until
+//! the caller's thread has been woken, has retired the tree, prepared
+//! the next and sent it — a round trip between two threads, 20–200 µs
+//! on the 2-core box against the ≈ 65 µs the tree takes to evaluate.
+//! With two per worker the next tree is already on the worker's deque.
+//! (Measured on `small_iid`: `lines_per_s` ×1.14–1.27 for the window
+//! alone; four per worker read no better than two. ROADMAP's Status
+//! notes have the tables.) A single tree through [`WorkerPool::eval`]
+//! runs alone whatever the window: the paper's one-tree barrier, which
+//! the simulator keeps as its `pipeline_depth` argument (Figure 5).
 //! Worker cores multiplex their
 //! machines **oldest job first**: whenever an older machine starves
 //! (blocked on an attribute from a straggling peer — e.g. downstream of
@@ -131,8 +139,7 @@
 //! instead of idling. Both the early-finisher idle time *and* the
 //! blocked-on-messages time an epoch barrier would waste become useful
 //! work, and the parser-side assembly of tree N (the store merge)
-//! overlaps tree N+1's evaluation. Depth 1 restores the
-//! strict one-epoch-per-tree barrier.
+//! overlaps tree N+1's evaluation.
 //!
 //! # What retirement costs
 //!
@@ -160,42 +167,35 @@
 //! The same holds on the sending side: a boundary send clones a rope's
 //! handle, not its text.
 //!
-//! # Placement: one scheduler board, two seeding policies
+//! # Placement: one scheduler board, one policy
 //!
 //! Every region job lives on the scheduler board (`parallel/board.rs`):
 //! per-worker deques, a job-location table, load accounts and per-job
 //! input logs, with one implementation of every transition. This file
 //! is one of the board's two drivers (the simulator is the other): it
 //! holds the board under one mutex and supplies the threads and
-//! channels. [`SchedulerMode`] selects only how a ticket is seeded and
-//! whether an idle worker may steal:
+//! channels. The pool places every job with [`SchedulerMode::Fixed`]:
+//! region `r` of ticket `t` goes onto worker `(r + t) mod W` and is
+//! never stolen — a ticket's regions go round-robin over the workers
+//! (with no more regions than workers, the paper's
+//! one-region-per-machine placement) from a start that rotates with the
+//! ticket, which keeps consecutive trees' region 0 — a small tree's
+//! only region — off one worker. Work stealing is the
+//! simulator's: on threads it read 0.94× fixed placement, and no
+//! workload here justified keeping it.
 //!
-//! * [`SchedulerMode::Fixed`] (the default) seeds region `r` of ticket
-//!   `t` onto worker `(r + t) mod W` and never steals: a ticket's
-//!   regions go round-robin over the workers (with no more regions than
-//!   workers, the paper's one-region-per-machine placement) from a
-//!   start that rotates with the ticket, which keeps consecutive trees'
-//!   region 0 — a small tree's only region — off one worker.
-//! * [`SchedulerMode::Stealing`] seeds LPT with parent/child
-//!   co-seeding, and a worker whose own deque is empty steals the
-//!   largest job of the most-loaded one.
+//! `submit` seeds a ticket and wakes each of its jobs' homes once — no
+//! other worker may claim them; a worker whose machines all starve
+//! claims its own deque's front; a boundary value is routed — logged at
+//! send — and delivered in one critical section, attached to a
+//! still-queued job or channel-sent to the worker that claimed it; a
+//! worker retires a job on the board *before* reporting it done;
+//! [`WorkerPool::kill_worker`] is the board's crash transition plus a
+//! `Die` message. [`WorkerPool::sched_counters`] reports the
+//! local/remote split of boundary sends; its steal counters read zero.
 //!
-//! Everything else is one path. `submit` seeds a ticket and wakes the
-//! workers that may claim its jobs (under `Fixed` their homes, under
-//! `Stealing` everyone); a worker whose machines all starve claims; a
-//! boundary value is routed — logged at send — and delivered in one
-//! critical section, attached to a still-queued job (so a steal
-//! migrates it, and memo-probing jobs survive migration: their probe is
-//! built at activation, after the migrated values landed) or
-//! channel-sent to the worker that claimed it; a worker retires a job
-//! on the board *before* reporting it done; [`WorkerPool::kill_worker`]
-//! is the board's crash transition plus a `Die` message, under either
-//! policy. [`WorkerPool::sched_counters`] reports the local/remote
-//! split of boundary sends, and under `Stealing` steals and migrated
-//! values.
-//!
-//! Either way the protocol stays deterministic in *results* at every
-//! depth and granularity: attribute messages carry their
+//! The protocol stays deterministic in *results* at every worker count
+//! and granularity: attribute messages carry their
 //! `(ticket, region)` destination, and per-ticket result assembly
 //! merges region stores in region order — placement and machine
 //! scheduling affect timing only, never values (each attribute
@@ -205,8 +205,7 @@
 //! `(ticket, region)` order and the oldest machine runs unbudgeted),
 //! so the schedule cannot deadlock: a starved worker always drains its
 //! channel, then claims pending work, and blocks only when it can
-//! claim nothing — its own deque is empty (and, under stealing, every
-//! other).
+//! claim nothing — its own deque is empty.
 //!
 //! Use [`WorkerPool::submit`] / [`WorkerPool::collect`] to keep the
 //! window full (what `paragram-driver`'s batch driver does), or the
@@ -214,9 +213,10 @@
 
 use crate::analysis::Plans;
 use crate::eval::{EvalError, EvalPlan, VisitPrograms};
-use crate::grammar::{AttrId, AttrKind};
+use crate::grammar::AttrId;
 use crate::memo::{
-    inherited_fingerprint, InstallPolicy, MemoCache, MemoCounters, MemoEntry, MemoKey,
+    inherited_fingerprint, install_span, memo_safety, region_cacheable, whole_tree_key,
+    InstallPolicy, MemoCache, MemoCounters, MemoKey,
 };
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
@@ -230,104 +230,7 @@ use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery, JobKey};
 use super::worker::{Cut, Driver, Finished, JobResult, WorkerCore};
-
-/// Identifies one tree's pass through the pool (monotone, assigned at
-/// [`WorkerPool::submit`] time). Messages carry their ticket so the
-/// attribute exchanges of overlapping trees never interfere.
-pub type Ticket = u64;
-
-/// How the scheduler board seeds region jobs onto workers, and whether
-/// an idle worker may steal (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// The paper's fixed modular placement: region `r` of ticket `t` is
-    /// seeded onto worker `(r + offset(t)) mod W` and runs there —
-    /// nothing is stolen (a crash reseeds it, like any job).
-    #[default]
-    Fixed,
-    /// Per-worker deques with LPT seeding, parent/child co-seeding and
-    /// steal-from-the-back work stealing.
-    Stealing,
-}
-
-/// Scheduler telemetry, cumulative since pool construction or the last
-/// [`WorkerPool::reset_high_water`]. Boundary sends are counted local
-/// or remote under either [`SchedulerMode`]; `steals` and
-/// `migrated_attrs` stay zero under [`SchedulerMode::Fixed`], which
-/// never steals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedCounters {
-    /// Jobs an idle worker took from another worker's deque.
-    pub steals: u64,
-    /// Early-arrival attribute values that migrated with a stolen job.
-    pub migrated_attrs: u64,
-    /// Boundary-attribute sends whose destination job lived on the
-    /// sending worker (the co-seeding payoff).
-    pub local_sends: u64,
-    /// Boundary-attribute sends that crossed workers.
-    pub remote_sends: u64,
-}
-
-impl SchedCounters {
-    /// Fraction of boundary sends that stayed worker-local (0.0 when
-    /// none were routed).
-    pub fn locality_rate(&self) -> f64 {
-        let total = self.local_sends + self.remote_sends;
-        if total == 0 {
-            0.0
-        } else {
-            self.local_sends as f64 / total as f64
-        }
-    }
-}
-
-/// Fault-injection and recovery telemetry, cumulative since pool
-/// construction or the last [`WorkerPool::reset_high_water`]. The pool
-/// fills the crash/re-execution/duplicate/panic fields; the deadline
-/// fields belong to the serving layer (`paragram-driver`'s service
-/// queue), which merges its own counts in. The simulator's recovery
-/// mirror reports the same struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Worker/machine crashes observed (injected or real).
-    pub crashes: u64,
-    /// Region jobs reseeded onto surviving workers after a crash
-    /// (queued jobs migrate; active jobs restart from their input log).
-    pub regions_reexecuted: u64,
-    /// Duplicate boundary/root sends suppressed by content-keyed
-    /// idempotent delivery during recovery replay.
-    pub dup_suppressed: u64,
-    /// Requests shed at admission because their predicted wait already
-    /// exceeded their deadline (serving layer).
-    pub deadline_sheds: u64,
-    /// Admitted requests whose deadline expired while queued (serving
-    /// layer, enforced at dispatch time).
-    pub deadline_expired: u64,
-    /// Semantic-rule panics converted into per-ticket failures by
-    /// [`std::panic::catch_unwind`] containment.
-    pub panics_contained: u64,
-}
-
-impl FaultCounters {
-    /// Counter deltas relative to an earlier snapshot (saturating, so a
-    /// reset between snapshots reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &FaultCounters) -> FaultCounters {
-        FaultCounters {
-            crashes: self.crashes.saturating_sub(earlier.crashes),
-            regions_reexecuted: self
-                .regions_reexecuted
-                .saturating_sub(earlier.regions_reexecuted),
-            dup_suppressed: self.dup_suppressed.saturating_sub(earlier.dup_suppressed),
-            deadline_sheds: self.deadline_sheds.saturating_sub(earlier.deadline_sheds),
-            deadline_expired: self
-                .deadline_expired
-                .saturating_sub(earlier.deadline_expired),
-            panics_contained: self
-                .panics_contained
-                .saturating_sub(earlier.panics_contained),
-        }
-    }
-}
+use super::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 
 /// One ticket's evaluation failed (dependency cycle, plan
 /// inconsistency, or a contained rule panic). The pool cancels the
@@ -353,27 +256,21 @@ impl std::error::Error for TicketFailure {}
 /// Configuration for a [`WorkerPool`] — and, re-exported as
 /// `paragram_driver::DriverConfig`, for the batch driver and the
 /// service queue that own one. It holds only what a deployment
-/// chooses: the pool reads its machine mode off the plan
+/// chooses: how many threads, how to cut trees, and the memo. The
+/// pool reads its machine mode off the plan
 /// ([`EvalPlan::best_mode`]), always propagates results naively (its
-/// threads share memory; see the module docs), and splits at the
-/// grammar's own `%split` minima.
+/// threads share memory; see the module docs), splits at the grammar's
+/// own `%split` minima, places every job the paper's fixed way and
+/// keeps `TREES_PER_WORKER` trees per worker in flight.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of persistent evaluator threads — all the threads the
-    /// pool runs. Without an adaptive budget this is also the most
-    /// regions a tree is cut into (a tree whose work does not repay
-    /// shipping that many is cut into fewer, a small one not at all);
-    /// under one a tree may decompose into more regions than workers,
-    /// which then round-robin over the pool.
+    /// pool runs (a literal 0 is taken as 1). Without an adaptive
+    /// budget this is also the most regions a tree is cut into (a tree
+    /// whose work does not repay shipping that many is cut into fewer,
+    /// a small one not at all); under one a tree may decompose into
+    /// more regions than workers, which then round-robin over the pool.
     pub workers: usize,
-    /// Maximum number of trees in flight at once. Depth 1 is the strict
-    /// per-tree barrier. The constructors' default is two per worker:
-    /// a small tree is one job on one worker, so that is what keeps
-    /// every worker's next tree on its deque while it runs the
-    /// current one; for trees that are cut it lets the next tree's
-    /// region jobs fill workers idling behind the current tree's
-    /// stragglers.
-    pub pipeline_depth: usize,
     /// Cost-driven decomposition: `Some(budget)` carves every tree into
     /// regions of ≈`budget` work units (rule-cost units; see
     /// [`crate::split::decompose_adaptive`]), independent of the worker
@@ -391,42 +288,16 @@ pub struct PoolConfig {
     /// (the default), or defer to the second touch of a subtree (scan
     /// resistance).
     pub memo_install: InstallPolicy,
-    /// Region-job placement: the paper's fixed modular seeding (the
-    /// default everywhere, keeping Fig-7 schedules bit-for-bit) or the
-    /// locality-aware work-stealing scheduler. Crash recovery
-    /// ([`WorkerPool::kill_worker`]) works under either.
-    pub scheduler: SchedulerMode,
 }
 
 impl PoolConfig {
-    /// `n` workers (at least one) and the default pipeline window of
-    /// two trees per worker.
+    /// `n` workers (at least one), the default cut and no memo.
     pub fn workers(n: usize) -> Self {
-        let workers = n.max(1);
         PoolConfig {
-            workers,
-            pipeline_depth: 2 * workers,
+            workers: n.max(1),
             adaptive_budget: None,
             memo_capacity: 0,
             memo_install: InstallPolicy::Always,
-            scheduler: SchedulerMode::Fixed,
-        }
-    }
-
-    /// Same as [`PoolConfig::workers`] with the strict one-tree barrier
-    /// (pipeline depth 1).
-    pub fn barrier(n: usize) -> Self {
-        PoolConfig {
-            pipeline_depth: 1,
-            ..PoolConfig::workers(n)
-        }
-    }
-
-    /// Returns the configuration with the given in-flight window depth.
-    pub fn with_pipeline_depth(self, depth: usize) -> Self {
-        PoolConfig {
-            pipeline_depth: depth.max(1),
-            ..self
         }
     }
 
@@ -453,25 +324,6 @@ impl PoolConfig {
     pub fn with_memo_install(self, policy: InstallPolicy) -> Self {
         PoolConfig {
             memo_install: policy,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the given region-job scheduler.
-    pub fn with_scheduler(self, scheduler: SchedulerMode) -> Self {
-        PoolConfig { scheduler, ..self }
-    }
-
-    /// The effective configuration: zero worker or window counts are
-    /// meaningless, so both clamp to 1. [`WorkerPool::new`] normalizes
-    /// at construction, which keeps accessors like
-    /// [`WorkerPool::pipeline_depth`] truthful even for a literal
-    /// `PoolConfig { pipeline_depth: 0, .. }` that bypassed
-    /// [`PoolConfig::with_pipeline_depth`].
-    pub fn normalized(self) -> Self {
-        PoolConfig {
-            workers: self.workers.max(1),
-            pipeline_depth: self.pipeline_depth.max(1),
             ..self
         }
     }
@@ -635,40 +487,6 @@ struct WorkerCtx<V: AttrValue> {
     panics_contained: Arc<AtomicU64>,
 }
 
-/// Per-symbol memoization safety: a split symbol is memo-safe iff no
-/// inherited attribute of the symbol may (transitively) depend on a
-/// synthesized attribute of the *same* occurrence. A probe holds a leaf
-/// region's synthesized outputs back until every inherited input has
-/// arrived; if the parent needed one of those outputs to compute a
-/// later inherited input, probe and parent would deadlock. The induced
-/// dependency relation is exactly the may-depend closure, so its
-/// absence makes the hold-back safe in both machine modes. Grammars the
-/// fixpoint rejects (cyclic — dynamic-mode only) get no safe symbols.
-fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
-    let g = plan.grammar();
-    let Ok(deps) = crate::analysis::induced_deps(g.as_ref()) else {
-        return vec![false; g.symbols().len()];
-    };
-    g.symbols()
-        .iter()
-        .enumerate()
-        .map(|(si, sym)| {
-            let rel = &deps.ids[si];
-            for (a, aa) in sym.attrs.iter().enumerate() {
-                if aa.kind != AttrKind::Syn {
-                    continue;
-                }
-                for (b, ba) in sym.attrs.iter().enumerate() {
-                    if ba.kind == AttrKind::Inh && rel.has(a, b) {
-                        return false;
-                    }
-                }
-            }
-            true
-        })
-        .collect()
-}
-
 /// The pool's hand-off floor: the least estimated work (rule-cost
 /// units, [`EvalPlan::tree_work`]) a region must carry before it repays
 /// shipping it to another worker — a channel hop per boundary value, a
@@ -691,6 +509,15 @@ fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
 /// want a tree cut into regions cost their rules in multiples of this.
 pub const MIN_REGION_WORK: u64 = 10_000;
 
+/// The pool's in-flight window, per worker: [`WorkerPool::submit`]
+/// retires the oldest tree before it lets more than `TREES_PER_WORKER
+/// × workers` be in flight. Two, because a small tree is one job on one
+/// worker: with two per worker the next tree already waits on the
+/// worker's deque when it finishes the current one (see the module
+/// docs for the measurement). A constant, not a setting: to measure
+/// another window, change it here.
+const TREES_PER_WORKER: usize = 2;
+
 /// How many regions the default cut asks the decomposition for on a
 /// tree of `tree_work` units over `n` workers: at most `n`, and no more
 /// than the tree has multiples of [`MIN_REGION_WORK`].
@@ -700,7 +527,7 @@ fn regions_worth_shipping(n: usize, tree_work: u64) -> usize {
 }
 
 /// The pool's scheduler board, shared by the pool and its workers
-/// under one mutex so every seed / claim / steal / route / recover
+/// under one mutex so every seed / claim / route / recover
 /// decision is atomic.
 type PoolBoard<V> = Mutex<Board<V, JobData<V>>>;
 
@@ -723,9 +550,11 @@ impl<V: AttrValue> WorkerPool<V> {
     /// l-ordered, dynamic otherwise) with naive propagation: a value
     /// crosses a region boundary as it is.
     pub fn new(plan: &Arc<EvalPlan<V>>, config: PoolConfig) -> Self {
-        let config = config.normalized();
+        let config = PoolConfig {
+            workers: config.workers.max(1),
+            ..config
+        };
         let workers = config.workers;
-        let depth = config.pipeline_depth;
         let split = SplitTable::new(plan.grammar().as_ref(), 1.0);
         let memo = (config.memo_capacity > 0).then(|| {
             Arc::new(MemoCache::with_install_policy(
@@ -738,7 +567,7 @@ impl<V: AttrValue> WorkerPool<V> {
         } else {
             Vec::new()
         });
-        let board = Arc::new(Mutex::new(Board::new(workers, config.scheduler)));
+        let board = Arc::new(Mutex::new(Board::new(workers, SchedulerMode::Fixed)));
         let panics_contained = Arc::new(AtomicU64::new(0));
 
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
@@ -771,7 +600,7 @@ impl<V: AttrValue> WorkerPool<V> {
             parser_rx,
             handles,
             next_ticket: 0,
-            in_flight: VecDeque::with_capacity(depth),
+            in_flight: VecDeque::with_capacity(TREES_PER_WORKER * workers),
             ready: VecDeque::new(),
             max_in_flight: 0,
             max_regions_in_flight: 0,
@@ -787,9 +616,10 @@ impl<V: AttrValue> WorkerPool<V> {
         self.config.workers
     }
 
-    /// The configured in-flight window depth.
+    /// The in-flight window: at most this many trees evaluate at once,
+    /// two per worker.
     pub fn pipeline_depth(&self) -> usize {
-        self.config.pipeline_depth
+        TREES_PER_WORKER * self.config.workers
     }
 
     /// Trees currently submitted but not yet collected (evaluating or
@@ -869,9 +699,8 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Scheduler telemetry since construction or the last
     /// [`WorkerPool::reset_high_water`]: the local/remote split of
-    /// boundary sends under either [`SchedulerMode`], and steals and
-    /// migrated values, which stay zero under
-    /// [`SchedulerMode::Fixed`].
+    /// boundary sends. Steals and migrated values read zero: the pool
+    /// places fixed.
     pub fn sched_counters(&self) -> SchedCounters {
         lock(&self.board).sched_counters()
     }
@@ -932,7 +761,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// contained rule panic) surfaces as a [`TicketFailure`] in
     /// submission order; the pool itself stays fully usable.
     pub fn submit(&mut self, tree: &Arc<ParseTree<V>>) -> Ticket {
-        while self.in_flight.len() >= self.config.pipeline_depth {
+        while self.in_flight.len() >= self.pipeline_depth() {
             let retired = self.retire_front();
             self.ready.push_back(retired);
         }
@@ -961,10 +790,9 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Seeds one ticket's jobs — its regions', or its one whole-tree
-    /// job — onto the scheduler board (modular from the ticket under
-    /// `Fixed`, LPT with parent/child co-seeding under `Stealing`),
-    /// then wakes the workers that may claim them — the board records
-    /// every job before any of them can look.
+    /// job — onto the scheduler board, modular from the ticket, then
+    /// wakes each job's home once: no other worker may claim them, and
+    /// the board records every job before any of them can look.
     fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, cut: &Cut<V>) {
         let decomp = cut.regions();
         let work: Vec<u64> = match decomp {
@@ -973,19 +801,17 @@ impl<V: AttrValue> WorkerPool<V> {
                 .collect(),
             None => vec![self.plan.tree_work(tree).max(1)],
         };
-        let wake = {
-            let mut board = lock(&self.board);
-            let homes = board.seed(
-                ticket,
-                ticket as usize,
-                &work,
-                |r| decomp.and_then(|d| d.regions[r as usize].parent),
-                |_| (Arc::clone(tree), cut.clone()),
-            );
-            board.wake_set(&homes)
-        };
+        let mut homes = lock(&self.board).seed(
+            ticket,
+            ticket as usize,
+            &work,
+            |r| decomp.and_then(|d| d.regions[r as usize].parent),
+            |_| (Arc::clone(tree), cut.clone()),
+        );
+        homes.sort_unstable();
+        homes.dedup();
         // Killed workers' channels may be gone — that's fine.
-        for w in wake {
+        for w in homes {
             let _ = self.worker_txs[w].send(WorkerMsg::Wake);
         }
     }
@@ -1035,9 +861,9 @@ impl<V: AttrValue> WorkerPool<V> {
         newly
     }
 
-    /// Evaluates one tree on the pool, start to finish (the one-shot
-    /// path single-tree drivers use; on a [`PoolConfig::barrier`] pool
-    /// it is the paper's single compilation).
+    /// Evaluates one tree on the pool, start to finish — alone, so the
+    /// paper's single compilation (the one-shot path single-tree
+    /// drivers use).
     ///
     /// # Panics
     ///
@@ -1241,9 +1067,9 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
-    /// live counterpart of the simulator's crash schedule), under
-    /// either [`SchedulerMode`]: the scheduler board is the recovery
-    /// substrate of both. Returns `false` for an out-of-range index,
+    /// live counterpart of the simulator's crash schedule): the
+    /// scheduler board is the recovery substrate of both. Returns
+    /// `false` for an out-of-range index,
     /// for an already-dead worker, or when it is the last worker alive.
     ///
     /// Recovery is the board's crash transition, under the scheduler
@@ -1293,102 +1119,11 @@ impl<V: AttrValue> std::fmt::Debug for WorkerPool<V> {
             f,
             "WorkerPool({} workers, depth {}, next ticket {}, {} in flight)",
             self.config.workers,
-            self.config.pipeline_depth,
+            self.pipeline_depth(),
             self.next_ticket,
             self.in_flight.len()
         )
     }
-}
-
-/// Decides whether `region` of `tree` is memoizable, and under what
-/// signature inputs. Cacheable regions are **leaf** regions (no
-/// boundary children — their owned span is their whole subtree and
-/// their only external inputs are the root's inherited values) whose
-/// root symbol is memo-safe (see [`memo_safety`]; the tree root is
-/// trivially safe, it awaits nothing) and whose subtree hash is exact.
-/// Returns the region root, its subtree hash, and the root inherited
-/// attributes in ascending `AttrId` order (the fingerprint order both
-/// the probe and the retire-time install use).
-pub(super) fn region_cacheable<V: AttrValue>(
-    plan: &EvalPlan<V>,
-    memo_safe: &[bool],
-    tree: &ParseTree<V>,
-    decomp: &Decomposition,
-    region: RegionId,
-) -> Option<(NodeId, u64, Vec<AttrId>)> {
-    let map = decomp.slot_map();
-    if map.total_slots(region) != map.owned_slots(region) {
-        return None; // boundary children: an interior region
-    }
-    let root = decomp.regions[region as usize].root;
-    let root_sym = plan.grammar().prod(tree.node(root).prod).lhs;
-    if root != tree.root() && !memo_safe.get(root_sym.0 as usize).copied().unwrap_or(false) {
-        return None;
-    }
-    let subtree = tree.subtree_hash(root)?;
-    let mut inh: Vec<AttrId> = if root == tree.root() {
-        Vec::new() // machines await no inherited values at the tree root
-    } else {
-        plan.inh_attrs(root_sym).to_vec()
-    };
-    inh.sort_unstable_by_key(|a| a.0);
-    Some((root, subtree, inh))
-}
-
-/// The memo key of a tree that is one whole-tree job — what
-/// [`region_cacheable`] and the probe give the lone region of an
-/// unsplit decomposition: the root's subtree hash (`None` when it is
-/// inexact: uncacheable) under the fingerprint of no inherited values,
-/// the tree root awaiting none.
-pub(super) fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
-    Some(MemoKey {
-        subtree: tree.subtree_hash(tree.root())?,
-        inherited: inherited_fingerprint(std::iter::empty::<&V>())?,
-    })
-}
-
-/// Deposits the evaluated span of the subtree at `root` (read through
-/// `get`) under `key`, unless the cache holds it already. Spans are
-/// extracted in *preorder* of the subtree — arena ids are
-/// builder-dependent, preorder is not.
-pub(super) fn install_span<'s, V: AttrValue + 's>(
-    memo: &MemoCache<V>,
-    tree: &ParseTree<V>,
-    root: NodeId,
-    key: MemoKey,
-    get: impl Fn(NodeId, AttrId) -> Option<&'s V>,
-) {
-    if memo.contains(key) {
-        return;
-    }
-    let g = tree.grammar();
-    let mut span = Vec::new();
-    let mut bytes = 0usize;
-    for n in tree.subtree(root) {
-        let sym = g.prod(tree.node(n).prod).lhs;
-        for a in 0..g.attr_count(sym) {
-            let v = get(n, AttrId(a as u32)).cloned();
-            if let Some(v) = &v {
-                // A value that is not fingerprintable — its type has
-                // no content hash — is one the memo cannot vouch for
-                // under another ticket. Skip the whole span.
-                if !v.is_fingerprintable() {
-                    return;
-                }
-                bytes += v.wire_size();
-            }
-            span.push(v);
-        }
-    }
-    memo.insert(
-        key,
-        MemoEntry {
-            span,
-            nodes: tree.subtree_size(root) as u32,
-            root_prod: tree.node(root).prod,
-            bytes,
-        },
-    );
 }
 
 /// The persistent worker loop: a thread driving its [`WorkerCore`].
@@ -1405,9 +1140,9 @@ pub(super) fn install_span<'s, V: AttrValue + 's>(
 /// adaptive granularity one worker can host parent and child regions of
 /// one ticket — but every send goes through a channel, self-sends
 /// included, so the poll delivers them.) With every machine starved
-/// the worker claims pending work — its own deque's front, else under
-/// stealing a steal; threads have no transfer cost to weigh, so every
-/// pending job is eligible — and blocks only when there is none.
+/// the worker claims pending work — its own deque's front; threads
+/// have no transfer cost to weigh, so it is always eligible — and
+/// blocks only when there is none.
 fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
     loop {
         if !core.drive(&mut ctx) {
@@ -1467,8 +1202,8 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
     /// the value and names the job's current worker (or says nothing
     /// must be sent — the job finished, or a re-executed producer is
     /// replaying this value), and [`Board::deliver`] on that worker's
-    /// behalf either attaches the value to the still-queued job (so a
-    /// claim — or a steal — takes it along) or hands it back for a
+    /// behalf either attaches the value to the still-queued job (so its
+    /// claim takes it along) or hands it back for a
     /// channel send to the worker that claimed it.
     fn send(&mut self, _from: JobKey, to: JobKey, node: NodeId, attr: AttrId, value: V) {
         let dest = {
@@ -1696,9 +1431,9 @@ pub(super) mod tests {
     fn pipelined_submit_collect_preserves_order_and_results() {
         let sizes = [48usize, 5, 33, 17, 64, 2, 21];
         let (trees, plan, out) = fixture_trees(&sizes);
-        for depth in [1usize, 2, 4] {
-            let mut pool =
-                WorkerPool::new(&plan, PoolConfig::workers(3).with_pipeline_depth(depth));
+        for workers in [1usize, 2, 3] {
+            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(workers));
+            let depth = pool.pipeline_depth();
             let mut reports = Vec::new();
             for tree in &trees {
                 pool.submit(tree);
@@ -1720,7 +1455,7 @@ pub(super) mod tests {
                     .unwrap();
                 assert!(
                     root_rope(report, out).content_eq(&want),
-                    "depth={depth} tree {i}"
+                    "workers={workers} depth={depth} tree {i}"
                 );
                 assert_eq!(report.store.filled(), report.store.len());
             }
@@ -1758,13 +1493,13 @@ pub(super) mod tests {
         let sizes = [120usize, 7, 64, 3, 96];
         let (trees, plan, out) = fixture_trees(&sizes);
         let budget = (plan.tree_work(&trees[0]) / 6).max(1);
-        for depth in [1usize, 2, 4] {
+        // One and two workers: windows of two and four trees.
+        for workers in [1usize, 2] {
             let mut pool = WorkerPool::new(
                 &plan,
-                PoolConfig::workers(2)
-                    .with_adaptive_budget(budget)
-                    .with_pipeline_depth(depth),
+                PoolConfig::workers(workers).with_adaptive_budget(budget),
             );
+            let depth = pool.pipeline_depth();
             for tree in &trees {
                 pool.submit(tree);
             }
@@ -1795,17 +1530,16 @@ pub(super) mod tests {
     #[test]
     fn literal_zero_config_is_normalized_at_construction() {
         let (tree, plan, out) = fixture(16);
-        // Bypass the builder helpers entirely: a literal config with
-        // meaningless zeros must still come out clamped, and the
+        // Bypass the constructor entirely: a literal config with a
+        // meaningless zero must still come out clamped, and the
         // accessors must report the *effective* values.
         let config = PoolConfig {
             workers: 0,
-            pipeline_depth: 0,
             ..PoolConfig::workers(2)
         };
         let mut pool = WorkerPool::new(&plan, config);
         assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.pipeline_depth(), 1);
+        assert_eq!(pool.pipeline_depth(), 2);
         let report = pool.eval(&tree).unwrap();
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         let want = dstore
@@ -1818,7 +1552,7 @@ pub(super) mod tests {
     #[test]
     fn high_water_marks_reset_between_batches() {
         let (trees, plan, _) = fixture_trees(&[24, 24, 24]);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_pipeline_depth(2));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(1));
         for tree in &trees {
             pool.submit(tree);
         }
@@ -1837,7 +1571,7 @@ pub(super) mod tests {
     fn poll_drains_completions_without_blocking() {
         let sizes = [40usize, 9, 24];
         let (trees, plan, out) = fixture_trees(&sizes);
-        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_pipeline_depth(4));
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
         for tree in &trees {
             pool.submit(tree);
         }
@@ -1901,23 +1635,19 @@ pub(super) mod tests {
 
     /// A cyclic tree fails its own ticket, in submission order, and the
     /// pool keeps serving.
-    fn failed_ticket_case(workers: usize, scheduler: SchedulerMode) {
-        let what = format!("{workers} workers, {scheduler:?}");
+    fn failed_ticket_case(workers: usize) {
+        let what = format!("{workers} workers");
         let (good, bad, plan, out) = cyclic_fixture();
         // The cyclic grammar is not statically ordered; the pool runs
         // it in dynamic mode.
         assert!(plan.plans().is_none());
-        let config = PoolConfig::workers(workers)
-            .with_pipeline_depth(1)
-            .with_scheduler(scheduler);
-        let mut pool = WorkerPool::new(&plan, config);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(workers));
         for tree in &good {
             pool.submit(tree);
         }
         let bad_ticket = pool.submit(&bad);
         // Submitting past the failure works: the cyclic tree fails only
-        // its own ticket (under stealing its jobs are cancelled across
-        // every deque), it does not poison the pool.
+        // its own ticket, it does not poison the pool.
         let extra_ticket = pool.submit(&good[0]);
         // Results surface in submission order: the successes, then the
         // failure, then the post-failure success.
@@ -1951,7 +1681,7 @@ pub(super) mod tests {
     #[test]
     fn failed_ticket_surfaces_in_order_and_pool_stays_usable() {
         for workers in [1, 2, 8] {
-            failed_ticket_case(workers, SchedulerMode::Fixed);
+            failed_ticket_case(workers);
         }
     }
 
@@ -2107,119 +1837,34 @@ pub(super) mod tests {
         assert!(pool.memo_counters().is_none());
     }
 
-    #[test]
-    fn stealing_matches_sequential_across_workers_and_depths() {
-        let sizes = [96usize, 5, 33, 17, 64, 2, 21, 48];
-        let (trees, plan, out) = fixture_trees(&sizes);
-        for workers in [1usize, 2, 4] {
-            for depth in [1usize, 2, 4] {
-                let mut pool = WorkerPool::new(
-                    &plan,
-                    PoolConfig::workers(workers)
-                        .with_pipeline_depth(depth)
-                        .with_scheduler(SchedulerMode::Stealing),
-                );
-                for tree in &trees {
-                    pool.submit(tree);
-                }
-                let mut reports = Vec::new();
-                while let Some(r) = pool.collect().map(|r| r.expect("evaluation succeeds")) {
-                    reports.push(r);
-                }
-                assert_eq!(reports.len(), trees.len());
-                for (i, (tree, report)) in trees.iter().zip(&reports).enumerate() {
-                    assert_eq!(report.ticket, i as Ticket, "reports in submission order");
-                    let (dstore, _) = dynamic_eval(tree).unwrap();
-                    let want = dstore
-                        .get(tree.root(), out)
-                        .and_then(|v| v.as_rope().cloned())
-                        .unwrap();
-                    assert!(
-                        root_rope(report, out).content_eq(&want),
-                        "workers={workers} depth={depth} tree {i}"
-                    );
-                    assert_eq!(report.store.filled(), report.store.len());
-                }
-            }
-        }
-    }
-
+    /// The steal counters stay on the pool's report, and read zero:
+    /// modular seeding never steals, so nothing migrates.
     #[test]
     fn stealing_counters_are_reported_and_reset() {
         let sizes = [64usize, 48, 33, 21, 96, 17];
         let (trees, plan, _) = fixture_trees(&sizes);
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
-            for tree in &trees {
-                pool.submit(tree);
-            }
-            while let Some(r) = pool.collect() {
-                let report = r.expect("evaluation succeeds");
-                assert!(
-                    report.regions > 1,
-                    "{scheduler:?} ticket {}: tree was split",
-                    report.ticket
-                );
-            }
-            let c = pool.sched_counters();
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
+        for tree in &trees {
+            pool.submit(tree);
+        }
+        while let Some(r) = pool.collect() {
+            let report = r.expect("evaluation succeeds");
             assert!(
-                c.local_sends + c.remote_sends > 0,
-                "{scheduler:?}: boundary sends were classified ({c:?})"
+                report.regions > 1,
+                "ticket {}: tree was split",
+                report.ticket
             );
-            assert!(c.locality_rate() >= 0.0 && c.locality_rate() <= 1.0);
-            if scheduler == SchedulerMode::Fixed {
-                // Modular seeding never steals, so nothing migrates.
-                assert_eq!((c.steals, c.migrated_attrs), (0, 0), "{c:?}");
-            }
-            // `reset_high_water` covers the scheduler telemetry too.
-            pool.reset_high_water();
-            assert_eq!(pool.sched_counters(), SchedCounters::default());
         }
-    }
-
-    #[test]
-    fn stealing_keeps_memo_probing_jobs_correct() {
-        // Probing jobs park on a memo probe until their boundary
-        // attributes arrive; under stealing those arrive through the
-        // job-location table (possibly before activation). The replay
-        // must still be value-identical.
-        let items: Vec<i64> = (0..24).map(|i| i * 3 + 1).collect();
-        let (t1, plan, out) = memo_fixture(7, &items);
-        let (t2, _, _) = memo_fixture(7, &items);
-        let mut pool = WorkerPool::new(
-            &plan,
-            PoolConfig::workers(2)
-                .with_memo_capacity(1 << 20)
-                .with_scheduler(SchedulerMode::Stealing),
+        let c = pool.sched_counters();
+        assert!(
+            c.local_sends + c.remote_sends > 0,
+            "boundary sends were classified ({c:?})"
         );
-        let r1 = pool.eval(&t1).unwrap();
-        let r2 = pool.eval(&t2).unwrap();
-        let c = pool.memo_counters().unwrap();
-        assert!(c.hits >= 1, "identical tree replays under stealing ({c:?})");
-        assert_eq!(
-            r1.root_values.iter().find(|(a, _)| *a == out),
-            r2.root_values.iter().find(|(a, _)| *a == out),
-        );
-        let (dstore, _) = dynamic_eval(&t2).unwrap();
-        let g = t2.grammar();
-        for node in t2.node_ids() {
-            let sym = g.prod(t2.node(node).prod).lhs;
-            for a in 0..g.attr_count(sym) {
-                let attr = AttrId(a as u32);
-                assert_eq!(
-                    r2.store.get(node, attr),
-                    dstore.get(node, attr),
-                    "node={node:?} attr={attr:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_failed_ticket_surfaces_in_order_and_pool_stays_usable() {
-        for workers in [1, 2, 8] {
-            failed_ticket_case(workers, SchedulerMode::Stealing);
-        }
+        assert!(c.locality_rate() >= 0.0 && c.locality_rate() <= 1.0);
+        assert_eq!((c.steals, c.migrated_attrs), (0, 0), "{c:?}");
+        // `reset_high_water` covers the scheduler telemetry too.
+        pool.reset_high_water();
+        assert_eq!(pool.sched_counters(), SchedCounters::default());
     }
 
     #[test]
@@ -2255,98 +1900,74 @@ pub(super) mod tests {
         };
         // These two-node trees are whole-tree jobs: the containment
         // under test is the one around the static evaluation.
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            for workers in [1, 2, 8] {
-                let what = format!("{workers} workers, {scheduler:?}");
-                let mut pool = WorkerPool::new(
-                    &plan,
-                    PoolConfig::workers(workers).with_scheduler(scheduler),
-                );
-                let good = mk(ok);
-                pool.submit(&good);
-                let bad_ticket = pool.submit(&mk(boom));
-                pool.submit(&good);
-                let mut outcomes = Vec::new();
-                while let Some(r) = pool.collect() {
-                    outcomes.push(r);
-                }
-                assert_eq!(outcomes.len(), 3, "{what}");
-                let first = outcomes[0].as_ref().unwrap();
-                assert_eq!(first.root_values, vec![(out, 101i64)], "{what}");
-                assert_eq!(first.regions, 1, "{what}: a whole-tree job");
-                let failure = outcomes[1].as_ref().err().expect("marker tree panics");
-                assert_eq!(failure.ticket, bad_ticket, "{what}");
-                let EvalError::RulePanic { message } = &failure.error else {
-                    panic!("{what}: expected RulePanic, got {failure:?}");
-                };
-                assert!(
-                    message.contains("rule exploded"),
-                    "{what}: panic message survives: {message}"
-                );
-                assert_eq!(
-                    outcomes[2].as_ref().unwrap().root_values,
-                    vec![(out, 101i64)],
-                    "{what}"
-                );
-                assert_eq!(pool.fault_counters().panics_contained, 1, "{what}");
-                // The pool is still healthy for later one-shot work.
-                let r = pool.eval(&good).unwrap();
-                assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
-                // The panic was contained outside the shared lock.
-                assert!(!pool.board.is_poisoned(), "{what}: board lock");
+        for workers in [1, 2, 8] {
+            let what = format!("{workers} workers");
+            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(workers));
+            let good = mk(ok);
+            pool.submit(&good);
+            let bad_ticket = pool.submit(&mk(boom));
+            pool.submit(&good);
+            let mut outcomes = Vec::new();
+            while let Some(r) = pool.collect() {
+                outcomes.push(r);
             }
+            assert_eq!(outcomes.len(), 3, "{what}");
+            let first = outcomes[0].as_ref().unwrap();
+            assert_eq!(first.root_values, vec![(out, 101i64)], "{what}");
+            assert_eq!(first.regions, 1, "{what}: a whole-tree job");
+            let failure = outcomes[1].as_ref().err().expect("marker tree panics");
+            assert_eq!(failure.ticket, bad_ticket, "{what}");
+            let EvalError::RulePanic { message } = &failure.error else {
+                panic!("{what}: expected RulePanic, got {failure:?}");
+            };
+            assert!(
+                message.contains("rule exploded"),
+                "{what}: panic message survives: {message}"
+            );
+            assert_eq!(
+                outcomes[2].as_ref().unwrap().root_values,
+                vec![(out, 101i64)],
+                "{what}"
+            );
+            assert_eq!(pool.fault_counters().panics_contained, 1, "{what}");
+            // The pool is still healthy for later one-shot work.
+            let r = pool.eval(&good).unwrap();
+            assert_eq!(r.root_values, vec![(out, 101i64)], "{what}");
+            // The panic was contained outside the shared lock.
+            assert!(!pool.board.is_poisoned(), "{what}: board lock");
         }
     }
 
     #[test]
-    fn kill_worker_recovers_under_either_scheduler() {
+    fn kill_worker_refuses_bad_victims_and_the_survivor_evaluates() {
         let (tree, plan, _) = fixture(16);
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
-            assert!(!pool.kill_worker(7), "{scheduler:?}: out of range");
-            assert!(pool.kill_worker(1), "{scheduler:?}");
-            assert!(!pool.kill_worker(1), "{scheduler:?}: already dead");
-            assert!(
-                !pool.kill_worker(0),
-                "{scheduler:?}: the last survivor is spared"
-            );
-            // One survivor still evaluates correctly — under `Fixed`,
-            // every region whose home is dead is seeded onto it.
-            let r = pool.eval(&tree).unwrap();
-            assert_eq!(r.regions, 2, "{scheduler:?}");
-            assert_eq!(r.store.filled(), r.store.len(), "{scheduler:?}");
-            assert_eq!(pool.fault_counters().crashes, 1, "{scheduler:?}");
-        }
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
+        assert!(!pool.kill_worker(7), "out of range");
+        assert!(pool.kill_worker(1));
+        assert!(!pool.kill_worker(1), "already dead");
+        assert!(!pool.kill_worker(0), "the last survivor is spared");
+        // One survivor still evaluates correctly: every region whose
+        // home is dead is seeded onto it.
+        let r = pool.eval(&tree).unwrap();
+        assert_eq!(r.regions, 2);
+        assert_eq!(r.store.filled(), r.store.len());
+        assert_eq!(pool.fault_counters().crashes, 1);
     }
 
     #[test]
     fn killed_worker_recovers_regions_and_outputs_stay_identical() {
+        // Four workers: a window of eight trees, the whole stream.
         let sizes = [96usize, 64, 80, 72, 88, 56, 100, 48];
         let (trees, plan, out) = fixture_trees(&sizes);
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            killed_worker_case(&trees, &plan, out, scheduler);
-        }
-    }
-
-    fn killed_worker_case(
-        trees: &[Arc<ParseTree<Value>>],
-        plan: &Arc<EvalPlan<Value>>,
-        out: AttrId,
-        scheduler: SchedulerMode,
-    ) {
-        let mut pool = WorkerPool::new(
-            plan,
-            PoolConfig::workers(3)
-                .with_pipeline_depth(trees.len())
-                .with_scheduler(scheduler),
-        );
-        for tree in trees {
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(4));
+        assert_eq!(pool.pipeline_depth(), trees.len());
+        for tree in &trees {
             pool.submit(tree);
         }
         // Crash one worker while the whole stream is in flight: its
         // queued jobs migrate, its active jobs re-execute from their
         // input logs on the survivors.
-        assert!(pool.kill_worker(1), "{scheduler:?}");
+        assert!(pool.kill_worker(1));
         let mut reports = Vec::new();
         while let Some(r) = pool.collect() {
             reports.push(r.expect("recovery completes every tree"));
@@ -2361,17 +1982,14 @@ pub(super) mod tests {
                 .unwrap();
             assert!(
                 root_rope(report, out).content_eq(&want),
-                "{scheduler:?} tree {i}: output identical to fault-free evaluation"
+                "tree {i}: output identical to fault-free evaluation"
             );
             assert_eq!(report.store.filled(), report.store.len());
         }
         let f = pool.fault_counters();
         assert_eq!(f.crashes, 1);
-        assert!(
-            f.regions_reexecuted > 0,
-            "{scheduler:?}: lost regions were reseeded {f:?}"
-        );
-        // The two survivors keep serving new work.
+        assert!(f.regions_reexecuted > 0, "lost regions were reseeded {f:?}");
+        // The three survivors keep serving new work.
         let r = pool.eval(&trees[0]).unwrap();
         let (dstore, _) = dynamic_eval(&trees[0]).unwrap();
         let want = dstore
@@ -2442,15 +2060,11 @@ pub(super) mod tests {
         let want_root = want.get(t1.root(), out).unwrap();
         let budget = (plan.tree_work(&t1) / 12).max(1);
         for (workers, adaptive_budget) in [(2, None), (8, None), (2, Some(budget))] {
-            for (depth, memo) in [(1, 0), (1, 1 << 28), (2, 0), (2, 1 << 28)] {
-                let what = format!(
-                    "{workers} workers, budget {adaptive_budget:?} depth {depth} memo {memo}"
-                );
+            for memo in [0, 1 << 28] {
+                let what = format!("{workers} workers, budget {adaptive_budget:?} memo {memo}");
                 let config = PoolConfig {
                     adaptive_budget,
-                    ..PoolConfig::workers(workers)
-                        .with_pipeline_depth(depth)
-                        .with_memo_capacity(memo)
+                    ..PoolConfig::workers(workers).with_memo_capacity(memo)
                 };
                 let mut pool = WorkerPool::new(&plan, config);
                 if let Some(budget) = adaptive_budget {
@@ -2466,14 +2080,17 @@ pub(super) mod tests {
                     let deepest = (0..d.len() as RegionId).map(nesting).max().unwrap();
                     assert!(deepest >= 3, "{what}: regions nest {deepest} deep");
                 }
-                // The third submission finds the first retired (its
-                // spans installed) at either window depth.
-                for tree in [&t1, &t2, &t1] {
+                // The first tree retires (its spans installed) before
+                // the other two are submitted, so the third can replay.
+                let mut reports = vec![pool.eval(&t1).expect("evaluation succeeds")];
+                for tree in [&t2, &t1] {
                     pool.submit(tree);
                 }
+                reports.extend(
+                    std::iter::from_fn(|| pool.collect()).map(|r| r.expect("evaluation succeeds")),
+                );
                 let mut retired = 0;
-                while let Some(report) = pool.collect() {
-                    let report = report.expect("evaluation succeeds");
+                for report in reports {
                     retired += 1;
                     if adaptive_budget.is_none() {
                         assert_eq!(report.regions, workers, "{what}: one region per machine")
@@ -2525,8 +2142,8 @@ pub(super) mod tests {
 
     /// A tree below the hand-off floor is one whole-tree job: one region
     /// — and the store and root values of the sequential static
-    /// evaluator, at every worker count, window depth, scheduler and
-    /// memo setting.
+    /// evaluator, at every worker count (so window depth) and memo
+    /// setting.
     #[test]
     fn one_region_tickets_are_whole_tree_jobs_identical_to_static_eval() {
         let sizes = [40usize, 1, 0, 25, 7, 40, 12, 25, 3, 40];
@@ -2536,57 +2153,47 @@ pub(super) mod tests {
             .iter()
             .map(|t| crate::eval::static_eval(t, plans).unwrap())
             .collect();
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            for workers in [1usize, 2, 8] {
-                for depth in [1usize, 2, 4, 8] {
-                    for memo in [0usize, 1 << 20] {
-                        let what =
-                            format!("{scheduler:?} workers={workers} depth={depth} memo={memo}");
-                        let mut pool = WorkerPool::new(
-                            &plan,
-                            PoolConfig::workers(workers)
-                                .with_pipeline_depth(depth)
-                                .with_scheduler(scheduler)
-                                .with_memo_capacity(memo),
-                        );
-                        let mut reports = Vec::new();
-                        for tree in &trees {
-                            pool.submit(tree);
-                            reports.extend(std::iter::from_fn(|| pool.take_ready()));
-                        }
-                        reports.extend(std::iter::from_fn(|| pool.collect()));
-                        assert_eq!(reports.len(), trees.len(), "{what}");
-                        for (i, report) in reports.into_iter().enumerate() {
-                            let what = format!("{what} tree {i}");
-                            let report = report.expect("evaluation succeeds");
-                            let (want_store, want_stats) = &want[i];
-                            assert_eq!(report.ticket, i as Ticket, "{what}");
-                            assert_eq!(report.regions, 1, "{what}");
-                            assert_stores_equal(&trees[i], &report.store, want_store, &what);
-                            let root = want_store.get(trees[i].root(), out).unwrap();
-                            assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
-                            // A replayed tree applies no rule; an
-                            // evaluated one applies the sequential
-                            // evaluator's.
-                            assert!(
-                                report.stats == *want_stats
-                                    || (memo > 0 && report.stats == EvalStats::default()),
-                                "{what}: {:?}",
-                                report.stats
-                            );
-                        }
-                        assert_idle_and_quiescent(&pool, &what);
-                        if memo > 0 {
-                            // 40, 25 and 40 again: the repeats can hit
-                            // (whether they do depends on whether the
-                            // first has retired), everything else
-                            // misses once.
-                            let c = pool.memo_counters().unwrap();
-                            assert_eq!(c.hits + c.misses, sizes.len() as u64, "{what}: {c:?}");
-                            assert_eq!(c.inserts, 7, "{what}: one per distinct tree {c:?}");
-                            assert!(c.hits <= 3, "{what}: {c:?}");
-                        }
-                    }
+        for workers in [1usize, 2, 8] {
+            for memo in [0usize, 1 << 20] {
+                let what = format!("workers={workers} memo={memo}");
+                let mut pool =
+                    WorkerPool::new(&plan, PoolConfig::workers(workers).with_memo_capacity(memo));
+                let mut reports = Vec::new();
+                for tree in &trees {
+                    pool.submit(tree);
+                    reports.extend(std::iter::from_fn(|| pool.take_ready()));
+                }
+                reports.extend(std::iter::from_fn(|| pool.collect()));
+                assert_eq!(reports.len(), trees.len(), "{what}");
+                for (i, report) in reports.into_iter().enumerate() {
+                    let what = format!("{what} tree {i}");
+                    let report = report.expect("evaluation succeeds");
+                    let (want_store, want_stats) = &want[i];
+                    assert_eq!(report.ticket, i as Ticket, "{what}");
+                    assert_eq!(report.regions, 1, "{what}");
+                    assert_stores_equal(&trees[i], &report.store, want_store, &what);
+                    let root = want_store.get(trees[i].root(), out).unwrap();
+                    assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
+                    // A replayed tree applies no rule; an
+                    // evaluated one applies the sequential
+                    // evaluator's.
+                    assert!(
+                        report.stats == *want_stats
+                            || (memo > 0 && report.stats == EvalStats::default()),
+                        "{what}: {:?}",
+                        report.stats
+                    );
+                }
+                assert_idle_and_quiescent(&pool, &what);
+                if memo > 0 {
+                    // 40, 25 and 40 again: the repeats can hit
+                    // (whether they do depends on whether the
+                    // first has retired), everything else
+                    // misses once.
+                    let c = pool.memo_counters().unwrap();
+                    assert_eq!(c.hits + c.misses, sizes.len() as u64, "{what}: {c:?}");
+                    assert_eq!(c.inserts, 7, "{what}: one per distinct tree {c:?}");
+                    assert!(c.hits <= 3, "{what}: {c:?}");
                 }
             }
         }
@@ -2597,48 +2204,37 @@ pub(super) mod tests {
     /// probed, hit, replayed, not installed again.
     #[test]
     fn repeated_one_region_trees_hit_the_memo_like_a_root_region() {
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            // Built independently: distinct arenas, equal hashes.
-            let (t1, plan, out) = memo_fixture(7, &[5]);
-            let (t2, _, _) = memo_fixture(7, &[5]);
-            let (other, _, _) = memo_fixture(7, &[6]);
-            let mut pool = WorkerPool::new(
-                &plan,
-                PoolConfig::workers(2)
-                    .with_memo_capacity(1 << 20)
-                    .with_scheduler(scheduler),
-            );
-            let counts = |pool: &WorkerPool<Value>| {
-                let c = pool.memo_counters().unwrap();
-                (c.hits, c.misses, c.inserts)
-            };
-            let r1 = pool.eval(&t1).unwrap();
-            assert_eq!(r1.regions, 1);
-            assert_eq!(counts(&pool), (0, 1, 1), "{scheduler:?}: cold");
-            let r2 = pool.eval(&t2).unwrap();
-            assert_eq!(counts(&pool), (1, 1, 1), "{scheduler:?}: replayed");
-            let r3 = pool.eval(&t1).unwrap();
-            assert_eq!(counts(&pool), (2, 1, 1), "{scheduler:?}: replayed again");
-            pool.eval(&other).unwrap();
-            assert_eq!(counts(&pool), (2, 2, 2), "{scheduler:?}: another tree");
-            let (want, _) = crate::eval::static_eval(&t1, plan.plans().unwrap()).unwrap();
-            assert_eq!(r1.root_values, vec![(out, Value::Int(35))]);
-            for (tree, r) in [(&t1, &r1), (&t2, &r2), (&t1, &r3)] {
-                assert_eq!(r.root_values, r1.root_values, "{scheduler:?}");
-                // Same shape, so the same dense indices in either arena.
-                assert_eq!(r.store.len(), want.len());
-                for i in 0..want.len() {
-                    assert_eq!(
-                        r.store.get_by_index(i),
-                        want.get_by_index(i),
-                        "{scheduler:?}"
-                    );
-                }
-                assert_eq!(r.store.filled(), r.store.len(), "{scheduler:?}");
-                assert_eq!(tree.len(), 3);
+        // Built independently: distinct arenas, equal hashes.
+        let (t1, plan, out) = memo_fixture(7, &[5]);
+        let (t2, _, _) = memo_fixture(7, &[5]);
+        let (other, _, _) = memo_fixture(7, &[6]);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_memo_capacity(1 << 20));
+        let counts = |pool: &WorkerPool<Value>| {
+            let c = pool.memo_counters().unwrap();
+            (c.hits, c.misses, c.inserts)
+        };
+        let r1 = pool.eval(&t1).unwrap();
+        assert_eq!(r1.regions, 1);
+        assert_eq!(counts(&pool), (0, 1, 1), "cold");
+        let r2 = pool.eval(&t2).unwrap();
+        assert_eq!(counts(&pool), (1, 1, 1), "replayed");
+        let r3 = pool.eval(&t1).unwrap();
+        assert_eq!(counts(&pool), (2, 1, 1), "replayed again");
+        pool.eval(&other).unwrap();
+        assert_eq!(counts(&pool), (2, 2, 2), "another tree");
+        let (want, _) = crate::eval::static_eval(&t1, plan.plans().unwrap()).unwrap();
+        assert_eq!(r1.root_values, vec![(out, Value::Int(35))]);
+        for (tree, r) in [(&t1, &r1), (&t2, &r2), (&t1, &r3)] {
+            assert_eq!(r.root_values, r1.root_values);
+            // Same shape, so the same dense indices in either arena.
+            assert_eq!(r.store.len(), want.len());
+            for i in 0..want.len() {
+                assert_eq!(r.store.get_by_index(i), want.get_by_index(i));
             }
-            assert_eq!(r2.stats, EvalStats::default(), "a replay applies no rule");
+            assert_eq!(r.store.filled(), r.store.len());
+            assert_eq!(tree.len(), 3);
         }
+        assert_eq!(r2.stats, EvalStats::default(), "a replay applies no rule");
     }
 
     /// One-region and multi-region tickets interleaved in one window
@@ -2647,35 +2243,27 @@ pub(super) mod tests {
     fn a_stream_straddling_the_floor_retires_in_submission_order() {
         let sizes = [1usize, 48, 0, 1, 33, 1, 64, 0, 17, 1];
         let (trees, plan, out) = fixture_trees(&sizes);
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            for depth in [1usize, 3, 8] {
-                let what = format!("{scheduler:?} depth={depth}");
-                let mut pool = WorkerPool::new(
-                    &plan,
-                    PoolConfig::workers(3)
-                        .with_pipeline_depth(depth)
-                        .with_scheduler(scheduler),
-                );
-                for tree in &trees {
-                    pool.submit(tree);
-                }
-                for (i, tree) in trees.iter().enumerate() {
-                    let report = pool.collect().expect("pending").expect("evaluates");
-                    assert_eq!(report.ticket, i as Ticket, "{what}: submission order");
-                    if sizes[i] <= 1 {
-                        assert_eq!(report.regions, 1, "{what} tree {i}");
-                    } else {
-                        assert_eq!(report.regions, 3, "{what} tree {i}");
-                    }
-                    let (want, _) = dynamic_eval(tree).unwrap();
-                    assert_stores_equal(tree, &report.store, &want, &format!("{what} tree {i}"));
-                    let root = want.get(tree.root(), out).unwrap().as_rope().unwrap();
-                    assert!(root_rope(&report, out).content_eq(root), "{what} tree {i}");
-                }
-                assert!(pool.collect().is_none(), "{what}");
-                assert_idle_and_quiescent(&pool, &what);
-            }
+        // Three workers: a window of six of the ten trees.
+        let what = "a stream straddling the floor";
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
+        for tree in &trees {
+            pool.submit(tree);
         }
+        for (i, tree) in trees.iter().enumerate() {
+            let report = pool.collect().expect("pending").expect("evaluates");
+            assert_eq!(report.ticket, i as Ticket, "{what}: submission order");
+            if sizes[i] <= 1 {
+                assert_eq!(report.regions, 1, "{what} tree {i}");
+            } else {
+                assert_eq!(report.regions, 3, "{what} tree {i}");
+            }
+            let (want, _) = dynamic_eval(tree).unwrap();
+            assert_stores_equal(tree, &report.store, &want, &format!("{what} tree {i}"));
+            let root = want.get(tree.root(), out).unwrap().as_rope().unwrap();
+            assert!(root_rope(&report, out).content_eq(root), "{what} tree {i}");
+        }
+        assert!(pool.collect().is_none(), "{what}");
+        assert_idle_and_quiescent(&pool, what);
     }
 
     /// A worker killed while whole-tree jobs sit on it: the board hands
@@ -2689,71 +2277,61 @@ pub(super) mod tests {
         // seeded with — at most one of them claimed.
         let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
         let held = Arc::clone(&gate);
-        let sizes = [9usize; 12];
+        // Three workers: a window of six trees, the whole stream.
+        let sizes = [9usize; 6];
         let (trees, plan, out) = fixture_trees_with(&sizes, 1, move || {
             let (open, opened) = &*held;
             let _open = opened
                 .wait_while(open.lock().unwrap(), |open| !*open)
                 .unwrap();
         });
-        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-            *gate.0.lock().unwrap() = false;
-            let mut pool = WorkerPool::new(
-                &plan,
-                PoolConfig::workers(3)
-                    .with_pipeline_depth(sizes.len())
-                    .with_scheduler(scheduler),
-            );
-            for tree in &trees {
-                pool.submit(tree);
-            }
-            assert!(pool.kill_worker(1), "{scheduler:?}");
-            let f = pool.fault_counters();
-            assert_eq!(
-                f.regions_reexecuted, 4,
-                "{scheduler:?}: equal jobs seed round-robin: four lived on the victim {f:?}"
-            );
-            *gate.0.lock().unwrap() = true;
-            gate.1.notify_all();
-            let (want, _) = crate::eval::static_eval(&trees[0], plan.plans().unwrap()).unwrap();
-            for (i, tree) in trees.iter().enumerate() {
-                let what = format!("{scheduler:?} tree {i}");
-                let report = pool
-                    .collect()
-                    .expect("pending")
-                    .expect("recovery completes");
-                assert_eq!(
-                    report.ticket, i as Ticket,
-                    "{what}: submission order survives"
-                );
-                assert_eq!(report.regions, 1, "{what}");
-                assert_stores_equal(tree, &report.store, &want, &what);
-                let root = want.get(tree.root(), out).unwrap();
-                assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
-            }
-            assert!(pool.collect().is_none());
-            assert_idle_and_quiescent(&pool, "after the kill");
-            // The two survivors keep serving.
-            let report = pool.eval(&trees[0]).unwrap();
-            assert_stores_equal(&trees[0], &report.store, &want, "after the kill");
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(3));
+        assert_eq!(pool.pipeline_depth(), sizes.len());
+        for tree in &trees {
+            pool.submit(tree);
         }
+        assert!(pool.kill_worker(1));
+        let f = pool.fault_counters();
+        assert_eq!(
+            f.regions_reexecuted, 2,
+            "equal jobs seed round-robin: two lived on the victim {f:?}"
+        );
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let (want, _) = crate::eval::static_eval(&trees[0], plan.plans().unwrap()).unwrap();
+        for (i, tree) in trees.iter().enumerate() {
+            let what = format!("tree {i}");
+            let report = pool
+                .collect()
+                .expect("pending")
+                .expect("recovery completes");
+            assert_eq!(
+                report.ticket, i as Ticket,
+                "{what}: submission order survives"
+            );
+            assert_eq!(report.regions, 1, "{what}");
+            assert_stores_equal(tree, &report.store, &want, &what);
+            let root = want.get(tree.root(), out).unwrap();
+            assert_eq!(report.root_values, vec![(out, root.clone())], "{what}");
+        }
+        assert!(pool.collect().is_none());
+        assert_idle_and_quiescent(&pool, "after the kill");
+        // The two survivors keep serving.
+        let report = pool.eval(&trees[0]).unwrap();
+        assert_stores_equal(&trees[0], &report.store, &want, "after the kill");
     }
 
-    /// Two small trees per worker by default, one under the barrier: a
-    /// small tree is one job, so the window is what keeps a worker's
-    /// next tree on its deque.
+    /// Two small trees per worker: a small tree is one job, so the
+    /// window is what keeps a worker's next tree on its deque.
     #[test]
     fn default_window_holds_two_one_region_tickets_per_worker() {
-        let (trees, plan, _) = light_trees(&[6; 10]);
-        for workers in [1usize, 2, 3] {
-            for (config, want) in [
-                (PoolConfig::workers(workers), 2 * workers),
-                (
-                    PoolConfig::workers(workers).with_adaptive_budget(1 << 40),
-                    2 * workers,
-                ),
-                (PoolConfig::barrier(workers), 1),
+        let (trees, plan, _) = light_trees(&[6; 20]);
+        for workers in [1usize, 2, 8] {
+            for config in [
+                PoolConfig::workers(workers),
+                PoolConfig::workers(workers).with_adaptive_budget(1 << 40),
             ] {
+                let want = 2 * workers;
                 let mut pool = WorkerPool::new(&plan, config);
                 assert_eq!(pool.pipeline_depth(), want, "{config:?}");
                 for tree in &trees {
@@ -2774,10 +2352,7 @@ pub(super) mod tests {
     #[test]
     fn a_second_done_of_the_root_region_is_suppressed_and_counted_once() {
         let (tree, plan, out) = fixture(24);
-        let mut pool = WorkerPool::new(
-            &plan,
-            PoolConfig::workers(2).with_scheduler(SchedulerMode::Stealing),
-        );
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
         pool.submit(&tree);
         while !pool.front_complete() {
             let msg = pool.parser_rx.recv().expect("workers alive");

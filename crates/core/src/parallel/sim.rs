@@ -47,15 +47,18 @@
 //! the sim does not run whole-tree jobs.
 //!
 //! Under either [`SchedulerMode`] the processes drive the same
-//! scheduler board the live [`crate::parallel::pool::WorkerPool`]
-//! drives from threads — seeding, claiming and stealing, routing,
-//! retirement and crash recovery are the board's, not re-implemented
-//! here. The simulator adds only what virtual time needs: a per-machine
-//! `busy_until` clock, the subtree fetch a claimer is charged, and the
-//! steal profitability gate, the last two handed to the board's claim
-//! as its eligibility predicate. The two modes differ in how a job
-//! reaches its machine. Under [`SchedulerMode::Stealing`] the parser
-//! seeds and wakes the park, and machines claim. Under
+//! scheduler board the live pool ([`crate::parallel::pool`]) drives
+//! from threads — seeding, claiming and stealing, routing, retirement
+//! and crash recovery are the board's, not re-implemented here. The
+//! live pool runs [`SchedulerMode::Fixed`] only; work stealing is the
+//! simulator's, measured against fixed placement here (the skewed
+//! huge-tree stream tests). The simulator adds only what virtual time
+//! needs: a per-machine `busy_until` clock, the subtree fetch a
+//! claimer is charged, and the steal profitability gate, the last two
+//! handed to the board's claim as its eligibility predicate. The two
+//! modes differ in how a job reaches its machine. Under
+//! [`SchedulerMode::Stealing`] the parser seeds and wakes the park, and
+//! machines claim. Under
 //! [`SchedulerMode::Fixed`] (the paper's modular placement, the
 //! default) the parser pushes each region's subtree to the home the
 //! board seeded it on, and its arrival takes that job off the home's
@@ -99,8 +102,8 @@ use crate::eval::{EvalError, EvalPlan, Machine, MachineMode, StepOutcome};
 use crate::grammar::{AttrId, AttrKind};
 use crate::parallel::board::{Board, Claimed, Delivery, JobKey};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use crate::parallel::pool::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 use crate::parallel::worker::{Cut, Driver, JobResult, WorkerCore};
+use crate::parallel::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
 use crate::split::{
     decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
@@ -171,15 +174,15 @@ pub struct SimConfig {
     pub min_size_scale: f64,
     /// Attribute-name → phase label mapping for the activity trace.
     pub classifier: PhaseClassifier,
-    /// Region-job placement on the shared scheduler board, exactly as
-    /// the live [`crate::parallel::pool::WorkerPool`] runs it: the
+    /// Region-job placement on the shared scheduler board: the
     /// paper's fixed modular seeding ([`SchedulerMode::Fixed`], the
-    /// default) or the LPT-seeded, locality-aware work-stealing policy
-    /// ([`SchedulerMode::Stealing`]). Crash recovery works under
-    /// either. Every entry point honours it; [`run_sim`] passes it
-    /// through like the rest of the configuration (with one region per
-    /// machine, stealing seeds each region onto its own machine and
-    /// finds little to steal).
+    /// default and exactly what the live pool runs) or the LPT-seeded,
+    /// locality-aware work-stealing policy
+    /// ([`SchedulerMode::Stealing`], the simulator's alone). Crash
+    /// recovery works under either. Every entry point honours it;
+    /// [`run_sim`] passes it through like the rest of the configuration
+    /// (with one region per machine, stealing seeds each region onto its
+    /// own machine and finds little to steal).
     pub scheduler: SchedulerMode,
 }
 
@@ -291,11 +294,6 @@ pub struct BatchSimReport<V> {
 }
 
 impl<V> BatchSimReport<V> {
-    /// The makespan in seconds.
-    pub fn makespan_secs(&self) -> f64 {
-        secs(self.makespan)
-    }
-
     /// End-to-end latency (arrival → roots resolved) of tree `i`,
     /// `None` if it was shed.
     pub fn latency(&self, i: usize) -> Option<Time> {
@@ -811,7 +809,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
     }
 
     /// The failure detector's crash oracle — the sim counterpart of
-    /// [`crate::parallel::pool::WorkerPool::kill_worker`]: the board
+    /// the pool's `WorkerPool::kill_worker`: the board
     /// reseeds the dead machine's jobs onto the survivors
     /// ([`Board::crash`]) and a wake lets them claim. Only evaluator
     /// machines are recoverable; [`run_sim_stream`] rejects every other
@@ -841,13 +839,13 @@ struct EvaluatorProc<V: AttrValue> {
 /// virtual time: CPU charged from the cost model under its
 /// activity-trace phase (and serialized on this process by
 /// `ctx.spend`), and every value a wire message.
-struct SimDriver<'a, 'c, V: AttrValue> {
-    ctx: &'a mut Ctx<'c, SimMsg<V>>,
+struct SimDriver<'a, V: AttrValue> {
+    ctx: &'a mut Ctx<SimMsg<V>>,
     sh: &'a Shared<V>,
     me: usize,
 }
 
-impl<V: AttrValue> SimDriver<'_, '_, V> {
+impl<V: AttrValue> SimDriver<'_, V> {
     /// Activates a job this machine took or claimed: the parser shipped
     /// its region of the tree, so its decomposition comes along.
     fn start(&mut self, core: &mut WorkerCore<V>, job: Claimed<V, usize>) {
@@ -964,7 +962,7 @@ impl<V: AttrValue> SimDriver<'_, '_, V> {
     }
 }
 
-impl<V: AttrValue> Driver<V> for SimDriver<'_, '_, V> {
+impl<V: AttrValue> Driver<V> for SimDriver<'_, V> {
     /// Handlers are atomic: nothing can arrive mid-pass to preempt.
     const YIELD_STEPS: usize = usize::MAX;
 
@@ -1423,8 +1421,8 @@ pub fn run_sim_batch<V: AttrValue>(
 ///   drops/delays are injected at their scheduled virtual times, and
 ///   the recovery protocol (oracle crash detection → region
 ///   re-execution from input logs → idempotent redelivery) runs inside
-///   the simulation: the deterministic counterpart of
-///   [`crate::parallel::pool::WorkerPool::kill_worker`]. Outputs are
+///   the simulation: the deterministic counterpart of the pool's
+///   `WorkerPool::kill_worker`. Outputs are
 ///   byte-identical to the fault-free run; [`BatchSimReport::faults`]
 ///   exposes what recovery did.
 /// * `arrivals` — `None` parses the whole batch up front and dispatches

@@ -66,15 +66,17 @@ use crate::eval::{
     SendTarget, StepOutcome, VisitPrograms,
 };
 use crate::grammar::AttrId;
-use crate::memo::{inherited_fingerprint, MemoCache, MemoKey};
+use crate::memo::{
+    inherited_fingerprint, region_cacheable, replay_span, whole_tree_key, MemoCache, MemoKey,
+};
 use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
-use crate::tree::{AttrSlots, AttrStore, NodeId, ParseTree, RegionStore};
+use crate::tree::{AttrStore, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
 use std::sync::Arc;
 
 use super::board::{Input, JobKey};
-use super::pool::{region_cacheable, whole_tree_key, Ticket};
+use super::Ticket;
 
 /// How a job's ticket was cut, which decides what the job runs.
 #[derive(Clone)]
@@ -617,40 +619,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fills `store` from a cached preorder span over the subtree at
-/// `root`. The walk is over *this* tree's subtree — structurally
-/// identical to the cached one, but arena ids may differ. `false` when
-/// the span's shape disagrees with the subtree (a hash collision the
-/// probe's sanity fields missed): the store is then partly filled and
-/// must be dropped.
-fn replay_span<V: AttrValue, S: AttrSlots<V>>(
-    tree: &ParseTree<V>,
-    root: NodeId,
-    span: Vec<Option<V>>,
-    store: &mut S,
-) -> bool {
-    let g = tree.grammar();
-    let mut vals = span.into_iter();
-    for n in tree.subtree(root) {
-        let sym = g.prod(tree.node(n).prod).lhs;
-        for a in 0..g.attr_count(sym) {
-            let Some(v) = vals.next() else {
-                return false;
-            };
-            if let Some(v) = v {
-                store.set(n, AttrId(a as u32), v);
-            }
-        }
-    }
-    vals.next().is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{compute_plans, Plans};
     use crate::grammar::GrammarBuilder;
-    use crate::parallel::pool::{install_span, PoolConfig, WorkerPool};
+    use crate::memo::install_span;
+    use crate::parallel::pool::{PoolConfig, WorkerPool};
     use crate::parallel::sim::{run_sim_stream, SimConfig};
     use crate::parallel::ResultPropagation;
     use crate::split::{decompose_granular, RegionGranularity, SplitTable};

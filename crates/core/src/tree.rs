@@ -34,7 +34,7 @@
 //! and the foreign aliases (each value's second copy at the producing
 //! or consuming peer) are dropped as the duplicates they are.
 
-use crate::grammar::{AttrId, AttrKind, Grammar, ProdId};
+use crate::grammar::{AttrId, Grammar, ProdId};
 use crate::split::{RegionId, SlotMap};
 use crate::value::{fnv1a_u64, AttrValue};
 use std::fmt;
@@ -910,15 +910,6 @@ pub fn occ_slot<V: AttrValue>(
             Child::Token(_) => unreachable!("rule target cannot be a token occurrence"),
         }
     }
-}
-
-/// Kind of an attribute instance's defining site, used by evaluators.
-pub fn attr_kind<V: AttrValue>(
-    g: &Grammar<V>,
-    sym: crate::grammar::SymbolId,
-    attr: AttrId,
-) -> AttrKind {
-    g.symbol(sym).attrs[attr.0 as usize].kind
 }
 
 #[cfg(test)]

@@ -211,7 +211,7 @@ proptest! {
         assert_stores_equal(&fx.grammar, &tree, &reference, &dynamic_m, "dynamic machines")?;
 
         let plan = Arc::new(EvalPlan::from_parts(&fx.grammar, Some(plans), None));
-        let report = WorkerPool::new(&plan, PoolConfig::barrier(machines))
+        let report = WorkerPool::new(&plan, PoolConfig::workers(machines))
             .eval(&tree)
             .unwrap();
         assert_stores_equal(&fx.grammar, &tree, &reference, &report.store, "pool")?;

@@ -137,7 +137,7 @@ fn parallel_machines_handle_three_visit_boundaries() {
     let tree = chain(&lg, 30);
     let (d, _) = dynamic_eval(&tree).unwrap();
     for machines in [2usize, 3, 5] {
-        let report = WorkerPool::new(&plan, PoolConfig::barrier(machines))
+        let report = WorkerPool::new(&plan, PoolConfig::workers(machines))
             .eval(&tree)
             .unwrap();
         assert_eq!(report.regions, machines, "three-visit boundaries exist");

@@ -8,7 +8,7 @@
 
 use paragram_core::eval::EvalPlan;
 use paragram_core::grammar::GrammarBuilder;
-use paragram_core::parallel::pool::{PoolConfig, SchedulerMode, WorkerPool};
+use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
 use paragram_core::tree::{debug_allocated_slots, TreeBuilder};
 use std::sync::Arc;
 
@@ -45,24 +45,19 @@ fn a_one_region_ticket_allocates_the_trees_instances_once() {
     // One `out`, and `depth` + `sum` at each of the 51 list nodes.
     let instances = 1 + 2 * 51;
 
-    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_scheduler(scheduler));
-        for round in 0..3 {
-            let before = debug_allocated_slots();
-            let report = pool.eval(&tree).unwrap();
-            let allocated = debug_allocated_slots() - before;
+    let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
+    for round in 0..3 {
+        let before = debug_allocated_slots();
+        let report = pool.eval(&tree).unwrap();
+        let allocated = debug_allocated_slots() - before;
+        assert_eq!(report.regions, 1, "a splittable tree below the floor");
+        assert_eq!(report.store.len(), instances);
+        assert_eq!(report.root_values, vec![(out, (0..=50).sum::<i64>())]);
+        if cfg!(debug_assertions) {
             assert_eq!(
-                report.regions, 1,
-                "{scheduler:?}: a splittable tree below the floor"
+                allocated, instances,
+                "round {round}: one store, the one that is handed back"
             );
-            assert_eq!(report.store.len(), instances);
-            assert_eq!(report.root_values, vec![(out, (0..=50).sum::<i64>())]);
-            if cfg!(debug_assertions) {
-                assert_eq!(
-                    allocated, instances,
-                    "{scheduler:?} round {round}: one store, the one that is handed back"
-                );
-            }
         }
     }
 }

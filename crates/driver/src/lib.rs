@@ -23,7 +23,7 @@
 //!   wraps [`paragram_core::eval::EvalPlan`] (grammar + analysis +
 //!   tables) plus the pool configuration ([`DriverConfig`], the pool's
 //!   own [`PoolConfig`](paragram_core::parallel::pool::PoolConfig)
-//!   under the driver's name).
+//!   under the driver's name: workers, the cut and the memo).
 //! * [`BatchDriver`] — the **instance half**: a persistent
 //!   [`WorkerPool`] (evaluator threads spawned once, sharing one
 //!   scheduler board) plus per-tree state created and recycled as trees
@@ -39,10 +39,11 @@
 //! no librarian — a code value crosses a region boundary as the rope it
 //! is — but keep the overlap: every message carries its tree's
 //! **ticket**, so [`BatchDriver::compile_batch`] keeps a small window of
-//! trees in flight ([`DriverConfig::pipeline_depth`], by default two
-//! per worker): tree N+1's region jobs fill workers idling behind tree
-//! N's stragglers, and tree N's result assembly overlaps tree N+1's
-//! evaluation. Depth 1 restores the strict one-tree-per-epoch barrier.
+//! trees in flight (two per worker, [`BatchDriver::pipeline_depth`]):
+//! tree N+1's region jobs fill workers idling behind tree N's
+//! stragglers, and tree N's result assembly overlaps tree N+1's
+//! evaluation. [`BatchDriver::compile_tree`] compiles one tree alone,
+//! the paper's single compilation.
 //!
 //! # Region-granular scheduling
 //!
@@ -131,7 +132,8 @@ pub use service::{
 use paragram_core::eval::{EvalError, EvalPlan};
 use paragram_core::grammar::Grammar;
 use paragram_core::memo::MemoCounters;
-use paragram_core::parallel::pool::{FaultCounters, SchedCounters, WorkerPool};
+use paragram_core::parallel::pool::WorkerPool;
+use paragram_core::parallel::{FaultCounters, SchedCounters};
 use paragram_core::tree::ParseTree;
 use paragram_core::value::AttrValue;
 use std::fmt;
@@ -139,9 +141,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Driver configuration: the configuration of the pool a
-/// [`BatchDriver`] or [`ServiceQueue`] spawns, passed through as is —
-/// one type, so a driver and a bare [`WorkerPool`] are configured
-/// alike.
+/// [`BatchDriver`] or [`ServiceQueue`] spawns — how many workers, how
+/// trees are cut, and the memo — passed through as is: one type, so a
+/// driver and a bare [`WorkerPool`] are configured alike. Placement
+/// (the paper's fixed modular one) and the window (two trees per
+/// worker) are the pool's, not settings.
 pub use paragram_core::parallel::pool::PoolConfig as DriverConfig;
 
 /// The shared, immutable plan half of a batched compilation: grammar
@@ -250,11 +254,10 @@ pub struct BatchReport<V: AttrValue> {
     /// Wall-clock time for the whole batch (including decomposition,
     /// excluding plan construction and pool spin-up).
     pub elapsed: Duration,
-    /// The configured in-flight window depth the batch ran with.
-    pub pipeline_depth: usize,
     /// The largest number of trees actually in flight at once during
-    /// this batch (≤ `pipeline_depth`; 1 means the batch degenerated to
-    /// the barrier schedule, e.g. a single-tree batch).
+    /// this batch (≤ [`BatchDriver::pipeline_depth`], two per worker; 1
+    /// means the batch degenerated to the barrier schedule, e.g. a
+    /// single-tree batch).
     pub max_in_flight: usize,
     /// The largest number of region jobs in flight at once — the
     /// region-granular view of `max_in_flight`: under adaptive
@@ -267,9 +270,8 @@ pub struct BatchReport<V: AttrValue> {
     pub memo: Option<MemoCounters>,
     /// Scheduler telemetry for this batch
     /// ([`WorkerPool::reset_high_water`] zeroes the counters at batch
-    /// start): local and remote boundary sends under either scheduler;
-    /// steals and migrated values stay zero under
-    /// [`SchedulerMode::Fixed`](paragram_core::parallel::pool::SchedulerMode::Fixed).
+    /// start): local and remote boundary sends. Steals and migrated
+    /// values read zero — the pool places fixed and never steals.
     pub sched: SchedCounters,
     /// Fault and recovery telemetry for this batch (zeroed at batch
     /// start alongside the scheduler counters): worker crashes
@@ -313,7 +315,7 @@ impl<V: AttrValue> BatchDriver<V> {
         self.pool.workers()
     }
 
-    /// The configured in-flight window depth.
+    /// The in-flight window: two trees per worker.
     pub fn pipeline_depth(&self) -> usize {
         self.pool.pipeline_depth()
     }
@@ -344,9 +346,8 @@ impl<V: AttrValue> BatchDriver<V> {
 
     /// Injects a worker crash into the pool: the victim's region jobs
     /// are re-executed from their input logs on the surviving workers
-    /// (see [`WorkerPool::kill_worker`]), under either
-    /// [`DriverConfig::scheduler`]. Returns `false` for an out-of-range
-    /// index, an already-dead worker or the last survivor.
+    /// (see [`WorkerPool::kill_worker`]). Returns `false` for an
+    /// out-of-range index, an already-dead worker or the last survivor.
     pub fn kill_worker(&mut self, victim: usize) -> bool {
         self.pool.kill_worker(victim)
     }
@@ -358,7 +359,7 @@ impl<V: AttrValue> BatchDriver<V> {
     }
 
     /// Compiles a stream of trees on the same pool, keeping up to
-    /// [`DriverConfig::pipeline_depth`] trees in flight so each tree's
+    /// [`BatchDriver::pipeline_depth`] trees in flight so each tree's
     /// region jobs fill workers idling behind its predecessor's
     /// stragglers. Outputs come back in input order regardless of the
     /// overlap.
@@ -416,7 +417,6 @@ impl<V: AttrValue> BatchDriver<V> {
         Ok(BatchReport {
             outputs,
             elapsed: start.elapsed(),
-            pipeline_depth: self.pool.pipeline_depth(),
             max_in_flight: self.pool.max_in_flight(),
             max_regions_in_flight: self.pool.max_regions_in_flight(),
             memo: self
@@ -609,7 +609,7 @@ mod tests {
             let root = tb.node(top, [leaf]);
             Arc::new(tb.finish(root).unwrap())
         };
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::barrier(2));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2));
         assert_eq!(
             plan.eval_plan().best_mode(),
             MachineMode::Dynamic,
@@ -629,9 +629,6 @@ mod tests {
         // The driver is not poisoned: the next batch runs normally.
         let report = driver.compile_batch([mk(ok), mk(ok)]).unwrap();
         assert_eq!(report.outputs.len(), 2);
-        assert_eq!(
-            report.faults,
-            paragram_core::parallel::pool::FaultCounters::default()
-        );
+        assert_eq!(report.faults, FaultCounters::default());
     }
 }

@@ -37,7 +37,8 @@ use crate::{CompilationPlan, TreeOutput};
 use paragram_core::eval::EvalError;
 use paragram_core::memo::MemoCounters;
 use paragram_core::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
-use paragram_core::parallel::pool::{FaultCounters, SchedCounters, TicketFailure, WorkerPool};
+use paragram_core::parallel::pool::{TicketFailure, WorkerPool};
+use paragram_core::parallel::{FaultCounters, SchedCounters};
 use paragram_core::tree::ParseTree;
 use paragram_core::value::AttrValue;
 use std::collections::{HashMap, VecDeque};
@@ -213,10 +214,9 @@ pub struct ServiceStats {
     /// [`DriverConfig::memo_capacity`](crate::DriverConfig::memo_capacity)
     /// is 0 — the cache is off and nothing ever probes it).
     pub memo: MemoCounters,
-    /// Cumulative scheduler telemetry: local and remote boundary sends
-    /// under either scheduler; steals and migrated values stay zero
-    /// under
-    /// [`SchedulerMode::Fixed`](paragram_core::parallel::pool::SchedulerMode::Fixed).
+    /// Cumulative scheduler telemetry: local and remote boundary sends.
+    /// Steals and migrated values read zero — the pool places fixed
+    /// and never steals.
     pub sched: SchedCounters,
     /// Fault and recovery telemetry: the pool's counters (crashes,
     /// regions re-executed, duplicates suppressed, panics contained)
@@ -409,8 +409,8 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// a call that retires a 25 k-node tree holds its caller for a few
     /// milliseconds. A procedure-sized tree is a whole-tree job: a work
     /// estimate and a channel send going in, a finished store coming
-    /// out. The window it tops up is the pool's — by default two trees
-    /// per worker.
+    /// out. The window it tops up is the pool's: two trees per worker
+    /// ([`WorkerPool::pipeline_depth`]).
     pub fn pump(&mut self) -> usize {
         self.pool.poll();
         let mut done = self.harvest();
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn admission_sheds_deterministically_at_capacity() {
         let (gr, top, cons, nil, _) = grammar();
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2).with_pipeline_depth(1));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(1));
         let mut q = ServiceQueue::new(&plan, ServiceConfig::fifo(2));
         let tree = chain(&gr, top, cons, nil, 16);
         // No pump between offers: the waiting room fills at exactly
@@ -631,13 +631,13 @@ mod tests {
     #[test]
     fn sjf_dispatches_small_requests_past_a_queued_huge_one() {
         let (gr, top, cons, nil, _) = grammar();
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2).with_pipeline_depth(1));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(1));
         let mut q = ServiceQueue::new(
             &plan,
             ServiceConfig::fifo(16).with_policy(DispatchPolicy::ShortestJobFirst),
         );
-        // All four queue while nothing pumps; the depth-1 window then
-        // admits them strictly in SJF order, and FIFO retirement means
+        // All four queue while nothing pumps; the window then admits
+        // them strictly in SJF order, and FIFO retirement means
         // completion order equals dispatch order.
         let sizes = [300usize, 8, 150, 4];
         for &n in &sizes {
@@ -659,7 +659,7 @@ mod tests {
     #[test]
     fn fair_queueing_alternates_tenants_under_flood() {
         let (gr, top, cons, nil, _) = grammar();
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2).with_pipeline_depth(1));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(1));
         let tree = chain(&gr, top, cons, nil, 16);
         let quantum = plan.eval_plan().tree_work(&tree);
         let mut q = ServiceQueue::new(
@@ -685,7 +685,7 @@ mod tests {
     #[test]
     fn deadline_shedding_at_admission_is_predicted_from_work() {
         let (gr, top, cons, nil, _) = grammar();
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2).with_pipeline_depth(1));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(1));
         let tree = chain(&gr, top, cons, nil, 32);
         let work = plan.eval_plan().tree_work(&tree);
         // Calibrate so one request's predicted completion fits inside
@@ -718,7 +718,7 @@ mod tests {
     #[test]
     fn queued_requests_past_their_deadline_expire_at_dispatch() {
         let (gr, top, cons, nil, _) = grammar();
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2).with_pipeline_depth(1));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(1));
         let tree = chain(&gr, top, cons, nil, 16);
         // Zero deadline, no predicted-wait calibration: everything is
         // admitted, then found expired when it reaches the pool door.
@@ -777,7 +777,7 @@ mod tests {
             let root = tb.node(top, [leaf]);
             Arc::new(tb.finish(root).unwrap())
         };
-        let plan = CompilationPlan::analyze(&gr, DriverConfig::barrier(2));
+        let plan = CompilationPlan::analyze(&gr, DriverConfig::workers(2));
         let mut q = ServiceQueue::new(&plan, ServiceConfig::fifo(16));
         let good = mk(ok);
         let Admission::Admitted { id: good_a } = q.offer(&good, 0) else {

@@ -268,7 +268,7 @@ struct PendingSend<M> {
 
 /// Handler-side view of the simulation: clock, CPU accounting, sends and
 /// phase labels for the Gantt trace.
-pub struct Ctx<'a, M> {
+pub struct Ctx<M> {
     me: ProcId,
     wake: Time,
     cpu: Time,
@@ -277,11 +277,10 @@ pub struct Ctx<'a, M> {
     seg_start: Time,
     sends: Vec<PendingSend<M>>,
     timers: Vec<(Time, M)>,
-    names: &'a [String],
     stopped: bool,
 }
 
-impl<'a, M> Ctx<'a, M> {
+impl<M> Ctx<M> {
     /// This process's id.
     pub fn me(&self) -> ProcId {
         self.me
@@ -333,11 +332,6 @@ impl<'a, M> Ctx<'a, M> {
     /// itself.
     pub fn wake_at(&mut self, at: Time, msg: M) {
         self.timers.push((at, msg));
-    }
-
-    /// Name of a process (for diagnostics).
-    pub fn name_of(&self, p: ProcId) -> &str {
-        &self.names[p.0]
     }
 
     /// Requests that the whole simulation stop after this handler returns
@@ -438,11 +432,6 @@ impl<M> Sim<M> {
         self.local_time.push(0);
         self.dead.push(false);
         id
-    }
-
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     /// Final virtual time after [`Sim::run`] (max over event completion).
@@ -595,7 +584,6 @@ impl<M> Sim<M> {
             seg_start: 0,
             sends: Vec::new(),
             timers: Vec::new(),
-            names: &self.names,
             stopped: false,
         };
         // Temporarily move the process out to appease the borrow checker.

@@ -48,7 +48,6 @@ pub use pval::PVal;
 use paragram_core::eval::{dynamic_eval, EvalError, Evaluators};
 use paragram_core::stats::EvalStats;
 use paragram_core::tree::{AttrStore, ParseTree, TreeError};
-use paragram_core::value::AttrValue as _;
 pub use paragram_driver::DriverConfig;
 use paragram_driver::{BatchDriver, CompilationPlan};
 use std::fmt;
@@ -204,9 +203,9 @@ impl Compiler {
 
     /// Compiles a batch of programs through the parallel batch driver
     /// (shared plan, persistent worker pool, one ticket per program). Up
-    /// to [`DriverConfig::pipeline_depth`] programs are kept in flight
-    /// so each program's region jobs fill workers idling behind its
-    /// predecessor's stragglers. Outputs are
+    /// to [`BatchDriver::pipeline_depth`] programs — two per worker —
+    /// are kept in flight so each program's region jobs fill workers
+    /// idling behind its predecessor's stragglers. Outputs are
     /// returned in input order and are identical to what
     /// [`Compiler::compile`] produces for each source.
     ///
@@ -262,26 +261,6 @@ pub fn optimize_asm(asm: &str) -> Result<(String, paragram_vax::PeepholeStats), 
         out.push('\n');
     }
     Ok((out, stats))
-}
-
-/// Total wire size of a parse tree's token payloads plus structure —
-/// used by experiment harnesses for workload accounting.
-pub fn tree_wire_size(tree: &ParseTree<PVal>) -> usize {
-    tree.node_ids()
-        .map(|n| {
-            8 + tree
-                .node(n)
-                .children
-                .iter()
-                .map(|c| match c {
-                    paragram_core::tree::Child::Token(vals) => {
-                        vals.iter().map(|v| v.wire_size()).sum()
-                    }
-                    _ => 0usize,
-                })
-                .sum::<usize>()
-        })
-        .sum()
 }
 
 #[cfg(test)]

@@ -591,16 +591,6 @@ impl SpecLang {
     pub fn term_name(&self, t: pg::Term) -> &str {
         &self.term_names[t.0 as usize]
     }
-
-    /// Terminal kind bookkeeping size (for tests).
-    pub fn terminal_count(&self) -> usize {
-        self.term_kinds.len()
-    }
-
-    /// The parse-tree production for a parser production index.
-    pub fn prod_for(&self, idx: pg::ProdIdx) -> Option<ProdId> {
-        self.prod_map.get(idx.0).copied()
-    }
 }
 
 impl fmt::Debug for SpecLang {

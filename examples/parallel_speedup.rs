@@ -50,7 +50,7 @@ fn main() {
     }
     let mut base = std::time::Duration::ZERO;
     for machines in [1, 2, 4] {
-        let r = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(machines))
+        let r = WorkerPool::new(compiler.evals.plan(), PoolConfig::workers(machines))
             .eval(&tree)
             .expect("parallel evaluation succeeds");
         if machines == 1 {

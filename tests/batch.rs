@@ -1,16 +1,15 @@
 //! Batched-compilation determinism: compiling the same stream of trees
 //! through the driver must yield byte-identical output code and
 //! identical attribute stores regardless of how many pool workers (and
-//! therefore regions, message interleavings and tickets) were
-//! involved, regardless of the pipeline window depth (how many trees
-//! overlap in flight), and regardless of how often it is repeated on
-//! the same pool.
+//! therefore regions, message interleavings, tickets and trees
+//! overlapping in the window of two per worker) were involved, and
+//! regardless of how often it is repeated on the same pool.
 //!
 //! Three `#[ignore]`d tests extend the matrix on CI (`cargo test --
 //! --ignored` runs them): the region-granular determinism matrix,
 //! which pushes a
-//! `GenConfig::huge()` single tree through the adaptive pool at depths
-//! 1/2/4 × workers 1/2/8, the region-local store slot audit, which
+//! `GenConfig::huge()` single tree through the adaptive pool at
+//! workers 1/2/8, the region-local store slot audit, which
 //! pins (via the debug-build allocated-slot counter) that huge-tree
 //! region machines allocate O(region), not O(tree), slots, and the
 //! huge tree's wall-clock retire share (CI also runs that one in a
@@ -20,7 +19,7 @@
 use paragram::core::eval::{static_eval, Machine, MachineScratch};
 use paragram::core::grammar::AttrId;
 use paragram::core::memo::InstallPolicy;
-use paragram::core::parallel::pool::{SchedulerMode, MIN_REGION_WORK};
+use paragram::core::parallel::pool::MIN_REGION_WORK;
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
 use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig};
@@ -177,86 +176,45 @@ fn reused_pool_is_deterministic_across_repeats() {
     assert_eq!(driver.trees_compiled(), 3 * trees.len());
 }
 
-/// The acceptance bar for cross-tree pipelining: every window depth
-/// (barrier, default, deep) at every worker count must produce output
-/// byte-identical to the sequential static evaluator — overlapping
-/// trees in flight may change the schedule, never the result.
+/// The acceptance bar for cross-tree pipelining: with the window full
+/// at every worker count (two trees per worker: 2, 4 and 16 in flight)
+/// the output must be byte-identical to the sequential static evaluator
+/// — overlapping trees in flight may change the schedule, never the
+/// result.
 #[test]
 fn pipelined_batch_is_byte_identical_across_window_depths() {
     let compiler = Compiler::new();
     let trees: Vec<Arc<ParseTree<PVal>>> = sources()
         .iter()
+        .cycle()
+        .take(4 * sources().len())
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
     let reference = sequential_reference(&compiler, &trees);
 
-    for depth in [1usize, 2, 4] {
-        for workers in [1usize, 2, 8] {
-            let config = DriverConfig::workers(workers).with_pipeline_depth(depth);
-            let got = run_once_with(&compiler, &trees, config);
-            for (i, ((want_asm, want_store), (got_asm, got_store))) in
-                reference.iter().zip(&got).enumerate()
-            {
-                assert_eq!(
-                    want_asm, got_asm,
-                    "tree {i}: asm differs at depth={depth} workers={workers}"
-                );
-                assert_eq!(
-                    want_store, got_store,
-                    "tree {i}: store differs at depth={depth} workers={workers}"
-                );
-            }
-        }
-    }
-}
-
-/// The work-stealing acceptance bar: the stealing scheduler replaces
-/// fixed modular placement with LPT-seeded deques and runtime steals —
-/// placement and claim order become load- and timing-dependent — yet
-/// every depth×worker combination must still produce output
-/// byte-identical to the sequential static evaluator.
-#[test]
-fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
-    let compiler = Compiler::new();
-    let trees: Vec<Arc<ParseTree<PVal>>> = sources()
-        .iter()
-        .map(|s| compiler.tree_from_source(s).unwrap())
-        .collect();
-    let reference = sequential_reference(&compiler, &trees);
-
-    for depth in [1usize, 2, 4] {
-        for workers in [1usize, 2, 8] {
-            let config = DriverConfig::workers(workers)
-                .with_pipeline_depth(depth)
-                .with_scheduler(SchedulerMode::Stealing);
-            let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-            let mut driver = BatchDriver::new(&plan);
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-            if workers > 1 {
-                // Multi-region trees route boundary attributes through
-                // the shared job-location table; the telemetry must see
-                // them.
-                let split = report.outputs.last().unwrap().regions;
-                assert!(split > 1, "workers={workers}: generated program split");
-                assert!(
-                    report.sched.local_sends + report.sched.remote_sends > 0,
-                    "depth={depth} workers={workers}: no table-routed sends"
-                );
-            }
-            for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                let output = compiler.output_from_store(tree, &out.store, out.stats);
-                assert!(output.errors.is_empty(), "{:?}", output.errors);
-                let (want_asm, want_store) = &reference[i];
-                assert_eq!(
-                    want_asm, &output.asm,
-                    "tree {i}: asm differs at depth={depth} workers={workers}"
-                );
-                assert_eq!(
-                    want_store,
-                    &store_snapshot(tree, &out.store),
-                    "tree {i}: store differs at depth={depth} workers={workers}"
-                );
-            }
+    for workers in [1usize, 2, 8] {
+        let plan =
+            CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::workers(workers));
+        let mut driver = BatchDriver::new(&plan);
+        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        assert_eq!(
+            report.max_in_flight,
+            2 * workers,
+            "workers={workers}: window full"
+        );
+        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            assert!(output.errors.is_empty(), "{:?}", output.errors);
+            let (want_asm, want_store) = &reference[i];
+            assert_eq!(
+                want_asm, &output.asm,
+                "tree {i}: asm differs at workers={workers}"
+            );
+            assert_eq!(
+                want_store,
+                &store_snapshot(tree, &out.store),
+                "tree {i}: store differs at workers={workers}"
+            );
         }
     }
 }
@@ -264,8 +222,8 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
 /// The hand-off floor: under the default `Machines(n)` granularity a
 /// tree is cut into `min(n, work / floor)` regions — one below twice
 /// the floor — and whichever side of the floor a program falls on, at
-/// every worker count, window depth and scheduler the stores and the
-/// assembly text are byte-identical to the sequential static evaluator.
+/// every worker count the stores and the assembly text are
+/// byte-identical to the sequential static evaluator.
 #[test]
 fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
     let compiler = Compiler::new();
@@ -299,46 +257,40 @@ fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
 
     let reference = sequential_reference(&compiler, &trees);
 
-    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-        for workers in [1usize, 2, 8] {
-            for depth in [1usize, 2, 4] {
-                let what = format!("{scheduler:?} workers={workers} depth={depth}");
-                let config = DriverConfig::workers(workers)
-                    .with_pipeline_depth(depth)
-                    .with_scheduler(scheduler);
-                let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-                let mut driver = BatchDriver::new(&plan);
-                let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-                for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                    let by_work = (work[i] / MIN_REGION_WORK).max(1) as usize;
-                    assert_eq!(
-                        out.regions,
-                        workers.min(by_work),
-                        "{what}: tree {i} of {} work units",
-                        work[i]
-                    );
-                    let output = compiler.output_from_store(tree, &out.store, out.stats);
-                    assert!(output.errors.is_empty(), "{:?}", output.errors);
-                    let (want_asm, want_store) = &reference[i];
-                    assert_eq!(want_asm, &output.asm, "{what}: tree {i} asm differs");
-                    assert_eq!(
-                        want_store,
-                        &store_snapshot(tree, &out.store),
-                        "{what}: tree {i} store differs"
-                    );
-                }
-            }
+    for workers in [1usize, 2, 8] {
+        let what = format!("workers={workers}");
+        let config = DriverConfig::workers(workers);
+        let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+        let mut driver = BatchDriver::new(&plan);
+        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+            let by_work = (work[i] / MIN_REGION_WORK).max(1) as usize;
+            assert_eq!(
+                out.regions,
+                workers.min(by_work),
+                "{what}: tree {i} of {} work units",
+                work[i]
+            );
+            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            assert!(output.errors.is_empty(), "{:?}", output.errors);
+            let (want_asm, want_store) = &reference[i];
+            assert_eq!(want_asm, &output.asm, "{what}: tree {i} asm differs");
+            assert_eq!(
+                want_store,
+                &store_snapshot(tree, &out.store),
+                "{what}: tree {i} store differs"
+            );
         }
     }
 }
 
 /// Below the floor a program is one whole-tree job — the sequential
 /// static evaluation on a worker, its store adopted at retirement — and
-/// at every worker count, window depth, scheduler and memo setting the
-/// stores and the assembly text are byte-identical to the sequential
-/// static evaluator. With the memo on, a second pass over the same pool
-/// replays every program (the root region's contract: installed at the
-/// first retirement, hit from then on).
+/// at every worker count and memo setting the stores and the assembly
+/// text are byte-identical to the sequential static evaluator. With the
+/// memo on, a second pass over the same pool replays every program (the
+/// root region's contract: installed at the first retirement, hit from
+/// then on).
 #[test]
 fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
     let compiler = Compiler::new();
@@ -364,50 +316,43 @@ fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
     }
     let reference = sequential_reference(&compiler, &trees);
 
-    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-        for workers in [1usize, 2, 8] {
-            for depth in [1usize, 2, 4, 8] {
-                for memo in [0usize, 1 << 26] {
-                    let what = format!("{scheduler:?} workers={workers} depth={depth} memo={memo}");
-                    let config = DriverConfig::workers(workers)
-                        .with_pipeline_depth(depth)
-                        .with_scheduler(scheduler)
-                        .with_memo_capacity(memo);
-                    let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-                    let mut driver = BatchDriver::new(&plan);
-                    for pass in 0..2 {
-                        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-                        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                            assert_eq!(out.regions, 1, "{what} pass {pass}: tree {i}");
-                            let output = compiler.output_from_store(tree, &out.store, out.stats);
-                            assert!(output.errors.is_empty(), "{:?}", output.errors);
-                            let (want_asm, want_store) = &reference[i];
-                            assert_eq!(
-                                want_asm, &output.asm,
-                                "{what} pass {pass}: tree {i} asm differs"
-                            );
-                            assert_eq!(
-                                want_store,
-                                &store_snapshot(tree, &out.store),
-                                "{what} pass {pass}: tree {i} store differs"
-                            );
-                        }
-                        assert_eq!(report.max_regions_in_flight, report.max_in_flight);
-                        let n = trees.len() as u64;
-                        match (report.memo, pass) {
-                            (None, _) => assert_eq!(memo, 0, "{what}"),
-                            (Some(m), 0) => assert_eq!(
-                                (m.hits, m.misses, m.inserts),
-                                (0, n, n),
-                                "{what}: a cold pass of distinct programs"
-                            ),
-                            (Some(m), _) => assert_eq!(
-                                (m.hits, m.misses, m.inserts),
-                                (n, 0, 0),
-                                "{what}: a warm pass replays"
-                            ),
-                        }
-                    }
+    for workers in [1usize, 2, 8] {
+        for memo in [0usize, 1 << 26] {
+            let what = format!("workers={workers} memo={memo}");
+            let config = DriverConfig::workers(workers).with_memo_capacity(memo);
+            let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+            let mut driver = BatchDriver::new(&plan);
+            for pass in 0..2 {
+                let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+                for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+                    assert_eq!(out.regions, 1, "{what} pass {pass}: tree {i}");
+                    let output = compiler.output_from_store(tree, &out.store, out.stats);
+                    assert!(output.errors.is_empty(), "{:?}", output.errors);
+                    let (want_asm, want_store) = &reference[i];
+                    assert_eq!(
+                        want_asm, &output.asm,
+                        "{what} pass {pass}: tree {i} asm differs"
+                    );
+                    assert_eq!(
+                        want_store,
+                        &store_snapshot(tree, &out.store),
+                        "{what} pass {pass}: tree {i} store differs"
+                    );
+                }
+                assert_eq!(report.max_regions_in_flight, report.max_in_flight);
+                let n = trees.len() as u64;
+                match (report.memo, pass) {
+                    (None, _) => assert_eq!(memo, 0, "{what}"),
+                    (Some(m), 0) => assert_eq!(
+                        (m.hits, m.misses, m.inserts),
+                        (0, n, n),
+                        "{what}: a cold pass of distinct programs"
+                    ),
+                    (Some(m), _) => assert_eq!(
+                        (m.hits, m.misses, m.inserts),
+                        (n, 0, 0),
+                        "{what}: a warm pass replays"
+                    ),
                 }
             }
         }
@@ -417,9 +362,9 @@ fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
 /// The region-granular acceptance bar: a single `GenConfig::huge()`
 /// tree (≥10× the paper workload) run through the adaptive
 /// region-granular pool must produce output byte-identical to the
-/// sequential static evaluator at every depth×worker combination —
-/// even though the tree decomposes into far more regions than there
-/// are workers, and the regions round-robin over the pool.
+/// sequential static evaluator at every worker count (and so window
+/// depth) — even though the tree decomposes into far more regions than
+/// there are workers, and the regions round-robin over the pool.
 #[test]
 #[ignore = "minutes-scale huge-workload matrix; run with cargo test -- --ignored (CI does)"]
 fn region_granular_huge_single_tree_matches_sequential_at_every_depth_and_worker_count() {
@@ -439,33 +384,29 @@ fn region_granular_huge_single_tree_matches_sequential_at_every_depth_and_worker
     // Budget ≈ 1/16 of the huge tree: many more regions than any
     // tested worker count, identical decomposition at every count.
     let budget = (compiler.evals.plan().tree_work(&huge) / 16).max(1);
-    for depth in [1usize, 2, 4] {
-        for workers in [1usize, 2, 8] {
-            let config = DriverConfig::workers(workers)
-                .with_pipeline_depth(depth)
-                .with_adaptive_budget(budget);
-            let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-            let mut driver = BatchDriver::new(&plan);
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-            assert!(
-                report.outputs[0].regions > workers,
-                "depth={depth} workers={workers}: huge tree made {} regions",
-                report.outputs[0].regions
+    for workers in [1usize, 2, 8] {
+        let config = DriverConfig::workers(workers).with_adaptive_budget(budget);
+        let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
+        let mut driver = BatchDriver::new(&plan);
+        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        assert!(
+            report.outputs[0].regions > workers,
+            "workers={workers}: huge tree made {} regions",
+            report.outputs[0].regions
+        );
+        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            assert!(output.errors.is_empty(), "{:?}", output.errors);
+            let (want_asm, want_store) = &reference[i];
+            assert_eq!(
+                want_asm, &output.asm,
+                "tree {i}: asm differs at workers={workers}"
             );
-            for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                let output = compiler.output_from_store(tree, &out.store, out.stats);
-                assert!(output.errors.is_empty(), "{:?}", output.errors);
-                let (want_asm, want_store) = &reference[i];
-                assert_eq!(
-                    want_asm, &output.asm,
-                    "tree {i}: asm differs at depth={depth} workers={workers}"
-                );
-                assert_eq!(
-                    want_store,
-                    &store_snapshot(tree, &out.store),
-                    "tree {i}: store differs at depth={depth} workers={workers}"
-                );
-            }
+            assert_eq!(
+                want_store,
+                &store_snapshot(tree, &out.store),
+                "tree {i}: store differs at workers={workers}"
+            );
         }
     }
 }
@@ -582,8 +523,8 @@ fn region_granular_smoke_matches_sequential() {
     }
 }
 
-/// Pipelining actually overlaps trees: a multi-tree batch at depth ≥ 2
-/// reports more than one tree in flight.
+/// Pipelining actually overlaps trees: a multi-tree batch fills the
+/// window of two trees per worker.
 #[test]
 fn batch_report_exposes_in_flight_depth() {
     let compiler = Compiler::new();
@@ -591,23 +532,14 @@ fn batch_report_exposes_in_flight_depth() {
         .iter()
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
-    let plan = CompilationPlan::from_plan(
-        compiler.evals.plan(),
-        DriverConfig::workers(2).with_pipeline_depth(2),
-    );
+    let plan = CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::workers(1));
     let mut driver = BatchDriver::new(&plan);
     assert_eq!(driver.pipeline_depth(), 2);
     let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-    assert_eq!(report.pipeline_depth, 2);
     assert_eq!(
         report.max_in_flight, 2,
         "a 4-tree batch fills a depth-2 window"
     );
-    // Barrier config degenerates to one in flight.
-    let plan1 = CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::barrier(2));
-    let mut driver1 = BatchDriver::new(&plan1);
-    let report1 = driver1.compile_batch(trees.iter().cloned()).unwrap();
-    assert_eq!(report1.max_in_flight, 1);
     // The default window is two trees per worker: a stream of small
     // programs, one job each, keeps a second one waiting at every
     // worker.
@@ -623,9 +555,9 @@ fn batch_report_exposes_in_flight_depth() {
     }
 }
 
-/// Live-pool fault tolerance: kill one worker of a pool, under either
-/// scheduler, and the survivors must keep compiling the same stream to
-/// byte-identical assembly. (Mid-evaluation kills with region
+/// Live-pool fault tolerance: kill one worker of a pool, and the
+/// survivors must keep compiling the same stream to byte-identical
+/// assembly. (Mid-evaluation kills with region
 /// re-execution are pinned by the pool's own unit tests; this is the
 /// driver-level contract.)
 #[test]
@@ -635,37 +567,31 @@ fn killed_worker_leaves_batch_output_byte_identical() {
         .iter()
         .map(|s| compiler.tree_from_source(s).unwrap())
         .collect();
-    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-        let config = DriverConfig::workers(4).with_scheduler(scheduler);
-        let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
-        let mut driver = BatchDriver::new(&plan);
-        let before: Vec<String> = {
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-            trees
-                .iter()
-                .zip(&report.outputs)
-                .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
-                .collect()
-        };
+    let plan = CompilationPlan::from_plan(compiler.evals.plan(), DriverConfig::workers(4));
+    let mut driver = BatchDriver::new(&plan);
+    let before: Vec<String> = {
+        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        trees
+            .iter()
+            .zip(&report.outputs)
+            .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
+            .collect()
+    };
 
-        assert!(
-            driver.kill_worker(1),
-            "{scheduler:?} pool absorbs a worker kill"
-        );
-        assert!(!driver.kill_worker(1), "a dead worker cannot die twice");
-        let f = driver.fault_counters();
-        assert_eq!(f.crashes, 1, "{scheduler:?}: {f:?}");
+    assert!(driver.kill_worker(1), "the pool absorbs a worker kill");
+    assert!(!driver.kill_worker(1), "a dead worker cannot die twice");
+    let f = driver.fault_counters();
+    assert_eq!(f.crashes, 1, "{f:?}");
 
-        for round in 0..2 {
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
-            for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                let output = compiler.output_from_store(tree, &out.store, out.stats);
-                assert!(output.errors.is_empty(), "{:?}", output.errors);
-                assert_eq!(
-                    before[i], output.asm,
-                    "{scheduler:?} tree {i} round {round}: asm diverged after the kill"
-                );
-            }
+    for round in 0..2 {
+        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
+            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            assert!(output.errors.is_empty(), "{:?}", output.errors);
+            assert_eq!(
+                before[i], output.asm,
+                "tree {i} round {round}: asm diverged after the kill"
+            );
         }
     }
 }
@@ -704,9 +630,7 @@ fn memo_on_matches_memo_off_and_second_touch_keeps_the_warm_hit_rate() {
         // The memo caches leaf regions, and only cost-driven carving
         // roots them at memo-safe procedure bodies.
         let budget = (plan.tree_work(&trees[0]) / 16).max(1);
-        let off = DriverConfig::workers(4)
-            .with_pipeline_depth(2)
-            .with_adaptive_budget(budget);
+        let off = DriverConfig::workers(4).with_adaptive_budget(budget);
         let cold_and_warm = |config| {
             let mut driver = BatchDriver::new(&CompilationPlan::from_plan(plan, config));
             [0, 1].map(|_| driver.compile_batch(trees.iter().cloned()).unwrap())
@@ -763,7 +687,7 @@ fn huge_tree_retire_share_stays_under_0_40() {
     let huge = compiler
         .tree_from_source(&generate(&GenConfig::huge()))
         .unwrap();
-    let config = DriverConfig::workers(4).with_pipeline_depth(2);
+    let config = DriverConfig::workers(4);
     let (mut elapsed, mut assemble) = (Duration::MAX, Duration::MAX);
     for _ in 0..5 {
         let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);

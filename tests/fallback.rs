@@ -136,7 +136,7 @@ fn parallel_dynamic_without_plans_matches_sequential() {
     // whole, or is cut into fewer regions than workers.
     let plan = Arc::new(EvalPlan::analyze(&f.grammar));
     assert!(plan.programs().is_none());
-    let mut pool = WorkerPool::new(&plan, PoolConfig::barrier(4));
+    let mut pool = WorkerPool::new(&plan, PoolConfig::workers(4));
     for (n, regions) in [(16, 4), (1, 1), (2, 2)] {
         let tree = tree_with(&f, f.top1, n);
         let (want, _) = dynamic_eval(&tree).unwrap();

@@ -13,8 +13,8 @@
 //! byte-identical assembly.
 
 use paragram::core::grammar::AttrId;
-use paragram::core::parallel::pool::{FaultCounters, SchedulerMode};
 use paragram::core::parallel::sim::{run_sim_batch, run_sim_stream, BatchSimReport, SimConfig};
+use paragram::core::parallel::{FaultCounters, SchedulerMode};
 use paragram::core::split::RegionGranularity;
 use paragram::core::tree::ParseTree;
 use paragram::netsim::FaultPlan;

@@ -76,7 +76,7 @@ fn threaded_parallel_compilation_produces_identical_program() {
     let want = run_asm(&sequential.asm).unwrap();
 
     for machines in [2, 4] {
-        let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(machines))
+        let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::workers(machines))
             .eval(&tree)
             .unwrap();
         let code = report
@@ -95,7 +95,7 @@ fn parallel_store_matches_sequential_store_instance_by_instance() {
     let tree = compiler.tree_from_source(&src).unwrap();
     let plans = Arc::clone(compiler.evals.plans().unwrap());
     let (seq, _) = static_eval(&tree, &plans).unwrap();
-    let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::barrier(3))
+    let report = WorkerPool::new(compiler.evals.plan(), PoolConfig::workers(3))
         .eval(&tree)
         .unwrap();
     assert_eq!(report.store.filled(), seq.filled());

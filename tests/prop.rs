@@ -140,7 +140,7 @@ proptest! {
         let (d, _) = dynamic_eval(&tree).unwrap();
         let config = PoolConfig {
             adaptive_budget,
-            ..PoolConfig::barrier(machines)
+            ..PoolConfig::workers(machines)
         };
         let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
         all_attrs_equal(&g.grammar, &tree, &d, &report.store)?;
