@@ -72,5 +72,5 @@ pub mod value;
 
 pub use grammar::{AttrId, AttrKind, Grammar, GrammarBuilder, ProdId, SymbolId};
 pub use memo::{MemoCache, MemoCounters};
-pub use tree::{AttrSlots, AttrStore, NodeId, ParseTree, RegionStore, TreeBuilder};
+pub use tree::{AttrRead, AttrSlots, AttrStore, NodeId, ParseTree, RegionStore, TreeBuilder};
 pub use value::{AttrValue, Value};

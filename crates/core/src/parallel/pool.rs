@@ -53,20 +53,28 @@
 //!                  │
 //!                  │  Attr { t, region, .. }   between (t,q) machines
 //!                  ▼
-//! Done(t, q) per region ─▶ parser assembles InFlight(t)
-//!   (root values aboard   ─▶ retirement ─▶ PoolReport
-//!    the root region's)
+//! Done(t, q) per region ─▶ parser collects InFlight(t)
+//!   (root values aboard   ─▶ retirement ─▶ PoolReport: the region
+//!    the root region's)                    stores, as they are
 //!
 //! ticket t, not cut ── whole-tree job (t,0) ─▶ worker w(t,0)
 //!                        static evaluation into an AttrStore:
 //!                        no decomposition or machine
 //!                  ▼
 //! Done(t, 0) with the store ─▶ retirement adopts it ─▶ PoolReport
+//!
+//! drop(PoolReport) ── Reclaim(store) ─▶ the worker that built it,
+//!                                        which frees it outside any
+//!                                        machine burst
 //! ```
 //!
 //! A finished job is **one message**: its `Done` carries what it
 //! computed — a region's local store (and, from the root region, the
-//! tree's root values), or a whole tree's store.
+//! tree's root values), or a whole tree's store — and the index of the
+//! worker that ran it. The report keeps those stores where they are
+//! ([`RetiredStore`]), as the paper's evaluators keep their values
+//! (§4.2: only the root attributes travel back to the parser), and a
+//! dropped report hands each store back to its worker to be freed.
 //!
 //! A ticket that stays whole — one region — is not a degenerate case of
 //! the machinery above but a different job: nothing crosses a boundary,
@@ -138,34 +146,47 @@
 //! the symbol-table pipeline), the worker steps the next job's machine
 //! instead of idling. Both the early-finisher idle time *and* the
 //! blocked-on-messages time an epoch barrier would waste become useful
-//! work, and the parser-side assembly of tree N (the store merge)
-//! overlaps tree N+1's evaluation.
+//! work, and the parser-side retirement of tree N overlaps tree N+1's
+//! evaluation.
 //!
 //! # What retirement costs
 //!
 //! Retiring a ticket ([`PoolReport::assemble`]) runs on whichever
 //! thread collects it — the batch driver's caller, or the service
 //! queue's pump — after the tree's last rule has fired, so none of it
-//! overlaps that tree's evaluation. A ticket that was one whole-tree
-//! job costs none of what follows: its store arrives finished, and
-//! retirement reads the root values out of it (and, memo on, runs the
-//! install scan over it) — no allocation, no move. For a ticket of
-//! regions, retirement waits on no other thread. It is, in order: the
-//! memo install scan (memo on only: one `is_fingerprintable` +
-//! `wire_size` per value of each cacheable region not yet cached);
-//! sizing the whole-tree store ([`AttrStore::new`], O(instances),
-//! mostly first-touch page faults); and moving every region's owned
-//! span into it ([`AttrStore::absorb_region`], O(instances), one move
-//! per value).
+//! overlaps that tree's evaluation. It waits on no other thread, and
+//! with the memo off it is O(regions): summing the jobs' statistics,
+//! collecting the root values the root region's `Done` carried (a
+//! whole-tree job's are read out of its store) and handing the stores
+//! to the report. No whole-tree store is sized and no value moves. With
+//! the memo on, retirement adds the install scan: one
+//! `is_fingerprintable` + `wire_size` per value of each cacheable
+//! region not yet cached, or of a whole-tree job's store.
 //!
-//! Nothing in that list reads code text. A node's code rope contains
-//! its whole subtree's, so any per-instance step that walks its rope
-//! costs Σ subtree sizes — several times a sequential evaluation on a
-//! large tree. A value is moved, never cloned, and a rope answers "how
-//! many bytes would this put on the wire" from a cached field, so
-//! retirement is proportional to the number of attribute instances.
-//! The same holds on the sending side: a boundary send clones a rope's
-//! handle, not its text.
+//! Nothing in it reads code text. A node's code rope contains its whole
+//! subtree's, so any per-instance step that walks its rope costs Σ
+//! subtree sizes — several times a sequential evaluation on a large
+//! tree; a rope answers "how many bytes would this put on the wire"
+//! from a cached field. The same holds on the sending side: a boundary
+//! send clones a rope's handle, not its text.
+//!
+//! What a caller then reads costs what it reads: a root attribute is
+//! one lookup in the region that owns the root. A caller that wants the
+//! whole-tree [`AttrStore`] dereferences the report's store, which
+//! builds it once for a ticket of regions (O(instances), one clone per
+//! value). The report's drop frees no store and no value on the
+//! caller's thread: each store goes back over a channel to the worker
+//! that built it, which frees it whenever its scheduling loop returns
+//! (every job it holds starved, or none left), before it claims work or
+//! blocks — never inside a machine burst. So a free never interrupts a
+//! running job, but it can hold up a starved one: the value that would
+//! unblock it waits in the channel until the free is over, and so does
+//! the worker's next claim. The 264 k-node tree's stores take tens of
+//! milliseconds to free. (Measured on a 2-core box: retiring the
+//! 264 k-node tree took 30–32 ms while it built a whole-tree store and
+//! takes ≈ 5 µs now; on the benchmark's `large_single`, the caller's
+//! teardown of a pass of seven programs fell from 147 to 59 ms, the
+//! trees being what is left.)
 //!
 //! # Placement: one scheduler board, one policy
 //!
@@ -196,8 +217,8 @@
 //!
 //! The protocol stays deterministic in *results* at every worker count
 //! and granularity: attribute messages carry their
-//! `(ticket, region)` destination, and per-ticket result assembly
-//! merges region stores in region order — placement and machine
+//! `(ticket, region)` destination, and a retired ticket reads each
+//! instance from the region that owns it — placement and machine
 //! scheduling affect timing only, never values (each attribute
 //! instance has exactly one defining rule). Dependencies between
 //! machines exist only *within* a ticket and no machine ever waits for
@@ -220,12 +241,12 @@ use crate::memo::{
 };
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
-use crate::tree::{AttrStore, NodeId, ParseTree};
+use crate::tree::{AttrRead, AttrStore, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery, JobKey};
@@ -341,12 +362,15 @@ impl Default for PoolConfig {
 pub struct PoolReport<V: AttrValue> {
     /// The ticket this tree was evaluated under.
     pub ticket: Ticket,
-    /// Root attribute values.
+    /// Root attribute values. Declared before `store`, so they drop
+    /// while the store still holds the values they were cloned from:
+    /// dropping them frees the list and no value.
     pub root_values: Vec<(AttrId, V)>,
     /// The tree's attribute store, independent of how the tree was
-    /// decomposed: merged from the regions' stores, or — for a tree
-    /// that stayed whole — the very store a worker evaluated into.
-    pub store: AttrStore<V>,
+    /// decomposed: a view over the stores the workers filled — a
+    /// whole-tree job's, or every region's — that goes back to those
+    /// workers to be freed when the report drops.
+    pub store: RetiredStore<V>,
     /// Statistics aggregated over all the tree's jobs.
     pub stats: EvalStats,
     /// Wall-clock time from job dispatch until the retiring thread had
@@ -359,12 +383,10 @@ pub struct PoolReport<V: AttrValue> {
     /// pipelined window it overlaps with neighbouring trees' times.
     pub elapsed: Duration,
     /// Wall-clock time of retirement, on the retiring thread, starting
-    /// where `elapsed` stops. For a ticket of regions: memo
-    /// installation, whole-tree store allocation and region absorption.
-    /// For a ticket that was one whole-tree job: reading the root values
-    /// out of the store the worker filled (and the memo install, memo
-    /// on) — next to nothing. `elapsed + assemble` is dispatch to
-    /// finished report.
+    /// where `elapsed` stops: summing the jobs' statistics and handing
+    /// their stores to the report (and, memo on, the install scan over
+    /// them) — O(regions) with the memo off, whatever the tree's size.
+    /// `elapsed + assemble` is dispatch to finished report.
     pub assemble: Duration,
     /// Number of regions actually used; 1 is a tree that stayed whole.
     pub regions: usize,
@@ -378,6 +400,128 @@ impl<V: AttrValue> PoolReport<V> {
             .find(|(a, _)| *a == attr)
             .map(|(_, v)| v)
     }
+}
+
+/// A retired tree's attribute store, read where the workers left it:
+/// the whole-tree job's [`AttrStore`], or the ticket's region stores
+/// behind the decomposition's shared slot layout.
+///
+/// * A read ([`RetiredStore::get`], or [`AttrRead`] for generic
+///   readers) goes to the store that holds the instance — for a ticket
+///   of regions, through [`SlotMap::owner`](crate::split::SlotMap::owner)
+///   to the region that owns the node: O(1), nothing built.
+/// * It dereferences to a whole-tree [`AttrStore`] for callers that need
+///   one. A whole-tree job's store is that already. A ticket of regions
+///   builds it on the first dereference, once, by copying every region's
+///   owned span into it ([`AttrStore::absorb_region`]) — the tree's
+///   instance count in slots and a clone per value, O(instances) —
+///   which is what the oracle tests and the benchmark's traced layer
+///   pay.
+/// * Dropped, it hands every store back to the worker that built it, to
+///   be freed there outside any machine burst: the thread that drops
+///   the report frees no value. A store whose worker is gone (killed,
+///   or its pool dropped) is freed in place.
+pub struct RetiredStore<V: AttrValue> {
+    held: Held<V>,
+    /// Every worker's channel, for handing the stores back.
+    workers: Arc<[Sender<WorkerMsg<V>>]>,
+}
+
+/// What a [`RetiredStore`] holds, each store with the index of the
+/// worker that built it.
+enum Held<V: AttrValue> {
+    /// A whole-tree job's store.
+    Whole(AttrStore<V>, usize),
+    /// A ticket's region stores, region `r`'s at index `r`, all
+    /// addressed through the decomposition's one slot layout.
+    Regions {
+        /// The tree the layout was cut from.
+        tree: Arc<ParseTree<V>>,
+        stores: Vec<RegionStore<V>>,
+        /// `homes[r]` built region `r`'s store.
+        homes: Vec<usize>,
+        /// The whole-tree store, once a dereference asked for one.
+        dense: OnceLock<AttrStore<V>>,
+    },
+}
+
+impl<V: AttrValue> RetiredStore<V> {
+    /// Reads an instance from the store that holds it.
+    #[inline]
+    pub fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
+        match &self.held {
+            Held::Whole(store, _) => store.get(node, attr),
+            Held::Regions { stores, .. } => {
+                let owner = stores[0].slot_map().owner(node);
+                stores[owner as usize].get(node, attr)
+            }
+        }
+    }
+}
+
+impl<V: AttrValue> AttrRead<V> for RetiredStore<V> {
+    #[inline]
+    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
+        RetiredStore::get(self, node, attr)
+    }
+}
+
+impl<V: AttrValue> std::ops::Deref for RetiredStore<V> {
+    type Target = AttrStore<V>;
+
+    /// The whole-tree store: free for a whole-tree job, built once
+    /// (O(instances)) for a ticket of regions.
+    fn deref(&self) -> &AttrStore<V> {
+        match &self.held {
+            Held::Whole(store, _) => store,
+            Held::Regions {
+                tree,
+                stores,
+                dense,
+                ..
+            } => dense.get_or_init(|| {
+                let mut whole = AttrStore::new(tree);
+                for store in stores {
+                    whole.absorb_region(tree, store);
+                }
+                whole
+            }),
+        }
+    }
+}
+
+impl<V: AttrValue> Drop for RetiredStore<V> {
+    fn drop(&mut self) {
+        let workers = &self.workers;
+        // A failed send hands the message back, and it drops here.
+        let reclaim = |w: usize, store| {
+            let _ = workers[w].send(WorkerMsg::Reclaim(store));
+        };
+        match &mut self.held {
+            Held::Whole(store, home) => reclaim(*home, Reclaimed::Tree(std::mem::take(store))),
+            Held::Regions {
+                stores,
+                homes,
+                dense,
+                ..
+            } => {
+                for (store, &home) in stores.drain(..).zip(homes.iter()) {
+                    reclaim(home, Reclaimed::Region(store));
+                }
+                if let Some(dense) = dense.take() {
+                    reclaim(homes[0], Reclaimed::Tree(dense));
+                }
+            }
+        }
+    }
+}
+
+/// A store a dropped report hands back to the worker that built it.
+/// Held only to be dropped there, so nothing reads it.
+#[allow(dead_code)]
+enum Reclaimed<V> {
+    Tree(AttrStore<V>),
+    Region(RegionStore<V>),
 }
 
 /// What a worker needs to run a job: the tree and how its ticket was
@@ -405,6 +549,10 @@ enum WorkerMsg<V> {
     /// A ticket failed: drop every running job that belongs to it (its
     /// Done will never be awaited).
     Cancel { ticket: Ticket },
+    /// A dropped report's store, built here: free it when the
+    /// scheduling loop next returns — which can hold up a starved job's
+    /// next value and the next claim, never a machine burst.
+    Reclaim(Reclaimed<V>),
     /// Exit now, abandoning every job without reporting: the pool is
     /// dropped, or [`WorkerPool::kill_worker`] injected a crash (the
     /// board already reseeded the victim's jobs onto survivors).
@@ -416,25 +564,28 @@ enum WorkerMsg<V> {
 struct Done<V> {
     ticket: Ticket,
     region: RegionId,
+    /// The worker that ran the job, where its store goes back to.
+    worker: usize,
     result: Result<JobResult<V>, EvalError>,
 }
 
-/// A retired ticket's root values, whole-tree store and statistics.
-type Retired<V> = (Vec<(AttrId, V)>, AttrStore<V>, EvalStats);
+/// A retired ticket's root values, stores and statistics.
+type Retired<V> = (Vec<(AttrId, V)>, Held<V>, EvalStats);
 
-/// Per-ticket assembly state: what the parser role has collected for
-/// one in-flight tree so far.
+/// Per-ticket retirement state: what the parser role has collected
+/// for one in-flight tree so far.
 struct InFlight<V: AttrValue> {
     ticket: Ticket,
-    /// The tree under evaluation — assembly sizes the whole-tree store
-    /// and resolves the region stores' slot spans against it.
+    /// The tree under evaluation — the memo install scan reads it, and
+    /// a retired ticket of regions keeps it for its reads.
     tree: Arc<ParseTree<V>>,
     /// The decomposition — retire-time memo installation needs region
     /// roots and parents. `None` for a ticket that is one whole-tree
     /// job.
     decomp: Option<Arc<Decomposition>>,
     regions: usize,
-    region_results: Vec<Option<JobResult<V>>>,
+    /// Each job's result, with the worker that ran it.
+    region_results: Vec<Option<(usize, JobResult<V>)>>,
     done: usize,
     start: Instant,
     /// First error any region machine raised; a failed entry's
@@ -449,7 +600,9 @@ pub struct WorkerPool<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
     config: PoolConfig,
     split: SplitTable,
-    worker_txs: Vec<Sender<WorkerMsg<V>>>,
+    /// Every worker's channel; retired stores keep a handle, to hand
+    /// themselves back.
+    worker_txs: Arc<[Sender<WorkerMsg<V>>]>,
     parser_rx: Receiver<Done<V>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_ticket: Ticket,
@@ -479,8 +632,10 @@ struct WorkerCtx<V: AttrValue> {
     /// key.
     me: usize,
     rx: Receiver<WorkerMsg<V>>,
-    peers: Vec<Sender<WorkerMsg<V>>>,
+    peers: Arc<[Sender<WorkerMsg<V>>]>,
     parser_tx: Sender<Done<V>>,
+    /// Stores dropped reports handed back, freed when `drive` returns.
+    reclaimed: Vec<Reclaimed<V>>,
     /// The scheduler board.
     board: Arc<PoolBoard<V>>,
     /// Shared count of contained semantic-rule panics.
@@ -571,6 +726,7 @@ impl<V: AttrValue> WorkerPool<V> {
         let panics_contained = Arc::new(AtomicU64::new(0));
 
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
+        let worker_txs: Arc<[_]> = worker_txs.into();
         let (parser_tx, parser_rx) = channel();
 
         let mut handles = Vec::with_capacity(workers);
@@ -578,8 +734,9 @@ impl<V: AttrValue> WorkerPool<V> {
             let ctx = WorkerCtx {
                 me,
                 rx,
-                peers: worker_txs.clone(),
+                peers: Arc::clone(&worker_txs),
                 parser_tx: parser_tx.clone(),
+                reclaimed: Vec::new(),
                 board: Arc::clone(&board),
                 panics_contained: Arc::clone(&panics_contained),
             };
@@ -840,12 +997,12 @@ impl<V: AttrValue> WorkerPool<V> {
     /// routes every queued message, retires every in-flight tree whose
     /// regions have all reported — or whose evaluation failed —
     /// (front-first, preserving submission order) into the ready
-    /// buffer, and returns how many results became ready. What it still
-    /// does on the caller's thread is the assembly of each tree of
-    /// regions it retires ([`PoolReport::assemble`]: O(attribute
-    /// instances) — a few milliseconds for a 25 k-node tree, tens for a
-    /// 264 k-node one; a tree that stayed whole arrives assembled). A
-    /// service loop calls this between
+    /// buffer, and returns how many results became ready. Retiring a
+    /// tree on the caller's thread ([`PoolReport::assemble`]) hands the
+    /// workers' stores to the report as they are: microseconds, for a
+    /// 264 k-node tree as for a small one, with the memo off (the
+    /// memo's install scan is O(instances) of the regions it installs).
+    /// A service loop calls this between
     /// arrivals to harvest finished requests while keeping the window
     /// topped up via [`WorkerPool::submit`].
     pub fn poll(&mut self) -> usize {
@@ -904,6 +1061,7 @@ impl<V: AttrValue> WorkerPool<V> {
         let Done {
             ticket,
             region,
+            worker,
             result,
         } = msg;
         let Some(i) = self.entry_index(ticket) else {
@@ -921,7 +1079,7 @@ impl<V: AttrValue> WorkerPool<V> {
         }
         match result {
             Ok(r) => {
-                entry.region_results[region as usize] = Some(r);
+                entry.region_results[region as usize] = Some((worker, r));
                 entry.done += 1;
             }
             Err(e) => {
@@ -939,7 +1097,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// awaited.
     fn cancel_ticket(&mut self, ticket: Ticket) {
         lock(&self.board).cancel(ticket);
-        for tx in &self.worker_txs {
+        for tx in self.worker_txs.iter() {
             let _ = tx.send(WorkerMsg::Cancel { ticket });
         }
     }
@@ -958,7 +1116,8 @@ impl<V: AttrValue> WorkerPool<V> {
     /// wait, and none at all when [`WorkerPool::front_complete`] already
     /// holds — then retire it on this thread: a ticket of regions is
     /// [assembled](Self::assemble); a ticket that was one whole-tree
-    /// job has its store [adopted](Self::adopt).
+    /// job has its store [adopted](Self::adopt). Either way the report
+    /// keeps the stores the workers filled.
     fn retire_front(&mut self) -> Result<PoolReport<V>, TicketFailure> {
         while !self.front_complete() {
             let msg = self.parser_rx.recv().expect("workers alive");
@@ -967,16 +1126,19 @@ impl<V: AttrValue> WorkerPool<V> {
         let fl = self.in_flight.pop_front().expect("checked non-empty");
         let retiring = Instant::now();
         let ticket = fl.ticket;
-        let retired = match (fl.failed, &fl.decomp) {
+        let retired = match (fl.failed, fl.decomp) {
             (Some(error), _) => Err(error),
-            (None, Some(decomp)) => Ok(self.assemble(&fl.tree, decomp, fl.region_results)),
+            (None, Some(decomp)) => Ok(self.assemble(fl.tree, &decomp, fl.region_results)),
             (None, None) => Ok(self.adopt(&fl.tree, fl.region_results)),
         };
         match retired {
-            Ok((root_values, store, stats)) => Ok(PoolReport {
+            Ok((root_values, held, stats)) => Ok(PoolReport {
                 ticket,
                 root_values,
-                store,
+                store: RetiredStore {
+                    held,
+                    workers: Arc::clone(&self.worker_txs),
+                },
                 stats,
                 elapsed: retiring.duration_since(fl.start),
                 assemble: retiring.elapsed(),
@@ -991,8 +1153,12 @@ impl<V: AttrValue> WorkerPool<V> {
     /// to size or absorb. What is left is the memo install (memo on
     /// only — the root region's contract, under the key the worker
     /// probed with) and reading the root values out.
-    fn adopt(&self, tree: &ParseTree<V>, results: Vec<Option<JobResult<V>>>) -> Retired<V> {
-        let Some(Some((stats, Finished::Tree(store)))) = results.into_iter().next() else {
+    fn adopt(
+        &self,
+        tree: &ParseTree<V>,
+        results: Vec<Option<(usize, JobResult<V>)>>,
+    ) -> Retired<V> {
+        let Some(Some((home, (stats, Finished::Tree(store))))) = results.into_iter().next() else {
             unreachable!("a whole-tree ticket's one job reports the tree's store");
         };
         let root = tree.root();
@@ -1006,27 +1172,30 @@ impl<V: AttrValue> WorkerPool<V> {
             .iter()
             .filter_map(|&a| Some((a, store.get(root, a)?.clone())))
             .collect();
-        (root_values, store, stats)
+        (root_values, Held::Whole(store, home), stats)
     }
 
     /// Retires a ticket of regions that all reported: memo installation
-    /// and sparse store assembly.
+    /// (memo on), then the region stores become the report's, as they
+    /// are — no whole-tree store, and no value moves.
     fn assemble(
         &self,
-        tree: &ParseTree<V>,
+        tree: Arc<ParseTree<V>>,
         decomp: &Decomposition,
-        results: Vec<Option<JobResult<V>>>,
+        results: Vec<Option<(usize, JobResult<V>)>>,
     ) -> Retired<V> {
         let mut stats = EvalStats::default();
         let mut root_values = Vec::new();
         let mut stores = Vec::with_capacity(results.len());
+        let mut homes = Vec::with_capacity(results.len());
         for r in results {
-            let Some((s, Finished::Region { store, roots })) = r else {
+            let Some((home, (s, Finished::Region { store, roots }))) = r else {
                 unreachable!("every region of a decomposed ticket reports its region store");
             };
             stats += s;
             root_values.extend(roots);
             stores.push(store);
+            homes.push(home);
         }
 
         // Retire-time memo installation: every cacheable region of a
@@ -1036,7 +1205,7 @@ impl<V: AttrValue> WorkerPool<V> {
         if let Some(memo) = &self.memo {
             for (ri, rstore) in stores.iter().enumerate() {
                 let Some((root, subtree, inh)) =
-                    region_cacheable(&self.plan, &self.memo_safe, tree, decomp, ri as RegionId)
+                    region_cacheable(&self.plan, &self.memo_safe, &tree, decomp, ri as RegionId)
                 else {
                     continue;
                 };
@@ -1051,19 +1220,17 @@ impl<V: AttrValue> WorkerPool<V> {
                     continue;
                 };
                 let key = MemoKey { subtree, inherited };
-                install_span(memo, tree, root, key, |n, a| rstore.get(n, a));
+                install_span(memo, &tree, root, key, |n, a| rstore.get(n, a));
             }
         }
 
-        // Sparse assembly: size the whole-tree store once, then map each
-        // region's O(region) owned span into it through the
-        // decomposition's slot layout (region order — deterministic,
-        // though the spans are disjoint anyway).
-        let mut store = AttrStore::new(tree);
-        for region_store in stores {
-            store.absorb_region(tree, region_store);
-        }
-        (root_values, store, stats)
+        let held = Held::Regions {
+            tree,
+            stores,
+            homes,
+            dense: OnceLock::new(),
+        };
+        (root_values, held, stats)
     }
 
     /// Injects a worker crash (the fault-tolerance test hook and the
@@ -1103,7 +1270,7 @@ impl<V: AttrValue> WorkerPool<V> {
 
 impl<V: AttrValue> Drop for WorkerPool<V> {
     fn drop(&mut self) {
-        for tx in &self.worker_txs {
+        for tx in self.worker_txs.iter() {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
         for h in self.handles.drain(..) {
@@ -1148,6 +1315,9 @@ fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
         if !core.drive(&mut ctx) {
             return;
         }
+        // Outside any burst, though a starved job may be waiting: free
+        // what dropped reports handed back.
+        ctx.reclaimed.clear();
         let claimed = lock(&ctx.board).claim(ctx.me, |_, _| true);
         match claimed {
             Some(Claimed {
@@ -1173,6 +1343,7 @@ impl<V: AttrValue> WorkerCtx<V> {
         match msg {
             WorkerMsg::Shutdown => return false,
             WorkerMsg::Wake => {}
+            WorkerMsg::Reclaim(store) => self.reclaimed.push(store),
             // The pool already purged the ticket from the board; only
             // this worker's own jobs are left to drop.
             WorkerMsg::Cancel { ticket } => core.cancel(ticket),
@@ -1245,6 +1416,7 @@ impl<V: AttrValue> Driver<V> for WorkerCtx<V> {
         let _ = self.parser_tx.send(Done {
             ticket,
             region,
+            worker: self.me,
             result,
         });
     }
@@ -2114,6 +2286,123 @@ pub(super) mod tests {
         }
     }
 
+    /// The retired view against the sequential static evaluator: every
+    /// instance read through it, its dense dereference slot by slot,
+    /// then every root value.
+    fn assert_view_is_static_eval(
+        tree: &ParseTree<Value>,
+        plan: &EvalPlan<Value>,
+        report: &PoolReport<Value>,
+        what: &str,
+    ) {
+        let (want, _) = crate::eval::static_eval(tree, plan.plans().unwrap()).unwrap();
+        let g = tree.grammar();
+        let instances = || {
+            tree.node_ids().flat_map(move |node| {
+                let sym = g.prod(tree.node(node).prod).lhs;
+                (0..g.attr_count(sym)).map(move |a| (node, AttrId(a as u32)))
+            })
+        };
+        for (node, attr) in instances() {
+            assert_eq!(
+                report.store.get(node, attr),
+                want.get(node, attr),
+                "{what}: read through the view, node={node:?} attr={attr:?}"
+            );
+        }
+        let dense: &AttrStore<Value> = &report.store;
+        assert_eq!(
+            (dense.len(), dense.filled()),
+            (want.len(), want.filled()),
+            "{what}"
+        );
+        for i in 0..want.len() {
+            assert_eq!(
+                dense.get_by_index(i),
+                want.get_by_index(i),
+                "{what}: slot {i}"
+            );
+        }
+        for (node, attr) in instances() {
+            assert_eq!(
+                report.store.get(node, attr),
+                want.get(node, attr),
+                "{what}: read after the dereference, node={node:?} attr={attr:?}"
+            );
+        }
+        let root = tree.root();
+        let root_sym = g.prod(tree.node(root).prod).lhs;
+        assert!(!plan.syn_attrs(root_sym).is_empty());
+        for &attr in plan.syn_attrs(root_sym) {
+            assert_eq!(
+                report.root_value(attr),
+                want.get(root, attr),
+                "{what}: root value"
+            );
+        }
+    }
+
+    /// One oracle for the retired view, over every shape a ticket takes:
+    /// a whole-tree job, two regions, an adaptive many-region cut, a
+    /// region replayed from the memo and a region re-executed after its
+    /// worker was killed.
+    #[test]
+    fn the_retired_view_reads_like_static_eval_on_every_ticket_shape() {
+        let (light, plan, _) = light_trees(&[40]);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
+        let report = pool.eval(&light[0]).unwrap();
+        assert_eq!(report.regions, 1);
+        assert_view_is_static_eval(&light[0], &plan, &report, "whole-tree job");
+
+        // Every evaluation stops in its chain-end rule until the gate
+        // opens, so at the kill each worker still holds its jobs.
+        let gate = Arc::new((Mutex::new(true), std::sync::Condvar::new()));
+        let held = Arc::clone(&gate);
+        let (trees, plan, _) = fixture_trees_with(&[60; 4], MIN_REGION_WORK, move || {
+            let (open, opened) = &*held;
+            let _open = opened
+                .wait_while(open.lock().unwrap(), |open| !*open)
+                .unwrap();
+        });
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));
+        let report = pool.eval(&trees[0]).unwrap();
+        assert_eq!(report.regions, 2);
+        assert_view_is_static_eval(&trees[0], &plan, &report, "two regions");
+
+        // Kill a worker with the window full: its regions re-execute on
+        // the survivor.
+        *gate.0.lock().unwrap() = false;
+        for tree in &trees {
+            pool.submit(tree);
+        }
+        assert!(pool.kill_worker(1));
+        assert!(pool.fault_counters().regions_reexecuted > 0);
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        for (i, tree) in trees.iter().enumerate() {
+            let report = pool.collect().unwrap().unwrap();
+            assert_view_is_static_eval(tree, &plan, &report, &format!("after the kill, tree {i}"));
+        }
+
+        let (tree, plan, _) = rope_memo_fixture(600);
+        let budget = (plan.tree_work(&tree) / 12).max(1);
+        let config = PoolConfig::workers(2).with_adaptive_budget(budget);
+        let report = WorkerPool::new(&plan, config).eval(&tree).unwrap();
+        assert!(report.regions > 4, "{} regions", report.regions);
+        assert_view_is_static_eval(&tree, &plan, &report, "adaptive cut");
+
+        let items: Vec<i64> = (0..24).map(|i| i * 3 + 1).collect();
+        let (t1, plan, _) = memo_fixture(7, &items);
+        let (t2, _, _) = memo_fixture(7, &items);
+        let config = PoolConfig::workers(2).with_memo_capacity(1 << 20);
+        let mut pool = WorkerPool::new(&plan, config);
+        pool.eval(&t1).unwrap();
+        let report = pool.eval(&t2).unwrap();
+        assert_eq!(report.regions, 2);
+        assert!(pool.memo_counters().unwrap().hits >= 1, "a region replays");
+        assert_view_is_static_eval(&t2, &plan, &report, "memo-replayed region");
+    }
+
     fn assert_stores_equal(
         tree: &ParseTree<Value>,
         got: &AttrStore<Value>,
@@ -2362,6 +2651,7 @@ pub(super) mod tests {
         pool.route(Done {
             ticket: 0,
             region: 0,
+            worker: 1,
             result: Ok((
                 EvalStats::default(),
                 Finished::Region {

@@ -54,7 +54,7 @@
 //! | send a boundary value | board route + deliver under one lock, then a channel send | the librarian's `Register` messages and the value's accounted size, board route, then a wire message |
 //! | report a root value | kept: it rides in the root region's `Done` | the librarian's `Register` messages, then a `Root` message to the parser, at once |
 //! | retire | on the board, under its lock | on the board |
-//! | report `Done` | the job's store and statistics over a channel | a 16-byte message to the parser |
+//! | report `Done` | the job's store, statistics and worker index over a channel; the store comes back to this worker to be freed when the report drops | a 16-byte message to the parser |
 //! | poll between bursts | drains its channel into the core | nothing: messages arrive between handlers |
 //!
 //! The pool drives with a yield budget; the simulator drives each
@@ -101,9 +101,9 @@ impl<V: AttrValue> Cut<V> {
 
 /// What a finished job ships back.
 pub(crate) enum Finished<V> {
-    /// A region job: its O(region) local store, which the pool maps
-    /// into the whole-tree store at assembly, and — from the root region
-    /// of a driver that keeps them — the tree's root values.
+    /// A region job: its O(region) local store, which the pool's report
+    /// reads where it is, and — from the root region of a driver that
+    /// keeps them — the tree's root values.
     Region {
         store: RegionStore<V>,
         roots: Vec<(AttrId, V)>,

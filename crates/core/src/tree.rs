@@ -12,7 +12,7 @@
 //! [`AttrSlots`] trait):
 //!
 //! * [`AttrStore`] — the whole-tree store of the sequential evaluators
-//!   and of assembled parallel results: one dense slot per (node,
+//!   and of a tree the pool evaluated whole: one dense slot per (node,
 //!   attribute) instance, addressed through a per-node base table.
 //! * [`RegionStore`] — the region-local store of a parallel region
 //!   machine: slots are numbered *within the region* through the
@@ -28,11 +28,18 @@
 //! The remap invariants the region layout relies on: regions partition
 //! the tree's nodes; every boundary child is the root of the region
 //! that owns it; and each attribute instance has exactly one defining
-//! rule, evaluated by the machine owning the defining node — so merging
-//! only the *owned* spans back into a whole-tree store
-//! ([`AttrStore::absorb_region`]) visits every instance exactly once,
-//! and the foreign aliases (each value's second copy at the producing
-//! or consuming peer) are dropped as the duplicates they are.
+//! rule, evaluated by the machine owning the defining node — so a
+//! reader finds every instance in its owner's span, and copying only
+//! the *owned* spans into a whole-tree store ([`AttrStore::absorb_region`])
+//! visits every instance exactly once, the foreign aliases (each
+//! value's second copy at the producing or consuming peer) being the
+//! duplicates they are.
+//!
+//! A parallel evaluation's result is never merged on its way out: the
+//! pool's report reads a decomposed tree's region stores where they
+//! are, through the shared layout, and builds the whole-tree store only
+//! when a caller asks for one. Every store is read through one
+//! read-only trait, [`AttrRead`].
 
 use crate::grammar::{AttrId, Grammar, ProdId};
 use crate::split::{RegionId, SlotMap};
@@ -526,7 +533,7 @@ impl<V: AttrValue> TreeBuilder<V> {
 ///
 /// Shared by [`AttrStore`] and the incremental evaluator's token
 /// overlays, which mirror this layout.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct PackedSlots<V> {
     values: Vec<V>,
     present: Vec<u64>,
@@ -574,6 +581,16 @@ impl<V: Default> PackedSlots<V> {
     }
 }
 
+/// Reads attribute instances: what every store offers a reader — the
+/// dense [`AttrStore`], a region machine's [`RegionStore`] and the
+/// pool's view of a retired tree alike. Code that only reads a
+/// finished evaluation (code generation, the oracle tests) is generic
+/// over it, so it never asks for a dense store it does not need.
+pub trait AttrRead<V: AttrValue> {
+    /// Reads an instance; `None` while it is unset.
+    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V>;
+}
+
 /// Slot-addressed attribute storage: the discipline shared by the
 /// whole-tree [`AttrStore`] and the region-local [`RegionStore`].
 ///
@@ -582,11 +599,9 @@ impl<V: Default> PackedSlots<V> {
 /// generic over this trait, so the sequential evaluators monomorphize
 /// against the dense whole-tree store exactly as before while region
 /// machines run the same code against O(region) storage.
-pub trait AttrSlots<V: AttrValue> {
+pub trait AttrSlots<V: AttrValue>: AttrRead<V> {
     /// Dense index of an attribute instance within this store.
     fn instance(&self, node: NodeId, attr: AttrId) -> usize;
-    /// Reads an instance.
-    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V>;
     /// Writes an instance (write-once; checked in debug builds).
     fn set(&mut self, node: NodeId, attr: AttrId, value: V);
     /// Reads by dense instance index.
@@ -599,7 +614,8 @@ pub trait AttrSlots<V: AttrValue> {
 /// write-once (enforced in debug builds — semantic rules are pure and an
 /// instance has exactly one defining rule). Storage is a dense value
 /// array plus a presence bitset (`PackedSlots`), so each slot costs
-/// exactly one `V`.
+/// exactly one `V`. The `Default` store is empty: no instances.
+#[derive(Default)]
 pub struct AttrStore<V> {
     base: Vec<u32>,
     slots: PackedSlots<V>,
@@ -680,34 +696,38 @@ impl<V: AttrValue> AttrStore<V> {
         self.slots.filled()
     }
 
-    /// Merges a region machine's local store into this whole-tree store
-    /// — the sparse assembly step of a parallel evaluation. Only the
-    /// region's *owned* span is copied: each attribute instance is
-    /// owned by exactly one region (regions partition the nodes), so
-    /// assembling every region's owned span fills the whole store
-    /// exactly once, and the foreign aliases — a boundary value's
-    /// second copy at the producing or consuming peer — are dropped as
-    /// duplicates. Cost is O(region), independent of the tree.
-    pub fn absorb_region(&mut self, tree: &ParseTree<V>, mut region: RegionStore<V>) {
+    /// Copies a region machine's local store into this whole-tree
+    /// store. Only the region's *owned* span is copied: each attribute
+    /// instance is owned by exactly one region (regions partition the
+    /// nodes), so copying every region's owned span fills the whole
+    /// store exactly once, and the foreign aliases — a boundary value's
+    /// second copy at the producing or consuming peer — are skipped as
+    /// duplicates. One clone per value; cost is O(region), independent
+    /// of the tree.
+    pub fn absorb_region(&mut self, tree: &ParseTree<V>, region: &RegionStore<V>) {
         let g = tree.grammar();
-        let map = Arc::clone(&region.map);
+        let map = &region.map;
         for &n in map.region_nodes(region.region) {
             let sym = g.prod(tree.node(n).prod).lhs;
             let local = map.local_base(n);
             let global = self.base[n.idx()] as usize;
             for a in 0..g.attr_count(sym) {
-                if region.slots.is_set(local + a) {
+                if let Some(value) = region.slots.get(local + a) {
                     debug_assert!(
                         !self.slots.is_set(global + a),
                         "instance owned by two regions"
                     );
-                    self.slots.set(
-                        global + a,
-                        std::mem::take(&mut region.slots.values[local + a]),
-                    );
+                    self.slots.set(global + a, value.clone());
                 }
             }
         }
+    }
+}
+
+impl<V: AttrValue> AttrRead<V> for AttrStore<V> {
+    #[inline]
+    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
+        AttrStore::get(self, node, attr)
     }
 }
 
@@ -715,11 +735,6 @@ impl<V: AttrValue> AttrSlots<V> for AttrStore<V> {
     #[inline]
     fn instance(&self, node: NodeId, attr: AttrId) -> usize {
         AttrStore::instance(self, node, attr)
-    }
-
-    #[inline]
-    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
-        AttrStore::get(self, node, attr)
     }
 
     #[inline]
@@ -748,9 +763,10 @@ impl<V: AttrValue> fmt::Debug for AttrStore<V> {
 /// cost-driven decomposition carve a huge tree into many regions
 /// without multiplying store allocations by the region count.
 ///
-/// The store addresses exactly the instances its machine touches;
-/// [`AttrStore::absorb_region`] maps the owned span back into a
-/// whole-tree store at assembly time.
+/// The store addresses exactly the instances its machine touches. A
+/// finished region's store is read where it is, beside its peers';
+/// [`AttrStore::absorb_region`] copies its owned span into a whole-tree
+/// store for a caller that wants one.
 pub struct RegionStore<V> {
     map: Arc<SlotMap>,
     region: RegionId,
@@ -839,15 +855,17 @@ impl<V: AttrValue> RegionStore<V> {
     }
 }
 
+impl<V: AttrValue> AttrRead<V> for RegionStore<V> {
+    #[inline]
+    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
+        RegionStore::get(self, node, attr)
+    }
+}
+
 impl<V: AttrValue> AttrSlots<V> for RegionStore<V> {
     #[inline]
     fn instance(&self, node: NodeId, attr: AttrId) -> usize {
         RegionStore::instance(self, node, attr)
-    }
-
-    #[inline]
-    fn get(&self, node: NodeId, attr: AttrId) -> Option<&V> {
-        RegionStore::get(self, node, attr)
     }
 
     #[inline]
@@ -1044,7 +1062,7 @@ mod tests {
         assert_eq!(region.get(tree.root(), size), Some(&1));
 
         let mut whole = AttrStore::new(&tree);
-        whole.absorb_region(&tree, region);
+        whole.absorb_region(&tree, &region);
         assert_eq!(whole.get(tree.root(), size), Some(&1));
         assert_eq!(whole.get(NodeId(0), size), Some(&2));
         assert_eq!(whole.filled(), 2);

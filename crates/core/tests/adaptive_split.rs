@@ -187,7 +187,7 @@ fn merge_stores(
     let mut merged = AttrStore::new(tree);
     let mut slots: Vec<Option<RegionStore<i64>>> = stores.into_iter().map(Some).collect();
     for &i in order {
-        merged.absorb_region(tree, slots[i].take().expect("each region merged once"));
+        merged.absorb_region(tree, &slots[i].take().expect("each region merged once"));
     }
     merged
 }

@@ -144,7 +144,7 @@ fn pump_machines(
     // region's owned span fills disjoint whole-tree instances.
     let mut merged = AttrStore::new(tree);
     for m in machines {
-        merged.absorb_region(tree, m.into_store());
+        merged.absorb_region(tree, &m.into_store());
     }
     merged
 }

@@ -41,7 +41,7 @@
 //! **ticket**, so [`BatchDriver::compile_batch`] keeps a small window of
 //! trees in flight (two per worker, [`BatchDriver::pipeline_depth`]):
 //! tree N+1's region jobs fill workers idling behind tree N's
-//! stragglers, and tree N's result assembly overlaps tree N+1's
+//! stragglers, and tree N's retirement overlaps tree N+1's
 //! evaluation. [`BatchDriver::compile_tree`] compiles one tree alone,
 //! the paper's single compilation.
 //!
@@ -54,14 +54,17 @@
 //! ([`paragram_core::parallel::pool::MIN_REGION_WORK`] per region). A
 //! procedure-sized tree is not carved at all: it is one *whole-tree
 //! job* — the sequential static evaluation, run on a worker — which
-//! costs one message each way, no decomposition, no machine and no
-//! assembly ([`TreeOutput::regions`] is 1, [`TreeOutput::assemble`]
-//! next to nothing), and the window of two trees per worker is what
-//! keeps a worker's next such tree waiting in its channel when it
-//! finishes the current one. A grammar that is not l-ordered has no
-//! static evaluation to run: there every region, and every tree that
-//! stays whole, is a dynamic machine. The plan decides that, not the
-//! configuration.
+//! costs one message each way, no decomposition and no machine
+//! ([`TreeOutput::regions`] is 1). Retirement builds nothing at any
+//! size: [`TreeOutput::assemble`] is microseconds for a tree of regions
+//! as for a whole one, because [`TreeOutput::store`] reads the stores
+//! the workers filled where they are, and a dropped output hands them
+//! back to those workers to be freed. The window of two trees per
+//! worker is what keeps a worker's next such tree waiting in its
+//! channel when it finishes the current one. A grammar that is not
+//! l-ordered has no static evaluation to run: there every region, and
+//! every tree that stays whole, is a dynamic machine. The plan decides
+//! that, not the configuration.
 //! [`DriverConfig::with_adaptive_budget`] switches to cost-driven
 //! decomposition where regions are sized by a work budget, so one huge
 //! tree becomes many region jobs that fill the pipeline exactly like a

@@ -24,8 +24,9 @@
 //!   and performs no pool work; [`ServiceQueue::pump`] drains worker
 //!   completions ([`WorkerPool::poll`]), tops up the pipeline window,
 //!   and harvests finished requests — waiting on no other thread, but
-//!   decomposing each dispatched tree and assembling each retiring one
-//!   on the caller's. A serving loop interleaves the two however its
+//!   decomposing each dispatched tree on the caller's (a retiring tree
+//!   keeps the stores its workers filled, so retiring one costs
+//!   microseconds). A serving loop interleaves the two however its
 //!   arrival source dictates.
 //!
 //! Every request carries [`RequestTimes`]: enqueue → admit → first
@@ -404,12 +405,14 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// completed during this call.
     ///
     /// What it does do on the caller's thread: decompose each tree it
-    /// dispatches that is big enough to cut, and assemble each such
-    /// tree that retires ([`WorkerPool::poll`]) — both O(tree size), so
-    /// a call that retires a 25 k-node tree holds its caller for a few
-    /// milliseconds. A procedure-sized tree is a whole-tree job: a work
-    /// estimate and a channel send going in, a finished store coming
-    /// out. The window it tops up is the pool's: two trees per worker
+    /// dispatches that is big enough to cut — O(tree size), a few
+    /// milliseconds for a 25 k-node tree. Retiring a tree
+    /// ([`WorkerPool::poll`]) hands the stores its workers filled to the
+    /// output as they are, and a dropped output sends them back to those
+    /// workers to be freed, so neither end costs the caller O(tree
+    /// size) (the memo's install scan aside). A procedure-sized tree is
+    /// a whole-tree job: a work estimate and a channel send going in, a
+    /// finished store coming out. The window it tops up is the pool's: two trees per worker
     /// ([`WorkerPool::pipeline_depth`]).
     pub fn pump(&mut self) -> usize {
         self.pool.poll();

@@ -47,7 +47,7 @@ pub use pval::PVal;
 
 use paragram_core::eval::{dynamic_eval, EvalError, Evaluators};
 use paragram_core::stats::EvalStats;
-use paragram_core::tree::{AttrStore, ParseTree, TreeError};
+use paragram_core::tree::{AttrRead, ParseTree, TreeError};
 pub use paragram_driver::DriverConfig;
 use paragram_driver::{BatchDriver, CompilationPlan};
 use std::fmt;
@@ -143,11 +143,14 @@ impl Compiler {
         Ok(agtree::build_tree(&self.pg, &ast)?)
     }
 
-    /// Extracts the root attributes from a filled store.
-    pub fn output_from_store(
+    /// Extracts the root attributes from a filled store — any store: a
+    /// sequential evaluation's `AttrStore`, or a pool report's
+    /// `RetiredStore` read where the workers left it (two reads, no
+    /// whole-tree store built).
+    pub fn output_from_store<S: AttrRead<PVal> + ?Sized>(
         &self,
         tree: &ParseTree<PVal>,
-        store: &AttrStore<PVal>,
+        store: &S,
         stats: EvalStats,
     ) -> CompileOutput {
         let code = store

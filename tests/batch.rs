@@ -674,15 +674,16 @@ fn memo_on_matches_memo_off_and_second_touch_keeps_the_warm_hit_rate() {
     }
 }
 
-/// Retiring a tree — sizing the whole-tree store and absorbing the
-/// region stores into it — is a
-/// bounded share of its pool time: on the huge tree, `assemble /
-/// (elapsed + assemble)`, each the fastest of five runs, stays ≤ 0.40.
-/// It read 0.6–0.7 while retirement re-walked every code rope. A wall
-/// clock gate, so it is ignored by default.
+/// Retiring a tree is a small share of its pool time: the report keeps
+/// the region stores the workers filled, so retirement builds no
+/// whole-tree store and moves no value. On the huge tree, `assemble /
+/// (elapsed + assemble)`, each the fastest of five runs, stays ≤ 0.10.
+/// It read 0.21–0.23 while retirement sized a whole-tree store and
+/// absorbed every region into it, and 0.6–0.7 while it re-walked every
+/// code rope. A wall clock gate, so it is ignored by default.
 #[test]
 #[ignore = "wall-clock huge-tree gate; run with cargo test -- --ignored (CI does, in debug and in release)"]
-fn huge_tree_retire_share_stays_under_0_40() {
+fn huge_tree_retire_share_stays_under_0_10() {
     let compiler = Compiler::new();
     let huge = compiler
         .tree_from_source(&generate(&GenConfig::huge()))
@@ -697,9 +698,9 @@ fn huge_tree_retire_share_stays_under_0_40() {
     }
     let share = assemble.as_secs_f64() / (elapsed + assemble).as_secs_f64();
     assert!(
-        share <= 0.40,
+        share <= 0.10,
         "retiring the huge tree took {share:.2} of its pool time \
-         ({assemble:?} after {elapsed:?}): is retirement walking code text again?"
+         ({assemble:?} after {elapsed:?}): is retirement building a whole-tree store again?"
     );
 }
 
