@@ -13,7 +13,7 @@ use paragram_core::analysis::compute_plans;
 use paragram_core::eval::MachineMode;
 use paragram_core::grammar::{Grammar, GrammarBuilder};
 use paragram_core::parallel::sim::{run_sim, SimConfig};
-use paragram_core::tree::{token, ParseTree, TreeBuilder};
+use paragram_core::tree::{ParseTree, TreeBuilder};
 use paragram_core::value::Value;
 use paragram_rope::Rope;
 use std::sync::Arc;
@@ -64,7 +64,8 @@ fn uid_language() -> (Arc<Grammar<Value>>, Arc<ParseTree<Value>>) {
         let mut body = tb.leaf(unit);
         for _ in 0..DEPTH {
             next_uid += 1;
-            body = tb.node_full(wrap, vec![token(vec![Value::Int(next_uid)]), body.into()]);
+            let tok = tb.token([Value::Int(next_uid)]);
+            body = tb.node_full(wrap, [tok, body.into()]);
         }
         tail = tb.node(cons, [body, tail]);
     }

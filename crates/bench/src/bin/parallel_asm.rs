@@ -22,7 +22,7 @@ use paragram_core::eval::{static_eval, MachineMode};
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder};
 use paragram_core::parallel::phase_classifier;
 use paragram_core::parallel::sim::{run_sim, SimConfig};
-use paragram_core::tree::{token, ParseTree, TreeBuilder};
+use paragram_core::tree::{ParseTree, TreeBuilder};
 use paragram_core::value::Value;
 use paragram_rope::Rope;
 use paragram_symtab::SymTab;
@@ -250,7 +250,8 @@ fn build_asm_tree(lang: &AsmLang, sections: &[(String, Vec<Item>)]) -> Arc<Parse
     let mut tail = tb.leaf(lang.p_nil);
     for (_, items) in sections.iter().rev() {
         let text: String = items.iter().map(|i| format!("{i}\n")).collect();
-        let sect = tb.node_full(lang.p_sect, vec![token(vec![Value::str(text)])]);
+        let tok = tb.token([Value::str(text)]);
+        let sect = tb.node_full(lang.p_sect, [tok]);
         tail = tb.node_full(lang.p_cons, vec![sect.into(), tail.into()]);
     }
     let root = tb.node(lang.p_top, [tail]);

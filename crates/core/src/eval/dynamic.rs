@@ -142,8 +142,8 @@ pub(crate) fn arg_instance<V: AttrValue, S: AttrSlots<V>>(
     if arg.occ == 0 {
         Some(store.instance(node, arg.attr))
     } else {
-        match &tree.node(node).children[arg.occ - 1] {
-            Child::Node(c) => Some(store.instance(*c, arg.attr)),
+        match tree.children(node)[arg.occ - 1] {
+            Child::Node(c) => Some(store.instance(c, arg.attr)),
             Child::Token(_) => None,
         }
     }
@@ -173,7 +173,7 @@ pub(crate) fn for_each_rule_arg<V: AttrValue>(
 mod tests {
     use super::*;
     use crate::grammar::GrammarBuilder;
-    use crate::tree::{token, TreeBuilder};
+    use crate::tree::TreeBuilder;
     use std::sync::Arc;
 
     /// size grammar over a small tree.
@@ -245,7 +245,8 @@ mod tests {
         g.rule(leaf, (0, size), [(1, val)], |a| a[0] * 10);
         let gr = Arc::new(g.build(t).unwrap());
         let mut tb = TreeBuilder::new(&gr);
-        let root = tb.node_full(leaf, vec![token(vec![7i64])]);
+        let tok = tb.token([7i64]);
+        let root = tb.node_full(leaf, [tok]);
         let tree = tb.finish(root).unwrap();
         let (store, stats) = dynamic_eval(&tree).unwrap();
         assert_eq!(store.get(tree.root(), size), Some(&70));

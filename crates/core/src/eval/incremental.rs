@@ -14,7 +14,7 @@
 //!
 //! ```
 //! use paragram_core::grammar::GrammarBuilder;
-//! use paragram_core::tree::{token, TreeBuilder};
+//! use paragram_core::tree::TreeBuilder;
 //! use paragram_core::eval::Incremental;
 //! use std::sync::Arc;
 //!
@@ -34,7 +34,8 @@
 //! let mut tail = tb.leaf(nil);
 //! let mut first = None;
 //! for v in [3i64, 4, 5] {
-//!     let node = tb.node_full(cons, vec![token(vec![v]), tail.into()]);
+//!     let tok = tb.token([v]);
+//!     let node = tb.node_full(cons, [tok, tail.into()]);
 //!     first = Some(node);
 //!     tail = node;
 //! }
@@ -228,8 +229,8 @@ impl<V: AttrValue + PartialEq> Incremental<V> {
                 return Some(v);
             }
         }
-        match self.tree.node(node).children.get(occ - 1)? {
-            Child::Token(vals) => vals.get(attr.0 as usize),
+        match *self.tree.children(node).get(occ - 1)? {
+            Child::Token(span) => self.tree.token(span).get(attr.0 as usize),
             Child::Node(_) => None,
         }
     }
@@ -250,8 +251,8 @@ impl<V: AttrValue + PartialEq> Incremental<V> {
         value: V,
     ) -> Result<usize, UpdateError> {
         // Validate and install the override.
-        let arity = match self.tree.node(node).children.get(occ.wrapping_sub(1)) {
-            Some(Child::Token(vals)) => vals.len(),
+        let arity = match self.tree.children(node).get(occ.wrapping_sub(1)) {
+            Some(Child::Token(span)) => span.len(),
             _ => return Err(UpdateError::NotAToken { node, occ }),
         };
         if attr.0 as usize >= arity {
@@ -338,14 +339,14 @@ fn apply_rule<V: AttrValue + PartialEq>(
     let rule = &tree.grammar().prod(tree.node(node).prod).rules[ri];
     scratch.apply(rule, |a| {
         if a.occ > 0 {
-            if let Child::Token(vals) = &tree.node(node).children[a.occ - 1] {
+            if let Child::Token(span) = tree.children(node)[a.occ - 1] {
                 if let Some(v) = overrides
                     .get(&(node, a.occ))
                     .and_then(|over| over.get(a.attr.0 as usize))
                 {
                     return v;
                 }
-                return &vals[a.attr.0 as usize];
+                return &tree.token(span)[a.attr.0 as usize];
             }
         }
         crate::tree::occ_value(tree, store, node, a.occ, a.attr)
@@ -358,7 +359,7 @@ mod tests {
     use super::*;
     use crate::eval::dynamic_eval;
     use crate::grammar::GrammarBuilder;
-    use crate::tree::{token, TreeBuilder};
+    use crate::tree::TreeBuilder;
 
     /// List-sum grammar with an env chain so updates have both up- and
     /// down-stream effects.
@@ -389,7 +390,8 @@ mod tests {
         let mut tail = tb.leaf(nil);
         let mut cons_nodes = Vec::new();
         for &v in values.iter().rev() {
-            let n = tb.node_full(cons, vec![token(vec![v]), tail.into()]);
+            let tok = tb.token([v]);
+            let n = tb.node_full(cons, [tok, tail.into()]);
             cons_nodes.push(n);
             tail = n;
         }

@@ -33,7 +33,7 @@
 
 use crate::analysis::{compute_plans, OagError, Plans};
 use crate::grammar::{AttrId, AttrKind, Grammar};
-use crate::split::{Decomposition, RegionId, WorkTable};
+use crate::split::{Decomposition, WorkTable};
 use crate::tree::{NodeId, ParseTree};
 use crate::value::AttrValue;
 use std::fmt;
@@ -186,14 +186,10 @@ impl<V: AttrValue> EvalPlan<V> {
         self.work.tree_work(tree)
     }
 
-    /// Estimated work of one region of a decomposition.
-    pub fn region_work(
-        &self,
-        tree: &ParseTree<V>,
-        decomp: &Decomposition,
-        region: RegionId,
-    ) -> u64 {
-        self.work.region_work(tree, decomp, region)
+    /// Estimated work of every region of a decomposition, indexed by
+    /// region, in one pass over the tree.
+    pub fn region_works(&self, tree: &ParseTree<V>, decomp: &Decomposition) -> Vec<u64> {
+        self.work.region_works(tree, decomp)
     }
 }
 

@@ -265,12 +265,12 @@ pub(crate) fn resolve_operand<'a, V: AttrValue, S: AttrSlots<V>>(
 ) -> Option<&'a V> {
     match operand {
         Operand::Lhs(attr) => store.get(node, attr),
-        Operand::Node { occ, attr } => match tree.node(node).children.get(occ as usize - 1)? {
-            Child::Node(c) => store.get(*c, attr),
+        Operand::Node { occ, attr } => match *tree.children(node).get(occ as usize - 1)? {
+            Child::Node(c) => store.get(c, attr),
             Child::Token(_) => None,
         },
-        Operand::Token { occ, attr } => match tree.node(node).children.get(occ as usize - 1)? {
-            Child::Token(vals) => vals.get(attr.0 as usize),
+        Operand::Token { occ, attr } => match *tree.children(node).get(occ as usize - 1)? {
+            Child::Token(span) => tree.token(span).get(attr.0 as usize),
             Child::Node(_) => None,
         },
     }

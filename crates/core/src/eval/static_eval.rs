@@ -343,7 +343,7 @@ mod tests {
     use crate::analysis::compute_plans;
     use crate::eval::dynamic_eval;
     use crate::grammar::{AttrId, GrammarBuilder};
-    use crate::tree::{token, TreeBuilder};
+    use crate::tree::TreeBuilder;
     use std::sync::Arc;
 
     /// Static evaluation must agree with dynamic evaluation — the central
@@ -444,7 +444,8 @@ mod tests {
         let gr = Arc::new(g.build(t).unwrap());
         let plans = compute_plans(&gr).unwrap();
         let mut tb = TreeBuilder::new(&gr);
-        let root = tb.node_full(leaf, vec![token(vec![41i64])]);
+        let tok = tb.token([41i64]);
+        let root = tb.node_full(leaf, [tok]);
         let tree = tb.finish(root).unwrap();
         let (store, _) = static_eval(&tree, &plans).unwrap();
         assert_eq!(store.get(tree.root(), size), Some(&42));

@@ -815,7 +815,7 @@ mod tests {
     fn an_installed_span_replays_into_an_identical_store() {
         let (tree, _, store) = chain(6);
         let memo = MemoCache::new(1 << 20);
-        let Child::Node(child) = tree.node(tree.root()).children[0] else {
+        let Child::Node(child) = tree.children(tree.root())[0] else {
             panic!("the root's child is the list");
         };
         for (root, inherited) in [(tree.root(), 1), (child, 2)] {

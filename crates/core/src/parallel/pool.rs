@@ -953,8 +953,11 @@ impl<V: AttrValue> WorkerPool<V> {
     fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, cut: &Cut<V>) {
         let decomp = cut.regions();
         let work: Vec<u64> = match decomp {
-            Some(d) => (0..d.len())
-                .map(|r| self.plan.region_work(tree, d, r as RegionId).max(1))
+            Some(d) => self
+                .plan
+                .region_works(tree, d)
+                .into_iter()
+                .map(|w| w.max(1))
                 .collect(),
             None => vec![self.plan.tree_work(tree).max(1)],
         };
@@ -1868,7 +1871,6 @@ pub(super) mod tests {
         seed: i64,
         items: &[i64],
     ) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
-        use crate::tree::token;
         let mut g = GrammarBuilder::<Value>::new();
         let s = g.nonterminal("S");
         let l = g.nonterminal("stmts");
@@ -1899,9 +1901,11 @@ pub(super) mod tests {
         let mut tb = TreeBuilder::new(&grammar);
         let mut tail = tb.leaf(nil);
         for &v in items.iter().rev() {
-            tail = tb.node_full(cons, vec![token(vec![Value::Int(v)]), tail.into()]);
+            let tok = tb.token([Value::Int(v)]);
+            tail = tb.node_full(cons, [tok, tail.into()]);
         }
-        let root = tb.node_full(top, vec![token(vec![Value::Int(seed)]), tail.into()]);
+        let tok = tb.token([Value::Int(seed)]);
+        let root = tb.node_full(top, [tok, tail.into()]);
         (Arc::new(tb.finish(root).unwrap()), plan, out)
     }
 
@@ -2180,7 +2184,6 @@ pub(super) mod tests {
     /// subtree's code. As in [`fixture_trees`], each `cons` carries a
     /// region's worth of work.
     fn rope_memo_fixture(n: usize) -> (Arc<ParseTree<Value>>, Arc<EvalPlan<Value>>, AttrId) {
-        use crate::tree::token;
         let mut g = GrammarBuilder::<Value>::new();
         let s = g.nonterminal("S");
         let l = g.nonterminal("stmts");
@@ -2216,9 +2219,11 @@ pub(super) mod tests {
         let mut tb = TreeBuilder::new(&grammar);
         let mut tail = tb.leaf(nil);
         for v in (0..n as i64).rev() {
-            tail = tb.node_full(cons, vec![token(vec![Value::Int(v)]), tail.into()]);
+            let tok = tb.token([Value::Int(v)]);
+            tail = tb.node_full(cons, [tok, tail.into()]);
         }
-        let root = tb.node_full(top, vec![token(vec![Value::Int(7)]), tail.into()]);
+        let tok = tb.token([Value::Int(7)]);
+        let root = tb.node_full(top, [tok, tail.into()]);
         (Arc::new(tb.finish(root).unwrap()), plan, out)
     }
 

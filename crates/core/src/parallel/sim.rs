@@ -556,11 +556,17 @@ fn region_wire_size<V: AttrValue>(
     let mut stack = vec![decomp.regions[region as usize].root];
     while let Some(n) = stack.pop() {
         bytes += 8;
-        for c in &tree.node(n).children {
-            match c {
-                Child::Node(c) if decomp.region(*c) == region => stack.push(*c),
+        for c in tree.children(n) {
+            match *c {
+                Child::Node(c) if decomp.region(c) == region => stack.push(c),
                 Child::Node(_) => bytes += 8, // remote-leaf marker
-                Child::Token(vals) => bytes += vals.iter().map(|v| v.wire_size()).sum::<usize>(),
+                Child::Token(span) => {
+                    bytes += tree
+                        .token(span)
+                        .iter()
+                        .map(|v| v.wire_size())
+                        .sum::<usize>()
+                }
             }
         }
     }
@@ -642,8 +648,11 @@ impl<V: AttrValue> ParserProc<V> {
         let sh = &self.shared;
         ctx.phase("ship subtrees");
         let (tree, decomp) = (&sh.trees[ticket], &sh.decomps[ticket]);
-        let work: Vec<u64> = (0..decomp.len())
-            .map(|r| sh.plan.region_work(tree, decomp, r as RegionId).max(1))
+        let work: Vec<u64> = sh
+            .plan
+            .region_works(tree, decomp)
+            .into_iter()
+            .map(|w| w.max(1))
             .collect();
         let bytes: Vec<usize> = (0..decomp.len() as RegionId)
             .map(|r| region_wire_size(tree, decomp, r))

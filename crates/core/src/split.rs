@@ -438,18 +438,15 @@ impl WorkTable {
         tree.node_ids().map(|n| self.node_work(tree, n)).sum()
     }
 
-    /// Estimated work of one region of a decomposition (its local nodes
-    /// only).
-    pub fn region_work<V: AttrValue>(
-        &self,
-        tree: &ParseTree<V>,
-        d: &Decomposition,
-        region: RegionId,
-    ) -> u64 {
-        tree.node_ids()
-            .filter(|&n| d.region(n) == region)
-            .map(|n| self.node_work(tree, n))
-            .sum()
+    /// Estimated work of every region of a decomposition (each its
+    /// local nodes only), indexed by region: one pass over the tree,
+    /// however many regions it was cut into.
+    pub fn region_works<V: AttrValue>(&self, tree: &ParseTree<V>, d: &Decomposition) -> Vec<u64> {
+        let mut works = vec![0; d.len()];
+        for n in tree.node_ids() {
+            works[d.region(n) as usize] += self.node_work(tree, n);
+        }
+        works
     }
 }
 
@@ -654,7 +651,7 @@ pub fn decompose_adaptive<V: AttrValue>(
     let mut sub_work = vec![0u64; tree.len()];
     for &n in pre.iter().rev() {
         let mut w = work.node_work(tree, n);
-        for c in &tree.node(n).children {
+        for c in tree.children(n) {
             if let crate::tree::Child::Node(c) = c {
                 w += sub_work[c.idx()];
             }
@@ -804,7 +801,7 @@ fn split_off<V: AttrValue>(tree: &Arc<ParseTree<V>>, d: &mut Decomposition, node
         }
         d.region_of[x.idx()] = new;
         moved += 1;
-        for c in &tree.node(x).children {
+        for c in tree.children(x) {
             if let crate::tree::Child::Node(c) = c {
                 stack.push(*c);
             }
@@ -830,7 +827,7 @@ pub fn boundary_children<V: AttrValue>(
     let root = d.regions[region as usize].root;
     let mut stack = vec![root];
     while let Some(x) = stack.pop() {
-        for c in &tree.node(x).children {
+        for c in tree.children(x) {
             if let crate::tree::Child::Node(c) = c {
                 if d.region(*c) == region {
                     stack.push(*c);
@@ -1006,8 +1003,7 @@ mod tests {
             let d = decompose_adaptive(&tree, &table, &work, budget);
             assert_partition(&tree, &d);
             assert!(d.len() > 1, "budget {budget}: tree should split");
-            for r in 0..d.len() as RegionId {
-                let w = work.region_work(&tree, &d, r);
+            for (r, w) in work.region_works(&tree, &d).into_iter().enumerate() {
                 assert!(w > 0, "budget {budget}: region {r} has work");
             }
             // Region count is in the ballpark of work/budget.
@@ -1040,8 +1036,7 @@ mod tests {
         assert!(d.len() > 1);
         // On this uniform-cost comb every undersized region has room to
         // fold into its parent, so none survives below ¼ budget.
-        for r in 0..d.len() as RegionId {
-            let w = work.region_work(&tree, &d, r);
+        for (r, w) in work.region_works(&tree, &d).into_iter().enumerate() {
             assert!(
                 w >= budget / 4,
                 "region {r} undersized at {w} (budget {budget}, total {total})"
@@ -1088,10 +1083,32 @@ mod tests {
         assert_eq!(total, by_node);
         assert!(total >= tree.len() as u64, "every node weighs at least 1");
         let d = decompose(&tree, SplitConfig::machines(2));
-        let by_region: u64 = (0..d.len() as RegionId)
-            .map(|r| work.region_work(&tree, &d, r))
-            .sum();
+        let by_region: u64 = work.region_works(&tree, &d).iter().sum();
         assert_eq!(by_region, total);
+    }
+
+    #[test]
+    fn region_works_are_per_node_sums_under_fixed_and_adaptive_cuts() {
+        let (tree, _) = comb(48, 3);
+        let table = SplitTable::new(tree.grammar().as_ref(), 1.0);
+        let work = WorkTable::new(tree.grammar().as_ref());
+        let budget = work.tree_work(&tree) / 5;
+        for granularity in [
+            RegionGranularity::Machines(3),
+            RegionGranularity::Adaptive { budget },
+        ] {
+            let d = decompose_granular(&tree, &table, &work, granularity);
+            assert!(d.len() > 2, "{granularity:?}: {} regions", d.len());
+            let per_node: Vec<u64> = (0..d.len() as RegionId)
+                .map(|r| {
+                    tree.node_ids()
+                        .filter(|&n| d.region(n) == r)
+                        .map(|n| work.node_work(&tree, n))
+                        .sum()
+                })
+                .collect();
+            assert_eq!(work.region_works(&tree, &d), per_node, "{granularity:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Arena-allocated parse trees and attribute storage.
 //!
-//! Nodes live in a `Vec` and are addressed by [`NodeId`]; this mirrors the
-//! paper's "extremely fast storage allocation ... no provision for reusing
-//! memory" (§4.3) and sidesteps shared-ownership graph problems — the tree
-//! is immutable after construction and freely shared across evaluator
-//! threads.
+//! A tree is a handful of flat arrays addressed by [`NodeId`]: the
+//! nodes, one slab holding every node's children, one holding every
+//! token's lexical values, and each subtree's size, content hash and
+//! wire size. A node's children are appended to the child slab when the
+//! node is built, so they sit contiguously, found through a per-node
+//! offset; a token child is a [`TokenSpan`] of the value slab. Building
+//! a tree therefore allocates per slab growth, not per node or token,
+//! and freeing one frees a few arrays — the paper's "extremely fast
+//! storage allocation ... no provision for reusing memory" (§4.3). The
+//! tree is immutable after construction and freely shared across
+//! evaluator threads.
 //!
 //! Attribute *instances* (one per attribute of each node's symbol) are
 //! stored out-of-line, so several evaluations of the same tree can
@@ -45,6 +51,7 @@ use crate::grammar::{AttrId, Grammar, ProdId};
 use crate::split::{RegionId, SlotMap};
 use crate::value::{fnv1a_u64, AttrValue};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Debug-only instrumentation: cumulative attribute slots allocated by
@@ -79,42 +86,78 @@ impl NodeId {
     }
 }
 
-/// A child position of a node: either a nested nonterminal node or the
-/// attribute values of a terminal token (predefined by the scanner, as in
-/// Knuth's extension used by the paper).
-#[derive(Debug, Clone)]
-pub enum Child<V> {
-    /// Nonterminal child.
-    Node(NodeId),
-    /// Terminal occurrence with its lexical attribute values (indexed by
-    /// the terminal symbol's [`AttrId`]s).
-    Token(Arc<[V]>),
+/// A token's lexical values: a span of its tree's value slab, read
+/// with [`ParseTree::token`]. Made by [`TreeBuilder::token`].
+#[derive(Debug, Clone, Copy)]
+pub struct TokenSpan {
+    start: u32,
+    len: u32,
 }
 
-/// A parse-tree node: an instance of a production.
+impl TokenSpan {
+    /// Number of lexical values.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` for a token without lexical values (a keyword).
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A child position of a node: either a nested nonterminal node or the
+/// attribute values of a terminal token (predefined by the scanner, as in
+/// Knuth's extension used by the paper). Read a node's children with
+/// [`ParseTree::children`].
+#[derive(Debug, Clone, Copy)]
+pub enum Child {
+    /// Nonterminal child.
+    Node(NodeId),
+    /// Terminal occurrence; its lexical attribute values (indexed by the
+    /// terminal symbol's [`AttrId`]s) are [`ParseTree::token`]`(span)`.
+    Token(TokenSpan),
+}
+
+/// A parse-tree node: an instance of a production. Its children live
+/// in the tree's child slab ([`ParseTree::children`]).
 #[derive(Debug, Clone)]
-pub struct Node<V> {
+pub struct Node {
     /// The production this node instantiates.
     pub prod: ProdId,
-    /// Children, aligned with the production's RHS occurrences.
-    pub children: Vec<Child<V>>,
     /// Parent node and this node's occurrence index there (1-based, as in
     /// [`crate::grammar::OccRef`]); `None` at the root.
-    pub parent: Option<(NodeId, usize)>,
+    pub parent: Option<(NodeId, u32)>,
 }
 
 /// An immutable parse tree over a shared [`Grammar`].
 pub struct ParseTree<V> {
     grammar: Arc<Grammar<V>>,
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Node>,
+    /// Node `i`'s children are `children[child_start[i]..child_start[i + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<Child>,
+    /// Every token's lexical values, addressed by [`TokenSpan`]s.
+    tokens: Vec<V>,
     root: NodeId,
-    subtree_size: Vec<u32>,
-    subtree_hash: Vec<u64>,
+    subtree: Summaries,
+}
+
+/// Per-node figures of each subtree, computed as its root is built
+/// (its children, built before it, have theirs already).
+#[derive(Default)]
+struct Summaries {
+    size: Vec<u32>,
+    hash: Vec<u64>,
     /// Whether the subtree's hash covers *all* of its content: false if
     /// any token value in the subtree returned `None` from
     /// [`AttrValue::content_hash`].
-    hash_exact: Vec<bool>,
-    subtree_wire: Vec<u64>,
+    exact: Vec<bool>,
+    wire: Vec<u64>,
 }
 
 impl<V: AttrValue> ParseTree<V> {
@@ -129,8 +172,21 @@ impl<V: AttrValue> ParseTree<V> {
     }
 
     /// Node metadata.
-    pub fn node(&self, id: NodeId) -> &Node<V> {
+    pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.idx()]
+    }
+
+    /// A node's children, aligned with its production's RHS occurrences.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> &[Child] {
+        let (start, end) = (self.child_start[id.idx()], self.child_start[id.idx() + 1]);
+        &self.children[start as usize..end as usize]
+    }
+
+    /// A token's lexical values.
+    #[inline]
+    pub fn token(&self, span: TokenSpan) -> &[V] {
+        &self.tokens[span.range()]
     }
 
     /// Total number of nodes.
@@ -146,24 +202,24 @@ impl<V: AttrValue> ParseTree<V> {
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.subtree_size[id.idx()] as usize
+        self.subtree.size[id.idx()] as usize
     }
 
     /// Structural content hash of the subtree rooted at `id`, computed
-    /// bottom-up from `(production, token values, child hashes)` in one
-    /// pass at [`TreeBuilder::finish`]. Returns `None` when some token
+    /// bottom-up from `(production, token values, child hashes)` as
+    /// each node is built. Returns `None` when some token
     /// value in the subtree is not fingerprintable (see
     /// [`AttrValue::content_hash`]) — such subtrees must not be used as
     /// memoization keys. Equal subtrees always hash equal; the converse
     /// holds up to 64-bit collisions.
     pub fn subtree_hash(&self, id: NodeId) -> Option<u64> {
-        self.hash_exact[id.idx()].then(|| self.subtree_hash[id.idx()])
+        self.subtree.exact[id.idx()].then(|| self.subtree.hash[id.idx()])
     }
 
     /// The nonterminal child at RHS occurrence `occ` (1-based), if it is
     /// a node.
     pub fn child_node(&self, id: NodeId, occ: usize) -> Option<NodeId> {
-        match self.node(id).children.get(occ - 1)? {
+        match self.children(id).get(occ - 1)? {
             Child::Node(c) => Some(*c),
             Child::Token(_) => None,
         }
@@ -201,10 +257,10 @@ impl<V: AttrValue> ParseTree<V> {
 
     /// Approximate linearized size in bytes of the subtree at `id` — the
     /// cost of shipping the subtree to a remote evaluator (production id +
-    /// child arity per node plus token payloads). O(1): precomputed per
-    /// node in the bottom-up pass at [`TreeBuilder::finish`].
+    /// child arity per node plus token payloads). O(1): computed as each
+    /// node is built.
     pub fn subtree_wire_size(&self, id: NodeId) -> usize {
-        self.subtree_wire[id.idx()] as usize
+        self.subtree.wire[id.idx()] as usize
     }
 }
 
@@ -230,9 +286,8 @@ impl<'a, V: AttrValue> Iterator for SubtreeIter<'a, V> {
 
     fn next(&mut self) -> Option<NodeId> {
         let id = self.stack.pop()?;
-        let node = &self.tree.nodes[id.idx()];
         // Push children in reverse so they pop in order.
-        for c in node.children.iter().rev() {
+        for c in self.tree.children(id).iter().rev() {
             if let Child::Node(n) = c {
                 self.stack.push(*n);
             }
@@ -241,28 +296,23 @@ impl<'a, V: AttrValue> Iterator for SubtreeIter<'a, V> {
     }
 }
 
-/// A child specification handed to [`TreeBuilder::node`].
-#[derive(Debug)]
-pub enum ChildSpec<V> {
+/// A child specification handed to [`TreeBuilder::node_full`].
+#[derive(Debug, Clone, Copy)]
+pub enum ChildSpec {
     /// A previously built node.
     Built(BuiltNode),
-    /// A terminal token with its lexical attribute values.
-    Token(Arc<[V]>),
+    /// A terminal token whose values [`TreeBuilder::token`] wrote.
+    Token(TokenSpan),
 }
 
 /// Opaque handle to a node under construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuiltNode(NodeId);
 
-impl<V> From<BuiltNode> for ChildSpec<V> {
+impl From<BuiltNode> for ChildSpec {
     fn from(b: BuiltNode) -> Self {
         ChildSpec::Built(b)
     }
-}
-
-/// Creates a token child with the given lexical values.
-pub fn token<V>(values: impl Into<Arc<[V]>>) -> ChildSpec<V> {
-    ChildSpec::Token(values.into())
 }
 
 /// Errors detected while building a tree.
@@ -332,10 +382,20 @@ impl fmt::Display for TreeError {
 impl std::error::Error for TreeError {}
 
 /// Builds [`ParseTree`]s bottom-up (the natural order for an LR parser).
+///
+/// The builder owns the tree's arrays from the start:
+/// [`TreeBuilder::token`] appends a token's values to the value slab,
+/// and each node appends its children to the child slab, and its
+/// subtree's figures to theirs, when it is built. Nothing is allocated
+/// per node or per token, and [`TreeBuilder::finish`] hands the arrays
+/// to the tree as they are.
 pub struct TreeBuilder<V> {
     grammar: Arc<Grammar<V>>,
-    nodes: Vec<Node<V>>,
-    used: Vec<bool>,
+    nodes: Vec<Node>,
+    child_start: Vec<u32>,
+    children: Vec<Child>,
+    tokens: Vec<V>,
+    subtree: Summaries,
     error: Option<TreeError>,
 }
 
@@ -345,9 +405,23 @@ impl<V: AttrValue> TreeBuilder<V> {
         TreeBuilder {
             grammar: Arc::clone(grammar),
             nodes: Vec::new(),
-            used: Vec::new(),
+            child_start: vec![0],
+            children: Vec::new(),
+            tokens: Vec::new(),
+            subtree: Summaries::default(),
             error: None,
         }
+    }
+
+    /// Writes a token's lexical values into the tree and returns the
+    /// child that refers to them.
+    pub fn token(&mut self, values: impl IntoIterator<Item = V>) -> ChildSpec {
+        let start = self.tokens.len();
+        self.tokens.extend(values);
+        ChildSpec::Token(TokenSpan {
+            start: start as u32,
+            len: (self.tokens.len() - start) as u32,
+        })
     }
 
     /// Builds a node for a production whose RHS is all nonterminals.
@@ -357,87 +431,111 @@ impl<V: AttrValue> TreeBuilder<V> {
         prod: ProdId,
         children: impl IntoIterator<Item = BuiltNode>,
     ) -> BuiltNode {
-        self.node_full(
-            prod,
-            children
-                .into_iter()
-                .map(ChildSpec::from)
-                .collect::<Vec<_>>(),
-        )
+        self.node_full(prod, children.into_iter().map(ChildSpec::Built))
     }
 
     /// Builds a leaf node (nullary production).
     pub fn leaf(&mut self, prod: ProdId) -> BuiltNode {
-        self.node_full(prod, Vec::new())
+        self.node_full(prod, [])
     }
 
     /// Builds a node with explicit child specifications (nodes and
     /// tokens). Errors are recorded and reported by
     /// [`TreeBuilder::finish`].
-    pub fn node_full(&mut self, prod: ProdId, children: Vec<ChildSpec<V>>) -> BuiltNode {
+    pub fn node_full(
+        &mut self,
+        prod: ProdId,
+        children: impl IntoIterator<Item = ChildSpec>,
+    ) -> BuiltNode {
         let id = NodeId(self.nodes.len() as u32);
-        let grammar = Arc::clone(&self.grammar);
+        let first_error = self.error.is_none();
+        let TreeBuilder {
+            grammar,
+            nodes,
+            children: slab,
+            tokens,
+            subtree: sub,
+            error,
+            ..
+        } = self;
         let p = grammar.prod(prod);
-        if children.len() != p.rhs.len() {
-            self.record(TreeError::Arity {
-                prod: p.name.clone(),
-                expected: p.rhs.len(),
-                got: children.len(),
-            });
-        }
-        let mut kids = Vec::with_capacity(children.len());
+        let mut record = |e: TreeError| {
+            error.get_or_insert(e);
+        };
+        // Seed the hash with the production id; it determines the RHS
+        // shape, so combining child/token hashes positionally after it
+        // is injective over well-formed trees (up to hash collisions).
+        let mut size = 1;
+        let mut hash = fnv1a_u64(0xcbf2_9ce4_8422_2325, prod.0 as u64);
+        let mut exact = true;
+        let mut wire = 8u64;
+        let mut got = 0;
         for (i, spec) in children.into_iter().enumerate() {
+            got += 1;
             let expected = p.rhs.get(i).copied();
             match spec {
                 ChildSpec::Built(BuiltNode(cid)) => {
                     if let Some(exp) = expected {
-                        let child_sym = self.grammar.prod(self.nodes[cid.idx()].prod).lhs;
-                        if child_sym != exp {
-                            self.record(TreeError::SymbolMismatch {
+                        if grammar.prod(nodes[cid.idx()].prod).lhs != exp {
+                            record(TreeError::SymbolMismatch {
                                 prod: p.name.clone(),
                                 occ: i + 1,
                             });
                         }
                     }
-                    if self.used[cid.idx()] {
-                        self.record(TreeError::Reused(cid));
+                    let parent = &mut nodes[cid.idx()].parent;
+                    if parent.is_some() {
+                        record(TreeError::Reused(cid));
                     }
-                    self.used[cid.idx()] = true;
-                    self.nodes[cid.idx()].parent = Some((id, i + 1));
-                    kids.push(Child::Node(cid));
+                    *parent = Some((id, i as u32 + 1));
+                    slab.push(Child::Node(cid));
+                    size += sub.size[cid.idx()];
+                    hash = fnv1a_u64(hash, sub.hash[cid.idx()]);
+                    exact &= sub.exact[cid.idx()];
+                    wire += sub.wire[cid.idx()];
                 }
-                ChildSpec::Token(vals) => {
+                ChildSpec::Token(span) => {
                     if let Some(exp) = expected {
-                        let sym = self.grammar.symbol(exp);
+                        let sym = grammar.symbol(exp);
                         if !sym.terminal {
-                            self.record(TreeError::SymbolMismatch {
+                            record(TreeError::SymbolMismatch {
                                 prod: p.name.clone(),
                                 occ: i + 1,
                             });
-                        } else if sym.attrs.len() != vals.len() {
-                            self.record(TreeError::TokenArity {
+                        } else if sym.attrs.len() != span.len() {
+                            record(TreeError::TokenArity {
                                 prod: p.name.clone(),
                                 occ: i + 1,
                             });
                         }
                     }
-                    kids.push(Child::Token(vals));
+                    slab.push(Child::Token(span));
+                    for v in &tokens[span.range()] {
+                        match v.content_hash() {
+                            Some(vh) => hash = fnv1a_u64(hash, vh),
+                            None => exact = false,
+                        }
+                        wire += v.wire_size() as u64;
+                    }
                 }
             }
         }
-        self.nodes.push(Node {
-            prod,
-            children: kids,
-            parent: None,
-        });
-        self.used.push(false);
-        BuiltNode(id)
-    }
-
-    fn record(&mut self, e: TreeError) {
-        if self.error.is_none() {
-            self.error = Some(e);
+        // The child count is known only once the children are walked,
+        // but a wrong arity still outranks their own errors.
+        if got != p.rhs.len() && first_error {
+            *error = Some(TreeError::Arity {
+                prod: p.name.clone(),
+                expected: p.rhs.len(),
+                got,
+            });
         }
+        sub.size.push(size);
+        sub.hash.push(hash);
+        sub.exact.push(exact);
+        sub.wire.push(wire);
+        self.nodes.push(Node { prod, parent: None });
+        self.child_start.push(self.children.len() as u32);
+        BuiltNode(id)
     }
 
     /// Number of nodes built so far.
@@ -450,7 +548,8 @@ impl<V: AttrValue> TreeBuilder<V> {
         self.nodes.is_empty()
     }
 
-    /// Finishes the tree with `root` at the top.
+    /// Finishes the tree with `root` at the top. The nodes, slabs and
+    /// per-subtree figures become the tree's as they are.
     ///
     /// # Errors
     ///
@@ -471,56 +570,14 @@ impl<V: AttrValue> TreeBuilder<V> {
         if dangling > 0 {
             return Err(TreeError::Dangling { count: dangling });
         }
-        // Subtree sizes: children have higher arena indices than parents
-        // is NOT guaranteed (bottom-up build means children have *lower*
-        // ids), so accumulate children-first by arena order ascending —
-        // a child's size is final before its parent is processed only if
-        // child id < parent id, which bottom-up construction guarantees.
-        let mut size = vec![1u32; self.nodes.len()];
-        let mut hash = vec![0u64; self.nodes.len()];
-        let mut exact = vec![true; self.nodes.len()];
-        let mut wire = vec![0u64; self.nodes.len()];
-        for i in 0..self.nodes.len() {
-            let mut s = 1;
-            // Seed with the production id; it determines the RHS shape,
-            // so combining child/token hashes positionally after it is
-            // injective over well-formed trees (up to hash collisions).
-            let mut h = fnv1a_u64(0xcbf2_9ce4_8422_2325, self.nodes[i].prod.0 as u64);
-            let mut ok = true;
-            let mut w = 8u64;
-            for c in &self.nodes[i].children {
-                match c {
-                    Child::Node(cid) => {
-                        debug_assert!(cid.idx() < i, "bottom-up build order violated");
-                        s += size[cid.idx()];
-                        h = fnv1a_u64(h, hash[cid.idx()]);
-                        ok &= exact[cid.idx()];
-                        w += wire[cid.idx()];
-                    }
-                    Child::Token(vals) => {
-                        for v in vals.iter() {
-                            match v.content_hash() {
-                                Some(vh) => h = fnv1a_u64(h, vh),
-                                None => ok = false,
-                            }
-                            w += v.wire_size() as u64;
-                        }
-                    }
-                }
-            }
-            size[i] = s;
-            hash[i] = h;
-            exact[i] = ok;
-            wire[i] = w;
-        }
         Ok(ParseTree {
             grammar: self.grammar,
             nodes: self.nodes,
+            child_start: self.child_start,
+            children: self.children,
+            tokens: self.tokens,
             root,
-            subtree_size: size,
-            subtree_hash: hash,
-            hash_exact: exact,
-            subtree_wire: wire,
+            subtree: self.subtree,
         })
     }
 }
@@ -904,9 +961,9 @@ pub fn occ_value<'a, V: AttrValue, S: AttrSlots<V>>(
     if occ == 0 {
         store.get(node, attr)
     } else {
-        match &tree.node(node).children[occ - 1] {
-            Child::Node(c) => store.get(*c, attr),
-            Child::Token(vals) => vals.get(attr.0 as usize),
+        match tree.children(node)[occ - 1] {
+            Child::Node(c) => store.get(c, attr),
+            Child::Token(span) => tree.token(span).get(attr.0 as usize),
         }
     }
 }
@@ -923,8 +980,8 @@ pub fn occ_slot<V: AttrValue>(
     if occ == 0 {
         (node, attr)
     } else {
-        match &tree.node(node).children[occ - 1] {
-            Child::Node(c) => (*c, attr),
+        match tree.children(node)[occ - 1] {
+            Child::Node(c) => (c, attr),
             Child::Token(_) => unreachable!("rule target cannot be a token occurrence"),
         }
     }
@@ -955,8 +1012,10 @@ mod tests {
     fn build_and_inspect_tree() {
         let (g, leaf, fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l1 = tb.node_full(leaf, vec![token(vec![5i64])]);
-        let l2 = tb.node_full(leaf, vec![token(vec![7i64])]);
+        let tok = tb.token([5i64]);
+        let l1 = tb.node_full(leaf, [tok]);
+        let tok = tb.token([7i64]);
+        let l2 = tb.node_full(leaf, [tok]);
         let root = tb.node(fork, [l1, l2]);
         let tree = tb.finish(root).unwrap();
         assert_eq!(tree.len(), 3);
@@ -968,21 +1027,46 @@ mod tests {
         // Parent links.
         let c1 = tree.child_node(tree.root(), 1).unwrap();
         assert_eq!(tree.node(c1).parent, Some((tree.root(), 1)));
+        // Children and token values, read back from the slabs.
+        assert_eq!(tree.children(tree.root()).len(), 2);
+        let c2 = tree.child_node(tree.root(), 2).unwrap();
+        let values: Vec<i64> = [c1, c2]
+            .into_iter()
+            .map(|n| match tree.children(n) {
+                [Child::Token(span)] => tree.token(*span)[0],
+                other => panic!("a leaf has one token, not {other:?}"),
+            })
+            .collect();
+        assert_eq!(values, [5, 7]);
     }
 
     #[test]
     fn arity_mismatch_reported() {
         let (g, _leaf, fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let only = tb.node_full(fork, vec![]);
+        let only = tb.node_full(fork, []);
         assert!(matches!(tb.finish(only), Err(TreeError::Arity { .. })));
+    }
+
+    #[test]
+    fn arity_outranks_the_errors_of_its_children() {
+        let (g, _leaf, fork, _wrap, _size) = tree_grammar();
+        let mut tb = TreeBuilder::new(&g);
+        // A token where `fork` wants a `T`, and one child short.
+        let tok = tb.token([1i64]);
+        let bad = tb.node_full(fork, [tok]);
+        assert!(matches!(
+            tb.finish(bad),
+            Err(TreeError::Arity { got: 1, .. })
+        ));
     }
 
     #[test]
     fn token_arity_mismatch_reported() {
         let (g, leaf, _fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let bad = tb.node_full(leaf, vec![token(Vec::<i64>::new())]);
+        let tok = tb.token(std::iter::empty::<i64>());
+        let bad = tb.node_full(leaf, [tok]);
         assert!(matches!(tb.finish(bad), Err(TreeError::TokenArity { .. })));
     }
 
@@ -990,7 +1074,8 @@ mod tests {
     fn reuse_reported() {
         let (g, leaf, fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l = tb.node_full(leaf, vec![token(vec![1i64])]);
+        let tok = tb.token([1i64]);
+        let l = tb.node_full(leaf, [tok]);
         let root = tb.node(fork, [l, l]);
         assert!(matches!(tb.finish(root), Err(TreeError::Reused(_))));
     }
@@ -999,8 +1084,10 @@ mod tests {
     fn dangling_reported() {
         let (g, leaf, _fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let a = tb.node_full(leaf, vec![token(vec![1i64])]);
-        let _b = tb.node_full(leaf, vec![token(vec![2i64])]);
+        let tok = tb.token([1i64]);
+        let a = tb.node_full(leaf, [tok]);
+        let tok = tb.token([2i64]);
+        let _b = tb.node_full(leaf, [tok]);
         assert!(matches!(
             tb.finish(a),
             Err(TreeError::Dangling { count: 1 })
@@ -1011,8 +1098,10 @@ mod tests {
     fn attr_store_read_write() {
         let (g, leaf, fork, _wrap, size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l1 = tb.node_full(leaf, vec![token(vec![5i64])]);
-        let l2 = tb.node_full(leaf, vec![token(vec![7i64])]);
+        let tok = tb.token([5i64]);
+        let l1 = tb.node_full(leaf, [tok]);
+        let tok = tb.token([7i64]);
+        let l2 = tb.node_full(leaf, [tok]);
         let root = tb.node(fork, [l1, l2]);
         let tree = tb.finish(root).unwrap();
         let mut store = AttrStore::new(&tree);
@@ -1027,7 +1116,8 @@ mod tests {
     fn occ_value_reads_tokens() {
         let (g, leaf, _fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l = tb.node_full(leaf, vec![token(vec![9i64])]);
+        let tok = tb.token([9i64]);
+        let l = tb.node_full(leaf, [tok]);
         let tree = tb.finish(l).unwrap();
         let store = AttrStore::new(&tree);
         let v = occ_value(&tree, &store, tree.root(), 1, AttrId(0));
@@ -1038,7 +1128,8 @@ mod tests {
     fn wire_size_counts_tokens() {
         let (g, leaf, _fork, _wrap, _size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l = tb.node_full(leaf, vec![token(vec![9i64])]);
+        let tok = tb.token([9i64]);
+        let l = tb.node_full(leaf, [tok]);
         let tree = tb.finish(l).unwrap();
         assert_eq!(tree.subtree_wire_size(tree.root()), 8 + 8);
     }
@@ -1047,8 +1138,10 @@ mod tests {
     fn absorb_region_maps_owned_slots_into_whole_store() {
         let (g, leaf, fork, _wrap, size) = tree_grammar();
         let mut tb = TreeBuilder::new(&g);
-        let l1 = tb.node_full(leaf, vec![token(vec![5i64])]);
-        let l2 = tb.node_full(leaf, vec![token(vec![7i64])]);
+        let tok = tb.token([5i64]);
+        let l1 = tb.node_full(leaf, [tok]);
+        let tok = tb.token([7i64]);
+        let l2 = tb.node_full(leaf, [tok]);
         let root = tb.node(fork, [l1, l2]);
         let tree = tb.finish(root).unwrap();
         let decomp = crate::split::Decomposition::whole(&tree);

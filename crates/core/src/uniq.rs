@@ -90,7 +90,7 @@ mod tests {
         use crate::eval::EvalPlan;
         use crate::grammar::GrammarBuilder;
         use crate::parallel::pool::{PoolConfig, WorkerPool};
-        use crate::tree::{token, TreeBuilder};
+        use crate::tree::TreeBuilder;
         use crate::value::Value;
         use std::sync::Arc;
 
@@ -127,9 +127,11 @@ mod tests {
         let grammar = Arc::new(g.build(s).unwrap());
         let plan = Arc::new(EvalPlan::analyze(&grammar));
         let chain = |tb: &mut TreeBuilder<Value>, uids: &[i64]| {
-            let mut tail = tb.node_full(last, vec![token(vec![Value::Int(uids[uids.len() - 1])])]);
+            let tok = tb.token([Value::Int(uids[uids.len() - 1])]);
+            let mut tail = tb.node_full(last, [tok]);
             for &u in uids[..uids.len() - 1].iter().rev() {
-                tail = tb.node_full(cons, vec![token(vec![Value::Int(u)]), tail.into()]);
+                let tok = tb.token([Value::Int(u)]);
+                tail = tb.node_full(cons, [tok, tail.into()]);
             }
             tail
         };

@@ -281,9 +281,7 @@ proptest! {
             let d = decompose_granular(&tree, &table, &work, granularity);
             assert_partition(&tree, &d)?;
             // Regions' work estimates cover the tree exactly.
-            let covered: u64 = (0..d.len() as RegionId)
-                .map(|r| work.region_work(&tree, &d, r))
-                .sum();
+            let covered: u64 = work.region_works(&tree, &d).iter().sum();
             prop_assert_eq!(covered, work.tree_work(&tree));
 
             for mode in [MachineMode::Combined, MachineMode::Dynamic] {

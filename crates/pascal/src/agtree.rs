@@ -9,13 +9,17 @@
 use crate::ast::*;
 use crate::grammar::PascalGrammar;
 use crate::pval::PVal;
-use paragram_core::tree::{token, BuiltNode, ChildSpec, ParseTree, TreeBuilder, TreeError};
+use paragram_core::tree::{BuiltNode, ChildSpec, ParseTree, TreeBuilder, TreeError};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-struct Conv<'g> {
-    pg: &'g PascalGrammar,
+struct Conv<'a> {
+    pg: &'a PascalGrammar,
     tb: TreeBuilder<PVal>,
     next_uid: i64,
+    /// Identifier and literal text, interned for this build: a repeated
+    /// name costs its tree a reference count, not an allocation.
+    names: HashMap<&'a str, Arc<str>>,
 }
 
 /// Converts an AST into the attribute-grammar parse tree.
@@ -29,41 +33,40 @@ pub fn build_tree(pg: &PascalGrammar, ast: &Program) -> Result<Arc<ParseTree<PVa
         pg,
         tb: TreeBuilder::new(&pg.grammar),
         next_uid: 1,
+        names: HashMap::new(),
     };
     let decls = c.decls(&ast.decls);
     let stmts = c.stmts(&ast.body);
-    let root = c.tb.node_full(
-        pg.p_prog,
-        vec![id_tok(&ast.name), decls.into(), stmts.into()],
-    );
+    let kids = [c.text(&ast.name), decls.into(), stmts.into()];
+    let root = c.tb.node_full(pg.p_prog, kids);
     c.tb.finish(root).map(Arc::new)
 }
 
-// A token's values go straight from an array into the tree's `Arc<[V]>`:
-// a `Vec` in between is one more allocation per token, freed at once.
+// A token's values go straight into the tree's value slab, and a
+// node's children are an array: nothing is allocated per node or
+// token, only per distinct name.
 
-fn id_tok(name: &str) -> ChildSpec<PVal> {
-    token([PVal::Str(Arc::from(name))])
-}
+impl<'a> Conv<'a> {
+    /// An identifier or string-literal token.
+    fn text(&mut self, text: &'a str) -> ChildSpec {
+        let name = self.names.entry(text).or_insert_with(|| Arc::from(text));
+        let value = PVal::Str(Arc::clone(name));
+        self.tb.token([value])
+    }
 
-fn num_tok(v: i64) -> ChildSpec<PVal> {
-    token([PVal::Int(v)])
-}
+    fn num(&mut self, v: i64) -> ChildSpec {
+        self.tb.token([PVal::Int(v)])
+    }
 
-fn str_tok(s: &str) -> ChildSpec<PVal> {
-    token([PVal::Str(Arc::from(s))])
-}
-
-impl<'g> Conv<'g> {
-    fn uid(&mut self) -> ChildSpec<PVal> {
+    fn uid(&mut self) -> ChildSpec {
         let id = self.next_uid;
         self.next_uid += 1;
-        num_tok(id)
+        self.num(id)
     }
 
     /// The list is built right to left, so unique ids are handed out
     /// last declaration first.
-    fn decls(&mut self, ds: &[Decl]) -> BuiltNode {
+    fn decls(&mut self, ds: &'a [Decl]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_decls_nil);
         for d in ds.iter().rev() {
             tail = self.decl(d, tail);
@@ -73,24 +76,22 @@ impl<'g> Conv<'g> {
 
     /// Prepends `d` to the declaration list `tail`: one node per
     /// declared name, so a multi-name `var` is expanded where it stands.
-    fn decl(&mut self, d: &Decl, mut tail: BuiltNode) -> BuiltNode {
+    fn decl(&mut self, d: &'a Decl, mut tail: BuiltNode) -> BuiltNode {
         let node = match d {
-            Decl::Const { name, value } => self
-                .tb
-                .node_full(self.pg.p_const, vec![id_tok(name), num_tok(*value)]),
+            Decl::Const { name, value } => {
+                let kids = [self.text(name), self.num(*value)];
+                self.tb.node_full(self.pg.p_const, kids)
+            }
             Decl::Var { names, ty } => {
                 for name in names.iter().rev() {
+                    let id = self.text(name);
                     let node = match ty {
-                        TypeExpr::Integer => {
-                            self.tb.node_full(self.pg.p_var_int, vec![id_tok(name)])
+                        TypeExpr::Integer => self.tb.node_full(self.pg.p_var_int, [id]),
+                        TypeExpr::Boolean => self.tb.node_full(self.pg.p_var_bool, [id]),
+                        TypeExpr::Array { lo, hi } => {
+                            let kids = [id, self.num(*lo), self.num(*hi)];
+                            self.tb.node_full(self.pg.p_var_arr, kids)
                         }
-                        TypeExpr::Boolean => {
-                            self.tb.node_full(self.pg.p_var_bool, vec![id_tok(name)])
-                        }
-                        TypeExpr::Array { lo, hi } => self.tb.node_full(
-                            self.pg.p_var_arr,
-                            vec![id_tok(name), num_tok(*lo), num_tok(*hi)],
-                        ),
                     };
                     tail = self.tb.node(self.pg.p_decls_cons, [node, tail]);
                 }
@@ -107,19 +108,19 @@ impl<'g> Conv<'g> {
                 let ps = self.params(params);
                 let ds = self.decls(decls);
                 let ss = self.stmts(body);
+                let id = self.text(name);
                 match result {
-                    None => self.tb.node_full(
-                        self.pg.p_proc,
-                        vec![id_tok(name), uid, ps.into(), ds.into(), ss.into()],
-                    ),
+                    None => self
+                        .tb
+                        .node_full(self.pg.p_proc, [id, uid, ps.into(), ds.into(), ss.into()]),
                     Some(rt) => {
-                        let tyk = num_tok(match rt {
+                        let tyk = self.num(match rt {
                             TypeExpr::Boolean => 1,
                             _ => 0,
                         });
                         self.tb.node_full(
                             self.pg.p_func,
-                            vec![id_tok(name), uid, tyk, ps.into(), ds.into(), ss.into()],
+                            [id, uid, tyk, ps.into(), ds.into(), ss.into()],
                         )
                     }
                 }
@@ -128,7 +129,7 @@ impl<'g> Conv<'g> {
         self.tb.node(self.pg.p_decls_cons, [node, tail])
     }
 
-    fn params(&mut self, ps: &[Param]) -> BuiltNode {
+    fn params(&mut self, ps: &'a [Param]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_params_nil);
         for p in ps.iter().rev() {
             let prod = match (&p.ty, p.by_ref) {
@@ -137,13 +138,14 @@ impl<'g> Conv<'g> {
                 (_, false) => self.pg.p_param_val_int,
                 (_, true) => self.pg.p_param_ref_int,
             };
-            let node = self.tb.node_full(prod, vec![id_tok(&p.name)]);
+            let id = self.text(&p.name);
+            let node = self.tb.node_full(prod, [id]);
             tail = self.tb.node(self.pg.p_params_cons, [node, tail]);
         }
         tail
     }
 
-    fn stmts(&mut self, ss: &[Stmt]) -> BuiltNode {
+    fn stmts(&mut self, ss: &'a [Stmt]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_stmts_nil);
         for s in ss.iter().rev() {
             let node = self.stmt(s);
@@ -152,37 +154,36 @@ impl<'g> Conv<'g> {
         tail
     }
 
-    fn stmt(&mut self, s: &Stmt) -> BuiltNode {
+    fn stmt(&mut self, s: &'a Stmt) -> BuiltNode {
         match s {
             Stmt::Assign { target, value } => match target {
                 LValue::Name(name) => {
                     let v = self.expr(value);
-                    self.tb
-                        .node_full(self.pg.p_assign, vec![id_tok(name), v.into()])
+                    let kids = [self.text(name), v.into()];
+                    self.tb.node_full(self.pg.p_assign, kids)
                 }
                 LValue::Index { name, index } => {
                     let i = self.expr(index);
                     let v = self.expr(value);
-                    self.tb
-                        .node_full(self.pg.p_assign_idx, vec![id_tok(name), i.into(), v.into()])
+                    let kids = [self.text(name), i.into(), v.into()];
+                    self.tb.node_full(self.pg.p_assign_idx, kids)
                 }
             },
             Stmt::Call { name, args } => {
                 let a = self.args(args);
-                self.tb
-                    .node_full(self.pg.p_call, vec![id_tok(name), a.into()])
+                let kids = [self.text(name), a.into()];
+                self.tb.node_full(self.pg.p_call, kids)
             }
             Stmt::If { cond, then, els } => {
                 let uid = self.uid();
                 let c = self.expr(cond);
                 let t = self.stmts(then);
                 if els.is_empty() {
-                    self.tb
-                        .node_full(self.pg.p_if, vec![uid, c.into(), t.into()])
+                    self.tb.node_full(self.pg.p_if, [uid, c.into(), t.into()])
                 } else {
                     let e = self.stmts(els);
                     self.tb
-                        .node_full(self.pg.p_ifelse, vec![uid, c.into(), t.into(), e.into()])
+                        .node_full(self.pg.p_ifelse, [uid, c.into(), t.into(), e.into()])
                 }
             }
             Stmt::While { cond, body } => {
@@ -190,7 +191,7 @@ impl<'g> Conv<'g> {
                 let c = self.expr(cond);
                 let b = self.stmts(body);
                 self.tb
-                    .node_full(self.pg.p_while, vec![uid, c.into(), b.into()])
+                    .node_full(self.pg.p_while, [uid, c.into(), b.into()])
             }
             Stmt::Write { args } => {
                 let w = self.wargs(args);
@@ -208,49 +209,53 @@ impl<'g> Conv<'g> {
         }
     }
 
-    fn wargs(&mut self, ws: &[WriteArg]) -> BuiltNode {
+    fn wargs(&mut self, ws: &'a [WriteArg]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_wargs_nil);
         for w in ws.iter().rev() {
             tail = match w {
                 WriteArg::Expr(e) => {
                     let x = self.expr(e);
-                    self.tb
-                        .node_full(self.pg.p_wargs_expr, vec![x.into(), tail.into()])
+                    self.tb.node(self.pg.p_wargs_expr, [x, tail])
                 }
-                WriteArg::Str(s) => self
-                    .tb
-                    .node_full(self.pg.p_wargs_str, vec![str_tok(s), tail.into()]),
+                WriteArg::Str(s) => {
+                    let kids = [self.text(s), tail.into()];
+                    self.tb.node_full(self.pg.p_wargs_str, kids)
+                }
             };
         }
         tail
     }
 
-    fn args(&mut self, es: &[Expr]) -> BuiltNode {
+    fn args(&mut self, es: &'a [Expr]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_args_nil);
         for e in es.iter().rev() {
             let x = self.expr(e);
-            tail = self
-                .tb
-                .node_full(self.pg.p_args_cons, vec![x.into(), tail.into()]);
+            tail = self.tb.node(self.pg.p_args_cons, [x, tail]);
         }
         tail
     }
 
-    fn expr(&mut self, e: &Expr) -> BuiltNode {
+    fn expr(&mut self, e: &'a Expr) -> BuiltNode {
         match e {
-            Expr::Num(n) => self.tb.node_full(self.pg.p_num, vec![num_tok(*n)]),
+            Expr::Num(n) => {
+                let num = self.num(*n);
+                self.tb.node_full(self.pg.p_num, [num])
+            }
             Expr::Bool(true) => self.tb.leaf(self.pg.p_true),
             Expr::Bool(false) => self.tb.leaf(self.pg.p_false),
-            Expr::Name(n) => self.tb.node_full(self.pg.p_name, vec![id_tok(n)]),
+            Expr::Name(n) => {
+                let id = self.text(n);
+                self.tb.node_full(self.pg.p_name, [id])
+            }
             Expr::Index { name, index } => {
                 let i = self.expr(index);
-                self.tb
-                    .node_full(self.pg.p_index, vec![id_tok(name), i.into()])
+                let kids = [self.text(name), i.into()];
+                self.tb.node_full(self.pg.p_index, kids)
             }
             Expr::Call { name, args } => {
                 let a = self.args(args);
-                self.tb
-                    .node_full(self.pg.p_fcall, vec![id_tok(name), a.into()])
+                let kids = [self.text(name), a.into()];
+                self.tb.node_full(self.pg.p_fcall, kids)
             }
             Expr::Bin { op, lhs, rhs } => {
                 let l = self.expr(lhs);
@@ -312,12 +317,11 @@ mod tests {
         // Collect uid token values: every t_uid token in the tree.
         let mut uids = Vec::new();
         for id in tree.node_ids() {
-            let node = tree.node(id);
-            let prod = tree.grammar().prod(node.prod);
-            for (i, c) in node.children.iter().enumerate() {
-                if let paragram_core::tree::Child::Token(vals) = c {
+            let prod = tree.grammar().prod(tree.node(id).prod);
+            for (i, c) in tree.children(id).iter().enumerate() {
+                if let paragram_core::tree::Child::Token(span) = *c {
                     if prod.rhs[i] == pg.t_uid {
-                        uids.push(vals[0].int());
+                        uids.push(tree.token(span)[0].int());
                     }
                 }
             }

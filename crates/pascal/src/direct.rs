@@ -10,7 +10,7 @@
 
 use crate::ast::*;
 use crate::codegen as cg;
-use crate::env::{scalar_ty, Entry, Env, ParamSig, Ty};
+use crate::env::{scalar_ty, Entry, Env, ParamSig, SigList, Ty};
 use paragram_rope::{Rope, RopeBuilder};
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ impl Direct {
     fn decls(&mut self, ds: &[Decl], mut env: Env, level: u32, mut off: i32) -> (Env, i32, Rope) {
         struct PendingProc<'a> {
             label: Arc<str>,
-            sig: Arc<Vec<ParamSig>>,
+            sig: SigList,
             is_func: bool,
             decls: &'a [Decl],
             body: &'a [Stmt],
@@ -113,7 +113,7 @@ impl Direct {
                 } => {
                     let uid = self.uid();
                     let label: Arc<str> = Arc::from(format!("P{uid}_{name}").as_str());
-                    let sig: Arc<Vec<ParamSig>> = Arc::new(
+                    let sig = SigList::from(
                         params
                             .iter()
                             .map(|p| ParamSig {
@@ -121,18 +121,18 @@ impl Direct {
                                 ty: scalar_ty(&p.ty),
                                 by_ref: p.by_ref,
                             })
-                            .collect(),
+                            .collect::<Vec<_>>(),
                     );
                     let entry = match result {
                         None => Entry::Proc {
                             label: Arc::clone(&label),
                             level: level + 1,
-                            params: Arc::clone(&sig),
+                            params: sig.clone(),
                         },
                         Some(rt) => Entry::Func {
                             label: Arc::clone(&label),
                             level: level + 1,
-                            params: Arc::clone(&sig),
+                            params: sig.clone(),
                             ret: scalar_ty(rt),
                         },
                     };

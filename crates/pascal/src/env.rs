@@ -6,6 +6,7 @@
 //! the tree cheaply.
 
 use paragram_symtab::SymTab;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A value type in the subset.
@@ -48,6 +49,56 @@ pub struct ParamSig {
     pub by_ref: bool,
 }
 
+/// A routine's formal-parameter signatures, shared by handle. Like an
+/// empty [`crate::pval::ErrList`], the empty list — a parameterless
+/// routine's, a failed lookup's, a call's after its last argument — is
+/// a value, not an allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SigList(
+    /// `Some` is never empty.
+    Option<Arc<[ParamSig]>>,
+);
+
+impl From<Vec<ParamSig>> for SigList {
+    fn from(sigs: Vec<ParamSig>) -> Self {
+        SigList((!sigs.is_empty()).then(|| sigs.into()))
+    }
+}
+
+impl From<ParamSig> for SigList {
+    fn from(sig: ParamSig) -> Self {
+        SigList(Some(Arc::new([sig])))
+    }
+}
+
+impl From<&[ParamSig]> for SigList {
+    fn from(sigs: &[ParamSig]) -> Self {
+        SigList((!sigs.is_empty()).then(|| sigs.into()))
+    }
+}
+
+impl SigList {
+    /// This list followed by `rest`, sharing a handle when either is
+    /// empty.
+    pub fn concat(&self, rest: &SigList) -> SigList {
+        match (&self.0, &rest.0) {
+            (_, None) => self.clone(),
+            (None, _) => rest.clone(),
+            (Some(head), Some(tail)) => {
+                SigList(Some(head.iter().chain(tail.iter()).cloned().collect()))
+            }
+        }
+    }
+}
+
+impl Deref for SigList {
+    type Target = [ParamSig];
+
+    fn deref(&self) -> &[ParamSig] {
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
 /// A symbol-table entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Entry {
@@ -82,7 +133,7 @@ pub enum Entry {
         /// Level of the procedure's own frame.
         level: u32,
         /// Parameter signatures.
-        params: Arc<Vec<ParamSig>>,
+        params: SigList,
     },
     /// Function.
     Func {
@@ -91,7 +142,7 @@ pub enum Entry {
         /// Level of the function's own frame.
         level: u32,
         /// Parameter signatures.
-        params: Arc<Vec<ParamSig>>,
+        params: SigList,
         /// Result type.
         ret: Ty,
     },
@@ -159,7 +210,7 @@ mod tests {
             Entry::Proc {
                 label: "P1_f".into(),
                 level: 1,
-                params: Arc::new(vec![])
+                params: SigList::default()
             }
             .describe(),
             "a procedure"

@@ -19,7 +19,7 @@
 //!   parallel evaluation label-collision-free.
 
 use crate::codegen as cg;
-use crate::env::{Entry, Env, ParamSig, Ty};
+use crate::env::{Entry, Env, ParamSig, SigList, Ty};
 use crate::pval::PVal;
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId, SymbolId};
 use paragram_rope::{Rope, RopeBuilder};
@@ -510,7 +510,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         let routine_entry = move |env: &Env,
                                   name: &Arc<str>,
                                   uid: i64,
-                                  sig: &Arc<Vec<ParamSig>>,
+                                  sig: &SigList,
                                   level: u32,
                                   ret: Option<Ty>|
               -> Env {
@@ -519,12 +519,12 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 None => Entry::Proc {
                     label,
                     level: level + 1,
-                    params: Arc::clone(sig),
+                    params: sig.clone(),
                 },
                 Some(ret) => Entry::Func {
                     label,
                     level: level + 1,
-                    params: Arc::clone(sig),
+                    params: sig.clone(),
                     ret,
                 },
             };
@@ -649,24 +649,20 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         p_params_cons,
         (0, params_sig),
         [(1, param_sig), (2, params_sig)],
-        |a| {
-            let mut v: Vec<ParamSig> = a[0].sig().as_ref().clone();
-            v.extend(a[1].sig().iter().cloned());
-            PVal::Sig(Arc::new(v))
-        },
+        |a| PVal::Sig(a[0].sig().concat(a[1].sig())),
     );
     let p_params_nil = g.production("params_nil", params, []);
     g.rule_direct(p_params_nil, (0, params_sig), [], |_| {
-        PVal::Sig(Arc::new(Vec::new()))
+        PVal::Sig(SigList::default())
     });
     let param_prod = |name: &str, ty: Ty, by_ref: bool, g: &mut GrammarBuilder<PVal>| {
         let p = g.production(name, param, [t_id]);
         g.rule(p, (0, param_sig), [(1, AttrId(0))], move |a| {
-            PVal::Sig(Arc::new(vec![ParamSig {
+            PVal::Sig(SigList::from(ParamSig {
                 name: Arc::clone(a[0].str()),
                 ty,
                 by_ref,
-            }]))
+            }))
         });
         p
     };
@@ -835,9 +831,9 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         [(0, a_stmt.env), (1, AttrId(0))],
         |a| match a[0].env().lookup(a[1].str()) {
             Some(Entry::Proc { params, .. }) | Some(Entry::Func { params, .. }) => {
-                PVal::Sig(Arc::clone(params))
+                PVal::Sig(params.clone())
             }
-            _ => PVal::Sig(Arc::new(Vec::new())),
+            _ => PVal::Sig(SigList::default()),
         },
     );
     g.rule_with_cost_direct(
@@ -1095,10 +1091,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         p_args_cons,
         (2, a_args.sig_rest),
         [(0, a_args.sig_rest)],
-        |a| {
-            let s = a[0].sig();
-            PVal::Sig(Arc::new(s.iter().skip(1).cloned().collect()))
-        },
+        |a| PVal::Sig(SigList::from(a[0].sig().get(1..).unwrap_or_default())),
     );
     g.rule_direct(p_args_cons, (0, a_args.count), [(2, a_args.count)], |a| {
         PVal::Int(a[0].int() + 1)
@@ -1357,9 +1350,9 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         [(0, a_expr.env), (1, AttrId(0))],
         |a| match a[0].env().lookup(a[1].str()) {
             Some(Entry::Proc { params, .. }) | Some(Entry::Func { params, .. }) => {
-                PVal::Sig(Arc::clone(params))
+                PVal::Sig(params.clone())
             }
-            _ => PVal::Sig(Arc::new(Vec::new())),
+            _ => PVal::Sig(SigList::default()),
         },
     );
     g.rule_with_cost_direct(

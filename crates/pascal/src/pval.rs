@@ -3,13 +3,13 @@
 //! A value costs the heap objects it carries and no more: the store of
 //! a compiled tree holds one `PVal` per attribute instance, and freeing
 //! them one `free` at a time is most of what tearing a tree down costs.
-//! `Unit`, `Int`, `Ty` and the empty [`ErrList`] — the value of every
-//! error attribute of a correct program — own nothing; the others are
-//! one reference-counted handle, so a copy rule shares instead of
-//! copying. `PVal` is 24 bytes (asserted below); a variant that needs
+//! `Unit`, `Int`, `Ty`, the empty [`ErrList`] — the value of every
+//! error attribute of a correct program — and the empty [`SigList`] own
+//! nothing; the others are one reference-counted handle, so a copy rule
+//! shares instead of copying. `PVal` is 24 bytes (asserted below); a variant that needs
 //! more grows every slot of every store.
 
-use crate::env::{Entry, Env, ParamSig, Ty};
+use crate::env::{Entry, Env, ParamSig, SigList, Ty};
 use paragram_core::value::{fnv1a, fnv1a_bytes, fnv1a_u64, AttrValue};
 use paragram_rope::Rope;
 use std::fmt;
@@ -64,7 +64,7 @@ pub enum PVal {
     /// Semantic-error messages.
     Errs(ErrList),
     /// Parameter signatures (synthesized by formal-parameter lists).
-    Sig(Arc<Vec<ParamSig>>),
+    Sig(SigList),
 }
 
 impl PVal {
@@ -146,7 +146,7 @@ impl PVal {
     }
 
     /// The signature list inside.
-    pub fn sig(&self) -> &Arc<Vec<ParamSig>> {
+    pub fn sig(&self) -> &SigList {
         match self {
             PVal::Sig(s) => s,
             other => panic!("expected Sig, got {other:?}"),
@@ -365,6 +365,37 @@ mod tests {
             one.content_hash(),
             Some(fnv1a_u64(fnv1a_u64(fnv1a(&[6]), fnv1a(b"ab")), 1))
         );
+    }
+
+    #[test]
+    fn empty_signature_owns_nothing() {
+        let param = ParamSig {
+            name: "x".into(),
+            ty: Ty::Int,
+            by_ref: false,
+        };
+        let one = SigList::from(param.clone());
+        for empty in [
+            SigList::default(),
+            SigList::from(Vec::new()),
+            SigList::from(&one[1..]),
+            SigList::default().concat(&SigList::default()),
+        ] {
+            assert_eq!(empty, SigList::default(), "no handle: nothing allocated");
+            let empty = PVal::Sig(empty);
+            // What an empty `Arc<Vec<ParamSig>>` showed the simulator
+            // and the memo.
+            assert_eq!(empty.wire_size(), 5);
+            assert_eq!(empty.content_hash(), Some(fnv1a_u64(fnv1a(&[7]), 0)));
+            assert_eq!(format!("{empty:?}"), "sig(0 params)");
+        }
+        // A list concatenated with an empty one is the same handle.
+        let PVal::Sig(joined) = PVal::Sig(one.concat(&SigList::default())) else {
+            unreachable!()
+        };
+        assert!(std::ptr::eq(joined.as_ptr(), one.as_ptr()));
+        assert_eq!(&*SigList::default().concat(&one), &[param.clone()][..]);
+        assert_eq!(one.concat(&one).len(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::parse_spec::{parse_spec, Assoc, RuleExpr, SpecAst, SpecError, SpecSym
 use crate::registry::{builtins, FnRegistry, SemFn};
 use paragram_core::eval::{EvalError, Evaluators};
 use paragram_core::grammar::{Args, AttrId, AttrKind, Grammar, GrammarBuilder, ProdId, SymbolId};
-use paragram_core::tree::{token, ChildSpec, ParseTree, TreeBuilder, TreeError};
+use paragram_core::tree::{ChildSpec, ParseTree, TreeBuilder, TreeError};
 use paragram_core::value::Value;
 use paragram_parsegen as pg;
 use std::collections::HashMap;
@@ -610,16 +610,16 @@ struct InputBuilder<'a> {
 }
 
 impl<'a> pg::TreeBuilder<Value> for InputBuilder<'a> {
-    type Node = ChildSpec<Value>;
+    type Node = ChildSpec;
 
-    fn shift(&mut self, term: pg::Term, tok: Value) -> ChildSpec<Value> {
+    fn shift(&mut self, term: pg::Term, tok: Value) -> ChildSpec {
         match self.lang.term_kinds[term.0 as usize] {
-            TermKind::Name => token(vec![tok]),
-            TermKind::Keyword | TermKind::Lit => token(Vec::<Value>::new()),
+            TermKind::Name => self.tb.token([tok]),
+            TermKind::Keyword | TermKind::Lit => self.tb.token(None),
         }
     }
 
-    fn reduce(&mut self, prod: pg::ProdIdx, children: Vec<ChildSpec<Value>>) -> ChildSpec<Value> {
+    fn reduce(&mut self, prod: pg::ProdIdx, children: Vec<ChildSpec>) -> ChildSpec {
         let grammar_prod = self.lang.prod_map[prod.0];
         ChildSpec::Built(self.tb.node_full(grammar_prod, children))
     }

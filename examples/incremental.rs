@@ -38,10 +38,13 @@ fn main() {
         .node_ids()
         .find(|&n| tree.grammar().prod(tree.node(n).prod).name == "const")
         .expect("const declaration");
-    let Child::Token(vals) = &tree.node(target).children[1] else {
+    let Child::Token(span) = tree.children(target)[1] else {
         panic!("const's second occurrence is the number token")
     };
-    println!("\nediting `const k = {}` to `const k = 7` …", vals[0].int());
+    println!(
+        "\nediting `const k = {}` to `const k = 7` …",
+        tree.token(span)[0].int()
+    );
     let applied = inc
         .update_token(target, 2, AttrId(0), PVal::Int(7))
         .expect("valid edit");
