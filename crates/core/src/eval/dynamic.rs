@@ -10,8 +10,12 @@
 //! Any service order of the ready set is confluent — each attribute
 //! instance has exactly one defining rule, so every topological order
 //! computes the same store; both lanes are FIFO.
+//!
+//! The graph is written once, here: [`dynamic_eval`] builds it and runs
+//! it, and [`super::Incremental`] builds the same graph, keeps it, and
+//! records the order the run took as its topological order.
 
-use crate::csr::CsrCounter;
+use crate::csr::{Csr, CsrCounter};
 use crate::grammar::{ArgScratch, OccRef};
 use crate::stats::EvalStats;
 use crate::tree::{occ_slot, occ_value, AttrSlots, AttrStore, Child, NodeId, ParseTree};
@@ -33,101 +37,148 @@ use super::EvalError;
 pub fn dynamic_eval<V: AttrValue>(
     tree: &ParseTree<V>,
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
-    let g = tree.grammar();
     let mut store = AttrStore::new(tree);
     let mut stats = EvalStats::default();
+    let mut graph = Graph::build(tree, &store, &mut stats, |_, _, _| {});
+    graph.run(tree, &mut store, &mut stats, |_| {})?;
+    Ok((store, stats))
+}
 
-    // One task per rule application: (node, rule index). The waiters
-    // relation (instance -> tasks reading it) is built in compressed
-    // sparse row form by the classic two-pass counting sort — count,
-    // prefix-sum, fill — so graph construction performs a constant
-    // number of allocations instead of one `Vec` per attribute
-    // instance.
-    let mut tasks: Vec<(NodeId, usize)> = Vec::new();
-    let mut missing: Vec<u32> = Vec::new();
-    // Whether the task's target attribute is a priority attribute.
-    let mut is_priority: Vec<bool> = Vec::new();
+/// The instance dependency graph of a whole tree.
+pub(crate) struct Graph {
+    /// One task per rule application: (node, rule index).
+    pub(crate) tasks: Vec<(NodeId, usize)>,
+    /// Per task: arguments not yet computed.
+    missing: Vec<u32>,
+    /// Per task: whether its target is a priority attribute.
+    is_priority: Vec<bool>,
+    /// Instance → the tasks whose arguments read it.
+    pub(crate) waiters: Csr,
+}
 
-    // Pass 1: enumerate tasks, count edges per instance.
-    let mut counter = CsrCounter::new(store.len());
-    for node in tree.node_ids() {
-        let prod = g.prod(tree.node(node).prod);
-        for (ri, rule) in prod.rules.iter().enumerate() {
-            tasks.push((node, ri));
-            let mut need = 0u32;
-            for_each_rule_arg(tree, &store, node, ri, |_, inst| {
+impl Graph {
+    /// Builds the graph over `store`'s layout and counts its size into
+    /// `stats`. The waiters relation is built in compressed sparse row
+    /// form by the classic two-pass counting sort — count, prefix-sum,
+    /// fill — so construction performs a constant number of allocations
+    /// instead of one `Vec` per attribute instance. A token argument
+    /// needs no edge; `token_reader(node, occ, task)` is told of each.
+    pub(crate) fn build<V: AttrValue>(
+        tree: &ParseTree<V>,
+        store: &AttrStore<V>,
+        stats: &mut EvalStats,
+        mut token_reader: impl FnMut(NodeId, usize, u32),
+    ) -> Self {
+        let g = tree.grammar();
+        let mut tasks: Vec<(NodeId, usize)> = Vec::new();
+        let mut missing: Vec<u32> = Vec::new();
+        let mut is_priority: Vec<bool> = Vec::new();
+
+        // Pass 1: enumerate tasks, count edges per instance.
+        let mut counter = CsrCounter::new(store.len());
+        for node in tree.node_ids() {
+            let prod = g.prod(tree.node(node).prod);
+            for (ri, rule) in prod.rules.iter().enumerate() {
+                let tid = tasks.len() as u32;
+                tasks.push((node, ri));
+                let mut need = 0u32;
+                for_each_rule_arg(tree, store, node, ri, |arg, inst| match inst {
+                    Some(inst) => {
+                        counter.count(inst);
+                        need += 1;
+                        stats.graph_edges += 1;
+                    }
+                    None => token_reader(node, arg.occ, tid),
+                });
+                missing.push(need);
+                let (tnode, tattr) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
+                let tsym = g.prod(tree.node(tnode).prod).lhs;
+                is_priority.push(g.symbol(tsym).attrs[tattr.0 as usize].priority);
+            }
+        }
+        stats.graph_nodes = tasks.len();
+
+        // Pass 2: fill the edge array (same enumeration order via
+        // for_each_rule_arg, so each instance's waiter list is in task-id
+        // order).
+        let mut filler = counter.into_filler();
+        for (tid, &(node, ri)) in tasks.iter().enumerate() {
+            for_each_rule_arg(tree, store, node, ri, |_, inst| {
                 if let Some(inst) = inst {
-                    counter.count(inst);
-                    need += 1;
-                    stats.graph_edges += 1;
+                    filler.fill(inst, tid as u32);
                 }
             });
-            missing.push(need);
-            let (tnode, tattr) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
-            let tsym = g.prod(tree.node(tnode).prod).lhs;
-            is_priority.push(g.symbol(tsym).attrs[tattr.0 as usize].priority);
         }
-    }
-    stats.graph_nodes = tasks.len();
-
-    // Pass 2: fill the edge array (same enumeration order via
-    // for_each_rule_arg, so each instance's waiter list keeps the
-    // task-id order the adjacency-list build produced).
-    let mut filler = counter.into_filler();
-    for (tid, &(node, ri)) in tasks.iter().enumerate() {
-        for_each_rule_arg(tree, &store, node, ri, |_, inst| {
-            if let Some(inst) = inst {
-                filler.fill(inst, tid as u32);
-            }
-        });
-    }
-    let waiters = filler.finish();
-
-    let mut ready: VecDeque<u32> = VecDeque::new();
-    let mut ready_priority: VecDeque<u32> = VecDeque::new();
-    for (tid, &m) in missing.iter().enumerate() {
-        if m == 0 {
-            if is_priority[tid] {
-                ready_priority.push_back(tid as u32);
-            } else {
-                ready.push_back(tid as u32);
-            }
+        Graph {
+            tasks,
+            missing,
+            is_priority,
+            waiters: filler.finish(),
         }
     }
 
-    let mut executed = 0usize;
-    let mut scratch = ArgScratch::new();
-    while let Some(tid) = ready_priority.pop_front().or_else(|| ready.pop_front()) {
-        let (node, ri) = tasks[tid as usize];
-        let rule = &g.prod(tree.node(node).prod).rules[ri];
-        let value = scratch.apply(rule, |a| {
-            occ_value(tree, &store, node, a.occ, a.attr)
-                .expect("scheduler readiness guarantees arguments")
-        });
-        stats.rule_cost_units += rule.cost;
-        let (tnode, tattr) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
-        store.set(tnode, tattr, value);
-        executed += 1;
-        let inst = store.instance(tnode, tattr);
-        for &w in waiters.targets(inst) {
-            missing[w as usize] -= 1;
-            if missing[w as usize] == 0 {
-                if is_priority[w as usize] {
-                    ready_priority.push_back(w);
+    /// Evaluates every task into `store` as it becomes ready, the
+    /// priority lane before the FIFO one, and tells `done` of each task
+    /// in the order it ran — a topological order of the graph.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::Cycle`] if some tasks never became ready.
+    pub(crate) fn run<V: AttrValue>(
+        &mut self,
+        tree: &ParseTree<V>,
+        store: &mut AttrStore<V>,
+        stats: &mut EvalStats,
+        mut done: impl FnMut(u32),
+    ) -> Result<(), EvalError> {
+        let g = tree.grammar();
+        let mut ready: VecDeque<u32> = VecDeque::new();
+        let mut ready_priority: VecDeque<u32> = VecDeque::new();
+        for (tid, &m) in self.missing.iter().enumerate() {
+            if m == 0 {
+                if self.is_priority[tid] {
+                    ready_priority.push_back(tid as u32);
                 } else {
-                    ready.push_back(w);
+                    ready.push_back(tid as u32);
                 }
             }
         }
-    }
 
-    stats.dynamic_applied = executed;
-    if executed != tasks.len() {
-        return Err(EvalError::Cycle {
-            stuck: tasks.len() - executed,
-        });
+        let mut executed = 0usize;
+        let mut scratch = ArgScratch::new();
+        while let Some(tid) = ready_priority.pop_front().or_else(|| ready.pop_front()) {
+            done(tid);
+            let (node, ri) = self.tasks[tid as usize];
+            let rule = &g.prod(tree.node(node).prod).rules[ri];
+            let value = scratch.apply(rule, |a| {
+                occ_value(tree, store, node, a.occ, a.attr)
+                    .expect("scheduler readiness guarantees arguments")
+            });
+            stats.rule_cost_units += rule.cost;
+            let (tnode, tattr) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
+            store.set(tnode, tattr, value);
+            executed += 1;
+            let inst = store.instance(tnode, tattr);
+            for &w in self.waiters.targets(inst) {
+                self.missing[w as usize] -= 1;
+                if self.missing[w as usize] == 0 {
+                    if self.is_priority[w as usize] {
+                        ready_priority.push_back(w);
+                    } else {
+                        ready.push_back(w);
+                    }
+                }
+            }
+        }
+
+        stats.dynamic_applied += executed;
+        if executed != self.tasks.len() {
+            return Err(EvalError::Cycle {
+                stuck: self.tasks.len() - executed,
+            });
+        }
+        Ok(())
     }
-    Ok((store, stats))
 }
 
 /// Instance index of a rule-argument occurrence, or `None` for token
@@ -152,11 +203,10 @@ pub(crate) fn arg_instance<V: AttrValue, S: AttrSlots<V>>(
 /// Enumerates the arguments of rule `ri` at `node` with their resolved
 /// instance indices (`None` for token arguments).
 ///
-/// This is the *single* edge enumeration behind every two-pass CSR
-/// graph build: the count pass and the fill pass must visit identical
-/// edges in identical order, so both call this — divergence is
-/// impossible by construction.
-pub(crate) fn for_each_rule_arg<V: AttrValue>(
+/// The count pass and the fill pass of [`Graph::build`] must visit
+/// identical edges in identical order, so both call this — divergence
+/// is impossible by construction.
+fn for_each_rule_arg<V: AttrValue>(
     tree: &ParseTree<V>,
     store: &AttrStore<V>,
     node: NodeId,

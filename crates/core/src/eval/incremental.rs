@@ -4,11 +4,13 @@
 //! noting that incremental algorithms "are easily applicable only in
 //! the context of a structure editor" and that even such an environment
 //! "is likely to require a fast batch evaluator". This module is the
-//! other side of that trade-off, built on the same machinery: keep the
-//! instance dependency graph and topological order from a batch run,
-//! overlay changed token values, and re-evaluate only the affected cone
-//! — with *early cutoff*: if a recomputed value equals the old one,
-//! its dependents are not dirtied (Reps-style change propagation).
+//! other side of that trade-off, built on the same machinery: the
+//! batch run is the dynamic evaluator's own dependency graph and run
+//! ([`super::dynamic_eval`]), kept with the topological order that run
+//! took. An update overlays changed token values and re-evaluates only
+//! the affected cone, in that order — with *early cutoff*: if a
+//! recomputed value equals the old one, its dependents are not dirtied
+//! (Reps-style change propagation).
 //!
 //! # Examples
 //!
@@ -50,7 +52,7 @@
 //! assert!(changed <= 2);
 //! ```
 
-use crate::csr::{Csr, CsrCounter};
+use crate::csr::Csr;
 use crate::grammar::{ArgScratch, AttrId};
 use crate::stats::EvalStats;
 use crate::tree::{occ_slot, AttrStore, Child, NodeId, PackedSlots, ParseTree};
@@ -58,6 +60,7 @@ use crate::value::AttrValue;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use super::dynamic::Graph;
 use super::EvalError;
 
 /// Error from [`Incremental::update_token`].
@@ -98,8 +101,8 @@ pub struct Incremental<V: AttrValue + PartialEq> {
     overrides: HashMap<(NodeId, usize), PackedSlots<V>>,
     /// One task per rule application.
     tasks: Vec<(NodeId, usize)>,
-    /// Position of each task in the batch run's topological order
-    /// (for ordered dirty processing).
+    /// Position of each task in the order the batch run executed it
+    /// (the priority lane first, then FIFO).
     topo_pos: Vec<u32>,
     /// instance index → tasks whose arguments read it (CSR: one flat
     /// allocation, kept alive for the editor session).
@@ -113,101 +116,34 @@ pub struct Incremental<V: AttrValue + PartialEq> {
 }
 
 impl<V: AttrValue + PartialEq> Incremental<V> {
-    /// Runs the initial batch evaluation (dynamic scheduling) and
-    /// retains the graph for later updates.
+    /// Runs the initial batch evaluation — [`super::dynamic_eval`]'s
+    /// graph and run — and retains the graph for later updates.
     ///
     /// # Errors
     ///
     /// [`EvalError::Cycle`] if the tree's instance graph is cyclic.
     pub fn new(tree: &Arc<ParseTree<V>>) -> Result<Self, EvalError> {
-        let g = tree.grammar();
         let mut store = AttrStore::new(tree);
         let mut stats = EvalStats::default();
-
-        // Two-pass CSR build of the dependents relation (count →
-        // prefix-sum → fill); token dependents are sparse and stay in a
-        // map keyed by (node, occurrence).
-        let mut tasks: Vec<(NodeId, usize)> = Vec::new();
         let mut token_dependents: HashMap<(NodeId, usize), Vec<u32>> = HashMap::new();
-        let mut missing: Vec<u32> = Vec::new();
-        let mut counter = CsrCounter::new(store.len());
-        for node in tree.node_ids() {
-            let prod = g.prod(tree.node(node).prod);
-            for ri in 0..prod.rules.len() {
-                let tid = tasks.len() as u32;
-                tasks.push((node, ri));
-                let mut need = 0u32;
-                super::dynamic::for_each_rule_arg(tree, &store, node, ri, |arg, inst| match inst {
-                    Some(inst) => {
-                        counter.count(inst);
-                        need += 1;
-                        stats.graph_edges += 1;
-                    }
-                    None => {
-                        token_dependents
-                            .entry((node, arg.occ))
-                            .or_default()
-                            .push(tid);
-                    }
-                });
-                missing.push(need);
-            }
-        }
-        let mut filler = counter.into_filler();
-        for (tid, &(node, ri)) in tasks.iter().enumerate() {
-            super::dynamic::for_each_rule_arg(tree, &store, node, ri, |_, inst| {
-                if let Some(inst) = inst {
-                    filler.fill(inst, tid as u32);
-                }
-            });
-        }
-        let dependents = filler.finish();
-        stats.graph_nodes = tasks.len();
-
-        // Kahn worklist, recording the completion order.
-        let mut ready: Vec<u32> = missing
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut topo = Vec::with_capacity(tasks.len());
-        let overrides = HashMap::new();
-        let mut scratch = ArgScratch::new();
-        while let Some(tid) = ready.pop() {
-            topo.push(tid);
-            let (node, ri) = tasks[tid as usize];
-            let rule = &g.prod(tree.node(node).prod).rules[ri];
-            let value = apply_rule(tree, &store, &overrides, &mut scratch, node, ri);
-            stats.rule_cost_units += rule.cost;
-            stats.dynamic_applied += 1;
-            let (tn, ta) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
-            store.set(tn, ta, value);
-            for &d in dependents.targets(store.instance(tn, ta)) {
-                missing[d as usize] -= 1;
-                if missing[d as usize] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        if topo.len() != tasks.len() {
-            return Err(EvalError::Cycle {
-                stuck: tasks.len() - topo.len(),
-            });
-        }
-        let mut topo_pos = vec![0u32; tasks.len()];
-        for (pos, &tid) in topo.iter().enumerate() {
-            topo_pos[tid as usize] = pos as u32;
-        }
+        let mut graph = Graph::build(tree, &store, &mut stats, |node, occ, tid| {
+            token_dependents.entry((node, occ)).or_default().push(tid)
+        });
+        let mut topo_pos = vec![0u32; graph.tasks.len()];
+        let mut next = 0u32;
+        graph.run(tree, &mut store, &mut stats, |tid| {
+            topo_pos[tid as usize] = next;
+            next += 1;
+        })?;
         Ok(Incremental {
             tree: Arc::clone(tree),
             store,
-            overrides,
-            tasks,
+            overrides: HashMap::new(),
+            tasks: graph.tasks,
             topo_pos,
-            dependents,
+            dependents: graph.waiters,
             token_dependents,
-            scratch,
+            scratch: ArgScratch::new(),
             stats,
         })
     }
@@ -238,6 +174,11 @@ impl<V: AttrValue + PartialEq> Incremental<V> {
     /// Replaces one lexical value of a token and re-evaluates exactly
     /// the affected attribute instances (with early cutoff). Returns
     /// the number of rule applications performed.
+    ///
+    /// Dirty tasks re-run in the batch run's order. Any topological
+    /// order would serve: each dirty task then runs after every dirty
+    /// task it reads, so which tasks re-run, and what they compute, does
+    /// not depend on the order chosen.
     ///
     /// # Errors
     ///

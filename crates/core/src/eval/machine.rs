@@ -2,9 +2,9 @@
 //! and of the parallel dynamic evaluator.
 //!
 //! Each parallel evaluator owns one *region* of the parse tree (see
-//! [`crate::split`]). During construction the machine determines, for
-//! each node, whether it lies on a path from the region root to a
-//! *remotely evaluated leaf* (a child owned by another region):
+//! [`crate::split`]). Its *remotely evaluated leaves* are the roots of
+//! its child regions, which the decomposition already lists, and the
+//! *spine* is the paths from the region root down to them:
 //!
 //! * **spine nodes** are evaluated dynamically — one scheduler task per
 //!   semantic rule;
@@ -29,10 +29,10 @@
 //! [`crate::split::SlotMap`]. The only nodes a machine ever addresses
 //! are the nodes its region owns (dense span from 0) and its boundary
 //! children (roots of child regions, aliased through the layout's
-//! small remap) — so construction and memory are O(region), the
-//! dependency CSR and the ready bookkeeping are sized by the region's
-//! slots, and K-region decomposition of a tree allocates ≈1× the
-//! tree's instances in total rather than K×. [`Machine::recycle`] /
+//! small remap) — so memory is O(region), the dependency CSR and the
+//! ready bookkeeping are sized by the region's slots, and K-region
+//! decomposition of a tree allocates ≈1× the tree's instances in total
+//! rather than K×. Construction walks only the spine in combined mode. [`Machine::recycle`] /
 //! [`Machine::into_store`] hand the region-local store back: a pool
 //! report reads it where it is, beside every other region's, and
 //! [`crate::tree::AttrStore::absorb_region`] copies it into a
@@ -43,7 +43,7 @@ use crate::csr::Csr;
 use crate::grammar::{AttrId, SymbolId};
 use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
-use crate::tree::{occ_slot, occ_value, NodeId, ParseTree, RegionStore};
+use crate::tree::{occ_slot, occ_value, Child, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -133,7 +133,6 @@ pub struct Machine<V: AttrValue> {
     graph_nodes: usize,
     graph_edges: usize,
     local_nodes: usize,
-    est_work: u64,
 }
 
 impl<V: AttrValue> Machine<V> {
@@ -160,28 +159,18 @@ impl<V: AttrValue> Machine<V> {
     /// be recovered (with its grown capacity) via [`Machine::recycle`]
     /// when this tree is finished.
     ///
-    /// Construction performs **one** walk over the region: a single DFS
-    /// collects the region's nodes and its boundary children, and the
-    /// task-enumeration pass derives each task's priority flag and the
-    /// external/send classification from the plan's precomputed tables
-    /// instead of re-walking the tree per attribute.
-    ///
-    /// Where the time goes, per part, on each half of the 264 k-node
-    /// `GenConfig::huge` tree (≈ 132 k nodes a region), built by a
-    /// 2-worker pool, 2-core box, release build, ms:
-    ///
-    /// | part | region 0 | region 1 |
-    /// |---|---|---|
-    /// | the region DFS and the spine | 4.4–4.8 | 2.9–3.6 |
-    /// | `RegionStore::new` | 11–12 | ≈ 2 |
-    /// | `est_work` | 0.4–0.6 | 0.2–0.3 |
-    /// | tasks, static roots and the waiters CSR | 2.9–3.4 | 0.7–0.9 |
-    ///
-    /// The store is first-touch page faults while the other worker
-    /// evaluates; on one idle thread with a warm allocator the same
-    /// region-0 build reads 10.5–12 ms, the store 1.3–1.8 of it. So a
-    /// build that walks only the spine saves at most the DFS, `est_work`
-    /// and part of the task pass: ≈ 5–9 ms of region 0's build.
+    /// Construction reads what the decomposition already knows instead
+    /// of walking the region for it: the boundary children are the
+    /// roots of the region's child regions, the node count is the slot
+    /// layout's, and the spine is the boundary children's ancestors up
+    /// to the region root. One walk then descends from the region root
+    /// into spine nodes only (into every region node in dynamic mode),
+    /// and the in-region children it does not descend into are the
+    /// static subtrees' roots. Each task's priority flag and the
+    /// external/send classification are looked up in the plan's tables.
+    /// In combined mode the build is O(spine) apart from the region
+    /// store, which stays O(region) slots — most of a large region's
+    /// build, as first-touch page faults.
     ///
     /// # Panics
     ///
@@ -203,62 +192,51 @@ impl<V: AttrValue> Machine<V> {
         let g = tree.grammar();
         let info = &decomp.regions[region as usize];
         let region_root = info.root;
+        let slots = decomp.slot_map();
+        let dynamic = mode == MachineMode::Dynamic;
         scratch.reset();
 
-        // The single construction walk: one DFS collects region nodes
-        // AND boundary children (in-region parent, out-of-region child).
-        // All collection buffers live in the scratch and keep their
-        // capacity across trees.
-        scratch.stack.push(region_root);
+        // Spine: the in-region ancestors of the boundary children.
+        if !dynamic {
+            for child in slots.child_roots(region) {
+                let (mut n, _) = tree.node(child).parent.expect("a region root has a parent");
+                while scratch.spine.insert(n) && n != region_root {
+                    n = tree.node(n).parent.expect("non-root node has parent").0;
+                }
+            }
+        }
+        // The walk visits children last to first. The spine is
+        // ancestor-closed, so the walk meets spine nodes in the order a
+        // walk of the whole region would, and task order does not
+        // depend on how much of the region is walked.
+        if dynamic || !scratch.spine.is_empty() {
+            scratch.stack.push(region_root);
+        } else {
+            scratch.static_roots.push(region_root);
+        }
         while let Some(n) = scratch.stack.pop() {
-            scratch.region_nodes.push(n);
+            scratch.walk.push(n);
             for c in tree.children(n) {
-                if let crate::tree::Child::Node(c) = c {
-                    if decomp.region(*c) == region {
-                        scratch.stack.push(*c);
+                if let Child::Node(c) = *c {
+                    if decomp.region(c) != region {
+                        continue;
+                    }
+                    if dynamic || scratch.spine.contains(&c) {
+                        scratch.stack.push(c);
                     } else {
-                        scratch.boundary.push((n, *c));
+                        scratch.static_roots.push(c);
                     }
                 }
             }
         }
 
-        // Spine: ancestors (within the region) of boundary children.
-        match mode {
-            MachineMode::Dynamic => scratch.spine.extend(scratch.region_nodes.iter().copied()),
-            MachineMode::Combined => {
-                for &(parent, _) in &scratch.boundary {
-                    let mut n = parent;
-                    loop {
-                        if !scratch.spine.insert(n) {
-                            break;
-                        }
-                        if n == region_root {
-                            break;
-                        }
-                        let (p, _) = tree.node(n).parent.expect("non-root node has parent");
-                        n = p;
-                    }
-                }
-            }
-        }
-
-        // O(region) storage: the slot layout was computed once at
-        // decomposition time and is shared by every region's machine.
-        let store = RegionStore::new(decomp.slot_map(), region);
-        let local_nodes = scratch.region_nodes.len();
-        // Fold the region's work estimate into the construction pass —
-        // the number the adaptive decomposition sized this region by.
-        let est_work: u64 = scratch
-            .region_nodes
-            .iter()
-            .map(|&n| plan.prod_work(tree.node(n).prod))
-            .sum();
         let mut m = Machine {
             tree: Arc::clone(tree),
             plan: Arc::clone(plan),
             region,
-            store,
+            // O(region) storage: the slot layout was computed once at
+            // decomposition time and is shared by every region's machine.
+            store: RegionStore::new(slots, region),
             tasks: Vec::new(),
             missing: Vec::new(),
             waiters: Csr::empty(),
@@ -273,62 +251,49 @@ impl<V: AttrValue> Machine<V> {
             awaiting: HashSet::new(),
             graph_nodes: 0,
             graph_edges: 0,
-            local_nodes,
-            est_work,
+            local_nodes: slots.region_nodes(region).len(),
         };
 
-        // External inputs: syn attrs of boundary children ...
-        for &(_, child) in &m.scratch.boundary {
+        // External inputs: syn attrs of boundary children, whose inh
+        // attrs go out to the child region ...
+        for child in slots.child_roots(region) {
             let csym = g.prod(tree.node(child).prod).lhs;
             for &a in plan.syn_attrs(csym) {
                 m.awaiting.insert(m.store.instance(child, a));
             }
+            let target = SendTarget::Region(decomp.region(child));
+            for &a in plan.inh_attrs(csym) {
+                m.send_on_fill
+                    .insert(m.store.instance(child, a), (child, a, target));
+            }
         }
         // ... and inh attrs of the region root (unless it is the tree
-        // root, whose start symbol has none).
+        // root, whose start symbol has none), whose syn attrs go up to
+        // the parent region (or the parser at the very top).
         let root_sym = g.prod(tree.node(region_root).prod).lhs;
         if region_root != tree.root() {
             for &a in plan.inh_attrs(root_sym) {
                 m.awaiting.insert(m.store.instance(region_root, a));
             }
         }
-
-        // Outgoing values: inh attrs of boundary children go to the
-        // owning region; syn attrs of the region root go to the parent
-        // region (or the parser at the very top).
-        for &(_, child) in &m.scratch.boundary {
-            let csym = g.prod(tree.node(child).prod).lhs;
-            let target = SendTarget::Region(decomp.region(child));
-            for &a in plan.inh_attrs(csym) {
-                let inst = m.store.instance(child, a);
-                m.send_on_fill.insert(inst, (child, a, target));
-            }
-        }
-        {
-            let target = match info.parent {
-                Some(p) => SendTarget::Region(p),
-                None => SendTarget::Parser,
-            };
-            for &a in plan.syn_attrs(root_sym) {
-                let inst = m.store.instance(region_root, a);
-                m.send_on_fill.insert(inst, (region_root, a, target));
-            }
+        let target = match info.parent {
+            Some(p) => SendTarget::Region(p),
+            None => SendTarget::Parser,
+        };
+        for &a in plan.syn_attrs(root_sym) {
+            let inst = m.store.instance(region_root, a);
+            m.send_on_fill.insert(inst, (region_root, a, target));
         }
 
-        // Task enumeration (dynamic tasks for spine nodes). The waiters
-        // relation is accumulated as one flat (instance, task) pair list
-        // and compressed into CSR afterwards — no per-instance
-        // allocations. Priority flags come straight from the plan's
-        // per-rule table, folded into this same pass.
+        // Task enumeration: one dynamic task per rule of every walked
+        // node. The waiters relation is accumulated as one flat
+        // (instance, task) pair list and compressed into CSR afterwards
+        // — no per-instance allocations.
         let mut edges = std::mem::take(&mut m.scratch.edges);
-        for i in 0..m.scratch.region_nodes.len() {
-            let n = m.scratch.region_nodes[i];
-            if !m.scratch.spine.contains(&n) {
-                continue;
-            }
+        for i in 0..m.scratch.walk.len() {
+            let n = m.scratch.walk[i];
             let prod_id = tree.node(n).prod;
-            let prod = g.prod(prod_id);
-            for (ri, rule) in prod.rules.iter().enumerate() {
+            for (ri, rule) in g.prod(prod_id).rules.iter().enumerate() {
                 let tid = m.tasks.len() as u32;
                 m.tasks.push(Task::Apply { node: n, rule: ri });
                 m.priority.push(plan.rule_priority(prod_id, ri));
@@ -346,25 +311,8 @@ impl<V: AttrValue> Machine<V> {
 
         // Static-visit tasks for subtrees hanging off the spine (or the
         // whole region when it has no boundary at all).
-        if mode == MachineMode::Combined {
+        if !dynamic {
             let plans = Arc::clone(plan.plans().expect("checked above"));
-            if m.scratch.spine.is_empty() {
-                m.scratch.static_roots.push(region_root);
-            } else {
-                for i in 0..m.scratch.region_nodes.len() {
-                    let n = m.scratch.region_nodes[i];
-                    if !m.scratch.spine.contains(&n) {
-                        continue;
-                    }
-                    for c in tree.children(n) {
-                        if let crate::tree::Child::Node(c) = c {
-                            if decomp.region(*c) == region && !m.scratch.spine.contains(c) {
-                                m.scratch.static_roots.push(*c);
-                            }
-                        }
-                    }
-                }
-            }
             for i in 0..m.scratch.static_roots.len() {
                 let r = m.scratch.static_roots[i];
                 let rsym = g.prod(tree.node(r).prod).lhs;
@@ -425,14 +373,6 @@ impl<V: AttrValue> Machine<V> {
     /// Number of tree nodes owned by this machine.
     pub fn local_nodes(&self) -> usize {
         self.local_nodes
-    }
-
-    /// Estimated work (rule-cost units) of this machine's region — the
-    /// quantity [`crate::split::decompose_adaptive`] budgets regions
-    /// by. Machines are constructed from an arbitrary region set; the
-    /// estimate is summed over exactly the nodes this region owns.
-    pub fn estimated_work(&self) -> u64 {
-        self.est_work
     }
 
     /// Size of the dependency graph built at start-up — the cost the
@@ -869,31 +809,21 @@ mod tests {
     }
 
     #[test]
-    fn region_work_estimates_sum_to_tree_work() {
+    fn machines_count_the_nodes_their_regions_own() {
         let fx = fixture(12, 3);
-        let plan = Arc::new(EvalPlan::from_parts(
-            &fx.grammar,
-            Some(Arc::clone(&fx.plans)),
-            None,
-        ));
         let decomp = decompose(&fx.tree, SplitConfig::machines(4));
         assert!(decomp.len() > 1);
-        let works = plan.region_works(&fx.tree, &decomp);
-        let total: u64 = (0..decomp.len() as RegionId)
-            .map(|r| {
-                let m = Machine::from_plan(
-                    &plan,
-                    &fx.tree,
-                    &decomp,
-                    r,
-                    MachineMode::Combined,
-                    crate::eval::MachineScratch::new(),
-                );
-                assert_eq!(m.estimated_work(), works[r as usize], "region {r}");
-                m.estimated_work()
-            })
-            .sum();
-        assert_eq!(total, plan.tree_work(&fx.tree));
+        for mode in [MachineMode::Combined, MachineMode::Dynamic] {
+            let total: usize = (0..decomp.len() as RegionId)
+                .map(|r| {
+                    let m = Machine::new(&fx.tree, Some(&fx.plans), &decomp, r, mode);
+                    let owned = fx.tree.node_ids().filter(|&n| decomp.region(n) == r);
+                    assert_eq!(m.local_nodes(), owned.count(), "{mode:?} region {r}");
+                    m.local_nodes()
+                })
+                .sum();
+            assert_eq!(total, fx.tree.len(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! [`MachineScratch`] is the complementary *reusable* state: buffers a
 //! machine needs during construction and evaluation (the CSR pair list,
-//! the region-node worklist, the [`super::EvalScratch`] argument
+//! the spine walk's buffers, the [`super::EvalScratch`] argument
 //! gatherer and interpreter frame stacks) whose capacity should survive
 //! from one tree to the next. A pool worker
 //! keeps one scratch alive across its whole lifetime:
@@ -213,15 +213,16 @@ impl<V: AttrValue> fmt::Debug for EvalPlan<V> {
 pub struct MachineScratch<V> {
     /// Flat `(instance, task)` pair list for the CSR waiters build.
     pub(super) edges: Vec<(u32, u32)>,
-    /// Region-node collection buffer (the single construction walk).
-    pub(super) region_nodes: Vec<NodeId>,
-    /// DFS worklist for the construction walk.
+    /// The nodes the construction walk visits, in task order: the
+    /// spine in combined mode, every region node in dynamic mode.
+    pub(super) walk: Vec<NodeId>,
+    /// Worklist of the construction walk.
     pub(super) stack: Vec<NodeId>,
-    /// Boundary pairs collected by the construction walk.
-    pub(super) boundary: Vec<(NodeId, NodeId)>,
-    /// Spine membership (ancestors of boundary children).
+    /// Spine membership: the in-region ancestors of the region's
+    /// boundary children (combined mode only).
     pub(super) spine: std::collections::HashSet<NodeId>,
-    /// Static-subtree roots hanging off the spine.
+    /// Static-subtree roots: the in-region children of spine nodes off
+    /// the spine, or the region root when the region has no boundary.
     pub(super) static_roots: Vec<NodeId>,
     /// Evaluation scratch: the argument-gathering buffer plus the
     /// interpreter frame stacks reused across static visits.
@@ -232,9 +233,8 @@ impl<V> Default for MachineScratch<V> {
     fn default() -> Self {
         MachineScratch {
             edges: Vec::new(),
-            region_nodes: Vec::new(),
+            walk: Vec::new(),
             stack: Vec::new(),
-            boundary: Vec::new(),
             spine: std::collections::HashSet::new(),
             static_roots: Vec::new(),
             eval: EvalScratch::new(),
@@ -258,9 +258,8 @@ impl<V> MachineScratch<V> {
     /// Clears contents, keeping capacity.
     pub(super) fn reset(&mut self) {
         self.edges.clear();
-        self.region_nodes.clear();
+        self.walk.clear();
         self.stack.clear();
-        self.boundary.clear();
         self.spine.clear();
         self.static_roots.clear();
     }
@@ -272,7 +271,7 @@ impl<V> fmt::Debug for MachineScratch<V> {
             f,
             "MachineScratch(edges cap {}, nodes cap {})",
             self.edges.capacity(),
-            self.region_nodes.capacity()
+            self.walk.capacity()
         )
     }
 }
@@ -330,7 +329,7 @@ mod tests {
     fn scratch_reset_keeps_capacity() {
         let mut s: MachineScratch<i64> = MachineScratch::new();
         s.edges.extend([(0, 1), (2, 3)]);
-        s.region_nodes.push(NodeId(0));
+        s.walk.push(NodeId(0));
         let cap = s.edges.capacity();
         s.reset();
         assert!(s.edges.is_empty());

@@ -7,7 +7,14 @@
 //! argument "to allow for easy experimentation with decompositions with
 //! different granularities".
 //!
-//! Two decomposition engines live here:
+//! One carving engine lives here, with two stopping rules. The engine
+//! holds the partition under construction, the `%split` candidates, the
+//! preorder intervals and a per-subtree measure (nodes, or work units),
+//! with each region's local share of that measure. Its three steps are
+//! to carve the candidate whose local measure is closest to a target
+//! out of a region, to relink every region to its parent, and to build
+//! the slot layout. The two decompositions differ only in which region
+//! they carve, at what target, and when they stop:
 //!
 //! * [`decompose`] (fixed count) targets a region count — one region
 //!   per machine — and greedily splits the largest region at the
@@ -32,7 +39,7 @@
 //! (`core::parallel::pool`) derives one from its configuration — its
 //! worker count, or its adaptive budget.
 //!
-//! Both engines finish by growing a per-region [`SlotMap`] — the slot
+//! Both rules finish by growing a per-region [`SlotMap`] — the slot
 //! layout of the region-local attribute stores
 //! ([`crate::tree::RegionStore`]): each region's owned attribute
 //! instances are numbered densely from 0, and the region's *boundary
@@ -43,7 +50,7 @@
 //! slots back to whole-tree instances through the same layout.
 
 use crate::grammar::{AttrId, Grammar, ProdId, SymbolId};
-use crate::tree::{NodeId, ParseTree};
+use crate::tree::{Child, NodeId, ParseTree};
 use crate::value::AttrValue;
 use std::fmt;
 use std::sync::Arc;
@@ -69,9 +76,9 @@ pub struct Decomposition {
     pub region_of: Vec<RegionId>,
     /// Region metadata, indexed by [`RegionId`].
     pub regions: Vec<RegionInfo>,
-    /// Region-local slot layout, rebuilt by the decomposition engines
-    /// once the partition is final and shared (via `Arc`) by every
-    /// region machine evaluating this decomposition.
+    /// Region-local slot layout, built by the carving engine once the
+    /// partition is final and shared (via `Arc`) by every region machine
+    /// evaluating this decomposition.
     slots: Arc<SlotMap>,
 }
 
@@ -112,8 +119,8 @@ impl Decomposition {
     }
 
     /// [`Decomposition::whole`] with the slot layout left empty — the
-    /// starting point of the decomposition engines, which mutate the
-    /// partition and build the layout exactly once at the end
+    /// starting point of the carving engine, which mutates the
+    /// partition and builds the layout exactly once at the end
     /// ([`Decomposition::finalize_slots`]) instead of paying an
     /// immediately discarded whole-tree build here.
     fn whole_unfinalized<V: AttrValue>(tree: &ParseTree<V>) -> Self {
@@ -128,10 +135,10 @@ impl Decomposition {
         }
     }
 
-    /// Rebuilds the slot layout from the current node map. The
-    /// decomposition engines call this once the partition is final;
-    /// anything that mutates `region_of`/`regions` afterwards must call
-    /// it again before machines are built.
+    /// Rebuilds the slot layout from the current node map. The carving
+    /// engine calls this once the partition is final; anything that
+    /// mutates `region_of`/`regions` afterwards must call it again
+    /// before machines are built.
     fn finalize_slots<V: AttrValue>(&mut self, tree: &ParseTree<V>) {
         self.slots = Arc::new(SlotMap::build(tree, &self.region_of, &self.regions));
     }
@@ -193,7 +200,7 @@ impl fmt::Debug for Decomposition {
 /// whole-tree assembly maps local slots back to global instances
 /// through the same tables.
 ///
-/// The `Default` layout is the engines' pre-finalize placeholder (no
+/// The `Default` layout is the engine's pre-finalize placeholder (no
 /// regions, no slots); any machine built against it would index out of
 /// bounds, which is exactly the loud failure an unfinalized
 /// decomposition deserves.
@@ -293,9 +300,7 @@ impl SlotMap {
         if self.region_of[node.idx()] == region {
             self.local_base[node.idx()] as usize + attr.0 as usize
         } else {
-            let range = self.foreign_start[region as usize] as usize
-                ..self.foreign_start[region as usize + 1] as usize;
-            let span = &self.foreign[range];
+            let span = self.aliases(region);
             let i = span
                 .binary_search_by_key(&node, |&(n, _)| n)
                 .expect("foreign node must be a boundary child of the region");
@@ -319,6 +324,18 @@ impl SlotMap {
     pub fn region_nodes(&self, region: RegionId) -> &[NodeId] {
         let r = region as usize;
         &self.nodes[self.node_start[r] as usize..self.node_start[r + 1] as usize]
+    }
+
+    /// The region's boundary-child aliases, sorted by node id.
+    fn aliases(&self, region: RegionId) -> &[(NodeId, u32)] {
+        let r = region as usize;
+        &self.foreign[self.foreign_start[r] as usize..self.foreign_start[r + 1] as usize]
+    }
+
+    /// The region's boundary children — the roots of its child
+    /// regions — in node-id order.
+    pub(crate) fn child_roots(&self, region: RegionId) -> impl Iterator<Item = NodeId> + '_ {
+        self.aliases(region).iter().map(|&(n, _)| n)
     }
 
     /// Number of slots for a region's owned nodes.
@@ -498,115 +515,37 @@ pub fn decompose<V: AttrValue>(tree: &Arc<ParseTree<V>>, config: SplitConfig) ->
 
 /// [`decompose`] with a precomputed [`SplitTable`] — the batched-driver
 /// path, which amortizes the table across many trees.
+///
+/// The fixed-count stopping rule over the carving engine, measuring in
+/// nodes: carve the region with the most local nodes, and stop at
+/// `target_regions` or at the first such region without a candidate.
 pub fn decompose_with<V: AttrValue>(
     tree: &Arc<ParseTree<V>>,
     table: &SplitTable,
     target_regions: usize,
 ) -> Decomposition {
-    let g = tree.grammar();
-    let mut d = Decomposition::whole_unfinalized(tree);
     if target_regions <= 1 {
-        d.finalize_slots(tree.as_ref());
-        return d;
+        return Decomposition::whole(tree.as_ref());
     }
-    let quantum = (tree.len() / target_regions).max(2);
-
-    // Candidate split points: nodes at %split symbols meeting the scaled
-    // minimum size, excluding the tree root.
-    let candidates: Vec<(NodeId, SymbolId)> = tree
-        .node_ids()
-        .filter(|&n| n != tree.root())
-        .filter_map(|n| {
-            let sym = g.prod(tree.node(n).prod).lhs;
-            let min = table.min_size(sym)?;
-            (tree.subtree_size(n) >= min).then_some((n, sym))
-        })
-        .collect();
-
-    // Preorder intervals let us compute a candidate's *local* subtree
-    // size in O(#regions) instead of walking the subtree. A region root
-    // is *maximal within region R* when its parent node lies in R; such
-    // subtrees are pairwise disjoint and contain no R nodes, so
-    //   local(n) = subtree_size(n) − Σ subtree_size(root)
-    // over maximal-in-R region roots under n.
-    let mut pre_in = vec![0u32; tree.len()];
-    for (i, n) in tree.subtree(tree.root()).enumerate() {
-        pre_in[n.idx()] = i as u32;
-    }
-    let under = |anc: NodeId, desc: NodeId| {
-        let a = pre_in[anc.idx()] as usize;
-        let di = pre_in[desc.idx()] as usize;
-        di > a && di < a + tree.subtree_size(anc)
-    };
-    let local_size = |d: &Decomposition, n: NodeId| -> usize {
-        let r = d.region(n);
-        let mut size = tree.subtree_size(n);
-        for info in d.regions.iter().skip(1) {
-            let (pnode, _) = tree
-                .node(info.root)
-                .parent
-                .expect("carved region roots are not the tree root");
-            if d.region(pnode) == r && under(n, info.root) {
-                size -= tree.subtree_size(info.root);
-            }
-        }
-        size
-    };
-
-    while d.regions.len() < target_regions {
-        // Find the region with most local nodes.
-        let (big, big_size) = match d
-            .regions
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| r.local_size)
-        {
-            Some((i, r)) => (i as RegionId, r.local_size),
+    let quantum = (tree.len() / target_regions).max(2) as u64;
+    let mut c = Carver::new(tree, table, None);
+    while c.local.len() < target_regions {
+        let big = (0..c.local.len()).max_by_key(|&r| c.local[r]).unwrap_or(0);
+        match c.best(big, quantum) {
+            Some((node, nodes)) => c.carve(node, nodes),
             None => break,
-        };
-        // Best candidate inside `big`: local subtree size closest to
-        // the quantum, leaving at least 2 nodes on both sides.
-        let mut best: Option<(NodeId, usize)> = None;
-        for &(n, _) in &candidates {
-            if d.region(n) != big || n == d.regions[big as usize].root {
-                continue;
-            }
-            // Already a region root?
-            if d.regions.iter().any(|r| r.root == n) {
-                continue;
-            }
-            let local = local_size(&d, n);
-            if local < 2 || big_size - local < 2 {
-                continue;
-            }
-            let score = local.abs_diff(quantum);
-            if best.is_none_or(|(_, s)| score < s) {
-                best = Some((n, score));
-            }
         }
-        let Some((node, _)) = best else { break };
-        split_off(tree, &mut d, node);
     }
-    // A later split may carve out a subtree containing an earlier
-    // region's root-parent; recompute parent links from the final map.
-    for i in 1..d.regions.len() {
-        let root = d.regions[i].root;
-        let (p, _) = tree
-            .node(root)
-            .parent
-            .expect("non-root region root has a parent");
-        d.regions[i].parent = Some(d.region_of[p.idx()]);
-    }
-    d.finalize_slots(tree.as_ref());
-    d
+    c.finish()
 }
 
 /// Splits `tree` into regions of ≈`budget` work units each (cost-driven
 /// adaptive decomposition).
 ///
-/// The engine works in the [`WorkTable`]'s rule-cost units instead of
-/// node counts, so a region's size tracks how long an evaluator will
-/// chew on it, not how many nodes it ships:
+/// The adaptive stopping rule over the carving engine, measuring in the
+/// [`WorkTable`]'s rule-cost units instead of node counts, so a
+/// region's size tracks how long an evaluator will chew on it, not how
+/// many nodes it ships:
 ///
 /// 1. **Re-split oversized regions**: while any region's local work
 ///    exceeds 1.5× the budget, carve out of the (largest such) region
@@ -632,117 +571,50 @@ pub fn decompose_with<V: AttrValue>(
 /// regions (a few percent of that tree's evaluation time); it runs
 /// once per tree on the submit thread. If region counts grow far
 /// beyond that, maintain per-region candidate lists and update local
-/// work incrementally on `split_off`.
+/// work incrementally on each carve.
 pub fn decompose_adaptive<V: AttrValue>(
     tree: &Arc<ParseTree<V>>,
     table: &SplitTable,
     work: &WorkTable,
     budget: u64,
 ) -> Decomposition {
-    let g = tree.grammar();
     let budget = budget.max(1);
     let oversize = budget.saturating_add(budget / 2);
     let undersize = budget / 4;
 
-    let mut d = Decomposition::whole_unfinalized(tree);
-
-    // Per-subtree work in one reverse-preorder accumulation.
-    let pre: Vec<NodeId> = tree.subtree(tree.root()).collect();
+    // Per-subtree work in one pass: a node's children precede it in
+    // arena order.
     let mut sub_work = vec![0u64; tree.len()];
-    for &n in pre.iter().rev() {
+    for n in tree.node_ids() {
         let mut w = work.node_work(tree, n);
         for c in tree.children(n) {
-            if let crate::tree::Child::Node(c) = c {
+            if let Child::Node(c) = c {
                 w += sub_work[c.idx()];
             }
         }
         sub_work[n.idx()] = w;
     }
-    let mut local_work: Vec<u64> = vec![sub_work[tree.root().idx()]];
-    if local_work[0] <= oversize {
-        d.finalize_slots(tree.as_ref());
-        return d;
+    if sub_work[tree.root().idx()] <= oversize {
+        return Decomposition::whole(tree.as_ref());
     }
-
-    // Candidate split points (as in `decompose_with`).
-    let candidates: Vec<NodeId> = tree
-        .node_ids()
-        .filter(|&n| n != tree.root())
-        .filter(|&n| {
-            let sym = g.prod(tree.node(n).prod).lhs;
-            table
-                .min_size(sym)
-                .is_some_and(|min| tree.subtree_size(n) >= min)
-        })
-        .collect();
-
-    let mut pre_in = vec![0u32; tree.len()];
-    for (i, n) in pre.iter().enumerate() {
-        pre_in[n.idx()] = i as u32;
-    }
-    let under = |anc: NodeId, desc: NodeId| {
-        let a = pre_in[anc.idx()] as usize;
-        let di = pre_in[desc.idx()] as usize;
-        di > a && di < a + tree.subtree_size(anc)
-    };
-    // Local (work, node count) of candidate `n` within its region: its
-    // subtree minus any maximal-in-region nested region roots under it.
-    let local_of = |d: &Decomposition, n: NodeId| -> (u64, usize) {
-        let r = d.region(n);
-        let mut w = sub_work[n.idx()];
-        let mut s = tree.subtree_size(n);
-        for info in d.regions.iter().skip(1) {
-            let (pnode, _) = tree
-                .node(info.root)
-                .parent
-                .expect("carved region roots are not the tree root");
-            if d.region(pnode) == r && under(n, info.root) {
-                w -= sub_work[info.root.idx()];
-                s -= tree.subtree_size(info.root);
-            }
-        }
-        (w, s)
-    };
+    let mut c = Carver::new(tree, table, Some(sub_work));
 
     // Phase 1: re-split oversized regions.
-    let mut frozen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let mut roots: std::collections::HashSet<NodeId> =
-        std::collections::HashSet::from([tree.root()]);
-    while let Some((big, _)) = local_work
-        .iter()
-        .enumerate()
-        .filter(|&(i, &w)| w > oversize && !frozen.contains(&i))
-        .max_by_key(|&(_, &w)| w)
+    let mut frozen = std::collections::HashSet::new();
+    while let Some(big) = (0..c.local.len())
+        .filter(|&r| c.local[r] > oversize && !frozen.contains(&r))
+        .max_by_key(|&r| c.local[r])
     {
-        let big_nodes = d.regions[big].local_size;
-        let mut best: Option<(NodeId, u64, u64)> = None; // (node, score, local work)
-        for &n in &candidates {
-            if d.region(n) != big as RegionId || roots.contains(&n) {
-                continue;
-            }
-            let (lw, ln) = local_of(&d, n);
-            if ln < 2 || big_nodes - ln < 2 {
-                continue;
-            }
-            let score = lw.abs_diff(budget);
-            if best.is_none_or(|(_, s, _)| score < s) {
-                best = Some((n, score, lw));
-            }
-        }
-        match best {
+        match c.best(big, budget) {
             None => {
                 frozen.insert(big);
             }
-            Some((node, _, lw)) => {
-                split_off(tree, &mut d, node);
-                roots.insert(node);
-                local_work[big] -= lw;
-                local_work.push(lw);
-            }
+            Some((node, w)) => c.carve(node, w),
         }
     }
 
     // Phase 2: merge undersized regions into their parent region.
+    let (d, local_work) = (&mut c.d, &mut c.local);
     let mut i = d.regions.len();
     while i > 1 {
         i -= 1;
@@ -774,45 +646,160 @@ pub fn decompose_adaptive<V: AttrValue>(
         d.regions.remove(i);
         local_work.remove(i);
     }
-
-    // Recompute parent links from the final map (as in decompose_with).
-    for i in 1..d.regions.len() {
-        let root = d.regions[i].root;
-        let (p, _) = tree
-            .node(root)
-            .parent
-            .expect("non-root region root has a parent");
-        d.regions[i].parent = Some(d.region_of[p.idx()]);
-    }
-    d.finalize_slots(tree.as_ref());
-    d
+    c.finish()
 }
 
-/// Carves the local subtree of `node` out of its current region into a
-/// new one.
-fn split_off<V: AttrValue>(tree: &Arc<ParseTree<V>>, d: &mut Decomposition, node: NodeId) {
-    let old = d.region(node);
-    let new = d.regions.len() as RegionId;
-    let mut moved = 0usize;
-    let mut stack = vec![node];
-    while let Some(x) = stack.pop() {
-        if d.region(x) != old {
-            continue;
+/// The carving engine both decompositions share; each of them is only
+/// a stopping rule over [`Carver::best`] and [`Carver::carve`].
+///
+/// It holds the partition under construction, the `%split` candidates,
+/// the preorder intervals, and a per-subtree measure — nodes, or work
+/// units — with each region's local share of it.
+struct Carver<'t, V: AttrValue> {
+    tree: &'t ParseTree<V>,
+    d: Decomposition,
+    /// Split points: nodes at `%split` symbols meeting the scaled
+    /// minimum size, the tree root excluded, in arena order.
+    candidates: Vec<NodeId>,
+    /// Preorder index of every node: `n`'s subtree is the preorder
+    /// interval `pre_in[n] .. pre_in[n] + subtree_size(n)`.
+    pre_in: Vec<u32>,
+    /// Work of every subtree, indexed by node; `None` measures nodes.
+    sub_work: Option<Vec<u64>>,
+    /// Local measure of every region, indexed by region.
+    local: Vec<u64>,
+}
+
+impl<'t, V: AttrValue> Carver<'t, V> {
+    fn new(tree: &'t ParseTree<V>, table: &SplitTable, sub_work: Option<Vec<u64>>) -> Self {
+        let g = tree.grammar();
+        let candidates = tree
+            .node_ids()
+            .filter(|&n| n != tree.root())
+            .filter(|&n| {
+                let sym = g.prod(tree.node(n).prod).lhs;
+                table
+                    .min_size(sym)
+                    .is_some_and(|min| tree.subtree_size(n) >= min)
+            })
+            .collect();
+        let mut pre_in = vec![0u32; tree.len()];
+        for (i, n) in tree.subtree(tree.root()).enumerate() {
+            pre_in[n.idx()] = i as u32;
         }
-        d.region_of[x.idx()] = new;
-        moved += 1;
-        for c in tree.children(x) {
-            if let crate::tree::Child::Node(c) = c {
-                stack.push(*c);
-            }
+        let mut c = Carver {
+            tree,
+            d: Decomposition::whole_unfinalized(tree),
+            candidates,
+            pre_in,
+            sub_work,
+            local: Vec::new(),
+        };
+        c.local.push(c.measure(tree.root()));
+        c
+    }
+
+    fn measure(&self, n: NodeId) -> u64 {
+        match &self.sub_work {
+            Some(work) => work[n.idx()],
+            None => self.tree.subtree_size(n) as u64,
         }
     }
-    d.regions[old as usize].local_size -= moved;
-    d.regions.push(RegionInfo {
-        root: node,
-        parent: Some(old),
-        local_size: moved,
-    });
+
+    /// Local (measure, node count) of `n` within its region: its
+    /// subtree minus the subtrees of the region roots under it whose
+    /// parent node lies in that region. Such roots are pairwise
+    /// disjoint and contain no node of the region, so this costs
+    /// O(#regions) instead of a walk of the subtree.
+    fn local_of(&self, n: NodeId) -> (u64, usize) {
+        let (tree, d) = (self.tree, &self.d);
+        let r = d.region(n);
+        let first = self.pre_in[n.idx()] as usize;
+        let mut m = self.measure(n);
+        let mut s = tree.subtree_size(n);
+        for info in d.regions.iter().skip(1) {
+            let (pnode, _) = tree
+                .node(info.root)
+                .parent
+                .expect("carved region roots are not the tree root");
+            let at = self.pre_in[info.root.idx()] as usize;
+            if d.region(pnode) == r && at > first && at < first + tree.subtree_size(n) {
+                m -= self.measure(info.root);
+                s -= tree.subtree_size(info.root);
+            }
+        }
+        (m, s)
+    }
+
+    /// The candidate inside region `big` whose local measure is closest
+    /// to `target`, leaving at least 2 nodes on each side — the first
+    /// one on a tie — with that local measure.
+    fn best(&self, big: usize, target: u64) -> Option<(NodeId, u64)> {
+        let region = &self.d.regions[big];
+        let mut best: Option<(NodeId, u64, u64)> = None;
+        for &n in &self.candidates {
+            // Every other region root is owned by another region.
+            if self.d.region(n) as usize != big || n == region.root {
+                continue;
+            }
+            let (m, s) = self.local_of(n);
+            if s < 2 || region.local_size - s < 2 {
+                continue;
+            }
+            let score = m.abs_diff(target);
+            if best.is_none_or(|(_, _, b)| score < b) {
+                best = Some((n, m, score));
+            }
+        }
+        best.map(|(n, m, _)| (n, m))
+    }
+
+    /// Carves the local subtree of `node`, whose local measure is `m`,
+    /// out of its current region into a new one.
+    fn carve(&mut self, node: NodeId, m: u64) {
+        let d = &mut self.d;
+        let old = d.region(node);
+        let new = d.regions.len() as RegionId;
+        let mut moved = 0usize;
+        let mut stack = vec![node];
+        while let Some(x) = stack.pop() {
+            if d.region(x) != old {
+                continue;
+            }
+            d.region_of[x.idx()] = new;
+            moved += 1;
+            for c in self.tree.children(x) {
+                if let Child::Node(c) = c {
+                    stack.push(*c);
+                }
+            }
+        }
+        d.regions[old as usize].local_size -= moved;
+        d.regions.push(RegionInfo {
+            root: node,
+            parent: Some(old),
+            local_size: moved,
+        });
+        self.local[old as usize] -= m;
+        self.local.push(m);
+    }
+
+    /// Relinks every region to its parent and builds the slot layout. A
+    /// later carve may move an earlier region's root-parent, and a merge
+    /// renumbers regions, so the links are read off the final map.
+    fn finish(mut self) -> Decomposition {
+        let d = &mut self.d;
+        for i in 1..d.regions.len() {
+            let (p, _) = self
+                .tree
+                .node(d.regions[i].root)
+                .parent
+                .expect("non-root region root has a parent");
+            d.regions[i].parent = Some(d.region_of[p.idx()]);
+        }
+        d.finalize_slots(self.tree);
+        self.d
+    }
 }
 
 /// The boundary children of a region: in-region parents paired with
@@ -828,7 +815,7 @@ pub fn boundary_children<V: AttrValue>(
     let mut stack = vec![root];
     while let Some(x) = stack.pop() {
         for c in tree.children(x) {
-            if let crate::tree::Child::Node(c) = c {
+            if let Child::Node(c) = c {
                 if d.region(*c) == region {
                     stack.push(*c);
                 } else {
@@ -1109,6 +1096,70 @@ mod tests {
                 .collect();
             assert_eq!(work.region_works(&tree, &d), per_node, "{granularity:?}");
         }
+    }
+
+    /// After the first carve the largest region has no candidate left
+    /// while the smaller one still has one: the fixed-count rule stops
+    /// there, the adaptive rule freezes the largest region and carves
+    /// the other. Every node weighs one work unit.
+    #[test]
+    fn the_two_stopping_rules_part_where_the_largest_region_has_no_candidate() {
+        let mut g = GrammarBuilder::<i64>::new();
+        let s = g.nonterminal("S");
+        let a = g.nonterminal("A");
+        let x = g.nonterminal("X");
+        let p = g.nonterminal("P");
+        let sv = g.synthesized(s, "v");
+        g.mark_split(x, 2);
+        let top = g.production("top", s, [a, x]);
+        g.rule(top, (0, sv), [], |_| 0);
+        let achain = g.production("achain", a, [a]);
+        let aleaf = g.production("aleaf", a, []);
+        let xnode = g.production("xnode", x, [p, x]);
+        let xleaf = g.production("xleaf", x, []);
+        let pchain = g.production("pchain", p, [p]);
+        let pleaf = g.production("pleaf", p, []);
+        let gr = Arc::new(g.build(s).unwrap());
+        let mut tb = TreeBuilder::new(&gr);
+        let chain = |tb: &mut TreeBuilder<i64>, wrap, leaf, len: usize| {
+            let mut n = tb.leaf(leaf);
+            for _ in 1..len {
+                n = tb.node(wrap, [n]);
+            }
+            n
+        };
+        // S(47) = top[A chain of 30, X outer(16) = xnode[P chain of 12,
+        // X inner(3) = xnode[P leaf, X leaf]]].
+        let left = chain(&mut tb, achain, aleaf, 30);
+        let (pad, end) = (tb.leaf(pleaf), tb.leaf(xleaf));
+        let inner = tb.node(xnode, [pad, end]);
+        let pad = chain(&mut tb, pchain, pleaf, 12);
+        let outer = tb.node(xnode, [pad, inner]);
+        let root = tb.node(top, [left, outer]);
+        let tree = Arc::new(tb.finish(root).unwrap());
+        let x_of_size = |size| {
+            tree.node_ids()
+                .find(|&n| tree.node(n).prod == xnode && tree.subtree_size(n) == size)
+                .unwrap()
+        };
+        let (outer, inner) = (x_of_size(16), x_of_size(3));
+        let table = SplitTable::new(tree.grammar().as_ref(), 1.0);
+        let work = WorkTable::new(tree.grammar().as_ref());
+        assert_eq!(work.tree_work(&tree), 47);
+
+        let fixed = decompose_with(&tree, &table, 3);
+        assert_partition(&tree, &fixed);
+        let roots: Vec<NodeId> = fixed.regions.iter().map(|r| r.root).collect();
+        assert_eq!(roots, [tree.root(), outer], "stops short of 3 regions");
+        assert_eq!(fixed.regions[0].local_size, 31);
+
+        let adaptive = decompose_adaptive(&tree, &table, &work, 10);
+        assert_partition(&tree, &adaptive);
+        let roots: Vec<NodeId> = adaptive.regions.iter().map(|r| r.root).collect();
+        assert_eq!(roots, [tree.root(), outer, inner]);
+        assert_eq!(adaptive.regions[2].parent, Some(1));
+        // The frozen region stays above 1.5 × the budget.
+        assert_eq!(work.region_works(&tree, &adaptive), [31, 13, 3]);
     }
 
     #[test]
