@@ -130,9 +130,6 @@ pub struct Machine<V: AttrValue> {
     send_on_fill: HashMap<usize, (NodeId, AttrId, SendTarget)>,
     /// External instances not yet provided.
     awaiting: HashSet<usize>,
-    graph_nodes: usize,
-    graph_edges: usize,
-    local_nodes: usize,
 }
 
 impl<V: AttrValue> Machine<V> {
@@ -249,9 +246,6 @@ impl<V: AttrValue> Machine<V> {
             stats: EvalStats::default(),
             send_on_fill: HashMap::new(),
             awaiting: HashSet::new(),
-            graph_nodes: 0,
-            graph_edges: 0,
-            local_nodes: slots.region_nodes(region).len(),
         };
 
         // External inputs: syn attrs of boundary children, whose inh
@@ -302,7 +296,7 @@ impl<V: AttrValue> Machine<V> {
                     if let Some(inst) = super::dynamic::arg_instance(&m.tree, &m.store, n, *arg) {
                         edges.push((inst as u32, tid));
                         need += 1;
-                        m.graph_edges += 1;
+                        m.stats.graph_edges += 1;
                     }
                 }
                 m.missing.push(need);
@@ -328,13 +322,13 @@ impl<V: AttrValue> Machine<V> {
                             let inst = m.store.instance(r, a);
                             edges.push((inst as u32, tid));
                             need += 1;
-                            m.graph_edges += 1;
+                            m.stats.graph_edges += 1;
                         }
                     }
                     if let Some(p) = prev {
                         m.chain_next.insert(p, tid);
                         need += 1;
-                        m.graph_edges += 1;
+                        m.stats.graph_edges += 1;
                     }
                     m.missing.push(need);
                     prev = Some(tid);
@@ -344,9 +338,7 @@ impl<V: AttrValue> Machine<V> {
 
         m.waiters = Csr::from_pairs(m.store.len(), &edges);
         m.scratch.edges = edges;
-        m.graph_nodes = m.tasks.len();
-        m.stats.graph_nodes = m.graph_nodes;
-        m.stats.graph_edges = m.graph_edges;
+        m.stats.graph_nodes = m.tasks.len();
 
         // Seed the ready queues.
         for tid in 0..m.tasks.len() as u32 {
@@ -372,13 +364,13 @@ impl<V: AttrValue> Machine<V> {
 
     /// Number of tree nodes owned by this machine.
     pub fn local_nodes(&self) -> usize {
-        self.local_nodes
+        self.store.slot_map().region_nodes(self.region).len()
     }
 
     /// Size of the dependency graph built at start-up — the cost the
     /// dynamic pipeline pays before evaluating anything.
     pub fn graph_size(&self) -> (usize, usize) {
-        (self.graph_nodes, self.graph_edges)
+        (self.stats.graph_nodes, self.stats.graph_edges)
     }
 
     /// `true` once every task has executed.
