@@ -357,6 +357,11 @@ impl<V: AttrValue> Machine<V> {
         }
     }
 
+    /// The tree this machine evaluates a region of.
+    pub fn tree(&self) -> &Arc<ParseTree<V>> {
+        &self.tree
+    }
+
     /// The region this machine evaluates.
     pub fn region(&self) -> RegionId {
         self.region

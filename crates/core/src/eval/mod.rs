@@ -58,6 +58,7 @@ pub use incremental::{Incremental, UpdateError};
 pub use machine::{AttrMsg, Machine, MachineMode, SendTarget, StepOutcome};
 pub use plan::{EvalPlan, MachineScratch};
 pub use program::{Op, VisitPrograms};
+pub(crate) use static_eval::static_eval_with_points;
 pub use static_eval::{
     run_program_segment, run_static_segment, static_eval, static_eval_segments,
     static_eval_with_programs, static_eval_with_scratch, EvalScratch,

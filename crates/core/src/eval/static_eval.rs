@@ -20,9 +20,17 @@
 //! chain — cannot overflow the call stack, and both are generic over
 //! [`AttrSlots`] so region machines run them against region-local
 //! storage.
+//!
+//! The program interpreter also runs a pool's whole-tree job with the
+//! memo on, behind the job's memo points (`crate::memo::MemoPoints`):
+//! the first visit of a point probes the cache, a hit is replayed
+//! instead of visited, and a miss is installed when that visit returns.
+//! Without points — sequential evaluation, region machines — the loop
+//! does nothing else.
 
 use crate::analysis::{Plans, Step};
 use crate::grammar::ArgScratch;
+use crate::memo::MemoPoints;
 use crate::stats::EvalStats;
 use crate::tree::{occ_slot, occ_value, AttrSlots, AttrStore, NodeId, ParseTree};
 use crate::value::AttrValue;
@@ -117,19 +125,44 @@ pub fn static_eval_with_scratch<V: AttrValue>(
     programs: &VisitPrograms<V>,
     scratch: &mut EvalScratch<V>,
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
+    static_eval_with_points(tree, plans, programs, scratch, None)
+}
+
+/// [`static_eval_with_scratch`] behind a whole-tree job's memo points:
+/// each point is probed at its visit, replayed on a hit and installed
+/// after a miss. The tree root, which no visit enters, is probed before
+/// its first visit and installed after its last. A replayed subtree
+/// applies no rule, so `stats` count only what was evaluated.
+pub(crate) fn static_eval_with_points<V: AttrValue>(
+    tree: &ParseTree<V>,
+    plans: &Plans,
+    programs: &VisitPrograms<V>,
+    scratch: &mut EvalScratch<V>,
+    mut points: Option<&mut MemoPoints<'_, V>>,
+) -> Result<(AttrStore<V>, EvalStats), EvalError> {
     let mut store = AttrStore::new(tree);
     let mut stats = EvalStats::default();
-    let root_sym = tree.grammar().prod(tree.node(tree.root()).prod).lhs;
+    let root = tree.root();
+    if let Some(p) = points.as_deref_mut() {
+        if p.enter(tree, &mut store, root, 0) {
+            return Ok((store, stats));
+        }
+    }
+    let root_sym = tree.grammar().prod(tree.node(root).prod).lhs;
     for visit in 1..=plans.phases.visit_count(root_sym) {
-        run_program_segment(
+        run_segment(
             tree,
             programs,
             &mut store,
-            tree.root(),
+            root,
             visit,
             &mut stats,
             scratch,
+            points.as_deref_mut(),
         )?;
+    }
+    if let Some(p) = points {
+        p.leave(tree, &store, 0);
     }
     Ok((store, stats))
 }
@@ -186,6 +219,22 @@ pub fn run_program_segment<V: AttrValue, S: AttrSlots<V>>(
     visit: u32,
     stats: &mut EvalStats,
     scratch: &mut EvalScratch<V>,
+) -> Result<(), EvalError> {
+    run_segment(tree, programs, store, node, visit, stats, scratch, None)
+}
+
+/// [`run_program_segment`]'s loop, consulting `points` (when given) at
+/// every node it enters and every frame that returns.
+#[allow(clippy::too_many_arguments)]
+fn run_segment<V: AttrValue, S: AttrSlots<V>>(
+    tree: &ParseTree<V>,
+    programs: &VisitPrograms<V>,
+    store: &mut S,
+    node: NodeId,
+    visit: u32,
+    stats: &mut EvalStats,
+    scratch: &mut EvalScratch<V>,
+    mut points: Option<&mut MemoPoints<'_, V>>,
 ) -> Result<(), EvalError> {
     let entry = |n: NodeId, v: u32| -> Result<u32, EvalError> {
         programs
@@ -254,10 +303,18 @@ pub fn run_program_segment<V: AttrValue, S: AttrSlots<V>>(
                         format!("visit of non-node occurrence {occ}"),
                     ));
                 };
+                if let Some(p) = points.as_deref_mut().filter(|_| visit == 1) {
+                    if p.enter(tree, store, child, scratch.frames.len() + 1) {
+                        continue;
+                    }
+                }
                 let pc = entry(child, visit as u32)?;
                 scratch.frames.push((child, pc));
             }
             Op::Ret => {
+                if let Some(p) = points.as_deref_mut() {
+                    p.leave(tree, &*store, scratch.frames.len());
+                }
                 scratch.frames.pop();
             }
         }
@@ -403,6 +460,85 @@ mod tests {
                     "segment mismatch at {node:?} attr {attr:?}"
                 );
             }
+        }
+    }
+
+    /// A memo point that hits is replayed instead of visited: the
+    /// evaluation applies exactly the rules outside its subtree, and the
+    /// store is the memo-off store, slot for slot. A cold run misses,
+    /// evaluates everything and installs the point when its visit
+    /// returns.
+    #[test]
+    fn a_memo_point_hit_skips_exactly_its_subtrees_rules() {
+        use crate::memo::{MemoCache, MemoPoint};
+        let mut g = GrammarBuilder::<i64>::new();
+        let s = g.nonterminal("S");
+        let l = g.nonterminal("L");
+        let out = g.synthesized(s, "out");
+        let depth = g.inherited(l, "depth");
+        let sum = g.synthesized(l, "sum");
+        let top = g.production("top", s, [l]);
+        g.rule(top, (1, depth), [], |_| 3);
+        g.rule(top, (0, out), [(1, sum)], |a| a[0]);
+        let cons = g.production("cons", l, [l]);
+        g.rule(cons, (1, depth), [(0, depth)], |a| a[0] + 1);
+        g.rule(cons, (0, sum), [(1, sum), (0, depth)], |a| a[0] + a[1]);
+        let nil = g.production("nil", l, []);
+        g.rule(nil, (0, sum), [(0, depth)], |a| a[0]);
+        let gr = Arc::new(g.build(s).unwrap());
+        let plans = compute_plans(&gr).unwrap();
+        let programs = VisitPrograms::build(&gr, &plans);
+        // Built twice: distinct arenas, equal subtree hashes. The point
+        // is the list node six `cons` above the end.
+        let build = || {
+            let mut tb = TreeBuilder::new(&gr);
+            let mut tail = tb.leaf(nil);
+            for _ in 0..12 {
+                tail = tb.node(cons, [tail]);
+            }
+            let root = tb.node(top, [tail]);
+            let tree = tb.finish(root).unwrap();
+            let inner = tree
+                .node_ids()
+                .find(|&n| tree.subtree_size(n) == 7)
+                .unwrap();
+            (tree, inner)
+        };
+        let (tree, inner) = build();
+        let (want, want_stats) = static_eval(&tree, &plans).unwrap();
+        let point = |tree: &ParseTree<i64>, node| MemoPoint {
+            node,
+            subtree: tree.subtree_hash(node).unwrap(),
+            inh: vec![depth],
+        };
+        let memo = MemoCache::new(1 << 20);
+        let run = |tree: &ParseTree<i64>, points: &[MemoPoint]| {
+            let mut points = MemoPoints::new(&memo, points);
+            let mut scratch = EvalScratch::new();
+            static_eval_with_points(tree, &plans, &programs, &mut scratch, Some(&mut points))
+                .unwrap()
+        };
+        let cold = run(&tree, &[point(&tree, inner)]);
+        assert_eq!(cold.1, want_stats, "a miss evaluates everything");
+        let c = memo.counters();
+        assert_eq!((c.hits, c.misses, c.inserts), (0, 1, 1), "{c:?}");
+
+        let (again, inner) = build();
+        let (store, stats) = run(&again, &[point(&again, inner)]);
+        let c = memo.counters();
+        assert_eq!((c.hits, c.misses, c.inserts), (1, 1, 1), "{c:?}");
+        let skipped: usize = again
+            .subtree(inner)
+            .map(|n| gr.prod(again.node(n).prod).rules.len())
+            .sum();
+        assert!(skipped > 0);
+        assert_eq!(stats.static_applied, want_stats.static_applied - skipped);
+        assert_eq!((store.len(), store.filled()), (want.len(), want.filled()));
+        for i in 0..want.len() {
+            assert_eq!(store.get_by_index(i), want.get_by_index(i), "slot {i}");
+        }
+        for (s, w) in [(&cold.0, &want), (&store, &want)] {
+            assert_eq!(s.get(tree.root(), out), w.get(tree.root(), out));
         }
     }
 

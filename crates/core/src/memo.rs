@@ -1,23 +1,24 @@
 //! Cross-tree attribute memoization: a bounded cache of finished
-//! region evaluations keyed by the region's **input signature**.
+//! subtree evaluations keyed by the subtree's **input signature**.
 //!
-//! # The region input-signature contract
+//! # The input-signature contract
 //!
-//! A region machine is a pure function of exactly two inputs:
+//! The evaluation of a cacheable subtree — a leaf region's — is a pure
+//! function of exactly two inputs:
 //!
-//! 1. **The region's subtree content** — productions and token values
-//!    of every node the region owns, fingerprinted by
-//!    [`ParseTree::subtree_hash`] at the region root. Token values *include* any per-tree unique
-//!    tokens (e.g. pascal's `uid` labels), so a hit guarantees the
-//!    replayed values — labels included — are byte-identical to what a
-//!    fresh evaluation would produce. Trees that merely share shape but
-//!    differ in any token value hash differently and miss.
-//! 2. **The inherited attribute values at the region root**, exactly as
-//!    delivered by the parent machine, fingerprinted via
+//! 1. **The subtree's content** — productions and token values of every
+//!    node in it, fingerprinted by [`ParseTree::subtree_hash`] at its
+//!    root. Token values *include* any per-tree unique tokens (e.g.
+//!    pascal's `uid` labels), so a hit guarantees the replayed values —
+//!    labels included — are byte-identical to what a fresh evaluation
+//!    would produce. Trees that merely share shape but differ in any
+//!    token value hash differently and miss.
+//! 2. **The inherited attribute values at the subtree root**, exactly as
+//!    the parent set them, fingerprinted via
 //!    [`AttrValue::content_hash`] in ascending [`AttrId`] order.
 //!
 //! Nothing else is an input. In particular these are *not* part of a
-//! region's inputs and must never influence a cached result: the
+//! subtree's inputs and must never influence a cached result: the
 //! ticket, the region id, worker placement, machine mode, schedule or
 //! message arrival order (determinism across schedules is pinned by the
 //! equivalence suites), and the position of the subtree inside the
@@ -33,44 +34,61 @@
 //!
 //! A signature is only formed when every covered value is
 //! fingerprintable: an inexact subtree hash or a `None` from
-//! [`AttrValue::content_hash`] on an inherited value makes the region
+//! [`AttrValue::content_hash`] on an inherited value makes the subtree
 //! uncacheable (skipped, never mis-keyed).
 //!
-//! Cached spans are stored in **preorder of the region subtree** —
-//! a structure-determined order — because two structurally equal
+//! Cached spans are stored in **preorder of the subtree** — a
+//! structure-determined order — because two structurally equal
 //! subtrees built by different builders need not occupy the same
 //! relative arena positions.
 //!
-//! The contract is written once, here, for both sides of the cache:
-//! which symbols may hold their outputs back for a probe
-//! (`memo_safety`), which regions are cacheable and under which inputs
-//! (`region_cacheable`, and `whole_tree_key` for a tree that stays
-//! whole), and the preorder span format itself — `install_span` writes
-//! it at retirement, `replay_span` reads it back at a hit.
+//! # Two units of caching, one contract
+//!
+//! A tree the pool cuts into regions probes each cacheable leaf region
+//! as a job: the worker holds the region until its root's inherited
+//! values arrive, then replays a hit or builds the machine. A tree the
+//! pool leaves whole is one job, and the cacheable subtrees inside it
+//! are its **memo points** (`MemoPoint`): the leaf regions the
+//! caller's own adaptive budget would cut, or else the tree root. The
+//! static interpreter probes a point at its one visit, once the parent
+//! has set its inherited values, replays a hit instead of visiting it,
+//! and installs a miss when the visit returns (`MemoPoints`). Either
+//! way the evaluation is installed by the worker that ran it — a region
+//! job when its machine finishes, a point when its visit returns — so
+//! retiring a ticket installs nothing.
+//!
+//! The contract is written once, here, for both units: which symbols
+//! may hold their outputs back for a probe (`memo_safety`), which
+//! subtrees are cacheable and under which inputs (`region_cacheable`,
+//! `memo_points`, and `root_point` for a tree that stays whole), and the
+//! preorder span format itself — `install_span` writes it, `replay_span`
+//! reads it back at a hit.
 //!
 //! The cache itself is sharded (`std::sync::Mutex` per shard, keyed by
 //! signature hash) and bounded by an approximate byte budget with LRU
-//! eviction per shard; hit/miss/insert/evict counters are process-wide
-//! atomics surfaced through `BatchReport`/`ServiceStats`.
+//! eviction per shard; an entry is shared ([`Arc`]), so a hit copies
+//! each value once, straight into the store it replays into.
+//! Hit/miss/insert/evict counters are process-wide atomics surfaced
+//! through `BatchReport`/`ServiceStats`.
 
 use crate::eval::EvalPlan;
 use crate::grammar::{AttrId, AttrKind, ProdId};
 use crate::split::{Decomposition, RegionId};
-use crate::tree::{AttrSlots, NodeId, ParseTree};
+use crate::tree::{AttrRead, AttrSlots, NodeId, ParseTree};
 use crate::value::{fnv1a_u64, AttrValue};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// When a cacheable span offered at retirement is actually installed.
+/// When a cacheable span a worker offers is actually installed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InstallPolicy {
-    /// Install every cacheable span immediately (the original policy).
+    /// Install every cacheable span at once (the original policy).
     #[default]
     Always,
-    /// 2Q-style scan resistance: the *first* retirement of a subtree
-    /// hash only marks it (a deferred install, counted in
+    /// 2Q-style scan resistance: the *first* offer of a subtree hash
+    /// only marks it (a deferred install, counted in
     /// [`MemoCounters::deferred`]); the span is installed when a marked
     /// subtree recurs. A one-pass scan of distinct trees then costs a
     /// bounded mark per region instead of a span copy plus an LRU
@@ -101,18 +119,18 @@ impl MemoKey {
     }
 }
 
-/// A cached leaf-region evaluation: the owned span in subtree preorder,
-/// plus sanity fields pinning what the key was formed over. The
-/// synthesized boundary attributes at the region root are part of the
-/// span (the root is owned), so replay re-sends them from the store.
-#[derive(Debug, Clone)]
+/// A cached subtree evaluation: the span in subtree preorder, plus
+/// sanity fields pinning what the key was formed over. The synthesized
+/// attributes at the subtree root are part of the span, so a region
+/// job's replay re-sends them from the store.
+#[derive(Debug)]
 pub struct MemoEntry<V> {
-    /// Owned attribute instances in preorder of the region subtree;
-    /// `None` for slots the evaluation left unfilled.
+    /// Attribute instances in preorder of the subtree; `None` for slots
+    /// the evaluation left unfilled.
     pub span: Vec<Option<V>>,
-    /// Number of nodes in the region subtree (sanity check at replay).
+    /// Number of nodes in the subtree (sanity check at replay).
     pub nodes: u32,
-    /// Production at the region root (sanity check at replay).
+    /// Production at the subtree root (sanity check at replay).
     pub root_prod: ProdId,
     /// Approximate bytes held (drives the LRU budget).
     pub bytes: usize,
@@ -161,14 +179,14 @@ impl MemoCounters {
 /// deletion (each entry carries a recency stamp; queue entries with a
 /// stale stamp are skipped when popping for eviction).
 struct Shard<V> {
-    map: HashMap<MemoKey, (MemoEntry<V>, u64)>,
+    map: HashMap<MemoKey, (Arc<MemoEntry<V>>, u64)>,
     order: VecDeque<(MemoKey, u64)>,
     /// Entry count per subtree hash, maintained on insert/remove: the
     /// probe fast path asks "any entry for this subtree at all?" before
     /// deciding to hold a region back for its inherited values.
     subtrees: HashMap<u64, u32>,
     /// Second-touch marks ([`InstallPolicy::SecondTouch`]): subtree
-    /// hashes seen exactly once at retirement, FIFO-bounded.
+    /// hashes offered exactly once, FIFO-bounded.
     marked: HashSet<u64>,
     mark_order: VecDeque<u64>,
     bytes: usize,
@@ -228,8 +246,8 @@ impl<V> Shard<V> {
 
 const SHARDS: usize = 16;
 
-/// A bounded, sharded memo cache shared by a worker pool: retire-time
-/// inserts and worker-side probes contend only per shard. See the
+/// A bounded, sharded memo cache shared by a worker pool: the workers'
+/// probes and inserts contend only per shard. See the
 /// module doc for the signature contract.
 pub struct MemoCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
@@ -296,13 +314,14 @@ impl<V: AttrValue> MemoCache<V> {
         present
     }
 
-    /// Looks up a signature; clones the entry on a hit (the cache keeps
-    /// its copy) and refreshes its recency. Entries whose sanity fields
-    /// disagree with the probe's expectation count as misses.
-    pub fn probe(&self, key: MemoKey, nodes: u32, root_prod: ProdId) -> Option<MemoEntry<V>> {
+    /// Looks up a signature; shares the entry on a hit (a reference
+    /// count, not a copy of the span, under the shard lock) and
+    /// refreshes its recency. Entries whose sanity fields disagree with
+    /// the probe's expectation count as misses.
+    pub fn probe(&self, key: MemoKey, nodes: u32, root_prod: ProdId) -> Option<Arc<MemoEntry<V>>> {
         let mut shard = self.shard(&key).lock().unwrap();
         let hit = match shard.map.get(&key) {
-            Some((e, _)) if e.nodes == nodes && e.root_prod == root_prod => Some(e.clone()),
+            Some((e, _)) if e.nodes == nodes && e.root_prod == root_prod => Some(Arc::clone(e)),
             _ => None,
         };
         if hit.is_some() {
@@ -314,9 +333,9 @@ impl<V: AttrValue> MemoCache<V> {
         hit
     }
 
-    /// `true` if the signature is already cached (no counter effect; the
-    /// retire path uses this to dedup inserts of values it replayed
-    /// from the cache or already installed this batch).
+    /// `true` if the signature is already cached (no counter effect;
+    /// `install_span` asks before it copies a span another job has
+    /// installed meanwhile).
     pub fn contains(&self, key: MemoKey) -> bool {
         self.shard(&key).lock().unwrap().map.contains_key(&key)
     }
@@ -346,7 +365,7 @@ impl<V: AttrValue> MemoCache<V> {
             shard.forget_subtree(key.subtree);
         }
         shard.bytes += entry.bytes;
-        shard.map.insert(key, (entry, 0));
+        shard.map.insert(key, (Arc::new(entry), 0));
         *shard.subtrees.entry(key.subtree).or_insert(0) += 1;
         shard.touch(key);
         self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -456,51 +475,181 @@ pub(crate) fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
         .collect()
 }
 
+/// A subtree the memo can cache: the root of a cacheable leaf region,
+/// with what its signature is formed over. A region job probes its
+/// region's; a whole-tree job probes each of its memo points.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MemoPoint {
+    /// The subtree root.
+    pub node: NodeId,
+    /// Its exact subtree hash.
+    pub subtree: u64,
+    /// The root's inherited attributes in ascending `AttrId` order (the
+    /// fingerprint order); none at the tree root, which awaits nothing.
+    pub inh: Vec<AttrId>,
+}
+
+impl MemoPoint {
+    /// The signature under the root's inherited values, given in the
+    /// order of [`MemoPoint::inh`]: `None` when one is missing or not
+    /// fingerprintable (the subtree is then uncacheable).
+    pub fn key<'v, V: AttrValue + 'v>(
+        &self,
+        inputs: impl IntoIterator<Item = Option<&'v V>>,
+    ) -> Option<MemoKey> {
+        let inputs: Option<Vec<&V>> = inputs.into_iter().collect();
+        Some(MemoKey {
+            subtree: self.subtree,
+            inherited: inherited_fingerprint(inputs?)?,
+        })
+    }
+}
+
 /// Decides whether `region` of `tree` is memoizable, and under what
 /// signature inputs. Cacheable regions are **leaf** regions (no
 /// boundary children — their owned span is their whole subtree and
 /// their only external inputs are the root's inherited values) whose
 /// root symbol is memo-safe (see [`memo_safety`]; the tree root is
 /// trivially safe, it awaits nothing) and whose subtree hash is exact.
-/// Returns the region root, its subtree hash, and the root inherited
-/// attributes in ascending `AttrId` order (the fingerprint order both
-/// the probe and the retire-time install use).
 pub(crate) fn region_cacheable<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
     tree: &ParseTree<V>,
     decomp: &Decomposition,
     region: RegionId,
-) -> Option<(NodeId, u64, Vec<AttrId>)> {
+) -> Option<MemoPoint> {
     let map = decomp.slot_map();
     if map.total_slots(region) != map.owned_slots(region) {
         return None; // boundary children: an interior region
     }
     let root = decomp.regions[region as usize].root;
+    if root == tree.root() {
+        return root_point(tree);
+    }
     let root_sym = plan.grammar().prod(tree.node(root).prod).lhs;
-    if root != tree.root() && !memo_safe.get(root_sym.0 as usize).copied().unwrap_or(false) {
+    if !memo_safe.get(root_sym.0 as usize).copied().unwrap_or(false) {
         return None;
     }
-    let subtree = tree.subtree_hash(root)?;
-    let mut inh: Vec<AttrId> = if root == tree.root() {
-        Vec::new() // machines await no inherited values at the tree root
-    } else {
-        plan.inh_attrs(root_sym).to_vec()
-    };
+    let mut inh = plan.inh_attrs(root_sym).to_vec();
     inh.sort_unstable_by_key(|a| a.0);
-    Some((root, subtree, inh))
+    Some(MemoPoint {
+        node: root,
+        subtree: tree.subtree_hash(root)?,
+        inh,
+    })
 }
 
-/// The memo key of a tree that is one whole-tree job — what
-/// [`region_cacheable`] and the probe give the lone region of an
-/// unsplit decomposition: the root's subtree hash (`None` when it is
-/// inexact: uncacheable) under the fingerprint of no inherited values,
-/// the tree root awaiting none.
-pub(crate) fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKey> {
-    Some(MemoKey {
-        subtree: tree.subtree_hash(tree.root())?,
-        inherited: inherited_fingerprint(std::iter::empty::<&V>())?,
+/// The memo point of a tree that is one whole-tree job with nothing
+/// finer to cache — what [`region_cacheable`] gives the lone region of
+/// an unsplit decomposition: the root under its subtree hash (`None`
+/// when it is inexact: uncacheable) and no inherited values.
+pub(crate) fn root_point<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoPoint> {
+    let root = tree.root();
+    Some(MemoPoint {
+        node: root,
+        subtree: tree.subtree_hash(root)?,
+        inh: Vec::new(),
     })
+}
+
+/// The memo points of a tree one job evaluates whole, in node order:
+/// the roots of `decomp`'s cacheable leaf regions — the tree root when
+/// `decomp` is unsplit. A point below the root must have one visit: a
+/// memo-safe symbol's inherited values are all set by then, and its
+/// subtree is done when that visit returns. The static interpreter
+/// probes, replays and installs them ([`MemoPoints`]).
+pub(crate) fn memo_points<V: AttrValue>(
+    plan: &EvalPlan<V>,
+    memo_safe: &[bool],
+    tree: &ParseTree<V>,
+    decomp: &Decomposition,
+) -> Vec<MemoPoint> {
+    let Some(plans) = plan.plans() else {
+        return Vec::new();
+    };
+    let one_visit = |p: &MemoPoint| {
+        let sym = plan.grammar().prod(tree.node(p.node).prod).lhs;
+        p.node == tree.root() || plans.phases.visit_count(sym) == 1
+    };
+    let mut points: Vec<MemoPoint> = (0..decomp.len() as RegionId)
+        .filter_map(|r| region_cacheable(plan, memo_safe, tree, decomp, r))
+        .filter(one_visit)
+        .collect();
+    points.sort_unstable_by_key(|p| p.node);
+    points
+}
+
+/// One whole-tree evaluation's memo points and the cache they go to:
+/// what the static interpreter consults when it enters a node and when
+/// a node's visit returns. A point it enters is probed; a hit is
+/// replayed and its visit skipped; a miss stays open until its visit
+/// returns, and is installed from the evaluation's own store.
+pub(crate) struct MemoPoints<'a, V: AttrValue> {
+    memo: &'a MemoCache<V>,
+    /// Sorted by node.
+    points: &'a [MemoPoint],
+    /// Points evaluating after a miss, innermost last: the depth of the
+    /// point's frame, its node and its key.
+    open: Vec<(usize, NodeId, MemoKey)>,
+}
+
+impl<'a, V: AttrValue> MemoPoints<'a, V> {
+    /// `points` (in node order) against `memo`.
+    pub fn new(memo: &'a MemoCache<V>, points: &'a [MemoPoint]) -> Self {
+        debug_assert!(points.windows(2).all(|w| w[0].node < w[1].node));
+        MemoPoints {
+            memo,
+            points,
+            open: Vec::new(),
+        }
+    }
+
+    /// The interpreter is about to visit `node` for the first time, in
+    /// a frame at `depth`. A point probes the cache under the inherited
+    /// values its parent has set: on a hit the cached span is replayed
+    /// into `store` — the inherited slots stay as the parent set them —
+    /// and `true` says the visit is done; on a miss the point stays open
+    /// until the frame at `depth` returns.
+    pub fn enter<S: AttrSlots<V>>(
+        &mut self,
+        tree: &ParseTree<V>,
+        store: &mut S,
+        node: NodeId,
+        depth: usize,
+    ) -> bool {
+        let Ok(i) = self.points.binary_search_by_key(&node, |p| p.node) else {
+            return false;
+        };
+        let point = &self.points[i];
+        let key = point.key(point.inh.iter().map(|&a| store.get(node, a)));
+        // As a region job probes: a subtree the cache has never seen is
+        // a miss before any input is read; a seen one is looked up only
+        // under a key (no key: nothing is probed or counted).
+        let hit = if self.memo.has_subtree(point.subtree) {
+            let nodes = tree.subtree_size(node) as u32;
+            key.and_then(|key| self.memo.probe(key, nodes, tree.node(node).prod))
+        } else {
+            None
+        };
+        if let Some(entry) = hit {
+            if replay_span(tree, node, &entry.span, store) {
+                return true;
+            }
+        }
+        if let Some(key) = key {
+            self.open.push((depth, node, key));
+        }
+        false
+    }
+
+    /// The frame at `depth` returns: if it is an open point's, its
+    /// subtree is evaluated, and is installed from `store`.
+    pub fn leave(&mut self, tree: &ParseTree<V>, store: &impl AttrRead<V>, depth: usize) {
+        if self.open.last().is_some_and(|&(d, ..)| d == depth) {
+            let (_, node, key) = self.open.pop().expect("checked");
+            install_span(self.memo, tree, node, key, |n, a| store.get(n, a));
+        }
+    }
 }
 
 /// Deposits the evaluated span of the subtree at `root` (read through
@@ -508,6 +657,8 @@ pub(crate) fn whole_tree_key<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoKe
 /// extracted in *preorder* of the subtree — arena ids are
 /// builder-dependent, preorder is not — one entry per attribute of each
 /// node's symbol, in attribute order: the format [`replay_span`] reads.
+/// A span that outgrows a shard's budget would be refused, so the walk
+/// stops there, before it clones the rest.
 pub(crate) fn install_span<'s, V: AttrValue + 's>(
     memo: &MemoCache<V>,
     tree: &ParseTree<V>,
@@ -524,8 +675,8 @@ pub(crate) fn install_span<'s, V: AttrValue + 's>(
     for n in tree.subtree(root) {
         let sym = g.prod(tree.node(n).prod).lhs;
         for a in 0..g.attr_count(sym) {
-            let v = get(n, AttrId(a as u32)).cloned();
-            if let Some(v) = &v {
+            let v = get(n, AttrId(a as u32));
+            if let Some(v) = v {
                 // A value that is not fingerprintable — its type has
                 // no content hash — is one the memo cannot vouch for
                 // under another ticket. Skip the whole span.
@@ -533,8 +684,11 @@ pub(crate) fn install_span<'s, V: AttrValue + 's>(
                     return;
                 }
                 bytes += v.wire_size();
+                if bytes > memo.shard_budget {
+                    return;
+                }
             }
-            span.push(v);
+            span.push(v.cloned());
         }
     }
     memo.insert(
@@ -549,31 +703,35 @@ pub(crate) fn install_span<'s, V: AttrValue + 's>(
 }
 
 /// Fills `store` from a cached preorder span over the subtree at
-/// `root` — the format [`install_span`] writes. The walk is over *this*
-/// tree's subtree — structurally identical to the cached one, but arena
-/// ids may differ. `false` when the span's shape disagrees with the
-/// subtree (a hash collision the probe's sanity fields missed): the
-/// store is then partly filled and must be dropped.
+/// `root` — the format [`install_span`] writes — cloning each value
+/// once, straight into its slot. Slots at `root` that `store` already
+/// holds are kept: a memo point's inherited values, which its parent
+/// set. The walk is over *this* tree's subtree — structurally identical
+/// to the cached one, but arena ids may differ. `false`, with `store`
+/// untouched, when the span's length disagrees with the subtree's
+/// instances (a hash collision the probe's sanity fields missed).
 pub(crate) fn replay_span<V: AttrValue, S: AttrSlots<V>>(
     tree: &ParseTree<V>,
     root: NodeId,
-    span: Vec<Option<V>>,
+    span: &[Option<V>],
     store: &mut S,
 ) -> bool {
     let g = tree.grammar();
-    let mut vals = span.into_iter();
-    for n in tree.subtree(root) {
-        let sym = g.prod(tree.node(n).prod).lhs;
-        for a in 0..g.attr_count(sym) {
-            let Some(v) = vals.next() else {
-                return false;
-            };
-            if let Some(v) = v {
-                store.set(n, AttrId(a as u32), v);
+    let attrs = |n: NodeId| g.attr_count(g.prod(tree.node(n).prod).lhs);
+    if tree.subtree(root).map(attrs).sum::<usize>() != span.len() {
+        return false;
+    }
+    let instances = tree
+        .subtree(root)
+        .flat_map(|n| (0..attrs(n)).map(move |a| (n, AttrId(a as u32))));
+    for ((n, attr), v) in instances.zip(span) {
+        if let Some(v) = v {
+            if n != root || store.get(n, attr).is_none() {
+                store.set(n, attr, v.clone());
             }
         }
     }
-    vals.next().is_none()
+    true
 }
 
 #[cfg(test)]
@@ -582,7 +740,6 @@ mod tests {
     use crate::eval::static_eval;
     use crate::grammar::GrammarBuilder;
     use crate::tree::{AttrStore, Child, TreeBuilder};
-    use std::sync::Arc;
 
     fn entry(bytes: usize) -> MemoEntry<i64> {
         MemoEntry {
@@ -789,8 +946,9 @@ mod tests {
         (tree, plan, store)
     }
 
-    /// The whole-tree job's key is the one the region path gives the
-    /// lone region of an unsplit decomposition: the root's subtree hash
+    /// The root point — the whole-tree job's with nothing finer to
+    /// cache — is the one the region path gives the lone region of an
+    /// unsplit decomposition, and its key is the root's subtree hash
     /// under the fingerprint of no inherited values.
     #[test]
     fn whole_tree_key_is_the_lone_regions_key() {
@@ -798,14 +956,25 @@ mod tests {
         let decomp = Decomposition::whole(&tree);
         assert!(decomp.is_unsplit());
         let memo_safe = memo_safety(&plan);
-        let (root, subtree, inh) = region_cacheable(&plan, &memo_safe, &tree, &decomp, 0)
+        let point = region_cacheable(&plan, &memo_safe, &tree, &decomp, 0)
             .expect("the lone region is a leaf rooted at the tree root");
-        assert_eq!(root, tree.root());
-        assert!(inh.is_empty(), "the tree root awaits no inherited value");
+        assert_eq!(point.node, tree.root());
+        assert!(
+            point.inh.is_empty(),
+            "the tree root awaits no inherited value"
+        );
+        assert_eq!(root_point(tree.as_ref()).as_ref(), Some(&point));
+        assert_eq!(
+            memo_points(&plan, &memo_safe, &tree, &decomp),
+            std::slice::from_ref(&point)
+        );
         let inherited = inherited_fingerprint(std::iter::empty::<&i64>()).unwrap();
         assert_eq!(
-            whole_tree_key(tree.as_ref()),
-            Some(MemoKey { subtree, inherited })
+            point.key::<i64>(std::iter::empty()),
+            Some(MemoKey {
+                subtree: point.subtree,
+                inherited
+            })
         );
     }
 
@@ -827,7 +996,7 @@ mod tests {
             let nodes = tree.subtree_size(root) as u32;
             let entry = memo.probe(key, nodes, tree.node(root).prod).unwrap();
             let mut replayed = AttrStore::new(&tree);
-            assert!(replay_span(&tree, root, entry.span, &mut replayed));
+            assert!(replay_span(&tree, root, &entry.span, &mut replayed));
             for n in tree.subtree(root) {
                 let sym = tree.grammar().prod(tree.node(n).prod).lhs;
                 for a in 0..tree.grammar().attr_count(sym) {
@@ -840,27 +1009,106 @@ mod tests {
     }
 
     /// A span whose length disagrees with the subtree's instances — one
-    /// value short, or one too many — is refused.
+    /// value short, or one too many — is refused, and leaves the store
+    /// untouched.
     #[test]
     fn a_span_one_value_short_or_long_is_refused() {
         let (tree, _, store) = chain(4);
         let memo = MemoCache::new(1 << 20);
-        let key = whole_tree_key(tree.as_ref()).unwrap();
+        let key = root_point(tree.as_ref())
+            .and_then(|p| p.key::<i64>(std::iter::empty()))
+            .unwrap();
         install_span(&memo, &tree, tree.root(), key, |n, a| store.get(n, a));
         let nodes = tree.subtree_size(tree.root()) as u32;
-        let span = memo
-            .probe(key, nodes, tree.node(tree.root()).prod)
-            .unwrap()
-            .span;
-        let replay = |span: Vec<Option<i64>>| {
-            replay_span(&tree, tree.root(), span, &mut AttrStore::new(&tree))
+        let entry = memo.probe(key, nodes, tree.node(tree.root()).prod).unwrap();
+        let replay = |span: &[Option<i64>]| {
+            let mut replayed = AttrStore::new(&tree);
+            (
+                replay_span(&tree, tree.root(), span, &mut replayed),
+                replayed.filled(),
+            )
         };
-        assert!(replay(span.clone()));
-        let mut short = span.clone();
+        assert_eq!(replay(&entry.span), (true, store.filled()));
+        let mut short = entry.span.to_vec();
         short.pop();
-        assert!(!replay(short), "one value short");
-        let mut long = span;
+        assert_eq!(replay(&short), (false, 0), "one value short");
+        let mut long = entry.span.to_vec();
         long.push(None);
-        assert!(!replay(long), "one value long");
+        assert_eq!(replay(&long), (false, 0), "one value long");
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A value that counts its clones on this thread.
+    #[derive(Debug, Default)]
+    struct Counted(i64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl AttrValue for Counted {
+        fn wire_size(&self) -> usize {
+            16
+        }
+
+        fn content_hash(&self) -> Option<u64> {
+            Some(self.0 as u64)
+        }
+    }
+
+    /// A span larger than a shard's budget is refused before it is
+    /// copied: the walk stops at the first value past the budget, so
+    /// it clones no more values than fit.
+    #[test]
+    fn an_oversized_span_stops_the_walk_before_cloning_it() {
+        let mut g = GrammarBuilder::<Counted>::new();
+        let s = g.nonterminal("S");
+        let l = g.nonterminal("L");
+        let out = g.synthesized(s, "out");
+        let sum = g.synthesized(l, "sum");
+        let top = g.production("top", s, [l]);
+        g.rule(top, (0, out), [(1, sum)], |a| Counted(a[0].0));
+        let cons = g.production("cons", l, [l]);
+        g.rule(cons, (0, sum), [(1, sum)], |a| Counted(a[0].0 + 1));
+        let nil = g.production("nil", l, []);
+        g.rule(nil, (0, sum), [], |_| Counted(0));
+        let grammar = Arc::new(g.build(s).unwrap());
+        let plan = EvalPlan::analyze(&grammar);
+        let mut tb = TreeBuilder::new(&grammar);
+        let mut tail = tb.leaf(nil);
+        for _ in 0..40 {
+            tail = tb.node(cons, [tail]);
+        }
+        let root = tb.node(top, [tail]);
+        let tree = tb.finish(root).unwrap();
+        let (store, _) = static_eval(&tree, plan.plans().unwrap()).unwrap();
+        let key = root_point(&tree)
+            .and_then(|p| p.key::<Counted>(std::iter::empty()))
+            .unwrap();
+        let install = |memo: &MemoCache<Counted>| {
+            CLONES.with(|c| c.set(0));
+            install_span(memo, &tree, tree.root(), key, |n, a| store.get(n, a));
+            CLONES.with(|c| c.get())
+        };
+        // Six values of 16 bytes fit a shard of 100; the seventh would
+        // not.
+        let small = MemoCache::new(16 * 100);
+        assert_eq!(small.shard_budget, 100);
+        assert_eq!(install(&small), 6);
+        assert_eq!(small.counters().inserts, 0);
+        assert!(small.is_empty());
+        let large = MemoCache::new(1 << 20);
+        assert_eq!(
+            install(&large),
+            store.filled(),
+            "a span that fits is copied once"
+        );
+        assert_eq!(large.counters().inserts, 1);
     }
 }

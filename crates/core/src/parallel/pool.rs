@@ -87,11 +87,18 @@
 //! rather than taking turns with that worker's machines; it is short by
 //! construction (by default below twice the hand-off floor, about
 //! 1.6 ms of evaluation; under an adaptive budget, a tree with one
-//! budget's work or nowhere to split), which bounds how long an older
-//! machine on that worker waits for its next step. It is the ticket's
-//! one board job, which a crash re-executes from nothing, and with the
-//! memo on it keeps the root region's contract: probe, replay or
-//! evaluate, install at retirement.
+//! floored budget's work or nowhere to split), which bounds how long an
+//! older machine on that worker waits for its next step. It is the
+//! ticket's one board job, which a crash re-executes from nothing.
+//!
+//! With the memo on, a whole-tree job caches what a ticket of regions
+//! would: its **memo points** are the cacheable leaf regions the
+//! caller's own adaptive budget cuts (or, without a budget below the
+//! floor, the tree root), and the job's interpreter probes each at its
+//! visit, replays a hit instead of visiting it and installs a miss when
+//! the visit returns (see [`crate::memo`]). So the memo's unit is a
+//! subtree inside a job, and a small tree is one job whether the memo
+//! is on or not.
 //!
 //! The pool reads its machine mode off the plan
 //! ([`EvalPlan::best_mode`]) and always propagates results naively
@@ -116,10 +123,12 @@
 //! `min(workers, tree_work / MIN_REGION_WORK)` regions (at least one),
 //! so a tree below twice the hand-off cost stays whole and is one
 //! whole-tree job. The floor is [`MIN_REGION_WORK`], whose doc comment
-//! carries the measured crossover; a paper-sized tree (≥ 25 k nodes) is
-//! far above it and decomposes exactly as before. An explicit adaptive
-//! budget is not floored, and neither is the simulator, whose hand-off
-//! cost is the modelled network and whose minima are the grammar's.
+//! carries the measured crossovers; a paper-sized tree (≥ 25 k nodes) is
+//! far above it and decomposes exactly as before. It bounds every cut
+//! the pool makes: an explicit adaptive budget below it is raised to it
+//! (the budget still picks a whole-tree job's memo points). The
+//! simulator is not floored: its hand-off cost is the modelled network
+//! and its minima are the grammar's.
 //!
 //! # Cross-tree pipelining
 //!
@@ -159,9 +168,9 @@
 //! collecting the root values the root region's `Done` carried (a
 //! whole-tree job's are read out of its store) and handing the stores
 //! to the report. No whole-tree store is sized and no value moves. With
-//! the memo on, retirement adds the install scan: one
-//! `is_fingerprintable` + `wire_size` per value of each cacheable
-//! region not yet cached, or of a whole-tree job's store.
+//! the memo on it is the same: the workers install what they evaluated
+//! — a region job when its machine finishes, a memo point when its
+//! visit returns — so retirement scans no value.
 //!
 //! Nothing in it reads code text. A node's code rope contains its whole
 //! subtree's, so any per-instance step that walks its rope costs Σ
@@ -236,8 +245,7 @@ use crate::analysis::Plans;
 use crate::eval::{EvalError, EvalPlan, VisitPrograms};
 use crate::grammar::AttrId;
 use crate::memo::{
-    inherited_fingerprint, install_span, memo_safety, region_cacheable, whole_tree_key,
-    InstallPolicy, MemoCache, MemoCounters, MemoKey,
+    memo_points, memo_safety, root_point, InstallPolicy, MemoCache, MemoCounters, MemoPoint,
 };
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
@@ -296,7 +304,11 @@ pub struct PoolConfig {
     /// regions of ≈`budget` work units (rule-cost units; see
     /// [`crate::split::decompose_adaptive`]), independent of the worker
     /// count, so a huge tree yields many jobs that round-robin over the
-    /// workers. `None` (the default) cuts at most `workers` regions and
+    /// workers. A budget below [`MIN_REGION_WORK`] is cut at the floor,
+    /// so a tree with less than about one and a half floors of work
+    /// stays one whole-tree job; with the memo on, that job's memo
+    /// points are the cacheable leaf regions of the caller's own
+    /// budget. `None` (the default) cuts at most `workers` regions and
     /// none below [`MIN_REGION_WORK`] — the paper's decomposition.
     pub adaptive_budget: Option<u64>,
     /// Byte budget for the cross-tree attribute memo cache
@@ -305,9 +317,9 @@ pub struct PoolConfig {
     /// behaviour bit-for-bit.
     pub memo_capacity: usize,
     /// Memo install policy (only meaningful with a non-zero
-    /// `memo_capacity`): install every cacheable span at retirement
-    /// (the default), or defer to the second touch of a subtree (scan
-    /// resistance).
+    /// `memo_capacity`): install every cacheable span a worker
+    /// evaluates (the default), or defer to the second touch of a
+    /// subtree (scan resistance).
     pub memo_install: InstallPolicy,
 }
 
@@ -384,8 +396,8 @@ pub struct PoolReport<V: AttrValue> {
     pub elapsed: Duration,
     /// Wall-clock time of retirement, on the retiring thread, starting
     /// where `elapsed` stops: summing the jobs' statistics and handing
-    /// their stores to the report (and, memo on, the install scan over
-    /// them) — O(regions) with the memo off, whatever the tree's size.
+    /// their stores to the report — O(regions), whatever the tree's
+    /// size, the memo on or off.
     /// `elapsed + assemble` is dispatch to finished report.
     pub assemble: Duration,
     /// Number of regions actually used; 1 is a tree that stayed whole.
@@ -576,11 +588,11 @@ type Retired<V> = (Vec<(AttrId, V)>, Held<V>, EvalStats);
 /// for one in-flight tree so far.
 struct InFlight<V: AttrValue> {
     ticket: Ticket,
-    /// The tree under evaluation — the memo install scan reads it, and
-    /// a retired ticket of regions keeps it for its reads.
+    /// The tree under evaluation — a retired ticket of regions keeps it
+    /// for its reads, and a whole-tree job's root values are read off
+    /// it.
     tree: Arc<ParseTree<V>>,
-    /// The decomposition — retire-time memo installation needs region
-    /// roots and parents. `None` for a ticket that is one whole-tree
+    /// The decomposition; `None` for a ticket that is one whole-tree
     /// job.
     decomp: Option<Arc<Decomposition>>,
     regions: usize,
@@ -614,9 +626,9 @@ pub struct WorkerPool<V: AttrValue> {
     /// counters live on the scheduler board).
     panics_contained: Arc<AtomicU64>,
     /// Cross-tree attribute memo cache (None when
-    /// [`PoolConfig::memo_capacity`] is 0). Shared with the workers:
-    /// they probe before building a machine, the pool installs at
-    /// retirement.
+    /// [`PoolConfig::memo_capacity`] is 0). Shared with the workers,
+    /// which probe it and install what they evaluate; the pool only
+    /// picks a whole-tree job's memo points.
     memo: Option<Arc<MemoCache<V>>>,
     /// Per-symbol memo safety (see [`memo_safety`]); empty when the
     /// cache is off.
@@ -659,9 +671,22 @@ struct WorkerCtx<V: AttrValue> {
 ///
 /// The crossover sits near 3 k nodes ≈ 19 k work units, i.e. ≈ 10 k
 /// units (≈ 1.5 k nodes, ≈ 0.8 ms of sequential evaluation) per region.
-/// An explicit [`PoolConfig::adaptive_budget`] is the caller's own
-/// statement of region size and is not floored. Test fixtures that
-/// want a tree cut into regions cost their rules in multiples of this.
+///
+/// The floor bounds an explicit [`PoolConfig::adaptive_budget`] too: a
+/// smaller budget is raised to it. The memo is why a caller asks for
+/// small regions — it caches leaf regions — and cutting small trees
+/// for it does not pay. 512 memo-shaped Pascal trees of 1 139 nodes
+/// (≈ 7.4 k units each) through 2 workers, 2-core box:
+///
+/// | cut | wall | CPU |
+/// |---|---|---|
+/// | one whole-tree job each, no memo | 282–331 ms | 600 ms |
+/// | `tree_work / 16` per region, no memo | 693–881 ms | 1 530 ms |
+/// | the same, warm 64 MiB memo, 97 % leaf hits | 649–809 ms | |
+///
+/// So a small tree is one job, and the memo caches its leaf regions as
+/// memo points inside that job. Test fixtures that want a tree cut into
+/// regions cost their rules in multiples of this.
 pub const MIN_REGION_WORK: u64 = 10_000;
 
 /// The pool's in-flight window, per worker: [`WorkerPool::submit`]
@@ -876,20 +901,22 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Cuts `tree` into regions — by default into at most `workers`
     /// and no more than its work repays shipping, under an adaptive
-    /// budget into budget-sized ones — or leaves it whole, one
-    /// whole-tree job that needs no decomposition at all: by default
-    /// decided from the work estimate alone, under a budget by a
-    /// decomposition that comes back unsplit. Only a plan with visit
-    /// programs has a whole-tree job to run; without them (the grammar
-    /// is not l-ordered) a tree that stays whole is a one-region
-    /// machine.
+    /// budget into budget-sized ones, the budget no less than
+    /// [`MIN_REGION_WORK`] — or leaves it whole, one whole-tree job that
+    /// needs no decomposition at all: by default decided from the work
+    /// estimate alone, under a budget by a decomposition that comes back
+    /// unsplit. Only a plan with visit programs has a whole-tree job to
+    /// run; without them (the grammar is not l-ordered) a tree that
+    /// stays whole is a one-region machine.
     fn carve(&self, tree: &Arc<ParseTree<V>>) -> Cut<V> {
         let statics = self.plan.plans().zip(self.plan.programs());
         let whole = |(plans, programs): (&Arc<Plans>, &Arc<VisitPrograms<V>>)| {
-            Cut::Whole(Arc::clone(plans), Arc::clone(programs))
+            Cut::Whole(Arc::clone(plans), Arc::clone(programs), self.points(tree))
         };
         let granularity = match self.config.adaptive_budget {
-            Some(budget) => RegionGranularity::Adaptive { budget },
+            Some(budget) => RegionGranularity::Adaptive {
+                budget: budget.max(MIN_REGION_WORK),
+            },
             None => {
                 let regions =
                     regions_worth_shipping(self.config.workers, self.plan.tree_work(tree));
@@ -903,6 +930,25 @@ impl<V: AttrValue> WorkerPool<V> {
         match statics {
             Some(statics) if decomp.is_unsplit() => whole(statics),
             _ => Cut::Regions(Arc::new(decomp)),
+        }
+    }
+
+    /// The memo points of `tree` as a whole-tree job: none with the memo
+    /// off; under an adaptive budget below the floor, the cacheable
+    /// leaf regions that budget cuts — the subtrees a ticket of regions
+    /// would probe; otherwise the tree root.
+    fn points(&self, tree: &Arc<ParseTree<V>>) -> Arc<[MemoPoint]> {
+        if self.memo.is_none() {
+            return Arc::new([]);
+        }
+        match self.config.adaptive_budget {
+            Some(budget) if budget < MIN_REGION_WORK => {
+                let granularity = RegionGranularity::Adaptive { budget };
+                let decomp =
+                    decompose_granular(tree, &self.split, self.plan.work_table(), granularity);
+                memo_points(&self.plan, &self.memo_safe, tree, &decomp).into()
+            }
+            _ => root_point(tree.as_ref()).into_iter().collect(),
         }
     }
 
@@ -1003,8 +1049,7 @@ impl<V: AttrValue> WorkerPool<V> {
     /// buffer, and returns how many results became ready. Retiring a
     /// tree on the caller's thread ([`PoolReport::assemble`]) hands the
     /// workers' stores to the report as they are: microseconds, for a
-    /// 264 k-node tree as for a small one, with the memo off (the
-    /// memo's install scan is O(instances) of the regions it installs).
+    /// 264 k-node tree as for a small one, the memo on or off.
     /// A service loop calls this between
     /// arrivals to harvest finished requests while keeping the window
     /// topped up via [`WorkerPool::submit`].
@@ -1131,7 +1176,7 @@ impl<V: AttrValue> WorkerPool<V> {
         let ticket = fl.ticket;
         let retired = match (fl.failed, fl.decomp) {
             (Some(error), _) => Err(error),
-            (None, Some(decomp)) => Ok(self.assemble(fl.tree, &decomp, fl.region_results)),
+            (None, Some(_)) => Ok(self.assemble(fl.tree, fl.region_results)),
             (None, None) => Ok(self.adopt(&fl.tree, fl.region_results)),
         };
         match retired {
@@ -1153,9 +1198,8 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Retires a ticket that was one whole-tree job: the store the
     /// worker evaluated into *is* the tree's store, so there is nothing
-    /// to size or absorb. What is left is the memo install (memo on
-    /// only — the root region's contract, under the key the worker
-    /// probed with) and reading the root values out.
+    /// to size or absorb, and the worker installed its memo points. What
+    /// is left is reading the root values out.
     fn adopt(
         &self,
         tree: &ParseTree<V>,
@@ -1165,9 +1209,6 @@ impl<V: AttrValue> WorkerPool<V> {
             unreachable!("a whole-tree ticket's one job reports the tree's store");
         };
         let root = tree.root();
-        if let (Some(memo), Some(key)) = (&self.memo, whole_tree_key(tree)) {
-            install_span(memo, tree, root, key, |n, a| store.get(n, a));
-        }
         let root_sym = tree.grammar().prod(tree.node(root).prod).lhs;
         let root_values = self
             .plan
@@ -1178,13 +1219,12 @@ impl<V: AttrValue> WorkerPool<V> {
         (root_values, Held::Whole(store, home), stats)
     }
 
-    /// Retires a ticket of regions that all reported: memo installation
-    /// (memo on), then the region stores become the report's, as they
-    /// are — no whole-tree store, and no value moves.
+    /// Retires a ticket of regions that all reported: the region stores
+    /// become the report's, as they are — no whole-tree store, and no
+    /// value moves. The workers installed the cacheable regions.
     fn assemble(
         &self,
         tree: Arc<ParseTree<V>>,
-        decomp: &Decomposition,
         results: Vec<Option<(usize, JobResult<V>)>>,
     ) -> Retired<V> {
         let mut stats = EvalStats::default();
@@ -1199,32 +1239,6 @@ impl<V: AttrValue> WorkerPool<V> {
             root_values.extend(roots);
             stores.push(store);
             homes.push(home);
-        }
-
-        // Retire-time memo installation: every cacheable region of a
-        // successfully evaluated tree deposits its owned span under its
-        // input signature, so later structurally identical requests can
-        // skip the machine entirely.
-        if let Some(memo) = &self.memo {
-            for (ri, rstore) in stores.iter().enumerate() {
-                let Some((root, subtree, inh)) =
-                    region_cacheable(&self.plan, &self.memo_safe, &tree, decomp, ri as RegionId)
-                else {
-                    continue;
-                };
-                let Some(vals) = inh
-                    .iter()
-                    .map(|&a| rstore.get(root, a))
-                    .collect::<Option<Vec<_>>>()
-                else {
-                    continue;
-                };
-                let Some(inherited) = inherited_fingerprint(vals) else {
-                    continue;
-                };
-                let key = MemoKey { subtree, inherited };
-                install_span(memo, &tree, root, key, |n, a| rstore.get(n, a));
-            }
         }
 
         let held = Held::Regions {
@@ -2257,8 +2271,9 @@ pub(super) mod tests {
                     let deepest = (0..d.len() as RegionId).map(nesting).max().unwrap();
                     assert!(deepest >= 3, "{what}: regions nest {deepest} deep");
                 }
-                // The first tree retires (its spans installed) before
-                // the other two are submitted, so the third can replay.
+                // The first tree retires (its spans installed by then)
+                // before the other two are submitted, so the third can
+                // replay.
                 let mut reports = vec![pool.eval(&t1).expect("evaluation succeeds")];
                 for tree in [&t2, &t1] {
                     pool.submit(tree);
@@ -2493,8 +2508,8 @@ pub(super) mod tests {
         }
     }
 
-    /// The root region's memo contract on a tree that stays whole:
-    /// never seen → one miss, evaluated, installed at retirement; seen →
+    /// The root point's memo contract on a tree that stays whole:
+    /// never seen → one miss, evaluated, installed by its worker; seen →
     /// probed, hit, replayed, not installed again.
     #[test]
     fn repeated_one_region_trees_hit_the_memo_like_a_root_region() {

@@ -11,8 +11,10 @@
 //!   finished machines leave behind for the next;
 //! * [`WorkerCore::activate`] takes up a claimed job: a **whole-tree
 //!   job** (no decomposition: the ticket stayed whole) runs the plan's
-//!   visit programs to completion there and then, behind a memo probe
-//!   of the whole tree; a region job becomes a memo probe (a cacheable
+//!   visit programs to completion there and then, probing the memo at
+//!   each of its memo points — the subtrees the job's cut lists, which
+//!   the interpreter replays on a hit and installs after a miss (see
+//!   [`crate::memo`]); a region job becomes a memo probe (a cacheable
 //!   leaf region whose subtree the cache has seen) or a machine, and the
 //!   values that arrived before it did are replayed into it;
 //! * [`WorkerCore::feed`] delivers a boundary value; a probe whose last
@@ -21,6 +23,10 @@
 //!   feeds it what the probe collected. [`WorkerCore::cancel`] drops a
 //!   failed ticket's jobs and [`WorkerCore::clear`] everything (a
 //!   crash);
+//! * with the memo on, the worker installs what it evaluated: a
+//!   cacheable leaf region when its machine finishes, a whole-tree
+//!   job's memo point when the point's visit returns — so retiring a
+//!   ticket installs nothing;
 //! * [`WorkerCore::drive`] is the oldest-first pass: the oldest machine
 //!   runs unbudgeted, younger ones for their driver's
 //!   [`Driver::YIELD_STEPS`] before the driver may poll for values that
@@ -62,13 +68,11 @@
 
 use crate::analysis::Plans;
 use crate::eval::{
-    static_eval_with_scratch, AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch,
+    static_eval_with_points, AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch,
     SendTarget, StepOutcome, VisitPrograms,
 };
 use crate::grammar::AttrId;
-use crate::memo::{
-    inherited_fingerprint, region_cacheable, replay_span, whole_tree_key, MemoCache, MemoKey,
-};
+use crate::memo::{install_span, region_cacheable, replay_span, MemoCache, MemoPoint, MemoPoints};
 use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
 use crate::tree::{AttrStore, NodeId, ParseTree, RegionStore};
@@ -85,8 +89,9 @@ pub(crate) enum Cut<V: AttrValue> {
     Regions(Arc<Decomposition>),
     /// Not at all: the job is the whole tree, evaluated by the plan's
     /// compiled visit programs. Only a plan that has them is carved
-    /// into whole-tree jobs, so the job carries them.
-    Whole(Arc<Plans>, Arc<VisitPrograms<V>>),
+    /// into whole-tree jobs, so the job carries them, and its memo
+    /// points in node order (none with the memo off).
+    Whole(Arc<Plans>, Arc<VisitPrograms<V>>, Arc<[MemoPoint]>),
 }
 
 impl<V: AttrValue> Cut<V> {
@@ -191,6 +196,9 @@ impl<V: AttrValue> Outbox<V> {
 struct Job<V: AttrValue> {
     out: Outbox<V>,
     machine: Machine<V>,
+    /// A cacheable leaf region's memo point (memo on): the machine's
+    /// store is installed under it when the machine finishes.
+    install: Option<MemoPoint>,
 }
 
 /// A memo-eligible leaf region waiting for its root's inherited values
@@ -199,26 +207,21 @@ struct Job<V: AttrValue> {
 /// exactly one defining rule in the parent, so each *will* arrive.
 struct Probe<V: AttrValue> {
     out: Outbox<V>,
-    memo: Arc<MemoCache<V>>,
     tree: Arc<ParseTree<V>>,
     decomp: Arc<Decomposition>,
-    /// The region root node.
-    root: NodeId,
-    /// Exact subtree hash at the root.
-    subtree: u64,
-    /// Root inherited attributes, ascending `AttrId` order.
-    needed: Vec<AttrId>,
-    /// Collected values, aligned with `needed`.
+    /// The region root and its signature inputs.
+    point: MemoPoint,
+    /// Collected values, aligned with `point.inh`.
     got: Vec<Option<V>>,
 }
 
 impl<V: AttrValue> Probe<V> {
     fn collect(&mut self, node: NodeId, attr: AttrId, value: V) {
         debug_assert_eq!(
-            node, self.root,
+            node, self.point.node,
             "a leaf region only receives its root's inherited values"
         );
-        if let Some(i) = self.needed.iter().position(|&a| a == attr) {
+        if let Some(i) = self.point.inh.iter().position(|&a| a == attr) {
             self.got[i].get_or_insert(value);
         }
     }
@@ -293,25 +296,49 @@ impl<V: AttrValue> WorkerCore<V> {
     ) {
         let decomp = match cut {
             Cut::Regions(decomp) => decomp,
-            Cut::Whole(plans, programs) => {
+            Cut::Whole(plans, programs, points) => {
                 debug_assert!(
                     key.1 == 0 && early.is_empty(),
                     "a whole-tree job is its ticket's only job and awaits nothing"
                 );
-                let result = self.run_whole(&tree, &plans, &programs);
+                let result = self.run_whole(&tree, &plans, &programs, &points);
                 report(d, key, result);
                 return;
             }
         };
-        let parent = decomp.regions[key.1 as usize].parent;
-        let Some(mut probe) = self.probe(key, parent, &tree, &decomp) else {
-            let mut machine = self.build(d, &tree, &decomp, key.1);
-            for (node, attr, value) in early {
-                machine.provide(node, attr, value);
+        let out = Outbox::new(key, decomp.regions[key.1 as usize].parent);
+        let point = self
+            .memo
+            .as_ref()
+            .and_then(|_| region_cacheable(&self.plan, &self.memo_safe, &tree, &decomp, key.1));
+        // Holding a region for its inputs costs parallelism, so a
+        // subtree the cache has never seen evaluates at once and is
+        // installed when its machine finishes.
+        let seen = point
+            .as_ref()
+            .zip(self.memo.as_ref())
+            .is_some_and(|(p, memo)| memo.has_subtree(p.subtree));
+        let point = match point {
+            Some(point) if seen => point,
+            install => {
+                let mut machine = self.build(d, &tree, &decomp, key.1);
+                for (node, attr, value) in early {
+                    machine.provide(node, attr, value);
+                }
+                self.insert(Job {
+                    out,
+                    machine,
+                    install,
+                });
+                return;
             }
-            let out = Outbox::new(key, parent);
-            self.insert(Job { out, machine });
-            return;
+        };
+        let mut probe = Probe {
+            out,
+            tree,
+            decomp,
+            got: vec![None; point.inh.len()],
+            point,
         };
         for (node, attr, value) in early {
             probe.collect(node, attr, value);
@@ -394,9 +421,20 @@ impl<V: AttrValue> WorkerCore<V> {
         true
     }
 
-    /// Removes finished machine `i`, keeps its scratch and reports it.
+    /// Removes finished machine `i`, keeps its scratch, installs a
+    /// cacheable region that evaluated (memo on) and reports it.
     fn finish<D: Driver<V>>(&mut self, d: &mut D, i: usize, err: Option<EvalError>) {
-        let Job { out, machine } = self.jobs.remove(i);
+        let Job {
+            out,
+            machine,
+            install,
+        } = self.jobs.remove(i);
+        if let (None, Some(memo), Some(point)) = (&err, &self.memo, install) {
+            let (tree, store) = (machine.tree(), machine.store());
+            if let Some(key) = point.key(point.inh.iter().map(|&a| store.get(point.node, a))) {
+                install_span(memo, tree, point.node, key, |n, a| store.get(n, a));
+            }
+        }
         let (store, stats, scratch) = machine.recycle();
         self.scratches.push(scratch);
         let result = match err {
@@ -415,7 +453,7 @@ impl<V: AttrValue> WorkerCore<V> {
     /// Steps machine `i` for up to `budget` steps, forwarding its sends
     /// after every step.
     fn run<D: Driver<V>>(&mut self, d: &mut D, i: usize, budget: usize) -> Ran {
-        let Job { out, machine } = &mut self.jobs[i];
+        let Job { out, machine, .. } = &mut self.jobs[i];
         for _ in 0..budget {
             match contained(|| machine.step()) {
                 Err(e) => return Ran::Done(Some(e)),
@@ -468,61 +506,31 @@ impl<V: AttrValue> WorkerCore<V> {
         machine
     }
 
-    /// A probe for job `key` if it is a cacheable leaf region whose
-    /// subtree the cache has seen. Holding a region for its inputs
-    /// costs parallelism, so a never-seen subtree evaluates at once and
-    /// retirement installs it for next time.
-    fn probe(
-        &self,
-        key: JobKey,
-        parent: Option<RegionId>,
-        tree: &Arc<ParseTree<V>>,
-        decomp: &Arc<Decomposition>,
-    ) -> Option<Probe<V>> {
-        let memo = self.memo.as_ref()?;
-        let (root, subtree, needed) =
-            region_cacheable(&self.plan, &self.memo_safe, tree, decomp, key.1)?;
-        memo.has_subtree(subtree).then(|| Probe {
-            out: Outbox::new(key, parent),
-            memo: Arc::clone(memo),
-            tree: Arc::clone(tree),
-            decomp: Arc::clone(decomp),
-            root,
-            subtree,
-            got: vec![None; needed.len()],
-            needed,
-        })
-    }
-
     /// Resolves a complete probe: on a hit, replays the cached span and
     /// sends the root's synthesized values on exactly as a machine
     /// would, then finishes the job; on a miss (or a span whose shape
     /// disagrees with the subtree — a hash collision the sanity fields
-    /// missed), builds the machine and feeds it what the probe
-    /// collected.
+    /// missed), builds the machine, feeds it what the probe collected
+    /// and installs it when it finishes.
     fn resolve<D: Driver<V>>(&mut self, d: &mut D, probe: Probe<V>) {
         let Probe {
             mut out,
-            memo,
             tree,
             decomp,
-            root,
-            subtree,
-            needed,
+            point,
             got,
         } = probe;
         let region = out.key.1;
+        let root = point.node;
         let root_prod = tree.node(root).prod;
-        let inputs: Option<Vec<&V>> = got.iter().map(Option::as_ref).collect();
-        let hit = inputs
-            .and_then(inherited_fingerprint)
-            .and_then(|inherited| {
-                let nodes = tree.subtree_size(root) as u32;
-                memo.probe(MemoKey { subtree, inherited }, nodes, root_prod)
-            });
+        let memo = self.memo.as_ref().expect("a probe runs with the memo on");
+        let hit = point.key(got.iter().map(Option::as_ref)).and_then(|key| {
+            let nodes = tree.subtree_size(root) as u32;
+            memo.probe(key, nodes, root_prod)
+        });
         if let Some(entry) = hit {
             let mut store = RegionStore::new(decomp.slot_map(), region);
-            if replay_span(&tree, root, entry.span, &mut store) {
+            if replay_span(&tree, root, &entry.span, &mut store) {
                 let to = out.parent.map_or(SendTarget::Parser, SendTarget::Region);
                 let root_sym = tree.grammar().prod(root_prod).lhs;
                 for &attr in self.plan.syn_attrs(root_sym) {
@@ -544,41 +552,44 @@ impl<V: AttrValue> WorkerCore<V> {
             }
         }
         let mut machine = self.build(d, &tree, &decomp, region);
-        for (&attr, value) in needed.iter().zip(got) {
+        for (&attr, value) in point.inh.iter().zip(got) {
             if let Some(value) = value {
                 machine.provide(root, attr, value);
             }
         }
-        self.insert(Job { out, machine });
+        self.insert(Job {
+            out,
+            machine,
+            install: Some(point),
+        });
     }
 
     /// A whole-tree job, start to finish: the sequential static
-    /// evaluation into the store retirement adopts, behind the root
-    /// region's memo contract — probe, then replay or evaluate;
-    /// retirement installs.
+    /// evaluation into the store retirement adopts, behind the job's
+    /// memo points (memo on) — each probed at its visit, replayed on a
+    /// hit, installed here after a miss.
     fn run_whole(
         &mut self,
         tree: &ParseTree<V>,
         plans: &Plans,
         programs: &VisitPrograms<V>,
+        points: &[MemoPoint],
     ) -> Result<JobResult<V>, EvalError> {
-        let replayed = self.memo.as_ref().and_then(|memo| {
-            let key = whole_tree_key(tree)?;
-            if !memo.has_subtree(key.subtree) {
-                return None;
-            }
-            let root = tree.root();
-            let nodes = tree.subtree_size(root) as u32;
-            let entry = memo.probe(key, nodes, tree.node(root).prod)?;
-            let mut store = AttrStore::new(tree);
-            replay_span(tree, root, entry.span, &mut store).then_some(store)
-        });
-        if let Some(store) = replayed {
-            return Ok((EvalStats::default(), Finished::Tree(store)));
-        }
+        let mut points = self
+            .memo
+            .as_deref()
+            .filter(|_| !points.is_empty())
+            .map(|memo| MemoPoints::new(memo, points));
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let evaluated =
-            contained(|| static_eval_with_scratch(tree, plans, programs, scratch.eval_scratch()));
+        let evaluated = contained(|| {
+            static_eval_with_points(
+                tree,
+                plans,
+                programs,
+                scratch.eval_scratch(),
+                points.as_mut(),
+            )
+        });
         self.scratches.push(scratch);
         evaluated.map(|(store, stats)| (stats, Finished::Tree(store)))
     }
@@ -624,8 +635,8 @@ mod tests {
     use super::*;
     use crate::analysis::{compute_plans, Plans};
     use crate::grammar::GrammarBuilder;
-    use crate::memo::install_span;
-    use crate::parallel::pool::{PoolConfig, WorkerPool};
+    use crate::memo::root_point;
+    use crate::parallel::pool::{PoolConfig, WorkerPool, MIN_REGION_WORK};
     use crate::parallel::sim::{run_sim_stream, SimConfig};
     use crate::parallel::ResultPropagation;
     use crate::split::{decompose_granular, RegionGranularity, SplitTable};
@@ -637,7 +648,8 @@ mod tests {
 
     /// A chain of `cons` under `top`: `decls` up, `env` down, and code
     /// up as a rope of one line per `cons`, long enough that the
-    /// simulator's librarian registers a region's code.
+    /// simulator's librarian registers a region's code. Every rule costs
+    /// one unit, except `cons`'s code in [`chain_costed`].
     struct Chain {
         trees: Vec<Arc<ParseTree<Value>>>,
         plans: Arc<Plans>,
@@ -646,6 +658,11 @@ mod tests {
     }
 
     fn chain(sizes: &[usize]) -> Chain {
+        chain_costed(sizes, 1)
+    }
+
+    /// [`chain`] with `cons`'s code rule costed at `cons_cost` units.
+    fn chain_costed(sizes: &[usize], cons_cost: u64) -> Chain {
         let mut g = GrammarBuilder::<Value>::new();
         let s = g.nonterminal("S");
         let l = g.nonterminal("stmts");
@@ -662,10 +679,16 @@ mod tests {
             Value::Int(a[0].as_int().unwrap() + 1)
         });
         g.rule(cons, (1, env), [(0, env)], |a| a[0].clone());
-        g.rule(cons, (0, code), [(1, code), (0, env)], |a| {
-            let line = format!("op {}\n", a[1].as_int().unwrap());
-            Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
-        });
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, code), (0, env)],
+            |a| {
+                let line = format!("op {}\n", a[1].as_int().unwrap());
+                Value::Rope(Rope::from(line).concat(a[0].as_rope().unwrap()))
+            },
+            cons_cost,
+        );
         let nil = g.production("nil", l, []);
         g.rule(nil, (0, decls), [], |_| Value::Int(0));
         g.rule(nil, (0, code), [], |_| Value::Rope(Rope::new()));
@@ -901,21 +924,25 @@ mod tests {
         let mut core = core(&a, Some(Arc::clone(&memo)));
         let mut d = Recorder::default();
         let programs = Arc::clone(a.plan.programs().unwrap());
-        let whole = |core: &mut WorkerCore<Value>, d: &mut Recorder, t, tree| {
-            let cut = Cut::Whole(Arc::clone(&a.plans), Arc::clone(&programs));
-            core.activate(d, (t, 0), Arc::clone(tree), cut, Vec::new());
-            let (key, result) = d.results.pop().unwrap();
-            assert_eq!(key, (t, 0));
-            let Ok((stats, Finished::Tree(store))) = result else {
-                panic!("a whole-tree job reports the tree's store");
+        let whole =
+            |core: &mut WorkerCore<Value>, d: &mut Recorder, t, tree: &Arc<ParseTree<Value>>| {
+                let points = root_point(tree.as_ref()).into_iter().collect();
+                let cut = Cut::Whole(Arc::clone(&a.plans), Arc::clone(&programs), points);
+                core.activate(d, (t, 0), Arc::clone(tree), cut, Vec::new());
+                let (key, result) = d.results.pop().unwrap();
+                assert_eq!(key, (t, 0));
+                let Ok((stats, Finished::Tree(store))) = result else {
+                    panic!("a whole-tree job reports the tree's store");
+                };
+                (stats, store)
             };
-            (stats, store)
-        };
         let (stats, first) = whole(&mut core, &mut d, 0, &a.trees[0]);
         assert!(stats.total_applied() > 0, "a cold cache evaluates");
-        let tree = &a.trees[0];
-        let key = whole_tree_key(tree.as_ref()).unwrap();
-        install_span(&memo, tree, tree.root(), key, |n, at| first.get(n, at));
+        assert_eq!(
+            memo.counters().inserts,
+            1,
+            "the job installs its root point"
+        );
 
         let (stats, replayed) = whole(&mut core, &mut d, 1, &b.trees[0]);
         assert_eq!(stats, EvalStats::default(), "a replay applies no rule");
@@ -935,8 +962,11 @@ mod tests {
     /// what a machine computes or emits.
     #[test]
     fn the_sim_and_the_pool_agree_on_values_and_statistics() {
-        let c = chain(&[200, 90, 150, 64]);
+        // Costed in multiples of the pool's hand-off floor, so that the
+        // pool cuts what the simulator cuts.
+        let c = chain_costed(&[200, 90, 150, 64], MIN_REGION_WORK);
         let budget = c.trees.iter().map(|t| c.plan.tree_work(t)).min().unwrap() / 3;
+        assert!(budget >= MIN_REGION_WORK);
         let granularity = RegionGranularity::Adaptive { budget };
         let sim = |result| {
             let config = SimConfig {

@@ -71,6 +71,7 @@ impl fmt::Display for UniqueId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::pool::MIN_REGION_WORK;
     use std::collections::HashSet;
 
     /// Label safety under cross-tree memoization.
@@ -85,8 +86,29 @@ mod tests {
     /// byte-identical to what a fresh evaluation of *this* subtree
     /// would produce. Disjointness within a tree then follows from the
     /// builder's per-tree uid uniqueness, replay or no replay.
+    ///
+    /// Two cases: `cons` rules costed at a region's worth of work
+    /// ([`MIN_REGION_WORK`]), so the pool cuts both trees into regions
+    /// and the shared procedure replays as a region job; and every rule
+    /// at unit cost, so each tree is below the hand-off floor and one
+    /// whole-tree job, and the shared procedure replays as a memo point
+    /// inside it.
     #[test]
     fn memoized_regions_replay_disjoint_labels_across_trees() {
+        let (ra, rb, hits) = replay_labels_across_trees(MIN_REGION_WORK);
+        assert!(ra > 1 && rb > 1, "both trees were split");
+        assert!(hits >= 1, "shared procedure must replay from cache");
+        let (ra, rb, hits) = replay_labels_across_trees(1);
+        assert_eq!((ra, rb), (1, 1), "both trees stayed whole");
+        assert!(hits >= 1, "shared procedure must replay from a memo point");
+    }
+
+    /// Evaluates two trees that share a procedure on one pool with the
+    /// memo on, `cons` costed at `cons_cost`, under an adaptive budget
+    /// of half a tree's work; checks that both trees' labels are
+    /// distinct and equal a fresh evaluation's, and returns the region
+    /// counts of the two reports and the memo hits.
+    fn replay_labels_across_trees(cons_cost: u64) -> (usize, usize, u64) {
         use crate::eval::EvalPlan;
         use crate::grammar::GrammarBuilder;
         use crate::parallel::pool::{PoolConfig, WorkerPool};
@@ -113,13 +135,19 @@ mod tests {
         // The labels come from uid tokens — part of the subtree hash —
         // not from a runtime counter.
         let cons = g.production("cons", p, [num, p]);
-        g.rule(cons, (0, code), [(1, val), (2, code)], |a| {
-            Value::str(format!(
-                "L{} {}",
-                a[0].as_int().unwrap(),
-                a[1].as_str().unwrap()
-            ))
-        });
+        g.rule_with_cost(
+            cons,
+            (0, code),
+            [(1, val), (2, code)],
+            |a| {
+                Value::str(format!(
+                    "L{} {}",
+                    a[0].as_int().unwrap(),
+                    a[1].as_str().unwrap()
+                ))
+            },
+            cons_cost,
+        );
         let last = g.production("last", p, [num]);
         g.rule(last, (0, code), [(1, val)], |a| {
             Value::str(format!("L{}", a[0].as_int().unwrap()))
@@ -149,8 +177,9 @@ mod tests {
         let shared: Vec<i64> = (1..=16).collect();
         let a = mk(&[101, 102], &shared);
         let b = mk(&[201, 202], &shared);
-        // (An explicit budget: the default cut leaves a tree this small
-        // whole, and a whole tree has no shared leaf region.)
+        // (An explicit budget: without one the only memo point of a
+        // tree the pool leaves whole is its root, and the two roots
+        // differ.)
         let budget = plan.tree_work(&a) / 2;
         let mut pool = WorkerPool::new(
             &plan,
@@ -160,12 +189,7 @@ mod tests {
         );
         let ra = pool.eval(&a).unwrap();
         let rb = pool.eval(&b).unwrap();
-        assert!(ra.regions > 1 && rb.regions > 1, "both trees were split");
         let c = pool.memo_counters().unwrap();
-        assert!(
-            c.hits >= 1,
-            "shared procedure must replay from cache: {c:?}"
-        );
 
         let labels = |r: &crate::parallel::pool::PoolReport<Value>| -> Vec<String> {
             r.root_values
@@ -195,6 +219,7 @@ mod tests {
                 "tree {name}: replayed labels match fresh evaluation"
             );
         }
+        (ra.regions, rb.regions, c.hits)
     }
 
     #[test]

@@ -289,8 +289,8 @@ fn trees_straddling_the_handoff_floor_split_by_work_and_stay_byte_identical() {
 /// at every worker count and memo setting the stores and the assembly
 /// text are byte-identical to the sequential static evaluator. With the
 /// memo on, a second pass over the same pool replays every program (the
-/// root region's contract: installed at the first retirement, hit from
-/// then on).
+/// root point's contract: installed by the worker in the first pass,
+/// hit from then on).
 #[test]
 fn one_region_programs_are_whole_tree_jobs_and_stay_byte_identical() {
     let compiler = Compiler::new();
