@@ -1974,6 +1974,27 @@ pub(super) mod tests {
         }
     }
 
+    /// The memo counters `(hits, misses, inserts)` of a ticket cut into
+    /// regions, pinned cold then warm: two identical trees on two
+    /// workers in combined mode. The cold tree's cacheable leaf region
+    /// misses and is installed; the warm tree's hits.
+    #[test]
+    fn region_memo_counters_are_pinned() {
+        let items: Vec<i64> = (0..24).map(|i| i * 3 + 1).collect();
+        let (t1, plan, _) = memo_fixture(7, &items);
+        let (t2, _, _) = memo_fixture(7, &items);
+        assert_eq!(plan.best_mode(), crate::eval::MachineMode::Combined);
+        let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2).with_memo_capacity(1 << 20));
+        let counts = |pool: &WorkerPool<Value>| {
+            let c = pool.memo_counters().unwrap();
+            (c.hits, c.misses, c.inserts)
+        };
+        assert_eq!(pool.eval(&t1).unwrap().regions, 2, "cut into regions");
+        assert_eq!(counts(&pool), (0, 1, 1), "cold");
+        assert_eq!(pool.eval(&t2).unwrap().regions, 2, "cut into regions");
+        assert_eq!(counts(&pool), (1, 1, 1), "warm");
+    }
+
     #[test]
     fn memo_distinguishes_inherited_context() {
         let items: Vec<i64> = (0..16).map(|i| i + 1).collect();

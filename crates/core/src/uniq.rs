@@ -93,22 +93,32 @@ mod tests {
     /// at unit cost, so each tree is below the hand-off floor and one
     /// whole-tree job, and the shared procedure replays as a memo point
     /// inside it.
+    ///
+    /// The region case pins the memo counters `(hits, misses,
+    /// inserts)` after each tree: tree A's one cacheable leaf region,
+    /// inside the shared procedure, misses and is installed; tree B's
+    /// hits.
     #[test]
     fn memoized_regions_replay_disjoint_labels_across_trees() {
-        let (ra, rb, hits) = replay_labels_across_trees(MIN_REGION_WORK);
+        let (ra, rb, [cold, warm]) = replay_labels_across_trees(MIN_REGION_WORK);
         assert!(ra > 1 && rb > 1, "both trees were split");
-        assert!(hits >= 1, "shared procedure must replay from cache");
-        let (ra, rb, hits) = replay_labels_across_trees(1);
+        assert_eq!(cold, (0, 1, 1), "tree A");
+        assert_eq!(warm, (1, 1, 1), "tree B");
+        let (ra, rb, [_, warm]) = replay_labels_across_trees(1);
         assert_eq!((ra, rb), (1, 1), "both trees stayed whole");
-        assert!(hits >= 1, "shared procedure must replay from a memo point");
+        assert!(
+            warm.0 >= 1,
+            "shared procedure must replay from a memo point"
+        );
     }
 
     /// Evaluates two trees that share a procedure on one pool with the
     /// memo on, `cons` costed at `cons_cost`, under an adaptive budget
     /// of half a tree's work; checks that both trees' labels are
     /// distinct and equal a fresh evaluation's, and returns the region
-    /// counts of the two reports and the memo hits.
-    fn replay_labels_across_trees(cons_cost: u64) -> (usize, usize, u64) {
+    /// counts of the two reports and the memo's `(hits, misses,
+    /// inserts)` after each.
+    fn replay_labels_across_trees(cons_cost: u64) -> (usize, usize, [(u64, u64, u64); 2]) {
         use crate::eval::EvalPlan;
         use crate::grammar::GrammarBuilder;
         use crate::parallel::pool::{PoolConfig, WorkerPool};
@@ -187,9 +197,14 @@ mod tests {
                 .with_adaptive_budget(budget)
                 .with_memo_capacity(1 << 20),
         );
+        let counts = |pool: &WorkerPool<Value>| {
+            let c = pool.memo_counters().unwrap();
+            (c.hits, c.misses, c.inserts)
+        };
         let ra = pool.eval(&a).unwrap();
+        let cold = counts(&pool);
         let rb = pool.eval(&b).unwrap();
-        let c = pool.memo_counters().unwrap();
+        let warm = counts(&pool);
 
         let labels = |r: &crate::parallel::pool::PoolReport<Value>| -> Vec<String> {
             r.root_values
@@ -219,7 +234,7 @@ mod tests {
                 "tree {name}: replayed labels match fresh evaluation"
             );
         }
-        (ra.regions, rb.regions, c.hits)
+        (ra.regions, rb.regions, [cold, warm])
     }
 
     #[test]
