@@ -41,6 +41,7 @@
 use crate::analysis::Plans;
 use crate::csr::Csr;
 use crate::grammar::{AttrId, SymbolId};
+use crate::memo::MemoPoints;
 use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
 use crate::tree::{occ_slot, occ_value, Child, NodeId, ParseTree, RegionStore};
@@ -48,7 +49,7 @@ use crate::value::AttrValue;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use super::{run_program_segment, EvalError, EvalPlan, MachineScratch};
+use super::{run_segment, EvalError, EvalPlan, MachineScratch};
 
 /// Evaluation strategy of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,11 +358,6 @@ impl<V: AttrValue> Machine<V> {
         }
     }
 
-    /// The tree this machine evaluates a region of.
-    pub fn tree(&self) -> &Arc<ParseTree<V>> {
-        &self.tree
-    }
-
     /// The region this machine evaluates.
     pub fn region(&self) -> RegionId {
         self.region
@@ -479,6 +475,15 @@ impl<V: AttrValue> Machine<V> {
     ///
     /// Propagates [`EvalError::PlanInconsistency`] from static visits.
     pub fn step(&mut self) -> Result<Option<StepOutcome<V>>, EvalError> {
+        self.step_with(None)
+    }
+
+    /// [`Machine::step`] behind a job's memo points: a static visit
+    /// consults them at every node it enters, its own root included.
+    pub(crate) fn step_with(
+        &mut self,
+        mut points: Option<&mut MemoPoints<'_, V>>,
+    ) -> Result<Option<StepOutcome<V>>, EvalError> {
         let Some(tid) = self
             .ready_priority
             .pop_front()
@@ -520,15 +525,26 @@ impl<V: AttrValue> Machine<V> {
                 // sequential evaluator runs, over their RegionStore.
                 let programs = plan.programs().expect("combined mode");
                 let before = self.stats;
-                run_program_segment(
-                    &self.tree,
-                    programs,
-                    &mut self.store,
-                    node,
-                    visit,
-                    &mut self.stats,
-                    &mut self.scratch.eval,
-                )?;
+                // A memo point's root is entered as the interpreter
+                // enters a child, in the frame at depth 1: a hit replays
+                // the subtree instead of the visit, and a miss is
+                // installed when that frame returns.
+                let replayed = visit == 1
+                    && points
+                        .as_deref_mut()
+                        .is_some_and(|p| p.enter(&self.tree, &mut self.store, node, 1));
+                if !replayed {
+                    run_segment(
+                        &self.tree,
+                        programs,
+                        &mut self.store,
+                        node,
+                        visit,
+                        &mut self.stats,
+                        &mut self.scratch.eval,
+                        points,
+                    )?;
+                }
                 let rules = self.stats.static_applied - before.static_applied;
                 let cost = self.stats.rule_cost_units - before.rule_cost_units;
                 // Expose the subtree root's synthesized attributes of

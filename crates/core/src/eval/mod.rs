@@ -58,11 +58,11 @@ pub use incremental::{Incremental, UpdateError};
 pub use machine::{AttrMsg, Machine, MachineMode, SendTarget, StepOutcome};
 pub use plan::{EvalPlan, MachineScratch};
 pub use program::{Op, VisitPrograms};
-pub(crate) use static_eval::static_eval_with_points;
 pub use static_eval::{
     run_program_segment, run_static_segment, static_eval, static_eval_segments,
-    static_eval_with_programs, static_eval_with_scratch, EvalScratch,
+    static_eval_with_programs, EvalScratch,
 };
+pub(crate) use static_eval::{run_segment, static_eval_with_points};
 
 use crate::analysis::{OagError, Plans};
 use crate::grammar::Grammar;
@@ -200,7 +200,6 @@ impl<V: AttrValue> Evaluators<V> {
             // The programs were compiled when the plan was built; run
             // them directly instead of re-flattening per tree.
             (Some(p), Some(programs)) => static_eval_with_programs(tree, p, programs),
-            (Some(p), None) => static_eval(tree, p),
             _ => dynamic_eval(tree),
         }
     }

@@ -21,12 +21,13 @@
 //! [`AttrSlots`] so region machines run them against region-local
 //! storage.
 //!
-//! The program interpreter also runs a pool's whole-tree job with the
-//! memo on, behind the job's memo points (`crate::memo::MemoPoints`):
-//! the first visit of a point probes the cache, a hit is replayed
-//! instead of visited, and a miss is installed when that visit returns.
-//! Without points — sequential evaluation, region machines — the loop
-//! does nothing else.
+//! The program interpreter also runs a pool's jobs with the memo on,
+//! behind the job's memo points (`crate::memo::MemoPoints`) — a
+//! whole-tree job's, or a region machine's whose root is a point: the
+//! first visit of a point probes the cache, a hit is replayed instead
+//! of visited, and a miss is installed when that visit returns. Without
+//! points — sequential evaluation, the memo off — the loop does nothing
+//! else.
 
 use crate::analysis::{Plans, Step};
 use crate::grammar::ArgScratch;
@@ -109,30 +110,16 @@ pub fn static_eval_with_programs<V: AttrValue>(
     plans: &Plans,
     programs: &VisitPrograms<V>,
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
-    static_eval_with_scratch(tree, plans, programs, &mut EvalScratch::new())
+    static_eval_with_points(tree, plans, programs, &mut EvalScratch::new(), None)
 }
 
-/// [`static_eval_with_programs`] with the caller's [`EvalScratch`], so a
-/// caller that evaluates tree after tree (a pool worker running
-/// whole-tree jobs) grows the interpreter's buffers once.
-///
-/// # Errors
-///
-/// As for [`static_eval`].
-pub fn static_eval_with_scratch<V: AttrValue>(
-    tree: &ParseTree<V>,
-    plans: &Plans,
-    programs: &VisitPrograms<V>,
-    scratch: &mut EvalScratch<V>,
-) -> Result<(AttrStore<V>, EvalStats), EvalError> {
-    static_eval_with_points(tree, plans, programs, scratch, None)
-}
-
-/// [`static_eval_with_scratch`] behind a whole-tree job's memo points:
-/// each point is probed at its visit, replayed on a hit and installed
-/// after a miss. The tree root, which no visit enters, is probed before
-/// its first visit and installed after its last. A replayed subtree
-/// applies no rule, so `stats` count only what was evaluated.
+/// [`static_eval_with_programs`] with the caller's [`EvalScratch`] (a
+/// worker evaluating tree after tree grows the interpreter's buffers
+/// once), behind a whole-tree job's memo points: each point is probed
+/// at its visit, replayed on a hit and installed after a miss. The tree
+/// root, which no visit enters, is probed before its first visit and
+/// installed after its last. A replayed subtree applies no rule, so
+/// `stats` count only what was evaluated.
 pub(crate) fn static_eval_with_points<V: AttrValue>(
     tree: &ParseTree<V>,
     plans: &Plans,
@@ -226,7 +213,7 @@ pub fn run_program_segment<V: AttrValue, S: AttrSlots<V>>(
 /// [`run_program_segment`]'s loop, consulting `points` (when given) at
 /// every node it enters and every frame that returns.
 #[allow(clippy::too_many_arguments)]
-fn run_segment<V: AttrValue, S: AttrSlots<V>>(
+pub(crate) fn run_segment<V: AttrValue, S: AttrSlots<V>>(
     tree: &ParseTree<V>,
     programs: &VisitPrograms<V>,
     store: &mut S,

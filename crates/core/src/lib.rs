@@ -24,7 +24,8 @@
 //!   with string-librarian result propagation (§4.2), and a real-thread
 //!   executor, whose threads share memory and so pass code as ropes;
 //! * [`stats`] — instrumentation backing every measurement in §4;
-//! * [`uniq`] — per-evaluator unique-identifier bases (§4.3).
+//! * [`uniq`] — where unique labels come from (§4.3): the parser's
+//!   unique-id tokens, which memo replay keeps disjoint.
 //!
 //! # Examples
 //!

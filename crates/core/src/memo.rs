@@ -42,24 +42,24 @@
 //! subtrees built by different builders need not occupy the same
 //! relative arena positions.
 //!
-//! # Two units of caching, one contract
+//! # One unit of caching: the memo point
 //!
-//! A tree the pool cuts into regions probes each cacheable leaf region
-//! as a job: the worker holds the region until its root's inherited
-//! values arrive, then replays a hit or builds the machine. A tree the
-//! pool leaves whole is one job, and the cacheable subtrees inside it
-//! are its **memo points** (`MemoPoint`): the leaf regions the
-//! caller's own adaptive budget would cut, or else the tree root. The
-//! static interpreter probes a point at its one visit, once the parent
-//! has set its inherited values, replays a hit instead of visiting it,
-//! and installs a miss when the visit returns (`MemoPoints`). Either
-//! way the evaluation is installed by the worker that ran it — a region
-//! job when its machine finishes, a point when its visit returns — so
-//! retiring a ticket installs nothing.
+//! The memo caches **memo points** (`MemoPoint`): the roots of the
+//! cacheable one-visit leaf regions of a decomposition. A ticket cut
+//! into regions takes them from its own cut; a tree the pool leaves
+//! whole takes them from the cut the caller's adaptive budget would
+//! make, or else is its own root point. Either way the one static
+//! interpreter consults them (`MemoPoints`): it probes a point when it
+//! first visits it, once the parent has set its inherited values,
+//! replays a hit instead of visiting it, and installs a miss from its
+//! own store when that visit returns — inside a whole-tree job or
+//! inside the region machine whose root the point is. So the
+//! evaluation is installed by the worker that ran it, and retiring a
+//! ticket installs nothing.
 //!
-//! The contract is written once, here, for both units: which symbols
-//! may hold their outputs back for a probe (`memo_safety`), which
-//! subtrees are cacheable and under which inputs (`region_cacheable`,
+//! The contract is written once, here: which symbols may hold their
+//! outputs back for a probe (`memo_safety`), which subtrees are
+//! cacheable and under which inputs (`region_cacheable`,
 //! `memo_points`, and `root_point` for a tree that stays whole), and the
 //! preorder span format itself — `install_span` writes it, `replay_span`
 //! reads it back at a hit.
@@ -183,7 +183,7 @@ struct Shard<V> {
     order: VecDeque<(MemoKey, u64)>,
     /// Entry count per subtree hash, maintained on insert/remove: the
     /// probe fast path asks "any entry for this subtree at all?" before
-    /// deciding to hold a region back for its inherited values.
+    /// it looks a point up under its full signature.
     subtrees: HashMap<u64, u32>,
     /// Second-touch marks ([`InstallPolicy::SecondTouch`]): subtree
     /// hashes offered exactly once, FIFO-bounded.
@@ -294,14 +294,12 @@ impl<V: AttrValue> MemoCache<V> {
     }
 
     /// `true` if *any* entry is cached under this subtree hash,
-    /// regardless of inherited context. The scheduler consults this
-    /// before committing a region to the hold-for-inherited probe path:
-    /// a subtree the cache has never seen cannot hit, so its region
-    /// starts evaluating immediately instead of idling until every root
-    /// inherited value arrives. An absent subtree is counted as a miss
-    /// (the consult *was* the cache lookup for that region); a present
-    /// one counts nothing — the full-signature [`MemoCache::probe`]
-    /// that follows will record the hit or miss.
+    /// regardless of inherited context. A memo point asks this before
+    /// it probes: a subtree the cache has never seen cannot hit, so it
+    /// is not looked up under its full signature. An absent subtree
+    /// is counted as a miss (the consult *was* the cache lookup for that
+    /// point); a present one counts nothing — the full-signature
+    /// [`MemoCache::probe`] that follows will record the hit or miss.
     pub fn has_subtree(&self, subtree: u64) -> bool {
         let present = self.shards[(subtree % SHARDS as u64) as usize]
             .lock()
@@ -333,11 +331,35 @@ impl<V: AttrValue> MemoCache<V> {
         hit
     }
 
-    /// `true` if the signature is already cached (no counter effect;
-    /// `install_span` asks before it copies a span another job has
-    /// installed meanwhile).
-    pub fn contains(&self, key: MemoKey) -> bool {
-        self.shard(&key).lock().unwrap().map.contains_key(&key)
+    /// Whether an offer under `key` would be installed, asked before
+    /// its span is copied: `false` when the signature is cached already
+    /// (another job installed it meanwhile; no counter effect) or when
+    /// [`InstallPolicy::SecondTouch`] defers this first touch of its
+    /// subtree, which is marked and counted here as
+    /// [`MemoCache::insert`] would.
+    pub(crate) fn admits(&self, key: MemoKey) -> bool {
+        let mut shard = self.shard(&key).lock().unwrap();
+        !shard.map.contains_key(&key) && !self.defers(&mut shard, key.subtree, false)
+    }
+
+    /// The [`InstallPolicy::SecondTouch`] decision for an offer of
+    /// `subtree`: `true` when it is neither cached nor marked, after
+    /// marking it and counting the deferral. A marked subtree is taken
+    /// off the marks only when `take` says the offer installs now.
+    fn defers(&self, shard: &mut Shard<V>, subtree: u64, take: bool) -> bool {
+        if self.install != InstallPolicy::SecondTouch || shard.subtrees.contains_key(&subtree) {
+            return false;
+        }
+        let marked = if take {
+            shard.marked.remove(&subtree)
+        } else {
+            shard.marked.contains(&subtree)
+        };
+        if !marked {
+            shard.mark(subtree, self.mark_cap);
+            self.deferred.fetch_add(1, Ordering::Relaxed);
+        }
+        !marked
     }
 
     /// Installs an entry, evicting least-recently-used entries from its
@@ -351,13 +373,7 @@ impl<V: AttrValue> MemoCache<V> {
             return;
         }
         let mut shard = self.shard(&key).lock().unwrap();
-        if self.install == InstallPolicy::SecondTouch
-            && !shard.subtrees.contains_key(&key.subtree)
-            && !shard.marked.remove(&key.subtree)
-        {
-            let cap = self.mark_cap;
-            shard.mark(key.subtree, cap);
-            self.deferred.fetch_add(1, Ordering::Relaxed);
+        if self.defers(&mut shard, key.subtree, true) {
             return;
         }
         if let Some((old, _)) = shard.map.remove(&key) {
@@ -443,13 +459,14 @@ pub fn inherited_fingerprint<'a, V: AttrValue + 'a>(
 
 /// Per-symbol memoization safety: a split symbol is memo-safe iff no
 /// inherited attribute of the symbol may (transitively) depend on a
-/// synthesized attribute of the *same* occurrence. A probe holds a leaf
-/// region's synthesized outputs back until every inherited input has
-/// arrived; if the parent needed one of those outputs to compute a
-/// later inherited input, probe and parent would deadlock. The induced
-/// dependency relation is exactly the may-depend closure, so its
-/// absence makes the hold-back safe in both machine modes. Grammars the
-/// fixpoint rejects (cyclic — dynamic-mode only) get no safe symbols.
+/// synthesized attribute of the *same* occurrence. A memo point is
+/// probed only once every inherited input is set, so it holds its
+/// synthesized outputs back until then; if the parent needed one of
+/// those outputs to compute a later inherited input, point and parent
+/// would deadlock. The induced dependency relation is exactly the
+/// may-depend closure, so its absence makes the hold-back safe in both
+/// machine modes. Grammars the fixpoint rejects (cyclic — dynamic-mode
+/// only) get no safe symbols.
 pub(crate) fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
     let g = plan.grammar();
     let Ok(deps) = crate::analysis::induced_deps(g.as_ref()) else {
@@ -476,8 +493,8 @@ pub(crate) fn memo_safety<V: AttrValue>(plan: &EvalPlan<V>) -> Vec<bool> {
 }
 
 /// A subtree the memo can cache: the root of a cacheable leaf region,
-/// with what its signature is formed over. A region job probes its
-/// region's; a whole-tree job probes each of its memo points.
+/// with what its signature is formed over: a memo point, which the
+/// static interpreter probes at its visit (see [`MemoPoints`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MemoPoint {
     /// The subtree root.
@@ -511,7 +528,7 @@ impl MemoPoint {
 /// their only external inputs are the root's inherited values) whose
 /// root symbol is memo-safe (see [`memo_safety`]; the tree root is
 /// trivially safe, it awaits nothing) and whose subtree hash is exact.
-pub(crate) fn region_cacheable<V: AttrValue>(
+fn region_cacheable<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
     tree: &ParseTree<V>,
@@ -552,12 +569,14 @@ pub(crate) fn root_point<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoPoint>
     })
 }
 
-/// The memo points of a tree one job evaluates whole, in node order:
-/// the roots of `decomp`'s cacheable leaf regions — the tree root when
-/// `decomp` is unsplit. A point below the root must have one visit: a
-/// memo-safe symbol's inherited values are all set by then, and its
-/// subtree is done when that visit returns. The static interpreter
-/// probes, replays and installs them ([`MemoPoints`]).
+/// The memo points of `tree` under the cut `decomp`, in node order: the
+/// roots of its cacheable leaf regions — the tree root when `decomp` is
+/// unsplit, which only a whole-tree job evaluates. A point below the
+/// root must have one visit: a memo-safe symbol's inherited values are
+/// all set by then, and its subtree is done when that visit returns.
+/// The static interpreter probes, replays and installs them
+/// ([`MemoPoints`]), in a whole-tree job or in the region machine that
+/// a point roots.
 pub(crate) fn memo_points<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
@@ -579,11 +598,11 @@ pub(crate) fn memo_points<V: AttrValue>(
     points
 }
 
-/// One whole-tree evaluation's memo points and the cache they go to:
-/// what the static interpreter consults when it enters a node and when
-/// a node's visit returns. A point it enters is probed; a hit is
-/// replayed and its visit skipped; a miss stays open until its visit
-/// returns, and is installed from the evaluation's own store.
+/// One job's memo points and the cache they go to: what the static
+/// interpreter consults when it enters a node and when a node's visit
+/// returns. A point it enters is probed; a hit is replayed and its
+/// visit skipped; a miss stays open until its visit returns, and is
+/// installed from the job's own store.
 pub(crate) struct MemoPoints<'a, V: AttrValue> {
     memo: &'a MemoCache<V>,
     /// Sorted by node.
@@ -622,9 +641,9 @@ impl<'a, V: AttrValue> MemoPoints<'a, V> {
         };
         let point = &self.points[i];
         let key = point.key(point.inh.iter().map(|&a| store.get(node, a)));
-        // As a region job probes: a subtree the cache has never seen is
-        // a miss before any input is read; a seen one is looked up only
-        // under a key (no key: nothing is probed or counted).
+        // A subtree the cache has never seen is a miss without a
+        // lookup; a seen one is looked up only under a key (no key:
+        // nothing is probed or counted).
         let hit = if self.memo.has_subtree(point.subtree) {
             let nodes = tree.subtree_size(node) as u32;
             key.and_then(|key| self.memo.probe(key, nodes, tree.node(node).prod))
@@ -653,20 +672,22 @@ impl<'a, V: AttrValue> MemoPoints<'a, V> {
 }
 
 /// Deposits the evaluated span of the subtree at `root` (read through
-/// `get`) under `key`, unless the cache holds it already. Spans are
-/// extracted in *preorder* of the subtree — arena ids are
-/// builder-dependent, preorder is not — one entry per attribute of each
-/// node's symbol, in attribute order: the format [`replay_span`] reads.
+/// `get`) under `key`, unless the cache holds it already or defers its
+/// first touch ([`MemoCache::admits`], asked before anything is
+/// copied). Spans are extracted in *preorder* of the subtree — arena
+/// ids are builder-dependent, preorder is not — one entry per attribute
+/// of each node's symbol, in attribute order: the format
+/// [`replay_span`] reads.
 /// A span that outgrows a shard's budget would be refused, so the walk
 /// stops there, before it clones the rest.
-pub(crate) fn install_span<'s, V: AttrValue + 's>(
+fn install_span<'s, V: AttrValue + 's>(
     memo: &MemoCache<V>,
     tree: &ParseTree<V>,
     root: NodeId,
     key: MemoKey,
     get: impl Fn(NodeId, AttrId) -> Option<&'s V>,
 ) {
-    if memo.contains(key) {
+    if !memo.admits(key) {
         return;
     }
     let g = tree.grammar();
@@ -710,7 +731,7 @@ pub(crate) fn install_span<'s, V: AttrValue + 's>(
 /// to the cached one, but arena ids may differ. `false`, with `store`
 /// untouched, when the span's length disagrees with the subtree's
 /// instances (a hash collision the probe's sanity fields missed).
-pub(crate) fn replay_span<V: AttrValue, S: AttrSlots<V>>(
+fn replay_span<V: AttrValue, S: AttrSlots<V>>(
     tree: &ParseTree<V>,
     root: NodeId,
     span: &[Option<V>],
@@ -1062,11 +1083,9 @@ mod tests {
         }
     }
 
-    /// A span larger than a shard's budget is refused before it is
-    /// copied: the walk stops at the first value past the budget, so
-    /// it clones no more values than fit.
-    #[test]
-    fn an_oversized_span_stops_the_walk_before_cloning_it() {
+    /// A chain of 40 `cons` over [`Counted`] values, statically
+    /// evaluated, and its root point's key.
+    fn counted_chain() -> (ParseTree<Counted>, AttrStore<Counted>, MemoKey) {
         let mut g = GrammarBuilder::<Counted>::new();
         let s = g.nonterminal("S");
         let l = g.nonterminal("L");
@@ -1091,10 +1110,31 @@ mod tests {
         let key = root_point(&tree)
             .and_then(|p| p.key::<Counted>(std::iter::empty()))
             .unwrap();
+        (tree, store, key)
+    }
+
+    /// Installs `tree`'s root span from `store` under `key`: how many
+    /// values it cloned.
+    fn clones_to_install(
+        memo: &MemoCache<Counted>,
+        tree: &ParseTree<Counted>,
+        store: &AttrStore<Counted>,
+        key: MemoKey,
+    ) -> usize {
+        CLONES.with(|c| c.set(0));
+        install_span(memo, tree, tree.root(), key, |n, a| store.get(n, a));
+        CLONES.with(|c| c.get())
+    }
+
+    /// A span larger than a shard's budget is refused before it is
+    /// copied: the walk stops at the first value past the budget, so
+    /// it clones no more values than fit.
+    #[test]
+    fn an_oversized_span_stops_the_walk_before_cloning_it() {
+        let (tree, store, key) = counted_chain();
         let install = |memo: &MemoCache<Counted>| {
             CLONES.with(|c| c.set(0));
-            install_span(memo, &tree, tree.root(), key, |n, a| store.get(n, a));
-            CLONES.with(|c| c.get())
+            clones_to_install(memo, &tree, &store, key)
         };
         // Six values of 16 bytes fit a shard of 100; the seventh would
         // not.
@@ -1110,5 +1150,25 @@ mod tests {
             "a span that fits is copied once"
         );
         assert_eq!(large.counters().inserts, 1);
+    }
+
+    /// Under second-touch installs, a subtree's first offer is deferred
+    /// before its span is walked, so it clones nothing; the second
+    /// offer copies the span once and installs it.
+    #[test]
+    fn a_deferred_first_touch_clones_no_value() {
+        let (tree, store, key) = counted_chain();
+        let memo = MemoCache::with_install_policy(1 << 20, InstallPolicy::SecondTouch);
+        assert_eq!(clones_to_install(&memo, &tree, &store, key), 0);
+        let c = memo.counters();
+        assert_eq!((c.deferred, c.inserts), (1, 0), "{c:?}");
+        assert_eq!(clones_to_install(&memo, &tree, &store, key), store.filled());
+        let c = memo.counters();
+        assert_eq!((c.deferred, c.inserts), (1, 1), "{c:?}");
+        assert_eq!(
+            clones_to_install(&memo, &tree, &store, key),
+            0,
+            "an installed signature is not copied again"
+        );
     }
 }

@@ -15,13 +15,13 @@
 //!   the simulator runs either [`SchedulerMode`].
 //! * `worker` (crate-internal) — the worker core: one evaluator
 //!   machine's jobs as IO-free state, with the **one** implementation of
-//!   activation (a whole-tree job, a memo probe or a region machine,
-//!   early values replayed), feed, cancel, probe resolution, the
-//!   oldest-first drive pass, rule-panic containment, local cycle
+//!   activation (a whole-tree job or a region machine, early values
+//!   replayed, either behind its ticket's memo points), feed, cancel,
+//!   the oldest-first drive pass, rule-panic containment, local cycle
 //!   detection and retire-before-report. It asks its driver for effects
 //!   (charge a build or a step, send a boundary value, report a root
 //!   value, report `Done`); [`pool`]'s threads and [`sim`]'s evaluator
-//!   processes are its two drivers. What a memo probe keys on and how a
+//!   processes are its two drivers. What a memo point keys on and how a
 //!   cached span is laid out is [`crate::memo`]'s.
 //! * [`pool`] — persistent evaluator worker pool (threads spawned
 //!   once, sharing memory, so a code value crosses a region boundary as

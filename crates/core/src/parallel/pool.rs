@@ -91,14 +91,18 @@
 //! older machine on that worker waits for its next step. It is the
 //! ticket's one board job, which a crash re-executes from nothing.
 //!
-//! With the memo on, a whole-tree job caches what a ticket of regions
-//! would: its **memo points** are the cacheable leaf regions the
-//! caller's own adaptive budget cuts (or, without a budget below the
-//! floor, the tree root), and the job's interpreter probes each at its
-//! visit, replays a hit instead of visiting it and installs a miss when
-//! the visit returns (see [`crate::memo`]). So the memo's unit is a
-//! subtree inside a job, and a small tree is one job whether the memo
-//! is on or not.
+//! With the memo on, every job runs behind its ticket's **memo points**,
+//! the memo's one unit (see [`crate::memo`]). A ticket cut into regions
+//! takes them from its own cut: the cacheable one-visit leaf regions,
+//! each probed by the machine it roots at the static visit of its root.
+//! A whole-tree job caches what a ticket of regions would: its points
+//! are the cacheable leaf regions the caller's own adaptive budget cuts
+//! (or, without a budget below the floor, the tree root). Either way
+//! the interpreter probes a point at its visit, replays a hit instead
+//! of visiting it and installs a miss when the visit returns, so a
+//! small tree is one job whether the memo is on or not. The points are
+//! the static interpreter's, so a plan without visit programs gets no
+//! cache.
 //!
 //! The pool reads its machine mode off the plan
 //! ([`EvalPlan::best_mode`]) and always propagates results naively
@@ -168,9 +172,8 @@
 //! collecting the root values the root region's `Done` carried (a
 //! whole-tree job's are read out of its store) and handing the stores
 //! to the report. No whole-tree store is sized and no value moves. With
-//! the memo on it is the same: the workers install what they evaluated
-//! — a region job when its machine finishes, a memo point when its
-//! visit returns — so retirement scans no value.
+//! the memo on it is the same: the workers install a memo point when
+//! its visit returns, so retirement scans no value.
 //!
 //! Nothing in it reads code text. A node's code rope contains its whole
 //! subtree's, so any per-instance step that walks its rope costs Σ
@@ -314,7 +317,10 @@ pub struct PoolConfig {
     /// Byte budget for the cross-tree attribute memo cache
     /// ([`crate::memo::MemoCache`]); 0 (the default everywhere)
     /// disables memoization entirely, keeping the paper's Fig-7
-    /// behaviour bit-for-bit.
+    /// behaviour bit-for-bit. The memo's points are probed by the static
+    /// interpreter, so a plan without visit programs (its grammar is not
+    /// l-ordered) gets no cache whatever the budget, and
+    /// [`WorkerPool::memo_counters`] reads `None`.
     pub memo_capacity: usize,
     /// Memo install policy (only meaningful with a non-zero
     /// `memo_capacity`): install every cacheable span a worker
@@ -626,9 +632,10 @@ pub struct WorkerPool<V: AttrValue> {
     /// counters live on the scheduler board).
     panics_contained: Arc<AtomicU64>,
     /// Cross-tree attribute memo cache (None when
-    /// [`PoolConfig::memo_capacity`] is 0). Shared with the workers,
-    /// which probe it and install what they evaluate; the pool only
-    /// picks a whole-tree job's memo points.
+    /// [`PoolConfig::memo_capacity`] is 0 or the plan has no visit
+    /// programs). Shared with the workers, which probe it and install
+    /// what they evaluate; the pool only picks each ticket's memo
+    /// points.
     memo: Option<Arc<MemoCache<V>>>,
     /// Per-symbol memo safety (see [`memo_safety`]); empty when the
     /// cache is off.
@@ -736,7 +743,7 @@ impl<V: AttrValue> WorkerPool<V> {
         };
         let workers = config.workers;
         let split = SplitTable::new(plan.grammar().as_ref(), 1.0);
-        let memo = (config.memo_capacity > 0).then(|| {
+        let memo = (config.memo_capacity > 0 && plan.programs().is_some()).then(|| {
             Arc::new(MemoCache::with_install_policy(
                 config.memo_capacity,
                 config.memo_install,
@@ -765,12 +772,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 board: Arc::clone(&board),
                 panics_contained: Arc::clone(&panics_contained),
             };
-            let core = WorkerCore::new(
-                Arc::clone(plan),
-                plan.best_mode(),
-                memo.clone(),
-                Arc::clone(&memo_safe),
-            );
+            let core = WorkerCore::new(Arc::clone(plan), plan.best_mode(), memo.clone());
             handles.push(std::thread::spawn(move || worker_main(ctx, core)));
         }
 
@@ -911,7 +913,11 @@ impl<V: AttrValue> WorkerPool<V> {
     fn carve(&self, tree: &Arc<ParseTree<V>>) -> Cut<V> {
         let statics = self.plan.plans().zip(self.plan.programs());
         let whole = |(plans, programs): (&Arc<Plans>, &Arc<VisitPrograms<V>>)| {
-            Cut::Whole(Arc::clone(plans), Arc::clone(programs), self.points(tree))
+            Cut::Whole(
+                Arc::clone(plans),
+                Arc::clone(programs),
+                self.points(tree, None),
+            )
         };
         let granularity = match self.config.adaptive_budget {
             Some(budget) => RegionGranularity::Adaptive {
@@ -929,24 +935,34 @@ impl<V: AttrValue> WorkerPool<V> {
         let decomp = decompose_granular(tree, &self.split, self.plan.work_table(), granularity);
         match statics {
             Some(statics) if decomp.is_unsplit() => whole(statics),
-            _ => Cut::Regions(Arc::new(decomp)),
+            _ => {
+                let points = self.points(tree, Some(&decomp));
+                Cut::Regions(Arc::new(decomp), points)
+            }
         }
     }
 
-    /// The memo points of `tree` as a whole-tree job: none with the memo
-    /// off; under an adaptive budget below the floor, the cacheable
-    /// leaf regions that budget cuts — the subtrees a ticket of regions
-    /// would probe; otherwise the tree root.
-    fn points(&self, tree: &Arc<ParseTree<V>>) -> Arc<[MemoPoint]> {
+    /// The memo points of `tree`: none with the memo off; cut into
+    /// regions by `decomp`, the cacheable one-visit leaf-region roots of
+    /// that cut; as a whole-tree job under an adaptive budget below the
+    /// floor, those of the cut that budget makes — the subtrees a
+    /// ticket of regions would cache; otherwise the tree root.
+    fn points(&self, tree: &Arc<ParseTree<V>>, decomp: Option<&Decomposition>) -> Arc<[MemoPoint]> {
         if self.memo.is_none() {
             return Arc::new([]);
         }
-        match self.config.adaptive_budget {
-            Some(budget) if budget < MIN_REGION_WORK => {
+        let of = |decomp: &Decomposition| memo_points(&self.plan, &self.memo_safe, tree, decomp);
+        match (decomp, self.config.adaptive_budget) {
+            (Some(decomp), _) => of(decomp).into(),
+            (None, Some(budget)) if budget < MIN_REGION_WORK => {
                 let granularity = RegionGranularity::Adaptive { budget };
-                let decomp =
-                    decompose_granular(tree, &self.split, self.plan.work_table(), granularity);
-                memo_points(&self.plan, &self.memo_safe, tree, &decomp).into()
+                of(&decompose_granular(
+                    tree,
+                    &self.split,
+                    self.plan.work_table(),
+                    granularity,
+                ))
+                .into()
             }
             _ => root_point(tree.as_ref()).into_iter().collect(),
         }
@@ -1370,7 +1386,7 @@ impl<V: AttrValue> WorkerCtx<V> {
                 node,
                 attr,
                 value,
-            } => core.feed(self, (ticket, region), node, attr, value),
+            } => core.feed((ticket, region), node, attr, value),
         }
         true
     }
@@ -1940,15 +1956,22 @@ pub(super) mod tests {
             let config = PoolConfig::workers(2).with_memo_capacity(1 << 20);
             let mut pool = WorkerPool::new(&plan, config);
             let r1 = pool.eval(&t1).unwrap();
-            let after_first = pool.memo_counters().unwrap();
-            assert!(after_first.inserts >= 1, "{mode:?}: first tree installs");
-            assert_eq!(after_first.hits, 0, "{mode:?}: cold cache cannot hit");
+            let after_first = pool.memo_counters();
             let r2 = pool.eval(&t2).unwrap();
-            let after_second = pool.memo_counters().unwrap();
-            assert!(
-                after_second.hits >= 1,
-                "{mode:?}: identical tree replays ({after_second:?})"
-            );
+            let after_second = pool.memo_counters();
+            if dynamic {
+                // Memo points are probed by the static interpreter, so a
+                // plan without visit programs gets no cache.
+                assert!(after_second.is_none(), "{mode:?}: no cache");
+            } else {
+                let (after_first, after_second) = (after_first.unwrap(), after_second.unwrap());
+                assert!(after_first.inserts >= 1, "{mode:?}: first tree installs");
+                assert_eq!(after_first.hits, 0, "{mode:?}: cold cache cannot hit");
+                assert!(
+                    after_second.hits >= 1,
+                    "{mode:?}: identical tree replays ({after_second:?})"
+                );
+            }
 
             // Replay must be value-identical to a memo-off evaluation,
             // instance by instance.

@@ -34,7 +34,7 @@
 //!
 //! Each evaluator process drives the worker core
 //! (`parallel/worker.rs`) that the live pool's threads drive, instead
-//! of mirroring it: activation, probes, the oldest-first pass, rule
+//! of mirroring it: activation, the oldest-first pass, rule
 //! panic containment, local cycle detection and retire-before-report
 //! are that code's. The process carries out the core's effects in
 //! virtual time — it charges a machine's build and every step from the
@@ -865,7 +865,7 @@ impl<V: AttrValue> SimDriver<'_, V> {
             st.registries.entry(t).or_default().next.remove(&job.key.1);
         }
         let tree = Arc::clone(&self.sh.trees[t]);
-        let cut = Cut::Regions(Arc::clone(&self.sh.decomps[t]));
+        let cut = Cut::Regions(Arc::clone(&self.sh.decomps[t]), Arc::default());
         core.activate(self, job.key, tree, cut, job.early);
     }
 
@@ -1070,7 +1070,7 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                 // moved (or finished) while the message was on the wire.
                 let delivery = sh.state().board.deliver(me, key, node, attr, value);
                 match delivery {
-                    Delivery::Mine(value) => self.core.feed(&mut d, key, node, attr, value),
+                    Delivery::Mine(value) => self.core.feed(key, node, attr, value),
                     Delivery::Stored => {}
                     Delivery::Forward(w, value) => return d.ship(w, key, node, attr, value, bytes),
                     Delivery::Dropped => return,
@@ -1574,7 +1574,7 @@ pub fn run_sim_stream<V: AttrValue>(
             EvaluatorProc {
                 shared: Arc::clone(&shared),
                 evaluator: r,
-                core: WorkerCore::new(Arc::clone(&shared.plan), config.mode, None, Arc::default()),
+                core: WorkerCore::new(Arc::clone(&shared.plan), config.mode, None),
             },
         );
     }

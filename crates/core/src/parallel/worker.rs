@@ -7,26 +7,23 @@
 //! under `parallel/` that builds, feeds, steps or finishes a job:
 //!
 //! * it holds the worker's running region machines in `(ticket,
-//!   region)` order, its memo probes, and the [`MachineScratch`]es its
-//!   finished machines leave behind for the next;
+//!   region)` order, and the [`MachineScratch`]es its finished machines
+//!   leave behind for the next;
 //! * [`WorkerCore::activate`] takes up a claimed job: a **whole-tree
 //!   job** (no decomposition: the ticket stayed whole) runs the plan's
-//!   visit programs to completion there and then, probing the memo at
-//!   each of its memo points — the subtrees the job's cut lists, which
-//!   the interpreter replays on a hit and installs after a miss (see
-//!   [`crate::memo`]); a region job becomes a memo probe (a cacheable
-//!   leaf region whose subtree the cache has seen) or a machine, and the
-//!   values that arrived before it did are replayed into it;
-//! * [`WorkerCore::feed`] delivers a boundary value; a probe whose last
-//!   inherited value arrives resolves on the spot — a hit replays the
-//!   cached span and finishes the job, a miss builds the machine and
-//!   feeds it what the probe collected. [`WorkerCore::cancel`] drops a
-//!   failed ticket's jobs and [`WorkerCore::clear`] everything (a
-//!   crash);
-//! * with the memo on, the worker installs what it evaluated: a
-//!   cacheable leaf region when its machine finishes, a whole-tree
-//!   job's memo point when the point's visit returns — so retiring a
+//!   visit programs to completion there and then; a region job becomes
+//!   a machine, and the values that arrived before it did are replayed
+//!   into it;
+//! * with the memo on, both kinds of job run behind the memo points
+//!   their cut lists (see [`crate::memo`]): the static interpreter
+//!   probes a point at its visit — a region machine at the static visit
+//!   of its root, once the parent's inherited values are in — replays a
+//!   hit instead of visiting it and installs a miss when the visit
+//!   returns. So the worker installs what it evaluated, and retiring a
 //!   ticket installs nothing;
+//! * [`WorkerCore::feed`] delivers a boundary value,
+//!   [`WorkerCore::cancel`] drops a failed ticket's jobs and
+//!   [`WorkerCore::clear`] everything (a crash);
 //! * [`WorkerCore::drive`] is the oldest-first pass: the oldest machine
 //!   runs unbudgeted, younger ones for their driver's
 //!   [`Driver::YIELD_STEPS`] before the driver may poll for values that
@@ -72,7 +69,7 @@ use crate::eval::{
     SendTarget, StepOutcome, VisitPrograms,
 };
 use crate::grammar::AttrId;
-use crate::memo::{install_span, region_cacheable, replay_span, MemoCache, MemoPoint, MemoPoints};
+use crate::memo::{MemoCache, MemoPoint, MemoPoints};
 use crate::split::{Decomposition, RegionId};
 use crate::stats::EvalStats;
 use crate::tree::{AttrStore, NodeId, ParseTree, RegionStore};
@@ -82,15 +79,18 @@ use std::sync::Arc;
 use super::board::{Input, JobKey};
 use super::Ticket;
 
-/// How a job's ticket was cut, which decides what the job runs.
+/// How a job's ticket was cut, which decides what the job runs. Either
+/// way the cut carries the ticket's memo points in node order (none
+/// with the memo off).
 #[derive(Clone)]
 pub(crate) enum Cut<V: AttrValue> {
     /// Into the regions of this decomposition: the job is one of them.
-    Regions(Arc<Decomposition>),
+    /// Its memo points are the cut's cacheable one-visit leaf-region
+    /// roots, each probed by the machine it roots.
+    Regions(Arc<Decomposition>, Arc<[MemoPoint]>),
     /// Not at all: the job is the whole tree, evaluated by the plan's
     /// compiled visit programs. Only a plan that has them is carved
-    /// into whole-tree jobs, so the job carries them, and its memo
-    /// points in node order (none with the memo off).
+    /// into whole-tree jobs, so the job carries them.
     Whole(Arc<Plans>, Arc<VisitPrograms<V>>, Arc<[MemoPoint]>),
 }
 
@@ -98,7 +98,7 @@ impl<V: AttrValue> Cut<V> {
     /// The decomposition of a ticket cut into regions.
     pub fn regions(&self) -> Option<&Arc<Decomposition>> {
         match self {
-            Cut::Regions(decomp) => Some(decomp),
+            Cut::Regions(decomp, _) => Some(decomp),
             Cut::Whole(..) => None,
         }
     }
@@ -160,18 +160,14 @@ pub(crate) trait Driver<V: AttrValue> {
 /// Where a job's outgoing values go.
 struct Outbox<V> {
     key: JobKey,
-    /// The job's parent region (`None` for the root region), where a
-    /// memo hit sends the region root's synthesized values.
-    parent: Option<RegionId>,
     /// Root values the driver handed back, for the job's `Done`.
     roots: Vec<(AttrId, V)>,
 }
 
 impl<V: AttrValue> Outbox<V> {
-    fn new(key: JobKey, parent: Option<RegionId>) -> Self {
+    fn new(key: JobKey) -> Self {
         Outbox {
             key,
-            parent,
             roots: Vec::new(),
         }
     }
@@ -196,39 +192,8 @@ impl<V: AttrValue> Outbox<V> {
 struct Job<V: AttrValue> {
     out: Outbox<V>,
     machine: Machine<V>,
-    /// A cacheable leaf region's memo point (memo on): the machine's
-    /// store is installed under it when the machine finishes.
-    install: Option<MemoPoint>,
-}
-
-/// A memo-eligible leaf region waiting for its root's inherited values
-/// before it consults the cache; its machine is built only on a miss.
-/// A leaf region's only external inputs are those values, and each has
-/// exactly one defining rule in the parent, so each *will* arrive.
-struct Probe<V: AttrValue> {
-    out: Outbox<V>,
-    tree: Arc<ParseTree<V>>,
-    decomp: Arc<Decomposition>,
-    /// The region root and its signature inputs.
-    point: MemoPoint,
-    /// Collected values, aligned with `point.inh`.
-    got: Vec<Option<V>>,
-}
-
-impl<V: AttrValue> Probe<V> {
-    fn collect(&mut self, node: NodeId, attr: AttrId, value: V) {
-        debug_assert_eq!(
-            node, self.point.node,
-            "a leaf region only receives its root's inherited values"
-        );
-        if let Some(i) = self.point.inh.iter().position(|&a| a == attr) {
-            self.got[i].get_or_insert(value);
-        }
-    }
-
-    fn complete(&self) -> bool {
-        self.got.iter().all(Option::is_some)
-    }
+    /// Its ticket's memo points (none with the memo off).
+    points: Arc<[MemoPoint]>,
 }
 
 /// What one burst of a machine's steps ended in.
@@ -246,14 +211,12 @@ enum Ran {
 pub(crate) struct WorkerCore<V: AttrValue> {
     plan: Arc<EvalPlan<V>>,
     mode: MachineMode,
-    /// The cross-tree memo cache, and per-symbol memo safety beside it.
+    /// The cross-tree memo cache.
     memo: Option<Arc<MemoCache<V>>>,
-    memo_safe: Arc<Vec<bool>>,
     /// Region machines in `(ticket, region)` order — stolen jobs
     /// activate out of order, and the pass's oldest-first preference
     /// keys off this order.
     jobs: Vec<Job<V>>,
-    probes: Vec<Probe<V>>,
     /// Recycled construction/evaluation buffers.
     scratches: Vec<MachineScratch<V>>,
     /// The lowest index into `jobs` fed or shifted since the pass last
@@ -262,21 +225,14 @@ pub(crate) struct WorkerCore<V: AttrValue> {
 }
 
 impl<V: AttrValue> WorkerCore<V> {
-    /// An idle worker evaluating against `plan` in `mode`; `memo` and
-    /// `memo_safe` (one flag per grammar symbol) turn memo probes on.
-    pub fn new(
-        plan: Arc<EvalPlan<V>>,
-        mode: MachineMode,
-        memo: Option<Arc<MemoCache<V>>>,
-        memo_safe: Arc<Vec<bool>>,
-    ) -> Self {
+    /// An idle worker evaluating against `plan` in `mode`; `memo` turns
+    /// the jobs' memo points on.
+    pub fn new(plan: Arc<EvalPlan<V>>, mode: MachineMode, memo: Option<Arc<MemoCache<V>>>) -> Self {
         WorkerCore {
             plan,
             mode,
             memo,
-            memo_safe,
             jobs: Vec::new(),
-            probes: Vec::new(),
             scratches: Vec::new(),
             fed: None,
         }
@@ -294,8 +250,8 @@ impl<V: AttrValue> WorkerCore<V> {
         cut: Cut<V>,
         early: Vec<Input<V>>,
     ) {
-        let decomp = match cut {
-            Cut::Regions(decomp) => decomp,
+        let (decomp, points) = match cut {
+            Cut::Regions(decomp, points) => (decomp, points),
             Cut::Whole(plans, programs, points) => {
                 debug_assert!(
                     key.1 == 0 && early.is_empty(),
@@ -306,69 +262,23 @@ impl<V: AttrValue> WorkerCore<V> {
                 return;
             }
         };
-        let out = Outbox::new(key, decomp.regions[key.1 as usize].parent);
-        let point = self
-            .memo
-            .as_ref()
-            .and_then(|_| region_cacheable(&self.plan, &self.memo_safe, &tree, &decomp, key.1));
-        // Holding a region for its inputs costs parallelism, so a
-        // subtree the cache has never seen evaluates at once and is
-        // installed when its machine finishes.
-        let seen = point
-            .as_ref()
-            .zip(self.memo.as_ref())
-            .is_some_and(|(p, memo)| memo.has_subtree(p.subtree));
-        let point = match point {
-            Some(point) if seen => point,
-            install => {
-                let mut machine = self.build(d, &tree, &decomp, key.1);
-                for (node, attr, value) in early {
-                    machine.provide(node, attr, value);
-                }
-                self.insert(Job {
-                    out,
-                    machine,
-                    install,
-                });
-                return;
-            }
-        };
-        let mut probe = Probe {
-            out,
-            tree,
-            decomp,
-            got: vec![None; point.inh.len()],
-            point,
-        };
+        let mut machine = self.build(d, &tree, &decomp, key.1);
         for (node, attr, value) in early {
-            probe.collect(node, attr, value);
+            machine.provide(node, attr, value);
         }
-        if probe.complete() {
-            self.resolve(d, probe);
-        } else {
-            self.probes.push(probe);
-        }
+        self.insert(Job {
+            out: Outbox::new(key),
+            machine,
+            points,
+        });
     }
 
     /// Delivers a boundary value to job `key`, if it runs here (a value
     /// for a job that finished is stale).
-    pub fn feed<D: Driver<V>>(
-        &mut self,
-        d: &mut D,
-        key: JobKey,
-        node: NodeId,
-        attr: AttrId,
-        value: V,
-    ) {
+    pub fn feed(&mut self, key: JobKey, node: NodeId, attr: AttrId, value: V) {
         if let Some(i) = self.jobs.iter().position(|j| j.out.key == key) {
             self.jobs[i].machine.provide(node, attr, value);
             self.mark(i);
-        } else if let Some(i) = self.probes.iter().position(|p| p.out.key == key) {
-            self.probes[i].collect(node, attr, value);
-            if self.probes[i].complete() {
-                let probe = self.probes.swap_remove(i);
-                self.resolve(d, probe);
-            }
         }
     }
 
@@ -376,7 +286,6 @@ impl<V: AttrValue> WorkerCore<V> {
     pub fn cancel(&mut self, ticket: Ticket) {
         let before = self.jobs.len();
         self.jobs.retain(|j| j.out.key.0 != ticket);
-        self.probes.retain(|p| p.out.key.0 != ticket);
         if self.jobs.len() < before {
             self.mark(0);
         }
@@ -386,7 +295,6 @@ impl<V: AttrValue> WorkerCore<V> {
     /// them elsewhere.
     pub fn clear(&mut self) {
         self.jobs.clear();
-        self.probes.clear();
     }
 
     /// One oldest-first pass: steps machines until every one has
@@ -421,20 +329,9 @@ impl<V: AttrValue> WorkerCore<V> {
         true
     }
 
-    /// Removes finished machine `i`, keeps its scratch, installs a
-    /// cacheable region that evaluated (memo on) and reports it.
+    /// Removes finished machine `i`, keeps its scratch and reports it.
     fn finish<D: Driver<V>>(&mut self, d: &mut D, i: usize, err: Option<EvalError>) {
-        let Job {
-            out,
-            machine,
-            install,
-        } = self.jobs.remove(i);
-        if let (None, Some(memo), Some(point)) = (&err, &self.memo, install) {
-            let (tree, store) = (machine.tree(), machine.store());
-            if let Some(key) = point.key(point.inh.iter().map(|&a| store.get(point.node, a))) {
-                install_span(memo, tree, point.node, key, |n, a| store.get(n, a));
-            }
-        }
+        let Job { out, machine, .. } = self.jobs.remove(i);
         let (store, stats, scratch) = machine.recycle();
         self.scratches.push(scratch);
         let result = match err {
@@ -450,12 +347,17 @@ impl<V: AttrValue> WorkerCore<V> {
         report(d, out.key, result);
     }
 
-    /// Steps machine `i` for up to `budget` steps, forwarding its sends
-    /// after every step.
+    /// Steps machine `i` for up to `budget` steps behind its memo
+    /// points, forwarding its sends after every step.
     fn run<D: Driver<V>>(&mut self, d: &mut D, i: usize, budget: usize) -> Ran {
-        let Job { out, machine, .. } = &mut self.jobs[i];
+        let Job {
+            out,
+            machine,
+            points,
+        } = &mut self.jobs[i];
+        let mut points = consult(&self.memo, points);
         for _ in 0..budget {
-            match contained(|| machine.step()) {
+            match contained(|| machine.step_with(points.as_mut())) {
                 Err(e) => return Ran::Done(Some(e)),
                 Ok(None) if machine.is_done() => return Ran::Done(None),
                 // Nothing ready, tasks left and *no awaited external
@@ -506,64 +408,6 @@ impl<V: AttrValue> WorkerCore<V> {
         machine
     }
 
-    /// Resolves a complete probe: on a hit, replays the cached span and
-    /// sends the root's synthesized values on exactly as a machine
-    /// would, then finishes the job; on a miss (or a span whose shape
-    /// disagrees with the subtree — a hash collision the sanity fields
-    /// missed), builds the machine, feeds it what the probe collected
-    /// and installs it when it finishes.
-    fn resolve<D: Driver<V>>(&mut self, d: &mut D, probe: Probe<V>) {
-        let Probe {
-            mut out,
-            tree,
-            decomp,
-            point,
-            got,
-        } = probe;
-        let region = out.key.1;
-        let root = point.node;
-        let root_prod = tree.node(root).prod;
-        let memo = self.memo.as_ref().expect("a probe runs with the memo on");
-        let hit = point.key(got.iter().map(Option::as_ref)).and_then(|key| {
-            let nodes = tree.subtree_size(root) as u32;
-            memo.probe(key, nodes, root_prod)
-        });
-        if let Some(entry) = hit {
-            let mut store = RegionStore::new(decomp.slot_map(), region);
-            if replay_span(&tree, root, &entry.span, &mut store) {
-                let to = out.parent.map_or(SendTarget::Parser, SendTarget::Region);
-                let root_sym = tree.grammar().prod(root_prod).lhs;
-                for &attr in self.plan.syn_attrs(root_sym) {
-                    if let Some(value) = store.get(root, attr) {
-                        let value = value.clone();
-                        let send = AttrMsg {
-                            node: root,
-                            attr,
-                            value,
-                            to,
-                        };
-                        out.emit(d, send);
-                    }
-                }
-                let roots = out.roots;
-                let result = Ok((EvalStats::default(), Finished::Region { store, roots }));
-                report(d, out.key, result);
-                return;
-            }
-        }
-        let mut machine = self.build(d, &tree, &decomp, region);
-        for (&attr, value) in point.inh.iter().zip(got) {
-            if let Some(value) = value {
-                machine.provide(root, attr, value);
-            }
-        }
-        self.insert(Job {
-            out,
-            machine,
-            install: Some(point),
-        });
-    }
-
     /// A whole-tree job, start to finish: the sequential static
     /// evaluation into the store retirement adopts, behind the job's
     /// memo points (memo on) — each probed at its visit, replayed on a
@@ -575,11 +419,7 @@ impl<V: AttrValue> WorkerCore<V> {
         programs: &VisitPrograms<V>,
         points: &[MemoPoint],
     ) -> Result<JobResult<V>, EvalError> {
-        let mut points = self
-            .memo
-            .as_deref()
-            .filter(|_| !points.is_empty())
-            .map(|memo| MemoPoints::new(memo, points));
+        let mut points = consult(&self.memo, points);
         let mut scratch = self.scratches.pop().unwrap_or_default();
         let evaluated = contained(|| {
             static_eval_with_points(
@@ -593,6 +433,17 @@ impl<V: AttrValue> WorkerCore<V> {
         self.scratches.push(scratch);
         evaluated.map(|(store, stats)| (stats, Finished::Tree(store)))
     }
+}
+
+/// A job's memo points against the cache: `None` with the memo off or
+/// no points to consult.
+fn consult<'a, V: AttrValue>(
+    memo: &'a Option<Arc<MemoCache<V>>>,
+    points: &'a [MemoPoint],
+) -> Option<MemoPoints<'a, V>> {
+    memo.as_deref()
+        .filter(|_| !points.is_empty())
+        .map(|memo| MemoPoints::new(memo, points))
 }
 
 /// Retires a finished job on the board, then reports it — if this
@@ -729,7 +580,7 @@ mod tests {
 
     fn core(c: &Chain, memo: Option<Arc<MemoCache<Value>>>) -> WorkerCore<Value> {
         let mode = MachineMode::Combined;
-        WorkerCore::new(Arc::clone(&c.plan), mode, memo, Arc::default())
+        WorkerCore::new(Arc::clone(&c.plan), mode, memo)
     }
 
     #[derive(Debug)]
@@ -782,7 +633,7 @@ mod tests {
 
         fn poll(&mut self, core: &mut WorkerCore<Value>) -> bool {
             while let Some((key, node, attr, value)) = self.wire.pop_front() {
-                core.feed(self, key, node, attr, value);
+                core.feed(key, node, attr, value);
             }
             true
         }
@@ -813,7 +664,7 @@ mod tests {
     ) {
         let decomp = halves(c, tree);
         for region in [1, 0] {
-            let cut = Cut::Regions(Arc::clone(&decomp));
+            let cut = Cut::Regions(Arc::clone(&decomp), Arc::default());
             core.activate(d, (t, region), Arc::clone(tree), cut, Vec::new());
         }
     }

@@ -7,70 +7,17 @@
 //! each evaluator a disjoint *base value*, and labels are generated
 //! relative to that base with no communication at all.
 //!
-//! [`IdBase`] is that mechanism. The threaded-counter alternative is kept
-//! (in the Pascal grammar's `threaded_labels` variant) for the ablation
-//! experiment.
-
-use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Number of label values reserved per evaluator.
-pub const BLOCK: u32 = 1 << 20;
-
-/// A per-evaluator unique-id allocator: ids are `base * BLOCK + counter`,
-/// so ids from different evaluators never collide.
-#[derive(Debug)]
-pub struct IdBase {
-    base: u32,
-    next: AtomicU32,
-}
-
-impl IdBase {
-    /// Creates the allocator for evaluator index `evaluator` (the "unique
-    /// value communicated by the parser to each evaluator").
-    pub fn new(evaluator: u32) -> Self {
-        IdBase {
-            base: evaluator,
-            next: AtomicU32::new(0),
-        }
-    }
-
-    /// Allocates the next unique id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an evaluator allocates more than [`BLOCK`] ids — a
-    /// single compilation never comes close.
-    pub fn fresh(&self) -> UniqueId {
-        let n = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(n < BLOCK, "evaluator exhausted its unique-id block");
-        UniqueId(self.base as u64 * BLOCK as u64 + n as u64)
-    }
-
-    /// The evaluator index this allocator belongs to.
-    pub fn evaluator(&self) -> u32 {
-        self.base
-    }
-
-    /// How many ids have been allocated so far.
-    pub fn allocated(&self) -> u32 {
-        self.next.load(Ordering::Relaxed)
-    }
-}
-
-/// A globally unique identifier, printable as an assembler label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct UniqueId(pub u64);
-
-impl fmt::Display for UniqueId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}", self.0)
-    }
-}
+//! Here the parser is the single sequential point, so it hands out the
+//! ids itself: the Pascal tree builder (`paragram_pascal::agtree`) gives
+//! every construct that needs a label a unique-id *token*, and the
+//! grammar's label rules read it like any other token value. No
+//! evaluator allocates an id at run time. The `ablation_uniqueids` bin
+//! compares this with the threaded counter on a small language built
+//! both ways. The test below checks that the cross-tree memo, which
+//! replays cached subtrees, keeps labels from uid tokens disjoint.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::parallel::pool::MIN_REGION_WORK;
     use std::collections::HashSet;
 
@@ -80,8 +27,8 @@ mod tests {
     /// labels that collide with the rest of that tree. The memo design
     /// guarantees this *by construction*: label-producing rules draw
     /// from per-tree unique-id **tokens** (the parser-communicated base
-    /// values of §4.3, materialized as token values), never from live
-    /// [`IdBase`] allocator state — and token values are part of the
+    /// values of §4.3, materialized as token values), never from
+    /// run-time allocator state — and token values are part of the
     /// subtree hash, so a cache hit implies the replayed labels are
     /// byte-identical to what a fresh evaluation of *this* subtree
     /// would produce. Disjointness within a tree then follows from the
@@ -89,10 +36,10 @@ mod tests {
     ///
     /// Two cases: `cons` rules costed at a region's worth of work
     /// ([`MIN_REGION_WORK`]), so the pool cuts both trees into regions
-    /// and the shared procedure replays as a region job; and every rule
-    /// at unit cost, so each tree is below the hand-off floor and one
-    /// whole-tree job, and the shared procedure replays as a memo point
-    /// inside it.
+    /// and the shared procedure replays as the memo point that roots a
+    /// region machine; and every rule at unit cost, so each tree is
+    /// below the hand-off floor and one whole-tree job, and the shared
+    /// procedure replays as a memo point inside it.
     ///
     /// The region case pins the memo counters `(hits, misses,
     /// inserts)` after each tree: tree A's one cacheable leaf region,
@@ -235,50 +182,5 @@ mod tests {
             );
         }
         (ra.regions, rb.regions, [cold, warm])
-    }
-
-    #[test]
-    fn fresh_ids_are_sequential_within_an_evaluator() {
-        let b = IdBase::new(0);
-        assert_eq!(b.fresh(), UniqueId(0));
-        assert_eq!(b.fresh(), UniqueId(1));
-        assert_eq!(b.allocated(), 2);
-    }
-
-    #[test]
-    fn different_evaluators_never_collide() {
-        let mut seen = HashSet::new();
-        for e in 0..8 {
-            let b = IdBase::new(e);
-            for _ in 0..1000 {
-                assert!(seen.insert(b.fresh()), "duplicate id across evaluators");
-            }
-        }
-    }
-
-    #[test]
-    fn ids_format_as_labels() {
-        assert_eq!(UniqueId(42).to_string(), "L42");
-        let b = IdBase::new(1);
-        assert_eq!(b.fresh().to_string(), format!("L{}", BLOCK));
-    }
-
-    #[test]
-    fn allocator_is_thread_safe() {
-        let b = std::sync::Arc::new(IdBase::new(3));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let b = std::sync::Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                (0..500).map(|_| b.fresh()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<UniqueId> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 2000);
     }
 }
