@@ -367,18 +367,16 @@ impl<V: AttrValue> MemoCache<V> {
     /// whole shard's budget are not cached. Under
     /// [`InstallPolicy::SecondTouch`], the first offer of a subtree
     /// hash only marks it and the entry is dropped; the install goes
-    /// through once a marked (or already-installed) subtree recurs.
+    /// through once a marked (or already-installed) subtree recurs. An
+    /// offer of a signature already cached is dropped: two jobs that
+    /// missed on it at once both offer it, and it is installed once.
     pub fn insert(&self, key: MemoKey, entry: MemoEntry<V>) {
         if entry.bytes > self.shard_budget {
             return;
         }
         let mut shard = self.shard(&key).lock().unwrap();
-        if self.defers(&mut shard, key.subtree, true) {
+        if shard.map.contains_key(&key) || self.defers(&mut shard, key.subtree, true) {
             return;
-        }
-        if let Some((old, _)) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-            shard.forget_subtree(key.subtree);
         }
         shard.bytes += entry.bytes;
         shard.map.insert(key, (Arc::new(entry), 0));
@@ -789,6 +787,17 @@ mod tests {
         assert!(cache.probe(key(2), 2, ProdId(0)).is_none());
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.inserts), (1, 3, 1));
+    }
+
+    /// Two jobs that missed on one signature at once both offer it: it
+    /// is installed, and counted, once.
+    #[test]
+    fn a_second_offer_of_a_cached_signature_is_dropped() {
+        let cache = MemoCache::new(1 << 20);
+        cache.insert(key(1), entry(100));
+        cache.insert(key(1), entry(100));
+        assert_eq!((cache.counters().inserts, cache.len()), (1, 1));
+        assert_eq!(cache.bytes(), 100);
     }
 
     #[test]
