@@ -64,8 +64,17 @@
 //! preorder span format itself — `install_span` writes it, `replay_span`
 //! reads it back at a hit.
 //!
+//! A point is probed only under a key: one keyed lookup under one
+//! shard lock, which counts the hit or the miss. A point with no key —
+//! an inherited value that is not fingerprintable — is neither probed,
+//! counted nor installed. Every miss is offered for install when its
+//! visit returns; the offer is dropped when the signature is cached by
+//! then (another job missed on it at the same time and installed it
+//! first), or when the span holds a value that is not fingerprintable
+//! or outgrows a shard's budget.
+//!
 //! The cache itself is sharded (`std::sync::Mutex` per shard, keyed by
-//! signature hash) and bounded by an approximate byte budget with LRU
+//! subtree hash) and bounded by an approximate byte budget with LRU
 //! eviction per shard; an entry is shared ([`Arc`]), so a hit copies
 //! each value once, straight into the store it replays into.
 //! Hit/miss/insert/evict counters are process-wide atomics surfaced
@@ -76,27 +85,10 @@ use crate::grammar::{AttrId, AttrKind, ProdId};
 use crate::split::{Decomposition, RegionId};
 use crate::tree::{AttrRead, AttrSlots, NodeId, ParseTree};
 use crate::value::{fnv1a_u64, AttrValue};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// When a cacheable span a worker offers is actually installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InstallPolicy {
-    /// Install every cacheable span at once (the original policy).
-    #[default]
-    Always,
-    /// 2Q-style scan resistance: the *first* offer of a subtree hash
-    /// only marks it (a deferred install, counted in
-    /// [`MemoCounters::deferred`]); the span is installed when a marked
-    /// subtree recurs. A one-pass scan of distinct trees then costs a
-    /// bounded mark per region instead of a span copy plus an LRU
-    /// eviction, while any recurring subtree is cached from its second
-    /// appearance on. Marks are FIFO-bounded per shard, so a scan
-    /// cannot grow them without bound either.
-    SecondTouch,
-}
 
 /// A region's input signature: `(subtree hash at the region root,
 /// fingerprint of the inherited attribute values at the region root)`.
@@ -112,9 +104,6 @@ pub struct MemoKey {
 
 impl MemoKey {
     fn shard_index(&self) -> usize {
-        // Shards are chosen by the subtree hash alone so the
-        // subtree-presence index ([`MemoCache::has_subtree`]) lives in
-        // the same shard as every entry it counts.
         (self.subtree % SHARDS as u64) as usize
     }
 }
@@ -147,8 +136,8 @@ pub struct MemoCounters {
     pub inserts: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Installs deferred by [`InstallPolicy::SecondTouch`] (the span
-    /// was dropped and only its subtree hash marked).
+    /// Always 0: no install is deferred. Kept only because the
+    /// benchmark's trace still reads it.
     pub deferred: u64,
 }
 
@@ -181,14 +170,6 @@ impl MemoCounters {
 struct Shard<V> {
     map: HashMap<MemoKey, (Arc<MemoEntry<V>>, u64)>,
     order: VecDeque<(MemoKey, u64)>,
-    /// Entry count per subtree hash, maintained on insert/remove: the
-    /// probe fast path asks "any entry for this subtree at all?" before
-    /// it looks a point up under its full signature.
-    subtrees: HashMap<u64, u32>,
-    /// Second-touch marks ([`InstallPolicy::SecondTouch`]): subtree
-    /// hashes offered exactly once, FIFO-bounded.
-    marked: HashSet<u64>,
-    mark_order: VecDeque<u64>,
     bytes: usize,
     next_stamp: u64,
 }
@@ -198,33 +179,8 @@ impl<V> Shard<V> {
         Shard {
             map: HashMap::new(),
             order: VecDeque::new(),
-            subtrees: HashMap::new(),
-            marked: HashSet::new(),
-            mark_order: VecDeque::new(),
             bytes: 0,
             next_stamp: 0,
-        }
-    }
-
-    /// Marks a subtree hash as seen-once, evicting the oldest marks
-    /// beyond `cap` (marks removed at install leave stale FIFO slots
-    /// behind; popping them is a no-op on the set).
-    fn mark(&mut self, subtree: u64, cap: usize) {
-        if self.marked.insert(subtree) {
-            self.mark_order.push_back(subtree);
-            while self.mark_order.len() > cap {
-                let old = self.mark_order.pop_front().expect("non-empty");
-                self.marked.remove(&old);
-            }
-        }
-    }
-
-    fn forget_subtree(&mut self, subtree: u64) {
-        if let Some(n) = self.subtrees.get_mut(&subtree) {
-            *n -= 1;
-            if *n == 0 {
-                self.subtrees.remove(&subtree);
-            }
         }
     }
 
@@ -253,63 +209,29 @@ pub struct MemoCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     /// Approximate per-shard byte budget (total budget / shard count).
     shard_budget: usize,
-    install: InstallPolicy,
-    /// Per-shard bound on second-touch marks (derived from the budget:
-    /// a mark costs ~8 bytes vs. a span's hundreds, so the mark table
-    /// stays a small fraction of the cache).
-    mark_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    deferred: AtomicU64,
 }
 
 impl<V: AttrValue> MemoCache<V> {
     /// Creates a cache bounded by roughly `capacity_bytes` of cached
     /// attribute values (approximate: sizes come from
-    /// [`AttrValue::wire_size`]), installing every cacheable span.
+    /// [`AttrValue::wire_size`]).
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_install_policy(capacity_bytes, InstallPolicy::Always)
-    }
-
-    /// As [`MemoCache::new`] with an explicit install policy.
-    pub fn with_install_policy(capacity_bytes: usize, install: InstallPolicy) -> Self {
-        let shard_budget = (capacity_bytes / SHARDS).max(1);
         MemoCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_budget,
-            install,
-            mark_cap: (shard_budget / 64).max(256),
+            shard_budget: (capacity_bytes / SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            deferred: AtomicU64::new(0),
         }
     }
 
     fn shard(&self, key: &MemoKey) -> &Mutex<Shard<V>> {
         &self.shards[key.shard_index()]
-    }
-
-    /// `true` if *any* entry is cached under this subtree hash,
-    /// regardless of inherited context. A memo point asks this before
-    /// it probes: a subtree the cache has never seen cannot hit, so it
-    /// is not looked up under its full signature. An absent subtree
-    /// is counted as a miss (the consult *was* the cache lookup for that
-    /// point); a present one counts nothing — the full-signature
-    /// [`MemoCache::probe`] that follows will record the hit or miss.
-    pub fn has_subtree(&self, subtree: u64) -> bool {
-        let present = self.shards[(subtree % SHARDS as u64) as usize]
-            .lock()
-            .unwrap()
-            .subtrees
-            .contains_key(&subtree);
-        if !present {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        present
     }
 
     /// Looks up a signature; shares the entry on a hit (a reference
@@ -331,56 +253,27 @@ impl<V: AttrValue> MemoCache<V> {
         hit
     }
 
-    /// Whether an offer under `key` would be installed, asked before
-    /// its span is copied: `false` when the signature is cached already
-    /// (another job installed it meanwhile; no counter effect) or when
-    /// [`InstallPolicy::SecondTouch`] defers this first touch of its
-    /// subtree, which is marked and counted here as
-    /// [`MemoCache::insert`] would.
-    pub(crate) fn admits(&self, key: MemoKey) -> bool {
-        let mut shard = self.shard(&key).lock().unwrap();
-        !shard.map.contains_key(&key) && !self.defers(&mut shard, key.subtree, false)
-    }
-
-    /// The [`InstallPolicy::SecondTouch`] decision for an offer of
-    /// `subtree`: `true` when it is neither cached nor marked, after
-    /// marking it and counting the deferral. A marked subtree is taken
-    /// off the marks only when `take` says the offer installs now.
-    fn defers(&self, shard: &mut Shard<V>, subtree: u64, take: bool) -> bool {
-        if self.install != InstallPolicy::SecondTouch || shard.subtrees.contains_key(&subtree) {
-            return false;
-        }
-        let marked = if take {
-            shard.marked.remove(&subtree)
-        } else {
-            shard.marked.contains(&subtree)
-        };
-        if !marked {
-            shard.mark(subtree, self.mark_cap);
-            self.deferred.fetch_add(1, Ordering::Relaxed);
-        }
-        !marked
+    /// Whether `key` is cached, asked before an offer's span is copied
+    /// (another job may have installed it meanwhile). Counts nothing.
+    pub(crate) fn contains(&self, key: MemoKey) -> bool {
+        self.shard(&key).lock().unwrap().map.contains_key(&key)
     }
 
     /// Installs an entry, evicting least-recently-used entries from its
     /// shard as needed to stay under the budget. Entries bigger than a
-    /// whole shard's budget are not cached. Under
-    /// [`InstallPolicy::SecondTouch`], the first offer of a subtree
-    /// hash only marks it and the entry is dropped; the install goes
-    /// through once a marked (or already-installed) subtree recurs. An
-    /// offer of a signature already cached is dropped: two jobs that
-    /// missed on it at once both offer it, and it is installed once.
+    /// whole shard's budget are not cached. An offer of a signature
+    /// already cached is dropped: two jobs that missed on it at once
+    /// both offer it, and it is installed once.
     pub fn insert(&self, key: MemoKey, entry: MemoEntry<V>) {
         if entry.bytes > self.shard_budget {
             return;
         }
         let mut shard = self.shard(&key).lock().unwrap();
-        if shard.map.contains_key(&key) || self.defers(&mut shard, key.subtree, true) {
+        if shard.map.contains_key(&key) {
             return;
         }
         shard.bytes += entry.bytes;
         shard.map.insert(key, (Arc::new(entry), 0));
-        *shard.subtrees.entry(key.subtree).or_insert(0) += 1;
         shard.touch(key);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         while shard.bytes > self.shard_budget {
@@ -399,7 +292,6 @@ impl<V: AttrValue> MemoCache<V> {
             }
             let (old, _) = shard.map.remove(&victim).expect("stamp matched");
             shard.bytes -= old.bytes;
-            shard.forget_subtree(victim.subtree);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -411,7 +303,7 @@ impl<V: AttrValue> MemoCache<V> {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
+            deferred: 0,
         }
     }
 
@@ -626,7 +518,8 @@ impl<'a, V: AttrValue> MemoPoints<'a, V> {
     /// values its parent has set: on a hit the cached span is replayed
     /// into `store` — the inherited slots stay as the parent set them —
     /// and `true` says the visit is done; on a miss the point stays open
-    /// until the frame at `depth` returns.
+    /// until the frame at `depth` returns. A point without a key is
+    /// visited as any node is: nothing is probed, counted or installed.
     pub fn enter<S: AttrSlots<V>>(
         &mut self,
         tree: &ParseTree<V>,
@@ -638,24 +531,16 @@ impl<'a, V: AttrValue> MemoPoints<'a, V> {
             return false;
         };
         let point = &self.points[i];
-        let key = point.key(point.inh.iter().map(|&a| store.get(node, a)));
-        // A subtree the cache has never seen is a miss without a
-        // lookup; a seen one is looked up only under a key (no key:
-        // nothing is probed or counted).
-        let hit = if self.memo.has_subtree(point.subtree) {
-            let nodes = tree.subtree_size(node) as u32;
-            key.and_then(|key| self.memo.probe(key, nodes, tree.node(node).prod))
-        } else {
-            None
+        let Some(key) = point.key(point.inh.iter().map(|&a| store.get(node, a))) else {
+            return false;
         };
-        if let Some(entry) = hit {
+        let nodes = tree.subtree_size(node) as u32;
+        if let Some(entry) = self.memo.probe(key, nodes, tree.node(node).prod) {
             if replay_span(tree, node, &entry.span, store) {
                 return true;
             }
         }
-        if let Some(key) = key {
-            self.open.push((depth, node, key));
-        }
+        self.open.push((depth, node, key));
         false
     }
 
@@ -670,12 +555,11 @@ impl<'a, V: AttrValue> MemoPoints<'a, V> {
 }
 
 /// Deposits the evaluated span of the subtree at `root` (read through
-/// `get`) under `key`, unless the cache holds it already or defers its
-/// first touch ([`MemoCache::admits`], asked before anything is
-/// copied). Spans are extracted in *preorder* of the subtree — arena
-/// ids are builder-dependent, preorder is not — one entry per attribute
-/// of each node's symbol, in attribute order: the format
-/// [`replay_span`] reads.
+/// `get`) under `key`, unless the cache holds it already (asked before
+/// anything is copied). Spans are extracted in *preorder* of the
+/// subtree — arena ids are builder-dependent, preorder is not — one
+/// entry per attribute of each node's symbol, in attribute order: the
+/// format [`replay_span`] reads.
 /// A span that outgrows a shard's budget would be refused, so the walk
 /// stops there, before it clones the rest.
 fn install_span<'s, V: AttrValue + 's>(
@@ -685,7 +569,7 @@ fn install_span<'s, V: AttrValue + 's>(
     key: MemoKey,
     get: impl Fn(NodeId, AttrId) -> Option<&'s V>,
 ) {
-    if !memo.admits(key) {
+    if memo.contains(key) {
         return;
     }
     let g = tree.grammar();
@@ -837,101 +721,11 @@ mod tests {
     }
 
     #[test]
-    fn subtree_presence_tracks_inserts_and_evictions() {
-        let cache = MemoCache::new(1 << 20);
-        assert!(!cache.has_subtree(5));
-        cache.insert(
-            MemoKey {
-                subtree: 5,
-                inherited: 1,
-            },
-            entry(100),
-        );
-        cache.insert(
-            MemoKey {
-                subtree: 5,
-                inherited: 2,
-            },
-            entry(100),
-        );
-        assert!(cache.has_subtree(5));
-        assert!(!cache.has_subtree(6));
-        // Absent subtrees count as misses; present ones count nothing.
-        assert_eq!(cache.counters().misses, 2);
-
-        // Evicting every entry of a subtree forgets it.
-        let tiny = MemoCache::new(16 * 150);
-        tiny.insert(
-            MemoKey {
-                subtree: 16,
-                inherited: 1,
-            },
-            entry(100),
-        );
-        // Same shard (subtree % 16), different subtree: evicts the
-        // first entry and must drop its presence bit with it.
-        tiny.insert(
-            MemoKey {
-                subtree: 32,
-                inherited: 1,
-            },
-            entry(100),
-        );
-        assert!(tiny.counters().evictions > 0);
-        assert!(!tiny.has_subtree(16));
-        assert!(tiny.has_subtree(32));
-    }
-
-    #[test]
     fn oversized_entries_are_not_cached() {
         let cache = MemoCache::new(16 * 100);
         cache.insert(key(1), entry(1_000));
         assert!(cache.probe(key(1), 2, ProdId(0)).is_none());
         assert_eq!(cache.counters().inserts, 0);
-    }
-
-    #[test]
-    fn second_touch_defers_first_install_and_installs_on_recurrence() {
-        let cache = MemoCache::with_install_policy(1 << 20, InstallPolicy::SecondTouch);
-        // First offer: dropped, subtree marked.
-        cache.insert(key(1), entry(100));
-        assert!(cache.is_empty());
-        assert_eq!(cache.counters().deferred, 1);
-        assert_eq!(cache.counters().inserts, 0);
-        assert!(!cache.has_subtree(1));
-        // Second offer of the same subtree: installed.
-        cache.insert(key(1), entry(100));
-        assert_eq!(cache.counters().inserts, 1);
-        assert!(cache.probe(key(1), 2, ProdId(0)).is_some());
-        // A different inherited context of an installed subtree is not
-        // a scan — it installs immediately.
-        cache.insert(
-            MemoKey {
-                subtree: 1,
-                inherited: 99,
-            },
-            entry(100),
-        );
-        assert_eq!(cache.counters().inserts, 2);
-    }
-
-    #[test]
-    fn second_touch_marks_are_bounded() {
-        let cache = MemoCache::<i64>::with_install_policy(16, InstallPolicy::SecondTouch);
-        // Scan far past the mark cap (256 at this tiny budget): marks
-        // stay bounded, nothing installs, and old marks age out.
-        for i in 0..100_000u64 {
-            cache.insert(key(i), entry(1));
-        }
-        assert!(cache.is_empty());
-        let c = cache.counters();
-        assert_eq!(c.deferred, 100_000);
-        // Subtree 0's mark long evicted: a re-offer defers again.
-        cache.insert(key(0), entry(1));
-        assert_eq!(cache.counters().deferred, 100_001);
-        // A recent subtree's mark survives: its re-offer installs.
-        cache.insert(key(99_999), entry(1));
-        assert_eq!(cache.counters().inserts, 1);
     }
 
     #[test]
@@ -948,7 +742,16 @@ mod tests {
     /// inherited depth and a synthesized sum at every list node, and its
     /// plan and statically evaluated store.
     fn chain(n: usize) -> (Arc<ParseTree<i64>>, EvalPlan<i64>, AttrStore<i64>) {
-        let mut g = GrammarBuilder::<i64>::new();
+        chain_of(n, |x| x, |v| *v)
+    }
+
+    /// [`chain`] over any value type, through `int` and `get`.
+    fn chain_of<V: AttrValue>(
+        n: usize,
+        int: fn(i64) -> V,
+        get: fn(&V) -> i64,
+    ) -> (Arc<ParseTree<V>>, EvalPlan<V>, AttrStore<V>) {
+        let mut g = GrammarBuilder::<V>::new();
         let s = g.nonterminal("S");
         let l = g.nonterminal("L");
         let out = g.synthesized(s, "out");
@@ -956,13 +759,15 @@ mod tests {
         let sum = g.synthesized(l, "sum");
         g.mark_split(l, 2);
         let top = g.production("top", s, [l]);
-        g.rule(top, (1, depth), [], |_| 0);
-        g.rule(top, (0, out), [(1, sum)], |a| a[0]);
+        g.rule(top, (1, depth), [], move |_| int(0));
+        g.rule(top, (0, out), [(1, sum)], |a| a[0].clone());
         let cons = g.production("cons", l, [l]);
-        g.rule(cons, (1, depth), [(0, depth)], |a| a[0] + 1);
-        g.rule(cons, (0, sum), [(1, sum), (0, depth)], |a| a[0] + a[1]);
+        g.rule(cons, (1, depth), [(0, depth)], move |a| int(get(&a[0]) + 1));
+        g.rule(cons, (0, sum), [(1, sum), (0, depth)], move |a| {
+            int(get(&a[0]) + get(&a[1]))
+        });
         let nil = g.production("nil", l, []);
-        g.rule(nil, (0, sum), [(0, depth)], |a| a[0]);
+        g.rule(nil, (0, sum), [(0, depth)], |a| a[0].clone());
         let grammar = Arc::new(g.build(s).unwrap());
         let plan = EvalPlan::analyze(&grammar);
         let mut tb = TreeBuilder::new(&grammar);
@@ -1067,6 +872,55 @@ mod tests {
         assert_eq!(replay(&long), (false, 0), "one value long");
     }
 
+    /// A value whose type has no content hash.
+    #[derive(Debug, Clone, Default)]
+    struct Opaque(i64);
+
+    impl AttrValue for Opaque {}
+
+    /// Enters and leaves the memo point at the list under `tree`'s root
+    /// against a fresh cache, with only the point's inherited values
+    /// set: whether it hit, the counters `(hits, misses, inserts)`, and
+    /// how many entries the cache holds after.
+    fn enter_and_leave<V: AttrValue>(
+        tree: &ParseTree<V>,
+        plan: &EvalPlan<V>,
+        store: &AttrStore<V>,
+    ) -> (bool, (u64, u64, u64), usize) {
+        let Child::Node(list) = tree.children(tree.root())[0] else {
+            panic!("the root's child is the list");
+        };
+        let point = MemoPoint {
+            node: list,
+            subtree: tree.subtree_hash(list).expect("no tokens: exact"),
+            inh: plan
+                .inh_attrs(plan.grammar().prod(tree.node(list).prod).lhs)
+                .to_vec(),
+        };
+        let mut fresh = AttrStore::new(tree);
+        for &a in &point.inh {
+            fresh.set(list, a, store.get(list, a).expect("evaluated").clone());
+        }
+        let memo = MemoCache::new(1 << 20);
+        let points = [point];
+        let mut at = MemoPoints::new(&memo, &points);
+        let hit = at.enter(tree, &mut fresh, list, 1);
+        at.leave(tree, store, 1);
+        let c = memo.counters();
+        (hit, (c.hits, c.misses, c.inserts), memo.len())
+    }
+
+    /// A memo point whose inherited value has no content hash has no
+    /// key: it is neither probed, counted nor installed. The same point
+    /// over `i64` misses and is installed.
+    #[test]
+    fn an_unkeyable_point_is_neither_probed_nor_counted() {
+        let (tree, plan, store) = chain(4);
+        assert_eq!(enter_and_leave(&tree, &plan, &store), (false, (0, 1, 1), 1));
+        let (tree, plan, store) = chain_of(4, Opaque, |v| v.0);
+        assert_eq!(enter_and_leave(&tree, &plan, &store), (false, (0, 0, 0), 0));
+    }
+
     thread_local! {
         static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
@@ -1161,23 +1015,15 @@ mod tests {
         assert_eq!(large.counters().inserts, 1);
     }
 
-    /// Under second-touch installs, a subtree's first offer is deferred
-    /// before its span is walked, so it clones nothing; the second
-    /// offer copies the span once and installs it.
+    /// The first offer of a signature copies its span once and installs
+    /// it; a second offer finds it cached before its span is walked, so
+    /// it clones nothing.
     #[test]
-    fn a_deferred_first_touch_clones_no_value() {
+    fn an_installed_signature_is_not_copied_again() {
         let (tree, store, key) = counted_chain();
-        let memo = MemoCache::with_install_policy(1 << 20, InstallPolicy::SecondTouch);
-        assert_eq!(clones_to_install(&memo, &tree, &store, key), 0);
-        let c = memo.counters();
-        assert_eq!((c.deferred, c.inserts), (1, 0), "{c:?}");
+        let memo = MemoCache::new(1 << 20);
         assert_eq!(clones_to_install(&memo, &tree, &store, key), store.filled());
-        let c = memo.counters();
-        assert_eq!((c.deferred, c.inserts), (1, 1), "{c:?}");
-        assert_eq!(
-            clones_to_install(&memo, &tree, &store, key),
-            0,
-            "an installed signature is not copied again"
-        );
+        assert_eq!(clones_to_install(&memo, &tree, &store, key), 0);
+        assert_eq!((memo.counters().inserts, memo.len()), (1, 1));
     }
 }

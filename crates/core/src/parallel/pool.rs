@@ -247,9 +247,7 @@
 use crate::analysis::Plans;
 use crate::eval::{EvalError, EvalPlan, VisitPrograms};
 use crate::grammar::AttrId;
-use crate::memo::{
-    memo_points, memo_safety, root_point, InstallPolicy, MemoCache, MemoCounters, MemoPoint,
-};
+use crate::memo::{memo_points, memo_safety, root_point, MemoCache, MemoCounters, MemoPoint};
 use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
 use crate::stats::EvalStats;
 use crate::tree::{AttrRead, AttrStore, NodeId, ParseTree, RegionStore};
@@ -288,12 +286,13 @@ impl std::error::Error for TicketFailure {}
 /// Configuration for a [`WorkerPool`] — and, re-exported as
 /// `paragram_driver::DriverConfig`, for the batch driver and the
 /// service queue that own one. It holds only what a deployment
-/// chooses: how many threads, how to cut trees, and the memo. The
-/// pool reads its machine mode off the plan
+/// chooses: how many threads, how to cut trees, and how large a memo.
+/// The pool reads its machine mode off the plan
 /// ([`EvalPlan::best_mode`]), always propagates results naively (its
 /// threads share memory; see the module docs), splits at the grammar's
-/// own `%split` minima, places every job the paper's fixed way and
-/// keeps `TREES_PER_WORKER` trees per worker in flight.
+/// own `%split` minima, places every job the paper's fixed way, keeps
+/// `TREES_PER_WORKER` trees per worker in flight and installs every
+/// memo point a worker misses on.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of persistent evaluator threads — all the threads the
@@ -322,11 +321,6 @@ pub struct PoolConfig {
     /// l-ordered) gets no cache whatever the budget, and
     /// [`WorkerPool::memo_counters`] reads `None`.
     pub memo_capacity: usize,
-    /// Memo install policy (only meaningful with a non-zero
-    /// `memo_capacity`): install every cacheable span a worker
-    /// evaluates (the default), or defer to the second touch of a
-    /// subtree (scan resistance).
-    pub memo_install: InstallPolicy,
 }
 
 impl PoolConfig {
@@ -336,7 +330,6 @@ impl PoolConfig {
             workers: n.max(1),
             adaptive_budget: None,
             memo_capacity: 0,
-            memo_install: InstallPolicy::Always,
         }
     }
 
@@ -355,14 +348,6 @@ impl PoolConfig {
     pub fn with_memo_capacity(self, bytes: usize) -> Self {
         PoolConfig {
             memo_capacity: bytes,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the given memo install policy.
-    pub fn with_memo_install(self, policy: InstallPolicy) -> Self {
-        PoolConfig {
-            memo_install: policy,
             ..self
         }
     }
@@ -743,12 +728,8 @@ impl<V: AttrValue> WorkerPool<V> {
         };
         let workers = config.workers;
         let split = SplitTable::new(plan.grammar().as_ref(), 1.0);
-        let memo = (config.memo_capacity > 0 && plan.programs().is_some()).then(|| {
-            Arc::new(MemoCache::with_install_policy(
-                config.memo_capacity,
-                config.memo_install,
-            ))
-        });
+        let memo = (config.memo_capacity > 0 && plan.programs().is_some())
+            .then(|| Arc::new(MemoCache::new(config.memo_capacity)));
         let memo_safe = Arc::new(if memo.is_some() {
             memo_safety(plan)
         } else {

@@ -54,11 +54,11 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
 
     /// `true` iff [`AttrValue::content_hash`] would return `Some` —
     /// i.e. the value carries no ticket-local state that would make it
-    /// unsafe to replay under another ticket. The retire-time memo
-    /// installer calls this on every value of a candidate span, so
-    /// implementations should answer with a cheap structural check
-    /// rather than the default, which computes (and discards) the full
-    /// content hash.
+    /// unsafe to replay under another ticket. A worker installing a
+    /// memo point, when the point's visit returns, calls this on every
+    /// value of the point's span, so implementations should answer with
+    /// a cheap structural check rather than the default, which computes
+    /// (and discards) the full content hash.
     fn is_fingerprintable(&self) -> bool {
         self.content_hash().is_some()
     }
