@@ -3,8 +3,8 @@
 //! gate placement, dispatch policy and crash recovery. The simulation
 //! is deterministic, so these are exact: a moved number is a changed
 //! policy or protocol, never noise. Each pin sits beside the bound it
-//! must keep. (The mini-grammar pins — stealing, service, crash
-//! recovery — live in `paragram_core::parallel::sim`'s unit tests.)
+//! must keep. (The mini-grammar pins — service, crash recovery — live
+//! in `paragram_core::parallel::sim`'s unit tests.)
 
 use paragram_bench::stream::{generate_stream, RequestSpec, SizeClass, StreamConfig};
 use paragram_bench::Workload;
@@ -13,7 +13,6 @@ use paragram_core::parallel::policy::DispatchPolicy;
 use paragram_core::parallel::sim::{
     run_sim, run_sim_batch, run_sim_stream, Arrivals, BatchSimReport, SimConfig, SimRequest,
 };
-use paragram_core::parallel::SchedulerMode;
 use paragram_core::split::RegionGranularity;
 use paragram_core::tree::ParseTree;
 use paragram_netsim::{FaultPlan, Trace};
@@ -64,34 +63,20 @@ fn mixed_batch_makespan_is_pinned() {
     assert_eq!(report.finish_times[23], report.makespan);
 }
 
-/// Fixed placement against work stealing on the stream fixed placement
-/// handles worst. A Pascal tree splits into one region per machine, and
-/// its head region (declarations plus the root's code concatenation)
-/// carries about twice a sibling's work. So four paper trees put every
-/// head region on machine 0 under fixed placement (region `r` goes to
-/// machine `r mod 4`), while LPT seeding spreads them. Four
-/// procedure-sized trees follow, and depth 4 makes the skew overlap in
-/// flight. Stealing must clear 1.15× fixed with identical root values.
+/// The stream fixed placement handles worst. A Pascal tree splits into
+/// one region per machine, and its head region (declarations plus the
+/// root's code concatenation) carries about twice a sibling's work, so
+/// four paper trees put every head region on machine 0 (region `r`
+/// goes to machine `r mod 4`). Four procedure-sized trees follow, and
+/// depth 4 makes the skew overlap in flight.
 #[test]
-fn stealing_beats_fixed_placement_on_the_skewed_stream() {
+fn fixed_placement_on_the_skewed_stream_is_pinned() {
     let compiler = Compiler::new();
     let plans = compiler.evals.plans().expect("pascal grammar is ordered");
     let mut stream = vec![parse(&compiler, &GenConfig::paper()); 4];
     stream.extend((7..11).map(|seed| parse(&compiler, &SizeClass::Proc.gen_config(seed))));
-    let cfg = SimConfig::paper(4);
-    let fixed = run_sim_batch(&stream, Some(plans), &cfg, 4);
-    let cfg = cfg.with_scheduler(SchedulerMode::Stealing);
-    let stealing = run_sim_batch(&stream, Some(plans), &cfg, 4);
-
+    let fixed = run_sim_batch(&stream, Some(plans), &SimConfig::paper(4), 4);
     assert_eq!(fixed.makespan, 42_790_466);
-    assert_eq!(stealing.makespan, 29_708_295);
-    let s = stealing.sched;
-    assert_eq!((s.steals, s.local_sends, s.remote_sends), (2, 29, 131));
-
-    assert_eq!(fixed.root_values, stealing.root_values);
-    assert!(stealing.makespan <= fixed.makespan);
-    let ratio = fixed.makespan as f64 / stealing.makespan as f64;
-    assert!(ratio >= 1.15, "stealing is {ratio:.2}x fixed placement");
 }
 
 /// The service stream the dispatch and recovery pins replay: 24
@@ -128,7 +113,6 @@ fn serve(
     (stream, trees): &(Vec<RequestSpec>, Vec<Arc<ParseTree<PVal>>>),
     policy: DispatchPolicy,
     queue_capacity: usize,
-    scheduler: SchedulerMode,
     faults: &FaultPlan,
 ) -> BatchSimReport<PVal> {
     let requests: Vec<SimRequest> = stream
@@ -141,7 +125,7 @@ fn serve(
     run_sim_stream(
         trees,
         Some(compiler.evals.plans().expect("pascal grammar is ordered")),
-        &SimConfig::paper(4).with_scheduler(scheduler),
+        &SimConfig::paper(4),
         2,
         RegionGranularity::Machines(4),
         faults,
@@ -196,7 +180,6 @@ fn dispatch_policy_tails_on_the_skewed_service_stream_are_pinned() {
             &service,
             policy,
             stream.len(),
-            SchedulerMode::Fixed,
             &FaultPlan::default(),
         );
         let proc: Vec<u64> = (0..stream.len())
@@ -218,18 +201,17 @@ fn dispatch_policy_tails_on_the_skewed_service_stream_are_pinned() {
         &service,
         DispatchPolicy::Fifo,
         8,
-        SchedulerMode::Fixed,
         &FaultPlan::default(),
     );
     assert_eq!(bounded.shed_count(), 14);
 }
 
-/// A mid-evaluation crash and restart of evaluator 2 on the stealing
-/// park, at the instant and for the downtime (a twentieth of the clean
-/// makespan) where it lands on held work and forces a duplicate-
-/// suppressed replay. Recovery re-executes the lost region, keeps every
-/// tree's root values, costs at most 1.25× the clean makespan and
-/// leaves admission untouched.
+/// A mid-evaluation crash and restart of evaluator 2, at the instant
+/// and for the downtime (a twentieth of the clean makespan) where it
+/// lands on held work and forces a duplicate-suppressed replay.
+/// Recovery re-executes the lost regions, keeps every tree's root
+/// values, costs at most 1.25× the clean makespan and leaves admission
+/// untouched.
 #[test]
 fn crash_recovery_on_the_service_stream_is_pinned() {
     let compiler = Compiler::new();
@@ -240,18 +222,17 @@ fn crash_recovery_on_the_service_stream_is_pinned() {
             &service,
             DispatchPolicy::Fifo,
             service.0.len(),
-            SchedulerMode::Stealing,
             faults,
         )
     };
     let clean = run(&FaultPlan::default());
-    let faulty = run(&FaultPlan::seeded(2026).crash_restart(2, 5_186_247, 1_025_641));
+    let faulty = run(&FaultPlan::seeded(2026).crash_restart(2, 7_037_924, 1_005_417));
 
     assert_eq!(faulty.faults.crashes, 1);
-    assert_eq!(faulty.faults.regions_reexecuted, 1);
+    assert_eq!(faulty.faults.regions_reexecuted, 2);
     assert_eq!(faulty.faults.dup_suppressed, 2);
-    assert_eq!(clean.makespan, 20_512_835);
-    assert_eq!(faulty.makespan, 20_409_827);
+    assert_eq!(clean.makespan, 20_108_357);
+    assert_eq!(faulty.makespan, 20_520_495);
 
     // Faults may reorder the root attributes' arrival, never their
     // content.
@@ -291,8 +272,8 @@ fn traffic(trace: &Trace) -> Traffic {
 /// parser's final reads. The virtual-time pins see a miscounted byte
 /// only through the time it moves; this sees it directly. Two runs:
 /// the paper program on 5 machines, and a 24-tree stream of proc, unit
-/// and paper programs cut into budget-sized regions on a stealing park
-/// of 4 that loses evaluator 2 a third of the way in.
+/// and paper programs cut into budget-sized regions on a park of 4
+/// that loses evaluator 2 a third of the way in.
 #[test]
 fn librarian_wire_traffic_is_pinned() {
     let w = Workload::paper();
@@ -313,7 +294,7 @@ fn librarian_wire_traffic_is_pinned() {
             parse(&compiler, &class.gen_config(300 + i))
         })
         .collect();
-    let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+    let cfg = SimConfig::paper(4);
     let crash = FaultPlan::seeded(34).crash_restart(2, 31_142_407, 1_000_000);
     let stream = run_sim_stream(
         &trees,
@@ -330,7 +311,7 @@ fn librarian_wire_traffic_is_pinned() {
         ("code-segment", 434, 5_926_228),
         ("attr", 2_984, 1_142_952),
         ("resolve", 24, 1_536),
-        ("subtree", 0, 0),
+        ("subtree", 391, 2_603_915),
     ];
-    assert_eq!(traffic(&stream.trace), (want, 7_080_092));
+    assert_eq!(traffic(&stream.trace), (want, 9_682_471));
 }

@@ -1,20 +1,19 @@
-//! The scheduler board: the whole scheduler state machine — both
-//! placements — free of threads, channels and clocks.
+//! The scheduler board: the whole scheduler state machine free of
+//! threads, channels and clocks.
 //!
 //! [`Board`] owns everything the evaluators share — one deque of
 //! pending region jobs per worker, the `(ticket, region) →` [`JobLoc`]
 //! location table, the per-worker load accounts, the dead set, every
-//! live job's input log, and the steal/locality and
+//! live job's input log, and the locality and
 //! crash/re-execution/duplicate counters — and has the one
-//! implementation of each transition over them. The two
-//! [`SchedulerMode`]s differ only in how a ticket is seeded and whether
-//! a worker with an empty deque may steal:
+//! implementation of each transition over them. Placement is the
+//! paper's (§3): a job runs on the worker it was seeded on, and only a
+//! crash moves it.
 //!
 //! | transition | what it decides |
 //! |---|---|
-//! | [`Board::seed`], `Fixed` | modular seeding: region `r` onto worker `(r + rotation) mod W` ([`modular_placements`]) |
-//! | [`Board::seed`], `Stealing` | LPT + parent/child co-seeding of a ticket's regions onto the deques ([`seed_placements`]) |
-//! | [`Board::claim`] | own deque front; under `Stealing` only, else the largest eligible job of the most-loaded live victim |
+//! | [`Board::seed`] | modular seeding: region `r` onto worker `(r + rotation) mod W` ([`modular_placements`]) |
+//! | [`Board::claim`] | the front of the claimer's own deque |
 //! | [`Board::take`] | a keyed take of one job off the taker's own deque (the sim's parser push) |
 //! | [`Board::route`] | a boundary value's destination worker: table lookup, log-at-send, content-keyed duplicate suppression, local/remote count |
 //! | [`Board::deliver`] | what the receiving worker does with it: attach to the queued job, feed the active one, forward, or drop |
@@ -23,20 +22,17 @@
 //! | [`Board::cancel`] | a failed ticket's jobs purged |
 //!
 //! Two drivers run it. The live pool ([`super::pool`]) calls it from
-//! worker threads under one mutex, always under `Fixed`, and moves
-//! values over channels; the simulator ([`super::sim`]) calls it from
-//! netsim handlers under either mode and adds only what virtual time
-//! needs (a per-machine `busy_until` clock and a transfer-cost gate,
-//! both passed to [`Board::claim`] as its eligibility predicate).
-//! Neither re-implements a transition, so "the sim runs the deployed
-//! policy" holds by construction, and crash recovery covers both
-//! placements.
+//! worker threads under one mutex and moves values over channels; the
+//! simulator ([`super::sim`]) calls it from netsim handlers and adds
+//! only what virtual time needs (the subtree fetch a recovery claim is
+//! charged). Neither re-implements a transition, so "the sim runs the
+//! deployed policy" holds by construction.
 //!
 //! A job's record lives in one map from seeding to retirement, so an
 //! absent record means exactly *retired or cancelled* on every path,
 //! and retiring a job frees its input log in the same step.
 
-use super::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
+use super::{FaultCounters, SchedCounters, Ticket};
 use crate::grammar::AttrId;
 use crate::split::RegionId;
 use crate::tree::NodeId;
@@ -56,9 +52,9 @@ pub(crate) const DEAD_LOAD: u64 = u64::MAX / 2;
 /// Where a region job currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobLoc {
-    /// Waiting in this worker's deque — stealable.
+    /// Waiting in this worker's deque.
     Queued(usize),
-    /// Claimed by this worker — never migrates again (short of a crash).
+    /// Claimed or taken by this worker.
     Active(usize),
 }
 
@@ -70,63 +66,10 @@ impl JobLoc {
     }
 }
 
-/// Chooses a worker for every region of one tree under the stealing
-/// scheduler's seeding policy, updating `load` (one slot per worker)
-/// in place. LPT: regions are placed largest-estimated-work first, so
-/// big regions spread before small ones fill the gaps. Locality: a
-/// region whose parent region (or an already-placed child) has a home
-/// prefers that relative's worker — keeping boundary-attribute
-/// messages worker-local — unless that worker's load exceeds the
-/// least-loaded worker's by more than one region's worth (capped at a
-/// fair share), which would stack a dependency chain onto one worker
-/// and serialize it. Ties break toward the lowest worker index, so
-/// placement is deterministic. Dead workers sit at [`DEAD_LOAD`], so
-/// neither the least-loaded choice nor the locality slack test picks
-/// them.
-fn seed_placements(
-    work: &[u64],
-    parent_of: impl Fn(RegionId) -> Option<RegionId>,
-    load: &mut [u64],
-) -> Vec<usize> {
-    let workers = load.len();
-    let total: u64 = work.iter().sum();
-    // A little over-filling for locality is tolerable — runtime
-    // stealing corrects residual imbalance — but co-locating a whole
-    // region chain serializes it, so the slack is tight.
-    let bound = (total / workers as u64).max(1);
-    let mut order: Vec<usize> = (0..work.len()).collect();
-    order.sort_by(|&a, &b| work[b].cmp(&work[a]).then(a.cmp(&b)));
-    let mut placements = vec![usize::MAX; work.len()];
-    let mut placed_child: HashMap<RegionId, usize> = HashMap::new();
-    for &r in &order {
-        let rid = r as RegionId;
-        let parent = parent_of(rid);
-        let pref = parent
-            .and_then(|p| {
-                let w = placements[p as usize];
-                (w != usize::MAX).then_some(w)
-            })
-            .or_else(|| placed_child.get(&rid).copied());
-        let least = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("at least one worker");
-        let w = match pref {
-            Some(p) if load[p] <= load[least] + bound.min(work[r]) => p,
-            _ => least,
-        };
-        placements[r] = w;
-        load[w] += work[r];
-        if let Some(p) = parent {
-            placed_child.entry(p).or_insert(w);
-        }
-    }
-    placements
-}
-
-/// [`SchedulerMode::Fixed`]'s placement of a ticket's `regions`: region
-/// `r` on worker `(r + rotation) mod W` — with `rotation` 0 the paper's
-/// region *k* on machine *k* (§3) — or, if that worker is dead, the next
-/// live one after it (the home itself when none is: the job waits for a
+/// The placement of a ticket's `regions`: region `r` on worker
+/// `(r + rotation) mod W` — with `rotation` 0 the paper's region *k* on
+/// machine *k* (§3) — or, if that worker is dead, the next live one
+/// after it (the home itself when none is: the job waits for a
 /// restart).
 fn modular_placements(regions: usize, rotation: usize, dead: &[bool]) -> Vec<usize> {
     let workers = dead.len();
@@ -144,14 +87,14 @@ fn modular_placements(regions: usize, rotation: usize, dead: &[bool]) -> Vec<usi
 /// A live job's record, from seeding to retirement.
 struct JobRec<V, P> {
     loc: JobLoc,
-    /// Estimated work — the LPT seeding key and the load-account unit.
+    /// Estimated work — the load-account unit.
     work: u64,
     /// What the driver needs to build the job's machine (the pool: the
     /// tree and decomposition; the sim: the subtree's wire size). Kept
     /// after the claim so a crash can rebuild the job.
     payload: P,
     /// Values delivered while the job was queued; handed to the
-    /// claimer, so a steal migrates them with the job.
+    /// claimer.
     early: Vec<Input<V>>,
     /// Every value *sent* to the job, appended at send time — the
     /// recovery's stable storage (a value still on the wire when its
@@ -186,8 +129,6 @@ pub(crate) enum Delivery<V> {
 /// The scheduler's shared state machine (see the module docs). `V` is
 /// the attribute value type, `P` the driver's per-job payload.
 pub(crate) struct Board<V, P> {
-    /// The seeding policy, and whether an idle worker may steal.
-    mode: SchedulerMode,
     /// Pending jobs per worker, seeding order.
     deques: Vec<VecDeque<JobKey>>,
     jobs: HashMap<JobKey, JobRec<V, P>>,
@@ -202,9 +143,8 @@ pub(crate) struct Board<V, P> {
 }
 
 impl<V: Clone, P: Clone> Board<V, P> {
-    pub fn new(workers: usize, mode: SchedulerMode) -> Self {
+    pub fn new(workers: usize) -> Self {
         Board {
-            mode,
             deques: (0..workers).map(|_| VecDeque::new()).collect(),
             jobs: HashMap::new(),
             load: vec![0; workers],
@@ -248,37 +188,27 @@ impl<V: Clone, P: Clone> Board<V, P> {
     }
 
     /// Seeds one ticket's region jobs (`work[r]` estimated for region
-    /// `r`, `parent_of(r)` its parent region in the decomposition) onto
-    /// the deques — by [`modular_placements`] from `rotation` under
-    /// `Fixed`, by [`seed_placements`] under `Stealing` — and returns
-    /// each region's home worker. Every region is recorded before this
-    /// returns — so before the driver wakes any worker — which is what
-    /// lets every other path read an absent record as "finished".
+    /// `r`) onto the deques by [`modular_placements`] from `rotation`,
+    /// and returns each region's home worker. Every region is recorded
+    /// before this returns — so before the driver wakes any worker —
+    /// which is what lets every other path read an absent record as
+    /// "finished".
     pub fn seed(
         &mut self,
         ticket: Ticket,
         rotation: usize,
         work: &[u64],
-        parent_of: impl Fn(RegionId) -> Option<RegionId>,
         mut payload: impl FnMut(RegionId) -> P,
     ) -> Vec<usize> {
-        let placements = match self.mode {
-            SchedulerMode::Fixed => {
-                let homes = modular_placements(work.len(), rotation, &self.dead);
-                for (&w, &units) in homes.iter().zip(work) {
-                    self.load[w] = self.load[w].saturating_add(units);
-                }
-                homes
-            }
-            SchedulerMode::Stealing => seed_placements(work, parent_of, &mut self.load),
-        };
-        for (r, &w) in placements.iter().enumerate() {
+        let homes = modular_placements(work.len(), rotation, &self.dead);
+        for (r, (&w, &units)) in homes.iter().zip(work).enumerate() {
             let key = (ticket, r as RegionId);
+            self.load[w] = self.load[w].saturating_add(units);
             self.jobs.insert(
                 key,
                 JobRec {
                     loc: JobLoc::Queued(w),
-                    work: work[r],
+                    work: units,
                     payload: payload(r as RegionId),
                     early: Vec::new(),
                     log: Vec::new(),
@@ -286,56 +216,26 @@ impl<V: Clone, P: Clone> Board<V, P> {
             );
             self.deques[w].push_back(key);
         }
-        placements
+        homes
     }
 
     /// Claims work for worker `me`: the front of its own deque (oldest
-    /// seeded job), else — under `Stealing` only — a **steal**: the
-    /// largest pending job of the most-loaded live victim, searched
-    /// from the back of the victim's deque. `eligible(victim, None)`
-    /// admits a victim at all and `eligible(victim, Some(payload))` one
-    /// of its jobs; a driver with no notion of time passes
-    /// `|_, _| true`. The job becomes `Active(me)` and never migrates
-    /// again. `None` when nothing is claimable (or `me` is dead: a
-    /// worker between its crash and its exit must not grab work that
-    /// would be lost with it).
-    pub fn claim(
-        &mut self,
-        me: usize,
-        eligible: impl Fn(usize, Option<&P>) -> bool,
-    ) -> Option<Claimed<V, P>> {
+    /// job seeded or reseeded there). The job becomes `Active(me)`.
+    /// `None` when the deque is empty (or `me` is dead: a worker
+    /// between its crash and its exit must not grab work that would be
+    /// lost with it).
+    pub fn claim(&mut self, me: usize) -> Option<Claimed<V, P>> {
         if self.dead[me] {
             return None;
         }
-        let key = match self.deques[me].pop_front() {
-            Some(key) => key,
-            None if self.mode == SchedulerMode::Fixed => return None,
-            None => {
-                let victim = (0..self.deques.len())
-                    .filter(|&w| !self.dead[w] && !self.deques[w].is_empty() && eligible(w, None))
-                    .max_by_key(|&w| (self.load[w], w))?;
-                let (mut best, mut best_work) = (None, 0u64);
-                for (i, key) in self.deques[victim].iter().enumerate().rev() {
-                    let job = &self.jobs[key];
-                    if job.work > best_work && eligible(victim, Some(&job.payload)) {
-                        (best, best_work) = (Some(i), job.work);
-                    }
-                }
-                let key = self.deques[victim].remove(best?).expect("index in range");
-                self.load[victim] = self.load[victim].saturating_sub(best_work);
-                self.load[me] += best_work;
-                self.sched.steals += 1;
-                self.sched.migrated_attrs += self.jobs[&key].early.len() as u64;
-                key
-            }
-        };
+        let key = self.deques[me].pop_front()?;
         Some(self.activate(me, key))
     }
 
     /// Worker `me` takes job `key` off its own deque: the job whose
     /// subtree was pushed to it, activated by that arrival rather than
-    /// by a claim (the sim's fixed placement, where the parser ships
-    /// each region to its home). `None` unless the job is queued here —
+    /// by a claim (the sim, where the parser ships each region to its
+    /// home). `None` unless the job is queued here —
     /// a crash reseeded it elsewhere, or a claim already took it.
     pub fn take(&mut self, me: usize, key: JobKey) -> Option<Claimed<V, P>> {
         if self.dead[me] || self.jobs.get(&key)?.loc != JobLoc::Queued(me) {
@@ -519,26 +419,15 @@ mod tests {
 
     type TestBoard = Board<u32, ()>;
 
-    /// Region parents of a chain-shaped decomposition `0 ← 1 ← 2 …`.
-    fn chain(r: RegionId) -> Option<RegionId> {
-        r.checked_sub(1)
-    }
-
-    impl<V: Clone, P: Clone> Board<V, P> {
-        fn stealing(workers: usize) -> Self {
-            Board::new(workers, SchedulerMode::Stealing)
-        }
-    }
-
     /// Seeds one ticket with the given per-region work, rotated by the
-    /// ticket under `Fixed` (the pool's rule); returns the homes.
+    /// ticket (the pool's rule); returns the homes.
     fn seed<P: Clone>(
         b: &mut Board<u32, P>,
         ticket: Ticket,
         work: &[u64],
         payload: P,
     ) -> Vec<usize> {
-        b.seed(ticket, ticket as usize, work, chain, |_| payload.clone())
+        b.seed(ticket, ticket as usize, work, |_| payload.clone())
     }
 
     /// The invariants both drivers rely on.
@@ -578,96 +467,46 @@ mod tests {
     }
 
     #[test]
-    fn seeding_spreads_by_work_and_records_every_region() {
-        let mut b = TestBoard::stealing(3);
-        seed(&mut b, 0, &[10, 1, 9, 8], ());
-        check(&b);
-        assert_eq!(b.jobs.len(), 4);
-        // LPT: the three big regions land on three different workers.
-        let home = |r| b.jobs[&(0, r)].loc.worker();
-        assert_ne!(home(0), home(2));
-        assert_ne!(home(0), home(3));
-        assert_ne!(home(2), home(3));
-        assert_eq!(b.load.iter().sum::<u64>(), 28);
-        assert!(!b.is_quiescent());
-    }
-
-    #[test]
-    fn claim_prefers_own_front_then_steals_the_largest_from_the_most_loaded() {
-        let mut b = TestBoard::stealing(2);
-        seed(&mut b, 0, &[5], ());
-        seed(&mut b, 1, &[7], ());
-        seed(&mut b, 2, &[3], ());
-        // Placement: 5 → w0, 7 → w1, 3 → w0.
-        assert_eq!(b.claim(0, |_, _| true).unwrap().key, (0, 0));
-        assert_eq!(b.claim(0, |_, _| true).unwrap().key, (2, 0));
-        // Own deque empty: steal from w1.
-        let stolen = b.claim(0, |_, _| true).unwrap();
-        assert_eq!(stolen.key, (1, 0));
-        assert_eq!(b.sched_counters().steals, 1);
-        assert_eq!(b.jobs[&(1, 0)].loc, JobLoc::Active(0));
-        check(&b);
-        assert!(b.claim(1, |_, _| true).is_none());
-    }
-
-    #[test]
-    fn the_eligibility_predicate_gates_victims_and_jobs() {
-        let mut b = Board::<u32, u64>::stealing(2);
-        seed(&mut b, 0, &[5], 50);
-        seed(&mut b, 1, &[7], 70);
-        seed(&mut b, 2, &[3], 30);
-        assert_eq!(b.claim(1, |_, _| true).unwrap().key, (1, 0));
-        // w0 holds (0,0) and (2,0); w1 is idle.
-        assert!(
-            b.claim(1, |_, job| job.is_some()).is_none(),
-            "victim refused"
-        );
-        assert!(
-            b.claim(1, |_, job| job.is_none()).is_none(),
-            "every job refused"
-        );
-        // Only the small job is admitted, so it is the one stolen.
-        let got = b.claim(1, |_, job| job.is_none_or(|&p| p < 40)).unwrap();
-        assert_eq!((got.key, got.payload), ((2, 0), 30));
-    }
-
-    #[test]
-    fn routed_values_attach_to_queued_jobs_and_migrate_with_a_steal() {
-        let mut b = TestBoard::stealing(2);
-        // A parent/child pair is co-seeded: both jobs queue on w0.
+    fn routed_values_attach_to_queued_jobs_and_follow_a_crash_reseed() {
+        let mut b = TestBoard::new(3);
+        // Region 1 of ticket 0 queues on w1.
         seed(&mut b, 0, &[4, 4], ());
-        let (to, w, thief) = ((0, 1), 0, 1);
+        let (to, w, sender) = ((0, 1), 1, 0);
         assert_eq!(b.jobs[&to].loc, JobLoc::Queued(w));
-        assert_eq!(b.route(thief, to, NodeId(9), AttrId(0), &77), Some(w));
+        assert_eq!(b.route(sender, to, NodeId(9), AttrId(0), &77), Some(w));
         assert!(matches!(
             b.deliver(w, to, NodeId(9), AttrId(0), 77),
             Delivery::Stored
         ));
         // The same instance again is a replayed send.
-        assert_eq!(b.route(thief, to, NodeId(9), AttrId(0), &77), None);
+        assert_eq!(b.route(sender, to, NodeId(9), AttrId(0), &77), None);
         assert_eq!(b.fault_counters().dup_suppressed, 1);
         assert_eq!(b.sched_counters().remote_sends, 1);
-        // w1's deque is empty, so its claim steals — from the back.
-        let got = b.claim(thief, |_, _| true).unwrap();
+        // w1 dies with the job queued: it is reseeded onto w2, the
+        // least-loaded survivor, which claims it with its logged value.
+        assert!(b.crash(w));
+        let home = 2;
+        let got = b.claim(home).unwrap();
         assert_eq!(got.key, to);
-        assert_eq!(b.sched_counters().migrated_attrs, 1);
         assert_eq!(got.early, vec![(NodeId(9), AttrId(0), 77)]);
-        // A straggler delivered to the old home is forwarded.
+        // A straggler delivered to the old home, back up, is forwarded.
+        b.restart(w);
         assert!(matches!(
             b.deliver(w, to, NodeId(9), AttrId(1), 5),
-            Delivery::Forward(t, 5) if t == thief
+            Delivery::Forward(t, 5) if t == home
         ));
         assert!(matches!(
-            b.deliver(thief, to, NodeId(9), AttrId(1), 5),
+            b.deliver(home, to, NodeId(9), AttrId(1), 5),
             Delivery::Mine(5)
         ));
+        check(&b);
     }
 
     #[test]
     fn retirement_frees_the_record_and_only_the_owner_may_retire() {
-        let mut b = TestBoard::stealing(2);
+        let mut b = TestBoard::new(2);
         seed(&mut b, 0, &[6], ());
-        let job = b.claim(0, |_, _| true).unwrap();
+        let job = b.claim(0).unwrap();
         b.route(1, job.key, NodeId(1), AttrId(0), &1);
         assert!(!b.retire(1, job.key), "not the owner");
         assert!(b.retire(0, job.key));
@@ -682,22 +521,22 @@ mod tests {
 
     #[test]
     fn crash_reseeds_queued_and_active_jobs_with_full_log_replay() {
-        let mut b = TestBoard::stealing(2);
+        let mut b = TestBoard::new(2);
         seed(&mut b, 0, &[5], ());
         seed(&mut b, 1, &[4], ());
         seed(&mut b, 2, &[3], ());
         seed(&mut b, 3, &[2], ());
-        // w0: (0,0) then (3,0).
-        let active = b.claim(0, |_, _| true).unwrap();
+        // w0: (0,0) then (2,0).
+        let active = b.claim(0).unwrap();
         assert_eq!(active.key, (0, 0));
         b.route(1, (0, 0), NodeId(1), AttrId(0), &10);
-        b.route(1, (3, 0), NodeId(2), AttrId(0), &20);
+        b.route(1, (2, 0), NodeId(2), AttrId(0), &20);
         assert!(b.crash(0));
         assert!(!b.crash(0), "already dead");
         check(&b);
         let f = b.fault_counters();
         assert_eq!((f.crashes, f.regions_reexecuted), (1, 2));
-        for key in [(0, 0), (3, 0)] {
+        for key in [(0, 0), (2, 0)] {
             let job = &b.jobs[&key];
             assert!(matches!(job.loc, JobLoc::Queued(w) if w != 0));
             assert_eq!(job.early, job.log);
@@ -705,7 +544,7 @@ mod tests {
         }
         // The zombie's late retirement is refused; a survivor's is not.
         assert!(!b.retire(0, (0, 0)));
-        assert!(b.claim(0, |_, _| true).is_none(), "the dead claim nothing");
+        assert!(b.claim(0).is_none(), "the dead claim nothing");
         b.restart(0);
         check(&b);
         assert_eq!(b.load[0], 0);
@@ -713,23 +552,23 @@ mod tests {
 
     #[test]
     fn a_crash_with_no_survivor_parks_jobs_until_the_restart() {
-        let mut b = TestBoard::stealing(1);
+        let mut b = TestBoard::new(1);
         seed(&mut b, 0, &[3, 2], ());
-        b.claim(0, |_, _| true).unwrap();
+        b.claim(0).unwrap();
         assert!(b.crash(0));
         assert_eq!(b.deques[0].len(), 2);
         b.restart(0);
         check(&b);
         assert_eq!(b.load[0], 5);
-        assert_eq!(b.claim(0, |_, _| true).unwrap().key, (0, 0));
+        assert_eq!(b.claim(0).unwrap().key, (0, 0));
     }
 
     #[test]
     fn cancel_purges_a_ticket_and_settles_load() {
-        let mut b = TestBoard::stealing(2);
+        let mut b = TestBoard::new(2);
         seed(&mut b, 0, &[4, 4], ());
         seed(&mut b, 1, &[2], ());
-        let job = b.claim(0, |_, _| true).unwrap();
+        let job = b.claim(0).unwrap();
         b.cancel(job.key.0);
         check(&b);
         assert!(b.jobs.keys().all(|&(t, _)| t != job.key.0));
@@ -739,25 +578,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any interleaving of the transitions, under either seeding
-        /// policy, keeps the invariants the drivers rely on, and a
-        /// record is absent exactly when its job retired or was
-        /// cancelled. Under modular seeding no job ever leaves its home
-        /// worker but through a crash, and nothing is stolen.
+        /// Any interleaving of the transitions keeps the invariants the
+        /// drivers rely on, and a record is absent exactly when its job
+        /// retired or was cancelled. No job ever leaves its home worker
+        /// but through a crash.
         #[test]
         fn random_transition_sequences_keep_the_board_consistent(rng_seed in any::<u64>()) {
-            random_transitions(rng_seed, SchedulerMode::Fixed)?;
-            random_transitions(rng_seed, SchedulerMode::Stealing)?;
+            random_transitions(rng_seed)?;
         }
     }
 
     /// One random transition sequence of
     /// [`random_transition_sequences_keep_the_board_consistent`].
-    fn random_transitions(rng_seed: u64, mode: SchedulerMode) -> Result<(), TestCaseError> {
-        let modular = mode == SchedulerMode::Fixed;
+    fn random_transitions(rng_seed: u64) -> Result<(), TestCaseError> {
         let mut rng = SmallRng::seed_from_u64(rng_seed);
         let workers = 1 + rng.gen_range(0..4) as usize;
-        let mut b = TestBoard::new(workers, mode);
+        let mut b = TestBoard::new(workers);
         let mut next_ticket: Ticket = 0;
         // Every key ever seeded, and whether it should still exist.
         let mut alive: HashMap<JobKey, bool> = HashMap::new();
@@ -777,7 +613,7 @@ mod tests {
                     let all_live = b.live().count() == workers;
                     let placed = seed(&mut b, next_ticket, &work, ());
                     for (r, &h) in placed.iter().enumerate() {
-                        if modular && all_live {
+                        if all_live {
                             prop_assert_eq!(h, (r + next_ticket as usize) % workers);
                         }
                         alive.insert((next_ticket, r as RegionId), true);
@@ -787,10 +623,8 @@ mod tests {
                 }
                 2 | 3 => {
                     let before: Vec<JobKey> = b.deques[w].iter().copied().collect();
-                    let claimed = b.claim(w, |_, _| true);
-                    if modular {
-                        prop_assert_eq!(claimed.is_some(), !b.dead[w] && !before.is_empty());
-                    }
+                    let claimed = b.claim(w);
+                    prop_assert_eq!(claimed.is_some(), !b.dead[w] && !before.is_empty());
                     if let Some(job) = claimed {
                         prop_assert!(!b.dead[w]);
                         prop_assert_eq!(b.jobs[&job.key].loc, JobLoc::Active(w));
@@ -912,15 +746,9 @@ mod tests {
             for (key, live) in &alive {
                 prop_assert_eq!(b.jobs.contains_key(key), *live, "record of {:?}", key);
             }
-            if modular {
-                for (key, job) in &b.jobs {
-                    prop_assert_eq!(job.loc.worker(), homes[key], "{:?} left its home", key);
-                }
+            for (key, job) in &b.jobs {
+                prop_assert_eq!(job.loc.worker(), homes[key], "{:?} left its home", key);
             }
-        }
-        if modular {
-            prop_assert_eq!(b.sched_counters().steals, 0);
-            prop_assert_eq!(b.sched_counters().migrated_attrs, 0);
         }
         Ok(())
     }
@@ -929,11 +757,11 @@ mod tests {
     /// first — the property that makes recovery schedules replayable.
     #[test]
     fn crash_reseeds_in_key_order_onto_the_least_loaded_survivors() {
-        let mut b = TestBoard::stealing(3);
+        let mut b = TestBoard::new(3);
         for t in 0..6 {
             seed(&mut b, t, &[1], ());
         }
-        // Round-robin by load: w0 holds tickets 0 and 3.
+        // Rotation by ticket: w0 holds tickets 0 and 3.
         assert_eq!(Vec::from(b.deques[0].clone()), [(0, 0), (3, 0)]);
         b.crash(0);
         // Equal loads break toward the lowest index: 0 → w1, 3 → w2.
@@ -947,7 +775,7 @@ mod tests {
     #[test]
     fn fixed_placement_rotates_by_ticket_and_spreads_by_region() {
         for workers in [1usize, 2, 3, 8] {
-            let mut b = TestBoard::new(workers, SchedulerMode::Fixed);
+            let mut b = TestBoard::new(workers);
             let all: Vec<usize> = (0..workers).collect();
             // Region 0 of consecutive tickets — a whole tree's only
             // job — visits every worker in turn.
@@ -960,7 +788,7 @@ mod tests {
             // workers, and the pattern continues past a full turn.
             for (ticket, rotation) in [(10, 10), (11, 11), (17, 17), (12, 0), (13, 0)] {
                 let work = vec![1; workers + 1];
-                let homes = b.seed(ticket, rotation, &work, chain, |_| ());
+                let homes = b.seed(ticket, rotation, &work, |_| ());
                 let want: Vec<usize> = (0..=workers).map(|r| (r + rotation) % workers).collect();
                 assert_eq!(homes, want, "{workers} workers, ticket {ticket}");
                 assert_eq!(homes[workers], homes[0]);
@@ -969,19 +797,16 @@ mod tests {
         }
     }
 
-    /// Under `Fixed` a worker only ever runs what was seeded onto it:
+    /// A worker only ever runs what was seeded onto it:
     /// it claims its own front or nothing, a keyed take hands over the
     /// early values in arrival order, and seeding passes over a dead
     /// home.
     #[test]
     fn modular_seeding_never_steals_and_passes_over_the_dead() {
-        let mut b = TestBoard::new(3, SchedulerMode::Fixed);
+        let mut b = TestBoard::new(3);
         let homes = seed(&mut b, 0, &[5, 5], ());
         assert_eq!(homes, [0, 1]);
-        assert!(
-            b.claim(2, |_, _| true).is_none(),
-            "an idle worker steals nothing"
-        );
+        assert!(b.claim(2).is_none(), "an idle worker steals nothing");
         assert!(b.take(0, (0, 1)).is_none(), "not queued here");
         for (attr, v) in [(0, 7), (1, 3)] {
             assert_eq!(b.route(0, (0, 1), NodeId(1), AttrId(attr), &v), Some(1));
@@ -996,8 +821,7 @@ mod tests {
             [(NodeId(1), AttrId(0), 7), (NodeId(1), AttrId(1), 3)]
         );
         assert!(b.take(1, (0, 1)).is_none(), "taken once");
-        assert_eq!(b.claim(0, |_, _| true).unwrap().key, (0, 0));
-        assert_eq!(b.sched_counters().steals, 0);
+        assert_eq!(b.claim(0).unwrap().key, (0, 0));
         check(&b);
         // Worker 1 dies holding (0, 1): recovery reseeds it, and new
         // tickets whose home is dead go to the next live worker.

@@ -6,13 +6,12 @@
 //! * `board` (crate-internal) — the scheduler as an IO-free state
 //!   machine: per-worker deques, the `(ticket, region)` job-location
 //!   table, load accounts, the dead set, per-job input logs and the
-//!   steal/locality/fault counters, with the **one** implementation of
-//!   seed (modular or LPT), claim/steal, keyed take,
-//!   route-and-log-dedup, deliver, retire, crash-reseed and cancel.
-//!   [`pool`] and [`sim`] are its two drivers, so "the simulator runs
-//!   the deployed policy" holds by construction, not by two files kept
-//!   in step. The pool places every job fixed ([`SchedulerMode::Fixed`]);
-//!   the simulator runs either [`SchedulerMode`].
+//!   locality/fault counters, with the **one** implementation of
+//!   seed (the paper's modular placement), claim (the worker's own
+//!   deque front), keyed take, route-and-log-dedup, deliver, retire,
+//!   crash-reseed and cancel. [`pool`] and [`sim`] are its two
+//!   drivers, so "the simulator runs the deployed policy" holds by
+//!   construction, not by two files kept in step.
 //! * `worker` (crate-internal) — the worker core: one evaluator
 //!   machine's jobs as IO-free state, with the **one** implementation of
 //!   activation (a whole-tree job or a region machine, early values
@@ -34,8 +33,8 @@
 //!   pool drives the board from them under one mutex, seeds it with the
 //!   paper's fixed modular placement and moves values over channels.
 //!   It is a thread driver and nothing else: the vocabulary both
-//!   drivers share ([`Ticket`], [`SchedulerMode`], [`SchedCounters`],
-//!   [`FaultCounters`]) lives here.
+//!   drivers share ([`Ticket`], [`SchedCounters`], [`FaultCounters`])
+//!   lives here.
 //! * [`sim`] — the same protocol on the deterministic
 //!   [`paragram_netsim`] network-multiprocessor simulator, reproducing
 //!   the paper's running-time and activity-trace figures exactly: one
@@ -44,9 +43,7 @@
 //!   the single-tree and batch entry points adapt. It drives the board
 //!   and the cores from netsim handlers, adding only what virtual time
 //!   needs (per-machine clocks, CPU charged from a cost model, the
-//!   parser's subtree push under fixed placement, the claimer's subtree
-//!   fetch and the steal profitability gate under stealing). Work
-//!   stealing ([`SchedulerMode::Stealing`]) is its policy alone.
+//!   parser's subtree push, a recovery claimer's subtree fetch).
 //! * [`policy`] — dispatch policies (FIFO / shortest-job-first /
 //!   deficit fair queueing) for service front ends over [`pool`],
 //!   shared with the simulator so sim policy rankings are computed by
@@ -54,9 +51,8 @@
 //!
 //! # Failure model and recovery protocol
 //!
-//! Both runtimes tolerate **fail-stop evaluator loss** — the pool under
-//! its fixed placement, the simulator under either [`SchedulerMode`]: a
-//! worker thread dying mid-region (the live [`pool`]'s
+//! Both runtimes tolerate **fail-stop evaluator loss**: a worker
+//! thread dying mid-region (the live [`pool`]'s
 //! `WorkerPool::kill_worker`) or a simulated machine crashing at a
 //! scheduled virtual time (sim, [`sim::run_sim_stream`] driven by a
 //! [`paragram_netsim::FaultPlan`]). The parser and
@@ -83,9 +79,8 @@
 //! collected, each becomes a fresh pending job whose early values are
 //! the *full* input log replay, and they are reseeded
 //! least-loaded-first over the survivors in deterministic
-//! `(ticket, region)` order, under either seeding policy (modular
-//! seeding — the pool's, and the simulator's by default — then passes
-//! over the dead worker). Re-execution regenerates the same
+//! `(ticket, region)` order (modular seeding then passes over the dead
+//! worker). Re-execution regenerates the same
 //! segment ids, attribute values and root attributes, because region
 //! evaluation is a pure function of tree + replayed inputs.
 //!
@@ -119,36 +114,19 @@ use crate::value::AttrValue;
 /// exchanges of overlapping trees never interfere.
 pub type Ticket = u64;
 
-/// How the scheduler board seeds region jobs onto workers, and whether
-/// an idle worker may steal. The live [`pool`] always places fixed;
-/// [`sim::SimConfig::scheduler`] chooses between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// The paper's fixed modular placement: region `r` of ticket `t` is
-    /// seeded onto worker `(r + offset(t)) mod W` and runs there —
-    /// nothing is stolen (a crash reseeds it, like any job).
-    #[default]
-    Fixed,
-    /// Per-worker deques with LPT seeding, parent/child co-seeding and
-    /// steal-from-the-back work stealing — the simulator's alternative
-    /// placement.
-    Stealing,
-}
-
 /// Scheduler telemetry, cumulative since the runtime started or its
-/// counters were last reset (the pool's `reset_high_water`). Boundary
-/// sends are counted local or remote under either [`SchedulerMode`];
-/// `steals` and `migrated_attrs` are filled only under
-/// [`SchedulerMode::Stealing`], so they read zero on a pool, which
-/// places fixed.
+/// counters were last reset (the pool's `reset_high_water`): boundary
+/// sends, counted local or remote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Jobs an idle worker took from another worker's deque.
+    /// Always 0: no worker takes a job off another's deque. Kept only
+    /// because the benchmark's trace still reads it.
     pub steals: u64,
-    /// Early-arrival attribute values that migrated with a stolen job.
+    /// Always 0, like [`SchedCounters::steals`]. Kept only because the
+    /// benchmark's trace still reads it.
     pub migrated_attrs: u64,
     /// Boundary-attribute sends whose destination job lived on the
-    /// sending worker (the co-seeding payoff).
+    /// sending worker.
     pub local_sends: u64,
     /// Boundary-attribute sends that crossed workers.
     pub remote_sends: u64,

@@ -18,14 +18,12 @@
 //! policy ranking the sim produces is computed by *exactly* the code
 //! the real queue runs.
 //!
-//! Dispatch order composes with, and is independent of, *placement*
-//! ([`super::SchedulerMode`]): the policy decides **which** tree
-//! enters the pipeline window next; the scheduler decides **where**
-//! that tree's region jobs run (fixed modular assignment — the live
-//! pool's — or, in the simulator, LPT-seeded deques rebalanced by work
-//! stealing). A policy that releases a huge tree still benefits from
-//! stealing spreading its regions; stealing never reorders dispatch,
-//! so policy-level fairness guarantees hold under either scheduler.
+//! Dispatch order composes with, and is independent of, *placement*:
+//! the policy decides **which** tree enters the pipeline window next;
+//! the scheduler board decides **where** that tree's region jobs run
+//! (the paper's modular placement, in the pool and the simulator
+//! alike). Placement never reorders dispatch, so policy-level fairness
+//! guarantees hold whatever the placement.
 
 use std::collections::{HashMap, VecDeque};
 

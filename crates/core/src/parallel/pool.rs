@@ -207,15 +207,13 @@
 //! input logs, with one implementation of every transition. This file
 //! is one of the board's two drivers (the simulator is the other): it
 //! holds the board under one mutex and supplies the threads and
-//! channels. The pool places every job with [`SchedulerMode::Fixed`]:
-//! region `r` of ticket `t` goes onto worker `(r + t) mod W` and is
-//! never stolen — a ticket's regions go round-robin over the workers
-//! (with no more regions than workers, the paper's
-//! one-region-per-machine placement) from a start that rotates with the
-//! ticket, which keeps consecutive trees' region 0 — a small tree's
-//! only region — off one worker. Work stealing is the
-//! simulator's: on threads it read 0.94× fixed placement, and no
-//! workload here justified keeping it.
+//! channels. The board places every job the paper's way: region `r`
+//! of ticket `t` goes onto worker `(r + t) mod W` and runs there — a
+//! ticket's regions go round-robin over the workers (with no more
+//! regions than workers, the paper's one-region-per-machine placement)
+//! from a start that rotates with the ticket, which keeps consecutive
+//! trees' region 0 — a small tree's only region — off one worker. Only
+//! a crash moves a job.
 //!
 //! `submit` seeds a ticket and wakes each of its jobs' homes once — no
 //! other worker may claim them; a worker whose machines all starve
@@ -225,7 +223,7 @@
 //! worker retires a job on the board *before* reporting it done;
 //! [`WorkerPool::kill_worker`] is the board's crash transition plus a
 //! `Die` message. [`WorkerPool::sched_counters`] reports the
-//! local/remote split of boundary sends; its steal counters read zero.
+//! local/remote split of boundary sends.
 //!
 //! The protocol stays deterministic in *results* at every worker count
 //! and granularity: attribute messages carry their
@@ -260,7 +258,7 @@ use std::time::{Duration, Instant};
 
 use super::board::{Board, Claimed, Delivery, JobKey};
 use super::worker::{Cut, Driver, Finished, JobResult, WorkerCore};
-use super::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
+use super::{FaultCounters, SchedCounters, Ticket};
 
 /// One ticket's evaluation failed (dependency cycle, plan
 /// inconsistency, or a contained rule panic). The pool cancels the
@@ -735,7 +733,7 @@ impl<V: AttrValue> WorkerPool<V> {
         } else {
             Vec::new()
         });
-        let board = Arc::new(Mutex::new(Board::new(workers, SchedulerMode::Fixed)));
+        let board = Arc::new(Mutex::new(Board::new(workers)));
         let panics_contained = Arc::new(AtomicU64::new(0));
 
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..workers).map(|_| channel()).unzip();
@@ -864,8 +862,7 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Scheduler telemetry since construction or the last
     /// [`WorkerPool::reset_high_water`]: the local/remote split of
-    /// boundary sends. Steals and migrated values read zero: the pool
-    /// places fixed.
+    /// boundary sends.
     pub fn sched_counters(&self) -> SchedCounters {
         lock(&self.board).sched_counters()
     }
@@ -1004,13 +1001,9 @@ impl<V: AttrValue> WorkerPool<V> {
                 .collect(),
             None => vec![self.plan.tree_work(tree).max(1)],
         };
-        let mut homes = lock(&self.board).seed(
-            ticket,
-            ticket as usize,
-            &work,
-            |r| decomp.and_then(|d| d.regions[r as usize].parent),
-            |_| (Arc::clone(tree), cut.clone()),
-        );
+        let mut homes = lock(&self.board).seed(ticket, ticket as usize, &work, |_| {
+            (Arc::clone(tree), cut.clone())
+        });
         homes.sort_unstable();
         homes.dedup();
         // Killed workers' channels may be gone — that's fine.
@@ -1321,9 +1314,8 @@ impl<V: AttrValue> std::fmt::Debug for WorkerPool<V> {
 /// adaptive granularity one worker can host parent and child regions of
 /// one ticket — but every send goes through a channel, self-sends
 /// included, so the poll delivers them.) With every machine starved
-/// the worker claims pending work — its own deque's front; threads
-/// have no transfer cost to weigh, so it is always eligible — and
-/// blocks only when there is none.
+/// the worker claims pending work — its own deque's front — and blocks
+/// only when there is none.
 fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
     loop {
         if !core.drive(&mut ctx) {
@@ -1332,7 +1324,7 @@ fn worker_main<V: AttrValue>(mut ctx: WorkerCtx<V>, mut core: WorkerCore<V>) {
         // Outside any burst, though a starved job may be waiting: free
         // what dropped reports handed back.
         ctx.reclaimed.clear();
-        let claimed = lock(&ctx.board).claim(ctx.me, |_, _| true);
+        let claimed = lock(&ctx.board).claim(ctx.me);
         match claimed {
             Some(Claimed {
                 key,
@@ -2052,10 +2044,10 @@ pub(super) mod tests {
         assert!(pool.memo_counters().is_none());
     }
 
-    /// The steal counters stay on the pool's report, and read zero:
-    /// modular seeding never steals, so nothing migrates.
+    /// Boundary sends are counted local or remote, the always-zero
+    /// steal fields stay zero, and a reset clears them all.
     #[test]
-    fn stealing_counters_are_reported_and_reset() {
+    fn boundary_send_counters_are_reported_and_reset() {
         let sizes = [64usize, 48, 33, 21, 96, 17];
         let (trees, plan, _) = fixture_trees(&sizes);
         let mut pool = WorkerPool::new(&plan, PoolConfig::workers(2));

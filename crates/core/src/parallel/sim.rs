@@ -46,23 +46,16 @@
 //! ships a decomposition for every ticket, a one-region one included:
 //! the sim does not run whole-tree jobs.
 //!
-//! Under either [`SchedulerMode`] the processes drive the same
-//! scheduler board the live pool ([`crate::parallel::pool`]) drives
-//! from threads — seeding, claiming and stealing, routing, retirement
-//! and crash recovery are the board's, not re-implemented here. The
-//! live pool runs [`SchedulerMode::Fixed`] only; work stealing is the
-//! simulator's, measured against fixed placement here (the skewed
-//! huge-tree stream tests). The simulator adds only what virtual time
-//! needs: a per-machine `busy_until` clock, the subtree fetch a
-//! claimer is charged, and the steal profitability gate, the last two
-//! handed to the board's claim as its eligibility predicate. The two
-//! modes differ in how a job reaches its machine. Under
-//! [`SchedulerMode::Stealing`] the parser seeds and wakes the park, and
-//! machines claim. Under
-//! [`SchedulerMode::Fixed`] (the paper's modular placement, the
-//! default) the parser pushes each region's subtree to the home the
-//! board seeded it on, and its arrival takes that job off the home's
-//! deque — so a fault-free run sends no wake, and only recovery claims.
+//! The processes drive the same scheduler board the live pool
+//! ([`crate::parallel::pool`]) drives from threads — seeding,
+//! claiming, routing, retirement and crash recovery are the board's,
+//! not re-implemented here — so the simulator runs exactly the pool's
+//! placement: the paper's, region *k* of a tree on machine *k* (§3).
+//! The parser pushes each region's subtree to the home the board
+//! seeded it on, and its arrival takes that job off the home's deque —
+//! so a fault-free run sends no wake, and only recovery claims. The
+//! simulator adds only what virtual time needs: the fetch of its
+//! subtree that a recovery claim is charged.
 //!
 //! # The string librarian as accounting
 //!
@@ -103,7 +96,7 @@ use crate::grammar::{AttrId, AttrKind};
 use crate::parallel::board::{Board, Claimed, Delivery, JobKey};
 use crate::parallel::policy::{DispatchPolicy, PolicyQueue, QueuedJob};
 use crate::parallel::worker::{Cut, Driver, JobResult, WorkerCore};
-use crate::parallel::{FaultCounters, SchedCounters, SchedulerMode, Ticket};
+use crate::parallel::{FaultCounters, SchedCounters, Ticket};
 use crate::split::{
     decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
@@ -174,16 +167,6 @@ pub struct SimConfig {
     pub min_size_scale: f64,
     /// Attribute-name → phase label mapping for the activity trace.
     pub classifier: PhaseClassifier,
-    /// Region-job placement on the shared scheduler board: the
-    /// paper's fixed modular seeding ([`SchedulerMode::Fixed`], the
-    /// default and exactly what the live pool runs) or the LPT-seeded,
-    /// locality-aware work-stealing policy
-    /// ([`SchedulerMode::Stealing`], the simulator's alone). Crash
-    /// recovery works under either. Every entry point honours it;
-    /// [`run_sim`] passes it through like the rest of the configuration
-    /// (with one region per machine, stealing seeds each region onto its
-    /// own machine and finds little to steal).
-    pub scheduler: SchedulerMode,
 }
 
 impl SimConfig {
@@ -203,13 +186,7 @@ impl SimConfig {
                 ("decl", "symbol table"),
                 ("code", "code generation"),
             ]),
-            scheduler: SchedulerMode::Fixed,
         }
-    }
-
-    /// The configuration with a different region-job scheduler.
-    pub fn with_scheduler(self, scheduler: SchedulerMode) -> Self {
-        SimConfig { scheduler, ..self }
     }
 }
 
@@ -276,8 +253,8 @@ pub struct BatchSimReport<V> {
     pub names: Vec<String>,
     /// Per-tree root attribute values (empty for a shed request).
     pub root_values: Vec<Vec<(AttrId, V)>>,
-    /// Scheduler telemetry for the run (steals and migrated values stay
-    /// zero under [`SchedulerMode::Fixed`]).
+    /// Scheduler telemetry for the run: local and remote boundary
+    /// sends.
     pub sched: SchedCounters,
     /// Crash/re-execution/duplicate-suppression telemetry (all zeros
     /// when the [`FaultPlan`] is empty).
@@ -404,8 +381,8 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 enum SimMsg<V> {
-    /// Fixed placement only: the parser pushes a region's linearized
-    /// subtree to its home machine.
+    /// The parser pushes a region's linearized subtree to its home
+    /// machine.
     Subtree {
         ticket: usize,
         region: RegionId,
@@ -458,10 +435,10 @@ enum SimMsg<V> {
     Arrive {
         ticket: usize,
     },
-    /// Region jobs were seeded (stealing) or reseeded by crash recovery
-    /// (either mode) — every live evaluator gets one so idle machines
-    /// can claim (mirrors the live pool's `WorkerMsg::Wake`). Also an
-    /// evaluator's zero-cost self-alarm between claims.
+    /// Region jobs were reseeded by crash recovery — every live
+    /// evaluator gets one so the machines they landed on can claim them
+    /// (mirrors the live pool's `WorkerMsg::Wake`). Also an evaluator's
+    /// zero-cost self-alarm between claims.
     Wake,
 }
 
@@ -485,13 +462,12 @@ struct Shared<V: AttrValue> {
     /// Evaluator machine park size. Process 0 is the parser, machine
     /// `w` process `1 + w`, the librarian process `1 + park`.
     park: usize,
-    /// Whether fixed placement rotates by ticket (adaptive granularity:
+    /// Whether placement rotates by ticket (adaptive granularity:
     /// decompositions are machine-agnostic, and the rotation spreads
     /// consecutive trees' low-numbered regions over the whole park),
     /// or keeps the paper's region k on machine k (fixed-count
     /// granularity).
     rotate: bool,
-    scheduler: SchedulerMode,
     /// Network model copy, for charging a claimed job's subtree fetch.
     net: NetModel,
     expected_roots: Vec<usize>,
@@ -503,16 +479,6 @@ struct State<V> {
     /// linearized subtree, charged to whoever claims it (a pushed
     /// subtree was paid for on the wire).
     board: Board<V, usize>,
-    /// Each machine's local clock at the end of its last handler. The
-    /// event simulation runs one handler atomically even though its CPU
-    /// spend advances the machine's clock, so without a guard the first
-    /// machine woken would claim *and steal* every seeded job before
-    /// its peers' wakes are even delivered. A thief may steal from a
-    /// victim only when `busy_until[victim] > now`: the victim provably
-    /// cannot reach its own deque before the thief — which is exactly
-    /// the "steal from a busy machine" the live pool's real concurrency
-    /// produces.
-    busy_until: Vec<Time>,
     eval_start: Time,
     /// How each ticket ended: retired at a time, or failed.
     finish: Vec<Option<Result<Time, SimError>>>,
@@ -632,18 +598,9 @@ impl<V: AttrValue> ParserProc<V> {
     }
 
     /// Ships one ticket's region subtrees to the evaluator park: seeds
-    /// its jobs on the board (against the park's live load accounts),
-    /// then gets them to their machines.
-    ///
-    /// Fixed placement sends each region's linearized subtree straight
-    /// to the home the board seeded it on, whose arrival takes the job.
-    /// Under the stealing scheduler the parser linearizes each region
-    /// (same per-node cost) and broadcasts a small wake so idle
-    /// machines can claim or steal. The subtree transfer is then
-    /// charged to whichever machine claims the job (a point-to-point
-    /// fetch at bus rate; a steal of a seeded-but-unclaimed job
-    /// re-fetches nothing extra, since the data only ever moves once,
-    /// to the claimer).
+    /// its jobs on the board, then sends each region's linearized
+    /// subtree straight to the home the board seeded it on, whose
+    /// arrival takes the job.
     fn ship(&self, ctx: &mut Ctx<SimMsg<V>>, ticket: usize) {
         let sh = &self.shared;
         ctx.phase("ship subtrees");
@@ -661,15 +618,8 @@ impl<V: AttrValue> ParserProc<V> {
             ticket as Ticket,
             if sh.rotate { ticket } else { 0 },
             &work,
-            |r| decomp.regions[r as usize].parent,
             |r| bytes[r as usize],
         );
-        if sh.scheduler == SchedulerMode::Stealing {
-            let nodes: usize = decomp.regions.iter().map(|r| r.local_size).sum();
-            ctx.spend(nodes as Time * sh.cost.ship_node_us);
-            sh.wake_park(ctx);
-            return;
-        }
         for (r, &home) in homes.iter().enumerate() {
             ctx.spend(decomp.regions[r].local_size as Time * sh.cost.ship_node_us);
             let region = r as RegionId;
@@ -916,15 +866,12 @@ impl<V: AttrValue> SimDriver<'_, V> {
         priced
     }
 
-    /// Stealing-scheduler drive step, mirroring the live worker's
-    /// drain → claim-or-steal → block cycle: drives, claims at most ONE
+    /// The recovery claim, on a wake or a restart, mirroring the live
+    /// worker's drain → claim → block cycle: drives, claims at most ONE
     /// pending job, drives it, and — if a job was claimed — chains a
     /// zero-cost self-wake to look for the next one. The live worker
     /// claims one job per loop iteration with a channel drain in
-    /// between; claiming the whole deque inside one atomic handler
-    /// would make every queued job vanish before any peer's events
-    /// interleave, leaving nothing stealable and un-modelling exactly
-    /// the window work stealing exists for.
+    /// between, so peers' events interleave with the claims here too.
     fn claim_and_drive(&mut self, core: &mut WorkerCore<V>) {
         core.drive(self);
         if let Some(job) = self.claim() {
@@ -935,39 +882,14 @@ impl<V: AttrValue> SimDriver<'_, V> {
         }
     }
 
-    /// Claims one pending job from the board and charges the fetch of
-    /// its linearized subtree (a point-to-point pull at bus rate,
-    /// charged to the claimer wherever the job ended up). A steal must
-    /// be worth it in virtual time: the victim must be busy past now
-    /// (`busy_until`, see [`State`]), and past the round trip of
-    /// fetching that job's subtree.
+    /// Claims the front of this machine's deque from the board and
+    /// charges the fetch of its linearized subtree (a point-to-point
+    /// pull at bus rate: the parser pushed it to the job's old home).
     fn claim(&mut self) -> Option<Claimed<V, usize>> {
-        let now = self.ctx.now();
-        let net = self.sh.net;
-        let claimed = {
-            let mut st = self.sh.state();
-            let State {
-                board, busy_until, ..
-            } = &mut *st;
-            board.claim(self.me, |victim, bytes| {
-                busy_until[victim] > now + bytes.map_or(0, |&b| 2 * net.tx_time(b))
-            })
-        }?;
+        let claimed = self.sh.state().board.claim(self.me)?;
         self.ctx.phase("ship subtrees");
-        self.ctx.spend(net.tx_time(claimed.payload));
+        self.ctx.spend(self.sh.net.tx_time(claimed.payload));
         Some(claimed)
-    }
-
-    /// Publishes how far this handler ran our clock (`busy_until`, see
-    /// [`State`]) so that peers processed later in event order can tell
-    /// busy from idle. Wake and restart handlers publish; attribute
-    /// deliveries, which may drive for just as long, never have — which
-    /// machines look busy decides every steal, so publishing there too
-    /// is a policy change for a PR that re-measures the stealing
-    /// schedules, not for one that only moves code.
-    fn publish_clock(&self) {
-        let mut st = self.sh.state();
-        st.busy_until[self.me] = st.busy_until[self.me].max(self.ctx.now());
     }
 }
 
@@ -999,8 +921,8 @@ impl<V: AttrValue> Driver<V> for SimDriver<'_, V> {
     }
 
     /// Registers with the librarian what the value makes it hold, then
-    /// routes via the board: the job may have been stolen or reseeded
-    /// by a crash. The board logs the value at send time — so a crash
+    /// routes via the board: the job may have been reseeded by a
+    /// crash. The board logs the value at send time — so a crash
     /// cannot lose values still on the wire — and says when nothing is
     /// to be sent (the job finished; a re-executed producer replaying
     /// its sends).
@@ -1049,10 +971,10 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
         let mut d = SimDriver { ctx, sh: &sh, me };
         match msg {
             SimMsg::Subtree { ticket, region } => {
-                // The parser pushed this region here (fixed placement):
-                // take exactly that job, with the values the board
-                // attached while the subtree was on the wire — unless
-                // crash recovery moved it, or a claim already took it.
+                // The parser pushed this region here: take exactly that
+                // job, with the values the board attached while the
+                // subtree was on the wire — unless crash recovery moved
+                // it, or a claim already took it.
                 let taken = sh.state().board.take(me, (ticket as Ticket, region));
                 if let Some(job) = taken {
                     d.start(&mut self.core, job);
@@ -1075,20 +997,11 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
                     Delivery::Forward(w, value) => return d.ship(w, key, node, attr, value, bytes),
                     Delivery::Dropped => return,
                 }
-                // Under fixed placement a job queued here waits for its
-                // pushed subtree, not for a claim: only a crash's wake
-                // makes the fixed park claim.
-                match sh.scheduler {
-                    SchedulerMode::Stealing => d.claim_and_drive(&mut self.core),
-                    SchedulerMode::Fixed => {
-                        self.core.drive(&mut d);
-                    }
-                }
+                // A job queued here waits for its pushed subtree, not for
+                // a claim: only a crash's wake makes the park claim.
+                self.core.drive(&mut d);
             }
-            SimMsg::Wake => {
-                d.claim_and_drive(&mut self.core);
-                d.publish_clock();
-            }
+            SimMsg::Wake => d.claim_and_drive(&mut self.core),
             _ => {}
         }
     }
@@ -1112,7 +1025,6 @@ impl<V: AttrValue> Process<SimMsg<V>> for EvaluatorProc<V> {
             me: self.evaluator,
         };
         d.claim_and_drive(&mut self.core);
-        d.publish_clock();
     }
 }
 
@@ -1451,13 +1363,12 @@ pub fn run_sim_batch<V: AttrValue>(
 ///
 /// A [`SimError`] for input the run cannot accept: no trees, arrivals
 /// that are not one sorted request per tree, or a fault plan that
-/// crashes anything but an evaluator machine (under either
-/// [`SchedulerMode`]). [`SimError::Eval`] when evaluation fails: a
-/// cycle local to a region, a panicking rule or a plan inconsistency —
-/// the first job to fail ends the run. [`SimError::LostCodeSegment`]
-/// when a tree's root values reference code text whose registration
-/// the fault plan dropped: the librarian finds it missing at that
-/// tree's final read, which ends the run.
+/// crashes anything but an evaluator machine. [`SimError::Eval`] when
+/// evaluation fails: a cycle local to a region, a panicking rule or a
+/// plan inconsistency — the first job to fail ends the run.
+/// [`SimError::LostCodeSegment`] when a tree's root values reference
+/// code text whose registration the fault plan dropped: the librarian
+/// finds it missing at that tree's final read, which ends the run.
 ///
 /// # Panics
 ///
@@ -1521,7 +1432,6 @@ pub fn run_sim_stream<V: AttrValue>(
         depth: pipeline_depth.max(1),
         park: machines,
         rotate: matches!(granularity, RegionGranularity::Adaptive { .. }),
-        scheduler: config.scheduler,
         net: config.net,
         expected_roots: trees
             .iter()
@@ -1531,8 +1441,7 @@ pub fn run_sim_stream<V: AttrValue>(
             })
             .collect(),
         state: Mutex::new(State {
-            board: Board::new(machines, config.scheduler),
-            busy_until: vec![0; machines],
+            board: Board::new(machines),
             eval_start: 0,
             finish: vec![None; n],
             admitted: vec![None; n],
@@ -2042,89 +1951,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_sim_produces_correct_code_and_telemetry() {
-        // A mixed stream deep enough that machines go idle while peers
-        // hold queued work: the steal path itself must fire, not just
-        // the LPT seeding.
-        let shapes: Vec<(usize, usize)> = (0..16)
-            .map(|i| match i % 4 {
-                0 => (96, 6),
-                1 => (8, 4),
-                2 => (48, 5),
-                _ => (16, 4),
-            })
-            .collect();
-        let b = mini_batch(&shapes);
-        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
-        let report = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
-        for (t, tree) in b.trees.iter().enumerate() {
-            let (dstore, _) = dynamic_eval(tree).unwrap();
-            let want = dstore
-                .get(tree.root(), b.code)
-                .and_then(|v| v.as_rope().cloned())
-                .unwrap();
-            let got = report.root_values[t]
-                .iter()
-                .find(|(a, _)| *a == b.code)
-                .and_then(|(_, v)| v.as_rope().cloned())
-                .expect("root code attribute present");
-            assert!(got.content_eq(&want), "tree {t}: code mismatch");
-        }
-        // Attribute routing went through the shared job-location table,
-        // and idle machines actually stole queued work.
-        let sent = report.sched.local_sends + report.sched.remote_sends;
-        assert!(sent > 0, "no table-routed attribute sends recorded");
-        assert!(report.sched.steals > 0, "no steals fired on this stream");
-        // Deterministic replay, telemetry included.
-        let again = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
-        assert_eq!(report.makespan, again.makespan);
-        assert_eq!(report.finish_times, again.finish_times);
-        assert_eq!(report.sched, again.sched);
-    }
-
-    #[test]
-    fn stealing_beats_fixed_placement_on_a_skewed_huge_tree_stream() {
-        // One huge tree amid small ones: fixed modular placement parks
-        // every small tree's first region on the same machine while the
-        // huge tree's regions gate the others. LPT seeding spreads the
-        // smalls and idle machines steal the stragglers.
-        let b = mini_batch(&[(256, 6), (8, 4), (8, 4), (8, 4), (8, 4), (8, 4)]);
-        let cfg = SimConfig::paper(4);
-        let fixed = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
-        let stealing = run_sim_batch(
-            &b.trees,
-            Some(&b.plans),
-            &cfg.clone().with_scheduler(SchedulerMode::Stealing),
-            2,
-        );
-        // Zero result divergence: byte-identical root attributes.
-        for (t, (f, s)) in fixed
-            .root_values
-            .iter()
-            .zip(stealing.root_values.iter())
-            .enumerate()
-        {
-            assert_eq!(f.len(), s.len(), "tree {t}: root attr count differs");
-            for ((fa, fv), (sa, sv)) in f.iter().zip(s.iter()) {
-                assert_eq!(fa, sa, "tree {t}: attr order differs");
-                match (fv.as_rope(), sv.as_rope()) {
-                    (Some(fr), Some(sr)) => {
-                        assert!(fr.content_eq(sr), "tree {t}: rope diverged")
-                    }
-                    _ => assert_eq!(fv, sv, "tree {t}: value diverged"),
-                }
-            }
-        }
-        // The acceptance bar: ≥ 1.15× throughput on this stream.
-        assert!(
-            stealing.makespan * 115 <= fixed.makespan * 100,
-            "stealing ({}µs) should beat fixed placement ({}µs) by ≥ 1.15×",
-            stealing.makespan,
-            fixed.makespan
-        );
-    }
-
-    #[test]
     fn batch_sim_is_deterministic_and_matches_single_tree_at_depth_one() {
         let b = mini_batch(&[(32, 5), (32, 5)]);
         let r1 = run_sim_batch(&b.trees, Some(&b.plans), &SimConfig::paper(3), 2);
@@ -2378,6 +2204,8 @@ mod tests {
         // dies mid-evaluation and restarts 200 virtual ms later; the
         // survivors re-execute its lost regions from the input logs and
         // every tree still compiles to exactly the fault-free bytes.
+        // The pushed subtrees and the values of the dead machine's jobs
+        // are reseeded on the same board the fault-free run used.
         let shapes: Vec<(usize, usize)> = (0..24)
             .map(|i| match i % 3 {
                 0 => (48, 6),
@@ -2386,13 +2214,18 @@ mod tests {
             })
             .collect();
         let b = mini_batch(&shapes);
-        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(4);
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         assert_eq!(clean.faults, FaultCounters::default());
+        // The parser's push activates every job: a fault-free run sends
+        // no wake at all, and only recovery claims.
+        assert!(clean.trace.messages.iter().all(|m| m.tag != "wake"));
 
-        // Crash evaluator-b (ProcId 2) a third of the way through.
+        // Crash evaluator-d (ProcId 4) a third of the way through: it
+        // holds a job whose producers already sent it values, so the
+        // re-execution replays sends the board suppresses.
         let crash_at = clean.parse_time + clean.makespan / 3;
-        let plan = FaultPlan::seeded(11).crash_restart(2, crash_at, 200_000);
+        let plan = FaultPlan::seeded(11).crash_restart(4, crash_at, 200_000);
         let run = || {
             stream(
                 &b,
@@ -2425,7 +2258,7 @@ mod tests {
     #[test]
     fn permanent_crash_is_survived_by_the_remaining_park() {
         let b = mini_batch(&[(48, 6), (16, 4), (40, 5), (24, 5), (32, 5), (20, 4)]);
-        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(4);
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         // Machine d dies for good; three survivors absorb its work.
         let plan = FaultPlan::seeded(3).crash(4, clean.parse_time + clean.makespan / 4);
@@ -2448,7 +2281,7 @@ mod tests {
     fn service_sim_survives_a_mid_stream_crash() {
         let b = mini_batch(&[(24, 5), (16, 4), (31, 5), (20, 4), (28, 5), (12, 4)]);
         let req = requests_at(&(0..6).map(|i| (i as Time * 2_000, 0)).collect::<Vec<_>>());
-        let cfg = SimConfig::paper(3).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(3);
         let run =
             |plan: &FaultPlan| service(&b, &req, &cfg, 2, DispatchPolicy::Fifo, usize::MAX, plan);
         let clean = run(&FaultPlan::default());
@@ -2472,27 +2305,6 @@ mod tests {
     // The simulation is deterministic, so these are exact: a moved
     // number is a changed policy or protocol, never noise. (The Pascal
     // workload pins live in `paragram-bench`'s `tests/golden_sim.rs`.)
-
-    #[test]
-    fn golden_stealing_schedule_on_the_skewed_huge_tree_stream() {
-        let b = mini_batch(&[(256, 6), (8, 4), (8, 4), (8, 4), (8, 4), (8, 4)]);
-        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
-        let r = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
-        assert_eq!(r.makespan, 924_132);
-        assert_eq!(
-            r.finish_times,
-            [739_327, 750_837, 824_984, 838_440, 910_676, 924_132]
-        );
-        assert_eq!(
-            r.sched,
-            SchedCounters {
-                steals: 2,
-                migrated_attrs: 0,
-                local_sends: 12,
-                remote_sends: 42,
-            }
-        );
-    }
 
     #[test]
     fn golden_service_finish_times_under_fifo_and_sjf() {
@@ -2553,10 +2365,10 @@ mod tests {
             })
             .collect();
         let b = mini_batch(&shapes);
-        let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(4);
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         let crash_at = clean.parse_time + clean.makespan / 3;
-        let plan = FaultPlan::seeded(11).crash_restart(2, crash_at, 200_000);
+        let plan = FaultPlan::seeded(11).crash_restart(4, crash_at, 200_000);
         let faulty = stream(
             &b,
             &cfg,
@@ -2564,8 +2376,8 @@ mod tests {
             RegionGranularity::Machines(cfg.machines),
             &plan,
         );
-        assert_eq!(clean.makespan, 3_201_004);
-        assert_eq!(faulty.makespan, 3_202_004);
+        assert_eq!(clean.makespan, 2_654_333);
+        assert_eq!(faulty.makespan, 2_743_701);
         assert_eq!(
             faulty.faults,
             FaultCounters {
@@ -2575,14 +2387,13 @@ mod tests {
                 ..FaultCounters::default()
             }
         );
-        let sched = SchedCounters {
-            steals: 20,
-            migrated_attrs: 0,
-            local_sends: 31,
-            remote_sends: 185,
+        let sends = |local_sends, remote_sends| SchedCounters {
+            local_sends,
+            remote_sends,
+            ..SchedCounters::default()
         };
-        assert_eq!(clean.sched, sched);
-        assert_eq!(faulty.sched, sched);
+        assert_eq!(clean.sched, sends(0, 216));
+        assert_eq!(faulty.sched, sends(6, 210));
     }
 
     /// The error [`run_sim_stream`] returns for a one-tree stream on two
@@ -2606,57 +2417,9 @@ mod tests {
         .err()
     }
 
-    /// Fixed placement recovers on the same board: the pushed subtrees
-    /// and the values of a dead machine's jobs are reseeded onto the
-    /// survivors, and the output is the fault-free run's. A fault-free
-    /// fixed run sends no wake at all — the parser's push activates
-    /// every job.
-    #[test]
-    fn fixed_placement_recovers_from_a_crash_and_restart() {
-        let shapes: Vec<(usize, usize)> = (0..24)
-            .map(|i| match i % 3 {
-                0 => (48, 6),
-                1 => (16, 4),
-                _ => (40, 5),
-            })
-            .collect();
-        let b = mini_batch(&shapes);
-        let cfg = SimConfig::paper(4);
-        let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
-        assert_eq!(clean.faults, FaultCounters::default());
-        assert_eq!(clean.sched.steals, 0);
-        assert!(clean.trace.messages.iter().all(|m| m.tag != "wake"));
-        // Crash evaluator-a (ProcId 1) a third of the way through: it
-        // is region 0's home, and a root region is live for its whole
-        // tree, so the crash always finds a job to re-execute.
-        let crash_at = clean.parse_time + clean.makespan / 3;
-        let plan = FaultPlan::seeded(11).crash_restart(1, crash_at, 200_000);
-        let run = || {
-            stream(
-                &b,
-                &cfg,
-                2,
-                RegionGranularity::Machines(cfg.machines),
-                &plan,
-            )
-        };
-        let faulty = run();
-        assert_roots_identical(&clean.root_values, &faulty.root_values);
-        assert_eq!(faulty.faults.crashes, 1, "{:?}", faulty.faults);
-        assert!(
-            faulty.faults.regions_reexecuted > 0,
-            "lost regions were reseeded: {:?}",
-            faulty.faults
-        );
-        assert_eq!(faulty.sched.steals, 0, "fixed placement never steals");
-        let again = run();
-        assert_eq!(faulty.makespan, again.makespan);
-        assert_eq!(faulty.faults, again.faults);
-    }
-
     #[test]
     fn crashing_the_parser_is_rejected() {
-        let cfg = SimConfig::paper(2).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(2);
         // Process 0 is the parser, 3 the librarian of a 2-machine park.
         for proc in [0, 3] {
             let plan = FaultPlan::seeded(1).crash(1, 500).crash(proc, 1_000);
@@ -2756,7 +2519,7 @@ mod tests {
     #[test]
     fn delayed_attribute_messages_do_not_change_results() {
         let b = mini_batch(&[(32, 5), (16, 4), (24, 5)]);
-        let cfg = SimConfig::paper(3).with_scheduler(SchedulerMode::Stealing);
+        let cfg = SimConfig::paper(3);
         let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
         // A third of all attribute messages arrive 20 virtual ms late:
         // delivery reorders but the protocol is insensitive to it.

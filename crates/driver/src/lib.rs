@@ -273,8 +273,8 @@ pub struct BatchReport<V: AttrValue> {
     pub memo: Option<MemoCounters>,
     /// Scheduler telemetry for this batch
     /// ([`WorkerPool::reset_high_water`] zeroes the counters at batch
-    /// start): local and remote boundary sends. Steals and migrated
-    /// values read zero — the pool places fixed and never steals.
+    /// start): local and remote boundary sends. `steals` and
+    /// `migrated_attrs` are always 0.
     pub sched: SchedCounters,
     /// Fault and recovery telemetry for this batch (zeroed at batch
     /// start alongside the scheduler counters): worker crashes
@@ -426,8 +426,8 @@ impl<V: AttrValue> BatchDriver<V> {
                 .pool
                 .memo_counters()
                 .map(|c| c.since(&memo_start.unwrap_or_default())),
-            // `reset_high_water` above zeroed the steal counters, so
-            // the cumulative read is this batch's delta.
+            // `reset_high_water` above zeroed the scheduler counters,
+            // so the cumulative read is this batch's delta.
             sched: self.pool.sched_counters(),
             faults: self.pool.fault_counters(),
         })

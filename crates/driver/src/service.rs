@@ -216,8 +216,7 @@ pub struct ServiceStats {
     /// is 0 — the cache is off and nothing ever probes it).
     pub memo: MemoCounters,
     /// Cumulative scheduler telemetry: local and remote boundary sends.
-    /// Steals and migrated values read zero — the pool places fixed
-    /// and never steals.
+    /// `steals` and `migrated_attrs` are always 0.
     pub sched: SchedCounters,
     /// Fault and recovery telemetry: the pool's counters (crashes,
     /// regions re-executed, duplicates suppressed, panics contained)

@@ -6,13 +6,24 @@
 //! here, machine by machine, for the paper tree under the paper's
 //! five-way cut and an adaptive one, in combined and in purely dynamic
 //! mode. The generator is seeded, so the tree is the same on every
-//! runner.
+//! runner. A dynamic machine over the undecomposed tree is checked
+//! against `dynamic_eval`'s whole-tree graph.
 
-use paragram_core::eval::{Machine, MachineMode, MachineScratch};
-use paragram_core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
+use paragram_core::eval::{dynamic_eval, Machine, MachineMode, MachineScratch};
+use paragram_core::split::{
+    decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable,
+};
+use paragram_core::tree::ParseTree;
 use paragram_pascal::generator::{generate, GenConfig};
-use paragram_pascal::{agtree, parser, Compiler};
+use paragram_pascal::{Compiler, PVal};
 use std::sync::Arc;
+
+/// The tree of the program `cfg` generates.
+fn tree(compiler: &Compiler, cfg: &GenConfig) -> Arc<ParseTree<PVal>> {
+    compiler
+        .tree_from_source(&generate(cfg))
+        .expect("generated source parses")
+}
 
 /// `(local_nodes, graph_nodes, graph_edges)` of every region's machine,
 /// under the five-way cut and under an adaptive cut of an eighth of the
@@ -20,8 +31,7 @@ use std::sync::Arc;
 fn charged_counts(mode: MachineMode) -> [Vec<(usize, usize, usize)>; 2] {
     let compiler = Compiler::new();
     let plan = compiler.evals.plan();
-    let ast = parser::parse(&generate(&GenConfig::paper())).expect("generated source parses");
-    let tree = Arc::new(agtree::build_tree(&compiler.pg, &ast).unwrap());
+    let tree = tree(&compiler, &GenConfig::paper());
     let table = SplitTable::new(plan.grammar().as_ref(), 1.0);
     let budget = plan.tree_work(&tree) / 8;
     [
@@ -98,4 +108,38 @@ fn dynamic_machines_charge_their_pinned_counts() {
         ],
         "adaptive: (local_nodes, graph_nodes, graph_edges) per region"
     );
+}
+
+/// A dynamic machine over the undecomposed tree builds one task per
+/// rule application — its single region walk neither duplicates nor
+/// drops one — and exactly `dynamic_eval`'s graph, nodes and edges.
+#[test]
+fn a_whole_tree_dynamic_machine_builds_dynamic_evals_graph() {
+    let compiler = Compiler::new();
+    let plan = compiler.evals.plan();
+    for (label, cfg) in [("small", GenConfig::small()), ("paper", GenConfig::paper())] {
+        let tree = tree(&compiler, &cfg);
+        let g = tree.grammar();
+        let rule_applications: usize = tree
+            .node_ids()
+            .map(|n| g.prod(tree.node(n).prod).rules.len())
+            .sum();
+        let whole = Decomposition::whole(&tree);
+        let m = Machine::from_plan(
+            plan,
+            &tree,
+            &whole,
+            0,
+            MachineMode::Dynamic,
+            MachineScratch::new(),
+        );
+        let (nodes, edges) = m.graph_size();
+        assert_eq!(nodes, rule_applications, "{label}: one task per rule");
+        let (_, stats) = dynamic_eval(&tree).unwrap();
+        assert_eq!(
+            (nodes, edges),
+            (stats.graph_nodes, stats.graph_edges),
+            "{label}: dynamic_eval's graph"
+        );
+    }
 }

@@ -4,8 +4,8 @@
 //! Two layers are exercised. The simulated network multiprocessor
 //! (`run_sim_stream` under a `FaultPlan`) takes seeded chaos schedules —
 //! a crash/restart of a random evaluator at a random point of the run,
-//! optionally with a slice of attribute messages arbitrarily delayed,
-//! under either scheduler — and every tree's root attributes must come
+//! optionally with a slice of attribute messages arbitrarily delayed —
+//! and every tree's root attributes must come
 //! back byte-identical to the fault-free run, with the recovery visible
 //! in `FaultCounters`. The live thread pool (`BatchDriver::kill_worker`)
 //! gets the integration-level version in `tests/batch.rs`: a worker is
@@ -14,7 +14,7 @@
 
 use paragram::core::grammar::AttrId;
 use paragram::core::parallel::sim::{run_sim_batch, run_sim_stream, BatchSimReport, SimConfig};
-use paragram::core::parallel::{FaultCounters, SchedulerMode};
+use paragram::core::parallel::FaultCounters;
 use paragram::core::split::RegionGranularity;
 use paragram::core::tree::ParseTree;
 use paragram::netsim::FaultPlan;
@@ -69,33 +69,29 @@ mod chaos {
 
         /// For ANY seeded chaos schedule — which evaluator dies, when
         /// it dies, how long it stays down, whether a random slice of
-        /// attribute messages is delayed on the wire — under either
-        /// scheduler, the batch compiles to the fault-free bytes and
-        /// the recovery is accounted for.
+        /// attribute messages is delayed on the wire — the batch
+        /// compiles to the fault-free bytes and the recovery is
+        /// accounted for.
         #[test]
         fn seeded_crash_schedules_never_change_output(seed in any::<u64>()) {
             let compiler = Compiler::new();
             let trees = chaos_trees(&compiler);
-            for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
-                chaos_case(&compiler, &trees, seed, scheduler)?;
-            }
+            chaos_case(&compiler, &trees, seed)?;
         }
     }
 
-    /// One schedule of [`seeded_crash_schedules_never_change_output`]
-    /// under one scheduler.
+    /// One schedule of [`seeded_crash_schedules_never_change_output`].
     fn chaos_case(
         compiler: &Compiler,
         trees: &[Arc<ParseTree<PVal>>],
         seed: u64,
-        scheduler: SchedulerMode,
     ) -> Result<(), TestCaseError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let plans = compiler.evals.plans().unwrap();
 
         let machines = 3 + (rng.next_u64() % 2) as usize;
         let depth = 1 + (rng.next_u64() % 2) as usize;
-        let cfg = SimConfig::paper(machines).with_scheduler(scheduler);
+        let cfg = SimConfig::paper(machines);
         let clean = run_sim_batch(trees, Some(plans), &cfg, depth);
         prop_assert_eq!(clean.faults, FaultCounters::default());
 
@@ -134,34 +130,23 @@ mod chaos {
         prop_assert_eq!(
             faulty.faults.crashes,
             1,
-            "seed {} {:?}: {:?}",
+            "seed {}: {:?}",
             seed,
-            scheduler,
             faulty.faults
         );
         prop_assert_eq!(
             canonical_roots(&clean),
             canonical_roots(&faulty),
-            "seed {} {:?}: output diverged under {:?}",
+            "seed {}: output diverged under {:?}",
             seed,
-            scheduler,
             faulty.faults
         );
-        if scheduler == SchedulerMode::Fixed {
-            prop_assert_eq!(faulty.sched.steals, 0, "seed {}: fixed never steals", seed);
-        }
 
         // And the chaos itself is deterministic: the same plan
         // replays to the same virtual history.
         let again = run();
-        prop_assert_eq!(
-            faulty.makespan,
-            again.makespan,
-            "seed {} {:?}",
-            seed,
-            scheduler
-        );
-        prop_assert_eq!(faulty.faults, again.faults, "seed {} {:?}", seed, scheduler);
+        prop_assert_eq!(faulty.makespan, again.makespan, "seed {}", seed);
+        prop_assert_eq!(faulty.faults, again.faults, "seed {}", seed);
         Ok(())
     }
 }
@@ -176,7 +161,7 @@ fn crash_recovery_makespan_stays_bounded() {
     let compiler = Compiler::new();
     let trees = chaos_trees(&compiler);
     let plans = compiler.evals.plans().unwrap();
-    let cfg = SimConfig::paper(4).with_scheduler(SchedulerMode::Stealing);
+    let cfg = SimConfig::paper(4);
     let clean = run_sim_batch(&trees, Some(plans), &cfg, 2);
     let plan = FaultPlan::seeded(17).crash_restart(
         2,
