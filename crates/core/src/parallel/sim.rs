@@ -2255,6 +2255,52 @@ mod tests {
         assert_eq!(faulty.faults, again.faults);
     }
 
+    /// Fixed placement survives a crash of region 0's home machine: the
+    /// dead machine's root regions are reseeded on the survivors, no
+    /// steal is ever counted, and the replay is deterministic.
+    #[test]
+    fn fixed_placement_recovers_from_a_crash_and_restart() {
+        let shapes: Vec<(usize, usize)> = (0..24)
+            .map(|i| match i % 3 {
+                0 => (48, 6),
+                1 => (16, 4),
+                _ => (40, 5),
+            })
+            .collect();
+        let b = mini_batch(&shapes);
+        let cfg = SimConfig::paper(4);
+        let clean = run_sim_batch(&b.trees, Some(&b.plans), &cfg, 2);
+        assert_eq!(clean.faults, FaultCounters::default());
+        assert_eq!(clean.sched.steals, 0);
+        assert!(clean.trace.messages.iter().all(|m| m.tag != "wake"));
+        // Crash evaluator-a (ProcId 1) a third of the way through: it
+        // is region 0's home, and a root region is live for its whole
+        // tree, so the crash always finds a job to re-execute.
+        let crash_at = clean.parse_time + clean.makespan / 3;
+        let plan = FaultPlan::seeded(11).crash_restart(1, crash_at, 200_000);
+        let run = || {
+            stream(
+                &b,
+                &cfg,
+                2,
+                RegionGranularity::Machines(cfg.machines),
+                &plan,
+            )
+        };
+        let faulty = run();
+        assert_roots_identical(&clean.root_values, &faulty.root_values);
+        assert_eq!(faulty.faults.crashes, 1, "{:?}", faulty.faults);
+        assert!(
+            faulty.faults.regions_reexecuted > 0,
+            "lost regions were reseeded: {:?}",
+            faulty.faults
+        );
+        assert_eq!(faulty.sched.steals, 0, "fixed placement never steals");
+        let again = run();
+        assert_eq!(faulty.makespan, again.makespan);
+        assert_eq!(faulty.faults, again.faults);
+    }
+
     #[test]
     fn permanent_crash_is_survived_by_the_remaining_park() {
         let b = mini_batch(&[(48, 6), (16, 4), (40, 5), (24, 5), (32, 5), (20, 4)]);
