@@ -4,7 +4,7 @@
 //! arrives when, with what size of compilation unit, billed to which
 //! tenant. This module generates those streams deterministically —
 //! same seed, same stream — so the benchmark's wall-clock service and
-//! the simulated service (the dispatch-policy and crash-recovery pins
+//! the simulated service (the tail, shedding and crash-recovery pins
 //! in `tests/golden_sim.rs`) replay identical arrival schedules.
 //!
 //! Interarrival gaps are exponential (Poisson arrivals, the standard
@@ -13,8 +13,8 @@
 //! [`SizeClass`] — the generator shapes the other benches already use,
 //! plus the bigger-than-paper [`GenConfig::huge`] unit that makes a
 //! stream *skewed*: one huge request contaminating a stream of small
-//! ones is exactly the case where dispatch policy (FIFO vs
-//! shortest-job-first vs fair queueing) decides tail latency.
+//! ones lengthens the latency of every small request that arrives
+//! behind it, which is what sets the service's tail.
 
 use paragram_pascal::generator::GenConfig;
 use rand::rngs::SmallRng;
@@ -31,7 +31,7 @@ pub enum SizeClass {
     /// The paper's ≈2000-line measurement program.
     Paper,
     /// The bigger-than-paper unit (≥10× the paper's node count) — the
-    /// stream contaminant that policy experiments need.
+    /// stream contaminant that tail-latency experiments need.
     Huge,
 }
 
@@ -102,8 +102,8 @@ const TEMPLATE_SEED_BASE: u64 = 0x7e3a_11ab_0000_0000;
 
 impl StreamConfig {
     /// A skewed service stream: overwhelmingly small requests with a
-    /// sprinkle of big ones — the shape that separates dispatch
-    /// policies.
+    /// sprinkle of big ones — the shape whose small requests queue
+    /// behind big ones.
     pub fn skewed(requests: usize, seed: u64) -> Self {
         StreamConfig {
             seed,

@@ -1,6 +1,7 @@
 //! Golden virtual times of the simulator on the Pascal workloads the
 //! figure bins and the benchmark run, and on the skewed streams that
-//! gate placement, dispatch policy and crash recovery. The simulation
+//! gate placement, the service's tail and shedding, and crash
+//! recovery. The simulation
 //! is deterministic, so these are exact: a moved number is a changed
 //! policy or protocol, never noise. Each pin sits beside the bound it
 //! must keep. (The mini-grammar pins — service, crash recovery — live
@@ -9,9 +10,8 @@
 use paragram_bench::stream::{generate_stream, RequestSpec, SizeClass, StreamConfig};
 use paragram_bench::Workload;
 use paragram_core::grammar::AttrId;
-use paragram_core::parallel::policy::DispatchPolicy;
 use paragram_core::parallel::sim::{
-    run_sim, run_sim_batch, run_sim_stream, Arrivals, BatchSimReport, SimConfig, SimRequest,
+    run_sim, run_sim_batch, run_sim_stream, Arrivals, BatchSimReport, SimConfig,
 };
 use paragram_core::split::RegionGranularity;
 use paragram_core::tree::ParseTree;
@@ -79,7 +79,7 @@ fn fixed_placement_on_the_skewed_stream_is_pinned() {
     assert_eq!(fixed.makespan, 42_790_466);
 }
 
-/// The service stream the dispatch and recovery pins replay: 24
+/// The service stream the tail, shedding and recovery pins replay: 24
 /// skewed requests with the huge class capped at paper size, and
 /// their trees. Big classes draw from small pools of pre-parsed trees
 /// (parsing many distinct paper programs would dominate the test),
@@ -111,17 +111,10 @@ fn service_stream(compiler: &Compiler) -> (Vec<RequestSpec>, Vec<Arc<ParseTree<P
 fn serve(
     compiler: &Compiler,
     (stream, trees): &(Vec<RequestSpec>, Vec<Arc<ParseTree<PVal>>>),
-    policy: DispatchPolicy,
     queue_capacity: usize,
     faults: &FaultPlan,
 ) -> BatchSimReport<PVal> {
-    let requests: Vec<SimRequest> = stream
-        .iter()
-        .map(|r| SimRequest {
-            arrival_us: r.arrival,
-            tenant: r.tenant,
-        })
-        .collect();
+    let times: Vec<u64> = stream.iter().map(|r| r.arrival).collect();
     run_sim_stream(
         trees,
         Some(compiler.evals.plans().expect("pascal grammar is ordered")),
@@ -130,8 +123,7 @@ fn serve(
         RegionGranularity::Machines(4),
         faults,
         Some(Arrivals {
-            requests: &requests,
-            policy,
+            times: &times,
             queue_capacity,
         }),
     )
@@ -161,48 +153,23 @@ fn percentile_is_the_nearest_rank() {
     assert_eq!(percentile(&samples, 1), 1);
 }
 
-/// Dispatch policy decides the small requests' tail on a skewed
-/// stream: proc-class p99 latency per policy, with a waiting room as
-/// long as the stream so every policy serves the same requests. SJF
-/// must not be worse than FIFO. A waiting room of 8 sheds a fixed set.
+/// The small requests' tail on a skewed stream, served in arrival
+/// order: proc-class p99 latency with a waiting room as long as the
+/// stream, so every request is served. A waiting room of 8 sheds a
+/// fixed set.
 #[test]
-fn dispatch_policy_tails_on_the_skewed_service_stream_are_pinned() {
+fn fifo_tail_and_bounded_shedding_on_the_skewed_service_stream_are_pinned() {
     let compiler = Compiler::new();
     let service = service_stream(&compiler);
-    let (stream, trees) = &service;
-    let plan = compiler.evals.plan();
-    let mut works: Vec<u64> = trees.iter().map(|t| plan.tree_work(t)).collect();
-    works.sort_unstable();
-    let quantum = works[works.len() / 2].max(1);
-    let proc_p99 = |policy| {
-        let report = serve(
-            &compiler,
-            &service,
-            policy,
-            stream.len(),
-            &FaultPlan::default(),
-        );
-        let proc: Vec<u64> = (0..stream.len())
-            .filter(|&i| stream[i].class == SizeClass::Proc)
-            .filter_map(|i| report.latency(i))
-            .collect();
-        percentile(&proc, 99)
-    };
-    let fifo = proc_p99(DispatchPolicy::Fifo);
-    let sjf = proc_p99(DispatchPolicy::ShortestJobFirst);
-    let fair = proc_p99(DispatchPolicy::FairQueue { quantum });
-    assert_eq!(fifo, 20_080_463);
-    assert_eq!(sjf, 8_948_251);
-    assert_eq!(fair, 20_074_526);
-    assert!(sjf <= fifo, "SJF p99 {sjf} µs against FIFO {fifo} µs");
+    let stream = &service.0;
+    let report = serve(&compiler, &service, stream.len(), &FaultPlan::default());
+    let proc: Vec<u64> = (0..stream.len())
+        .filter(|&i| stream[i].class == SizeClass::Proc)
+        .filter_map(|i| report.latency(i))
+        .collect();
+    assert_eq!(percentile(&proc, 99), 20_080_463);
 
-    let bounded = serve(
-        &compiler,
-        &service,
-        DispatchPolicy::Fifo,
-        8,
-        &FaultPlan::default(),
-    );
+    let bounded = serve(&compiler, &service, 8, &FaultPlan::default());
     assert_eq!(bounded.shed_count(), 14);
 }
 
@@ -216,15 +183,7 @@ fn dispatch_policy_tails_on_the_skewed_service_stream_are_pinned() {
 fn crash_recovery_on_the_service_stream_is_pinned() {
     let compiler = Compiler::new();
     let service = service_stream(&compiler);
-    let run = |faults: &FaultPlan| {
-        serve(
-            &compiler,
-            &service,
-            DispatchPolicy::Fifo,
-            service.0.len(),
-            faults,
-        )
-    };
+    let run = |faults: &FaultPlan| serve(&compiler, &service, service.0.len(), faults);
     let clean = run(&FaultPlan::default());
     let faulty = run(&FaultPlan::seeded(2026).crash_restart(2, 7_037_924, 1_005_417));
 

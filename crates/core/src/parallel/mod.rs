@@ -44,10 +44,9 @@
 //!   and the cores from netsim handlers, adding only what virtual time
 //!   needs (per-machine clocks, CPU charged from a cost model, the
 //!   parser's subtree push, a recovery claimer's subtree fetch).
-//! * [`policy`] — dispatch policies (FIFO / shortest-job-first /
-//!   deficit fair queueing) for service front ends over [`pool`],
-//!   shared with the simulator so sim policy rankings are computed by
-//!   the same code the real queue runs.
+//! * [`policy`] — the FIFO waiting room of a service front end over
+//!   [`pool`], shared with the simulator's open-arrival mode so both
+//!   admit and dispatch by the same code.
 //!
 //! # Failure model and recovery protocol
 //!
@@ -147,11 +146,9 @@ impl SchedCounters {
 
 /// Fault-injection and recovery telemetry, cumulative since the runtime
 /// started or its counters were last reset (the pool's
-/// `reset_high_water`). The pool fills the
-/// crash/re-execution/duplicate/panic fields; the deadline fields
-/// belong to the serving layer (`paragram-driver`'s service queue),
-/// which merges its own counts in. The simulator's recovery mirror
-/// reports the same struct.
+/// `reset_high_water`). The pool fills every field. The simulator's
+/// recovery mirror reports the same struct with `panics_contained` at
+/// 0: a panicking rule ends a simulated run as an error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Worker/machine crashes observed (injected or real).
@@ -162,12 +159,6 @@ pub struct FaultCounters {
     /// Duplicate boundary/root sends suppressed by content-keyed
     /// idempotent delivery during recovery replay.
     pub dup_suppressed: u64,
-    /// Requests shed at admission because their predicted wait already
-    /// exceeded their deadline (serving layer).
-    pub deadline_sheds: u64,
-    /// Admitted requests whose deadline expired while queued (serving
-    /// layer, enforced at dispatch time).
-    pub deadline_expired: u64,
     /// Semantic-rule panics converted into per-ticket failures by
     /// [`std::panic::catch_unwind`] containment.
     pub panics_contained: u64,
@@ -183,10 +174,6 @@ impl FaultCounters {
                 .regions_reexecuted
                 .saturating_sub(earlier.regions_reexecuted),
             dup_suppressed: self.dup_suppressed.saturating_sub(earlier.dup_suppressed),
-            deadline_sheds: self.deadline_sheds.saturating_sub(earlier.deadline_sheds),
-            deadline_expired: self
-                .deadline_expired
-                .saturating_sub(earlier.deadline_expired),
             panics_contained: self
                 .panics_contained
                 .saturating_sub(earlier.panics_contained),

@@ -850,9 +850,7 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Fault/recovery telemetry since construction or the last
-    /// [`WorkerPool::reset_high_water`]. The deadline fields are always
-    /// zero here — they belong to the serving layer, which merges its
-    /// own counts into the same struct.
+    /// [`WorkerPool::reset_high_water`].
     pub fn fault_counters(&self) -> FaultCounters {
         FaultCounters {
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
@@ -887,8 +885,9 @@ impl<V: AttrValue> WorkerPool<V> {
     /// estimate alone, under a budget by a decomposition that comes back
     /// unsplit. Only a plan with visit programs has a whole-tree job to
     /// run; without them (the grammar is not l-ordered) a tree that
-    /// stays whole is a one-region machine.
-    fn carve(&self, tree: &Arc<ParseTree<V>>) -> Cut<V> {
+    /// stays whole is a one-region machine. `tree_work` is
+    /// [`EvalPlan::tree_work`] of `tree`.
+    fn carve(&self, tree: &Arc<ParseTree<V>>, tree_work: u64) -> Cut<V> {
         let statics = self.plan.plans().zip(self.plan.programs());
         let whole = |(plans, programs): (&Arc<Plans>, &Arc<VisitPrograms<V>>)| {
             Cut::Whole(
@@ -902,8 +901,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 budget: budget.max(MIN_REGION_WORK),
             },
             None => {
-                let regions =
-                    regions_worth_shipping(self.config.workers, self.plan.tree_work(tree));
+                let regions = regions_worth_shipping(self.config.workers, tree_work);
                 if let (1, Some(statics)) = (regions, statics) {
                     return whole(statics);
                 }
@@ -965,12 +963,15 @@ impl<V: AttrValue> WorkerPool<V> {
 
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let cut = self.carve(tree);
+        // One O(nodes) walk, which the default cut and a whole-tree
+        // job's seed both read.
+        let tree_work = self.plan.tree_work(tree);
+        let cut = self.carve(tree, tree_work);
         let decomp = cut.regions().cloned();
         let regions = decomp.as_ref().map_or(1, |d| d.len());
 
         let start = Instant::now();
-        self.seed(ticket, tree, &cut);
+        self.seed(ticket, tree, &cut, tree_work);
         self.in_flight.push_back(InFlight {
             ticket,
             tree: Arc::clone(tree),
@@ -990,7 +991,9 @@ impl<V: AttrValue> WorkerPool<V> {
     /// job — onto the scheduler board, modular from the ticket, then
     /// wakes each job's home once: no other worker may claim them, and
     /// the board records every job before any of them can look.
-    fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, cut: &Cut<V>) {
+    /// `tree_work` ([`EvalPlan::tree_work`] of `tree`) weighs a
+    /// whole-tree job.
+    fn seed(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, cut: &Cut<V>, tree_work: u64) {
         let decomp = cut.regions();
         let work: Vec<u64> = match decomp {
             Some(d) => self
@@ -999,7 +1002,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 .into_iter()
                 .map(|w| w.max(1))
                 .collect(),
-            None => vec![self.plan.tree_work(tree).max(1)],
+            None => vec![tree_work.max(1)],
         };
         let mut homes = lock(&self.board).seed(ticket, ticket as usize, &work, |_| {
             (Arc::clone(tree), cut.clone())

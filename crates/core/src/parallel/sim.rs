@@ -28,7 +28,8 @@
 //! chosen [`RegionGranularity`], under a [`FaultPlan`], the parser's
 //! next ticket coming either from the pre-parsed batch or — given
 //! [`Arrivals`] — from an open-arrival schedule through bounded
-//! admission and a [`PolicyQueue`]. [`run_sim`] (the paper's single
+//! admission and the FIFO waiting room ([`PolicyQueue`]) the wall-clock
+//! service uses. [`run_sim`] (the paper's single
 //! compilation: a batch of one at depth 1, one region per machine) and
 //! [`run_sim_batch`] are adapters over it.
 //!
@@ -283,25 +284,13 @@ impl<V> BatchSimReport<V> {
     }
 }
 
-/// One request of an open-arrival stream: tree `i` of the accompanying
-/// slice arrives at `arrival_us`, billed to `tenant`.
-#[derive(Debug, Clone, Copy)]
-pub struct SimRequest {
-    /// Absolute virtual arrival time, µs.
-    pub arrival_us: Time,
-    /// Tenant the request bills to (fair queueing only).
-    pub tenant: u32,
-}
-
 /// An open-arrival schedule for [`run_sim_stream`]: the service front
 /// end of the machine park.
 #[derive(Debug, Clone, Copy)]
 pub struct Arrivals<'a> {
-    /// One request per tree, index-aligned, sorted by arrival time
-    /// (ticket order is arrival order).
-    pub requests: &'a [SimRequest],
-    /// Order in which waiting requests enter the pipeline window.
-    pub policy: DispatchPolicy,
+    /// Absolute virtual arrival time of each tree, µs: one per tree,
+    /// index-aligned, sorted (ticket order is arrival order).
+    pub times: &'a [Time],
     /// Bounded waiting room: an arrival finding this many requests
     /// waiting is shed.
     pub queue_capacity: usize,
@@ -313,14 +302,14 @@ pub struct Arrivals<'a> {
 pub enum SimError {
     /// No tree to evaluate.
     EmptyStream,
-    /// [`Arrivals::requests`] is not one request per tree.
+    /// [`Arrivals::times`] is not one arrival time per tree.
     RequestCountMismatch {
         /// Trees given.
         trees: usize,
         /// Requests given.
         requests: usize,
     },
-    /// [`Arrivals::requests`] is not sorted by arrival time.
+    /// [`Arrivals::times`] is not sorted.
     UnsortedArrivals,
     /// The [`FaultPlan`] crashes a process that is not an evaluator
     /// machine: the parser and the librarian are not replicated.
@@ -541,24 +530,21 @@ fn region_wire_size<V: AttrValue>(
 
 /// The parser role: admits trees, dispatches them into the pipeline
 /// window, collects root attributes and region completions, and
-/// retires tickets strictly in *dispatch* order — the pool retires
-/// tickets FIFO by dispatch, so a policy reorders service by choosing
-/// what enters the window, not by reordering what is already inside.
+/// retires tickets strictly in dispatch order, which is arrival order,
+/// as the pool does.
 struct ParserProc<V: AttrValue> {
     shared: Arc<Shared<V>>,
-    /// The open-arrival schedule: each request is parsed when its alarm
-    /// fires and admission-checked against the bounded waiting room.
-    /// `None` for a pre-parsed batch — every tree is there at the start
-    /// and admitted, which is the only way the two differ.
-    requests: Option<Vec<SimRequest>>,
-    /// Per-tree work estimates ([`WorkTable::tree_work`]) — known at
-    /// admission, before any evaluation.
-    works: Vec<u64>,
+    /// The open-arrival schedule, one time per tree: each request is
+    /// parsed when its alarm fires and admission-checked against the
+    /// bounded waiting room. `None` for a pre-parsed batch — every tree
+    /// is there at the start and admitted, which is the only way the
+    /// two differ.
+    arrivals: Option<Vec<Time>>,
     /// Waiting-room bound: an arrival finding this many trees waiting
     /// is shed.
     capacity: usize,
-    /// Admitted trees waiting for a window slot, in the order the
-    /// dispatch policy prescribes (a batch: submission order).
+    /// Admitted trees waiting for a window slot, in arrival order (a
+    /// batch: submission order).
     waiting: PolicyQueue,
     /// Trees that have arrived (a batch: all of them, at the start).
     seen: usize,
@@ -581,12 +567,12 @@ impl<V: AttrValue> ParserProc<V> {
         self.admitted += 1;
         self.waiting.push(QueuedJob {
             seq: ticket as u64,
-            tenant: self.requests.as_ref().map_or(0, |r| r[ticket].tenant),
-            work: self.works[ticket],
+            tenant: 0,
+            work: 0,
         });
     }
 
-    /// Fills free window slots from the waiting room, in policy order.
+    /// Fills free window slots from the waiting room, in arrival order.
     fn dispatch(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         while self.window.len() < self.shared.depth {
             let Some(job) = self.waiting.pop() else { break };
@@ -682,7 +668,7 @@ impl<V: AttrValue> ParserProc<V> {
 impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
     fn on_start(&mut self, ctx: &mut Ctx<SimMsg<V>>) {
         let sh = Arc::clone(&self.shared);
-        match &self.requests {
+        match &self.arrivals {
             None => {
                 ctx.phase("parse");
                 let nodes: usize = sh.trees.iter().map(|t| t.len()).sum();
@@ -698,9 +684,9 @@ impl<V: AttrValue> Process<SimMsg<V>> for ParserProc<V> {
             }
             // The whole arrival schedule becomes alarms; each request
             // is parsed (and admission-checked) only when it arrives.
-            Some(requests) => {
-                for (ticket, req) in requests.iter().enumerate() {
-                    ctx.wake_at(req.arrival_us, SimMsg::Arrive { ticket });
+            Some(arrivals) => {
+                for (ticket, &at) in arrivals.iter().enumerate() {
+                    ctx.wake_at(at, SimMsg::Arrive { ticket });
                 }
             }
         }
@@ -1348,11 +1334,10 @@ pub fn run_sim_batch<V: AttrValue>(
 ///   exposes what recovery did.
 /// * `arrivals` — `None` parses the whole batch up front and dispatches
 ///   it in submission order. `Some` makes the run a *service*:
-///   `trees[i]` arrives at `requests[i].arrival_us`, is parsed and
-///   admission-checked on arrival, and enters the window in the order
-///   the policy prescribes — decided by the same [`PolicyQueue`] the
-///   wall-clock service queue uses, so policy rankings computed here
-///   are exactly reproducible and exercise deployed code. Everything
+///   `trees[i]` arrives at `times[i]`, is parsed and admission-checked
+///   on arrival — shed if `queue_capacity` requests already wait — and
+///   enters the window in arrival order, through the same
+///   [`PolicyQueue`] the wall-clock service queue uses. Everything
 ///   downstream of dispatch is the same schedule either way.
 ///
 /// All trees must share one grammar; `plans` must be `Some` for
@@ -1388,13 +1373,13 @@ pub fn run_sim_stream<V: AttrValue>(
         return Err(SimError::EmptyStream);
     };
     if let Some(a) = &arrivals {
-        if a.requests.len() != trees.len() {
+        if a.times.len() != trees.len() {
             return Err(SimError::RequestCountMismatch {
                 trees: trees.len(),
-                requests: a.requests.len(),
+                requests: a.times.len(),
             });
         }
-        if !a.requests.is_sorted_by_key(|r| r.arrival_us) {
+        if !a.times.is_sorted() {
             return Err(SimError::UnsortedArrivals);
         }
     }
@@ -1460,14 +1445,9 @@ pub fn run_sim_stream<V: AttrValue>(
         "parser",
         ParserProc {
             shared: Arc::clone(&shared),
-            requests: arrivals.map(|a| a.requests.to_vec()),
-            // A batch waits in submission order: no estimate needed.
-            works: match arrivals {
-                Some(_) => trees.iter().map(|t| work.tree_work(t)).collect(),
-                None => vec![0; n],
-            },
+            arrivals: arrivals.map(|a| a.times.to_vec()),
             capacity: arrivals.map_or(usize::MAX, |a| a.queue_capacity.max(1)),
-            waiting: PolicyQueue::new(arrivals.map_or(DispatchPolicy::Fifo, |a| a.policy)),
+            waiting: PolicyQueue::new(DispatchPolicy::Fifo),
             seen: 0,
             admitted: 0,
             window: VecDeque::new(),
@@ -1543,7 +1523,7 @@ pub fn run_sim_stream<V: AttrValue>(
         sched: st.board.sched_counters(),
         faults: st.board.fault_counters(),
         arrivals: match arrivals {
-            Some(a) => a.requests.iter().map(|r| r.arrival_us).collect(),
+            Some(a) => a.times.to_vec(),
             None => vec![0; n],
         },
         admitted: std::mem::take(&mut st.admitted),
@@ -1704,10 +1684,9 @@ mod tests {
     /// given arrival schedule.
     fn service(
         b: &MiniBatch,
-        requests: &[SimRequest],
+        times: &[Time],
         cfg: &SimConfig,
         depth: usize,
-        policy: DispatchPolicy,
         queue_capacity: usize,
         faults: &FaultPlan,
     ) -> BatchSimReport<Value> {
@@ -1719,8 +1698,7 @@ mod tests {
             RegionGranularity::Machines(cfg.machines),
             faults,
             Some(Arrivals {
-                requests,
-                policy,
+                times,
                 queue_capacity,
             }),
         )
@@ -1972,11 +1950,9 @@ mod tests {
 
     // --- service (open-arrival) simulation ---
 
-    fn requests_at(arrivals: &[(Time, u32)]) -> Vec<SimRequest> {
-        arrivals
-            .iter()
-            .map(|&(arrival_us, tenant)| SimRequest { arrival_us, tenant })
-            .collect()
+    /// `n` arrivals `gap` µs apart, the first at 0.
+    fn every(gap: Time, n: usize) -> Vec<Time> {
+        (0..n).map(|i| i as Time * gap).collect()
     }
 
     fn service_code(report: &BatchSimReport<Value>, t: usize, attr: AttrId) -> Rope {
@@ -1990,13 +1966,12 @@ mod tests {
     #[test]
     fn service_sim_with_simultaneous_arrivals_matches_batch_results() {
         let b = mini_batch(&[(24, 5), (9, 4), (31, 5), (16, 4)]);
-        let req = requests_at(&[(0, 0), (0, 0), (0, 0), (0, 0)]);
+        let req = every(0, 4);
         let report = service(
             &b,
             &req,
             &SimConfig::paper(3),
             2,
-            DispatchPolicy::Fifo,
             usize::MAX,
             &FaultPlan::default(),
         );
@@ -2028,7 +2003,6 @@ mod tests {
             &req,
             &SimConfig::paper(3),
             2,
-            DispatchPolicy::Fifo,
             usize::MAX,
             &FaultPlan::default(),
         );
@@ -2037,106 +2011,13 @@ mod tests {
     }
 
     #[test]
-    fn sjf_beats_fifo_small_class_latency_on_a_skewed_stream() {
-        // A huge request lands amid a burst of small ones. FIFO
-        // dispatches it in arrival order, gating every later small
-        // request behind its whole evaluation; shortest-job-first
-        // (keyed by the same work table adaptive decomposition budgets
-        // with) lets the smalls flow past it.
-        let mut shapes = vec![(8usize, 4usize); 10];
-        shapes[2] = (200, 6);
-        let b = mini_batch(&shapes);
-        let req = requests_at(&(0..10).map(|i| (i as Time * 1_000, 0)).collect::<Vec<_>>());
-        let run = |policy| {
-            service(
-                &b,
-                &req,
-                &SimConfig::paper(4),
-                1,
-                policy,
-                usize::MAX,
-                &FaultPlan::default(),
-            )
-        };
-        let fifo = run(DispatchPolicy::Fifo);
-        let sjf = run(DispatchPolicy::ShortestJobFirst);
-        assert_eq!(fifo.shed_count(), 0);
-        assert_eq!(sjf.shed_count(), 0);
-        let worst_small = |r: &BatchSimReport<Value>| {
-            (0..10)
-                .filter(|&i| i != 2)
-                .map(|i| r.latency(i).unwrap())
-                .max()
-                .unwrap()
-        };
-        let (wf, ws) = (worst_small(&fifo), worst_small(&sjf));
-        assert!(
-            ws < wf,
-            "SJF worst small latency ({ws}µs) should beat FIFO ({wf}µs)"
-        );
-        // The huge request still completes correctly under SJF.
-        let (dstore, _) = dynamic_eval(&b.trees[2]).unwrap();
-        let want = dstore
-            .get(b.trees[2].root(), b.code)
-            .and_then(|v| v.as_rope().cloned())
-            .unwrap();
-        assert!(service_code(&sjf, 2, b.code).content_eq(&want));
-    }
-
-    #[test]
-    fn fair_queueing_shields_a_quiet_tenant_from_a_flooder() {
-        // Tenant 0 floods eight requests; tenant 1 submits one mid-
-        // flood. Under FIFO the quiet tenant waits out most of the
-        // flood; deficit round-robin serves it after at most ~one
-        // quantum of tenant-0 work.
-        let mut shapes = vec![(12usize, 5usize); 9];
-        let quiet = 5usize;
-        shapes[quiet] = (8, 4);
-        let b = mini_batch(&shapes);
-        let mut arrivals: Vec<(Time, u32)> = (0..9).map(|i| (i as Time * 1_000, 0)).collect();
-        arrivals[quiet].1 = 1;
-        let req = requests_at(&arrivals);
-        let work = WorkTable::new(b.trees[0].grammar().as_ref());
-        let quantum = work.tree_work(&b.trees[0]);
-        let run = |policy| {
-            service(
-                &b,
-                &req,
-                &SimConfig::paper(4),
-                1,
-                policy,
-                usize::MAX,
-                &FaultPlan::default(),
-            )
-        };
-        let fifo = run(DispatchPolicy::Fifo);
-        let fair = run(DispatchPolicy::FairQueue { quantum });
-        let lf = fifo.latency(quiet).unwrap();
-        let lq = fair.latency(quiet).unwrap();
-        assert!(
-            lq < lf,
-            "fair queueing ({lq}µs) should shield the quiet tenant vs FIFO ({lf}µs)"
-        );
-    }
-
-    #[test]
     fn bounded_admission_sheds_deterministically_and_serves_the_rest() {
         // Six near-simultaneous arrivals against a 2-deep waiting room
         // and a depth-1 window: the overflow is shed, everything
         // admitted completes correctly, and a replay is identical.
         let b = mini_batch(&[(16, 5); 6]);
-        let req = requests_at(&(0..6).map(|i| (i as Time * 10, 0)).collect::<Vec<_>>());
-        let run = || {
-            service(
-                &b,
-                &req,
-                &SimConfig::paper(3),
-                1,
-                DispatchPolicy::Fifo,
-                2,
-                &FaultPlan::default(),
-            )
-        };
+        let req = every(10, 6);
+        let run = || service(&b, &req, &SimConfig::paper(3), 1, 2, &FaultPlan::default());
         let report = run();
         assert!(report.shed_count() > 0, "burst must overflow capacity 2");
         assert!(!report.shed[0], "first arrival finds an empty service");
@@ -2160,15 +2041,7 @@ mod tests {
         assert_eq!(report.shed, again.shed);
         assert_eq!(report.finish_times, again.finish_times);
         // A large enough waiting room sheds nothing from the same burst.
-        let roomy = service(
-            &b,
-            &req,
-            &SimConfig::paper(3),
-            1,
-            DispatchPolicy::Fifo,
-            6,
-            &FaultPlan::default(),
-        );
+        let roomy = service(&b, &req, &SimConfig::paper(3), 1, 6, &FaultPlan::default());
         assert_eq!(roomy.shed_count(), 0);
     }
 
@@ -2326,10 +2199,9 @@ mod tests {
     #[test]
     fn service_sim_survives_a_mid_stream_crash() {
         let b = mini_batch(&[(24, 5), (16, 4), (31, 5), (20, 4), (28, 5), (12, 4)]);
-        let req = requests_at(&(0..6).map(|i| (i as Time * 2_000, 0)).collect::<Vec<_>>());
+        let req = every(2_000, 6);
         let cfg = SimConfig::paper(3);
-        let run =
-            |plan: &FaultPlan| service(&b, &req, &cfg, 2, DispatchPolicy::Fifo, usize::MAX, plan);
+        let run = |plan: &FaultPlan| service(&b, &req, &cfg, 2, usize::MAX, plan);
         let clean = run(&FaultPlan::default());
         assert_eq!(clean.shed_count(), 0);
         // Crash right after request 2's regions land on the deques:
@@ -2353,25 +2225,23 @@ mod tests {
     // workload pins live in `paragram-bench`'s `tests/golden_sim.rs`.)
 
     #[test]
-    fn golden_service_finish_times_under_fifo_and_sjf() {
+    fn golden_fifo_service_finish_times_and_three_deep_shedding() {
         let mut shapes = vec![(8usize, 4usize); 10];
         shapes[2] = (200, 6);
         let b = mini_batch(&shapes);
-        let req = requests_at(&(0..10).map(|i| (i as Time * 1_000, 0)).collect::<Vec<_>>());
-        let run = |policy, capacity| {
+        let req = every(1_000, 10);
+        let run = |capacity| {
             service(
                 &b,
                 &req,
                 &SimConfig::paper(4),
                 1,
-                policy,
                 capacity,
                 &FaultPlan::default(),
             )
         };
-        let fifo = run(DispatchPolicy::Fifo, usize::MAX);
-        let sjf = run(DispatchPolicy::ShortestJobFirst, usize::MAX);
-        let tight = run(DispatchPolicy::Fifo, 3);
+        let fifo = run(usize::MAX);
+        let tight = run(3);
         assert_eq!(
             fifo.finish_times,
             [
@@ -2379,16 +2249,7 @@ mod tests {
                 1_441_673, 1_511_047
             ]
         );
-        // SJF lets the seven waiting smalls pass the huge request 2.
-        assert_eq!(
-            sjf.finish_times,
-            [
-                385_764, 455_138, 1_511_047, 524_512, 593_886, 663_260, 732_634, 802_008, 871_382,
-                940_756
-            ]
-        );
         assert_eq!(fifo.makespan, 1_511_047);
-        assert_eq!(sjf.makespan, 1_511_047);
         // A three-deep waiting room behind the huge request sheds the
         // rest of the burst.
         assert_eq!(
@@ -2480,10 +2341,9 @@ mod tests {
     fn malformed_streams_are_rejected() {
         let cfg = SimConfig::paper(2);
         let none = FaultPlan::default();
-        let arrivals = |requests| {
+        let arrivals = |times| {
             Some(Arrivals {
-                requests,
-                policy: DispatchPolicy::Fifo,
+                times,
                 queue_capacity: 4,
             })
         };
@@ -2500,15 +2360,12 @@ mod tests {
             run_sim_stream(trees, Some(&b.plans), &cfg, 1, granularity, &none, requests).err()
         };
         assert_eq!(run(&[], None), Some(SimError::EmptyStream));
-        let backwards = requests_at(&[(2_000, 0), (1_000, 0)]);
+        let backwards = [2_000, 1_000];
         assert_eq!(
             run(&b.trees, arrivals(&backwards)),
             Some(SimError::UnsortedArrivals)
         );
-        assert_eq!(
-            run(&b.trees, arrivals(&requests_at(&[(5, 0), (5, 0)]))),
-            None
-        );
+        assert_eq!(run(&b.trees, arrivals(&[5, 5])), None);
     }
 
     /// What fails a job on the worker core fails the run with the

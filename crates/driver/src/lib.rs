@@ -79,16 +79,11 @@
 //! requests show up while earlier ones are still evaluating, and
 //! nobody may block. [`ServiceQueue`] (the [`service`] module) wraps
 //! the same pool with a bounded waiting room (admission control with
-//! shed accounting), a pluggable
-//! [`DispatchPolicy`](paragram_core::parallel::policy::DispatchPolicy)
-//! — FIFO, shortest-job-first keyed by
-//! [`EvalPlan::tree_work`](paragram_core::eval::EvalPlan::tree_work),
-//! or per-tenant deficit fair queueing — and per-request timestamps
-//! (enqueue → admit → first region dispatched → assembled). Policy
-//! rankings are reproducible on one core:
+//! shed accounting) that dispatches in arrival order, and per-request
+//! timestamps (enqueue → admit → first region dispatched → assembled).
 //! `paragram_core::parallel::sim::run_sim_stream`, given an arrival
-//! schedule, replays the same policies (literally the same
-//! `PolicyQueue` code) on the simulated machine park.
+//! schedule, runs the same rule (literally the same `PolicyQueue`
+//! code) on the simulated machine park.
 //!
 //! # Example
 //!
@@ -128,8 +123,8 @@
 pub mod service;
 
 pub use service::{
-    Admission, FailedRequest, FailureReason, RequestTimes, ServiceConfig, ServiceOutput,
-    ServiceQueue, ServiceStats,
+    Admission, FailedRequest, RequestTimes, ServiceConfig, ServiceOutput, ServiceQueue,
+    ServiceStats,
 };
 
 use paragram_core::eval::{EvalError, EvalPlan};
