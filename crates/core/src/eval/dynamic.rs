@@ -10,10 +10,6 @@
 //! Any service order of the ready set is confluent — each attribute
 //! instance has exactly one defining rule, so every topological order
 //! computes the same store; both lanes are FIFO.
-//!
-//! The graph is written once, here: [`dynamic_eval`] builds it and runs
-//! it, and [`super::Incremental`] builds the same graph, keeps it, and
-//! records the order the run took as its topological order.
 
 use crate::csr::{Csr, CsrCounter};
 use crate::grammar::{ArgScratch, OccRef};
@@ -39,21 +35,21 @@ pub fn dynamic_eval<V: AttrValue>(
 ) -> Result<(AttrStore<V>, EvalStats), EvalError> {
     let mut store = AttrStore::new(tree);
     let mut stats = EvalStats::default();
-    let mut graph = Graph::build(tree, &store, &mut stats, |_, _, _| {});
-    graph.run(tree, &mut store, &mut stats, |_| {})?;
+    let mut graph = Graph::build(tree, &store, &mut stats);
+    graph.run(tree, &mut store, &mut stats)?;
     Ok((store, stats))
 }
 
 /// The instance dependency graph of a whole tree.
 pub(crate) struct Graph {
     /// One task per rule application: (node, rule index).
-    pub(crate) tasks: Vec<(NodeId, usize)>,
+    tasks: Vec<(NodeId, usize)>,
     /// Per task: arguments not yet computed.
     missing: Vec<u32>,
     /// Per task: whether its target is a priority attribute.
     is_priority: Vec<bool>,
     /// Instance → the tasks whose arguments read it.
-    pub(crate) waiters: Csr,
+    waiters: Csr,
 }
 
 impl Graph {
@@ -62,12 +58,11 @@ impl Graph {
     /// form by the classic two-pass counting sort — count, prefix-sum,
     /// fill — so construction performs a constant number of allocations
     /// instead of one `Vec` per attribute instance. A token argument
-    /// needs no edge; `token_reader(node, occ, task)` is told of each.
+    /// needs no edge.
     pub(crate) fn build<V: AttrValue>(
         tree: &ParseTree<V>,
         store: &AttrStore<V>,
         stats: &mut EvalStats,
-        mut token_reader: impl FnMut(NodeId, usize, u32),
     ) -> Self {
         let g = tree.grammar();
         let mut tasks: Vec<(NodeId, usize)> = Vec::new();
@@ -79,16 +74,12 @@ impl Graph {
         for node in tree.node_ids() {
             let prod = g.prod(tree.node(node).prod);
             for (ri, rule) in prod.rules.iter().enumerate() {
-                let tid = tasks.len() as u32;
                 tasks.push((node, ri));
                 let mut need = 0u32;
-                for_each_rule_arg(tree, store, node, ri, |arg, inst| match inst {
-                    Some(inst) => {
-                        counter.count(inst);
-                        need += 1;
-                        stats.graph_edges += 1;
-                    }
-                    None => token_reader(node, arg.occ, tid),
+                for_each_rule_arg(tree, store, node, ri, |inst| {
+                    counter.count(inst);
+                    need += 1;
+                    stats.graph_edges += 1;
                 });
                 missing.push(need);
                 let (tnode, tattr) = occ_slot(tree, node, rule.target.occ, rule.target.attr);
@@ -103,11 +94,7 @@ impl Graph {
         // order).
         let mut filler = counter.into_filler();
         for (tid, &(node, ri)) in tasks.iter().enumerate() {
-            for_each_rule_arg(tree, store, node, ri, |_, inst| {
-                if let Some(inst) = inst {
-                    filler.fill(inst, tid as u32);
-                }
-            });
+            for_each_rule_arg(tree, store, node, ri, |inst| filler.fill(inst, tid as u32));
         }
         Graph {
             tasks,
@@ -118,8 +105,7 @@ impl Graph {
     }
 
     /// Evaluates every task into `store` as it becomes ready, the
-    /// priority lane before the FIFO one, and tells `done` of each task
-    /// in the order it ran — a topological order of the graph.
+    /// priority lane before the FIFO one.
     ///
     /// # Errors
     ///
@@ -129,7 +115,6 @@ impl Graph {
         tree: &ParseTree<V>,
         store: &mut AttrStore<V>,
         stats: &mut EvalStats,
-        mut done: impl FnMut(u32),
     ) -> Result<(), EvalError> {
         let g = tree.grammar();
         let mut ready: VecDeque<u32> = VecDeque::new();
@@ -147,7 +132,6 @@ impl Graph {
         let mut executed = 0usize;
         let mut scratch = ArgScratch::new();
         while let Some(tid) = ready_priority.pop_front().or_else(|| ready.pop_front()) {
-            done(tid);
             let (node, ri) = self.tasks[tid as usize];
             let rule = &g.prod(tree.node(node).prod).rules[ri];
             let value = scratch.apply(rule, |a| {
@@ -200,8 +184,8 @@ pub(crate) fn arg_instance<V: AttrValue, S: AttrSlots<V>>(
     }
 }
 
-/// Enumerates the arguments of rule `ri` at `node` with their resolved
-/// instance indices (`None` for token arguments).
+/// Enumerates the resolved instance indices of rule `ri`'s arguments at
+/// `node`, skipping token arguments (they need no edge).
 ///
 /// The count pass and the fill pass of [`Graph::build`] must visit
 /// identical edges in identical order, so both call this — divergence
@@ -211,11 +195,13 @@ fn for_each_rule_arg<V: AttrValue>(
     store: &AttrStore<V>,
     node: NodeId,
     ri: usize,
-    mut f: impl FnMut(OccRef, Option<usize>),
+    mut f: impl FnMut(usize),
 ) {
     let rule = &tree.grammar().prod(tree.node(node).prod).rules[ri];
     for arg in &rule.args {
-        f(*arg, arg_instance(tree, store, node, *arg));
+        if let Some(inst) = arg_instance(tree, store, node, *arg) {
+            f(inst);
+        }
     }
 }
 

@@ -40,29 +40,26 @@
 //!   and the equivalence property suite pins program, segment and
 //!   dynamic evaluation to identical stores.
 //!
-//! [`run_program_segment`] is the interpreter (generic over
-//! [`crate::tree::AttrSlots`], so region machines execute the same
+//! One interpreter runs them (`static_eval.rs`'s `run_segment`, generic
+//! over [`crate::tree::AttrSlots`], so region machines execute the same
 //! programs over their `RegionStore`s); [`run_static_segment`] remains
 //! as the reference segment walker the equivalence tests compare
 //! against.
 
 mod dynamic;
-mod incremental;
 mod machine;
 mod plan;
 mod program;
 mod static_eval;
 
 pub use dynamic::dynamic_eval;
-pub use incremental::{Incremental, UpdateError};
 pub use machine::{AttrMsg, Machine, MachineMode, SendTarget, StepOutcome};
 pub use plan::{EvalPlan, MachineScratch};
 pub use program::{Op, VisitPrograms};
-pub use static_eval::{
-    run_program_segment, run_static_segment, static_eval, static_eval_segments,
-    static_eval_with_programs, EvalScratch,
-};
 pub(crate) use static_eval::{run_segment, static_eval_with_points};
+pub use static_eval::{
+    run_static_segment, static_eval, static_eval_segments, static_eval_with_programs, EvalScratch,
+};
 
 use crate::analysis::{OagError, Plans};
 use crate::grammar::Grammar;

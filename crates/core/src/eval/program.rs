@@ -40,7 +40,7 @@
 //! Programs are grammar-level artifacts: building one is `O(total plan
 //! steps)` and happens once per [`super::EvalPlan`], then every tree,
 //! machine and worker thread shares it via `Arc`. The interpreter lives
-//! in [`super::static_eval`] (`run_program_segment`) and is generic over
+//! in [`super::static_eval`] (`run_segment`) and is generic over
 //! [`AttrSlots`], so region machines execute the same programs over
 //! their `RegionStore`s.
 

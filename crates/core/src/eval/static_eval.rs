@@ -8,7 +8,7 @@
 //!
 //! Two interpreters execute those sequences:
 //!
-//! * [`run_program_segment`] — the hot path: a compiled
+//! * `run_segment` — the hot path: a compiled
 //!   [`VisitPrograms`] opcode stream (see [`super::program`] for the
 //!   format) whose inner loop is a match on opcodes with pre-resolved
 //!   operands and devirtualized rule dispatch.
@@ -155,8 +155,8 @@ pub(crate) fn static_eval_with_points<V: AttrValue>(
 }
 
 /// [`static_eval`] through the reference segment interpreter — the
-/// pre-compilation walker over the raw analysis artifact. Kept for
-/// equivalence testing and benchmark comparison.
+/// pre-compilation walker over the raw analysis artifact. Kept as the
+/// equivalence tests' oracle.
 ///
 /// # Errors
 ///
@@ -191,27 +191,15 @@ fn inconsistency(node: NodeId, step: String) -> EvalError {
 /// Executes the `visit`-th (1-based) visit of `node` by interpreting the
 /// compiled opcode stream: the hot inner loop of the static and combined
 /// evaluators. Generic over the store ([`AttrSlots`]) so region machines
-/// run the same programs against their region-local storage.
+/// run the same programs against their region-local storage. With
+/// `points` given, the loop consults them at every node it enters and
+/// every frame that returns.
 ///
 /// # Errors
 ///
 /// [`EvalError::PlanInconsistency`] when an opcode's inputs are missing —
 /// for the combined evaluator this would mean an inherited attribute of
 /// the subtree root was not provided before the visit.
-pub fn run_program_segment<V: AttrValue, S: AttrSlots<V>>(
-    tree: &ParseTree<V>,
-    programs: &VisitPrograms<V>,
-    store: &mut S,
-    node: NodeId,
-    visit: u32,
-    stats: &mut EvalStats,
-    scratch: &mut EvalScratch<V>,
-) -> Result<(), EvalError> {
-    run_segment(tree, programs, store, node, visit, stats, scratch, None)
-}
-
-/// [`run_program_segment`]'s loop, consulting `points` (when given) at
-/// every node it enters and every frame that returns.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_segment<V: AttrValue, S: AttrSlots<V>>(
     tree: &ParseTree<V>,
@@ -310,8 +298,8 @@ pub(crate) fn run_segment<V: AttrValue, S: AttrSlots<V>>(
 }
 
 /// Executes the `visit`-th (1-based) visit of `node` by walking the raw
-/// plan segments — the reference interpreter [`run_program_segment`] was
-/// compiled from. `scratch` is the caller's reusable state, so repeated
+/// plan segments — the reference interpreter the compiled programs were
+/// built from. `scratch` is the caller's reusable state, so repeated
 /// segments amortize both argument gathering and the traversal stack to
 /// zero allocations.
 ///

@@ -79,6 +79,32 @@
 //! each value once, straight into the store it replays into.
 //! Hit/miss/insert/evict counters are process-wide atomics surfaced
 //! through `BatchReport`/`ServiceStats`.
+//!
+//! # How far it reaches
+//!
+//! Recompiling an edited program through a memo-on pool is incremental
+//! evaluation by function caching: the points an edit leaves alone hit,
+//! and only the rest of the tree is evaluated again
+//! (`examples/incremental.rs`, `tests/edit_recompile.rs`). How much
+//! that saves is decided by where the points fall. For the Pascal
+//! grammar, two workers and an adaptive budget of a sixteenth of the
+//! tree's work:
+//!
+//! * **The small generated program** (`GenConfig::small()`, 12 999
+//!   units) stays one whole-tree job, and the cut its budget of 812
+//!   would make gives it 9 `stmts` points. A one-token edit hits all 9
+//!   and re-applies 4 700 of 11 004 rules (42.7 %).
+//! * **The paper-sized program** (163 224 units) is cut into regions,
+//!   and the pool raises any budget below [`MIN_REGION_WORK`] to that
+//!   floor, so any budget up to a sixteenth cuts it into 15–16
+//!   regions. At its budget of 10 201 every leaf region is a `decls`,
+//!   which has two visits and so is no point: `memo_points` returns
+//!   none, nothing is probed, the counters stay (0, 0, 0), and a
+//!   recompile re-applies 139 121 of 139 121 rules. The huge program (`GenConfig::huge()`) fares the
+//!   same: 1 427 948 of 1 427 948. `stmts` leaves appear only in cuts
+//!   below the floor (33 of them at a budget of 2 550).
+//!
+//! [`MIN_REGION_WORK`]: crate::parallel::pool::MIN_REGION_WORK
 
 use crate::eval::EvalPlan;
 use crate::grammar::{AttrId, AttrKind, ProdId};

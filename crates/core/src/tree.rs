@@ -588,9 +588,8 @@ impl<V: AttrValue> TreeBuilder<V> {
 /// array. Unwritten slots hold `V::default()`, which is never
 /// observable through the accessors — presence lives in the bitset.
 ///
-/// Shared by [`AttrStore`] and the incremental evaluator's token
-/// overlays, which mirror this layout.
-#[derive(Clone, Default)]
+/// Shared by [`AttrStore`] and [`RegionStore`].
+#[derive(Default)]
 pub(crate) struct PackedSlots<V> {
     values: Vec<V>,
     present: Vec<u64>,
@@ -722,14 +721,6 @@ impl<V: AttrValue> AttrStore<V> {
     /// Reads by dense instance index.
     pub fn get_by_index(&self, idx: usize) -> Option<&V> {
         self.slots.get(idx)
-    }
-
-    /// Overwrites an instance (incremental re-evaluation only; ordinary
-    /// evaluation writes each instance exactly once via
-    /// [`AttrStore::set`]).
-    pub fn replace(&mut self, node: NodeId, attr: AttrId, value: V) {
-        let idx = self.instance(node, attr);
-        self.slots.set(idx, value);
     }
 
     /// Writes by dense instance index.
