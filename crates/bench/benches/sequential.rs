@@ -1,11 +1,16 @@
 //! Criterion: the AG compiler against the conventional (direct)
 //! compiler — §4.1's "sequential compilation speeds comparable to
-//! commonly available compilers" claim, on the host.
+//! commonly available compilers" claim, on the host — and the stages of
+//! the sequential front and back end one at a time: lexing, parsing
+//! (lexing included), building the attributed tree, and flattening the
+//! root's code into the output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paragram_bench::Workload;
+use paragram_pascal::agtree::build_tree;
 use paragram_pascal::direct::compile_direct;
 use paragram_pascal::generator::GenConfig;
+use paragram_pascal::lex::lex;
 use paragram_pascal::parser::parse;
 
 fn bench_sequential(c: &mut Criterion) {
@@ -24,7 +29,19 @@ fn bench_sequential(c: &mut Criterion) {
             compile_direct(&ast)
         })
     });
+    group.bench_function("lex-only", |b| b.iter(|| lex(&w.source).unwrap()));
     group.bench_function("parse-only", |b| b.iter(|| parse(&w.source).unwrap()));
+    let ast = parse(&w.source).unwrap();
+    group.bench_function("build-tree", |b| {
+        b.iter(|| build_tree(&w.compiler.pg, &ast).unwrap())
+    });
+    let (store, _) = w.compiler.evals.eval_sequential(&w.tree).unwrap();
+    group.bench_function("output", |b| {
+        b.iter(|| {
+            w.compiler
+                .output_from_store(&w.tree, &store, Default::default())
+        })
+    });
     group.finish();
 }
 

@@ -10,16 +10,12 @@ use crate::ast::*;
 use crate::grammar::PascalGrammar;
 use crate::pval::PVal;
 use paragram_core::tree::{BuiltNode, ChildSpec, ParseTree, TreeBuilder, TreeError};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Conv<'a> {
     pg: &'a PascalGrammar,
     tb: TreeBuilder<PVal>,
     next_uid: i64,
-    /// Identifier and literal text, interned for this build: a repeated
-    /// name costs its tree a reference count, not an allocation.
-    names: HashMap<&'a str, Arc<str>>,
 }
 
 /// Converts an AST into the attribute-grammar parse tree.
@@ -33,7 +29,6 @@ pub fn build_tree(pg: &PascalGrammar, ast: &Program) -> Result<Arc<ParseTree<PVa
         pg,
         tb: TreeBuilder::new(&pg.grammar),
         next_uid: 1,
-        names: HashMap::new(),
     };
     let decls = c.decls(&ast.decls);
     let stmts = c.stmts(&ast.body);
@@ -44,14 +39,13 @@ pub fn build_tree(pg: &PascalGrammar, ast: &Program) -> Result<Arc<ParseTree<PVa
 
 // A token's values go straight into the tree's value slab, and a
 // node's children are an array: nothing is allocated per node or
-// token, only per distinct name.
+// token. A name is the lexer's handle, shared with every other
+// occurrence of it.
 
-impl<'a> Conv<'a> {
+impl Conv<'_> {
     /// An identifier or string-literal token.
-    fn text(&mut self, text: &'a str) -> ChildSpec {
-        let name = self.names.entry(text).or_insert_with(|| Arc::from(text));
-        let value = PVal::Str(Arc::clone(name));
-        self.tb.token([value])
+    fn text(&mut self, text: &Arc<str>) -> ChildSpec {
+        self.tb.token([PVal::Str(Arc::clone(text))])
     }
 
     fn num(&mut self, v: i64) -> ChildSpec {
@@ -66,7 +60,7 @@ impl<'a> Conv<'a> {
 
     /// The list is built right to left, so unique ids are handed out
     /// last declaration first.
-    fn decls(&mut self, ds: &'a [Decl]) -> BuiltNode {
+    fn decls(&mut self, ds: &[Decl]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_decls_nil);
         for d in ds.iter().rev() {
             tail = self.decl(d, tail);
@@ -76,7 +70,7 @@ impl<'a> Conv<'a> {
 
     /// Prepends `d` to the declaration list `tail`: one node per
     /// declared name, so a multi-name `var` is expanded where it stands.
-    fn decl(&mut self, d: &'a Decl, mut tail: BuiltNode) -> BuiltNode {
+    fn decl(&mut self, d: &Decl, mut tail: BuiltNode) -> BuiltNode {
         let node = match d {
             Decl::Const { name, value } => {
                 let kids = [self.text(name), self.num(*value)];
@@ -129,7 +123,7 @@ impl<'a> Conv<'a> {
         self.tb.node(self.pg.p_decls_cons, [node, tail])
     }
 
-    fn params(&mut self, ps: &'a [Param]) -> BuiltNode {
+    fn params(&mut self, ps: &[Param]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_params_nil);
         for p in ps.iter().rev() {
             let prod = match (&p.ty, p.by_ref) {
@@ -145,7 +139,7 @@ impl<'a> Conv<'a> {
         tail
     }
 
-    fn stmts(&mut self, ss: &'a [Stmt]) -> BuiltNode {
+    fn stmts(&mut self, ss: &[Stmt]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_stmts_nil);
         for s in ss.iter().rev() {
             let node = self.stmt(s);
@@ -154,7 +148,7 @@ impl<'a> Conv<'a> {
         tail
     }
 
-    fn stmt(&mut self, s: &'a Stmt) -> BuiltNode {
+    fn stmt(&mut self, s: &Stmt) -> BuiltNode {
         match s {
             Stmt::Assign { target, value } => match target {
                 LValue::Name(name) => {
@@ -209,7 +203,7 @@ impl<'a> Conv<'a> {
         }
     }
 
-    fn wargs(&mut self, ws: &'a [WriteArg]) -> BuiltNode {
+    fn wargs(&mut self, ws: &[WriteArg]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_wargs_nil);
         for w in ws.iter().rev() {
             tail = match w {
@@ -226,7 +220,7 @@ impl<'a> Conv<'a> {
         tail
     }
 
-    fn args(&mut self, es: &'a [Expr]) -> BuiltNode {
+    fn args(&mut self, es: &[Expr]) -> BuiltNode {
         let mut tail = self.tb.leaf(self.pg.p_args_nil);
         for e in es.iter().rev() {
             let x = self.expr(e);
@@ -235,7 +229,7 @@ impl<'a> Conv<'a> {
         tail
     }
 
-    fn expr(&mut self, e: &'a Expr) -> BuiltNode {
+    fn expr(&mut self, e: &Expr) -> BuiltNode {
         match e {
             Expr::Num(n) => {
                 let num = self.num(*n);

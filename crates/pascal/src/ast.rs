@@ -5,12 +5,18 @@
 //! *direct* baseline compiler ([`crate::direct`]) walks it straight to
 //! assembly, playing the role of the conventional vendor compiler the
 //! paper compares against.
+//!
+//! Names and string literals are the lexer's shared handles
+//! ([`crate::lex`]): every occurrence of one name in a program points
+//! at one text.
+
+use std::sync::Arc;
 
 /// A whole program: `program name; decls begin … end.`
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Program name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Declarations (constants, variables, procedures — in source
     /// order, declare-before-use).
     pub decls: Vec<Decl>,
@@ -41,14 +47,14 @@ pub enum Decl {
     /// `const name = value;`
     Const {
         /// Constant name.
-        name: String,
+        name: Arc<str>,
         /// Its (integer) value.
         value: i64,
     },
     /// `var a, b: t;`
     Var {
         /// Declared names.
-        names: Vec<String>,
+        names: Vec<Arc<str>>,
         /// Their type.
         ty: TypeExpr,
     },
@@ -56,7 +62,7 @@ pub enum Decl {
     /// for functions.
     Proc {
         /// Procedure/function name.
-        name: String,
+        name: Arc<str>,
         /// Formal parameters.
         params: Vec<Param>,
         /// `Some(return type)` for functions.
@@ -72,7 +78,7 @@ pub enum Decl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Parameter type (integer or boolean; arrays are not passable in
     /// this subset).
     pub ty: TypeExpr,
@@ -93,7 +99,7 @@ pub enum Stmt {
     /// Procedure call statement.
     Call {
         /// Procedure name.
-        name: String,
+        name: Arc<str>,
         /// Actual arguments.
         args: Vec<Expr>,
     },
@@ -135,18 +141,18 @@ pub enum WriteArg {
     /// An integer (or boolean) expression.
     Expr(Expr),
     /// A string literal.
-    Str(String),
+    Str(Arc<str>),
 }
 
 /// An assignable location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LValue {
     /// Plain variable (or function-result name).
-    Name(String),
+    Name(Arc<str>),
     /// Array element `a[e]`.
     Index {
         /// Array name.
-        name: String,
+        name: Arc<str>,
         /// Index expression.
         index: Expr,
     },
@@ -201,18 +207,18 @@ pub enum Expr {
     /// `true`/`false`.
     Bool(bool),
     /// Variable, constant, or parameter reference.
-    Name(String),
+    Name(Arc<str>),
     /// Array element.
     Index {
         /// Array name.
-        name: String,
+        name: Arc<str>,
         /// Index expression.
         index: Box<Expr>,
     },
     /// Function call.
     Call {
         /// Function name.
-        name: String,
+        name: Arc<str>,
         /// Actual arguments.
         args: Vec<Expr>,
     },

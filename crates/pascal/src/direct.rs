@@ -35,7 +35,7 @@ pub fn compile_direct(ast: &Program) -> DirectOutput {
     let mut b = RopeBuilder::new();
     cg::program_code(&mut b, off_out, &body, &proc_code);
     DirectOutput {
-        asm: b.finish().to_string(),
+        asm: b.finish().flatten(),
         errors: d.errors,
     }
 }
@@ -70,7 +70,7 @@ impl Direct {
         for d in ds {
             match d {
                 Decl::Const { name, value } => {
-                    env = env.add(name.as_str(), Entry::Const(*value));
+                    env = env.add(Arc::clone(name), Entry::Const(*value));
                 }
                 Decl::Var { names, ty } => {
                     for name in names {
@@ -79,7 +79,7 @@ impl Direct {
                                 let n = (hi - lo + 1).max(1);
                                 let base = off - 4 * (n as i32 - 1);
                                 env = env.add(
-                                    name.as_str(),
+                                    Arc::clone(name),
                                     Entry::Arr {
                                         level,
                                         offset: base,
@@ -91,7 +91,7 @@ impl Direct {
                             }
                             _ => {
                                 env = env.add(
-                                    name.as_str(),
+                                    Arc::clone(name),
                                     Entry::Var {
                                         level,
                                         offset: off,
@@ -112,12 +112,12 @@ impl Direct {
                     body,
                 } => {
                     let uid = self.uid();
-                    let label: Arc<str> = Arc::from(format!("P{uid}_{name}").as_str());
+                    let label: Arc<str> = Arc::from(format!("P{uid}_{name}"));
                     let sig = SigList::from(
                         params
                             .iter()
                             .map(|p| ParamSig {
-                                name: Arc::from(p.name.as_str()),
+                                name: Arc::clone(&p.name),
                                 ty: scalar_ty(&p.ty),
                                 by_ref: p.by_ref,
                             })
@@ -136,7 +136,7 @@ impl Direct {
                             ret: scalar_ty(rt),
                         },
                     };
-                    env = env.add(name.as_str(), entry);
+                    env = env.add(Arc::clone(name), entry);
                     pending.push(PendingProc {
                         label,
                         sig,

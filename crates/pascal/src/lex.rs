@@ -1,6 +1,15 @@
 //! Lexer for the Pascal subset (§3 of the paper).
+//!
+//! Like the paper's scanner, it enters each distinct name once (§4.3):
+//! every occurrence of an identifier or string literal in one program
+//! is a handle to one shared text, so the parser, the tree and the
+//! symbol tables after it pass names around by reference count. A
+//! program's tokens cost an allocation per distinct name, not per
+//! occurrence, and a keyword costs none.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A token with its source line (for error messages).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,12 +76,12 @@ pub enum Tok {
     /// `writeln`
     Writeln,
     // Literals and identifiers.
-    /// Identifier.
-    Ident(String),
+    /// Identifier, lowercased.
+    Ident(Arc<str>),
     /// Unsigned integer literal.
     Num(i64),
     /// Quoted string literal (for `write('...')`).
-    Str(String),
+    Str(Arc<str>),
     // Punctuation and operators.
     /// `+`
     Plus,
@@ -201,7 +210,10 @@ impl std::error::Error for LexError {}
 /// [`LexError`] on unterminated strings/comments or stray characters.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    let mut toks = Vec::with_capacity(src.len() / BYTES_PER_TOKEN);
+    let mut names = Names::default();
+    // An identifier spelled with an uppercase letter, folded.
+    let mut folded = String::new();
     let mut i = 0;
     let mut line = 1;
     while i < bytes.len() {
@@ -265,7 +277,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     });
                 }
                 toks.push(Token {
-                    kind: Tok::Str(src[start..j].to_string()),
+                    kind: Tok::Str(names.intern(&src[start..j])),
                     line,
                 });
                 i = j + 1;
@@ -286,37 +298,21 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
+                let mut upper = false;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    upper |= bytes[i].is_ascii_uppercase();
                     i += 1;
                 }
-                let word = src[start..i].to_ascii_lowercase();
-                let kind = match word.as_str() {
-                    "program" => Tok::Program,
-                    "const" => Tok::Const,
-                    "var" => Tok::Var,
-                    "procedure" => Tok::Procedure,
-                    "function" => Tok::Function,
-                    "begin" => Tok::Begin,
-                    "end" => Tok::End,
-                    "if" => Tok::If,
-                    "then" => Tok::Then,
-                    "else" => Tok::Else,
-                    "while" => Tok::While,
-                    "do" => Tok::Do,
-                    "integer" => Tok::Integer,
-                    "boolean" => Tok::Boolean,
-                    "array" => Tok::Array,
-                    "of" => Tok::Of,
-                    "div" => Tok::Div,
-                    "mod" => Tok::Mod,
-                    "and" => Tok::And,
-                    "or" => Tok::Or,
-                    "not" => Tok::Not,
-                    "true" => Tok::True,
-                    "false" => Tok::False,
-                    "write" => Tok::Write,
-                    "writeln" => Tok::Writeln,
-                    _ => Tok::Ident(word),
+                let word = &src[start..i];
+                let kind = match keyword(word) {
+                    Some(kw) => kw,
+                    None if upper => {
+                        folded.clear();
+                        folded.push_str(word);
+                        folded.make_ascii_lowercase();
+                        Tok::Ident(names.intern(&folded))
+                    }
+                    None => Tok::Ident(names.intern(word)),
                 };
                 toks.push(Token { kind, line });
             }
@@ -391,6 +387,69 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     Ok(toks)
 }
 
+/// Fewer source bytes than a token takes in any program the repository
+/// compiles (2.7 in the generator's, 2.6–3.4 in `examples/pascal`), so
+/// that the token vector is allocated once: a third too long on the
+/// generator's programs.
+const BYTES_PER_TOKEN: usize = 2;
+
+/// The longest keyword, `procedure`: a longer word is an identifier.
+const KEYWORD_MAX: usize = 9;
+
+/// The keyword `word` spells, in any case, folded on the stack.
+fn keyword(word: &str) -> Option<Tok> {
+    let mut buf = [0u8; KEYWORD_MAX];
+    let folded = buf.get_mut(..word.len())?;
+    folded.copy_from_slice(word.as_bytes());
+    folded.make_ascii_lowercase();
+    Some(match &*folded {
+        b"program" => Tok::Program,
+        b"const" => Tok::Const,
+        b"var" => Tok::Var,
+        b"procedure" => Tok::Procedure,
+        b"function" => Tok::Function,
+        b"begin" => Tok::Begin,
+        b"end" => Tok::End,
+        b"if" => Tok::If,
+        b"then" => Tok::Then,
+        b"else" => Tok::Else,
+        b"while" => Tok::While,
+        b"do" => Tok::Do,
+        b"integer" => Tok::Integer,
+        b"boolean" => Tok::Boolean,
+        b"array" => Tok::Array,
+        b"of" => Tok::Of,
+        b"div" => Tok::Div,
+        b"mod" => Tok::Mod,
+        b"and" => Tok::And,
+        b"or" => Tok::Or,
+        b"not" => Tok::Not,
+        b"true" => Tok::True,
+        b"false" => Tok::False,
+        b"write" => Tok::Write,
+        b"writeln" => Tok::Writeln,
+        _ => return None,
+    })
+}
+
+/// One program's distinct names: identifier and string-literal text.
+/// Names come from outside the program, so the set keeps the default
+/// keyed hasher: a source crafted to collide in it costs no more to lex.
+#[derive(Default)]
+struct Names(HashSet<Arc<str>>);
+
+impl Names {
+    /// The shared handle to `text`, allocated on its first occurrence.
+    fn intern(&mut self, text: &str) -> Arc<str> {
+        if let Some(name) = self.0.get(text) {
+            return Arc::clone(name);
+        }
+        let name: Arc<str> = Arc::from(text);
+        self.0.insert(Arc::clone(&name));
+        name
+    }
+}
+
 fn push1(toks: &mut Vec<Token>, i: &mut usize, line: usize, kind: Tok) {
     toks.push(Token { kind, line });
     *i += 1;
@@ -422,6 +481,55 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive() {
         assert_eq!(kinds("BEGIN End"), vec![Tok::Begin, Tok::End]);
+    }
+
+    #[test]
+    fn every_keyword_lexes_as_itself_in_any_case() {
+        use Tok::*;
+        let keywords = [
+            Program, Const, Var, Procedure, Function, Begin, End, If, Then, Else, While, Do,
+            Integer, Boolean, Array, Of, Div, Mod, And, Or, Not, True, False, Write, Writeln,
+        ];
+        let longest = keywords.iter().map(|k| keyword_text(k).len()).max();
+        assert_eq!(longest, Some(KEYWORD_MAX));
+        for kw in keywords {
+            let text = keyword_text(&kw);
+            let mut capitalized = text.to_string();
+            capitalized[..1].make_ascii_uppercase();
+            for spelling in [text.to_string(), text.to_ascii_uppercase(), capitalized] {
+                assert_eq!(kinds(&spelling), vec![kw.clone()], "{spelling}");
+            }
+        }
+    }
+
+    #[test]
+    fn words_extending_a_keyword_are_identifiers() {
+        let long = "a_forty_byte_identifier_longer_than_any_";
+        assert_eq!(long.len(), 40);
+        for word in ["procedures", "endx", "do_it", "writelnx", "Programs", long] {
+            let folded = word.to_ascii_lowercase();
+            assert_eq!(
+                kinds(word),
+                vec![Tok::Ident(folded.as_str().into())],
+                "{word}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_occurrence_of_a_name_shares_one_text() {
+        let toks = kinds("foo Foo FOO fOo bar 'foo' 'Foo'");
+        let Tok::Ident(foo) = &toks[0] else {
+            panic!("{toks:?}")
+        };
+        assert_eq!(&**foo, "foo");
+        for t in &toks[1..4] {
+            assert!(matches!(t, Tok::Ident(s) if Arc::ptr_eq(s, foo)), "{t:?}");
+        }
+        assert!(matches!(&toks[4], Tok::Ident(s) if &**s == "bar"));
+        // A literal keeps its case: the same text, the same handle.
+        assert!(matches!(&toks[5], Tok::Str(s) if Arc::ptr_eq(s, foo)));
+        assert!(matches!(&toks[6], Tok::Str(s) if &**s == "Foo"));
     }
 
     #[test]

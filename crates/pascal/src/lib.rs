@@ -146,7 +146,8 @@ impl Compiler {
     /// Extracts the root attributes from a filled store — any store: a
     /// sequential evaluation's `AttrStore`, or a pool report's
     /// `RetiredStore` read where the workers left it (two reads, no
-    /// whole-tree store built).
+    /// whole-tree store built). The code rope is flattened into one
+    /// allocation of its final length.
     pub fn output_from_store<S: AttrRead<PVal> + ?Sized>(
         &self,
         tree: &ParseTree<PVal>,
@@ -155,7 +156,7 @@ impl Compiler {
     ) -> CompileOutput {
         let code = store
             .get(tree.root(), self.pg.s_code)
-            .map(|v| v.code().to_string())
+            .map(|v| v.code().flatten())
             .unwrap_or_default();
         let errors = store
             .get(tree.root(), self.pg.s_errs)

@@ -18,6 +18,7 @@
 use crate::ast::*;
 use crate::lex::{lex, LexError, Tok, Token};
 use std::fmt;
+use std::sync::Arc;
 
 /// Parse error with source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,8 +127,14 @@ impl Parser {
         }
     }
 
+    /// Moves the current token out and advances. The parser never
+    /// reads a token behind its position again, so the slot is left
+    /// holding a placeholder (only its line is read, for errors).
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.kind.clone());
+        let t = self
+            .toks
+            .get_mut(self.pos)
+            .map(|t| std::mem::replace(&mut t.kind, Tok::Dot));
         self.pos += 1;
         t
     }
@@ -152,11 +159,12 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<Arc<str>, ParseError> {
         match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
+            Some(Tok::Ident(_)) => {
+                let Some(Tok::Ident(s)) = self.bump() else {
+                    unreachable!("peeked an identifier")
+                };
                 Ok(s)
             }
             Some(t) => Err(self.err_here(format!("expected identifier, found {t}"))),
@@ -412,9 +420,11 @@ impl Parser {
         if self.eat_if(&Tok::LParen) {
             if self.peek() != Some(&Tok::RParen) {
                 loop {
-                    if let Some(Tok::Str(s)) = self.peek() {
-                        args.push(WriteArg::Str(s.clone()));
-                        self.pos += 1;
+                    if let Some(Tok::Str(_)) = self.peek() {
+                        let Some(Tok::Str(s)) = self.bump() else {
+                            unreachable!("peeked a string")
+                        };
+                        args.push(WriteArg::Str(s));
                     } else {
                         args.push(WriteArg::Expr(self.expr()?));
                     }
@@ -550,7 +560,7 @@ mod tests {
     #[test]
     fn minimal_program() {
         let p = parse("program p; begin end.").unwrap();
-        assert_eq!(p.name, "p");
+        assert_eq!(&*p.name, "p");
         assert!(p.decls.is_empty());
         assert_eq!(p.body, vec![Stmt::Empty]);
     }
@@ -677,6 +687,6 @@ mod tests {
         let Decl::Proc { decls, .. } = &p.decls[0] else {
             panic!()
         };
-        assert!(matches!(&decls[1], Decl::Proc { name, .. } if name == "inner"));
+        assert!(matches!(&decls[1], Decl::Proc { name, .. } if &**name == "inner"));
     }
 }

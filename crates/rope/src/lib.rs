@@ -27,12 +27,15 @@
 //!
 //! | O(1) | O(d) | O(n) |
 //! |---|---|---|
-//! | `new`, `leaf`¹, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `halves`, `node_id`, `ptr_eq`, `clone`, `RopeBuilder::text`¹, `RopeBuilder::rope`² | `byte_at` | `chunks`, `lines`, `to_string`, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `from_iter`, `drop` of the last handle |
+//! | `new`, `leaf`¹, `len`, `is_empty`, `depth`, `concat`, `push_str`¹, `push_rope`, `wire_size`, `halves`, `node_id`, `ptr_eq`, `clone`, `RopeBuilder::text`¹, `RopeBuilder::rope`² | `byte_at` | `chunks`, `lines`, `flatten`³, `to_string`³, `leaf_count`, `newline_count`, `content_eq`/`==`, `hash`, `rebalance`, `from_iter`, `drop` of the last handle |
 //!
 //! ¹ plus copying the text handed in. ² plus copying the builder's
 //! pending run into its leaf — each byte of literal text once — and,
 //! when the rope linked is itself one leaf of a few bytes, that leaf's
-//! text (see [`RopeBuilder`]). Nothing else copies text except
+//! text (see [`RopeBuilder`]). ³ `flatten` allocates its `String` once,
+//! at the rope's length; `to_string` goes through `Display` and grows
+//! its buffer by doubling, so flatten a rope of any size with
+//! [`Rope::flatten`]. Nothing else copies text except `flatten`,
 //! `to_string`, `lines` and `rebalance`; in particular `concat`,
 //! `push_str` and `push_rope` never merge leaves — a concatenation's
 //! [halves](Rope::halves) are exactly the ropes it joined — so the way
@@ -178,6 +181,23 @@ impl Rope {
         Chunks { stack }
     }
 
+    /// The text as one `String`, allocated once at its final length.
+    /// `to_string` gives the same text through [`fmt::Display`], whose
+    /// buffer grows by doubling: a megabyte of code is reallocated a
+    /// score of times on the way.
+    ///
+    /// ```
+    /// let r = paragram_rope::Rope::from("ab").concat(&"cd".into());
+    /// assert_eq!(r.flatten(), "abcd");
+    /// ```
+    pub fn flatten(&self) -> String {
+        let mut text = String::with_capacity(self.len());
+        for chunk in self.chunks() {
+            text.push_str(chunk);
+        }
+        text
+    }
+
     /// Iterates over the lines of the rope (without trailing `\n`),
     /// crossing chunk boundaries.
     pub fn lines(&self) -> impl Iterator<Item = String> + '_ {
@@ -226,7 +246,7 @@ impl Rope {
             return self.clone();
         }
         const CHUNK: usize = 4096;
-        let flat = self.to_string();
+        let flat = self.flatten();
         let mut leaves: Vec<Rope> = Vec::new();
         let mut rest = flat.as_str();
         while !rest.is_empty() {

@@ -21,6 +21,9 @@ proptest! {
     #[test]
     fn rope_matches_reference_string((rope, s) in rope_strategy()) {
         prop_assert_eq!(rope.to_string(), s.clone());
+        let flat = rope.flatten();
+        prop_assert_eq!(flat.capacity(), s.len());
+        prop_assert_eq!(flat, s.clone());
         prop_assert_eq!(rope.len(), s.len());
         prop_assert_eq!(rope.is_empty(), s.is_empty());
         prop_assert_eq!(rope.newline_count(), s.bytes().filter(|&b| b == b'\n').count());
