@@ -15,7 +15,16 @@
 //!    token value hash differently and miss.
 //! 2. **The inherited attribute values at the subtree root**, exactly as
 //!    the parent set them, fingerprinted via
-//!    [`AttrValue::content_hash`] in ascending [`AttrId`] order.
+//!    [`AttrValue::content_hash`] in ascending [`AttrId`] order. A
+//!    symbol table (a Pascal `Env`, a spec-language `Tab`) is
+//!    fingerprinted by the digest its root keeps
+//!    (`paragram_symtab::SymTab::digest`) and its length, in O(1):
+//!    each binding is digested once, when it is added, and every
+//!    node combines its binding's digest with its children's. Tables
+//!    whose bindings agree in preorder — identically threaded
+//!    environments — fingerprint equal; equal tables built in another
+//!    order may miss, never false-hit. Pricing an entry reads each
+//!    table's wire bytes off its root the same way.
 //!
 //! Nothing else is an input. In particular these are *not* part of a
 //! subtree's inputs and must never influence a cached result: the
@@ -108,7 +117,6 @@
 
 use crate::eval::EvalPlan;
 use crate::grammar::{AttrId, AttrKind, ProdId};
-use crate::split::{Decomposition, RegionId};
 use crate::tree::{AttrRead, AttrSlots, NodeId, ParseTree};
 use crate::value::{fnv1a_u64, AttrValue};
 use std::collections::{HashMap, VecDeque};
@@ -289,11 +297,15 @@ impl<V: AttrValue> MemoCache<V> {
     /// shard as needed to stay under the budget. Entries bigger than a
     /// whole shard's budget are not cached. An offer of a signature
     /// already cached is dropped: two jobs that missed on it at once
-    /// both offer it, and it is installed once.
+    /// both offer it, and it is installed once. Evicted entries are
+    /// freed after the shard lock is released: a victim is often the
+    /// last handle to its ropes and tables, and freeing them is no
+    /// reason to keep the shard's other probes waiting.
     pub fn insert(&self, key: MemoKey, entry: MemoEntry<V>) {
         if entry.bytes > self.shard_budget {
             return;
         }
+        let mut evicted = Vec::new();
         let mut shard = self.shard(&key).lock().unwrap();
         if shard.map.contains_key(&key) {
             return;
@@ -319,7 +331,10 @@ impl<V: AttrValue> MemoCache<V> {
             let (old, _) = shard.map.remove(&victim).expect("stamp matched");
             shard.bytes -= old.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted.push(old);
         }
+        drop(shard);
+        drop(evicted);
     }
 
     /// Snapshot of the lifetime counters.
@@ -438,24 +453,19 @@ impl MemoPoint {
     }
 }
 
-/// Decides whether `region` of `tree` is memoizable, and under what
-/// signature inputs. Cacheable regions are **leaf** regions (no
-/// boundary children — their owned span is their whole subtree and
-/// their only external inputs are the root's inherited values) whose
-/// root symbol is memo-safe (see [`memo_safety`]; the tree root is
-/// trivially safe, it awaits nothing) and whose subtree hash is exact.
+/// Decides whether the leaf region rooted at `root` of `tree` is
+/// memoizable, and under what signature inputs. Cacheable regions are
+/// **leaf** regions (no child regions — their owned span is their whole
+/// subtree and their only external inputs are the root's inherited
+/// values) whose root symbol is memo-safe (see [`memo_safety`]; the
+/// tree root is trivially safe, it awaits nothing) and whose subtree
+/// hash is exact.
 fn region_cacheable<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
     tree: &ParseTree<V>,
-    decomp: &Decomposition,
-    region: RegionId,
+    root: NodeId,
 ) -> Option<MemoPoint> {
-    let map = decomp.slot_map();
-    if map.total_slots(region) != map.owned_slots(region) {
-        return None; // boundary children: an interior region
-    }
-    let root = decomp.regions[region as usize].root;
     if root == tree.root() {
         return root_point(tree);
     }
@@ -485,20 +495,25 @@ pub(crate) fn root_point<V: AttrValue>(tree: &ParseTree<V>) -> Option<MemoPoint>
     })
 }
 
-/// The memo points of `tree` under the cut `decomp`, in node order: the
-/// roots of its cacheable leaf regions — the tree root when `decomp` is
-/// unsplit, which only a whole-tree job evaluates. A point below the
-/// root must have one visit: a memo-safe symbol's inherited values are
-/// all set by then, and its subtree is done when that visit returns.
-/// The static interpreter probes, replays and installs them
-/// ([`MemoPoints`]), in a whole-tree job or in the region machine that
-/// a point roots.
+/// The memo points of `tree` under a cut whose leaf regions are rooted
+/// at `leaf_roots` (in node order: [`Decomposition::leaf_roots`], or
+/// [`crate::split::adaptive_leaf_roots`] for a cut that is never
+/// built), in node order: the roots of its cacheable leaf regions — the
+/// tree root when the cut is unsplit, which only a whole-tree job
+/// evaluates. A point below the root must have one visit: a memo-safe
+/// symbol's inherited values are all set by then, and its subtree is
+/// done when that visit returns. The static interpreter probes,
+/// replays and installs them ([`MemoPoints`]), in a whole-tree job or
+/// in the region machine that a point roots.
+///
+/// [`Decomposition::leaf_roots`]: crate::split::Decomposition::leaf_roots
 pub(crate) fn memo_points<V: AttrValue>(
     plan: &EvalPlan<V>,
     memo_safe: &[bool],
     tree: &ParseTree<V>,
-    decomp: &Decomposition,
+    leaf_roots: &[NodeId],
 ) -> Vec<MemoPoint> {
+    debug_assert!(leaf_roots.windows(2).all(|w| w[0] < w[1]));
     let Some(plans) = plan.plans() else {
         return Vec::new();
     };
@@ -506,12 +521,11 @@ pub(crate) fn memo_points<V: AttrValue>(
         let sym = plan.grammar().prod(tree.node(p.node).prod).lhs;
         p.node == tree.root() || plans.phases.visit_count(sym) == 1
     };
-    let mut points: Vec<MemoPoint> = (0..decomp.len() as RegionId)
-        .filter_map(|r| region_cacheable(plan, memo_safe, tree, decomp, r))
+    leaf_roots
+        .iter()
+        .filter_map(|&root| region_cacheable(plan, memo_safe, tree, root))
         .filter(one_visit)
-        .collect();
-    points.sort_unstable_by_key(|p| p.node);
-    points
+        .collect()
 }
 
 /// One job's memo points and the cache they go to: what the static
@@ -668,6 +682,7 @@ mod tests {
     use super::*;
     use crate::eval::static_eval;
     use crate::grammar::GrammarBuilder;
+    use crate::split::Decomposition;
     use crate::tree::{AttrStore, Child, TreeBuilder};
 
     fn entry(bytes: usize) -> MemoEntry<i64> {
@@ -817,7 +832,7 @@ mod tests {
         let decomp = Decomposition::whole(&tree);
         assert!(decomp.is_unsplit());
         let memo_safe = memo_safety(&plan);
-        let point = region_cacheable(&plan, &memo_safe, &tree, &decomp, 0)
+        let point = region_cacheable(&plan, &memo_safe, &tree, tree.root())
             .expect("the lone region is a leaf rooted at the tree root");
         assert_eq!(point.node, tree.root());
         assert!(
@@ -826,7 +841,7 @@ mod tests {
         );
         assert_eq!(root_point(tree.as_ref()).as_ref(), Some(&point));
         assert_eq!(
-            memo_points(&plan, &memo_safe, &tree, &decomp),
+            memo_points(&plan, &memo_safe, &tree, &decomp.leaf_roots()),
             std::slice::from_ref(&point)
         );
         let inherited = inherited_fingerprint(std::iter::empty::<&i64>()).unwrap();

@@ -246,7 +246,10 @@ use crate::analysis::Plans;
 use crate::eval::{EvalError, EvalPlan, VisitPrograms};
 use crate::grammar::AttrId;
 use crate::memo::{memo_points, memo_safety, root_point, MemoCache, MemoCounters, MemoPoint};
-use crate::split::{decompose_granular, Decomposition, RegionGranularity, RegionId, SplitTable};
+use crate::split::{
+    adaptive_leaf_roots, decompose_granular, fits_budget, Decomposition, RegionGranularity,
+    RegionId, SplitTable,
+};
 use crate::stats::EvalStats;
 use crate::tree::{AttrRead, AttrStore, NodeId, ParseTree, RegionStore};
 use crate::value::AttrValue;
@@ -877,16 +880,24 @@ impl<V: AttrValue> WorkerPool<V> {
         self.memo.as_ref().map(|m| m.counters())
     }
 
+    /// The bytes the memo cache charges for what it holds now (the
+    /// wire size of every cached value, the figure its budget bounds),
+    /// or `None` when memoization is off.
+    pub fn memo_bytes(&self) -> Option<usize> {
+        self.memo.as_ref().map(|m| m.bytes())
+    }
+
     /// Cuts `tree` into regions — by default into at most `workers`
     /// and no more than its work repays shipping, under an adaptive
     /// budget into budget-sized ones, the budget no less than
     /// [`MIN_REGION_WORK`] — or leaves it whole, one whole-tree job that
-    /// needs no decomposition at all: by default decided from the work
-    /// estimate alone, under a budget by a decomposition that comes back
-    /// unsplit. Only a plan with visit programs has a whole-tree job to
-    /// run; without them (the grammar is not l-ordered) a tree that
-    /// stays whole is a one-region machine. `tree_work` is
-    /// [`EvalPlan::tree_work`] of `tree`.
+    /// needs no decomposition at all, decided from the work estimate
+    /// alone: by default when it repays no second region, under a
+    /// budget when it fits 1.5× the budget ([`fits_budget`], the test
+    /// the adaptive decomposition itself starts with). Only a plan with
+    /// visit programs has a whole-tree job to run; without them (the
+    /// grammar is not l-ordered) a tree that stays whole is a one-region
+    /// machine. `tree_work` is [`EvalPlan::tree_work`] of `tree`.
     fn carve(&self, tree: &Arc<ParseTree<V>>, tree_work: u64) -> Cut<V> {
         let statics = self.plan.plans().zip(self.plan.programs());
         let whole = |(plans, programs): (&Arc<Plans>, &Arc<VisitPrograms<V>>)| {
@@ -897,9 +908,13 @@ impl<V: AttrValue> WorkerPool<V> {
             )
         };
         let granularity = match self.config.adaptive_budget {
-            Some(budget) => RegionGranularity::Adaptive {
-                budget: budget.max(MIN_REGION_WORK),
-            },
+            Some(budget) => {
+                let budget = budget.max(MIN_REGION_WORK);
+                if let (true, Some(statics)) = (fits_budget(tree_work, budget), statics) {
+                    return whole(statics);
+                }
+                RegionGranularity::Adaptive { budget }
+            }
             None => {
                 let regions = regions_worth_shipping(self.config.workers, tree_work);
                 if let (1, Some(statics)) = (regions, statics) {
@@ -927,19 +942,17 @@ impl<V: AttrValue> WorkerPool<V> {
         if self.memo.is_none() {
             return Arc::new([]);
         }
-        let of = |decomp: &Decomposition| memo_points(&self.plan, &self.memo_safe, tree, decomp);
+        let of = |leaf_roots: &[NodeId]| -> Arc<[MemoPoint]> {
+            memo_points(&self.plan, &self.memo_safe, tree, leaf_roots).into()
+        };
         match (decomp, self.config.adaptive_budget) {
-            (Some(decomp), _) => of(decomp).into(),
-            (None, Some(budget)) if budget < MIN_REGION_WORK => {
-                let granularity = RegionGranularity::Adaptive { budget };
-                of(&decompose_granular(
-                    tree,
-                    &self.split,
-                    self.plan.work_table(),
-                    granularity,
-                ))
-                .into()
-            }
+            (Some(decomp), _) => of(&decomp.leaf_roots()),
+            (None, Some(budget)) if budget < MIN_REGION_WORK => of(&adaptive_leaf_roots(
+                tree,
+                &self.split,
+                self.plan.work_table(),
+                budget,
+            )),
             _ => root_point(tree.as_ref()).into_iter().collect(),
         }
     }

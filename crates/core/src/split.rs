@@ -8,13 +8,16 @@
 //! different granularities".
 //!
 //! One carving engine lives here, with two stopping rules. The engine
-//! holds the partition under construction, the `%split` candidates, the
-//! preorder intervals and a per-subtree measure (nodes, or work units),
-//! with each region's local share of that measure. Its three steps are
-//! to carve the candidate whose local measure is closest to a target
-//! out of a region, to relink every region to its parent, and to build
-//! the slot layout. The two decompositions differ only in which region
-//! they carve, at what target, and when they stop:
+//! holds the partition under construction, the `%split` candidates and,
+//! per node, its local measure (nodes, or work units) and local size:
+//! those of the nodes of its subtree that its own region owns, kept
+//! current through every carve. Its steps are to carve the candidate
+//! whose local measure is closest to a target out of a region, then
+//! either to relink every region to its parent and build the slot
+//! layout, or — for the memo, which reads only where the leaf regions
+//! are rooted — to list the leaf regions' roots
+//! ([`adaptive_leaf_roots`]). The two decompositions differ only in
+//! which region they carve, at what target, and when they stop:
 //!
 //! * [`decompose`] (fixed count) targets a region count — one region
 //!   per machine — and greedily splits the largest region at the
@@ -104,6 +107,27 @@ impl Decomposition {
     /// Region owning a node.
     pub fn region(&self, n: NodeId) -> RegionId {
         self.region_of[n.idx()]
+    }
+
+    /// The roots of the leaf regions — regions no other region hangs
+    /// from — in node order ([`adaptive_leaf_roots`] gives the same for
+    /// an adaptive cut without building one).
+    pub fn leaf_roots(&self) -> Vec<NodeId> {
+        let mut interior = vec![false; self.regions.len()];
+        for info in &self.regions {
+            if let Some(p) = info.parent {
+                interior[p as usize] = true;
+            }
+        }
+        let mut roots: Vec<NodeId> = self
+            .regions
+            .iter()
+            .zip(interior)
+            .filter(|(_, interior)| !interior)
+            .map(|(info, _)| info.root)
+            .collect();
+        roots.sort_unstable();
+        roots
     }
 
     /// The region-local slot layout of this decomposition's machines.
@@ -527,16 +551,39 @@ pub fn decompose_with<V: AttrValue>(
     if target_regions <= 1 {
         return Decomposition::whole(tree.as_ref());
     }
+    carve_fixed(tree, table, target_regions, &mut |_| {}).finish()
+}
+
+/// The fixed-count stopping rule (see [`decompose_with`]), reporting
+/// every carve to `observe`.
+fn carve_fixed<'t, V: AttrValue>(
+    tree: &'t ParseTree<V>,
+    table: &SplitTable,
+    target_regions: usize,
+    observe: &mut dyn FnMut(CarveStep<'_>),
+) -> Carver<'t, V> {
     let quantum = (tree.len() / target_regions).max(2) as u64;
     let mut c = Carver::new(tree, table, None);
     while c.local.len() < target_regions {
         let big = (0..c.local.len()).max_by_key(|&r| c.local[r]).unwrap_or(0);
         match c.best(big, quantum) {
-            Some((node, nodes)) => c.carve(node, nodes),
+            Some((node, nodes)) => {
+                c.carve(node, nodes);
+                observe(c.step());
+            }
             None => break,
         }
     }
-    c.finish()
+    c
+}
+
+/// `true` when a tree of `tree_work` units stays one region under an
+/// adaptive `budget`: it is within 1.5× the budget, the bound above
+/// which [`decompose_adaptive`] re-splits a region. A caller that
+/// already knows the tree's work answers this without a decomposition.
+pub fn fits_budget(tree_work: u64, budget: u64) -> bool {
+    let budget = budget.max(1);
+    tree_work <= budget.saturating_add(budget / 2)
 }
 
 /// Splits `tree` into regions of ≈`budget` work units each (cost-driven
@@ -562,22 +609,91 @@ pub fn decompose_with<V: AttrValue>(
 /// machine count — so the same tree decomposes identically no matter
 /// how many workers the pool runs, and a region-granular scheduler can
 /// map regions onto workers round-robin. Returns the trivial
-/// decomposition when the whole tree fits within 1.5× the budget.
+/// decomposition when the whole tree fits within 1.5× the budget
+/// ([`fits_budget`]).
 ///
-/// Cost: each split iteration rescans the candidates of the largest
-/// oversized region, and a candidate's local work walks the carved
-/// region list — O(splits × candidates × regions) worst case. Measured
-/// on the 264k-node `huge` Pascal workload this is 15–60 ms for 10–65
-/// regions (a few percent of that tree's evaluation time); it runs
-/// once per tree on the submit thread. If region counts grow far
-/// beyond that, maintain per-region candidate lists and update local
-/// work incrementally on each carve.
+/// Cost: O(nodes) to set up — subtree work, the `%split` candidates and
+/// every node's local work and size — then, per split, one scan of the
+/// candidates, each read in O(1) off the per-node locals, which a carve
+/// keeps current by subtracting its share from its in-region ancestors
+/// (O(depth)), and a relabelling of the nodes it moves. A merge is
+/// O(1): merged regions forward to their target and the node map is
+/// renumbered once, at the end. [`adaptive_leaf_roots`] runs the same
+/// carve without building the slot layout.
 pub fn decompose_adaptive<V: AttrValue>(
     tree: &Arc<ParseTree<V>>,
     table: &SplitTable,
     work: &WorkTable,
     budget: u64,
 ) -> Decomposition {
+    match carve_adaptive(tree, table, work, budget, &mut |_| {}) {
+        Some(c) => c.finish(),
+        None => Decomposition::whole(tree.as_ref()),
+    }
+}
+
+/// The roots of the leaf regions — regions no other region hangs
+/// from — of [`decompose_adaptive`]'s cut, in node order, without the
+/// slot layout: what the memo reads of a cut it does not run (the tree
+/// root alone when the tree fits the budget).
+pub fn adaptive_leaf_roots<V: AttrValue>(
+    tree: &Arc<ParseTree<V>>,
+    table: &SplitTable,
+    work: &WorkTable,
+    budget: u64,
+) -> Vec<NodeId> {
+    match carve_adaptive(tree, table, work, budget, &mut |_| {}) {
+        Some(c) => c.leaf_roots(),
+        None => vec![tree.root()],
+    }
+}
+
+/// What the carving engine keeps per node after a carve, for tests that
+/// check it against the definition: a node's local work and size are
+/// those of the nodes of its subtree its own region owns.
+#[doc(hidden)]
+pub struct CarveStep<'a> {
+    /// Region of each node, indexed by [`NodeId`].
+    pub region_of: &'a [RegionId],
+    /// Local work units of each node under an adaptive budget; `None`
+    /// under a fixed count, which measures in nodes.
+    pub local_work: Option<&'a [u64]>,
+    /// Local node count of each node.
+    pub local_size: &'a [u32],
+}
+
+/// [`decompose_granular`] that reports the engine's per-node state to
+/// `observe` after every carve (a test hook).
+#[doc(hidden)]
+pub fn decompose_traced<V: AttrValue>(
+    tree: &Arc<ParseTree<V>>,
+    table: &SplitTable,
+    work: &WorkTable,
+    granularity: RegionGranularity,
+    observe: &mut dyn FnMut(CarveStep<'_>),
+) -> Decomposition {
+    let carver = match granularity {
+        RegionGranularity::Machines(n) if n > 1 => Some(carve_fixed(tree, table, n, observe)),
+        RegionGranularity::Machines(_) => None,
+        RegionGranularity::Adaptive { budget } => {
+            carve_adaptive(tree, table, work, budget, observe)
+        }
+    };
+    match carver {
+        Some(c) => c.finish(),
+        None => Decomposition::whole(tree.as_ref()),
+    }
+}
+
+/// The adaptive stopping rule (see [`decompose_adaptive`]), reporting
+/// every carve to `observe`; `None` when the tree fits the budget.
+fn carve_adaptive<'t, V: AttrValue>(
+    tree: &'t ParseTree<V>,
+    table: &SplitTable,
+    work: &WorkTable,
+    budget: u64,
+    observe: &mut dyn FnMut(CarveStep<'_>),
+) -> Option<Carver<'t, V>> {
     let budget = budget.max(1);
     let oversize = budget.saturating_add(budget / 2);
     let undersize = budget / 4;
@@ -594,83 +710,79 @@ pub fn decompose_adaptive<V: AttrValue>(
         }
         sub_work[n.idx()] = w;
     }
-    if sub_work[tree.root().idx()] <= oversize {
-        return Decomposition::whole(tree.as_ref());
+    if fits_budget(sub_work[tree.root().idx()], budget) {
+        return None;
     }
     let mut c = Carver::new(tree, table, Some(sub_work));
 
     // Phase 1: re-split oversized regions.
-    let mut frozen = std::collections::HashSet::new();
+    let mut frozen = vec![false];
     while let Some(big) = (0..c.local.len())
-        .filter(|&r| c.local[r] > oversize && !frozen.contains(&r))
+        .filter(|&r| c.local[r] > oversize && !frozen[r])
         .max_by_key(|&r| c.local[r])
     {
         match c.best(big, budget) {
-            None => {
-                frozen.insert(big);
+            None => frozen[big] = true,
+            Some((node, w)) => {
+                c.carve(node, w);
+                frozen.push(false);
+                observe(c.step());
             }
-            Some((node, w)) => c.carve(node, w),
         }
     }
 
-    // Phase 2: merge undersized regions into their parent region.
-    let (d, local_work) = (&mut c.d, &mut c.local);
-    let mut i = d.regions.len();
-    while i > 1 {
-        i -= 1;
-        if local_work[i] >= undersize {
+    // Phase 2: merge undersized regions into their parent region, the
+    // highest-numbered first.
+    for i in (1..c.local.len()).rev() {
+        if c.local[i] >= undersize {
             continue;
         }
         let (pnode, _) = tree
-            .node(d.regions[i].root)
+            .node(c.d.regions[i].root)
             .parent
             .expect("carved region roots are not the tree root");
-        let target = d.region_of[pnode.idx()] as usize;
-        if local_work[target].saturating_add(local_work[i]) > oversize {
+        let target = c.live(c.d.region(pnode)) as usize;
+        if c.local[target].saturating_add(c.local[i]) > oversize {
             continue;
         }
-        let victim = i as RegionId;
-        // Post-removal id of the target: removing the victim shifts
-        // every higher-indexed region down by one, the target included
-        // when it sits above the victim.
-        let target_after = if target > i { target - 1 } else { target } as RegionId;
-        for slot in d.region_of.iter_mut() {
-            if *slot == victim {
-                *slot = target_after;
-            } else if *slot > victim {
-                *slot -= 1;
-            }
-        }
-        d.regions[target].local_size += d.regions[i].local_size;
-        local_work[target] += local_work[i];
-        d.regions.remove(i);
-        local_work.remove(i);
+        c.merged_into[i] = target as RegionId;
+        c.d.regions[target].local_size += c.d.regions[i].local_size;
+        c.local[target] += c.local[i];
     }
-    c.finish()
+    Some(c)
 }
+
+/// Marks a region that was not merged into another.
+const LIVE: RegionId = RegionId::MAX;
 
 /// The carving engine both decompositions share; each of them is only
 /// a stopping rule over [`Carver::best`] and [`Carver::carve`].
 ///
 /// It holds the partition under construction, the `%split` candidates,
-/// the preorder intervals, and a per-subtree measure — nodes, or work
-/// units — with each region's local share of it.
+/// and per node its local size and, under an adaptive budget, its local
+/// work: those of the nodes of its subtree that its own region owns.
+/// The measure is the work, or else the size. Every node's locals stay
+/// current through every carve, so reading a candidate's costs O(1).
 struct Carver<'t, V: AttrValue> {
     tree: &'t ParseTree<V>,
     d: Decomposition,
     /// Split points: nodes at `%split` symbols meeting the scaled
     /// minimum size, the tree root excluded, in arena order.
     candidates: Vec<NodeId>,
-    /// Preorder index of every node: `n`'s subtree is the preorder
-    /// interval `pre_in[n] .. pre_in[n] + subtree_size(n)`.
-    pre_in: Vec<u32>,
-    /// Work of every subtree, indexed by node; `None` measures nodes.
-    sub_work: Option<Vec<u64>>,
+    /// Local work of every node, indexed by node; `None` measures
+    /// nodes.
+    local_work: Option<Vec<u64>>,
+    /// Local node count of every node, indexed by node.
+    local_size: Vec<u32>,
     /// Local measure of every region, indexed by region.
     local: Vec<u64>,
+    /// Per region: the region it was merged into, or [`LIVE`].
+    merged_into: Vec<RegionId>,
 }
 
 impl<'t, V: AttrValue> Carver<'t, V> {
+    /// The engine over `tree`, measuring each subtree's work in
+    /// `sub_work` (indexed by node), or its nodes.
     fn new(tree: &'t ParseTree<V>, table: &SplitTable, sub_work: Option<Vec<u64>>) -> Self {
         let g = tree.grammar();
         let candidates = tree
@@ -683,52 +795,29 @@ impl<'t, V: AttrValue> Carver<'t, V> {
                     .is_some_and(|min| tree.subtree_size(n) >= min)
             })
             .collect();
-        let mut pre_in = vec![0u32; tree.len()];
-        for (i, n) in tree.subtree(tree.root()).enumerate() {
-            pre_in[n.idx()] = i as u32;
-        }
+        let local_size = tree
+            .node_ids()
+            .map(|n| tree.subtree_size(n) as u32)
+            .collect();
         let mut c = Carver {
             tree,
             d: Decomposition::whole_unfinalized(tree),
             candidates,
-            pre_in,
-            sub_work,
+            local_work: sub_work,
+            local_size,
             local: Vec::new(),
+            merged_into: vec![LIVE],
         };
         c.local.push(c.measure(tree.root()));
         c
     }
 
+    /// Local measure of `n`: its local work, or its local size.
     fn measure(&self, n: NodeId) -> u64 {
-        match &self.sub_work {
+        match &self.local_work {
             Some(work) => work[n.idx()],
-            None => self.tree.subtree_size(n) as u64,
+            None => self.local_size[n.idx()] as u64,
         }
-    }
-
-    /// Local (measure, node count) of `n` within its region: its
-    /// subtree minus the subtrees of the region roots under it whose
-    /// parent node lies in that region. Such roots are pairwise
-    /// disjoint and contain no node of the region, so this costs
-    /// O(#regions) instead of a walk of the subtree.
-    fn local_of(&self, n: NodeId) -> (u64, usize) {
-        let (tree, d) = (self.tree, &self.d);
-        let r = d.region(n);
-        let first = self.pre_in[n.idx()] as usize;
-        let mut m = self.measure(n);
-        let mut s = tree.subtree_size(n);
-        for info in d.regions.iter().skip(1) {
-            let (pnode, _) = tree
-                .node(info.root)
-                .parent
-                .expect("carved region roots are not the tree root");
-            let at = self.pre_in[info.root.idx()] as usize;
-            if d.region(pnode) == r && at > first && at < first + tree.subtree_size(n) {
-                m -= self.measure(info.root);
-                s -= tree.subtree_size(info.root);
-            }
-        }
-        (m, s)
     }
 
     /// The candidate inside region `big` whose local measure is closest
@@ -742,7 +831,7 @@ impl<'t, V: AttrValue> Carver<'t, V> {
             if self.d.region(n) as usize != big || n == region.root {
                 continue;
             }
-            let (m, s) = self.local_of(n);
+            let (m, s) = (self.measure(n), self.local_size[n.idx()] as usize);
             if s < 2 || region.local_size - s < 2 {
                 continue;
             }
@@ -755,39 +844,108 @@ impl<'t, V: AttrValue> Carver<'t, V> {
     }
 
     /// Carves the local subtree of `node`, whose local measure is `m`,
-    /// out of its current region into a new one.
+    /// out of its current region into a new one, and takes its share
+    /// off the locals of its ancestors in that region.
     fn carve(&mut self, node: NodeId, m: u64) {
-        let d = &mut self.d;
+        let (tree, d) = (self.tree, &mut self.d);
         let old = d.region(node);
         let new = d.regions.len() as RegionId;
-        let mut moved = 0usize;
+        let moved = self.local_size[node.idx()];
+        let mut up = tree.node(node).parent;
+        while let Some((p, _)) = up.filter(|&(p, _)| d.region(p) == old) {
+            if let Some(work) = &mut self.local_work {
+                work[p.idx()] -= m;
+            }
+            self.local_size[p.idx()] -= moved;
+            up = tree.node(p).parent;
+        }
         let mut stack = vec![node];
         while let Some(x) = stack.pop() {
             if d.region(x) != old {
                 continue;
             }
             d.region_of[x.idx()] = new;
-            moved += 1;
-            for c in self.tree.children(x) {
+            for c in tree.children(x) {
                 if let Child::Node(c) = c {
                     stack.push(*c);
                 }
             }
         }
-        d.regions[old as usize].local_size -= moved;
+        d.regions[old as usize].local_size -= moved as usize;
         d.regions.push(RegionInfo {
             root: node,
             parent: Some(old),
-            local_size: moved,
+            local_size: moved as usize,
         });
         self.local[old as usize] -= m;
         self.local.push(m);
+        self.merged_into.push(LIVE);
     }
 
-    /// Relinks every region to its parent and builds the slot layout. A
+    /// The engine's per-node state, for an observer.
+    fn step(&self) -> CarveStep<'_> {
+        CarveStep {
+            region_of: &self.d.region_of,
+            local_work: self.local_work.as_deref(),
+            local_size: &self.local_size,
+        }
+    }
+
+    /// The region `r` ended up in: itself, or the live region it was
+    /// merged into.
+    fn live(&self, mut r: RegionId) -> RegionId {
+        while self.merged_into[r as usize] != LIVE {
+            r = self.merged_into[r as usize];
+        }
+        r
+    }
+
+    /// The roots of the live regions no other live region hangs from,
+    /// in node order.
+    fn leaf_roots(&self) -> Vec<NodeId> {
+        let mut interior = vec![false; self.local.len()];
+        for (i, info) in self.d.regions.iter().enumerate().skip(1) {
+            if self.merged_into[i] == LIVE {
+                let (p, _) = self.tree.node(info.root).parent.expect("not the tree root");
+                interior[self.live(self.d.region(p)) as usize] = true;
+            }
+        }
+        let mut roots: Vec<NodeId> = (0..self.local.len())
+            .filter(|&r| self.merged_into[r] == LIVE && !interior[r])
+            .map(|r| self.d.regions[r].root)
+            .collect();
+        roots.sort_unstable();
+        roots
+    }
+
+    /// Drops the merged regions — renumbering the rest in order — then
+    /// relinks every region to its parent and builds the slot layout. A
     /// later carve may move an earlier region's root-parent, and a merge
     /// renumbers regions, so the links are read off the final map.
     fn finish(mut self) -> Decomposition {
+        if self.merged_into.iter().any(|&m| m != LIVE) {
+            let mut renumber = vec![0 as RegionId; self.local.len()];
+            let mut next = 0;
+            for (r, slot) in renumber.iter_mut().enumerate() {
+                if self.merged_into[r] == LIVE {
+                    *slot = next;
+                    next += 1;
+                }
+            }
+            for r in 0..renumber.len() {
+                renumber[r] = renumber[self.live(r as RegionId) as usize];
+            }
+            let d = &mut self.d;
+            for slot in d.region_of.iter_mut() {
+                *slot = renumber[*slot as usize];
+            }
+            let merged = &self.merged_into;
+            let mut r = 0;
+            d.regions.retain(|_| {
+                r += 1;
+                merged[r - 1] == LIVE
+            });
+        }
         let d = &mut self.d;
         for i in 1..d.regions.len() {
             let (p, _) = self

@@ -230,7 +230,7 @@ impl AttrValue for Value {
             Value::Bool(_) => 1,
             Value::Str(s) => s.len() + 4,
             Value::Rope(r) => r.wire_size(),
-            Value::Tab(t) => t.wire_size(AttrValue::wire_size),
+            Value::Tab(t) => t.wire_size(),
             Value::List(l) => 4 + l.iter().map(AttrValue::wire_size).sum::<usize>(),
         }
     }
@@ -240,6 +240,23 @@ impl AttrValue for Value {
     }
 
     fn content_hash(&self) -> Option<u64> {
+        Some(paragram_symtab::TabValue::digest(self))
+    }
+
+    fn is_fingerprintable(&self) -> bool {
+        true
+    }
+}
+
+impl paragram_symtab::TabValue for Value {
+    fn wire_size(&self) -> usize {
+        AttrValue::wire_size(self)
+    }
+
+    /// Every `Value` has a content hash: the table's own digest stands
+    /// for a `Tab`, so fingerprinting one is O(1) (see
+    /// [`SymTab::digest`]).
+    fn digest(&self) -> u64 {
         let mut h = fnv1a(&[match self {
             Value::Unit => 0u8,
             Value::Int(_) => 1,
@@ -260,29 +277,17 @@ impl AttrValue for Value {
                 }
             }
             Value::Tab(t) => {
-                // Iteration order is determined by the table's build
-                // sequence; identical builds hash identically, while
-                // equal-content tables built differently may miss
-                // (never false-hit, since the node hash still pins the
-                // full iteration content).
-                for (name, v) in t.iter() {
-                    h = fnv1a_u64(h, fnv1a(name.as_bytes()));
-                    h = fnv1a_u64(h, v.content_hash()?);
-                }
+                h = fnv1a_u64(h, t.digest());
                 h = fnv1a_u64(h, t.len() as u64);
             }
             Value::List(l) => {
                 for v in l.iter() {
-                    h = fnv1a_u64(h, v.content_hash()?);
+                    h = fnv1a_u64(h, paragram_symtab::TabValue::digest(v));
                 }
                 h = fnv1a_u64(h, l.len() as u64);
             }
         }
-        Some(h)
-    }
-
-    fn is_fingerprintable(&self) -> bool {
-        true
+        h
     }
 }
 

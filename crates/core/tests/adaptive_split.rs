@@ -20,10 +20,13 @@ use paragram_core::analysis::{compute_plans, Plans};
 use paragram_core::eval::{static_eval, AttrMsg, Machine, MachineMode, SendTarget};
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId};
 use paragram_core::split::{
-    boundary_children, decompose_adaptive, decompose_granular, Decomposition, RegionGranularity,
-    RegionId, SplitTable, WorkTable,
+    adaptive_leaf_roots, boundary_children, decompose_adaptive, decompose_granular,
+    decompose_traced, CarveStep, Decomposition, RegionGranularity, RegionId, SplitTable, WorkTable,
 };
-use paragram_core::tree::{AttrStore, ParseTree, RegionStore, TreeBuilder};
+use paragram_core::tree::{AttrStore, NodeId, ParseTree, RegionStore, TreeBuilder};
+use paragram_core::value::AttrValue;
+use paragram_pascal::generator::{generate, GenConfig};
+use paragram_pascal::Compiler;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -371,5 +374,197 @@ fn phase2_merge_into_higher_index_region_keeps_partition_sound() {
             i as RegionId,
             "region {i} root not owned by its region"
         );
+    }
+}
+
+/// Checks the carving engine's per-node locals against their
+/// definition, by a walk of every node's subtree: a node's local work
+/// and size are those of the nodes of its subtree that its own region
+/// owns.
+fn assert_locals_are_the_definition<V: AttrValue>(
+    tree: &ParseTree<V>,
+    step: &CarveStep<'_>,
+    work: &WorkTable,
+) {
+    for n in tree.node_ids() {
+        let r = step.region_of[n.idx()];
+        let (mut w, mut s) = (0u64, 0u32);
+        for x in tree.subtree(n) {
+            if step.region_of[x.idx()] == r {
+                w += work.node_work(tree, x);
+                s += 1;
+            }
+        }
+        if let Some(local_work) = step.local_work {
+            assert_eq!(local_work[n.idx()], w, "local work of {n:?}");
+        }
+        assert_eq!(step.local_size[n.idx()], s, "local size of {n:?}");
+    }
+}
+
+/// Decomposes `tree` under `granularity`, checking the engine's locals
+/// after every carve; returns the decomposition and the carve count.
+fn traced_with_checked_locals<V: AttrValue>(
+    tree: &Arc<ParseTree<V>>,
+    table: &SplitTable,
+    work: &WorkTable,
+    granularity: RegionGranularity,
+) -> (Decomposition, usize) {
+    let mut carves = 0;
+    let d = decompose_traced(tree, table, work, granularity, &mut |step| {
+        carves += 1;
+        let adaptive = matches!(granularity, RegionGranularity::Adaptive { .. });
+        assert_eq!(step.local_work.is_some(), adaptive, "{granularity:?}");
+        assert_locals_are_the_definition(tree, &step, work);
+    });
+    (d, carves)
+}
+
+/// The leaf regions' roots by the slot layout's definition: regions
+/// without boundary children, in node order.
+fn leaf_roots_by_boundary<V: AttrValue>(tree: &ParseTree<V>, d: &Decomposition) -> Vec<NodeId> {
+    let mut roots: Vec<NodeId> = (0..d.len() as RegionId)
+        .filter(|&r| boundary_children(tree, d, r).is_empty())
+        .map(|r| d.regions[r as usize].root)
+        .collect();
+    roots.sort_unstable();
+    roots
+}
+
+/// The points-only carve returns the leaf roots of the cut
+/// `decompose_adaptive` builds, at `tree_work / div` for every `div`:
+/// the memo points of a tree the pool leaves whole are a function of
+/// these roots alone, so they are `memo_points(decompose_adaptive(..))`.
+fn assert_points_only_path_matches<V: AttrValue>(
+    tree: &Arc<ParseTree<V>>,
+    table: &SplitTable,
+    work: &WorkTable,
+    divisors: impl IntoIterator<Item = u64>,
+) {
+    let total = work.tree_work(tree);
+    for div in divisors {
+        let budget = (total / div).max(1);
+        let d = decompose_adaptive(tree, table, work, budget);
+        let want = leaf_roots_by_boundary(tree, &d);
+        assert_eq!(d.leaf_roots(), want, "budget {budget}: built cut");
+        assert_eq!(
+            adaptive_leaf_roots(tree, table, work, budget),
+            want,
+            "budget {budget}: points-only carve over {} regions",
+            d.len()
+        );
+    }
+}
+
+/// The Pascal programs the memo and the pool are measured on: the
+/// paper's, the small smoke program and the `memo_iid`-shaped unit.
+fn pascal_trees(seeds: std::ops::Range<u64>) -> Vec<Arc<ParseTree<paragram_pascal::PVal>>> {
+    let compiler = Compiler::new();
+    let mut configs = vec![GenConfig::paper(), GenConfig::small()];
+    configs.extend(seeds.map(|seed| GenConfig {
+        clusters: 3,
+        procs_per_cluster: 2,
+        stmts_per_proc: 4,
+        nesting: 1,
+        seed,
+        template_clusters: 0,
+    }));
+    configs
+        .iter()
+        .map(|cfg| compiler.tree_from_source(&generate(cfg)).unwrap())
+        .collect()
+}
+
+const DIVISORS: [u64; 12] = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
+
+proptest! {
+    /// After every carve, under both stopping rules, every node's
+    /// local measure and size — which a carve keeps current by
+    /// subtracting its share from its in-region ancestors — equal their
+    /// definition.
+    #[test]
+    fn incremental_locals_equal_their_definition_after_every_carve(
+        shape in prop::collection::vec(0u8..6, 1..16),
+        divisor in prop::sample::select(vec![2u64, 3, 6, 12, 24]),
+        machines in 2usize..6,
+        scale in prop::sample::select(vec![0.5f64, 1.0, 4.0]),
+    ) {
+        let fx = fixture();
+        let tree = build_tree(&fx, &shape);
+        let table = SplitTable::new(fx.grammar.as_ref(), scale);
+        let work = WorkTable::new(fx.grammar.as_ref());
+        let budget = (work.tree_work(&tree) / divisor).max(1);
+        for granularity in [
+            RegionGranularity::Adaptive { budget },
+            RegionGranularity::Machines(machines),
+        ] {
+            let (traced, _) = traced_with_checked_locals(&tree, &table, &work, granularity);
+            let plain = decompose_granular(&tree, &table, &work, granularity);
+            prop_assert_eq!(&traced.region_of, &plain.region_of);
+            prop_assert_eq!(&traced.regions, &plain.regions);
+        }
+    }
+
+    /// The points-only carve equals the built cut's leaf roots on comb
+    /// trees over a sweep of budgets.
+    #[test]
+    fn points_only_carve_matches_the_built_cut_on_combs(
+        shape in prop::collection::vec(0u8..6, 1..20),
+        scale in prop::sample::select(vec![0.5f64, 1.0, 4.0]),
+    ) {
+        let fx = fixture();
+        let tree = build_tree(&fx, &shape);
+        let table = SplitTable::new(fx.grammar.as_ref(), scale);
+        let work = WorkTable::new(fx.grammar.as_ref());
+        assert_points_only_path_matches(&tree, &table, &work, DIVISORS);
+    }
+}
+
+/// The points-only carve equals the built cut's leaf roots on the
+/// paper, small and memo-shaped Pascal programs, and the engine's
+/// locals equal their definition after every carve of the memo-shaped
+/// one, under both stopping rules.
+#[test]
+fn points_only_carve_matches_the_built_cut_on_pascal_trees() {
+    for tree in pascal_trees(1..3) {
+        let table = SplitTable::new(tree.grammar().as_ref(), 1.0);
+        let work = WorkTable::new(tree.grammar().as_ref());
+        assert_points_only_path_matches(&tree, &table, &work, DIVISORS);
+    }
+    let tree = pascal_trees(7..8).pop().unwrap();
+    let table = SplitTable::new(tree.grammar().as_ref(), 1.0);
+    let work = WorkTable::new(tree.grammar().as_ref());
+    let budget = work.tree_work(&tree) / 16;
+    for granularity in [
+        RegionGranularity::Adaptive { budget },
+        RegionGranularity::Machines(5),
+    ] {
+        let (d, carves) = traced_with_checked_locals(&tree, &table, &work, granularity);
+        assert!(carves > 0 && d.len() > 1, "{granularity:?} cuts the tree");
+    }
+}
+
+/// Many-case variant of the two checks above: 64 memo-shaped programs
+/// and a 120-step budget sweep, locals checked on every one.
+#[test]
+#[ignore = "many cases; CI runs it with --ignored"]
+fn points_only_carve_and_locals_hold_on_many_pascal_trees() {
+    let sweep: Vec<u64> = (1..=120).collect();
+    for tree in pascal_trees(0..64) {
+        let table = SplitTable::new(tree.grammar().as_ref(), 1.0);
+        let work = WorkTable::new(tree.grammar().as_ref());
+        assert_points_only_path_matches(&tree, &table, &work, sweep.iter().copied());
+        if tree.len() > 5_000 {
+            continue; // the paper and small programs: the walk is quadratic
+        }
+        for div in [4, 16, 64] {
+            let budget = (work.tree_work(&tree) / div).max(1);
+            for granularity in [
+                RegionGranularity::Adaptive { budget },
+                RegionGranularity::Machines(div as usize),
+            ] {
+                traced_with_checked_locals(&tree, &table, &work, granularity);
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@
 use crate::env::{Entry, Env, ParamSig, SigList, Ty};
 use paragram_core::value::{fnv1a, fnv1a_bytes, fnv1a_u64, AttrValue};
 use paragram_rope::Rope;
+use paragram_symtab::TabValue;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -176,13 +177,7 @@ impl AttrValue for PVal {
             PVal::Int(_) => 8,
             PVal::Str(s) => 4 + s.len(),
             PVal::Ty(_) => 1,
-            PVal::Env(e) => e.wire_size(|entry| match entry {
-                crate::env::Entry::Proc { params, label, .. }
-                | crate::env::Entry::Func { params, label, .. } => {
-                    label.len() + 8 + params.len() * 12
-                }
-                _ => 16,
-            }),
+            PVal::Env(e) => e.wire_size(),
             PVal::Code(c) => c.wire_size(),
             PVal::Errs(e) => 4 + e.iter().map(|m| m.len() + 4).sum::<usize>(),
             PVal::Sig(s) => 4 + s.len() * 12,
@@ -213,14 +208,11 @@ impl AttrValue for PVal {
             PVal::Str(s) => h = fnv1a_u64(h, fnv1a(s.as_bytes())),
             PVal::Ty(t) => h = fnv1a_u64(h, ty_hash(*t)),
             PVal::Env(e) => {
-                // Iteration order follows the table's build sequence:
-                // identically threaded environments hash identically;
-                // equal-content tables built differently may miss,
-                // never false-hit.
-                for (name, entry) in e.iter() {
-                    h = fnv1a_u64(h, fnv1a(name.as_bytes()));
-                    h = fnv1a_u64(h, entry_hash(entry));
-                }
+                // The table's digest, kept at its root: O(1), each
+                // entry digested once, when it was added. Identically
+                // threaded environments hash identically; equal-content
+                // tables built differently may miss, never false-hit.
+                h = fnv1a_u64(h, e.digest());
                 h = fnv1a_u64(h, e.len() as u64);
             }
             PVal::Code(c) => {
@@ -261,6 +253,21 @@ fn sig_hash(p: &ParamSig) -> u64 {
     let mut h = fnv1a(p.name.as_bytes());
     h = fnv1a_u64(h, ty_hash(p.ty));
     fnv1a_u64(h, p.by_ref as u64)
+}
+
+impl TabValue for Entry {
+    fn wire_size(&self) -> usize {
+        match self {
+            Entry::Proc { params, label, .. } | Entry::Func { params, label, .. } => {
+                label.len() + 8 + params.len() * 12
+            }
+            _ => 16,
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        entry_hash(self)
+    }
 }
 
 fn entry_hash(e: &Entry) -> u64 {

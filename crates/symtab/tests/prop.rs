@@ -1,7 +1,7 @@
 //! Property tests: the persistent symbol table must behave exactly like a
 //! sequence of immutable snapshots of a reference map.
 
-use paragram_symtab::SymTab;
+use paragram_symtab::{SymTab, TabValue};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -21,7 +21,94 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// A value whose price depends on it, so a shadowing add changes the
+/// table's price: 0–7 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Priced(i64);
+
+impl TabValue for Priced {
+    fn wire_size(&self) -> usize {
+        self.0.rem_euclid(8) as usize
+    }
+    fn digest(&self) -> u64 {
+        self.0 as u64
+    }
+}
+
+/// The flattened price by definition: a walk over every binding.
+fn walked_wire_size(tab: &SymTab<Priced>) -> usize {
+    8 + tab
+        .iter()
+        .map(|(name, v)| name.len() + 12 + v.wire_size())
+        .sum::<usize>()
+}
+
+/// A table's bindings, sorted by name.
+type Bindings = Vec<(String, i64)>;
+
+fn sorted_bindings(tab: &SymTab<Priced>) -> Bindings {
+    let mut bindings: Bindings = tab.iter().map(|(n, v)| (n.to_owned(), v.0)).collect();
+    bindings.sort();
+    bindings
+}
+
+/// The name and value each op binds, `None` for a shadow with nothing
+/// to shadow yet.
+fn binding(op: Op, names: &[String]) -> Option<(String, i64)> {
+    match op {
+        Op::Add(n, v) => Some((n, v)),
+        Op::Shadow(i, v) => (!names.is_empty()).then(|| (names[i % names.len()].clone(), v)),
+    }
+}
+
 proptest! {
+    /// The price the root keeps is the walk's, on every version: asked
+    /// as the table grows, and asked again of every old version
+    /// afterwards, which must still answer for its own bindings.
+    #[test]
+    fn cached_wire_size_is_the_walk_on_every_version(ops in ops()) {
+        let mut tab = SymTab::new();
+        let mut names: Vec<String> = Vec::new();
+        let mut versions: Vec<(SymTab<Priced>, usize, Bindings)> = Vec::new();
+        for op in ops {
+            let Some((name, value)) = binding(op, &names) else { continue };
+            tab = tab.add(name.clone(), Priced(value));
+            names.push(name);
+            let size = tab.wire_size();
+            prop_assert_eq!(size, walked_wire_size(&tab));
+            versions.push((tab.clone(), size, sorted_bindings(&tab)));
+        }
+        for (old, size, bindings) in &versions {
+            prop_assert_eq!(old.wire_size(), *size);
+            prop_assert_eq!(walked_wire_size(old), *size);
+            prop_assert_eq!(&sorted_bindings(old), bindings);
+        }
+    }
+
+    /// Two tables built by the same adds, each from its own names,
+    /// digest equal; rebinding one name to another value changes the
+    /// digest, and rebinding it back restores it.
+    #[test]
+    fn digest_follows_the_bindings(ops in ops(), pick in any::<usize>(), delta in 1i64..1000) {
+        let (mut one, mut two) = (SymTab::new(), SymTab::new());
+        let mut names: Vec<String> = Vec::new();
+        for op in ops {
+            let Some((name, value)) = binding(op, &names) else { continue };
+            one = one.add(name.clone(), Priced(value));
+            two = two.add(name.as_str(), Priced(value));
+            names.push(name);
+        }
+        prop_assert_eq!(one.digest(), two.digest());
+        if names.is_empty() {
+            return Ok(());
+        }
+        let name = &names[pick % names.len()];
+        let value = *one.lookup(name).expect("bound");
+        let changed = one.add(name.clone(), Priced(value.0.wrapping_add(delta)));
+        prop_assert_ne!(changed.digest(), one.digest());
+        prop_assert_eq!(changed.add(name.clone(), value).digest(), one.digest());
+    }
+
     #[test]
     fn matches_reference_map(ops in ops()) {
         let mut tab = SymTab::new();
